@@ -11,21 +11,38 @@
 //!   (`force_on_reference`): per-pair `JWord` assembly, `libm`
 //!   encode/decode per operand, cutoff LNS→f64→re-encode round trip.
 //!
-//! Both paths are proven bit-identical by `tests/golden_kernel.rs`;
-//! this binary quantifies what the refactor bought. Results go to a
+//! and, inside the batch path, the **lane kernel** of each arithmetic
+//! mode against the scalar per-pair skeleton it replaced (the `lane x`
+//! column; `G5_LANE_PATH` picks which lane implementation runs). For
+//! LNS mode on AVX2 the kernel is also run truncated after each of its
+//! pipeline stages, and the differences of those prefixes give the
+//! per-stage ns/interaction split that names the next bottleneck.
+//!
+//! All paths are proven bit-identical by `tests/golden_kernel.rs`;
+//! this binary quantifies what each refactor bought. Results go to a
 //! table, a `PhaseTimers` phase split for the headline run, and a
 //! JSON report (default `BENCH_pr3.json`); when the output file already
 //! exists its numbers are read first and a delta is printed, so CI can
 //! diff a fresh `--quick` run against the committed baseline.
+//! `--trajectory FILE` appends the LNS lane headline rows to the
+//! cross-PR ledger under `--pr LABEL`, keyed by the working tree's
+//! commit (`g5_bench::trajectory::working_commit`).
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out BENCH_pr3.json]
+//!     [--quick] [--out BENCH_pr3.json] [--baseline FILE] \
+//!     [--trajectory BENCH_trajectory.json --pr pr12]
 //! ```
 
+use g5_bench::trajectory::{self, Entry};
 use g5_bench::{fmt_count, fmt_secs, plummer, rule, Args};
 use g5util::counters::{FlopConvention, InteractionRate};
-use grape5::{bounding_window, ArithMode, Grape5, Grape5Config, LanePath};
+use g5util::fixed::RangeScaler;
+use grape5::board::ProcessorBoard;
+use grape5::pipeline::JWord;
+use grape5::{
+    bounding_window, ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath, LnsStage,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
 use treegrape::perf::PhaseTimers;
@@ -43,8 +60,9 @@ struct KernelResult {
     reference: InteractionRate,
     /// Lane path the batch phase ran on (detected, or env-forced).
     lane: LanePath,
-    /// Exact mode only: the same batch kernel forced onto the scalar
-    /// skeleton — the A/B partner of the lane path, bit-identical to it.
+    /// The same batch kernel forced onto the scalar per-pair skeleton —
+    /// the A/B partner of the lane path, bit-identical to it (`None`
+    /// when the run itself is forced onto the skeleton).
     scalar: Option<InteractionRate>,
 }
 
@@ -53,7 +71,7 @@ impl KernelResult {
         self.batch.per_second() / self.reference.per_second()
     }
 
-    /// Lane kernel vs the scalar batch skeleton (exact mode only).
+    /// Lane kernel vs the scalar batch skeleton.
     fn lane_speedup(&self) -> Option<f64> {
         self.scalar.as_ref().map(|s| self.batch.per_second() / s.per_second())
     }
@@ -107,9 +125,9 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     let lane = g5.lane_path();
     let _ = g5.force_on(&snap.pos[..16.min(n)]);
     let _ = g5.force_on_reference(&snap.pos[..16.min(n)]);
-    // exact mode additionally A/Bs the lane kernel against the scalar
-    // batch skeleton it replaced (both bit-identical by the golden suite)
-    let measure_scalar = mode == ArithMode::Exact && lane != LanePath::Scalar;
+    // both modes additionally A/B their lane kernel against the scalar
+    // batch skeleton it replaced (bit-identical by the golden suite)
+    let measure_scalar = lane != LanePath::Scalar;
     if measure_scalar {
         g5.set_lane_path(LanePath::Scalar);
         let _ = g5.force_on(&snap.pos[..16.min(n)]);
@@ -153,6 +171,121 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     let reference = InteractionRate::new(ri, rs);
     let scalar = measure_scalar.then(|| InteractionRate::new(si, ss));
     KernelResult { n, mode, nj, load_s, batch, reference, lane, scalar }
+}
+
+/// ns/interaction each LNS lane stage adds: consecutive differences of
+/// the AVX2 kernel's truncated-prefix timings.
+struct StageSplit {
+    n: usize,
+    /// Time per interaction of the kernel truncated after each stage.
+    prefix_ns: [f64; 5],
+}
+
+impl StageSplit {
+    const NAMES: [&'static str; 5] = [
+        "subtract + log converter (encode)",
+        "squarers + r2 adder (sb ROM)",
+        "power units + multipliers (scale, mul)",
+        "transpose + antilog ROM (decode)",
+        "fixed-point accumulate",
+    ];
+    const KEYS: [&'static str; 5] = ["encode", "adder", "scale_mul", "decode", "accumulate"];
+
+    fn stage_ns(&self) -> [f64; 5] {
+        let p = self.prefix_ns;
+        [p[0], p[1] - p[0], p[2] - p[1], p[3] - p[2], p[4] - p[3]]
+    }
+
+    /// Index of the costliest stage.
+    fn bottleneck(&self) -> usize {
+        let s = self.stage_ns();
+        (0..5).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap()
+    }
+}
+
+/// Time the AVX2 LNS kernel truncated after every stage (alternating
+/// rounds, fastest round per prefix) on a resident Plummer j-set.
+/// `None` when the LNS kernel is not running on the AVX2 lanes.
+fn lns_stage_split(n: usize, quick: bool) -> Option<StageSplit> {
+    let snap = plummer(n, SEED);
+    let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+    let (lo, hi) = bounding_window(&snap.pos).expect("finite workload");
+    let scaler = RangeScaler::new(lo, hi, cfg.coord_bits);
+    let pipe = G5Pipeline::new(&cfg, scaler.quantum(), EPS);
+    let quant =
+        |p: &g5util::vec3::Vec3| [scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z)];
+    let raw: Vec<[i64; 3]> = snap.pos.iter().map(quant).collect();
+    let words: Vec<JWord> = raw
+        .iter()
+        .zip(&snap.mass)
+        .map(|(&raw, &m)| JWord { raw, m_lns: pipe.encode_mass(m), m })
+        .collect();
+    let mut board = ProcessorBoard::new(&cfg);
+    board.load_j(&words);
+    let j = board.j_slices();
+    let ni = if quick { 64 } else { 256 }.min(n);
+    let rounds = if quick { 3 } else { 7 };
+    let mut out = vec![Force::ZERO; ni];
+    let mut best = [f64::INFINITY; 5];
+    for round in 0..=rounds {
+        for (s, &stage) in LnsStage::ALL.iter().enumerate() {
+            let xi = &raw[(round * ni) % (n - ni + 1)..][..ni];
+            let t = Instant::now();
+            if !pipe.interact_block_lns_upto(stage, xi, &j, 1.0, cfg.acc_format, &mut out) {
+                return None;
+            }
+            let ns = t.elapsed().as_secs_f64() * 1e9 / (ni * n) as f64;
+            if round > 0 {
+                best[s] = best[s].min(ns); // round 0 warms caches and ROMs
+            }
+        }
+    }
+    Some(StageSplit { n, prefix_ns: best })
+}
+
+fn stage_table(split: &StageSplit) {
+    println!();
+    println!(
+        "E10 — LNS lane kernel, ns/interaction per pipeline stage (N = {}, AVX2 lanes)",
+        fmt_count(split.n as u64)
+    );
+    rule(78);
+    println!("{:<44} {:>10} {:>10} {:>10}", "stage", "ns/int", "share", "prefix");
+    rule(78);
+    let total = split.prefix_ns[4];
+    for (k, ns) in split.stage_ns().iter().enumerate() {
+        println!(
+            "{:<44} {:>10.2} {:>9.0}% {:>10.2}",
+            StageSplit::NAMES[k],
+            ns,
+            100.0 * ns / total,
+            split.prefix_ns[k]
+        );
+    }
+    rule(78);
+    println!(
+        "next bottleneck: {} ({:.0}% of {:.2} ns/interaction)",
+        StageSplit::NAMES[split.bottleneck()],
+        100.0 * split.stage_ns()[split.bottleneck()] / total,
+        total
+    );
+    println!("(each row: kernel truncated after that stage minus the row above; one core)");
+}
+
+fn stage_json(split: &StageSplit) -> String {
+    let mut s =
+        format!("  \"lns_stage_split\": {{\"n\": {}, \"unit\": \"ns_per_interaction\"", split.n);
+    for (k, ns) in split.stage_ns().iter().enumerate() {
+        write!(s, ", \"{}\": {}", StageSplit::KEYS[k], ns).unwrap();
+    }
+    write!(
+        s,
+        ", \"total\": {}, \"bottleneck\": \"{}\"}},",
+        split.prefix_ns[4],
+        StageSplit::KEYS[split.bottleneck()]
+    )
+    .unwrap();
+    s
 }
 
 fn result_row(r: &KernelResult) {
@@ -237,8 +370,7 @@ fn json_line(r: &KernelResult) -> String {
         r.speedup(),
     )
     .unwrap();
-    // lane A/B columns (exact mode; null in LNS rows, which have no
-    // lane kernel yet)
+    // lane A/B columns (null when the run is forced onto the skeleton)
     s.pop(); // reopen the object
     match &r.scalar {
         Some(sc) => write!(
@@ -339,7 +471,7 @@ fn main() {
     }
     rule(96);
     println!("(Gflops38: batch rate priced at the paper's 38 ops/interaction convention)");
-    println!("(scalar i/s / lane x: exact-mode batch kernel forced onto the scalar skeleton)");
+    println!("(scalar i/s / lane x: the batch kernel forced onto the scalar per-pair skeleton)");
 
     // phase split for the largest LNS cell — the acceptance workload
     let headline = results
@@ -354,6 +486,29 @@ fn main() {
         fmt_count(headline.n as u64),
         headline.speedup()
     );
+
+    // LNS lane headline — the PR 12 acceptance gate — and the stage split
+    let lns_lane: Vec<&KernelResult> =
+        results.iter().filter(|r| r.mode == ArithMode::Lns && r.scalar.is_some()).collect();
+    if let Some(worst) = lns_lane
+        .iter()
+        .min_by(|a, b| a.lane_speedup().unwrap().total_cmp(&b.lane_speedup().unwrap()))
+    {
+        println!(
+            "headline: LNS-mode {} lanes are {:.2}x the scalar batch skeleton at N = {} \
+             ({:.2}x at their worst N = {}; gate: >= 2x at every N)",
+            lane_str(headline.lane),
+            headline.lane_speedup().unwrap(),
+            fmt_count(headline.n as u64),
+            worst.lane_speedup().unwrap(),
+            fmt_count(worst.n as u64)
+        );
+    }
+    let split = lns_stage_split(sizes[0], quick);
+    match &split {
+        Some(split) => stage_table(split),
+        None => println!("(LNS stage split: needs the AVX2 lane path; skipped)"),
+    }
 
     // exact-mode lane headline — the PR 8 acceptance gate
     if let Some(exact) = results
@@ -381,6 +536,9 @@ fn main() {
     writeln!(text, "  \"seed\": {SEED},").unwrap();
     writeln!(text, "  \"eps\": {EPS},").unwrap();
     writeln!(text, "  \"ops_per_interaction\": 38,").unwrap();
+    if let Some(split) = &split {
+        writeln!(text, "{}", stage_json(split)).unwrap();
+    }
     writeln!(text, "  \"results\": [").unwrap();
     for (k, r) in results.iter().enumerate() {
         let comma = if k + 1 < results.len() { "," } else { "" };
@@ -391,4 +549,35 @@ fn main() {
     std::fs::write(&out_path, &text).unwrap();
     println!();
     println!("wrote {} results to {out_path}", results.len());
+
+    // cross-PR ledger: the LNS lane headline, keyed by this tree's commit
+    let traj_path: String = args.get("trajectory", String::new());
+    if !traj_path.is_empty() && headline.scalar.is_some() {
+        let pr: String = args.get("pr", "unlabelled".to_string());
+        let commit = trajectory::working_commit();
+        let row = |metric: &str, value: f64| Entry {
+            pr: pr.clone(),
+            commit: commit.clone(),
+            metric: metric.into(),
+            n: headline.n as u64,
+            value,
+        };
+        // ratios only: same-run A/Bs survive a change of machine
+        let exact = results
+            .iter()
+            .find(|r| r.mode == ArithMode::Exact && r.n == headline.n)
+            .expect("every N is measured in both modes");
+        let rows = [
+            row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap()),
+            row(
+                "kernel_lns_over_exact_rate",
+                headline.batch.per_second() / exact.batch.per_second(),
+            ),
+        ];
+        let old = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
+        let mut lines = trajectory::entry_lines(&old);
+        lines.extend(rows.iter().map(Entry::json));
+        trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
+        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
+    }
 }

@@ -39,6 +39,7 @@
 //! committed ledger without executing any harness — the cheap CI mode
 //! that makes a regressed appended row fail the build.
 
+use g5_bench::trajectory::{self, commit_for, Entry};
 use g5_bench::Args;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -135,25 +136,6 @@ fn run_gate(lines: &[String]) -> bool {
     }
 }
 
-/// Short hash of the commit that last touched `path` (`HEAD` if None).
-fn commit_for(path: Option<&str>) -> String {
-    let out = match path {
-        Some(p) => Command::new("git").args(["log", "-1", "--format=%h", "--", p]).output(),
-        None => Command::new("git").args(["rev-parse", "--short", "HEAD"]).output(),
-    };
-    match out {
-        Ok(o) if o.status.success() => {
-            let h = String::from_utf8_lossy(&o.stdout).trim().to_string();
-            if h.is_empty() {
-                "unknown".into()
-            } else {
-                h
-            }
-        }
-        _ => "unknown".into(),
-    }
-}
-
 /// Run a sibling harness binary with `--out` into `out`, inheriting
 /// stdout so its tables stream to the user.
 fn run_sibling(name: &str, out: &PathBuf, quick: bool) -> String {
@@ -170,25 +152,6 @@ fn run_sibling(name: &str, out: &PathBuf, quick: bool) -> String {
     std::fs::read_to_string(out).expect("harness report readable")
 }
 
-/// One trajectory row: a PR's headline metric at a commit.
-struct Entry {
-    pr: &'static str,
-    commit: String,
-    metric: &'static str,
-    n: u64,
-    value: f64,
-}
-
-impl Entry {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"pr\": \"{}\", \"commit\": \"{}\", \"metric\": \"{}\", \
-             \"n\": {}, \"value\": {}}}",
-            self.pr, self.commit, self.metric, self.n, self.value
-        )
-    }
-}
-
 /// Headline rows mined from the committed per-PR reports (the seed of
 /// the trajectory; absent files are skipped with a note).
 fn seed_entries() -> Vec<Entry> {
@@ -199,9 +162,13 @@ fn seed_entries() -> Vec<Entry> {
                     pick: &dyn Fn(&str) -> Option<(u64, f64)>| {
         match std::fs::read_to_string(file) {
             Ok(text) => match pick(&text) {
-                Some((n, value)) => {
-                    out.push(Entry { pr, commit: commit_for(Some(file)), metric, n, value })
-                }
+                Some((n, value)) => out.push(Entry {
+                    pr: pr.into(),
+                    commit: commit_for(Some(file)),
+                    metric: metric.into(),
+                    n,
+                    value,
+                }),
                 None => println!("note: no {metric} found in {file}; skipping seed row"),
             },
             Err(_) => println!("note: {file} not present; skipping {pr} seed row"),
@@ -246,11 +213,7 @@ fn main() {
 
     if args.flag("gate-only") {
         let text = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
-        let lines: Vec<String> = text
-            .lines()
-            .filter(|l| l.trim_start().starts_with("{\"pr\""))
-            .map(|l| l.to_string())
-            .collect();
+        let lines = trajectory::entry_lines(&text);
         println!("gate-only: checking {} ledger entries in {traj_path}", lines.len());
         if !run_gate(&lines) {
             std::process::exit(1);
@@ -386,76 +349,72 @@ fn main() {
     // ---- trajectory ledger ----
     let this_run = [
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: kernel_commit,
-            metric: "kernel_exact_lane_speedup",
+            metric: "kernel_exact_lane_speedup".into(),
             n: kn,
             value: lane_speedup,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: host_commit,
-            metric: "morton_sort_speedup",
+            metric: "morton_sort_speedup".into(),
             n: sort_n,
             value: sort_speedup,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: cluster_commit,
-            metric: "cluster_interactions_per_s",
+            metric: "cluster_interactions_per_s".into(),
             n: cluster_n,
             value: cluster_rate,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: endurance_commit,
-            metric: "endurance_max_energy_drift",
+            metric: "endurance_max_energy_drift".into(),
             n: endurance_n,
             value: endurance_drift,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: flagship_commit.clone(),
-            metric: "overlap_critical_path_speedup",
+            metric: "overlap_critical_path_speedup".into(),
             n: overlap_n,
             value: overlap_speedup,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: flagship_commit,
-            metric: "flagship_interactions_per_s",
+            metric: "flagship_interactions_per_s".into(),
             n: flagship_n,
             value: flagship_rate,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: serve_commit.clone(),
-            metric: "serve_aggregate_interactions_per_s",
+            metric: "serve_aggregate_interactions_per_s".into(),
             n: serve_jobs,
             value: serve_rate,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: serve_commit.clone(),
-            metric: "serve_p95_latency_s",
+            metric: "serve_p95_latency_s".into(),
             n: serve_jobs,
             value: serve_p95,
         },
         Entry {
-            pr: CURRENT_PR,
+            pr: CURRENT_PR.into(),
             commit: serve_commit,
-            metric: "serve_jain_fairness",
+            metric: "serve_jain_fairness".into(),
             n: serve_jobs,
             value: serve_jain,
         },
     ];
     let existing = std::fs::read_to_string(&traj_path).ok();
     let mut lines: Vec<String> = match (&existing, append) {
-        (Some(text), true) => text
-            .lines()
-            .filter(|l| l.trim_start().starts_with("{\"pr\""))
-            .map(|l| l.trim_end().trim_end_matches(',').to_string())
-            .collect(),
+        (Some(text), true) => trajectory::entry_lines(text),
         _ => seed_entries().iter().map(|e| e.json()).collect(),
     };
     // a reused report re-mines a number the ledger already carries —
@@ -466,23 +425,13 @@ fn main() {
         .filter(|e| {
             !prior_rows
                 .iter()
-                .any(|(m, n, v)| m == e.metric && *n == e.n && v.to_bits() == e.value.to_bits())
+                .any(|(m, n, v)| *m == e.metric && *n == e.n && v.to_bits() == e.value.to_bits())
         })
         .map(|e| e.json())
         .collect();
     let appended_count = appended.len();
     lines.extend(appended);
-    let mut t = String::new();
-    writeln!(t, "{{").unwrap();
-    writeln!(t, "  \"schema\": \"bench-trajectory-v1\",").unwrap();
-    writeln!(t, "  \"entries\": [").unwrap();
-    for (i, l) in lines.iter().enumerate() {
-        let comma = if i + 1 < lines.len() { "," } else { "" };
-        writeln!(t, "{l}{comma}").unwrap();
-    }
-    writeln!(t, "  ]").unwrap();
-    writeln!(t, "}}").unwrap();
-    std::fs::write(&traj_path, &t).unwrap();
+    trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
     println!(
         "{} {} with {} entries ({} this run)",
         if append && existing.is_some() { "appended to" } else { "seeded" },

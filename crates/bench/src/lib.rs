@@ -110,6 +110,87 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
+/// `BENCH_trajectory.json`: the cumulative, commit-keyed ledger of each
+/// PR's headline metrics (one entry per line; see `exp_suite`).
+pub mod trajectory {
+    use std::fmt::Write as _;
+    use std::process::Command;
+
+    /// One trajectory row: a PR's headline metric at a commit.
+    #[derive(Debug, Clone)]
+    pub struct Entry {
+        /// PR label, e.g. `pr12`.
+        pub pr: String,
+        /// Commit key (see [`working_commit`]).
+        pub commit: String,
+        /// Metric name; `exp_suite`'s gate infers its good direction.
+        pub metric: String,
+        /// Problem size the value was measured at.
+        pub n: u64,
+        /// The measured value.
+        pub value: f64,
+    }
+
+    impl Entry {
+        /// The entry as one ledger line (no trailing comma).
+        pub fn json(&self) -> String {
+            format!(
+                "    {{\"pr\": \"{}\", \"commit\": \"{}\", \"metric\": \"{}\", \
+                 \"n\": {}, \"value\": {}}}",
+                self.pr, self.commit, self.metric, self.n, self.value
+            )
+        }
+    }
+
+    /// The entry lines of a ledger text, verbatim minus trailing commas.
+    pub fn entry_lines(text: &str) -> Vec<String> {
+        text.lines()
+            .filter(|l| l.trim_start().starts_with("{\"pr\""))
+            .map(|l| l.trim_end().trim_end_matches(',').to_string())
+            .collect()
+    }
+
+    /// Write a ledger holding exactly `lines`.
+    pub fn write(path: &str, lines: &[String]) -> std::io::Result<()> {
+        let mut t = String::new();
+        writeln!(t, "{{").unwrap();
+        writeln!(t, "  \"schema\": \"bench-trajectory-v1\",").unwrap();
+        writeln!(t, "  \"entries\": [").unwrap();
+        for (i, l) in lines.iter().enumerate() {
+            let comma = if i + 1 < lines.len() { "," } else { "" };
+            writeln!(t, "{l}{comma}").unwrap();
+        }
+        writeln!(t, "  ]").unwrap();
+        writeln!(t, "}}").unwrap();
+        std::fs::write(path, t)
+    }
+
+    fn git(args: &[&str]) -> Option<String> {
+        let o = Command::new("git").args(args).output().ok()?;
+        o.status.success().then(|| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    }
+
+    /// Short hash of the commit that last touched `path` (`HEAD` if
+    /// `None`); `"unknown"` outside a repository.
+    pub fn commit_for(path: Option<&str>) -> String {
+        let h = match path {
+            Some(p) => git(&["log", "-1", "--format=%h", "--", p]),
+            None => git(&["rev-parse", "--short", "HEAD"]),
+        };
+        h.filter(|h| !h.is_empty()).unwrap_or_else(|| "unknown".into())
+    }
+
+    /// The key for numbers measured on the working tree: `HEAD`'s short
+    /// hash, with a `+` appended when the tree has uncommitted changes —
+    /// `abc1234+` reads "the commit made on top of `abc1234`", i.e. the
+    /// PR's own commit, which cannot name itself from inside.
+    pub fn working_commit() -> String {
+        let dirty =
+            git(&["status", "--porcelain", "--untracked-files=no"]).is_some_and(|s| !s.is_empty());
+        format!("{}{}", commit_for(None), if dirty { "+" } else { "" })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +209,20 @@ mod tests {
         assert_eq!(fmt_secs(2.5), "2.50 s");
         assert_eq!(fmt_secs(90.0), "1.5 min");
         assert_eq!(fmt_secs(30141.0), "8.37 h");
+    }
+
+    #[test]
+    fn trajectory_lines_round_trip() {
+        let e = trajectory::Entry {
+            pr: "pr12".into(),
+            commit: "abc1234+".into(),
+            metric: "kernel_lns_lane_speedup".into(),
+            n: 262_144,
+            value: 5.5,
+        };
+        let text = format!("{{\n  \"entries\": [\n{},\n{}\n  ]\n}}\n", e.json(), e.json());
+        let lines = trajectory::entry_lines(&text);
+        assert_eq!(lines, vec![e.json(), e.json()]);
     }
 
     #[test]

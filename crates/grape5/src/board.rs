@@ -12,6 +12,7 @@
 //! force scale; only the final sums cross the interface.
 
 use crate::config::Grape5Config;
+use crate::lanes;
 use crate::pipeline::{Force, G5Pipeline, JSlices, JWord};
 use g5util::fixed::{Fixed, FixedFormat};
 use g5util::lns::Lns;
@@ -30,6 +31,9 @@ pub struct ProcessorBoard {
     jz: Vec<i64>,
     jm: Vec<f64>,
     jm_lns: Vec<Lns>,
+    /// `jm_lns` packed for the LNS lane kernel ([`lanes::mass_word`]),
+    /// derived once per load so force calls allocate nothing.
+    jm_word: Vec<i32>,
     capacity: usize,
     pipes: usize,
     /// Pipelines taken out of service by the host (fault quarantine).
@@ -50,6 +54,7 @@ impl ProcessorBoard {
             jz: Vec::new(),
             jm: Vec::new(),
             jm_lns: Vec::new(),
+            jm_word: Vec::new(),
             capacity: cfg.jmem_capacity,
             pipes: cfg.pipes_per_board(),
             disabled_pipes: 0,
@@ -113,19 +118,28 @@ impl ProcessorBoard {
         self.jz.clear();
         self.jm.clear();
         self.jm_lns.clear();
+        self.jm_word.clear();
         for w in words {
             self.jx.push(w.raw[0]);
             self.jy.push(w.raw[1]);
             self.jz.push(w.raw[2]);
             self.jm.push(w.m);
             self.jm_lns.push(w.m_lns);
+            self.jm_word.push(lanes::mass_word(w.m_lns));
         }
     }
 
     /// The j-memory contents as structure-of-arrays slices.
     #[inline]
     pub fn j_slices(&self) -> JSlices<'_> {
-        JSlices { x: &self.jx, y: &self.jy, z: &self.jz, m: &self.jm, m_lns: &self.jm_lns }
+        JSlices {
+            x: &self.jx,
+            y: &self.jy,
+            z: &self.jz,
+            m: &self.jm,
+            m_lns: &self.jm_lns,
+            m_word: &self.jm_word,
+        }
     }
 
     /// Chip cycles needed to evaluate `ni` i-particles against the

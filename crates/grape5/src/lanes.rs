@@ -1,25 +1,26 @@
-//! Lane-parallel exact-mode force kernel.
+//! Lane-parallel force kernels, one per arithmetic mode.
 //!
 //! The real pipeline's throughput comes from evaluating many j-particles
 //! per cycle against a held i-set; this module models that data
-//! parallelism on CPU lanes for the `Exact` arithmetic mode. Four
-//! j-particles are processed per iteration over the SoA
-//! [`JSlices`](crate::pipeline::JSlices) streams:
+//! parallelism on CPU lanes over the SoA
+//! [`JSlices`](crate::pipeline::JSlices) streams — four j-particles per
+//! iteration in `Exact` mode, eight in `Lns` mode:
 //!
 //! ```text
-//!   interact_block (Exact, no cutoff)
-//!        │ detect_lane_path()                   is_x86_feature_detected!
-//!        ├── LanePath::Avx2 ──────► block_exact  (core::arch intrinsics,
-//!        │                          4 × f64: vpsubq dx, magic i64→f64,
-//!        │                          vsqrtpd/vdivpd, vector round +
-//!        │                          saturating-add fixed accumulate)
-//!        ├── LanePath::Portable ──► block_exact_portable
+//!   interact_block (no cutoff)
+//!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
+//!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns
+//!        ├── LanePath::Portable ──► block_exact_portable / block_lns_portable
 //!        │                          (array-of-lanes, plain scalar ops)
-//!        └── LanePath::Scalar ────► block_with (the pre-lane skeleton)
+//!        └── LanePath::Scalar ────► the per-pair skeleton (pair_exact /
+//!                                   pair_lns_tab), the definition
 //! ```
 //!
-//! **Bit-identity contract.** Every path reproduces the scalar
-//! `pair_exact` + `Fixed::accumulate` sequence bit for bit:
+//! All of them run inside one tiling skeleton (`block_tiled`) and end
+//! in the same saturating fixed-point accumulate.
+//!
+//! **Bit-identity contract, exact mode.** Every path reproduces the
+//! scalar `pair_exact` + `Fixed::accumulate` sequence bit for bit:
 //!
 //! * IEEE 754 mul/add/div/sqrt are deterministic and correctly rounded,
 //!   in scalar and vector forms alike, and no FMA contraction is ever
@@ -39,62 +40,117 @@
 //!   encodes to a raw `0` term — a bitwise no-op on the accumulator,
 //!   exactly like the scalar path's `continue`.
 //!
+//! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
+//! the input converter every stage is a small-integer operation on log
+//! words, which is what lanes want:
+//!
+//! ```text
+//!   hardware stage            lane stage (8 j per group)
+//!   fixed-point subtract      vpsubq on the coordinate words
+//!   log converter ROM         magic i64→f64 × quantum, then one gather
+//!                             of a packed encoder cell per coordinate,
+//!                             indexed by the f64's own mantissa bits
+//!   squarers / adders         i32 adds; sb ROM gather at min(d, last)
+//!   (·)^-3/2, (·)^-1/2        integer scaling of the log word
+//!   multipliers (m, dx)       i32 adds
+//!   antilog ROM               mantissa-ROM gather | exponent field
+//!   fixed-point accumulate    the exact kernel's vector accumulate
+//! ```
+//!
+//! Two arguments carry the LNS contract (`pair_lns_tab` stays the
+//! definition; `tests/golden_kernel.rs` and the in-crate referees hold
+//! every path to it):
+//!
+//! * **Sentinel zero.** The distinguished zero is the word
+//!   `ZERO_WORD = −2²⁶`, far below every `raw_min ≥ −2²²`. Each
+//!   functional unit already applies the hardware rule "result
+//!   `< raw_min` ⇒ zero", here a compare-and-blend back to the
+//!   sentinel, so a zero operand needs no flag lane: in a multiplier
+//!   the sum stays below `raw_min` (`−2²⁶ + raw_max < raw_min`); in the
+//!   adder the distance to any live word exceeds the `sb` ROM, whose
+//!   clamped last entry is the asymptote 0, so the live operand passes
+//!   through, and two zeros sum to a word still ≤ `−2²⁶ + 3·2^f`; in
+//!   the power unit `−3/2 ·` or `−1/2 ·` that word clamps to `raw_max`,
+//!   the scalar unit's `0^negative` saturation. The output words are
+//!   rebased so that zero is the all-zero word and decodes to `0.0`.
+//! * **Group fallback.** Whatever the integer stages cannot decide
+//!   exactly — a mantissa within one ROM offset unit of an encoder
+//!   breakpoint (a superset of the libm guard band) — raises a flag
+//!   lane, and a flagged group re-runs its eight pairs through
+//!   `pair_lns_tab`. Pipeline-level preconditions (`2^exp_min ≤
+//!   quantum ≤ 2⁹⁰⁰`, a factored decoder, an `sb` ROM without
+//!   `FALLBACK` entries) keep subnormal, infinite and underflowing
+//!   displacements and un-hoistable adder roundings out of the lanes
+//!   altogether; a pipeline that fails them keeps the scalar skeleton.
+//!
 //! Accumulation order over j is ascending per i on every path, so the
-//! saturating fixed-point sums agree bit for bit; `tests/golden_kernel.rs`
-//! and the in-crate proptests referee all of this.
+//! saturating fixed-point sums agree bit for bit.
 
 use crate::pipeline::{Force, G5Pipeline, JSlices};
 use g5util::fixed::{Fixed, FixedFormat};
+use g5util::lns::Lns;
+use g5util::lns_table::{LnsConvTables, LnsLaneRoms};
 use g5util::vec3::Vec3;
+use std::sync::OnceLock;
 
-/// j-particles evaluated per lane iteration.
+/// j-particles per exact-mode lane iteration.
 pub const LANES: usize = 4;
+/// j-particles per LNS-mode lane iteration.
+pub const LNS_LANES: usize = 8;
 
 /// i-particles sharing one streamed j-block (pipelines per chip set).
 const I_TILE: usize = 16;
 /// j-particles per block; the SoA streams stay well inside L1.
 const J_BLOCK: usize = 512;
 
-/// Which implementation the exact-mode `interact_block` dispatches to.
+/// Which implementation the no-cutoff `interact_block` dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
-    /// Explicit AVX2 `core::arch` intrinsics, 4 × f64 per iteration.
+    /// Explicit AVX2 `core::arch` intrinsics.
     Avx2,
     /// Portable array-of-lanes fallback (any architecture).
     Portable,
-    /// Route exact mode through the pre-lane scalar batch skeleton —
-    /// the A/B reference for the perf harness.
+    /// The pre-lane per-pair skeleton — the A/B reference for the perf
+    /// harness and the definition the lane paths are held to.
     Scalar,
 }
 
-/// Pick the lane path for this process: the `G5_LANE_PATH` environment
-/// variable (`portable` / `scalar` / `avx2`) wins, then runtime CPU
-/// feature detection, then the portable fallback. Requesting `avx2` on
-/// hardware without it degrades to `Portable` rather than faulting.
-pub fn detect_lane_path() -> LanePath {
-    let forced_avx2 = match std::env::var("G5_LANE_PATH").as_deref() {
-        Ok("portable") => return LanePath::Portable,
-        Ok("scalar") => return LanePath::Scalar,
-        Ok("avx2") => true,
-        _ => false,
-    };
-    let _ = forced_avx2;
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx2") {
-            return LanePath::Avx2;
-        }
+/// Resolve a `G5_LANE_PATH` value against the CPU: `portable` and
+/// `scalar` are honoured as given; `avx2`, anything unrecognized, and no
+/// value at all pick AVX2 when the CPU has it and the portable lanes
+/// otherwise (so `avx2` on other hardware degrades rather than faults).
+fn parse_lane_path(var: Option<&str>, has_avx2: bool) -> LanePath {
+    match var {
+        Some("portable") => LanePath::Portable,
+        Some("scalar") => LanePath::Scalar,
+        _ if has_avx2 => LanePath::Avx2,
+        _ => LanePath::Portable,
     }
-    LanePath::Portable
+}
+
+/// The lane path of this process: the `G5_LANE_PATH` environment
+/// variable, then runtime CPU feature detection (see
+/// `parse_lane_path`). Resolved once; later changes to the variable
+/// are not seen.
+pub fn detect_lane_path() -> LanePath {
+    static PATH: OnceLock<LanePath> = OnceLock::new();
+    *PATH.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx2 = false;
+        parse_lane_path(std::env::var("G5_LANE_PATH").ok().as_deref(), has_avx2)
+    })
 }
 
 /// How the per-interaction terms are mapped into accumulator units —
-/// hoisted once per block call, bit-identical to the scalar `unscale`.
+/// hoisted once per block call, bit-identical to dividing by the scale.
 #[derive(Debug, Clone, Copy)]
 enum ScaleMode {
     /// `force_scale == 1.0`: terms pass through.
     One,
-    /// Power-of-two scale: multiply by the exact reciprocal.
+    /// Power-of-two scale: its reciprocal is exact, and multiplying by
+    /// it rounds the same real value division would.
     Pow2Mul(f64),
     /// General scale: divide.
     Div(f64),
@@ -125,6 +181,118 @@ impl ScaleMode {
     }
 }
 
+/// The scalar end of every kernel: unscale one interaction's terms and
+/// add them to the raw accumulator words `[ax, ay, az, pot]` with the
+/// format's saturating encode-and-add.
+#[derive(Clone, Copy)]
+struct ScalarAcc {
+    fmt: FixedFormat,
+    /// `2^frac_bits`, hoisted out of the pair loops.
+    enc: f64,
+    sm: ScaleMode,
+}
+
+impl ScalarAcc {
+    fn new(fmt: FixedFormat, force_scale: f64) -> ScalarAcc {
+        ScalarAcc { fmt, enc: fmt.encode_scale(), sm: scale_mode(force_scale) }
+    }
+
+    #[inline(always)]
+    fn add(&self, a: &mut [i64; 4], t: [f64; 4]) {
+        for (a, t) in a.iter_mut().zip(t) {
+            *a = Fixed { raw: *a, fmt: self.fmt }
+                .accumulate_with_scale(self.enc, self.sm.apply(t))
+                .raw;
+        }
+    }
+
+    #[inline(always)]
+    fn add_force(&self, a: &mut [i64; 4], f: Force) {
+        self.add(a, [f.acc.x, f.acc.y, f.acc.z, f.pot]);
+    }
+}
+
+/// Shared tiling skeleton of every batch kernel: i-tiles the width of
+/// one chip's pipeline set, j-blocks sized to stay cache-resident, per-i
+/// raw fixed-point accumulator words `[ax, ay, az, pot]` carried across
+/// j-blocks. `span(acc, x, js, je)` adds the terms of j-particles
+/// `js..je` on the i-particle at `x`, in ascending j order.
+#[inline(always)]
+fn block_tiled(
+    xi: &[[i64; 3]],
+    nj: usize,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+    mut span: impl FnMut(&mut [i64; 4], [i64; 3], usize, usize),
+) {
+    for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
+        let mut acc = [[0i64; 4]; I_TILE];
+        let mut js = 0;
+        while js < nj {
+            let je = (js + J_BLOCK).min(nj);
+            for (a, &x) in acc.iter_mut().zip(xc) {
+                span(a, x, js, je);
+            }
+            js = je;
+        }
+        for (o, a) in oc.iter_mut().zip(&acc) {
+            let [ax, ay, az, pot] = a.map(|raw| Fixed { raw, fmt }.to_f64() * force_scale);
+            *o = Force { acc: Vec3::new(ax, ay, az), pot };
+        }
+    }
+}
+
+/// The scalar skeleton: one `pair(d, jj)` evaluation per non-coincident
+/// (i, j) pair. Every lane kernel also ends its spans with this loop
+/// (remainder tails, flagged LNS groups).
+#[inline(always)]
+fn span_pairs(
+    sa: &ScalarAcc,
+    a: &mut [i64; 4],
+    x: [i64; 3],
+    j: &JSlices<'_>,
+    (js, je): (usize, usize),
+    pair: impl Fn([i64; 3], usize) -> Force,
+) {
+    for jj in js..je {
+        let d = [j.x[jj] - x[0], j.y[jj] - x[1], j.z[jj] - x[2]];
+        if (d[0] | d[1] | d[2]) != 0 {
+            sa.add_force(a, pair(d, jj)); // else: zero-distance guard
+        }
+    }
+}
+
+/// The scalar-skeleton block kernel over an arbitrary pair function.
+#[inline(always)]
+pub(crate) fn block_pairs(
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+    pair: impl Fn([i64; 3], usize) -> Force,
+) {
+    let sa = ScalarAcc::new(fmt, force_scale);
+    block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+        span_pairs(&sa, a, x, j, (js, je), &pair)
+    });
+}
+
+// ---------------------------------------------------------------------
+// Exact mode
+// ---------------------------------------------------------------------
+
+/// Exact-mode pair function over the j-slices.
+#[inline(always)]
+fn exact_pair<'a>(
+    quantum: f64,
+    eps2: f64,
+    j: &'a JSlices<'_>,
+) -> impl Fn([i64; 3], usize) -> Force + 'a {
+    move |d, jj| G5Pipeline::pair_exact(quantum, eps2, None, d, j.m[jj])
+}
+
 /// Entry point: dispatch the exact-mode no-cutoff block to the selected
 /// lane implementation.
 #[allow(clippy::too_many_arguments)]
@@ -138,22 +306,31 @@ pub(crate) fn block_exact_lanes(
     fmt: FixedFormat,
     out: &mut [Force],
 ) {
-    match path {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `detect_lane_path` only yields `Avx2` after
+    #[cfg(target_arch = "x86_64")]
+    if path == LanePath::Avx2 && coords_in_magic_window(xi, j) {
+        // SAFETY: `LanePath::Avx2` is only ever produced after
         // `is_x86_feature_detected!("avx2")` succeeded.
-        LanePath::Avx2 => unsafe { avx2::block_exact(quantum, eps2, xi, j, force_scale, fmt, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        LanePath::Avx2 => block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out),
-        _ => block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out),
+        return unsafe { avx2::block_exact(quantum, eps2, xi, j, force_scale, fmt, out) };
     }
+    let _ = path;
+    block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out)
 }
 
-/// Portable lane kernel: the same 4-lane structure as the AVX2 path in
-/// plain scalar ops over `[f64; LANES]` arrays. This is both the
-/// non-x86 implementation and the referee the intrinsics path is
+/// Coordinate-magnitude guard of the AVX2 kernels: `|a|, |b| < 2⁵⁰`
+/// bounds every subtract `|a − b| < 2⁵¹`, the window where the vector
+/// i64 → f64 conversion is exact. Wider coordinate formats (coord_bits
+/// can reach 62) take the portable path instead.
+#[cfg(target_arch = "x86_64")]
+fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
+    let lim = 1i64 << 50;
+    let within = |s: &[i64]| s.iter().all(|&v| -lim < v && v < lim);
+    within(j.x) && within(j.y) && within(j.z) && xi.iter().all(|x| within(x))
+}
+
+/// Portable exact lane kernel: the same 4-lane structure as the AVX2
+/// path in plain scalar ops over `[f64; LANES]` arrays. This is both
+/// the non-x86 implementation and the referee the intrinsics path is
 /// bit-compared against.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn block_exact_portable(
     quantum: f64,
     eps2: f64,
@@ -163,90 +340,297 @@ pub(crate) fn block_exact_portable(
     fmt: FixedFormat,
     out: &mut [Force],
 ) {
-    let nj = j.x.len();
-    let enc = fmt.encode_scale();
-    let sm = scale_mode(force_scale);
-    for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
-        let mut acc = [[Fixed::zero(fmt); 4]; I_TILE];
-        let mut js = 0;
-        while js < nj {
-            let je = (js + J_BLOCK).min(nj);
-            let (bx, by, bz, bm) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m[js..je]);
-            let bn = je - js;
-            let lanes_end = bn - bn % LANES;
-            for (ii, &x) in xc.iter().enumerate() {
-                let a = &mut acc[ii];
-                let mut k = 0;
-                while k < lanes_end {
-                    // Lane force evaluation; guarded lanes stay +0.0,
-                    // which accumulates as a raw-0 no-op below.
-                    let mut fx = [0.0f64; LANES];
-                    let mut fy = [0.0f64; LANES];
-                    let mut fz = [0.0f64; LANES];
-                    let mut fp = [0.0f64; LANES];
-                    for l in 0..LANES {
-                        let d0 = bx[k + l] - x[0];
-                        let d1 = by[k + l] - x[1];
-                        let d2 = bz[k + l] - x[2];
-                        if (d0 | d1 | d2) == 0 {
-                            continue; // zero-distance guard
-                        }
-                        let dx = d0 as f64 * quantum;
-                        let dy = d1 as f64 * quantum;
-                        let dz = d2 as f64 * quantum;
-                        let r2 = (dx * dx + dy * dy) + dz * dz + eps2;
-                        let rinv = 1.0 / r2.sqrt();
-                        let rinv3 = rinv / r2;
-                        let m = bm[k + l];
-                        let s = m * rinv3;
-                        fx[l] = dx * s;
-                        fy[l] = dy * s;
-                        fz[l] = dz * s;
-                        fp[l] = m * rinv;
-                    }
-                    for l in 0..LANES {
-                        a[0] = a[0].accumulate_with_scale(enc, sm.apply(fx[l]));
-                        a[1] = a[1].accumulate_with_scale(enc, sm.apply(fy[l]));
-                        a[2] = a[2].accumulate_with_scale(enc, sm.apply(fz[l]));
-                        a[3] = a[3].accumulate_with_scale(enc, sm.apply(fp[l]));
-                    }
-                    k += LANES;
+    let sa = ScalarAcc::new(fmt, force_scale);
+    let pair = exact_pair(quantum, eps2, j);
+    block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+        let lanes_end = js + (je - js) / LANES * LANES;
+        for k in (js..lanes_end).step_by(LANES) {
+            // Lane force evaluation; guarded lanes stay +0.0, which
+            // accumulates as a raw-0 no-op below.
+            let mut f = [[0.0f64; 4]; LANES];
+            for (l, f) in f.iter_mut().enumerate() {
+                let d0 = j.x[k + l] - x[0];
+                let d1 = j.y[k + l] - x[1];
+                let d2 = j.z[k + l] - x[2];
+                if (d0 | d1 | d2) == 0 {
+                    continue; // zero-distance guard
                 }
-                while k < bn {
-                    let d = [bx[k] - x[0], by[k] - x[1], bz[k] - x[2]];
-                    if (d[0] | d[1] | d[2]) != 0 {
-                        let f = G5Pipeline::pair_exact(quantum, eps2, None, d, bm[k]);
-                        a[0] = a[0].accumulate_with_scale(enc, sm.apply(f.acc.x));
-                        a[1] = a[1].accumulate_with_scale(enc, sm.apply(f.acc.y));
-                        a[2] = a[2].accumulate_with_scale(enc, sm.apply(f.acc.z));
-                        a[3] = a[3].accumulate_with_scale(enc, sm.apply(f.pot));
-                    }
-                    k += 1;
-                }
+                let dx = d0 as f64 * quantum;
+                let dy = d1 as f64 * quantum;
+                let dz = d2 as f64 * quantum;
+                let r2 = (dx * dx + dy * dy) + dz * dz + eps2;
+                let rinv = 1.0 / r2.sqrt();
+                let rinv3 = rinv / r2;
+                let m = j.m[k + l];
+                let s = m * rinv3;
+                *f = [dx * s, dy * s, dz * s, m * rinv];
             }
-            js = je;
+            for f in f {
+                sa.add(a, f);
+            }
         }
-        for (o, a) in oc.iter_mut().zip(&acc) {
-            *o = Force {
-                acc: Vec3::new(
-                    a[0].to_f64() * force_scale,
-                    a[1].to_f64() * force_scale,
-                    a[2].to_f64() * force_scale,
-                ),
-                pot: a[3].to_f64() * force_scale,
-            };
+        span_pairs(&sa, a, x, j, (lanes_end, je), &pair);
+    });
+}
+
+// ---------------------------------------------------------------------
+// LNS mode
+// ---------------------------------------------------------------------
+
+/// The distinguished LNS zero inside the lane kernels: a log word far
+/// below every representable one (see the module docs).
+const ZERO_WORD: i32 = -(1 << 26);
+
+/// Pack a mass log word for j-memory's lane column: `raw << 1 | negative`
+/// with [`ZERO_WORD`] standing in for a zero mass. Only the LNS lane
+/// kernel reads the column, and only for tabulated formats, whose raw
+/// words fit 23 bits.
+#[inline]
+pub(crate) fn mass_word(m: Lns) -> i32 {
+    let raw = if m.is_zero() { ZERO_WORD } else { m.raw() as i32 };
+    raw.wrapping_shl(1) | i32::from(m.signum() < 0)
+}
+
+/// Per-pipeline state of the LNS lane kernels: the ROM images plus the
+/// registers the scalar `pair_lns_tab` takes, so a flagged group can be
+/// re-run through it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LnsLanes {
+    conv: &'static LnsConvTables,
+    roms: LnsLaneRoms<'static>,
+    quantum: f64,
+    eps2_lns: Lns,
+    /// ε² as a core word ([`ZERO_WORD`] when it encodes to zero).
+    eps2_word: i32,
+}
+
+impl LnsLanes {
+    /// The lane state for a pipeline, or `None` when it must keep the
+    /// scalar skeleton: a format without lane ROMs, or a quantum for
+    /// which some non-zero displacement `d · quantum` (`1 ≤ |d| < 2⁵¹`)
+    /// could leave the normal, non-underflowing `f64` range the integer
+    /// encoder handles.
+    pub(crate) fn new(conv: &'static LnsConvTables, quantum: f64, eps2_lns: Lns) -> Option<Self> {
+        let roms = conv.lane_roms()?;
+        let cfg = conv.config();
+        if !(quantum >= f64::from(cfg.exp_min).exp2() && quantum <= 900f64.exp2()) {
+            return None;
+        }
+        let cells = 2usize << cfg.frac_bits;
+        assert!(
+            roms.enc_cells.len() == cells
+                && roms.dec_frac.len() == cells / 2
+                && !roms.sb.is_empty(),
+            "lane ROM sizes do not match the format"
+        );
+        Some(LnsLanes { conv, roms, quantum, eps2_lns, eps2_word: mass_word(eps2_lns) >> 1 })
+    }
+
+    /// The scalar definition, as a pair function over the j-slices.
+    #[inline(always)]
+    fn pair<'a>(&'a self, j: &'a JSlices<'_>) -> impl Fn([i64; 3], usize) -> Force + 'a {
+        move |d, jj| {
+            G5Pipeline::pair_lns_tab(self.conv, None, self.eps2_lns, self.quantum, d, j.m_lns[jj])
         }
     }
+
+    /// The range rules of every functional unit: below `raw_min` is
+    /// zero, above `raw_max` saturates.
+    #[inline(always)]
+    fn canon(&self, r: i32) -> i32 {
+        if r < self.roms.raw_min {
+            ZERO_WORD
+        } else {
+            r.min(self.roms.raw_max)
+        }
+    }
+
+    /// Same-sign LNS add of two core words.
+    #[inline(always)]
+    fn add(&self, a: i32, b: i32) -> i32 {
+        let (hi, lo) = (a.max(b), a.min(b));
+        (hi + self.roms.sb_step((hi - lo) as u32)).min(self.roms.raw_max)
+    }
+
+    /// `x^(−mult/2)` on a core word: round-half-away `−mult·r / 2`.
+    #[inline(always)]
+    fn neg_half_power(&self, r: i32, mult: i32) -> i32 {
+        let v = (mult * r.abs() + 1) >> 1;
+        self.canon(if r > 0 { -v } else { v })
+    }
+
+    /// A product word rebased for the decoder: 0 for zero, else
+    /// `raw + word_bias`.
+    #[inline(always)]
+    fn out_word(&self, s: i32) -> u32 {
+        if s < self.roms.raw_min {
+            0
+        } else {
+            (s.min(self.roms.raw_max) + self.roms.word_bias()) as u32
+        }
+    }
+
+    /// One interaction in lane arithmetic: the decoder words
+    /// `[fx, fy, fz, pot]`, or `None` when a stage asked for the scalar
+    /// path. A coincident pair yields four zero words.
+    #[inline(always)]
+    fn pair_words(&self, d: [i64; 3], mw: i32) -> Option<[u32; 4]> {
+        const SIGN: u32 = 1 << 31;
+        let mut redo = false;
+        let mut r = [0i32; 3];
+        let mut s = [0u32; 3];
+        for c in 0..3 {
+            let bits = (d[c] as f64 * self.quantum).to_bits();
+            let (raw, guard) = self.roms.encode_word(bits);
+            redo |= guard;
+            r[c] = self.canon(raw);
+            s[c] = (bits >> 32) as u32;
+        }
+        let sq = |r: i32| self.canon(r + r);
+        if redo {
+            return None;
+        }
+        let r2 = self.add(self.add(sq(r[0]), sq(r[1])), sq(r[2]));
+        let r2e = self.add(r2, self.eps2_word);
+        let rinv3 = self.neg_half_power(r2e, 3);
+        let rinv = self.neg_half_power(r2e, 1);
+        let (m, msign) = (mw >> 1, (mw as u32) << 31);
+        let mf = self.canon(m + rinv3);
+        // a non-zero displacement never encodes to zero (quantum ≥
+        // 2^exp_min), so three zero words are the zero-distance guard
+        let pot = if r == [ZERO_WORD; 3] { 0 } else { self.out_word(m + rinv) };
+        let f = |c: usize| self.out_word(r[c] + mf) | ((s[c] ^ msign) & SIGN);
+        Some([f(0), f(1), f(2), pot | msign])
+    }
+}
+
+/// Entry point: dispatch the LNS-mode no-cutoff block to the selected
+/// lane implementation.
+pub(crate) fn block_lns_lanes(
+    path: LanePath,
+    c: &LnsLanes,
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+) {
+    if path == LanePath::Avx2
+        && block_lns_avx2_upto(LnsStage::Accumulate, c, xi, j, force_scale, fmt, out)
+    {
+        return;
+    }
+    block_lns_portable(c, xi, j, force_scale, fmt, out)
+}
+
+/// Portable LNS lane kernel: the AVX2 kernel's integer stages one lane
+/// at a time over the same ROM images, eight j-particles per group —
+/// the non-x86 implementation and the referee of the intrinsics path.
+pub(crate) fn block_lns_portable(
+    c: &LnsLanes,
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+) {
+    let sa = ScalarAcc::new(fmt, force_scale);
+    let pair = c.pair(j);
+    block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+        let lanes_end = js + (je - js) / LNS_LANES * LNS_LANES;
+        for k in (js..lanes_end).step_by(LNS_LANES) {
+            let mut w = [[0u32; 4]; LNS_LANES];
+            let decided = w.iter_mut().enumerate().all(|(l, w)| {
+                let jj = k + l;
+                let d = [j.x[jj] - x[0], j.y[jj] - x[1], j.z[jj] - x[2]];
+                c.pair_words(d, j.m_word[jj]).map(|words| *w = words).is_some()
+            });
+            if decided {
+                for w in w {
+                    sa.add(a, w.map(|w| c.roms.decode_word(w)));
+                }
+            } else {
+                span_pairs(&sa, a, x, j, (k, k + LNS_LANES), &pair);
+            }
+        }
+        span_pairs(&sa, a, x, j, (lanes_end, je), &pair);
+    });
+}
+
+/// Prefixes of the LNS lane pipeline, for per-stage timing: running the
+/// AVX2 kernel [`G5Pipeline::interact_block_lns_upto`] a stage shows
+/// what each stage adds to the time per interaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LnsStage {
+    /// Load, fixed-point subtract, `i64 → f64`, log-converter ROM.
+    Encode,
+    /// … plus the squarers and the three `sb`-ROM adds (`r² + ε²`).
+    Adder,
+    /// … plus the power units, multipliers and sign logic.
+    Scale,
+    /// … plus the transpose and antilog ROM.
+    Decode,
+    /// The whole kernel, fixed-point accumulate included.
+    Accumulate,
+}
+
+impl LnsStage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [LnsStage; 5] = [
+        LnsStage::Encode,
+        LnsStage::Adder,
+        LnsStage::Scale,
+        LnsStage::Decode,
+        LnsStage::Accumulate,
+    ];
+}
+
+/// Run the AVX2 LNS kernel truncated after `upto` (earlier results are
+/// folded into the accumulators so nothing is optimized away — `out` is
+/// only meaningful for [`LnsStage::Accumulate`], the whole kernel).
+/// Returns `false` without touching `out` when the AVX2 kernel cannot
+/// take this call: no AVX2, or coordinates outside the magic window.
+pub(crate) fn block_lns_avx2_upto(
+    upto: LnsStage,
+    c: &LnsLanes,
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
+        // SAFETY: AVX2 was detected and the coordinate guard passed.
+        unsafe {
+            macro_rules! upto {
+                ($s:ident) => {
+                    avx2::block_lns::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
+                };
+            }
+            match upto {
+                LnsStage::Encode => upto!(Encode),
+                LnsStage::Adder => upto!(Adder),
+                LnsStage::Scale => upto!(Scale),
+                LnsStage::Decode => upto!(Decode),
+                LnsStage::Accumulate => upto!(Accumulate),
+            }
+        }
+        return true;
+    }
+    let _ = (upto, c, xi, j, force_scale, fmt, out);
+    false
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{scale_mode, ScaleMode, I_TILE, J_BLOCK, LANES};
-    use crate::pipeline::{Force, G5Pipeline, JSlices};
-    #[cfg(target_arch = "x86_64")]
+    use super::{
+        block_tiled, exact_pair, scale_mode, span_pairs, LnsLanes, LnsStage, ScalarAcc, ScaleMode,
+        LANES, LNS_LANES, ZERO_WORD,
+    };
+    use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
     use g5util::fixed::{Fixed, FixedFormat};
-    use g5util::vec3::Vec3;
 
     /// `2⁵² + 2⁵¹`: the shifter that makes i64 ↔ f64 conversion exact
     /// for `|v| < 2⁵¹` (the integer lands in the double's mantissa).
@@ -258,16 +642,6 @@ mod avx2 {
     /// `FixedFormat::encode`'s saturate-then-round.
     const ENC_LIM: f64 = (1u64 << 50) as f64;
 
-    /// Hoisted per-call constants of the vector fixed accumulate.
-    #[derive(Clone, Copy)]
-    struct AccCtx {
-        encv: __m256d,
-        enc: f64,
-        fmt: FixedFormat,
-        rmin: __m256i,
-        rmax: __m256i,
-    }
-
     /// Vector unscale, fixed per call.
     #[derive(Clone, Copy)]
     enum VScale {
@@ -276,20 +650,56 @@ mod avx2 {
         Div(__m256d),
     }
 
+    /// Hoisted per-call constants of the vector fixed accumulate — the
+    /// one copy both kernels end in.
+    #[derive(Clone, Copy)]
+    struct AccCtx {
+        encv: __m256d,
+        enc: f64,
+        fmt: FixedFormat,
+        rmin: __m256i,
+        rmax: __m256i,
+        vs: VScale,
+        /// Group fast path available: the format's range covers the
+        /// encode window (so the per-term clamp cannot bind) and leaves
+        /// 2⁵² of headroom to test the running accumulator against.
+        group_fast: bool,
+        hmaxv: __m256i,
+        hminv: __m256i,
+    }
+
+    impl AccCtx {
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(fmt: FixedFormat, force_scale: f64) -> AccCtx {
+            let enc = fmt.encode_scale();
+            let hmax = fmt.raw_max().saturating_sub(1 << 52);
+            let hmin = fmt.raw_min().saturating_add(1 << 52);
+            AccCtx {
+                encv: _mm256_set1_pd(enc),
+                enc,
+                fmt,
+                rmin: _mm256_set1_epi64x(fmt.raw_min()),
+                rmax: _mm256_set1_epi64x(fmt.raw_max()),
+                vs: match scale_mode(force_scale) {
+                    ScaleMode::One => VScale::None,
+                    ScaleMode::Pow2Mul(inv) => VScale::Mul(_mm256_set1_pd(inv)),
+                    ScaleMode::Div(s) => VScale::Div(_mm256_set1_pd(s)),
+                },
+                group_fast: fmt.raw_max() >= (1i64 << 50)
+                    && fmt.raw_min() <= -(1i64 << 50)
+                    && hmin < hmax,
+                hmaxv: _mm256_set1_epi64x(hmax),
+                hminv: _mm256_set1_epi64x(hmin),
+            }
+        }
+    }
+
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn i64x4_to_f64(v: __m256i) -> __m256d {
         // Exact for |v| < 2^51 — guaranteed by the coordinate guard.
         let shifted = _mm256_add_epi64(v, _mm256_set1_epi64x(MAGIC_BITS));
-        _mm256_sub_pd(_mm256_castpd_si256_inverse(shifted), _mm256_set1_pd(MAGIC))
-    }
-
-    /// `_mm256_castsi256_pd` under a name that reads as the inverse of
-    /// the pd→si cast used alongside it.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn _mm256_castpd_si256_inverse(v: __m256i) -> __m256d {
-        _mm256_castsi256_pd(v)
+        _mm256_sub_pd(_mm256_castsi256_pd(shifted), _mm256_set1_pd(MAGIC))
     }
 
     #[target_feature(enable = "avx2")]
@@ -327,7 +737,7 @@ mod avx2 {
     }
 
     /// One vector `Fixed::accumulate_with_scale` over the 4 components
-    /// `[fx, fy, fz, pot]` of a single j-interaction.
+    /// `[fx, fy, fz, pot]` of a single j-interaction (already unscaled).
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn accumulate4(acc: __m256i, v: __m256d, c: &AccCtx) -> __m256i {
@@ -358,9 +768,65 @@ mod avx2 {
         clamp_epi64(_mm256_blendv_epi8(sum, sat, ovf), c.rmin, c.rmax)
     }
 
-    /// The AVX2 exact-mode block kernel. Caller must have verified AVX2
-    /// support.
-    #[allow(clippy::too_many_arguments)]
+    /// Accumulate four consecutive j-interactions, each a per-j vector
+    /// `[fx, fy, fz, pot]`, in ascending j order: unscale, then either
+    /// the group fast path or four [`accumulate4`] steps.
+    ///
+    /// Group fast path: when every term is inside the encode window and
+    /// the running accumulator has ≥ 2⁵² of headroom (> 4 terms × 2⁵⁰,
+    /// so no prefix sum can clamp or overflow), the four saturating
+    /// adds collapse to one associative integer sum — the serial
+    /// accumulate dependency is replaced by a tree add.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn accumulate_group(av: __m256i, v: [__m256d; 4], c: &AccCtx) -> __m256i {
+        let [v0, v1, v2, v3] = match c.vs {
+            VScale::None => v,
+            VScale::Mul(iv) => [
+                _mm256_mul_pd(v[0], iv),
+                _mm256_mul_pd(v[1], iv),
+                _mm256_mul_pd(v[2], iv),
+                _mm256_mul_pd(v[3], iv),
+            ],
+            VScale::Div(sv) => [
+                _mm256_div_pd(v[0], sv),
+                _mm256_div_pd(v[1], sv),
+                _mm256_div_pd(v[2], sv),
+                _mm256_div_pd(v[3], sv),
+            ],
+        };
+        let s0 = _mm256_mul_pd(v0, c.encv);
+        let s1 = _mm256_mul_pd(v1, c.encv);
+        let s2 = _mm256_mul_pd(v2, c.encv);
+        let s3 = _mm256_mul_pd(v3, c.encv);
+        let ok = _mm256_and_pd(
+            _mm256_and_pd(in_window(s0), in_window(s1)),
+            _mm256_and_pd(in_window(s2), in_window(s3)),
+        );
+        let acc_tight =
+            _mm256_or_si256(_mm256_cmpgt_epi64(av, c.hmaxv), _mm256_cmpgt_epi64(c.hminv, av));
+        if c.group_fast
+            && _mm256_movemask_pd(ok) == 0b1111
+            && _mm256_testz_si256(acc_tight, acc_tight) != 0
+        {
+            let t = _mm256_add_epi64(
+                _mm256_add_epi64(round_away_to_i64(s0), round_away_to_i64(s1)),
+                _mm256_add_epi64(round_away_to_i64(s2), round_away_to_i64(s3)),
+            );
+            _mm256_add_epi64(av, t)
+        } else {
+            let av = accumulate4(av, v0, c);
+            let av = accumulate4(av, v1, c);
+            let av = accumulate4(av, v2, c);
+            accumulate4(av, v3, c)
+        }
+    }
+
+    /// The AVX2 exact-mode block kernel.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and every coordinate word in `xi` and
+    /// `j` must be inside `(-2⁵⁰, 2⁵⁰)` (`coords_in_magic_window`).
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn block_exact(
         quantum: f64,
@@ -371,220 +837,394 @@ mod avx2 {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
-        // Coordinate-magnitude guard: |a|,|b| < 2^50 bounds every
-        // subtract |a−b| < 2^51, the window where the vector i64→f64
-        // conversion is exact. Wider coordinate formats (coord_bits can
-        // reach 62) take the portable path instead.
-        let lim = 1i64 << 50;
-        let within = |s: &[i64]| s.iter().all(|&v| -lim < v && v < lim);
-        if !(within(j.x)
-            && within(j.y)
-            && within(j.z)
-            && xi.iter().all(|x| x.iter().all(|&v| -lim < v && v < lim)))
-        {
-            return super::block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out);
-        }
-        let nj = j.x.len();
-        let enc = fmt.encode_scale();
-        let ctx = AccCtx {
-            encv: _mm256_set1_pd(enc),
-            enc,
-            fmt,
-            rmin: _mm256_set1_epi64x(fmt.raw_min()),
-            rmax: _mm256_set1_epi64x(fmt.raw_max()),
-        };
-        // Group fast path: when the format's range covers the encode
-        // window (so the per-term clamp cannot bind) and the running
-        // accumulator has ≥ 2⁵² of headroom (> 4 terms × 2⁵⁰, so no
-        // prefix sum can clamp or overflow), the four saturating adds
-        // of a j-group collapse to one associative integer sum — the
-        // serial accumulate dependency is replaced by a tree add.
-        let group_fast = fmt.raw_max() >= (1i64 << 50) && fmt.raw_min() <= -(1i64 << 50) && {
-            let hmax = fmt.raw_max().saturating_sub(1 << 52);
-            let hmin = fmt.raw_min().saturating_add(1 << 52);
-            hmin < hmax
-        };
-        let hmaxv = _mm256_set1_epi64x(fmt.raw_max().saturating_sub(1 << 52));
-        let hminv = _mm256_set1_epi64x(fmt.raw_min().saturating_add(1 << 52));
-        let sm = scale_mode(force_scale);
-        let vs = match sm {
-            ScaleMode::One => VScale::None,
-            ScaleMode::Pow2Mul(inv) => VScale::Mul(_mm256_set1_pd(inv)),
-            ScaleMode::Div(s) => VScale::Div(_mm256_set1_pd(s)),
-        };
+        let ctx = AccCtx::new(fmt, force_scale);
+        let sa = ScalarAcc::new(fmt, force_scale);
+        let pair = exact_pair(quantum, eps2, j);
         let qv = _mm256_set1_pd(quantum);
         let e2v = _mm256_set1_pd(eps2);
         let onev = _mm256_set1_pd(1.0);
-        for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
-            let mut acc = [_mm256_setzero_si256(); I_TILE];
-            let mut js = 0;
-            while js < nj {
-                let je = (js + J_BLOCK).min(nj);
-                let (bx, by, bz, bm) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m[js..je]);
-                let bn = je - js;
-                let lanes_end = bn - bn % LANES;
-                for (ii, &x) in xc.iter().enumerate() {
-                    let mut av = acc[ii];
-                    let xv0 = _mm256_set1_epi64x(x[0]);
-                    let xv1 = _mm256_set1_epi64x(x[1]);
-                    let xv2 = _mm256_set1_epi64x(x[2]);
-                    let mut k = 0usize;
-                    while k < lanes_end {
-                        let jx = _mm256_loadu_si256(bx.as_ptr().add(k).cast());
-                        let jy = _mm256_loadu_si256(by.as_ptr().add(k).cast());
-                        let jz = _mm256_loadu_si256(bz.as_ptr().add(k).cast());
-                        let d0 = _mm256_sub_epi64(jx, xv0);
-                        let d1 = _mm256_sub_epi64(jy, xv1);
-                        let d2 = _mm256_sub_epi64(jz, xv2);
-                        let zero = _mm256_cmpeq_epi64(
-                            _mm256_or_si256(_mm256_or_si256(d0, d1), d2),
-                            _mm256_setzero_si256(),
-                        );
-                        let dx = _mm256_mul_pd(i64x4_to_f64(d0), qv);
-                        let dy = _mm256_mul_pd(i64x4_to_f64(d1), qv);
-                        let dz = _mm256_mul_pd(i64x4_to_f64(d2), qv);
-                        // (dx² + dy²) + dz² — explicit mul/add, never FMA,
-                        // matching pair_exact's association
-                        let r2 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                            _mm256_mul_pd(dz, dz),
-                        );
-                        let r2e = _mm256_add_pd(r2, e2v);
-                        let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
-                        let rinv3 = _mm256_div_pd(rinv, r2e);
-                        let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
-                        let s = _mm256_mul_pd(m4, rinv3);
-                        // zero-distance guard: blend guarded lanes to +0.0
-                        let zm = _mm256_castsi256_pd(zero);
-                        let mut fx = _mm256_andnot_pd(zm, _mm256_mul_pd(dx, s));
-                        let mut fy = _mm256_andnot_pd(zm, _mm256_mul_pd(dy, s));
-                        let mut fz = _mm256_andnot_pd(zm, _mm256_mul_pd(dz, s));
-                        let mut fp = _mm256_andnot_pd(zm, _mm256_mul_pd(m4, rinv));
-                        match vs {
-                            VScale::None => {}
-                            VScale::Mul(iv) => {
-                                fx = _mm256_mul_pd(fx, iv);
-                                fy = _mm256_mul_pd(fy, iv);
-                                fz = _mm256_mul_pd(fz, iv);
-                                fp = _mm256_mul_pd(fp, iv);
-                            }
-                            VScale::Div(sv) => {
-                                fx = _mm256_div_pd(fx, sv);
-                                fy = _mm256_div_pd(fy, sv);
-                                fz = _mm256_div_pd(fz, sv);
-                                fp = _mm256_div_pd(fp, sv);
-                            }
-                        }
-                        // 4×4 transpose to per-j [fx, fy, fz, pot], then
-                        // accumulate in ascending j order
-                        let t0 = _mm256_unpacklo_pd(fx, fy);
-                        let t1 = _mm256_unpackhi_pd(fx, fy);
-                        let t2 = _mm256_unpacklo_pd(fz, fp);
-                        let t3 = _mm256_unpackhi_pd(fz, fp);
-                        let v0 = _mm256_permute2f128_pd::<0x20>(t0, t2);
-                        let v1 = _mm256_permute2f128_pd::<0x20>(t1, t3);
-                        let v2 = _mm256_permute2f128_pd::<0x31>(t0, t2);
-                        let v3 = _mm256_permute2f128_pd::<0x31>(t1, t3);
-                        let s0 = _mm256_mul_pd(v0, ctx.encv);
-                        let s1 = _mm256_mul_pd(v1, ctx.encv);
-                        let s2 = _mm256_mul_pd(v2, ctx.encv);
-                        let s3 = _mm256_mul_pd(v3, ctx.encv);
-                        let ok = _mm256_and_pd(
-                            _mm256_and_pd(in_window(s0), in_window(s1)),
-                            _mm256_and_pd(in_window(s2), in_window(s3)),
-                        );
-                        let acc_tight = _mm256_or_si256(
-                            _mm256_cmpgt_epi64(av, hmaxv),
-                            _mm256_cmpgt_epi64(hminv, av),
-                        );
-                        if group_fast
-                            && _mm256_movemask_pd(ok) == 0b1111
-                            && _mm256_testz_si256(acc_tight, acc_tight) != 0
-                        {
-                            // all terms in-window, accumulator far from
-                            // saturation: the sat-adds are plain adds
-                            let t = _mm256_add_epi64(
-                                _mm256_add_epi64(round_away_to_i64(s0), round_away_to_i64(s1)),
-                                _mm256_add_epi64(round_away_to_i64(s2), round_away_to_i64(s3)),
-                            );
-                            av = _mm256_add_epi64(av, t);
-                        } else {
-                            av = accumulate4(av, v0, &ctx);
-                            av = accumulate4(av, v1, &ctx);
-                            av = accumulate4(av, v2, &ctx);
-                            av = accumulate4(av, v3, &ctx);
-                        }
-                        k += LANES;
-                    }
-                    if k < bn {
-                        // scalar remainder tail, same ops as the scalar
-                        // batch path
-                        let mut a = [0i64; 4];
-                        _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
-                        while k < bn {
-                            let d = [bx[k] - x[0], by[k] - x[1], bz[k] - x[2]];
-                            if (d[0] | d[1] | d[2]) != 0 {
-                                let f = G5Pipeline::pair_exact(quantum, eps2, None, d, bm[k]);
-                                a[0] = Fixed { raw: a[0], fmt }
-                                    .accumulate_with_scale(enc, sm.apply(f.acc.x))
-                                    .raw;
-                                a[1] = Fixed { raw: a[1], fmt }
-                                    .accumulate_with_scale(enc, sm.apply(f.acc.y))
-                                    .raw;
-                                a[2] = Fixed { raw: a[2], fmt }
-                                    .accumulate_with_scale(enc, sm.apply(f.acc.z))
-                                    .raw;
-                                a[3] = Fixed { raw: a[3], fmt }
-                                    .accumulate_with_scale(enc, sm.apply(f.pot))
-                                    .raw;
-                            }
-                            k += 1;
-                        }
-                        av = _mm256_loadu_si256(a.as_ptr().cast());
-                    }
-                    acc[ii] = av;
-                }
-                js = je;
+        block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+            // slicing bounds-checks every vector load below
+            let (bx, by, bz, bm) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m[js..je]);
+            let lanes_end = bx.len() / LANES * LANES;
+            let mut av = _mm256_loadu_si256(a.as_ptr().cast());
+            let xv0 = _mm256_set1_epi64x(x[0]);
+            let xv1 = _mm256_set1_epi64x(x[1]);
+            let xv2 = _mm256_set1_epi64x(x[2]);
+            for k in (0..lanes_end).step_by(LANES) {
+                let jx = _mm256_loadu_si256(bx.as_ptr().add(k).cast());
+                let jy = _mm256_loadu_si256(by.as_ptr().add(k).cast());
+                let jz = _mm256_loadu_si256(bz.as_ptr().add(k).cast());
+                let d0 = _mm256_sub_epi64(jx, xv0);
+                let d1 = _mm256_sub_epi64(jy, xv1);
+                let d2 = _mm256_sub_epi64(jz, xv2);
+                let zero = _mm256_cmpeq_epi64(
+                    _mm256_or_si256(_mm256_or_si256(d0, d1), d2),
+                    _mm256_setzero_si256(),
+                );
+                let dx = _mm256_mul_pd(i64x4_to_f64(d0), qv);
+                let dy = _mm256_mul_pd(i64x4_to_f64(d1), qv);
+                let dz = _mm256_mul_pd(i64x4_to_f64(d2), qv);
+                // (dx² + dy²) + dz² — explicit mul/add, never FMA,
+                // matching pair_exact's association
+                let r2 = _mm256_add_pd(
+                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                    _mm256_mul_pd(dz, dz),
+                );
+                let r2e = _mm256_add_pd(r2, e2v);
+                let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
+                let rinv3 = _mm256_div_pd(rinv, r2e);
+                let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
+                let s = _mm256_mul_pd(m4, rinv3);
+                // zero-distance guard: blend guarded lanes to +0.0
+                let zm = _mm256_castsi256_pd(zero);
+                let fx = _mm256_andnot_pd(zm, _mm256_mul_pd(dx, s));
+                let fy = _mm256_andnot_pd(zm, _mm256_mul_pd(dy, s));
+                let fz = _mm256_andnot_pd(zm, _mm256_mul_pd(dz, s));
+                let fp = _mm256_andnot_pd(zm, _mm256_mul_pd(m4, rinv));
+                // 4×4 transpose to per-j [fx, fy, fz, pot]
+                let t0 = _mm256_unpacklo_pd(fx, fy);
+                let t1 = _mm256_unpackhi_pd(fx, fy);
+                let t2 = _mm256_unpacklo_pd(fz, fp);
+                let t3 = _mm256_unpackhi_pd(fz, fp);
+                let v = [
+                    _mm256_permute2f128_pd::<0x20>(t0, t2),
+                    _mm256_permute2f128_pd::<0x20>(t1, t3),
+                    _mm256_permute2f128_pd::<0x31>(t0, t2),
+                    _mm256_permute2f128_pd::<0x31>(t1, t3),
+                ];
+                av = accumulate_group(av, v, &ctx);
             }
-            for (o, a) in oc.iter_mut().zip(&acc) {
-                let mut r = [0i64; 4];
-                _mm256_storeu_si256(r.as_mut_ptr().cast(), *a);
-                *o = Force {
-                    acc: Vec3::new(
-                        Fixed { raw: r[0], fmt }.to_f64() * force_scale,
-                        Fixed { raw: r[1], fmt }.to_f64() * force_scale,
-                        Fixed { raw: r[2], fmt }.to_f64() * force_scale,
-                    ),
-                    pot: Fixed { raw: r[3], fmt }.to_f64() * force_scale,
-                };
+            _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+            span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
+        });
+    }
+
+    /// Hoisted per-call constants of the LNS integer stages (8 × i32).
+    struct LnsCtx {
+        qv: __m256d,
+        /// `[0, 2, 4, 6, 1, 3, 5, 7]`: even dwords low, odd dwords high.
+        deinterleave: __m256i,
+        enc_shift: __m128i,
+        /// `20 − f`: moves the f64 exponent field down to `eb << f`.
+        exp_shift: __m128i,
+        /// `52 − f`: moves a decoder word's exponent field up to bit 52.
+        dec_shift: __m128i,
+        cell_mask: __m256i,
+        bias: __m256i,
+        rmin: __m256i,
+        rmax: __m256i,
+        zero_word: __m256i,
+        sb_last: __m256i,
+        eps2: __m256i,
+        frac_mask64: __m256i,
+        exp_mask64: __m256i,
+        cells: *const i32,
+        sb: *const i32,
+        dec: *const i64,
+    }
+
+    impl LnsCtx {
+        #[target_feature(enable = "avx2")]
+        unsafe fn new(c: &LnsLanes) -> LnsCtx {
+            let r = &c.roms;
+            let f = r.frac_bits as i32;
+            let frac_mask = (1i64 << f) - 1;
+            LnsCtx {
+                qv: _mm256_set1_pd(c.quantum),
+                deinterleave: _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7),
+                enc_shift: _mm_cvtsi32_si128(r.enc_shift as i32),
+                exp_shift: _mm_cvtsi32_si128(20 - f),
+                dec_shift: _mm_cvtsi32_si128(52 - f),
+                cell_mask: _mm256_set1_epi32((2 << f) - 1),
+                bias: _mm256_set1_epi32(r.word_bias()),
+                rmin: _mm256_set1_epi32(r.raw_min),
+                rmax: _mm256_set1_epi32(r.raw_max),
+                zero_word: _mm256_set1_epi32(ZERO_WORD),
+                sb_last: _mm256_set1_epi32(r.sb.len() as i32 - 1),
+                eps2: _mm256_set1_epi32(c.eps2_word),
+                frac_mask64: _mm256_set1_epi64x(frac_mask),
+                exp_mask64: _mm256_set1_epi64x(0x7fff_ffff & !frac_mask),
+                cells: r.enc_cells.as_ptr().cast(),
+                sb: r.sb.as_ptr(),
+                dec: r.dec_frac.as_ptr().cast(),
             }
         }
+
+        /// Fixed-point subtract and log-converter ROM for one coordinate
+        /// of eight j-particles at `p`: the canonical core words, the
+        /// displacement signs (bit 31; the lower bits are junk), and the
+        /// redo flags.
+        ///
+        /// # Safety
+        /// `p .. p + 8` must be readable, and every displacement inside
+        /// the magic-conversion window.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn encode8(&self, p: *const i64, xv: __m256i) -> (__m256i, __m256i, __m256i) {
+            // per half: f64 bits, then [bits >> enc_shift | high dword]
+            // packed so one dword permute separates the two
+            let half = |p: *const i64| {
+                let d = _mm256_sub_epi64(_mm256_loadu_si256(p.cast()), xv);
+                let bits = _mm256_castpd_si256(_mm256_mul_pd(i64x4_to_f64(d), self.qv));
+                let lo = _mm256_srl_epi64(bits, self.enc_shift);
+                let packed = _mm256_blend_epi32::<0b1010_1010>(lo, bits);
+                _mm256_permutevar8x32_epi32(packed, self.deinterleave)
+            };
+            let (pa, pb) = (half(p), half(p.add(4)));
+            let v = _mm256_permute2x128_si256::<0x20>(pa, pb);
+            let hi = _mm256_permute2x128_si256::<0x31>(pa, pb);
+            // cell gather; index masked to the table's 2^(f+1) entries
+            let cidx = _mm256_and_si256(_mm256_srli_epi32::<18>(v), self.cell_mask);
+            let cell = _mm256_i32gather_epi32::<4>(self.cells, cidx);
+            let o = _mm256_add_epi32(
+                _mm256_and_si256(v, _mm256_set1_epi32((1 << 18) - 1)),
+                _mm256_set1_epi32(1),
+            );
+            let t = _mm256_and_si256(cell, _mm256_set1_epi32((1 << 19) - 1));
+            let diff = _mm256_sub_epi32(o, t);
+            let redo = _mm256_cmpgt_epi32(_mm256_set1_epi32(2), _mm256_abs_epi32(diff));
+            let k = _mm256_add_epi32(_mm256_srli_epi32::<19>(cell), _mm256_srai_epi32::<31>(diff));
+            let ebf = _mm256_srl_epi32(
+                _mm256_and_si256(hi, _mm256_set1_epi32(0x7ff0_0000)),
+                self.exp_shift,
+            );
+            let raw = _mm256_sub_epi32(_mm256_add_epi32(ebf, k), self.bias);
+            (self.canon(raw), hi, redo)
+        }
+
+        /// Range rules of a functional unit: `< raw_min` ⇒ zero word,
+        /// clamp at `raw_max`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn canon(&self, r: __m256i) -> __m256i {
+            let under = _mm256_cmpgt_epi32(self.rmin, r);
+            _mm256_blendv_epi8(_mm256_min_epi32(r, self.rmax), self.zero_word, under)
+        }
+
+        /// Same-sign LNS add.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn add8(&self, a: __m256i, b: __m256i) -> __m256i {
+            let hi = _mm256_max_epi32(a, b);
+            let d = _mm256_sub_epi32(hi, _mm256_min_epi32(a, b));
+            // unsigned min: whatever `d` holds, the index is in the table
+            let k = _mm256_i32gather_epi32::<4>(self.sb, _mm256_min_epu32(d, self.sb_last));
+            _mm256_min_epi32(_mm256_add_epi32(hi, k), self.rmax)
+        }
+
+        /// A product word rebased for the decoder (0 for zero).
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn out_word(&self, s: __m256i) -> __m256i {
+            let live = _mm256_add_epi32(_mm256_min_epi32(s, self.rmax), self.bias);
+            _mm256_andnot_si256(_mm256_cmpgt_epi32(self.rmin, s), live)
+        }
+
+        /// Antilog ROM on four decoder words.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn decode4(&self, w: __m128i) -> __m256d {
+            let w = _mm256_cvtepu32_epi64(w);
+            // index masked to the table's 2^f entries
+            let frac = _mm256_i64gather_epi64::<8>(self.dec, _mm256_and_si256(w, self.frac_mask64));
+            let exp = _mm256_sll_epi64(_mm256_and_si256(w, self.exp_mask64), self.dec_shift);
+            let sign = _mm256_and_si256(_mm256_slli_epi64::<32>(w), _mm256_set1_epi64x(i64::MIN));
+            _mm256_castsi256_pd(_mm256_or_si256(_mm256_or_si256(frac, exp), sign))
+        }
+    }
+
+    /// Test hook: the vector log converter on eight displacements
+    /// against a zero i-coordinate — `(core words, sign bits, redo)`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `|d| < 2⁵¹` must hold.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn encode8_words(c: &LnsLanes, d: &[i64; 8]) -> [[i32; 8]; 3] {
+        let (r, s, g) = LnsCtx::new(c).encode8(d.as_ptr(), _mm256_setzero_si256());
+        let mut out = [[0i32; 8]; 3];
+        _mm256_storeu_si256(out[0].as_mut_ptr().cast(), r);
+        _mm256_storeu_si256(out[1].as_mut_ptr().cast(), _mm256_srli_epi32::<31>(s));
+        _mm256_storeu_si256(out[2].as_mut_ptr().cast(), g);
+        out
+    }
+
+    /// The AVX2 LNS-mode block kernel, truncated after stage `UPTO`
+    /// (an [`LnsStage`] discriminant; `Accumulate` is the whole kernel).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, and every coordinate word in `xi` and
+    /// `j` must be inside `(-2⁵⁰, 2⁵⁰)` (`coords_in_magic_window`).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_lns<const UPTO: u8>(
+        c: &LnsLanes,
+        xi: &[[i64; 3]],
+        j: &JSlices<'_>,
+        force_scale: f64,
+        fmt: FixedFormat,
+        out: &mut [Force],
+    ) {
+        let ctx = AccCtx::new(fmt, force_scale);
+        let sa = ScalarAcc::new(fmt, force_scale);
+        let pair = c.pair(j);
+        let l = LnsCtx::new(c);
+        let zero = _mm256_setzero_si256();
+        let sign32 = _mm256_set1_epi32(i32::MIN);
+        block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+            // slicing bounds-checks every vector load below
+            let (bx, by, bz, bw) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m_word[js..je]);
+            let lanes_end = bx.len() / LNS_LANES * LNS_LANES;
+            let mut av = _mm256_loadu_si256(a.as_ptr().cast());
+            let xv0 = _mm256_set1_epi64x(x[0]);
+            let xv1 = _mm256_set1_epi64x(x[1]);
+            let xv2 = _mm256_set1_epi64x(x[2]);
+            for k in (0..lanes_end).step_by(LNS_LANES) {
+                // --- subtract + log converter ---
+                let (rx, sx, gx) = l.encode8(bx.as_ptr().add(k), xv0);
+                let (ry, sy, gy) = l.encode8(by.as_ptr().add(k), xv1);
+                let (rz, sz, gz) = l.encode8(bz.as_ptr().add(k), xv2);
+                let redo = _mm256_or_si256(_mm256_or_si256(gx, gy), gz);
+                if UPTO == LnsStage::Encode as u8 {
+                    let sink = _mm256_xor_si256(_mm256_xor_si256(rx, ry), _mm256_xor_si256(rz, sx));
+                    av = _mm256_xor_si256(av, _mm256_xor_si256(sink, redo));
+                    continue;
+                }
+                if _mm256_testz_si256(redo, redo) == 0 {
+                    // a lane asked for the scalar converters: the whole
+                    // group goes through the definition
+                    _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+                    span_pairs(&sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
+                    av = _mm256_loadu_si256(a.as_ptr().cast());
+                    continue;
+                }
+                // --- squarers, r² adder, + ε² ---
+                let sqx = l.canon(_mm256_add_epi32(rx, rx));
+                let sqy = l.canon(_mm256_add_epi32(ry, ry));
+                let sqz = l.canon(_mm256_add_epi32(rz, rz));
+                let r2e = l.add8(l.add8(l.add8(sqx, sqy), sqz), l.eps2);
+                if UPTO == LnsStage::Adder as u8 {
+                    av = _mm256_xor_si256(av, r2e);
+                    continue;
+                }
+                // --- power units: round-half-away −3r/2 and −r/2 ---
+                let ar = _mm256_abs_epi32(r2e);
+                let nr = _mm256_sub_epi32(zero, r2e);
+                let one = _mm256_set1_epi32(1);
+                let v3 = _mm256_add_epi32(_mm256_add_epi32(ar, ar), _mm256_add_epi32(ar, one));
+                let rinv3 = l.canon(_mm256_sign_epi32(_mm256_srli_epi32::<1>(v3), nr));
+                let v1 = _mm256_srli_epi32::<1>(_mm256_add_epi32(ar, one));
+                let rinv = _mm256_sign_epi32(v1, nr);
+                // --- multipliers and signs ---
+                let mw = _mm256_loadu_si256(bw.as_ptr().add(k).cast());
+                let m = _mm256_srai_epi32::<1>(mw);
+                let msign = _mm256_slli_epi32::<31>(mw);
+                let mf = l.canon(_mm256_add_epi32(m, rinv3));
+                let signed = |r: __m256i, s: __m256i| {
+                    let sign = _mm256_and_si256(_mm256_xor_si256(s, msign), sign32);
+                    _mm256_or_si256(l.out_word(_mm256_add_epi32(r, mf)), sign)
+                };
+                let wx = signed(rx, sx);
+                let wy = signed(ry, sy);
+                let wz = signed(rz, sz);
+                // m · rinv; `out_word` applies rinv's range rules too (a
+                // zero m keeps the sum below raw_min either way). Three
+                // zero words are the zero-distance guard: no potential.
+                let coincident = _mm256_and_si256(
+                    _mm256_and_si256(
+                        _mm256_cmpeq_epi32(rx, l.zero_word),
+                        _mm256_cmpeq_epi32(ry, l.zero_word),
+                    ),
+                    _mm256_cmpeq_epi32(rz, l.zero_word),
+                );
+                let wp = l.out_word(_mm256_add_epi32(m, l.canon(rinv)));
+                let wp = _mm256_or_si256(_mm256_andnot_si256(coincident, wp), msign);
+                if UPTO == LnsStage::Scale as u8 {
+                    let sink = _mm256_xor_si256(_mm256_xor_si256(wx, wy), _mm256_xor_si256(wz, wp));
+                    av = _mm256_xor_si256(av, sink);
+                    continue;
+                }
+                // --- 4×4 dword transposes to per-j [fx, fy, fz, pot],
+                // j and j + 4 sharing a register; antilog ROM ---
+                let t0 = _mm256_unpacklo_epi32(wx, wy);
+                let t1 = _mm256_unpackhi_epi32(wx, wy);
+                let t2 = _mm256_unpacklo_epi32(wz, wp);
+                let t3 = _mm256_unpackhi_epi32(wz, wp);
+                let q = [
+                    _mm256_unpacklo_epi64(t0, t2),
+                    _mm256_unpackhi_epi64(t0, t2),
+                    _mm256_unpacklo_epi64(t1, t3),
+                    _mm256_unpackhi_epi64(t1, t3),
+                ];
+                let lo = [
+                    l.decode4(_mm256_castsi256_si128(q[0])),
+                    l.decode4(_mm256_castsi256_si128(q[1])),
+                    l.decode4(_mm256_castsi256_si128(q[2])),
+                    l.decode4(_mm256_castsi256_si128(q[3])),
+                ];
+                let hi = [
+                    l.decode4(_mm256_extracti128_si256::<1>(q[0])),
+                    l.decode4(_mm256_extracti128_si256::<1>(q[1])),
+                    l.decode4(_mm256_extracti128_si256::<1>(q[2])),
+                    l.decode4(_mm256_extracti128_si256::<1>(q[3])),
+                ];
+                if UPTO == LnsStage::Decode as u8 {
+                    let x = |v: [__m256d; 4]| {
+                        _mm256_xor_pd(_mm256_xor_pd(v[0], v[1]), _mm256_xor_pd(v[2], v[3]))
+                    };
+                    av = _mm256_xor_si256(av, _mm256_castpd_si256(_mm256_xor_pd(x(lo), x(hi))));
+                    continue;
+                }
+                // --- fixed-point accumulate, ascending j ---
+                av = accumulate_group(av, lo, &ctx);
+                av = accumulate_group(av, hi, &ctx);
+            }
+            _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+            span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::ProcessorBoard;
     use crate::config::{ArithMode, Grape5Config};
+    use crate::pipeline::JWord;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// Run one exact-mode block through a forced lane path.
+    /// Board j-memory holding the given particles — the SoA columns
+    /// (mass log words included) exactly as `load_j` lays them out.
+    fn jmem(raw: &[[i64; 3]], m: &[f64]) -> ProcessorBoard {
+        let cfg = Grape5Config::paper();
+        let words: Vec<JWord> = raw
+            .iter()
+            .zip(m)
+            .map(|(&raw, &m)| JWord { raw, m_lns: cfg.lns.encode(m), m })
+            .collect();
+        let mut board = ProcessorBoard::new(&cfg);
+        board.load_j(&words);
+        board
+    }
+
+    /// Run one block through a forced lane path.
     #[allow(clippy::too_many_arguments)]
     fn run_path(
+        mode: ArithMode,
         path: LanePath,
         quantum: f64,
         eps: f64,
         xi: &[[i64; 3]],
-        j: &JSlices<'_>,
+        j: &ProcessorBoard,
         force_scale: f64,
         fmt: FixedFormat,
     ) -> Vec<Force> {
-        let cfg = Grape5Config { mode: ArithMode::Exact, ..Grape5Config::paper() };
+        let cfg = Grape5Config { mode, ..Grape5Config::paper() };
         let mut p = G5Pipeline::new(&cfg, quantum, eps);
         p.set_lane_path(path);
         let mut out = vec![Force::ZERO; xi.len()];
-        p.interact_block(xi, j, force_scale, fmt, &mut out);
+        p.interact_block(xi, &j.j_slices(), force_scale, fmt, &mut out);
         out
     }
 
@@ -596,43 +1236,63 @@ mod tests {
         }
     }
 
-    /// i-positions plus SoA j-streams (x, y, z, m) for one test block.
-    type RandomBlock = (Vec<[i64; 3]>, Vec<i64>, Vec<i64>, Vec<i64>, Vec<f64>);
+    /// Every path must equal the scalar skeleton on this block.
+    #[allow(clippy::too_many_arguments)]
+    fn assert_paths_agree(
+        mode: ArithMode,
+        quantum: f64,
+        eps: f64,
+        xi: &[[i64; 3]],
+        j: &ProcessorBoard,
+        force_scale: f64,
+        fmt: FixedFormat,
+        what: &str,
+    ) {
+        let refr = run_path(mode, LanePath::Scalar, quantum, eps, xi, j, force_scale, fmt);
+        for path in all_paths() {
+            let got = run_path(mode, path, quantum, eps, xi, j, force_scale, fmt);
+            assert_bits_equal(&refr, &got, &format!("{mode:?} {path:?} {what}"));
+        }
+    }
 
-    /// Random j-set with some coincident-with-i and zero-mass entries.
-    fn random_block(rng: &mut ChaCha8Rng, ni: usize, nj: usize, span: i64) -> RandomBlock {
-        let xi: Vec<[i64; 3]> = (0..ni)
-            .map(|_| {
-                [
-                    rng.random_range(-span..span),
-                    rng.random_range(-span..span),
-                    rng.random_range(-span..span),
-                ]
+    const MODES: [ArithMode; 2] = [ArithMode::Exact, ArithMode::Lns];
+
+    /// Random i-set and j-particles (raw words, masses) with some
+    /// coincident-with-i, zero-mass and negative-mass entries.
+    fn random_particles(
+        rng: &mut ChaCha8Rng,
+        ni: usize,
+        nj: usize,
+        span: i64,
+    ) -> (Vec<[i64; 3]>, Vec<[i64; 3]>, Vec<f64>) {
+        let mut coord = || rng.random_range(-span..span);
+        let xi: Vec<[i64; 3]> = (0..ni).map(|_| [coord(), coord(), coord()]).collect();
+        // every 17th: coincident with some i-particle (zero-distance lane)
+        let jraw = (0..nj)
+            .map(|k| if k % 17 == 3 && ni > 0 { xi[k % ni] } else { [coord(), coord(), coord()] })
+            .collect();
+        let jm = (0..nj)
+            .map(|k| match k % 23 {
+                7 => 0.0,
+                11 => -rng.random_range(0.01f64..10.0),
+                _ => rng.random_range(0.01..10.0),
             })
             .collect();
-        let mut jx = Vec::with_capacity(nj);
-        let mut jy = Vec::with_capacity(nj);
-        let mut jz = Vec::with_capacity(nj);
-        let mut jm = Vec::with_capacity(nj);
-        for k in 0..nj {
-            if k % 17 == 3 && !xi.is_empty() {
-                // coincident with some i-particle: zero-distance lane
-                let x = xi[k % xi.len()];
-                jx.push(x[0]);
-                jy.push(x[1]);
-                jz.push(x[2]);
-            } else {
-                jx.push(rng.random_range(-span..span));
-                jy.push(rng.random_range(-span..span));
-                jz.push(rng.random_range(-span..span));
-            }
-            jm.push(if k % 23 == 7 { 0.0 } else { rng.random_range(0.01..10.0) });
-        }
-        (xi, jx, jy, jz, jm)
+        (xi, jraw, jm)
+    }
+
+    fn random_block(
+        rng: &mut ChaCha8Rng,
+        ni: usize,
+        nj: usize,
+        span: i64,
+    ) -> (Vec<[i64; 3]>, ProcessorBoard) {
+        let (xi, jraw, jm) = random_particles(rng, ni, nj, span);
+        (xi, jmem(&jraw, &jm))
     }
 
     fn all_paths() -> Vec<LanePath> {
-        let mut v = vec![LanePath::Portable, LanePath::Scalar];
+        let mut v = vec![LanePath::Portable];
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
             v.push(LanePath::Avx2);
@@ -644,22 +1304,14 @@ mod tests {
     fn lane_paths_agree_bitwise_on_random_blocks() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
         let fmt = FixedFormat::new(64, 32);
-        let lns = crate::config::Grape5Config::paper().lns;
-        // j-counts cover remainder tails (≢ 0 mod 4) and block edges
-        for &nj in &[0usize, 1, 3, 4, 5, 17, 301, 512, 513, 1000] {
+        // j-counts cover remainder tails (≢ 0 mod 4, mod 8) and block edges
+        for &nj in &[0usize, 1, 3, 4, 5, 7, 8, 9, 17, 301, 512, 513, 1000] {
             for &ni in &[1usize, 2, 16, 17] {
-                let (xi, jx, jy, jz, jm) = random_block(&mut rng, ni, nj, 1 << 30);
-                let jml: Vec<_> = jm.iter().map(|&m| lns.encode(m)).collect();
-                let j = JSlices { x: &jx, y: &jy, z: &jz, m: &jm, m_lns: &jml };
-                for &(eps, fs) in &[(0.0, 1.0), (0.01, 0.25), (0.01, 1.37e-7)] {
-                    let refr = run_path(LanePath::Scalar, 2e-10, eps, &xi, &j, fs, fmt);
-                    for path in all_paths() {
-                        let got = run_path(path, 2e-10, eps, &xi, &j, fs, fmt);
-                        assert_bits_equal(
-                            &refr,
-                            &got,
-                            &format!("{path:?} nj={nj} ni={ni} eps={eps} fs={fs}"),
-                        );
+                let (xi, j) = random_block(&mut rng, ni, nj, 1 << 30);
+                for mode in MODES {
+                    for &(eps, fs) in &[(0.0, 1.0), (0.01, 0.25), (0.01, 1.37e-7)] {
+                        let what = format!("nj={nj} ni={ni} eps={eps} fs={fs}");
+                        assert_paths_agree(mode, 2e-10, eps, &xi, &j, fs, fmt, &what);
                     }
                 }
             }
@@ -668,23 +1320,16 @@ mod tests {
 
     #[test]
     fn saturating_terms_agree_via_encode_fallback() {
-        // Huge masses push |scaled| past 2^50: the vector path must
-        // defer to the scalar encode, including format saturation.
+        // Huge masses push |scaled| past 2^50 (and, in LNS mode, the log
+        // words to raw_max): the vector accumulate must defer to the
+        // scalar encode, including format saturation.
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let lns = crate::config::Grape5Config::paper().lns;
         for fmt in [FixedFormat::new(64, 32), FixedFormat::new(16, 8)] {
-            let (xi, jx, jy, jz, mut jm) = random_block(&mut rng, 5, 37, 1 << 20);
-            for (k, m) in jm.iter_mut().enumerate() {
-                if k % 3 == 0 {
-                    *m *= 1e30; // saturating term
-                }
-            }
-            let jml: Vec<_> = jm.iter().map(|&m| lns.encode(m)).collect();
-            let j = JSlices { x: &jx, y: &jy, z: &jz, m: &jm, m_lns: &jml };
-            let refr = run_path(LanePath::Scalar, 1e-6, 0.001, &xi, &j, 1.0, fmt);
-            for path in all_paths() {
-                let got = run_path(path, 1e-6, 0.001, &xi, &j, 1.0, fmt);
-                assert_bits_equal(&refr, &got, &format!("{path:?} fmt={fmt:?}"));
+            let (xi, jraw, mut jm) = random_particles(&mut rng, 5, 37, 1 << 20);
+            jm.iter_mut().step_by(3).for_each(|m| *m *= 1e30);
+            let j = jmem(&jraw, &jm);
+            for mode in MODES {
+                assert_paths_agree(mode, 1e-6, 0.001, &xi, &j, 1.0, fmt, &format!("fmt={fmt:?}"));
             }
         }
     }
@@ -692,25 +1337,149 @@ mod tests {
     #[test]
     fn wide_coordinates_take_the_guard_and_agree() {
         // Raw words at ±2^60: outside the magic-conversion window, so
-        // the AVX2 entry must fall back to the portable kernel whole.
+        // the AVX2 entries must fall back to the portable kernels whole.
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let fmt = FixedFormat::new(64, 32);
-        let lns = crate::config::Grape5Config::paper().lns;
-        let (xi, jx, jy, jz, jm) = random_block(&mut rng, 4, 29, 1 << 60);
-        let jml: Vec<_> = jm.iter().map(|&m| lns.encode(m)).collect();
-        let j = JSlices { x: &jx, y: &jy, z: &jz, m: &jm, m_lns: &jml };
-        let refr = run_path(LanePath::Scalar, 1e-19, 0.0, &xi, &j, 1.0, fmt);
-        for path in all_paths() {
-            let got = run_path(path, 1e-19, 0.0, &xi, &j, 1.0, fmt);
-            assert_bits_equal(&refr, &got, &format!("{path:?} wide coords"));
+        let (xi, j) = random_block(&mut rng, 4, 29, 1 << 60);
+        for mode in MODES {
+            assert_paths_agree(mode, 1e-19, 0.0, &xi, &j, 1.0, fmt, "wide coords");
         }
     }
 
     #[test]
-    fn detect_honors_env_override() {
-        // Can't mutate the environment safely in a threaded test binary;
-        // just pin down that detection returns a usable path.
-        let p = detect_lane_path();
-        assert!(matches!(p, LanePath::Avx2 | LanePath::Portable | LanePath::Scalar));
+    fn lns_lanes_survive_underflow_saturation_and_ineligible_quanta() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let fmt = FixedFormat::new(64, 32);
+        let (xi, j) = random_block(&mut rng, 9, 70, 1 << 20);
+        let lns = Grape5Config::paper().lns;
+        for (quantum, eps, in_lanes) in [
+            // squares underflow (2^-600 < 2^exp_min): r² is the zero word,
+            // with and without ε² to fall back on (0^-3/2 saturates)
+            (300f64.exp2().recip(), 0.0, true),
+            (300f64.exp2().recip(), 1e-80, true),
+            // displacements saturate at raw_max
+            (600f64.exp2(), 0.0, true),
+            // below 2^exp_min a displacement could encode to zero, above
+            // 2^900 overflow to infinity: the pipeline keeps the skeleton
+            (f64::from(lns.exp_min - 1).exp2(), 0.0, false),
+            (950f64.exp2(), 0.0, false),
+            (f64::MIN_POSITIVE / 8.0, 0.0, false),
+        ] {
+            let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+            let p = G5Pipeline::new(&cfg, quantum, eps);
+            assert_eq!(p.lns_lanes().is_some(), in_lanes, "quantum {quantum:e}");
+            let what = format!("quantum {quantum:e} eps {eps:e}");
+            assert_paths_agree(ArithMode::Lns, quantum, eps, &xi, &j, 1.0, fmt, &what);
+        }
+    }
+
+    #[test]
+    fn lns_guard_band_and_cell_edge_displacements_agree() {
+        // quantum = 1: the displacement IS the f64, so mantissas can be
+        // placed exactly — powers of two (a cell's left edge), and every
+        // encoder breakpoint ± offsets inside the libm guard band
+        // (2^16 ulps), inside the lane ROM's coarser redo band (2^25),
+        // and outside both. The breakpoint for fraction k sits where
+        // log2(1.m)·2^f crosses k − ½, located here to a few hundred ulps.
+        let f = Grape5Config::paper().lns.frac_bits;
+        let mut ds: Vec<i64> = (0..50).map(|e| 1i64 << e).collect();
+        for k in 1..=(1u32 << f) {
+            let x = ((f64::from(k) - 0.5) / f64::from(1u32 << f)).exp2();
+            let bp = x.to_bits() & ((1 << 52) - 1);
+            for off in [0i64, 1, -1, 40_000, -40_000, 70_000, -70_000, 1 << 26, -(1 << 26)] {
+                let m = ((1u64 << 52) | bp).saturating_add_signed(off);
+                ds.push((m >> 3) as i64); // a 50-bit integer with those leading bits
+            }
+        }
+        let n = ds.len();
+        let coord = |k: usize, shift: usize| match (k + shift) % 3 {
+            0 => ds[k] >> 1,
+            1 => -(ds[(k * 7 + shift) % n] >> 1),
+            _ => (k as i64 % 2001) - 1000,
+        };
+        let jraw: Vec<[i64; 3]> = (0..n).map(|k| [coord(k, 0), coord(k, 1), coord(k, 2)]).collect();
+        let jm: Vec<f64> = (0..n).map(|k| 0.5 + k as f64 * 1e-3).collect();
+        let j = jmem(&jraw, &jm);
+        let xi = [[0i64, 0, 0], [1, -1, 2]];
+        for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
+            assert_paths_agree(ArithMode::Lns, 1.0, 0.0, &xi, &j, 1.0, fmt, "placed mantissas");
+            assert_paths_agree(ArithMode::Lns, 1.0, 3.0, &xi, &j, 0.5, fmt, "placed mantissas");
+        }
+    }
+
+    /// The vector log converter against the scalar ROM lookup, word
+    /// for word and flag for flag, on placed and random mantissas.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_log_converter_matches_the_scalar_rom_lookup() {
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let mut ds: Vec<i64> = vec![0, 1, -1, 2, 3, -(1 << 50), (1 << 51) - 1, 1 - (1 << 51)];
+        for k in 1..=256u32 {
+            let bp = ((f64::from(k) - 0.5) / 256.0).exp2().to_bits() & ((1 << 52) - 1);
+            for off in [0i64, 60_000, -60_000, 70_000, 1 << 25, -(1 << 25), 3 << 25] {
+                ds.push((((1u64 << 52) | bp).saturating_add_signed(off) >> 2) as i64);
+            }
+        }
+        ds.extend((0..4000).map(|_| rng.random_range(-(1i64 << 51) + 1..1 << 51)));
+        ds.resize(ds.len().next_multiple_of(8), 5);
+        for quantum in [1.0, 2e-10, 300f64.exp2().recip(), 600f64.exp2()] {
+            let p = G5Pipeline::new(&cfg, quantum, 0.0);
+            let c = p.lns_lanes().expect("lane-eligible pipeline");
+            let mut flagged = 0;
+            for d8 in ds.chunks_exact(8) {
+                // SAFETY: AVX2 detected above; |d| < 2^51 by construction.
+                let got = unsafe { avx2::encode8_words(c, d8.try_into().unwrap()) };
+                for (l, &d) in d8.iter().enumerate() {
+                    let bits = (d as f64 * quantum).to_bits();
+                    let (raw, redo) = c.roms.encode_word(bits);
+                    let want = [c.canon(raw), (bits >> 63) as i32, -i32::from(redo)];
+                    assert_eq!([got[0][l], got[1][l], got[2][l]], want, "d = {d} q = {quantum:e}");
+                    flagged += usize::from(redo);
+                }
+            }
+            // at quantum 1 the displacement is the f64, so the placed
+            // mantissas land in their redo bands
+            assert!(quantum != 1.0 || flagged >= 256, "flagged {flagged}");
+            assert!(flagged < ds.len() / 2, "flagged {flagged}");
+        }
+    }
+
+    #[test]
+    fn truncated_lns_kernel_at_the_last_stage_is_the_kernel() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let fmt = FixedFormat::new(64, 32);
+        let (xi, j) = random_block(&mut rng, 5, 61, 1 << 30);
+        let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+        let p = G5Pipeline::new(&cfg, 2e-10, 0.01);
+        let mut want = vec![Force::ZERO; xi.len()];
+        p.interact_block(&xi, &j.j_slices(), 0.25, fmt, &mut want);
+        let mut got = vec![Force::ZERO; xi.len()];
+        for stage in LnsStage::ALL {
+            let ran = p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
+            assert_eq!(ran, p.lane_path() == LanePath::Avx2, "{stage:?}");
+        }
+        if p.lane_path() == LanePath::Avx2 {
+            assert_bits_equal(&want, &got, "upto Accumulate");
+        }
+    }
+
+    #[test]
+    fn lane_path_parse_covers_every_spelling() {
+        for has_avx2 in [false, true] {
+            let native = if has_avx2 { LanePath::Avx2 } else { LanePath::Portable };
+            assert_eq!(parse_lane_path(Some("portable"), has_avx2), LanePath::Portable);
+            assert_eq!(parse_lane_path(Some("scalar"), has_avx2), LanePath::Scalar);
+            // avx2 without AVX2 degrades; garbage and unset mean "detect"
+            assert_eq!(parse_lane_path(Some("avx2"), has_avx2), native);
+            assert_eq!(parse_lane_path(Some("AVX-512"), has_avx2), native);
+            assert_eq!(parse_lane_path(Some(""), has_avx2), native);
+            assert_eq!(parse_lane_path(None, has_avx2), native);
+        }
+        // and the process-wide resolution is stable
+        assert_eq!(detect_lane_path(), detect_lane_path());
     }
 }

@@ -21,8 +21,8 @@
 
 use crate::config::{ArithMode, Grape5Config};
 use crate::cutoff::CutoffTable;
-use crate::lanes::{self, LanePath};
-use g5util::fixed::{Fixed, FixedFormat};
+use crate::lanes::{self, LanePath, LnsLanes, LnsStage};
+use g5util::fixed::FixedFormat;
 use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
 use g5util::vec3::Vec3;
@@ -77,6 +77,11 @@ pub struct JSlices<'a> {
     pub m: &'a [f64],
     /// Masses in the pipeline's logarithmic format (LNS mode).
     pub m_lns: &'a [Lns],
+    /// The same log words packed for the LNS lane kernel
+    /// (`raw << 1 | negative`, zero as a below-range sentinel), as
+    /// [`ProcessorBoard::load_j`](crate::board::ProcessorBoard::load_j)
+    /// writes them.
+    pub m_word: &'a [i32],
 }
 
 impl JSlices<'_> {
@@ -172,9 +177,12 @@ pub struct G5Pipeline {
     /// pipeline runs LNS arithmetic with a cutoff loaded and the format
     /// is tabulable.
     lns_cutoff: Option<Arc<LnsCutoffTable>>,
-    /// Which lane implementation the exact-mode batch kernel dispatches
-    /// to (detected once at construction; see [`lanes`]).
+    /// Which lane implementation the no-cutoff batch kernel dispatches
+    /// to (see [`lanes`]).
     lane_path: LanePath,
+    /// State of the LNS lane kernels; `None` in exact mode and for the
+    /// formats and quanta that keep the scalar skeleton.
+    lns_lanes: Option<LnsLanes>,
 }
 
 impl G5Pipeline {
@@ -184,30 +192,43 @@ impl G5Pipeline {
         assert!(quantum > 0.0, "non-positive coordinate quantum");
         assert!(eps >= 0.0, "negative softening");
         let eps2 = eps * eps;
+        let eps2_lns = cfg.lns.encode(eps2);
+        let conv = conv_tables(cfg.lns);
+        let lns_lanes = match (cfg.mode, conv) {
+            (ArithMode::Lns, Some(conv)) => LnsLanes::new(conv, quantum, eps2_lns),
+            _ => None,
+        };
         G5Pipeline {
             lns: cfg.lns,
             mode: cfg.mode,
             quantum,
             eps2,
-            eps2_lns: cfg.lns.encode(eps2),
+            eps2_lns,
             cutoff: None,
-            conv: conv_tables(cfg.lns),
+            conv,
             lns_cutoff: None,
             lane_path: lanes::detect_lane_path(),
+            lns_lanes,
         }
     }
 
-    /// The lane implementation the exact-mode batch kernel uses.
+    /// The lane implementation the no-cutoff batch kernel uses.
     #[inline]
     pub fn lane_path(&self) -> LanePath {
         self.lane_path
     }
 
-    /// Override the exact-mode lane implementation — used by the perf
-    /// harness to A/B the SIMD, portable and scalar paths, and by tests
-    /// to referee them against each other.
+    /// Override the lane implementation — used by the perf harness to
+    /// A/B the SIMD, portable and scalar paths, and by tests to referee
+    /// them against each other.
     pub fn set_lane_path(&mut self, path: LanePath) {
         self.lane_path = path;
+    }
+
+    /// The LNS lane-kernel state, when this pipeline qualifies for it.
+    #[cfg(test)]
+    pub(crate) fn lns_lanes(&self) -> Option<&LnsLanes> {
+        self.lns_lanes.as_ref()
     }
 
     /// Load (or clear) the cutoff table — `g5_set_cutoff_table` in the
@@ -312,7 +333,7 @@ impl G5Pipeline {
     /// path reproduces [`pair_lns_reference`](Self::pair_lns_reference)
     /// exactly.
     #[inline(always)]
-    fn pair_lns_tab(
+    pub(crate) fn pair_lns_tab(
         conv: &LnsConvTables,
         cutoff: Option<&LnsCutoffTable>,
         eps2_lns: Lns,
@@ -438,121 +459,70 @@ impl G5Pipeline {
     ) {
         assert_eq!(xi.len(), out.len(), "output length mismatch");
         assert!(force_scale > 0.0, "non-positive force scale");
-        debug_assert!(
+        assert!(
             j.x.len() == j.y.len()
                 && j.x.len() == j.z.len()
                 && j.x.len() == j.m.len()
-                && j.x.len() == j.m_lns.len(),
+                && j.x.len() == j.m_lns.len()
+                && j.x.len() == j.m_word.len(),
             "ragged j-slices"
         );
+        // The lane kernels cover the dominant no-cutoff configuration;
+        // with a cutoff the factors are per-pair table lookups and the
+        // scalar skeleton stays.
+        let lanes_on = self.cutoff.is_none() && self.lane_path != LanePath::Scalar;
         match (self.mode, self.conv) {
             (ArithMode::Exact, _) => {
                 let (quantum, eps2, cutoff) = (self.quantum, self.eps2, self.cutoff.as_ref());
-                // The lane kernels cover the dominant exact/no-cutoff
-                // configuration; cutoff'd exact mode keeps the scalar
-                // skeleton (the factors are per-pair table lookups).
-                if cutoff.is_none() && self.lane_path != LanePath::Scalar {
-                    lanes::block_exact_lanes(
-                        self.lane_path,
-                        quantum,
-                        eps2,
-                        xi,
-                        j,
-                        force_scale,
-                        fmt,
-                        out,
-                    );
+                if lanes_on {
+                    let path = self.lane_path;
+                    lanes::block_exact_lanes(path, quantum, eps2, xi, j, force_scale, fmt, out);
                     return;
                 }
-                Self::block_with(xi, j, force_scale, fmt, out, |d, jj| {
+                lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     Self::pair_exact(quantum, eps2, cutoff, d, j.m[jj])
                 });
             }
             (ArithMode::Lns, Some(conv)) => {
+                if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
+                    lanes::block_lns_lanes(self.lane_path, c, xi, j, force_scale, fmt, out);
+                    return;
+                }
                 let (cutoff, eps2_lns, quantum) =
                     (self.lns_cutoff.as_deref(), self.eps2_lns, self.quantum);
-                Self::block_with(xi, j, force_scale, fmt, out, |d, jj| {
+                lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     Self::pair_lns_tab(conv, cutoff, eps2_lns, quantum, d, j.m_lns[jj])
                 });
             }
             (ArithMode::Lns, None) => {
-                Self::block_with(xi, j, force_scale, fmt, out, |d, jj| {
+                lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     self.pair_lns_formula(d, j.m_lns[jj])
                 });
             }
         }
     }
 
-    /// Shared tiling skeleton of the batch kernel: i-tiles the width of
-    /// one chip's pipeline set, j-blocks sized to stay cache-resident,
-    /// per-i fixed-point accumulators carried across j-blocks in
-    /// ascending j order.
-    #[inline(always)]
-    fn block_with(
+    /// Profiling hook: run the AVX2 LNS lane kernel truncated after
+    /// stage `upto`, so a harness can difference the prefixes into a
+    /// per-stage time split. `out` holds forces only for
+    /// [`LnsStage::Accumulate`]. Returns `false` (nothing run) unless
+    /// this pipeline would take the AVX2 LNS kernel for this call.
+    pub fn interact_block_lns_upto(
+        &self,
+        upto: LnsStage,
         xi: &[[i64; 3]],
         j: &JSlices<'_>,
         force_scale: f64,
         fmt: FixedFormat,
         out: &mut [Force],
-        pair: impl Fn([i64; 3], usize) -> Force,
-    ) {
-        /// i-particles sharing one streamed j-block (pipelines per chip set).
-        const I_TILE: usize = 16;
-        /// j-particles per block; 5 SoA streams stay well inside L1.
-        const J_BLOCK: usize = 512;
-        let nj = j.x.len();
-        // 2^frac_bits hoisted out of the pair loop: `accumulate` computes
-        // it per term through `exp2`, `accumulate_with_scale` takes it
-        // ready-made (bit-identical by construction).
-        let enc = fmt.encode_scale();
-        // When the scale is a power of two its reciprocal is exact, and
-        // multiplying by it rounds the same real value division would —
-        // bit-identical, one multiply instead of four divides per pair.
-        let inv_scale = 1.0 / force_scale;
-        let pow2_scale = force_scale.to_bits() & ((1u64 << 52) - 1) == 0
-            && force_scale.is_normal()
-            && inv_scale.is_normal();
-        let unscale = |t: f64| {
-            if force_scale == 1.0 {
-                t
-            } else if pow2_scale {
-                t * inv_scale
-            } else {
-                t / force_scale
+    ) -> bool {
+        assert_eq!(xi.len(), out.len(), "output length mismatch");
+        assert!(j.x.len() == j.y.len() && j.x.len() == j.z.len() && j.x.len() == j.m_word.len());
+        match (&self.lns_lanes, &self.cutoff, self.lane_path) {
+            (Some(c), None, LanePath::Avx2) => {
+                lanes::block_lns_avx2_upto(upto, c, xi, j, force_scale, fmt, out)
             }
-        };
-        for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
-            let mut acc = [[Fixed::zero(fmt); 4]; I_TILE];
-            let mut js = 0;
-            while js < nj {
-                let je = (js + J_BLOCK).min(nj);
-                let (bx, by, bz) = (&j.x[js..je], &j.y[js..je], &j.z[js..je]);
-                for (ii, &x) in xc.iter().enumerate() {
-                    let a = &mut acc[ii];
-                    for (k, ((&jx, &jy), &jz)) in bx.iter().zip(by).zip(bz).enumerate() {
-                        let d = [jx - x[0], jy - x[1], jz - x[2]];
-                        if (d[0] | d[1] | d[2]) == 0 {
-                            continue; // zero-distance guard
-                        }
-                        let f = pair(d, js + k);
-                        a[0] = a[0].accumulate_with_scale(enc, unscale(f.acc.x));
-                        a[1] = a[1].accumulate_with_scale(enc, unscale(f.acc.y));
-                        a[2] = a[2].accumulate_with_scale(enc, unscale(f.acc.z));
-                        a[3] = a[3].accumulate_with_scale(enc, unscale(f.pot));
-                    }
-                }
-                js = je;
-            }
-            for (o, a) in oc.iter_mut().zip(&acc) {
-                *o = Force {
-                    acc: Vec3::new(
-                        a[0].to_f64() * force_scale,
-                        a[1].to_f64() * force_scale,
-                        a[2].to_f64() * force_scale,
-                    ),
-                    pot: a[3].to_f64() * force_scale,
-                };
-            }
+            _ => false,
         }
     }
 }

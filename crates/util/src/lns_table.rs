@@ -135,6 +135,13 @@ const NO_BP: i64 = i64::MAX / 4;
 /// the libm reference provably agree.
 const ENC_GUARD: u64 = 1 << 16;
 
+/// In-cell resolution of the packed lane encoder: the breakpoint
+/// offset is kept to this many bits (plus one guard bit).
+const LANE_OFF_BITS: u32 = 18;
+/// Bit position of the `K` field in a packed lane encoder cell.
+const LANE_K_SHIFT: u32 = LANE_OFF_BITS + 1;
+const MANT_MASK: u64 = (1 << 52) - 1;
+
 /// One mantissa cell of the encoder table.
 #[derive(Clone, Copy)]
 struct EncCell {
@@ -164,12 +171,113 @@ pub struct LnsConvTables {
     raw_max: i64,
     cell_shift: u32,
     cells: Vec<EncCell>,
-    /// Decoded magnitude per raw word, indexed by `raw - raw_min`.
-    dec: Vec<f64>,
+    dec: DecodeRom,
     /// `round(sb(-d·q)·2^f)` per raw operand distance `d`.
     sb: Vec<i64>,
     /// `round(db(-d·q)·2^f)` per raw operand distance `d` (entry 0 unused).
     db: Vec<i64>,
+    /// Lane-friendly images of the encoder and `sb` ROMs (present when
+    /// the decoder factors and no `sb` entry is a `FALLBACK`).
+    lane: Option<LaneImages>,
+}
+
+/// The decoder ROM. `2^(raw·q)` factors as `2^e · 2^(i·q)` with
+/// `raw = (e << f) + i`, so a `2^f`-entry mantissa table plus an
+/// exponent field replaces the full-word memo — 2 KB instead of 2 MB
+/// for the GRAPE-5 format, and `2^f` instead of `2^18` `exp2` calls to
+/// build. The factored form is checked against the reference at build
+/// time on a sample of words (and exhaustively by
+/// `decode_table_exhaustive_vs_reference`); a format that fails the
+/// check keeps the full memo.
+enum DecodeRom {
+    /// Mantissa-fraction bits of `2^(i·q)` for `i < 2^f`; the biased
+    /// exponent `(raw >> f) + 1023` is OR-ed in above them.
+    Factored(Vec<u64>),
+    /// Decoded magnitude per raw word, indexed by `raw - raw_min`.
+    Full(Vec<f64>),
+}
+
+/// Owned storage behind [`LnsLaneRoms`].
+struct LaneImages {
+    enc_cells: Vec<u32>,
+    sb: Vec<i32>,
+}
+
+/// The converter ROMs in the layouts a lane kernel gathers from: every
+/// field is a small integer or a flat slice, and every lookup is an
+/// unconditional indexed load (flagging, never branching, on the inputs
+/// that need the full-precision path).
+///
+/// * **Encoder** — `f64` bits `>> enc_shift` leave `[cell | offset]` in
+///   the low `frac_bits + 1 + 18` bits: the mantissa-cell index and the
+///   top 18 bits of the in-cell offset. `enc_cells[cell]` packs
+///   `K << 19 | T`: with `o = offset + 1`, the log-word fraction is
+///   `K − (o < T)` and the lookup needs the scalar encoder iff
+///   `|o − T| ≤ 1` (one offset unit is ≥ `ENC_GUARD` mantissa ulps, so
+///   that band covers the libm guard band and the one ambiguous unit).
+/// * **Adder** — `sb[min(d, sb.len() − 1)]`; the last entry is the
+///   asymptote 0, and no entry is an un-hoistable `FALLBACK` (a format
+///   with one gets no lane ROMs; no tabulable format has been seen to).
+/// * **Decoder** — output words are `raw + (1023 << frac_bits)` with
+///   the sign in bit 31 and 0 for zero, so the word's high field *is*
+///   the IEEE biased exponent: `dec_frac[w & (2^f − 1)] | (w >> f) << 52`.
+#[derive(Debug, Clone, Copy)]
+pub struct LnsLaneRoms<'a> {
+    /// Fraction bits of the log word.
+    pub frac_bits: u32,
+    /// Smallest representable raw word.
+    pub raw_min: i32,
+    /// Largest representable raw word.
+    pub raw_max: i32,
+    /// Right shift that leaves `[cell | offset]` in the low bits.
+    pub enc_shift: u32,
+    /// Packed encoder cells, `2^(frac_bits + 1)` entries.
+    pub enc_cells: &'a [u32],
+    /// `sb` increments per operand distance, clamp-indexed.
+    pub sb: &'a [i32],
+    /// Mantissa-fraction bits per log-word fraction, `2^frac_bits` entries.
+    pub dec_frac: &'a [u64],
+}
+
+impl LnsLaneRoms<'_> {
+    /// Bias that turns a raw word into a decoder word.
+    #[inline]
+    pub fn word_bias(&self) -> i32 {
+        1023 << self.frac_bits
+    }
+
+    /// Encode the magnitude of the `f64` with these bits: the raw log
+    /// word **before** the range rules (`< raw_min` ⇒ zero, clamp at
+    /// `raw_max`), and whether the lookup must be redone by
+    /// [`LnsConvTables::encode`]. Valid for zero and normal inputs.
+    #[inline]
+    pub fn encode_word(&self, bits: u64) -> (i32, bool) {
+        let hi = (bits >> 32) as u32;
+        let v = (bits >> self.enc_shift) as u32;
+        let cell_mask = (2u32 << self.frac_bits) - 1;
+        let cell = self.enc_cells[((v >> LANE_OFF_BITS) & cell_mask) as usize];
+        let o = (v & ((1 << LANE_OFF_BITS) - 1)) + 1;
+        let diff = o as i32 - (cell & ((1 << LANE_K_SHIFT) - 1)) as i32;
+        let k = (cell >> LANE_K_SHIFT) as i32 + (diff >> 31);
+        let ebf = ((hi & 0x7ff0_0000) >> (20 - self.frac_bits)) as i32;
+        (ebf + k - self.word_bias(), diff.abs() <= 1)
+    }
+
+    /// The `sb` increment for operand distance `d` (any `u32`; large
+    /// distances read the asymptote).
+    #[inline]
+    pub fn sb_step(&self, d: u32) -> i32 {
+        self.sb[(d as usize).min(self.sb.len() - 1)]
+    }
+
+    /// Decode an output word (see the type docs for its layout).
+    #[inline]
+    pub fn decode_word(&self, w: u32) -> f64 {
+        let f = self.frac_bits;
+        let frac = self.dec_frac[(w & ((1 << f) - 1)) as usize];
+        let exp = u64::from((w & 0x7fff_ffff) >> f) << 52;
+        f64::from_bits(frac | exp | u64::from(w >> 31) << 63)
+    }
 }
 
 impl std::fmt::Debug for LnsConvTables {
@@ -177,7 +285,7 @@ impl std::fmt::Debug for LnsConvTables {
         f.debug_struct("LnsConvTables")
             .field("cfg", &self.cfg)
             .field("cells", &self.cells.len())
-            .field("dec", &self.dec.len())
+            .field("dec_factored", &matches!(self.dec, DecodeRom::Factored(_)))
             .field("sb", &self.sb.len())
             .field("db", &self.db.len())
             .finish()
@@ -189,6 +297,62 @@ impl std::fmt::Debug for LnsConvTables {
 fn tables_supported(cfg: LnsConfig) -> bool {
     let span = (cfg.exp_max as i64 - cfg.exp_min as i64 + 1) << cfg.frac_bits;
     cfg.frac_bits <= 12 && span <= (1 << 22)
+}
+
+/// Build the factored decoder ROM for `cfg`, or `None` when the format
+/// does not factor: every decoded value must be a normal `f64`, and
+/// `frac[i] | (e + 1023) << 52` must reproduce the reference
+/// `exp2((e << f | i)·q)` on the sampled exponents (both ends of the
+/// range and the words around 1.0, every fraction `i`).
+fn factor_decode(cfg: LnsConfig) -> Option<Vec<u64>> {
+    if cfg.exp_min < -1022 || cfg.exp_max > 1023 {
+        return None;
+    }
+    let (f, q) = (cfg.frac_bits, cfg.quantum());
+    let frac: Vec<u64> = (0..1i64 << f).map(|i| (i as f64 * q).exp2().to_bits()).collect();
+    if frac.iter().any(|b| b >> 52 != 1023) {
+        return None; // 2^(i·q) left [1, 2)
+    }
+    let frac: Vec<u64> = frac.iter().map(|b| b & MANT_MASK).collect();
+    let (lo, hi) = (cfg.exp_min as i64, cfg.exp_max as i64);
+    let exps = [lo, lo + 1, -1, 0, 1, hi - 1, hi];
+    for e in exps.into_iter().filter(|e| (lo..=hi).contains(e)) {
+        for i in 0..1i64 << f {
+            let raw = (e << f) + i;
+            if raw > cfg.raw_word_max() {
+                break;
+            }
+            let want = (raw as f64 * q).exp2().to_bits();
+            if want != frac[i as usize] | ((e + 1023) as u64) << 52 {
+                return None;
+            }
+        }
+    }
+    Some(frac)
+}
+
+/// Pack encoder cell `c` for [`LnsLaneRoms`]: `K << 19 | T`, offsets in
+/// units of `2^(cell_shift − 18)` mantissa ulps. A breakpoint at
+/// in-cell offset `thr` gives `T = ⌊thr/unit⌋ + 1` and `K = k_lo + 1`,
+/// so `k = K − (o < T)` steps exactly where `mant >= bp` does outside
+/// the ambiguous unit. A guard-band neighbour below the cell (`thr ≤
+/// 0`, already counted in `k_lo`) packs as `K = k_lo` with `T ≤ 1`, one
+/// above it as `T = 2^18 + 1`; "no breakpoint in reach" is a `T` no
+/// offset comes within one unit of.
+fn pack_cell(c: usize, cell: &EncCell, frac_bits: u32) -> u32 {
+    let cell_shift = 52 - (frac_bits + 1);
+    let unit_shift = cell_shift - LANE_OFF_BITS;
+    assert!(1u64 << unit_shift >= ENC_GUARD, "lane offset unit narrower than the guard band");
+    assert!(cell.bp == NO_BP || cell.bp == cell.near_bp, "in-cell breakpoint is not the near one");
+    let (k, t) = if cell.near_bp == NO_BP {
+        (cell.k_lo + 1, (1i64 << LANE_OFF_BITS) + 3)
+    } else {
+        let thr = cell.near_bp - ((c as i64) << cell_shift);
+        let counted = i64::from(thr <= 0); // at or below the cell start: inside k_lo
+        (cell.k_lo + 1 - counted, (thr >> unit_shift) + 1)
+    };
+    assert!((0..1 << LANE_K_SHIFT).contains(&t) && (0..1 << (32 - LANE_K_SHIFT)).contains(&k));
+    (k as u32) << LANE_K_SHIFT | t as u32
 }
 
 static CONV_CACHE: OnceLock<RwLock<Vec<&'static LnsConvTables>>> = OnceLock::new();
@@ -288,12 +452,11 @@ impl LnsConvTables {
             cells.push(EncCell { k_lo, bp, near_bp });
         }
 
-        // --- decoder: memoized reference decode per raw word ---
-        let n_dec = (raw_max - raw_min + 1) as usize;
-        let mut dec = Vec::with_capacity(n_dec);
-        for raw in raw_min..=raw_max {
-            dec.push((raw as f64 * q).exp2());
-        }
+        // --- decoder: mantissa ROM + exponent field, or the full memo ---
+        let dec = match factor_decode(cfg) {
+            Some(frac) => DecodeRom::Factored(frac),
+            None => DecodeRom::Full((raw_min..=raw_max).map(|r| (r as f64 * q).exp2()).collect()),
+        };
 
         // --- adders: integer Gaussian-log increments per distance ---
         let round_step = |s: f64| -> i64 {
@@ -328,7 +491,31 @@ impl LnsConvTables {
         }
         assert_eq!(*db.last().unwrap(), 0, "db table did not reach its asymptote");
 
-        LnsConvTables { cfg, raw_min, raw_max, cell_shift, cells, dec, sb, db }
+        // --- lane images: the same encoder cells and sb steps, packed ---
+        let lane_ok = matches!(dec, DecodeRom::Factored(_)) && !sb.contains(&FALLBACK);
+        let lane = lane_ok.then(|| LaneImages {
+            enc_cells: cells.iter().enumerate().map(|(c, cell)| pack_cell(c, cell, f)).collect(),
+            sb: sb.iter().map(|&k| k as i32).collect(),
+        });
+
+        LnsConvTables { cfg, raw_min, raw_max, cell_shift, cells, dec, sb, db, lane }
+    }
+
+    /// The lane-friendly ROM images, when this format has them (every
+    /// hardware format does).
+    pub fn lane_roms(&self) -> Option<LnsLaneRoms<'_>> {
+        let (lane, DecodeRom::Factored(frac)) = (self.lane.as_ref()?, &self.dec) else {
+            return None;
+        };
+        Some(LnsLaneRoms {
+            frac_bits: self.cfg.frac_bits,
+            raw_min: self.raw_min as i32,
+            raw_max: self.raw_max as i32,
+            enc_shift: self.cell_shift - LANE_OFF_BITS,
+            enc_cells: &lane.enc_cells,
+            sb: &lane.sb,
+            dec_frac: frac,
+        })
     }
 
     /// Table-driven encode; bit-identical to
@@ -357,15 +544,22 @@ impl LnsConvTables {
         Lns::from_raw(sign, raw.min(self.raw_max), self.cfg)
     }
 
-    /// Table-driven decode; bit-identical to [`Lns::to_f64`] by
-    /// construction (full-word memoization of the reference decode).
+    /// Table-driven decode; bit-identical to [`Lns::to_f64`] (mantissa
+    /// ROM plus exponent field, see `DecodeRom`).
     #[inline]
     pub fn decode(&self, v: Lns) -> f64 {
         let s = v.signum();
         if s == 0 {
             return 0.0;
         }
-        let m = self.dec[(v.raw() - self.raw_min) as usize];
+        let m = match &self.dec {
+            DecodeRom::Factored(frac) => {
+                let f = self.cfg.frac_bits;
+                let w = v.raw() + (1023 << f); // biased exponent above the fraction
+                f64::from_bits(frac[(w & ((1 << f) - 1)) as usize] | ((w >> f) as u64) << 52)
+            }
+            DecodeRom::Full(dec) => dec[(v.raw() - self.raw_min) as usize],
+        };
         if s < 0 {
             -m
         } else {
@@ -669,6 +863,143 @@ mod conv_tests {
             assert_eq!(t.add(a, z), a);
             assert_eq!(t.add(z, a), a);
             assert!(t.add(z, z).is_zero());
+        }
+    }
+
+    /// What the scalar encoder's range rules make of a lane raw word.
+    fn lane_encode(t: &LnsConvTables, x: f64) -> Option<(i8, i64)> {
+        let roms = t.lane_roms().expect("test formats have lane ROMs");
+        let (raw, redo) = roms.encode_word(x.to_bits());
+        if redo {
+            return None;
+        }
+        Some(if raw < roms.raw_min {
+            (0, 0)
+        } else {
+            (if x.is_sign_negative() { -1 } else { 1 }, i64::from(raw.min(roms.raw_max)))
+        })
+    }
+
+    fn assert_lane_encode(t: &LnsConvTables, x: f64) {
+        if let Some(got) = lane_encode(t, x) {
+            let want = t.encode(x);
+            assert_eq!(
+                got,
+                (want.signum(), if want.is_zero() { 0 } else { want.raw() }),
+                "lane encode divergence at x = {x:e} ({:016x}) cfg {:?}",
+                x.to_bits(),
+                t.config()
+            );
+        }
+    }
+
+    #[test]
+    fn lane_rom_encode_matches_table_encode_on_sweeps() {
+        let mut state = 0x1a9e_u64;
+        for cfg in CFGS {
+            let t = conv_tables(cfg).unwrap();
+            // specials the lane path may see: zero and normal powers of two
+            assert_eq!(lane_encode(t, 0.0), Some((0, 0)));
+            for e in -700..700 {
+                let x = f64::exp2(e as f64);
+                for y in [x, -x, x * 1.5, x * (1.0 + f64::EPSILON), x * (2.0 - f64::EPSILON)] {
+                    assert_lane_encode(t, y);
+                }
+            }
+            // random normal bit patterns, as in the table-encode sweep
+            let mut redone = 0usize;
+            for _ in 0..sweeps() {
+                let bits = splitmix(&mut state);
+                let eb = (1023i64 + ((bits >> 52) as i64 % 1400) - 700).clamp(1, 0x7fe) as u64;
+                let x = f64::from_bits((bits & !(0x7ffu64 << 52)) | (eb << 52));
+                redone += usize::from(lane_encode(t, x).is_none());
+                assert_lane_encode(t, x);
+            }
+            // the redo band is 3 offset units of 2^18 per breakpoint
+            assert!(redone * 10_000 < sweeps(), "lane encoder redoes too often: {redone}");
+        }
+    }
+
+    #[test]
+    fn lane_rom_encode_flags_every_guard_band_mantissa() {
+        // every cell edge and a window around every breakpoint: inside
+        // the libm guard band the lane lookup must ask for the scalar
+        // encoder; outside it must agree with the table
+        for cfg in CFGS {
+            let t = conv_tables(cfg).unwrap();
+            let g = ENC_GUARD as i64;
+            let mut probes: Vec<i64> = Vec::new();
+            for &bp in &t.breakpoints() {
+                for off in [-g - 2, -g, -g + 1, -3, -1, 0, 1, 3, g - 1, g, g + 2, 1 << 30] {
+                    probes.push(bp + off);
+                    probes.push(bp - off);
+                }
+            }
+            for c in 0..=(2i64 << cfg.frac_bits) {
+                for off in [-1, 0, 1] {
+                    probes.push((c << t.cell_shift) + off);
+                }
+            }
+            for mant in probes.into_iter().filter(|m| (0..1i64 << 52).contains(m)) {
+                let cell = &t.cells[(mant >> t.cell_shift) as usize];
+                let guarded = mant.abs_diff(cell.near_bp) < ENC_GUARD;
+                for eb in [1u64, 1023, 1024, 2046] {
+                    let x = f64::from_bits((eb << 52) | mant as u64);
+                    assert!(
+                        !guarded || lane_encode(t, x).is_none(),
+                        "guard-band mantissa {mant:#x} not flagged, cfg {cfg:?}"
+                    );
+                    assert_lane_encode(t, x);
+                    assert_lane_encode(t, -x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_rom_sb_and_decode_match_tables_exhaustively() {
+        for cfg in CFGS {
+            let t = conv_tables(cfg).unwrap();
+            let roms = t.lane_roms().unwrap();
+            // adder: clamped-index read == the table add, same-sign operands
+            let (sb_len, _) = t.adder_lens();
+            assert_eq!(roms.sb.len(), sb_len);
+            assert_eq!(roms.sb[sb_len - 1], 0, "clamp target must be the asymptote");
+            let his = [cfg.raw_word_min(), -1, 0, 1, cfg.raw_word_max() / 2, cfg.raw_word_max()];
+            for d in (0..sb_len as i64 + 64).chain([1 << 22, 1 << 27, u32::MAX as i64]) {
+                let k = roms.sb_step(d as u32);
+                for hi_raw in his {
+                    let lo_raw = hi_raw - d;
+                    if lo_raw < cfg.raw_word_min() {
+                        continue;
+                    }
+                    let (a, b) = (Lns::from_raw(1, hi_raw, cfg), Lns::from_raw(1, lo_raw, cfg));
+                    let got = (hi_raw + i64::from(k)).min(cfg.raw_word_max());
+                    assert_eq!(got, t.add(a, b).raw(), "lane sb divergence d={d} hi={hi_raw}");
+                    assert_eq!(got, t.add(b, a).raw());
+                }
+            }
+            // decoder: every word and sign, plus the zero word
+            for raw in cfg.raw_word_min()..=cfg.raw_word_max() {
+                for (sign, bit) in [(1i8, 0u32), (-1, 1 << 31)] {
+                    let w = (raw + i64::from(roms.word_bias())) as u32 | bit;
+                    let want = t.decode(Lns::from_raw(sign, raw, cfg));
+                    assert_eq!(roms.decode_word(w).to_bits(), want.to_bits(), "word {w:#x}");
+                }
+            }
+            assert_eq!(roms.decode_word(0).to_bits(), 0.0f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn unfactorable_format_keeps_the_full_decode_memo() {
+        // 2^-1030 is subnormal: no exponent field can carry it
+        let deep = LnsConfig { frac_bits: 4, exp_min: -1040, exp_max: 100 };
+        let t = conv_tables(deep).expect("small enough to tabulate");
+        assert!(t.lane_roms().is_none());
+        for raw in [deep.raw_word_min(), deep.raw_word_min() + 7, -(1030 << 4), 0, 333] {
+            let v = Lns::from_raw(1, raw, deep);
+            assert_eq!(t.decode(v).to_bits(), v.to_f64().to_bits());
         }
     }
 

@@ -141,7 +141,7 @@ fn batch_board_matches_reference_board_on_golden_pairs() {
         for mode in [ArithMode::Exact, ArithMode::Lns] {
             for with_cut in [false, true] {
                 let cfg = Grape5Config { mode, ..Grape5Config::paper() };
-                let mut board = grape5_nbody::grape5::board::ProcessorBoard::new(&cfg);
+                let mut board = ProcessorBoard::new(&cfg);
                 let pipe =
                     G5Pipeline::new(&cfg, q, eps).with_cutoff(with_cut.then(|| cutoff.clone()));
                 let words: Vec<JWord> = pairs.iter().map(|p| p.j).collect();
@@ -170,7 +170,7 @@ fn batch_board_matches_reference_board_bulk() {
     let q = scaler.quantum();
     for mode in [ArithMode::Exact, ArithMode::Lns] {
         let cfg = Grape5Config { mode, ..Grape5Config::paper() };
-        let mut board = grape5_nbody::grape5::board::ProcessorBoard::new(&cfg);
+        let mut board = ProcessorBoard::new(&cfg);
         let pipe = G5Pipeline::new(&cfg, q, 0.003);
         let words: Vec<JWord> = (0..300)
             .map(|_| {
@@ -250,12 +250,13 @@ fn parallel_dispatch_matches_sequential_reference() {
 }
 
 // ---------------------------------------------------------------------
-// Lane-path suite: the SIMD / portable exact-mode kernels against the
-// fixture and the scalar skeleton.
+// Lane-path suite: the SIMD / portable kernels of both arithmetic modes
+// against the fixture and the scalar skeleton.
 // ---------------------------------------------------------------------
 
+use grape5_nbody::grape5::board::ProcessorBoard;
 use grape5_nbody::grape5::pipeline::JSlices;
-use grape5_nbody::grape5::LanePath;
+use grape5_nbody::grape5::{Force, LanePath};
 use grape5_nbody::util::fixed::{Fixed, FixedFormat};
 
 /// Every lane path available on this machine, plus the scalar referee.
@@ -266,6 +267,43 @@ fn lane_paths() -> Vec<LanePath> {
         v.push(LanePath::Avx2);
     }
     v
+}
+
+/// Board j-memory loaded with `words`: the kernels' SoA columns exactly
+/// as `load_j` lays them out.
+fn jmem(words: &[JWord]) -> ProcessorBoard {
+    let mut board = ProcessorBoard::new(&Grape5Config::paper());
+    board.load_j(words);
+    board
+}
+
+/// `interact_block` through every lane path; the scalar skeleton's
+/// output comes first.
+fn block_on_every_path(
+    pipe: &mut G5Pipeline,
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+) -> Vec<(LanePath, Vec<Force>)> {
+    lane_paths()
+        .into_iter()
+        .map(|path| {
+            pipe.set_lane_path(path);
+            let mut out = vec![Force::ZERO; xi.len()];
+            pipe.interact_block(xi, j, force_scale, fmt, &mut out);
+            (path, out)
+        })
+        .collect()
+}
+
+fn assert_paths_match_scalar(outs: &[(LanePath, Vec<Force>)], what: &str) {
+    let (_, scalar) = &outs[0];
+    for (path, out) in &outs[1..] {
+        for (k, (a, b)) in scalar.iter().zip(out).enumerate() {
+            assert_eq!(force_bits(a), force_bits(b), "{path:?} diverges at i {k}: {what}");
+        }
+    }
 }
 
 /// The lane kernels reproduce the checked-in fixture: for each golden
@@ -285,22 +323,50 @@ fn lane_block_reproduces_golden_bits_in_exact_mode() {
         for path in lane_paths() {
             pipe.set_lane_path(path);
             for (k, pair) in pairs.iter().enumerate() {
-                let m_lns = [pair.j.m_lns];
-                let j = JSlices {
-                    x: &pair.j.raw[0..1],
-                    y: &pair.j.raw[1..2],
-                    z: &pair.j.raw[2..3],
-                    m: std::slice::from_ref(&pair.j.m),
-                    m_lns: &m_lns,
-                };
-                let mut out = [grape5_nbody::grape5::Force::ZERO];
-                pipe.interact_block(&[pair.xi], &j, 1.0, fmt, &mut out);
+                let j = jmem(&[pair.j]);
+                let mut out = [Force::ZERO];
+                pipe.interact_block(&[pair.xi], &j.j_slices(), 1.0, fmt, &mut out);
                 let want = pair.bits[combo]
                     .map(|b| Fixed::zero(fmt).accumulate(f64::from_bits(b)).to_f64().to_bits());
                 assert_eq!(
                     force_bits(&out[0]),
                     want,
                     "lane {path:?} drifts from fixture at pair {k} eps {eps}"
+                );
+            }
+        }
+    }
+}
+
+/// The LNS lane kernels reproduce the fixture too. The LNS group is
+/// eight j wide, so each golden j sits in lane `k mod 8` of a full
+/// group whose other seven lanes coincide with the i-particle (the
+/// zero-distance guard: they must contribute nothing, potential
+/// included); the readback is then one accumulate of the recorded
+/// `(eps, Lns, no cutoff)` bits.
+#[test]
+fn lane_block_reproduces_golden_bits_in_lns_mode() {
+    let (q, pairs) = load_fixture();
+    let fmt = Grape5Config::paper().acc_format;
+    for (ei, &eps) in EPS.iter().enumerate() {
+        let combo = ei * 4 + 2; // (eps, Lns, no cutoff) in fixture order
+        let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+        let mut pipe = G5Pipeline::new(&cfg, q, eps);
+        for path in lane_paths() {
+            pipe.set_lane_path(path);
+            for (k, pair) in pairs.iter().enumerate() {
+                let filler = JWord { raw: pair.xi, m_lns: pipe.encode_mass(1.0), m: 1.0 };
+                let mut words = [filler; 8];
+                words[k % 8] = pair.j;
+                let j = jmem(&words);
+                let mut out = [Force::ZERO];
+                pipe.interact_block(&[pair.xi], &j.j_slices(), 1.0, fmt, &mut out);
+                let want = pair.bits[combo]
+                    .map(|b| Fixed::zero(fmt).accumulate(f64::from_bits(b)).to_f64().to_bits());
+                assert_eq!(
+                    force_bits(&out[0]),
+                    want,
+                    "LNS lane {path:?} drifts from fixture at pair {k} eps {eps}"
                 );
             }
         }
@@ -322,40 +388,176 @@ fn lane_edge_cases_bit_identical_across_paths() {
     let quant = |rng: &mut ChaCha8Rng| scaler.quantize(rng.random_range(-0.9..0.9));
     let mut xi: Vec<[i64; 3]> =
         (0..37).map(|_| [quant(&mut rng), quant(&mut rng), quant(&mut rng)]).collect();
-    let (mut jx, mut jy, mut jz, mut jm) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut words = Vec::new();
     for k in 0..301usize {
         let raw = if k % 13 == 2 {
             xi[k % xi.len()] // coincident with an i-particle
         } else {
             [quant(&mut rng), quant(&mut rng), quant(&mut rng)]
         };
-        jx.push(raw[0]);
-        jy.push(raw[1]);
-        jz.push(raw[2]);
-        jm.push(if k % 11 == 5 { 0.0 } else { rng.random_range(0.01..10.0) });
+        let m = if k % 11 == 5 { 0.0 } else { rng.random_range(0.01..10.0) };
+        words.push(JWord { raw, m_lns: pipe.encode_mass(m), m });
     }
-    xi.push([jx[0], jy[0], jz[0]]); // i coincident with j 0 (covers nj = 1)
-    let jml: Vec<Lns> = jm.iter().map(|&m| pipe.encode_mass(m)).collect();
+    xi.push(words[0].raw); // i coincident with j 0 (covers nj = 1)
     for &nj in &[1usize, 3, 5, 301] {
-        let j =
-            JSlices { x: &jx[..nj], y: &jy[..nj], z: &jz[..nj], m: &jm[..nj], m_lns: &jml[..nj] };
+        let j = jmem(&words[..nj]);
         for fmt in [Grape5Config::paper().acc_format, FixedFormat::new(32, 16)] {
             for force_scale in [1.0, 1e-7] {
-                let mut outs = Vec::new();
-                for path in lane_paths() {
-                    pipe.set_lane_path(path);
-                    let mut out = vec![grape5_nbody::grape5::Force::ZERO; xi.len()];
-                    pipe.interact_block(&xi, &j, force_scale, fmt, &mut out);
-                    outs.push((path, out));
-                }
-                let (_, ref scalar) = outs[0];
-                for (path, out) in &outs[1..] {
-                    for (k, (a, b)) in scalar.iter().zip(out).enumerate() {
-                        assert_eq!(
-                            force_bits(a),
-                            force_bits(b),
-                            "{path:?} diverges at i {k} nj {nj} fmt {fmt:?} scale {force_scale}"
-                        );
+                let outs = block_on_every_path(&mut pipe, &xi, &j.j_slices(), force_scale, fmt);
+                assert_paths_match_scalar(&outs, &format!("nj {nj} {fmt:?} scale {force_scale}"));
+            }
+        }
+    }
+}
+
+/// The LNS twin: everything the eight-wide integer lanes could break.
+/// Each scenario is one (quantum, eps, i-set, j-set); every scenario
+/// runs at several j-counts (remainder tails around the group width),
+/// in 64- and 32-bit accumulator formats, at unit and
+/// accumulator-saturating force scales, and must match the scalar
+/// skeleton bit for bit on every path.
+#[test]
+fn lane_edge_cases_bit_identical_across_paths_in_lns_mode() {
+    let lns = Grape5Config::paper().lns;
+    let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+    let mut rng = ChaCha8Rng::seed_from_u64(29);
+    let word = |raw: [i64; 3], m: f64| JWord { raw, m_lns: lns.encode(m), m };
+    let mut coord = |span: i64| rng.random_range(-span..span);
+    struct Scenario {
+        what: &'static str,
+        quantum: f64,
+        eps: f64,
+        xi: Vec<[i64; 3]>,
+        words: Vec<JWord>,
+    }
+    let mut scenarios = Vec::new();
+
+    // random geometry with zero / negative masses and coincident pairs
+    let span = 1i64 << 31;
+    let xi: Vec<[i64; 3]> = (0..19).map(|_| [coord(span), coord(span), coord(span)]).collect();
+    let words: Vec<JWord> = (0..301usize)
+        .map(|k| {
+            let raw =
+                if k % 13 == 2 { xi[k % 19] } else { [coord(span), coord(span), coord(span)] };
+            let m = [1.0, 0.0, -2.5, 0.37, 1e-3][k % 5];
+            word(raw, m)
+        })
+        .collect();
+    let q32 = RangeScaler::new(-1.0, 1.0, 32).quantum();
+    for (what, eps) in [("random, softened", 0.005), ("random, eps = 0", 0.0)] {
+        scenarios.push(Scenario { what, quantum: q32, eps, xi: xi.clone(), words: words.clone() });
+    }
+
+    // one- and two-coordinate-zero displacements, and power-of-two
+    // displacements (mantissa 0: the left edge of encoder cell 0)
+    let axis: Vec<JWord> = (0..64i64)
+        .map(|k| {
+            let p = 1i64 << (k % 40);
+            let raw = match k % 6 {
+                0 => [p, 0, 0],
+                1 => [0, -p, 0],
+                2 => [0, 0, p],
+                3 => [p, -p, 0],
+                4 => [0, p, 3 * p],
+                _ => [-p, p, p],
+            };
+            word(raw, 1.0 + k as f64)
+        })
+        .collect();
+    scenarios.push(Scenario {
+        what: "axis-aligned and power-of-two displacements",
+        quantum: q32,
+        eps: 0.0,
+        xi: vec![[0, 0, 0], [1, 0, 0], [0, -4, 0]],
+        words: axis,
+    });
+
+    // quantum 1 makes the displacement the f64 itself, so mantissas can
+    // be placed: every encoder breakpoint (where log2(1.m)·2^f crosses
+    // k − ½) ± offsets inside the libm guard band (ENC_GUARD = 2^16
+    // ulps), just outside it, and outside the lane ROM's redo band
+    let mut placed = Vec::new();
+    for k in 1..=(1u32 << lns.frac_bits) {
+        let bp = ((f64::from(k) - 0.5) / f64::from(1u32 << lns.frac_bits)).exp2().to_bits();
+        let bp = (bp & ((1 << 52) - 1)) | 1 << 52;
+        for (n, off) in [0i64, 9, -9, 50_000, -50_000, 80_000, -80_000, 1 << 27].iter().enumerate()
+        {
+            let d = (bp.saturating_add_signed(*off) >> 3) as i64; // 50 bits, same leading bits
+            let raw = [[d, 7, -3], [-5, -d, 11], [2, 1, d >> 9]][(k as usize + n) % 3];
+            placed.push(word(raw, 0.75));
+        }
+    }
+    scenarios.push(Scenario {
+        what: "mantissas placed around encoder breakpoints",
+        quantum: 1.0,
+        eps: 2.0,
+        xi: vec![[0, 0, 0]],
+        words: placed,
+    });
+
+    // tiny quanta: squares underflow the log word (2^-600 < 2^exp_min)
+    // in the lanes; below 2^exp_min the pipeline keeps the skeleton
+    let small: Vec<JWord> =
+        (0..40).map(|k| word([coord(1 << 20), coord(1 << 20), coord(4)], 1.0 + k as f64)).collect();
+    for (what, quantum) in [
+        ("squares underflow", 300f64.exp2().recip()),
+        ("quantum below 2^exp_min", 520f64.exp2().recip()),
+    ] {
+        for eps in [0.0, 1e-85] {
+            let xi = vec![[0, 0, 0], [5, 5, 5]];
+            scenarios.push(Scenario { what, quantum, eps, xi, words: small.clone() });
+        }
+    }
+
+    // huge masses: log words clamp at raw_max, terms saturate the
+    // accumulator; huge quantum: displacements clamp at raw_max
+    let heavy: Vec<JWord> = small.iter().map(|w| word(w.raw, w.m * 1e150)).collect();
+    scenarios.push(Scenario {
+        what: "masses at raw_max",
+        quantum: q32,
+        eps: 0.0,
+        xi: vec![[0, 0, 0], [9, -9, 9]],
+        words: heavy,
+    });
+    scenarios.push(Scenario {
+        what: "displacements at raw_max",
+        quantum: 600f64.exp2(),
+        eps: 0.0,
+        xi: vec![[0, 0, 0]],
+        words: small.clone(),
+    });
+
+    // coordinates ≥ 2^50: the wide-coordinate guard (AVX2 → portable)
+    let wide: Vec<JWord> = (0..21)
+        .map(|k| word([coord(1 << 60), coord(1 << 60), coord(1 << 60)], 1.0 + k as f64))
+        .collect();
+    scenarios.push(Scenario {
+        what: "wide coordinates",
+        quantum: 1e-19,
+        eps: 0.0,
+        xi: vec![[1 << 55, -(1 << 52), 3]],
+        words: wide,
+    });
+
+    for sc in &scenarios {
+        let mut pipe = G5Pipeline::new(&cfg, sc.quantum, sc.eps);
+        let n = sc.words.len();
+        for nj in [1usize, 7, 8, 9, 15, 17, n].into_iter().filter(|&nj| nj <= n) {
+            let j = jmem(&sc.words[..nj]);
+            for fmt in [Grape5Config::paper().acc_format, FixedFormat::new(32, 16)] {
+                for force_scale in [1.0, 1e-7] {
+                    let outs =
+                        block_on_every_path(&mut pipe, &sc.xi, &j.j_slices(), force_scale, fmt);
+                    let what = format!("{} (nj {nj} {fmt:?} scale {force_scale})", sc.what);
+                    assert_paths_match_scalar(&outs, &what);
+                    // and the scalar skeleton is the per-pair definition
+                    if nj == 1 && force_scale == 1.0 {
+                        for (x, f) in sc.xi.iter().zip(&outs[0].1) {
+                            let t = pipe.interact(*x, &sc.words[0]);
+                            let want = [t.acc.x, t.acc.y, t.acc.z, t.pot]
+                                .map(|t| Fixed::zero(fmt).accumulate(t).to_f64().to_bits());
+                            assert_eq!(force_bits(f), want, "skeleton vs interact: {what}");
+                        }
                     }
                 }
             }
@@ -364,8 +566,9 @@ fn lane_edge_cases_bit_identical_across_paths() {
 }
 
 /// System level: the full board-parallel `force_on` is bit-identical
-/// whichever lane path is forced, and the override survives the
-/// pipeline rebuild `set_range` / `set_eps` trigger.
+/// whichever lane path is forced, in both arithmetic modes, and the
+/// override survives the pipeline rebuild `set_range` / `set_eps`
+/// trigger.
 #[test]
 fn system_force_is_lane_path_invariant() {
     let mut rng = ChaCha8Rng::seed_from_u64(31);
@@ -379,20 +582,23 @@ fn system_force_is_lane_path_invariant() {
         })
         .collect();
     let mass: Vec<f64> = (0..150).map(|_| rng.random_range(0.01..1.0)).collect();
-    let mut forces = Vec::new();
-    for path in lane_paths() {
-        let mut g5 = Grape5::open(Grape5Config::paper_exact());
-        g5.set_lane_path(path);
-        g5.set_range(-1.0, 1.0); // rebuilds the pipeline: override must stick
-        g5.set_eps(0.01);
-        assert_eq!(g5.lane_path(), path, "lane override lost across rebuild");
-        g5.set_j_particles(&pos, &mass);
-        forces.push((path, g5.force_on(&pos)));
-    }
-    let (_, ref reference) = forces[0];
-    for (path, f) in &forces[1..] {
-        for (k, (a, b)) in reference.iter().zip(f).enumerate() {
-            assert_eq!(force_bits(a), force_bits(b), "{path:?} system divergence at i {k}");
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let mut forces = Vec::new();
+        for path in lane_paths() {
+            let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
+            g5.set_lane_path(path);
+            g5.set_range(-1.0, 1.0); // rebuilds the pipeline: override must stick
+            g5.set_eps(0.01);
+            assert_eq!(g5.lane_path(), path, "lane override lost across rebuild");
+            g5.set_j_particles(&pos, &mass);
+            forces.push((path, g5.force_on(&pos)));
         }
+        // the scalar skeleton is itself pinned to the pre-batch reference
+        let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
+        g5.set_range(-1.0, 1.0);
+        g5.set_eps(0.01);
+        g5.set_j_particles(&pos, &mass);
+        forces.push((LanePath::Scalar, g5.force_on_reference(&pos)));
+        assert_paths_match_scalar(&forces, &format!("system level, {mode:?}"));
     }
 }
