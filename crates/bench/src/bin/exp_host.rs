@@ -26,17 +26,43 @@
 //! numbers are read first and a delta is printed, so CI can diff a
 //! fresh `--quick` run against the committed report.
 //!
+//! Two **host-library** rows (PR 13) ride along, measured on the real
+//! interaction lists of the `n_g = 32` operating point (Plummer
+//! N = 16,384, θ = 0.5 — ≈ 1,850 lists of ≈ 1,550 terms):
+//!
+//! * **j-load A/B** — ns per j-particle of the pre-PR load (a fresh
+//!   `Vec<JWord>` from scalar `RangeScaler::quantize` and
+//!   `LnsConfig::encode`, then `ProcessorBoard::load_j` per board)
+//!   against `Grape5::set_j_particles` (lane quantizer straight into
+//!   the board columns), alternating rounds in the same run, fastest
+//!   round of each;
+//! * **short call** — µs per 9 × 1,556 `try_force_on` at this
+//!   machine's CPU count, beside what a scoped-thread spawn + join and
+//!   one `available_parallelism()` cost here: the measurements the
+//!   inline-dispatch threshold in `grape5::system` is derived from.
+//!
+//! `--trajectory FILE --pr LABEL` appends their ratio forms to the
+//! cross-PR ledger (`g5_bench::trajectory`).
+//!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_host -- \
 //!     [--quick] [--out BENCH_pr4.json] [--baseline BENCH_pr4.json]
+//!     [--trajectory BENCH_trajectory.json --pr pr13]
 //! ```
 
+use g5_bench::trajectory::{self, Entry};
 use g5_bench::{fmt_count, plummer, rule, Args};
+use g5tree::plan::{self, PlanConfig};
 use g5tree::traverse::{Traversal, TraverseScratch};
 use g5tree::tree::{Tree, TreeConfig};
 use g5util::morton_sort::{self, MortonFrame};
+use g5util::vec3::Vec3;
+use grape5::board::ProcessorBoard;
+use grape5::pipeline::JWord;
+use grape5::{bounding_window, ArithMode, G5Pipeline, Grape5, Grape5Config};
 use rayon::prelude::*;
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -320,6 +346,209 @@ fn measure_sort(n: usize, repeats: usize) -> SortAb {
     SortAb { n, radix_s: median(&radix), comparison_s: median(&comparison) }
 }
 
+/// One resolved interaction list of the `n_g = 32` workload.
+struct GroupList {
+    xi: Vec<Vec3>,
+    jpos: Vec<Vec3>,
+    jmass: Vec<f64>,
+}
+
+/// The `n_g = 32` operating point of `BENCHMARK.json`'s
+/// `plummer_ng32_exact`: every `stride`-th group's resolved list.
+fn ng32_lists(n: usize, stride: usize) -> (Vec<Vec3>, Vec<GroupList>) {
+    let snap = plummer(n, SEED);
+    let tr = Traversal::new(0.5);
+    let tree = Tree::build_with(&snap.pos, &snap.mass, TreeConfig::default());
+    let groups: Vec<_> = tr.find_groups(&tree, 32).into_iter().step_by(stride).collect();
+    let mut lists = Vec::new();
+    plan::stream(&tree, &tr, &groups, &PlanConfig::serial(), |w| {
+        lists.push(GroupList { xi: w.xi.clone(), jpos: w.jpos.clone(), jmass: w.jmass.clone() });
+    })
+    .expect("list resolution");
+    (snap.pos, lists)
+}
+
+/// Fastest of `rounds` rounds of two legs, in seconds; the legs swap
+/// order every round so machine drift biases neither.
+fn alternate(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut ta, mut tb) = (f64::INFINITY, f64::INFINITY);
+    for r in 0..rounds {
+        if r % 2 == 0 {
+            ta = ta.min(time(&mut a));
+        }
+        tb = tb.min(time(&mut b));
+        if r % 2 == 1 {
+            ta = ta.min(time(&mut a));
+        }
+    }
+    (ta, tb)
+}
+
+/// The j-load A/B of one arithmetic mode.
+struct JLoadAb {
+    mode: ArithMode,
+    j_particles: u64,
+    reference_ns_per_j: f64,
+    lane_ns_per_j: f64,
+}
+
+impl JLoadAb {
+    fn speedup(&self) -> f64 {
+        self.reference_ns_per_j / self.lane_ns_per_j
+    }
+}
+
+fn measure_jload(mode: ArithMode, all: &[Vec3], lists: &[GroupList], rounds: usize) -> JLoadAb {
+    let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+    let (lo, hi) = bounding_window(all).expect("finite positions");
+    let mut g5 = Grape5::open(cfg);
+    g5.set_range(lo, hi);
+    g5.set_eps(0.01);
+    let scaler = g5util::fixed::RangeScaler::new(lo, hi, cfg.coord_bits);
+    let mut boards: Vec<ProcessorBoard> =
+        (0..cfg.boards).map(|_| ProcessorBoard::new(&cfg)).collect();
+
+    // the pre-PR `set_j_particles`, from public pieces: AoS words from
+    // the scalar definition (per-call `quantum()`, libm `round`, the
+    // process-wide converter-cache lookup per mass), then the transpose
+    let mut reference = || {
+        for l in lists {
+            let words: Vec<JWord> = l
+                .jpos
+                .iter()
+                .zip(&l.jmass)
+                .map(|(p, &m)| JWord {
+                    raw: [scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z)],
+                    m_lns: cfg.lns.encode(m),
+                    m,
+                })
+                .collect();
+            let per = words.len().div_ceil(cfg.boards).max(1);
+            for b in &mut boards {
+                b.load_j(&[]);
+            }
+            for (b, share) in boards.iter_mut().zip(words.chunks(per)) {
+                b.load_j(share);
+            }
+            black_box(&boards);
+        }
+    };
+    let mut lane = || {
+        for l in lists {
+            g5.set_j_particles(&l.jpos, &l.jmass);
+            black_box(g5.nj());
+        }
+    };
+    reference();
+    lane(); // warm: column capacities
+    let (t_ref, t_lane) = alternate(rounds, &mut reference, &mut lane);
+
+    // and they loaded the same words
+    for (b, (got, want)) in g5.boards().iter().zip(&boards).enumerate() {
+        let (got, want) = (got.j_slices(), want.j_slices());
+        assert_eq!((got.x, got.y, got.z, got.m), (want.x, want.y, want.z, want.m), "board {b}");
+    }
+
+    let j_particles: u64 = lists.iter().map(|l| l.jpos.len() as u64).sum();
+    JLoadAb {
+        mode,
+        j_particles,
+        reference_ns_per_j: t_ref * 1e9 / j_particles as f64,
+        lane_ns_per_j: t_lane * 1e9 / j_particles as f64,
+    }
+}
+
+/// What one short device call costs here, and the spawn economics the
+/// inline-dispatch threshold rests on.
+struct ShortCall {
+    cpus: usize,
+    ni: usize,
+    nj: usize,
+    /// Product `try_force_on`, fastest of the rounds.
+    call_us: f64,
+    /// The same interactions at the large-call kernel rate.
+    kernel_us: f64,
+    /// One scoped-thread spawn + join round trip.
+    spawn_join_us: f64,
+    /// One `std::thread::available_parallelism()`.
+    available_parallelism_us: f64,
+}
+
+impl ShortCall {
+    /// Share of the short call that is kernel time at the large-call rate.
+    fn efficiency(&self) -> f64 {
+        self.kernel_us / self.call_us
+    }
+    /// Interactions at which halving a call over two threads pays for
+    /// one spawn + join.
+    fn break_even_interactions(&self) -> f64 {
+        let ns_per_interaction = self.kernel_us * 1e3 / (self.ni * self.nj) as f64;
+        self.spawn_join_us * 1e3 / (0.5 * ns_per_interaction)
+    }
+}
+
+fn measure_short_call(all: &[Vec3], lists: &[GroupList], rounds: usize) -> ShortCall {
+    let cfg = Grape5Config::paper_exact();
+    let (lo, hi) = bounding_window(all).expect("finite positions");
+    let mut g5 = Grape5::open(cfg);
+    g5.set_range(lo, hi);
+    g5.set_eps(0.01);
+    // the list closest to the workload's mean call: 9 × 1,556
+    let l = lists
+        .iter()
+        .min_by_key(|l| l.jpos.len().abs_diff(1556) + 100 * l.xi.len().abs_diff(9))
+        .expect("at least one list");
+    g5.set_j_particles(&l.jpos, &l.jmass);
+    let fastest = |rounds: usize, reps: usize, f: &mut dyn FnMut()| {
+        (0..rounds)
+            .map(|_| {
+                let t = Instant::now();
+                (0..reps).for_each(|_| f());
+                t.elapsed().as_secs_f64() / reps as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let call_s = fastest(rounds, 200, &mut || drop(black_box(g5.try_force_on(&l.xi))));
+    // large-call kernel rate, one thread: the boards' batch kernels on
+    // the same j-memory against 2,048 i-particles, one after the other
+    let scaler = g5util::fixed::RangeScaler::new(lo, hi, cfg.coord_bits);
+    let pipe = G5Pipeline::new(&cfg, scaler.quantum(), 0.01);
+    let big: Vec<[i64; 3]> = all
+        .iter()
+        .take(2048)
+        .map(|p| [scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z)])
+        .collect();
+    let mut out = Vec::new();
+    let big_s = fastest(rounds.min(4), 1, &mut || {
+        for b in g5.boards() {
+            b.compute_into(&pipe, &big, 1.0, &mut out);
+            black_box(&out);
+        }
+    });
+    let ns_per_interaction = big_s * 1e9 / (big.len() * l.jpos.len()) as f64;
+    let spawn_s = fastest(rounds, 200, &mut || {
+        std::thread::scope(|s| {
+            let h = s.spawn(|| black_box(1));
+            black_box(h.join().expect("spawned thread"));
+        })
+    });
+    let ap_s = fastest(rounds, 50, &mut || drop(black_box(std::thread::available_parallelism())));
+    ShortCall {
+        cpus: rayon::current_num_threads(),
+        ni: l.xi.len(),
+        nj: l.jpos.len(),
+        call_us: call_s * 1e6,
+        kernel_us: ns_per_interaction * (l.xi.len() * l.jpos.len()) as f64 * 1e-3,
+        spawn_join_us: spawn_s * 1e6,
+        available_parallelism_us: ap_s * 1e6,
+    }
+}
+
 /// Pull a numeric field out of one hand-rolled JSON result line.
 fn json_f64(line: &str, key: &str) -> Option<f64> {
     let pat = format!("\"{key}\": ");
@@ -449,6 +678,47 @@ fn main() {
         build_comparison_s / build_radix_s
     );
 
+    // ---- host-library rows: j-load A/B and the short device call ----
+    let (all_pos, lists) = ng32_lists(16_384, if quick { 8 } else { 1 });
+    let rounds = if quick { 4 } else { 12 };
+    let jloads = [
+        measure_jload(ArithMode::Exact, &all_pos, &lists, rounds),
+        measure_jload(ArithMode::Lns, &all_pos, &lists, rounds),
+    ];
+    let short = measure_short_call(&all_pos, &lists, rounds);
+    println!();
+    println!(
+        "host library on {} real n_g = 32 lists (Plummer N = 16,384, theta 0.5):",
+        fmt_count(lists.len() as u64)
+    );
+    for j in &jloads {
+        println!(
+            "  j-load {:<5}  reference {:>6.2} ns/j  ->  lane path {:>5.2} ns/j   ({:.1}x, {} j-particles per round)",
+            format!("{:?}", j.mode).to_lowercase(),
+            j.reference_ns_per_j,
+            j.lane_ns_per_j,
+            j.speedup(),
+            fmt_count(j.j_particles)
+        );
+    }
+    println!(
+        "  short call {} x {} on {} CPU(s): {:.1} us ({:.1} us of kernel at the large-call rate, \
+         efficiency {:.2})",
+        short.ni,
+        fmt_count(short.nj as u64),
+        short.cpus,
+        short.call_us,
+        short.kernel_us,
+        short.efficiency()
+    );
+    println!(
+        "  spawn + join {:.1} us, available_parallelism() {:.1} us  ->  threading a call breaks \
+         even at ~{} interactions",
+        short.spawn_join_us,
+        short.available_parallelism_us,
+        fmt_count(short.break_even_interactions() as u64)
+    );
+
     // headline: the best amortized operating point at the headline size —
     // the pre-PR path rebuilt and re-walked from scratch every step, so
     // each cell's ref leg is the old path at that cell's own n_crit
@@ -485,6 +755,39 @@ fn main() {
     writeln!(text, "  \"build_radix_s\": {build_radix_s},").unwrap();
     writeln!(text, "  \"build_comparison_s\": {build_comparison_s},").unwrap();
     writeln!(text, "  \"build_sort_speedup\": {},", build_comparison_s / build_radix_s).unwrap();
+    writeln!(text, "  \"jload\": [").unwrap();
+    for (i, j) in jloads.iter().enumerate() {
+        let comma = if i + 1 < jloads.len() { "," } else { "" };
+        writeln!(
+            text,
+            "    {{\"mode\": \"{}\", \"lists\": {}, \"j_particles\": {}, \
+             \"reference_ns_per_j\": {}, \"lane_ns_per_j\": {}, \"speedup\": {}}}{comma}",
+            format!("{:?}", j.mode).to_lowercase(),
+            lists.len(),
+            j.j_particles,
+            j.reference_ns_per_j,
+            j.lane_ns_per_j,
+            j.speedup()
+        )
+        .unwrap();
+    }
+    writeln!(text, "  ],").unwrap();
+    writeln!(
+        text,
+        "  \"short_call\": {{\"cpus\": {}, \"ni\": {}, \"nj\": {}, \"call_us\": {}, \
+         \"kernel_us\": {}, \"efficiency\": {}, \"spawn_join_us\": {}, \
+         \"available_parallelism_us\": {}, \"break_even_interactions\": {}}},",
+        short.cpus,
+        short.ni,
+        short.nj,
+        short.call_us,
+        short.kernel_us,
+        short.efficiency(),
+        short.spawn_join_us,
+        short.available_parallelism_us,
+        short.break_even_interactions()
+    )
+    .unwrap();
     writeln!(text, "  \"results\": [").unwrap();
     for (i, c) in results.iter().enumerate() {
         let comma = if i + 1 < results.len() { "," } else { "" };
@@ -495,4 +798,29 @@ fn main() {
     std::fs::write(&out_path, &text).unwrap();
     println!();
     println!("wrote {} results to {out_path}", results.len());
+
+    // cross-PR ledger: same-run ratios only (they survive a change of
+    // machine), keyed by this tree's commit
+    let traj_path: String = args.get("trajectory", String::new());
+    if !traj_path.is_empty() {
+        let pr: String = args.get("pr", "unlabelled".to_string());
+        let commit = trajectory::working_commit();
+        let row = |metric: &str, value: f64| Entry {
+            pr: pr.clone(),
+            commit: commit.clone(),
+            metric: metric.into(),
+            n: 16_384,
+            value,
+        };
+        let rows = [
+            row("host_jload_lane_speedup", jloads[0].speedup()),
+            row("host_jload_lns_lane_speedup", jloads[1].speedup()),
+            row("host_short_call_efficiency", short.efficiency()),
+        ];
+        let old = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
+        let mut lines = trajectory::entry_lines(&old);
+        lines.extend(rows.iter().map(Entry::json));
+        trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
+        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
+    }
 }

@@ -14,7 +14,7 @@
 use crate::config::Grape5Config;
 use crate::lanes;
 use crate::pipeline::{Force, G5Pipeline, JSlices, JWord};
-use g5util::fixed::{Fixed, FixedFormat};
+use g5util::fixed::{Fixed, FixedFormat, RangeScaler};
 use g5util::lns::Lns;
 use g5util::vec3::Vec3;
 use rayon::prelude::*;
@@ -22,8 +22,11 @@ use rayon::prelude::*;
 /// One processor board.
 ///
 /// The j-memory is held as structure-of-arrays columns — the layout the
-/// batch kernel streams — rather than an array of [`JWord`]s; `load_j`
-/// still accepts the interface's word form.
+/// batch kernel streams — rather than an array of [`JWord`]s. The host
+/// library fills the columns in one pass from positions and masses
+/// (`load_j_particles`, behind `Grape5::set_j_particles`); `load_j` still
+/// accepts the interface's word form and is the reference the one-pass
+/// load is held to.
 #[derive(Debug, Clone)]
 pub struct ProcessorBoard {
     jx: Vec<i64>,
@@ -101,24 +104,15 @@ impl ProcessorBoard {
         self.capacity
     }
 
-    /// Load the j-particle memory, replacing its contents.
+    /// Load the j-particle memory from interface words, replacing its
+    /// contents.
     ///
     /// # Panics
     /// If `words` exceeds the memory capacity — the host library layer
     /// is responsible for chunking larger j-sets into multiple passes.
     pub fn load_j(&mut self, words: &[JWord]) {
-        assert!(
-            words.len() <= self.capacity,
-            "j-set of {} exceeds board memory capacity {}",
-            words.len(),
-            self.capacity
-        );
-        self.jx.clear();
-        self.jy.clear();
-        self.jz.clear();
-        self.jm.clear();
-        self.jm_lns.clear();
-        self.jm_word.clear();
+        self.check_capacity(words.len());
+        self.clear_j();
         for w in words {
             self.jx.push(w.raw[0]);
             self.jy.push(w.raw[1]);
@@ -126,6 +120,71 @@ impl ProcessorBoard {
             self.jm.push(w.m);
             self.jm_lns.push(w.m_lns);
             self.jm_word.push(lanes::mass_word(w.m_lns));
+        }
+    }
+
+    /// Empty the j-memory (the column capacity stays for the next load).
+    pub fn clear_j(&mut self) {
+        self.jx.clear();
+        self.jy.clear();
+        self.jz.clear();
+        self.jm.clear();
+        self.jm_lns.clear();
+        self.jm_word.clear();
+    }
+
+    fn check_capacity(&self, n: usize) {
+        assert!(n <= self.capacity, "j-set of {n} exceeds board memory capacity {}", self.capacity);
+    }
+
+    /// The host library's `g5_set_xmj`: replace the j-memory contents
+    /// with `pos`/`mass`, quantized onto the `scaler` grid straight into
+    /// the coordinate columns by the lane quantizer of `pipe`'s lane
+    /// path — no intermediate [`JWord`]s, no reallocation once the
+    /// columns have grown to the working size. Word for word what
+    /// [`load_j`](Self::load_j) stores for the same particles, except
+    /// that the mass log-word columns are written only in the
+    /// arithmetic mode that reads them
+    /// ([`G5Pipeline::reads_mass_words`]) and stay empty otherwise.
+    ///
+    /// # Panics
+    /// If the set exceeds the memory capacity.
+    pub(crate) fn load_j_particles(
+        &mut self,
+        scaler: &RangeScaler,
+        pipe: &G5Pipeline,
+        pos: &[Vec3],
+        mass: &[f64],
+    ) {
+        assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
+        let n = pos.len();
+        self.check_capacity(n);
+        // resize keeps the words already there: only growth past the
+        // previous load is zero-filled before the quantizer overwrites it
+        self.jx.resize(n, 0);
+        self.jy.resize(n, 0);
+        self.jz.resize(n, 0);
+        let cols = [&mut self.jx[..], &mut self.jy[..], &mut self.jz[..]];
+        lanes::quantize_columns(pipe.lane_path(), scaler, pos, cols);
+        self.jm.clear();
+        self.jm.extend_from_slice(mass);
+        self.jm_lns.clear();
+        self.jm_word.clear();
+        if pipe.reads_mass_words() {
+            self.jm_lns.extend(mass.iter().map(|&m| pipe.encode_mass(m)));
+            self.jm_word.extend(self.jm_lns.iter().map(|&w| lanes::mass_word(w)));
+        }
+    }
+
+    /// Overwrite the mass of the j-particle at `index` in every column
+    /// that holds it (the injected-corruption hook: a flipped mass word
+    /// carries its re-encoded log words with it).
+    pub(crate) fn set_mass(&mut self, index: usize, m: f64, pipe: &G5Pipeline) {
+        self.jm[index] = m;
+        if !self.jm_lns.is_empty() {
+            let w = pipe.encode_mass(m);
+            self.jm_lns[index] = w;
+            self.jm_word[index] = lanes::mass_word(w);
         }
     }
 
@@ -210,11 +269,10 @@ impl ProcessorBoard {
                 let mut az = Fixed::zero(fmt);
                 let mut ap = Fixed::zero(fmt);
                 for jj in 0..self.jx.len() {
-                    let w = JWord {
-                        raw: [self.jx[jj], self.jy[jj], self.jz[jj]],
-                        m_lns: self.jm_lns[jj],
-                        m: self.jm[jj],
-                    };
+                    let m = self.jm[jj];
+                    // exact-mode loads leave the log-word column empty
+                    let m_lns = self.jm_lns.get(jj).copied().unwrap_or_else(|| pipe.encode_mass(m));
+                    let w = JWord { raw: [self.jx[jj], self.jy[jj], self.jz[jj]], m_lns, m };
                     let f = pipe.interact_reference(x, &w);
                     ax = ax.accumulate(f.acc.x / force_scale);
                     ay = ay.accumulate(f.acc.y / force_scale);

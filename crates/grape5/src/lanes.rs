@@ -85,9 +85,17 @@
 //!
 //! Accumulation order over j is ascending per i on every path, so the
 //! saturating fixed-point sums agree bit for bit.
+//!
+//! **j-memory quantizer.** The host library's coordinate conversion
+//! (`g5_set_xmj`) runs on the same lanes and the same [`LanePath`]:
+//! `quantize_columns` writes a j-set's fixed-point words straight
+//! into the board's SoA columns, held word for word to
+//! `RangeScaler::quantize` (IEEE subtract and divide kept, saturation
+//! as a clamp, round-half-away as the truncate-and-bump above; windows
+//! wider than 51 bits fall back to the definition).
 
 use crate::pipeline::{Force, G5Pipeline, JSlices};
-use g5util::fixed::{Fixed, FixedFormat};
+use g5util::fixed::{Fixed, FixedFormat, RangeScaler};
 use g5util::lns::Lns;
 use g5util::lns_table::{LnsConvTables, LnsLaneRoms};
 use g5util::vec3::Vec3;
@@ -374,6 +382,100 @@ pub(crate) fn block_exact_portable(
 }
 
 // ---------------------------------------------------------------------
+// j-memory coordinate quantizer
+// ---------------------------------------------------------------------
+
+/// Widest coordinate word the lane quantizers take: `|raw| ≤ 2⁵⁰`, the
+/// window of the magic-number conversions (and one where the raw bounds
+/// are exact in `f64`). Wider words go through
+/// [`RangeScaler::quantize`] itself, like the exact kernel's
+/// wide-coordinate guard.
+const QUANT_LANE_BITS: u32 = 51;
+
+/// The per-window constants of [`RangeScaler::quantize`], hoisted out
+/// of the per-coordinate loop. `quantum()` is a deterministic function
+/// of the window, so the hoisted value is the one `quantize` recomputes
+/// per call.
+#[derive(Debug, Clone, Copy)]
+struct QuantCtx {
+    center: f64,
+    quantum: f64,
+    /// `raw_min` / `raw_max` as `f64` (exact: at most 51 bits).
+    minf: f64,
+    maxf: f64,
+}
+
+impl QuantCtx {
+    /// `None` for windows wider than [`QUANT_LANE_BITS`].
+    fn new(s: &RangeScaler) -> Option<QuantCtx> {
+        (s.bits() <= QUANT_LANE_BITS).then(|| QuantCtx {
+            center: s.center(),
+            quantum: s.quantum(),
+            minf: s.raw_min() as f64,
+            maxf: s.raw_max() as f64,
+        })
+    }
+
+    /// One coordinate, branch-free and libm-free, word for word
+    /// `RangeScaler::quantize`:
+    ///
+    /// * the same IEEE subtract and divide produce the same `scaled`;
+    /// * round-half-away is monotone and both bounds are integers, so
+    ///   rounding the *clamped* value equals the definition's
+    ///   saturate-else-round;
+    /// * truncation (`as i64`, exact below 2⁶³) leaves an exactly
+    ///   representable fraction, so bumping by its sign where
+    ///   `|frac| ≥ ½` is `f64::round`;
+    /// * NaN fails both clamp compares, casts to 0 and bumps nothing.
+    #[inline(always)]
+    fn word(&self, x: f64) -> i64 {
+        let s = (x - self.center) / self.quantum;
+        let c = if s > self.maxf { self.maxf } else { s };
+        let c = if c < self.minf { self.minf } else { c };
+        let t = c as i64;
+        let frac = c - t as f64;
+        t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+    }
+}
+
+/// `word` of every coordinate of `pos`, into the columns.
+#[inline(always)]
+fn fill_columns(pos: &[Vec3], [x, y, z]: [&mut [i64]; 3], word: impl Fn(f64) -> i64) {
+    for (p, ((x, y), z)) in pos.iter().zip(x.iter_mut().zip(y).zip(z)) {
+        (*x, *y, *z) = (word(p.x), word(p.y), word(p.z));
+    }
+}
+
+/// Quantize `pos` onto the `scaler` grid straight into the three
+/// coordinate columns `[x, y, z]` of a board's j-memory (each exactly
+/// `pos.len()` long), every word equal to [`RangeScaler::quantize`] of
+/// its coordinate. `path` selects the implementation like it does for
+/// the force kernels: `Scalar` is the definition, `Portable` the
+/// branch-free scalar form, `Avx2` four coordinates per `vdivpd`.
+pub(crate) fn quantize_columns(
+    path: LanePath,
+    scaler: &RangeScaler,
+    pos: &[Vec3],
+    cols: [&mut [i64]; 3],
+) {
+    assert!(cols.iter().all(|c| c.len() == pos.len()), "ragged coordinate columns");
+    let ctx = match QuantCtx::new(scaler) {
+        Some(ctx) if path != LanePath::Scalar => ctx,
+        _ => return fill_columns(pos, cols, |v| scaler.quantize(v)),
+    };
+    let [x, y, z] = cols;
+    #[allow(unused_mut)]
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if path == LanePath::Avx2 && std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected; the column lengths were checked
+        // above and the window fits the magic conversions (`QuantCtx`).
+        done = unsafe { avx2::quantize_columns(&ctx, pos, [&mut *x, &mut *y, &mut *z]) };
+    }
+    fill_columns(&pos[done..], [&mut x[done..], &mut y[done..], &mut z[done..]], |v| ctx.word(v));
+}
+
+// ---------------------------------------------------------------------
 // LNS mode
 // ---------------------------------------------------------------------
 
@@ -625,12 +727,13 @@ pub(crate) fn block_lns_avx2_upto(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, LnsLanes, LnsStage, ScalarAcc, ScaleMode,
-        LANES, LNS_LANES, ZERO_WORD,
+        block_tiled, exact_pair, scale_mode, span_pairs, LnsLanes, LnsStage, QuantCtx, ScalarAcc,
+        ScaleMode, LANES, LNS_LANES, ZERO_WORD,
     };
     use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
     use g5util::fixed::{Fixed, FixedFormat};
+    use g5util::vec3::Vec3;
 
     /// `2⁵² + 2⁵¹`: the shifter that makes i64 ↔ f64 conversion exact
     /// for `|v| < 2⁵¹` (the integer lands in the double's mantissa).
@@ -820,6 +923,71 @@ mod avx2 {
             let av = accumulate4(av, v2, c);
             accumulate4(av, v3, c)
         }
+    }
+
+    /// The AVX2 coordinate quantizer: four particles (three vectors of
+    /// the flat `x y z x …` stream) per iteration, quantized in stream
+    /// order and de-interleaved into the columns as 64-bit words.
+    /// Returns how many leading particles it wrote (a multiple of 4;
+    /// the caller finishes the tail).
+    ///
+    /// Per lane this is [`QuantCtx::word`] in vector form: `vsubpd`,
+    /// `vdivpd` (IEEE division, no reciprocal), clamp, then the exact
+    /// kernel's truncate-and-signed-bump [`round_away_to_i64`], valid
+    /// because the clamped value is within `±2⁵⁰`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and `x`, `y`, `z` must each hold at
+    /// least `pos.len()` words.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn quantize_columns(
+        q: &QuantCtx,
+        pos: &[Vec3],
+        [x, y, z]: [&mut [i64]; 3],
+    ) -> usize {
+        let flat = Vec3::flat(pos);
+        let (center, quantum) = (_mm256_set1_pd(q.center), _mm256_set1_pd(q.quantum));
+        let (minf, maxf) = (_mm256_set1_pd(q.minf), _mm256_set1_pd(q.maxf));
+        let word4 = |p: *const f64| {
+            let s = _mm256_div_pd(_mm256_sub_pd(_mm256_loadu_pd(p), center), quantum);
+            // vmaxpd/vminpd return their second operand on NaN, so a
+            // NaN lane leaves the clamp as a bound; the ordered mask
+            // turns it into the definition's 0
+            let c = _mm256_min_pd(_mm256_max_pd(s, minf), maxf);
+            let ord = _mm256_castpd_si256(_mm256_cmp_pd::<_CMP_ORD_Q>(s, s));
+            _mm256_and_si256(round_away_to_i64(c), ord)
+        };
+        let lanes_end = pos.len() / LANES * LANES;
+        for k in (0..lanes_end).step_by(LANES) {
+            // in bounds: 3·(k + 4) ≤ flat.len()
+            let p = flat.as_ptr().add(3 * k);
+            // v0 = x0 y0 z0 x1, v1 = y1 z1 x2 y2, v2 = z2 x3 y3 z3
+            let v0 = word4(p);
+            let v1 = word4(p.add(4));
+            let v2 = word4(p.add(8));
+            // pick each column's four words (two dword-pair blends),
+            // then put them in particle order
+            let xs =
+                _mm256_blend_epi32::<0b0000_1100>(_mm256_blend_epi32::<0b0011_0000>(v0, v1), v2);
+            let ys =
+                _mm256_blend_epi32::<0b0011_0000>(_mm256_blend_epi32::<0b0000_1100>(v1, v0), v2);
+            let zs =
+                _mm256_blend_epi32::<0b0011_0000>(_mm256_blend_epi32::<0b0000_1100>(v2, v1), v0);
+            // in bounds: k + 4 ≤ pos.len() ≤ each column's length
+            _mm256_storeu_si256(
+                x.as_mut_ptr().add(k).cast(),
+                _mm256_permute4x64_epi64::<0b01_10_11_00>(xs),
+            );
+            _mm256_storeu_si256(
+                y.as_mut_ptr().add(k).cast(),
+                _mm256_permute4x64_epi64::<0b10_11_00_01>(ys),
+            );
+            _mm256_storeu_si256(
+                z.as_mut_ptr().add(k).cast(),
+                _mm256_permute4x64_epi64::<0b11_00_01_10>(zs),
+            );
+        }
+        lanes_end
     }
 
     /// The AVX2 exact-mode block kernel.
@@ -1464,6 +1632,142 @@ mod tests {
         }
         if p.lane_path() == LanePath::Avx2 {
             assert_bits_equal(&want, &got, "upto Accumulate");
+        }
+    }
+
+    /// Every lane path of the coordinate quantizer against the
+    /// definition, word for word.
+    fn assert_quantizer_matches(scaler: &RangeScaler, coords: &[f64], what: &str) {
+        // the same values in every column at shifted offsets, so each
+        // one meets every lane of the de-interleave; tails of 1–7
+        let at = |k: usize| coords[k % coords.len()];
+        for n in [coords.len() + 3, 1, 2, 3, 4, 5, 6, 7, 0] {
+            let pos: Vec<Vec3> = (0..n).map(|k| Vec3::new(at(k), at(k + 1), at(k + 2))).collect();
+            let want: [Vec<i64>; 3] = [
+                pos.iter().map(|p| scaler.quantize(p.x)).collect(),
+                pos.iter().map(|p| scaler.quantize(p.y)).collect(),
+                pos.iter().map(|p| scaler.quantize(p.z)).collect(),
+            ];
+            for path in all_paths().into_iter().chain([LanePath::Scalar]) {
+                // poisoned columns: every word must be overwritten
+                let (mut x, mut y, mut z) =
+                    (vec![i64::MIN; n], vec![i64::MIN; n], vec![i64::MIN; n]);
+                quantize_columns(path, scaler, &pos, [&mut x, &mut y, &mut z]);
+                for (axis, (got, want)) in [x, y, z].iter().zip(&want).enumerate() {
+                    if let Some(k) = (0..n).find(|&k| got[k] != want[k]) {
+                        let v = [pos[k].x, pos[k].y, pos[k].z][axis];
+                        panic!(
+                            "{what}: {path:?}, n = {n}, axis {axis}, particle {k}: \
+                             quantize({v:e}) = {} but the lane wrote {}",
+                            want[k], got[k]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_quantizer_matches_range_scaler_word_for_word() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a17);
+        // 52 and 62 are past the magic window: the lane paths must take
+        // the RangeScaler fallback (QuantCtx refuses them)
+        for bits in [2u32, 24, 32, 50, 51, 52, 62] {
+            for (min, max) in [(-1.0, 1.0), (-3.7, 12.9), (1e-300, 3e-300), (-4e15, 9e15)] {
+                let s = RangeScaler::new(min, max, bits);
+                assert_eq!(QuantCtx::new(&s).is_some(), bits <= 51, "bits {bits}");
+                let (c, q) = (s.center(), s.quantum());
+                let (lo, hi) = (s.raw_min() as f64, s.raw_max() as f64);
+                let mut coords = vec![
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::MAX,
+                    f64::MIN,
+                    c,
+                    -0.0,
+                    0.0,
+                    f64::MIN_POSITIVE,
+                    -f64::MIN_POSITIVE,
+                    5e-324,
+                    -5e-324,
+                ];
+                // scaled values placed by construction: exact ties, the
+                // largest double below one half, the -0.0 quotient, and
+                // the saturation edges with their neighbours
+                for scaled in [
+                    0.5,
+                    -0.5,
+                    1.5,
+                    -1.5,
+                    2.5,
+                    -2.5,
+                    1023.5,
+                    -1023.5,
+                    0.49999999999999994,
+                    -0.49999999999999994,
+                    0.5000000000000001,
+                    1.0,
+                    -1.0,
+                    -0.0,
+                    hi,
+                    hi - 0.5,
+                    hi - 1.0,
+                    hi + 0.5,
+                    hi * 2.0,
+                    lo,
+                    lo + 0.5,
+                    lo + 1.0,
+                    lo - 0.5,
+                    lo * 2.0,
+                ] {
+                    coords.push(c + scaled * q);
+                    coords.push(scaled * q); // exact when the window is centred on 0
+                }
+                // in-window and far-out-of-window random coordinates
+                for _ in 0..400 {
+                    coords.push(rng.random_range(min..max));
+                    coords.push(c + (max - min) * rng.random_range(-4.0..4.0));
+                }
+                assert_quantizer_matches(&s, &coords, &format!("bits {bits} [{min:e}, {max:e})"));
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_quantizer_rounds_ties_away_and_saturates() {
+        // the named cases, checked against literal words (not only
+        // against `quantize`): window [-16, 16) on 5 bits has quantum 1
+        let s = RangeScaler::new(-16.0, 16.0, 5);
+        assert_eq!(s.quantum(), 1.0);
+        let cases = [
+            (f64::NAN, 0),
+            (f64::INFINITY, 15),
+            (f64::NEG_INFINITY, -16),
+            (1e300, 15),
+            (-1e300, -16),
+            (14.5, 15),
+            (14.49, 14),
+            (-15.5, -16),
+            (0.5, 1),
+            (-0.5, -1),
+            (2.5, 3),
+            (-2.5, -3),
+            (0.49999999999999994, 0),
+            (-0.49999999999999994, 0),
+            (-0.0, 0),
+            (5e-324, 0),
+        ];
+        let pos: Vec<Vec3> = cases.iter().map(|&(v, _)| Vec3::new(v, -v, v)).collect();
+        for path in all_paths().into_iter().chain([LanePath::Scalar]) {
+            let n = pos.len();
+            let (mut x, mut y, mut z) = (vec![0; n], vec![0; n], vec![0; n]);
+            quantize_columns(path, &s, &pos, [&mut x, &mut y, &mut z]);
+            for (k, &(v, want)) in cases.iter().enumerate() {
+                assert_eq!(x[k], want, "{path:?}: quantize({v:e})");
+                assert_eq!(z[k], want, "{path:?}: quantize({v:e}) in z");
+                assert_eq!(y[k], s.quantize(-v), "{path:?}: quantize({:e})", -v);
+            }
         }
     }
 

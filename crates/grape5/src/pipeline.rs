@@ -75,12 +75,13 @@ pub struct JSlices<'a> {
     pub z: &'a [i64],
     /// Masses in `f64` (exact mode).
     pub m: &'a [f64],
-    /// Masses in the pipeline's logarithmic format (LNS mode).
+    /// Masses in the pipeline's logarithmic format. Only LNS mode
+    /// reads this column; the host-library load leaves it empty in
+    /// exact mode.
     pub m_lns: &'a [Lns],
     /// The same log words packed for the LNS lane kernel
-    /// (`raw << 1 | negative`, zero as a below-range sentinel), as
-    /// [`ProcessorBoard::load_j`](crate::board::ProcessorBoard::load_j)
-    /// writes them.
+    /// (`raw << 1 | negative`, zero as a below-range sentinel), as the
+    /// board's j-loads write them (empty where `m_lns` is).
     pub m_word: &'a [i32],
 }
 
@@ -255,10 +256,23 @@ impl G5Pipeline {
         self.quantum
     }
 
-    /// Encode a mass for j-memory.
+    /// Encode a mass for j-memory, through the converter tables this
+    /// pipeline already holds (the formula converter for untabulated
+    /// formats) — the same words `LnsConfig::encode` returns, without
+    /// its per-call lookup of the process-wide table cache.
     #[inline]
     pub fn encode_mass(&self, m: f64) -> Lns {
-        self.lns.encode(m)
+        match self.conv {
+            Some(conv) => conv.encode(m),
+            None => self.lns.encode_libm(m),
+        }
+    }
+
+    /// `true` when the arithmetic mode reads the mass log-word columns
+    /// of j-memory (`m_lns`, `m_word`); exact mode streams `m` only.
+    #[inline]
+    pub fn reads_mass_words(&self) -> bool {
+        self.mode == ArithMode::Lns
     }
 
     /// Evaluate one pairwise interaction between an i-particle at raw
@@ -459,13 +473,11 @@ impl G5Pipeline {
     ) {
         assert_eq!(xi.len(), out.len(), "output length mismatch");
         assert!(force_scale > 0.0, "non-positive force scale");
+        let nj = j.x.len();
+        assert!(j.y.len() == nj && j.z.len() == nj && j.m.len() == nj, "ragged j-slices");
         assert!(
-            j.x.len() == j.y.len()
-                && j.x.len() == j.z.len()
-                && j.x.len() == j.m.len()
-                && j.x.len() == j.m_lns.len()
-                && j.x.len() == j.m_word.len(),
-            "ragged j-slices"
+            !self.reads_mass_words() || (j.m_lns.len() == nj && j.m_word.len() == nj),
+            "j-slices without mass log words in LNS mode"
         );
         // The lane kernels cover the dominant no-cutoff configuration;
         // with a cutoff the factors are per-pair table lookups and the

@@ -155,7 +155,9 @@ pub struct DeviceSession<'a> {
     stats: RecoveryStats,
     /// Copy of the resident j-set loaded via [`load_j`](Self::load_j),
     /// kept host-side so a corrupted or redistributed j-memory can be
-    /// re-driven without the caller's involvement.
+    /// re-driven without the caller's involvement. The buffers are
+    /// retained across loads, so re-loading allocates nothing once they
+    /// have grown to the working list length.
     resident: Option<(Vec<Vec3>, Vec<f64>)>,
 }
 
@@ -208,7 +210,11 @@ impl<'a> DeviceSession<'a> {
     /// [`force_for`](Self::force_for) for arbitrary sizes.
     pub fn load_j(&mut self, jpos: &[Vec3], jmass: &[f64]) {
         self.g5.set_j_particles(jpos, jmass);
-        self.resident = Some((jpos.to_vec(), jmass.to_vec()));
+        let (rpos, rmass) = self.resident.get_or_insert_with(Default::default);
+        rpos.clear();
+        rpos.extend_from_slice(jpos);
+        rmass.clear();
+        rmass.extend_from_slice(jmass);
     }
 
     /// Forces on `xi` from the resident j-set — fast path without

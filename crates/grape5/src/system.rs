@@ -31,10 +31,9 @@ use crate::fault::{
     corrupt_mass, corrupt_readback, CallFault, DeviceError, FaultConfig, FaultState,
 };
 use crate::lanes::LanePath;
-use crate::pipeline::{Force, G5Pipeline, JWord};
+use crate::pipeline::{Force, G5Pipeline};
 use g5util::fixed::RangeScaler;
 use g5util::vec3::Vec3;
-use rayon::prelude::*;
 
 /// Interface words per j-particle (x, y, z, m).
 const WORDS_PER_J: u64 = 4;
@@ -42,6 +41,50 @@ const WORDS_PER_J: u64 = 4;
 const WORDS_PER_I: u64 = 3;
 /// Interface words read back per i-particle (ax, ay, az, pot).
 const WORDS_PER_F: u64 = 4;
+
+/// Interactions (`ni × nj`) a force call needs before its boards are
+/// worth running on separate threads; smaller calls run them one after
+/// the other on the calling thread.
+///
+/// Derivation (measured, `exp_host` short-call row): spawning and
+/// joining one scoped thread costs 23–78 µs, and the exact-mode lane
+/// kernel runs ≈ 7 ns per interaction, so splitting `W` interactions
+/// over two boards' threads saves `W × 3.5 ns`. Break-even is
+/// `W ≈ 6,000–22,000` — around one `n_g = 32` call (9 × 1,556), which
+/// measured 2× *slower* threaded. At 2¹⁷ the split saves ≈ 0.45 ms,
+/// several times what the spawn can cost; LNS mode (≈ 2× per
+/// interaction) only makes that margin wider. Forces do not depend on
+/// the choice: each board writes its own partial, merged in board order.
+const SPAWN_REPAY_INTERACTIONS: u64 = 1 << 17;
+
+/// Run `compute` for every in-service board holding j-particles, each
+/// into its own partial buffer: in board order on the calling thread,
+/// or — `parallel` — by recursive halving over [`rayon::join`], the
+/// caller keeping one half itself.
+fn run_boards<F>(
+    boards: &[ProcessorBoard],
+    ok: &[bool],
+    partials: &mut [Vec<Force>],
+    parallel: bool,
+    compute: &F,
+) where
+    F: Fn(&ProcessorBoard, &mut Vec<Force>) + Sync,
+{
+    if parallel && boards.len() > 1 {
+        let mid = boards.len() / 2;
+        let (left, right) = partials.split_at_mut(mid);
+        rayon::join(
+            || run_boards(&boards[..mid], &ok[..mid], left, true, compute),
+            || run_boards(&boards[mid..], &ok[mid..], right, true, compute),
+        );
+    } else {
+        for ((b, _), out) in
+            boards.iter().zip(ok).zip(partials).filter(|((b, &ok), _)| ok && b.nj() > 0)
+        {
+            compute(b, out);
+        }
+    }
+}
 
 /// What the device's built-in self-test reports: persistent faults
 /// currently manifesting on hardware still in active service. The host
@@ -151,6 +194,12 @@ impl Grape5 {
         &self.cfg
     }
 
+    /// The processor boards, in board order (read-only: their j-memory
+    /// columns, capacities and pipe counts).
+    pub fn boards(&self) -> &[ProcessorBoard] {
+        &self.boards
+    }
+
     // ------------------------------------------------------------------
     // Fault injection and quarantine
     // ------------------------------------------------------------------
@@ -211,7 +260,7 @@ impl Grape5 {
     pub fn quarantine_board(&mut self, board: usize) -> usize {
         if board < self.board_ok.len() && self.board_ok[board] {
             self.board_ok[board] = false;
-            self.boards[board].load_j(&[]);
+            self.boards[board].clear_j();
             self.nj_total = self.boards.iter().map(|b| b.nj()).sum();
         }
         self.active_boards()
@@ -271,7 +320,7 @@ impl Grape5 {
         self.scaler = RangeScaler::new(min, max, self.cfg.coord_bits);
         self.rebuild_pipeline();
         for b in &mut self.boards {
-            b.load_j(&[]);
+            b.clear_j();
         }
         self.nj_total = 0;
     }
@@ -343,41 +392,33 @@ impl Grape5 {
             pos.len(),
             self.jmem_capacity()
         );
-        let mut words: Vec<JWord> = pos
-            .iter()
-            .zip(mass)
-            .map(|(p, &m)| JWord {
-                raw: [
-                    self.scaler.quantize(p.x),
-                    self.scaler.quantize(p.y),
-                    self.scaler.quantize(p.z),
-                ],
-                m_lns: self.pipeline.encode_mass(m),
-                m,
-            })
-            .collect();
+        let n = pos.len();
         // injected DMA corruption: this load may flip a mass bit upward
-        // in one word; a retry re-drives the transfer with a fresh draw
-        if let Some(f) = &mut self.fault {
-            if let Some(k) = f.on_j_load(words.len()) {
-                let m = corrupt_mass(words[k].m);
-                words[k].m = m;
-                words[k].m_lns = self.pipeline.encode_mass(m);
-            }
-        }
+        // in one word; a retry re-drives the transfer with a fresh draw.
+        // Drawn once per load, before any column is written.
+        let corrupt =
+            self.fault.as_mut().and_then(|f| f.on_j_load(n)).map(|k| (k, corrupt_mass(mass[k])));
         // Even split: the b-th board in service takes the b-th
-        // contiguous share.
-        for b in &mut self.boards {
-            b.load_j(&[]);
-        }
-        let active: Vec<usize> = (0..self.boards.len()).filter(|&b| self.board_ok[b]).collect();
-        let per = words.len().div_ceil(active.len().max(1));
+        // contiguous share, quantized straight into its columns.
+        let per = n.div_ceil(self.active_boards().max(1)).max(1);
+        let mut shares = pos.chunks(per).zip(mass.chunks(per));
+        let mut start = 0;
         let mut max_words_one_iface = 0u64;
-        for (&b, chunk) in active.iter().zip(words.chunks(per.max(1))) {
-            self.boards[b].load_j(chunk);
-            max_words_one_iface = max_words_one_iface.max(chunk.len() as u64 * WORDS_PER_J);
+        for (board, &ok) in self.boards.iter_mut().zip(&self.board_ok) {
+            // a board out of service takes no share
+            let Some((p, m)) = ok.then(|| shares.next()).flatten() else {
+                board.clear_j();
+                continue;
+            };
+            board.load_j_particles(&self.scaler, &self.pipeline, p, m);
+            if let Some((k, bad)) = corrupt.filter(|&(k, _)| (start..start + p.len()).contains(&k))
+            {
+                board.set_mass(k - start, bad, &self.pipeline);
+            }
+            start += p.len();
+            max_words_one_iface = max_words_one_iface.max(p.len() as u64 * WORDS_PER_J);
         }
-        self.nj_total = words.len();
+        self.nj_total = n;
         // j-load moves through per-board interfaces in parallel: charge
         // the busiest one, no pipeline cycles, no call latency (the
         // transfer piggybacks on the next force call). Tracked as
@@ -406,7 +447,7 @@ impl Grape5 {
         let call_fault = match &mut self.fault {
             None => CallFault::Clean,
             Some(f) => {
-                let ok = self.board_ok.clone();
+                let ok = &self.board_ok;
                 f.on_force_call(xi.len(), |b| ok.get(b).copied().unwrap_or(false))
             }
         };
@@ -428,26 +469,20 @@ impl Grape5 {
                 && !self.quarantined_pipes.contains(&(s.board, s.pipe))
         });
 
-        // Dispatch every in-service board concurrently; each writes its
-        // partials into its own scratch buffer, so the later host merge
-        // runs in fixed board order no matter which board finishes
-        // first — forces are deterministic under any thread schedule.
+        // Dispatch every in-service board; each writes its partials
+        // into its own scratch buffer, so the later host merge runs in
+        // fixed board order no matter where or when a board ran —
+        // forces are deterministic under any thread schedule. Short
+        // calls stay on this thread (see SPAWN_REPAY_INTERACTIONS).
+        let interactions = xi.len() as u64 * self.nj_total as u64;
         {
-            let pipeline = &self.pipeline;
-            let raw = &self.i_scratch[..];
-            let force_scale = self.force_scale;
-            let board_ok = &self.board_ok;
-            let tasks: Vec<_> = self
-                .boards
-                .iter()
-                .zip(self.partials.iter_mut())
-                .enumerate()
-                .filter(|(bi, (b, _))| board_ok[*bi] && b.nj() > 0)
-                .map(|(_, t)| t)
-                .collect();
-            tasks
-                .into_par_iter()
-                .for_each(|(b, out)| b.compute_into(pipeline, raw, force_scale, out));
+            let (pipeline, raw, force_scale) =
+                (&self.pipeline, &self.i_scratch[..], self.force_scale);
+            let parallel =
+                interactions >= SPAWN_REPAY_INTERACTIONS && rayon::current_num_threads() > 1;
+            run_boards(&self.boards, &self.board_ok, &mut self.partials, parallel, &|b, out| {
+                b.compute_into(pipeline, raw, force_scale, out)
+            });
         }
 
         let mut total: Vec<Force> = vec![Force::ZERO; xi.len()];
@@ -482,7 +517,6 @@ impl Grape5 {
             }
         }
         let words = xi.len() as u64 * (WORDS_PER_I + WORDS_PER_F);
-        let interactions = xi.len() as u64 * self.nj_total as u64;
         self.clock.record_call(max_cycles, words, interactions);
         Ok(total)
     }
@@ -919,6 +953,134 @@ mod tests {
                 assert_eq!(force_bits(&a), force_bits(&b));
             }
         }
+    }
+
+    /// The j-memory golden: after `set_j_particles` every board column
+    /// holds what `load_j` stores for reference `JWord`s built the
+    /// pre-one-pass way (scalar `quantize`, `encode_mass`, even split),
+    /// and an armed j-memory fault is drawn once, lands on the same
+    /// word with the same value, and leaves the RNG where the reference
+    /// draw leaves it.
+    #[test]
+    fn jmem_golden_columns_match_reference_words_with_and_without_faults() {
+        use crate::fault::{FaultConfig, FaultState};
+        use crate::pipeline::JWord;
+        for mode in [ArithMode::Exact, ArithMode::Lns] {
+            for (n, fault) in [
+                (0usize, None),
+                (1, None),
+                (2, None),
+                (3, Some(FaultConfig::jmem(5, 1.0))),
+                (37, None),
+                (37, Some(FaultConfig::jmem(21, 1.0))),
+                (38, Some(FaultConfig::jmem(22, 1.0))),
+                (38, Some(FaultConfig::jmem(23, 0.5))),
+                (600, Some(FaultConfig::jmem(24, 1.0))),
+            ] {
+                let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+                let mut g5 = Grape5::open(cfg);
+                g5.set_range(-3.0, 5.0);
+                g5.set_eps(0.01);
+                let pos: Vec<Vec3> = (0..n)
+                    .map(|k| {
+                        let t = k as f64 * 0.37;
+                        // a few particles outside the window saturate
+                        Vec3::new(4.0 * t.sin() + 1.0, 4.5 * (1.3 * t).cos() + 1.0, 0.1 * t - 2.0)
+                    })
+                    .collect();
+                let mass: Vec<f64> = (0..n).map(|k| 0.5 + (k % 7) as f64 * 0.25).collect();
+
+                // reference: words, then the fault draw, then the split
+                let mut words: Vec<JWord> = pos
+                    .iter()
+                    .zip(&mass)
+                    .map(|(p, &m)| JWord {
+                        raw: [
+                            g5.scaler.quantize(p.x),
+                            g5.scaler.quantize(p.y),
+                            g5.scaler.quantize(p.z),
+                        ],
+                        m_lns: g5.pipeline.encode_mass(m),
+                        m,
+                    })
+                    .collect();
+                let mut reference_fault = fault.map(FaultState::new);
+                if let Some(k) = reference_fault.as_mut().and_then(|f| f.on_j_load(n)) {
+                    words[k].m = corrupt_mass(words[k].m);
+                    words[k].m_lns = g5.pipeline.encode_mass(words[k].m);
+                }
+                let per = n.div_ceil(cfg.boards).max(1);
+                let mut shares = words.chunks(per);
+
+                if let Some(f) = fault {
+                    g5.set_fault_injector(f);
+                }
+                g5.set_j_particles(&pos, &mass);
+                assert_eq!(g5.nj(), n);
+                assert_eq!(
+                    g5.fault_state_words(),
+                    reference_fault.as_ref().map(FaultState::to_words),
+                    "{mode:?} n = {n}: fault RNG position"
+                );
+                for (b, board) in g5.boards().iter().enumerate() {
+                    let mut want = ProcessorBoard::new(&cfg);
+                    want.load_j(shares.next().unwrap_or(&[]));
+                    let (got, want) = (board.j_slices(), want.j_slices());
+                    let what = format!("{mode:?} n = {n} fault {fault:?} board {b}");
+                    assert_eq!((got.x, got.y, got.z), (want.x, want.y, want.z), "{what}");
+                    assert_eq!(got.m, want.m, "{what}: masses");
+                    if mode == ArithMode::Lns {
+                        assert_eq!((got.m_lns, got.m_word), (want.m_lns, want.m_word), "{what}");
+                    } else {
+                        // exact mode never reads the log words
+                        assert!(got.m_lns.is_empty() && got.m_word.is_empty(), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inline_dispatch_runs_both_boards_on_the_calling_thread() {
+        use std::sync::Mutex;
+        let (mut g5, pos, mass) = two_body_system(ArithMode::Exact);
+        g5.set_j_particles(&pos, &mass);
+        let ran = Mutex::new(Vec::new());
+        let note = |b: &ProcessorBoard, _: &mut Vec<Force>| {
+            ran.lock().unwrap().push((b.nj(), std::thread::current().id()));
+        };
+        let me = std::thread::current().id();
+        run_boards(&g5.boards, &g5.board_ok, &mut g5.partials, false, &note);
+        assert_eq!(*ran.lock().unwrap(), [(1, me), (1, me)], "board order, calling thread");
+        // the threaded dispatch keeps one half on the caller too
+        ran.lock().unwrap().clear();
+        run_boards(&g5.boards, &g5.board_ok, &mut g5.partials, true, &note);
+        let ran = ran.into_inner().unwrap();
+        assert_eq!(ran.len(), 2);
+        assert!(ran.iter().any(|&(_, id)| id == me));
+        // an out-of-service or empty board is never dispatched
+        g5.quarantine_board(0);
+        let count = Mutex::new(0);
+        run_boards(&g5.boards, &g5.board_ok, &mut g5.partials, false, &|_, _| {
+            *count.lock().unwrap() += 1;
+        });
+        assert_eq!(count.into_inner().unwrap(), 1);
+    }
+
+    #[test]
+    fn quarantined_board_takes_no_share_of_a_load() {
+        let cfg = Grape5Config { mode: ArithMode::Exact, boards: 3, ..Grape5Config::paper() };
+        let mut g5 = Grape5::open(cfg);
+        g5.set_range(-2.0, 2.0);
+        let pos: Vec<Vec3> = (0..10).map(|k| Vec3::new(k as f64 * 0.1, 0.1, 0.2)).collect();
+        g5.set_j_particles(&pos, &[1.0; 10]);
+        assert_eq!(g5.boards().iter().map(|b| b.nj()).collect::<Vec<_>>(), [4, 4, 2]);
+        assert_eq!(g5.quarantine_board(1), 2);
+        assert_eq!(g5.nj(), 6, "the quarantined board's share is gone");
+        g5.set_j_particles(&pos, &[1.0; 10]);
+        assert_eq!(g5.boards().iter().map(|b| b.nj()).collect::<Vec<_>>(), [5, 0, 5]);
+        // board 2 holds the second share, not the third
+        assert_eq!(g5.boards()[2].j_slices().x[0], g5.scaler.quantize(0.5));
     }
 
     #[test]

@@ -227,6 +227,24 @@ impl RangeScaler {
         self.bits
     }
 
+    /// Window center — the coordinate that quantizes to raw word 0.
+    #[inline]
+    pub fn center(&self) -> f64 {
+        self.center
+    }
+
+    /// Largest raw word (`2^(bits-1) - 1`).
+    #[inline]
+    pub fn raw_max(&self) -> i64 {
+        (1i64 << (self.bits - 1)) - 1
+    }
+
+    /// Smallest raw word (`-2^(bits-1)`).
+    #[inline]
+    pub fn raw_min(&self) -> i64 {
+        -(1i64 << (self.bits - 1))
+    }
+
     /// Size of one quantization step in real units.
     #[inline]
     pub fn quantum(&self) -> f64 {
@@ -234,10 +252,13 @@ impl RangeScaler {
     }
 
     /// Quantize a coordinate to its raw fixed-point word (saturating).
+    ///
+    /// This is the definition; batch quantizers (`grape5::lanes`) hoist
+    /// [`center`](Self::center), [`quantum`](Self::quantum) and the raw
+    /// bounds out of their loops and must reproduce it word for word.
     #[inline]
     pub fn quantize(&self, x: f64) -> i64 {
-        let max_raw = (1i64 << (self.bits - 1)) - 1;
-        let min_raw = -(1i64 << (self.bits - 1));
+        let (max_raw, min_raw) = (self.raw_max(), self.raw_min());
         let scaled = (x - self.center) / self.quantum();
         if scaled.is_nan() {
             0

@@ -11,7 +11,11 @@ use std::ops::{
 };
 
 /// A 3-vector of `f64` components.
+///
+/// `repr(C)`: three consecutive `f64`s with no padding, so a slice of
+/// vectors is also a flat component stream (see [`Vec3::flat`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[repr(C)]
 pub struct Vec3 {
     /// x component.
     pub x: f64,
@@ -37,6 +41,17 @@ impl Vec3 {
     #[inline]
     pub const fn splat(v: f64) -> Self {
         Vec3 { x: v, y: v, z: v }
+    }
+
+    /// A slice of vectors as its flat component stream
+    /// `[x0, y0, z0, x1, …]` — what a vector unit loads from.
+    #[inline]
+    pub fn flat(v: &[Vec3]) -> &[f64] {
+        const _: () = assert!(size_of::<Vec3>() == 24 && align_of::<Vec3>() == 8);
+        // SAFETY: `Vec3` is `repr(C)` with exactly three `f64` fields
+        // (size 24, align 8, checked above), so `v` covers `3 · len`
+        // initialized, properly aligned `f64`s for the same lifetime.
+        unsafe { std::slice::from_raw_parts(v.as_ptr().cast(), v.len() * 3) }
     }
 
     /// Dot product.
@@ -269,6 +284,9 @@ mod tests {
         assert_eq!(Vec3::from_array([1.0, 2.0, 3.0]), v);
         assert_eq!(Vec3::splat(4.0), Vec3::new(4.0, 4.0, 4.0));
         assert_eq!(Vec3::ZERO + v, v);
+        let pair = [v, Vec3::new(-4.0, 5.5, 0.0)];
+        assert_eq!(Vec3::flat(&pair), [1.0, 2.0, 3.0, -4.0, 5.5, 0.0]);
+        assert!(Vec3::flat(&[]).is_empty());
     }
 
     #[test]

@@ -602,3 +602,104 @@ fn system_force_is_lane_path_invariant() {
         assert_paths_match_scalar(&forces, &format!("system level, {mode:?}"));
     }
 }
+
+/// The j-memory golden, through the public host-library API: the board
+/// columns `set_j_particles` writes (the one-pass lane quantizer of the
+/// process's lane path, and of every forced path) equal the columns
+/// `load_j` builds from reference `JWord`s — scalar
+/// `RangeScaler::quantize`, `encode_mass`, the same even split. With a
+/// j-memory fault armed, every path corrupts the same single word with
+/// the same value (log words re-encoded) and leaves the fault process
+/// at the same position.
+#[test]
+fn jmem_golden_set_j_particles_matches_reference_words() {
+    use grape5_nbody::grape5::fault::corrupt_mass;
+    use grape5_nbody::grape5::FaultConfig;
+    let mut rng = ChaCha8Rng::seed_from_u64(1999);
+    let n = 1557usize; // an n_g = 32 list length; odd, so the shares differ
+    let pos: Vec<Vec3> = (0..n)
+        .map(|k| {
+            // every 97th outside the window: the saturation words
+            let span = if k % 97 == 5 { 40.0 } else { 7.9 };
+            Vec3::new(
+                rng.random_range(-span..span),
+                rng.random_range(-span..span),
+                rng.random_range(-span..span),
+            )
+        })
+        .collect();
+    let mass: Vec<f64> = (0..n).map(|_| rng.random_range(0.01..1.0)).collect();
+    let scaler = RangeScaler::new(-8.0, 8.0, Grape5Config::paper().coord_bits);
+
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+        let open = |path: Option<LanePath>| {
+            let mut g5 = Grape5::open(cfg);
+            if let Some(path) = path {
+                g5.set_lane_path(path);
+            }
+            g5.set_range(-8.0, 8.0);
+            g5.set_eps(0.01);
+            g5
+        };
+        let pipe = G5Pipeline::new(&cfg, scaler.quantum(), 0.01);
+        let words: Vec<JWord> = pos
+            .iter()
+            .zip(&mass)
+            .map(|(p, &m)| JWord {
+                raw: [scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z)],
+                m_lns: pipe.encode_mass(m),
+                m,
+            })
+            .collect();
+        let per = n.div_ceil(cfg.boards);
+        let paths: Vec<Option<LanePath>> =
+            std::iter::once(None).chain(lane_paths().into_iter().map(Some)).collect();
+
+        // fault-free: word for word the reference columns, per board
+        for &path in &paths {
+            let mut g5 = open(path);
+            g5.set_j_particles(&pos, &mass);
+            for (board, share) in g5.boards().iter().zip(words.chunks(per)) {
+                let (got, want) = (board.j_slices(), jmem(share));
+                let want = want.j_slices();
+                let what = format!("{mode:?} {path:?}");
+                assert_eq!(
+                    (got.x, got.y, got.z, got.m),
+                    (want.x, want.y, want.z, want.m),
+                    "{what}"
+                );
+                if mode == ArithMode::Lns {
+                    assert_eq!((got.m_lns, got.m_word), (want.m_lns, want.m_word), "{what}");
+                }
+            }
+        }
+
+        // armed: one corrupted word, the same on every path
+        let mut seen = Vec::new();
+        for &path in &paths {
+            let mut g5 = open(path);
+            g5.set_fault_injector(FaultConfig::jmem(77, 1.0));
+            g5.set_j_particles(&pos, &mass);
+            let loaded: Vec<f64> =
+                g5.boards().iter().flat_map(|b| b.j_slices().m.to_vec()).collect();
+            let bad: Vec<usize> = (0..n).filter(|&k| loaded[k] != mass[k]).collect();
+            assert_eq!(bad.len(), 1, "{mode:?} {path:?}: rate 1.0 corrupts exactly one word");
+            let k = bad[0];
+            assert_eq!(loaded[k], corrupt_mass(mass[k]), "{mode:?} {path:?}: corrupted value");
+            if mode == ArithMode::Lns {
+                let s = g5.boards()[k / per].j_slices();
+                let want =
+                    jmem(&[JWord { m: loaded[k], m_lns: pipe.encode_mass(loaded[k]), ..words[k] }]);
+                assert_eq!(s.m_lns[k % per], want.j_slices().m_lns[0], "re-encoded log word");
+                assert_eq!(s.m_word[k % per], want.j_slices().m_word[0], "re-packed lane word");
+            }
+            // every other column is untouched by the fault
+            for (board, share) in g5.boards().iter().zip(words.chunks(per)) {
+                assert_eq!(board.j_slices().x, jmem(share).j_slices().x);
+            }
+            seen.push((k, g5.fault_state_words()));
+        }
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "{mode:?}: fault draw differs by path");
+    }
+}

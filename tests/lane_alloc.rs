@@ -1,14 +1,25 @@
-//! The LNS lane kernel allocates nothing per call, enforced with a
-//! counting global allocator in the style of `tests/plan_alloc.rs`: the
-//! mass log words it streams live in board j-memory from `load_j`, so a
-//! steady-state board compute performs **zero** heap allocations on
-//! every lane path, and a steady-state `force_on` allocates no more in
-//! LNS mode than in exact mode (the call's own result vector and
-//! board-dispatch scaffolding), however many j-particles are resident.
+//! The steady-state device call allocates nothing but its result,
+//! enforced with a counting global allocator in the style of
+//! `tests/plan_alloc.rs`:
+//!
+//! * the mass log words the LNS lane kernel streams live in board
+//!   j-memory from the load, so a steady-state board compute performs
+//!   **zero** heap allocations on every lane path;
+//! * a steady-state `force_on` allocates exactly its returned
+//!   `Vec<Force>` in both arithmetic modes, however many j-particles
+//!   are resident;
+//! * the whole host-library call of one short group — a warmed
+//!   `DeviceSession::try_force_for`, and `load_j` + `try_force_on` —
+//!   allocates that one vector and nothing else: the j-load quantizes
+//!   into retained columns, the session's host-side copy reuses its
+//!   buffers, and a call below the spawn-repay threshold dispatches its
+//!   boards on the calling thread on any CPU count.
 
 use grape5_nbody::grape5::board::ProcessorBoard;
 use grape5_nbody::grape5::pipeline::JWord;
-use grape5_nbody::grape5::{ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath};
+use grape5_nbody::grape5::{
+    ArithMode, DeviceSession, Force, G5Pipeline, Grape5, Grape5Config, LanePath,
+};
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::util::fixed::RangeScaler;
 use rand::SeedableRng;
@@ -76,19 +87,42 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         assert_eq!(n, 0, "steady-state LNS board compute allocated on {path:?}");
     }
 
-    // system level: LNS force_on costs what exact force_on costs, and
-    // the cost does not grow with the resident j-count
+    // system level: a steady-state force_on allocates its returned
+    // vector only, in either mode, whatever the resident j-count
+    // (80 × 1500 interactions: below the spawn-repay threshold, so the
+    // boards run on this thread on any machine)
     let steady_force_on = |mode: ArithMode, nj: usize| {
         let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
         g5.set_range(-8.0, 8.0);
         g5.set_eps(0.01);
         g5.set_j_particles(&snap.pos[..nj], &snap.mass[..nj]);
-        let _ = g5.force_on(&snap.pos[..100]); // warm: scratch buffers, ROMs
-        (0..3).map(|_| allocs_during(|| drop(g5.force_on(&snap.pos[..100])))).min().unwrap()
+        let _ = g5.force_on(&snap.pos[..80]); // warm: scratch buffers, ROMs
+        (0..3).map(|_| allocs_during(|| drop(g5.force_on(&snap.pos[..80])))).max().unwrap()
     };
-    let exact = steady_force_on(ArithMode::Exact, 1500);
-    let lns = steady_force_on(ArithMode::Lns, 1500);
-    let lns_half = steady_force_on(ArithMode::Lns, 750);
-    assert!(lns <= exact, "LNS force_on allocates {lns} times, exact mode {exact}");
-    assert_eq!(lns, lns_half, "LNS force_on allocations grow with the j-count");
+    for (mode, nj) in [(ArithMode::Exact, 1500), (ArithMode::Lns, 1500), (ArithMode::Lns, 750)] {
+        assert_eq!(steady_force_on(mode, nj), 1, "{mode:?} force_on on {nj} j-particles");
+    }
+
+    // host-library level: the whole call of one n_g = 32 group (9
+    // targets against a ~1500-term list), the way TreeGrape drives it
+    // (try_force_for) and the way the staged benchmark half does
+    // (load_j + try_force_on). Lists of varying length, all within the
+    // warmed capacity, as a traversal produces them.
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
+        let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
+        let xi = &snap.pos[..9];
+        let warm = session.try_force_for(&snap.pos, &snap.mass, xi).unwrap();
+        session.load_j(&snap.pos, &snap.mass);
+        assert_eq!(session.try_force_on(xi).unwrap(), warm);
+        for nj in [1500, 1203, 7, 1499] {
+            let (jpos, jmass) = (&snap.pos[..nj], &snap.mass[..nj]);
+            let n = allocs_during(|| drop(session.try_force_for(jpos, jmass, xi).unwrap()));
+            assert_eq!(n, 1, "{mode:?} try_force_for on {nj} j-particles");
+            let n = allocs_during(|| session.load_j(jpos, jmass));
+            assert_eq!(n, 0, "{mode:?} load_j of {nj} j-particles");
+            let n = allocs_during(|| drop(session.try_force_on(xi).unwrap()));
+            assert_eq!(n, 1, "{mode:?} try_force_on against {nj} resident j-particles");
+        }
+    }
 }
