@@ -13,10 +13,12 @@
 //!
 //! and, inside the batch path, the **lane kernel** of each arithmetic
 //! mode against the scalar per-pair skeleton it replaced (the `lane x`
-//! column; `G5_LANE_PATH` picks which lane implementation runs). For
-//! LNS mode on AVX2 the kernel is also run truncated after each of its
+//! column; `G5_LANE_PATH` picks which lane implementation runs). On
+//! AVX2 each mode's kernel is also run truncated after each of its
 //! pipeline stages, and the differences of those prefixes give the
-//! per-stage ns/interaction split that names the next bottleneck.
+//! per-stage ns/interaction split that names the next bottleneck — in
+//! exact mode, what the simulated fixed-point accumulator costs next to
+//! the force itself.
 //!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
@@ -24,9 +26,9 @@
 //! JSON report (default `BENCH_pr3.json`); when the output file already
 //! exists its numbers are read first and a delta is printed, so CI can
 //! diff a fresh `--quick` run against the committed baseline.
-//! `--trajectory FILE` appends the LNS lane headline rows to the
-//! cross-PR ledger under `--pr LABEL`, keyed by the working tree's
-//! commit (`g5_bench::trajectory::working_commit`).
+//! `--trajectory FILE` appends the lane headline rows (same-run
+//! ratios) to the cross-PR ledger under `--pr LABEL`, keyed by the
+//! working tree's commit (`g5_bench::trajectory::working_commit`).
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
@@ -41,7 +43,8 @@ use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
 use grape5::pipeline::JWord;
 use grape5::{
-    bounding_window, ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath, LnsStage,
+    bounding_window, ArithMode, ExactStage, Force, G5Pipeline, Grape5, Grape5Config, LanePath,
+    LnsStage,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -173,42 +176,56 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     KernelResult { n, mode, nj, load_s, batch, reference, lane, scalar }
 }
 
-/// ns/interaction each LNS lane stage adds: consecutive differences of
-/// the AVX2 kernel's truncated-prefix timings.
+/// `(json key, table label)` per truncation point of a lane kernel.
+type StageNames = &'static [(&'static str, &'static str)];
+
+const EXACT_STAGES: StageNames = &[
+    ("force", "subtract + force and potential terms"),
+    ("round", "unscale + encode + round to i64"),
+    ("accumulate", "window test + column accumulate"),
+];
+const LNS_STAGES: StageNames = &[
+    ("encode", "subtract + log converter (encode)"),
+    ("adder", "squarers + r2 adder (sb ROM)"),
+    ("scale_mul", "power units + multipliers (scale, mul)"),
+    ("decode", "antilog ROM (decode)"),
+    ("accumulate", "fixed-point accumulate"),
+];
+
+/// ns/interaction each lane stage adds: consecutive differences of the
+/// AVX2 kernel's truncated-prefix timings.
 struct StageSplit {
     n: usize,
+    mode: ArithMode,
+    stages: StageNames,
     /// Time per interaction of the kernel truncated after each stage.
-    prefix_ns: [f64; 5],
+    prefix_ns: Vec<f64>,
 }
 
 impl StageSplit {
-    const NAMES: [&'static str; 5] = [
-        "subtract + log converter (encode)",
-        "squarers + r2 adder (sb ROM)",
-        "power units + multipliers (scale, mul)",
-        "transpose + antilog ROM (decode)",
-        "fixed-point accumulate",
-    ];
-    const KEYS: [&'static str; 5] = ["encode", "adder", "scale_mul", "decode", "accumulate"];
+    fn stage_ns(&self) -> Vec<f64> {
+        let p = &self.prefix_ns;
+        (0..p.len()).map(|k| if k == 0 { p[0] } else { p[k] - p[k - 1] }).collect()
+    }
 
-    fn stage_ns(&self) -> [f64; 5] {
-        let p = self.prefix_ns;
-        [p[0], p[1] - p[0], p[2] - p[1], p[3] - p[2], p[4] - p[3]]
+    /// The whole kernel.
+    fn total(&self) -> f64 {
+        *self.prefix_ns.last().expect("at least one stage")
     }
 
     /// Index of the costliest stage.
     fn bottleneck(&self) -> usize {
         let s = self.stage_ns();
-        (0..5).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap()
+        (0..s.len()).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap()
     }
 }
 
-/// Time the AVX2 LNS kernel truncated after every stage (alternating
+/// Time `mode`'s AVX2 kernel truncated after every stage (alternating
 /// rounds, fastest round per prefix) on a resident Plummer j-set.
-/// `None` when the LNS kernel is not running on the AVX2 lanes.
-fn lns_stage_split(n: usize, quick: bool) -> Option<StageSplit> {
+/// `None` when that kernel is not running on the AVX2 lanes.
+fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
     let snap = plummer(n, SEED);
-    let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
+    let cfg = Grape5Config { mode, ..Grape5Config::paper() };
     let (lo, hi) = bounding_window(&snap.pos).expect("finite workload");
     let scaler = RangeScaler::new(lo, hi, cfg.coord_bits);
     let pipe = G5Pipeline::new(&cfg, scaler.quantum(), EPS);
@@ -226,37 +243,51 @@ fn lns_stage_split(n: usize, quick: bool) -> Option<StageSplit> {
     let ni = if quick { 64 } else { 256 }.min(n);
     let rounds = if quick { 3 } else { 7 };
     let mut out = vec![Force::ZERO; ni];
-    let mut best = [f64::INFINITY; 5];
+    let stages = match mode {
+        ArithMode::Exact => EXACT_STAGES,
+        ArithMode::Lns => LNS_STAGES,
+    };
+    let mut best = vec![f64::INFINITY; stages.len()];
     for round in 0..=rounds {
-        for (s, &stage) in LnsStage::ALL.iter().enumerate() {
+        for (s, best) in best.iter_mut().enumerate() {
             let xi = &raw[(round * ni) % (n - ni + 1)..][..ni];
+            let (fs, fmt) = (1.0, cfg.acc_format);
             let t = Instant::now();
-            if !pipe.interact_block_lns_upto(stage, xi, &j, 1.0, cfg.acc_format, &mut out) {
+            let ran = match mode {
+                ArithMode::Exact => {
+                    pipe.interact_block_exact_upto(ExactStage::ALL[s], xi, &j, fs, fmt, &mut out)
+                }
+                ArithMode::Lns => {
+                    pipe.interact_block_lns_upto(LnsStage::ALL[s], xi, &j, fs, fmt, &mut out)
+                }
+            };
+            if !ran {
                 return None;
             }
             let ns = t.elapsed().as_secs_f64() * 1e9 / (ni * n) as f64;
             if round > 0 {
-                best[s] = best[s].min(ns); // round 0 warms caches and ROMs
+                *best = best.min(ns); // round 0 warms caches and ROMs
             }
         }
     }
-    Some(StageSplit { n, prefix_ns: best })
+    Some(StageSplit { n, mode, stages, prefix_ns: best })
 }
 
 fn stage_table(split: &StageSplit) {
     println!();
     println!(
-        "E10 — LNS lane kernel, ns/interaction per pipeline stage (N = {}, AVX2 lanes)",
+        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, AVX2 lanes)",
+        mode_str(split.mode),
         fmt_count(split.n as u64)
     );
     rule(78);
     println!("{:<44} {:>10} {:>10} {:>10}", "stage", "ns/int", "share", "prefix");
     rule(78);
-    let total = split.prefix_ns[4];
-    for (k, ns) in split.stage_ns().iter().enumerate() {
+    let (total, stage_ns) = (split.total(), split.stage_ns());
+    for (k, ns) in stage_ns.iter().enumerate() {
         println!(
             "{:<44} {:>10.2} {:>9.0}% {:>10.2}",
-            StageSplit::NAMES[k],
+            split.stages[k].1,
             ns,
             100.0 * ns / total,
             split.prefix_ns[k]
@@ -265,24 +296,27 @@ fn stage_table(split: &StageSplit) {
     rule(78);
     println!(
         "next bottleneck: {} ({:.0}% of {:.2} ns/interaction)",
-        StageSplit::NAMES[split.bottleneck()],
-        100.0 * split.stage_ns()[split.bottleneck()] / total,
+        split.stages[split.bottleneck()].1,
+        100.0 * stage_ns[split.bottleneck()] / total,
         total
     );
     println!("(each row: kernel truncated after that stage minus the row above; one core)");
 }
 
 fn stage_json(split: &StageSplit) -> String {
-    let mut s =
-        format!("  \"lns_stage_split\": {{\"n\": {}, \"unit\": \"ns_per_interaction\"", split.n);
+    let mut s = format!(
+        "  \"{}_stage_split\": {{\"n\": {}, \"unit\": \"ns_per_interaction\"",
+        mode_str(split.mode),
+        split.n
+    );
     for (k, ns) in split.stage_ns().iter().enumerate() {
-        write!(s, ", \"{}\": {}", StageSplit::KEYS[k], ns).unwrap();
+        write!(s, ", \"{}\": {}", split.stages[k].0, ns).unwrap();
     }
     write!(
         s,
         ", \"total\": {}, \"bottleneck\": \"{}\"}},",
-        split.prefix_ns[4],
-        StageSplit::KEYS[split.bottleneck()]
+        split.total(),
+        split.stages[split.bottleneck()].0
     )
     .unwrap();
     s
@@ -504,10 +538,30 @@ fn main() {
             fmt_count(worst.n as u64)
         );
     }
-    let split = lns_stage_split(sizes[0], quick);
-    match &split {
-        Some(split) => stage_table(split),
-        None => println!("(LNS stage split: needs the AVX2 lane path; skipped)"),
+    let splits: Vec<StageSplit> = [ArithMode::Exact, ArithMode::Lns]
+        .into_iter()
+        .filter_map(|mode| {
+            let split = stage_split(mode, sizes[0], quick);
+            match &split {
+                Some(split) => stage_table(split),
+                None => {
+                    println!("({} stage split: needs the AVX2 lane path; skipped)", mode_str(mode))
+                }
+            }
+            split
+        })
+        .collect();
+    // share of the exact kernel that is the force, not the simulated
+    // accumulator (the rest: unscale, encode, round, window, adds)
+    let exact_force_share =
+        splits.iter().find(|s| s.mode == ArithMode::Exact).map(|s| s.prefix_ns[0] / s.total());
+    if let Some(share) = exact_force_share {
+        println!(
+            "headline: the force is {:.0}% of the exact lane kernel, the fixed-point \
+             tail {:.0}% (gate: tail <= force)",
+            100.0 * share,
+            100.0 * (1.0 - share)
+        );
     }
 
     // exact-mode lane headline — the PR 8 acceptance gate
@@ -536,7 +590,7 @@ fn main() {
     writeln!(text, "  \"seed\": {SEED},").unwrap();
     writeln!(text, "  \"eps\": {EPS},").unwrap();
     writeln!(text, "  \"ops_per_interaction\": 38,").unwrap();
-    if let Some(split) = &split {
+    for split in &splits {
         writeln!(text, "{}", stage_json(split)).unwrap();
     }
     writeln!(text, "  \"results\": [").unwrap();
@@ -555,25 +609,24 @@ fn main() {
     if !traj_path.is_empty() && headline.scalar.is_some() {
         let pr: String = args.get("pr", "unlabelled".to_string());
         let commit = trajectory::working_commit();
-        let row = |metric: &str, value: f64| Entry {
+        let row_at = |metric: &str, n: usize, value: f64| Entry {
             pr: pr.clone(),
             commit: commit.clone(),
             metric: metric.into(),
-            n: headline.n as u64,
+            n: n as u64,
             value,
         };
+        let row = |metric: &str, value: f64| row_at(metric, headline.n, value);
         // ratios only: same-run A/Bs survive a change of machine
         let exact = results
             .iter()
             .find(|r| r.mode == ArithMode::Exact && r.n == headline.n)
             .expect("every N is measured in both modes");
-        let rows = [
-            row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap()),
-            row(
-                "kernel_lns_over_exact_rate",
-                headline.batch.per_second() / exact.batch.per_second(),
-            ),
-        ];
+        // (no cross-mode rate ratio: it moves whenever either kernel
+        // improves, so it has no direction a regression gate can hold)
+        let mut rows = vec![row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap())];
+        rows.extend(exact.lane_speedup().map(|x| row("kernel_exact_lane_speedup", x)));
+        rows.extend(exact_force_share.map(|x| row_at("kernel_exact_force_share", sizes[0], x)));
         let old = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
         let mut lines = trajectory::entry_lines(&old);
         lines.extend(rows.iter().map(Entry::json));

@@ -10,13 +10,17 @@
 //! group's bounding sphere walks every remote shard's tree with the
 //! same MAC ([`g5tree::domain::let_terms_into`]) and the accepted cell
 //! monopoles / opened bodies are appended to that group's j-list. The
-//! remote terms a group sees are therefore the terms the monolithic
-//! tree would have put on its list — not a coarse whole-domain import,
-//! which for adjacent Morton slices degenerates to opening essentially
-//! every remote body. Shards evaluate concurrently in scoped threads;
-//! on real hardware each shard is a PC+GRAPE pair, so the cluster's
-//! critical path is the *slowest* shard, which is what the
-//! `exp_cluster` harness reports.
+//! remote terms a group sees are therefore resolved at the group's own
+//! scale — not a coarse whole-domain import, which for adjacent Morton
+//! slices degenerates to opening essentially every remote body. They
+//! are *not* the terms the monolithic tree would have put on its list:
+//! every shard tree is built on its own bounding cube
+//! (`Tree::build_with_hint` frames the shard's particles), so its cells
+//! and groups differ from the monolithic tree's and the lists come out
+//! longer (`domain.let_inflation` in the benchmark). Shards evaluate
+//! concurrently in scoped threads; on real hardware each shard is a
+//! PC+GRAPE pair, so the cluster's critical path is the *slowest*
+//! shard, which is what the `exp_cluster` harness reports.
 //!
 //! ## Equivalences and error bounds
 //!
@@ -637,9 +641,10 @@ impl ClusterTreeGrape {
 ///
 /// Remote mass is resolved per group: the group's drift-inflated sphere
 /// walks every remote shard's tree with the force MAC, so the imported
-/// terms are exactly the terms the monolithic traversal would have put
-/// on this group's list. With no remote trees (K = 1) the group list
-/// streams untouched.
+/// terms pass the acceptance test the group's own list passed (on the
+/// remote shard's cells, which are not the monolithic tree's — see the
+/// module docs). With no remote trees (K = 1) the group list streams
+/// untouched.
 ///
 /// Two schedules resolve those remote terms:
 ///

@@ -31,11 +31,19 @@
 //!   valid because a coordinate-magnitude guard routes any call with
 //!   raw words ≥ 2⁵⁰ to the portable path.
 //! * `FixedFormat::encode`'s round-half-away-from-zero is emulated as
-//!   truncate + signed bump where `|frac| ≥ ½` (exact: the fraction of
-//!   a truncation is computed without rounding error), and its
+//!   `trunc(x + copysign(pred(½), x))` (`round_half_away`), and its
 //!   saturation as clamp-after-round, equivalent for `|scaled| < 2⁵⁰`;
-//!   any lane outside that window — or NaN — falls back to the scalar
+//!   any term outside that window — or NaN — falls back to the scalar
 //!   `encode` itself.
+//! * The rounded terms of a j-span are summed in four *column*
+//!   accumulators (`Σfx, Σfy, Σfz, Σpot`, lane = j mod 4) and folded
+//!   into the running words once per span. Integer adds are
+//!   associative, so whenever no prefix of the ordered saturating chain
+//!   can clamp — every term inside the encode window, the carried-in
+//!   word with 2⁶⁰ of headroom, a span of at most `J_BLOCK` terms —
+//!   the column sums *are* that chain. The first group that cannot
+//!   show this flushes the columns and goes through the ordered
+//!   per-j accumulate, the one slow path and the definition.
 //! * The zero-distance guard blends guarded lanes to `+0.0`, which
 //!   encodes to a raw `0` term — a bitwise no-op on the accumulator,
 //!   exactly like the scalar path's `continue`.
@@ -53,8 +61,9 @@
 //!   squarers / adders         i32 adds; sb ROM gather at min(d, last)
 //!   (·)^-3/2, (·)^-1/2        integer scaling of the log word
 //!   multipliers (m, dx)       i32 adds
-//!   antilog ROM               mantissa-ROM gather | exponent field
-//!   fixed-point accumulate    the exact kernel's vector accumulate
+//!   antilog ROM               mantissa-ROM gather | exponent field,
+//!                             per component (no per-j transpose)
+//!   fixed-point accumulate    the exact kernel's column accumulators
 //! ```
 //!
 //! Two arguments carry the LNS contract (`pair_lns_tab` stays the
@@ -91,7 +100,7 @@
 //! `quantize_columns` writes a j-set's fixed-point words straight
 //! into the board's SoA columns, held word for word to
 //! `RangeScaler::quantize` (IEEE subtract and divide kept, saturation
-//! as a clamp, round-half-away as the truncate-and-bump above; windows
+//! as a clamp, round-half-away as the `round_half_away` above; windows
 //! wider than 51 bits fall back to the definition).
 
 use crate::pipeline::{Force, G5Pipeline, JSlices};
@@ -187,6 +196,26 @@ impl ScaleMode {
             ScaleMode::Div(s) => t / s,
         }
     }
+}
+
+/// The largest double below one half, `½ − 2⁻⁵⁴`.
+const HALF_PRED: f64 = 0.499_999_999_999_999_94;
+
+/// Round half away from zero as one add and a truncation:
+/// `x.round() as i64` for every `x` (NaN is 0, as the cast has it). The
+/// AVX2 `round_away_to_i64` is this in vector form.
+///
+/// Why `pred(½)` and not `½`: for `x = n + f ≥ 0` the sum must stay
+/// below `n + 1` whenever `f < ½` — adding `½` to `pred(½)` itself
+/// rounds up to `1.0` — and must still reach `n + 1` when `f = ½`,
+/// where `n + 1 − 2⁻⁵⁴` rounds to the double `n + 1` because nothing
+/// representable is nearer (the one tie, at `n = 0`, goes to the even
+/// `1.0`). From 2⁵² on `x` is an integer and the add returns it.
+/// DESIGN.md (device-kernel section) walks through the cases; the
+/// `lanes_round_half_away_*` referees hold it to `f64::round`.
+#[inline(always)]
+fn round_half_away(x: f64) -> i64 {
+    (x + HALF_PRED.copysign(x)) as i64
 }
 
 /// The scalar end of every kernel: unscale one interaction's terms and
@@ -314,14 +343,86 @@ pub(crate) fn block_exact_lanes(
     fmt: FixedFormat,
     out: &mut [Force],
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if path == LanePath::Avx2 && coords_in_magic_window(xi, j) {
-        // SAFETY: `LanePath::Avx2` is only ever produced after
-        // `is_x86_feature_detected!("avx2")` succeeded.
-        return unsafe { avx2::block_exact(quantum, eps2, xi, j, force_scale, fmt, out) };
+    if path == LanePath::Avx2
+        && block_exact_avx2_upto(
+            ExactStage::Accumulate,
+            quantum,
+            eps2,
+            xi,
+            j,
+            force_scale,
+            fmt,
+            out,
+        )
+    {
+        return;
     }
-    let _ = path;
     block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out)
+}
+
+/// Prefixes of the exact lane kernel, for per-stage timing: running the
+/// AVX2 kernel [`G5Pipeline::interact_block_exact_upto`] a stage shows
+/// what the simulated accumulator costs next to the force itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExactStage {
+    /// Load, fixed-point subtract, `i64 → f64`, the force and potential
+    /// terms, zero-distance guard.
+    Force,
+    /// … plus unscale, `× 2^frac_bits` and round-half-away to `i64`.
+    Round,
+    /// The whole kernel: window test, column adds, the per-span fold.
+    Accumulate,
+}
+
+impl ExactStage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [ExactStage; 3] = [ExactStage::Force, ExactStage::Round, ExactStage::Accumulate];
+}
+
+/// Run the AVX2 exact kernel truncated after `upto` (earlier results
+/// are folded into the accumulators so nothing is optimized away —
+/// `out` is only meaningful for [`ExactStage::Accumulate`], the whole
+/// kernel). Returns `false` without touching `out` when the AVX2 kernel
+/// cannot take this call: no AVX2, or coordinates outside the magic
+/// window.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn block_exact_avx2_upto(
+    upto: ExactStage,
+    quantum: f64,
+    eps2: f64,
+    xi: &[[i64; 3]],
+    j: &JSlices<'_>,
+    force_scale: f64,
+    fmt: FixedFormat,
+    out: &mut [Force],
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
+        // SAFETY: AVX2 was detected and the coordinate guard passed.
+        unsafe {
+            macro_rules! upto {
+                ($s:ident) => {
+                    avx2::block_exact::<{ ExactStage::$s as u8 }>(
+                        quantum,
+                        eps2,
+                        xi,
+                        j,
+                        force_scale,
+                        fmt,
+                        out,
+                    )
+                };
+            }
+            match upto {
+                ExactStage::Force => upto!(Force),
+                ExactStage::Round => upto!(Round),
+                ExactStage::Accumulate => upto!(Accumulate),
+            }
+        }
+        return true;
+    }
+    let _ = (upto, quantum, eps2, xi, j, force_scale, fmt, out);
+    false
 }
 
 /// Coordinate-magnitude guard of the AVX2 kernels: `|a|, |b| < 2⁵⁰`
@@ -423,18 +524,14 @@ impl QuantCtx {
     /// * round-half-away is monotone and both bounds are integers, so
     ///   rounding the *clamped* value equals the definition's
     ///   saturate-else-round;
-    /// * truncation (`as i64`, exact below 2⁶³) leaves an exactly
-    ///   representable fraction, so bumping by its sign where
-    ///   `|frac| ≥ ½` is `f64::round`;
-    /// * NaN fails both clamp compares, casts to 0 and bumps nothing.
+    /// * [`round_half_away`] is `f64::round` on the clamped value;
+    /// * NaN fails both clamp compares and casts to 0.
     #[inline(always)]
     fn word(&self, x: f64) -> i64 {
         let s = (x - self.center) / self.quantum;
         let c = if s > self.maxf { self.maxf } else { s };
         let c = if c < self.minf { self.minf } else { c };
-        let t = c as i64;
-        let frac = c - t as f64;
-        t + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+        round_half_away(c)
     }
 }
 
@@ -670,7 +767,7 @@ pub enum LnsStage {
     Adder,
     /// … plus the power units, multipliers and sign logic.
     Scale,
-    /// … plus the transpose and antilog ROM.
+    /// … plus the antilog ROM.
     Decode,
     /// The whole kernel, fixed-point accumulate included.
     Accumulate,
@@ -727,8 +824,8 @@ pub(crate) fn block_lns_avx2_upto(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, LnsLanes, LnsStage, QuantCtx, ScalarAcc,
-        ScaleMode, LANES, LNS_LANES, ZERO_WORD,
+        block_tiled, exact_pair, scale_mode, span_pairs, ExactStage, LnsLanes, LnsStage, QuantCtx,
+        ScalarAcc, ScaleMode, HALF_PRED, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
     };
     use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
@@ -753,6 +850,12 @@ mod avx2 {
         Div(__m256d),
     }
 
+    /// Headroom a span needs on its carried-in accumulator words for
+    /// its column sums to equal the ordered saturating chain: a span is
+    /// at most `J_BLOCK` terms, each at most 2⁵⁰ once rounded.
+    const SPAN_HEADROOM: i64 = 1 << 60;
+    const _: () = assert!((J_BLOCK as i64) << 50 < SPAN_HEADROOM);
+
     /// Hoisted per-call constants of the vector fixed accumulate — the
     /// one copy both kernels end in.
     #[derive(Clone, Copy)]
@@ -763,20 +866,21 @@ mod avx2 {
         rmin: __m256i,
         rmax: __m256i,
         vs: VScale,
-        /// Group fast path available: the format's range covers the
+        /// Column fast path available: the format's range covers the
         /// encode window (so the per-term clamp cannot bind) and leaves
-        /// 2⁵² of headroom to test the running accumulator against.
+        /// [`SPAN_HEADROOM`] on both sides to test the running
+        /// accumulator against.
         group_fast: bool,
-        hmaxv: __m256i,
-        hminv: __m256i,
+        hmax: i64,
+        hmin: i64,
     }
 
     impl AccCtx {
         #[target_feature(enable = "avx2")]
         unsafe fn new(fmt: FixedFormat, force_scale: f64) -> AccCtx {
             let enc = fmt.encode_scale();
-            let hmax = fmt.raw_max().saturating_sub(1 << 52);
-            let hmin = fmt.raw_min().saturating_add(1 << 52);
+            let hmax = fmt.raw_max().saturating_sub(SPAN_HEADROOM);
+            let hmin = fmt.raw_min().saturating_add(SPAN_HEADROOM);
             AccCtx {
                 encv: _mm256_set1_pd(enc),
                 enc,
@@ -791,9 +895,33 @@ mod avx2 {
                 group_fast: fmt.raw_max() >= (1i64 << 50)
                     && fmt.raw_min() <= -(1i64 << 50)
                     && hmin < hmax,
-                hmaxv: _mm256_set1_epi64x(hmax),
-                hminv: _mm256_set1_epi64x(hmin),
+                hmax,
+                hmin,
             }
+        }
+
+        /// Whether a span carried in on `a` may run on the columns.
+        #[inline]
+        fn headroom(&self, a: &[i64; 4]) -> bool {
+            self.group_fast && a.iter().all(|&w| self.hmin <= w && w <= self.hmax)
+        }
+
+        /// The four component vectors in accumulator units.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn unscale(&self, f: [__m256d; 4]) -> [__m256d; 4] {
+            match self.vs {
+                VScale::None => f,
+                VScale::Mul(iv) => f.map(|f| _mm256_mul_pd(f, iv)),
+                VScale::Div(sv) => f.map(|f| _mm256_div_pd(f, sv)),
+            }
+        }
+
+        /// … and times `2^frac_bits`, ready to round.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn encode(&self, v: [__m256d; 4]) -> [__m256d; 4] {
+            v.map(|v| _mm256_mul_pd(v, self.encv))
         }
     }
 
@@ -812,31 +940,42 @@ mod avx2 {
         _mm256_blendv_epi8(v, lo, _mm256_cmpgt_epi64(lo, v))
     }
 
-    /// Per-lane `|scaled| < 2⁵⁰` (false for NaN), as a pd mask.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn in_window(scaled: __m256d) -> __m256d {
-        let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), scaled);
-        _mm256_cmp_pd::<_CMP_LT_OQ>(abs, _mm256_set1_pd(ENC_LIM))
+    unsafe fn abs_pd(v: __m256d) -> __m256d {
+        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
+    }
+
+    /// Per-lane `magnitude < 2⁵⁰` (false for NaN), as a pd mask.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn in_window(magnitude: __m256d) -> __m256d {
+        _mm256_cmp_pd::<_CMP_LT_OQ>(magnitude, _mm256_set1_pd(ENC_LIM))
+    }
+
+    /// [`round_away_to_i64`] short of its last step: the rounded
+    /// integer still riding the shifter, i.e. the i64 plus
+    /// [`MAGIC_BITS`]. Lane for lane the scalar
+    /// [`round_half_away`](super::round_half_away) — add the signed
+    /// `pred(½)`, truncate — then the exact magic conversion; valid for
+    /// `|scaled| ≤ 2⁵⁰`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn round_away_biased(scaled: __m256d) -> __m256i {
+        let sign = _mm256_and_pd(scaled, _mm256_set1_pd(-0.0));
+        let half = _mm256_or_pd(sign, _mm256_set1_pd(HALF_PRED));
+        let rounded = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(_mm256_add_pd(
+            scaled, half,
+        ));
+        _mm256_castpd_si256(_mm256_add_pd(rounded, _mm256_set1_pd(MAGIC)))
     }
 
     /// Round half away from zero and convert to i64 — `scaled.round()
-    /// as i64`, bit for bit, valid for `|scaled| < 2⁵⁰`: truncate, bump
-    /// ±1 where `|frac| ≥ ½` (the fraction of a truncation is exact, so
-    /// this reproduces `f64::round`), then the exact magic conversion.
+    /// as i64`, bit for bit, valid for `|scaled| ≤ 2⁵⁰`.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn round_away_to_i64(scaled: __m256d) -> __m256i {
-        let tr = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(scaled);
-        let frac = _mm256_sub_pd(scaled, tr);
-        let afrac = _mm256_andnot_pd(_mm256_set1_pd(-0.0), frac);
-        let bump = _mm256_cmp_pd::<_CMP_GE_OQ>(afrac, _mm256_set1_pd(0.5));
-        let sign1 = _mm256_or_pd(_mm256_and_pd(scaled, _mm256_set1_pd(-0.0)), _mm256_set1_pd(1.0));
-        let rounded = _mm256_add_pd(tr, _mm256_and_pd(bump, sign1));
-        _mm256_sub_epi64(
-            _mm256_castpd_si256(_mm256_add_pd(rounded, _mm256_set1_pd(MAGIC))),
-            _mm256_set1_epi64x(MAGIC_BITS),
-        )
+        _mm256_sub_epi64(round_away_biased(scaled), _mm256_set1_epi64x(MAGIC_BITS))
     }
 
     /// One vector `Fixed::accumulate_with_scale` over the 4 components
@@ -845,7 +984,7 @@ mod avx2 {
     #[inline]
     unsafe fn accumulate4(acc: __m256i, v: __m256d, c: &AccCtx) -> __m256i {
         let scaled = _mm256_mul_pd(v, c.encv);
-        let ok = in_window(scaled);
+        let ok = in_window(abs_pd(scaled));
         if _mm256_movemask_pd(ok) != 0b1111 {
             // Rare: a term saturates the format or is NaN. The scalar
             // encode is the definition of correctness — defer to it.
@@ -871,57 +1010,116 @@ mod avx2 {
         clamp_epi64(_mm256_blendv_epi8(sum, sat, ovf), c.rmin, c.rmax)
     }
 
-    /// Accumulate four consecutive j-interactions, each a per-j vector
-    /// `[fx, fy, fz, pot]`, in ascending j order: unscale, then either
-    /// the group fast path or four [`accumulate4`] steps.
-    ///
-    /// Group fast path: when every term is inside the encode window and
-    /// the running accumulator has ≥ 2⁵² of headroom (> 4 terms × 2⁵⁰,
-    /// so no prefix sum can clamp or overflow), the four saturating
-    /// adds collapse to one associative integer sum — the serial
-    /// accumulate dependency is replaced by a tree add.
+    /// The slow path of the accumulate and its definition: transpose
+    /// four consecutive j-interactions from component vectors (already
+    /// unscaled) to per-j `[fx, fy, fz, pot]` and take them through
+    /// [`accumulate4`] one j at a time. Kept out of line (and away from
+    /// [`Columns`], which must stay in registers).
     #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn accumulate_group(av: __m256i, v: [__m256d; 4], c: &AccCtx) -> __m256i {
-        let [v0, v1, v2, v3] = match c.vs {
-            VScale::None => v,
-            VScale::Mul(iv) => [
-                _mm256_mul_pd(v[0], iv),
-                _mm256_mul_pd(v[1], iv),
-                _mm256_mul_pd(v[2], iv),
-                _mm256_mul_pd(v[3], iv),
-            ],
-            VScale::Div(sv) => [
-                _mm256_div_pd(v[0], sv),
-                _mm256_div_pd(v[1], sv),
-                _mm256_div_pd(v[2], sv),
-                _mm256_div_pd(v[3], sv),
-            ],
-        };
-        let s0 = _mm256_mul_pd(v0, c.encv);
-        let s1 = _mm256_mul_pd(v1, c.encv);
-        let s2 = _mm256_mul_pd(v2, c.encv);
-        let s3 = _mm256_mul_pd(v3, c.encv);
-        let ok = _mm256_and_pd(
-            _mm256_and_pd(in_window(s0), in_window(s1)),
-            _mm256_and_pd(in_window(s2), in_window(s3)),
-        );
-        let acc_tight =
-            _mm256_or_si256(_mm256_cmpgt_epi64(av, c.hmaxv), _mm256_cmpgt_epi64(c.hminv, av));
-        if c.group_fast
-            && _mm256_movemask_pd(ok) == 0b1111
-            && _mm256_testz_si256(acc_tight, acc_tight) != 0
-        {
-            let t = _mm256_add_epi64(
-                _mm256_add_epi64(round_away_to_i64(s0), round_away_to_i64(s1)),
-                _mm256_add_epi64(round_away_to_i64(s2), round_away_to_i64(s3)),
+    #[cold]
+    #[inline(never)]
+    unsafe fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
+        let t0 = _mm256_unpacklo_pd(v[0], v[1]);
+        let t1 = _mm256_unpackhi_pd(v[0], v[1]);
+        let t2 = _mm256_unpacklo_pd(v[2], v[3]);
+        let t3 = _mm256_unpackhi_pd(v[2], v[3]);
+        let mut av = _mm256_loadu_si256(a.as_ptr().cast());
+        av = accumulate4(av, _mm256_permute2f128_pd::<0x20>(t0, t2), c);
+        av = accumulate4(av, _mm256_permute2f128_pd::<0x20>(t1, t3), c);
+        av = accumulate4(av, _mm256_permute2f128_pd::<0x31>(t0, t2), c);
+        av = accumulate4(av, _mm256_permute2f128_pd::<0x31>(t1, t3), c);
+        _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+    }
+
+    /// The four column accumulators `Σfx, Σfy, Σfz, Σpot` of one
+    /// (i-particle, j-span): lane `l` of a column holds the rounded
+    /// terms of the span's j-particles `≡ l (mod 4)` not yet folded
+    /// into the running words.
+    ///
+    /// Invariant: while `fast`, the running words had
+    /// [`SPAN_HEADROOM`] when it was last set, and every term added
+    /// since — at most `J_BLOCK` per word, the value lives for one span
+    /// — is at most 2⁵⁰ in magnitude. So no prefix of the ordered
+    /// saturating chain over those terms can clamp or overflow, and the
+    /// chain equals the plain integer sum the columns hold, in any
+    /// order. While `!fast` the columns stay zero.
+    ///
+    /// The terms go in as [`round_away_biased`] leaves them, each
+    /// [`MAGIC_BITS`] too large: wrapping adds are exact modulo 2⁶⁴, so
+    /// the bias comes off once per fold (`groups` × `MAGIC_BITS` per
+    /// lane) instead of once per term.
+    struct Columns {
+        sum: [__m256i; 4],
+        /// Groups added since the last fold.
+        groups: i64,
+        fast: bool,
+    }
+
+    impl Columns {
+        /// Start a span carried in on the running words `a`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn open(a: &[i64; 4], c: &AccCtx) -> Columns {
+            Columns { sum: [_mm256_setzero_si256(); 4], groups: 0, fast: c.headroom(a) }
+        }
+
+        /// Add four consecutive j-interactions, given as the component
+        /// vectors `[fx, fy, fz, pot]` (lane = j), in ascending j order.
+        ///
+        /// One compare on `|s0| + |s1| + |s2| + |s3|` is the window
+        /// test: a float sum of non-negatives is at least each of them,
+        /// NaN and ±inf propagate through it, and a group it rejects
+        /// although each term alone would pass merely takes the slow
+        /// path, which is exact for any input: fold the columns, add
+        /// the group in order ([`add_ordered`]), then see whether what
+        /// follows may use the columns (again).
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn add(&mut self, a: &mut [i64; 4], f: [__m256d; 4], c: &AccCtx) {
+            let v = c.unscale(f);
+            let s = c.encode(v);
+            let mag = _mm256_add_pd(
+                _mm256_add_pd(abs_pd(s[0]), abs_pd(s[1])),
+                _mm256_add_pd(abs_pd(s[2]), abs_pd(s[3])),
             );
-            _mm256_add_epi64(av, t)
-        } else {
-            let av = accumulate4(av, v0, c);
-            let av = accumulate4(av, v1, c);
-            let av = accumulate4(av, v2, c);
-            accumulate4(av, v3, c)
+            if self.fast && _mm256_movemask_pd(in_window(mag)) == 0b1111 {
+                for (sum, s) in self.sum.iter_mut().zip(s) {
+                    *sum = _mm256_add_epi64(*sum, round_away_biased(s));
+                }
+                self.groups += 1;
+            } else {
+                self.flush(a);
+                add_ordered(a, v, c);
+                self.fast = c.headroom(a);
+            }
+        }
+
+        /// Fold the columns into the running words (one horizontal sum
+        /// per component) and clear them. Must precede anything else
+        /// that reads or writes `a`; after scalar work on `a`, `fast`
+        /// is to be re-derived from [`AccCtx::headroom`].
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn flush(&mut self, a: &mut [i64; 4]) {
+            // wrapping: the true sum is in range by the struct
+            // invariant, the biased one is not (and the truncated
+            // profiling prefixes fold their sink through here)
+            let bias = (LANES as i64 * self.groups).wrapping_mul(MAGIC_BITS);
+            for (a, sum) in a.iter_mut().zip(&mut self.sum) {
+                let mut l = [0i64; LANES];
+                _mm256_storeu_si256(l.as_mut_ptr().cast(), *sum);
+                let terms = l.iter().fold(bias.wrapping_neg(), |t, &l| t.wrapping_add(l));
+                *a = a.wrapping_add(terms);
+                *sum = _mm256_setzero_si256();
+            }
+            self.groups = 0;
+        }
+
+        /// Keep a truncated profiling prefix's result alive.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn sink(&mut self, v: __m256i) {
+            self.sum[0] = _mm256_xor_si256(self.sum[0], v);
         }
     }
 
@@ -990,13 +1188,15 @@ mod avx2 {
         lanes_end
     }
 
-    /// The AVX2 exact-mode block kernel.
+    /// The AVX2 exact-mode block kernel, truncated after stage `UPTO`
+    /// (an [`ExactStage`] discriminant; `Accumulate` is the whole
+    /// kernel).
     ///
     /// # Safety
     /// The CPU must support AVX2, and every coordinate word in `xi` and
     /// `j` must be inside `(-2⁵⁰, 2⁵⁰)` (`coords_in_magic_window`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block_exact(
+    pub(super) unsafe fn block_exact<const UPTO: u8>(
         quantum: f64,
         eps2: f64,
         xi: &[[i64; 3]],
@@ -1015,7 +1215,7 @@ mod avx2 {
             // slicing bounds-checks every vector load below
             let (bx, by, bz, bm) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m[js..je]);
             let lanes_end = bx.len() / LANES * LANES;
-            let mut av = _mm256_loadu_si256(a.as_ptr().cast());
+            let mut cols = Columns::open(a, &ctx);
             let xv0 = _mm256_set1_epi64x(x[0]);
             let xv1 = _mm256_set1_epi64x(x[1]);
             let xv2 = _mm256_set1_epi64x(x[2]);
@@ -1046,26 +1246,30 @@ mod avx2 {
                 let s = _mm256_mul_pd(m4, rinv3);
                 // zero-distance guard: blend guarded lanes to +0.0
                 let zm = _mm256_castsi256_pd(zero);
-                let fx = _mm256_andnot_pd(zm, _mm256_mul_pd(dx, s));
-                let fy = _mm256_andnot_pd(zm, _mm256_mul_pd(dy, s));
-                let fz = _mm256_andnot_pd(zm, _mm256_mul_pd(dz, s));
-                let fp = _mm256_andnot_pd(zm, _mm256_mul_pd(m4, rinv));
-                // 4×4 transpose to per-j [fx, fy, fz, pot]
-                let t0 = _mm256_unpacklo_pd(fx, fy);
-                let t1 = _mm256_unpackhi_pd(fx, fy);
-                let t2 = _mm256_unpacklo_pd(fz, fp);
-                let t3 = _mm256_unpackhi_pd(fz, fp);
-                let v = [
-                    _mm256_permute2f128_pd::<0x20>(t0, t2),
-                    _mm256_permute2f128_pd::<0x20>(t1, t3),
-                    _mm256_permute2f128_pd::<0x31>(t0, t2),
-                    _mm256_permute2f128_pd::<0x31>(t1, t3),
+                let f = [
+                    _mm256_andnot_pd(zm, _mm256_mul_pd(dx, s)),
+                    _mm256_andnot_pd(zm, _mm256_mul_pd(dy, s)),
+                    _mm256_andnot_pd(zm, _mm256_mul_pd(dz, s)),
+                    _mm256_andnot_pd(zm, _mm256_mul_pd(m4, rinv)),
                 ];
-                av = accumulate_group(av, v, &ctx);
+                if UPTO == ExactStage::Force as u8 {
+                    cols.sink(_mm256_castpd_si256(xor4(f)));
+                } else if UPTO == ExactStage::Round as u8 {
+                    let [t0, t1, t2, t3] = ctx.encode(ctx.unscale(f)).map(|s| round_away_biased(s));
+                    cols.sink(_mm256_xor_si256(_mm256_xor_si256(t0, t1), _mm256_xor_si256(t2, t3)));
+                } else {
+                    cols.add(a, f, &ctx);
+                }
             }
-            _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+            cols.flush(a);
             span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
         });
+    }
+
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn xor4(v: [__m256d; 4]) -> __m256d {
+        _mm256_xor_pd(_mm256_xor_pd(v[0], v[1]), _mm256_xor_pd(v[2], v[3]))
     }
 
     /// Hoisted per-call constants of the LNS integer stages (8 × i32).
@@ -1202,6 +1406,21 @@ mod avx2 {
         }
     }
 
+    /// Test hook: [`round_away_to_i64`] on four doubles.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn round4(x: [f64; 4]) -> [i64; 4] {
+        let mut out = [0i64; 4];
+        _mm256_storeu_si256(
+            out.as_mut_ptr().cast(),
+            round_away_to_i64(_mm256_loadu_pd(x.as_ptr())),
+        );
+        out
+    }
+
     /// Test hook: the vector log converter on eight displacements
     /// against a zero i-coordinate — `(core words, sign bits, redo)`.
     ///
@@ -1243,7 +1462,7 @@ mod avx2 {
             // slicing bounds-checks every vector load below
             let (bx, by, bz, bw) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m_word[js..je]);
             let lanes_end = bx.len() / LNS_LANES * LNS_LANES;
-            let mut av = _mm256_loadu_si256(a.as_ptr().cast());
+            let mut cols = Columns::open(a, &ctx);
             let xv0 = _mm256_set1_epi64x(x[0]);
             let xv1 = _mm256_set1_epi64x(x[1]);
             let xv2 = _mm256_set1_epi64x(x[2]);
@@ -1255,15 +1474,15 @@ mod avx2 {
                 let redo = _mm256_or_si256(_mm256_or_si256(gx, gy), gz);
                 if UPTO == LnsStage::Encode as u8 {
                     let sink = _mm256_xor_si256(_mm256_xor_si256(rx, ry), _mm256_xor_si256(rz, sx));
-                    av = _mm256_xor_si256(av, _mm256_xor_si256(sink, redo));
+                    cols.sink(_mm256_xor_si256(sink, redo));
                     continue;
                 }
                 if _mm256_testz_si256(redo, redo) == 0 {
                     // a lane asked for the scalar converters: the whole
                     // group goes through the definition
-                    _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+                    cols.flush(a);
                     span_pairs(&sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
-                    av = _mm256_loadu_si256(a.as_ptr().cast());
+                    cols.fast = ctx.headroom(a);
                     continue;
                 }
                 // --- squarers, r² adder, + ε² ---
@@ -1272,7 +1491,7 @@ mod avx2 {
                 let sqz = l.canon(_mm256_add_epi32(rz, rz));
                 let r2e = l.add8(l.add8(l.add8(sqx, sqy), sqz), l.eps2);
                 if UPTO == LnsStage::Adder as u8 {
-                    av = _mm256_xor_si256(av, r2e);
+                    cols.sink(r2e);
                     continue;
                 }
                 // --- power units: round-half-away −3r/2 and −r/2 ---
@@ -1309,45 +1528,23 @@ mod avx2 {
                 let wp = _mm256_or_si256(_mm256_andnot_si256(coincident, wp), msign);
                 if UPTO == LnsStage::Scale as u8 {
                     let sink = _mm256_xor_si256(_mm256_xor_si256(wx, wy), _mm256_xor_si256(wz, wp));
-                    av = _mm256_xor_si256(av, sink);
+                    cols.sink(sink);
                     continue;
                 }
-                // --- 4×4 dword transposes to per-j [fx, fy, fz, pot],
-                // j and j + 4 sharing a register; antilog ROM ---
-                let t0 = _mm256_unpacklo_epi32(wx, wy);
-                let t1 = _mm256_unpackhi_epi32(wx, wy);
-                let t2 = _mm256_unpacklo_epi32(wz, wp);
-                let t3 = _mm256_unpackhi_epi32(wz, wp);
-                let q = [
-                    _mm256_unpacklo_epi64(t0, t2),
-                    _mm256_unpackhi_epi64(t0, t2),
-                    _mm256_unpacklo_epi64(t1, t3),
-                    _mm256_unpackhi_epi64(t1, t3),
-                ];
-                let lo = [
-                    l.decode4(_mm256_castsi256_si128(q[0])),
-                    l.decode4(_mm256_castsi256_si128(q[1])),
-                    l.decode4(_mm256_castsi256_si128(q[2])),
-                    l.decode4(_mm256_castsi256_si128(q[3])),
-                ];
-                let hi = [
-                    l.decode4(_mm256_extracti128_si256::<1>(q[0])),
-                    l.decode4(_mm256_extracti128_si256::<1>(q[1])),
-                    l.decode4(_mm256_extracti128_si256::<1>(q[2])),
-                    l.decode4(_mm256_extracti128_si256::<1>(q[3])),
-                ];
+                // --- antilog ROM, per component: the low dwords are
+                // j .. j + 4, the high dwords j + 4 .. j + 8 ---
+                let w = [wx, wy, wz, wp];
+                let lo = w.map(|w| l.decode4(_mm256_castsi256_si128(w)));
+                let hi = w.map(|w| l.decode4(_mm256_extracti128_si256::<1>(w)));
                 if UPTO == LnsStage::Decode as u8 {
-                    let x = |v: [__m256d; 4]| {
-                        _mm256_xor_pd(_mm256_xor_pd(v[0], v[1]), _mm256_xor_pd(v[2], v[3]))
-                    };
-                    av = _mm256_xor_si256(av, _mm256_castpd_si256(_mm256_xor_pd(x(lo), x(hi))));
+                    cols.sink(_mm256_castpd_si256(_mm256_xor_pd(xor4(lo), xor4(hi))));
                     continue;
                 }
                 // --- fixed-point accumulate, ascending j ---
-                av = accumulate_group(av, lo, &ctx);
-                av = accumulate_group(av, hi, &ctx);
+                cols.add(a, lo, &ctx);
+                cols.add(a, hi, &ctx);
             }
-            _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
+            cols.flush(a);
             span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
         });
     }
@@ -1500,6 +1697,171 @@ mod tests {
                 assert_paths_agree(mode, 1e-6, 0.001, &xi, &j, 1.0, fmt, &format!("fmt={fmt:?}"));
             }
         }
+
+        // Placed terms. With quantum 1, eps 0, unit force scale and no
+        // fraction bits, a j-particle one grid step up an axis from the
+        // i-particle at the origin, with mass m, adds exactly m to that
+        // component and m to the potential (the LNS kernels see its
+        // log-rounded twin; the other i-particles see it obliquely).
+        // That steers the ordered saturating chain — the scalar path —
+        // at will, and the column accumulators must reproduce it
+        // wherever a term or the running word leaves their
+        // preconditions.
+        let p = |e: i32| f64::from(e).exp2();
+        let in_window = p(48); // |f| + |pot| = 2^49 per j: column-eligible
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            p(50), // just outside the encode window
+            -p(50),
+            p(50) - 0.125, // the largest term inside it …
+            p(49) + 1.0,   // … and one only the |f| + |pot| test rejects
+            -(p(49) + 0.5),
+        ];
+        let xi = [[0i64; 3], [0, 0, 2], [1, 1, 1]];
+        let check = |masses: &[f64], what: &str| {
+            let jraw: Vec<[i64; 3]> = (0..masses.len())
+                .map(|k| {
+                    let mut r = [0i64; 3];
+                    r[k % 3] = 1;
+                    r
+                })
+                .collect();
+            let j = jmem(&jraw, masses);
+            for fmt in [FixedFormat::new(64, 0), FixedFormat::new(32, 0)] {
+                for mode in MODES {
+                    let what = format!("{what} {fmt:?}");
+                    assert_paths_agree(mode, 1.0, 0.0, &xi, &j, 1.0, fmt, &what);
+                }
+            }
+        };
+        for tail in 0..=7 {
+            // a special term first / mid / last in a 512-j span (and
+            // somewhere in the tail, past the last whole group)
+            for (s, &special) in specials.iter().enumerate() {
+                for at in [0, 255, 511] {
+                    let mut m: Vec<f64> = (0..512 + tail)
+                        .map(|k| in_window * rng.random_range(-1.0..1.0) * f64::from(k % 5 != 0))
+                        .collect();
+                    m[at] = special;
+                    if tail > 0 {
+                        m[512 + (s + at) % tail] = special;
+                    }
+                    check(&m, &format!("special {special:e} at {at}, tail {tail}"));
+                }
+            }
+            for sign in [1.0, -1.0] {
+                // span 0 leaves x a step from the headroom line and the
+                // potential within 2^52 of the range end, neither
+                // saturated, so span 1 must start on the slow path: its
+                // in-window terms saturate the potential, then walk it
+                // back
+                let mut m = vec![0.0; 1024 + tail];
+                (0..21).step_by(3).for_each(|k| m[k] = sign * p(60));
+                m[22] = sign * (p(60) - p(52));
+                m[512..768].fill(sign * in_window);
+                m[768..].fill(-sign * in_window);
+                check(&m, &format!("preloaded, sign {sign}, tail {tail}"));
+                // one span: starts with headroom; a mid-span term takes
+                // it away without saturating (flush, ordered add,
+                // headroom gone); what follows saturates the potential
+                // some hundred terms later and walks it back
+                let mut m = vec![sign * in_window; 512 + tail];
+                m[200] = sign * (p(63) - p(57));
+                m[400..].fill(-sign * in_window);
+                check(&m, &format!("headroom lost mid-span, sign {sign}, tail {tail}"));
+            }
+        }
+
+        // The LNS kernel's other way out of the columns: a group
+        // re-run through the scalar converters. With the quantum on an
+        // encoder breakpoint a unit displacement is flagged; its mass
+        // puts the potential a few log steps under the range end, and
+        // the unflagged groups after it (displacement 3) saturate it.
+        let f = Grape5Config::paper().lns.frac_bits;
+        let q = (0.5 / f64::from(1u32 << f)).exp2();
+        let mut jraw = vec![[3i64, 0, 0]; 512];
+        let mut m = vec![0.9 * 3.0 * p(49); 512];
+        jraw[40] = [1, 0, 0];
+        m[40] = p(63) * (-2.0 / f64::from(1u32 << f)).exp2();
+        m[300..].iter_mut().for_each(|m| *m = -*m);
+        let j = jmem(&jraw, &m);
+        for mode in MODES {
+            let fmt = FixedFormat::new(64, 0);
+            assert_paths_agree(mode, q, 0.0, &xi, &j, 1.0, fmt, "headroom lost in a redo group");
+        }
+    }
+
+    /// `f64::round() as i64`, the definition `round_half_away` and the
+    /// AVX2 `round_away_to_i64` are held to.
+    fn assert_rounds_like_f64_round(xs: &[f64]) {
+        for &x in xs {
+            assert_eq!(round_half_away(x), x.round() as i64, "round_half_away({x:e})");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            for x4 in xs.chunks(4) {
+                let mut x = [0.0; 4];
+                x[..x4.len()].copy_from_slice(x4);
+                // SAFETY: AVX2 detected above.
+                let got = unsafe { avx2::round4(x) };
+                assert_eq!(got, x.map(round_half_away), "round_away_to_i64({x:?})");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_round_half_away_matches_f64_round() {
+        let lim = 50f64.exp2();
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            HALF_PRED,
+            0.5,
+            0.5 + f64::EPSILON / 4.0,
+            1.0 - f64::EPSILON / 2.0,
+            1.5 - f64::EPSILON,
+            f64::MIN_POSITIVE,
+            5e-324,
+            lim - 0.5,
+            lim - 0.625,
+            lim - 1.0,
+            lim - 0.125,
+        ];
+        xs.extend((0..1 << 12).map(|k| f64::from(k) + 0.5));
+        xs.extend((1..1 << 12).flat_map(|k| {
+            let tie = f64::from(k) + 0.5;
+            [f64::from_bits(tie.to_bits() - 1), f64::from_bits(tie.to_bits() + 1)]
+        }));
+        let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
+        xs.extend(negated);
+        assert_eq!(HALF_PRED.to_bits() + 1, 0.5f64.to_bits());
+        assert_rounds_like_f64_round(&xs);
+        // the scalar twin is `round` well past the lanes' window too
+        for x in [lim, 52f64.exp2() - 0.5, 52f64.exp2() + 1.0, 1e300, f64::INFINITY, f64::NAN] {
+            assert_eq!(round_half_away(x), x.round() as i64, "{x:e}");
+            assert_eq!(round_half_away(-x), (-x).round() as i64, "-{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lanes_round_half_away_matches_f64_round_on_random_values(
+            x in -1_125_899_906_842_624.0f64..1_125_899_906_842_624.0, // ±2^50
+            down in 0i32..60,
+        ) {
+            // the value itself, the same mantissa in a lower binade,
+            // and the ties and near-ties next to both
+            let y = x * f64::from(-down).exp2();
+            let near = |v: f64| {
+                let tie = v.trunc() + 0.5f64.copysign(v);
+                [v, tie, f64::from_bits(tie.to_bits() - 1), f64::from_bits(tie.to_bits() + 1)]
+            };
+            let xs: Vec<f64> =
+                near(x).into_iter().chain(near(y)).filter(|v| v.abs() < 50f64.exp2()).collect();
+            assert_rounds_like_f64_round(&xs);
+        }
     }
 
     #[test]
@@ -1617,21 +1979,31 @@ mod tests {
     }
 
     #[test]
-    fn truncated_lns_kernel_at_the_last_stage_is_the_kernel() {
+    fn truncated_kernels_at_the_last_stage_are_the_kernels() {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let fmt = FixedFormat::new(64, 32);
         let (xi, j) = random_block(&mut rng, 5, 61, 1 << 30);
-        let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
-        let p = G5Pipeline::new(&cfg, 2e-10, 0.01);
-        let mut want = vec![Force::ZERO; xi.len()];
-        p.interact_block(&xi, &j.j_slices(), 0.25, fmt, &mut want);
-        let mut got = vec![Force::ZERO; xi.len()];
-        for stage in LnsStage::ALL {
-            let ran = p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
-            assert_eq!(ran, p.lane_path() == LanePath::Avx2, "{stage:?}");
-        }
-        if p.lane_path() == LanePath::Avx2 {
-            assert_bits_equal(&want, &got, "upto Accumulate");
+        for mode in MODES {
+            let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+            let p = G5Pipeline::new(&cfg, 2e-10, 0.01);
+            let mut want = vec![Force::ZERO; xi.len()];
+            p.interact_block(&xi, &j.j_slices(), 0.25, fmt, &mut want);
+            let mut got = vec![Force::ZERO; xi.len()];
+            let on_avx2 = p.lane_path() == LanePath::Avx2;
+            // the hook of the other mode declines; this mode's runs
+            // every prefix, the last one being the kernel itself
+            for stage in ExactStage::ALL {
+                let ran =
+                    p.interact_block_exact_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
+                assert_eq!(ran, on_avx2 && mode == ArithMode::Exact, "{stage:?}");
+            }
+            for stage in LnsStage::ALL {
+                let ran = p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
+                assert_eq!(ran, on_avx2 && mode == ArithMode::Lns, "{stage:?}");
+            }
+            if on_avx2 {
+                assert_bits_equal(&want, &got, &format!("{mode:?} upto Accumulate"));
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 
 use crate::config::{ArithMode, Grape5Config};
 use crate::cutoff::CutoffTable;
-use crate::lanes::{self, LanePath, LnsLanes, LnsStage};
+use crate::lanes::{self, ExactStage, LanePath, LnsLanes, LnsStage};
 use g5util::fixed::FixedFormat;
 use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
@@ -511,6 +511,38 @@ impl G5Pipeline {
                     self.pair_lns_formula(d, j.m_lns[jj])
                 });
             }
+        }
+    }
+
+    /// Profiling hook: run the AVX2 exact lane kernel truncated after
+    /// stage `upto`, the twin of
+    /// [`interact_block_lns_upto`](Self::interact_block_lns_upto).
+    /// `out` holds forces only for [`ExactStage::Accumulate`]. Returns
+    /// `false` (nothing run) unless this pipeline would take the AVX2
+    /// exact kernel for this call.
+    pub fn interact_block_exact_upto(
+        &self,
+        upto: ExactStage,
+        xi: &[[i64; 3]],
+        j: &JSlices<'_>,
+        force_scale: f64,
+        fmt: FixedFormat,
+        out: &mut [Force],
+    ) -> bool {
+        assert_eq!(xi.len(), out.len(), "output length mismatch");
+        assert!(j.x.len() == j.y.len() && j.x.len() == j.z.len() && j.x.len() == j.m.len());
+        match (self.mode, &self.cutoff, self.lane_path) {
+            (ArithMode::Exact, None, LanePath::Avx2) => lanes::block_exact_avx2_upto(
+                upto,
+                self.quantum,
+                self.eps2,
+                xi,
+                j,
+                force_scale,
+                fmt,
+                out,
+            ),
+            _ => false,
         }
     }
 

@@ -11,10 +11,12 @@
 //!
 //! ## Decomposition
 //!
-//! [`Decomposition::morton`] quantizes every particle onto the same
-//! 2²¹ grid the octree build uses, sorts by `(code, index)` (a total
-//! order, so the split is deterministic for a given snapshot), and cuts
-//! the sorted sequence into `K` near-equal contiguous slices. Within a
+//! [`Decomposition::morton`] quantizes every particle onto the 2²¹
+//! grid of the snapshot's bounding cube (the quantizer the octree build
+//! uses, on the whole snapshot rather than a shard), sorts by
+//! `(code, index)` (a total order, so the split is deterministic for a
+//! given snapshot), and cuts the sorted sequence into `K` near-equal
+//! contiguous slices. Within a
 //! shard the owned indices are then re-sorted ascending, so gathering a
 //! shard's particles preserves the caller's input order. In particular
 //! `K = 1` owns `0..n` *in input order*: the single-shard decomposition
@@ -44,8 +46,9 @@
 //! *source* tree's drift bound so remote cells whose particles moved
 //! since the last rebuild stay conservatively represented.
 
-use crate::mac::{GroupSphere, Mac};
+use crate::mac::{GroupSphere, Mac, MacKind};
 use crate::tree::{Tree, NONE};
+use g5util::morton;
 use g5util::morton_sort;
 use g5util::vec3::Vec3;
 
@@ -118,10 +121,12 @@ impl Decomposition {
         let total: u128 = weights.iter().map(|&w| w as u128).sum();
         assert!(total > 0, "cut weights must not all be zero");
         let n = pos.len();
-        // Same 2²¹ grid as the octree build (shared g5util::morton_sort
-        // frame, so a domain boundary is always a Morton-cell boundary
-        // of the tree grid), radix-sorted by (code, index) — a total
-        // order, so the result is a pure function of the snapshot.
+        // The 2²¹ grid on the snapshot's own bounding cube (the shared
+        // g5util::morton_sort frame), radix-sorted by (code, index) — a
+        // total order, so the result is a pure function of the
+        // snapshot. The shard trees are not built on this grid: each
+        // frames its own particles (`Tree::build_with_hint`), so a
+        // domain boundary is no cell boundary of theirs.
         let order = match hint {
             Some(h) => morton_sort::morton_order_incremental(pos, h).order,
             None => morton_sort::morton_order(pos).order,
@@ -233,22 +238,41 @@ pub fn let_terms_into(
     let before = out_pos.len();
     let mut sphere = *receiver;
     sphere.radius += source.drift_bound();
-    let nodes = source.nodes();
-    let mut stack: Vec<u32> = vec![0];
-    while let Some(i) = stack.pop() {
-        let node = &nodes[i as usize];
-        if mac.accepts_sphere(node, &sphere) {
-            out_pos.push(node.com);
-            out_mass.push(node.mass);
-        } else if node.is_leaf() {
-            for k in node.range() {
-                out_pos.push(source.pos()[k]);
-                out_mass.push(source.mass()[k]);
-            }
+    let cols = source.columns();
+    let inv2_theta = 2.0 / mac.theta;
+    // same arithmetic in the same order as `Mac::accepts_sphere`, read
+    // from the packed columns like `Traversal::modified_list_with`
+    let accepts = |i: usize| match mac.kind {
+        MacKind::BarnesHut => {
+            let [cx, cy, cz, half] = cols.walk[i];
+            let t = sphere.radius + half * inv2_theta;
+            sphere.center.dist2(Vec3::new(cx, cy, cz)) > t * t
+        }
+        MacKind::MinDistance => mac.accepts_sphere_cols(&cols.geom[i], &cols.moment[i], &sphere),
+    };
+    // Depth-first on a fixed stack, so the cluster's per-group LET
+    // walks allocate nothing: opening a node at depth d replaces it by
+    // at most eight children above at most seven pending siblings per
+    // level, 7·(d + 1) + 1 entries, and children sit at depth
+    // ≤ BITS_PER_DIM (the build's depth cap). Children go on in reverse
+    // octant order so pops replay the recursive order.
+    let mut stack = [0u32; 7 * morton::BITS_PER_DIM as usize + 1];
+    let mut top = 1; // the root, node 0
+    while top > 0 {
+        top -= 1;
+        let i = stack[top] as usize;
+        if accepts(i) {
+            let [x, y, z, mass] = cols.moment[i];
+            out_pos.push(Vec3::new(x, y, z));
+            out_mass.push(mass);
+        } else if cols.is_leaf(i) {
+            out_pos.extend_from_slice(&source.pos()[cols.range(i)]);
+            out_mass.extend_from_slice(&source.mass()[cols.range(i)]);
         } else {
-            for &c in node.children.iter().rev() {
+            for &c in cols.children[i].iter().rev() {
                 if c != NONE {
-                    stack.push(c);
+                    stack[top] = c;
+                    top += 1;
                 }
             }
         }
@@ -259,6 +283,7 @@ pub fn let_terms_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::TreeConfig;
     use rand::{Rng, SeedableRng};
 
     fn cloud(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
@@ -468,6 +493,81 @@ mod tests {
                             "cell of side {} at distance {d} violates theta",
                             node.side()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The walk `let_terms_into` replaced: a heap stack over the `Node`
+    /// array and `Mac::accepts_sphere` itself.
+    fn let_terms_reference(source: &Tree, mac: &Mac, receiver: &GroupSphere) -> Vec<(Vec3, f64)> {
+        let mut sphere = *receiver;
+        sphere.radius += source.drift_bound();
+        let (nodes, mut out, mut stack) = (source.nodes(), Vec::new(), vec![0u32]);
+        while let Some(i) = stack.pop() {
+            let node = &nodes[i as usize];
+            if mac.accepts_sphere(node, &sphere) {
+                out.push((node.com, node.mass));
+            } else if node.is_leaf() {
+                out.extend(node.range().map(|k| (source.pos()[k], source.mass()[k])));
+            } else {
+                stack.extend(node.children.iter().rev().filter(|&&c| c != NONE));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn let_terms_replay_the_node_walk_bit_for_bit() {
+        let bits = |p: Vec3, m: f64| [p.x, p.y, p.z, m].map(f64::to_bits);
+        let (pos, mass) = cloud(1500, 11);
+        let d = Decomposition::morton(&pos, 4);
+        let (mut sp, mut sm) = (Vec::new(), Vec::new());
+        let cfg = TreeConfig { leaf_capacity: 1, ..TreeConfig::default() };
+        let mut trees: Vec<Tree> = (0..4)
+            .map(|s| {
+                d.gather(s, &pos, &mass, &mut sp, &mut sm);
+                Tree::build_with(&sp, &sm, cfg)
+            })
+            .collect();
+        // and a corner ladder, the fixed stack's worst case: at every
+        // level the seven octants beside the one nearest the low corner
+        // hold one body each and a close pair sits at the bottom, so
+        // the walk descends with seven siblings pending per level
+        let mut ladder = vec![Vec3::splat(-1.0), Vec3::splat(-1.0 + 1e-9), Vec3::splat(1.0)];
+        for level in 1..=morton::BITS_PER_DIM as i32 {
+            let cell = f64::from(-level).exp2();
+            for oct in 1..8u32 {
+                let at = |bit: u32| -1.0 + 2.0 * cell * (0.5 + f64::from(oct >> bit & 1));
+                ladder.push(Vec3::new(at(0), at(1), at(2)));
+            }
+        }
+        trees.push(Tree::build_with(&ladder, &vec![1.0; ladder.len()], cfg));
+        assert_eq!(trees[4].depth(), morton::BITS_PER_DIM);
+        // one shard refreshed after a drift: a non-zero drift bound on
+        // the source side
+        d.gather(1, &pos, &mass, &mut sp, &mut sm);
+        sp.iter_mut().for_each(|p| *p += Vec3::splat(1e-3));
+        trees[1].refresh(&sp, &sm);
+        assert!(trees[1].drift_bound() > 0.0);
+        for mac in [
+            Mac::new(0.75),
+            Mac::new(0.3),
+            Mac::new(0.0),
+            Mac::with_kind(0.6, MacKind::MinDistance),
+        ] {
+            for r in 0..trees.len() {
+                let sphere = domain_sphere(&trees[r]);
+                for s in (0..trees.len()).filter(|&s| s != r) {
+                    let want = let_terms_reference(&trees[s], &mac, &sphere);
+                    // appended after what the buffers already hold
+                    let (mut lp, mut lm) = (vec![Vec3::ZERO; 3], vec![0.0; 3]);
+                    let n = let_terms_into(&trees[s], &mac, &sphere, &mut lp, &mut lm);
+                    assert_eq!(n, want.len(), "{mac:?} {s} -> {r}");
+                    assert_eq!((lp.len(), lm.len()), (n + 3, n + 3));
+                    for (k, &(p, m)) in want.iter().enumerate() {
+                        assert_eq!(bits(lp[k + 3], lm[k + 3]), bits(p, m), "{mac:?} term {k}");
                     }
                 }
             }

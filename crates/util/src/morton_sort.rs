@@ -5,9 +5,12 @@
 //! padded bounding cube and sort particle indices by `(code, index)`.
 //! This module is the single implementation of that step:
 //!
-//! * [`MortonFrame`] — the padded bounding cube, identical to what the
-//!   octree build derives (so a domain boundary is always a Morton-cell
-//!   boundary of the tree grid).
+//! * [`MortonFrame`] — the padded bounding cube of *the point set it
+//!   is given*. The decomposition frames the whole snapshot and every
+//!   tree build frames its own particles, so a shard tree sits on the
+//!   cube of its shard, not on the decomposition's grid: a domain
+//!   boundary is a cell boundary of the snapshot's grid only, and the
+//!   shard trees' cells do not line up with it or with each other.
 //! * [`sort_indices`] — a radix sort over the 63-bit codes. The serial
 //!   path is an MSD hybrid: one streaming scatter on the top 11
 //!   *varying* key bits fans the `(code, index)` tuples into 2048
