@@ -817,10 +817,7 @@ fn main() {
             row("host_jload_lns_lane_speedup", jloads[1].speedup()),
             row("host_short_call_efficiency", short.efficiency()),
         ];
-        let old = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
-        let mut lines = trajectory::entry_lines(&old);
-        lines.extend(rows.iter().map(Entry::json));
-        trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
+        trajectory::append(&traj_path, &rows);
         println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
     }
 }

@@ -627,10 +627,7 @@ fn main() {
         let mut rows = vec![row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap())];
         rows.extend(exact.lane_speedup().map(|x| row("kernel_exact_lane_speedup", x)));
         rows.extend(exact_force_share.map(|x| row_at("kernel_exact_force_share", sizes[0], x)));
-        let old = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
-        let mut lines = trajectory::entry_lines(&old);
-        lines.extend(rows.iter().map(Entry::json));
-        trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
+        trajectory::append(&traj_path, &rows);
         println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
     }
 }

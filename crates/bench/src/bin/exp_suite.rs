@@ -281,11 +281,21 @@ fn main() {
     let head = commit_for(None);
 
     // ---- mine the cluster / endurance / flagship headline numbers ----
-    let (cluster_n, cluster_rate) = cluster_text
+    // time to the same answer, largest K against K = 1, from the
+    // critical-path column every exp_cluster report has carried — not
+    // the interaction rate, which counts LET-inflated work as throughput
+    let cluster_rows: Vec<(u64, u64, f64)> = cluster_text
         .lines()
-        .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "interactions_per_s")?)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("interactions_per_s rows in exp_cluster report");
+        .filter_map(|l| {
+            let crit = json_f64(l, "critical_path_s_per_step")?;
+            Some((json_f64(l, "k")? as u64, json_f64(l, "n")? as u64, crit))
+        })
+        .collect();
+    let &(_, cluster_n, crit_top) =
+        cluster_rows.iter().max_by_key(|r| r.0).expect("rows in exp_cluster report");
+    let crit_k1 =
+        cluster_rows.iter().find(|r| r.0 == 1).expect("K = 1 row in exp_cluster report").2;
+    let cluster_step_speedup = crit_k1 / crit_top;
     let endurance_n = json_f64_any(&endurance_text, "n").expect("n in exp_endurance report") as u64;
     let endurance_drift =
         json_f64_any(&endurance_text, "max_energy_drift").expect("max_energy_drift");
@@ -365,9 +375,9 @@ fn main() {
         Entry {
             pr: CURRENT_PR.into(),
             commit: cluster_commit,
-            metric: "cluster_interactions_per_s".into(),
+            metric: "cluster_step_speedup".into(),
             n: cluster_n,
-            value: cluster_rate,
+            value: cluster_step_speedup,
         },
         Entry {
             pr: CURRENT_PR.into(),
@@ -448,7 +458,7 @@ fn main() {
         build_cmp * 1e3
     );
     println!(
-        "cluster/flagship headline: {cluster_rate:.3e} inter/s at N = {cluster_n}; \
+        "cluster/flagship headline: step {cluster_step_speedup:.2}x over K = 1 at N = {cluster_n}; \
          overlap {overlap_speedup:.2}x at N = {overlap_n}; \
          flagship {flagship_rate:.3e} inter/s at N = {flagship_n}; \
          endurance drift {endurance_drift:.3e} at N = {endurance_n}"
@@ -477,6 +487,7 @@ mod tests {
         assert!(!lower_is_better("kernel_exact_lane_speedup"));
         assert!(!lower_is_better("overlap_critical_path_speedup"));
         assert!(!lower_is_better("cluster_interactions_per_s"));
+        assert!(!lower_is_better("cluster_step_speedup"));
         assert!(!lower_is_better("flagship_interactions_per_s"));
         assert!(!lower_is_better("serve_aggregate_interactions_per_s"));
         assert!(!lower_is_better("serve_jain_fairness"));

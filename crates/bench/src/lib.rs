@@ -165,6 +165,18 @@ pub mod trajectory {
         std::fs::write(path, t)
     }
 
+    /// Append `rows` to the ledger at `path`, keeping its entries
+    /// verbatim.
+    ///
+    /// # Panics
+    /// When the ledger cannot be read or written.
+    pub fn append(path: &str, rows: &[Entry]) {
+        let old = std::fs::read_to_string(path).expect("trajectory ledger readable");
+        let mut lines = entry_lines(&old);
+        lines.extend(rows.iter().map(Entry::json));
+        write(path, &lines).expect("trajectory ledger writable");
+    }
+
     fn git(args: &[&str]) -> Option<String> {
         let o = Command::new("git").args(args).output().ok()?;
         o.status.success().then(|| String::from_utf8_lossy(&o.stdout).trim().to_string())

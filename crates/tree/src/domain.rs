@@ -25,14 +25,15 @@
 //!
 //! ## LET exchange
 //!
-//! [`let_terms_into`] walks a remote shard's tree against the
-//! *receiving domain's bounding sphere* and emits the accepted cells'
-//! monopoles (and opened leaves' bodies) as plain `(position, mass)`
-//! terms. Acceptance uses the same [`Mac`] as the force traversal, so
-//! the import holds exactly the resolution the MAC demands:
+//! [`let_terms_into`] walks a remote shard's tree against a
+//! *receiver's bounding sphere* (the cluster passes one group's sphere
+//! per walk) and emits the accepted cells' monopoles (and opened
+//! leaves' bodies) as plain `(position, mass)` terms. Acceptance uses
+//! the same [`Mac`] as the force traversal, so the import holds exactly
+//! the resolution the MAC demands:
 //!
-//! * a cell accepted against the whole domain sphere satisfies
-//!   `dist(com, p) > s/θ` for **every** particle `p` of the domain
+//! * a cell accepted against the receiver sphere satisfies
+//!   `dist(com, p) > s/θ` for **every** particle `p` inside it
 //!   (triangle inequality through the sphere center) — the same
 //!   distance bound the per-group opening test enforces, so remote
 //!   forces carry treecode accuracy, never worse;
@@ -40,11 +41,12 @@
 //!   bodies, so the emitted terms always partition the remote shard's
 //!   mass (the closure property the traversal tests enforce locally).
 //!
-//! Both spheres are drift-aware: the receiver passes its domain sphere
-//! already inflated by its own refresh drift (see
-//! [`domain_sphere`]), and the walk additionally inflates by the
-//! *source* tree's drift bound so remote cells whose particles moved
-//! since the last rebuild stay conservatively represented.
+//! Both sides are drift-aware: the receiver passes its sphere already
+//! inflated by its own tree's refresh drift
+//! ([`Traversal::group_sphere`](crate::traverse::Traversal::group_sphere)
+//! does), and the walk additionally inflates by the *source* tree's
+//! drift bound so remote cells whose particles moved since the last
+//! rebuild stay conservatively represented.
 
 use crate::mac::{GroupSphere, Mac, MacKind};
 use crate::tree::{Tree, NONE};
@@ -204,26 +206,15 @@ impl Decomposition {
     }
 }
 
-/// Bounding sphere of a local tree's whole domain: centered on the
-/// root cell, radius to the farthest particle, inflated by the tree's
-/// refresh drift bound. Every group sphere of the tree lies within it
-/// (same center policy, subset of the particles), so one LET computed
-/// against this sphere serves every group of the shard.
-pub fn domain_sphere(tree: &Tree) -> GroupSphere {
-    let root = tree.root();
-    let mut sphere = GroupSphere::around(root.center, tree.pos());
-    sphere.radius += tree.drift_bound();
-    sphere
-}
-
 /// Append the local-essential-tree summary of `source` as seen by a
 /// domain bounded by `receiver` — accepted cells as monopole terms,
 /// opened leaves as bodies. Returns the number of terms appended.
 ///
 /// `receiver` must already include the receiving tree's own drift
-/// inflation ([`domain_sphere`] does); this walk additionally inflates
-/// by `source.drift_bound()` so both sides' motion since their last
-/// rebuilds is covered.
+/// inflation
+/// ([`Traversal::group_sphere`](crate::traverse::Traversal::group_sphere)
+/// does); this walk additionally inflates by `source.drift_bound()` so
+/// both sides' motion since their last rebuilds is covered.
 ///
 /// The appended terms partition `source`'s total mass: every particle
 /// of the remote shard is represented exactly once, in an accepted
@@ -296,6 +287,16 @@ mod tests {
             .collect();
         let mass = (0..n).map(|_| rng.random_range(0.5..2.0)).collect();
         (pos, mass)
+    }
+
+    /// One sphere around a tree's whole domain (root-cell center,
+    /// farthest particle, refresh drift): the coarsest receiver a LET
+    /// walk can be given, which is what these tests want. The cluster
+    /// walks per group, against `Traversal::group_sphere`.
+    fn domain_sphere(tree: &Tree) -> GroupSphere {
+        let mut sphere = GroupSphere::around(tree.root().center, tree.pos());
+        sphere.radius += tree.drift_bound();
+        sphere
     }
 
     #[test]

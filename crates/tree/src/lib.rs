@@ -33,7 +33,7 @@ pub mod plan;
 pub mod traverse;
 pub mod tree;
 
-pub use domain::{domain_sphere, let_terms_into, Decomposition};
+pub use domain::{let_terms_into, Decomposition};
 pub use mac::{GroupSphere, Mac};
 pub use plan::{GroupWork, PlanConfig, PlanPool, PlanStats, ResolveScratch};
 pub use traverse::{Group, ListTerm, ModifiedLists, Traversal, TraverseScratch};

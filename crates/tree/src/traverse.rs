@@ -216,8 +216,17 @@ impl Traversal {
         }
     }
 
-    /// Bounding sphere of a group's members (center at the cell center,
-    /// radius to the farthest member — tighter than the cell diagonal).
+    /// Bounding sphere of a group's members: centered on the center of
+    /// the members' axis-aligned bounding box, radius to the farthest
+    /// member.
+    ///
+    /// The center follows the *members*, not the cell: a group that
+    /// fills one corner of its cell (the rule on a shard tree, which
+    /// frames only its own slice of the snapshot) gets a sphere of the
+    /// corner's size, not the cell's. Any center gives a sound opening
+    /// test as long as the sphere contains every member — an accepted
+    /// cell then satisfies `s/d < θ` from each of them (triangle
+    /// inequality) — so the center only decides how long the lists are.
     ///
     /// On a refreshed tree the radius is inflated by
     /// [`Tree::drift_bound`], so MAC decisions stay valid for every
@@ -226,7 +235,11 @@ impl Traversal {
     /// keeps the fresh path bit-identical.
     pub fn group_sphere(&self, tree: &Tree, group: Group) -> GroupSphere {
         let node = &tree.nodes()[group.node as usize];
-        let mut sphere = GroupSphere::around(node.center, &tree.pos()[node.range()]);
+        let members = &tree.pos()[node.range()];
+        // every group holds ≥ 1 particle, so the box is never empty
+        let (lo, hi) =
+            members.iter().fold((members[0], members[0]), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        let mut sphere = GroupSphere::around((lo + hi) * 0.5, members);
         sphere.radius += tree.drift_bound();
         sphere
     }

@@ -4,6 +4,7 @@
 //! at treecode accuracy against direct summation, and a checkpointed
 //! cluster run killed mid-flight must resume byte-for-byte.
 
+use grape5_nbody::core::accuracy::compare;
 use grape5_nbody::core::checkpoint::{latest, Checkpointer};
 use grape5_nbody::core::snapshot_io;
 use grape5_nbody::core::{
@@ -11,7 +12,7 @@ use grape5_nbody::core::{
     PlanConfig, Simulation, TreeGrape, TreeGrapeConfig,
 };
 use grape5_nbody::grape5::Grape5Config;
-use grape5_nbody::ic::{plummer_sphere, Snapshot};
+use grape5_nbody::ic::{plummer_sphere, CosmologicalIc, Snapshot, ZeldovichConfig};
 use grape5_nbody::util::Vec3;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -117,6 +118,42 @@ fn sharded_forces_match_direct_summation() {
         assert!(err < tol, "K={k}: rms force error {err:.3e} vs tolerance {tol:.3e}");
         assert_eq!(cl.alive_shards(), k);
     }
+}
+
+/// Committed envelopes for the cluster path at the paper's operating
+/// point (θ 0.75, n_crit 2000, exact arithmetic) on the standard-CDM
+/// sphere, K = 4 overlapped — the configuration `cluster4_overlap`
+/// benchmarks. Accuracy and LET inflation fail here like a perf
+/// regression would: the sharded evaluation may not be less accurate
+/// than the one tree it stands in for, nor do more than twice its
+/// interactions (measured 1.80×; 3.01× while group spheres were centred
+/// on their cells), and the one tree's own lists may not drift either.
+#[test]
+fn cdm_k4_overlapped_accuracy_and_let_inflation_envelopes() {
+    /// `TreeGrape` interactions per evaluation on this snapshot.
+    const MONO_INTERACTIONS: f64 = 39.07e6;
+    let snap = CosmologicalIc::generate(&ZeldovichConfig::small(42)).snapshot;
+    let eps = 0.005;
+    let exact = DirectHost::new(eps).compute(&snap.pos, &snap.mass);
+    let mono = TreeGrape::new(TreeGrapeConfig::paper(eps)).compute(&snap.pos, &snap.mass);
+    let mut cluster = ClusterTreeGrape::new(ClusterTreeGrapeConfig::paper_overlapped(eps, 4));
+    let sharded = cluster.compute(&snap.pos, &snap.mass);
+    assert_eq!(cluster.alive_shards(), 4);
+
+    let (mono_err, err) = (compare(&mono, &exact).rms, compare(&sharded, &exact).rms);
+    assert!(err <= 1.1 * mono_err, "K = 4 rms force error {err:.3e} vs monolithic {mono_err:.3e}");
+    assert!(err <= 0.01, "K = 4 rms force error {err:.3e} above 1 %");
+
+    let (mono_i, i) = (mono.tally.interactions as f64, sharded.tally.interactions as f64);
+    assert!(
+        i <= 2.0 * mono_i,
+        "LET inflation {:.3} above 2.0 ({i:.4e} / {mono_i:.4e})",
+        i / mono_i
+    );
+    assert!(
+        (mono_i / MONO_INTERACTIONS - 1.0).abs() <= 0.05,
+        "monolithic tally {mono_i:.4e} outside ±5 % of {MONO_INTERACTIONS:.4e}"
+    );
 }
 
 /// Kill a cluster run mid-flight and resume it from its own
