@@ -23,17 +23,19 @@
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
 //! table, a `PhaseTimers` phase split for the headline run, and a
-//! JSON report (default `BENCH_pr3.json`); when the output file already
-//! exists its numbers are read first and a delta is printed, so CI can
-//! diff a fresh `--quick` run against the committed baseline.
+//! JSON report (default `artifacts/exp_kernel.json`, git-ignored — a
+//! committed `BENCH_pr*.json` is only ever written by naming it);
+//! `--baseline FILE` (default: the previous report at `--out`) is read
+//! first and a delta is printed, so CI can diff a fresh `--quick` run
+//! against the committed full run.
 //! `--trajectory FILE` appends the lane headline rows (same-run
 //! ratios) to the cross-PR ledger under `--pr LABEL`, keyed by the
 //! working tree's commit (`g5_bench::trajectory::working_commit`).
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out BENCH_pr3.json] [--baseline FILE] \
-//!     [--trajectory BENCH_trajectory.json --pr pr12]
+//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr16.json] \
+//!     [--trajectory BENCH_trajectory.json --pr pr16]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
@@ -467,12 +469,12 @@ fn print_baseline_delta(results: &[KernelResult], old: &str) {
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
-    let out_path: String = args.get("out", "BENCH_pr3.json".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_kernel.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());
     let sizes: &[usize] = if quick { &[4_096, 16_384] } else { &[16_384, 65_536, 262_144] };
 
     // read the comparison report (by default the file about to be
-    // overwritten; CI points --baseline at the committed BENCH_pr3.json)
+    // overwritten; CI points --baseline at a committed full run)
     let baseline = std::fs::read_to_string(&base_path).ok();
 
     println!(
@@ -600,7 +602,10 @@ fn main() {
     }
     writeln!(text, "  ]").unwrap();
     writeln!(text, "}}").unwrap();
-    std::fs::write(&out_path, &text).unwrap();
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).expect("create the report's directory");
+    }
+    std::fs::write(&out_path, &text).expect("write the report");
     println!();
     println!("wrote {} results to {out_path}", results.len());
 

@@ -53,7 +53,8 @@
 //! words, which is what lanes want:
 //!
 //! ```text
-//!   hardware stage            lane stage (8 j per group)
+//!   hardware stage            lane stage (8 j per group, two groups
+//!                             in flight: each stage runs on both)
 //!   fixed-point subtract      vpsubq on the coordinate words
 //!   log converter ROM         magic i64→f64 × quantum, then one gather
 //!                             of a packed encoder cell per coordinate,
@@ -86,7 +87,9 @@
 //!   exactly — a mantissa within one ROM offset unit of an encoder
 //!   breakpoint (a superset of the libm guard band) — raises a flag
 //!   lane, and a flagged group re-runs its eight pairs through
-//!   `pair_lns_tab`. Pipeline-level preconditions (`2^exp_min ≤
+//!   `pair_lns_tab` (a flag in either group of an in-flight pair first
+//!   sends both back through the stages one at a time, in j order).
+//!   Pipeline-level preconditions (`2^exp_min ≤
 //!   quantum ≤ 2⁹⁰⁰`, a factored decoder, an `sb` ROM without
 //!   `FALLBACK` entries) keep subnormal, infinite and underflowing
 //!   displacements and un-hoistable adder roundings out of the lanes
@@ -829,6 +832,7 @@ mod avx2 {
     };
     use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
+    use core::array::from_fn;
     use g5util::fixed::{Fixed, FixedFormat};
     use g5util::vec3::Vec3;
 
@@ -1273,6 +1277,12 @@ mod avx2 {
     }
 
     /// Hoisted per-call constants of the LNS integer stages (8 × i32).
+    ///
+    /// Invariant, set up by [`LnsCtx::new`]: `cells`, `sb` and `dec`
+    /// point at the `'static` ROM images of one `LnsLanes`, and
+    /// `cell_mask`, `sb_last` and `frac_mask64` are each at most the last
+    /// index of their table — a gather whose indices went through that
+    /// mask (or unsigned min) reads inside the table whatever they were.
     struct LnsCtx {
         qv: __m256d,
         /// `[0, 2, 4, 6, 1, 3, 5, 7]`: even dwords low, odd dwords high.
@@ -1296,12 +1306,26 @@ mod avx2 {
         dec: *const i64,
     }
 
+    /// One (i-particle, j-span) of the LNS kernel: the span's coordinate
+    /// and mass-word columns and the i-particle's words, broadcast.
+    struct LnsSpan<'a> {
+        x: [&'a [i64]; 3],
+        w: &'a [i32],
+        xv: [__m256i; 3],
+    }
+
     impl LnsCtx {
+        /// # Safety
+        /// The CPU must support AVX2 (register-only intrinsics).
         #[target_feature(enable = "avx2")]
         unsafe fn new(c: &LnsLanes) -> LnsCtx {
             let r = &c.roms;
             let f = r.frac_bits as i32;
             let frac_mask = (1i64 << f) - 1;
+            // the struct invariant (`LnsLanes::new` asserts exact sizes)
+            debug_assert!(((2usize << f) - 1) < r.enc_cells.len(), "cell_mask past enc_cells");
+            debug_assert!(!r.sb.is_empty() && r.sb.len() <= i32::MAX as usize, "sb_last past sb");
+            debug_assert!((frac_mask as usize) < r.dec_frac.len(), "frac_mask past dec_frac");
             LnsCtx {
                 qv: _mm256_set1_pd(c.quantum),
                 deinterleave: _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7),
@@ -1329,14 +1353,15 @@ mod avx2 {
         /// redo flags.
         ///
         /// # Safety
-        /// `p .. p + 8` must be readable, and every displacement inside
-        /// the magic-conversion window.
+        /// AVX2; `p .. p + 8` must be readable, and every displacement
+        /// inside the magic-conversion window.
         #[target_feature(enable = "avx2")]
         #[inline]
-        unsafe fn encode8(&self, p: *const i64, xv: __m256i) -> (__m256i, __m256i, __m256i) {
+        unsafe fn encode8(&self, p: *const i64, xv: __m256i) -> [__m256i; 3] {
             // per half: f64 bits, then [bits >> enc_shift | high dword]
             // packed so one dword permute separates the two
             let half = |p: *const i64| {
+                // SAFETY: both halves lie in the caller's `p .. p + 8`
                 let d = _mm256_sub_epi64(_mm256_loadu_si256(p.cast()), xv);
                 let bits = _mm256_castpd_si256(_mm256_mul_pd(i64x4_to_f64(d), self.qv));
                 let lo = _mm256_srl_epi64(bits, self.enc_shift);
@@ -1346,7 +1371,8 @@ mod avx2 {
             let (pa, pb) = (half(p), half(p.add(4)));
             let v = _mm256_permute2x128_si256::<0x20>(pa, pb);
             let hi = _mm256_permute2x128_si256::<0x31>(pa, pb);
-            // cell gather; index masked to the table's 2^(f+1) entries
+            // SAFETY: cell gather; index masked to the table's 2^(f+1)
+            // entries (the `LnsCtx` invariant)
             let cidx = _mm256_and_si256(_mm256_srli_epi32::<18>(v), self.cell_mask);
             let cell = _mm256_i32gather_epi32::<4>(self.cells, cidx);
             let o = _mm256_add_epi32(
@@ -1362,11 +1388,14 @@ mod avx2 {
                 self.exp_shift,
             );
             let raw = _mm256_sub_epi32(_mm256_add_epi32(ebf, k), self.bias);
-            (self.canon(raw), hi, redo)
+            [self.canon(raw), hi, redo]
         }
 
         /// Range rules of a functional unit: `< raw_min` ⇒ zero word,
         /// clamp at `raw_max`.
+        ///
+        /// # Safety
+        /// AVX2 only: registers in, register out.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn canon(&self, r: __m256i) -> __m256i {
@@ -1375,17 +1404,24 @@ mod avx2 {
         }
 
         /// Same-sign LNS add.
+        ///
+        /// # Safety
+        /// AVX2 only: the gather is in bounds for any operands.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn add8(&self, a: __m256i, b: __m256i) -> __m256i {
             let hi = _mm256_max_epi32(a, b);
             let d = _mm256_sub_epi32(hi, _mm256_min_epi32(a, b));
-            // unsigned min: whatever `d` holds, the index is in the table
+            // SAFETY: unsigned min — whatever `d` holds, the index is at
+            // most `sb_last`, inside the table (the `LnsCtx` invariant)
             let k = _mm256_i32gather_epi32::<4>(self.sb, _mm256_min_epu32(d, self.sb_last));
             _mm256_min_epi32(_mm256_add_epi32(hi, k), self.rmax)
         }
 
         /// A product word rebased for the decoder (0 for zero).
+        ///
+        /// # Safety
+        /// AVX2 only: registers in, register out.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn out_word(&self, s: __m256i) -> __m256i {
@@ -1394,15 +1430,116 @@ mod avx2 {
         }
 
         /// Antilog ROM on four decoder words.
+        ///
+        /// # Safety
+        /// AVX2 only: the gather is in bounds for any words.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn decode4(&self, w: __m128i) -> __m256d {
             let w = _mm256_cvtepu32_epi64(w);
-            // index masked to the table's 2^f entries
+            // SAFETY: index masked to the table's 2^f entries (the
+            // `LnsCtx` invariant)
             let frac = _mm256_i64gather_epi64::<8>(self.dec, _mm256_and_si256(w, self.frac_mask64));
             let exp = _mm256_sll_epi64(_mm256_and_si256(w, self.exp_mask64), self.dec_shift);
             let sign = _mm256_and_si256(_mm256_slli_epi64::<32>(w), _mm256_set1_epi64x(i64::MIN));
             _mm256_castsi256_pd(_mm256_or_si256(_mm256_or_si256(frac, exp), sign))
+        }
+
+        /// The one stage body of the LNS kernel: `G` consecutive 8-lane
+        /// j-groups of span `b` from its j-particle `k` on, carried
+        /// through the stages in lock-step (each stage runs on all `G`
+        /// groups before the next starts, so one group's ROM-gather
+        /// latency hides behind the other's ALU work), truncated after
+        /// stage `UPTO`; the terms reach `cols` in ascending j. `false`,
+        /// with nothing accumulated, when a lane of any group asks for
+        /// the scalar converters.
+        ///
+        /// # Safety
+        /// AVX2; `k + 8·G` inside the span; every displacement inside
+        /// the magic-conversion window.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn stages<const UPTO: u8, const G: usize>(
+            &self,
+            b: &LnsSpan<'_>,
+            k: usize,
+            cols: &mut Columns,
+            a: &mut [i64; 4],
+            ctx: &AccCtx,
+        ) -> bool {
+            let end = k + LNS_LANES * G;
+            debug_assert!(b.x.iter().all(|x| end <= x.len()) && end <= b.w.len());
+            let xor = |a, b| _mm256_xor_si256(a, b);
+            // --- subtract + log converter: [r, sign, redo] per axis ---
+            // SAFETY: `k + 8·g + 8 ≤ end ≤` each column's length
+            let e: [[[__m256i; 3]; 3]; G] = from_fn(|g| {
+                from_fn(|c| self.encode8(b.x[c].as_ptr().add(k + LNS_LANES * g), b.xv[c]))
+            });
+            let redo =
+                e.iter().flatten().fold(_mm256_setzero_si256(), |m, e| _mm256_or_si256(m, e[2]));
+            if UPTO == LnsStage::Encode as u8 {
+                cols.sink(e.iter().flatten().fold(redo, |s, e| xor(s, xor(e[0], e[1]))));
+                return true;
+            }
+            if _mm256_testz_si256(redo, redo) == 0 {
+                return false;
+            }
+            // --- squarers, r² adder, + ε² ---
+            let sq = e.map(|e| e.map(|[r, ..]| self.canon(_mm256_add_epi32(r, r))));
+            let xy = sq.map(|[x, y, _]| self.add8(x, y));
+            let r2: [__m256i; G] = from_fn(|g| self.add8(xy[g], sq[g][2]));
+            let r2e = r2.map(|r2| self.add8(r2, self.eps2));
+            if UPTO == LnsStage::Adder as u8 {
+                cols.sink(r2e.into_iter().reduce(xor).expect("G > 0"));
+                return true;
+            }
+            let w: [[__m256i; 4]; G] = from_fn(|g| {
+                let [[rx, sx, _], [ry, sy, _], [rz, sz, _]] = e[g];
+                // --- power units: round-half-away −3r/2 and −r/2 ---
+                let ar = _mm256_abs_epi32(r2e[g]);
+                let nr = _mm256_sub_epi32(_mm256_setzero_si256(), r2e[g]);
+                let one = _mm256_set1_epi32(1);
+                let v3 = _mm256_add_epi32(_mm256_add_epi32(ar, ar), _mm256_add_epi32(ar, one));
+                let rinv3 = self.canon(_mm256_sign_epi32(_mm256_srli_epi32::<1>(v3), nr));
+                let v1 = _mm256_srli_epi32::<1>(_mm256_add_epi32(ar, one));
+                let rinv = _mm256_sign_epi32(v1, nr);
+                // --- multipliers and signs ---
+                // SAFETY: `k + 8·g + 8 ≤ end ≤ b.w.len()` i32 words
+                let mw = _mm256_loadu_si256(b.w.as_ptr().add(k + LNS_LANES * g).cast());
+                let m = _mm256_srai_epi32::<1>(mw);
+                let msign = _mm256_slli_epi32::<31>(mw);
+                let mf = self.canon(_mm256_add_epi32(m, rinv3));
+                let signed = |r: __m256i, s: __m256i| {
+                    let sign = _mm256_and_si256(xor(s, msign), _mm256_set1_epi32(i32::MIN));
+                    _mm256_or_si256(self.out_word(_mm256_add_epi32(r, mf)), sign)
+                };
+                // m · rinv; `out_word` applies rinv's range rules too (a
+                // zero m keeps the sum below raw_min either way). Three
+                // zero words are the zero-distance guard: no potential.
+                let zw = |r| _mm256_cmpeq_epi32(r, self.zero_word);
+                let coincident = _mm256_and_si256(_mm256_and_si256(zw(rx), zw(ry)), zw(rz));
+                let wp = self.out_word(_mm256_add_epi32(m, self.canon(rinv)));
+                let wp = _mm256_or_si256(_mm256_andnot_si256(coincident, wp), msign);
+                [signed(rx, sx), signed(ry, sy), signed(rz, sz), wp]
+            });
+            if UPTO == LnsStage::Scale as u8 {
+                cols.sink(w.into_iter().flatten().reduce(xor).expect("G > 0"));
+                return true;
+            }
+            // --- antilog ROM, per component: the low dwords are
+            // j .. j + 4, the high dwords j + 4 .. j + 8 ---
+            let lo = w.map(|w| w.map(|w| self.decode4(_mm256_castsi256_si128(w))));
+            let hi = w.map(|w| w.map(|w| self.decode4(_mm256_extracti128_si256::<1>(w))));
+            for (lo, hi) in lo.into_iter().zip(hi) {
+                if UPTO == LnsStage::Decode as u8 {
+                    cols.sink(_mm256_castpd_si256(_mm256_xor_pd(xor4(lo), xor4(hi))));
+                } else {
+                    // --- fixed-point accumulate, ascending j ---
+                    cols.add(a, lo, ctx);
+                    cols.add(a, hi, ctx);
+                }
+            }
+            true
         }
     }
 
@@ -1429,7 +1566,7 @@ mod avx2 {
     #[cfg(test)]
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn encode8_words(c: &LnsLanes, d: &[i64; 8]) -> [[i32; 8]; 3] {
-        let (r, s, g) = LnsCtx::new(c).encode8(d.as_ptr(), _mm256_setzero_si256());
+        let [r, s, g] = LnsCtx::new(c).encode8(d.as_ptr(), _mm256_setzero_si256());
         let mut out = [[0i32; 8]; 3];
         _mm256_storeu_si256(out[0].as_mut_ptr().cast(), r);
         _mm256_storeu_si256(out[1].as_mut_ptr().cast(), _mm256_srli_epi32::<31>(s));
@@ -1456,93 +1593,34 @@ mod avx2 {
         let sa = ScalarAcc::new(fmt, force_scale);
         let pair = c.pair(j);
         let l = LnsCtx::new(c);
-        let zero = _mm256_setzero_si256();
-        let sign32 = _mm256_set1_epi32(i32::MIN);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            // slicing bounds-checks every vector load below
-            let (bx, by, bz, bw) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m_word[js..je]);
-            let lanes_end = bx.len() / LNS_LANES * LNS_LANES;
+            // slicing bounds-checks the span; `stages` asserts every load
+            let b = LnsSpan {
+                x: [&j.x[js..je], &j.y[js..je], &j.z[js..je]],
+                w: &j.m_word[js..je],
+                xv: x.map(|x| _mm256_set1_epi64x(x)),
+            };
+            let lanes_end = (je - js) / LNS_LANES * LNS_LANES;
             let mut cols = Columns::open(a, &ctx);
-            let xv0 = _mm256_set1_epi64x(x[0]);
-            let xv1 = _mm256_set1_epi64x(x[1]);
-            let xv2 = _mm256_set1_epi64x(x[2]);
-            for k in (0..lanes_end).step_by(LNS_LANES) {
-                // --- subtract + log converter ---
-                let (rx, sx, gx) = l.encode8(bx.as_ptr().add(k), xv0);
-                let (ry, sy, gy) = l.encode8(by.as_ptr().add(k), xv1);
-                let (rz, sz, gz) = l.encode8(bz.as_ptr().add(k), xv2);
-                let redo = _mm256_or_si256(_mm256_or_si256(gx, gy), gz);
-                if UPTO == LnsStage::Encode as u8 {
-                    let sink = _mm256_xor_si256(_mm256_xor_si256(rx, ry), _mm256_xor_si256(rz, sx));
-                    cols.sink(_mm256_xor_si256(sink, redo));
-                    continue;
+            let mut k = 0;
+            while k < lanes_end {
+                // two groups in flight; an odd last group, and both
+                // groups of a pair with a flagged lane, go one at a
+                // time in ascending j
+                let pair_end = (k + 2 * LNS_LANES).min(lanes_end);
+                if pair_end - k == 2 * LNS_LANES && l.stages::<UPTO, 2>(&b, k, &mut cols, a, &ctx) {
+                    k = pair_end;
                 }
-                if _mm256_testz_si256(redo, redo) == 0 {
-                    // a lane asked for the scalar converters: the whole
-                    // group goes through the definition
-                    cols.flush(a);
-                    span_pairs(&sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
-                    cols.fast = ctx.headroom(a);
-                    continue;
+                while k < pair_end {
+                    if !l.stages::<UPTO, 1>(&b, k, &mut cols, a, &ctx) {
+                        // a lane asked for the scalar converters: the
+                        // whole group goes through the definition
+                        cols.flush(a);
+                        span_pairs(&sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
+                        cols.fast = ctx.headroom(a);
+                    }
+                    k += LNS_LANES;
                 }
-                // --- squarers, r² adder, + ε² ---
-                let sqx = l.canon(_mm256_add_epi32(rx, rx));
-                let sqy = l.canon(_mm256_add_epi32(ry, ry));
-                let sqz = l.canon(_mm256_add_epi32(rz, rz));
-                let r2e = l.add8(l.add8(l.add8(sqx, sqy), sqz), l.eps2);
-                if UPTO == LnsStage::Adder as u8 {
-                    cols.sink(r2e);
-                    continue;
-                }
-                // --- power units: round-half-away −3r/2 and −r/2 ---
-                let ar = _mm256_abs_epi32(r2e);
-                let nr = _mm256_sub_epi32(zero, r2e);
-                let one = _mm256_set1_epi32(1);
-                let v3 = _mm256_add_epi32(_mm256_add_epi32(ar, ar), _mm256_add_epi32(ar, one));
-                let rinv3 = l.canon(_mm256_sign_epi32(_mm256_srli_epi32::<1>(v3), nr));
-                let v1 = _mm256_srli_epi32::<1>(_mm256_add_epi32(ar, one));
-                let rinv = _mm256_sign_epi32(v1, nr);
-                // --- multipliers and signs ---
-                let mw = _mm256_loadu_si256(bw.as_ptr().add(k).cast());
-                let m = _mm256_srai_epi32::<1>(mw);
-                let msign = _mm256_slli_epi32::<31>(mw);
-                let mf = l.canon(_mm256_add_epi32(m, rinv3));
-                let signed = |r: __m256i, s: __m256i| {
-                    let sign = _mm256_and_si256(_mm256_xor_si256(s, msign), sign32);
-                    _mm256_or_si256(l.out_word(_mm256_add_epi32(r, mf)), sign)
-                };
-                let wx = signed(rx, sx);
-                let wy = signed(ry, sy);
-                let wz = signed(rz, sz);
-                // m · rinv; `out_word` applies rinv's range rules too (a
-                // zero m keeps the sum below raw_min either way). Three
-                // zero words are the zero-distance guard: no potential.
-                let coincident = _mm256_and_si256(
-                    _mm256_and_si256(
-                        _mm256_cmpeq_epi32(rx, l.zero_word),
-                        _mm256_cmpeq_epi32(ry, l.zero_word),
-                    ),
-                    _mm256_cmpeq_epi32(rz, l.zero_word),
-                );
-                let wp = l.out_word(_mm256_add_epi32(m, l.canon(rinv)));
-                let wp = _mm256_or_si256(_mm256_andnot_si256(coincident, wp), msign);
-                if UPTO == LnsStage::Scale as u8 {
-                    let sink = _mm256_xor_si256(_mm256_xor_si256(wx, wy), _mm256_xor_si256(wz, wp));
-                    cols.sink(sink);
-                    continue;
-                }
-                // --- antilog ROM, per component: the low dwords are
-                // j .. j + 4, the high dwords j + 4 .. j + 8 ---
-                let w = [wx, wy, wz, wp];
-                let lo = w.map(|w| l.decode4(_mm256_castsi256_si128(w)));
-                let hi = w.map(|w| l.decode4(_mm256_extracti128_si256::<1>(w)));
-                if UPTO == LnsStage::Decode as u8 {
-                    cols.sink(_mm256_castpd_si256(_mm256_xor_pd(xor4(lo), xor4(hi))));
-                    continue;
-                }
-                // --- fixed-point accumulate, ascending j ---
-                cols.add(a, lo, &ctx);
-                cols.add(a, hi, &ctx);
             }
             cols.flush(a);
             span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
@@ -1683,6 +1761,51 @@ mod tests {
         }
     }
 
+    fn p(e: i32) -> f64 {
+        f64::from(e).exp2()
+    }
+
+    /// A placed term of `|f| + |pot| = 2^49` per j: column-eligible.
+    fn in_window() -> f64 {
+        p(48)
+    }
+
+    /// The i-set of the placed-term referees.
+    const PLACED_XI: [[i64; 3]; 3] = [[0; 3], [0, 0, 2], [1, 1, 1]];
+
+    /// Terms that leave the column accumulators' preconditions.
+    fn placed_specials() -> [f64; 8] {
+        [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            p(50), // just outside the encode window
+            -p(50),
+            p(50) - 0.125, // the largest term inside it …
+            p(49) + 1.0,   // … and one only the |f| + |pot| test rejects
+            -(p(49) + 0.5),
+        ]
+    }
+
+    /// Every path against the scalar chain on placed terms: j-particle
+    /// `k` sits one grid step up axis `k mod 3` and carries `masses[k]`.
+    fn check_placed(masses: &[f64], what: &str) {
+        let jraw: Vec<[i64; 3]> = (0..masses.len())
+            .map(|k| {
+                let mut r = [0i64; 3];
+                r[k % 3] = 1;
+                r
+            })
+            .collect();
+        let j = jmem(&jraw, masses);
+        for fmt in [FixedFormat::new(64, 0), FixedFormat::new(32, 0)] {
+            for mode in MODES {
+                let what = format!("{what} {fmt:?}");
+                assert_paths_agree(mode, 1.0, 0.0, &PLACED_XI, &j, 1.0, fmt, &what);
+            }
+        }
+    }
+
     #[test]
     fn saturating_terms_agree_via_encode_fallback() {
         // Huge masses push |scaled| past 2^50 (and, in LNS mode, the log
@@ -1706,36 +1829,9 @@ mod tests {
         // That steers the ordered saturating chain — the scalar path —
         // at will, and the column accumulators must reproduce it
         // wherever a term or the running word leaves their
-        // preconditions.
-        let p = |e: i32| f64::from(e).exp2();
-        let in_window = p(48); // |f| + |pot| = 2^49 per j: column-eligible
-        let specials = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            p(50), // just outside the encode window
-            -p(50),
-            p(50) - 0.125, // the largest term inside it …
-            p(49) + 1.0,   // … and one only the |f| + |pot| test rejects
-            -(p(49) + 0.5),
-        ];
-        let xi = [[0i64; 3], [0, 0, 2], [1, 1, 1]];
-        let check = |masses: &[f64], what: &str| {
-            let jraw: Vec<[i64; 3]> = (0..masses.len())
-                .map(|k| {
-                    let mut r = [0i64; 3];
-                    r[k % 3] = 1;
-                    r
-                })
-                .collect();
-            let j = jmem(&jraw, masses);
-            for fmt in [FixedFormat::new(64, 0), FixedFormat::new(32, 0)] {
-                for mode in MODES {
-                    let what = format!("{what} {fmt:?}");
-                    assert_paths_agree(mode, 1.0, 0.0, &xi, &j, 1.0, fmt, &what);
-                }
-            }
-        };
+        // preconditions (`check_placed`).
+        let (xi, in_window) = (PLACED_XI, in_window());
+        let (specials, check) = (placed_specials(), check_placed);
         for tail in 0..=7 {
             // a special term first / mid / last in a 512-j span (and
             // somewhere in the tail, past the last whole group)
@@ -1790,6 +1886,109 @@ mod tests {
         for mode in MODES {
             let fmt = FixedFormat::new(64, 0);
             assert_paths_agree(mode, q, 0.0, &xi, &j, 1.0, fmt, "headroom lost in a redo group");
+        }
+    }
+
+    /// The AVX2 LNS kernel keeps two 8-lane groups (a pair, 16 j) in
+    /// flight: j-counts of `8·g + t` put zero to two whole pairs, an odd
+    /// last group and every scalar tail behind a `J_BLOCK` edge and at
+    /// the start of a span.
+    #[test]
+    fn lane_paths_agree_on_every_pair_boundary() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x9a1e);
+        for base in [0, J_BLOCK] {
+            for (g, t) in (0..=5).flat_map(|g| (0..=7).map(move |t| (g, t))) {
+                let nj = base + 8 * g + t;
+                let (xi, j) = random_block(&mut rng, 3, nj, 1 << 30);
+                for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
+                    for mode in MODES {
+                        let what = format!("nj = {base} + 8·{g} + {t}, {fmt:?}");
+                        assert_paths_agree(mode, 2e-10, 0.01, &xi, &j, 0.25, fmt, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Redo lanes (a unit displacement with the quantum on an encoder
+    /// breakpoint; displacement 3 is not flagged) in the first group of
+    /// an in-flight pair, in the second, and in both. Seen from the
+    /// i-particle at the origin the first flagged j (mass 2⁶⁴)
+    /// saturates the potential and a second one (−2⁶²) walks it back; a
+    /// flagged group is otherwise four in-window terms up and four
+    /// down, like every group before the pair; the pair's unflagged
+    /// group only pulls down, the four groups after it push into the
+    /// clamp again, the rest pull down. So a fallback that drops a
+    /// group of the pair, swaps the two, or leaves the columns `fast`
+    /// after either, ends on a different word.
+    #[test]
+    fn redo_lanes_in_either_group_of_a_pair_agree() {
+        let f = Grape5Config::paper().lns.frac_bits;
+        let q = (0.5 / f64::from(1u32 << f)).exp2();
+        let term = 0.9 * 3.0 * p(49);
+        // pair 2 of the first span; pair 0 of the second; the last
+        // whole pair before an odd group and a tail
+        for (base, nj) in [(32, 512), (J_BLOCK, 2 * J_BLOCK), (64, 64 + 16 + 8 + 5)] {
+            for flagged in [&[3][..], &[8 + 5], &[3, 8 + 5], &[7, 8], &[0, 15]] {
+                let in_flagged_group = |k: usize| flagged.iter().any(|at| (base + at) / 8 == k / 8);
+                let mut jraw = vec![[3i64, 0, 0]; nj];
+                let mut m: Vec<f64> = (0..nj)
+                    .map(|k| {
+                        if k < base || in_flagged_group(k) {
+                            [term, -term][k % 8 / 4]
+                        } else if (base + 16..base + 48).contains(&k) {
+                            term
+                        } else {
+                            -term
+                        }
+                    })
+                    .collect();
+                for (n, &at) in flagged.iter().enumerate() {
+                    jraw[base + at] = [1, 0, 0];
+                    m[base + at] = if n == 0 { p(64) } else { -p(62) };
+                }
+                let j = jmem(&jraw, &m);
+                for fmt in [FixedFormat::new(64, 0), FixedFormat::new(32, 0)] {
+                    for mode in MODES {
+                        let what = format!("redo lanes {flagged:?} of the pair at {base}, {fmt:?}");
+                        assert_paths_agree(mode, q, 0.0, &PLACED_XI, &j, 1.0, fmt, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The placed-term referees of the column accumulators
+    /// (`saturating_terms_agree_via_encode_fallback`) at the positions
+    /// the second group of an in-flight pair brings: a term outside the
+    /// columns' preconditions at lanes 8–15, and headroom lost on the
+    /// last j of the first group or the first of the second.
+    #[test]
+    fn placed_terms_in_the_second_group_of_a_pair_agree() {
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let in_window = in_window();
+        for tail in [0, 5] {
+            for special in placed_specials() {
+                for at in (8..16).chain([16 * 7 + 9, 16 * 31 + 12]) {
+                    let mut m: Vec<f64> = (0..512 + 24 + tail)
+                        .map(|k| in_window * rng.random_range(-1.0..1.0) * f64::from(k % 5 != 0))
+                        .collect();
+                    m[at] = special;
+                    m[512 + 16 + at % 8] = special; // and in the odd last group
+                    check_placed(&m, &format!("special {special:e} at {at}, tail {tail}"));
+                }
+            }
+            for sign in [1.0, -1.0] {
+                // headroom goes without saturating; what follows — the
+                // rest of the pair first — saturates the potential on
+                // the ordered path and walks it back
+                for at in [16 * 12 + 7, 16 * 12 + 8, 16 * 12 + 15] {
+                    let mut m = vec![sign * in_window; 512 + tail];
+                    m[at] = sign * (p(63) - p(57));
+                    m[400..].fill(-sign * in_window);
+                    check_placed(&m, &format!("headroom lost at {at}, sign {sign}, tail {tail}"));
+                }
+            }
         }
     }
 
