@@ -37,9 +37,13 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_cluster -- \
 //!     [--quick] [--n 262144] [--ks 1,2,4,8] [--steps 1] \
-//!     [--out BENCH_pr6.json] [--baseline BENCH_pr6.json] \
+//!     [--out artifacts/exp_cluster.json] [--baseline BENCH_pr15.json] \
 //!     [--trajectory BENCH_trajectory.json --pr pr15]
 //! ```
+//!
+//! The report defaults to the git-ignored `artifacts/exp_cluster.json`
+//! (a committed `BENCH_pr*.json` is only ever written by naming it);
+//! `--baseline` defaults to the previous report at `--out`.
 //!
 //! `--trajectory FILE --pr LABEL` appends the largest-K step speed-up
 //! to the cross-PR ledger (`g5_bench::trajectory`) as
@@ -48,7 +52,7 @@
 //! `--quick` (CI smoke): N = 32,768, K ∈ {1, 2}.
 
 use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
 use grape5::ClockReport;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -291,7 +295,7 @@ fn print_baseline_delta(results: &[ClusterCell], old: &str) {
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
-    let out_path: String = args.get("out", "BENCH_pr6.json".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_cluster.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());
     let baseline = std::fs::read_to_string(&base_path).ok();
 
@@ -412,7 +416,7 @@ fn main() {
     let lines: Vec<String> = results.iter().map(|c| json_line(c, k1)).collect();
     json.push_str(&lines.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("could not write JSON report");
+    write_report(&out_path, &json);
     println!();
     println!("wrote {out_path}");
 

@@ -22,9 +22,11 @@
 //! steps (the walks are bit-identical there — enforced); refresh steps
 //! may produce slightly longer lists because the inflated spheres are
 //! conservative. Results go to a table, per-phase rates, and a JSON
-//! report (default `BENCH_pr4.json`); when a baseline file exists its
-//! numbers are read first and a delta is printed, so CI can diff a
-//! fresh `--quick` run against the committed report.
+//! report (default `artifacts/exp_host.json`, git-ignored — a
+//! committed `BENCH_pr*.json` is only ever written by naming it); when
+//! a baseline file exists its numbers are read first and a delta is
+//! printed, so CI can diff a fresh `--quick` run against the committed
+//! report.
 //!
 //! Two **host-library** rows (PR 13) ride along, measured on the real
 //! interaction lists of the `n_g = 32` operating point (Plummer
@@ -46,12 +48,12 @@
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_host -- \
-//!     [--quick] [--out BENCH_pr4.json] [--baseline BENCH_pr4.json]
+//!     [--quick] [--out artifacts/exp_host.json] [--baseline BENCH_pr4.json]
 //!     [--trajectory BENCH_trajectory.json --pr pr13]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, plummer, rule, Args};
+use g5_bench::{fmt_count, plummer, rule, write_report, Args};
 use g5tree::plan::{self, PlanConfig};
 use g5tree::traverse::{Traversal, TraverseScratch};
 use g5tree::tree::{Tree, TreeConfig};
@@ -591,7 +593,7 @@ fn print_baseline_delta(results: &[HostCell], old: &str) {
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
-    let out_path: String = args.get("out", "BENCH_pr4.json".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_host.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());
     let baseline = std::fs::read_to_string(&base_path).ok();
 
@@ -795,7 +797,7 @@ fn main() {
     }
     writeln!(text, "  ]").unwrap();
     writeln!(text, "}}").unwrap();
-    std::fs::write(&out_path, &text).unwrap();
+    write_report(&out_path, &text);
     println!();
     println!("wrote {} results to {out_path}", results.len());
 

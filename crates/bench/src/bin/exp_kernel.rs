@@ -18,7 +18,12 @@
 //! pipeline stages, and the differences of those prefixes give the
 //! per-stage ns/interaction split that names the next bottleneck — in
 //! exact mode, what the simulated fixed-point accumulator costs next to
-//! the force itself.
+//! the force itself. Differencing prefixes mis-prices stages that
+//! overlap (PR 16's LNS decode, the exact kernel's pipelined front and
+//! back), so the exact table also carries a same-run **divider floor**:
+//! a calibration loop of the one `vsqrtpd` and two `vdivpd` per four
+//! lanes that exact mode's definition cannot shed, and the kernel's
+//! ratio to it — how far from the floor, as a number.
 //!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
@@ -34,12 +39,12 @@
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr16.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr16]
+//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr18.json] \
+//!     [--trajectory BENCH_trajectory.json --pr pr18]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
 use g5util::counters::{FlopConvention, InteractionRate};
 use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
@@ -202,6 +207,8 @@ struct StageSplit {
     stages: StageNames,
     /// Time per interaction of the kernel truncated after each stage.
     prefix_ns: Vec<f64>,
+    /// Exact mode: [`divider_floor_ns`], fastest of the same rounds.
+    floor_ns: Option<f64>,
 }
 
 impl StageSplit {
@@ -220,6 +227,42 @@ impl StageSplit {
         let s = self.stage_ns();
         (0..s.len()).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap()
     }
+}
+
+/// The exact kernel's floor, ns per interaction: a loop of nothing but
+/// the `vsqrtpd` and the two `vdivpd` every four interactions need by
+/// the mode's definition (`r⁻¹ = 1/√r²`, `r⁻³ = r⁻¹/r²`), on independent
+/// L1-resident operands, so the divider is the only thing waited on.
+#[cfg(target_arch = "x86_64")]
+fn divider_floor_ns() -> f64 {
+    use std::arch::x86_64::*;
+    #[target_feature(enable = "avx2")]
+    unsafe fn pass(r2: &[f64]) -> f64 {
+        let one = _mm256_set1_pd(1.0);
+        let mut sink = _mm256_setzero_pd();
+        for c in r2.chunks_exact(4) {
+            // SAFETY: a chunk of chunks_exact(4) is four doubles.
+            let v = _mm256_loadu_pd(c.as_ptr());
+            let rinv = _mm256_div_pd(one, _mm256_sqrt_pd(v));
+            sink = _mm256_xor_pd(sink, _mm256_div_pd(rinv, v));
+        }
+        _mm256_cvtsd_f64(sink)
+    }
+    let r2: Vec<f64> = (0..2_048).map(|k| 0.5 + f64::from(k) * 1e-3).collect();
+    let passes = 256;
+    let t = Instant::now();
+    for _ in 0..passes {
+        // SAFETY: only called from `stage_split` after the AVX2 kernel
+        // itself ran, i.e. AVX2 was detected.
+        std::hint::black_box(unsafe { pass(std::hint::black_box(&r2)) });
+    }
+    t.elapsed().as_secs_f64() * 1e9 / (passes * r2.len()) as f64
+}
+
+/// No AVX2 kernel, no floor row (`stage_split` is `None` before this).
+#[cfg(not(target_arch = "x86_64"))]
+fn divider_floor_ns() -> f64 {
+    f64::INFINITY
 }
 
 /// Time `mode`'s AVX2 kernel truncated after every stage (alternating
@@ -250,6 +293,7 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
         ArithMode::Lns => LNS_STAGES,
     };
     let mut best = vec![f64::INFINITY; stages.len()];
+    let mut floor_ns = f64::INFINITY;
     for round in 0..=rounds {
         for (s, best) in best.iter_mut().enumerate() {
             let xi = &raw[(round * ni) % (n - ni + 1)..][..ni];
@@ -271,8 +315,12 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
                 *best = best.min(ns); // round 0 warms caches and ROMs
             }
         }
+        if mode == ArithMode::Exact {
+            floor_ns = floor_ns.min(divider_floor_ns());
+        }
     }
-    Some(StageSplit { n, mode, stages, prefix_ns: best })
+    let floor_ns = floor_ns.is_finite().then_some(floor_ns);
+    Some(StageSplit { n, mode, stages, prefix_ns: best, floor_ns })
 }
 
 fn stage_table(split: &StageSplit) {
@@ -303,6 +351,13 @@ fn stage_table(split: &StageSplit) {
         total
     );
     println!("(each row: kernel truncated after that stage minus the row above; one core)");
+    if let Some(floor) = split.floor_ns {
+        println!(
+            "divider floor (1 vsqrtpd + 2 vdivpd per 4 lanes, same rounds): {floor:.2} ns/interaction \
+             — the kernel runs at {:.2}x its floor",
+            total / floor
+        );
+    }
 }
 
 fn stage_json(split: &StageSplit) -> String {
@@ -313,6 +368,10 @@ fn stage_json(split: &StageSplit) -> String {
     );
     for (k, ns) in split.stage_ns().iter().enumerate() {
         write!(s, ", \"{}\": {}", split.stages[k].0, ns).unwrap();
+    }
+    if let Some(floor) = split.floor_ns {
+        write!(s, ", \"divider_floor\": {floor}, \"kernel_over_floor\": {}", split.total() / floor)
+            .unwrap();
     }
     write!(
         s,
@@ -602,10 +661,7 @@ fn main() {
     }
     writeln!(text, "  ]").unwrap();
     writeln!(text, "}}").unwrap();
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        std::fs::create_dir_all(dir).expect("create the report's directory");
-    }
-    std::fs::write(&out_path, &text).expect("write the report");
+    write_report(&out_path, &text);
     println!();
     println!("wrote {} results to {out_path}", results.len());
 

@@ -13,11 +13,15 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_suite -- \
 //!     [--quick] [--append] [--gate] [--gate-only] \
-//!     [--out BENCH_pr8.json] [--trajectory BENCH_trajectory.json] \
+//!     [--out artifacts/exp_suite.json] [--trajectory BENCH_trajectory.json] \
 //!     [--kernel-json K.json] [--host-json H.json] \
 //!     [--cluster-json C.json] [--endurance-json E.json] \
 //!     [--flagship-json F.json] [--serve-json S.json]
 //! ```
+//!
+//! The suite report defaults to the git-ignored
+//! `artifacts/exp_suite.json`; the committed `BENCH_pr8.json` is only
+//! rewritten by naming it.
 //!
 //! Without `--append` the trajectory is (re)seeded: the committed
 //! `BENCH_pr3/4/6/7.json` reports are mined for their headline numbers,
@@ -40,7 +44,7 @@
 //! that makes a regressed appended row fail the build.
 
 use g5_bench::trajectory::{self, commit_for, Entry};
-use g5_bench::Args;
+use g5_bench::{write_report, Args};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::Command;
@@ -208,7 +212,7 @@ fn main() {
     let quick = args.flag("quick");
     let append = args.flag("append");
     let gate = args.flag("gate");
-    let out_path: String = args.get("out", "BENCH_pr8.json".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_suite.json".to_string());
     let traj_path: String = args.get("trajectory", "BENCH_trajectory.json".to_string());
 
     if args.flag("gate-only") {
@@ -322,7 +326,7 @@ fn main() {
     let serve_p95 = json_f64_any(&serve_text, "p95_latency_s").expect("p95_latency_s");
     let serve_jain = json_f64_any(&serve_text, "jain_fairness").expect("jain_fairness");
 
-    // ---- BENCH_pr8.json: the aggregated PR 8 report ----
+    // ---- the aggregated suite report (committed once as BENCH_pr8.json) ----
     let mut text = String::new();
     writeln!(text, "{{").unwrap();
     writeln!(text, "  \"experiment\": \"exp_suite\",").unwrap();
@@ -352,7 +356,7 @@ fn main() {
     )
     .unwrap();
     writeln!(text, "}}").unwrap();
-    std::fs::write(&out_path, &text).unwrap();
+    write_report(&out_path, &text);
     println!();
     println!("wrote PR 8 aggregate to {out_path}");
 

@@ -79,6 +79,16 @@ pub fn cdm(n_target: usize, seed: u64) -> CosmologicalIc {
     CosmologicalIc::generate(&ZeldovichConfig::for_target_particles(n_target, seed))
 }
 
+/// Write a harness report, creating its directory first: every harness
+/// defaults `--out` to the git-ignored `artifacts/<harness>.json`, so a
+/// committed `BENCH_pr*.json` is only ever written by naming it.
+pub fn write_report(path: &str, text: &str) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).expect("create the report's directory");
+    }
+    std::fs::write(path, text).expect("write the report");
+}
+
 /// Print a horizontal rule sized to a table width.
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));

@@ -16,8 +16,9 @@
 //!                                   pair_lns_tab), the definition
 //! ```
 //!
-//! All of them run inside one tiling skeleton (`block_tiled`) and end
-//! in the same saturating fixed-point accumulate.
+//! All of them run inside one tiling skeleton (`block_tiled`; the AVX2
+//! exact kernel spells the same loop out, for its per-block image) and
+//! end in the same saturating fixed-point accumulate.
 //!
 //! **Bit-identity contract, exact mode.** Every path reproduces the
 //! scalar `pair_exact` + `Fixed::accumulate` sequence bit for bit:
@@ -26,10 +27,12 @@
 //!   in scalar and vector forms alike, and no FMA contraction is ever
 //!   emitted from explicit intrinsics — so vectorizing the identical
 //!   operation sequence preserves every bit.
-//! * The fixed-point `dx` subtract stays in 64-bit integers (`vpsubq`),
-//!   and the i64 → f64 conversion uses the exact `2⁵²+2⁵¹` shifter,
-//!   valid because a coordinate-magnitude guard routes any call with
-//!   raw words ≥ 2⁵⁰ to the portable path.
+//! * The AVX2 kernel converts a j-block's coordinate columns to `f64`
+//!   once per (i-tile, j-block) with the exact `2⁵²+2⁵¹` shifter and
+//!   subtracts in doubles. A coordinate-magnitude guard routes any call
+//!   with raw words ≥ 2⁵⁰ to the portable path, so both operands and
+//!   their difference are integers a double holds exactly: the result
+//!   is `(a − b) as f64` bit for bit, `+0.0` when `a = b`.
 //! * `FixedFormat::encode`'s round-half-away-from-zero is emulated as
 //!   `trunc(x + copysign(pred(½), x))` (`round_half_away`), and its
 //!   saturation as clamp-after-round, equivalent for `|scaled| < 2⁵⁰`;
@@ -44,9 +47,18 @@
 //!   the column sums *are* that chain. The first group that cannot
 //!   show this flushes the columns and goes through the ordered
 //!   per-j accumulate, the one slow path and the definition.
-//! * The zero-distance guard blends guarded lanes to `+0.0`, which
-//!   encodes to a raw `0` term — a bitwise no-op on the accumulator,
-//!   exactly like the scalar path's `continue`.
+//! * The zero-distance guard makes a guarded lane a raw `0` term — a
+//!   bitwise no-op on the accumulator, like the scalar path's
+//!   `continue`. The AVX2 kernel masks only the potential: a guarded
+//!   force lane is `0·s`, ±0 for finite `s` and NaN otherwise,
+//!   `encode(±0) = encode(NaN) = 0`, and a NaN sends its group down the
+//!   ordered path.
+//! * **Front and back.** The AVX2 kernel cuts a j-group's work at the
+//!   divider — front: loads to the term vectors `[fx, fy, fz, pot]`, a
+//!   pure function of the group; back: the accumulate — and issues
+//!   `front(g + D)` before `back(g)`, through a ring, so the divider
+//!   works on one group while the vector ports round another (in one
+//!   body they took turns: DESIGN.md). Backs run in ascending j.
 //!
 //! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
 //! the input converter every stage is a small-integer operation on log
@@ -122,6 +134,11 @@ pub const LNS_LANES: usize = 8;
 const I_TILE: usize = 16;
 /// j-particles per block; the SoA streams stay well inside L1.
 const J_BLOCK: usize = 512;
+/// j-groups the front of the AVX2 exact kernel runs ahead of its back,
+/// so a group's sqrt → div → div chain has retired when its back is
+/// issued (2–8 measure alike: DESIGN.md, device kernel).
+#[cfg(any(test, target_arch = "x86_64"))]
+const EXACT_DEPTH: usize = 4;
 
 /// Which implementation the no-cutoff `interact_block` dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,10 +293,16 @@ fn block_tiled(
             }
             js = je;
         }
-        for (o, a) in oc.iter_mut().zip(&acc) {
-            let [ax, ay, az, pot] = a.map(|raw| Fixed { raw, fmt }.to_f64() * force_scale);
-            *o = Force { acc: Vec3::new(ax, ay, az), pot };
-        }
+        store_tile(oc, &acc, force_scale, fmt);
+    }
+}
+
+/// The forces of one i-tile from its raw accumulator words.
+#[inline(always)]
+fn store_tile(oc: &mut [Force], acc: &[[i64; 4]; I_TILE], force_scale: f64, fmt: FixedFormat) {
+    for (o, a) in oc.iter_mut().zip(acc) {
+        let [ax, ay, az, pot] = a.map(|raw| Fixed { raw, fmt }.to_f64() * force_scale);
+        *o = Force { acc: Vec3::new(ax, ay, az), pot };
     }
 }
 
@@ -827,8 +850,9 @@ pub(crate) fn block_lns_avx2_upto(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, ExactStage, LnsLanes, LnsStage, QuantCtx,
-        ScalarAcc, ScaleMode, HALF_PRED, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
+        block_tiled, exact_pair, scale_mode, span_pairs, store_tile, ExactStage, LnsLanes,
+        LnsStage, QuantCtx, ScalarAcc, ScaleMode, EXACT_DEPTH, HALF_PRED, I_TILE, J_BLOCK, LANES,
+        LNS_LANES, ZERO_WORD,
     };
     use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
@@ -929,10 +953,13 @@ mod avx2 {
         }
     }
 
+    /// `v as f64`, exact for `|v| < 2⁵¹` (the coordinate guard).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn i64x4_to_f64(v: __m256i) -> __m256d {
-        // Exact for |v| < 2^51 — guaranteed by the coordinate guard.
         let shifted = _mm256_add_epi64(v, _mm256_set1_epi64x(MAGIC_BITS));
         _mm256_sub_pd(_mm256_castsi256_pd(shifted), _mm256_set1_pd(MAGIC))
     }
@@ -963,6 +990,9 @@ mod avx2 {
     /// [`round_half_away`](super::round_half_away) — add the signed
     /// `pred(½)`, truncate — then the exact magic conversion; valid for
     /// `|scaled| ≤ 2⁵⁰`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn round_away_biased(scaled: __m256d) -> __m256i {
@@ -976,6 +1006,9 @@ mod avx2 {
 
     /// Round half away from zero and convert to i64 — `scaled.round()
     /// as i64`, bit for bit, valid for `|scaled| ≤ 2⁵⁰`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn round_away_to_i64(scaled: __m256d) -> __m256i {
@@ -984,6 +1017,9 @@ mod avx2 {
 
     /// One vector `Fixed::accumulate_with_scale` over the 4 components
     /// `[fx, fy, fz, pot]` of a single j-interaction (already unscaled).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
     unsafe fn accumulate4(acc: __m256i, v: __m256d, c: &AccCtx) -> __m256i {
@@ -1019,6 +1055,9 @@ mod avx2 {
     /// unscaled) to per-j `[fx, fy, fz, pot]` and take them through
     /// [`accumulate4`] one j at a time. Kept out of line (and away from
     /// [`Columns`], which must stay in registers).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[cold]
     #[inline(never)]
@@ -1061,6 +1100,9 @@ mod avx2 {
 
     impl Columns {
         /// Start a span carried in on the running words `a`.
+        ///
+        /// # Safety
+        /// The CPU must support AVX2.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn open(a: &[i64; 4], c: &AccCtx) -> Columns {
@@ -1077,6 +1119,10 @@ mod avx2 {
         /// path, which is exact for any input: fold the columns, add
         /// the group in order ([`add_ordered`]), then see whether what
         /// follows may use the columns (again).
+        ///
+        /// # Safety
+        /// The CPU must support AVX2; `a` must be the running words
+        /// this span was opened on.
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn add(&mut self, a: &mut [i64; 4], f: [__m256d; 4], c: &AccCtx) {
@@ -1102,6 +1148,9 @@ mod avx2 {
         /// per component) and clear them. Must precede anything else
         /// that reads or writes `a`; after scalar work on `a`, `fast`
         /// is to be re-derived from [`AccCtx::headroom`].
+        ///
+        /// # Safety
+        /// As for [`Columns::add`].
         #[target_feature(enable = "avx2")]
         #[inline]
         unsafe fn flush(&mut self, a: &mut [i64; 4]) {
@@ -1194,7 +1243,7 @@ mod avx2 {
 
     /// The AVX2 exact-mode block kernel, truncated after stage `UPTO`
     /// (an [`ExactStage`] discriminant; `Accumulate` is the whole
-    /// kernel).
+    /// kernel); module docs, "front and back".
     ///
     /// # Safety
     /// The CPU must support AVX2, and every coordinate word in `xi` and
@@ -1209,65 +1258,102 @@ mod avx2 {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
+        const D: usize = EXACT_DEPTH;
         let ctx = AccCtx::new(fmt, force_scale);
         let sa = ScalarAcc::new(fmt, force_scale);
         let pair = exact_pair(quantum, eps2, j);
         let qv = _mm256_set1_pd(quantum);
         let e2v = _mm256_set1_pd(eps2);
         let onev = _mm256_set1_pd(1.0);
-        block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            // slicing bounds-checks every vector load below
-            let (bx, by, bz, bm) = (&j.x[js..je], &j.y[js..je], &j.z[js..je], &j.m[js..je]);
-            let lanes_end = bx.len() / LANES * LANES;
-            let mut cols = Columns::open(a, &ctx);
-            let xv0 = _mm256_set1_epi64x(x[0]);
-            let xv1 = _mm256_set1_epi64x(x[1]);
-            let xv2 = _mm256_set1_epi64x(x[2]);
-            for k in (0..lanes_end).step_by(LANES) {
-                let jx = _mm256_loadu_si256(bx.as_ptr().add(k).cast());
-                let jy = _mm256_loadu_si256(by.as_ptr().add(k).cast());
-                let jz = _mm256_loadu_si256(bz.as_ptr().add(k).cast());
-                let d0 = _mm256_sub_epi64(jx, xv0);
-                let d1 = _mm256_sub_epi64(jy, xv1);
-                let d2 = _mm256_sub_epi64(jz, xv2);
-                let zero = _mm256_cmpeq_epi64(
-                    _mm256_or_si256(_mm256_or_si256(d0, d1), d2),
-                    _mm256_setzero_si256(),
-                );
-                let dx = _mm256_mul_pd(i64x4_to_f64(d0), qv);
-                let dy = _mm256_mul_pd(i64x4_to_f64(d1), qv);
-                let dz = _mm256_mul_pd(i64x4_to_f64(d2), qv);
-                // (dx² + dy²) + dz² — explicit mul/add, never FMA,
-                // matching pair_exact's association
-                let r2 = _mm256_add_pd(
-                    _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                    _mm256_mul_pd(dz, dz),
-                );
-                let r2e = _mm256_add_pd(r2, e2v);
-                let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
-                let rinv3 = _mm256_div_pd(rinv, r2e);
-                let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
-                let s = _mm256_mul_pd(m4, rinv3);
-                // zero-distance guard: blend guarded lanes to +0.0
-                let zm = _mm256_castsi256_pd(zero);
-                let f = [
-                    _mm256_andnot_pd(zm, _mm256_mul_pd(dx, s)),
-                    _mm256_andnot_pd(zm, _mm256_mul_pd(dy, s)),
-                    _mm256_andnot_pd(zm, _mm256_mul_pd(dz, s)),
-                    _mm256_andnot_pd(zm, _mm256_mul_pd(m4, rinv)),
-                ];
-                if UPTO == ExactStage::Force as u8 {
-                    cols.sink(_mm256_castpd_si256(xor4(f)));
-                } else if UPTO == ExactStage::Round as u8 {
-                    let [t0, t1, t2, t3] = ctx.encode(ctx.unscale(f)).map(|s| round_away_biased(s));
-                    cols.sink(_mm256_xor_si256(_mm256_xor_si256(t0, t1), _mm256_xor_si256(t2, t3)));
-                } else {
-                    cols.add(a, f, &ctx);
+        // block_tiled's loop, plus the j-block's coordinate columns as
+        // integer-valued doubles: converted once per (i-tile, j-block)
+        // and shared by the tile's i-particles
+        let mut img = [[0.0f64; J_BLOCK]; 3];
+        for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
+            let mut acc = [[0i64; 4]; I_TILE];
+            for js in (0..j.len()).step_by(J_BLOCK) {
+                let je = (js + J_BLOCK).min(j.len());
+                // slicing bounds-checks the block against the j-columns
+                let bm = &j.m[js..je];
+                let lanes_end = bm.len() / LANES * LANES;
+                for (img, col) in img.iter_mut().zip([j.x, j.y, j.z]) {
+                    let col = &col[js..je];
+                    for k in (0..lanes_end).step_by(LANES) {
+                        debug_assert!(k + LANES <= col.len() && k + LANES <= img.len());
+                        // SAFETY: k + LANES ≤ lanes_end ≤ je − js = col.len()
+                        // ≤ J_BLOCK = img.len(); the words are inside the
+                        // magic window (caller's contract).
+                        let w = _mm256_loadu_si256(col.as_ptr().add(k).cast());
+                        _mm256_storeu_pd(img.as_mut_ptr().add(k), i64x4_to_f64(w));
+                    }
+                }
+                for (a, &x) in acc.iter_mut().zip(xc) {
+                    let xv = x.map(|x| {
+                        debug_assert!(x.unsigned_abs() < 1 << 50, "i-word outside the window");
+                        _mm256_set1_pd(x as f64) // exact: |x| < 2⁵⁰
+                    });
+                    // nothing after the divides but five multiplies and a mask
+                    let front = |k: usize| {
+                        debug_assert!(k + LANES <= lanes_end && lanes_end <= J_BLOCK);
+                        // SAFETY: k + LANES ≤ lanes_end, which is at most
+                        // the length of bm and of each img column.
+                        let d0 = _mm256_sub_pd(_mm256_loadu_pd(img[0].as_ptr().add(k)), xv[0]);
+                        let d1 = _mm256_sub_pd(_mm256_loadu_pd(img[1].as_ptr().add(k)), xv[1]);
+                        let d2 = _mm256_sub_pd(_mm256_loadu_pd(img[2].as_ptr().add(k)), xv[2]);
+                        let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
+                        // exact integer-valued differences, and x − x is +0.0:
+                        // "all three zero" stays a bit-pattern test
+                        let zero = _mm256_cmpeq_epi64(
+                            _mm256_castpd_si256(_mm256_or_pd(_mm256_or_pd(d0, d1), d2)),
+                            _mm256_setzero_si256(),
+                        );
+                        let dx = _mm256_mul_pd(d0, qv);
+                        let dy = _mm256_mul_pd(d1, qv);
+                        let dz = _mm256_mul_pd(d2, qv);
+                        // (dx² + dy²) + dz² — explicit mul/add, never FMA,
+                        // matching pair_exact's association
+                        let r2 = _mm256_add_pd(
+                            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                            _mm256_mul_pd(dz, dz),
+                        );
+                        let r2e = _mm256_add_pd(r2, e2v);
+                        let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
+                        let rinv3 = _mm256_div_pd(rinv, r2e);
+                        let s = _mm256_mul_pd(m4, rinv3);
+                        // zero-distance guard, potential lane only: a guarded
+                        // force lane is 0·s, ±0 or NaN, a raw 0 either way
+                        let pot =
+                            _mm256_andnot_pd(_mm256_castsi256_pd(zero), _mm256_mul_pd(m4, rinv));
+                        [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
+                    };
+                    let groups = lanes_end / LANES;
+                    let mut cols = Columns::open(a, &ctx);
+                    let mut ring = [[_mm256_setzero_pd(); 4]; D];
+                    for (g, slot) in ring.iter_mut().enumerate().take(groups) {
+                        *slot = front(g * LANES);
+                    }
+                    for g in 0..groups {
+                        let f = ring[g % D];
+                        if g + D < groups {
+                            ring[g % D] = front((g + D) * LANES);
+                        }
+                        if UPTO == ExactStage::Force as u8 {
+                            cols.sink(_mm256_castpd_si256(xor4(f)));
+                        } else if UPTO == ExactStage::Round as u8 {
+                            let t = ctx.encode(ctx.unscale(f));
+                            cols.sink(_mm256_castpd_si256(xor4(
+                                t.map(|s| _mm256_castsi256_pd(round_away_biased(s))),
+                            )));
+                        } else {
+                            cols.add(a, f, &ctx);
+                        }
+                    }
+                    cols.flush(a);
+                    span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
                 }
             }
-            cols.flush(a);
-            span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
-        });
+            store_tile(oc, &acc, force_scale, fmt);
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -1988,6 +2074,97 @@ mod tests {
                     m[400..].fill(-sign * in_window);
                     check_placed(&m, &format!("headroom lost at {at}, sign {sign}, tail {tail}"));
                 }
+            }
+        }
+    }
+
+    /// The AVX2 exact kernel runs the front of group `g + D` beside the
+    /// back of group `g` through a `D`-slot ring: j-counts of `4·g + t`
+    /// put spans shorter than the ring, exactly one ring, a ring and a
+    /// bit, and every scalar tail at the start of a call and behind a
+    /// `J_BLOCK` edge; 15 / 16 / 17 / 33 i-particles end a tile short,
+    /// full, and start further ones, so the per-(tile, block) `f64`
+    /// image is rebuilt and reused.
+    #[test]
+    fn lane_paths_agree_on_every_ring_boundary() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x18);
+        for base in [0, J_BLOCK] {
+            for (g, t) in (0..=EXACT_DEPTH + 2).flat_map(|g| (0..=3).map(move |t| (g, t))) {
+                for ni in [15, 16, 17, 33] {
+                    let (xi, j) = random_block(&mut rng, ni, base + 4 * g + t, 1 << 30);
+                    for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
+                        for mode in MODES {
+                            let what = format!("nj = {base} + 4·{g} + {t}, ni = {ni}, {fmt:?}");
+                            assert_paths_agree(mode, 2e-10, 0.01, &xi, &j, 0.25, fmt, &what);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A zero-distance pair at every lane of the first, a middle and
+    /// the last group of a full span and of a short one, its j-particle
+    /// duplicated on the next j (so the guard fires twice, across a
+    /// group, block or tail edge) and carrying an ordinary, zero,
+    /// negative or infinite mass; ε = 0 makes the guarded force lanes
+    /// NaN (`0 · ∞`), ε > 0 leaves them ±0 — unless the mass is
+    /// infinite. Only the potential lane is masked, so every one of
+    /// these must still add nothing.
+    #[test]
+    fn zero_distance_pairs_agree_in_every_lane_and_group() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x2e20);
+        let nj = J_BLOCK + 4 * 20 + 3;
+        let groups = [0, 64, 127, 128, 128 + 9, 128 + 19];
+        for (group, lane) in groups.into_iter().flat_map(|g| (0..4).map(move |l| (g, l))) {
+            for mass in [1.5, 0.0, -2.5, f64::INFINITY] {
+                let (xi, mut jraw, mut jm) = random_particles(&mut rng, 5, nj, 1 << 30);
+                let at = 4 * group + lane;
+                (jraw[at], jraw[at + 1]) = (xi[2], xi[2]);
+                jm[at] = mass;
+                // … and a duplicated j-particle no i-particle sits on
+                jraw[(at + 7) % nj] = jraw[(at + 6) % nj];
+                let j = jmem(&jraw, &jm);
+                for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
+                    for (mode, eps) in MODES.into_iter().flat_map(|m| [(m, 0.0), (m, 0.01)]) {
+                        let what = format!("mass {mass} at group {group} lane {lane}, {fmt:?}");
+                        assert_paths_agree(mode, 2e-10, eps, &xi, &j, 0.25, fmt, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The placed-term referees of the column accumulators with the
+    /// rejected group in each ring slot of the pipelined exact kernel,
+    /// on the ring's first and second turn: when the back of group `g`
+    /// flushes, adds in order and re-derives `fast`, the fronts of
+    /// groups `g + 1 ..= g + D` are already in the ring, and a second
+    /// rejected group among them must still come after it.
+    #[test]
+    fn placed_terms_in_every_ring_slot_agree() {
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        let in_window = in_window();
+        let slots = (0..2 * EXACT_DEPTH).flat_map(|s| [4 * s, 4 * s + 3]);
+        for (n, at) in slots.clone().enumerate() {
+            for special in placed_specials() {
+                let mut m: Vec<f64> = (0..512 + 5)
+                    .map(|k| in_window * rng.random_range(-1.0..1.0) * f64::from(k % 5 != 0))
+                    .collect();
+                m[at] = special;
+                if n % 2 == 1 {
+                    m[at + 2] = -special; // the next group is rejected too
+                }
+                check_placed(&m, &format!("special {special:e} at {at}"));
+            }
+            for sign in [1.0, -1.0] {
+                // headroom goes in this slot without saturating; the
+                // groups already in the ring are the first to saturate
+                // the potential on the ordered path, the rest walk it back
+                let mut m = vec![sign * in_window; 512 + 5];
+                m[at] = sign * (p(63) - p(57));
+                m[400..].fill(-sign * in_window);
+                check_placed(&m, &format!("headroom lost at {at}, sign {sign}"));
             }
         }
     }
