@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use g5_bench::plummer;
-use g5tree::traverse::{Traversal, TraverseScratch};
+use g5tree::traverse::Traversal;
 use g5tree::tree::Tree;
 use std::hint::black_box;
 
@@ -31,7 +31,6 @@ fn bench_walk_paths(c: &mut Criterion) {
     let tree = Tree::build(&snap.pos, &snap.mass);
     let tr = Traversal::new(0.75);
     let groups = tr.find_groups(&tree, 2000);
-    let mut scratch = TraverseScratch::default();
     let mut out = Vec::new();
 
     let mut g = c.benchmark_group("walk_paths");
@@ -40,7 +39,7 @@ fn bench_walk_paths(c: &mut Criterion) {
         b.iter(|| {
             let mut terms = 0usize;
             for &gr in &groups {
-                tr.modified_list_with(&tree, gr, &mut scratch, &mut out);
+                tr.modified_list(&tree, gr, &mut out);
                 terms += out.len();
             }
             black_box(terms)

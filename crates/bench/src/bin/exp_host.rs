@@ -15,8 +15,8 @@
 //! * **new** — full build every K-th step and `Tree::refresh` (moment
 //!   re-accumulation on the frozen topology, drift-inflated group
 //!   spheres) in between, groups found into retained buffers, and the
-//!   explicit-stack `modified_list_with` walk over the SoA node
-//!   columns with one `TraverseScratch` + list buffer per worker.
+//!   explicit-stack `modified_list` walk over the SoA node columns
+//!   with one list buffer per worker.
 //!
 //! Both traversals must produce the same number of terms on rebuild
 //! steps (the walks are bit-identical there — enforced); refresh steps
@@ -28,10 +28,17 @@
 //! printed, so CI can diff a fresh `--quick` run against the committed
 //! report.
 //!
-//! Two **host-library** rows (PR 13) ride along, measured on the real
+//! Three **short-list** rows ride along, measured on the real
 //! interaction lists of the `n_g = 32` operating point (Plummer
-//! N = 16,384, θ = 0.5 — ≈ 1,850 lists of ≈ 1,550 terms):
+//! N = 16,384, θ = 0.5 — ≈ 1,850 lists of ≈ 1,550 terms; every 8th
+//! under `--quick`):
 //!
+//! * **emit A/B** (PR 19) — ns per resolved term of the list the plan
+//!   hands the device: the walk into a `Vec<ListTerm>` followed by
+//!   `ListTerm::resolve` per term through the `Node` array (how
+//!   `plan::resolve_group_into` produced it before) against the fused
+//!   emitter that writes `(pos, mass)` straight into the husk
+//!   (`plan::stream`, inline); same lists bit for bit — enforced;
 //! * **j-load A/B** — ns per j-particle of the pre-PR load (a fresh
 //!   `Vec<JWord>` from scalar `RangeScaler::quantize` and
 //!   `LnsConfig::encode`, then `ProcessorBoard::load_j` per board)
@@ -41,27 +48,30 @@
 //! * **short call** — µs per 9 × 1,556 `try_force_on` at this
 //!   machine's CPU count, beside what a scoped-thread spawn + join and
 //!   one `available_parallelism()` cost here: the measurements the
-//!   inline-dispatch threshold in `grape5::system` is derived from.
+//!   inline-dispatch threshold in `grape5::system` is derived from; and
+//!   the per-call residue PR 19 moved to the j-load — the 3·n_j-word
+//!   window scan per board and the serial `Σ|m|` chain, re-enacted from
+//!   public pieces — beside the whole session call as it is now.
 //!
 //! `--trajectory FILE --pr LABEL` appends their ratio forms to the
 //! cross-PR ledger (`g5_bench::trajectory`).
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_host -- \
-//!     [--quick] [--out artifacts/exp_host.json] [--baseline BENCH_pr4.json]
-//!     [--trajectory BENCH_trajectory.json --pr pr13]
+//!     [--quick] [--out artifacts/exp_host.json] [--baseline BENCH_pr19.json]
+//!     [--trajectory BENCH_trajectory.json --pr pr19]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
 use g5_bench::{fmt_count, plummer, rule, write_report, Args};
-use g5tree::plan::{self, PlanConfig};
+use g5tree::plan::{self, PlanConfig, PlanPool};
 use g5tree::traverse::{Traversal, TraverseScratch};
 use g5tree::tree::{Tree, TreeConfig};
 use g5util::morton_sort::{self, MortonFrame};
 use g5util::vec3::Vec3;
 use grape5::board::ProcessorBoard;
 use grape5::pipeline::JWord;
-use grape5::{bounding_window, ArithMode, G5Pipeline, Grape5, Grape5Config};
+use grape5::{bounding_window, ArithMode, DeviceSession, G5Pipeline, Grape5, Grape5Config};
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -154,17 +164,14 @@ fn reference_lists(tree: &Tree, tr: &Traversal, groups: &[g5tree::traverse::Grou
 }
 
 /// The overhauled traversal: explicit-stack walk over the SoA columns,
-/// one retained scratch + list buffer per worker.
+/// one retained list buffer per worker.
 fn soa_lists(tree: &Tree, tr: &Traversal, groups: &[g5tree::traverse::Group]) -> u64 {
     groups
         .par_iter()
-        .map_init(
-            || (TraverseScratch::default(), Vec::new()),
-            |(scratch, buf), &g| {
-                tr.modified_list_with(tree, g, scratch, buf);
-                buf.len() as u64
-            },
-        )
+        .map_init(Vec::new, |buf, &g| {
+            tr.modified_list(tree, g, buf);
+            buf.len() as u64
+        })
         .sum()
 }
 
@@ -356,18 +363,95 @@ struct GroupList {
 }
 
 /// The `n_g = 32` operating point of `BENCHMARK.json`'s
-/// `plummer_ng32_exact`: every `stride`-th group's resolved list.
-fn ng32_lists(n: usize, stride: usize) -> (Vec<Vec3>, Vec<GroupList>) {
+/// `plummer_ng32_exact`: the tree and every `stride`-th group.
+struct Ng32 {
+    tr: Traversal,
+    tree: Tree,
+    groups: Vec<g5tree::traverse::Group>,
+}
+
+fn ng32(n: usize, stride: usize) -> Ng32 {
     let snap = plummer(n, SEED);
     let tr = Traversal::new(0.5);
     let tree = Tree::build_with(&snap.pos, &snap.mass, TreeConfig::default());
-    let groups: Vec<_> = tr.find_groups(&tree, 32).into_iter().step_by(stride).collect();
+    let groups = tr.find_groups(&tree, 32).into_iter().step_by(stride).collect();
+    Ng32 { tr, tree, groups }
+}
+
+/// The resolved lists of those groups.
+fn ng32_lists(Ng32 { tr, tree, groups }: &Ng32) -> Vec<GroupList> {
     let mut lists = Vec::new();
-    plan::stream(&tree, &tr, &groups, &PlanConfig::serial(), |w| {
+    plan::stream(tree, tr, groups, &PlanConfig::serial(), |w| {
         lists.push(GroupList { xi: w.xi.clone(), jpos: w.jpos.clone(), jmass: w.jmass.clone() });
     })
     .expect("list resolution");
-    (snap.pos, lists)
+    lists
+}
+
+/// The emit A/B on the `n_g = 32` lists.
+struct EmitAb {
+    lists: usize,
+    terms: u64,
+    /// Walk into `Vec<ListTerm>`, then resolve term by term.
+    staged_ns_per_term: f64,
+    /// The fused emitter, through the inline plan.
+    fused_ns_per_term: f64,
+}
+
+impl EmitAb {
+    fn speedup(&self) -> f64 {
+        self.staged_ns_per_term / self.fused_ns_per_term
+    }
+}
+
+fn measure_emit(Ng32 { tr, tree, groups }: &Ng32, rounds: usize) -> EmitAb {
+    // the two-pass production, as the plan did it: term list, then one
+    // `resolve` per term into retained buffers
+    let (mut terms, mut jpos, mut jmass) = (Vec::new(), Vec::new(), Vec::new());
+    let mut staged_sum = 0u64;
+    let mut staged = || {
+        staged_sum = 0;
+        for &g in groups {
+            tr.modified_list(tree, g, &mut terms);
+            jpos.clear();
+            jmass.clear();
+            for &t in &terms {
+                let (p, m) = t.resolve(tree);
+                jpos.push(p);
+                jmass.push(m);
+            }
+            staged_sum += black_box(&jpos).len() as u64 + black_box(&jmass).len() as u64;
+        }
+    };
+    let pool = PlanPool::new();
+    let mut fused_sum = 0u64;
+    let mut fused = || {
+        fused_sum = 0;
+        plan::stream_with(tree, tr, groups, &PlanConfig::serial(), &pool, |w| {
+            fused_sum += black_box(&w.jpos).len() as u64 + black_box(&w.jmass).len() as u64;
+        })
+        .expect("list resolution");
+    };
+    staged();
+    fused(); // warm: buffer capacities
+    let (t_staged, t_fused) = alternate(rounds, &mut staged, &mut fused);
+    assert_eq!(staged_sum, fused_sum, "the two productions disagree on list lengths");
+    // and term for term: the last group's lists, bit for bit
+    let last = [*groups.last().expect("at least one group")];
+    plan::stream_with(tree, tr, &last, &PlanConfig::serial(), &pool, |w| {
+        let bits = |p: &[Vec3], m: &[f64]| -> Vec<[u64; 4]> {
+            p.iter().zip(m).map(|(p, &m)| [p.x, p.y, p.z, m].map(f64::to_bits)).collect()
+        };
+        assert_eq!(bits(&w.jpos, &w.jmass), bits(&jpos, &jmass), "emitter != walk + resolve");
+    })
+    .expect("list resolution");
+    let terms = fused_sum / 2;
+    EmitAb {
+        lists: groups.len(),
+        terms,
+        staged_ns_per_term: t_staged * 1e9 / terms as f64,
+        fused_ns_per_term: t_fused * 1e9 / terms as f64,
+    }
 }
 
 /// Fastest of `rounds` rounds of two legs, in seconds; the legs swap
@@ -479,6 +563,12 @@ struct ShortCall {
     spawn_join_us: f64,
     /// One `std::thread::available_parallelism()`.
     available_parallelism_us: f64,
+    /// What every call re-read before PR 19: the window scan of the
+    /// boards' 3·n_j coordinate words plus the serial `Σ|m|` chain.
+    rescan_us: f64,
+    /// The whole session call now (`try_force_for`: j-load, force call,
+    /// validation), which no longer contains either.
+    session_call_us: f64,
 }
 
 impl ShortCall {
@@ -540,6 +630,22 @@ fn measure_short_call(all: &[Vec3], lists: &[GroupList], rounds: usize) -> Short
         })
     });
     let ap_s = fastest(rounds, 50, &mut || drop(black_box(std::thread::available_parallelism())));
+    // the per-call rescans the j-load now settles, from public pieces
+    let rescan_s = fastest(rounds, 200, &mut || {
+        let lim = 1i64 << 50;
+        let inside = g5.boards().iter().all(|b| {
+            let j = b.j_slices();
+            [j.x, j.y, j.z].iter().all(|c| c.iter().all(|&v| -lim < v && v < lim))
+        });
+        let msum: f64 = black_box(&l.jmass).iter().map(|m| m.abs()).sum();
+        black_box((inside, msum));
+    });
+    let session_s = {
+        let mut session = DeviceSession::open(&mut g5, all, 0.01);
+        fastest(rounds, 200, &mut || {
+            drop(black_box(session.try_force_for(&l.jpos, &l.jmass, &l.xi)))
+        })
+    };
     ShortCall {
         cpus: rayon::current_num_threads(),
         ni: l.xi.len(),
@@ -548,6 +654,8 @@ fn measure_short_call(all: &[Vec3], lists: &[GroupList], rounds: usize) -> Short
         kernel_us: ns_per_interaction * (l.xi.len() * l.jpos.len()) as f64 * 1e-3,
         spawn_join_us: spawn_s * 1e6,
         available_parallelism_us: ap_s * 1e6,
+        rescan_us: rescan_s * 1e6,
+        session_call_us: session_s * 1e6,
     }
 }
 
@@ -681,17 +789,28 @@ fn main() {
     );
 
     // ---- host-library rows: j-load A/B and the short device call ----
-    let (all_pos, lists) = ng32_lists(16_384, if quick { 8 } else { 1 });
+    let ng32 = ng32(16_384, if quick { 8 } else { 1 });
+    let (all_pos, lists) = (ng32.tree.pos(), ng32_lists(&ng32));
     let rounds = if quick { 4 } else { 12 };
     let jloads = [
-        measure_jload(ArithMode::Exact, &all_pos, &lists, rounds),
-        measure_jload(ArithMode::Lns, &all_pos, &lists, rounds),
+        measure_jload(ArithMode::Exact, all_pos, &lists, rounds),
+        measure_jload(ArithMode::Lns, all_pos, &lists, rounds),
     ];
-    let short = measure_short_call(&all_pos, &lists, rounds);
+    let short = measure_short_call(all_pos, &lists, rounds);
+    let emit = measure_emit(&ng32, rounds);
     println!();
     println!(
         "host library on {} real n_g = 32 lists (Plummer N = 16,384, theta 0.5):",
         fmt_count(lists.len() as u64)
+    );
+    println!(
+        "  emit          walk + resolve {:>5.2} ns/term  ->  fused emitter {:>5.2} ns/term   \
+         ({:.2}x, {} terms in {} lists per round)",
+        emit.staged_ns_per_term,
+        emit.fused_ns_per_term,
+        emit.speedup(),
+        fmt_count(emit.terms),
+        fmt_count(emit.lists as u64)
     );
     for j in &jloads {
         println!(
@@ -719,6 +838,11 @@ fn main() {
         short.spawn_join_us,
         short.available_parallelism_us,
         fmt_count(short.break_even_interactions() as u64)
+    );
+    println!(
+        "  per-call residue: j-window guard + serial sum |m| rescans {:.2} us before  ->  0 \
+         (settled at the j-load); whole session call (load + force + validate) now {:.1} us",
+        short.rescan_us, short.session_call_us
     );
 
     // headline: the best amortized operating point at the headline size —
@@ -776,9 +900,21 @@ fn main() {
     writeln!(text, "  ],").unwrap();
     writeln!(
         text,
+        "  \"emit\": {{\"lists\": {}, \"terms\": {}, \"staged_ns_per_term\": {}, \
+         \"fused_ns_per_term\": {}, \"speedup\": {}}},",
+        emit.lists,
+        emit.terms,
+        emit.staged_ns_per_term,
+        emit.fused_ns_per_term,
+        emit.speedup()
+    )
+    .unwrap();
+    writeln!(
+        text,
         "  \"short_call\": {{\"cpus\": {}, \"ni\": {}, \"nj\": {}, \"call_us\": {}, \
          \"kernel_us\": {}, \"efficiency\": {}, \"spawn_join_us\": {}, \
-         \"available_parallelism_us\": {}, \"break_even_interactions\": {}}},",
+         \"available_parallelism_us\": {}, \"break_even_interactions\": {}, \
+         \"rescan_us\": {}, \"session_call_us\": {}}},",
         short.cpus,
         short.ni,
         short.nj,
@@ -787,7 +923,9 @@ fn main() {
         short.efficiency(),
         short.spawn_join_us,
         short.available_parallelism_us,
-        short.break_even_interactions()
+        short.break_even_interactions(),
+        short.rescan_us,
+        short.session_call_us
     )
     .unwrap();
     writeln!(text, "  \"results\": [").unwrap();
@@ -818,6 +956,7 @@ fn main() {
             row("host_jload_lane_speedup", jloads[0].speedup()),
             row("host_jload_lns_lane_speedup", jloads[1].speedup()),
             row("host_short_call_efficiency", short.efficiency()),
+            row("host_emit_ns_per_term", emit.fused_ns_per_term),
         ];
         trajectory::append(&traj_path, &rows);
         println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());

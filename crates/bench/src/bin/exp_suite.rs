@@ -71,11 +71,13 @@ fn json_str(line: &str, key: &str) -> Option<String> {
     Some(rest[..rest.find('"')?].to_string())
 }
 
-/// Direction of goodness for a trajectory metric: drift envelopes and
-/// modeled/wall seconds regress upward, speedups and rates regress
-/// downward.
+/// Direction of goodness for a trajectory metric: drift envelopes,
+/// modeled/wall seconds and costs per item (`…_ns_per_term`) regress
+/// upward, speedups and rates regress downward.
 fn lower_is_better(metric: &str) -> bool {
-    metric.contains("drift") || (metric.ends_with("_s") && !metric.ends_with("_per_s"))
+    metric.contains("drift")
+        || metric.contains("_ns_per_")
+        || (metric.ends_with("_s") && !metric.ends_with("_per_s"))
 }
 
 /// (metric, n, value) triples parsed from ledger entry lines, in ledger
@@ -185,8 +187,9 @@ fn seed_entries() -> Vec<Entry> {
             .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "speedup")?)))
             .max_by_key(|&(n, _)| n)
     });
-    // pr4: best host-phase speedup at the headline size
-    mine("pr4", "BENCH_pr4.json", "host_phase_speedup", &|t| {
+    // pr19 (the exp_host report of record; pr4's table re-measured):
+    // best host-phase speedup at the headline size
+    mine("pr19", "BENCH_pr19.json", "host_phase_speedup", &|t| {
         t.lines()
             .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "speedup")?)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
@@ -500,6 +503,7 @@ mod tests {
         assert!(lower_is_better("critical_path_s"));
         assert!(lower_is_better("modeled_total_s"));
         assert!(lower_is_better("serve_p95_latency_s"));
+        assert!(lower_is_better("host_emit_ns_per_term"));
     }
 
     #[test]

@@ -138,25 +138,51 @@ pub fn save(path: &Path, snap: &Snapshot, time: f64) -> io::Result<()> {
     inner.flush()
 }
 
+/// Bytes in front of the particle arrays: magic, count, time.
+const HEADER_BYTES: u64 = 24;
+/// Bytes per particle: position, velocity, mass as `f64`s.
+const PARTICLE_BYTES: u64 = 56;
+
+fn invalid(what: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
 /// Load a snapshot; returns `(snapshot, time)`. Reads both `G5SNAP2`
 /// (verifying the CRC32 footer) and the legacy unchecksummed
 /// `G5SNAP1`.
+///
+/// Any byte string is answered with a snapshot or an [`io::Error`]:
+/// the particle count is held to the file's own length before a byte
+/// is allocated for it, and values [`Snapshot::validate`] would refuse
+/// (non-finite, or a non-positive mass) are `InvalidData` even under a
+/// valid checksum.
 pub fn load(path: &Path) -> io::Result<(Snapshot, f64)> {
-    let mut file = BufReader::new(std::fs::File::open(path)?);
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    read_snapshot(BufReader::new(file), len)
+}
+
+/// [`load`] from any reader holding `len` bytes in all.
+fn read_snapshot<R: Read>(mut file: R, len: u64) -> io::Result<(Snapshot, f64)> {
     let mut magic = [0u8; 8];
     file.read_exact(&mut magic)?;
     let checksummed = match &magic {
         m if m == MAGIC_V2 => true,
         m if m == MAGIC_V1 => false,
-        _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad snapshot magic")),
+        _ => return Err(invalid("bad snapshot magic")),
     };
     let mut r = CrcReader { inner: file, crc: Crc32::new() };
-    let n = read_u64(&mut r)? as usize;
+    let n = read_u64(&mut r)?;
     let time = read_f64(&mut r)?;
-    // sanity bound: refuse absurd counts rather than OOM on a bad file
-    if n == 0 || n > 1 << 31 {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible particle count"));
+    // The count must be one the file can hold — exactly, when a footer
+    // marks the end — so a corrupt header can ask for no more memory
+    // than the file is long.
+    let footer = if checksummed { 4 } else { 0 };
+    let body = len.saturating_sub(HEADER_BYTES + footer);
+    if n == 0 || n > body / PARTICLE_BYTES || (checksummed && n * PARTICLE_BYTES != body) {
+        return Err(invalid("particle count does not match the file length"));
     }
+    let n = usize::try_from(n).map_err(|_| invalid("particle count exceeds the address space"))?;
     let mut snap = Snapshot {
         pos: Vec::with_capacity(n),
         vel: Vec::with_capacity(n),
@@ -176,11 +202,16 @@ pub fn load(path: &Path) -> io::Result<(Snapshot, f64)> {
         let mut footer = [0u8; 4];
         r.inner.read_exact(&mut footer)?;
         if computed != u32::from_le_bytes(footer) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot checksum mismatch (truncated or corrupted file)",
-            ));
+            return Err(invalid("snapshot checksum mismatch (truncated or corrupted file)"));
         }
+    }
+    // what `save` would have refused to write (`Snapshot::validate`)
+    // is not a snapshot, whatever the checksum says
+    if !(time.is_finite()
+        && snap.pos.iter().chain(&snap.vel).all(|v| v.is_finite())
+        && snap.mass.iter().all(|&m| m.is_finite() && m > 0.0))
+    {
+        return Err(invalid("non-finite time, position or velocity, or non-positive mass"));
     }
     Ok((snap, time))
 }
@@ -306,6 +337,122 @@ mod tests {
         std::fs::write(&path, &clean).unwrap();
         load(&path).unwrap();
         std::fs::remove_file(path).ok();
+    }
+
+    /// `sample()` at time 7 in the current format, and the same data
+    /// in the legacy one.
+    fn sample_bytes() -> (Vec<u8>, Vec<u8>) {
+        let path = tmp("fuzz_seed");
+        save(&path, &sample(), 7.0).unwrap();
+        let v2 = std::fs::read(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        let mut v1 = v2[..v2.len() - 4].to_vec();
+        v1[..8].copy_from_slice(MAGIC_V1);
+        (v2, v1)
+    }
+
+    /// The loader's whole contract on one byte string: an error, or a
+    /// consistent all-finite snapshot no larger than the bytes allow.
+    fn load_bytes(bytes: &[u8]) -> io::Result<(Snapshot, f64)> {
+        let res = read_snapshot(bytes, bytes.len() as u64);
+        if let Ok((snap, time)) = &res {
+            assert!(time.is_finite());
+            assert!(!snap.pos.is_empty());
+            assert_eq!((snap.vel.len(), snap.mass.len()), (snap.len(), snap.len()));
+            assert!(snap.len() as u64 * PARTICLE_BYTES + HEADER_BYTES <= bytes.len() as u64);
+            snap.validate();
+        }
+        res
+    }
+
+    #[test]
+    fn truncation_at_every_offset_is_a_typed_error() {
+        let (v2, v1) = sample_bytes();
+        for bytes in [&v2, &v1] {
+            load_bytes(bytes).unwrap();
+            for cut in 0..bytes.len() {
+                assert!(load_bytes(&bytes[..cut]).is_err(), "cut at {cut} loaded");
+            }
+        }
+        // bytes past the footer are not part of a snapshot either
+        let mut long = v2.clone();
+        long.push(0);
+        assert_eq!(load_bytes(&long).unwrap_err().kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_a_typed_error_or_a_sane_legacy_snapshot() {
+        let (v2, v1) = sample_bytes();
+        for bit in 0..v2.len() * 8 {
+            let mut bytes = v2.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            // header, body or footer: the count check or the CRC has it
+            assert!(load_bytes(&bytes).is_err(), "bit {bit} flipped and loaded");
+        }
+        // the legacy format has no checksum: a flipped body bit is
+        // another finite snapshot or an error, a flipped count or
+        // exponent never an allocation the file cannot back
+        for bit in 0..v1.len() * 8 {
+            let mut bytes = v1.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            let _ = load_bytes(&bytes);
+        }
+    }
+
+    #[test]
+    fn a_header_promising_two_billion_particles_allocates_nothing() {
+        // 24 bytes, n = 2^31: passed the old "implausible count" bound
+        // and reserved ~120 GB before reading a body byte
+        for magic in [MAGIC_V2, MAGIC_V1] {
+            let mut data = magic.to_vec();
+            data.extend_from_slice(&(1u64 << 31).to_le_bytes());
+            data.extend_from_slice(&0.0f64.to_le_bytes());
+            assert_eq!(load_bytes(&data).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_under_a_valid_checksum() {
+        let (v2, _) = sample_bytes();
+        // time, a position, a velocity, a mass
+        for at in [16, 24, 24 + 48, v2.len() - 4 - 8] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bytes = v2.clone();
+                bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                let crc = Crc32::of(&bytes[8..bytes.len() - 4]);
+                let end = bytes.len() - 4;
+                bytes[end..].copy_from_slice(&crc.to_le_bytes());
+                let err = load_bytes(&bytes).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad} at {at}");
+                assert!(err.to_string().contains("non-finite"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_byte_strings_never_panic() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5a4f);
+        let (v2, v1) = sample_bytes();
+        for round in 0..4000 {
+            let len = rng.random_range(0..200);
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            match round % 4 {
+                // a valid magic in front of noise
+                0 if bytes.len() >= 8 => bytes[..8].copy_from_slice(MAGIC_V2),
+                1 if bytes.len() >= 8 => bytes[..8].copy_from_slice(MAGIC_V1),
+                // a real file with a burst of noise in it
+                2 => {
+                    let mut real = if round % 8 == 2 { v2.clone() } else { v1.clone() };
+                    let at = rng.random_range(0..real.len());
+                    let n = bytes.len().min(real.len() - at);
+                    real[at..at + n].copy_from_slice(&bytes[..n]);
+                    bytes = real;
+                }
+                _ => {}
+            }
+            let _ = load_bytes(&bytes);
+        }
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub struct ProcessorBoard {
     /// `jm_lns` packed for the LNS lane kernel ([`lanes::mass_word`]),
     /// derived once per load so force calls allocate nothing.
     jm_word: Vec<i32>,
+    /// Every coordinate word in memory is inside the lane kernels'
+    /// magic window ([`lanes::words_in_magic_window`]); set by each
+    /// load, read by every force call through [`JSlices::in_window`].
+    j_in_window: bool,
     capacity: usize,
     pipes: usize,
     /// Pipelines taken out of service by the host (fault quarantine).
@@ -58,6 +62,7 @@ impl ProcessorBoard {
             jm: Vec::new(),
             jm_lns: Vec::new(),
             jm_word: Vec::new(),
+            j_in_window: true,
             capacity: cfg.jmem_capacity,
             pipes: cfg.pipes_per_board(),
             disabled_pipes: 0,
@@ -121,6 +126,12 @@ impl ProcessorBoard {
             self.jm_lns.push(w.m_lns);
             self.jm_word.push(lanes::mass_word(w.m_lns));
         }
+        // interface words carry no format: read them once, here
+        self.j_in_window = self.columns_in_window();
+    }
+
+    fn columns_in_window(&self) -> bool {
+        [&self.jx, &self.jy, &self.jz].into_iter().all(|c| lanes::words_in_magic_window(c))
     }
 
     /// Empty the j-memory (the column capacity stays for the next load).
@@ -131,6 +142,7 @@ impl ProcessorBoard {
         self.jm.clear();
         self.jm_lns.clear();
         self.jm_word.clear();
+        self.j_in_window = true;
     }
 
     fn check_capacity(&self, n: usize) {
@@ -147,6 +159,13 @@ impl ProcessorBoard {
     /// arithmetic mode that reads them
     /// ([`G5Pipeline::reads_mass_words`]) and stay empty otherwise.
     ///
+    /// The pass over the host masses also carries the host's running
+    /// `Σ|m|` forward: `abs_mass` comes in as the sum over the shares
+    /// loaded before this one and goes out with this share's masses
+    /// added in order — the one serial add chain the session's force
+    /// bound ([`crate::DeviceSession`]) needs, taken where the masses
+    /// are being read anyway.
+    ///
     /// # Panics
     /// If the set exceeds the memory capacity.
     pub(crate) fn load_j_particles(
@@ -155,7 +174,8 @@ impl ProcessorBoard {
         pipe: &G5Pipeline,
         pos: &[Vec3],
         mass: &[f64],
-    ) {
+        mut abs_mass: f64,
+    ) -> f64 {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
         let n = pos.len();
         self.check_capacity(n);
@@ -166,14 +186,18 @@ impl ProcessorBoard {
         self.jz.resize(n, 0);
         let cols = [&mut self.jx[..], &mut self.jy[..], &mut self.jz[..]];
         lanes::quantize_columns(pipe.lane_path(), scaler, pos, cols);
+        // the quantizer clamps to the format, so a format inside the
+        // window needs no look at the words; a wider one is read once
+        self.j_in_window = scaler.bits() <= lanes::MAGIC_WINDOW_BITS || self.columns_in_window();
         self.jm.clear();
-        self.jm.extend_from_slice(mass);
+        self.jm.extend(mass.iter().inspect(|m| abs_mass += m.abs()));
         self.jm_lns.clear();
         self.jm_word.clear();
         if pipe.reads_mass_words() {
             self.jm_lns.extend(mass.iter().map(|&m| pipe.encode_mass(m)));
             self.jm_word.extend(self.jm_lns.iter().map(|&w| lanes::mass_word(w)));
         }
+        abs_mass
     }
 
     /// Overwrite the mass of the j-particle at `index` in every column
@@ -198,6 +222,7 @@ impl ProcessorBoard {
             m: &self.jm,
             m_lns: &self.jm_lns,
             m_word: &self.jm_word,
+            in_window: self.j_in_window,
         }
     }
 

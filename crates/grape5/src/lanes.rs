@@ -451,15 +451,26 @@ pub(crate) fn block_exact_avx2_upto(
     false
 }
 
+/// Widest coordinate format whose every word is inside the magic
+/// window: [`RangeScaler::quantize`] clamps to `±2^(bits − 1)`, and
+/// `−2⁵⁰` itself (51 bits) is already outside.
+pub(crate) const MAGIC_WINDOW_BITS: u32 = 50;
+
+/// Are all of `words` inside the magic window `(−2⁵⁰, 2⁵⁰)`?
+pub(crate) fn words_in_magic_window(words: &[i64]) -> bool {
+    let lim = 1i64 << MAGIC_WINDOW_BITS;
+    words.iter().all(|&v| -lim < v && v < lim)
+}
+
 /// Coordinate-magnitude guard of the AVX2 kernels: `|a|, |b| < 2⁵⁰`
 /// bounds every subtract `|a − b| < 2⁵¹`, the window where the vector
 /// i64 → f64 conversion is exact. Wider coordinate formats (coord_bits
-/// can reach 62) take the portable path instead.
+/// can reach 62) take the portable path instead. The j side is a fact
+/// of the loaded memory, settled by the board when it was loaded
+/// ([`JSlices::in_window`]); only the few i words are read per call.
 #[cfg(target_arch = "x86_64")]
 fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
-    let lim = 1i64 << 50;
-    let within = |s: &[i64]| s.iter().all(|&v| -lim < v && v < lim);
-    within(j.x) && within(j.y) && within(j.z) && xi.iter().all(|x| within(x))
+    j.in_window && xi.iter().all(|x| words_in_magic_window(x))
 }
 
 /// Portable exact lane kernel: the same 4-lane structure as the AVX2

@@ -83,6 +83,10 @@ pub struct JSlices<'a> {
     /// (`raw << 1 | negative`, zero as a below-range sentinel), as the
     /// board's j-loads write them (empty where `m_lns` is).
     pub m_word: &'a [i32],
+    /// Every word of `x`, `y`, `z` is inside `(−2⁵⁰, 2⁵⁰)`, the window
+    /// of the AVX2 kernels' exact `i64 → f64` conversion — established
+    /// by the board's j-load, so no force call re-reads the columns.
+    pub(crate) in_window: bool,
 }
 
 impl JSlices<'_> {

@@ -267,8 +267,13 @@ impl<'a> DeviceSession<'a> {
     /// `Σ|m| / r_min`, where `r_min = max(ε, quantum)` is the smallest
     /// nonzero separation the hardware can represent (the zero-distance
     /// guard removes r = 0). The 5 % margin covers LNS round-off.
-    fn bounds(&self, jmass: &[f64]) -> (f64, f64) {
-        let msum: f64 = jmass.iter().map(|m| m.abs()).sum();
+    ///
+    /// `msum` is `Σ|m|` over the host's masses in list order. For a set
+    /// that fits the j-memory the load has it already
+    /// ([`Grape5::j_abs_mass`]: same adds, same order, so the same
+    /// number a scan of `jmass` here would give — a ≈ 1,500-long serial
+    /// add chain per call at `n_g = 32`); only a chunked set is scanned.
+    fn bounds(&self, msum: f64) -> (f64, f64) {
         let r_min = self.eps.max(self.g5.quantum());
         (1.05 * msum / (r_min * r_min), 1.05 * msum / r_min)
     }
@@ -293,25 +298,24 @@ impl<'a> DeviceSession<'a> {
     }
 
     /// One attempt: (re)load the j-set if asked, run the call(s),
-    /// validate the result.
+    /// validate the result. With `load` false the resident set must be
+    /// the one [`load_j`](Self::load_j) put there.
     fn attempt(
         &mut self,
         jpos: &[Vec3],
         jmass: &[f64],
         xi: &[Vec3],
         load: bool,
-        acc_bound: f64,
-        pot_bound: f64,
     ) -> Result<Vec<Force>, DeviceError> {
         let cap = self.g5.jmem_capacity();
         if cap == 0 {
             return Err(DeviceError::NoBoardsLeft);
         }
-        let forces = if jpos.len() <= cap {
+        let (forces, msum) = if jpos.len() <= cap {
             if load {
                 self.g5.set_j_particles(jpos, jmass);
             }
-            self.g5.try_force_on(xi)?
+            (self.g5.try_force_on(xi)?, self.g5.j_abs_mass())
         } else {
             // chunk the j-set through memory, merging partials on the
             // host; validation sees the merged result (corruption
@@ -327,8 +331,9 @@ impl<'a> DeviceSession<'a> {
                 }
                 start = end;
             }
-            total
+            (total, jmass.iter().map(|m| m.abs()).sum())
         };
+        let (acc_bound, pot_bound) = self.bounds(msum);
         Self::validate(&forces, acc_bound, pot_bound)?;
         Ok(forces)
     }
@@ -343,14 +348,13 @@ impl<'a> DeviceSession<'a> {
         xi: &[Vec3],
         resident: bool,
     ) -> Result<Vec<Force>, DeviceError> {
-        let (acc_bound, pot_bound) = self.bounds(jmass);
         let mut attempts = 0u32;
         loop {
             let load = !(resident && attempts == 0);
             if load && attempts > 0 {
                 self.stats.j_reloads += 1;
             }
-            let err = match self.attempt(jpos, jmass, xi, load, acc_bound, pot_bound) {
+            let err = match self.attempt(jpos, jmass, xi, load) {
                 Ok(f) => return Ok(f),
                 Err(e) => e,
             };

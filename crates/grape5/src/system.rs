@@ -118,6 +118,9 @@ pub struct Grape5 {
     force_scale: f64,
     clock: ClockAccounting,
     nj_total: usize,
+    /// `Σ|m|` over the host masses of the loaded j-set, summed in list
+    /// order by the load itself (before any injected corruption).
+    j_abs_mass: f64,
     /// Injected-fault process, if armed.
     fault: Option<FaultState>,
     /// Host quarantine state: `false` = board taken out of service.
@@ -157,6 +160,7 @@ impl Grape5 {
             force_scale: 1.0,
             clock: ClockAccounting::new(),
             nj_total: 0,
+            j_abs_mass: 0.0,
             fault: None,
             board_ok: vec![true; nb],
             quarantined_pipes: Vec::new(),
@@ -323,6 +327,7 @@ impl Grape5 {
             b.clear_j();
         }
         self.nj_total = 0;
+        self.j_abs_mass = 0.0;
     }
 
     /// Current coordinate window.
@@ -378,6 +383,14 @@ impl Grape5 {
         self.nj_total
     }
 
+    /// `Σ|m|` of the j-set last passed to
+    /// [`set_j_particles`](Self::set_j_particles): the host's masses,
+    /// added in list order from 0 — bit for bit the serial sum over the
+    /// slice, which the load takes in its own pass.
+    pub(crate) fn j_abs_mass(&self) -> f64 {
+        self.j_abs_mass
+    }
+
     /// Load the j-particle set (`g5_set_n` + `g5_set_xmj`), splitting it
     /// evenly across boards and charging the interface transfer.
     ///
@@ -404,13 +417,15 @@ impl Grape5 {
         let mut shares = pos.chunks(per).zip(mass.chunks(per));
         let mut start = 0;
         let mut max_words_one_iface = 0u64;
+        self.j_abs_mass = 0.0;
         for (board, &ok) in self.boards.iter_mut().zip(&self.board_ok) {
             // a board out of service takes no share
             let Some((p, m)) = ok.then(|| shares.next()).flatten() else {
                 board.clear_j();
                 continue;
             };
-            board.load_j_particles(&self.scaler, &self.pipeline, p, m);
+            self.j_abs_mass =
+                board.load_j_particles(&self.scaler, &self.pipeline, p, m, self.j_abs_mass);
             if let Some((k, bad)) = corrupt.filter(|&(k, _)| (start..start + p.len()).contains(&k))
             {
                 board.set_mass(k - start, bad, &self.pipeline);
@@ -1029,6 +1044,7 @@ mod tests {
                     let what = format!("{mode:?} n = {n} fault {fault:?} board {b}");
                     assert_eq!((got.x, got.y, got.z), (want.x, want.y, want.z), "{what}");
                     assert_eq!(got.m, want.m, "{what}: masses");
+                    assert!(got.in_window && want.in_window, "{what}: 32-bit words");
                     if mode == ArithMode::Lns {
                         assert_eq!((got.m_lns, got.m_word), (want.m_lns, want.m_word), "{what}");
                     } else {
@@ -1081,6 +1097,80 @@ mod tests {
         assert_eq!(g5.boards().iter().map(|b| b.nj()).collect::<Vec<_>>(), [5, 0, 5]);
         // board 2 holds the second share, not the third
         assert_eq!(g5.boards()[2].j_slices().x[0], g5.scaler.quantize(0.5));
+    }
+
+    #[test]
+    fn load_carries_the_serial_abs_mass_sum_bit_for_bit() {
+        // masses whose sum depends on the order of the adds, some
+        // negative; the load's number must be the one a serial scan of
+        // the host slice gives, however the boards share the set and
+        // whatever the injector does to the words afterwards
+        let mut k = 0u64;
+        let mut draw = || {
+            k += 1;
+            let u = (crate::fault::splitmix(19, k) >> 11) as f64 / (1u64 << 53) as f64;
+            (u - 0.3) * f64::exp2(40.0 * u - 20.0)
+        };
+        for (boards, n) in [(1, 0), (1, 1), (2, 2), (2, 1521), (3, 1000), (4, 7)] {
+            let cfg = Grape5Config { mode: ArithMode::Exact, boards, ..Grape5Config::paper() };
+            let mut g5 = Grape5::open(cfg);
+            g5.set_range(-2.0, 2.0);
+            g5.set_fault_injector(FaultConfig::jmem(9, 1.0));
+            let pos: Vec<Vec3> = (0..n).map(|k| Vec3::splat(k as f64 * 1e-3 - 0.5)).collect();
+            let mass: Vec<f64> = (0..n).map(|_| draw()).collect();
+            let serial: f64 = mass.iter().map(|m| m.abs()).sum();
+            g5.set_j_particles(&pos, &mass);
+            assert_eq!(g5.j_abs_mass().to_bits(), (serial + 0.0).to_bits(), "{boards} x {n}");
+            if boards > 1 && n > boards {
+                // a different split after a board is lost: same chain
+                g5.quarantine_board(0);
+                g5.set_j_particles(&pos, &mass);
+                assert_eq!(g5.j_abs_mass().to_bits(), serial.to_bits(), "{boards} x {n}, one out");
+            }
+            g5.set_range(-2.0, 2.0);
+            assert_eq!(g5.j_abs_mass(), 0.0, "an emptied memory has no mass");
+        }
+    }
+
+    #[test]
+    fn wide_formats_settle_the_window_guard_at_the_load() {
+        // 56-bit words: the quantizer's clamp no longer implies the
+        // magic window, so the load reads what it wrote — once
+        let wide = Grape5Config { mode: ArithMode::Exact, coord_bits: 56, ..Grape5Config::paper() };
+        let near: Vec<Vec3> = (0..40).map(|k| Vec3::splat(1e-4 * k as f64)).collect();
+        let mut far = near.clone();
+        far[29] = Vec3::new(0.0, -0.9, 0.0); // |word| ~ 0.9 x 2^55, on the second board
+        let xi = [Vec3::new(0.01, 0.02, -0.03), Vec3::new(-0.5, 0.25, 0.125)];
+        for (pos, in_window) in [(&near, [true, true]), (&far, [true, false])] {
+            let mut forces = Vec::new();
+            for path in [LanePath::Avx2, LanePath::Portable, LanePath::Scalar] {
+                let mut g5 = Grape5::open(wide);
+                g5.set_lane_path(path);
+                g5.set_range(-1.0, 1.0);
+                g5.set_j_particles(pos, &vec![1.0; pos.len()]);
+                let flags: Vec<bool> = g5.boards().iter().map(|b| b.j_slices().in_window).collect();
+                assert_eq!(flags, in_window, "{path:?}");
+                forces.push(g5.force_on(&xi));
+            }
+            assert_eq!(forces[0], forces[2], "AVX2 entry (guarded) vs the definition");
+            assert_eq!(forces[1], forces[2], "portable vs the definition");
+        }
+        // any format up to 50 bits is inside by the clamp alone, at the
+        // window's very edge too
+        let cfg = Grape5Config { mode: ArithMode::Exact, coord_bits: 50, ..Grape5Config::paper() };
+        let mut g5 = Grape5::open(cfg);
+        g5.set_range(-1.0, 1.0);
+        g5.set_j_particles(&[Vec3::splat(-5.0), Vec3::splat(5.0)], &[1.0; 2]);
+        for b in g5.boards() {
+            let j = b.j_slices();
+            assert!(j.in_window && crate::lanes::words_in_magic_window(j.x));
+        }
+        // a cleared memory is vacuously inside again
+        let mut g5 = Grape5::open(wide);
+        g5.set_range(-1.0, 1.0);
+        g5.set_j_particles(&far, &vec![1.0; far.len()]);
+        g5.set_range(-1.0, 1.0);
+        assert!(g5.boards().iter().all(|b| b.j_slices().in_window));
     }
 
     #[test]

@@ -48,9 +48,9 @@
 //! drift bound so remote cells whose particles moved since the last
 //! rebuild stay conservatively represented.
 
-use crate::mac::{GroupSphere, Mac, MacKind};
-use crate::tree::{Tree, NONE};
-use g5util::morton;
+use crate::mac::{GroupSphere, Mac};
+use crate::traverse::emit_resolved;
+use crate::tree::Tree;
 use g5util::morton_sort;
 use g5util::vec3::Vec3;
 
@@ -229,52 +229,17 @@ pub fn let_terms_into(
     let before = out_pos.len();
     let mut sphere = *receiver;
     sphere.radius += source.drift_bound();
-    let cols = source.columns();
-    let inv2_theta = 2.0 / mac.theta;
-    // same arithmetic in the same order as `Mac::accepts_sphere`, read
-    // from the packed columns like `Traversal::modified_list_with`
-    let accepts = |i: usize| match mac.kind {
-        MacKind::BarnesHut => {
-            let [cx, cy, cz, half] = cols.walk[i];
-            let t = sphere.radius + half * inv2_theta;
-            sphere.center.dist2(Vec3::new(cx, cy, cz)) > t * t
-        }
-        MacKind::MinDistance => mac.accepts_sphere_cols(&cols.geom[i], &cols.moment[i], &sphere),
-    };
-    // Depth-first on a fixed stack, so the cluster's per-group LET
-    // walks allocate nothing: opening a node at depth d replaces it by
-    // at most eight children above at most seven pending siblings per
-    // level, 7·(d + 1) + 1 entries, and children sit at depth
-    // ≤ BITS_PER_DIM (the build's depth cap). Children go on in reverse
-    // octant order so pops replay the recursive order.
-    let mut stack = [0u32; 7 * morton::BITS_PER_DIM as usize + 1];
-    let mut top = 1; // the root, node 0
-    while top > 0 {
-        top -= 1;
-        let i = stack[top] as usize;
-        if accepts(i) {
-            let [x, y, z, mass] = cols.moment[i];
-            out_pos.push(Vec3::new(x, y, z));
-            out_mass.push(mass);
-        } else if cols.is_leaf(i) {
-            out_pos.extend_from_slice(&source.pos()[cols.range(i)]);
-            out_mass.extend_from_slice(&source.mass()[cols.range(i)]);
-        } else {
-            for &c in cols.children[i].iter().rev() {
-                if c != NONE {
-                    stack[top] = c;
-                    top += 1;
-                }
-            }
-        }
-    }
+    // the force traversal's own walk, with no group of `source` to spare
+    emit_resolved(source, mac, &sphere, None, out_pos, out_mass);
     out_pos.len() - before
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeConfig;
+    use crate::mac::MacKind;
+    use crate::tree::{TreeConfig, NONE};
+    use g5util::morton;
     use rand::{Rng, SeedableRng};
 
     fn cloud(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
@@ -500,8 +465,9 @@ mod tests {
         }
     }
 
-    /// The walk `let_terms_into` replaced: a heap stack over the `Node`
-    /// array and `Mac::accepts_sphere` itself.
+    /// The walk `let_terms_into` once was, before it became the force
+    /// traversal's emitter called with no group: a heap stack over the
+    /// `Node` array and `Mac::accepts_sphere` itself.
     fn let_terms_reference(source: &Tree, mac: &Mac, receiver: &GroupSphere) -> Vec<(Vec3, f64)> {
         let mut sphere = *receiver;
         sphere.radius += source.drift_bound();

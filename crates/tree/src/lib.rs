@@ -35,6 +35,6 @@ pub mod tree;
 
 pub use domain::{let_terms_into, Decomposition};
 pub use mac::{GroupSphere, Mac};
-pub use plan::{GroupWork, PlanConfig, PlanPool, PlanStats, ResolveScratch};
+pub use plan::{GroupWork, PlanConfig, PlanPool, PlanStats};
 pub use traverse::{Group, ListTerm, ModifiedLists, Traversal, TraverseScratch};
 pub use tree::{Node, NodeColumns, Tree, TreeConfig, NONE};

@@ -28,23 +28,23 @@
 //! ## Buffer recycling
 //!
 //! Steady-state streaming does **zero heap allocation per group**. A
-//! [`PlanPool`] owns drained [`GroupWork`] husks and per-worker
-//! [`ResolveScratch`] arenas; producers take a husk, resolve into its
-//! retained buffers, and send it, and after the consumer callback
-//! returns (it sees `&GroupWork`, never ownership) the husk goes back
-//! to the pool. After the first step every vector has reached its
+//! [`PlanPool`] owns drained [`GroupWork`] husks; producers take a
+//! husk, resolve into its retained buffers (the tree walk writes the
+//! list resolved, so there is no other per-group buffer), and send it,
+//! and after the consumer callback returns (it sees `&GroupWork`, never
+//! ownership) the husk goes back to the pool. After the first step every vector has reached its
 //! high-water capacity and the pool's [`minted`](PlanPool::minted)
 //! counter stops moving — which `tests/plan_alloc.rs` verifies with a
 //! counting allocator.
 
-use crate::traverse::{Group, ListTerm, Traversal, TraverseScratch};
+use crate::traverse::{Group, Traversal};
 use crate::tree::Tree;
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// A group resolution failed: the panic payload of the producer,
@@ -116,30 +116,19 @@ impl GroupWork {
     }
 }
 
-/// Per-worker resolution arena: the interaction-list term buffer and
-/// the traversal walk stack, both of which keep their high-water
-/// capacity across groups and across steps.
-#[derive(Debug, Default)]
-pub struct ResolveScratch {
-    terms: Vec<ListTerm>,
-    walk: TraverseScratch,
-}
-
 /// Recycler for streaming buffers, owned by the caller and handed to
 /// [`stream_with`] every step so capacities persist across force
 /// evaluations.
 ///
-/// Two free lists live behind mutexes: drained [`GroupWork`] husks and
-/// per-worker [`ResolveScratch`] arenas. Contention is negligible —
-/// each producer touches the husk lock once per group (a pop and, on
-/// the consumer side, a push), orders of magnitude less often than the
-/// work it brackets. The pool never shrinks; its footprint is bounded
-/// by `channel_depth + workers + 1` husks, each at the longest list it
-/// ever carried.
+/// The free list of drained [`GroupWork`] husks lives behind a mutex.
+/// Contention is negligible — each producer touches the lock once per
+/// group (a pop and, on the consumer side, a push), orders of magnitude
+/// less often than the work it brackets. The pool never shrinks; its
+/// footprint is bounded by `channel_depth + workers + 1` husks, each at
+/// the longest list it ever carried.
 #[derive(Debug, Default)]
 pub struct PlanPool {
     husks: Mutex<Vec<GroupWork>>,
-    scratches: Mutex<Vec<ResolveScratch>>,
     minted: AtomicU64,
 }
 
@@ -167,22 +156,22 @@ impl PlanPool {
     fn put_husk(&self, h: GroupWork) {
         self.husks.lock().unwrap().push(h);
     }
-
-    fn take_scratch(&self) -> ResolveScratch {
-        self.scratches.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn put_scratch(&self, s: ResolveScratch) {
-        self.scratches.lock().unwrap().push(s);
-    }
 }
 
 /// How a [`stream`] call schedules its producers.
+///
+/// Zero producers is a valid plan, not a degenerate one: the calling
+/// thread then resolves a group, hands it to the consumer, and resolves
+/// the next, through one recycled husk and no channel. That is what a
+/// process confined to one core gets by default — a producer thread
+/// there has no core to overlap on and only adds a context switch and a
+/// husk hand-off per group.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanConfig {
     /// Producer threads. `None` chooses `available_parallelism - 1`
-    /// (leaving one core for the consumer); `Some(0)` is the serial
-    /// in-order reference path with no channel at all.
+    /// (leaving one core for the consumer), resolved once per process:
+    /// 0 on a single core. `Some(0)` — like a resolved 0 — is the
+    /// serial in-order path with no channel at all.
     pub workers: Option<usize>,
     /// Bound of the work channel — the number of resolved groups that
     /// may exist ahead of the consumer, and therefore the peak-memory
@@ -208,14 +197,18 @@ impl PlanConfig {
     }
 
     fn resolved_workers(&self) -> usize {
-        match self.workers {
-            Some(w) => w,
-            None => std::thread::available_parallelism()
-                .map(|c| c.get().saturating_sub(1))
-                .unwrap_or(1)
-                .max(1),
-        }
+        static CORES: OnceLock<usize> = OnceLock::new();
+        self.workers.unwrap_or_else(|| {
+            workers_for(
+                *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get())),
+            )
+        })
     }
+}
+
+/// Default producer count on `cores` cores: all but the consumer's.
+fn workers_for(cores: usize) -> usize {
+    cores.saturating_sub(1)
 }
 
 /// What a [`stream`] call did, beyond the consumer's own outputs.
@@ -235,32 +228,19 @@ pub struct PlanStats {
 }
 
 /// Resolve one group against the tree into a recycled husk: shared
-/// list, member targets and positions, tally contribution. Only grows
-/// buffers past their retained capacity; steady state allocates
-/// nothing.
-fn resolve_group_into(
-    tree: &Tree,
-    tr: &Traversal,
-    g: Group,
-    scratch: &mut ResolveScratch,
-    work: &mut GroupWork,
-) {
-    tr.modified_list_with(tree, g, &mut scratch.walk, &mut scratch.terms);
+/// list (the walk writes it resolved, straight into the husk), member
+/// targets and positions, tally contribution. Only grows buffers past
+/// their retained capacity; steady state allocates nothing.
+fn resolve_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWork) {
     work.group = g;
     work.jpos.clear();
     work.jmass.clear();
-    work.jpos.reserve(scratch.terms.len());
-    work.jmass.reserve(scratch.terms.len());
-    for &term in scratch.terms.iter() {
-        let (p, m) = term.resolve(tree);
-        work.jpos.push(p);
-        work.jmass.push(m);
-    }
+    tr.resolved_list_into(tree, g, &mut work.jpos, &mut work.jmass);
     let node = &tree.nodes()[g.node as usize];
     work.targets.clear();
     work.targets.extend(node.range().map(|k| tree.original_index(k)));
     work.xi.clear();
-    work.xi.extend(node.range().map(|k| tree.pos()[k]));
+    work.xi.extend_from_slice(&tree.pos()[node.range()]);
     work.tally = InteractionTally {
         interactions: work.jpos.len() as u64 * work.targets.len() as u64,
         terms: work.jpos.len() as u64,
@@ -338,15 +318,14 @@ where
     let workers = cfg.resolved_workers();
 
     if workers == 0 {
-        // serial reference: produce and consume one group at a time, in
-        // find_groups order, through a single recycled husk + scratch
-        let mut scratch = pool.take_scratch();
+        // inline: produce and consume one group at a time, in
+        // find_groups order, through a single recycled husk
         let mut work = pool.take_husk();
         let mut failure = None;
         for &g in groups {
             let t = Instant::now();
             let ok = catch_unwind(AssertUnwindSafe(|| {
-                resolve_group_into(tree, tr, g, &mut scratch, &mut work);
+                resolve_group_into(tree, tr, g, &mut work);
                 augment(&mut work);
             }));
             stats.produce_s += t.elapsed().as_secs_f64();
@@ -358,7 +337,6 @@ where
             consume(&work);
         }
         pool.put_husk(work);
-        pool.put_scratch(scratch);
         stats.husks_minted = pool.minted() - minted_before;
         return match failure {
             Some(e) => Err(e),
@@ -374,7 +352,6 @@ where
             let tx = tx.clone();
             let next = &next;
             handles.push(s.spawn(move || {
-                let mut scratch = pool.take_scratch();
                 let mut cpu_s = 0.0;
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -384,7 +361,7 @@ where
                     let mut work = pool.take_husk();
                     let t = Instant::now();
                     let item = catch_unwind(AssertUnwindSafe(|| {
-                        resolve_group_into(tree, tr, groups[i], &mut scratch, &mut work);
+                        resolve_group_into(tree, tr, groups[i], &mut work);
                         augment(&mut work);
                         work
                     }))
@@ -398,7 +375,6 @@ where
                         break; // consumer gone, or nothing sane left to produce
                     }
                 }
-                pool.put_scratch(scratch);
                 cpu_s
             }));
         }
@@ -480,6 +456,51 @@ mod tests {
         })
         .unwrap();
         (per_target, stats.tally)
+    }
+
+    #[test]
+    fn default_workers_leave_one_core_to_the_consumer() {
+        assert_eq!([1, 2, 8].map(workers_for), [0, 1, 7]);
+        // an explicit count is taken as given, and "overlapped" still
+        // means at least one producer
+        assert_eq!(PlanConfig::serial().resolved_workers(), 0);
+        assert_eq!(PlanConfig { workers: Some(5), channel_depth: 2 }.resolved_workers(), 5);
+        assert!(PlanConfig::overlapped(0, 3).resolved_workers() >= 1);
+        // the default is resolved once: every call sees the same count
+        let auto = PlanConfig::default().resolved_workers();
+        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+        assert_eq!(auto, workers_for(cores));
+        assert_eq!(PlanConfig::default().resolved_workers(), auto);
+    }
+
+    #[test]
+    fn zero_workers_stream_inline_with_nothing_in_flight() {
+        // the plan a one-core process gets by default: no producer
+        // thread, so the consumer is never blocked and one husk serves
+        // every group, whatever the channel depth says
+        let (pos, mass) = cloud(700, 9);
+        let tree = Tree::build_with(&pos, &mass, TreeConfig::default());
+        let tr = Traversal::new(0.7);
+        let groups = tr.find_groups(&tree, 32);
+        let pool = PlanPool::new();
+        let me = std::thread::current().id();
+        for channel_depth in [1, 4] {
+            let cfg = PlanConfig { workers: Some(0), channel_depth };
+            let mut order = Vec::new();
+            let stats = stream_with_augment(
+                &tree,
+                &tr,
+                &groups,
+                &cfg,
+                &pool,
+                &|_| assert_eq!(std::thread::current().id(), me, "augment hook left the caller"),
+                |w| order.push(w.group),
+            )
+            .unwrap();
+            assert_eq!(order, groups, "inline streaming is in find_groups order");
+            assert_eq!(stats.consumer_blocked_s, 0.0);
+            assert_eq!(pool.minted(), 1);
+        }
     }
 
     #[test]

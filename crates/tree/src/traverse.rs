@@ -21,20 +21,19 @@
 use crate::mac::{GroupSphere, Mac, MacKind};
 use crate::tree::{NodeColumns, Tree, NONE};
 use g5util::counters::InteractionTally;
+use g5util::morton;
 use g5util::vec3::Vec3;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// Reusable traversal state: the explicit walk stack whose capacity is
-/// carried across calls, so steady-state traversals do no heap
-/// allocation. One scratch per worker thread; see
-/// [`Traversal::modified_list_with`] and
-/// [`Traversal::find_groups_into`].
+/// Reusable grouping state: the explicit stack of
+/// [`Traversal::find_groups_into`], whose capacity is carried across
+/// calls so steady-state grouping does no heap allocation. (The list
+/// walk needs none: its stack is bounded by the tree's depth cap and
+/// lives on the call stack.)
 #[derive(Debug, Clone, Default)]
 pub struct TraverseScratch {
     stack: Vec<u32>,
-    /// Root→group node path, rebuilt per walk (≤ tree depth entries).
-    path: Vec<u32>,
 }
 
 /// One term of an interaction list.
@@ -244,152 +243,33 @@ impl Traversal {
         sphere
     }
 
-    /// Build the shared interaction list for one group.
-    ///
-    /// Convenience wrapper over
-    /// [`modified_list_with`](Self::modified_list_with) that allocates a
-    /// fresh walk stack; hot paths should hold a [`TraverseScratch`]
-    /// per worker instead.
+    /// Build the shared interaction list for one group, as tree terms:
+    /// the form the tallies, the host evaluator ([`crate::eval`]) and
+    /// the referees read. Bit-identical, term for term, to
+    /// [`modified_list_reference`](Self::modified_list_reference).
     pub fn modified_list(&self, tree: &Tree, group: Group, out: &mut Vec<ListTerm>) {
-        let mut scratch = TraverseScratch::default();
-        self.modified_list_with(tree, group, &mut scratch, out);
+        out.clear();
+        let sphere = self.group_sphere(tree, group);
+        emit_terms(tree, &self.mac, &sphere, Some(group), |span| match span {
+            Span::Cell(i) => out.push(ListTerm::Cell(i)),
+            Span::Bodies(r) => out.extend(r.map(|k| ListTerm::Body(k as u32))),
+        });
     }
 
-    /// Build the shared interaction list for one group with an explicit
-    /// stack over the tree's SoA columns.
-    ///
-    /// The hot loop reads one packed 32-byte `walk` entry
-    /// (`[com, half]`) per opening test; `span` is touched only when a
-    /// cell is accepted (the ancestor guard) or a leaf is expanded, and
-    /// `children` only when a cell is opened. Children are pushed in
-    /// reverse octant order so pops replay the recursive depth-first
-    /// order exactly: the emitted term sequence is bit-identical to
-    /// [`modified_list_reference`](Self::modified_list_reference).
-    pub fn modified_list_with(
+    /// Append one group's shared list to `jpos`/`jmass` already
+    /// resolved to the `(position, mass)` pairs GRAPE consumes — what
+    /// [`modified_list`](Self::modified_list) followed by
+    /// [`ListTerm::resolve`] per term would give, in the same order,
+    /// without the term list in between.
+    pub(crate) fn resolved_list_into(
         &self,
         tree: &Tree,
         group: Group,
-        scratch: &mut TraverseScratch,
-        out: &mut Vec<ListTerm>,
+        jpos: &mut Vec<Vec3>,
+        jmass: &mut Vec<f64>,
     ) {
-        out.clear();
-        let cols = tree.columns();
         let sphere = self.group_sphere(tree, group);
-        let inv2_theta = 2.0 / self.mac.theta;
-        match self.mac.kind {
-            // the paper's criterion, inlined against the packed column:
-            // same arithmetic in the same order as `Mac::accepts_sphere`
-            MacKind::BarnesHut => {
-                Self::walk_stack(cols, group, scratch, out, |cols, i| {
-                    let [cx, cy, cz, half] = cols.walk[i];
-                    let t = sphere.radius + half * inv2_theta;
-                    sphere.center.dist2(Vec3::new(cx, cy, cz)) > t * t
-                });
-            }
-            MacKind::MinDistance => {
-                Self::walk_stack(cols, group, scratch, out, |cols, i| {
-                    self.mac.accepts_sphere_cols(&cols.geom[i], &cols.moment[i], &sphere)
-                });
-            }
-        }
-    }
-
-    /// The explicit-stack DFS shared by both opening criteria. `accept`
-    /// sees only the node index, so each criterion reads just the
-    /// columns it needs.
-    ///
-    /// Nodes are classified when their parent is opened, not when they
-    /// are popped: the up-to-eight independent opening tests run
-    /// back-to-back (good instruction-level overlap of the distance
-    /// chains), and the verdict rides in the stack entry's top bit —
-    /// popping an accepted cell emits its term with no further column
-    /// reads.
-    ///
-    /// The group's ancestors (which may never stand in as cells, since
-    /// they overlap the sphere) are exactly the nodes of the root→group
-    /// path, and a depth-first walk meets them in path order. So the
-    /// path is resolved once up front and the ancestor test is a single
-    /// register compare per node — the span column drops out of the hot
-    /// loop entirely, leaving one packed `walk` read per opening test.
-    /// Evaluation order is the only thing that moves relative to the
-    /// recursive reference; the per-node decisions and the emitted DFS
-    /// sequence are unchanged.
-    fn walk_stack(
-        cols: &NodeColumns,
-        group: Group,
-        scratch: &mut TraverseScratch,
-        out: &mut Vec<ListTerm>,
-        accept: impl Fn(&NodeColumns, usize) -> bool,
-    ) {
-        /// Stack-entry flag: this node passed the opening test and is
-        /// not an ancestor of the group, so it stands in as a cell.
-        const ACC: u32 = 1 << 31;
-        debug_assert!(cols.span.len() < ACC as usize, "node index overflows the flag bit");
-        let [gfirst, gcount] = cols.span[group.node as usize];
-        let gend = gfirst + gcount;
-        // Resolve the root→group path by span containment: spans nest,
-        // siblings are disjoint, and every group holds ≥ 1 particle, so
-        // exactly one child contains the group's span at each level.
-        let path = &mut scratch.path;
-        path.clear();
-        let mut at = 0u32;
-        loop {
-            path.push(at);
-            if at == group.node {
-                break;
-            }
-            let mut next = NONE;
-            for &c in &cols.children[at as usize] {
-                if c != NONE {
-                    let [first, count] = cols.span[c as usize];
-                    if first <= gfirst && first + count >= gend {
-                        next = c;
-                        break;
-                    }
-                }
-            }
-            debug_assert!(next != NONE, "group node must be reachable from the root");
-            at = next;
-        }
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.push(0);
-        // index into `path` of the next ancestor the DFS will meet
-        let mut anc_ptr = 0usize;
-        while let Some(entry) = stack.pop() {
-            if entry & ACC != 0 {
-                out.push(ListTerm::Cell(entry & !ACC));
-                continue;
-            }
-            let i = entry as usize;
-            if entry == group.node {
-                // the group itself: members interact directly
-                out.extend((gfirst..gend).map(ListTerm::Body));
-                continue;
-            }
-            // ancestor's path-child: never a stand-in cell, pushed bare
-            let anc_child = if entry == path[anc_ptr] {
-                // an ancestor is never a leaf (the group is below it)
-                debug_assert!(!cols.is_leaf(i), "ancestor of a group cannot be a leaf");
-                anc_ptr += 1;
-                path[anc_ptr]
-            } else if cols.is_leaf(i) {
-                let [first, count] = cols.span[i];
-                out.extend((first..first + count).map(ListTerm::Body));
-                continue;
-            } else {
-                NONE
-            };
-            for &c in cols.children[i].iter().rev() {
-                if c != NONE {
-                    if c != anc_child && accept(cols, c as usize) {
-                        stack.push(c | ACC);
-                    } else {
-                        stack.push(c);
-                    }
-                }
-            }
-        }
+        emit_resolved(tree, &self.mac, &sphere, Some(group), jpos, jmass);
     }
 
     /// The pre-overhaul recursive walk over the `Node` array, kept as
@@ -441,15 +321,14 @@ impl Traversal {
         }
     }
 
-    /// Build every group's shared list (parallel over groups, one
-    /// reused walk stack per worker thread).
+    /// Build every group's shared list (parallel over groups).
     pub fn modified_lists(&self, tree: &Tree, n_crit: usize) -> ModifiedLists {
         let groups = self.find_groups(tree, n_crit);
         let lists: Vec<Vec<ListTerm>> = groups
             .par_iter()
-            .map_init(TraverseScratch::default, |scratch, &g| {
+            .map(|&g| {
                 let mut out = Vec::new();
-                self.modified_list_with(tree, g, scratch, &mut out);
+                self.modified_list(tree, g, &mut out);
                 out
             })
             .collect();
@@ -462,16 +341,183 @@ impl Traversal {
         let groups = self.find_groups(tree, n_crit);
         let (interactions, terms, lists) = groups
             .par_iter()
-            .map_init(
-                || (TraverseScratch::default(), Vec::new()),
-                |(scratch, buf), &g| {
-                    self.modified_list_with(tree, g, scratch, buf);
-                    let members = tree.nodes()[g.node as usize].count as u64;
-                    (buf.len() as u64 * members, buf.len() as u64, 1u64)
-                },
-            )
+            .map(|&g| {
+                let mut len = 0u64;
+                let sphere = self.group_sphere(tree, g);
+                emit_terms(tree, &self.mac, &sphere, Some(g), |span| match span {
+                    Span::Cell(_) => len += 1,
+                    Span::Bodies(r) => len += r.len() as u64,
+                });
+                let members = tree.nodes()[g.node as usize].count as u64;
+                (len * members, len, 1u64)
+            })
             .reduce(|| (0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
         InteractionTally { interactions, terms, lists }
+    }
+}
+
+/// What the list walk emits, in depth-first order.
+pub(crate) enum Span {
+    /// An accepted cell, standing in via its monopole.
+    Cell(u32),
+    /// A run of bodies (tree sorted order): an opened leaf, or the
+    /// group's own members.
+    Bodies(std::ops::Range<usize>),
+}
+
+/// Longest root→node path: the build caps depth at `BITS_PER_DIM`.
+const MAX_PATH: usize = morton::BITS_PER_DIM as usize + 1;
+/// Deepest the walk stack gets: opening a node at depth d replaces it
+/// by at most eight children above at most seven pending siblings per
+/// level, 7·d + 8 entries, and only nodes above the depth cap open.
+const MAX_STACK: usize = 7 * morton::BITS_PER_DIM as usize + 1;
+
+/// The one list walk: the terms `tree` presents to the receiver
+/// `sphere` under `mac`, emitted in the depth-first order of
+/// [`Traversal::modified_list_reference`].
+///
+/// With `group` the receiver is one of the tree's own groups (`sphere`
+/// from [`Traversal::group_sphere`]): its ancestors overlap the sphere
+/// and are opened untested, and the group node itself emits its members
+/// as bodies. Without, the receiver is foreign — a local-essential-tree
+/// walk ([`crate::domain::let_terms_into`]) — and every node, the root
+/// included, takes the opening test.
+pub(crate) fn emit_terms(
+    tree: &Tree,
+    mac: &Mac,
+    sphere: &GroupSphere,
+    group: Option<Group>,
+    emit: impl FnMut(Span),
+) {
+    let cols = tree.columns();
+    let inv2_theta = 2.0 / mac.theta;
+    match mac.kind {
+        // the paper's criterion, inlined against the packed column:
+        // same arithmetic in the same order as `Mac::accepts_sphere`
+        MacKind::BarnesHut => walk(cols, group, emit, |i| {
+            let [cx, cy, cz, half] = cols.walk[i];
+            let t = sphere.radius + half * inv2_theta;
+            sphere.center.dist2(Vec3::new(cx, cy, cz)) > t * t
+        }),
+        MacKind::MinDistance => walk(cols, group, emit, |i| {
+            mac.accepts_sphere_cols(&cols.geom[i], &cols.moment[i], sphere)
+        }),
+    }
+}
+
+/// [`emit_terms`] resolved on the spot to the `(position, mass)` pairs
+/// GRAPE consumes, appended to `jpos`/`jmass`: an accepted cell is one
+/// read of its packed `moment` entry, a run of bodies two slice copies
+/// out of the tree's sorted arrays.
+pub(crate) fn emit_resolved(
+    tree: &Tree,
+    mac: &Mac,
+    sphere: &GroupSphere,
+    group: Option<Group>,
+    jpos: &mut Vec<Vec3>,
+    jmass: &mut Vec<f64>,
+) {
+    let moment = &tree.columns().moment;
+    emit_terms(tree, mac, sphere, group, |span| match span {
+        Span::Cell(i) => {
+            let [x, y, z, m] = moment[i as usize];
+            jpos.push(Vec3::new(x, y, z));
+            jmass.push(m);
+        }
+        Span::Bodies(r) => {
+            jpos.extend_from_slice(&tree.pos()[r.clone()]);
+            jmass.extend_from_slice(&tree.mass()[r]);
+        }
+    });
+}
+
+/// The explicit-stack DFS behind [`emit_terms`]. `accept` sees only the
+/// node index, so each criterion reads just the columns it needs: one
+/// packed 32-byte `walk` entry per Barnes–Hut test; `span` is touched
+/// only when bodies are emitted and `children` only when a cell is
+/// opened.
+///
+/// Nodes are classified when their parent is opened, not when they are
+/// popped: the up-to-eight independent opening tests run back-to-back
+/// (good instruction-level overlap of the distance chains), and the
+/// verdict rides in the stack entry's top bit — popping an accepted
+/// cell emits it with no further column reads. Children are pushed in
+/// reverse octant order so pops replay the recursive depth-first order
+/// exactly.
+///
+/// The group's ancestors (which may never stand in as cells) are
+/// exactly the nodes of the root→group path, and a depth-first walk
+/// meets them in path order. So the path is resolved once up front and
+/// the ancestor test is a single register compare per node. Evaluation
+/// order is the only thing that moves relative to the recursive
+/// reference; the per-node decisions and the emitted sequence do not.
+fn walk(
+    cols: &NodeColumns,
+    group: Option<Group>,
+    mut emit: impl FnMut(Span),
+    accept: impl Fn(usize) -> bool,
+) {
+    /// Stack-entry flag: this node passed the opening test and is not
+    /// an ancestor of the group, so it stands in as a cell.
+    const ACC: u32 = 1 << 31;
+    debug_assert!(cols.span.len() < ACC as usize, "node index overflows the flag bit");
+    // Root→group path, `NONE` past its end (and all of it without a
+    // group: no entry ever matches). Resolved by span containment:
+    // spans nest, siblings are disjoint, and every group holds ≥ 1
+    // particle, so exactly one child contains the group's span.
+    let mut path = [NONE; MAX_PATH + 1];
+    let gnode = group.map_or(NONE, |g| g.node);
+    if let Some(g) = group {
+        let [gfirst, gcount] = cols.span[g.node as usize];
+        let (mut at, mut depth) = (0u32, 0);
+        while at != g.node {
+            path[depth] = at;
+            depth += 1;
+            at = *cols.children[at as usize]
+                .iter()
+                .find(|&&c| {
+                    c != NONE && {
+                        let [first, count] = cols.span[c as usize];
+                        first <= gfirst && first + count >= gfirst + gcount
+                    }
+                })
+                .expect("group node must be reachable from the root");
+        }
+        path[depth] = at;
+    }
+    let mut stack = [0u32; MAX_STACK];
+    // the root: a group's ancestor (or the group) goes on bare
+    stack[0] = if group.is_none() && accept(0) { ACC } else { 0 };
+    let mut top = 1;
+    // index into `path` of the next ancestor the DFS will meet
+    let mut anc = 0;
+    while top > 0 {
+        top -= 1;
+        let entry = stack[top];
+        if entry & ACC != 0 {
+            emit(Span::Cell(entry & !ACC));
+            continue;
+        }
+        let i = entry as usize;
+        // the group itself (members interact directly), or an opened
+        // leaf; an ancestor is never a leaf — the group is below it
+        if entry == gnode || cols.is_leaf(i) {
+            emit(Span::Bodies(cols.range(i)));
+            continue;
+        }
+        // an ancestor's path-child is never a stand-in cell: pushed bare
+        let anc_child = if entry == path[anc] {
+            anc += 1;
+            path[anc]
+        } else {
+            NONE
+        };
+        for &c in cols.children[i].iter().rev() {
+            if c != NONE {
+                stack[top] = if c != anc_child && accept(c as usize) { c | ACC } else { c };
+                top += 1;
+            }
+        }
     }
 }
 
@@ -659,20 +705,76 @@ mod tests {
         Traversal::new(0.75).find_groups(&tree, 0);
     }
 
-    #[test]
-    fn stack_walk_matches_recursive_reference_exactly() {
-        let (pos, mass) = cloud(900, 19);
-        let tree = Tree::build(&pos, &mass);
-        for theta in [0.0, 0.5, 1.0] {
-            let tr = Traversal::new(theta);
-            let mut scratch = TraverseScratch::default();
-            let (mut stack_out, mut rec_out) = (Vec::new(), Vec::new());
-            for g in tr.find_groups(&tree, 48) {
-                tr.modified_list_with(&tree, g, &mut scratch, &mut stack_out);
-                tr.modified_list_reference(&tree, g, &mut rec_out);
-                assert_eq!(stack_out, rec_out, "term sequence diverged at theta {theta}");
+    /// Every group's list from the one walk, in both forms — tree
+    /// terms and resolved `(position, mass)` pairs — against the
+    /// recursive reference over the `Node` array (resolved by
+    /// `ListTerm::resolve`), bit for bit and in order.
+    pub(super) fn assert_walk_matches_reference(tree: &Tree, tr: &Traversal, n_crit: usize) {
+        let bits = |p: Vec3, m: f64| [p.x, p.y, p.z, m].map(f64::to_bits);
+        let (mut terms, mut want) = (Vec::new(), Vec::new());
+        // the emitter appends: whatever the buffers hold stays in front
+        let (mut jpos, mut jmass) = (vec![Vec3::splat(7.0)], vec![7.0]);
+        for g in tr.find_groups(tree, n_crit) {
+            tr.modified_list_reference(tree, g, &mut want);
+            tr.modified_list(tree, g, &mut terms);
+            assert_eq!(terms, want, "{:?} n_crit {n_crit} group {}", tr.mac, g.node);
+            jpos.truncate(1);
+            jmass.truncate(1);
+            tr.resolved_list_into(tree, g, &mut jpos, &mut jmass);
+            assert_eq!((jpos.len(), jmass.len()), (want.len() + 1, want.len() + 1));
+            assert_eq!(bits(jpos[0], jmass[0]), bits(Vec3::splat(7.0), 7.0));
+            for (k, t) in want.iter().enumerate() {
+                let (p, m) = t.resolve(tree);
+                assert_eq!(
+                    bits(jpos[k + 1], jmass[k + 1]),
+                    bits(p, m),
+                    "{:?} n_crit {n_crit} group {} term {k}",
+                    tr.mac,
+                    g.node
+                );
             }
         }
+    }
+
+    /// The emitter's referee. Mutations of `walk` it was seen to catch:
+    /// children pushed in forward octant order, the ancestor guard
+    /// skipped (the path-child tested like its siblings), `moment` read
+    /// where the opening test means `walk` (mass for half-width).
+    #[test]
+    fn emitter_matches_recursive_reference_exactly() {
+        let (pos, mass) = cloud(900, 19);
+        for leaf_capacity in [1, 8] {
+            let cfg = TreeConfig { leaf_capacity, ..TreeConfig::default() };
+            let mut tree = Tree::build_with(&pos, &mass, cfg);
+            for refreshed in [false, true] {
+                if refreshed {
+                    let moved: Vec<Vec3> =
+                        pos.iter().map(|p| *p + Vec3::new(0.004, -0.007, 0.005)).collect();
+                    assert!(tree.refresh(&moved, &mass) > 0.0);
+                }
+                for mac in [
+                    Mac::new(0.0),
+                    Mac::new(0.5),
+                    Mac::new(1.0),
+                    Mac::with_kind(0.6, MacKind::MinDistance),
+                ] {
+                    // n_crit >= N: the root is the one group
+                    for n_crit in [1, 8, 32, 2000, pos.len()] {
+                        if n_crit >= leaf_capacity {
+                            assert_walk_matches_reference(&tree, &Traversal { mac }, n_crit);
+                        }
+                    }
+                }
+            }
+        }
+        // the root as the group: one list, every particle a body
+        let tr = Traversal::new(0.75);
+        let tree = Tree::build(&pos, &mass);
+        let groups = tr.find_groups(&tree, pos.len());
+        assert_eq!(groups, [Group { node: 0 }]);
+        let (mut jpos, mut jmass) = (Vec::new(), Vec::new());
+        tr.resolved_list_into(&tree, groups[0], &mut jpos, &mut jmass);
+        assert_eq!((&jpos[..], &jmass[..]), (tree.pos(), tree.mass()));
     }
 
     #[test]
@@ -754,6 +856,23 @@ mod proptests {
             for list in &ml.lists {
                 prop_assert!((list_mass(&tree, list) - total).abs() < 1e-9 * total.max(1.0));
             }
+        }
+
+        #[test]
+        fn emitter_matches_reference_on_random_clouds(
+            (pos, mass) in cloud(),
+            theta in 0.0f64..1.5,
+            n_crit in 1usize..64,
+            min_distance in any::<bool>(),
+            drift in 0.0f64..0.05,
+        ) {
+            let kind = if min_distance { MacKind::MinDistance } else { MacKind::BarnesHut };
+            let tr = Traversal { mac: Mac::with_kind(theta, kind) };
+            let mut tree = Tree::build(&pos, &mass);
+            super::tests::assert_walk_matches_reference(&tree, &tr, n_crit);
+            let moved: Vec<Vec3> = pos.iter().map(|p| *p + Vec3::splat(drift)).collect();
+            tree.refresh(&moved, &mass);
+            super::tests::assert_walk_matches_reference(&tree, &tr, n_crit);
         }
 
         #[test]

@@ -245,9 +245,14 @@ fn worker_count(n: usize) -> usize {
 }
 
 /// A raw pointer the scatter phase may send across scoped threads.
-/// Safety argument at the single use site.
 #[derive(Clone, Copy)]
 struct SendPtr(*mut (u64, u32));
+// SAFETY: the pointee is plain `(u64, u32)` data with no thread
+// affinity, and the wrapper only moves the address: every dereference
+// is an `unsafe` write at the single use site
+// (`sort_indices_with_threads`, phase 2), which argues — and
+// debug-asserts — that the slots written through different copies are
+// disjoint and inside a buffer that outlives the thread scope.
 unsafe impl Send for SendPtr {}
 
 /// Digit width. 11 bits is the measured sweet spot at the headline
@@ -314,18 +319,33 @@ impl TupleBuf {
     fn ensure(&mut self, n: usize) -> &mut [(u64, u32)] {
         if n > self.cap {
             if self.cap > 0 {
-                // SAFETY: allocated below with the same layout recipe.
+                // SAFETY: `cap > 0` only ever holds together with a
+                // `ptr` that `alloc_zeroed` below returned for
+                // `layout(cap)` (both are set in one place and `new`
+                // starts at 0), so pointer and layout match the
+                // allocation; `cap` is zeroed before the re-allocation
+                // can unwind, so `Drop` cannot free it a second time.
                 unsafe { std::alloc::dealloc(self.ptr.as_ptr().cast(), TupleBuf::layout(self.cap)) }
+                self.cap = 0;
             }
             let cap = n.next_power_of_two();
-            // SAFETY: layout has non-zero size (n > cap >= 0 here).
-            let raw = unsafe { std::alloc::alloc_zeroed(TupleBuf::layout(cap)) };
+            let layout = TupleBuf::layout(cap);
+            debug_assert!(layout.size() >= size_of::<(u64, u32)>(), "zero-sized tuple buffer");
+            // SAFETY: `n > self.cap >= 0` gives `cap >= n >= 1`, so the
+            // layout has non-zero size (asserted above); a null return
+            // is handled on the next line.
+            let raw = unsafe { std::alloc::alloc_zeroed(layout) };
             self.ptr = std::ptr::NonNull::new(raw.cast())
-                .unwrap_or_else(|| std::alloc::handle_alloc_error(TupleBuf::layout(cap)));
+                .unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
             self.cap = cap;
         }
-        // SAFETY: ptr covers cap >= n zero-initialized tuples, and the
-        // borrow of self guards aliasing.
+        debug_assert!(n <= self.cap, "tuple buffer of {} asked for {n}", self.cap);
+        // SAFETY: for `n > 0`, `ptr` is one live allocation of
+        // `cap >= n` tuples (asserted), 2 MiB-aligned, zeroed when it
+        // was made and only ever written with whole tuples since — so
+        // `n` initialized elements; for `n == 0` a dangling aligned
+        // pointer is a valid empty slice. The slice borrows `self`
+        // mutably, so nothing else reaches the block while it lives.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), n) }
     }
 }
@@ -333,7 +353,11 @@ impl TupleBuf {
 impl Drop for TupleBuf {
     fn drop(&mut self) {
         if self.cap > 0 {
-            // SAFETY: allocated in ensure() with the same layout.
+            // SAFETY: `cap > 0` means `ptr` is the block `ensure` got
+            // from `alloc_zeroed(layout(cap))` and has not freed (it
+            // zeroes `cap` when it does); `layout` is a pure function of
+            // `cap`, so this is that allocation's layout, and `drop`
+            // runs once.
             unsafe { std::alloc::dealloc(self.ptr.as_ptr().cast(), TupleBuf::layout(self.cap)) }
         }
     }
@@ -407,9 +431,13 @@ fn sort_serial_msd_with(codes: &[u64], diff: u64, scratch: &mut SerialScratch) -
         let bufp = buf.as_mut_ptr();
         for (i, &c) in codes.iter().enumerate() {
             let d = ((c << lead) >> top) as usize;
-            // SAFETY: cur[d] walks the half-open slot range the prefix
-            // sum assigned to digit d; the ranges tile exactly [0, n),
-            // so every write is in bounds.
+            debug_assert!(cur[d] < offs[d + 1], "digit {d} overran its slot range");
+            // SAFETY: `hist` counted exactly these digits over exactly
+            // these codes, so digit d is met `hist[d]` times and
+            // `cur[d]` walks `offs[d]..offs[d + 1]` without reaching
+            // its end (asserted); the ranges tile `[0, n)` and `buf`
+            // is `n` long, so the write is in bounds. `bufp` is the
+            // only path to `buf` inside this block.
             unsafe { bufp.add(cur[d] as usize).write((c, i as u32)) };
             cur[d] += 1;
         }
@@ -514,10 +542,17 @@ pub(crate) fn sort_indices_with_threads(codes: &[u64], threads: usize) -> Vec<u3
                     let dstp = dstp;
                     for &(c, i) in ch {
                         let d = ((c >> shift) & DIGIT_MASK) as usize;
-                        // SAFETY: slot ranges are disjoint across
-                        // (chunk, digit) pairs by the prefix-sum
-                        // construction above, and `dst` outlives
-                        // the scope.
+                        debug_assert!((offs[d] as usize) < n, "scatter slot past the buffer");
+                        // SAFETY: after `prefix_sum`, `offs[d]` is the
+                        // first slot of this chunk's digit-d run, and
+                        // the runs of all (chunk, digit) pairs are
+                        // disjoint and tile `[0, n)`: each is as long
+                        // as its histogram count, which phase 1 took
+                        // over this very chunk at this shift. So the
+                        // slot is inside `dst` (`n` long, asserted),
+                        // no other thread writes it, nothing reads
+                        // `dst` before the scope has joined, and `dst`
+                        // outlives the scope.
                         unsafe { *dstp.0.add(offs[d] as usize) = (c, i) };
                         offs[d] += 1;
                     }

@@ -11,11 +11,17 @@
 //! on the own-tree lists and on the LET imports of K ∈ {1, 2, 4} shard
 //! trees, fresh and refreshed — and checks that it *would* notice: the
 //! same lists built against spheres of 0.9 × the radius fail it.
+//!
+//! The lists checked are the product's: what `plan::stream` hands the
+//! device (the walk's resolved emitter) and what `let_terms_into`
+//! appends are held, bit for bit and in order, to the `Node`-array walks
+//! the property is checked on.
 
 use grape5_nbody::ic::{CosmologicalIc, ZeldovichConfig};
+use grape5_nbody::tree::plan::{self, PlanConfig};
 use grape5_nbody::tree::{
-    let_terms_into, Decomposition, Group, GroupSphere, ListTerm, Mac, Traversal, TraverseScratch,
-    Tree, TreeConfig, NONE,
+    let_terms_into, Decomposition, Group, GroupSphere, ListTerm, Mac, Traversal, Tree, TreeConfig,
+    NONE,
 };
 use grape5_nbody::util::Vec3;
 use rand::{Rng, SeedableRng};
@@ -147,18 +153,36 @@ fn check_lists(trees: &[Tree], n_crit: usize, shrink: f64) -> Result<u64, String
     let tr = Traversal::new(THETA);
     let mac = tr.mac;
     let mut checked = 0u64;
-    let mut scratch = TraverseScratch::default();
     let mut list = Vec::new();
+    let term_bits = |p: Vec3, m: f64| [p.x, p.y, p.z, m].map(f64::to_bits);
     for (r, tree) in trees.iter().enumerate() {
-        for group in tr.find_groups(tree, n_crit) {
+        let groups = tr.find_groups(tree, n_crit);
+        // what the plan streams to the device: the resolved emitter's
+        // lists, by group node
+        let mut streamed = std::collections::HashMap::new();
+        if shrink == 1.0 {
+            plan::stream(tree, &tr, &groups, &PlanConfig::serial(), |w| {
+                let terms: Vec<_> =
+                    w.jpos.iter().zip(&w.jmass).map(|(&p, &m)| term_bits(p, m)).collect();
+                streamed.insert(w.group.node, terms);
+            })
+            .expect("serial stream");
+        }
+        for group in groups {
             let mut sphere = tr.group_sphere(tree, group);
             sphere.radius *= shrink;
             let members = &tree.pos()[tree.nodes()[group.node as usize].range()];
             let own = own_walk(tree, &mac, group, &sphere);
             if shrink == 1.0 {
                 // the walks under test are the product's own
-                tr.modified_list_with(tree, group, &mut scratch, &mut list);
+                tr.modified_list(tree, group, &mut list);
                 assert_eq!(list, own, "shard {r}: own-tree list differs from the node walk");
+                let resolved: Vec<_> =
+                    own.iter().map(|t| t.resolve(tree)).map(|(p, m)| term_bits(p, m)).collect();
+                assert_eq!(
+                    streamed[&group.node], resolved,
+                    "shard {r}: streamed list differs from the node walk, resolved"
+                );
             }
             let mut cells: Vec<(usize, u32)> = own
                 .iter()
@@ -173,9 +197,10 @@ fn check_lists(trees: &[Tree], n_crit: usize, shrink: f64) -> Result<u64, String
                     let (mut lp, mut lm) = (Vec::new(), Vec::new());
                     let n = let_terms_into(src, &mac, &sphere, &mut lp, &mut lm);
                     assert_eq!(n, terms.len(), "shard {s} -> {r}: LET term count");
-                    let same = terms.iter().zip(lp.iter().zip(&lm)).all(|(&(p, m), (&q, &w))| {
-                        [p.x, p.y, p.z, m].map(f64::to_bits) == [q.x, q.y, q.z, w].map(f64::to_bits)
-                    });
+                    let same = terms
+                        .iter()
+                        .zip(lp.iter().zip(&lm))
+                        .all(|(&(p, m), (&q, &w))| term_bits(p, m) == term_bits(q, w));
                     assert!(same, "shard {s} -> {r}: let_terms_into differs from the node walk");
                 }
                 cells.extend(accepted.into_iter().map(|c| (s, c)));

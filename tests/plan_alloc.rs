@@ -1,9 +1,10 @@
 //! The zero-allocation contract of the streaming force plan, enforced
 //! with a counting global allocator: after one warm pass has minted the
-//! husk and scratch arena, a steady-state serial `stream_with` pass
-//! over every group performs **zero** heap allocations — group lists,
-//! resolved j-arrays, and target buffers all live in recycled pool
-//! buffers whose capacities were grown during the warm pass.
+//! husk, a steady-state serial `stream_with` pass over every group
+//! performs **zero** heap allocations — the walk's stack is on the call
+//! stack, and the resolved j-arrays it writes and the target buffers
+//! all live in the recycled husk, whose capacities were grown during
+//! the warm pass.
 
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::tree::plan::{stream_with, PlanConfig, PlanPool};
@@ -46,7 +47,7 @@ fn steady_state_streaming_allocates_nothing() {
     let cfg = PlanConfig::serial();
     let pool = PlanPool::new();
 
-    // warm pass: mints the husk + scratch and grows every capacity
+    // warm pass: mints the husk and grows every capacity
     let mut consumed = 0u64;
     stream_with(&tree, &tr, &groups, &cfg, &pool, |w| consumed += w.targets.len() as u64)
         .expect("warm pass");
