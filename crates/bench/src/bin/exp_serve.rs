@@ -30,19 +30,33 @@
 //!   snapshots *byte-identical* to uninterrupted reference runs;
 //! * **taxonomy** — deliberately doomed submissions (an impossible
 //!   j-memory demand, immediate cancellations) must surface as their
-//!   typed [`JobError`] kinds in the status API.
+//!   typed [`JobError`] kinds in the status API;
+//! * **worker scaling** — the same fleet, no kills, on one worker and on
+//!   as many workers as the machine has cores: aggregate
+//!   interactions/s, the ratio between them, and the tasks the run
+//!   created per force evaluation (a census of the PID namespace's
+//!   last-pid counter). Workers that share the process take equal
+//!   shares of it (`g5util::cores`), so a worker per core should
+//!   create none; a lone worker may take a plan producer for the idle
+//!   cores.
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_serve -- \
 //!     [--quick] [--jobs 120] [--workers 6] [--quantum 8] \
-//!     [--dir serve_state] [--out BENCH_pr10.json]
+//!     [--dir serve_state] [--out artifacts/exp_serve.json] \
+//!     [--trajectory BENCH_trajectory.json --pr pr20]
 //! ```
+//!
+//! The report defaults to the git-ignored `artifacts/exp_serve.json`;
+//! the committed `BENCH_pr20.json` is only written by naming it.
 //!
 //! `--quick` (CI smoke): 24 jobs, 3 workers, one kill — the same storm,
 //! compressed.
 
-use g5_bench::{fmt_count, fmt_secs, rule, Args};
+use g5_bench::trajectory::{self, Entry};
+use g5_bench::{fmt_count, fmt_secs, rule, write_report, Args};
 use g5serve::{job_dir_name, JobError, JobId, JobSpec, JobState, Server, ServerConfig};
+use g5util::cores;
 use grape5::{ArithMode, FaultConfig, RecoveryStats};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -162,6 +176,67 @@ fn rr_ideal(steps: &[u64], w: &[f64], workers: usize, quantum: u64) -> Vec<f64> 
     finish
 }
 
+/// Tasks (processes and threads) ever created in this PID namespace:
+/// the last-pid field of `/proc/loadavg`. Its growth over a run counts
+/// the threads the run created — exactly on a quiet machine, from above
+/// otherwise. `None` without procfs.
+fn tasks_created_so_far() -> Option<u64> {
+    std::fs::read_to_string("/proc/loadavg").ok()?.split_whitespace().nth(4)?.parse().ok()
+}
+
+/// One row of the worker-scaling table.
+struct ScalingRow {
+    workers: usize,
+    wall_s: f64,
+    /// Force evaluations: one per step plus one per slice start.
+    evaluations: u64,
+    /// Tasks created while the fleet ran, the workers themselves not
+    /// counted (`None`: no procfs, or the pid counter wrapped).
+    tasks_created: Option<u64>,
+    /// Of those, the cluster-backed tenants' shard threads (one per
+    /// shard per evaluation, by design).
+    shard_threads: u64,
+}
+
+impl ScalingRow {
+    /// Tasks created beyond the workers and the shard threads: what a
+    /// caller spawned for a core it thought it had.
+    fn helper_tasks(&self) -> Option<u64> {
+        self.tasks_created.map(|t| t.saturating_sub(self.shard_threads))
+    }
+
+    fn helper_tasks_per_evaluation(&self) -> Option<f64> {
+        self.helper_tasks().map(|h| h as f64 / self.evaluations as f64)
+    }
+}
+
+/// Run the whole fleet to completion on a fresh server (no kills) under
+/// the task census.
+fn scaling_run(cfg: ServerConfig, specs: &[JobSpec]) -> ScalingRow {
+    let workers = cfg.workers;
+    let server = Server::open(cfg).expect("open scaling server");
+    let tasks_before = tasks_created_so_far();
+    let t = Instant::now();
+    let ids: Vec<JobId> = specs.iter().map(|s| server.submit(*s).expect("submit")).collect();
+    server.wait_all();
+    let wall_s = t.elapsed().as_secs_f64();
+    let tasks_created = tasks_before
+        .zip(tasks_created_so_far())
+        .and_then(|(before, after)| after.checked_sub(before));
+    let (mut evaluations, mut shard_threads) = (0u64, 0u64);
+    for (&id, spec) in ids.iter().zip(specs) {
+        let st = server.status(id).expect("scaling job known to server");
+        assert_eq!(st.state, JobState::Completed, "scaling job {id} failed");
+        let evals = st.steps_done + st.resumes;
+        evaluations += evals;
+        if spec.backend.devices() > 1 {
+            shard_threads += evals * spec.backend.devices() as u64;
+        }
+    }
+    server.shutdown();
+    ScalingRow { workers, wall_s, evaluations, tasks_created, shard_threads }
+}
+
 fn json_recovery(r: &RecoveryStats) -> String {
     format!(
         "{{\"retries\": {}, \"j_reloads\": {}, \"validation_failures\": {}, \
@@ -181,10 +256,10 @@ fn main() {
     let jobs: u64 = args.get("jobs", if quick { 24 } else { 120 });
     // workers default scales with the machine: multi-tenancy needs at
     // least two, more than the core count only adds context switching
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cores = cores::total();
     let workers: usize = args.get("workers", cores.clamp(2, if quick { 3 } else { 6 }));
     let quantum: u64 = args.get("quantum", if quick { 6 } else { 12 });
-    let out_path: String = args.get("out", "BENCH_pr10.json".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_serve.json".to_string());
     let dir: String = args.get(
         "dir",
         std::env::temp_dir()
@@ -417,6 +492,21 @@ fn main() {
     server.shutdown();
 
     // ------------------------------------------------------------------
+    // worker scaling: the same fleet, no kills, on one worker and on a
+    // worker per core
+    let mut scaling_workers = vec![1, cores];
+    scaling_workers.dedup();
+    let scaling: Vec<ScalingRow> = scaling_workers
+        .iter()
+        .map(|&w| {
+            let dir = dir.join(format!("scaling_w{w}"));
+            scaling_run(ServerConfig { workers: w, dir, ..cfg.clone() }, &specs)
+        })
+        .collect();
+    let scaling_rate = |r: &ScalingRow| base_inter as f64 / r.wall_s;
+    let worker_scaling = scaling_rate(scaling.last().expect("a row")) / scaling_rate(&scaling[0]);
+
+    // ------------------------------------------------------------------
     // report
     println!();
     rule(74);
@@ -462,6 +552,24 @@ fn main() {
         taxonomy.iter().map(|(k, c)| format!("{k} {c}")).collect::<Vec<_>>().join(", ")
     );
     println!("events: {ev_count} progress events streamed on job {}'s channel", ids[0]);
+    println!(
+        "worker scaling (same fleet, no kills, {cores} core(s); tasks = threads created beyond \
+         the workers, cluster tenants' shard threads apart):"
+    );
+    for r in &scaling {
+        println!(
+            "  {} worker(s): {} wall, {:.3e} inter/s ({:.2}x one worker), {} evaluations, \
+             tasks created {} + {} shard threads = {} per evaluation",
+            r.workers,
+            fmt_secs(r.wall_s),
+            scaling_rate(r),
+            scaling_rate(r) / scaling_rate(&scaling[0]),
+            fmt_count(r.evaluations),
+            r.helper_tasks().map_or("n/a".into(), fmt_count),
+            fmt_count(r.shard_threads),
+            r.helper_tasks_per_evaluation().map_or("n/a".into(), |h| format!("{h:.3}")),
+        );
+    }
     println!(
         "durability: {}/{} spot-checked jobs byte-identical to uninterrupted references",
         identical,
@@ -543,11 +651,51 @@ fn main() {
         subset.len()
     );
     let _ = writeln!(json, "  \"lost_jobs\": {},", lost.len());
+    let _ = writeln!(json, "  \"cores\": {cores}, \"worker_scaling\": {worker_scaling},");
+    let _ = writeln!(json, "  \"worker_scaling_rows\": [");
+    for (i, r) in scaling.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"scaling_workers\": {}, \"scaling_wall_s\": {}, \
+             \"scaling_interactions_per_s\": {}, \"vs_one_worker\": {}, \"evaluations\": {}, \
+             \"shard_threads\": {}, \"tasks_created\": {}, \
+             \"tasks_created_per_evaluation\": {}}}{}",
+            r.workers,
+            r.wall_s,
+            scaling_rate(r),
+            scaling_rate(r) / scaling_rate(&scaling[0]),
+            r.evaluations,
+            r.shard_threads,
+            r.helper_tasks().map_or("null".into(), |h| h.to_string()),
+            r.helper_tasks_per_evaluation().map_or("null".into(), |h| h.to_string()),
+            if i + 1 < scaling.len() { "," } else { "" },
+        );
+    }
+    json.push_str("  ],\n");
     let _ = writeln!(json, "  \"gates\": {{\"throughput_gate\": {thr_gate}, \"throughput_ok\": {}, \"zero_lost\": {}, \"byte_identical\": {}}}", aggregate_rate >= thr_gate * baseline_rate, lost.is_empty(), identical == subset.len());
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("write JSON report");
+    write_report(&out_path, &json);
     println!();
     println!("wrote {out_path}");
+
+    let traj_path: String = args.get("trajectory", String::new());
+    if !traj_path.is_empty() {
+        let pr: String = args.get("pr", "unlabelled".to_string());
+        let commit = trajectory::working_commit();
+        let row = |metric: &str, value: f64| Entry {
+            pr: pr.clone(),
+            commit: commit.clone(),
+            metric: metric.into(),
+            n: jobs,
+            value,
+        };
+        let rows = [
+            row("serve_aggregate_interactions_per_s", aggregate_rate),
+            row("serve_worker_scaling", worker_scaling),
+        ];
+        trajectory::append(&traj_path, &rows);
+        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
+    }
 
     std::fs::remove_dir_all(&dir).ok();
     if !ok {

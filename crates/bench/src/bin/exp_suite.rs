@@ -24,7 +24,7 @@
 //! rewritten by naming it.
 //!
 //! Without `--append` the trajectory is (re)seeded: the committed
-//! `BENCH_pr3/4/6/7.json` reports are mined for their headline numbers,
+//! `BENCH_pr3/6/7/19/20.json` reports are mined for their headline numbers,
 //! each keyed by the commit that last touched its file, and this run's
 //! rows are added at `HEAD`. With `--append` the existing ledger is
 //! kept verbatim and only this run's rows are appended — the mode CI
@@ -203,6 +203,15 @@ fn seed_entries() -> Vec<Entry> {
     // pr7: chaos-endurance energy-drift envelope actually reached
     mine("pr7", "BENCH_pr7.json", "endurance_max_energy_drift", &|t| {
         Some((json_f64_any(t, "n")? as u64, json_f64_any(t, "max_energy_drift")?))
+    });
+    // pr20 (the exp_serve report of record; pr10's storm re-run once
+    // callers took equal shares of the machine): aggregate rate and the
+    // one-worker → worker-per-core scaling of the same fleet
+    mine("pr20", "BENCH_pr20.json", "serve_aggregate_interactions_per_s", &|t| {
+        Some((json_f64_any(t, "jobs")? as u64, json_f64_any(t, "aggregate_interactions_per_s")?))
+    });
+    mine("pr20", "BENCH_pr20.json", "serve_worker_scaling", &|t| {
+        Some((json_f64_any(t, "jobs")? as u64, json_f64_any(t, "worker_scaling")?))
     });
     out
 }

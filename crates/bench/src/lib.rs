@@ -63,8 +63,8 @@ pub fn plummer(n: usize, seed: u64) -> Snapshot {
 }
 
 /// Streaming-plan scheduling from the shared CLI surface:
-/// `--plan-workers W` (0 = serial in-order reference, omitted = default
-/// cores − 1) and `--channel-depth D`.
+/// `--plan-workers W` (0 = serial in-order reference, omitted = default:
+/// the caller's share of the cores − 1) and `--channel-depth D`.
 pub fn plan_from_args(args: &Args) -> g5tree::plan::PlanConfig {
     let depth: usize = args.get("channel-depth", g5tree::plan::PlanConfig::default().channel_depth);
     match args.get::<i64>("plan-workers", -1) {

@@ -54,6 +54,7 @@ use g5tree::mac::Mac;
 use g5tree::plan::{self, PlanPool};
 use g5tree::traverse::{Group, Traversal, TraverseScratch};
 use g5tree::tree::Tree;
+use g5util::cores;
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
 use grape5::{
@@ -926,7 +927,13 @@ impl ForceBackend for ClusterTreeGrape {
                             .collect();
                         let (abuf, pbuf) =
                             bufs[slot].take().expect("each slot evaluates at most once");
-                        scope.spawn(move || {
+                        // A caller per shard (`g5util::cores`),
+                        // registered before any shard runs — so each
+                        // sizes itself beside all of its siblings from
+                        // its first stream — and released once its
+                        // thread is joined, never while it still exists.
+                        let caller = cores::enter();
+                        let handle = scope.spawn(move || {
                             catch_unwind(AssertUnwindSafe(|| {
                                 #[cfg(test)]
                                 if panic_slots.contains(&slot) {
@@ -935,12 +942,18 @@ impl ForceBackend for ClusterTreeGrape {
                                 shard_eval(slot, g5, st, &remote, pos, cfg, overlap, abuf, pbuf)
                             }))
                             .unwrap_or_else(|payload| ShardOutcome::panicked(slot, payload))
-                        })
+                        });
+                        (caller, handle)
                     })
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("shard evaluation thread panicked outside its guard"))
+                    .map(|(caller, h)| {
+                        let outcome =
+                            h.join().expect("shard evaluation thread panicked outside its guard");
+                        drop(caller);
+                        outcome
+                    })
                     .collect()
             });
 

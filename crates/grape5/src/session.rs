@@ -40,7 +40,6 @@ use crate::fault::DeviceError;
 use crate::pipeline::Force;
 use crate::system::Grape5;
 use g5util::vec3::Vec3;
-use rayon::prelude::*;
 
 /// A padded scalar window covering every coordinate — what the host
 /// library passes to `g5_set_range` each step as the system evolves.
@@ -49,26 +48,16 @@ use rayon::prelude::*;
 /// particle would then quantize against a garbage grid), so non-finite
 /// input is a typed error, not a garbage range.
 pub fn bounding_window(pos: &[Vec3]) -> Result<(f64, f64), DeviceError> {
-    let bad = pos
-        .par_iter()
-        .enumerate()
-        .map(
-            |(i, p)| {
-                if p.x.is_finite() && p.y.is_finite() && p.z.is_finite() {
-                    usize::MAX
-                } else {
-                    i
-                }
-            },
-        )
-        .reduce(|| usize::MAX, |a, b| a.min(b));
-    if bad != usize::MAX {
-        return Err(DeviceError::NonFinitePosition { index: bad });
+    // One serial pass: a session opens once per evaluation, often over
+    // ~1,000 particles, where a thread per pass cost more than the scan.
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for (index, p) in pos.iter().enumerate() {
+        if !p.is_finite() {
+            return Err(DeviceError::NonFinitePosition { index });
+        }
+        lo = lo.min(p.min_component());
+        hi = hi.max(p.max_component());
     }
-    let (lo, hi) = pos
-        .par_iter()
-        .map(|p| (p.min_component(), p.max_component()))
-        .reduce(|| (f64::INFINITY, f64::NEG_INFINITY), |a, b| (a.0.min(b.0), a.1.max(b.1)));
     let pad = ((hi - lo) * 0.01).max(1e-12);
     Ok((lo - pad, hi + pad))
 }

@@ -32,6 +32,7 @@ use crate::fault::{
 };
 use crate::lanes::LanePath;
 use crate::pipeline::{Force, G5Pipeline};
+use g5util::cores;
 use g5util::fixed::RangeScaler;
 use g5util::vec3::Vec3;
 
@@ -43,18 +44,22 @@ const WORDS_PER_I: u64 = 3;
 const WORDS_PER_F: u64 = 4;
 
 /// Interactions (`ni × nj`) a force call needs before its boards are
-/// worth running on separate threads; smaller calls run them one after
+/// worth running on separate threads; smaller calls — and every call
+/// of a caller whose [`cores::share`] is one core — run them one after
 /// the other on the calling thread.
 ///
-/// Derivation (measured, `exp_host` short-call row): spawning and
-/// joining one scoped thread costs 23–78 µs, and the exact-mode lane
-/// kernel runs ≈ 7 ns per interaction, so splitting `W` interactions
-/// over two boards' threads saves `W × 3.5 ns`. Break-even is
-/// `W ≈ 6,000–22,000` — around one `n_g = 32` call (9 × 1,556), which
-/// measured 2× *slower* threaded. At 2¹⁷ the split saves ≈ 0.45 ms,
-/// several times what the spawn can cost; LNS mode (≈ 2× per
-/// interaction) only makes that margin wider. Forces do not depend on
-/// the choice: each board writes its own partial, merged in board order.
+/// Derivation (measured, `exp_host` short-call row, `BENCH_pr19.json`):
+/// spawning and joining one scoped thread costs 23–78 µs (47 µs in that
+/// run), and the exact-mode lane kernel runs 2.1–2.9 ns per interaction
+/// since PR 18 (2.85 in that run), so splitting `W` interactions over
+/// two boards' threads saves `W × 1.05–1.45 ns`. Break-even is
+/// `W ≈ 16,000–74,000` (the row's own figure: 33,000) — above one
+/// `n_g = 32` call (9 × 1,556), which measured 2× *slower* threaded. At
+/// 2¹⁷ the split saves 0.14–0.19 ms, 2–4× what the spawn usually costs
+/// and still ahead of its worst case, so the constant stays where PR 13
+/// put it; LNS mode (≈ 3× per interaction) only makes that margin
+/// wider. Forces do not depend on the choice: each board writes its own
+/// partial, merged in board order.
 const SPAWN_REPAY_INTERACTIONS: u64 = 1 << 17;
 
 /// Run `compute` for every in-service board holding j-particles, each
@@ -493,8 +498,7 @@ impl Grape5 {
         {
             let (pipeline, raw, force_scale) =
                 (&self.pipeline, &self.i_scratch[..], self.force_scale);
-            let parallel =
-                interactions >= SPAWN_REPAY_INTERACTIONS && rayon::current_num_threads() > 1;
+            let parallel = interactions >= SPAWN_REPAY_INTERACTIONS && cores::share() > 1;
             run_boards(&self.boards, &self.board_ok, &mut self.partials, parallel, &|b, out| {
                 b.compute_into(pipeline, raw, force_scale, out)
             });

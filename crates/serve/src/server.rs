@@ -33,6 +33,7 @@
 
 use crate::job::{job_dir_name, JobError, JobEvent, JobId, JobSpec, JobState, JobStatus};
 use crate::ledger::{self, Ledger};
+use g5util::cores;
 use grape5::{DevicePool, PoolError, PoolLease, PoolUsage, RecoveryStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -431,6 +432,11 @@ impl Drop for Server {
 }
 
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
+    // This worker's claim on a core (`g5util::cores`): taken with the
+    // first slice it runs, kept across back-to-back slices — so the
+    // other workers never see a gap and size an evaluation for this
+    // core too — and given back only when the queue runs dry.
+    let mut caller: Option<cores::Caller> = None;
     loop {
         // take the next runnable job, or sleep
         let (id, spec, energy0) = {
@@ -454,6 +460,8 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                         shared.cv.notify_all();
                         continue;
                     }
+                    // registered before the job reads as running
+                    caller.get_or_insert_with(cores::enter);
                     entry.state = JobState::Running;
                     entry.emit(JobEvent::Started { worker, step: entry.steps_done });
                     let spec = entry.spec;
@@ -465,6 +473,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
                 let s = &mut *sched;
                 shared.admit_locked(s);
                 if sched.runnable.is_empty() {
+                    caller = None;
                     sched = shared.cv.wait(sched).unwrap();
                 }
             }

@@ -39,12 +39,13 @@
 
 use crate::traverse::{Group, Traversal};
 use crate::tree::Tree;
+use g5util::cores;
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A group resolution failed: the panic payload of the producer,
@@ -163,15 +164,20 @@ impl PlanPool {
 /// Zero producers is a valid plan, not a degenerate one: the calling
 /// thread then resolves a group, hands it to the consumer, and resolves
 /// the next, through one recycled husk and no channel. That is what a
-/// process confined to one core gets by default — a producer thread
-/// there has no core to overlap on and only adds a context switch and a
-/// husk hand-off per group.
+/// caller with one core to itself gets by default — a process confined
+/// to one core, or one of as many cluster shards or service workers as
+/// the machine has cores: a producer thread there has no core to
+/// overlap on and only adds a context switch and a husk hand-off per
+/// group.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanConfig {
-    /// Producer threads. `None` chooses `available_parallelism - 1`
-    /// (leaving one core for the consumer), resolved once per process:
-    /// 0 on a single core. `Some(0)` — like a resolved 0 — is the
-    /// serial in-order path with no channel at all.
+    /// Producer threads. `None` chooses [`cores::share`]` − 1` when the
+    /// stream starts — this caller's equal share of the machine, less
+    /// the core its consumer runs on: `cores − 1` for a lone evaluator,
+    /// 0 on a single core or with a registered caller for every core.
+    /// `Some(w)` is taken as given whoever else is running; `Some(0)` —
+    /// like a resolved 0 — is the serial in-order path with no channel
+    /// at all. Lists, forces and tallies do not depend on the count.
     pub workers: Option<usize>,
     /// Bound of the work channel — the number of resolved groups that
     /// may exist ahead of the consumer, and therefore the peak-memory
@@ -197,16 +203,12 @@ impl PlanConfig {
     }
 
     fn resolved_workers(&self) -> usize {
-        static CORES: OnceLock<usize> = OnceLock::new();
-        self.workers.unwrap_or_else(|| {
-            workers_for(
-                *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get())),
-            )
-        })
+        self.workers.unwrap_or_else(|| workers_for(cores::share()))
     }
 }
 
-/// Default producer count on `cores` cores: all but the consumer's.
+/// Default producer count for a caller that may use `cores` cores: all
+/// but the consumer's.
 fn workers_for(cores: usize) -> usize {
     cores.saturating_sub(1)
 }
@@ -466,11 +468,16 @@ mod tests {
         assert_eq!(PlanConfig::serial().resolved_workers(), 0);
         assert_eq!(PlanConfig { workers: Some(5), channel_depth: 2 }.resolved_workers(), 5);
         assert!(PlanConfig::overlapped(0, 3).resolved_workers() >= 1);
-        // the default is resolved once: every call sees the same count
-        let auto = PlanConfig::default().resolved_workers();
-        let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-        assert_eq!(auto, workers_for(cores));
-        assert_eq!(PlanConfig::default().resolved_workers(), auto);
+        // the default follows this caller's share of the machine: all
+        // of it alone, an equal part beside other registered callers,
+        // and no producer at all once there is a caller per core
+        let total = cores::total();
+        assert_eq!(PlanConfig::default().resolved_workers(), total - 1);
+        let others: Vec<cores::Caller> = (0..total).map(|_| cores::enter()).collect();
+        assert_eq!(PlanConfig::default().resolved_workers(), 0);
+        assert_eq!(PlanConfig { workers: Some(5), channel_depth: 2 }.resolved_workers(), 5);
+        drop(others);
+        assert_eq!(PlanConfig::default().resolved_workers(), total - 1);
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //! * [`morton`] — 3-D Morton (Z-order) codes used by the octree build.
 //! * [`morton_sort`] — the shared quantize + LSD-radix-sort step the
 //!   octree build and the cluster domain decomposition both start from.
+//! * [`cores`] — the machine's core count, resolved once, and the equal
+//!   share of it a caller that shares the process may size itself for.
 //! * [`counters`] — interaction/flop accounting with the 38-operation
 //!   convention the paper (and Warren & Salmon) use.
 //! * [`stats`] — mean / RMS / percentile / histogram helpers used by the
 //!   accuracy experiments.
 
+pub mod cores;
 pub mod counters;
 pub mod dsu;
 pub mod fixed;

@@ -237,11 +237,11 @@ pub fn sort_indices_comparison(codes: &[u64]) -> Vec<u32> {
     order
 }
 
-/// How many worker threads an `n`-element pass is worth.
+/// How many worker threads an `n`-element pass is worth, of the cores
+/// this caller may use ([`crate::cores::share`]).
 fn worker_count(n: usize) -> usize {
     const MIN_PER_THREAD: usize = 1 << 14;
-    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
-    hw.min(n.div_ceil(MIN_PER_THREAD)).max(1)
+    crate::cores::share().min(n.div_ceil(MIN_PER_THREAD)).max(1)
 }
 
 /// A raw pointer the scatter phase may send across scoped threads.

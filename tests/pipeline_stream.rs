@@ -1,11 +1,13 @@
 //! Property tests for the streaming force-plan pipeline: overlapped
 //! traversal/device execution must be *bit-identical* to the serial
 //! in-order reference in exact arithmetic, for arbitrary snapshots,
-//! group sizes, worker counts and channel depths.
+//! group sizes, worker counts and channel depths — and whoever else in
+//! the process is computing at the time (`g5util::cores`).
 
 use grape5_nbody::core::{ForceBackend, PlanConfig, TreeGrape, TreeGrapeConfig};
+use grape5_nbody::grape5::{bounding_window, DeviceError, FaultConfig, RecoveryStats, RetryPolicy};
 use grape5_nbody::ic::plummer_sphere;
-use grape5_nbody::util::Vec3;
+use grape5_nbody::util::{cores, Vec3};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -109,6 +111,132 @@ fn forces_do_not_depend_on_workers_or_channel_depth() {
             assert_eq!(got.tally, want.tally, "{name} {plan:?}");
         }
     }
+}
+
+/// The share of the machine a caller sizes itself for (`cores::share`)
+/// decides how many producers a default plan takes and whether a long
+/// force call runs its boards on their own threads — never a result.
+/// Forces, potentials, tallies and recovery actions (a transient-fault
+/// injector is armed, so there are some) are the same with no, one,
+/// `total` and 4 × `total` other callers registered around the
+/// evaluation, and when two registered evaluations run side by side.
+/// Groups of up to 512 put calls on both sides of the 2¹⁷-interaction
+/// board-split threshold (on this model: four single-device calls of
+/// 160–220 k interactions, four of 20–32 k).
+#[test]
+fn forces_do_not_depend_on_who_else_is_computing() {
+    use grape5_nbody::core::{ClusterTreeGrape, ClusterTreeGrapeConfig, LifecyclePolicy};
+    use grape5_nbody::grape5::Grape5Config;
+    let total = cores::total();
+    let (pos, mass) = plummer(1000, 5);
+    let base = TreeGrapeConfig {
+        n_crit: 512,
+        retry: RetryPolicy::no_wait(),
+        ..TreeGrapeConfig::paper(0.01)
+    };
+    // a shard makes only a call or two: a high rate, and a seed with
+    // which every backend below does see a fault (asserted)
+    let fault = FaultConfig::transient(34, 0.3);
+    let eval = |name: &str| -> (Vec<Vec3>, Vec<f64>, _, RecoveryStats) {
+        let mut backend: Box<dyn ForceBackend> = match name {
+            "tree-grape exact" | "tree-grape LNS" => {
+                let grape = if name.ends_with("LNS") { Grape5Config::paper() } else { base.grape };
+                let mut b = TreeGrape::new(TreeGrapeConfig { grape, ..base });
+                b.grape_mut().set_fault_injector(fault);
+                Box::new(b)
+            }
+            _ => {
+                let mut b = ClusterTreeGrape::new(ClusterTreeGrapeConfig {
+                    base,
+                    shards: 2,
+                    lifecycle: LifecyclePolicy::default(),
+                    overlap: name.ends_with("overlapped"),
+                });
+                b.set_fault_injectors(fault);
+                Box::new(b)
+            }
+        };
+        let fs = backend.try_compute(&pos, &mass).expect("transient faults are recovered");
+        (fs.acc, fs.pot, fs.tally, backend.recovery_stats().expect("a validating backend"))
+    };
+    for name in [
+        "tree-grape exact",
+        "tree-grape LNS",
+        "cluster K = 2, overlapped",
+        "cluster K = 2, barrier",
+    ] {
+        let want = eval(name);
+        assert!(want.3.retries > 0, "{name}: no fault ever fired");
+        for others in [0, 1, total, 4 * total] {
+            let entered: Vec<cores::Caller> = (0..others).map(|_| cores::enter()).collect();
+            assert_eq!(eval(name), want, "{name}, {others} other callers");
+            drop(entered);
+        }
+        // two evaluations at once, each a registered caller, released
+        // together so they do overlap
+        let gate = std::sync::Barrier::new(2);
+        let registered = || {
+            let _me = cores::enter();
+            gate.wait();
+            eval(name)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(registered);
+            (registered(), other.join().expect("concurrent evaluation"))
+        });
+        assert_eq!(a, want, "{name}, concurrent");
+        assert_eq!(b, want, "{name}, concurrent");
+    }
+}
+
+/// `bounding_window` is one fused serial pass since PR 20; this is the
+/// two-pass definition it replaced (all indices checked for a
+/// non-finite coordinate, lowest bad index reported; then min / max).
+fn two_pass_window(pos: &[Vec3]) -> Result<(f64, f64), DeviceError> {
+    if let Some(index) = pos.iter().position(|p| !p.is_finite()) {
+        return Err(DeviceError::NonFinitePosition { index });
+    }
+    let (lo, hi) = pos
+        .iter()
+        .map(|p| (p.min_component(), p.max_component()))
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| (a.0.min(b.0), a.1.max(b.1)));
+    let pad = ((hi - lo) * 0.01).max(1e-12);
+    Ok((lo - pad, hi + pad))
+}
+
+#[test]
+fn bounding_window_equals_its_two_pass_definition_bit_for_bit() {
+    let bits = |w: Result<(f64, f64), DeviceError>| w.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+    let (cloud, _) = plummer(1000, 3);
+    let mut clouds: Vec<(String, Vec<Vec3>)> = vec![
+        ("a Plummer model".into(), cloud.clone()),
+        ("one particle".into(), vec![Vec3::new(0.3, -0.2, 0.1)]),
+        ("one particle at the origin".into(), vec![Vec3::ZERO]),
+        // the extremes are zeros of both signs, met in either order —
+        // `f64::min(-0.0, 0.0)` may return either, the padded window
+        // must not care
+        ("-0.0 then +0.0".into(), vec![Vec3::new(-0.0, 0.0, -0.0), Vec3::new(0.0, -0.0, 0.0)]),
+        ("+0.0 then -0.0".into(), vec![Vec3::new(0.0, -0.0, 0.0), Vec3::new(-0.0, 0.0, -0.0)]),
+        ("lower extreme -0.0".into(), vec![Vec3::new(-0.0, 0.5, 1.0), Vec3::new(0.0, 0.25, 0.0)]),
+        ("upper extreme +0.0".into(), vec![Vec3::new(-1.0, 0.0, -0.0), Vec3::new(-0.5, -0.0, 0.0)]),
+        ("no particle".into(), vec![]),
+    ];
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for at in [0, cloud.len() / 2, cloud.len() - 1] {
+            let mut c = cloud.clone();
+            c[at].y = bad;
+            // a later bad coordinate must not displace the first one
+            c[cloud.len() - 1].z = f64::NAN;
+            clouds.push((format!("{bad} at {at}"), c));
+        }
+    }
+    for (name, c) in &clouds {
+        assert_eq!(bits(bounding_window(c)), bits(two_pass_window(c)), "{name}");
+    }
+    assert_eq!(
+        bounding_window(&clouds.last().unwrap().1),
+        Err(DeviceError::NonFinitePosition { index: cloud.len() - 1 })
+    );
 }
 
 /// Degenerate snapshots through the whole tree-on-GRAPE stack, in both
