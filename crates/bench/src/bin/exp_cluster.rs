@@ -62,8 +62,9 @@ use treegrape::ForceBackend;
 const SEED: u64 = 42;
 const EPS: f64 = 0.01;
 /// K = 4 must finish a step at least this many times sooner than K = 1:
-/// what cell-centred group spheres gave at the default N (1.79×,
-/// `BENCH_pr6.json`; member-centred ones give 1.99×, `BENCH_pr15.json`).
+/// what cell-centred group spheres gave at the default N (1.79×, PR 6's
+/// report in the git history; member-centred ones give 1.99×,
+/// `BENCH_pr15.json`).
 /// The modeled clock is deterministic, so the margin is not for noise.
 const STEP_GATE_K4: f64 = 1.8;
 

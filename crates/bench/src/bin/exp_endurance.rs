@@ -38,14 +38,18 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_endurance -- \
 //!     [--quick] [--n 65536] [--k 4] [--steps 200] [--dt 0.005] \
-//!     [--out BENCH_pr7.json] [--ledger-out BENCH_pr7_ledger.txt] \
-//!     [--ckpt-dir endurance_ckpt] [--skip-rerun] [--skip-resume]
+//!     [--out artifacts/exp_endurance.json] \
+//!     [--ledger-out artifacts/exp_endurance_ledger.txt] \
+//!     [--ckpt-dir artifacts/endurance_ckpt] [--skip-rerun] [--skip-resume]
 //! ```
+//!
+//! The storm of record (`BENCH_pr7.json`, `BENCH_pr7_ledger.txt`) is
+//! written only by naming both files.
 //!
 //! `--quick` (CI smoke): N = 8,192, K = 3, 40 steps — the same storm,
 //! compressed.
 
-use g5_bench::{fmt_secs, plummer, rule, Args};
+use g5_bench::{fmt_secs, plummer, rule, write_report, Args};
 use grape5::fault::{BoardDropout, FaultConfig, StuckPipe};
 use grape5::{splitmix, RetryPolicy};
 use std::fmt::Write as _;
@@ -362,9 +366,10 @@ fn main() {
     let probe_interval: u64 = args.get("probe-interval", if quick { 4 } else { 8 });
     let every: u64 = args.get("checkpoint-every", if quick { 5 } else { 20 });
     let keep: usize = args.get("keep", if quick { 3 } else { 4 });
-    let out_path: String = args.get("out", "BENCH_pr7.json".to_string());
-    let ledger_path: String = args.get("ledger-out", "BENCH_pr7_ledger.txt".to_string());
-    let ckpt_root: String = args.get("ckpt-dir", "endurance_ckpt".to_string());
+    let out_path: String = args.get("out", "artifacts/exp_endurance.json".to_string());
+    let ledger_path: String =
+        args.get("ledger-out", "artifacts/exp_endurance_ledger.txt".to_string());
+    let ckpt_root: String = args.get("ckpt-dir", "artifacts/endurance_ckpt".to_string());
     let skip_rerun = args.flag("skip-rerun");
     let skip_resume = args.flag("skip-resume");
 
@@ -563,7 +568,7 @@ fn main() {
 
     // ------------------------------------------------------------------
     // artifacts
-    std::fs::write(&ledger_path, a.ledger.join("\n") + "\n").expect("write ledger artifact");
+    write_report(&ledger_path, &(a.ledger.join("\n") + "\n"));
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"experiment\": \"exp_endurance\",");
@@ -623,7 +628,7 @@ fn main() {
         a.ledger.iter().map(|e| format!("    \"{}\"", e.replace('"', "'"))).collect();
     json.push_str(&lines.join(",\n"));
     json.push_str("\n  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write JSON report");
+    write_report(&out_path, &json);
     println!();
     println!("wrote {out_path} and {ledger_path}");
 

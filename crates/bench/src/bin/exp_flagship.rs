@@ -1,4 +1,4 @@
-//! **E15 — overlapped step pipeline + the paper's 2,159,038-particle
+//! **E15 — double-buffered j-loads + the paper's 2,159,038-particle
 //! flagship run.**
 //!
 //! The paper's headline number is a 2,159,038-particle treecode
@@ -6,14 +6,14 @@
 //! that workload on the [`ClusterTreeGrape`] backend in three phases:
 //!
 //! 1. **Overlap gate** — one force evaluation at N = 262,144, K = 8,
-//!    phase-barrier reference vs the overlapped pipeline (producer-side
-//!    LET resolution + double-buffered j-memory loads), each priced on
-//!    its own modeled device clock. The overlapped critical path must
-//!    be ≥ 1.3× shorter per step. Both paths issue the identical device
-//!    call schedule, so forces and counters are bit-identical — only
-//!    the clock pricing and host overlap differ.
+//!    under [`ClusterTreeGrapeConfig::paper`] (j-loads priced serially)
+//!    and [`ClusterTreeGrapeConfig::paper_overlapped`] (double-buffered
+//!    j-memory), each priced on its own modeled device clock. The
+//!    double-buffered critical path must be ≥ 1.3× shorter per step.
+//!    Both issue the identical device call schedule, so forces and
+//!    counters are bit-identical — only the clock pricing differs.
 //! 2. **Flagship segment** — the full N = 2,159,038 set, K = 8
-//!    overlapped, integrated for `--segment` steps with a checkpoint
+//!    double-buffered, integrated for `--segment` steps with a checkpoint
 //!    cut mid-segment. The run is then killed and resumed from the cut
 //!    into a fresh backend; the resumed endpoint must match the
 //!    straight-through endpoint byte for byte.
@@ -27,16 +27,17 @@
 //! cargo run --release -p g5-bench --bin exp_flagship -- \
 //!     [--quick] [--segment 3] [--full] [--resume] \
 //!     [--n 2159038] [--k 8] [--steps 999] \
-//!     [--checkpoint-dir artifacts/flagship_ckpt] [--out BENCH_pr9.json]
+//!     [--checkpoint-dir artifacts/flagship_ckpt] [--out artifacts/exp_flagship.json]
 //! ```
 //!
 //! Default mode runs the gate + segment + projection and writes the
-//! JSON report. `--full` instead runs the entire 999-step simulation
+//! JSON report (the run of record, `BENCH_pr9.json`, is written only by
+//! naming it). `--full` instead runs the entire 999-step simulation
 //! with rolling retained checkpoints; `--resume` restarts a `--full`
 //! run from the latest checkpoint. `--quick` (CI smoke): gate at
 //! N = 32,768 K = 2, segment at N = 65,536.
 
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
 use grape5::{ClockAccounting, ClockReport};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -272,9 +273,9 @@ fn run_full(
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
-    let out_path: String = args.get("out", "BENCH_pr9.json".to_string());
     // artifacts/ convention (PR 9): generated state stays out of the
     // repo root
+    let out_path: String = args.get("out", "artifacts/exp_flagship.json".to_string());
     let ckpt_dir: String = args.get("checkpoint-dir", "artifacts/flagship_ckpt".to_string());
     let n: usize = args.get("n", if quick { 65_536 } else { N_FLAGSHIP });
     let k: usize = args.get("k", if quick { 2 } else { 8 });
@@ -289,7 +290,7 @@ fn main() {
     }
 
     println!(
-        "E15: overlapped cluster step pipeline + the paper's {}-particle flagship run{}",
+        "E15: double-buffered cluster step + the paper's {}-particle flagship run{}",
         fmt_count(N_FLAGSHIP as u64),
         if quick { " (--quick)" } else { "" }
     );
@@ -300,19 +301,19 @@ fn main() {
     println!();
 
     // ---- phase 1: overlap gate --------------------------------------
-    println!("phase 1: overlap gate — barrier vs overlapped pipeline, N = {n_gate}, K = {k}");
+    println!("phase 1: overlap gate — j-load pricing on the device clock, N = {n_gate}, K = {k}");
     rule(96);
     println!(
-        "{:>10} {:>11} {:>16} {:>12} {:>9} {:>9}",
-        "path", "crit-path", "interactions", "terms", "exchange", "host"
+        "{:>15} {:>11} {:>16} {:>12} {:>9} {:>9}",
+        "j-loads", "crit-path", "interactions", "terms", "exchange", "host"
     );
     rule(96);
     let snap_gate = plummer(n_gate, SEED);
-    let barrier = measure_gate(&snap_gate, ClusterTreeGrapeConfig::paper(EPS, k), "barrier");
-    let overlapped = measure_gate(&snap_gate, cfg, "overlapped");
-    for c in [&barrier, &overlapped] {
+    let serial = measure_gate(&snap_gate, ClusterTreeGrapeConfig::paper(EPS, k), "serial j-load");
+    let double_buffered = measure_gate(&snap_gate, cfg, "double-buffered");
+    for c in [&serial, &double_buffered] {
         println!(
-            "{:>10} {:>11} {:>16} {:>12} {:>9} {:>9}",
+            "{:>15} {:>11} {:>16} {:>12} {:>9} {:>9}",
             c.label,
             fmt_secs(c.critical_path_s),
             fmt_count(c.interactions),
@@ -323,11 +324,11 @@ fn main() {
     }
     rule(96);
     assert_eq!(
-        (barrier.interactions, barrier.terms),
-        (overlapped.interactions, overlapped.terms),
-        "the overlapped pipeline must issue the identical device schedule"
+        (serial.interactions, serial.terms),
+        (double_buffered.interactions, double_buffered.terms),
+        "both configurations must issue the identical device schedule"
     );
-    let gate_speedup = barrier.critical_path_s / overlapped.critical_path_s;
+    let gate_speedup = serial.critical_path_s / double_buffered.critical_path_s;
     println!(
         "overlap speedup on the modeled critical path: {gate_speedup:.3}x (gate: >= 1.3x) — {}",
         if gate_speedup >= 1.3 { "PASS" } else { "FAIL" }
@@ -385,7 +386,7 @@ fn main() {
         "  \"gate\": {{\"n\": {n_gate}, \"k\": {k}, \
          \"barrier_critical_path_s\": {}, \"overlapped_critical_path_s\": {}, \
          \"overlap_critical_path_speedup\": {gate_speedup}, \"interactions\": {}}},",
-        barrier.critical_path_s, overlapped.critical_path_s, barrier.interactions,
+        serial.critical_path_s, double_buffered.critical_path_s, serial.interactions,
     );
     let _ = writeln!(
         json,
@@ -408,7 +409,7 @@ fn main() {
          \"flagship_interactions_per_s\": {rate}, \"sustained_gflops\": {gflops}}}",
     );
     json.push_str("}\n");
-    std::fs::write(&out_path, &json).expect("could not write JSON report");
+    write_report(&out_path, &json);
     println!();
     println!("wrote {out_path}");
 }

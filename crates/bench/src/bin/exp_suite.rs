@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_suite -- \
-//!     [--quick] [--append] [--gate] [--gate-only] \
+//!     --pr pr21 [--quick] [--append] [--gate] [--gate-only] \
 //!     [--out artifacts/exp_suite.json] [--trajectory BENCH_trajectory.json] \
 //!     [--kernel-json K.json] [--host-json H.json] \
 //!     [--cluster-json C.json] [--endurance-json E.json] \
@@ -23,8 +23,12 @@
 //! `artifacts/exp_suite.json`; the committed `BENCH_pr8.json` is only
 //! rewritten by naming it.
 //!
+//! `--pr` is the label stamped on every row this run writes; a run
+//! that writes the ledger (`--append` or not — everything but
+//! `--gate-only`) refuses to start without it.
+//!
 //! Without `--append` the trajectory is (re)seeded: the committed
-//! `BENCH_pr3/6/7/19/20.json` reports are mined for their headline numbers,
+//! `BENCH_pr7/19/20.json` reports are mined for their headline numbers,
 //! each keyed by the commit that last touched its file, and this run's
 //! rows are added at `HEAD`. With `--append` the existing ledger is
 //! kept verbatim and only this run's rows are appended — the mode CI
@@ -180,24 +184,11 @@ fn seed_entries() -> Vec<Entry> {
             Err(_) => println!("note: {file} not present; skipping {pr} seed row"),
         }
     };
-    // pr3: largest-N LNS batch-vs-reference kernel speedup
-    mine("pr3", "BENCH_pr3.json", "kernel_lns_speedup", &|t| {
-        t.lines()
-            .filter(|l| l.contains("\"mode\": \"lns\""))
-            .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "speedup")?)))
-            .max_by_key(|&(n, _)| n)
-    });
     // pr19 (the exp_host report of record; pr4's table re-measured):
     // best host-phase speedup at the headline size
     mine("pr19", "BENCH_pr19.json", "host_phase_speedup", &|t| {
         t.lines()
             .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "speedup")?)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    });
-    // pr6: peak cluster aggregate interaction rate
-    mine("pr6", "BENCH_pr6.json", "cluster_interactions_per_s", &|t| {
-        t.lines()
-            .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "interactions_per_s")?)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     });
     // pr7: chaos-endurance energy-drift envelope actually reached
@@ -215,9 +206,6 @@ fn seed_entries() -> Vec<Entry> {
     });
     out
 }
-
-/// The PR label stamped on rows appended by this build of the suite.
-const CURRENT_PR: &str = "pr10";
 
 fn main() {
     let args = Args::parse();
@@ -237,6 +225,12 @@ fn main() {
         return;
     }
 
+    let pr: String = args.get("pr", String::new());
+    assert!(
+        !pr.is_empty(),
+        "--pr <label> (e.g. --pr pr21) is required: it stamps the rows this run writes to \
+         {traj_path}"
+    );
     let kernel_json: String = args.get("kernel-json", String::new());
     let host_json: String = args.get("host-json", String::new());
     let cluster_json: String = args.get("cluster-json", String::new());
@@ -373,70 +367,23 @@ fn main() {
     println!("wrote PR 8 aggregate to {out_path}");
 
     // ---- trajectory ledger ----
+    let row = |commit: &str, metric: &str, n: u64, value: f64| Entry {
+        pr: pr.clone(),
+        commit: commit.into(),
+        metric: metric.into(),
+        n,
+        value,
+    };
     let this_run = [
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: kernel_commit,
-            metric: "kernel_exact_lane_speedup".into(),
-            n: kn,
-            value: lane_speedup,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: host_commit,
-            metric: "morton_sort_speedup".into(),
-            n: sort_n,
-            value: sort_speedup,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: cluster_commit,
-            metric: "cluster_step_speedup".into(),
-            n: cluster_n,
-            value: cluster_step_speedup,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: endurance_commit,
-            metric: "endurance_max_energy_drift".into(),
-            n: endurance_n,
-            value: endurance_drift,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: flagship_commit.clone(),
-            metric: "overlap_critical_path_speedup".into(),
-            n: overlap_n,
-            value: overlap_speedup,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: flagship_commit,
-            metric: "flagship_interactions_per_s".into(),
-            n: flagship_n,
-            value: flagship_rate,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: serve_commit.clone(),
-            metric: "serve_aggregate_interactions_per_s".into(),
-            n: serve_jobs,
-            value: serve_rate,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: serve_commit.clone(),
-            metric: "serve_p95_latency_s".into(),
-            n: serve_jobs,
-            value: serve_p95,
-        },
-        Entry {
-            pr: CURRENT_PR.into(),
-            commit: serve_commit,
-            metric: "serve_jain_fairness".into(),
-            n: serve_jobs,
-            value: serve_jain,
-        },
+        row(&kernel_commit, "kernel_exact_lane_speedup", kn, lane_speedup),
+        row(&host_commit, "morton_sort_speedup", sort_n, sort_speedup),
+        row(&cluster_commit, "cluster_step_speedup", cluster_n, cluster_step_speedup),
+        row(&endurance_commit, "endurance_max_energy_drift", endurance_n, endurance_drift),
+        row(&flagship_commit, "overlap_critical_path_speedup", overlap_n, overlap_speedup),
+        row(&flagship_commit, "flagship_interactions_per_s", flagship_n, flagship_rate),
+        row(&serve_commit, "serve_aggregate_interactions_per_s", serve_jobs, serve_rate),
+        row(&serve_commit, "serve_p95_latency_s", serve_jobs, serve_p95),
+        row(&serve_commit, "serve_jain_fairness", serve_jobs, serve_jain),
     ];
     let existing = std::fs::read_to_string(&traj_path).ok();
     let mut lines: Vec<String> = match (&existing, append) {

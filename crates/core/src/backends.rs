@@ -12,10 +12,11 @@
 //! | [`TreeHost`] | tree (modified or original) | `f64` | algorithm-error reference |
 //! | [`TreeGrape`] | modified tree | GRAPE-5 | **the paper's system** |
 
+use crate::engine::Engine;
 use crate::perf::PhaseTimers;
 use g5tree::eval::{self, PointForce};
-use g5tree::plan::{self, PlanConfig, PlanError, PlanPool};
-use g5tree::traverse::{Group, Traversal, TraverseScratch};
+use g5tree::plan::{PlanConfig, PlanError, PlanPool};
+use g5tree::traverse::Traversal;
 use g5tree::tree::{Tree, TreeConfig};
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
@@ -456,16 +457,11 @@ pub struct TreeGrape {
     pub cfg: TreeGrapeConfig,
     g5: Grape5,
     recovery: RecoveryStats,
-    /// Cached octree from the last full build, refreshed in place on
-    /// non-rebuild steps.
-    tree: Option<Tree>,
+    /// The step body shared with every cluster shard: cached tree,
+    /// groups, streaming pool.
+    engine: Engine,
     /// Force evaluations served by the cached topology.
     tree_age: u32,
-    /// Group partition of the cached topology (valid until rebuild).
-    groups: Vec<Group>,
-    gscratch: TraverseScratch,
-    /// Recycled streaming buffers (husks + per-worker arenas).
-    pool: PlanPool,
 }
 
 impl TreeGrape {
@@ -488,11 +484,8 @@ impl TreeGrape {
             cfg,
             g5,
             recovery: RecoveryStats::default(),
-            tree: None,
+            engine: Engine::default(),
             tree_age: 0,
-            groups: Vec::new(),
-            gscratch: TraverseScratch::default(),
-            pool: PlanPool::new(),
         }
     }
 
@@ -510,7 +503,7 @@ impl TreeGrape {
     /// The streaming buffer pool (its `minted` counter is the
     /// zero-allocation invariant in observable form).
     pub fn plan_pool(&self) -> &PlanPool {
-        &self.pool
+        self.engine.pool()
     }
 
     /// Evaluations served by the current tree topology (1 right after a
@@ -522,40 +515,19 @@ impl TreeGrape {
     /// Bring the cached tree up to date with the snapshot: refresh the
     /// frozen topology when the policy allows it, rebuild otherwise.
     /// Returns `(build_s, refresh_s)` — exactly one is nonzero.
-    fn update_tree(&mut self, pos: &[Vec3], mass: &[f64], tr: &Traversal) -> (f64, f64) {
-        let mut refresh_s = 0.0;
-        if let Some(tree) = self.tree.as_mut() {
-            if self.tree_age < self.cfg.refresh.interval && tree.len() == pos.len() {
-                let t0 = Instant::now();
-                let drift = tree.refresh(pos, mass);
-                refresh_s = t0.elapsed().as_secs_f64();
-                // root half-width is the natural length scale of the
-                // frozen topology
-                let limit = self.cfg.refresh.max_drift_frac * tree.nodes()[0].half;
-                if drift <= limit {
-                    self.tree_age += 1;
-                    return (0.0, refresh_s);
-                }
-                // drift blew the valve: the refresh work is discarded
-                // and this step pays for a fresh build instead
-            }
-        }
+    fn update_tree(&mut self, pos: &[Vec3], mass: &[f64]) -> (f64, f64) {
+        let policy = self.cfg.refresh;
         let t0 = Instant::now();
-        // The retiring tree's Morton order seeds the rebuild's sort
-        // (incremental re-sort of drifted runs); a snapshot-size change
-        // mismatches lengths and falls back to the from-scratch sort.
-        // Either way the built tree is bitwise hint-independent.
-        let prev = self.tree.take();
-        let tree = Tree::build_with_hint(
-            pos,
-            mass,
-            self.cfg.tree_config,
-            prev.as_ref().map(|t| t.order()),
-        );
-        tr.find_groups_into(&tree, self.cfg.n_crit, &mut self.gscratch, &mut self.groups);
-        self.tree = Some(tree);
+        if self.tree_age < policy.interval && self.engine.refresh(pos, mass, policy.max_drift_frac)
+        {
+            self.tree_age += 1;
+            return (0.0, t0.elapsed().as_secs_f64());
+        }
+        // a refresh that blew the drift valve is discarded and this
+        // step pays for it on top of the fresh build
+        self.engine.rebuild(pos, mass, &self.cfg);
         self.tree_age = 1;
-        (t0.elapsed().as_secs_f64() + refresh_s, 0.0)
+        (t0.elapsed().as_secs_f64(), 0.0)
     }
 }
 
@@ -563,57 +535,20 @@ impl ForceBackend for TreeGrape {
     fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
         let t_all = Instant::now();
-        let tr = Traversal::new(self.cfg.theta);
-        let (build_s, refresh_s) = self.update_tree(pos, mass, &tr);
-        let tree = self.tree.as_ref().expect("update_tree always leaves a tree");
-
-        let mut session =
-            DeviceSession::try_open(&mut self.g5, pos, self.cfg.eps)?.with_retry(self.cfg.retry);
+        let (build_s, refresh_s) = self.update_tree(pos, mass);
         let mut out = ForceSet::zeros(pos.len());
-        let mut device_s = 0.0;
-        let mut device_err: Option<DeviceError> = None;
-
-        // Stream resolved group lists from the plan workers straight
-        // into the device: traversal of group k+1 overlaps GRAPE
-        // execution of group k, and only `channel_depth` resolved lists
-        // ever exist at once, every one a recycled husk from the pool.
-        // Arrival order is immaterial — each group writes its own
-        // disjoint targets (see `g5tree::plan`). An unrecoverable
-        // device error stops consuming (remaining groups drain
-        // unevaluated) and surfaces after the stream winds down.
-        let stats =
-            plan::stream_with(tree, &tr, &self.groups, &self.cfg.plan, &self.pool, |work| {
-                if device_err.is_some() {
-                    return;
-                }
-                let t = Instant::now();
-                match session.try_force_for(&work.jpos, &work.jmass, &work.xi) {
-                    Ok(forces) => {
-                        for (t_idx, f) in work.targets.iter().zip(forces) {
-                            out.acc[*t_idx] = f.acc;
-                            out.pot[*t_idx] = f.pot;
-                        }
-                    }
-                    Err(e) => device_err = Some(e),
-                }
-                device_s += t.elapsed().as_secs_f64();
-            });
-        self.recovery = self.recovery.merged(session.recovery_stats());
-        let stats = stats?;
-        if let Some(e) = device_err {
-            return Err(e.into());
+        let eval =
+            self.engine.evaluate(&mut self.g5, &[], pos, &self.cfg, &mut out.acc, &mut out.pot);
+        self.recovery = self.recovery.merged(eval.recovery);
+        if let Some(e) = eval.err {
+            return Err(e);
         }
-        out.tally = stats.tally;
+        out.tally = eval.tally;
         out.timers = PhaseTimers {
             build_s,
             refresh_s,
-            decompose_s: 0.0,
-            exchange_s: 0.0,
-            traverse_s: stats.produce_s,
-            device_s,
-            consumer_blocked_s: stats.consumer_blocked_s,
             force_wall_s: t_all.elapsed().as_secs_f64(),
-            step_wall_s: 0.0,
+            ..eval.timers
         };
         Ok(out)
     }

@@ -5,10 +5,12 @@
 //! work, folded into one process: the snapshot is partitioned into K
 //! Morton-contiguous domains ([`g5tree::domain`]), each domain builds a
 //! local octree and streams its group lists into its *own* simulated
-//! device. Remote mass enters as a local-essential-tree exchange
-//! resolved **per group**: while a group's local list streams, the
-//! group's bounding sphere walks every remote shard's tree with the
-//! same MAC ([`g5tree::domain::let_terms_into`]) and the accepted cell
+//! device — the step body [`TreeGrape`](crate::backends::TreeGrape)
+//! runs, once per shard (the crate-private `engine` module). Remote
+//! mass enters as a local-essential-tree exchange resolved **per
+//! group**: while a group's local list streams, the group's bounding
+//! sphere walks every remote shard's tree with the same MAC
+//! ([`g5tree::domain::let_terms_into`]) and the accepted cell
 //! monopoles / opened bodies are appended to that group's j-list. The
 //! remote terms a group sees are therefore resolved at the group's own
 //! scale — not a coarse whole-domain import, which for adjacent Morton
@@ -24,11 +26,11 @@
 //!
 //! ## Equivalences and error bounds
 //!
-//! * **K = 1 is bit-identical to [`TreeGrape`]**: the single-shard
-//!   decomposition is the identity permutation, the local tree is the
-//!   tree `TreeGrape` would build, the device session opens over the
-//!   same position window, and there are no remote trees to walk — so
-//!   the same device calls happen in the same order on the same words.
+//! * **K = 1 is bit-identical to `TreeGrape`**: the single-shard
+//!   decomposition is the identity permutation, so the one shard's
+//!   engine is given the particles, the position window and the (empty)
+//!   remote-tree list `TreeGrape`'s is — the same code makes the same
+//!   device calls in the same order on the same words.
 //! * **K > 1 stays at treecode accuracy**: every imported term was
 //!   accepted by the same MAC against the receiving *group's* drift-
 //!   inflated sphere — the exact acceptance test the monolithic
@@ -48,21 +50,17 @@
 
 use crate::backends::{ForceBackend, ForceError, ForceSet, TreeGrapeConfig};
 use crate::checkpoint::ClusterLifecycle;
+use crate::engine::{Engine, Evaluation};
 use crate::perf::PhaseTimers;
-use g5tree::domain::{let_terms_into, Decomposition};
-use g5tree::mac::Mac;
-use g5tree::plan::{self, PlanPool};
-use g5tree::traverse::{Group, Traversal, TraverseScratch};
+use g5tree::domain::Decomposition;
 use g5tree::tree::Tree;
 use g5util::cores;
-use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
 use grape5::{
-    ClockAccounting, ClusterSession, DeviceError, DeviceSession, FaultConfig, Grape5, ProbeOutcome,
-    RecoveryStats, ShardHealth,
+    ClockAccounting, ClusterSession, DeviceError, FaultConfig, Grape5, ProbeOutcome, RecoveryStats,
+    ShardHealth,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// The shard lifecycle supervisor's knobs. The default turns both
@@ -94,39 +92,30 @@ pub struct ClusterTreeGrapeConfig {
     pub shards: usize,
     /// Shard lifecycle supervision (probing + straggler deadlines).
     pub lifecycle: LifecyclePolicy,
-    /// Overlapped step pipeline: resolve each group's LET terms on the
-    /// plan's *producer* side (inside the bounded-channel stream), so
-    /// remote-tree walks for group k+1 overlap the device evaluation of
-    /// group k instead of serializing in front of every device call.
-    /// Off (the default) keeps the phase-barrier reference path:
-    /// consumer-side LET resolution, serial modeled-clock pricing. The
-    /// two paths make identical device calls on identical words, so
-    /// forces, tallies, and recorded hardware counters are bit-identical
-    /// either way (see the `overlapped_*` tests).
-    pub overlap: bool,
 }
 
 impl ClusterTreeGrapeConfig {
     /// The paper's operating point on `shards` paper-configured
-    /// devices, supervisor off, phase-barrier reference pipeline.
+    /// devices, supervisor off, j-memory loads priced serially on the
+    /// modeled device clock.
     pub fn paper(eps: f64, shards: usize) -> Self {
         ClusterTreeGrapeConfig {
             base: TreeGrapeConfig::paper(eps),
             shards,
             lifecycle: LifecyclePolicy::default(),
-            overlap: false,
         }
     }
 
-    /// The paper's operating point with the overlapped step pipeline:
-    /// producer-side LET resolution plus double-buffered j-memory loads
-    /// ([`grape5::Grape5Config::double_buffer_j`]) on the modeled
-    /// device clock. Recorded hardware counters stay bit-identical to
-    /// [`ClusterTreeGrapeConfig::paper`]; only host scheduling and the
-    /// modeled pricing of j-load transfer change.
+    /// [`paper`](Self::paper) on devices with double-buffered j-memory
+    /// ([`grape5::Grape5Config::double_buffer_j`]): the modeled clock
+    /// hides each group's j-load behind the previous group's pipeline
+    /// run. That pricing is the only difference — the host schedule
+    /// (LET walks beside or in front of the device calls) follows
+    /// `base.plan` and the caller's share of the machine under either
+    /// constructor, and forces, tallies and recorded hardware counters
+    /// are bit-identical between them.
     pub fn paper_overlapped(eps: f64, shards: usize) -> Self {
         let mut cfg = Self::paper(eps, shards);
-        cfg.overlap = true;
         cfg.base.grape.double_buffer_j = true;
         cfg
     }
@@ -153,15 +142,13 @@ impl RecoveryLedger {
 }
 
 /// Everything one shard owns between evaluations: its gathered
-/// particles, local tree, group partition, streaming pool, and
-/// last-evaluation timers.
+/// particles, the step engine over them (local tree, group partition,
+/// streaming pool), and last-evaluation timers.
+#[derive(Default)]
 struct ShardState {
     pos: Vec<Vec3>,
     mass: Vec<f64>,
-    tree: Option<Tree>,
-    groups: Vec<Group>,
-    gscratch: TraverseScratch,
-    pool: PlanPool,
+    engine: Engine,
     timers: PhaseTimers,
     /// Dense per-shard force output, recycled across evaluations so a
     /// steady-state step allocates no result buffers (at flagship scale
@@ -170,37 +157,12 @@ struct ShardState {
     pot: Vec<f64>,
 }
 
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            pos: Vec::new(),
-            mass: Vec::new(),
-            tree: None,
-            groups: Vec::new(),
-            gscratch: TraverseScratch::default(),
-            pool: PlanPool::new(),
-            timers: PhaseTimers::default(),
-            acc: Vec::new(),
-            pot: Vec::new(),
-        }
-    }
-}
-
 /// What one shard's evaluation thread hands back to the assembler.
 struct ShardOutcome {
     slot: usize,
     acc: Vec<Vec3>,
     pot: Vec<f64>,
-    tally: InteractionTally,
-    produce_s: f64,
-    device_s: f64,
-    /// Wall seconds this shard spent walking *remote* trees — the
-    /// in-line LET exchange cost.
-    exchange_s: f64,
-    consumer_blocked_s: f64,
-    wall_s: f64,
-    recovery: RecoveryStats,
-    err: Option<ForceError>,
+    eval: Evaluation,
 }
 
 impl ShardOutcome {
@@ -218,14 +180,7 @@ impl ShardOutcome {
             slot,
             acc: Vec::new(),
             pot: Vec::new(),
-            tally: InteractionTally::default(),
-            produce_s: 0.0,
-            device_s: 0.0,
-            exchange_s: 0.0,
-            consumer_blocked_s: 0.0,
-            wall_s: 0.0,
-            recovery: RecoveryStats::default(),
-            err: Some(ForceError::ShardPanic(msg)),
+            eval: Evaluation { err: Some(ForceError::ShardPanic(msg)), ..Evaluation::default() },
         }
     }
 }
@@ -300,7 +255,7 @@ impl ClusterTreeGrape {
         );
         assert!(cfg.base.refresh.interval >= 1, "refresh interval must be positive");
         let cluster = ClusterSession::open(cfg.base.grape, cfg.shards);
-        let shards_state = (0..cfg.shards).map(|_| ShardState::new()).collect();
+        let shards_state = (0..cfg.shards).map(|_| ShardState::default()).collect();
         ClusterTreeGrape {
             cfg,
             cluster,
@@ -444,12 +399,7 @@ impl ClusterTreeGrape {
     /// Bring every live shard's tree up to date: refresh the frozen
     /// trees when the policy allows, (re)decompose and rebuild
     /// otherwise. Returns `(decompose_s, build_s, refresh_s)`.
-    fn ensure_decomposition(
-        &mut self,
-        pos: &[Vec3],
-        mass: &[f64],
-        tr: &Traversal,
-    ) -> (f64, f64, f64) {
+    fn ensure_decomposition(&mut self, pos: &[Vec3], mass: &[f64]) -> (f64, f64, f64) {
         let alive: Vec<usize> =
             (0..self.cluster.shards()).filter(|&k| self.cluster.is_alive(k)).collect();
         let mut refresh_s = 0.0;
@@ -464,14 +414,12 @@ impl ClusterTreeGrape {
                 let st = &mut self.shards_state[k];
                 let t0 = Instant::now();
                 decomp.gather(d, pos, mass, &mut st.pos, &mut st.mass);
-                let tree = st.tree.as_mut().expect("live shard has a tree");
-                let drift = tree.refresh(&st.pos, &st.mass);
+                // each shard's root half-width is its own length scale
+                ok = st.engine.refresh(&st.pos, &st.mass, limit_frac);
                 let dt = t0.elapsed().as_secs_f64();
                 st.timers = PhaseTimers { refresh_s: dt, ..PhaseTimers::default() };
                 refresh_s += dt;
-                // each shard's root half-width is its own length scale
-                if drift > limit_frac * tree.nodes()[0].half {
-                    ok = false;
+                if !ok {
                     break;
                 }
             }
@@ -513,18 +461,7 @@ impl ClusterTreeGrape {
             let st = &mut self.shards_state[k];
             let t1 = Instant::now();
             decomp.gather(d, pos, mass, &mut st.pos, &mut st.mass);
-            // the retiring tree's order seeds the rebuild's sort; a
-            // membership change (re-decomposition) mismatches lengths
-            // and falls back to the from-scratch sort automatically
-            let prev = st.tree.take();
-            let tree = Tree::build_with_hint(
-                &st.pos,
-                &st.mass,
-                self.cfg.base.tree_config,
-                prev.as_ref().map(|t| t.order()),
-            );
-            tr.find_groups_into(&tree, self.cfg.base.n_crit, &mut st.gscratch, &mut st.groups);
-            st.tree = Some(tree);
+            st.engine.rebuild(&st.pos, &st.mass, &self.cfg.base);
             let dt = t1.elapsed().as_secs_f64();
             st.timers = PhaseTimers { build_s: dt, ..PhaseTimers::default() };
             build_s += dt;
@@ -636,40 +573,12 @@ impl ClusterTreeGrape {
     }
 }
 
-/// One shard's full force evaluation: stream the local group lists into
-/// the shard's device, appending each group's remote (LET) terms to its
-/// j-list as it goes.
+/// One shard's force evaluation on device `g5`: the shard's own step
+/// engine, with every other live shard's tree as the remote mass
+/// (`remote`) and the full snapshot as the quantization window.
 ///
-/// Remote mass is resolved per group: the group's drift-inflated sphere
-/// walks every remote shard's tree with the force MAC, so the imported
-/// terms pass the acceptance test the group's own list passed (on the
-/// remote shard's cells, which are not the monolithic tree's — see the
-/// module docs). With no remote trees (K = 1) the group list streams
-/// untouched.
-///
-/// Two schedules resolve those remote terms:
-///
-/// * **barrier** (`overlap == false`, the reference): the consumer
-///   copies the local list into scratch and walks the remote trees in
-///   front of every device call — LET resolution serializes with
-///   device time.
-/// * **overlapped** (`overlap == true`): the remote walk runs as a
-///   [`plan::stream_with_augment`] producer hook, inside the bounded
-///   channel — group k+1's LET terms resolve while the device
-///   evaluates group k, and the consumer issues the device call
-///   straight from the (already combined) `GroupWork` lists with no
-///   copy. Terms append in the same fixed slot order, so the device
-///   sees identical words in both schedules and forces, tallies, and
-///   hardware counters are bit-identical.
-///
-/// `window_pos` is the **full** snapshot — every shard quantizes over
-/// the same position window, which keeps K = 1 bit-identical to
-/// [`TreeGrape`] and spares shards from re-ranging as particles
-/// migrate between domains.
-///
-/// `acc_buf`/`pot_buf` are recycled dense output buffers (any length);
-/// they come back through the outcome for reuse next evaluation.
-#[allow(clippy::too_many_arguments)]
+/// `bufs` are recycled dense output buffers (any length); they come
+/// back through the outcome for reuse next evaluation.
 fn shard_eval(
     slot: usize,
     g5: &mut Grape5,
@@ -677,178 +586,31 @@ fn shard_eval(
     remote: &[&Tree],
     window_pos: &[Vec3],
     cfg: &TreeGrapeConfig,
-    overlap: bool,
-    mut acc_buf: Vec<Vec3>,
-    mut pot_buf: Vec<f64>,
+    bufs: (Vec<Vec3>, Vec<f64>),
 ) -> ShardOutcome {
-    let t_all = Instant::now();
+    let (mut acc, mut pot) = bufs;
     let n = st.pos.len();
-    acc_buf.clear();
-    acc_buf.resize(n, Vec3::ZERO);
-    pot_buf.clear();
-    pot_buf.resize(n, 0.0);
-    let mut out = ShardOutcome {
-        slot,
-        acc: acc_buf,
-        pot: pot_buf,
-        tally: InteractionTally::default(),
-        produce_s: 0.0,
-        device_s: 0.0,
-        exchange_s: 0.0,
-        consumer_blocked_s: 0.0,
-        wall_s: 0.0,
-        recovery: RecoveryStats::default(),
-        err: None,
-    };
-    let tree = st.tree.as_ref().expect("evaluated shard has a tree");
-    let tr = Traversal::new(cfg.theta);
-    let mac = Mac::new(cfg.theta);
-    let mut session = match DeviceSession::try_open(g5, window_pos, cfg.eps) {
-        Ok(s) => s.with_retry(cfg.retry),
-        Err(e) => {
-            out.err = Some(e.into());
-            out.wall_s = t_all.elapsed().as_secs_f64();
-            return out;
-        }
-    };
-    let mut device_s = 0.0;
-    let exchange_s;
-    let remote_terms;
-    let remote_inter;
-    let mut device_err: Option<DeviceError> = None;
-    let acc = &mut out.acc;
-    let pot = &mut out.pot;
-    let stats = if overlap && !remote.is_empty() {
-        // Producer-side LET: the augment hook appends remote terms to
-        // the group's own (pooled) j-lists inside the stream, so the
-        // walk overlaps device evaluation of earlier groups. Atomics
-        // because the hook runs on plan worker threads.
-        let exch_ns = AtomicU64::new(0);
-        let r_terms = AtomicU64::new(0);
-        let r_inter = AtomicU64::new(0);
-        let augment = |work: &mut plan::GroupWork| {
-            let te = Instant::now();
-            let before = work.jpos.len();
-            let sphere = tr.group_sphere(tree, work.group);
-            for src in remote {
-                let_terms_into(src, &mac, &sphere, &mut work.jpos, &mut work.jmass);
-            }
-            let added = (work.jpos.len() - before) as u64;
-            r_terms.fetch_add(added, Ordering::Relaxed);
-            r_inter.fetch_add(added * work.xi.len() as u64, Ordering::Relaxed);
-            exch_ns.fetch_add(te.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        };
-        let stats = plan::stream_with_augment(
-            tree,
-            &tr,
-            &st.groups,
-            &cfg.plan,
-            &st.pool,
-            &augment,
-            |work| {
-                if device_err.is_some() {
-                    return;
-                }
-                let t = Instant::now();
-                match session.try_force_for(&work.jpos, &work.jmass, &work.xi) {
-                    Ok(forces) => {
-                        for (t_idx, f) in work.targets.iter().zip(forces) {
-                            acc[*t_idx] = f.acc;
-                            pot[*t_idx] = f.pot;
-                        }
-                    }
-                    Err(e) => device_err = Some(e),
-                }
-                device_s += t.elapsed().as_secs_f64();
-            },
-        );
-        exchange_s = exch_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        remote_terms = r_terms.load(Ordering::Relaxed);
-        remote_inter = r_inter.load(Ordering::Relaxed);
-        stats
-    } else {
-        // Barrier reference: consumer-side LET in front of every device
-        // call, combined list in retained scratch so a steady state
-        // allocates nothing.
-        let mut exch = 0.0;
-        let mut terms = 0u64;
-        let mut inter = 0u64;
-        let mut rjp: Vec<Vec3> = Vec::new();
-        let mut rjm: Vec<f64> = Vec::new();
-        let stats = plan::stream_with(tree, &tr, &st.groups, &cfg.plan, &st.pool, |work| {
-            if device_err.is_some() {
-                return;
-            }
-            let (jp, jm): (&[Vec3], &[f64]) = if remote.is_empty() {
-                (&work.jpos, &work.jmass)
-            } else {
-                let te = Instant::now();
-                rjp.clear();
-                rjm.clear();
-                rjp.extend_from_slice(&work.jpos);
-                rjm.extend_from_slice(&work.jmass);
-                let sphere = tr.group_sphere(tree, work.group);
-                for src in remote {
-                    let_terms_into(src, &mac, &sphere, &mut rjp, &mut rjm);
-                }
-                let added = (rjp.len() - work.jpos.len()) as u64;
-                terms += added;
-                inter += added * work.xi.len() as u64;
-                exch += te.elapsed().as_secs_f64();
-                (&rjp, &rjm)
-            };
-            let t = Instant::now();
-            match session.try_force_for(jp, jm, &work.xi) {
-                Ok(forces) => {
-                    for (t_idx, f) in work.targets.iter().zip(forces) {
-                        acc[*t_idx] = f.acc;
-                        pot[*t_idx] = f.pot;
-                    }
-                }
-                Err(e) => device_err = Some(e),
-            }
-            device_s += t.elapsed().as_secs_f64();
-        });
-        exchange_s = exch;
-        remote_terms = terms;
-        remote_inter = inter;
-        stats
-    };
-    out.tally = out.tally.merged(InteractionTally {
-        interactions: remote_inter,
-        terms: remote_terms,
-        lists: 0,
-    });
+    acc.clear();
+    acc.resize(n, Vec3::ZERO);
+    pot.clear();
+    pot.resize(n, 0.0);
+    let eval = st.engine.evaluate(g5, remote, window_pos, cfg, &mut acc, &mut pot);
+    ShardOutcome { slot, acc, pot, eval }
+}
 
-    out.recovery = session.recovery_stats();
-    out.device_s = device_s;
-    out.exchange_s = exchange_s;
-    match stats {
-        Ok(s) => {
-            out.tally = out.tally.merged(s.tally);
-            out.produce_s = s.produce_s;
-            out.consumer_blocked_s = s.consumer_blocked_s;
-        }
-        Err(e) => {
-            if out.err.is_none() {
-                out.err = Some(e.into());
-            }
-        }
-    }
-    if let Some(e) = device_err {
-        if out.err.is_none() {
-            out.err = Some(e.into());
-        }
-    }
-    out.wall_s = t_all.elapsed().as_secs_f64();
-    out
+/// The trees shard `slot` imports remote mass from: every other live
+/// shard's, in slot order.
+fn remote_trees<'a>(states: &'a [ShardState], live: &[usize], slot: usize) -> Vec<&'a Tree> {
+    live.iter()
+        .filter(|&&k| k != slot)
+        .map(|&k| states[k].engine.tree().expect("live shard has a tree"))
+        .collect()
 }
 
 impl ForceBackend for ClusterTreeGrape {
     fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
         let t_all = Instant::now();
-        let tr = Traversal::new(self.cfg.base.theta);
         // Supervisor tick. A replay evaluation (checkpoint resume)
         // re-creates an evaluation the interrupted run already made
         // its decisions for, so the supervisor stands down entirely.
@@ -890,7 +652,7 @@ impl ForceBackend for ClusterTreeGrape {
             if self.cluster.alive() == 0 {
                 return Err(DeviceError::NoBoardsLeft.into());
             }
-            let (decompose_s, build_s, refresh_s) = self.ensure_decomposition(pos, mass, &tr);
+            let (decompose_s, build_s, refresh_s) = self.ensure_decomposition(pos, mass);
 
             // One scoped thread per live shard; each owns its device
             // exclusively, reads the *other* shards' trees immutably
@@ -910,7 +672,6 @@ impl ForceBackend for ClusterTreeGrape {
                 .iter_mut()
                 .map(|st| Some((std::mem::take(&mut st.acc), std::mem::take(&mut st.pot))))
                 .collect();
-            let overlap = self.cfg.overlap;
             let devices = self.cluster.alive_devices_mut();
             let states = &self.shards_state;
             let live = &self.live;
@@ -920,13 +681,8 @@ impl ForceBackend for ClusterTreeGrape {
                     .into_iter()
                     .map(|(slot, g5)| {
                         let st = &states[slot];
-                        let remote: Vec<&Tree> = live
-                            .iter()
-                            .filter(|&&k| k != slot)
-                            .map(|&k| states[k].tree.as_ref().expect("live shard has a tree"))
-                            .collect();
-                        let (abuf, pbuf) =
-                            bufs[slot].take().expect("each slot evaluates at most once");
+                        let remote = remote_trees(states, live, slot);
+                        let out = bufs[slot].take().expect("each slot evaluates at most once");
                         // A caller per shard (`g5util::cores`),
                         // registered before any shard runs — so each
                         // sizes itself beside all of its siblings from
@@ -939,7 +695,7 @@ impl ForceBackend for ClusterTreeGrape {
                                 if panic_slots.contains(&slot) {
                                     panic!("injected shard panic");
                                 }
-                                shard_eval(slot, g5, st, &remote, pos, cfg, overlap, abuf, pbuf)
+                                shard_eval(slot, g5, st, &remote, pos, cfg, out)
                             }))
                             .unwrap_or_else(|payload| ShardOutcome::panicked(slot, payload))
                         });
@@ -981,9 +737,10 @@ impl ForceBackend for ClusterTreeGrape {
             let mut fatal: Vec<(usize, String)> = Vec::new();
             let mut first_err: Option<ForceError> = None;
             for o in &outcomes {
-                self.recovery = self.recovery.merged(o.recovery);
-                self.shard_recovery[o.slot] = self.shard_recovery[o.slot].merged(o.recovery);
-                if o.recovery.quarantined_boards > 0 || o.recovery.quarantined_pipes > 0 {
+                let recovery = o.eval.recovery;
+                self.recovery = self.recovery.merged(recovery);
+                self.shard_recovery[o.slot] = self.shard_recovery[o.slot].merged(recovery);
+                if recovery.quarantined_boards > 0 || recovery.quarantined_pipes > 0 {
                     self.cluster.mark_degraded(o.slot);
                     flagged.push(o.slot);
                     if !self.replaying {
@@ -991,12 +748,12 @@ impl ForceBackend for ClusterTreeGrape {
                             self.evals,
                             format!(
                                 "shard {} quarantined {} board(s), {} pipe(s)",
-                                o.slot, o.recovery.quarantined_boards, o.recovery.quarantined_pipes
+                                o.slot, recovery.quarantined_boards, recovery.quarantined_pipes
                             ),
                         );
                     }
                 }
-                match &o.err {
+                match &o.eval.err {
                     Some(ForceError::Device(de)) if ClusterSession::shard_fatal(de) => {
                         fatal.push((o.slot, "shard-fatal device error".to_string()));
                     }
@@ -1066,37 +823,19 @@ impl ForceBackend for ClusterTreeGrape {
                         for &i in &lagging {
                             let (slot, t) = step_secs[i];
                             let st = &self.shards_state[slot];
-                            let remote: Vec<&Tree> = self
-                                .live
-                                .iter()
-                                .filter(|&&k| k != slot)
-                                .map(|&k| {
-                                    self.shards_state[k]
-                                        .tree
-                                        .as_ref()
-                                        .expect("live shard has a tree")
-                                })
-                                .collect();
+                            let remote = remote_trees(&self.shards_state, &self.live, slot);
                             let g5 = self.cluster.device_mut(survivor);
-                            let redo = shard_eval(
-                                slot,
-                                g5,
-                                st,
-                                &remote,
-                                pos,
-                                &self.cfg.base,
-                                self.cfg.overlap,
-                                Vec::new(),
-                                Vec::new(),
-                            );
-                            if redo.err.is_none() {
-                                self.recovery = self.recovery.merged(redo.recovery);
+                            let fresh = (Vec::new(), Vec::new());
+                            let redo =
+                                shard_eval(slot, g5, st, &remote, pos, &self.cfg.base, fresh);
+                            if redo.eval.err.is_none() {
+                                self.recovery = self.recovery.merged(redo.eval.recovery);
                                 self.shard_recovery[survivor] =
-                                    self.shard_recovery[survivor].merged(redo.recovery);
+                                    self.shard_recovery[survivor].merged(redo.eval.recovery);
                                 let o = &mut outcomes[i];
                                 o.acc = redo.acc;
                                 o.pot = redo.pot;
-                                o.tally = redo.tally;
+                                o.eval.tally = redo.eval.tally;
                                 self.cluster.mark_degraded(slot);
                                 flagged.push(slot);
                                 self.ledger.record(
@@ -1132,36 +871,24 @@ impl ForceBackend for ClusterTreeGrape {
                     out.acc[gi as usize] = o.acc[j];
                     out.pot[gi as usize] = o.pot[j];
                 }
-                out.tally = out.tally.merged(o.tally);
+                out.tally = out.tally.merged(o.eval.tally);
                 let st = &mut self.shards_state[o.slot];
-                st.timers.traverse_s = o.produce_s;
-                st.timers.device_s = o.device_s;
-                st.timers.exchange_s = o.exchange_s;
-                st.timers.consumer_blocked_s = o.consumer_blocked_s;
-                st.timers.force_wall_s = o.wall_s;
+                // this evaluation's tree update is already on the clock
+                st.timers = PhaseTimers {
+                    build_s: st.timers.build_s,
+                    refresh_s: st.timers.refresh_s,
+                    ..o.eval.timers
+                };
                 // the dense result buffers go home for next evaluation
                 st.acc = std::mem::take(&mut o.acc);
                 st.pot = std::mem::take(&mut o.pot);
             }
-            let mut timers = PhaseTimers {
-                build_s,
-                refresh_s,
-                decompose_s,
-                exchange_s: 0.0,
-                traverse_s: 0.0,
-                device_s: 0.0,
-                consumer_blocked_s: 0.0,
-                force_wall_s: 0.0,
-                step_wall_s: 0.0,
-            };
+            // phase seconds sum over shards (CPU, not critical path)
+            out.timers = PhaseTimers { build_s, refresh_s, decompose_s, ..PhaseTimers::default() };
             for o in &outcomes {
-                timers.traverse_s += o.produce_s;
-                timers.device_s += o.device_s;
-                timers.exchange_s += o.exchange_s;
-                timers.consumer_blocked_s += o.consumer_blocked_s;
+                out.timers.accumulate(&o.eval.timers);
             }
-            timers.force_wall_s = t_all.elapsed().as_secs_f64();
-            out.timers = timers;
+            out.timers.force_wall_s = t_all.elapsed().as_secs_f64();
             // A clean evaluation promotes watched shards: Degraded and
             // freshly Readmitted shards that served without incident
             // return to Alive. Flagged shards stay Degraded.
@@ -1209,25 +936,30 @@ mod tests {
         base.n_crit = 64;
         base.grape = Grape5Config::single_board();
         base.plan = PlanConfig::serial();
-        ClusterTreeGrapeConfig {
-            base,
-            shards,
-            lifecycle: LifecyclePolicy::default(),
-            overlap: false,
-        }
+        ClusterTreeGrapeConfig { base, shards, lifecycle: LifecyclePolicy::default() }
     }
 
     #[test]
     fn k1_matches_treegrape_bit_for_bit() {
+        // one engine, no remote trees: the same device calls whether
+        // the plan runs inline or on producers, and the double-buffer
+        // flag changes pricing, never counters
         let (pos, mass) = plummer(700, 11);
         let mut mono = TreeGrape::new(small_cfg(1).base);
-        let mut cluster = ClusterTreeGrape::new(small_cfg(1));
         let a = mono.compute(&pos, &mass);
-        let b = cluster.compute(&pos, &mass);
-        assert_eq!(a.acc, b.acc);
-        assert_eq!(a.pot, b.pot);
-        assert_eq!(a.tally, b.tally);
-        assert_eq!(mono.accounting(), cluster.shard_accounting(0));
+        for (plan, double_buffer_j) in
+            [(PlanConfig::serial(), false), (PlanConfig::overlapped(2, 2), true)]
+        {
+            let mut cfg = small_cfg(1);
+            cfg.base.plan = plan;
+            cfg.base.grape.double_buffer_j = double_buffer_j;
+            let mut cluster = ClusterTreeGrape::new(cfg);
+            let b = cluster.compute(&pos, &mass);
+            assert_eq!(a.acc, b.acc, "{plan:?}");
+            assert_eq!(a.pot, b.pot, "{plan:?}");
+            assert_eq!(a.tally, b.tally, "{plan:?}");
+            assert_eq!(mono.accounting(), cluster.shard_accounting(0), "{plan:?}");
+        }
     }
 
     #[test]
@@ -1395,53 +1127,6 @@ mod tests {
             events.iter().filter(|e| e.contains("decomposed over 3 shards")).count() >= 2,
             "weight change must re-decompose: {events:?}"
         );
-    }
-
-    #[test]
-    fn overlapped_matches_barrier_bit_for_bit() {
-        // producer-side LET (overlap) and consumer-side LET (barrier)
-        // must make identical device calls: same forces, same tallies,
-        // same recorded hardware counters — per shard, at every K
-        let (pos, mass) = plummer(1100, 31);
-        for k in [2, 3, 4] {
-            let mut barrier = ClusterTreeGrape::new(small_cfg(k));
-            let mut over_cfg = small_cfg(k);
-            over_cfg.overlap = true;
-            over_cfg.base.grape.double_buffer_j = true;
-            over_cfg.base.plan = PlanConfig::overlapped(2, 2);
-            let mut over = ClusterTreeGrape::new(over_cfg);
-            let a = barrier.compute(&pos, &mass);
-            let b = over.compute(&pos, &mass);
-            assert_eq!(a.acc, b.acc, "K={k}");
-            assert_eq!(a.pot, b.pot, "K={k}");
-            assert_eq!(a.tally, b.tally, "K={k}");
-            for s in 0..k {
-                assert_eq!(
-                    barrier.shard_accounting(s),
-                    over.shard_accounting(s),
-                    "K={k} shard {s} counters must not depend on the schedule"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn overlapped_k1_matches_treegrape_bit_for_bit() {
-        // the overlapped pipeline collapses to the monolithic backend
-        // at K=1: augment is a no-op with no remote trees, and the
-        // double-buffer flag changes pricing, never counters
-        let (pos, mass) = plummer(700, 11);
-        let mut mono = TreeGrape::new(small_cfg(1).base);
-        let mut cfg = small_cfg(1);
-        cfg.overlap = true;
-        cfg.base.grape.double_buffer_j = true;
-        let mut cluster = ClusterTreeGrape::new(cfg);
-        let a = mono.compute(&pos, &mass);
-        let b = cluster.compute(&pos, &mass);
-        assert_eq!(a.acc, b.acc);
-        assert_eq!(a.pot, b.pot);
-        assert_eq!(a.tally, b.tally);
-        assert_eq!(mono.accounting(), cluster.shard_accounting(0));
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //! * [`cluster`] — the PC-GRAPE cluster backend: K domain-decomposed
 //!   trees over K pooled devices, local-essential-tree exchange, and
 //!   shard-loss recovery by re-decomposition.
+//!
+//!   `TreeGrape` and every cluster shard run one step body — the
+//!   private `engine` module: tree refresh / hinted rebuild, the
+//!   streamed group lists with remote terms appended inside the
+//!   stream, the device consumer. A single host is an engine with no
+//!   remote trees; a cluster node is the same engine beside its
+//!   siblings' trees. How the list walk is scheduled against the
+//!   device calls is the plan's choice ([`PlanConfig`], by default
+//!   from the caller's share of the cores), never a backend flag.
 //! * [`integrator`] — shared-timestep leapfrog (kick–drift–kick), the
 //!   scheme used for the paper's 999-step run.
 //! * [`diagnostics`] — energy / momentum / Lagrangian-radii bookkeeping.
@@ -43,6 +52,7 @@ pub mod checkpoint;
 pub mod cluster;
 pub mod clustering;
 pub mod diagnostics;
+mod engine;
 pub mod halos;
 pub mod integrator;
 pub mod perf;

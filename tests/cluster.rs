@@ -30,7 +30,7 @@ fn cluster_cfg(shards: usize, n_crit: usize) -> ClusterTreeGrapeConfig {
     base.n_crit = n_crit;
     base.grape = Grape5Config::single_board();
     base.plan = PlanConfig::serial();
-    ClusterTreeGrapeConfig { base, shards, lifecycle: LifecyclePolicy::default(), overlap: false }
+    ClusterTreeGrapeConfig { base, shards, lifecycle: LifecyclePolicy::default() }
 }
 
 fn rms_err(fs: &[Vec3], exact: &[Vec3]) -> f64 {

@@ -199,7 +199,6 @@ fn shard_death_recovers_by_redecomposition() {
         base,
         shards: 3,
         lifecycle: LifecyclePolicy::default(),
-        overlap: false,
     });
 
     // Shard 1's lone board dies a few calls in: retries cannot help a

@@ -75,7 +75,7 @@ proptest! {
 /// to four producers, a rendezvous-deep or a four-deep channel, and
 /// the per-process default — gives the same forces, potentials and
 /// tally, on the single device and on a two-shard cluster (LET terms
-/// appended producer-side when overlapped, consumer-side when not).
+/// appended by the producers, or inline in front of each device call).
 #[test]
 fn forces_do_not_depend_on_workers_or_channel_depth() {
     use grape5_nbody::core::{ClusterTreeGrape, ClusterTreeGrapeConfig, LifecyclePolicy};
@@ -87,22 +87,17 @@ fn forces_do_not_depend_on_workers_or_channel_depth() {
             plans.push(PlanConfig { workers: Some(workers), channel_depth });
         }
     }
-    let cluster = |plan, overlap| -> Box<dyn ForceBackend> {
-        Box::new(ClusterTreeGrape::new(ClusterTreeGrapeConfig {
-            base: TreeGrapeConfig { plan, ..base },
-            shards: 2,
-            lifecycle: LifecyclePolicy::default(),
-            overlap,
-        }))
-    };
     let make = |name: &str, plan| -> Box<dyn ForceBackend> {
         match name {
             "tree-grape" => Box::new(TreeGrape::new(TreeGrapeConfig { plan, ..base })),
-            "cluster K = 2, overlapped" => cluster(plan, true),
-            _ => cluster(plan, false),
+            _ => Box::new(ClusterTreeGrape::new(ClusterTreeGrapeConfig {
+                base: TreeGrapeConfig { plan, ..base },
+                shards: 2,
+                lifecycle: LifecyclePolicy::default(),
+            })),
         }
     };
-    for name in ["tree-grape", "cluster K = 2, overlapped", "cluster K = 2, barrier"] {
+    for name in ["tree-grape", "cluster K = 2"] {
         let want = make(name, PlanConfig::serial()).compute(&pos, &mass);
         for plan in &plans {
             let got = make(name, *plan).compute(&pos, &mass);
@@ -150,7 +145,6 @@ fn forces_do_not_depend_on_who_else_is_computing() {
                     base,
                     shards: 2,
                     lifecycle: LifecyclePolicy::default(),
-                    overlap: name.ends_with("overlapped"),
                 });
                 b.set_fault_injectors(fault);
                 Box::new(b)
@@ -159,12 +153,7 @@ fn forces_do_not_depend_on_who_else_is_computing() {
         let fs = backend.try_compute(&pos, &mass).expect("transient faults are recovered");
         (fs.acc, fs.pot, fs.tally, backend.recovery_stats().expect("a validating backend"))
     };
-    for name in [
-        "tree-grape exact",
-        "tree-grape LNS",
-        "cluster K = 2, overlapped",
-        "cluster K = 2, barrier",
-    ] {
+    for name in ["tree-grape exact", "tree-grape LNS", "cluster K = 2"] {
         let want = eval(name);
         assert!(want.3.retries > 0, "{name}: no fault ever fired");
         for others in [0, 1, total, 4 * total] {

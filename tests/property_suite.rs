@@ -3,8 +3,8 @@
 //! through the device, randomized simulations through the integrator.
 
 use grape5_nbody::core::{
-    ClusterTreeGrape, ClusterTreeGrapeConfig, DirectHost, ForceBackend, TreeGrape, TreeGrapeConfig,
-    TreeHost,
+    ClusterTreeGrape, ClusterTreeGrapeConfig, DirectHost, ForceBackend, PlanConfig, TreeGrape,
+    TreeGrapeConfig, TreeHost,
 };
 use grape5_nbody::grape5::{Grape5, Grape5Config};
 use grape5_nbody::util::Vec3;
@@ -77,12 +77,13 @@ proptest! {
         }
     }
 
-    /// The overlapped cluster step pipeline (producer-side LET, worker
-    /// scheduling, double-buffered j-load pricing) is bit-identical to
-    /// the phase-barrier reference at K in {2, 4, 8} on arbitrary
-    /// snapshots: same forces, same tallies, same hardware counters.
+    /// The cluster step does not depend on its schedule: LET terms
+    /// resolved inline in front of each device call (`serial`) or by
+    /// two producers beside it, with double-buffered j-load pricing on
+    /// the second side, at K in {2, 4, 8} on arbitrary snapshots — same
+    /// forces, same tallies, same hardware counters.
     #[test]
-    fn overlapped_cluster_matches_barrier_at_k_2_4_8(
+    fn cluster_is_schedule_invariant_at_k_2_4_8(
         (pos, mass) in snapshot_strategy_min(96, 260),
         k_idx in 0usize..3,
     ) {
@@ -90,26 +91,21 @@ proptest! {
         let mut base = TreeGrapeConfig::paper(0.05);
         base.n_crit = 24;
         base.grape = grape5_nbody::grape5::Grape5Config::single_board();
-        let barrier_cfg = ClusterTreeGrapeConfig {
-            base,
-            shards: k,
-            lifecycle: Default::default(),
-            overlap: false,
-        };
-        let mut over_cfg = barrier_cfg;
-        over_cfg.overlap = true;
+        base.plan = PlanConfig::serial();
+        let inline_cfg = ClusterTreeGrapeConfig { base, shards: k, lifecycle: Default::default() };
+        let mut over_cfg = inline_cfg;
         over_cfg.base.grape.double_buffer_j = true;
-        over_cfg.base.plan = grape5_nbody::tree::plan::PlanConfig::overlapped(2, 2);
-        let mut barrier = ClusterTreeGrape::new(barrier_cfg);
+        over_cfg.base.plan = PlanConfig::overlapped(2, 2);
+        let mut inline = ClusterTreeGrape::new(inline_cfg);
         let mut over = ClusterTreeGrape::new(over_cfg);
-        let a = barrier.compute(&pos, &mass);
+        let a = inline.compute(&pos, &mass);
         let b = over.compute(&pos, &mass);
         prop_assert_eq!(&a.acc, &b.acc, "K={}", k);
         prop_assert_eq!(&a.pot, &b.pot, "K={}", k);
         prop_assert_eq!(a.tally, b.tally, "K={}", k);
         for s in 0..k {
             prop_assert_eq!(
-                barrier.shard_accounting(s),
+                inline.shard_accounting(s),
                 over.shard_accounting(s),
                 "K={} shard {} counters diverged",
                 k, s

@@ -111,23 +111,19 @@ fn callers_with_one_core_each_spawn_nothing(total: usize) {
 /// and nothing else.
 fn a_cluster_adds_its_shard_threads_and_nothing_else(total: usize) {
     let (pos, mass) = plummer(N * total, 2);
-    for overlap in [true, false] {
-        let mut cluster = ClusterTreeGrape::new(ClusterTreeGrapeConfig {
-            base: config(),
-            overlap,
-            ..ClusterTreeGrapeConfig::paper(0.01, total)
-        });
-        let census = Census::begin();
-        for _ in 0..2 {
-            cluster.compute(&pos, &mass);
-        }
-        let (start, peak) = census.end();
-        assert!(
-            peak <= start + total,
-            "K = {total} cluster (overlap {overlap}) on {total} cores: {start} threads at the \
-             start, {peak} at the peak"
-        );
+    let mut cluster = ClusterTreeGrape::new(ClusterTreeGrapeConfig {
+        base: config(),
+        ..ClusterTreeGrapeConfig::paper(0.01, total)
+    });
+    let census = Census::begin();
+    for _ in 0..2 {
+        cluster.compute(&pos, &mass);
     }
+    let (start, peak) = census.end();
+    assert!(
+        peak <= start + total,
+        "K = {total} cluster on {total} cores: {start} threads at the start, {peak} at the peak"
+    );
 }
 
 /// A server with `total` workers and more jobs than workers: no thread
