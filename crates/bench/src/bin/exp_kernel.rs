@@ -13,14 +13,20 @@
 //!
 //! and, inside the batch path, the **lane kernel** of each arithmetic
 //! mode against the scalar per-pair skeleton it replaced (the `lane x`
-//! column; `G5_LANE_PATH` picks which lane implementation runs). On
+//! column; `G5_LANE_PATH` picks which lane implementation runs, and
+//! the report records how wide its LNS groups were). On
 //! AVX2 each mode's kernel is also run truncated after each of its
 //! pipeline stages, and the differences of those prefixes give the
 //! per-stage ns/interaction split that names the next bottleneck — in
 //! exact mode, what the simulated fixed-point accumulator costs next to
-//! the force itself. Differencing prefixes mis-prices stages that
-//! overlap (PR 16's LNS decode, the exact kernel's pipelined front and
-//! back), so the exact table also carries a same-run **divider floor**:
+//! the force itself. Where the LNS kernel runs sixteen lanes the same
+//! split is also taken at eight, in children pinned with
+//! `G5_LANE_PATH=avx2` (`--split-only`) between re-measurements of this
+//! process's own, each side with its exact split — which no width
+//! touches — as the calibrator of the machine's state. Differencing
+//! prefixes mis-prices stages that overlap (PR 16's LNS decode, the
+//! exact kernel's pipelined front and back), so the exact table also
+//! carries a same-run **divider floor**:
 //! a calibration loop of the one `vsqrtpd` and two `vdivpd` per four
 //! lanes that exact mode's definition cannot shed, and the kernel's
 //! ratio to it — how far from the floor, as a number.
@@ -39,8 +45,8 @@
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr18.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr18]
+//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr23.json] \
+//!     [--trajectory BENCH_trajectory.json --pr pr23] [--split-only]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
@@ -99,6 +105,27 @@ fn lane_str(path: LanePath) -> &'static str {
         LanePath::Avx2 => "avx2",
         LanePath::Portable => "portable",
         LanePath::Scalar => "scalar",
+    }
+}
+
+/// j-particles per group of the LNS lane kernel on `path` in this
+/// process — the rule of `grape5::lanes`, restated here because the
+/// library exposes the path, not the width: the x86 path runs sixteen
+/// lanes where the CPU has AVX-512 F, BW, DQ and VL, unless
+/// `G5_LANE_PATH=avx2` pins eight.
+fn lns_lane_width(path: LanePath) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    let has_lanes16 = std::is_x86_feature_detected!("avx512f")
+        && std::is_x86_feature_detected!("avx512bw")
+        && std::is_x86_feature_detected!("avx512dq")
+        && std::is_x86_feature_detected!("avx512vl");
+    #[cfg(not(target_arch = "x86_64"))]
+    let has_lanes16 = false;
+    let pinned = std::env::var("G5_LANE_PATH").as_deref() == Ok("avx2");
+    match path {
+        LanePath::Avx2 if has_lanes16 && !pinned => 16,
+        LanePath::Avx2 | LanePath::Portable => 8,
+        LanePath::Scalar => 1,
     }
 }
 
@@ -204,6 +231,8 @@ const LNS_STAGES: StageNames = &[
 struct StageSplit {
     n: usize,
     mode: ArithMode,
+    /// Lanes per j-group of the kernel measured (4 × f64, 8 or 16 × i32).
+    lanes: usize,
     stages: StageNames,
     /// Time per interaction of the kernel truncated after each stage.
     prefix_ns: Vec<f64>,
@@ -220,6 +249,19 @@ impl StageSplit {
     /// The whole kernel.
     fn total(&self) -> f64 {
         *self.prefix_ns.last().expect("at least one stage")
+    }
+
+    /// Keep the faster of two measurements of the same kernel, prefix
+    /// by prefix.
+    fn keep_best(&mut self, other: &StageSplit) {
+        assert_eq!((self.mode, self.lanes, self.n), (other.mode, other.lanes, other.n));
+        for (p, o) in self.prefix_ns.iter_mut().zip(&other.prefix_ns) {
+            *p = p.min(*o);
+        }
+        self.floor_ns = match (self.floor_ns, other.floor_ns) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
     }
 
     /// Index of the costliest stage.
@@ -320,15 +362,61 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
         }
     }
     let floor_ns = floor_ns.is_finite().then_some(floor_ns);
-    Some(StageSplit { n, mode, stages, prefix_ns: best, floor_ns })
+    let lanes = match mode {
+        ArithMode::Exact => 4,
+        ArithMode::Lns => lns_lane_width(pipe.lane_path()),
+    };
+    Some(StageSplit { n, mode, lanes, stages, prefix_ns: best, floor_ns })
+}
+
+/// `--split-only`: both stage splits as their report lines, nothing else.
+fn print_splits(n: usize, quick: bool) {
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        if let Some(split) = stage_split(mode, n, quick) {
+            println!("{}", stage_json(&split, ""));
+        }
+    }
+}
+
+/// The two splits of a child of this binary pinned to eight LNS lanes
+/// (`G5_LANE_PATH=avx2 --split-only`), read back from its report lines.
+fn splits_at_eight_lanes(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
+    let mut cmd = std::process::Command::new(std::env::current_exe().ok()?);
+    cmd.arg("--split-only").env("G5_LANE_PATH", "avx2");
+    if quick {
+        cmd.arg("--quick");
+    }
+    let out = cmd.output().ok().filter(|o| o.status.success())?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    let read = |mode: ArithMode, stages: StageNames| {
+        let line =
+            text.lines().find(|l| l.contains(&format!("\"{}_stage_split\"", mode_str(mode))))?;
+        let mut prefix_ns = Vec::new();
+        for (key, _) in stages {
+            prefix_ns.push(prefix_ns.last().copied().unwrap_or(0.0) + json_f64(line, key)?);
+        }
+        let (lanes, floor_ns) =
+            (json_f64(line, "lanes")? as usize, json_f64(line, "divider_floor"));
+        (json_f64(line, "n")? as usize == n).then_some(StageSplit {
+            n,
+            mode,
+            lanes,
+            stages,
+            prefix_ns,
+            floor_ns,
+        })
+    };
+    Some([read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?])
 }
 
 fn stage_table(split: &StageSplit) {
     println!();
     println!(
-        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, AVX2 lanes)",
+        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, x86 lanes, {} × {})",
         mode_str(split.mode),
-        fmt_count(split.n as u64)
+        fmt_count(split.n as u64),
+        split.lanes,
+        if split.mode == ArithMode::Exact { "f64" } else { "i32" }
     );
     rule(78);
     println!("{:<44} {:>10} {:>10} {:>10}", "stage", "ns/int", "share", "prefix");
@@ -360,11 +448,13 @@ fn stage_table(split: &StageSplit) {
     }
 }
 
-fn stage_json(split: &StageSplit) -> String {
+/// The report line of a split, keyed `<mode>_stage_split<tag>`.
+fn stage_json(split: &StageSplit, tag: &str) -> String {
     let mut s = format!(
-        "  \"{}_stage_split\": {{\"n\": {}, \"unit\": \"ns_per_interaction\"",
+        "  \"{}_stage_split{tag}\": {{\"n\": {}, \"lanes\": {}, \"unit\": \"ns_per_interaction\"",
         mode_str(split.mode),
-        split.n
+        split.n,
+        split.lanes
     );
     for (k, ns) in split.stage_ns().iter().enumerate() {
         write!(s, ", \"{}\": {}", split.stages[k].0, ns).unwrap();
@@ -531,6 +621,9 @@ fn main() {
     let out_path: String = args.get("out", "artifacts/exp_kernel.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());
     let sizes: &[usize] = if quick { &[4_096, 16_384] } else { &[16_384, 65_536, 262_144] };
+    if args.flag("split-only") {
+        return print_splits(sizes[0], quick);
+    }
 
     // read the comparison report (by default the file about to be
     // overwritten; CI points --baseline at a committed full run)
@@ -590,28 +683,54 @@ fn main() {
         .min_by(|a, b| a.lane_speedup().unwrap().total_cmp(&b.lane_speedup().unwrap()))
     {
         println!(
-            "headline: LNS-mode {} lanes are {:.2}x the scalar batch skeleton at N = {} \
-             ({:.2}x at their worst N = {}; gate: >= 2x at every N)",
+            "headline: LNS-mode {} lanes ({} per group) are {:.2}x the scalar batch skeleton at \
+             N = {} ({:.2}x at their worst N = {}; gate: >= 2x at every N)",
             lane_str(headline.lane),
+            lns_lane_width(headline.lane),
             headline.lane_speedup().unwrap(),
             fmt_count(headline.n as u64),
             worst.lane_speedup().unwrap(),
             fmt_count(worst.n as u64)
         );
     }
-    let splits: Vec<StageSplit> = [ArithMode::Exact, ArithMode::Lns]
+    let mut splits: Vec<StageSplit> = [ArithMode::Exact, ArithMode::Lns]
         .into_iter()
-        .filter_map(|mode| {
-            let split = stage_split(mode, sizes[0], quick);
-            match &split {
-                Some(split) => stage_table(split),
-                None => {
-                    println!("({} stage split: needs the AVX2 lane path; skipped)", mode_str(mode))
-                }
-            }
-            split
-        })
+        .filter_map(|mode| stage_split(mode, sizes[0], quick))
         .collect();
+    // at sixteen LNS lanes: the same two splits at eight, from pinned
+    // children, in rounds that alternate with re-measurements of this
+    // process's own (fastest per prefix on either side)
+    let mut at_eight: Option<[StageSplit; 2]> = None;
+    if splits.iter().any(|s| s.mode == ArithMode::Lns && s.lanes == 16) {
+        for _ in 0..if quick { 2 } else { 3 } {
+            let Some(child) = splits_at_eight_lanes(sizes[0], quick) else { break };
+            match &mut at_eight {
+                Some(best) => best.iter_mut().zip(&child).for_each(|(b, c)| b.keep_best(c)),
+                None => at_eight = Some(child),
+            }
+            for own in &mut splits {
+                own.keep_best(&stage_split(own.mode, sizes[0], quick).expect("ran before"));
+            }
+        }
+    }
+    if splits.is_empty() {
+        println!("(stage splits: need the AVX2 lane path; skipped)");
+    }
+    splits.iter().for_each(stage_table);
+    if let (Some([exact8, lns8]), [exact, lns]) = (&at_eight, &splits[..]) {
+        stage_table(lns8);
+        println!(
+            "headline: the LNS kernel at {} lanes is {:.2}x itself at {} ({:.2} vs {:.2} \
+             ns/interaction; the exact kernel beside each: {:.2} vs {:.2})",
+            lns.lanes,
+            lns8.total() / lns.total(),
+            lns8.lanes,
+            lns.total(),
+            lns8.total(),
+            exact.total(),
+            exact8.total()
+        );
+    }
     // share of the exact kernel that is the force, not the simulated
     // accumulator (the rest: unscale, encode, round, window, adds)
     let exact_force_share =
@@ -651,8 +770,12 @@ fn main() {
     writeln!(text, "  \"seed\": {SEED},").unwrap();
     writeln!(text, "  \"eps\": {EPS},").unwrap();
     writeln!(text, "  \"ops_per_interaction\": 38,").unwrap();
+    writeln!(text, "  \"lns_lanes\": {},", lns_lane_width(headline.lane)).unwrap();
     for split in &splits {
-        writeln!(text, "{}", stage_json(split)).unwrap();
+        writeln!(text, "{}", stage_json(split, "")).unwrap();
+    }
+    for split in at_eight.iter().flatten() {
+        writeln!(text, "{}", stage_json(split, "_beside_8_lns_lanes")).unwrap();
     }
     writeln!(text, "  \"results\": [").unwrap();
     for (k, r) in results.iter().enumerate() {
@@ -683,9 +806,17 @@ fn main() {
             .iter()
             .find(|r| r.mode == ArithMode::Exact && r.n == headline.n)
             .expect("every N is measured in both modes");
-        // (no cross-mode rate ratio: it moves whenever either kernel
-        // improves, so it has no direction a regression gate can hold)
-        let mut rows = vec![row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap())];
+        // the cross-mode rate ratio is what the paper's arithmetic costs:
+        // it rises with an LNS gain and falls with an exact one, so a
+        // gate failure on it after an exact-kernel PR reads "the gap
+        // widened", not "something got slower"
+        let mut rows = vec![
+            row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap()),
+            row(
+                "kernel_lns_over_exact_rate",
+                headline.batch.per_second() / exact.batch.per_second(),
+            ),
+        ];
         rows.extend(exact.lane_speedup().map(|x| row("kernel_exact_lane_speedup", x)));
         rows.extend(exact_force_share.map(|x| row_at("kernel_exact_force_share", sizes[0], x)));
         trajectory::append(&traj_path, &rows);

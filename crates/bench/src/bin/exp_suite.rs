@@ -13,7 +13,7 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_suite -- \
 //!     --pr pr21 [--quick] [--append] [--gate] [--gate-only] \
-//!     [--out artifacts/exp_suite.json] [--trajectory BENCH_trajectory.json] \
+//!     [--out artifacts/exp_suite.json] [--trajectory FILE] \
 //!     [--kernel-json K.json] [--host-json H.json] \
 //!     [--cluster-json C.json] [--endurance-json E.json] \
 //!     [--flagship-json F.json] [--serve-json S.json]
@@ -30,9 +30,12 @@
 //! Without `--append` the trajectory is (re)seeded: the committed
 //! `BENCH_pr7/19/20.json` reports are mined for their headline numbers,
 //! each keyed by the commit that last touched its file, and this run's
-//! rows are added at `HEAD`. With `--append` the existing ledger is
-//! kept verbatim and only this run's rows are appended — the mode CI
-//! and future PRs use. `--kernel-json` etc. reuse existing reports
+//! rows are added at `HEAD` — into the git-ignored
+//! `artifacts/BENCH_trajectory.json` unless `--trajectory` names a
+//! file, because re-seeding overwrites its target. With `--append` the
+//! existing ledger (by default the committed `BENCH_trajectory.json`)
+//! is kept verbatim and only this run's rows are appended — the mode
+//! CI and future PRs use. `--kernel-json` etc. reuse existing reports
 //! instead of re-running the harnesses; rows mined from a reused report
 //! are keyed by the commit that last touched the file and skipped
 //! entirely when an identical (metric, n, value) row is already in the
@@ -212,10 +215,15 @@ fn main() {
     let quick = args.flag("quick");
     let append = args.flag("append");
     let gate = args.flag("gate");
+    let gate_only = args.flag("gate-only");
     let out_path: String = args.get("out", "artifacts/exp_suite.json".to_string());
-    let traj_path: String = args.get("trajectory", "BENCH_trajectory.json".to_string());
+    // only a run that keeps what is there (`--append`, `--gate-only`)
+    // defaults to the committed ledger; a re-seeding run overwrites its
+    // target, so unless told otherwise that is a git-ignored scratch copy
+    let scratch = if append || gate_only { "" } else { "artifacts/" };
+    let traj_path: String = args.get("trajectory", format!("{scratch}BENCH_trajectory.json"));
 
-    if args.flag("gate-only") {
+    if gate_only {
         let text = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
         let lines = trajectory::entry_lines(&text);
         println!("gate-only: checking {} ledger entries in {traj_path}", lines.len());

@@ -172,6 +172,9 @@ pub mod trajectory {
         }
         writeln!(t, "  ]").unwrap();
         writeln!(t, "}}").unwrap();
+        if let Some(dir) = std::path::Path::new(path).parent() {
+            std::fs::create_dir_all(dir)?;
+        }
         std::fs::write(path, t)
     }
 

@@ -534,6 +534,9 @@ impl TreeGrape {
 impl ForceBackend for TreeGrape {
     fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
+        if pos.is_empty() {
+            return Ok(ForceSet::zeros(0)); // no particle, no tree to build
+        }
         let t_all = Instant::now();
         let (build_s, refresh_s) = self.update_tree(pos, mass);
         let mut out = ForceSet::zeros(pos.len());

@@ -400,8 +400,11 @@ impl ClusterTreeGrape {
     /// trees when the policy allows, (re)decompose and rebuild
     /// otherwise. Returns `(decompose_s, build_s, refresh_s)`.
     fn ensure_decomposition(&mut self, pos: &[Vec3], mass: &[f64]) -> (f64, f64, f64) {
-        let alive: Vec<usize> =
+        let mut alive: Vec<usize> =
             (0..self.cluster.shards()).filter(|&k| self.cluster.is_alive(k)).collect();
+        // a domain cannot be empty: with fewer particles than shards the
+        // last shards own nothing and sit the evaluation out
+        alive.truncate(pos.len());
         let mut refresh_s = 0.0;
         let reusable =
             self.decomp.as_ref().is_some_and(|d| d.total() == pos.len() && self.live == alive)
@@ -610,6 +613,9 @@ fn remote_trees<'a>(states: &'a [ShardState], live: &[usize], slot: usize) -> Ve
 impl ForceBackend for ClusterTreeGrape {
     fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
+        if pos.is_empty() {
+            return Ok(ForceSet::zeros(0)); // no particle, nothing to decompose
+        }
         let t_all = Instant::now();
         // Supervisor tick. A replay evaluation (checkpoint resume)
         // re-creates an evaluation the interrupted run already made
@@ -679,6 +685,7 @@ impl ForceBackend for ClusterTreeGrape {
             let mut outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
                 let handles: Vec<_> = devices
                     .into_iter()
+                    .filter(|(slot, _)| live.contains(slot))
                     .map(|(slot, g5)| {
                         let st = &states[slot];
                         let remote = remote_trees(states, live, slot);

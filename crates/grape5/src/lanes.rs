@@ -4,12 +4,13 @@
 //! per cycle against a held i-set; this module models that data
 //! parallelism on CPU lanes over the SoA
 //! [`JSlices`](crate::pipeline::JSlices) streams — four j-particles per
-//! iteration in `Exact` mode, eight in `Lns` mode:
+//! iteration in `Exact` mode, eight or sixteen in `Lns` mode:
 //!
 //! ```text
 //!   interact_block (no cutoff)
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
-//!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns
+//!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns,
+//!        │                          block_lns16 where the CPU has AVX-512
 //!        ├── LanePath::Portable ──► block_exact_portable / block_lns_portable
 //!        │                          (array-of-lanes, plain scalar ops)
 //!        └── LanePath::Scalar ────► the per-pair skeleton (pair_exact /
@@ -65,8 +66,8 @@
 //! words, which is what lanes want:
 //!
 //! ```text
-//!   hardware stage            lane stage (8 j per group, two groups
-//!                             in flight: each stage runs on both)
+//!   hardware stage            lane stage (8 or 16 j per group, two
+//!                             groups in flight: each stage runs on both)
 //!   fixed-point subtract      vpsubq on the coordinate words
 //!   log converter ROM         magic i64→f64 × quantum, then one gather
 //!                             of a packed encoder cell per coordinate,
@@ -98,9 +99,9 @@
 //! * **Group fallback.** Whatever the integer stages cannot decide
 //!   exactly — a mantissa within one ROM offset unit of an encoder
 //!   breakpoint (a superset of the libm guard band) — raises a flag
-//!   lane, and a flagged group re-runs its eight pairs through
-//!   `pair_lns_tab` (a flag in either group of an in-flight pair first
-//!   sends both back through the stages one at a time, in j order).
+//!   lane, and a flagged group is retried narrower — the pair's groups
+//!   one at a time, a group of sixteen as two of eight — until a group
+//!   of eight re-runs its pairs through `pair_lns_tab`, all in j order.
 //!   Pipeline-level preconditions (`2^exp_min ≤
 //!   quantum ≤ 2⁹⁰⁰`, a factored decoder, an `sb` ROM without
 //!   `FALLBACK` entries) keep subnormal, infinite and underflowing
@@ -143,7 +144,8 @@ const EXACT_DEPTH: usize = 4;
 /// Which implementation the no-cutoff `interact_block` dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
-    /// Explicit AVX2 `core::arch` intrinsics.
+    /// Explicit x86 `core::arch` intrinsics: AVX2, and the widest LNS
+    /// lanes the CPU has (sixteen with AVX-512 F/BW/DQ/VL, else eight).
     Avx2,
     /// Portable array-of-lanes fallback (any architecture).
     Portable,
@@ -152,32 +154,51 @@ pub enum LanePath {
     Scalar,
 }
 
-/// Resolve a `G5_LANE_PATH` value against the CPU: `portable` and
-/// `scalar` are honoured as given; `avx2`, anything unrecognized, and no
-/// value at all pick AVX2 when the CPU has it and the portable lanes
-/// otherwise (so `avx2` on other hardware degrades rather than faults).
-fn parse_lane_path(var: Option<&str>, has_avx2: bool) -> LanePath {
+/// Resolve a `G5_LANE_PATH` value against the CPU (`cpu_lanes`) —
+/// the lane path, and whether its LNS kernel runs sixteen lanes:
+/// `portable` and `scalar` are honoured as given; anything else, and no
+/// value at all, pick the x86 intrinsics when the CPU has AVX2, at the
+/// widest LNS lanes it has, and the portable lanes otherwise; `avx2`
+/// does the same but pins eight lanes (and on other hardware degrades
+/// rather than faults).
+fn parse_lane_path(var: Option<&str>, [has_avx2, has_lanes16]: [bool; 2]) -> (LanePath, bool) {
     match var {
-        Some("portable") => LanePath::Portable,
-        Some("scalar") => LanePath::Scalar,
-        _ if has_avx2 => LanePath::Avx2,
-        _ => LanePath::Portable,
+        Some("portable") => (LanePath::Portable, false),
+        Some("scalar") => (LanePath::Scalar, false),
+        _ if has_avx2 => (LanePath::Avx2, has_lanes16 && var != Some("avx2")),
+        _ => (LanePath::Portable, false),
     }
 }
 
+/// What the CPU has for the x86 lane path: `[AVX2, AVX2 and the AVX-512
+/// subsets of the sixteen-lane LNS kernel]` (`avx2::block_lns16`).
+fn cpu_lanes() -> [bool; 2] {
+    #[cfg(target_arch = "x86_64")]
+    let has = {
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        let avx512 = std::is_x86_feature_detected!("avx512f")
+            && std::is_x86_feature_detected!("avx512bw")
+            && std::is_x86_feature_detected!("avx512dq")
+            && std::is_x86_feature_detected!("avx512vl");
+        [avx2, avx2 && avx512]
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let has = [false; 2];
+    has
+}
+
+/// [`parse_lane_path`] of this process's `G5_LANE_PATH`, resolved once;
+/// later changes to the variable are not seen.
+fn detected() -> (LanePath, bool) {
+    static PATH: OnceLock<(LanePath, bool)> = OnceLock::new();
+    *PATH
+        .get_or_init(|| parse_lane_path(std::env::var("G5_LANE_PATH").ok().as_deref(), cpu_lanes()))
+}
+
 /// The lane path of this process: the `G5_LANE_PATH` environment
-/// variable, then runtime CPU feature detection (see
-/// `parse_lane_path`). Resolved once; later changes to the variable
-/// are not seen.
+/// variable, then runtime CPU feature detection (`parse_lane_path`).
 pub fn detect_lane_path() -> LanePath {
-    static PATH: OnceLock<LanePath> = OnceLock::new();
-    *PATH.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        let has_avx2 = std::is_x86_feature_detected!("avx2");
-        #[cfg(not(target_arch = "x86_64"))]
-        let has_avx2 = false;
-        parse_lane_path(std::env::var("G5_LANE_PATH").ok().as_deref(), has_avx2)
-    })
+    detected().0
 }
 
 /// How the per-interaction terms are mapped into accumulator units —
@@ -638,6 +659,9 @@ pub(crate) struct LnsLanes {
     eps2_lns: Lns,
     /// ε² as a core word ([`ZERO_WORD`] when it encodes to zero).
     eps2_word: i32,
+    /// The AVX2 path runs sixteen lanes per group. Invariant: only
+    /// ever `true` where `cpu_lanes()[1]` is.
+    wide: bool,
 }
 
 impl LnsLanes {
@@ -659,7 +683,8 @@ impl LnsLanes {
                 && !roms.sb.is_empty(),
             "lane ROM sizes do not match the format"
         );
-        Some(LnsLanes { conv, roms, quantum, eps2_lns, eps2_word: mass_word(eps2_lns) >> 1 })
+        let (eps2_word, wide) = (mass_word(eps2_lns) >> 1, detected().1);
+        Some(LnsLanes { conv, roms, quantum, eps2_lns, eps2_word, wide })
     }
 
     /// The scalar definition, as a pair function over the j-slices.
@@ -837,11 +862,16 @@ pub(crate) fn block_lns_avx2_upto(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
-        // SAFETY: AVX2 was detected and the coordinate guard passed.
+        // SAFETY: AVX2 was detected and the coordinate guard passed;
+        // `c.wide` is only set where the AVX-512 subsets were detected.
         unsafe {
             macro_rules! upto {
                 ($s:ident) => {
-                    avx2::block_lns::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
+                    if c.wide {
+                        avx2::block_lns16::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
+                    } else {
+                        avx2::block_lns::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
+                    }
                 };
             }
             match upto {
@@ -867,7 +897,6 @@ mod avx2 {
     };
     use crate::pipeline::{Force, JSlices};
     use core::arch::x86_64::*;
-    use core::array::from_fn;
     use g5util::fixed::{Fixed, FixedFormat};
     use g5util::vec3::Vec3;
 
@@ -1022,7 +1051,7 @@ mod avx2 {
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn round_away_to_i64(scaled: __m256d) -> __m256i {
+    pub(super) unsafe fn round_away_to_i64(scaled: __m256d) -> __m256i {
         _mm256_sub_epi64(round_away_biased(scaled), _mm256_set1_epi64x(MAGIC_BITS))
     }
 
@@ -1373,49 +1402,204 @@ mod avx2 {
         _mm256_xor_pd(_mm256_xor_pd(v[0], v[1]), _mm256_xor_pd(v[2], v[3]))
     }
 
-    /// Hoisted per-call constants of the LNS integer stages (8 × i32).
+    /// The lanes of the LNS stages: `W` × i32 in one register, the same
+    /// register read as `W / 2` × i64 at the coordinate and the decoder
+    /// end (the `…64` methods). `__m256i` is the AVX2 instantiation,
+    /// `__m512i` the AVX-512 (F, BW, DQ, VL) one; method for method the
+    /// two are the same function of each lane, which is all the
+    /// bit-identity of the two widths rests on: the stage code over them
+    /// ([`LnsCtx`]) exists once. Written as a table — the declaration,
+    /// then the `__m256i` and the `__m512i` body — so each pair can be
+    /// read side by side.
+    ///
+    /// # Safety
+    /// Every method executes its implementor's instructions, which the
+    /// CPU must have; one that takes a pointer says what it reads. The
+    /// implementations are `#[inline(always)]` and carry no
+    /// `#[target_feature]`, like the bodies written over them: the
+    /// intrinsics become instructions, not calls, once all of it is
+    /// inlined into a `#[target_feature]` entry ([`block_lns`],
+    /// [`block_lns16`]).
+    macro_rules! lns_lanes {
+        ($($(#[$doc:meta])* fn $name:ident$(<const $n:ident: i32>)?($($arg:tt)*) -> $ret:ty
+            { $on8:expr, $on16:expr })+) => {
+            pub(super) trait LnsLane: Copy {
+                /// j-particles per group.
+                const W: usize;
+                $($(#[$doc])* unsafe fn $name$(<const $n: i32>)?($($arg)*) -> $ret;)+
+            }
+            impl LnsLane for __m256i {
+                const W: usize = LNS_LANES;
+                $(#[inline(always)] unsafe fn $name$(<const $n: i32>)?($($arg)*) -> $ret { $on8 })+
+            }
+            impl LnsLane for __m512i {
+                const W: usize = 2 * LNS_LANES;
+                $(#[inline(always)] unsafe fn $name$(<const $n: i32>)?($($arg)*) -> $ret { $on16 })+
+            }
+        };
+    }
+    lns_lanes! {
+        fn splat(v: i32) -> Self { _mm256_set1_epi32(v), _mm512_set1_epi32(v) }
+        fn splat64(v: i64) -> Self { _mm256_set1_epi64x(v), _mm512_set1_epi64(v) }
+        /// The `W` i32 words at `p`, which must be readable.
+        fn load(p: *const i32) -> Self { _mm256_loadu_si256(p.cast()), _mm512_loadu_si512(p.cast()) }
+        fn add(self, b: Self) -> Self { _mm256_add_epi32(self, b), _mm512_add_epi32(self, b) }
+        fn sub(self, b: Self) -> Self { _mm256_sub_epi32(self, b), _mm512_sub_epi32(self, b) }
+        fn min(self, b: Self) -> Self { _mm256_min_epi32(self, b), _mm512_min_epi32(self, b) }
+        fn max(self, b: Self) -> Self { _mm256_max_epi32(self, b), _mm512_max_epi32(self, b) }
+        /// Unsigned minimum.
+        fn min_u(self, b: Self) -> Self { _mm256_min_epu32(self, b), _mm512_min_epu32(self, b) }
+        fn abs(self) -> Self { _mm256_abs_epi32(self), _mm512_abs_epi32(self) }
+        fn and(self, b: Self) -> Self { _mm256_and_si256(self, b), _mm512_and_si512(self, b) }
+        fn or(self, b: Self) -> Self { _mm256_or_si256(self, b), _mm512_or_si512(self, b) }
+        fn xor(self, b: Self) -> Self { _mm256_xor_si256(self, b), _mm512_xor_si512(self, b) }
+        /// (The 512-bit immediate shifts take a `u32`: these pass theirs
+        /// as a count, which folds to the same instruction.)
+        fn srli<const N: i32>(self) -> Self
+            { _mm256_srli_epi32::<N>(self), _mm512_srl_epi32(self, _mm_cvtsi32_si128(N)) }
+        fn srai<const N: i32>(self) -> Self
+            { _mm256_srai_epi32::<N>(self), _mm512_sra_epi32(self, _mm_cvtsi32_si128(N)) }
+        fn slli<const N: i32>(self) -> Self
+            { _mm256_slli_epi32::<N>(self), _mm512_sll_epi32(self, _mm_cvtsi32_si128(N)) }
+        /// Logical right shift of every lane by the count in `n`.
+        fn srl(self, n: __m128i) -> Self { _mm256_srl_epi32(self, n), _mm512_srl_epi32(self, n) }
+        /// Left shift of every i64 lane by the count in `n`.
+        fn sll64(self, n: __m128i) -> Self { _mm256_sll_epi64(self, n), _mm512_sll_epi64(self, n) }
+        /// `base[idx]` per lane; every index must be inside the table.
+        fn gather(base: *const i32, idx: Self) -> Self
+            { _mm256_i32gather_epi32::<4>(base, idx), _mm512_i32gather_epi32::<4>(idx, base) }
+        fn gather64(base: *const i64, idx: Self) -> Self
+            { _mm256_i64gather_epi64::<8>(base, idx), _mm512_i64gather_epi64::<8>(idx, base) }
+        /// `then` in the lanes where `a < b`, `self` elsewhere: a blend
+        /// on the compare's lanes, a move under its `k` mask.
+        fn if_lt(self, a: Self, b: Self, then: Self) -> Self {
+            _mm256_blendv_epi8(self, then, _mm256_cmpgt_epi32(b, a)),
+            _mm512_mask_mov_epi32(self, _mm512_cmplt_epi32_mask(a, b), then)
+        }
+        /// Is `self < b` in any lane?
+        fn any_lt(self, b: Self) -> bool {
+            _mm256_movemask_epi8(_mm256_cmpgt_epi32(b, self)) != 0,
+            _mm512_cmplt_epi32_mask(self, b) != 0
+        }
+        /// `−self`, zero or `self` as `s` is negative, zero or positive:
+        /// `vpsignd`, or negate under the sign mask and keep under the
+        /// non-zero one.
+        fn neg_by_sign(self, s: Self) -> Self {
+            _mm256_sign_epi32(self, s),
+            _mm512_maskz_mov_epi32(
+                _mm512_test_epi32_mask(s, s),
+                _mm512_mask_sub_epi32(self, _mm512_movepi32_mask(s), _mm512_setzero_si512(), self),
+            )
+        }
+        /// Folded to 256 bits, for [`Columns::sink`].
+        fn folded(self) -> __m256i {
+            self,
+            _mm256_xor_si256(_mm512_castsi512_si256(self), _mm512_extracti64x4_epi64::<1>(self))
+        }
+        /// The dwords zero-extended to i64 lanes: `[low half, high half]`.
+        fn widen(self) -> [Self; 2] {
+            [_mm256_cvtepu32_epi64(_mm256_castsi256_si128(self)),
+             _mm256_cvtepu32_epi64(_mm256_extracti128_si256::<1>(self))],
+            [_mm512_cvtepu32_epi64(_mm512_castsi512_si256(self)),
+             _mm512_cvtepu32_epi64(_mm512_extracti64x4_epi64::<1>(self))]
+        }
+        /// The i64 lanes as doubles, four at a time, in lane order (past
+        /// `W / 8` quarters: junk).
+        fn quarters(self) -> [__m256d; 2] {
+            [_mm256_castsi256_pd(self); 2],
+            [_mm256_castsi256_pd(_mm512_castsi512_si256(self)),
+             _mm256_castsi256_pd(_mm512_extracti64x4_epi64::<1>(self))]
+        }
+        /// Fixed-point subtract and the log converter's input: the f64
+        /// bits of `(p[l] − x) · q` for the `W` i64 words at `p`
+        /// (readable; every difference inside the magic window), as
+        /// `[low dword of bits >> enc_shift, high dword of bits]`.
+        fn bits(p: *const i64, x: i64, q: f64, enc_shift: __m128i) -> [Self; 2] {
+            {
+                // per half of four: f64 bits by the magic shifter, then
+                // [bits >> enc_shift | high dword] packed so one dword
+                // permute (even dwords low, odd high) separates the two
+                let (xv, qv) = (_mm256_set1_epi64x(x), _mm256_set1_pd(q));
+                let sorted = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+                let da = _mm256_sub_epi64(_mm256_loadu_si256(p.cast()), xv);
+                let db = _mm256_sub_epi64(_mm256_loadu_si256(p.add(4).cast()), xv);
+                let a = _mm256_castpd_si256(_mm256_mul_pd(i64x4_to_f64(da), qv));
+                let b = _mm256_castpd_si256(_mm256_mul_pd(i64x4_to_f64(db), qv));
+                let pa = _mm256_blend_epi32::<0b1010_1010>(_mm256_srl_epi64(a, enc_shift), a);
+                let pb = _mm256_blend_epi32::<0b1010_1010>(_mm256_srl_epi64(b, enc_shift), b);
+                let pa = _mm256_permutevar8x32_epi32(pa, sorted);
+                let pb = _mm256_permutevar8x32_epi32(pb, sorted);
+                [_mm256_permute2x128_si256::<0x20>(pa, pb), _mm256_permute2x128_si256::<0x31>(pa, pb)]
+            },
+            {
+                // per half of eight: `vcvtqq2pd`, exact wherever the
+                // shifter is; one `vpermt2d` per output packs both halves
+                let (xv, qv) = (_mm512_set1_epi64(x), _mm512_set1_pd(q));
+                let da = _mm512_sub_epi64(_mm512_loadu_si512(p.cast()), xv);
+                let db = _mm512_sub_epi64(_mm512_loadu_si512(p.add(8).cast()), xv);
+                let a = _mm512_castpd_si512(_mm512_mul_pd(_mm512_cvtepi64_pd(da), qv));
+                let b = _mm512_castpd_si512(_mm512_mul_pd(_mm512_cvtepi64_pd(db), qv));
+                let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+                let odd = _mm512_or_si512(even, _mm512_set1_epi32(1));
+                let (lo_a, lo_b) = (_mm512_srl_epi64(a, enc_shift), _mm512_srl_epi64(b, enc_shift));
+                [_mm512_permutex2var_epi32(lo_a, even, lo_b), _mm512_permutex2var_epi32(a, odd, b)]
+            }
+        }
+    }
+
+    /// Hoisted per-call state of the LNS kernel on `L`-wide groups: the
+    /// constants of the integer stages and the fixed-point back end.
     ///
     /// Invariant, set up by [`LnsCtx::new`]: `cells`, `sb` and `dec`
     /// point at the `'static` ROM images of one `LnsLanes`, and
-    /// `cell_mask`, `sb_last` and `frac_mask64` are each at most the last
+    /// `cell_mask`, `sb_last` and `frac_mask` are each at most the last
     /// index of their table — a gather whose indices went through that
     /// mask (or unsigned min) reads inside the table whatever they were.
-    struct LnsCtx {
-        qv: __m256d,
-        /// `[0, 2, 4, 6, 1, 3, 5, 7]`: even dwords low, odd dwords high.
-        deinterleave: __m256i,
+    pub(super) struct LnsCtx<'a, L: LnsLane> {
+        lanes: &'a LnsLanes,
+        j: &'a JSlices<'a>,
+        acc: AccCtx,
+        sa: ScalarAcc,
         enc_shift: __m128i,
         /// `20 − f`: moves the f64 exponent field down to `eb << f`.
         exp_shift: __m128i,
         /// `52 − f`: moves a decoder word's exponent field up to bit 52.
         dec_shift: __m128i,
-        cell_mask: __m256i,
-        bias: __m256i,
-        rmin: __m256i,
-        rmax: __m256i,
-        zero_word: __m256i,
-        sb_last: __m256i,
-        eps2: __m256i,
-        frac_mask64: __m256i,
-        exp_mask64: __m256i,
+        cell_mask: L,
+        bias: L,
+        rmin: L,
+        rmax: L,
+        zero_word: L,
+        sb_last: L,
+        eps2: L,
+        frac_mask: L,
+        exp_mask: L,
         cells: *const i32,
         sb: *const i32,
         dec: *const i64,
     }
 
     /// One (i-particle, j-span) of the LNS kernel: the span's coordinate
-    /// and mass-word columns and the i-particle's words, broadcast.
+    /// and mass-word columns and the i-particle's words.
     struct LnsSpan<'a> {
         x: [&'a [i64]; 3],
         w: &'a [i32],
-        xv: [__m256i; 3],
+        xi: [i64; 3],
     }
 
-    impl LnsCtx {
-        /// # Safety
-        /// The CPU must support AVX2 (register-only intrinsics).
-        #[target_feature(enable = "avx2")]
-        unsafe fn new(c: &LnsLanes) -> LnsCtx {
+    /// # Safety
+    /// Every method needs `L`'s CPU features and AVX2; those that read
+    /// j-memory say what else. They are `#[inline(always)]` bodies with
+    /// no closure in them — a closure would be a function of its own,
+    /// compiled without the entry's target features ([`LnsLane`]).
+    impl<'a, L: LnsLane> LnsCtx<'a, L> {
+        #[inline(always)]
+        pub(super) unsafe fn new(
+            c: &'a LnsLanes,
+            j: &'a JSlices<'a>,
+            force_scale: f64,
+            fmt: FixedFormat,
+        ) -> Self {
             let r = &c.roms;
             let f = r.frac_bits as i32;
             let frac_mask = (1i64 << f) - 1;
@@ -1424,20 +1608,22 @@ mod avx2 {
             debug_assert!(!r.sb.is_empty() && r.sb.len() <= i32::MAX as usize, "sb_last past sb");
             debug_assert!((frac_mask as usize) < r.dec_frac.len(), "frac_mask past dec_frac");
             LnsCtx {
-                qv: _mm256_set1_pd(c.quantum),
-                deinterleave: _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7),
+                lanes: c,
+                j,
+                acc: AccCtx::new(fmt, force_scale),
+                sa: ScalarAcc::new(fmt, force_scale),
                 enc_shift: _mm_cvtsi32_si128(r.enc_shift as i32),
                 exp_shift: _mm_cvtsi32_si128(20 - f),
                 dec_shift: _mm_cvtsi32_si128(52 - f),
-                cell_mask: _mm256_set1_epi32((2 << f) - 1),
-                bias: _mm256_set1_epi32(r.word_bias()),
-                rmin: _mm256_set1_epi32(r.raw_min),
-                rmax: _mm256_set1_epi32(r.raw_max),
-                zero_word: _mm256_set1_epi32(ZERO_WORD),
-                sb_last: _mm256_set1_epi32(r.sb.len() as i32 - 1),
-                eps2: _mm256_set1_epi32(c.eps2_word),
-                frac_mask64: _mm256_set1_epi64x(frac_mask),
-                exp_mask64: _mm256_set1_epi64x(0x7fff_ffff & !frac_mask),
+                cell_mask: L::splat((2 << f) - 1),
+                bias: L::splat(r.word_bias()),
+                rmin: L::splat(r.raw_min),
+                rmax: L::splat(r.raw_max),
+                zero_word: L::splat(ZERO_WORD),
+                sb_last: L::splat(r.sb.len() as i32 - 1),
+                eps2: L::splat(c.eps2_word),
+                frac_mask: L::splat64(frac_mask),
+                exp_mask: L::splat64(0x7fff_ffff & !frac_mask),
                 cells: r.enc_cells.as_ptr().cast(),
                 sb: r.sb.as_ptr(),
                 dec: r.dec_frac.as_ptr().cast(),
@@ -1445,234 +1631,258 @@ mod avx2 {
         }
 
         /// Fixed-point subtract and log-converter ROM for one coordinate
-        /// of eight j-particles at `p`: the canonical core words, the
-        /// displacement signs (bit 31; the lower bits are junk), and the
-        /// redo flags.
-        ///
-        /// # Safety
-        /// AVX2; `p .. p + 8` must be readable, and every displacement
-        /// inside the magic-conversion window.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn encode8(&self, p: *const i64, xv: __m256i) -> [__m256i; 3] {
-            // per half: f64 bits, then [bits >> enc_shift | high dword]
-            // packed so one dword permute separates the two
-            let half = |p: *const i64| {
-                // SAFETY: both halves lie in the caller's `p .. p + 8`
-                let d = _mm256_sub_epi64(_mm256_loadu_si256(p.cast()), xv);
-                let bits = _mm256_castpd_si256(_mm256_mul_pd(i64x4_to_f64(d), self.qv));
-                let lo = _mm256_srl_epi64(bits, self.enc_shift);
-                let packed = _mm256_blend_epi32::<0b1010_1010>(lo, bits);
-                _mm256_permutevar8x32_epi32(packed, self.deinterleave)
-            };
-            let (pa, pb) = (half(p), half(p.add(4)));
-            let v = _mm256_permute2x128_si256::<0x20>(pa, pb);
-            let hi = _mm256_permute2x128_si256::<0x31>(pa, pb);
+        /// of the `L::W` j-particles at `p` (readable; every
+        /// displacement from `x` inside the magic-conversion window):
+        /// the canonical core words, the displacement signs (bit 31; the
+        /// lower bits are junk), and the mantissa's distance from the
+        /// cell's breakpoint — below 2 the lane asks for a redo.
+        #[inline(always)]
+        pub(super) unsafe fn encode(&self, p: *const i64, x: i64) -> [L; 3] {
+            let [v, hi] = L::bits(p, x, self.lanes.quantum, self.enc_shift);
             // SAFETY: cell gather; index masked to the table's 2^(f+1)
             // entries (the `LnsCtx` invariant)
-            let cidx = _mm256_and_si256(_mm256_srli_epi32::<18>(v), self.cell_mask);
-            let cell = _mm256_i32gather_epi32::<4>(self.cells, cidx);
-            let o = _mm256_add_epi32(
-                _mm256_and_si256(v, _mm256_set1_epi32((1 << 18) - 1)),
-                _mm256_set1_epi32(1),
-            );
-            let t = _mm256_and_si256(cell, _mm256_set1_epi32((1 << 19) - 1));
-            let diff = _mm256_sub_epi32(o, t);
-            let redo = _mm256_cmpgt_epi32(_mm256_set1_epi32(2), _mm256_abs_epi32(diff));
-            let k = _mm256_add_epi32(_mm256_srli_epi32::<19>(cell), _mm256_srai_epi32::<31>(diff));
-            let ebf = _mm256_srl_epi32(
-                _mm256_and_si256(hi, _mm256_set1_epi32(0x7ff0_0000)),
-                self.exp_shift,
-            );
-            let raw = _mm256_sub_epi32(_mm256_add_epi32(ebf, k), self.bias);
-            [self.canon(raw), hi, redo]
+            let cell = L::gather(self.cells, v.srli::<18>().and(self.cell_mask));
+            let o = v.and(L::splat((1 << 18) - 1)).add(L::splat(1));
+            let diff = o.sub(cell.and(L::splat((1 << 19) - 1)));
+            let k = cell.srli::<19>().add(diff.srai::<31>());
+            let ebf = hi.and(L::splat(0x7ff0_0000)).srl(self.exp_shift);
+            [self.canon(ebf.add(k).sub(self.bias)), hi, diff.abs()]
         }
 
         /// Range rules of a functional unit: `< raw_min` ⇒ zero word,
         /// clamp at `raw_max`.
-        ///
-        /// # Safety
-        /// AVX2 only: registers in, register out.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn canon(&self, r: __m256i) -> __m256i {
-            let under = _mm256_cmpgt_epi32(self.rmin, r);
-            _mm256_blendv_epi8(_mm256_min_epi32(r, self.rmax), self.zero_word, under)
+        #[inline(always)]
+        unsafe fn canon(&self, r: L) -> L {
+            r.min(self.rmax).if_lt(r, self.rmin, self.zero_word)
         }
 
         /// Same-sign LNS add.
-        ///
-        /// # Safety
-        /// AVX2 only: the gather is in bounds for any operands.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn add8(&self, a: __m256i, b: __m256i) -> __m256i {
-            let hi = _mm256_max_epi32(a, b);
-            let d = _mm256_sub_epi32(hi, _mm256_min_epi32(a, b));
-            // SAFETY: unsigned min — whatever `d` holds, the index is at
-            // most `sb_last`, inside the table (the `LnsCtx` invariant)
-            let k = _mm256_i32gather_epi32::<4>(self.sb, _mm256_min_epu32(d, self.sb_last));
-            _mm256_min_epi32(_mm256_add_epi32(hi, k), self.rmax)
+        #[inline(always)]
+        unsafe fn add(&self, a: L, b: L) -> L {
+            let hi = a.max(b);
+            // SAFETY: unsigned min — whatever the difference holds, the
+            // index is at most `sb_last`, inside the table (the `LnsCtx`
+            // invariant)
+            let k = L::gather(self.sb, hi.sub(a.min(b)).min_u(self.sb_last));
+            hi.add(k).min(self.rmax)
         }
 
         /// A product word rebased for the decoder (0 for zero).
-        ///
-        /// # Safety
-        /// AVX2 only: registers in, register out.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn out_word(&self, s: __m256i) -> __m256i {
-            let live = _mm256_add_epi32(_mm256_min_epi32(s, self.rmax), self.bias);
-            _mm256_andnot_si256(_mm256_cmpgt_epi32(self.rmin, s), live)
+        #[inline(always)]
+        unsafe fn out_word(&self, s: L) -> L {
+            s.min(self.rmax).add(self.bias).if_lt(s, self.rmin, L::splat(0))
         }
 
-        /// Antilog ROM on four decoder words.
-        ///
-        /// # Safety
-        /// AVX2 only: the gather is in bounds for any words.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn decode4(&self, w: __m128i) -> __m256d {
-            let w = _mm256_cvtepu32_epi64(w);
-            // SAFETY: index masked to the table's 2^f entries (the
-            // `LnsCtx` invariant)
-            let frac = _mm256_i64gather_epi64::<8>(self.dec, _mm256_and_si256(w, self.frac_mask64));
-            let exp = _mm256_sll_epi64(_mm256_and_si256(w, self.exp_mask64), self.dec_shift);
-            let sign = _mm256_and_si256(_mm256_slli_epi64::<32>(w), _mm256_set1_epi64x(i64::MIN));
-            _mm256_castsi256_pd(_mm256_or_si256(_mm256_or_si256(frac, exp), sign))
+        /// Antilog ROM on the decoder words of a group's four components:
+        /// the terms `[fx, fy, fz, pot]` of its `W / 4` quarters of four
+        /// j-particles each, ascending (the quarters past those: junk).
+        #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn decode(&self, w: [L; 4]) -> [[__m256d; 4]; 4] {
+            let mut t = [[_mm256_setzero_pd(); 4]; 4];
+            for c in 0..4 {
+                let halves = w[c].widen();
+                for h in 0..2 {
+                    let w = halves[h];
+                    // SAFETY: index masked to the table's 2^f entries
+                    // (the `LnsCtx` invariant)
+                    let frac = L::gather64(self.dec, w.and(self.frac_mask));
+                    let exp = w.and(self.exp_mask).sll64(self.dec_shift);
+                    let sign = w.sll64(_mm_cvtsi32_si128(32)).and(L::splat64(i64::MIN));
+                    let v = frac.or(exp).or(sign).quarters();
+                    for q in 0..L::W / 8 {
+                        t[h * (L::W / 8) + q][c] = v[q];
+                    }
+                }
+            }
+            t
         }
 
-        /// The one stage body of the LNS kernel: `G` consecutive 8-lane
-        /// j-groups of span `b` from its j-particle `k` on, carried
-        /// through the stages in lock-step (each stage runs on all `G`
-        /// groups before the next starts, so one group's ROM-gather
-        /// latency hides behind the other's ALU work), truncated after
-        /// stage `UPTO`; the terms reach `cols` in ascending j. `false`,
-        /// with nothing accumulated, when a lane of any group asks for
-        /// the scalar converters.
-        ///
-        /// # Safety
-        /// AVX2; `k + 8·G` inside the span; every displacement inside
-        /// the magic-conversion window.
-        #[target_feature(enable = "avx2")]
-        #[inline]
+        /// The one stage body of the LNS kernel: `G` consecutive
+        /// `L::W`-lane j-groups of span `b` from its j-particle `k` on
+        /// (`k + L::W·G` inside the span), carried through the stages in
+        /// lock-step (each stage runs on all `G` groups before the next
+        /// starts, so one group's ROM-gather latency hides behind the
+        /// other's ALU work), truncated after stage `UPTO`; the terms
+        /// reach `cols` in ascending j. `false`, with nothing accumulated,
+        /// when a lane of any group asks for the scalar converters.
+        #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
         unsafe fn stages<const UPTO: u8, const G: usize>(
             &self,
             b: &LnsSpan<'_>,
             k: usize,
             cols: &mut Columns,
             a: &mut [i64; 4],
-            ctx: &AccCtx,
         ) -> bool {
-            let end = k + LNS_LANES * G;
+            let end = k + L::W * G;
             debug_assert!(b.x.iter().all(|x| end <= x.len()) && end <= b.w.len());
-            let xor = |a, b| _mm256_xor_si256(a, b);
-            // --- subtract + log converter: [r, sign, redo] per axis ---
-            // SAFETY: `k + 8·g + 8 ≤ end ≤` each column's length
-            let e: [[[__m256i; 3]; 3]; G] = from_fn(|g| {
-                from_fn(|c| self.encode8(b.x[c].as_ptr().add(k + LNS_LANES * g), b.xv[c]))
-            });
-            let redo =
-                e.iter().flatten().fold(_mm256_setzero_si256(), |m, e| _mm256_or_si256(m, e[2]));
+            let zero = L::splat(0);
+            // what a truncated prefix keeps alive (dead in the kernel)
+            let mut kept = zero;
+            // --- subtract + log converter: core word and sign per axis ---
+            let (mut r, mut s, mut near) = ([[zero; 3]; G], [[zero; 3]; G], L::splat(i32::MAX));
+            for g in 0..G {
+                for c in 0..3 {
+                    // SAFETY: `k + W·g + W ≤ end ≤` each column's length
+                    let e = self.encode(b.x[c].as_ptr().add(k + L::W * g), b.xi[c]);
+                    ([r[g][c], s[g][c]], near) = ([e[0], e[1]], near.min(e[2]));
+                    kept = kept.xor(e[0].xor(e[1]));
+                }
+            }
             if UPTO == LnsStage::Encode as u8 {
-                cols.sink(e.iter().flatten().fold(redo, |s, e| xor(s, xor(e[0], e[1]))));
+                cols.sink(kept.xor(near).folded());
                 return true;
             }
-            if _mm256_testz_si256(redo, redo) == 0 {
+            if near.any_lt(L::splat(2)) {
                 return false;
             }
             // --- squarers, r² adder, + ε² ---
-            let sq = e.map(|e| e.map(|[r, ..]| self.canon(_mm256_add_epi32(r, r))));
-            let xy = sq.map(|[x, y, _]| self.add8(x, y));
-            let r2: [__m256i; G] = from_fn(|g| self.add8(xy[g], sq[g][2]));
-            let r2e = r2.map(|r2| self.add8(r2, self.eps2));
-            if UPTO == LnsStage::Adder as u8 {
-                cols.sink(r2e.into_iter().reduce(xor).expect("G > 0"));
-                return true;
+            let (mut sq, mut r2e) = ([[zero; 3]; G], [zero; G]);
+            for g in 0..G {
+                for c in 0..3 {
+                    sq[g][c] = self.canon(r[g][c].add(r[g][c]));
+                }
+                r2e[g] = sq[g][0];
             }
-            let w: [[__m256i; 4]; G] = from_fn(|g| {
-                let [[rx, sx, _], [ry, sy, _], [rz, sz, _]] = e[g];
+            for c in 1..=3 {
+                for g in 0..G {
+                    r2e[g] = self.add(r2e[g], if c < 3 { sq[g][c] } else { self.eps2 });
+                }
+            }
+            let mut w = [[zero; 4]; G];
+            for g in 0..G {
+                if UPTO == LnsStage::Adder as u8 {
+                    cols.sink(r2e[g].folded());
+                    continue;
+                }
                 // --- power units: round-half-away −3r/2 and −r/2 ---
-                let ar = _mm256_abs_epi32(r2e[g]);
-                let nr = _mm256_sub_epi32(_mm256_setzero_si256(), r2e[g]);
-                let one = _mm256_set1_epi32(1);
-                let v3 = _mm256_add_epi32(_mm256_add_epi32(ar, ar), _mm256_add_epi32(ar, one));
-                let rinv3 = self.canon(_mm256_sign_epi32(_mm256_srli_epi32::<1>(v3), nr));
-                let v1 = _mm256_srli_epi32::<1>(_mm256_add_epi32(ar, one));
-                let rinv = _mm256_sign_epi32(v1, nr);
+                let (ar, nr, one) = (r2e[g].abs(), zero.sub(r2e[g]), L::splat(1));
+                let rinv3 = self.canon(ar.add(ar).add(ar.add(one)).srli::<1>().neg_by_sign(nr));
+                let rinv = ar.add(one).srli::<1>().neg_by_sign(nr);
                 // --- multipliers and signs ---
-                // SAFETY: `k + 8·g + 8 ≤ end ≤ b.w.len()` i32 words
-                let mw = _mm256_loadu_si256(b.w.as_ptr().add(k + LNS_LANES * g).cast());
-                let m = _mm256_srai_epi32::<1>(mw);
-                let msign = _mm256_slli_epi32::<31>(mw);
-                let mf = self.canon(_mm256_add_epi32(m, rinv3));
-                let signed = |r: __m256i, s: __m256i| {
-                    let sign = _mm256_and_si256(xor(s, msign), _mm256_set1_epi32(i32::MIN));
-                    _mm256_or_si256(self.out_word(_mm256_add_epi32(r, mf)), sign)
-                };
+                // SAFETY: `k + W·g + W ≤ end ≤ b.w.len()` i32 words
+                let mw = L::load(b.w.as_ptr().add(k + L::W * g));
+                let (m, msign) = (mw.srai::<1>(), mw.slli::<31>());
+                let mf = self.canon(m.add(rinv3));
+                for c in 0..3 {
+                    let sign = s[g][c].xor(msign).and(L::splat(i32::MIN));
+                    w[g][c] = self.out_word(r[g][c].add(mf)).or(sign);
+                }
                 // m · rinv; `out_word` applies rinv's range rules too (a
                 // zero m keeps the sum below raw_min either way). Three
-                // zero words are the zero-distance guard: no potential.
-                let zw = |r| _mm256_cmpeq_epi32(r, self.zero_word);
-                let coincident = _mm256_and_si256(_mm256_and_si256(zw(rx), zw(ry)), zw(rz));
-                let wp = self.out_word(_mm256_add_epi32(m, self.canon(rinv)));
-                let wp = _mm256_or_si256(_mm256_andnot_si256(coincident, wp), msign);
-                [signed(rx, sx), signed(ry, sy), signed(rz, sz), wp]
-            });
-            if UPTO == LnsStage::Scale as u8 {
-                cols.sink(w.into_iter().flatten().reduce(xor).expect("G > 0"));
+                // zero words — the highest of the three below raw_min —
+                // are the zero-distance guard: no potential.
+                let highest = r[g][0].max(r[g][1]).max(r[g][2]);
+                let wp = self.out_word(m.add(self.canon(rinv)));
+                w[g][3] = wp.if_lt(highest, self.rmin, zero).or(msign);
+                if UPTO == LnsStage::Scale as u8 {
+                    cols.sink(w[g][0].xor(w[g][1]).xor(w[g][2].xor(w[g][3])).folded());
+                }
+            }
+            if UPTO <= LnsStage::Scale as u8 {
                 return true;
             }
-            // --- antilog ROM, per component: the low dwords are
-            // j .. j + 4, the high dwords j + 4 .. j + 8 ---
-            let lo = w.map(|w| w.map(|w| self.decode4(_mm256_castsi256_si128(w))));
-            let hi = w.map(|w| w.map(|w| self.decode4(_mm256_extracti128_si256::<1>(w))));
-            for (lo, hi) in lo.into_iter().zip(hi) {
-                if UPTO == LnsStage::Decode as u8 {
-                    cols.sink(_mm256_castpd_si256(_mm256_xor_pd(xor4(lo), xor4(hi))));
-                } else {
-                    // --- fixed-point accumulate, ascending j ---
-                    cols.add(a, lo, ctx);
-                    cols.add(a, hi, ctx);
+            // --- antilog ROM per component, then the fixed-point
+            // accumulate a quarter (four j) at a time, ascending j ---
+            let mut t = [[[_mm256_setzero_pd(); 4]; 4]; G];
+            for g in 0..G {
+                t[g] = self.decode(w[g]);
+            }
+            for g in 0..G {
+                for q in 0..L::W / LANES {
+                    if UPTO == LnsStage::Decode as u8 {
+                        cols.sink(_mm256_castpd_si256(xor4(t[g][q])));
+                    } else {
+                        cols.add(a, t[g][q], &self.acc);
+                    }
                 }
             }
             true
         }
+
+        /// The group loop over the j-particles `k .. end` of span `b`
+        /// (`end − k` a multiple of `L::W`): two groups in flight; an
+        /// odd last group, and both groups of a pair with a flagged
+        /// lane, go one at a time in ascending j. Returns the first
+        /// group that is flagged on its own — everything before it is
+        /// accumulated, nothing of it is — or `end`.
+        #[inline(always)]
+        unsafe fn groups<const UPTO: u8>(
+            &self,
+            b: &LnsSpan<'_>,
+            (mut k, end): (usize, usize),
+            cols: &mut Columns,
+            a: &mut [i64; 4],
+        ) -> usize {
+            while k < end {
+                let pair_end = (k + 2 * L::W).min(end);
+                if pair_end - k == 2 * L::W && self.stages::<UPTO, 2>(b, k, cols, a) {
+                    k = pair_end;
+                }
+                while k < pair_end {
+                    if !self.stages::<UPTO, 1>(b, k, cols, a) {
+                        return k;
+                    }
+                    k += L::W;
+                }
+            }
+            end
+        }
+
+        /// Add the terms of the j-particles `js..je` on the i-particle
+        /// at `x` to its running words `a`, truncated after stage `UPTO`
+        /// (an [`LnsStage`] discriminant; `Accumulate` is the kernel).
+        /// What `L` cannot decide it hands down: a lane flagged in a
+        /// sixteen-lane group sends that group through the stages of
+        /// `eight`, a lane flagged there sends its eight pairs through
+        /// `span_pairs`, the definition; `eight` also takes the group a
+        /// span has past its last sixteen. Every coordinate word of `x`
+        /// and `j` must be inside `(-2⁵⁰, 2⁵⁰)`.
+        #[inline(always)]
+        unsafe fn span<const UPTO: u8>(
+            &self,
+            eight: &LnsCtx<'_, __m256i>,
+            a: &mut [i64; 4],
+            x: [i64; 3],
+            (js, je): (usize, usize),
+        ) {
+            let (j, pair) = (self.j, self.lanes.pair(self.j));
+            // slicing bounds-checks the span; `stages` asserts every load
+            let (jx, w) = ([&j.x[js..je], &j.y[js..je], &j.z[js..je]], &j.m_word[js..je]);
+            let b = LnsSpan { x: jx, w, xi: x };
+            let wide_end = (je - js) / L::W * L::W;
+            let lanes_end = (je - js) / LNS_LANES * LNS_LANES;
+            let mut cols = Columns::open(a, &self.acc);
+            let mut k = 0;
+            while k < lanes_end {
+                if k < wide_end {
+                    k = self.groups::<UPTO>(&b, (k, wide_end), &mut cols, a);
+                }
+                // the group `L` could not decide, or the one past the
+                // last whole `L`: eight lanes at a time
+                let narrow_end = if k < wide_end { k + L::W } else { lanes_end };
+                while k < narrow_end {
+                    if L::W != LNS_LANES {
+                        k = eight.groups::<UPTO>(&b, (k, narrow_end), &mut cols, a);
+                    }
+                    if k < narrow_end {
+                        // a lane asked for the scalar converters: the
+                        // whole group goes through the definition
+                        cols.flush(a);
+                        span_pairs(&self.sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
+                        cols.fast = self.acc.headroom(a);
+                        k += LNS_LANES;
+                    }
+                }
+            }
+            cols.flush(a);
+            span_pairs(&self.sa, a, x, j, (js + lanes_end, je), &pair);
+        }
     }
 
-    /// Test hook: [`round_away_to_i64`] on four doubles.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn round4(x: [f64; 4]) -> [i64; 4] {
-        let mut out = [0i64; 4];
-        _mm256_storeu_si256(
-            out.as_mut_ptr().cast(),
-            round_away_to_i64(_mm256_loadu_pd(x.as_ptr())),
-        );
-        out
-    }
-
-    /// Test hook: the vector log converter on eight displacements
-    /// against a zero i-coordinate — `(core words, sign bits, redo)`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and `|d| < 2⁵¹` must hold.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn encode8_words(c: &LnsLanes, d: &[i64; 8]) -> [[i32; 8]; 3] {
-        let [r, s, g] = LnsCtx::new(c).encode8(d.as_ptr(), _mm256_setzero_si256());
-        let mut out = [[0i32; 8]; 3];
-        _mm256_storeu_si256(out[0].as_mut_ptr().cast(), r);
-        _mm256_storeu_si256(out[1].as_mut_ptr().cast(), _mm256_srli_epi32::<31>(s));
-        _mm256_storeu_si256(out[2].as_mut_ptr().cast(), g);
-        out
-    }
-
-    /// The AVX2 LNS-mode block kernel, truncated after stage `UPTO`
-    /// (an [`LnsStage`] discriminant; `Accumulate` is the whole kernel).
+    /// The LNS-mode block kernel at eight lanes, truncated after stage
+    /// `UPTO` ([`LnsCtx::span`]).
     ///
     /// # Safety
     /// The CPU must support AVX2, and every coordinate word in `xi` and
@@ -1686,41 +1896,30 @@ mod avx2 {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
-        let ctx = AccCtx::new(fmt, force_scale);
-        let sa = ScalarAcc::new(fmt, force_scale);
-        let pair = c.pair(j);
-        let l = LnsCtx::new(c);
+        let l = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            // slicing bounds-checks the span; `stages` asserts every load
-            let b = LnsSpan {
-                x: [&j.x[js..je], &j.y[js..je], &j.z[js..je]],
-                w: &j.m_word[js..je],
-                xv: x.map(|x| _mm256_set1_epi64x(x)),
-            };
-            let lanes_end = (je - js) / LNS_LANES * LNS_LANES;
-            let mut cols = Columns::open(a, &ctx);
-            let mut k = 0;
-            while k < lanes_end {
-                // two groups in flight; an odd last group, and both
-                // groups of a pair with a flagged lane, go one at a
-                // time in ascending j
-                let pair_end = (k + 2 * LNS_LANES).min(lanes_end);
-                if pair_end - k == 2 * LNS_LANES && l.stages::<UPTO, 2>(&b, k, &mut cols, a, &ctx) {
-                    k = pair_end;
-                }
-                while k < pair_end {
-                    if !l.stages::<UPTO, 1>(&b, k, &mut cols, a, &ctx) {
-                        // a lane asked for the scalar converters: the
-                        // whole group goes through the definition
-                        cols.flush(a);
-                        span_pairs(&sa, a, x, j, (js + k, js + k + LNS_LANES), &pair);
-                        cols.fast = ctx.headroom(a);
-                    }
-                    k += LNS_LANES;
-                }
-            }
-            cols.flush(a);
-            span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
+            l.span::<UPTO>(&l, a, x, (js, je))
+        });
+    }
+
+    /// [`block_lns`] at sixteen lanes.
+    ///
+    /// # Safety
+    /// As for [`block_lns`], and the CPU must support AVX-512 F, BW, DQ
+    /// and VL (`cpu_lanes()[1]`).
+    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512dq,avx512vl")]
+    pub(super) unsafe fn block_lns16<const UPTO: u8>(
+        c: &LnsLanes,
+        xi: &[[i64; 3]],
+        j: &JSlices<'_>,
+        force_scale: f64,
+        fmt: FixedFormat,
+        out: &mut [Force],
+    ) {
+        let l = LnsCtx::<__m512i>::new(c, j, force_scale, fmt);
+        let eight = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
+        block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
+            l.span::<UPTO>(&eight, a, x, (js, je))
         });
     }
 }
@@ -1748,11 +1947,23 @@ mod tests {
         board
     }
 
+    /// A lane path and, on `Avx2`, whether LNS groups are sixteen lanes.
+    type Path = (LanePath, bool);
+    const SCALAR: Path = (LanePath::Scalar, false);
+
+    /// Pick the width of the AVX2 path's LNS groups: sixteen lanes only
+    /// where the CPU has them (the invariant of `LnsLanes::wide`).
+    fn set_wide(p: &mut G5Pipeline, wide: bool) {
+        if let Some(c) = p.lns_lanes_mut() {
+            c.wide = wide && cpu_lanes()[1];
+        }
+    }
+
     /// Run one block through a forced lane path.
     #[allow(clippy::too_many_arguments)]
     fn run_path(
         mode: ArithMode,
-        path: LanePath,
+        (path, wide): Path,
         quantum: f64,
         eps: f64,
         xi: &[[i64; 3]],
@@ -1763,6 +1974,7 @@ mod tests {
         let cfg = Grape5Config { mode, ..Grape5Config::paper() };
         let mut p = G5Pipeline::new(&cfg, quantum, eps);
         p.set_lane_path(path);
+        set_wide(&mut p, wide);
         let mut out = vec![Force::ZERO; xi.len()];
         p.interact_block(xi, &j.j_slices(), force_scale, fmt, &mut out);
         out
@@ -1788,7 +2000,7 @@ mod tests {
         fmt: FixedFormat,
         what: &str,
     ) {
-        let refr = run_path(mode, LanePath::Scalar, quantum, eps, xi, j, force_scale, fmt);
+        let refr = run_path(mode, SCALAR, quantum, eps, xi, j, force_scale, fmt);
         for path in all_paths() {
             let got = run_path(mode, path, quantum, eps, xi, j, force_scale, fmt);
             assert_bits_equal(&refr, &got, &format!("{mode:?} {path:?} {what}"));
@@ -1831,11 +2043,15 @@ mod tests {
         (xi, jmem(&jraw, &jm))
     }
 
-    fn all_paths() -> Vec<LanePath> {
-        let mut v = vec![LanePath::Portable];
+    /// Every lane path this CPU runs, the AVX2 one at each LNS width.
+    fn all_paths() -> Vec<Path> {
+        let mut v = vec![(LanePath::Portable, false)];
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            v.push(LanePath::Avx2);
+            v.push((LanePath::Avx2, false));
+            if cpu_lanes()[1] {
+                v.push((LanePath::Avx2, true));
+            }
         }
         v
     }
@@ -1986,54 +2202,57 @@ mod tests {
         }
     }
 
-    /// The AVX2 LNS kernel keeps two 8-lane groups (a pair, 16 j) in
-    /// flight: j-counts of `8·g + t` put zero to two whole pairs, an odd
-    /// last group and every scalar tail behind a `J_BLOCK` edge and at
-    /// the start of a span.
+    /// The AVX2 LNS kernel keeps two groups of 8 or 16 lanes (a pair,
+    /// 16 or 32 j) in flight: every j-count to 70 — both sides of 8, 16,
+    /// 32, 48 and 64 — puts zero to two whole pairs, an odd last group,
+    /// the eight past the last sixteen and every scalar tail behind a
+    /// `J_BLOCK` edge and at the start of a span.
     #[test]
     fn lane_paths_agree_on_every_pair_boundary() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x9a1e);
-        for base in [0, J_BLOCK] {
-            for (g, t) in (0..=5).flat_map(|g| (0..=7).map(move |t| (g, t))) {
-                let nj = base + 8 * g + t;
-                let (xi, j) = random_block(&mut rng, 3, nj, 1 << 30);
-                for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
-                    for mode in MODES {
-                        let what = format!("nj = {base} + 8·{g} + {t}, {fmt:?}");
-                        assert_paths_agree(mode, 2e-10, 0.01, &xi, &j, 0.25, fmt, &what);
-                    }
+        for (base, t) in [0, J_BLOCK].into_iter().flat_map(|b| (0..=70).map(move |t| (b, t))) {
+            let (xi, j) = random_block(&mut rng, 3, base + t, 1 << 30);
+            for fmt in [FixedFormat::new(64, 32), FixedFormat::new(32, 16)] {
+                for mode in MODES {
+                    let what = format!("nj = {base} + {t}, {fmt:?}");
+                    assert_paths_agree(mode, 2e-10, 0.01, &xi, &j, 0.25, fmt, &what);
                 }
             }
         }
     }
 
-    /// Redo lanes (a unit displacement with the quantum on an encoder
-    /// breakpoint; displacement 3 is not flagged) in the first group of
-    /// an in-flight pair, in the second, and in both. Seen from the
-    /// i-particle at the origin the first flagged j (mass 2⁶⁴)
-    /// saturates the potential and a second one (−2⁶²) walks it back; a
-    /// flagged group is otherwise four in-window terms up and four
-    /// down, like every group before the pair; the pair's unflagged
-    /// group only pulls down, the four groups after it push into the
-    /// clamp again, the rest pull down. So a fallback that drops a
-    /// group of the pair, swaps the two, or leaves the columns `fast`
-    /// after either, ends on a different word.
+    /// Redo lanes (a unit displacement, up each axis in turn, with the
+    /// quantum on an encoder breakpoint; displacement 3 is not flagged)
+    /// in each of the 32 lanes an in-flight pair can have — the first
+    /// group of the pair, the second, at 8 lanes and at 16 — and in
+    /// two groups at once. Seen from the i-particle at the origin the
+    /// first flagged j (mass 2⁶⁴) saturates the potential and a second
+    /// one (−2⁶²) walks it back; a flagged group of eight is otherwise
+    /// four in-window terms up and four down, like every group before
+    /// the pair; the rest of the pair only pulls down, the 32 j after it
+    /// push into the clamp again, the rest pull down. So a fallback
+    /// that drops a group of the pair, swaps two, or leaves the columns
+    /// `fast` after one, ends on a different word.
     #[test]
     fn redo_lanes_in_either_group_of_a_pair_agree() {
         let f = Grape5Config::paper().lns.frac_bits;
         let q = (0.5 / f64::from(1u32 << f)).exp2();
         let term = 0.9 * 3.0 * p(49);
-        // pair 2 of the first span; pair 0 of the second; the last
-        // whole pair before an odd group and a tail
-        for (base, nj) in [(32, 512), (J_BLOCK, 2 * J_BLOCK), (64, 64 + 16 + 8 + 5)] {
-            for flagged in [&[3][..], &[8 + 5], &[3, 8 + 5], &[7, 8], &[0, 15]] {
+        let singles: Vec<Vec<usize>> = (0..32).map(|at| vec![at]).collect();
+        let several = [vec![3, 8 + 5], vec![7, 8], vec![0, 15], vec![15, 16], vec![3, 16 + 5]];
+        // pair 1 of the first span; pair 0 of the second; the last
+        // whole pair before an odd sixteen, an eight and a tail
+        for (base, nj) in [(32, 512), (J_BLOCK, 2 * J_BLOCK), (64, 64 + 32 + 16 + 8 + 5)] {
+            for (n, flagged) in singles.iter().chain(&several).enumerate() {
                 let in_flagged_group = |k: usize| flagged.iter().any(|at| (base + at) / 8 == k / 8);
+                let mut unit = [0i64; 3];
+                unit[n % 3] = 1;
                 let mut jraw = vec![[3i64, 0, 0]; nj];
                 let mut m: Vec<f64> = (0..nj)
                     .map(|k| {
                         if k < base || in_flagged_group(k) {
                             [term, -term][k % 8 / 4]
-                        } else if (base + 16..base + 48).contains(&k) {
+                        } else if (base + 32..base + 64).contains(&k) {
                             term
                         } else {
                             -term
@@ -2041,7 +2260,7 @@ mod tests {
                     })
                     .collect();
                 for (n, &at) in flagged.iter().enumerate() {
-                    jraw[base + at] = [1, 0, 0];
+                    jraw[base + at] = unit;
                     m[base + at] = if n == 0 { p(64) } else { -p(62) };
                 }
                 let j = jmem(&jraw, &m);
@@ -2057,21 +2276,24 @@ mod tests {
 
     /// The placed-term referees of the column accumulators
     /// (`saturating_terms_agree_via_encode_fallback`) at the positions
-    /// the second group of an in-flight pair brings: a term outside the
-    /// columns' preconditions at lanes 8–15, and headroom lost on the
-    /// last j of the first group or the first of the second.
+    /// an in-flight pair brings, at either width: a term outside the
+    /// columns' preconditions in each of a pair's 32 lanes (the lane
+    /// picks the axis), and headroom lost on the last j of one group or
+    /// quarter or the first of the next.
     #[test]
     fn placed_terms_in_the_second_group_of_a_pair_agree() {
         let mut rng = ChaCha8Rng::seed_from_u64(16);
         let in_window = in_window();
         for tail in [0, 5] {
             for special in placed_specials() {
-                for at in (8..16).chain([16 * 7 + 9, 16 * 31 + 12]) {
-                    let mut m: Vec<f64> = (0..512 + 24 + tail)
+                for at in (0..32).chain([32 * 7 + 9, 32 * 7 + 25, 32 * 15 + 28]) {
+                    // a second span of a pair, an odd sixteen and an eight
+                    let mut m: Vec<f64> = (0..512 + 32 + 16 + 8 + tail)
                         .map(|k| in_window * rng.random_range(-1.0..1.0) * f64::from(k % 5 != 0))
                         .collect();
                     m[at] = special;
-                    m[512 + 16 + at % 8] = special; // and in the odd last group
+                    m[512 + 32 + at % 16] = special; // in the odd last sixteen …
+                    m[512 + 48 + at % 8] = special; // … and in the eight past it
                     check_placed(&m, &format!("special {special:e} at {at}, tail {tail}"));
                 }
             }
@@ -2079,7 +2301,7 @@ mod tests {
                 // headroom goes without saturating; what follows — the
                 // rest of the pair first — saturates the potential on
                 // the ordered path and walks it back
-                for at in [16 * 12 + 7, 16 * 12 + 8, 16 * 12 + 15] {
+                for at in [7, 8, 15, 16, 19, 20, 31].map(|l| 32 * 6 + l) {
                     let mut m = vec![sign * in_window; 512 + tail];
                     m[at] = sign * (p(63) - p(57));
                     m[400..].fill(-sign * in_window);
@@ -2126,7 +2348,7 @@ mod tests {
     fn zero_distance_pairs_agree_in_every_lane_and_group() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x2e20);
         let nj = J_BLOCK + 4 * 20 + 3;
-        let groups = [0, 64, 127, 128, 128 + 9, 128 + 19];
+        let groups = [0, 2, 64, 127, 128, 128 + 9, 128 + 19];
         for (group, lane) in groups.into_iter().flat_map(|g| (0..4).map(move |l| (g, l))) {
             for mass in [1.5, 0.0, -2.5, f64::INFINITY] {
                 let (xi, mut jraw, mut jm) = random_particles(&mut rng, 5, nj, 1 << 30);
@@ -2191,8 +2413,12 @@ mod tests {
             for x4 in xs.chunks(4) {
                 let mut x = [0.0; 4];
                 x[..x4.len()].copy_from_slice(x4);
-                // SAFETY: AVX2 detected above.
-                let got = unsafe { avx2::round4(x) };
+                use std::arch::x86_64::{__m256d, __m256i};
+                // SAFETY: AVX2 detected above; all four are 4 × 64 bits.
+                let got = unsafe {
+                    let r = avx2::round_away_to_i64(std::mem::transmute::<[f64; 4], __m256d>(x));
+                    std::mem::transmute::<__m256i, [i64; 4]>(r)
+                };
                 assert_eq!(got, x.map(round_half_away), "round_away_to_i64({x:?})");
             }
         }
@@ -2324,8 +2550,143 @@ mod tests {
         }
     }
 
-    /// The vector log converter against the scalar ROM lookup, word
-    /// for word and flag for flag, on placed and random mantissas.
+    /// The lanes of `v` as words (i32 lanes; i64 lanes read as two).
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn words<L: avx2::LnsLane>(v: L) -> Vec<i32> {
+        let mut w = [0i32; 16];
+        w.as_mut_ptr().cast::<L>().write_unaligned(v);
+        w[..L::W].to_vec()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    const BITS: usize = 20;
+
+    /// [`LnsLane`](avx2::LnsLane) method number `op` on the first
+    /// `L::W` lanes of the operands (`None` past the last method). Gather
+    /// indices are masked into `rom`; `q` and the shift counts are fixed.
+    ///
+    /// # Safety
+    /// The CPU must have `L`'s features; each operand holds `L::W` words,
+    /// `d` as many `|d| < 2⁵¹`, and `rom` 256 entries.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn lane_op<L: avx2::LnsLane>(
+        op: usize,
+        [a, b, c]: [&[i32]; 3],
+        d: &[i64],
+        rom: (&[i32], &[i64]),
+    ) -> Option<Vec<i32>> {
+        use std::arch::x86_64::{_mm256_castpd_si256, _mm_cvtsi32_si128};
+        let [x, y, z] = [a, b, c].map(|v| L::load(v.as_ptr()));
+        let n = _mm_cvtsi32_si128(7);
+        let one = |v: L| Some(words(v));
+        let two = |[u, v]: [L; 2]| Some([words(u), words(v)].concat());
+        match op {
+            0 => one(x.add(y)),
+            1 => one(x.sub(y)),
+            2 => one(x.min(y)),
+            3 => one(x.max(y)),
+            4 => one(x.min_u(y)),
+            5 => one(x.abs()),
+            6 => one(x.and(y)),
+            7 => one(x.or(y)),
+            8 => one(x.xor(y)),
+            9 => one(x.srli::<5>()),
+            10 => one(x.srai::<5>()),
+            11 => one(x.slli::<5>()),
+            12 => one(x.srl(n)),
+            13 => one(x.sll64(n)),
+            14 => one(L::gather(rom.0.as_ptr(), x.and(L::splat(255)))),
+            15 => one(L::gather64(rom.1.as_ptr(), x.and(L::splat64(255)))),
+            16 => one(x.if_lt(y, z, L::splat(-7))),
+            17 => one(x.neg_by_sign(y)),
+            18 => one(L::splat(0x1234_5678).xor(L::splat64(0x0123_4567_89ab_cdef))),
+            19 => two(x.widen()),
+            BITS => two(L::bits(d.as_ptr(), 12_345, 0.75, n)),
+            21 => Some(
+                (x.quarters()[..L::W / 8].iter())
+                    .flat_map(|&q| words(_mm256_castpd_si256(q))[..8].to_vec())
+                    .collect(),
+            ),
+            _ => None,
+        }
+    }
+
+    /// Every method of the sixteen-lane instantiation is the eight-lane
+    /// method on each half — the whole of what the width referees above
+    /// take on trust from the lane trait — on operands salted with
+    /// zeros, extremes and equal pairs (a sign operand of zero, a compare
+    /// of equals); and the two reductions are the reductions of the halves.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sixteen_lane_methods_are_the_eight_lane_methods_on_each_half() {
+        use avx2::LnsLane;
+        use std::arch::x86_64::{__m256i, __m512i};
+        if !cpu_lanes()[1] {
+            return;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x512);
+        let rom: (Vec<i32>, Vec<i64>) =
+            ((0..256).map(|_| rng.random()).collect(), (0..256).map(|_| rng.random()).collect());
+        for round in 0..4000 {
+            let mut word = |k: usize| match (rng.random_range(0..10), k) {
+                (0, _) => 0,
+                (1, _) => [i32::MIN, i32::MAX, -1, 1][k % 4],
+                (2, _) => k as i32 / 3, // equal across operands
+                _ => rng.random::<i32>() >> rng.random_range(0..32),
+            };
+            let ops: [Vec<i32>; 3] = std::array::from_fn(|_| (0..16).map(&mut word).collect());
+            let d: Vec<i64> =
+                (0..16).map(|_| rng.random_range(-(1i64 << 50)..1 << 50) >> (round % 50)).collect();
+            let half = |h: usize| [0, 1, 2].map(|o| &ops[o][8 * h..][..8]);
+            let whole = [0, 1, 2].map(|o| &ops[o][..]);
+            let rom = (&rom.0[..], &rom.1[..]);
+            // SAFETY: AVX-512 F/BW/DQ/VL and AVX2 detected above; sixteen
+            // words per operand, |d| < 2^50, 256-entry tables.
+            unsafe {
+                for op in 0.. {
+                    let Some(wide) = lane_op::<__m512i>(op, whole, &d, rom) else { break };
+                    let lo = lane_op::<__m256i>(op, half(0), &d[..8], rom).unwrap();
+                    let hi = lane_op::<__m256i>(op, half(1), &d[8..], rom).unwrap();
+                    // `bits` returns two registers, each the halves' in turn
+                    let want = match op {
+                        BITS => [&lo[..8], &hi[..8], &lo[8..], &hi[8..]].concat(),
+                        _ => [lo, hi].concat(),
+                    };
+                    assert_eq!(wide, want, "method {op}, operands {ops:?} {d:?}");
+                }
+                let (x, y) = (<__m512i as LnsLane>::load(whole[0].as_ptr()), whole[1]);
+                let halves = [0, 1].map(|h| <__m256i as LnsLane>::load(half(h)[0].as_ptr()));
+                let y8 = [0, 1].map(|h| <__m256i as LnsLane>::load(y[8 * h..].as_ptr()));
+                let any = halves[0].any_lt(y8[0]) || halves[1].any_lt(y8[1]);
+                assert_eq!(x.any_lt(LnsLane::load(y.as_ptr())), any, "any_lt, {ops:?}");
+                assert_eq!(words(x.folded()), words(halves[0].xor(halves[1])), "folded, {ops:?}");
+            }
+        }
+    }
+
+    /// The vector log converter of lane type `L` on `L::W` displacements
+    /// against a zero i-coordinate: `(core word, sign bit, redo)` each.
+    ///
+    /// # Safety
+    /// The CPU must have `L`'s features, and `|d| < 2⁵¹` must hold.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn encode_words<L: avx2::LnsLane>(c: &LnsLanes, d: &[i64]) -> Vec<[i32; 3]> {
+        assert_eq!(d.len(), L::W);
+        let none = jmem(&[], &[]);
+        let j = none.j_slices();
+        let l = avx2::LnsCtx::<L>::new(c, &j, 1.0, FixedFormat::new(64, 32));
+        let [r, s, near] = l.encode(d.as_ptr(), 0);
+        let words = [r, s.srli::<31>(), near].map(|v| {
+            let mut w = [0i32; 16];
+            w.as_mut_ptr().cast::<L>().write_unaligned(v);
+            w
+        });
+        (0..L::W).map(|l| [words[0][l], words[1][l], -i32::from(words[2][l] < 2)]).collect()
+    }
+
+    /// The vector log converter, at either width, against the scalar
+    /// ROM lookup, word for word and flag for flag, on placed and random
+    /// mantissas.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_log_converter_matches_the_scalar_rom_lookup() {
@@ -2342,26 +2703,35 @@ mod tests {
             }
         }
         ds.extend((0..4000).map(|_| rng.random_range(-(1i64 << 51) + 1..1 << 51)));
-        ds.resize(ds.len().next_multiple_of(8), 5);
+        ds.resize(ds.len().next_multiple_of(16), 5);
+        let widths = if cpu_lanes()[1] { &[8, 16][..] } else { &[8] };
         for quantum in [1.0, 2e-10, 300f64.exp2().recip(), 600f64.exp2()] {
             let p = G5Pipeline::new(&cfg, quantum, 0.0);
             let c = p.lns_lanes().expect("lane-eligible pipeline");
-            let mut flagged = 0;
-            for d8 in ds.chunks_exact(8) {
-                // SAFETY: AVX2 detected above; |d| < 2^51 by construction.
-                let got = unsafe { avx2::encode8_words(c, d8.try_into().unwrap()) };
-                for (l, &d) in d8.iter().enumerate() {
-                    let bits = (d as f64 * quantum).to_bits();
-                    let (raw, redo) = c.roms.encode_word(bits);
-                    let want = [c.canon(raw), (bits >> 63) as i32, -i32::from(redo)];
-                    assert_eq!([got[0][l], got[1][l], got[2][l]], want, "d = {d} q = {quantum:e}");
-                    flagged += usize::from(redo);
+            for &w in widths {
+                let mut flagged = 0;
+                for dw in ds.chunks_exact(w) {
+                    // SAFETY: the features of `w` lanes were detected
+                    // above; |d| < 2^51 by construction.
+                    let got = unsafe {
+                        match w {
+                            8 => encode_words::<std::arch::x86_64::__m256i>(c, dw),
+                            _ => encode_words::<std::arch::x86_64::__m512i>(c, dw),
+                        }
+                    };
+                    for (&d, got) in dw.iter().zip(got) {
+                        let bits = (d as f64 * quantum).to_bits();
+                        let (raw, redo) = c.roms.encode_word(bits);
+                        let want = [c.canon(raw), (bits >> 63) as i32, -i32::from(redo)];
+                        assert_eq!(got, want, "d = {d} q = {quantum:e}, {w} lanes");
+                        flagged += usize::from(redo);
+                    }
                 }
+                // at quantum 1 the displacement is the f64, so the placed
+                // mantissas land in their redo bands
+                assert!(quantum != 1.0 || flagged >= 256, "flagged {flagged}");
+                assert!(flagged < ds.len() / 2, "flagged {flagged}");
             }
-            // at quantum 1 the displacement is the f64, so the placed
-            // mantissas land in their redo bands
-            assert!(quantum != 1.0 || flagged >= 256, "flagged {flagged}");
-            assert!(flagged < ds.len() / 2, "flagged {flagged}");
         }
     }
 
@@ -2372,27 +2742,35 @@ mod tests {
         let (xi, j) = random_block(&mut rng, 5, 61, 1 << 30);
         for mode in MODES {
             let cfg = Grape5Config { mode, ..Grape5Config::paper() };
-            let p = G5Pipeline::new(&cfg, 2e-10, 0.01);
+            let mut p = G5Pipeline::new(&cfg, 2e-10, 0.01);
             let mut want = vec![Force::ZERO; xi.len()];
             p.interact_block(&xi, &j.j_slices(), 0.25, fmt, &mut want);
-            let mut got = vec![Force::ZERO; xi.len()];
             let on_avx2 = p.lane_path() == LanePath::Avx2;
-            // the hook of the other mode declines; this mode's runs
-            // every prefix, the last one being the kernel itself
-            for stage in ExactStage::ALL {
-                let ran =
-                    p.interact_block_exact_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
-                assert_eq!(ran, on_avx2 && mode == ArithMode::Exact, "{stage:?}");
-            }
-            for stage in LnsStage::ALL {
-                let ran = p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
-                assert_eq!(ran, on_avx2 && mode == ArithMode::Lns, "{stage:?}");
-            }
-            if on_avx2 {
-                assert_bits_equal(&want, &got, &format!("{mode:?} upto Accumulate"));
+            for wide in [false, true] {
+                set_wide(&mut p, wide);
+                let mut got = vec![Force::ZERO; xi.len()];
+                // the hook of the other mode declines; this mode's runs
+                // every prefix, the last one being the kernel itself
+                for stage in ExactStage::ALL {
+                    let ran =
+                        p.interact_block_exact_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
+                    assert_eq!(ran, on_avx2 && mode == ArithMode::Exact, "{stage:?}");
+                }
+                for stage in LnsStage::ALL {
+                    let ran =
+                        p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
+                    assert_eq!(ran, on_avx2 && mode == ArithMode::Lns, "{stage:?}");
+                }
+                if on_avx2 {
+                    assert_bits_equal(&want, &got, &format!("{mode:?} upto Accumulate, {wide}"));
+                }
             }
         }
     }
+
+    /// The quantizer's lane paths (`Avx2` is the portable one where the
+    /// CPU lacks it).
+    const QUANT_PATHS: [LanePath; 3] = [LanePath::Avx2, LanePath::Portable, LanePath::Scalar];
 
     /// Every lane path of the coordinate quantizer against the
     /// definition, word for word.
@@ -2407,7 +2785,7 @@ mod tests {
                 pos.iter().map(|p| scaler.quantize(p.y)).collect(),
                 pos.iter().map(|p| scaler.quantize(p.z)).collect(),
             ];
-            for path in all_paths().into_iter().chain([LanePath::Scalar]) {
+            for path in QUANT_PATHS {
                 // poisoned columns: every word must be overwritten
                 let (mut x, mut y, mut z) =
                     (vec![i64::MIN; n], vec![i64::MIN; n], vec![i64::MIN; n]);
@@ -2518,7 +2896,7 @@ mod tests {
             (5e-324, 0),
         ];
         let pos: Vec<Vec3> = cases.iter().map(|&(v, _)| Vec3::new(v, -v, v)).collect();
-        for path in all_paths().into_iter().chain([LanePath::Scalar]) {
+        for path in QUANT_PATHS {
             let n = pos.len();
             let (mut x, mut y, mut z) = (vec![0; n], vec![0; n], vec![0; n]);
             quantize_columns(path, &s, &pos, [&mut x, &mut y, &mut z]);
@@ -2532,16 +2910,20 @@ mod tests {
 
     #[test]
     fn lane_path_parse_covers_every_spelling() {
-        for has_avx2 in [false, true] {
+        for (has_avx2, has_avx512) in [(false, false), (true, false), (true, true)] {
+            let parse = |var| parse_lane_path(var, [has_avx2, has_avx512]);
             let native = if has_avx2 { LanePath::Avx2 } else { LanePath::Portable };
-            assert_eq!(parse_lane_path(Some("portable"), has_avx2), LanePath::Portable);
-            assert_eq!(parse_lane_path(Some("scalar"), has_avx2), LanePath::Scalar);
-            // avx2 without AVX2 degrades; garbage and unset mean "detect"
-            assert_eq!(parse_lane_path(Some("avx2"), has_avx2), native);
-            assert_eq!(parse_lane_path(Some("AVX-512"), has_avx2), native);
-            assert_eq!(parse_lane_path(Some(""), has_avx2), native);
-            assert_eq!(parse_lane_path(None, has_avx2), native);
+            assert_eq!(parse(Some("portable")), (LanePath::Portable, false));
+            assert_eq!(parse(Some("scalar")), (LanePath::Scalar, false));
+            // avx2 pins eight lanes and degrades without AVX2; garbage
+            // and unset mean "detect", width included
+            assert_eq!(parse(Some("avx2")), (native, false));
+            assert_eq!(parse(Some("AVX-512")), (native, has_avx512));
+            assert_eq!(parse(Some("")), (native, has_avx512));
+            assert_eq!(parse(None), (native, has_avx512));
         }
+        // sixteen lanes need AVX2 as well: never on the portable path
+        assert_eq!(parse_lane_path(None, [false, true]), (LanePath::Portable, false));
         // and the process-wide resolution is stable
         assert_eq!(detect_lane_path(), detect_lane_path());
     }

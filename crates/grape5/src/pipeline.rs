@@ -236,6 +236,12 @@ impl G5Pipeline {
         self.lns_lanes.as_ref()
     }
 
+    /// … and mutably, for the referees that pick its group width.
+    #[cfg(test)]
+    pub(crate) fn lns_lanes_mut(&mut self) -> Option<&mut LnsLanes> {
+        self.lns_lanes.as_mut()
+    }
+
     /// Load (or clear) the cutoff table — `g5_set_cutoff_table` in the
     /// real library's P³M mode.
     pub fn with_cutoff(mut self, cutoff: Option<CutoffTable>) -> Self {

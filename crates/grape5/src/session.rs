@@ -152,11 +152,14 @@ pub struct DeviceSession<'a> {
 
 impl<'a> DeviceSession<'a> {
     /// Open a session for a snapshot: declare the bounding window of
-    /// `pos` and the softening, then hand back the configured device.
-    /// Non-finite positions surface as
+    /// `pos` (the unit window for an empty one) and the softening, then
+    /// hand back the configured device. Non-finite positions surface as
     /// [`DeviceError::NonFinitePosition`].
     pub fn try_open(g5: &'a mut Grape5, pos: &[Vec3], eps: f64) -> Result<Self, DeviceError> {
-        let (lo, hi) = bounding_window(pos)?;
+        // no particle has no extent (`bounding_window` folds nothing
+        // and returns the empty interval): any window serves, since
+        // nothing will be quantized against it
+        let (lo, hi) = if pos.is_empty() { (-1.0, 1.0) } else { bounding_window(pos)? };
         g5.set_range(lo, hi);
         g5.set_eps(eps);
         Ok(DeviceSession {

@@ -4,7 +4,7 @@
 use grape5::RecoveryStats;
 use rand::SeedableRng;
 use treegrape::backends::ForceError;
-use treegrape::{BackendSpec, PhaseTimers};
+use treegrape::{BackendKind, BackendSpec, PhaseTimers, TreeGrapeConfig};
 
 /// Server-assigned job identifier (monotonic, never reused within a
 /// server directory).
@@ -99,6 +99,27 @@ impl JobSpec {
         }
         if self.retain == 0 {
             return Err("zero checkpoint retention".into());
+        }
+        // the backend fields: each of these would otherwise panic the
+        // worker thread inside `run_slice` and leave the job `Running`.
+        // `BackendSpec::build` pairs n_crit with the paper configuration's
+        // tree and the grouped backends assert leaf ≤ n_crit, so the
+        // floor of n_crit is that leaf capacity, not 1
+        let b = &self.backend;
+        let leaf = TreeGrapeConfig::paper(b.eps).tree_config.leaf_capacity;
+        if b.n_crit < leaf {
+            return Err(format!("n_crit {} below the tree's leaf capacity {leaf}", b.n_crit));
+        }
+        if b.boards == 0 {
+            return Err("zero boards".into());
+        }
+        if b.kind == (BackendKind::Cluster { shards: 0 }) {
+            return Err("zero-shard cluster".into());
+        }
+        for (name, v) in [("theta", b.theta), ("eps", b.eps)] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("{name} is not a finite non-negative number"));
+            }
         }
         if let Some(f) = &self.backend.fault {
             // the job ledger persists only the stochastic fault rates;

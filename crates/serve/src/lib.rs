@@ -197,4 +197,83 @@ mod tests {
         server.shutdown();
         std::fs::remove_dir_all(dir).ok();
     }
+
+    /// A small job with one backend field a worker thread would panic on.
+    fn bad_backend_specs() -> Vec<(&'static str, JobSpec)> {
+        use treegrape::BackendKind;
+        let ok = JobSpec::plummer(64, 5, 4);
+        let with = |f: &dyn Fn(&mut treegrape::BackendSpec)| {
+            let mut spec = ok;
+            f(&mut spec.backend);
+            spec
+        };
+        vec![
+            ("n_crit = 0", with(&|b| b.n_crit = 0)),
+            ("n_crit below a leaf", with(&|b| b.n_crit = 7)),
+            ("boards = 0", with(&|b| b.boards = 0)),
+            ("shards = 0", with(&|b| b.kind = BackendKind::Cluster { shards: 0 })),
+            ("theta NaN", with(&|b| b.theta = f64::NAN)),
+            ("theta < 0", with(&|b| b.theta = -0.5)),
+            ("theta inf", with(&|b| b.theta = f64::INFINITY)),
+            ("eps NaN", with(&|b| b.eps = f64::NAN)),
+            ("eps < 0", with(&|b| b.eps = -1e-3)),
+        ]
+    }
+
+    #[test]
+    fn bad_backend_fields_are_refused_at_submit() {
+        let dir = tmpdir("bad_submit");
+        let server = Server::open(small_cfg(&dir)).unwrap();
+        for (what, spec) in bad_backend_specs() {
+            let err = server.submit(spec).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{what}: {err}");
+        }
+        // the boundary values are specs like any other
+        let mut edge = JobSpec::plummer(64, 5, 4);
+        (edge.backend.theta, edge.backend.eps, edge.backend.n_crit) = (0.0, 0.0, 8);
+        let id = server.submit(edge).unwrap();
+        assert_eq!(server.wait(id), JobState::Completed);
+        assert_eq!(server.statuses().len(), 1, "a refused spec leaves no job behind");
+        server.shutdown();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_replayed_job_with_a_bad_backend_field_fails_and_its_neighbours_run() {
+        // what a flipped digit in a ledger token decodes to: the spec
+        // parses, `submit` would have refused it, and a worker handed
+        // it would panic and leave the job `Running` for ever
+        for (what, bad) in bad_backend_specs() {
+            let dir = tmpdir("bad_replay");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("jobs.ledger");
+            let mut led = ledger::Ledger::create(&path).unwrap();
+            let good = JobSpec::plummer(64, 5, 4);
+            led.submit(0, &good).unwrap();
+            led.submit(1, &bad).unwrap();
+            led.state(1, &JobState::Preempted, 2).unwrap();
+            led.submit(2, &good).unwrap();
+            drop(led);
+
+            let server = Server::open(small_cfg(&dir)).expect(what);
+            match server.wait(1) {
+                JobState::Failed(JobError::CheckpointCorrupt(m)) => {
+                    assert!(m.contains("bad spec"), "{what}: {m}")
+                }
+                other => panic!("{what}: expected a corrupt-checkpoint failure, got {other:?}"),
+            }
+            assert_eq!(server.wait(0), JobState::Completed, "{what}");
+            assert_eq!(server.wait(2), JobState::Completed, "{what}");
+            server.shutdown();
+
+            // the failure is in the ledger: the next open does not retry
+            let replayed = ledger::replay(&path).unwrap();
+            assert!(matches!(replayed[1].state, JobState::Failed(_)), "{what}: {replayed:?}");
+            let server = Server::open(small_cfg(&dir)).expect(what);
+            assert!(server.status(1).unwrap().state.is_terminal(), "{what}");
+            assert_eq!(server.submit(good).unwrap(), 3, "{what}: ids go on past the failed job");
+            server.shutdown();
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
 }

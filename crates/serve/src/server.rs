@@ -229,7 +229,11 @@ impl Server {
     /// Open (or re-open) a server over `cfg.dir`. A pre-existing job
     /// ledger is replayed: terminal jobs keep their record, every
     /// non-terminal job is re-queued for admission and will resume
-    /// from the newest valid manifest in its own directory.
+    /// from the newest valid manifest in its own directory — unless its
+    /// spec no longer passes [`JobSpec::validate`] (a damaged ledger
+    /// line), in which case it fails with
+    /// [`JobError::CheckpointCorrupt`], on the ledger, and is never
+    /// queued.
     pub fn open(cfg: ServerConfig) -> io::Result<Server> {
         assert!(cfg.workers >= 1, "server needs at least one worker");
         assert!(cfg.quantum >= 1, "quantum must be at least one step");
@@ -240,18 +244,32 @@ impl Server {
         let mut pending = VecDeque::new();
         let mut next_id = 0;
         let ledger = if ledger_path.exists() {
-            for job in ledger::replay(&ledger_path)? {
+            let replayed = ledger::replay(&ledger_path)?;
+            let mut ledger = Ledger::append_to(&ledger_path)?;
+            for job in replayed {
                 let mut entry = JobEntry::new(job.spec);
                 entry.steps_done = job.steps_done;
                 entry.energy0 = job.energy0;
-                entry.state = if job.state.is_terminal() { job.state } else { JobState::Queued };
+                entry.state = match (job.state, job.spec.validate()) {
+                    (state, _) if state.is_terminal() => state,
+                    (_, Ok(())) => JobState::Queued,
+                    // a spec `submit` would have refused can only be a
+                    // damaged ledger line: fail the job here, durably,
+                    // rather than let it panic a worker
+                    (_, Err(m)) => {
+                        let failed =
+                            JobState::Failed(JobError::CheckpointCorrupt(format!("bad spec: {m}")));
+                        ledger.state(job.id, &failed, job.steps_done)?;
+                        failed
+                    }
+                };
                 if !entry.state.is_terminal() {
                     pending.push_back(job.id);
                 }
                 next_id = next_id.max(job.id + 1);
                 jobs.insert(job.id, entry);
             }
-            Ledger::append_to(&ledger_path)?
+            ledger
         } else {
             Ledger::create(&ledger_path)?
         };

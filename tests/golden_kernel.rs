@@ -269,6 +269,26 @@ fn lane_paths() -> Vec<LanePath> {
     v
 }
 
+/// `LanePath::Avx2` runs the widest LNS lanes the CPU has, and which
+/// width that is is a fact of the process (`G5_LANE_PATH`, then the
+/// CPU). A process that resolved it from the CPU alone runs this whole
+/// binary once more in a child pinned to eight lanes
+/// (`G5_LANE_PATH=avx2`; the same kernel again where the CPU has no
+/// wider one), so one `cargo test` holds both instantiations to the
+/// goldens. In the child, and under any forced path, this is a no-op.
+#[test]
+fn every_golden_holds_pinned_to_eight_lns_lanes() {
+    if std::env::var_os("G5_LANE_PATH").is_some() {
+        return;
+    }
+    let out = std::process::Command::new(std::env::current_exe().expect("the test binary"))
+        .env("G5_LANE_PATH", "avx2")
+        .output()
+        .expect("re-run the test binary");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && text.contains("test result: ok"), "at eight lanes:\n{text}");
+}
+
 /// Board j-memory loaded with `words`: the kernels' SoA columns exactly
 /// as `load_j` lays them out.
 fn jmem(words: &[JWord]) -> ProcessorBoard {

@@ -125,4 +125,17 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
             assert_eq!(n, 1, "{mode:?} try_force_on against {nj} resident j-particles");
         }
     }
+
+    // `LanePath::Avx2` above ran the widest LNS lanes this CPU has, a
+    // fact of the process: one that resolved it from the CPU alone
+    // counts once more in a child pinned to eight lanes (after the
+    // measurements — spawning allocates)
+    if std::env::var_os("G5_LANE_PATH").is_none() {
+        let out = std::process::Command::new(std::env::current_exe().expect("the test binary"))
+            .env("G5_LANE_PATH", "avx2")
+            .output()
+            .expect("re-run the test binary");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && text.contains("1 passed"), "at eight lanes:\n{text}");
+    }
 }

@@ -228,19 +228,22 @@ fn bounding_window_equals_its_two_pass_definition_bit_for_bit() {
     );
 }
 
-/// Degenerate snapshots through the whole tree-on-GRAPE stack, in both
-/// arithmetic modes and at a one-particle and a 32-particle group size:
-/// a lone particle, a pair, a pair with a massless partner, a pile of
+/// Degenerate snapshots through every GRAPE backend — direct
+/// summation, the tree, and the cluster at K ∈ {1, 2, 4}, where K > N
+/// leaves shards empty — in both arithmetic modes and at a
+/// one-particle and a 32-particle group size: no particle at all, a
+/// lone particle, a pair, a pair with a massless partner, a pile of
 /// coincident particles (one leaf no `n_crit` can split), and a pile
 /// beside a distant body. The answer is `DirectHost`'s — to the mode's
 /// arithmetic error — or a typed `ForceError`; a panic fails the test.
 #[test]
 fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
-    use grape5_nbody::core::DirectHost;
+    use grape5_nbody::core::{ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, DirectHost};
     use grape5_nbody::grape5::Grape5Config;
     use grape5_nbody::tree::TreeConfig;
     let at = Vec3::new(0.3, -0.2, 0.1);
     let cases: Vec<(&str, Vec<Vec3>, Vec<f64>)> = vec![
+        ("N = 0", vec![], vec![]),
         ("N = 1", vec![at], vec![1.0]),
         ("N = 2", vec![at, Vec3::new(-0.4, 0.5, 0.0)], vec![1.0, 2.0]),
         ("zero-mass partner", vec![at, Vec3::new(-0.4, 0.5, 0.0)], vec![1.0, 0.0]),
@@ -259,13 +262,35 @@ fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
                 tree_config: TreeConfig { leaf_capacity: n_crit.min(8), ..TreeConfig::default() },
                 ..TreeGrapeConfig::paper(0.01)
             };
-            for (name, pos, mass) in &cases {
-                let what = format!("{name}, {:?}, n_crit {n_crit}", grape.mode);
+            let cluster = |shards| {
+                let cfg = ClusterTreeGrapeConfig {
+                    base: cfg,
+                    ..ClusterTreeGrapeConfig::paper(0.01, shards)
+                };
+                Box::new(ClusterTreeGrape::new(cfg)) as Box<dyn ForceBackend>
+            };
+            type Build<'a> = &'a dyn Fn() -> Box<dyn ForceBackend>;
+            let backends: [(&str, Build); 5] = [
+                ("DirectGrape", &|| Box::new(DirectGrape::new(grape, 0.01))),
+                ("TreeGrape", &|| Box::new(TreeGrape::new(cfg))),
+                ("cluster K = 1", &|| cluster(1)),
+                ("cluster K = 2", &|| cluster(2)),
+                ("cluster K = 4", &|| cluster(4)),
+            ];
+            for ((name, pos, mass), (backend, build)) in
+                cases.iter().flat_map(|c| backends.iter().map(move |b| (c, b)))
+            {
+                let what = format!("{name}, {backend}, {:?}, n_crit {n_crit}", grape.mode);
                 let want = DirectHost::new(0.01).compute(pos, mass);
-                match TreeGrape::new(cfg).try_compute(pos, mass) {
+                match build().try_compute(pos, mass) {
                     // typed: printable, and no partial answer to misuse
                     Err(e) => assert!(!e.to_string().is_empty(), "{what}"),
                     Ok(got) => {
+                        assert_eq!(
+                            (got.acc.len(), got.pot.len()),
+                            (pos.len(), pos.len()),
+                            "{what}"
+                        );
                         let scale = want.acc.iter().fold(0.0f64, |s, a| s.max(a.norm()));
                         for (k, (g, w)) in got.acc.iter().zip(&want.acc).enumerate() {
                             assert!(
