@@ -14,16 +14,19 @@
 //! and, inside the batch path, the **lane kernel** of each arithmetic
 //! mode against the scalar per-pair skeleton it replaced (the `lane x`
 //! column; `G5_LANE_PATH` picks which lane implementation runs, and
-//! the report records how wide its LNS groups were). On
+//! the report records which accumulate op column it ran —
+//! `"acc_ops": "avx2" | "avx512vl"` — and how wide its LNS groups
+//! were). On
 //! AVX2 each mode's kernel is also run truncated after each of its
 //! pipeline stages, and the differences of those prefixes give the
 //! per-stage ns/interaction split that names the next bottleneck — in
 //! exact mode, what the simulated fixed-point accumulator costs next to
-//! the force itself. Where the LNS kernel runs sixteen lanes the same
-//! split is also taken at eight, in children pinned with
-//! `G5_LANE_PATH=avx2` (`--split-only`) between re-measurements of this
-//! process's own, each side with its exact split — which no width
-//! touches — as the calibrator of the machine's state. Differencing
+//! the force itself. Where the CPU has the AVX-512VL column and sixteen
+//! LNS lanes, both splits are also taken on the AVX2 column and at
+//! eight lanes, in children pinned with `G5_LANE_PATH=avx2`
+//! (`--split-only`) between re-measurements of this process's own, each
+//! side with the divider floor of its own rounds: the exact kernel's
+//! ratio to its floor at both columns, from one run. Differencing
 //! prefixes mis-prices stages that overlap (PR 16's LNS decode, the
 //! exact kernel's pipelined front and back), so the exact table also
 //! carries a same-run **divider floor**:
@@ -45,8 +48,8 @@
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr23.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr23] [--split-only]
+//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr24.json] \
+//!     [--trajectory BENCH_trajectory.json --pr pr24] [--split-only]
 //! ```
 
 use g5_bench::trajectory::{self, Entry};
@@ -108,24 +111,40 @@ fn lane_str(path: LanePath) -> &'static str {
     }
 }
 
-/// j-particles per group of the LNS lane kernel on `path` in this
-/// process — the rule of `grape5::lanes`, restated here because the
-/// library exposes the path, not the width: the x86 path runs sixteen
-/// lanes where the CPU has AVX-512 F, BW, DQ and VL, unless
-/// `G5_LANE_PATH=avx2` pins eight.
-fn lns_lane_width(path: LanePath) -> usize {
+/// Whether `path` runs its AVX-512 kernels in this process — the rule
+/// of `grape5::lanes`, restated here because the library exposes the
+/// path, not the kernels under it: where the CPU has FMA and AVX-512 F,
+/// BW, DQ and VL the x86 path accumulates on the AVX-512VL op column in
+/// both modes and runs sixteen LNS lanes, unless `G5_LANE_PATH=avx2`
+/// pins the AVX2 column and eight.
+fn wide_kernels(path: LanePath) -> bool {
     #[cfg(target_arch = "x86_64")]
-    let has_lanes16 = std::is_x86_feature_detected!("avx512f")
+    let has_wide = std::is_x86_feature_detected!("fma")
+        && std::is_x86_feature_detected!("avx512f")
         && std::is_x86_feature_detected!("avx512bw")
         && std::is_x86_feature_detected!("avx512dq")
         && std::is_x86_feature_detected!("avx512vl");
     #[cfg(not(target_arch = "x86_64"))]
-    let has_lanes16 = false;
+    let has_wide = false;
     let pinned = std::env::var("G5_LANE_PATH").as_deref() == Ok("avx2");
+    path == LanePath::Avx2 && has_wide && !pinned
+}
+
+/// j-particles per group of the LNS lane kernel on `path`.
+fn lns_lane_width(path: LanePath) -> usize {
     match path {
-        LanePath::Avx2 if has_lanes16 && !pinned => 16,
+        LanePath::Avx2 if wide_kernels(path) => 16,
         LanePath::Avx2 | LanePath::Portable => 8,
         LanePath::Scalar => 1,
+    }
+}
+
+/// The op column of the fixed-point accumulate on `path` (the portable
+/// and scalar paths have none: their own name).
+fn acc_ops(path: LanePath) -> &'static str {
+    match path {
+        LanePath::Avx2 if wide_kernels(path) => "avx512vl",
+        path => lane_str(path),
     }
 }
 
@@ -233,6 +252,8 @@ struct StageSplit {
     mode: ArithMode,
     /// Lanes per j-group of the kernel measured (4 × f64, 8 or 16 × i32).
     lanes: usize,
+    /// The accumulate op column it ended in ([`acc_ops`]).
+    ops: &'static str,
     stages: StageNames,
     /// Time per interaction of the kernel truncated after each stage.
     prefix_ns: Vec<f64>,
@@ -254,7 +275,10 @@ impl StageSplit {
     /// Keep the faster of two measurements of the same kernel, prefix
     /// by prefix.
     fn keep_best(&mut self, other: &StageSplit) {
-        assert_eq!((self.mode, self.lanes, self.n), (other.mode, other.lanes, other.n));
+        assert_eq!(
+            (self.mode, self.lanes, self.ops, self.n),
+            (other.mode, other.lanes, other.ops, other.n)
+        );
         for (p, o) in self.prefix_ns.iter_mut().zip(&other.prefix_ns) {
             *p = p.min(*o);
         }
@@ -366,7 +390,8 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
         ArithMode::Exact => 4,
         ArithMode::Lns => lns_lane_width(pipe.lane_path()),
     };
-    Some(StageSplit { n, mode, lanes, stages, prefix_ns: best, floor_ns })
+    let ops = acc_ops(pipe.lane_path());
+    Some(StageSplit { n, mode, lanes, ops, stages, prefix_ns: best, floor_ns })
 }
 
 /// `--split-only`: both stage splits as their report lines, nothing else.
@@ -378,9 +403,10 @@ fn print_splits(n: usize, quick: bool) {
     }
 }
 
-/// The two splits of a child of this binary pinned to eight LNS lanes
-/// (`G5_LANE_PATH=avx2 --split-only`), read back from its report lines.
-fn splits_at_eight_lanes(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
+/// The two splits of a child of this binary pinned to the AVX2 op
+/// column and eight LNS lanes (`G5_LANE_PATH=avx2 --split-only`), read
+/// back from its report lines.
+fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
     let mut cmd = std::process::Command::new(std::env::current_exe().ok()?);
     cmd.arg("--split-only").env("G5_LANE_PATH", "avx2");
     if quick {
@@ -397,14 +423,10 @@ fn splits_at_eight_lanes(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
         }
         let (lanes, floor_ns) =
             (json_f64(line, "lanes")? as usize, json_f64(line, "divider_floor"));
-        (json_f64(line, "n")? as usize == n).then_some(StageSplit {
-            n,
-            mode,
-            lanes,
-            stages,
-            prefix_ns,
-            floor_ns,
-        })
+        // the pin held: the child says which column it ran
+        let ops = "avx2";
+        (json_f64(line, "n")? as usize == n && line.contains("\"acc_ops\": \"avx2\""))
+            .then_some(StageSplit { n, mode, lanes, ops, stages, prefix_ns, floor_ns })
     };
     Some([read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?])
 }
@@ -412,11 +434,13 @@ fn splits_at_eight_lanes(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
 fn stage_table(split: &StageSplit) {
     println!();
     println!(
-        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, x86 lanes, {} × {})",
+        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, x86 lanes, {} × {}, \
+         {} accumulate)",
         mode_str(split.mode),
         fmt_count(split.n as u64),
         split.lanes,
-        if split.mode == ArithMode::Exact { "f64" } else { "i32" }
+        if split.mode == ArithMode::Exact { "f64" } else { "i32" },
+        split.ops
     );
     rule(78);
     println!("{:<44} {:>10} {:>10} {:>10}", "stage", "ns/int", "share", "prefix");
@@ -451,10 +475,12 @@ fn stage_table(split: &StageSplit) {
 /// The report line of a split, keyed `<mode>_stage_split<tag>`.
 fn stage_json(split: &StageSplit, tag: &str) -> String {
     let mut s = format!(
-        "  \"{}_stage_split{tag}\": {{\"n\": {}, \"lanes\": {}, \"unit\": \"ns_per_interaction\"",
+        "  \"{}_stage_split{tag}\": {{\"n\": {}, \"lanes\": {}, \"acc_ops\": \"{}\", \
+         \"unit\": \"ns_per_interaction\"",
         mode_str(split.mode),
         split.n,
-        split.lanes
+        split.lanes,
+        split.ops
     );
     for (k, ns) in split.stage_ns().iter().enumerate() {
         write!(s, ", \"{}\": {}", split.stages[k].0, ns).unwrap();
@@ -697,16 +723,17 @@ fn main() {
         .into_iter()
         .filter_map(|mode| stage_split(mode, sizes[0], quick))
         .collect();
-    // at sixteen LNS lanes: the same two splits at eight, from pinned
-    // children, in rounds that alternate with re-measurements of this
-    // process's own (fastest per prefix on either side)
-    let mut at_eight: Option<[StageSplit; 2]> = None;
-    if splits.iter().any(|s| s.mode == ArithMode::Lns && s.lanes == 16) {
+    // on the AVX-512 kernels: the same two splits on the AVX2 op column
+    // and at eight lanes, from pinned children, in rounds that alternate
+    // with re-measurements of this process's own (fastest per prefix on
+    // either side, each side's divider floor from its own rounds)
+    let mut pinned: Option<[StageSplit; 2]> = None;
+    if splits.iter().any(|s| s.ops == "avx512vl") {
         for _ in 0..if quick { 2 } else { 3 } {
-            let Some(child) = splits_at_eight_lanes(sizes[0], quick) else { break };
-            match &mut at_eight {
+            let Some(child) = splits_pinned_to_avx2(sizes[0], quick) else { break };
+            match &mut pinned {
                 Some(best) => best.iter_mut().zip(&child).for_each(|(b, c)| b.keep_best(c)),
-                None => at_eight = Some(child),
+                None => pinned = Some(child),
             }
             for own in &mut splits {
                 own.keep_best(&stage_split(own.mode, sizes[0], quick).expect("ran before"));
@@ -717,18 +744,31 @@ fn main() {
         println!("(stage splits: need the AVX2 lane path; skipped)");
     }
     splits.iter().for_each(stage_table);
-    if let (Some([exact8, lns8]), [exact, lns]) = (&at_eight, &splits[..]) {
+    if let (Some([exact2, lns8]), [exact, lns]) = (&pinned, &splits[..]) {
+        stage_table(exact2);
         stage_table(lns8);
+        let over_floor = |s: &StageSplit| s.total() / s.floor_ns.unwrap_or(f64::NAN);
+        println!(
+            "headline: the exact kernel on the {} accumulate is {:.2}x itself on {} ({:.2} vs \
+             {:.2} ns/interaction; kernel / divider floor {:.2} vs {:.2})",
+            exact.ops,
+            exact2.total() / exact.total(),
+            exact2.ops,
+            exact.total(),
+            exact2.total(),
+            over_floor(exact),
+            over_floor(exact2)
+        );
         println!(
             "headline: the LNS kernel at {} lanes is {:.2}x itself at {} ({:.2} vs {:.2} \
-             ns/interaction; the exact kernel beside each: {:.2} vs {:.2})",
+             ns/interaction; its accumulate row {:.2} vs {:.2})",
             lns.lanes,
             lns8.total() / lns.total(),
             lns8.lanes,
             lns.total(),
             lns8.total(),
-            exact.total(),
-            exact8.total()
+            lns.stage_ns().last().unwrap(),
+            lns8.stage_ns().last().unwrap()
         );
     }
     // share of the exact kernel that is the force, not the simulated
@@ -771,11 +811,12 @@ fn main() {
     writeln!(text, "  \"eps\": {EPS},").unwrap();
     writeln!(text, "  \"ops_per_interaction\": 38,").unwrap();
     writeln!(text, "  \"lns_lanes\": {},", lns_lane_width(headline.lane)).unwrap();
+    writeln!(text, "  \"acc_ops\": \"{}\",", acc_ops(headline.lane)).unwrap();
     for split in &splits {
         writeln!(text, "{}", stage_json(split, "")).unwrap();
     }
-    for split in at_eight.iter().flatten() {
-        writeln!(text, "{}", stage_json(split, "_beside_8_lns_lanes")).unwrap();
+    for split in pinned.iter().flatten() {
+        writeln!(text, "{}", stage_json(split, "_pinned_avx2")).unwrap();
     }
     writeln!(text, "  \"results\": [").unwrap();
     for (k, r) in results.iter().enumerate() {

@@ -286,6 +286,12 @@ fn main() {
         json_f64(headline_kernel, "n").unwrap() as u64,
         json_f64(headline_kernel, "lane_speedup").unwrap(),
     );
+    // ... and the LNS lane kernel's A/B at the same N (PR 12's
+    // headline), where the report has it (a reused aggregate has not)
+    let lns_lane_speedup = kernel_text
+        .lines()
+        .filter(|l| l.contains("\"mode\": \"lns\"") && json_f64(l, "n") == Some(kn as f64))
+        .find_map(|l| json_f64(l, "lane_speedup"));
     // a raw exp_host report carries "sort_n"; a reused suite aggregate
     // carries the same number as "n" on its "host_sort" line
     let sort_n = json_f64_any(&host_text, "sort_n")
@@ -382,7 +388,7 @@ fn main() {
         n,
         value,
     };
-    let this_run = [
+    let mut this_run = vec![
         row(&kernel_commit, "kernel_exact_lane_speedup", kn, lane_speedup),
         row(&host_commit, "morton_sort_speedup", sort_n, sort_speedup),
         row(&cluster_commit, "cluster_step_speedup", cluster_n, cluster_step_speedup),
@@ -393,6 +399,8 @@ fn main() {
         row(&serve_commit, "serve_p95_latency_s", serve_jobs, serve_p95),
         row(&serve_commit, "serve_jain_fairness", serve_jobs, serve_jain),
     ];
+    this_run
+        .extend(lns_lane_speedup.map(|x| row(&kernel_commit, "kernel_lns_lane_speedup", kn, x)));
     let existing = std::fs::read_to_string(&traj_path).ok();
     let mut lines: Vec<String> = match (&existing, append) {
         (Some(text), true) => trajectory::entry_lines(text),

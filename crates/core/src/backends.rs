@@ -21,7 +21,8 @@ use g5tree::tree::{Tree, TreeConfig};
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
 use grape5::{
-    ClockAccounting, DeviceError, DeviceSession, Grape5, Grape5Config, RecoveryStats, RetryPolicy,
+    bounding_window, ClockAccounting, DeviceError, DeviceSession, Grape5, Grape5Config,
+    RecoveryStats, RetryPolicy,
 };
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -537,6 +538,7 @@ impl ForceBackend for TreeGrape {
         if pos.is_empty() {
             return Ok(ForceSet::zeros(0)); // no particle, no tree to build
         }
+        bounding_window(pos)?; // a non-finite position: typed, before the tree meets it
         let t_all = Instant::now();
         let (build_s, refresh_s) = self.update_tree(pos, mass);
         let mut out = ForceSet::zeros(pos.len());

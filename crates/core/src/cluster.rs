@@ -57,8 +57,8 @@ use g5tree::tree::Tree;
 use g5util::cores;
 use g5util::vec3::Vec3;
 use grape5::{
-    ClockAccounting, ClusterSession, DeviceError, FaultConfig, Grape5, ProbeOutcome, RecoveryStats,
-    ShardHealth,
+    bounding_window, ClockAccounting, ClusterSession, DeviceError, FaultConfig, Grape5,
+    ProbeOutcome, RecoveryStats, ShardHealth,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -616,6 +616,7 @@ impl ForceBackend for ClusterTreeGrape {
         if pos.is_empty() {
             return Ok(ForceSet::zeros(0)); // no particle, nothing to decompose
         }
+        bounding_window(pos)?; // a non-finite position: typed, before any tree meets it
         let t_all = Instant::now();
         // Supervisor tick. A replay evaluation (checkpoint resume)
         // re-creates an evaluation the interrupted run already made

@@ -9,8 +9,8 @@
 //! ```text
 //!   interact_block (no cutoff)
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
-//!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns,
-//!        │                          block_lns16 where the CPU has AVX-512
+//!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns; where the CPU
+//!        │                          has AVX-512 and FMA, block_exact_vl / block_lns16
 //!        ├── LanePath::Portable ──► block_exact_portable / block_lns_portable
 //!        │                          (array-of-lanes, plain scalar ops)
 //!        └── LanePath::Scalar ────► the per-pair skeleton (pair_exact /
@@ -27,7 +27,9 @@
 //! * IEEE 754 mul/add/div/sqrt are deterministic and correctly rounded,
 //!   in scalar and vector forms alike, and no FMA contraction is ever
 //!   emitted from explicit intrinsics — so vectorizing the identical
-//!   operation sequence preserves every bit.
+//!   operation sequence preserves every bit. (The module's one explicit
+//!   FMA, `avx2::AccOps::in_window` on AVX-512VL, feeds a compare: FMA
+//!   may appear in a test, never in a value.)
 //! * The AVX2 kernel converts a j-block's coordinate columns to `f64`
 //!   once per (i-tile, j-block) with the exact `2⁵²+2⁵¹` shifter and
 //!   subtracts in doubles. A coordinate-magnitude guard routes any call
@@ -144,8 +146,8 @@ const EXACT_DEPTH: usize = 4;
 /// Which implementation the no-cutoff `interact_block` dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
-    /// Explicit x86 `core::arch` intrinsics: AVX2, and the widest LNS
-    /// lanes the CPU has (sixteen with AVX-512 F/BW/DQ/VL, else eight).
+    /// Explicit x86 `core::arch` intrinsics: AVX2, with the cheapest op
+    /// column and the widest LNS lanes the CPU has ([`Wide`]).
     Avx2,
     /// Portable array-of-lanes fallback (any architecture).
     Portable,
@@ -154,33 +156,41 @@ pub enum LanePath {
     Scalar,
 }
 
+/// Whether the x86 lane path has the CPU's AVX-512 F/BW/DQ/VL subset and
+/// FMA in use: in both modes the AVX-512VL column of the accumulate's op
+/// table (`avx2::AccOps`), in LNS mode also sixteen-lane groups. Private
+/// field, set here only: never `true` unless `cpu_lanes()[1]` is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Wide(bool);
+
 /// Resolve a `G5_LANE_PATH` value against the CPU (`cpu_lanes`) —
-/// the lane path, and whether its LNS kernel runs sixteen lanes:
+/// the lane path, and whether it is [`Wide`]:
 /// `portable` and `scalar` are honoured as given; anything else, and no
-/// value at all, pick the x86 intrinsics when the CPU has AVX2, at the
-/// widest LNS lanes it has, and the portable lanes otherwise; `avx2`
-/// does the same but pins eight lanes (and on other hardware degrades
-/// rather than faults).
-fn parse_lane_path(var: Option<&str>, [has_avx2, has_lanes16]: [bool; 2]) -> (LanePath, bool) {
+/// value at all, pick the x86 intrinsics when the CPU has AVX2, wide
+/// where it can be, and the portable lanes otherwise; `avx2`
+/// does the same but pins the AVX2 column and eight lanes (and on other
+/// hardware degrades rather than faults).
+fn parse_lane_path(var: Option<&str>, [has_avx2, has_wide]: [bool; 2]) -> (LanePath, Wide) {
     match var {
-        Some("portable") => (LanePath::Portable, false),
-        Some("scalar") => (LanePath::Scalar, false),
-        _ if has_avx2 => (LanePath::Avx2, has_lanes16 && var != Some("avx2")),
-        _ => (LanePath::Portable, false),
+        Some("portable") => (LanePath::Portable, Wide(false)),
+        Some("scalar") => (LanePath::Scalar, Wide(false)),
+        _ if has_avx2 => (LanePath::Avx2, Wide(has_wide && var != Some("avx2"))),
+        _ => (LanePath::Portable, Wide(false)),
     }
 }
 
-/// What the CPU has for the x86 lane path: `[AVX2, AVX2 and the AVX-512
-/// subsets of the sixteen-lane LNS kernel]` (`avx2::block_lns16`).
+/// What the CPU has for the x86 lane path: `[AVX2, AVX2 and the FMA and
+/// AVX-512 subsets of avx2::block_exact_vl and avx2::block_lns16]`.
 fn cpu_lanes() -> [bool; 2] {
     #[cfg(target_arch = "x86_64")]
     let has = {
         let avx2 = std::is_x86_feature_detected!("avx2");
-        let avx512 = std::is_x86_feature_detected!("avx512f")
+        let wide = std::is_x86_feature_detected!("fma")
+            && std::is_x86_feature_detected!("avx512f")
             && std::is_x86_feature_detected!("avx512bw")
             && std::is_x86_feature_detected!("avx512dq")
             && std::is_x86_feature_detected!("avx512vl");
-        [avx2, avx2 && avx512]
+        [avx2, avx2 && wide]
     };
     #[cfg(not(target_arch = "x86_64"))]
     let has = [false; 2];
@@ -189,8 +199,8 @@ fn cpu_lanes() -> [bool; 2] {
 
 /// [`parse_lane_path`] of this process's `G5_LANE_PATH`, resolved once;
 /// later changes to the variable are not seen.
-fn detected() -> (LanePath, bool) {
-    static PATH: OnceLock<(LanePath, bool)> = OnceLock::new();
+pub(crate) fn detected() -> (LanePath, Wide) {
+    static PATH: OnceLock<(LanePath, Wide)> = OnceLock::new();
     *PATH
         .get_or_init(|| parse_lane_path(std::env::var("G5_LANE_PATH").ok().as_deref(), cpu_lanes()))
 }
@@ -381,7 +391,7 @@ fn exact_pair<'a>(
 /// lane implementation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn block_exact_lanes(
-    path: LanePath,
+    (path, wide): (LanePath, Wide),
     quantum: f64,
     eps2: f64,
     xi: &[[i64; 3]],
@@ -393,6 +403,7 @@ pub(crate) fn block_exact_lanes(
     if path == LanePath::Avx2
         && block_exact_avx2_upto(
             ExactStage::Accumulate,
+            wide,
             quantum,
             eps2,
             xi,
@@ -435,6 +446,7 @@ impl ExactStage {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn block_exact_avx2_upto(
     upto: ExactStage,
+    wide: Wide,
     quantum: f64,
     eps2: f64,
     xi: &[[i64; 3]],
@@ -445,20 +457,18 @@ pub(crate) fn block_exact_avx2_upto(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
-        // SAFETY: AVX2 was detected and the coordinate guard passed.
+        // SAFETY: AVX2 was detected and the coordinate guard passed; a
+        // `Wide` is only set where the FMA and AVX-512 subsets were.
         unsafe {
             macro_rules! upto {
-                ($s:ident) => {
-                    avx2::block_exact::<{ ExactStage::$s as u8 }>(
-                        quantum,
-                        eps2,
-                        xi,
-                        j,
-                        force_scale,
-                        fmt,
-                        out,
-                    )
-                };
+                ($s:ident) => {{
+                    const UPTO: u8 = ExactStage::$s as u8;
+                    if wide.0 {
+                        avx2::block_exact_vl::<UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
+                    } else {
+                        avx2::block_exact::<UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
+                    }
+                }};
             }
             match upto {
                 ExactStage::Force => upto!(Force),
@@ -468,7 +478,7 @@ pub(crate) fn block_exact_avx2_upto(
         }
         return true;
     }
-    let _ = (upto, quantum, eps2, xi, j, force_scale, fmt, out);
+    let _ = (upto, wide, quantum, eps2, xi, j, force_scale, fmt, out);
     false
 }
 
@@ -659,9 +669,6 @@ pub(crate) struct LnsLanes {
     eps2_lns: Lns,
     /// ε² as a core word ([`ZERO_WORD`] when it encodes to zero).
     eps2_word: i32,
-    /// The AVX2 path runs sixteen lanes per group. Invariant: only
-    /// ever `true` where `cpu_lanes()[1]` is.
-    wide: bool,
 }
 
 impl LnsLanes {
@@ -683,8 +690,8 @@ impl LnsLanes {
                 && !roms.sb.is_empty(),
             "lane ROM sizes do not match the format"
         );
-        let (eps2_word, wide) = (mass_word(eps2_lns) >> 1, detected().1);
-        Some(LnsLanes { conv, roms, quantum, eps2_lns, eps2_word, wide })
+        let eps2_word = mass_word(eps2_lns) >> 1;
+        Some(LnsLanes { conv, roms, quantum, eps2_lns, eps2_word })
     }
 
     /// The scalar definition, as a pair function over the j-slices.
@@ -768,7 +775,7 @@ impl LnsLanes {
 /// Entry point: dispatch the LNS-mode no-cutoff block to the selected
 /// lane implementation.
 pub(crate) fn block_lns_lanes(
-    path: LanePath,
+    (path, wide): (LanePath, Wide),
     c: &LnsLanes,
     xi: &[[i64; 3]],
     j: &JSlices<'_>,
@@ -777,7 +784,7 @@ pub(crate) fn block_lns_lanes(
     out: &mut [Force],
 ) {
     if path == LanePath::Avx2
-        && block_lns_avx2_upto(LnsStage::Accumulate, c, xi, j, force_scale, fmt, out)
+        && block_lns_avx2_upto(LnsStage::Accumulate, wide, c, xi, j, force_scale, fmt, out)
     {
         return;
     }
@@ -851,8 +858,10 @@ impl LnsStage {
 /// only meaningful for [`LnsStage::Accumulate`], the whole kernel).
 /// Returns `false` without touching `out` when the AVX2 kernel cannot
 /// take this call: no AVX2, or coordinates outside the magic window.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn block_lns_avx2_upto(
     upto: LnsStage,
+    wide: Wide,
     c: &LnsLanes,
     xi: &[[i64; 3]],
     j: &JSlices<'_>,
@@ -862,12 +871,12 @@ pub(crate) fn block_lns_avx2_upto(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
-        // SAFETY: AVX2 was detected and the coordinate guard passed;
-        // `c.wide` is only set where the AVX-512 subsets were detected.
+        // SAFETY: AVX2 was detected and the coordinate guard passed; a
+        // `Wide` is only set where the FMA and AVX-512 subsets were.
         unsafe {
             macro_rules! upto {
                 ($s:ident) => {
-                    if c.wide {
+                    if wide.0 {
                         avx2::block_lns16::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
                     } else {
                         avx2::block_lns::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
@@ -884,21 +893,22 @@ pub(crate) fn block_lns_avx2_upto(
         }
         return true;
     }
-    let _ = (upto, c, xi, j, force_scale, fmt, out);
+    let _ = (upto, wide, c, xi, j, force_scale, fmt, out);
     false
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, store_tile, ExactStage, LnsLanes,
-        LnsStage, QuantCtx, ScalarAcc, ScaleMode, EXACT_DEPTH, HALF_PRED, I_TILE, J_BLOCK, LANES,
-        LNS_LANES, ZERO_WORD,
+        block_tiled, exact_pair, scale_mode, span_pairs, store_tile, words_in_magic_window,
+        ExactStage, LnsLanes, LnsStage, QuantCtx, ScalarAcc, ScaleMode, EXACT_DEPTH, HALF_PRED,
+        I_TILE, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
     };
     use crate::pipeline::{Force, JSlices};
-    use core::arch::x86_64::*;
+    use core::arch::x86_64::{_mm256_castpd_si256 as to_i, *};
     use g5util::fixed::{Fixed, FixedFormat};
     use g5util::vec3::Vec3;
+    use std::marker::PhantomData;
 
     /// `2⁵² + 2⁵¹`: the shifter that makes i64 ↔ f64 conversion exact
     /// for `|v| < 2⁵¹` (the integer lands in the double's mantissa).
@@ -1017,13 +1027,6 @@ mod avx2 {
         _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
     }
 
-    /// Per-lane `magnitude < 2⁵⁰` (false for NaN), as a pd mask.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn in_window(magnitude: __m256d) -> __m256d {
-        _mm256_cmp_pd::<_CMP_LT_OQ>(magnitude, _mm256_set1_pd(ENC_LIM))
-    }
-
     /// [`round_away_to_i64`] short of its last step: the rounded
     /// integer still riding the shifter, i.e. the i64 plus
     /// [`MAGIC_BITS`]. Lane for lane the scalar
@@ -1064,7 +1067,7 @@ mod avx2 {
     #[inline]
     unsafe fn accumulate4(acc: __m256i, v: __m256d, c: &AccCtx) -> __m256i {
         let scaled = _mm256_mul_pd(v, c.encv);
-        let ok = in_window(abs_pd(scaled));
+        let ok = _mm256_cmp_pd::<_CMP_LT_OQ>(abs_pd(scaled), _mm256_set1_pd(ENC_LIM));
         if _mm256_movemask_pd(ok) != 0b1111 {
             // Rare: a term saturates the format or is NaN. The scalar
             // encode is the definition of correctness — defer to it.
@@ -1094,14 +1097,12 @@ mod avx2 {
     /// four consecutive j-interactions from component vectors (already
     /// unscaled) to per-j `[fx, fy, fz, pot]` and take them through
     /// [`accumulate4`] one j at a time. Kept out of line (and away from
-    /// [`Columns`], which must stay in registers).
+    /// [`Columns`], which must stay in registers) by [`add_ordered`].
     ///
     /// # Safety
     /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    #[cold]
-    #[inline(never)]
-    unsafe fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
+    unsafe fn add_ordered_avx2(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
         let t0 = _mm256_unpacklo_pd(v[0], v[1]);
         let t1 = _mm256_unpackhi_pd(v[0], v[1]);
         let t2 = _mm256_unpacklo_pd(v[2], v[3]);
@@ -1114,10 +1115,106 @@ mod avx2 {
         _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
     }
 
+    /// [`add_ordered_avx2`] as a call that stays one: rustc drops
+    /// `#[inline(never)]` from a `#[target_feature]` function.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cold]
+    #[inline(never)]
+    unsafe fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
+        add_ordered_avx2(a, v, c)
+    }
+
+    /// The ops of the fixed accumulate both kernels end in (`round_term`,
+    /// `in_window`) and of the exact front's mask steps (`zero_guard`,
+    /// `guarded_pot`), as a table — declaration, AVX2 body, AVX-512VL
+    /// body, each on 4 × 64 bits in a 256-bit register. Row for row the
+    /// two are the same function of their lanes wherever the result is
+    /// used (DESIGN.md, device kernel); what is written over them exists
+    /// once.
+    ///
+    /// # Safety
+    /// Every method executes its column's instructions, which the CPU
+    /// must have: AVX2 for [`Avx2Ops`]; AVX2, FMA and AVX-512 F, DQ and
+    /// VL for [`VlOps`] (`cpu_lanes()[1]`). Like [`LnsLane`]'s they are
+    /// `#[inline(always)]` without `#[target_feature]`, instructions and
+    /// not calls once inlined into a `#[target_feature]` `block_*` entry.
+    macro_rules! acc_ops {
+        ($($(#[$doc:meta])* fn $name:ident($($arg:tt)*) -> $ret:ty { $avx2:expr, $vl:expr })+) => {
+            pub(super) trait AccOps {
+                /// What [`round_term`](AccOps::round_term) leaves on each term.
+                const BIAS: i64;
+                /// The zero-distance lanes of a j-group.
+                type Guard: Copy;
+                $($(#[$doc])* unsafe fn $name($($arg)*) -> $ret;)+
+            }
+            pub(super) struct Avx2Ops;
+            pub(super) struct VlOps;
+            impl AccOps for Avx2Ops {
+                const BIAS: i64 = MAGIC_BITS;
+                type Guard = __m256i;
+                $(#[inline(always)] unsafe fn $name($($arg)*) -> $ret { $avx2 })+
+            }
+            impl AccOps for VlOps {
+                const BIAS: i64 = 0;
+                type Guard = __mmask8;
+                $(#[inline(always)] unsafe fn $name($($arg)*) -> $ret { $vl })+
+            }
+        };
+    }
+    acc_ops! {
+        /// `s.round() as i64 + BIAS` per lane, for `|s| < 2⁵⁰`: the magic
+        /// shifter's biased integer, or the scalar `round_half_away`
+        /// verbatim — `(s & sign) | pred(½)`, add, truncating convert.
+        fn round_term(s: __m256d) -> __m256i {
+            round_away_biased(s),
+            {
+                let (sign, half) = (_mm256_set1_epi64x(i64::MIN), _mm256_set1_pd(HALF_PRED));
+                let half = _mm256_ternarylogic_epi64::<0xEA>(to_i(s), sign, to_i(half));
+                _mm256_cvttpd_epi64(_mm256_add_pd(s, _mm256_castsi256_pd(half)))
+            }
+        }
+        /// A group's window test: `true` only if every term of `s` is
+        /// finite and `|s| < 2⁵⁰` — as `Σ|s| < 2⁵⁰`, or as `Σs² < 2¹⁰⁰` in a
+        /// multiply and three FMAs (in a test, never in a value that is
+        /// accumulated). A rounded sum of non-negatives is at least each
+        /// addend, NaN and ±inf propagate through it, and a group it
+        /// rejects although each term alone would pass merely takes the
+        /// ordered path, which is exact for any input.
+        fn in_window(s: [__m256d; 4]) -> bool {
+            {
+                let lo = _mm256_add_pd(abs_pd(s[0]), abs_pd(s[1]));
+                let sum = _mm256_add_pd(lo, _mm256_add_pd(abs_pd(s[2]), abs_pd(s[3])));
+                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(sum, _mm256_set1_pd(ENC_LIM))) == 0b1111
+            },
+            {
+                let sq = _mm256_fmadd_pd(s[1], s[1], _mm256_mul_pd(s[0], s[0]));
+                let sq = _mm256_fmadd_pd(s[3], s[3], _mm256_fmadd_pd(s[2], s[2], sq));
+                _mm256_cmp_pd_mask::<_CMP_LT_OQ>(sq, _mm256_set1_pd(ENC_LIM * ENC_LIM)) == 0b1111
+            }
+        }
+        /// The lanes whose three displacements are all `+0.0` — exact
+        /// integer-valued differences, `x − x = +0.0`: a bit-pattern test
+        /// (AVX2: the guarded lanes; VL: a `k` mask of the others).
+        fn zero_guard(d: [__m256d; 3]) -> Self::Guard {
+            _mm256_cmpeq_epi64(to_i(_mm256_or_pd(_mm256_or_pd(d[0], d[1]), d[2])), _mm256_setzero_si256()),
+            {
+                let any = _mm256_ternarylogic_epi64::<0xFE>(to_i(d[0]), to_i(d[1]), to_i(d[2]));
+                _mm256_test_epi64_mask(any, any)
+            }
+        }
+        /// `m · rinv`, `+0.0` in the guarded lanes.
+        fn guarded_pot(zero: Self::Guard, m: __m256d, rinv: __m256d) -> __m256d {
+            _mm256_andnot_pd(_mm256_castsi256_pd(zero), _mm256_mul_pd(m, rinv)),
+            _mm256_maskz_mul_pd(zero, m, rinv)
+        }
+    }
+
     /// The four column accumulators `Σfx, Σfy, Σfz, Σpot` of one
-    /// (i-particle, j-span): lane `l` of a column holds the rounded
-    /// terms of the span's j-particles `≡ l (mod 4)` not yet folded
-    /// into the running words.
+    /// (i-particle, j-span), on the ops of column `O`: lane `l` of a
+    /// column holds the rounded terms of the span's j-particles
+    /// `≡ l (mod 4)` not yet folded into the running words.
     ///
     /// Invariant: while `fast`, the running words had
     /// [`SPAN_HEADROOM`] when it was last set, and every term added
@@ -1125,56 +1222,46 @@ mod avx2 {
     /// — is at most 2⁵⁰ in magnitude. So no prefix of the ordered
     /// saturating chain over those terms can clamp or overflow, and the
     /// chain equals the plain integer sum the columns hold, in any
-    /// order. While `!fast` the columns stay zero.
+    /// order. While `!fast` the columns stay zero. Which groups leave
+    /// the columns may differ between two `O`; what they add may not.
     ///
-    /// The terms go in as [`round_away_biased`] leaves them, each
-    /// [`MAGIC_BITS`] too large: wrapping adds are exact modulo 2⁶⁴, so
-    /// the bias comes off once per fold (`groups` × `MAGIC_BITS` per
-    /// lane) instead of once per term.
-    struct Columns {
+    /// The terms go in as [`AccOps::round_term`] leaves them, each
+    /// [`AccOps::BIAS`] too large: wrapping adds are exact modulo 2⁶⁴, so
+    /// the bias comes off once per fold (`groups` × `BIAS` per lane)
+    /// instead of once per term.
+    ///
+    /// # Safety
+    /// Every method needs AVX2 and `O`'s CPU features ([`AccOps`]), and
+    /// is an `#[inline(always)]` body with no intrinsic in a closure;
+    /// `a` must be the running words the span was opened on.
+    struct Columns<O: AccOps> {
         sum: [__m256i; 4],
         /// Groups added since the last fold.
         groups: i64,
         fast: bool,
+        ops: PhantomData<O>,
     }
 
-    impl Columns {
+    impl<O: AccOps> Columns<O> {
         /// Start a span carried in on the running words `a`.
-        ///
-        /// # Safety
-        /// The CPU must support AVX2.
-        #[target_feature(enable = "avx2")]
-        #[inline]
-        unsafe fn open(a: &[i64; 4], c: &AccCtx) -> Columns {
-            Columns { sum: [_mm256_setzero_si256(); 4], groups: 0, fast: c.headroom(a) }
+        #[inline(always)]
+        unsafe fn open(a: &[i64; 4], c: &AccCtx) -> Self {
+            let sum = [_mm256_setzero_si256(); 4];
+            Columns { sum, groups: 0, fast: c.headroom(a), ops: PhantomData }
         }
 
         /// Add four consecutive j-interactions, given as the component
         /// vectors `[fx, fy, fz, pot]` (lane = j), in ascending j order.
-        ///
-        /// One compare on `|s0| + |s1| + |s2| + |s3|` is the window
-        /// test: a float sum of non-negatives is at least each of them,
-        /// NaN and ±inf propagate through it, and a group it rejects
-        /// although each term alone would pass merely takes the slow
-        /// path, which is exact for any input: fold the columns, add
-        /// the group in order ([`add_ordered`]), then see whether what
-        /// follows may use the columns (again).
-        ///
-        /// # Safety
-        /// The CPU must support AVX2; `a` must be the running words
-        /// this span was opened on.
-        #[target_feature(enable = "avx2")]
-        #[inline]
+        /// A group that fails [`AccOps::in_window`] takes the slow path:
+        /// fold the columns, add the group in order ([`add_ordered`]),
+        /// then see whether what follows may use the columns (again).
+        #[inline(always)]
         unsafe fn add(&mut self, a: &mut [i64; 4], f: [__m256d; 4], c: &AccCtx) {
             let v = c.unscale(f);
             let s = c.encode(v);
-            let mag = _mm256_add_pd(
-                _mm256_add_pd(abs_pd(s[0]), abs_pd(s[1])),
-                _mm256_add_pd(abs_pd(s[2]), abs_pd(s[3])),
-            );
-            if self.fast && _mm256_movemask_pd(in_window(mag)) == 0b1111 {
+            if self.fast && O::in_window(s) {
                 for (sum, s) in self.sum.iter_mut().zip(s) {
-                    *sum = _mm256_add_epi64(*sum, round_away_biased(s));
+                    *sum = _mm256_add_epi64(*sum, O::round_term(s));
                 }
                 self.groups += 1;
             } else {
@@ -1188,16 +1275,12 @@ mod avx2 {
         /// per component) and clear them. Must precede anything else
         /// that reads or writes `a`; after scalar work on `a`, `fast`
         /// is to be re-derived from [`AccCtx::headroom`].
-        ///
-        /// # Safety
-        /// As for [`Columns::add`].
-        #[target_feature(enable = "avx2")]
-        #[inline]
+        #[inline(always)]
         unsafe fn flush(&mut self, a: &mut [i64; 4]) {
             // wrapping: the true sum is in range by the struct
             // invariant, the biased one is not (and the truncated
             // profiling prefixes fold their sink through here)
-            let bias = (LANES as i64 * self.groups).wrapping_mul(MAGIC_BITS);
+            let bias = (LANES as i64 * self.groups).wrapping_mul(O::BIAS);
             for (a, sum) in a.iter_mut().zip(&mut self.sum) {
                 let mut l = [0i64; LANES];
                 _mm256_storeu_si256(l.as_mut_ptr().cast(), *sum);
@@ -1209,8 +1292,7 @@ mod avx2 {
         }
 
         /// Keep a truncated profiling prefix's result alive.
-        #[target_feature(enable = "avx2")]
-        #[inline]
+        #[inline(always)]
         unsafe fn sink(&mut self, v: __m256i) {
             self.sum[0] = _mm256_xor_si256(self.sum[0], v);
         }
@@ -1250,7 +1332,8 @@ mod avx2 {
         };
         let lanes_end = pos.len() / LANES * LANES;
         for k in (0..lanes_end).step_by(LANES) {
-            // in bounds: 3·(k + 4) ≤ flat.len()
+            debug_assert!(3 * (k + LANES) <= flat.len(), "three vectors past the stream");
+            debug_assert!([&x, &y, &z].iter().all(|c| k + LANES <= c.len()), "short column");
             let p = flat.as_ptr().add(3 * k);
             // v0 = x0 y0 z0 x1, v1 = y1 z1 x2 y2, v2 = z2 x3 y3 z3
             let v0 = word4(p);
@@ -1264,7 +1347,7 @@ mod avx2 {
                 _mm256_blend_epi32::<0b0011_0000>(_mm256_blend_epi32::<0b0000_1100>(v1, v0), v2);
             let zs =
                 _mm256_blend_epi32::<0b0011_0000>(_mm256_blend_epi32::<0b0000_1100>(v2, v1), v0);
-            // in bounds: k + 4 ≤ pos.len() ≤ each column's length
+            // in bounds: asserted above (k + 4 ≤ each column's length)
             _mm256_storeu_si256(
                 x.as_mut_ptr().add(k).cast(),
                 _mm256_permute4x64_epi64::<0b01_10_11_00>(xs),
@@ -1281,15 +1364,18 @@ mod avx2 {
         lanes_end
     }
 
-    /// The AVX2 exact-mode block kernel, truncated after stage `UPTO`
-    /// (an [`ExactStage`] discriminant; `Accumulate` is the whole
-    /// kernel); module docs, "front and back".
+    /// The x86 exact-mode block kernel on the ops of column `O`,
+    /// truncated after stage `UPTO` (an [`ExactStage`] discriminant;
+    /// `Accumulate` is the whole kernel); module docs, "front and back".
     ///
     /// # Safety
-    /// The CPU must support AVX2, and every coordinate word in `xi` and
-    /// `j` must be inside `(-2⁵⁰, 2⁵⁰)` (`coords_in_magic_window`).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block_exact<const UPTO: u8>(
+    /// The CPU must support AVX2 and `O`'s features ([`AccOps`]), and
+    /// every coordinate word in `xi` and `j` must be inside `(-2⁵⁰, 2⁵⁰)`
+    /// (`coords_in_magic_window`). An `#[inline(always)]` body for the
+    /// `#[target_feature]` entries below; no closure in it may hold an
+    /// intrinsic ([`AccOps`]).
+    #[inline(always)]
+    unsafe fn exact_body<O: AccOps, const UPTO: u8>(
         quantum: f64,
         eps2: f64,
         xi: &[[i64; 3]],
@@ -1298,13 +1384,48 @@ mod avx2 {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
+        /// The terms `[fx, fy, fz, pot]` of the j-group at `k` of a block
+        /// (coordinate image, masses) seen from `xv`, `[quantum, ε², 1]`
+        /// splatted: after the divides, five multiplies and a mask.
+        #[inline(always)]
+        unsafe fn front<O: AccOps>(
+            img: &[[f64; J_BLOCK]; 3],
+            bm: &[f64],
+            xv: [__m256d; 3],
+            [qv, e2v, onev]: [__m256d; 3],
+            k: usize,
+        ) -> [__m256d; 4] {
+            debug_assert!(k + LANES <= bm.len() && k + LANES <= J_BLOCK);
+            // SAFETY: k + LANES is at most the length of bm and of each
+            // img column.
+            let d0 = _mm256_sub_pd(_mm256_loadu_pd(img[0].as_ptr().add(k)), xv[0]);
+            let d1 = _mm256_sub_pd(_mm256_loadu_pd(img[1].as_ptr().add(k)), xv[1]);
+            let d2 = _mm256_sub_pd(_mm256_loadu_pd(img[2].as_ptr().add(k)), xv[2]);
+            let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
+            let zero = O::zero_guard([d0, d1, d2]);
+            let dx = _mm256_mul_pd(d0, qv);
+            let dy = _mm256_mul_pd(d1, qv);
+            let dz = _mm256_mul_pd(d2, qv);
+            // (dx² + dy²) + dz² — explicit mul/add, never FMA,
+            // matching pair_exact's association
+            let r2 = _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                _mm256_mul_pd(dz, dz),
+            );
+            let r2e = _mm256_add_pd(r2, e2v);
+            let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
+            let rinv3 = _mm256_div_pd(rinv, r2e);
+            let s = _mm256_mul_pd(m4, rinv3);
+            // zero-distance guard, potential lane only: a guarded
+            // force lane is 0·s, ±0 or NaN, a raw 0 either way
+            let pot = O::guarded_pot(zero, m4, rinv);
+            [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
+        }
         const D: usize = EXACT_DEPTH;
         let ctx = AccCtx::new(fmt, force_scale);
         let sa = ScalarAcc::new(fmt, force_scale);
         let pair = exact_pair(quantum, eps2, j);
-        let qv = _mm256_set1_pd(quantum);
-        let e2v = _mm256_set1_pd(eps2);
-        let onev = _mm256_set1_pd(1.0);
+        let consts = [_mm256_set1_pd(quantum), _mm256_set1_pd(eps2), _mm256_set1_pd(1.0)];
         // block_tiled's loop, plus the j-block's coordinate columns as
         // integer-valued doubles: converted once per (i-tile, j-block)
         // and shared by the tile's i-particles
@@ -1328,62 +1449,28 @@ mod avx2 {
                     }
                 }
                 for (a, &x) in acc.iter_mut().zip(xc) {
-                    let xv = x.map(|x| {
-                        debug_assert!(x.unsigned_abs() < 1 << 50, "i-word outside the window");
-                        _mm256_set1_pd(x as f64) // exact: |x| < 2⁵⁰
-                    });
-                    // nothing after the divides but five multiplies and a mask
-                    let front = |k: usize| {
-                        debug_assert!(k + LANES <= lanes_end && lanes_end <= J_BLOCK);
-                        // SAFETY: k + LANES ≤ lanes_end, which is at most
-                        // the length of bm and of each img column.
-                        let d0 = _mm256_sub_pd(_mm256_loadu_pd(img[0].as_ptr().add(k)), xv[0]);
-                        let d1 = _mm256_sub_pd(_mm256_loadu_pd(img[1].as_ptr().add(k)), xv[1]);
-                        let d2 = _mm256_sub_pd(_mm256_loadu_pd(img[2].as_ptr().add(k)), xv[2]);
-                        let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
-                        // exact integer-valued differences, and x − x is +0.0:
-                        // "all three zero" stays a bit-pattern test
-                        let zero = _mm256_cmpeq_epi64(
-                            _mm256_castpd_si256(_mm256_or_pd(_mm256_or_pd(d0, d1), d2)),
-                            _mm256_setzero_si256(),
-                        );
-                        let dx = _mm256_mul_pd(d0, qv);
-                        let dy = _mm256_mul_pd(d1, qv);
-                        let dz = _mm256_mul_pd(d2, qv);
-                        // (dx² + dy²) + dz² — explicit mul/add, never FMA,
-                        // matching pair_exact's association
-                        let r2 = _mm256_add_pd(
-                            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                            _mm256_mul_pd(dz, dz),
-                        );
-                        let r2e = _mm256_add_pd(r2, e2v);
-                        let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
-                        let rinv3 = _mm256_div_pd(rinv, r2e);
-                        let s = _mm256_mul_pd(m4, rinv3);
-                        // zero-distance guard, potential lane only: a guarded
-                        // force lane is 0·s, ±0 or NaN, a raw 0 either way
-                        let pot =
-                            _mm256_andnot_pd(_mm256_castsi256_pd(zero), _mm256_mul_pd(m4, rinv));
-                        [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
-                    };
+                    debug_assert!(words_in_magic_window(&x), "i-word outside the window");
+                    let (x0, x1, x2) = (x[0] as f64, x[1] as f64, x[2] as f64); // exact: |x| < 2⁵⁰
+                    let xv = [_mm256_set1_pd(x0), _mm256_set1_pd(x1), _mm256_set1_pd(x2)];
                     let groups = lanes_end / LANES;
-                    let mut cols = Columns::open(a, &ctx);
+                    let mut cols = Columns::<O>::open(a, &ctx);
                     let mut ring = [[_mm256_setzero_pd(); 4]; D];
                     for (g, slot) in ring.iter_mut().enumerate().take(groups) {
-                        *slot = front(g * LANES);
+                        *slot = front::<O>(&img, bm, xv, consts, g * LANES);
                     }
                     for g in 0..groups {
                         let f = ring[g % D];
                         if g + D < groups {
-                            ring[g % D] = front((g + D) * LANES);
+                            ring[g % D] = front::<O>(&img, bm, xv, consts, (g + D) * LANES);
                         }
                         if UPTO == ExactStage::Force as u8 {
                             cols.sink(_mm256_castpd_si256(xor4(f)));
                         } else if UPTO == ExactStage::Round as u8 {
-                            let t = ctx.encode(ctx.unscale(f));
-                            cols.sink(_mm256_castpd_si256(xor4(
-                                t.map(|s| _mm256_castsi256_pd(round_away_biased(s))),
-                            )));
+                            let [t0, t1, t2, t3] = ctx.encode(ctx.unscale(f));
+                            cols.sink(_mm256_xor_si256(
+                                _mm256_xor_si256(O::round_term(t0), O::round_term(t1)),
+                                _mm256_xor_si256(O::round_term(t2), O::round_term(t3)),
+                            ));
                         } else {
                             cols.add(a, f, &ctx);
                         }
@@ -1394,6 +1481,27 @@ mod avx2 {
             }
             store_tile(oc, &acc, force_scale, fmt);
         }
+    }
+
+    /// The `#[target_feature]` entries of [`exact_body`], one per column.
+    ///
+    /// # Safety
+    /// As for [`exact_body`]: coordinates in the magic window, AVX2, and
+    /// for `block_exact_vl` FMA and AVX-512 F, DQ and VL (`cpu_lanes()[1]`).
+    macro_rules! exact_entries {
+        ($($name:ident: $ops:ty, $features:literal;)+) => {$(
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $name<const UPTO: u8>(
+                quantum: f64, eps2: f64, xi: &[[i64; 3]], j: &JSlices<'_>,
+                force_scale: f64, fmt: FixedFormat, out: &mut [Force],
+            ) {
+                exact_body::<$ops, UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
+            }
+        )+};
+    }
+    exact_entries! {
+        block_exact: Avx2Ops, "avx2";
+        block_exact_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
     }
 
     #[target_feature(enable = "avx2")]
@@ -1708,11 +1816,11 @@ mod avx2 {
         /// when a lane of any group asks for the scalar converters.
         #[inline(always)]
         #[allow(clippy::needless_range_loop)]
-        unsafe fn stages<const UPTO: u8, const G: usize>(
+        unsafe fn stages<O: AccOps, const UPTO: u8, const G: usize>(
             &self,
             b: &LnsSpan<'_>,
             k: usize,
-            cols: &mut Columns,
+            cols: &mut Columns<O>,
             a: &mut [i64; 4],
         ) -> bool {
             let end = k + L::W * G;
@@ -1808,20 +1916,20 @@ mod avx2 {
         /// group that is flagged on its own — everything before it is
         /// accumulated, nothing of it is — or `end`.
         #[inline(always)]
-        unsafe fn groups<const UPTO: u8>(
+        unsafe fn groups<O: AccOps, const UPTO: u8>(
             &self,
             b: &LnsSpan<'_>,
             (mut k, end): (usize, usize),
-            cols: &mut Columns,
+            cols: &mut Columns<O>,
             a: &mut [i64; 4],
         ) -> usize {
             while k < end {
                 let pair_end = (k + 2 * L::W).min(end);
-                if pair_end - k == 2 * L::W && self.stages::<UPTO, 2>(b, k, cols, a) {
+                if pair_end - k == 2 * L::W && self.stages::<O, UPTO, 2>(b, k, cols, a) {
                     k = pair_end;
                 }
                 while k < pair_end {
-                    if !self.stages::<UPTO, 1>(b, k, cols, a) {
+                    if !self.stages::<O, UPTO, 1>(b, k, cols, a) {
                         return k;
                     }
                     k += L::W;
@@ -1840,7 +1948,7 @@ mod avx2 {
         /// span has past its last sixteen. Every coordinate word of `x`
         /// and `j` must be inside `(-2⁵⁰, 2⁵⁰)`.
         #[inline(always)]
-        unsafe fn span<const UPTO: u8>(
+        unsafe fn span<O: AccOps, const UPTO: u8>(
             &self,
             eight: &LnsCtx<'_, __m256i>,
             a: &mut [i64; 4],
@@ -1853,18 +1961,18 @@ mod avx2 {
             let b = LnsSpan { x: jx, w, xi: x };
             let wide_end = (je - js) / L::W * L::W;
             let lanes_end = (je - js) / LNS_LANES * LNS_LANES;
-            let mut cols = Columns::open(a, &self.acc);
+            let mut cols = Columns::<O>::open(a, &self.acc);
             let mut k = 0;
             while k < lanes_end {
                 if k < wide_end {
-                    k = self.groups::<UPTO>(&b, (k, wide_end), &mut cols, a);
+                    k = self.groups::<O, UPTO>(&b, (k, wide_end), &mut cols, a);
                 }
                 // the group `L` could not decide, or the one past the
                 // last whole `L`: eight lanes at a time
                 let narrow_end = if k < wide_end { k + L::W } else { lanes_end };
                 while k < narrow_end {
                     if L::W != LNS_LANES {
-                        k = eight.groups::<UPTO>(&b, (k, narrow_end), &mut cols, a);
+                        k = eight.groups::<O, UPTO>(&b, (k, narrow_end), &mut cols, a);
                     }
                     if k < narrow_end {
                         // a lane asked for the scalar converters: the
@@ -1898,16 +2006,17 @@ mod avx2 {
     ) {
         let l = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            l.span::<UPTO>(&l, a, x, (js, je))
+            l.span::<Avx2Ops, UPTO>(&l, a, x, (js, je))
         });
     }
 
-    /// [`block_lns`] at sixteen lanes.
+    /// [`block_lns`] at sixteen lanes, accumulating (the eight-lane
+    /// retries too) on the AVX-512VL column.
     ///
     /// # Safety
-    /// As for [`block_lns`], and the CPU must support AVX-512 F, BW, DQ
-    /// and VL (`cpu_lanes()[1]`).
-    #[target_feature(enable = "avx2,avx512f,avx512bw,avx512dq,avx512vl")]
+    /// As for [`block_lns`], and the CPU must support FMA and AVX-512 F,
+    /// BW, DQ and VL (`cpu_lanes()[1]`).
+    #[target_feature(enable = "avx2,fma,avx512f,avx512bw,avx512dq,avx512vl")]
     pub(super) unsafe fn block_lns16<const UPTO: u8>(
         c: &LnsLanes,
         xi: &[[i64; 3]],
@@ -1919,7 +2028,7 @@ mod avx2 {
         let l = LnsCtx::<__m512i>::new(c, j, force_scale, fmt);
         let eight = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            l.span::<UPTO>(&eight, a, x, (js, je))
+            l.span::<VlOps, UPTO>(&eight, a, x, (js, je))
         });
     }
 }
@@ -1947,16 +2056,15 @@ mod tests {
         board
     }
 
-    /// A lane path and, on `Avx2`, whether LNS groups are sixteen lanes.
+    /// A lane path and, on `Avx2`, whether it runs its AVX-512 kernels
+    /// (exact: the AVX-512VL op column; LNS: that and sixteen lanes).
     type Path = (LanePath, bool);
     const SCALAR: Path = (LanePath::Scalar, false);
 
-    /// Pick the width of the AVX2 path's LNS groups: sixteen lanes only
-    /// where the CPU has them (the invariant of `LnsLanes::wide`).
+    /// Pick the x86 path's kernels: the AVX-512 ones only where the CPU
+    /// has them (the invariant of `Wide`; elsewhere a no-op).
     fn set_wide(p: &mut G5Pipeline, wide: bool) {
-        if let Some(c) = p.lns_lanes_mut() {
-            c.wide = wide && cpu_lanes()[1];
-        }
+        p.set_wide(Wide(wide && cpu_lanes()[1]));
     }
 
     /// Run one block through a forced lane path.
@@ -2043,7 +2151,7 @@ mod tests {
         (xi, jmem(&jraw, &jm))
     }
 
-    /// Every lane path this CPU runs, the AVX2 one at each LNS width.
+    /// Every lane path this CPU runs, the x86 one on each op column.
     fn all_paths() -> Vec<Path> {
         let mut v = vec![(LanePath::Portable, false)];
         #[cfg(target_arch = "x86_64")]
@@ -2402,8 +2510,25 @@ mod tests {
         }
     }
 
-    /// `f64::round() as i64`, the definition `round_half_away` and the
-    /// AVX2 `round_away_to_i64` are held to.
+    /// Four doubles as a vector.
+    #[cfg(target_arch = "x86_64")]
+    fn pd(x: [f64; 4]) -> std::arch::x86_64::__m256d {
+        // SAFETY: both are 4 × 64 bits, any bit pattern valid.
+        unsafe { std::mem::transmute::<[f64; 4], std::arch::x86_64::__m256d>(x) }
+    }
+
+    /// `round_term` of column `O`, its bias taken off.
+    ///
+    /// # Safety
+    /// The CPU must have `O`'s features.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn round_term_of<O: avx2::AccOps>(x: [f64; 4]) -> [i64; 4] {
+        let t = std::mem::transmute::<std::arch::x86_64::__m256i, [i64; 4]>(O::round_term(pd(x)));
+        t.map(|t| t.wrapping_sub(O::BIAS))
+    }
+
+    /// `f64::round() as i64`, the definition `round_half_away`, the AVX2
+    /// `round_away_to_i64` and both `round_term` columns are held to.
     fn assert_rounds_like_f64_round(xs: &[f64]) {
         for &x in xs {
             assert_eq!(round_half_away(x), x.round() as i64, "round_half_away({x:e})");
@@ -2413,13 +2538,90 @@ mod tests {
             for x4 in xs.chunks(4) {
                 let mut x = [0.0; 4];
                 x[..x4.len()].copy_from_slice(x4);
-                use std::arch::x86_64::{__m256d, __m256i};
-                // SAFETY: AVX2 detected above; all four are 4 × 64 bits.
-                let got = unsafe {
-                    let r = avx2::round_away_to_i64(std::mem::transmute::<[f64; 4], __m256d>(x));
-                    std::mem::transmute::<__m256i, [i64; 4]>(r)
-                };
-                assert_eq!(got, x.map(round_half_away), "round_away_to_i64({x:?})");
+                let want = x.map(round_half_away);
+                // SAFETY: AVX2 detected above, the VL column's features
+                // by `cpu_lanes`; all four are 4 × 64 bits.
+                unsafe {
+                    let r = avx2::round_away_to_i64(pd(x));
+                    let got = std::mem::transmute::<std::arch::x86_64::__m256i, [i64; 4]>(r);
+                    assert_eq!(got, want, "round_away_to_i64({x:?})");
+                    assert_eq!(round_term_of::<avx2::Avx2Ops>(x), want, "avx2 round_term({x:?})");
+                    if cpu_lanes()[1] {
+                        assert_eq!(round_term_of::<avx2::VlOps>(x), want, "vl round_term({x:?})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The window test of both op columns: *a pass implies every term
+    /// finite and inside the encode window* — with the window's edge
+    /// values, four terms that only add up to it, and NaN / ±inf in each
+    /// of a group's sixteen (component, lane) positions, alone and over a
+    /// background of in-window terms. Which groups a column rejects
+    /// beyond that is its own business (the ordered path is exact), but
+    /// a plainly in-window group must pass, or the columns are never used.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lanes_window_test_passes_only_groups_inside_the_window() {
+        use avx2::{AccOps, Avx2Ops, VlOps};
+        if !std::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x2100);
+        let lim = p(50);
+        let pred_lim = f64::from_bits(lim.to_bits() - 1);
+        let inside = |s: &[[f64; 4]; 4]| s.iter().flatten().all(|t| t.is_finite() && t.abs() < lim);
+        // SAFETY (both closures' callers): AVX2 was detected, and the VL
+        // column is only asked where `cpu_lanes()[1]`.
+        let passes = |s: &[[f64; 4]; 4]| unsafe {
+            let v = s.map(pd);
+            [Some(Avx2Ops::in_window(v)), cpu_lanes()[1].then(|| VlOps::in_window(v))]
+        };
+        let check = |s: &[[f64; 4]; 4]| {
+            for (col, pass) in passes(s).into_iter().enumerate() {
+                assert!(pass != Some(true) || inside(s), "column {col} passed {s:?}");
+            }
+        };
+        let specials = [
+            lim,
+            -lim,
+            pred_lim,
+            -pred_lim,
+            p(51),
+            p(100),
+            f64::MAX,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for round in 0..200 {
+            // backgrounds: empty, small, just under a quarter of the
+            // window, and 2^49.9 — four of which only add up past it
+            let scale = [0.0, 1.0, p(48) - 1.0, 49.9f64.exp2()][round % 4];
+            let mut base = [[0.0; 4]; 4];
+            for t in base.iter_mut().flatten() {
+                *t = scale * if round < 4 { 1.0 } else { rng.random_range(-1.0..1.0) };
+            }
+            check(&base);
+            for special in specials {
+                for (c, l) in (0..4).flat_map(|c| (0..4).map(move |l| (c, l))) {
+                    let mut s = base;
+                    s[c][l] = special;
+                    check(&s);
+                    s[(c + 1) % 4][l] = -special; // two in one lane
+                    check(&s);
+                }
+            }
+        }
+        // in-window groups every column must take: small terms, and the
+        // window's last value alone in its lane
+        let mut edge = [[0.0; 4]; 4];
+        (edge[0][0], edge[1][1], edge[2][2], edge[3][3]) = (pred_lim, -pred_lim, pred_lim, 1.0);
+        for s in [[[0.0; 4]; 4], [[1.5, -2.5, 1e-300, -0.0]; 4], [[p(47); 4]; 4], edge] {
+            assert!(inside(&s));
+            for (col, pass) in passes(&s).into_iter().enumerate() {
+                assert_ne!(pass, Some(false), "column {col} rejected {s:?}");
             }
         }
     }
@@ -2913,17 +3115,22 @@ mod tests {
         for (has_avx2, has_avx512) in [(false, false), (true, false), (true, true)] {
             let parse = |var| parse_lane_path(var, [has_avx2, has_avx512]);
             let native = if has_avx2 { LanePath::Avx2 } else { LanePath::Portable };
-            assert_eq!(parse(Some("portable")), (LanePath::Portable, false));
-            assert_eq!(parse(Some("scalar")), (LanePath::Scalar, false));
-            // avx2 pins eight lanes and degrades without AVX2; garbage
-            // and unset mean "detect", width included
-            assert_eq!(parse(Some("avx2")), (native, false));
-            assert_eq!(parse(Some("AVX-512")), (native, has_avx512));
-            assert_eq!(parse(Some("")), (native, has_avx512));
-            assert_eq!(parse(None), (native, has_avx512));
+            assert_eq!(parse(Some("portable")), (LanePath::Portable, Wide(false)));
+            assert_eq!(parse(Some("scalar")), (LanePath::Scalar, Wide(false)));
+            // avx2 pins the AVX2 op column and eight lanes — in both
+            // modes, it is the one boolean — and degrades without AVX2;
+            // garbage and unset mean "detect", the wide kernels included
+            assert_eq!(parse(Some("avx2")), (native, Wide(false)));
+            assert_eq!(parse(Some("AVX-512")), (native, Wide(has_avx512)));
+            assert_eq!(parse(Some("")), (native, Wide(has_avx512)));
+            assert_eq!(parse(None), (native, Wide(has_avx512)));
         }
-        // sixteen lanes need AVX2 as well: never on the portable path
-        assert_eq!(parse_lane_path(None, [false, true]), (LanePath::Portable, false));
+        // the wide kernels need AVX2 as well: never on the portable path
+        assert_eq!(parse_lane_path(None, [false, true]), (LanePath::Portable, Wide(false)));
+        // what this process resolved is what this CPU has, pin aside
+        let pinned = matches!(std::env::var("G5_LANE_PATH").as_deref(), Ok("avx2"));
+        let want = cpu_lanes()[1] && !pinned && detect_lane_path() == LanePath::Avx2;
+        assert_eq!(detected().1, Wide(want));
         // and the process-wide resolution is stable
         assert_eq!(detect_lane_path(), detect_lane_path());
     }

@@ -24,9 +24,10 @@
 //!   §2 of the paper; an `Exact` mode keeps only the position
 //!   quantization and runs at `f64` speed for long simulations. Both
 //!   modes' batch kernels run on CPU lanes ([`lanes`]):
-//!   [`LanePath::Avx2`] is the x86 intrinsics at the widest LNS lanes
-//!   the CPU has (sixteen with AVX-512, else eight), with a portable
-//!   and a scalar twin held bit-identical to it.
+//!   [`LanePath::Avx2`] is the x86 intrinsics, the cheapest op column
+//!   and the widest LNS lanes the CPU has (the AVX-512VL accumulate and
+//!   sixteen lanes with AVX-512 and FMA, else the AVX2 one and eight),
+//!   with a portable and a scalar twin held bit-identical to it.
 //! * **timing** — [`clock::ClockAccounting`] counts pipeline cycles and
 //!   interface words exactly as the board schedule implies, and
 //!   converts them to modeled wall-clock on the real 90 MHz / 15 MHz

@@ -21,7 +21,7 @@
 
 use crate::config::{ArithMode, Grape5Config};
 use crate::cutoff::CutoffTable;
-use crate::lanes::{self, ExactStage, LanePath, LnsLanes, LnsStage};
+use crate::lanes::{self, ExactStage, LanePath, LnsLanes, LnsStage, Wide};
 use g5util::fixed::FixedFormat;
 use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
@@ -185,6 +185,8 @@ pub struct G5Pipeline {
     /// Which lane implementation the no-cutoff batch kernel dispatches
     /// to (see [`lanes`]).
     lane_path: LanePath,
+    /// Whether the x86 lane path runs its AVX-512 kernels.
+    wide: Wide,
     /// State of the LNS lane kernels; `None` in exact mode and for the
     /// formats and quanta that keep the scalar skeleton.
     lns_lanes: Option<LnsLanes>,
@@ -203,6 +205,7 @@ impl G5Pipeline {
             (ArithMode::Lns, Some(conv)) => LnsLanes::new(conv, quantum, eps2_lns),
             _ => None,
         };
+        let (lane_path, wide) = lanes::detected();
         G5Pipeline {
             lns: cfg.lns,
             mode: cfg.mode,
@@ -212,7 +215,8 @@ impl G5Pipeline {
             cutoff: None,
             conv,
             lns_cutoff: None,
-            lane_path: lanes::detect_lane_path(),
+            lane_path,
+            wide,
             lns_lanes,
         }
     }
@@ -236,10 +240,10 @@ impl G5Pipeline {
         self.lns_lanes.as_ref()
     }
 
-    /// … and mutably, for the referees that pick its group width.
+    /// For the referees that pick the x86 path's kernels.
     #[cfg(test)]
-    pub(crate) fn lns_lanes_mut(&mut self) -> Option<&mut LnsLanes> {
-        self.lns_lanes.as_mut()
+    pub(crate) fn set_wide(&mut self, wide: Wide) {
+        self.wide = wide;
     }
 
     /// Load (or clear) the cutoff table — `g5_set_cutoff_table` in the
@@ -497,7 +501,7 @@ impl G5Pipeline {
             (ArithMode::Exact, _) => {
                 let (quantum, eps2, cutoff) = (self.quantum, self.eps2, self.cutoff.as_ref());
                 if lanes_on {
-                    let path = self.lane_path;
+                    let path = (self.lane_path, self.wide);
                     lanes::block_exact_lanes(path, quantum, eps2, xi, j, force_scale, fmt, out);
                     return;
                 }
@@ -507,7 +511,8 @@ impl G5Pipeline {
             }
             (ArithMode::Lns, Some(conv)) => {
                 if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
-                    lanes::block_lns_lanes(self.lane_path, c, xi, j, force_scale, fmt, out);
+                    let path = (self.lane_path, self.wide);
+                    lanes::block_lns_lanes(path, c, xi, j, force_scale, fmt, out);
                     return;
                 }
                 let (cutoff, eps2_lns, quantum) =
@@ -544,6 +549,7 @@ impl G5Pipeline {
         match (self.mode, &self.cutoff, self.lane_path) {
             (ArithMode::Exact, None, LanePath::Avx2) => lanes::block_exact_avx2_upto(
                 upto,
+                self.wide,
                 self.quantum,
                 self.eps2,
                 xi,
@@ -574,7 +580,7 @@ impl G5Pipeline {
         assert!(j.x.len() == j.y.len() && j.x.len() == j.z.len() && j.x.len() == j.m_word.len());
         match (&self.lns_lanes, &self.cutoff, self.lane_path) {
             (Some(c), None, LanePath::Avx2) => {
-                lanes::block_lns_avx2_upto(upto, c, xi, j, force_scale, fmt, out)
+                lanes::block_lns_avx2_upto(upto, self.wide, c, xi, j, force_scale, fmt, out)
             }
             _ => false,
         }

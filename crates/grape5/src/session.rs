@@ -22,7 +22,8 @@
 //!
 //! 1. **validate** — every component must be finite and within the
 //!    magnitude bound the j-set implies (`Σ|m| / max(ε, quantum)²`,
-//!    with a small margin for LNS arithmetic);
+//!    with a small margin for LNS arithmetic), and no board's
+//!    accumulator may have clamped;
 //! 2. **retry** — a failed call is re-driven with exponential backoff,
 //!    re-loading the j-memory (a corrupted DMA is healed by
 //!    re-transferring);
@@ -59,6 +60,12 @@ pub fn bounding_window(pos: &[Vec3]) -> Result<(f64, f64), DeviceError> {
         hi = hi.max(p.max_component());
     }
     let pad = ((hi - lo) * 0.01).max(1e-12);
+    if lo <= hi && !((hi + pad).is_finite() && (lo - pad).is_finite()) {
+        // finite coordinates whose window overflows poison the grid just
+        // the same: blame the first particle on either extreme
+        let index = pos.iter().position(|p| p.max_component() == hi || p.min_component() == lo);
+        return Err(DeviceError::NonFinitePosition { index: index.unwrap_or(0) });
+    }
     Ok((lo - pad, hi + pad))
 }
 
@@ -281,12 +288,24 @@ impl<'a> DeviceSession<'a> {
                 if !value.is_finite() {
                     return Err(DeviceError::InvalidForce { index, value, bound: f64::INFINITY });
                 }
-                if value.abs() > bound {
+                // a non-finite bound — a NaN or infinite mass in the
+                // j-set — validates nothing
+                if !bound.is_finite() || value.abs() > bound {
                     return Err(DeviceError::InvalidForce { index, value, bound });
                 }
             }
         }
         Ok(())
+    }
+
+    /// One device call, refused when a board's accumulator clamped: the
+    /// answer is then the fixed-point range's, not the j-set's.
+    fn unclamped_force_on(&mut self, xi: &[Vec3]) -> Result<Vec<Force>, DeviceError> {
+        let forces = self.g5.try_force_on(xi)?;
+        match self.g5.clamped_partial() {
+            Some((index, value, bound)) => Err(DeviceError::InvalidForce { index, value, bound }),
+            None => Ok(forces),
+        }
     }
 
     /// One attempt: (re)load the j-set if asked, run the call(s),
@@ -307,7 +326,7 @@ impl<'a> DeviceSession<'a> {
             if load {
                 self.g5.set_j_particles(jpos, jmass);
             }
-            (self.g5.try_force_on(xi)?, self.g5.j_abs_mass())
+            (self.unclamped_force_on(xi)?, self.g5.j_abs_mass())
         } else {
             // chunk the j-set through memory, merging partials on the
             // host; validation sees the merged result (corruption
@@ -318,7 +337,7 @@ impl<'a> DeviceSession<'a> {
             while start < jpos.len() {
                 let end = (start + cap).min(jpos.len());
                 self.g5.set_j_particles(&jpos[start..end], &jmass[start..end]);
-                for (t, p) in total.iter_mut().zip(self.g5.try_force_on(xi)?) {
+                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi)?) {
                     *t = t.merged(p);
                 }
                 start = end;
@@ -426,6 +445,41 @@ mod tests {
             DeviceSession::try_open(&mut g5, &pos, 0.01),
             Err(DeviceError::NonFinitePosition { index: 0 })
         ));
+    }
+
+    /// What no retry can heal is still refused, typed: a sum a board's
+    /// accumulator clamped — even when the other board's partial brings
+    /// the merged force back inside every bound — and a j-set whose NaN
+    /// or infinite mass leaves nothing to validate against.
+    #[test]
+    fn clamped_accumulators_and_non_finite_masses_fail_validation() {
+        // j-particles alternate between the two boards: the first
+        // board's x-accumulator clamps at +2³¹, the second's at −2³¹
+        let pos = [-1.0, 1.0, 0.0].map(|x| Vec3::new(x, 0.0, 0.0));
+        for (mass, clamps) in [
+            ([3e9, 3e9, 1.0], true),
+            ([3e9, 1.0, 1.0], true),
+            ([1e9, 1e9, 1.0], false),
+            ([1.0, f64::NAN, 1.0], true),
+            ([1.0, f64::INFINITY, 1.0], true),
+        ] {
+            for cfg in [Grape5Config::paper_exact(), Grape5Config::paper()] {
+                let mut g5 = Grape5::open(cfg);
+                let mut s =
+                    DeviceSession::open(&mut g5, &pos, 0.01).with_retry(RetryPolicy::no_wait());
+                let got = s.try_force_for(&pos, &mass, &pos[2..]);
+                let failures = s.recovery_stats().validation_failures;
+                match got {
+                    Err(DeviceError::RetriesExhausted { attempts, last }) => {
+                        assert!(clamps, "{mass:?}: {last}");
+                        assert_eq!((attempts, failures), (7, 7), "{mass:?}: {last}");
+                        assert!(last.contains("invalid force"), "{mass:?}: {last}");
+                    }
+                    Ok(f) => assert!(!clamps && f[0].acc.x.abs() < 1e3, "{mass:?}: {f:?}"),
+                    Err(e) => panic!("{mass:?}: {e}"),
+                }
+            }
+        }
     }
 
     #[test]

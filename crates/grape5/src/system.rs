@@ -396,6 +396,24 @@ impl Grape5 {
         self.j_abs_mass
     }
 
+    /// The first component of the last force call's per-board partials
+    /// that sits on an end of the accumulator's range — a sum the board
+    /// clamped, not one it computed — as `(i-particle, value, the range
+    /// end)`. The merged force hides it: a clamp on one board can be
+    /// cancelled by another board's partial.
+    pub(crate) fn clamped_partial(&self) -> Option<(usize, f64, f64)> {
+        let fmt = self.cfg.acc_format;
+        let (lo, hi) = (fmt.min_value() * self.force_scale, fmt.max_value() * self.force_scale);
+        let live = self.boards.iter().zip(&self.board_ok).zip(&self.partials);
+        live.filter(|((b, &ok), _)| ok && b.nj() > 0).find_map(|(_, partial)| {
+            partial.iter().enumerate().find_map(|(index, f)| {
+                let clamped = |v: &f64| *v <= lo || *v >= hi;
+                let v = [f.acc.x, f.acc.y, f.acc.z, f.pot].into_iter().find(clamped)?;
+                Some((index, v, if v < 0.0 { lo } else { hi }))
+            })
+        })
+    }
+
     /// Load the j-particle set (`g5_set_n` + `g5_set_xmj`), splitting it
     /// evenly across boards and charging the interface transfer.
     ///

@@ -631,7 +631,13 @@ fn run_slice(
     let mut killed = false;
     let mut cancelled = false;
     loop {
-        let left_total = spec.steps - sim.steps;
+        // a checkpoint ahead of its spec (a damaged `steps=` in the
+        // ledger's job line) has no steps left to count: a typed failure
+        let Some(left_total) = spec.steps.checked_sub(sim.steps) else {
+            let (at, n) = (sim.steps, spec.steps);
+            let m = format!("checkpoint at step {at} is past the {n} steps of the spec");
+            return (Outcome::Corrupt(m), None);
+        };
         let left_quantum = shared.quantum - ran;
         if left_total == 0 || left_quantum == 0 {
             break;

@@ -269,13 +269,15 @@ fn lane_paths() -> Vec<LanePath> {
     v
 }
 
-/// `LanePath::Avx2` runs the widest LNS lanes the CPU has, and which
-/// width that is is a fact of the process (`G5_LANE_PATH`, then the
-/// CPU). A process that resolved it from the CPU alone runs this whole
-/// binary once more in a child pinned to eight lanes
-/// (`G5_LANE_PATH=avx2`; the same kernel again where the CPU has no
-/// wider one), so one `cargo test` holds both instantiations to the
-/// goldens. In the child, and under any forced path, this is a no-op.
+/// `LanePath::Avx2` runs the cheapest accumulate op column and the
+/// widest LNS lanes the CPU has — in both modes — and which those are is
+/// a fact of the process (`G5_LANE_PATH`, then the CPU). A process that
+/// resolved it from the CPU alone runs this whole binary once more in a
+/// child pinned to the AVX2 column and eight lanes
+/// (`G5_LANE_PATH=avx2`; the same kernels again where the CPU has no
+/// AVX-512), so one `cargo test` holds both instantiations of the exact
+/// and of the LNS kernel to the goldens. In the child, and under any
+/// forced path, this is a no-op.
 #[test]
 fn every_golden_holds_pinned_to_eight_lns_lanes() {
     if std::env::var_os("G5_LANE_PATH").is_some() {
@@ -286,7 +288,7 @@ fn every_golden_holds_pinned_to_eight_lns_lanes() {
         .output()
         .expect("re-run the test binary");
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success() && text.contains("test result: ok"), "at eight lanes:\n{text}");
+    assert!(out.status.success() && text.contains("test result: ok"), "pinned to avx2:\n{text}");
 }
 
 /// Board j-memory loaded with `words`: the kernels' SoA columns exactly

@@ -65,26 +65,28 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         [scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z)]
     };
 
-    // board level: zero allocations on every lane path
-    let cfg = Grape5Config { mode: ArithMode::Lns, ..Grape5Config::paper() };
-    let mut pipe = G5Pipeline::new(&cfg, scaler.quantum(), 0.01);
-    let words: Vec<JWord> = (0..snap.pos.len())
-        .map(|k| JWord { raw: raw(k), m_lns: pipe.encode_mass(snap.mass[k]), m: snap.mass[k] })
-        .collect();
-    let mut board = ProcessorBoard::new(&cfg);
-    board.load_j(&words);
-    let xi: Vec<[i64; 3]> = (0..100).map(raw).collect();
-    let mut out: Vec<Force> = Vec::new();
+    // board level: zero allocations on every lane path, in either mode
     let mut paths = vec![LanePath::Scalar, LanePath::Portable];
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         paths.push(LanePath::Avx2);
     }
-    for path in paths {
-        pipe.set_lane_path(path);
-        board.compute_into(&pipe, &xi, 1.0, &mut out); // warm: sizes `out`
-        let n = allocs_during(|| board.compute_into(&pipe, &xi, 1.0, &mut out));
-        assert_eq!(n, 0, "steady-state LNS board compute allocated on {path:?}");
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+        let mut pipe = G5Pipeline::new(&cfg, scaler.quantum(), 0.01);
+        let words: Vec<JWord> = (0..snap.pos.len())
+            .map(|k| JWord { raw: raw(k), m_lns: pipe.encode_mass(snap.mass[k]), m: snap.mass[k] })
+            .collect();
+        let mut board = ProcessorBoard::new(&cfg);
+        board.load_j(&words);
+        let xi: Vec<[i64; 3]> = (0..100).map(raw).collect();
+        let mut out: Vec<Force> = Vec::new();
+        for &path in &paths {
+            pipe.set_lane_path(path);
+            board.compute_into(&pipe, &xi, 1.0, &mut out); // warm: sizes `out`
+            let n = allocs_during(|| board.compute_into(&pipe, &xi, 1.0, &mut out));
+            assert_eq!(n, 0, "steady-state {mode:?} board compute allocated on {path:?}");
+        }
     }
 
     // system level: a steady-state force_on allocates its returned
@@ -126,16 +128,16 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         }
     }
 
-    // `LanePath::Avx2` above ran the widest LNS lanes this CPU has, a
-    // fact of the process: one that resolved it from the CPU alone
-    // counts once more in a child pinned to eight lanes (after the
-    // measurements — spawning allocates)
+    // `LanePath::Avx2` above ran the op column and the LNS lanes this
+    // CPU has, a fact of the process: one that resolved it from the CPU
+    // alone counts once more in a child pinned to the AVX2 column and
+    // eight lanes (after the measurements — spawning allocates)
     if std::env::var_os("G5_LANE_PATH").is_none() {
         let out = std::process::Command::new(std::env::current_exe().expect("the test binary"))
             .env("G5_LANE_PATH", "avx2")
             .output()
             .expect("re-run the test binary");
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success() && text.contains("1 passed"), "at eight lanes:\n{text}");
+        assert!(out.status.success() && text.contains("1 passed"), "pinned to avx2:\n{text}");
     }
 }

@@ -190,6 +190,13 @@ fn two_pass_window(pos: &[Vec3]) -> Result<(f64, f64), DeviceError> {
         .map(|p| (p.min_component(), p.max_component()))
         .fold((f64::INFINITY, f64::NEG_INFINITY), |a, b| (a.0.min(b.0), a.1.max(b.1)));
     let pad = ((hi - lo) * 0.01).max(1e-12);
+    // finite extremes whose padded window is not: the first particle on one
+    if lo <= hi && !((lo - pad).is_finite() && (hi + pad).is_finite()) {
+        let on_extreme = |p: &Vec3| p.max_component() == hi || p.min_component() == lo;
+        return Err(DeviceError::NonFinitePosition {
+            index: pos.iter().position(on_extreme).unwrap(),
+        });
+    }
     Ok((lo - pad, hi + pad))
 }
 
@@ -210,6 +217,14 @@ fn bounding_window_equals_its_two_pass_definition_bit_for_bit() {
         ("upper extreme +0.0".into(), vec![Vec3::new(-1.0, 0.0, -0.0), Vec3::new(-0.5, -0.0, 0.0)]),
         ("no particle".into(), vec![]),
     ];
+    // finite coordinates, no finite window: the pad, or the extent itself,
+    // overflows
+    for (at, far) in [(3, Vec3::new(0.0, f64::MAX, 0.0)), (5, Vec3::new(-1.5e308, 0.0, 1.5e308))] {
+        let mut c = cloud.clone();
+        c[at] = far;
+        assert_eq!(bounding_window(&c), Err(DeviceError::NonFinitePosition { index: at }));
+        clouds.push((format!("{far:?} at {at}"), c));
+    }
     for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         for at in [0, cloud.len() / 2, cloud.len() - 1] {
             let mut c = cloud.clone();
@@ -234,14 +249,31 @@ fn bounding_window_equals_its_two_pass_definition_bit_for_bit() {
 /// one-particle and a 32-particle group size: no particle at all, a
 /// lone particle, a pair, a pair with a massless partner, a pile of
 /// coincident particles (one leaf no `n_crit` can split), and a pile
-/// beside a distant body. The answer is `DirectHost`'s — to the mode's
-/// arithmetic error — or a typed `ForceError`; a panic fails the test.
+/// beside a distant body; then the inputs that reach the accumulate's
+/// window test and its ordered path through the whole stack — masses
+/// over 24 decades whose largest terms leave the encode window but not
+/// the accumulator, masses over 60 decades that clamp it, an infinite
+/// and a NaN mass — and the edges of the coordinate window: a body on
+/// each end of it with a pile between them that shares one Morton cell,
+/// a coordinate so large the window overflows, a non-finite one. The
+/// answer is `DirectHost`'s — to the mode's arithmetic error — or a
+/// typed `ForceError`; a panic fails the test. Whatever it is, it is
+/// the same under every `G5_LANE_PATH`: a process that was not given one
+/// re-runs this test pinned to each and compares digests.
 #[test]
 fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
     use grape5_nbody::core::{ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, DirectHost};
     use grape5_nbody::grape5::Grape5Config;
     use grape5_nbody::tree::TreeConfig;
     let at = Vec3::new(0.3, -0.2, 0.1);
+    let trio = |third: Vec3| vec![at, Vec3::new(-0.4, 0.5, 0.0), third];
+    let spread =
+        |k: usize| Vec3::new(k as f64 * 0.37 - 2.0, (k * k % 7) as f64 * 0.21, k as f64 % 5.0);
+    // a pile 2e-7 across — 1/24 of a Morton cell of the 10-wide box, a
+    // hundred fixed-point cells — light enough that its own sub-quantum
+    // geometry is below the tolerance the far bodies set
+    let pile = (0..20).map(|k| at + Vec3::new(1e-8, -0.7e-8, 0.3e-8) * k as f64);
+    let ends = [Vec3::new(-5.0, -5.0, 5.0), Vec3::new(5.0, 5.0, -5.0)];
     let cases: Vec<(&str, Vec<Vec3>, Vec<f64>)> = vec![
         ("N = 0", vec![], vec![]),
         ("N = 1", vec![at], vec![1.0]),
@@ -253,7 +285,38 @@ fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
             [vec![at; 12], vec![Vec3::new(5.0, 5.0, -5.0)]].concat(),
             vec![0.5; 13],
         ),
+        (
+            // m / r² up to ~1e6 ≫ 2¹⁸, the encode window in accumulator
+            // units, m / r up to ~1e9 < 2³¹: ordered path, no clamp (one
+            // body outweighs the rest by 1e9, so a tree's monopoles are
+            // exact to the tolerance)
+            "masses 1e-12 … 1e12, terms past the encode window",
+            (0..12).map(|k| spread(k) * 500.0).collect(),
+            (0..12).map(|k| if k == 0 { 1e12 } else { 10f64.powf(4.5 - 1.5 * k as f64) }).collect(),
+        ),
+        (
+            "masses 1e-30 … 1e30: the accumulators clamp",
+            (0..12).map(spread).collect(),
+            (0..12).map(|k| 10f64.powi(-30 + 60 * k / 11)).collect(),
+        ),
+        ("an infinite mass", trio(Vec3::new(0.9, 0.1, 0.2)), vec![1.0, f64::INFINITY, 1.0]),
+        ("a NaN mass", trio(Vec3::new(0.9, 0.1, 0.2)), vec![1.0, f64::NAN, 1.0]),
+        (
+            "a body on each end of the window, a pile in one Morton cell",
+            ends.into_iter().chain(pile).collect(),
+            [vec![1.0, 2.0], vec![1e-9; 20]].concat(),
+        ),
+        ("a coordinate past any window", trio(Vec3::new(f64::MAX, 0.1, 0.2)), vec![1.0; 3]),
+        ("an infinite coordinate", trio(Vec3::new(0.9, f64::NEG_INFINITY, 0.2)), vec![1.0; 3]),
+        ("a NaN coordinate", trio(Vec3::new(0.9, 0.1, f64::NAN)), vec![1.0; 3]),
     ];
+    // FNV-1a over every outcome, bit for bit
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
     for (grape, tol) in [(Grape5Config::paper_exact(), 1e-6), (Grape5Config::paper(), 0.02)] {
         for n_crit in [1, 32] {
             let cfg = TreeGrapeConfig {
@@ -284,13 +347,21 @@ fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
                 let want = DirectHost::new(0.01).compute(pos, mass);
                 match build().try_compute(pos, mass) {
                     // typed: printable, and no partial answer to misuse
-                    Err(e) => assert!(!e.to_string().is_empty(), "{what}"),
+                    Err(e) => {
+                        assert!(!e.to_string().is_empty(), "{what}");
+                        fold(e.to_string().as_bytes());
+                    }
                     Ok(got) => {
                         assert_eq!(
                             (got.acc.len(), got.pot.len()),
                             (pos.len(), pos.len()),
                             "{what}"
                         );
+                        for (a, p) in got.acc.iter().zip(&got.pot) {
+                            [a.x, a.y, a.z, *p]
+                                .iter()
+                                .for_each(|v| fold(&v.to_bits().to_le_bytes()));
+                        }
                         let scale = want.acc.iter().fold(0.0f64, |s, a| s.max(a.norm()));
                         for (k, (g, w)) in got.acc.iter().zip(&want.acc).enumerate() {
                             assert!(
@@ -308,6 +379,23 @@ fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
                     }
                 }
             }
+        }
+    }
+    println!("degenerate digest {digest:016x}");
+    if std::env::var_os("G5_LANE_PATH").is_none() {
+        for path in ["avx2", "portable", "scalar"] {
+            let out = std::process::Command::new(std::env::current_exe().expect("the test binary"))
+                .args(["degenerate_snapshots_give", "--nocapture", "--test-threads=1"])
+                .env("G5_LANE_PATH", path)
+                .output()
+                .expect("re-run the test binary");
+            let text = String::from_utf8_lossy(&out.stdout);
+            let line = text.lines().find(|l| l.contains("degenerate digest"));
+            let want = format!("degenerate digest {digest:016x}");
+            assert!(
+                out.status.success() && line.is_some_and(|l| l.contains(&want)),
+                "G5_LANE_PATH={path}: {want} here, there:\n{text}"
+            );
         }
     }
 }

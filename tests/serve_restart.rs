@@ -137,6 +137,77 @@ fn restart_preserves_terminal_states_and_taxonomy() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A replayed job whose newest checkpoint is *ahead* of its spec —
+/// `steps=4000` cut to `steps=4` in the ledger's job line after the job
+/// had checkpointed at step 8 or later — has no steps left to count: it
+/// fails with the typed error at once (it used to run on for 2⁶⁴ steps in a
+/// release build and take the worker down in a debug one, `wait` never
+/// returning either way), and its neighbours run on untouched.
+#[test]
+fn a_checkpoint_past_its_spec_fails_typed_and_spares_the_neighbours() {
+    let dir = tmpdir("past_spec");
+    let one = ServerConfig { workers: 1, quantum: 8, ..ServerConfig::new(&dir) };
+    let mut specs =
+        [JobSpec::plummer(64, 1, 4000), JobSpec::plummer(72, 2, 12), JobSpec::hernquist(64, 3, 10)];
+    specs.iter_mut().for_each(|s| s.checkpoint_every = 4);
+
+    // quantum 8: by the time the kill lands the first job has a
+    // checkpoint at step 8 or later — past the damaged spec's four
+    // steps, far short of its own 4000
+    let server = Server::open(one.clone()).unwrap();
+    let ids: Vec<_> = specs.iter().map(|s| server.submit(*s).unwrap()).collect();
+    while server.status(ids[0]).unwrap().steps_done < 8 {
+        std::thread::yield_now();
+    }
+    server.kill();
+
+    let ledger = dir.join("jobs.ledger");
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let job_line = format!("job {} ", ids[0]);
+    let damaged: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.starts_with(&job_line) {
+                l.replace(" steps=4000 ", " steps=4 ")
+            } else {
+                l.into()
+            }
+        })
+        .collect();
+    assert_ne!(damaged.join("\n"), text.trim_end(), "the job line was not found");
+    std::fs::write(&ledger, damaged.join("\n") + "\n").unwrap();
+
+    let server = Server::open(ServerConfig { workers: 2, ..one }).unwrap();
+    // polled, not `wait`ed: where the job never ends, `wait` never returns
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+    while !server.status(ids[0]).unwrap().state.is_terminal() {
+        let st = server.status(ids[0]).unwrap();
+        assert!(std::time::Instant::now() < deadline, "still {st:?} after a second");
+        std::thread::yield_now();
+    }
+    match server.wait(ids[0]) {
+        JobState::Failed(JobError::CheckpointCorrupt(m)) => {
+            assert!(m.contains("is past the 4 steps of the spec"), "{m}");
+        }
+        other => panic!("expected the typed failure, got {other:?}"),
+    }
+    for (&id, spec) in ids.iter().zip(&specs).skip(1) {
+        assert_eq!(server.wait(id), JobState::Completed);
+        let served = std::fs::read(dir.join(job_dir_name(id)).join("final.g5snap")).unwrap();
+        let reference = reference_final_bytes(spec, &dir.join(format!("ref_{id}.g5snap")));
+        assert_eq!(served, reference, "neighbour {id} diverged from its uninterrupted run");
+    }
+    server.shutdown();
+    // the failure is on the ledger: a third server does not retry it
+    let server = Server::open(cfg(&dir)).unwrap();
+    assert!(matches!(
+        server.status(ids[0]).unwrap().state,
+        JobState::Failed(JobError::CheckpointCorrupt(_))
+    ));
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn job_directories_are_collision_free_under_concurrency() {
     let dir = tmpdir("collision");
