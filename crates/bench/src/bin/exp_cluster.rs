@@ -51,10 +51,9 @@
 //!
 //! `--quick` (CI smoke): N = 32,768, K ∈ {1, 2}.
 
-use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
+use g5_bench::report::{self, Row};
+use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, trajectory, Args};
 use grape5::ClockReport;
-use std::fmt::Write as _;
 use std::time::Instant;
 use treegrape::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
 use treegrape::ForceBackend;
@@ -206,91 +205,22 @@ fn result_row(c: &ClusterCell, k1: Option<&ClusterCell>) {
     );
 }
 
-fn json_line(c: &ClusterCell, k1: Option<&ClusterCell>) -> String {
+fn cell_row(c: &ClusterCell, k1: Option<&ClusterCell>) -> Row {
     let vs_k1 = |f: fn(&ClusterCell, &ClusterCell) -> f64| k1.map_or(1.0, |k1| f(c, k1));
-    let mut s = String::new();
-    write!(
-        s,
-        "    {{\"n\": {}, \"k\": {}, \"steps\": {}, \"interactions\": {}, \"terms\": {}, \
-         \"critical_path_s_per_step\": {}, \"aggregate_device_s_per_step\": {}, \
-         \"interactions_per_s\": {}, \"speedup_vs_k1\": {}, \
-         \"step_speedup_vs_k1\": {}, \"let_inflation\": {}, \"balance\": {}, \
-         \"decompose_s_per_step\": {}, \"exchange_s_per_step\": {}, \
-         \"build_s_per_step\": {}, \"traverse_cpu_s_per_step\": {}, \
-         \"host_wall_s_per_step\": {}",
-        c.n,
-        c.k,
-        c.steps,
-        c.interactions,
-        c.terms,
-        c.step_s(),
-        c.aggregate_s / c.steps as f64,
-        c.rate(),
-        vs_k1(|c, k1| c.rate() / k1.rate()),
-        vs_k1(ClusterCell::step_speedup),
-        vs_k1(ClusterCell::let_inflation),
-        c.balance(),
-        c.decompose_s / c.steps as f64,
-        c.exchange_s / c.steps as f64,
-        c.build_s / c.steps as f64,
-        c.traverse_cpu_s / c.steps as f64,
-        c.host_wall_s / c.steps as f64,
-    )
-    .unwrap();
-    let r = &c.recovery;
-    write!(
-        s,
-        ", \"recovery\": {{\"retries\": {}, \"j_reloads\": {}, \"validation_failures\": {}, \
-         \"device_errors\": {}, \"quarantined_pipes\": {}, \"quarantined_boards\": {}}}}}",
-        r.retries,
-        r.j_reloads,
-        r.validation_failures,
-        r.device_errors,
-        r.quarantined_pipes,
-        r.quarantined_boards,
-    )
-    .unwrap();
-    s
-}
-
-/// Pull a numeric field out of one hand-rolled JSON result line.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn print_baseline_delta(results: &[ClusterCell], old: &str) {
-    println!();
-    println!("delta vs committed baseline (modeled critical-path s/step; interactions/step):");
-    for c in results {
-        let tag = format!("\"n\": {}, \"k\": {},", c.n, c.k);
-        let line = old.lines().find(|l| l.contains(&tag));
-        let prior = line.and_then(|l| {
-            let steps = json_f64(l, "steps")?;
-            Some((json_f64(l, "critical_path_s_per_step")?, json_f64(l, "interactions")? / steps))
-        });
-        match prior {
-            Some((p_s, p_i)) if p_s > 0.0 && p_i > 0.0 => {
-                let inter = c.interactions as f64 / c.steps as f64;
-                println!(
-                    "  N = {:>7} K = {}  {:.4} -> {:.4} s ({:+.1}%)   {:.3e} -> {:.3e} ({:+.1}%)",
-                    c.n,
-                    c.k,
-                    p_s,
-                    c.step_s(),
-                    100.0 * (c.step_s() - p_s) / p_s,
-                    p_i,
-                    inter,
-                    100.0 * (inter - p_i) / p_i
-                );
-            }
-            _ => println!("  N = {:>7} K = {}  (no baseline entry)", c.n, c.k),
-        }
+    let per_step = |s: f64| s / c.steps as f64;
+    row! {
+        "n": c.n, "k": c.k, "steps": c.steps, "interactions": c.interactions, "terms": c.terms,
+        "critical_path_s_per_step": c.step_s(),
+        "aggregate_device_s_per_step": per_step(c.aggregate_s),
+        "interactions_per_s": c.rate(), "speedup_vs_k1": vs_k1(|c, k1| c.rate() / k1.rate()),
+        "step_speedup_vs_k1": vs_k1(ClusterCell::step_speedup),
+        "let_inflation": vs_k1(ClusterCell::let_inflation), "balance": c.balance(),
+        "decompose_s_per_step": per_step(c.decompose_s),
+        "exchange_s_per_step": per_step(c.exchange_s), "build_s_per_step": per_step(c.build_s),
+        "traverse_cpu_s_per_step": per_step(c.traverse_cpu_s),
+        "host_wall_s_per_step": per_step(c.host_wall_s),
+        "recovery": report::recovery(&c.recovery),
     }
-    println!("(the modeled clock is deterministic; any delta is a real behavior change)");
 }
 
 fn main() {
@@ -404,41 +334,29 @@ fn main() {
         }
     }
 
-    // JSON report
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"exp_cluster\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"theta\": 0.75,");
-    let _ = writeln!(json, "  \"n_crit\": 2000,");
-    let _ = writeln!(json, "  \"eps\": {EPS},");
-    json.push_str("  \"results\": [\n");
-    let lines: Vec<String> = results.iter().map(|c| json_line(c, k1)).collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    write_report(&out_path, &json);
+    let rows: Vec<Row> = results.iter().map(|c| cell_row(c, k1)).collect();
+    row! {
+        "experiment": "exp_cluster", "quick": quick, "seed": SEED, "theta": 0.75,
+        "n_crit": 2000u64, "eps": EPS, "results": rows.clone(),
+    }
+    .write(&out_path);
     println!();
     println!("wrote {out_path}");
 
     if let Some(old) = baseline {
-        print_baseline_delta(&results, &old);
+        let (key, metrics) = (["n", "k", "steps"], ["critical_path_s_per_step", "interactions"]);
+        let note = "the modeled clock is deterministic; any delta is a real behavior change";
+        report::print_delta(&old, &key, &metrics, &rows, note);
     }
 
     // cross-PR ledger: the largest-K step speed-up — a same-run ratio
     // on the modeled clock, keyed by this tree's commit
-    let traj_path: String = args.get("trajectory", String::new());
-    if !traj_path.is_empty() {
+    if args.flag("trajectory") {
         let k1 = k1.expect("--trajectory needs a K = 1 cell to take the ratio against");
         let top = results.iter().max_by_key(|c| c.k).expect("at least one K");
-        let entry = Entry {
-            pr: args.get("pr", "unlabelled".to_string()),
-            commit: trajectory::working_commit(),
-            metric: "cluster_step_speedup".into(),
-            n: n as u64,
-            value: top.step_speedup(k1),
-        };
-        trajectory::append(&traj_path, &[entry]);
-        println!("appended cluster_step_speedup (K = {}) to {traj_path}", top.k);
+        trajectory::append_from_args(
+            &args,
+            &[("cluster_step_speedup", n as u64, top.step_speedup(k1))],
+        );
     }
 }

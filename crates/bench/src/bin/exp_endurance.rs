@@ -49,10 +49,10 @@
 //! `--quick` (CI smoke): N = 8,192, K = 3, 40 steps — the same storm,
 //! compressed.
 
-use g5_bench::{fmt_secs, plummer, rule, write_report, Args};
+use g5_bench::report;
+use g5_bench::{fmt_secs, plummer, row, rule, write_report, Args};
 use grape5::fault::{BoardDropout, FaultConfig, StuckPipe};
 use grape5::{splitmix, RetryPolicy};
-use std::fmt::Write as _;
 use treegrape::checkpoint::{latest, scrub, Checkpointer};
 use treegrape::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
 use treegrape::Simulation;
@@ -342,19 +342,6 @@ fn snapshot_bytes(state: &g5ic::Snapshot, time: f64, path: &std::path::Path) -> 
     std::fs::read(path).expect("read snapshot bytes")
 }
 
-fn json_recovery(r: &grape5::RecoveryStats) -> String {
-    format!(
-        "{{\"retries\": {}, \"j_reloads\": {}, \"validation_failures\": {}, \
-         \"device_errors\": {}, \"quarantined_pipes\": {}, \"quarantined_boards\": {}}}",
-        r.retries,
-        r.j_reloads,
-        r.validation_failures,
-        r.device_errors,
-        r.quarantined_pipes,
-        r.quarantined_boards,
-    )
-}
-
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
@@ -569,66 +556,29 @@ fn main() {
     // ------------------------------------------------------------------
     // artifacts
     write_report(&ledger_path, &(a.ledger.join("\n") + "\n"));
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"exp_endurance\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"chaos_seed\": {CHAOS_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"n\": {n}, \"k\": {k}, \"steps\": {steps}, \"dt\": {dt}, \"eps\": {EPS}, \
-         \"n_crit\": {n_crit},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"probe_interval\": {probe_interval}, \"straggler_factor\": 3.0, \
-         \"checkpoint_every\": {every}, \"retention_keep\": {keep}, \"cut_step\": {},",
-        chaos.cut
-    );
-    let _ = writeln!(json, "  \"completed_steps\": {},", a.completed);
-    let _ = writeln!(json, "  \"evals\": {},", a.evals);
-    let _ = writeln!(json, "  \"wall_s\": {},", a.wall_s);
-    let _ = writeln!(json, "  \"max_energy_drift\": {},", a.drift_max);
-    let _ = writeln!(json, "  \"drift_envelope\": {DRIFT_ENVELOPE},");
-    let _ = writeln!(json, "  \"kills\": {kills},");
-    let _ = writeln!(json, "  \"readmissions\": {readmissions},");
-    let _ = writeln!(json, "  \"hardware_restores\": {restores},");
-    let _ = writeln!(json, "  \"straggler_reexecutions\": {stragglers},");
-    let _ = writeln!(json, "  \"redecompositions\": {redecompositions},");
-    let _ = writeln!(json, "  \"mttr_evals_mean\": {mttr_mean},");
-    let _ = writeln!(json, "  \"mttr_evals_max\": {mttr_max},");
-    let _ = writeln!(json, "  \"recovery\": {},", json_recovery(&a.recovery));
-    json.push_str("  \"shard_recovery\": {");
-    let per: Vec<String> = a
+    let shard_recovery = a
         .shard_recovery
         .iter()
-        .map(|(slot, sr)| format!("\"{slot}\": {}", json_recovery(sr)))
-        .collect();
-    json.push_str(&per.join(", "));
-    json.push_str("},\n");
-    let _ = writeln!(
-        json,
-        "  \"scrub\": {{\"checked\": {}, \"valid\": {}, \"corrupt\": {}}},",
-        scrub_report.checked,
-        scrub_report.valid,
-        scrub_report.corrupt.len()
-    );
-    let _ = writeln!(
-        json,
-        "  \"determinism_rerun_identical\": {},",
-        determinism_pass.map_or("null".into(), |p| p.to_string())
-    );
-    let _ = writeln!(
-        json,
-        "  \"resume_byte_identical\": {},",
-        resume_pass.map_or("null".into(), |p| p.to_string())
-    );
-    json.push_str("  \"ledger\": [\n");
-    let lines: Vec<String> =
-        a.ledger.iter().map(|e| format!("    \"{}\"", e.replace('"', "'"))).collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    write_report(&out_path, &json);
+        .fold(row! {}, |row, (slot, sr)| row.put(&slot.to_string(), report::recovery(sr)));
+    row! {
+        "experiment": "exp_endurance", "quick": quick, "chaos_seed": CHAOS_SEED,
+        "n": n, "k": k, "steps": steps, "dt": dt, "eps": EPS, "n_crit": n_crit,
+        "probe_interval": probe_interval, "straggler_factor": 3.0, "checkpoint_every": every,
+        "retention_keep": keep, "cut_step": chaos.cut, "completed_steps": a.completed,
+        "evals": a.evals, "wall_s": a.wall_s, "max_energy_drift": a.drift_max,
+        "drift_envelope": DRIFT_ENVELOPE, "kills": kills, "readmissions": readmissions,
+        "hardware_restores": restores, "straggler_reexecutions": stragglers,
+        "redecompositions": redecompositions, "mttr_evals_mean": mttr_mean,
+        "mttr_evals_max": mttr_max, "recovery": report::recovery(&a.recovery),
+        "shard_recovery": shard_recovery,
+        "scrub": row! {
+            "checked": scrub_report.checked, "valid": scrub_report.valid,
+            "corrupt": scrub_report.corrupt.len(),
+        },
+        "determinism_rerun_identical": determinism_pass, "resume_byte_identical": resume_pass,
+        "ledger": a.ledger.clone(),
+    }
+    .write(&out_path);
     println!();
     println!("wrote {out_path} and {ledger_path}");
 

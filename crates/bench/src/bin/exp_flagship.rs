@@ -37,9 +37,8 @@
 //! run from the latest checkpoint. `--quick` (CI smoke): gate at
 //! N = 32,768 K = 2, segment at N = 65,536.
 
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, Args};
 use grape5::{ClockAccounting, ClockReport};
-use std::fmt::Write as _;
 use std::time::Instant;
 use treegrape::checkpoint::{latest, Checkpointer};
 use treegrape::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
@@ -374,42 +373,27 @@ fn main() {
     println!("  sustained:    {gflops:.2} Gflops ({OPS} ops/interaction)");
 
     // ---- JSON report ------------------------------------------------
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"exp_flagship\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"seed\": {SEED},");
-    let _ = writeln!(json, "  \"eps\": {EPS},");
-    let _ = writeln!(json, "  \"dt\": {DT},");
-    let _ = writeln!(
-        json,
-        "  \"gate\": {{\"n\": {n_gate}, \"k\": {k}, \
-         \"barrier_critical_path_s\": {}, \"overlapped_critical_path_s\": {}, \
-         \"overlap_critical_path_speedup\": {gate_speedup}, \"interactions\": {}}},",
-        serial.critical_path_s, double_buffered.critical_path_s, serial.interactions,
-    );
-    let _ = writeln!(
-        json,
-        "  \"segment\": {{\"n\": {}, \"k\": {}, \"steps\": {}, \"cut\": {}, \
-         \"critical_path_s_per_step\": {crit_per_step}, \
-         \"aggregate_device_s_per_step\": {}, \"interactions_per_step\": {}, \
-         \"host_wall_s\": {}, \"resume_identical\": {}}},",
-        seg.n,
-        seg.k,
-        seg.steps,
-        seg.cut,
-        seg.aggregate_s / seg.steps as f64,
-        inter_per_step,
-        seg.host_wall_s,
-        seg.resume_identical,
-    );
-    let _ = writeln!(
-        json,
-        "  \"projection\": {{\"steps\": {STEPS_FLAGSHIP}, \"modeled_total_s\": {total_s}, \
-         \"flagship_interactions_per_s\": {rate}, \"sustained_gflops\": {gflops}}}",
-    );
-    json.push_str("}\n");
-    write_report(&out_path, &json);
+    let gate = row! {
+        "n": n_gate, "k": k, "barrier_critical_path_s": serial.critical_path_s,
+        "overlapped_critical_path_s": double_buffered.critical_path_s,
+        "overlap_critical_path_speedup": gate_speedup, "interactions": serial.interactions,
+    };
+    let segment = row! {
+        "n": seg.n, "k": seg.k, "steps": seg.steps, "cut": seg.cut,
+        "critical_path_s_per_step": crit_per_step,
+        "aggregate_device_s_per_step": seg.aggregate_s / seg.steps as f64,
+        "interactions_per_step": inter_per_step, "host_wall_s": seg.host_wall_s,
+        "resume_identical": seg.resume_identical,
+    };
+    let projection = row! {
+        "steps": STEPS_FLAGSHIP, "modeled_total_s": total_s,
+        "flagship_interactions_per_s": rate, "sustained_gflops": gflops,
+    };
+    row! {
+        "experiment": "exp_flagship", "quick": quick, "seed": SEED, "eps": EPS, "dt": DT,
+        "gate": gate, "segment": segment, "projection": projection,
+    }
+    .write(&out_path);
     println!();
     println!("wrote {out_path}");
 }

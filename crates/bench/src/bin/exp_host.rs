@@ -62,8 +62,8 @@
 //!     [--trajectory BENCH_trajectory.json --pr pr19]
 //! ```
 
-use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, plummer, rule, write_report, Args};
+use g5_bench::report::{self, Row};
+use g5_bench::{fmt_count, plummer, row, rule, trajectory, Args};
 use g5tree::plan::{self, PlanConfig, PlanPool};
 use g5tree::traverse::{Traversal, TraverseScratch};
 use g5tree::tree::{Tree, TreeConfig};
@@ -73,7 +73,6 @@ use grape5::board::ProcessorBoard;
 use grape5::pipeline::JWord;
 use grape5::{bounding_window, ArithMode, DeviceSession, G5Pipeline, Grape5, Grape5Config};
 use rayon::prelude::*;
-use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -292,31 +291,16 @@ fn result_row(c: &HostCell) {
     );
 }
 
-fn json_line(c: &HostCell) -> String {
-    let mut s = String::new();
-    write!(
-        s,
-        "    {{\"n\": {}, \"n_crit\": {}, \"k\": {}, \"steps\": {}, \
-         \"build_ns_per_particle\": {}, \"refresh_ns_per_particle\": {}, \
-         \"groups\": {}, \"terms\": {}, \
-         \"trav_ref_ns_per_group\": {}, \"trav_new_ns_per_group\": {}, \
-         \"host_ref_s_per_step\": {}, \"host_new_s_per_step\": {}, \"speedup\": {}}}",
-        c.n,
-        c.n_crit,
-        c.k,
-        c.steps,
-        c.build_ns_per_particle(),
-        c.refresh_ns_per_particle(),
-        c.groups,
-        c.terms,
-        c.trav_ns_per_group(c.trav_ref_s),
-        c.trav_ns_per_group(c.trav_new_s),
-        c.host_ref_s(),
-        c.host_new_s(),
-        c.speedup(),
-    )
-    .unwrap();
-    s
+fn cell_row(c: &HostCell) -> Row {
+    row! {
+        "n": c.n, "n_crit": c.n_crit, "k": u64::from(c.k), "steps": c.steps,
+        "build_ns_per_particle": c.build_ns_per_particle(),
+        "refresh_ns_per_particle": c.refresh_ns_per_particle(), "groups": c.groups,
+        "terms": c.terms, "trav_ref_ns_per_group": c.trav_ns_per_group(c.trav_ref_s),
+        "trav_new_ns_per_group": c.trav_ns_per_group(c.trav_new_s),
+        "host_ref_s_per_step": c.host_ref_s(), "host_new_s_per_step": c.host_new_s(),
+        "speedup": c.speedup(),
+    }
 }
 
 /// Morton-sort A/B at the headline size: the radix sort the tree
@@ -659,45 +643,6 @@ fn measure_short_call(all: &[Vec3], lists: &[GroupList], rounds: usize) -> Short
     }
 }
 
-/// Pull a numeric field out of one hand-rolled JSON result line.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Compare fresh results against a previously written report (the
-/// committed baseline in CI) and print per-cell host-phase deltas.
-fn print_baseline_delta(results: &[HostCell], old: &str) {
-    println!();
-    println!("delta vs committed baseline (new-path host seconds per step):");
-    for c in results {
-        let tag = format!("\"n\": {}, \"n_crit\": {}, \"k\": {}", c.n, c.n_crit, c.k);
-        let prior =
-            old.lines().find(|l| l.contains(&tag)).and_then(|l| json_f64(l, "host_new_s_per_step"));
-        match prior {
-            Some(p) if p > 0.0 => {
-                println!(
-                    "  N = {:>7} n_crit = {:>5} K = {}  {:.3e} -> {:.3e} s/step  ({:+.1}%)",
-                    c.n,
-                    c.n_crit,
-                    c.k,
-                    p,
-                    c.host_new_s(),
-                    100.0 * (c.host_new_s() - p) / p
-                );
-            }
-            _ => println!(
-                "  N = {:>7} n_crit = {:>5} K = {}  (no baseline entry)",
-                c.n, c.n_crit, c.k
-            ),
-        }
-    }
-    println!("(wall-clock rates are machine-dependent; the delta is informational, not a gate)");
-}
-
 fn main() {
     let args = Args::parse();
     let quick = args.flag("quick");
@@ -863,102 +808,56 @@ fn main() {
         headline.k
     );
 
+    let rows: Vec<Row> = results.iter().map(cell_row).collect();
     if let Some(old) = &baseline {
-        print_baseline_delta(&results, old);
+        let note = "wall-clock rates vary by machine; the delta is informational, not a gate";
+        let (key, metrics) = (["n", "n_crit", "k"], ["host_new_s_per_step"]);
+        report::print_delta(old, &key, &metrics, &rows, note);
     }
 
-    let mut text = String::new();
-    writeln!(text, "{{").unwrap();
-    writeln!(text, "  \"experiment\": \"exp_host\",").unwrap();
-    writeln!(text, "  \"quick\": {quick},").unwrap();
-    writeln!(text, "  \"seed\": {SEED},").unwrap();
-    writeln!(text, "  \"theta\": {THETA},").unwrap();
-    writeln!(text, "  \"dt\": {DT},").unwrap();
-    writeln!(text, "  \"sort_n\": {},", sort.n).unwrap();
-    writeln!(text, "  \"sort_radix_s\": {},", sort.radix_s).unwrap();
-    writeln!(text, "  \"sort_comparison_s\": {},", sort.comparison_s).unwrap();
-    writeln!(text, "  \"sort_speedup\": {},", sort.speedup()).unwrap();
-    writeln!(text, "  \"build_radix_s\": {build_radix_s},").unwrap();
-    writeln!(text, "  \"build_comparison_s\": {build_comparison_s},").unwrap();
-    writeln!(text, "  \"build_sort_speedup\": {},", build_comparison_s / build_radix_s).unwrap();
-    writeln!(text, "  \"jload\": [").unwrap();
-    for (i, j) in jloads.iter().enumerate() {
-        let comma = if i + 1 < jloads.len() { "," } else { "" };
-        writeln!(
-            text,
-            "    {{\"mode\": \"{}\", \"lists\": {}, \"j_particles\": {}, \
-             \"reference_ns_per_j\": {}, \"lane_ns_per_j\": {}, \"speedup\": {}}}{comma}",
-            format!("{:?}", j.mode).to_lowercase(),
-            lists.len(),
-            j.j_particles,
-            j.reference_ns_per_j,
-            j.lane_ns_per_j,
-            j.speedup()
-        )
-        .unwrap();
+    let jload: Vec<Row> = jloads
+        .iter()
+        .map(|j| {
+            row! {
+                "mode": format!("{:?}", j.mode).to_lowercase(), "lists": lists.len(),
+                "j_particles": j.j_particles, "reference_ns_per_j": j.reference_ns_per_j,
+                "lane_ns_per_j": j.lane_ns_per_j, "speedup": j.speedup(),
+            }
+        })
+        .collect();
+    let emit_row = row! {
+        "lists": emit.lists, "terms": emit.terms, "staged_ns_per_term": emit.staged_ns_per_term,
+        "fused_ns_per_term": emit.fused_ns_per_term, "speedup": emit.speedup(),
+    };
+    let short_row = row! {
+        "cpus": short.cpus, "ni": short.ni, "nj": short.nj, "call_us": short.call_us,
+        "kernel_us": short.kernel_us, "efficiency": short.efficiency(),
+        "spawn_join_us": short.spawn_join_us,
+        "available_parallelism_us": short.available_parallelism_us,
+        "break_even_interactions": short.break_even_interactions(),
+        "rescan_us": short.rescan_us, "session_call_us": short.session_call_us,
+    };
+    row! {
+        "experiment": "exp_host", "quick": quick, "seed": SEED, "theta": THETA, "dt": DT,
+        "sort_n": sort.n, "sort_radix_s": sort.radix_s, "sort_comparison_s": sort.comparison_s,
+        "sort_speedup": sort.speedup(), "build_radix_s": build_radix_s,
+        "build_comparison_s": build_comparison_s,
+        "build_sort_speedup": build_comparison_s / build_radix_s,
+        "jload": jload, "emit": emit_row, "short_call": short_row, "results": rows,
     }
-    writeln!(text, "  ],").unwrap();
-    writeln!(
-        text,
-        "  \"emit\": {{\"lists\": {}, \"terms\": {}, \"staged_ns_per_term\": {}, \
-         \"fused_ns_per_term\": {}, \"speedup\": {}}},",
-        emit.lists,
-        emit.terms,
-        emit.staged_ns_per_term,
-        emit.fused_ns_per_term,
-        emit.speedup()
-    )
-    .unwrap();
-    writeln!(
-        text,
-        "  \"short_call\": {{\"cpus\": {}, \"ni\": {}, \"nj\": {}, \"call_us\": {}, \
-         \"kernel_us\": {}, \"efficiency\": {}, \"spawn_join_us\": {}, \
-         \"available_parallelism_us\": {}, \"break_even_interactions\": {}, \
-         \"rescan_us\": {}, \"session_call_us\": {}}},",
-        short.cpus,
-        short.ni,
-        short.nj,
-        short.call_us,
-        short.kernel_us,
-        short.efficiency(),
-        short.spawn_join_us,
-        short.available_parallelism_us,
-        short.break_even_interactions(),
-        short.rescan_us,
-        short.session_call_us
-    )
-    .unwrap();
-    writeln!(text, "  \"results\": [").unwrap();
-    for (i, c) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        writeln!(text, "{}{comma}", json_line(c)).unwrap();
-    }
-    writeln!(text, "  ]").unwrap();
-    writeln!(text, "}}").unwrap();
-    write_report(&out_path, &text);
+    .write(&out_path);
     println!();
     println!("wrote {} results to {out_path}", results.len());
 
     // cross-PR ledger: same-run ratios only (they survive a change of
     // machine), keyed by this tree's commit
-    let traj_path: String = args.get("trajectory", String::new());
-    if !traj_path.is_empty() {
-        let pr: String = args.get("pr", "unlabelled".to_string());
-        let commit = trajectory::working_commit();
-        let row = |metric: &str, value: f64| Entry {
-            pr: pr.clone(),
-            commit: commit.clone(),
-            metric: metric.into(),
-            n: 16_384,
-            value,
-        };
-        let rows = [
-            row("host_jload_lane_speedup", jloads[0].speedup()),
-            row("host_jload_lns_lane_speedup", jloads[1].speedup()),
-            row("host_short_call_efficiency", short.efficiency()),
-            row("host_emit_ns_per_term", emit.fused_ns_per_term),
-        ];
-        trajectory::append(&traj_path, &rows);
-        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
-    }
+    trajectory::append_from_args(
+        &args,
+        &[
+            ("host_jload_lane_speedup", 16_384, jloads[0].speedup()),
+            ("host_jload_lns_lane_speedup", 16_384, jloads[1].speedup()),
+            ("host_short_call_efficiency", 16_384, short.efficiency()),
+            ("host_emit_ns_per_term", 16_384, emit.fused_ns_per_term),
+        ],
+    );
 }

@@ -52,8 +52,8 @@
 //!     [--trajectory BENCH_trajectory.json --pr pr24] [--split-only]
 //! ```
 
-use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, fmt_secs, plummer, rule, write_report, Args};
+use g5_bench::report::{self, Row};
+use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, trajectory, Args};
 use g5util::counters::{FlopConvention, InteractionRate};
 use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
@@ -62,7 +62,6 @@ use grape5::{
     bounding_window, ArithMode, ExactStage, Force, G5Pipeline, Grape5, Grape5Config, LanePath,
     LnsStage,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 use treegrape::perf::PhaseTimers;
 
@@ -394,11 +393,11 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
     Some(StageSplit { n, mode, lanes, ops, stages, prefix_ns: best, floor_ns })
 }
 
-/// `--split-only`: both stage splits as their report lines, nothing else.
+/// `--split-only`: both stage splits as their report rows, nothing else.
 fn print_splits(n: usize, quick: bool) {
     for mode in [ArithMode::Exact, ArithMode::Lns] {
         if let Some(split) = stage_split(mode, n, quick) {
-            println!("{}", stage_json(&split, ""));
+            println!("{}", stage_row(&split).line());
         }
     }
 }
@@ -415,17 +414,17 @@ fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
     let out = cmd.output().ok().filter(|o| o.status.success())?;
     let text = String::from_utf8_lossy(&out.stdout);
     let read = |mode: ArithMode, stages: StageNames| {
-        let line =
-            text.lines().find(|l| l.contains(&format!("\"{}_stage_split\"", mode_str(mode))))?;
+        // the row of this mode's split: the one that has its first stage
+        let line = text.lines().find(|l| report::num(l, stages[0].0).is_some())?;
         let mut prefix_ns = Vec::new();
         for (key, _) in stages {
-            prefix_ns.push(prefix_ns.last().copied().unwrap_or(0.0) + json_f64(line, key)?);
+            prefix_ns.push(prefix_ns.last().copied().unwrap_or(0.0) + report::num(line, key)?);
         }
-        let (lanes, floor_ns) =
-            (json_f64(line, "lanes")? as usize, json_f64(line, "divider_floor"));
+        let lanes = report::num(line, "lanes")? as usize;
+        let floor_ns = report::num(line, "divider_floor");
         // the pin held: the child says which column it ran
         let ops = "avx2";
-        (json_f64(line, "n")? as usize == n && line.contains("\"acc_ops\": \"avx2\""))
+        (report::num(line, "n")? as usize == n && report::text(line, "acc_ops")? == ops)
             .then_some(StageSplit { n, mode, lanes, ops, stages, prefix_ns, floor_ns })
     };
     Some([read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?])
@@ -472,31 +471,17 @@ fn stage_table(split: &StageSplit) {
     }
 }
 
-/// The report line of a split, keyed `<mode>_stage_split<tag>`.
-fn stage_json(split: &StageSplit, tag: &str) -> String {
-    let mut s = format!(
-        "  \"{}_stage_split{tag}\": {{\"n\": {}, \"lanes\": {}, \"acc_ops\": \"{}\", \
-         \"unit\": \"ns_per_interaction\"",
-        mode_str(split.mode),
-        split.n,
-        split.lanes,
-        split.ops
-    );
-    for (k, ns) in split.stage_ns().iter().enumerate() {
-        write!(s, ", \"{}\": {}", split.stages[k].0, ns).unwrap();
-    }
+/// The report row of a split.
+fn stage_row(split: &StageSplit) -> Row {
+    let head = row! {
+        "n": split.n, "lanes": split.lanes, "acc_ops": split.ops, "unit": "ns_per_interaction",
+    };
+    let stages = split.stages.iter().zip(split.stage_ns());
+    let mut row = stages.fold(head, |row, (&(key, _), ns)| row.put(key, ns));
     if let Some(floor) = split.floor_ns {
-        write!(s, ", \"divider_floor\": {floor}, \"kernel_over_floor\": {}", split.total() / floor)
-            .unwrap();
+        row = row.put("divider_floor", floor).put("kernel_over_floor", split.total() / floor);
     }
-    write!(
-        s,
-        ", \"total\": {}, \"bottleneck\": \"{}\"}},",
-        split.total(),
-        split.stages[split.bottleneck()].0
-    )
-    .unwrap();
-    s
+    row.put("total", split.total()).put("bottleneck", split.stages[split.bottleneck()].0)
 }
 
 fn result_row(r: &KernelResult) {
@@ -556,89 +541,23 @@ fn phase_split(r: &KernelResult) {
     rule(78);
 }
 
-fn json_line(r: &KernelResult) -> String {
-    let mut s = String::new();
-    write!(
-        s,
-        "    {{\"n\": {}, \"mode\": \"{}\", \"nj\": {}, \"load_s\": {}, \
-         \"batch_interactions\": {}, \"batch_seconds\": {}, \"batch_per_second\": {}, \
-         \"batch_ns_per_interaction\": {}, \"batch_gflops38\": {}, \
-         \"ref_interactions\": {}, \"ref_seconds\": {}, \"ref_per_second\": {}, \
-         \"ref_ns_per_interaction\": {}, \"speedup\": {}}}",
-        r.n,
-        mode_str(r.mode),
-        r.nj,
-        r.load_s,
-        r.batch.interactions,
-        r.batch.seconds,
-        r.batch.per_second(),
-        r.batch.ns_per_interaction(),
-        r.batch.gflops(FlopConvention::WarrenSalmon38),
-        r.reference.interactions,
-        r.reference.seconds,
-        r.reference.per_second(),
-        r.reference.ns_per_interaction(),
-        r.speedup(),
-    )
-    .unwrap();
-    // lane A/B columns (null when the run is forced onto the skeleton)
-    s.pop(); // reopen the object
-    match &r.scalar {
-        Some(sc) => write!(
-            s,
-            ", \"lane_path\": \"{}\", \"scalar_per_second\": {}, \
-             \"scalar_ns_per_interaction\": {}, \"lane_speedup\": {}}}",
-            lane_str(r.lane),
-            sc.per_second(),
-            sc.ns_per_interaction(),
-            r.lane_speedup().unwrap(),
-        )
-        .unwrap(),
-        None => write!(
-            s,
-            ", \"lane_path\": \"{}\", \"scalar_per_second\": null, \
-             \"scalar_ns_per_interaction\": null, \"lane_speedup\": null}}",
-            lane_str(r.lane),
-        )
-        .unwrap(),
+/// The report row of a cell; the lane A/B columns are `null` when the
+/// run is forced onto the skeleton.
+fn cell_row(r: &KernelResult) -> Row {
+    let scalar = |f: fn(&InteractionRate) -> f64| r.scalar.as_ref().map(f);
+    row! {
+        "n": r.n, "mode": mode_str(r.mode), "nj": r.nj, "load_s": r.load_s,
+        "batch_interactions": r.batch.interactions, "batch_seconds": r.batch.seconds,
+        "batch_per_second": r.batch.per_second(),
+        "batch_ns_per_interaction": r.batch.ns_per_interaction(),
+        "batch_gflops38": r.batch.gflops(FlopConvention::WarrenSalmon38),
+        "ref_interactions": r.reference.interactions, "ref_seconds": r.reference.seconds,
+        "ref_per_second": r.reference.per_second(),
+        "ref_ns_per_interaction": r.reference.ns_per_interaction(), "speedup": r.speedup(),
+        "lane_path": lane_str(r.lane), "scalar_per_second": scalar(InteractionRate::per_second),
+        "scalar_ns_per_interaction": scalar(InteractionRate::ns_per_interaction),
+        "lane_speedup": r.lane_speedup(),
     }
-    s
-}
-
-/// Pull a numeric field out of one hand-rolled JSON result line.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Compare fresh results against a previously written report (the
-/// committed baseline in CI) and print per-cell batch-rate deltas.
-fn print_baseline_delta(results: &[KernelResult], old: &str) {
-    println!();
-    println!("delta vs committed baseline (batch interactions/s):");
-    for r in results {
-        let tag = format!("\"n\": {}, \"mode\": \"{}\"", r.n, mode_str(r.mode));
-        let prior =
-            old.lines().find(|l| l.contains(&tag)).and_then(|l| json_f64(l, "batch_per_second"));
-        match prior {
-            Some(p) if p > 0.0 => {
-                let now = r.batch.per_second();
-                println!(
-                    "  N = {:>7} {:<5}  {:.3e} -> {:.3e}  ({:+.1}%)",
-                    r.n,
-                    mode_str(r.mode),
-                    p,
-                    now,
-                    100.0 * (now - p) / p
-                );
-            }
-            _ => println!("  N = {:>7} {:<5}  (no baseline entry)", r.n, mode_str(r.mode)),
-        }
-    }
-    println!("(wall-clock rates are machine-dependent; the delta is informational, not a gate)");
 }
 
 fn main() {
@@ -799,68 +718,48 @@ fn main() {
         );
     }
 
+    let rows: Vec<Row> = results.iter().map(cell_row).collect();
     if let Some(old) = &baseline {
-        print_baseline_delta(&results, old);
+        let note = "wall-clock rates vary by machine; the delta is informational, not a gate";
+        report::print_delta(old, &["n", "mode"], &["batch_per_second"], &rows, note);
     }
 
-    let mut text = String::new();
-    writeln!(text, "{{").unwrap();
-    writeln!(text, "  \"experiment\": \"exp_kernel\",").unwrap();
-    writeln!(text, "  \"quick\": {quick},").unwrap();
-    writeln!(text, "  \"seed\": {SEED},").unwrap();
-    writeln!(text, "  \"eps\": {EPS},").unwrap();
-    writeln!(text, "  \"ops_per_interaction\": 38,").unwrap();
-    writeln!(text, "  \"lns_lanes\": {},", lns_lane_width(headline.lane)).unwrap();
-    writeln!(text, "  \"acc_ops\": \"{}\",", acc_ops(headline.lane)).unwrap();
-    for split in &splits {
-        writeln!(text, "{}", stage_json(split, "")).unwrap();
+    let mut out = row! {
+        "experiment": "exp_kernel", "quick": quick, "seed": SEED, "eps": EPS,
+        "ops_per_interaction": 38u64, "lns_lanes": lns_lane_width(headline.lane),
+        "acc_ops": acc_ops(headline.lane),
+    };
+    let tagged =
+        splits.iter().map(|s| (s, "")).chain(pinned.iter().flatten().map(|s| (s, "_pinned_avx2")));
+    for (split, tag) in tagged {
+        out = out.put(&format!("{}_stage_split{tag}", mode_str(split.mode)), stage_row(split));
     }
-    for split in pinned.iter().flatten() {
-        writeln!(text, "{}", stage_json(split, "_pinned_avx2")).unwrap();
-    }
-    writeln!(text, "  \"results\": [").unwrap();
-    for (k, r) in results.iter().enumerate() {
-        let comma = if k + 1 < results.len() { "," } else { "" };
-        writeln!(text, "{}{comma}", json_line(r)).unwrap();
-    }
-    writeln!(text, "  ]").unwrap();
-    writeln!(text, "}}").unwrap();
-    write_report(&out_path, &text);
+    out.put("results", rows).write(&out_path);
     println!();
     println!("wrote {} results to {out_path}", results.len());
 
     // cross-PR ledger: the LNS lane headline, keyed by this tree's commit
-    let traj_path: String = args.get("trajectory", String::new());
-    if !traj_path.is_empty() && headline.scalar.is_some() {
-        let pr: String = args.get("pr", "unlabelled".to_string());
-        let commit = trajectory::working_commit();
-        let row_at = |metric: &str, n: usize, value: f64| Entry {
-            pr: pr.clone(),
-            commit: commit.clone(),
-            metric: metric.into(),
-            n: n as u64,
-            value,
-        };
-        let row = |metric: &str, value: f64| row_at(metric, headline.n, value);
+    if let Some(lns_lane) = headline.lane_speedup() {
         // ratios only: same-run A/Bs survive a change of machine
         let exact = results
             .iter()
             .find(|r| r.mode == ArithMode::Exact && r.n == headline.n)
             .expect("every N is measured in both modes");
+        let n = headline.n as u64;
         // the cross-mode rate ratio is what the paper's arithmetic costs:
         // it rises with an LNS gain and falls with an exact one, so a
         // gate failure on it after an exact-kernel PR reads "the gap
         // widened", not "something got slower"
         let mut rows = vec![
-            row("kernel_lns_lane_speedup", headline.lane_speedup().unwrap()),
-            row(
+            ("kernel_lns_lane_speedup", n, lns_lane),
+            (
                 "kernel_lns_over_exact_rate",
+                n,
                 headline.batch.per_second() / exact.batch.per_second(),
             ),
         ];
-        rows.extend(exact.lane_speedup().map(|x| row("kernel_exact_lane_speedup", x)));
-        rows.extend(exact_force_share.map(|x| row_at("kernel_exact_force_share", sizes[0], x)));
-        trajectory::append(&traj_path, &rows);
-        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
+        rows.extend(exact.lane_speedup().map(|x| ("kernel_exact_lane_speedup", n, x)));
+        rows.extend(exact_force_share.map(|x| ("kernel_exact_force_share", sizes[0] as u64, x)));
+        trajectory::append_from_args(&args, &rows);
     }
 }

@@ -53,12 +53,11 @@
 //! `--quick` (CI smoke): 24 jobs, 3 workers, one kill — the same storm,
 //! compressed.
 
-use g5_bench::trajectory::{self, Entry};
-use g5_bench::{fmt_count, fmt_secs, rule, write_report, Args};
+use g5_bench::report::{self, Row};
+use g5_bench::{fmt_count, fmt_secs, row, rule, trajectory, Args};
 use g5serve::{job_dir_name, JobError, JobId, JobSpec, JobState, Server, ServerConfig};
 use g5util::cores;
 use grape5::{ArithMode, FaultConfig, RecoveryStats};
-use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 use treegrape::{snapshot_io, BackendSpec, Simulation};
@@ -235,19 +234,6 @@ fn scaling_run(cfg: ServerConfig, specs: &[JobSpec]) -> ScalingRow {
     }
     server.shutdown();
     ScalingRow { workers, wall_s, evaluations, tasks_created, shard_threads }
-}
-
-fn json_recovery(r: &RecoveryStats) -> String {
-    format!(
-        "{{\"retries\": {}, \"j_reloads\": {}, \"validation_failures\": {}, \
-         \"device_errors\": {}, \"quarantined_pipes\": {}, \"quarantined_boards\": {}}}",
-        r.retries,
-        r.j_reloads,
-        r.validation_failures,
-        r.device_errors,
-        r.quarantined_pipes,
-        r.quarantined_boards,
-    )
 }
 
 fn main() {
@@ -612,90 +598,51 @@ fn main() {
 
     // ------------------------------------------------------------------
     // artifact
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"exp_serve\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(
-        json,
-        "  \"jobs\": {jobs}, \"workers\": {workers}, \"quantum\": {quantum}, \
-         \"total_steps\": {total_steps},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"faulted_jobs\": {faulted}, \"cluster_jobs\": {clusters}, \"lns_jobs\": {lns},"
-    );
-    let _ = writeln!(json, "  \"kills\": {kills_done},");
-    let _ = writeln!(json, "  \"wall_s\": {wall},");
-    let _ = writeln!(json, "  \"restart_downtime_s\": {},", downtime.as_secs_f64());
-    let _ = writeln!(json, "  \"interactions_measured\": {interactions},");
-    let _ = writeln!(json, "  \"aggregate_interactions_per_s\": {aggregate_rate},");
-    let _ = writeln!(json, "  \"baseline_interactions\": {base_inter},");
-    let _ = writeln!(json, "  \"baseline_interactions_per_s\": {baseline_rate},");
-    let _ = writeln!(json, "  \"throughput_vs_baseline\": {},", aggregate_rate / baseline_rate);
-    let _ = writeln!(json, "  \"p50_latency_s\": {p50},");
-    let _ = writeln!(json, "  \"p95_latency_s\": {p95},");
-    let _ = writeln!(json, "  \"p99_latency_s\": {p99},");
-    let _ = writeln!(json, "  \"jain_fairness\": {fairness},");
-    let _ = writeln!(json, "  \"preemptions\": {preemptions}, \"resumes\": {resumes},");
-    let _ = writeln!(json, "  \"max_energy_drift\": {max_drift},");
-    let _ = writeln!(json, "  \"recovery\": {},", json_recovery(&recovery));
-    let _ = writeln!(json, "  \"taxonomy\": {{");
-    let _ = writeln!(json, "    \"completed\": {completed},");
-    let tax: Vec<String> = taxonomy.iter().map(|(k, c)| format!("    \"{k}\": {c}")).collect();
-    json.push_str(&tax.join(",\n"));
-    json.push_str("\n  },\n");
-    let _ = writeln!(
-        json,
-        "  \"byte_identity\": {{\"checked\": {}, \"identical\": {identical}}},",
-        subset.len()
-    );
-    let _ = writeln!(json, "  \"lost_jobs\": {},", lost.len());
-    let _ = writeln!(json, "  \"cores\": {cores}, \"worker_scaling\": {worker_scaling},");
-    let _ = writeln!(json, "  \"worker_scaling_rows\": [");
-    for (i, r) in scaling.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"scaling_workers\": {}, \"scaling_wall_s\": {}, \
-             \"scaling_interactions_per_s\": {}, \"vs_one_worker\": {}, \"evaluations\": {}, \
-             \"shard_threads\": {}, \"tasks_created\": {}, \
-             \"tasks_created_per_evaluation\": {}}}{}",
-            r.workers,
-            r.wall_s,
-            scaling_rate(r),
-            scaling_rate(r) / scaling_rate(&scaling[0]),
-            r.evaluations,
-            r.shard_threads,
-            r.helper_tasks().map_or("null".into(), |h| h.to_string()),
-            r.helper_tasks_per_evaluation().map_or("null".into(), |h| h.to_string()),
-            if i + 1 < scaling.len() { "," } else { "" },
-        );
+    let taxonomy_row =
+        taxonomy.iter().fold(row! { "completed": completed }, |row, (k, c)| row.put(k, *c));
+    let scaling_rows: Vec<Row> = scaling
+        .iter()
+        .map(|r| {
+            row! {
+                "scaling_workers": r.workers, "scaling_wall_s": r.wall_s,
+                "scaling_interactions_per_s": scaling_rate(r),
+                "vs_one_worker": scaling_rate(r) / scaling_rate(&scaling[0]),
+                "evaluations": r.evaluations, "shard_threads": r.shard_threads,
+                "tasks_created": r.helper_tasks(),
+                "tasks_created_per_evaluation": r.helper_tasks_per_evaluation(),
+            }
+        })
+        .collect();
+    let gates = row! {
+        "throughput_gate": thr_gate, "throughput_ok": aggregate_rate >= thr_gate * baseline_rate,
+        "zero_lost": lost.is_empty(), "byte_identical": identical == subset.len(),
+    };
+    row! {
+        "experiment": "exp_serve", "quick": quick, "jobs": jobs, "workers": workers,
+        "quantum": quantum, "total_steps": total_steps, "faulted_jobs": faulted,
+        "cluster_jobs": clusters, "lns_jobs": lns, "kills": kills_done, "wall_s": wall,
+        "restart_downtime_s": downtime.as_secs_f64(), "interactions_measured": interactions,
+        "aggregate_interactions_per_s": aggregate_rate, "baseline_interactions": base_inter,
+        "baseline_interactions_per_s": baseline_rate,
+        "throughput_vs_baseline": aggregate_rate / baseline_rate, "p50_latency_s": p50,
+        "p95_latency_s": p95, "p99_latency_s": p99, "jain_fairness": fairness,
+        "preemptions": preemptions, "resumes": resumes, "max_energy_drift": max_drift,
+        "recovery": report::recovery(&recovery), "taxonomy": taxonomy_row,
+        "byte_identity": row! { "checked": subset.len(), "identical": identical },
+        "lost_jobs": lost.len(), "cores": cores, "worker_scaling": worker_scaling,
+        "worker_scaling_rows": scaling_rows, "gates": gates,
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"gates\": {{\"throughput_gate\": {thr_gate}, \"throughput_ok\": {}, \"zero_lost\": {}, \"byte_identical\": {}}}", aggregate_rate >= thr_gate * baseline_rate, lost.is_empty(), identical == subset.len());
-    json.push_str("}\n");
-    write_report(&out_path, &json);
+    .write(&out_path);
     println!();
     println!("wrote {out_path}");
 
-    let traj_path: String = args.get("trajectory", String::new());
-    if !traj_path.is_empty() {
-        let pr: String = args.get("pr", "unlabelled".to_string());
-        let commit = trajectory::working_commit();
-        let row = |metric: &str, value: f64| Entry {
-            pr: pr.clone(),
-            commit: commit.clone(),
-            metric: metric.into(),
-            n: jobs,
-            value,
-        };
-        let rows = [
-            row("serve_aggregate_interactions_per_s", aggregate_rate),
-            row("serve_worker_scaling", worker_scaling),
-        ];
-        trajectory::append(&traj_path, &rows);
-        println!("appended {} rows to {traj_path} at commit key {commit}", rows.len());
-    }
+    trajectory::append_from_args(
+        &args,
+        &[
+            ("serve_aggregate_interactions_per_s", jobs, aggregate_rate),
+            ("serve_worker_scaling", jobs, worker_scaling),
+        ],
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     if !ok {

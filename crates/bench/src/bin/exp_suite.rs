@@ -50,33 +50,11 @@
 //! committed ledger without executing any harness — the cheap CI mode
 //! that makes a regressed appended row fail the build.
 
+use g5_bench::report::{self, num, num_any, Row};
 use g5_bench::trajectory::{self, commit_for, Entry};
-use g5_bench::{write_report, Args};
-use std::fmt::Write as _;
+use g5_bench::{row, Args};
 use std::path::PathBuf;
 use std::process::Command;
-
-/// Pull a numeric field out of one hand-rolled JSON line.
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// First value of `key` anywhere in a report.
-fn json_f64_any(text: &str, key: &str) -> Option<f64> {
-    text.lines().find_map(|l| json_f64(l, key))
-}
-
-/// Pull a string field out of one hand-rolled JSON line.
-fn json_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
-}
 
 /// Direction of goodness for a trajectory metric: drift envelopes,
 /// modeled/wall seconds and costs per item (`…_ns_per_term`) regress
@@ -87,26 +65,15 @@ fn lower_is_better(metric: &str) -> bool {
         || (metric.ends_with("_s") && !metric.ends_with("_per_s"))
 }
 
-/// (metric, n, value) triples parsed from ledger entry lines, in ledger
-/// (chronological) order.
-fn parse_rows(lines: &[String]) -> Vec<(String, u64, f64)> {
-    lines
-        .iter()
-        .filter_map(|l| {
-            Some((json_str(l, "metric")?, json_f64(l, "n")? as u64, json_f64(l, "value")?))
-        })
-        .collect()
-}
-
 /// The regression check: for every (metric, n) series with at least two
 /// entries, the newest must be within `tol` (fractional) of the best
 /// earlier value in the metric's good direction. Returns one message
 /// per failing series.
-fn gate_failures(rows: &[(String, u64, f64)], tol: f64) -> Vec<String> {
+fn gate_failures(entries: &[Entry], tol: f64) -> Vec<String> {
     use std::collections::BTreeMap;
     let mut series: BTreeMap<(String, u64), Vec<f64>> = BTreeMap::new();
-    for (m, n, v) in rows {
-        series.entry((m.clone(), *n)).or_default().push(*v);
+    for e in entries {
+        series.entry((e.metric.clone(), e.n)).or_default().push(e.value);
     }
     let mut fails = Vec::new();
     for ((metric, n), vs) in series {
@@ -133,9 +100,9 @@ fn gate_failures(rows: &[(String, u64, f64)], tol: f64) -> Vec<String> {
     fails
 }
 
-/// Run the gate over ledger lines; returns true when clean.
-fn run_gate(lines: &[String]) -> bool {
-    let fails = gate_failures(&parse_rows(lines), 0.10);
+/// Run the gate over ledger entries; returns true when clean.
+fn run_gate(entries: &[Entry]) -> bool {
+    let fails = gate_failures(entries, 0.10);
     println!();
     if fails.is_empty() {
         println!("gate: no (metric, n) series regressed by more than 10% — PASS");
@@ -169,43 +136,37 @@ fn run_sibling(name: &str, out: &PathBuf, quick: bool) -> String {
 /// the trajectory; absent files are skipped with a note).
 fn seed_entries() -> Vec<Entry> {
     let mut out = Vec::new();
-    let mut mine = |pr: &'static str,
-                    file: &str,
-                    metric: &'static str,
-                    pick: &dyn Fn(&str) -> Option<(u64, f64)>| {
-        match std::fs::read_to_string(file) {
-            Ok(text) => match pick(&text) {
-                Some((n, value)) => out.push(Entry {
-                    pr: pr.into(),
-                    commit: commit_for(Some(file)),
-                    metric: metric.into(),
-                    n,
-                    value,
-                }),
-                None => println!("note: no {metric} found in {file}; skipping seed row"),
-            },
-            Err(_) => println!("note: {file} not present; skipping {pr} seed row"),
-        }
-    };
+    let mut mine =
+        |pr: &str, file: &str, metric: &str, pick: &dyn Fn(&str) -> Option<(u64, f64)>| {
+            match std::fs::read_to_string(file) {
+                Ok(text) => match pick(&text) {
+                    Some((n, value)) => {
+                        out.push(Entry::new(pr, &commit_for(Some(file)), metric, n, value))
+                    }
+                    None => println!("note: no {metric} found in {file}; skipping seed row"),
+                },
+                Err(_) => println!("note: {file} not present; skipping {pr} seed row"),
+            }
+        };
     // pr19 (the exp_host report of record; pr4's table re-measured):
     // best host-phase speedup at the headline size
     mine("pr19", "BENCH_pr19.json", "host_phase_speedup", &|t| {
         t.lines()
-            .filter_map(|l| Some((json_f64(l, "n")? as u64, json_f64(l, "speedup")?)))
+            .filter_map(|l| Some((num(l, "n")? as u64, num(l, "speedup")?)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
     });
     // pr7: chaos-endurance energy-drift envelope actually reached
     mine("pr7", "BENCH_pr7.json", "endurance_max_energy_drift", &|t| {
-        Some((json_f64_any(t, "n")? as u64, json_f64_any(t, "max_energy_drift")?))
+        Some((num_any(t, "n")? as u64, num_any(t, "max_energy_drift")?))
     });
     // pr20 (the exp_serve report of record; pr10's storm re-run once
     // callers took equal shares of the machine): aggregate rate and the
     // one-worker → worker-per-core scaling of the same fleet
     mine("pr20", "BENCH_pr20.json", "serve_aggregate_interactions_per_s", &|t| {
-        Some((json_f64_any(t, "jobs")? as u64, json_f64_any(t, "aggregate_interactions_per_s")?))
+        Some((num_any(t, "jobs")? as u64, num_any(t, "aggregate_interactions_per_s")?))
     });
     mine("pr20", "BENCH_pr20.json", "serve_worker_scaling", &|t| {
-        Some((json_f64_any(t, "jobs")? as u64, json_f64_any(t, "worker_scaling")?))
+        Some((num_any(t, "jobs")? as u64, num_any(t, "worker_scaling")?))
     });
     out
 }
@@ -225,9 +186,9 @@ fn main() {
 
     if gate_only {
         let text = std::fs::read_to_string(&traj_path).expect("trajectory ledger readable");
-        let lines = trajectory::entry_lines(&text);
-        println!("gate-only: checking {} ledger entries in {traj_path}", lines.len());
-        if !run_gate(&lines) {
+        let entries = trajectory::entries(&text);
+        println!("gate-only: checking {} ledger entries in {traj_path}", entries.len());
+        if !run_gate(&entries) {
             std::process::exit(1);
         }
         return;
@@ -239,69 +200,62 @@ fn main() {
         "--pr <label> (e.g. --pr pr21) is required: it stamps the rows this run writes to \
          {traj_path}"
     );
-    let kernel_json: String = args.get("kernel-json", String::new());
-    let host_json: String = args.get("host-json", String::new());
-    let cluster_json: String = args.get("cluster-json", String::new());
-    let endurance_json: String = args.get("endurance-json", String::new());
-    let flagship_json: String = args.get("flagship-json", String::new());
-    let serve_json: String = args.get("serve-json", String::new());
-
-    // run each harness, or reuse an existing report; a reused report's
-    // rows are keyed by the commit that last touched the file
-    let tmp = std::env::temp_dir();
-    let get = |name: &str, json: &String, out: &str| -> (String, String) {
+    // run harness `exp_<name>`, or reuse the report `--<name>-json`
+    // names; a reused report's rows are keyed by the commit that last
+    // touched the file, a not-yet-committed one (this PR's fresh
+    // numbers) at HEAD
+    let get = |name: &str| -> (String, String) {
+        let json: String = args.get(&format!("{name}-json"), String::new());
         if json.is_empty() {
-            (run_sibling(name, &tmp.join(out), quick), commit_for(None))
-        } else {
-            // a reused report keeps its own commit key; a not-yet-
-            // committed report (this PR's fresh numbers) keys at HEAD
-            let c = match commit_for(Some(json)) {
-                c if c == "unknown" => commit_for(None),
-                c => c,
-            };
-            (std::fs::read_to_string(json).unwrap_or_else(|e| panic!("read {json}: {e}")), c)
+            let out = std::env::temp_dir().join(format!("exp_suite_{name}.json"));
+            return (run_sibling(&format!("exp_{name}"), &out, quick), commit_for(None));
         }
+        let c = match commit_for(Some(&json)) {
+            c if c == "unknown" => commit_for(None),
+            c => c,
+        };
+        (std::fs::read_to_string(&json).unwrap_or_else(|e| panic!("read {json}: {e}")), c)
     };
-    let (kernel_text, kernel_commit) = get("exp_kernel", &kernel_json, "exp_suite_kernel.json");
-    let (host_text, host_commit) = get("exp_host", &host_json, "exp_suite_host.json");
-    let (cluster_text, cluster_commit) =
-        get("exp_cluster", &cluster_json, "exp_suite_cluster.json");
-    let (endurance_text, endurance_commit) =
-        get("exp_endurance", &endurance_json, "exp_suite_endurance.json");
-    let (flagship_text, flagship_commit) =
-        get("exp_flagship", &flagship_json, "exp_suite_flagship.json");
-    let (serve_text, serve_commit) = get("exp_serve", &serve_json, "exp_suite_serve.json");
+    let (kernel_text, kernel_commit) = get("kernel");
+    let (host_text, host_commit) = get("host");
+    let (cluster_text, cluster_commit) = get("cluster");
+    let (endurance_text, endurance_commit) = get("endurance");
+    let (flagship_text, flagship_commit) = get("flagship");
+    let (serve_text, serve_commit) = get("serve");
 
     // ---- mine this run's PR 8 headline numbers ----
+    let need = |text: &str, key: &str| {
+        num_any(text, key).unwrap_or_else(|| panic!("no {key} in a harness report"))
+    };
     let exact_rows: Vec<&str> = kernel_text
         .lines()
-        .filter(|l| l.contains("\"mode\": \"exact\"") && json_f64(l, "lane_speedup").is_some())
+        .filter(|l| {
+            report::text(l, "mode").as_deref() == Some("exact") && num(l, "lane_speedup").is_some()
+        })
         .collect();
     assert!(!exact_rows.is_empty(), "exp_kernel report carries no exact-mode lane rows");
     let headline_kernel = exact_rows
         .iter()
-        .max_by_key(|l| json_f64(l, "n").unwrap_or(0.0) as u64)
+        .max_by_key(|l| num(l, "n").unwrap_or(0.0) as u64)
         .expect("exact rows present");
-    let (kn, lane_speedup) = (
-        json_f64(headline_kernel, "n").unwrap() as u64,
-        json_f64(headline_kernel, "lane_speedup").unwrap(),
-    );
+    let kn = need(headline_kernel, "n") as u64;
+    let lane_speedup = need(headline_kernel, "lane_speedup");
     // ... and the LNS lane kernel's A/B at the same N (PR 12's
     // headline), where the report has it (a reused aggregate has not)
-    let lns_lane_speedup = kernel_text
-        .lines()
-        .filter(|l| l.contains("\"mode\": \"lns\"") && json_f64(l, "n") == Some(kn as f64))
-        .find_map(|l| json_f64(l, "lane_speedup"));
+    let lns_lane_speedup = report::find_row(&kernel_text, &row! { "n": kn, "mode": "lns" })
+        .and_then(|l| num(l, "lane_speedup"));
     // a raw exp_host report carries "sort_n"; a reused suite aggregate
-    // carries the same number as "n" on its "host_sort" line
-    let sort_n = json_f64_any(&host_text, "sort_n")
+    // carries the same number as "n" on its "host_sort" row, the one
+    // with the "sort_speedup"
+    let sort_n = num_any(&host_text, "sort_n")
         .or_else(|| {
-            host_text.lines().find(|l| l.contains("\"host_sort\"")).and_then(|l| json_f64(l, "n"))
+            let host_sort = host_text.lines().find(|l| num(l, "sort_speedup").is_some())?;
+            num(host_sort, "n")
         })
         .expect("sort_n in exp_host report") as u64;
-    let sort_speedup = json_f64_any(&host_text, "sort_speedup").expect("sort_speedup");
-    let build_radix = json_f64_any(&host_text, "build_radix_s").expect("build_radix_s");
-    let build_cmp = json_f64_any(&host_text, "build_comparison_s").expect("build_comparison_s");
+    let sort_speedup = need(&host_text, "sort_speedup");
+    let build_radix = need(&host_text, "build_radix_s");
+    let build_cmp = need(&host_text, "build_comparison_s");
     let head = commit_for(None);
 
     // ---- mine the cluster / endurance / flagship headline numbers ----
@@ -311,8 +265,8 @@ fn main() {
     let cluster_rows: Vec<(u64, u64, f64)> = cluster_text
         .lines()
         .filter_map(|l| {
-            let crit = json_f64(l, "critical_path_s_per_step")?;
-            Some((json_f64(l, "k")? as u64, json_f64(l, "n")? as u64, crit))
+            let crit = num(l, "critical_path_s_per_step")?;
+            Some((num(l, "k")? as u64, num(l, "n")? as u64, crit))
         })
         .collect();
     let &(_, cluster_n, crit_top) =
@@ -320,112 +274,91 @@ fn main() {
     let crit_k1 =
         cluster_rows.iter().find(|r| r.0 == 1).expect("K = 1 row in exp_cluster report").2;
     let cluster_step_speedup = crit_k1 / crit_top;
-    let endurance_n = json_f64_any(&endurance_text, "n").expect("n in exp_endurance report") as u64;
-    let endurance_drift =
-        json_f64_any(&endurance_text, "max_energy_drift").expect("max_energy_drift");
-    let gate_line = flagship_text
-        .lines()
-        .find(|l| l.contains("overlap_critical_path_speedup"))
-        .expect("gate line in exp_flagship report");
-    let (overlap_n, overlap_speedup) = (
-        json_f64(gate_line, "n").expect("gate n") as u64,
-        json_f64(gate_line, "overlap_critical_path_speedup").expect("overlap speedup"),
-    );
-    let seg_line = flagship_text
-        .lines()
-        .find(|l| l.contains("\"segment\""))
-        .expect("segment line in exp_flagship report");
-    let flagship_n = json_f64(seg_line, "n").expect("segment n") as u64;
-    let flagship_rate = json_f64_any(&flagship_text, "flagship_interactions_per_s")
-        .expect("flagship_interactions_per_s");
+    let endurance_n = need(&endurance_text, "n") as u64;
+    let endurance_drift = need(&endurance_text, "max_energy_drift");
+    // the gate and segment rows of exp_flagship, each by a key only it has
+    let flagship_row = |key: &str| {
+        flagship_text
+            .lines()
+            .find(|l| num(l, key).is_some())
+            .unwrap_or_else(|| panic!("no {key} row in exp_flagship report"))
+    };
+    let gate_row = flagship_row("overlap_critical_path_speedup");
+    let overlap_n = need(gate_row, "n") as u64;
+    let overlap_speedup = need(gate_row, "overlap_critical_path_speedup");
+    let flagship_n = need(flagship_row("interactions_per_step"), "n") as u64;
+    let flagship_rate = need(&flagship_text, "flagship_interactions_per_s");
 
     // ---- mine the serve (multi-tenant job service) headline numbers ----
-    let serve_jobs = json_f64_any(&serve_text, "jobs").expect("jobs in exp_serve report") as u64;
-    let serve_rate = json_f64_any(&serve_text, "aggregate_interactions_per_s")
-        .expect("aggregate_interactions_per_s in exp_serve report");
-    let serve_p95 = json_f64_any(&serve_text, "p95_latency_s").expect("p95_latency_s");
-    let serve_jain = json_f64_any(&serve_text, "jain_fairness").expect("jain_fairness");
+    let serve_jobs = need(&serve_text, "jobs") as u64;
+    let serve_rate = need(&serve_text, "aggregate_interactions_per_s");
+    let serve_p95 = need(&serve_text, "p95_latency_s");
+    let serve_jain = need(&serve_text, "jain_fairness");
 
     // ---- the aggregated suite report (committed once as BENCH_pr8.json) ----
-    let mut text = String::new();
-    writeln!(text, "{{").unwrap();
-    writeln!(text, "  \"experiment\": \"exp_suite\",").unwrap();
-    writeln!(text, "  \"commit\": \"{head}\",").unwrap();
-    writeln!(text, "  \"quick\": {quick},").unwrap();
-    writeln!(text, "  \"kernel_exact\": [").unwrap();
-    for (i, l) in exact_rows.iter().enumerate() {
-        let comma = if i + 1 < exact_rows.len() { "," } else { "" };
-        writeln!(text, "{}{comma}", l.trim_end().trim_end_matches(',')).unwrap();
-    }
-    writeln!(text, "  ],").unwrap();
-    writeln!(
-        text,
-        "  \"host_sort\": {{\"n\": {sort_n}, \"sort_speedup\": {sort_speedup}, \
-         \"build_radix_s\": {build_radix}, \"build_comparison_s\": {build_cmp}}},"
-    )
-    .unwrap();
     let lane_gate = exact_rows
         .iter()
-        .filter(|l| json_f64(l, "n").unwrap_or(0.0) as u64 >= 65_536)
-        .all(|l| json_f64(l, "lane_speedup").unwrap_or(0.0) >= 3.0);
-    writeln!(
-        text,
-        "  \"gates\": {{\"lane_speedup_ge_3x\": {}, \"radix_build_faster\": {}}}",
-        if quick { "\"not-evaluated-in-quick\"".to_string() } else { lane_gate.to_string() },
-        build_cmp > build_radix
-    )
-    .unwrap();
-    writeln!(text, "}}").unwrap();
-    write_report(&out_path, &text);
+        .filter(|l| num(l, "n").unwrap_or(0.0) as u64 >= 65_536)
+        .all(|l| num(l, "lane_speedup").unwrap_or(0.0) >= 3.0);
+    let gates = if quick {
+        row! { "lane_speedup_ge_3x": "not-evaluated-in-quick" }
+    } else {
+        row! { "lane_speedup_ge_3x": lane_gate }
+    };
+    let kernel_exact: Vec<Row> =
+        exact_rows.iter().map(|l| Row::parse(l).expect("a kernel row")).collect();
+    let host_sort = row! {
+        "n": sort_n, "sort_speedup": sort_speedup, "build_radix_s": build_radix,
+        "build_comparison_s": build_cmp,
+    };
+    row! {
+        "experiment": "exp_suite", "commit": head.as_str(), "quick": quick,
+        "kernel_exact": kernel_exact, "host_sort": host_sort,
+        "gates": gates.put("radix_build_faster", build_cmp > build_radix),
+    }
+    .write(&out_path);
     println!();
     println!("wrote PR 8 aggregate to {out_path}");
 
     // ---- trajectory ledger ----
-    let row = |commit: &str, metric: &str, n: u64, value: f64| Entry {
-        pr: pr.clone(),
-        commit: commit.into(),
-        metric: metric.into(),
-        n,
-        value,
-    };
-    let mut this_run = vec![
-        row(&kernel_commit, "kernel_exact_lane_speedup", kn, lane_speedup),
-        row(&host_commit, "morton_sort_speedup", sort_n, sort_speedup),
-        row(&cluster_commit, "cluster_step_speedup", cluster_n, cluster_step_speedup),
-        row(&endurance_commit, "endurance_max_energy_drift", endurance_n, endurance_drift),
-        row(&flagship_commit, "overlap_critical_path_speedup", overlap_n, overlap_speedup),
-        row(&flagship_commit, "flagship_interactions_per_s", flagship_n, flagship_rate),
-        row(&serve_commit, "serve_aggregate_interactions_per_s", serve_jobs, serve_rate),
-        row(&serve_commit, "serve_p95_latency_s", serve_jobs, serve_p95),
-        row(&serve_commit, "serve_jain_fairness", serve_jobs, serve_jain),
-    ];
-    this_run
-        .extend(lns_lane_speedup.map(|x| row(&kernel_commit, "kernel_lns_lane_speedup", kn, x)));
+    let this_run: Vec<Entry> = [
+        (&kernel_commit, "kernel_exact_lane_speedup", kn, lane_speedup),
+        (&host_commit, "morton_sort_speedup", sort_n, sort_speedup),
+        (&cluster_commit, "cluster_step_speedup", cluster_n, cluster_step_speedup),
+        (&endurance_commit, "endurance_max_energy_drift", endurance_n, endurance_drift),
+        (&flagship_commit, "overlap_critical_path_speedup", overlap_n, overlap_speedup),
+        (&flagship_commit, "flagship_interactions_per_s", flagship_n, flagship_rate),
+        (&serve_commit, "serve_aggregate_interactions_per_s", serve_jobs, serve_rate),
+        (&serve_commit, "serve_p95_latency_s", serve_jobs, serve_p95),
+        (&serve_commit, "serve_jain_fairness", serve_jobs, serve_jain),
+    ]
+    .into_iter()
+    .chain(lns_lane_speedup.map(|x| (&kernel_commit, "kernel_lns_lane_speedup", kn, x)))
+    .map(|(commit, metric, n, value)| Entry::new(&pr, commit, metric, n, value))
+    .collect();
     let existing = std::fs::read_to_string(&traj_path).ok();
-    let mut lines: Vec<String> = match (&existing, append) {
-        (Some(text), true) => trajectory::entry_lines(text),
-        _ => seed_entries().iter().map(|e| e.json()).collect(),
+    let mut entries = match (&existing, append) {
+        (Some(text), true) => trajectory::entries(text),
+        _ => seed_entries(),
     };
     // a reused report re-mines a number the ledger already carries —
     // skip rows whose (metric, n, value) is already present verbatim
-    let prior_rows = parse_rows(&lines);
-    let appended: Vec<String> = this_run
-        .iter()
+    let appended: Vec<Entry> = this_run
+        .into_iter()
         .filter(|e| {
-            !prior_rows
-                .iter()
-                .any(|(m, n, v)| *m == e.metric && *n == e.n && v.to_bits() == e.value.to_bits())
+            !entries.iter().any(|p| {
+                p.metric == e.metric && p.n == e.n && p.value.to_bits() == e.value.to_bits()
+            })
         })
-        .map(|e| e.json())
         .collect();
     let appended_count = appended.len();
-    lines.extend(appended);
-    trajectory::write(&traj_path, &lines).expect("trajectory ledger writable");
+    entries.extend(appended);
+    trajectory::write(&traj_path, &entries);
     println!(
         "{} {} with {} entries ({} this run)",
         if append && existing.is_some() { "appended to" } else { "seeded" },
         traj_path,
-        lines.len(),
+        entries.len(),
         appended_count
     );
     println!();
@@ -447,17 +380,17 @@ fn main() {
          p95 turnaround {serve_p95:.2} s; Jain fairness {serve_jain:.3}"
     );
 
-    if gate && !run_gate(&lines) {
+    if gate && !run_gate(&entries) {
         std::process::exit(1);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{gate_failures, lower_is_better, parse_rows};
+    use super::{gate_failures, lower_is_better, Entry};
 
-    fn row(metric: &str, n: u64, value: f64) -> (String, u64, f64) {
-        (metric.to_string(), n, value)
+    fn row(metric: &str, n: u64, value: f64) -> Entry {
+        Entry::new("pr0", "abc1234", metric, n, value)
     }
 
     #[test]
@@ -524,17 +457,5 @@ mod tests {
             row("z_rate_per_s", 100, 5.0), // singleton: nothing to compare
         ];
         assert!(gate_failures(&rows, 0.10).is_empty());
-    }
-
-    #[test]
-    fn ledger_lines_parse() {
-        let lines = vec![
-            "    {\"pr\": \"pr3\", \"commit\": \"abc\", \"metric\": \"kernel_lns_speedup\", \
-             \"n\": 262144, \"value\": 3.25}"
-                .to_string(),
-            "not an entry".to_string(),
-        ];
-        let rows = parse_rows(&lines);
-        assert_eq!(rows, vec![("kernel_lns_speedup".to_string(), 262144, 3.25)]);
     }
 }

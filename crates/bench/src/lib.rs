@@ -1,5 +1,7 @@
 //! Shared plumbing for the experiment binaries: a tiny `--key value`
-//! argument parser, workload constructors, and table printing.
+//! argument parser, workload constructors, table printing, and the one
+//! report schema ([`report`]) every JSON report and the trajectory
+//! ledger are written and read through.
 //!
 //! Each binary in `src/bin/` regenerates one evaluated item of the
 //! paper; see `DESIGN.md` §5 for the experiment index and
@@ -8,6 +10,8 @@
 use g5ic::{plummer_sphere, CosmologicalIc, Snapshot, ZeldovichConfig};
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+pub mod report;
 
 /// Minimal `--key value` / `--flag` command-line parser.
 #[derive(Debug, Clone, Default)]
@@ -123,11 +127,12 @@ pub fn fmt_secs(s: f64) -> String {
 /// `BENCH_trajectory.json`: the cumulative, commit-keyed ledger of each
 /// PR's headline metrics (one entry per line; see `exp_suite`).
 pub mod trajectory {
-    use std::fmt::Write as _;
+    use crate::report::{self, Row};
+    use crate::Args;
     use std::process::Command;
 
     /// One trajectory row: a PR's headline metric at a commit.
-    #[derive(Debug, Clone)]
+    #[derive(Debug, Clone, PartialEq)]
     pub struct Entry {
         /// PR label, e.g. `pr12`.
         pub pr: String,
@@ -142,52 +147,65 @@ pub mod trajectory {
     }
 
     impl Entry {
-        /// The entry as one ledger line (no trailing comma).
-        pub fn json(&self) -> String {
-            format!(
-                "    {{\"pr\": \"{}\", \"commit\": \"{}\", \"metric\": \"{}\", \
-                 \"n\": {}, \"value\": {}}}",
-                self.pr, self.commit, self.metric, self.n, self.value
-            )
+        /// The entry of `metric` at `n` measured by `pr` at `commit`.
+        pub fn new(pr: &str, commit: &str, metric: &str, n: u64, value: f64) -> Entry {
+            Entry { pr: pr.into(), commit: commit.into(), metric: metric.into(), n, value }
+        }
+
+        /// The entry on a ledger line (a `null` value reads as NaN);
+        /// `None` when the line holds no entry.
+        pub fn parse(line: &str) -> Option<Entry> {
+            Some(Entry {
+                pr: report::text(line, "pr")?,
+                commit: report::text(line, "commit")?,
+                metric: report::text(line, "metric")?,
+                n: report::num(line, "n")? as u64,
+                value: report::num(line, "value").unwrap_or(f64::NAN),
+            })
         }
     }
 
-    /// The entry lines of a ledger text, verbatim minus trailing commas.
-    pub fn entry_lines(text: &str) -> Vec<String> {
-        text.lines()
-            .filter(|l| l.trim_start().starts_with("{\"pr\""))
-            .map(|l| l.trim_end().trim_end_matches(',').to_string())
-            .collect()
+    /// The entries of a ledger text, in ledger (chronological) order.
+    pub fn entries(text: &str) -> Vec<Entry> {
+        text.lines().filter_map(Entry::parse).collect()
     }
 
-    /// Write a ledger holding exactly `lines`.
-    pub fn write(path: &str, lines: &[String]) -> std::io::Result<()> {
-        let mut t = String::new();
-        writeln!(t, "{{").unwrap();
-        writeln!(t, "  \"schema\": \"bench-trajectory-v1\",").unwrap();
-        writeln!(t, "  \"entries\": [").unwrap();
-        for (i, l) in lines.iter().enumerate() {
-            let comma = if i + 1 < lines.len() { "," } else { "" };
-            writeln!(t, "{l}{comma}").unwrap();
-        }
-        writeln!(t, "  ]").unwrap();
-        writeln!(t, "}}").unwrap();
-        if let Some(dir) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, t)
+    /// Write a ledger holding exactly `entries`.
+    ///
+    /// # Panics
+    /// When the ledger cannot be written.
+    pub fn write(path: &str, entries: &[Entry]) {
+        let rows: Vec<Row> = entries
+            .iter()
+            .map(|e| {
+                crate::row! {
+                    "pr": e.pr.as_str(), "commit": e.commit.as_str(), "metric": e.metric.as_str(),
+                    "n": e.n, "value": e.value,
+                }
+            })
+            .collect();
+        crate::row! { "schema": "bench-trajectory-v1", "entries": rows }.write(path);
     }
 
-    /// Append `rows` to the ledger at `path`, keeping its entries
-    /// verbatim.
+    /// A harness's `--trajectory FILE --pr LABEL`: append its
+    /// `(metric, n, value)` rows to the ledger FILE, keeping its entries,
+    /// keyed by the working tree's commit ([`working_commit`]); nothing
+    /// without `--trajectory`.
     ///
     /// # Panics
     /// When the ledger cannot be read or written.
-    pub fn append(path: &str, rows: &[Entry]) {
-        let old = std::fs::read_to_string(path).expect("trajectory ledger readable");
-        let mut lines = entry_lines(&old);
-        lines.extend(rows.iter().map(Entry::json));
-        write(path, &lines).expect("trajectory ledger writable");
+    pub fn append_from_args(args: &Args, rows: &[(&str, u64, f64)]) {
+        let path: String = args.get("trajectory", String::new());
+        if path.is_empty() {
+            return;
+        }
+        let (pr, commit): (String, _) = (args.get("pr", "unlabelled".into()), working_commit());
+        let mut all = entries(&std::fs::read_to_string(&path).expect("trajectory ledger readable"));
+        all.extend(
+            rows.iter().map(|&(metric, n, value)| Entry::new(&pr, &commit, metric, n, value)),
+        );
+        write(&path, &all);
+        println!("appended {} rows to {path} at commit key {commit}", rows.len());
     }
 
     fn git(args: &[&str]) -> Option<String> {
@@ -238,16 +256,12 @@ mod tests {
 
     #[test]
     fn trajectory_lines_round_trip() {
-        let e = trajectory::Entry {
-            pr: "pr12".into(),
-            commit: "abc1234+".into(),
-            metric: "kernel_lns_lane_speedup".into(),
-            n: 262_144,
-            value: 5.5,
-        };
-        let text = format!("{{\n  \"entries\": [\n{},\n{}\n  ]\n}}\n", e.json(), e.json());
-        let lines = trajectory::entry_lines(&text);
-        assert_eq!(lines, vec![e.json(), e.json()]);
+        let e = trajectory::Entry::new("pr12", "abc1234+", "kernel_lns_lane_speedup", 262_144, 5.5);
+        let line = "{\"pr\": \"pr12\", \"commit\": \"abc1234+\", \"metric\": \
+                    \"kernel_lns_lane_speedup\", \"n\": 262144, \"value\": 5.5}";
+        let text = format!("{{\n  \"entries\": [\n    {line},\n    {line}\n  ]\n}}\n");
+        assert_eq!(trajectory::entries(&text), vec![e.clone(), e]);
+        assert_eq!(trajectory::entries("{\"pr\": \"pr3\"}\nnot an entry\n"), vec![]);
     }
 
     #[test]

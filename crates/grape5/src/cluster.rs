@@ -362,9 +362,10 @@ impl ClusterSession {
     }
 
     /// Restore shard `k`'s fault-injector state (the injector must
-    /// already be armed with its configuration).
+    /// already be armed with its configuration). A slot outside the
+    /// cluster — a damaged manifest — is `BadFaultState`, not a panic.
     pub fn restore_fault_state(&mut self, k: usize, words: &[u64]) -> Result<(), DeviceError> {
-        self.shards[k].g5.restore_fault_state(words)
+        self.shards.get_mut(k).ok_or(DeviceError::BadFaultState)?.g5.restore_fault_state(words)
     }
 
     /// Clock accounting of shard `k` alone.
@@ -535,6 +536,9 @@ mod tests {
         // round-trip through restore
         let words = states[0].1.clone();
         c.restore_fault_state(0, &words).unwrap();
+        // a slot past the cluster (a damaged manifest) is typed, not a panic
+        assert_eq!(c.restore_fault_state(3, &words), Err(DeviceError::BadFaultState));
+        assert_eq!(c.restore_fault_state(usize::MAX, &words), Err(DeviceError::BadFaultState));
     }
 
     #[test]

@@ -128,6 +128,12 @@ impl JobSpec {
             if f.stuck_pipe.is_some() || f.board_dropout.is_some() {
                 return Err("persistent fault schedules are not supported in job specs".into());
             }
+            // `FaultState::new` asserts both rates are probabilities
+            for (name, v) in [("transient", f.transient_rate), ("jmem", f.jmem_corrupt_rate)] {
+                if !(0.0..=1.0).contains(&v) {
+                    return Err(format!("{name} fault rate {v} is outside [0, 1]"));
+                }
+            }
         }
         Ok(())
     }

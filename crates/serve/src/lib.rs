@@ -200,6 +200,7 @@ mod tests {
 
     /// A small job with one backend field a worker thread would panic on.
     fn bad_backend_specs() -> Vec<(&'static str, JobSpec)> {
+        use grape5::FaultConfig;
         use treegrape::BackendKind;
         let ok = JobSpec::plummer(64, 5, 4);
         let with = |f: &dyn Fn(&mut treegrape::BackendSpec)| {
@@ -217,6 +218,8 @@ mod tests {
             ("theta inf", with(&|b| b.theta = f64::INFINITY)),
             ("eps NaN", with(&|b| b.eps = f64::NAN)),
             ("eps < 0", with(&|b| b.eps = -1e-3)),
+            ("transient rate 2", with(&|b| b.fault = Some(FaultConfig::transient(1, 2.0)))),
+            ("jmem rate NaN", with(&|b| b.fault = Some(FaultConfig::jmem(1, f64::NAN)))),
         ]
     }
 

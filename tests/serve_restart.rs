@@ -208,6 +208,65 @@ fn a_checkpoint_past_its_spec_fails_typed_and_spares_the_neighbours() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A cluster job whose newest manifest names a shard slot the cluster
+/// does not have — `shard_fault_state 1 …` rewritten to `… 9 …`: the line
+/// parses and the snapshot passes its CRC, so the slot reaches the
+/// fault-state restore, which used to index past the shards and take the
+/// worker down (`wait` never returning). It fails typed, and its
+/// neighbours run on untouched.
+#[test]
+fn a_manifest_naming_a_missing_shard_fails_typed_and_spares_the_neighbours() {
+    let dir = tmpdir("bad_slot");
+    let one = ServerConfig { workers: 1, quantum: 8, ..ServerConfig::new(&dir) };
+    let mut clustered = JobSpec::plummer(96, 1, 4000);
+    let storm = FaultConfig { transient_rate: 0.05, ..FaultConfig::none(901) };
+    clustered.backend = BackendSpec::cluster(clustered.backend.eps, 2).with_fault(storm);
+    let mut specs = [clustered, JobSpec::plummer(72, 2, 12), JobSpec::hernquist(64, 3, 10)];
+    specs.iter_mut().for_each(|s| s.checkpoint_every = 4);
+
+    let server = Server::open(one.clone()).unwrap();
+    let ids: Vec<_> = specs.iter().map(|s| server.submit(*s).unwrap()).collect();
+    while server.status(ids[0]).unwrap().steps_done < 8 {
+        std::thread::yield_now();
+    }
+    server.kill();
+
+    let jobdir = dir.join(job_dir_name(ids[0]));
+    let newest = std::fs::read_dir(&jobdir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .max()
+        .expect("the cluster job checkpointed");
+    let text = std::fs::read_to_string(&newest).unwrap();
+    let damaged = text.replace("\nshard_fault_state 1 ", "\nshard_fault_state 9 ");
+    assert_ne!(damaged, text, "no shard_fault_state line for slot 1 in {newest:?}");
+    std::fs::write(&newest, damaged).unwrap();
+
+    let server = Server::open(ServerConfig { workers: 2, ..one }).unwrap();
+    // polled, not `wait`ed: where the worker dies, `wait` never returns
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !server.status(ids[0]).unwrap().state.is_terminal() {
+        let st = server.status(ids[0]).unwrap();
+        assert!(std::time::Instant::now() < deadline, "still {st:?} after five seconds");
+        std::thread::yield_now();
+    }
+    match server.wait(ids[0]) {
+        JobState::Failed(JobError::CheckpointCorrupt(m)) => {
+            assert!(m.contains("shard 9 fault restore failed"), "{m}");
+        }
+        other => panic!("expected the typed failure, got {other:?}"),
+    }
+    for (&id, spec) in ids.iter().zip(&specs).skip(1) {
+        assert_eq!(server.wait(id), JobState::Completed);
+        let served = std::fs::read(dir.join(job_dir_name(id)).join("final.g5snap")).unwrap();
+        let reference = reference_final_bytes(spec, &dir.join(format!("ref_{id}.g5snap")));
+        assert_eq!(served, reference, "neighbour {id} diverged from its uninterrupted run");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn job_directories_are_collision_free_under_concurrency() {
     let dir = tmpdir("collision");
