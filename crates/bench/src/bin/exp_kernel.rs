@@ -105,7 +105,6 @@ fn mode_str(mode: ArithMode) -> &'static str {
 fn lane_str(path: LanePath) -> &'static str {
     match path {
         LanePath::Avx2 => "avx2",
-        LanePath::Portable => "portable",
         LanePath::Scalar => "scalar",
     }
 }
@@ -133,13 +132,13 @@ fn wide_kernels(path: LanePath) -> bool {
 fn lns_lane_width(path: LanePath) -> usize {
     match path {
         LanePath::Avx2 if wide_kernels(path) => 16,
-        LanePath::Avx2 | LanePath::Portable => 8,
+        LanePath::Avx2 => 8,
         LanePath::Scalar => 1,
     }
 }
 
-/// The op column of the fixed-point accumulate on `path` (the portable
-/// and scalar paths have none: their own name).
+/// The op column of the fixed-point accumulate on `path` (the scalar
+/// path has none: its own name).
 fn acc_ops(path: LanePath) -> &'static str {
     match path {
         LanePath::Avx2 if wide_kernels(path) => "avx512vl",

@@ -94,10 +94,11 @@ impl BackendSpec {
     /// j-memory slots an admission controller should charge for a run
     /// over `n` particles: every device may hold up to the full mass
     /// distribution resident (a shard's local-essential tree imports
-    /// remote mass), capped by the physical per-board capacity.
+    /// remote mass), capped by the physical per-board capacity. A demand
+    /// past `usize` saturates, so an admission controller refuses it.
     pub fn jmem_need(&self, n: usize) -> usize {
-        let per_device = n.min(self.boards * Grape5Config::paper().jmem_capacity);
-        self.devices() * per_device
+        let capacity = self.boards.saturating_mul(Grape5Config::paper().jmem_capacity);
+        self.devices().saturating_mul(n.min(capacity))
     }
 
     fn tree_grape_config(&self) -> TreeGrapeConfig {

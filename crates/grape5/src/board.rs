@@ -49,7 +49,6 @@ pub struct ProcessorBoard {
     disabled_pipes: usize,
     latency: u64,
     acc_format: FixedFormat,
-    vmp: bool,
 }
 
 impl ProcessorBoard {
@@ -68,7 +67,6 @@ impl ProcessorBoard {
             disabled_pipes: 0,
             latency: cfg.pipeline_latency_cycles,
             acc_format: cfg.acc_format,
-            vmp: cfg.vmp,
         }
     }
 
@@ -159,12 +157,11 @@ impl ProcessorBoard {
     /// arithmetic mode that reads them
     /// ([`G5Pipeline::reads_mass_words`]) and stay empty otherwise.
     ///
-    /// The pass over the host masses also carries the host's running
-    /// `Σ|m|` forward: `abs_mass` comes in as the sum over the shares
-    /// loaded before this one and goes out with this share's masses
-    /// added in order — the one serial add chain the session's force
-    /// bound ([`crate::DeviceSession`]) needs, taken where the masses
-    /// are being read anyway.
+    /// The load also carries the host's running `Σ|m|` forward:
+    /// `abs_mass` comes in as the sum over the shares loaded before this
+    /// one and goes out with this share's masses added in order — the
+    /// one serial add chain the session's force bound
+    /// ([`crate::DeviceSession`]) needs.
     ///
     /// # Panics
     /// If the set exceeds the memory capacity.
@@ -174,7 +171,7 @@ impl ProcessorBoard {
         pipe: &G5Pipeline,
         pos: &[Vec3],
         mass: &[f64],
-        mut abs_mass: f64,
+        abs_mass: f64,
     ) -> f64 {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
         let n = pos.len();
@@ -190,7 +187,10 @@ impl ProcessorBoard {
         // window needs no look at the words; a wider one is read once
         self.j_in_window = scaler.bits() <= lanes::MAGIC_WINDOW_BITS || self.columns_in_window();
         self.jm.clear();
-        self.jm.extend(mass.iter().inspect(|m| abs_mass += m.abs()));
+        self.jm.extend_from_slice(mass);
+        // a loop of its own: inside `extend`, whose growth path is a
+        // call, the add chain can be kept in memory (+2 ns per j)
+        let abs_mass = mass.iter().fold(abs_mass, |sum, m| sum + m.abs());
         self.jm_lns.clear();
         self.jm_word.clear();
         if pipe.reads_mass_words() {
@@ -234,15 +234,8 @@ impl ProcessorBoard {
             return 0;
         }
         let nj = self.jx.len() as u64;
-        let pipes = self.active_pipes();
-        if self.vmp && ni < pipes {
-            // virtual pipelines: idle pipes take j-subsets, partials
-            // combined on-board; work is spread over all pipes
-            (ni as u64 * nj).div_ceil(pipes as u64) + self.latency
-        } else {
-            let chunks = ni.div_ceil(pipes) as u64;
-            chunks * (nj + self.latency)
-        }
+        let chunks = ni.div_ceil(self.active_pipes()) as u64;
+        chunks * (nj + self.latency)
     }
 
     /// Evaluate the partial force from this board's j-memory on each
@@ -353,24 +346,6 @@ mod tests {
         // 17 i need two passes
         assert_eq!(board.cycles_for(17), 312);
         assert_eq!(board.cycles_for(0), 0);
-    }
-
-    #[test]
-    fn vmp_spreads_small_i_sets_over_all_pipes() {
-        let cfg = Grape5Config { vmp: true, ..Grape5Config::paper() };
-        let mut board = ProcessorBoard::new(&cfg);
-        let pipe = G5Pipeline::new(&cfg, 1e-6, 0.0);
-        let words: Vec<JWord> = (0..1600).map(|k| jw(&pipe, [k, 0, 0], 1.0)).collect();
-        board.load_j(&words);
-        // 1 i-particle over 16 pipes: 1600/16 = 100 cycles + latency
-        assert_eq!(board.cycles_for(1), 100 + cfg.pipeline_latency_cycles);
-        // at ni = pipes the schedules coincide
-        assert_eq!(board.cycles_for(16), 1600 + cfg.pipeline_latency_cycles);
-        // without VMP the lone i-particle pays the full stream
-        let plain = ProcessorBoard::new(&Grape5Config::paper());
-        let mut plain = plain;
-        plain.load_j(&words);
-        assert_eq!(plain.cycles_for(1), 1600 + cfg.pipeline_latency_cycles);
     }
 
     #[test]

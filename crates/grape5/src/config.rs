@@ -66,13 +66,6 @@ pub struct Grape5Config {
     /// before this flag loadable.)
     #[serde(default)]
     pub double_buffer_j: bool,
-    /// Virtual-multiple-pipeline scheduling: when fewer i-particles
-    /// than pipelines are submitted, idle pipelines take disjoint
-    /// j-subsets and an on-board adder combines the partials, so a
-    /// call costs `≈ ni·nj/pipes` cycles instead of `nj`. (The VMP
-    /// technique of the GRAPE lineage; off by default to match the
-    /// plain schedule assumed by the paper's timing.)
-    pub vmp: bool,
 }
 
 impl Default for Grape5Config {
@@ -100,7 +93,6 @@ impl Grape5Config {
             acc_format: FixedFormat { bits: 64, frac_bits: 32 },
             mode: ArithMode::Lns,
             double_buffer_j: false,
-            vmp: false,
         }
     }
 

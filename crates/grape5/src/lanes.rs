@@ -11,15 +11,18 @@
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
 //!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns; where the CPU
 //!        │                          has AVX-512 and FMA, block_exact_vl / block_lns16
-//!        ├── LanePath::Portable ──► block_exact_portable / block_lns_portable
-//!        │                          (array-of-lanes, plain scalar ops)
+//!        │    (a call the x86 kernels cannot take: coordinates outside the
+//!        │     magic window — falls through to the skeleton)
 //!        └── LanePath::Scalar ────► the per-pair skeleton (pair_exact /
-//!                                   pair_lns_tab), the definition
+//!                                   pair_lns_tab), the definition; also every
+//!                                   CPU without AVX2
 //! ```
 //!
-//! All of them run inside one tiling skeleton (`block_tiled`; the AVX2
-//! exact kernel spells the same loop out, for its per-block image) and
-//! end in the same saturating fixed-point accumulate.
+//! Both run inside one tiling skeleton (`block_tiled`; the AVX2 exact
+//! kernel spells the same loop out, for its per-block image) and end in
+//! the same saturating fixed-point accumulate. Why a CPU without AVX2
+//! gets the skeleton and not a portable lane twin: DESIGN.md, device
+//! kernel.
 //!
 //! **Bit-identity contract, exact mode.** Every path reproduces the
 //! scalar `pair_exact` + `Fixed::accumulate` sequence bit for bit:
@@ -33,7 +36,7 @@
 //! * The AVX2 kernel converts a j-block's coordinate columns to `f64`
 //!   once per (i-tile, j-block) with the exact `2⁵²+2⁵¹` shifter and
 //!   subtracts in doubles. A coordinate-magnitude guard routes any call
-//!   with raw words ≥ 2⁵⁰ to the portable path, so both operands and
+//!   with raw words ≥ 2⁵⁰ to the scalar skeleton, so both operands and
 //!   their difference are integers a double holds exactly: the result
 //!   is `(a − b) as f64` bit for bit, `+0.0` when `a = b`.
 //! * `FixedFormat::encode`'s round-half-away-from-zero is emulated as
@@ -118,8 +121,9 @@
 //! `quantize_columns` writes a j-set's fixed-point words straight
 //! into the board's SoA columns, held word for word to
 //! `RangeScaler::quantize` (IEEE subtract and divide kept, saturation
-//! as a clamp, round-half-away as the `round_half_away` above; windows
-//! wider than 51 bits fall back to the definition).
+//! as a clamp, round-half-away as the `round_half_away` above). The
+//! scalar path, the last 1–3 particles and windows wider than 51 bits
+//! run the definition itself.
 
 use crate::pipeline::{Force, G5Pipeline, JSlices};
 use g5util::fixed::{Fixed, FixedFormat, RangeScaler};
@@ -149,10 +153,9 @@ pub enum LanePath {
     /// Explicit x86 `core::arch` intrinsics: AVX2, with the cheapest op
     /// column and the widest LNS lanes the CPU has ([`Wide`]).
     Avx2,
-    /// Portable array-of-lanes fallback (any architecture).
-    Portable,
-    /// The pre-lane per-pair skeleton — the A/B reference for the perf
-    /// harness and the definition the lane paths are held to.
+    /// The pre-lane per-pair skeleton — the definition the x86 lanes are
+    /// held to, the A/B reference for the perf harness, and the path of
+    /// every CPU without AVX2.
     Scalar,
 }
 
@@ -165,18 +168,16 @@ pub(crate) struct Wide(bool);
 
 /// Resolve a `G5_LANE_PATH` value against the CPU (`cpu_lanes`) —
 /// the lane path, and whether it is [`Wide`]:
-/// `portable` and `scalar` are honoured as given; anything else, and no
-/// value at all, pick the x86 intrinsics when the CPU has AVX2, wide
-/// where it can be, and the portable lanes otherwise; `avx2`
-/// does the same but pins the AVX2 column and eight lanes (and on other
-/// hardware degrades rather than faults).
+/// `scalar` is honoured as given; anything else, and no value at all,
+/// pick the x86 intrinsics when the CPU has AVX2, wide where it can be,
+/// and the scalar skeleton otherwise; `avx2` does the same but pins the
+/// AVX2 column and eight lanes (and on other hardware degrades rather
+/// than faults).
 fn parse_lane_path(var: Option<&str>, [has_avx2, has_wide]: [bool; 2]) -> (LanePath, Wide) {
-    match var {
-        Some("portable") => (LanePath::Portable, Wide(false)),
-        Some("scalar") => (LanePath::Scalar, Wide(false)),
-        _ if has_avx2 => (LanePath::Avx2, Wide(has_wide && var != Some("avx2"))),
-        _ => (LanePath::Portable, Wide(false)),
+    if var == Some("scalar") || !has_avx2 {
+        return (LanePath::Scalar, Wide(false));
     }
+    (LanePath::Avx2, Wide(has_wide && var != Some("avx2")))
 }
 
 /// What the CPU has for the x86 lane path: `[AVX2, AVX2 and the FMA and
@@ -254,7 +255,8 @@ const HALF_PRED: f64 = 0.499_999_999_999_999_94;
 
 /// Round half away from zero as one add and a truncation:
 /// `x.round() as i64` for every `x` (NaN is 0, as the cast has it). The
-/// AVX2 `round_away_to_i64` is this in vector form.
+/// AVX2 `round_away_to_i64` and both `round_term` columns are this in
+/// vector form; this scalar statement of it is the referees' alone.
 ///
 /// Why `pred(½)` and not `½`: for `x = n + f ≥ 0` the sum must stay
 /// below `n + 1` whenever `f < ½` — adding `½` to `pred(½)` itself
@@ -264,7 +266,7 @@ const HALF_PRED: f64 = 0.499_999_999_999_999_94;
 /// `1.0`). From 2⁵² on `x` is an integer and the add returns it.
 /// DESIGN.md (device-kernel section) walks through the cases; the
 /// `lanes_round_half_away_*` referees hold it to `f64::round`.
-#[inline(always)]
+#[cfg(test)]
 fn round_half_away(x: f64) -> i64 {
     (x + HALF_PRED.copysign(x)) as i64
 }
@@ -387,37 +389,6 @@ fn exact_pair<'a>(
     move |d, jj| G5Pipeline::pair_exact(quantum, eps2, None, d, j.m[jj])
 }
 
-/// Entry point: dispatch the exact-mode no-cutoff block to the selected
-/// lane implementation.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn block_exact_lanes(
-    (path, wide): (LanePath, Wide),
-    quantum: f64,
-    eps2: f64,
-    xi: &[[i64; 3]],
-    j: &JSlices<'_>,
-    force_scale: f64,
-    fmt: FixedFormat,
-    out: &mut [Force],
-) {
-    if path == LanePath::Avx2
-        && block_exact_avx2_upto(
-            ExactStage::Accumulate,
-            wide,
-            quantum,
-            eps2,
-            xi,
-            j,
-            force_scale,
-            fmt,
-            out,
-        )
-    {
-        return;
-    }
-    block_exact_portable(quantum, eps2, xi, j, force_scale, fmt, out)
-}
-
 /// Prefixes of the exact lane kernel, for per-stage timing: running the
 /// AVX2 kernel [`G5Pipeline::interact_block_exact_upto`] a stage shows
 /// what the simulated accumulator costs next to the force itself.
@@ -496,7 +467,7 @@ pub(crate) fn words_in_magic_window(words: &[i64]) -> bool {
 /// Coordinate-magnitude guard of the AVX2 kernels: `|a|, |b| < 2⁵⁰`
 /// bounds every subtract `|a − b| < 2⁵¹`, the window where the vector
 /// i64 → f64 conversion is exact. Wider coordinate formats (coord_bits
-/// can reach 62) take the portable path instead. The j side is a fact
+/// can reach 62) take the scalar skeleton instead. The j side is a fact
 /// of the loaded memory, settled by the board when it was loaded
 /// ([`JSlices::in_window`]); only the few i words are read per call.
 #[cfg(target_arch = "x86_64")]
@@ -504,67 +475,23 @@ fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
     j.in_window && xi.iter().all(|x| words_in_magic_window(x))
 }
 
-/// Portable exact lane kernel: the same 4-lane structure as the AVX2
-/// path in plain scalar ops over `[f64; LANES]` arrays. This is both
-/// the non-x86 implementation and the referee the intrinsics path is
-/// bit-compared against.
-pub(crate) fn block_exact_portable(
-    quantum: f64,
-    eps2: f64,
-    xi: &[[i64; 3]],
-    j: &JSlices<'_>,
-    force_scale: f64,
-    fmt: FixedFormat,
-    out: &mut [Force],
-) {
-    let sa = ScalarAcc::new(fmt, force_scale);
-    let pair = exact_pair(quantum, eps2, j);
-    block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-        let lanes_end = js + (je - js) / LANES * LANES;
-        for k in (js..lanes_end).step_by(LANES) {
-            // Lane force evaluation; guarded lanes stay +0.0, which
-            // accumulates as a raw-0 no-op below.
-            let mut f = [[0.0f64; 4]; LANES];
-            for (l, f) in f.iter_mut().enumerate() {
-                let d0 = j.x[k + l] - x[0];
-                let d1 = j.y[k + l] - x[1];
-                let d2 = j.z[k + l] - x[2];
-                if (d0 | d1 | d2) == 0 {
-                    continue; // zero-distance guard
-                }
-                let dx = d0 as f64 * quantum;
-                let dy = d1 as f64 * quantum;
-                let dz = d2 as f64 * quantum;
-                let r2 = (dx * dx + dy * dy) + dz * dz + eps2;
-                let rinv = 1.0 / r2.sqrt();
-                let rinv3 = rinv / r2;
-                let m = j.m[k + l];
-                let s = m * rinv3;
-                *f = [dx * s, dy * s, dz * s, m * rinv];
-            }
-            for f in f {
-                sa.add(a, f);
-            }
-        }
-        span_pairs(&sa, a, x, j, (lanes_end, je), &pair);
-    });
-}
-
 // ---------------------------------------------------------------------
 // j-memory coordinate quantizer
 // ---------------------------------------------------------------------
 
-/// Widest coordinate word the lane quantizers take: `|raw| ≤ 2⁵⁰`, the
+/// Widest coordinate word the lane quantizer takes: `|raw| ≤ 2⁵⁰`, the
 /// window of the magic-number conversions (and one where the raw bounds
 /// are exact in `f64`). Wider words go through
 /// [`RangeScaler::quantize`] itself, like the exact kernel's
 /// wide-coordinate guard.
+#[cfg(any(test, target_arch = "x86_64"))]
 const QUANT_LANE_BITS: u32 = 51;
 
 /// The per-window constants of [`RangeScaler::quantize`], hoisted out
 /// of the per-coordinate loop. `quantum()` is a deterministic function
 /// of the window, so the hoisted value is the one `quantize` recomputes
 /// per call.
+#[cfg(any(test, target_arch = "x86_64"))]
 #[derive(Debug, Clone, Copy)]
 struct QuantCtx {
     center: f64,
@@ -574,6 +501,7 @@ struct QuantCtx {
     maxf: f64,
 }
 
+#[cfg(any(test, target_arch = "x86_64"))]
 impl QuantCtx {
     /// `None` for windows wider than [`QUANT_LANE_BITS`].
     fn new(s: &RangeScaler) -> Option<QuantCtx> {
@@ -584,39 +512,15 @@ impl QuantCtx {
             maxf: s.raw_max() as f64,
         })
     }
-
-    /// One coordinate, branch-free and libm-free, word for word
-    /// `RangeScaler::quantize`:
-    ///
-    /// * the same IEEE subtract and divide produce the same `scaled`;
-    /// * round-half-away is monotone and both bounds are integers, so
-    ///   rounding the *clamped* value equals the definition's
-    ///   saturate-else-round;
-    /// * [`round_half_away`] is `f64::round` on the clamped value;
-    /// * NaN fails both clamp compares and casts to 0.
-    #[inline(always)]
-    fn word(&self, x: f64) -> i64 {
-        let s = (x - self.center) / self.quantum;
-        let c = if s > self.maxf { self.maxf } else { s };
-        let c = if c < self.minf { self.minf } else { c };
-        round_half_away(c)
-    }
-}
-
-/// `word` of every coordinate of `pos`, into the columns.
-#[inline(always)]
-fn fill_columns(pos: &[Vec3], [x, y, z]: [&mut [i64]; 3], word: impl Fn(f64) -> i64) {
-    for (p, ((x, y), z)) in pos.iter().zip(x.iter_mut().zip(y).zip(z)) {
-        (*x, *y, *z) = (word(p.x), word(p.y), word(p.z));
-    }
 }
 
 /// Quantize `pos` onto the `scaler` grid straight into the three
 /// coordinate columns `[x, y, z]` of a board's j-memory (each exactly
 /// `pos.len()` long), every word equal to [`RangeScaler::quantize`] of
 /// its coordinate. `path` selects the implementation like it does for
-/// the force kernels: `Scalar` is the definition, `Portable` the
-/// branch-free scalar form, `Avx2` four coordinates per `vdivpd`.
+/// the force kernels: `Avx2` four coordinates per `vdivpd`, leaving
+/// the last 1–3 particles to the definition; `Scalar` (and a window
+/// wider than [`QUANT_LANE_BITS`]) the definition throughout.
 pub(crate) fn quantize_columns(
     path: LanePath,
     scaler: &RangeScaler,
@@ -624,20 +528,23 @@ pub(crate) fn quantize_columns(
     cols: [&mut [i64]; 3],
 ) {
     assert!(cols.iter().all(|c| c.len() == pos.len()), "ragged coordinate columns");
-    let ctx = match QuantCtx::new(scaler) {
-        Some(ctx) if path != LanePath::Scalar => ctx,
-        _ => return fill_columns(pos, cols, |v| scaler.quantize(v)),
-    };
     let [x, y, z] = cols;
-    #[allow(unused_mut)]
-    let mut done = 0;
-    #[cfg(target_arch = "x86_64")]
-    if path == LanePath::Avx2 && std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected; the column lengths were checked
-        // above and the window fits the magic conversions (`QuantCtx`).
-        done = unsafe { avx2::quantize_columns(&ctx, pos, [&mut *x, &mut *y, &mut *z]) };
+    let done = match path {
+        #[cfg(target_arch = "x86_64")]
+        LanePath::Avx2 if std::is_x86_feature_detected!("avx2") => {
+            QuantCtx::new(scaler).map_or(0, |ctx| {
+                // SAFETY: AVX2 was detected; the column lengths were
+                // checked above and the window fits the magic
+                // conversions (`QuantCtx`).
+                unsafe { avx2::quantize_columns(&ctx, pos, [&mut *x, &mut *y, &mut *z]) }
+            })
+        }
+        _ => 0,
+    };
+    let tail = pos[done..].iter().zip(x[done..].iter_mut().zip(&mut y[done..]).zip(&mut z[done..]));
+    for (p, ((x, y), z)) in tail {
+        (*x, *y, *z) = (scaler.quantize(p.x), scaler.quantize(p.y), scaler.quantize(p.z));
     }
-    fill_columns(&pos[done..], [&mut x[done..], &mut y[done..], &mut z[done..]], |v| ctx.word(v));
 }
 
 // ---------------------------------------------------------------------
@@ -701,128 +608,6 @@ impl LnsLanes {
             G5Pipeline::pair_lns_tab(self.conv, None, self.eps2_lns, self.quantum, d, j.m_lns[jj])
         }
     }
-
-    /// The range rules of every functional unit: below `raw_min` is
-    /// zero, above `raw_max` saturates.
-    #[inline(always)]
-    fn canon(&self, r: i32) -> i32 {
-        if r < self.roms.raw_min {
-            ZERO_WORD
-        } else {
-            r.min(self.roms.raw_max)
-        }
-    }
-
-    /// Same-sign LNS add of two core words.
-    #[inline(always)]
-    fn add(&self, a: i32, b: i32) -> i32 {
-        let (hi, lo) = (a.max(b), a.min(b));
-        (hi + self.roms.sb_step((hi - lo) as u32)).min(self.roms.raw_max)
-    }
-
-    /// `x^(−mult/2)` on a core word: round-half-away `−mult·r / 2`.
-    #[inline(always)]
-    fn neg_half_power(&self, r: i32, mult: i32) -> i32 {
-        let v = (mult * r.abs() + 1) >> 1;
-        self.canon(if r > 0 { -v } else { v })
-    }
-
-    /// A product word rebased for the decoder: 0 for zero, else
-    /// `raw + word_bias`.
-    #[inline(always)]
-    fn out_word(&self, s: i32) -> u32 {
-        if s < self.roms.raw_min {
-            0
-        } else {
-            (s.min(self.roms.raw_max) + self.roms.word_bias()) as u32
-        }
-    }
-
-    /// One interaction in lane arithmetic: the decoder words
-    /// `[fx, fy, fz, pot]`, or `None` when a stage asked for the scalar
-    /// path. A coincident pair yields four zero words.
-    #[inline(always)]
-    fn pair_words(&self, d: [i64; 3], mw: i32) -> Option<[u32; 4]> {
-        const SIGN: u32 = 1 << 31;
-        let mut redo = false;
-        let mut r = [0i32; 3];
-        let mut s = [0u32; 3];
-        for c in 0..3 {
-            let bits = (d[c] as f64 * self.quantum).to_bits();
-            let (raw, guard) = self.roms.encode_word(bits);
-            redo |= guard;
-            r[c] = self.canon(raw);
-            s[c] = (bits >> 32) as u32;
-        }
-        let sq = |r: i32| self.canon(r + r);
-        if redo {
-            return None;
-        }
-        let r2 = self.add(self.add(sq(r[0]), sq(r[1])), sq(r[2]));
-        let r2e = self.add(r2, self.eps2_word);
-        let rinv3 = self.neg_half_power(r2e, 3);
-        let rinv = self.neg_half_power(r2e, 1);
-        let (m, msign) = (mw >> 1, (mw as u32) << 31);
-        let mf = self.canon(m + rinv3);
-        // a non-zero displacement never encodes to zero (quantum ≥
-        // 2^exp_min), so three zero words are the zero-distance guard
-        let pot = if r == [ZERO_WORD; 3] { 0 } else { self.out_word(m + rinv) };
-        let f = |c: usize| self.out_word(r[c] + mf) | ((s[c] ^ msign) & SIGN);
-        Some([f(0), f(1), f(2), pot | msign])
-    }
-}
-
-/// Entry point: dispatch the LNS-mode no-cutoff block to the selected
-/// lane implementation.
-pub(crate) fn block_lns_lanes(
-    (path, wide): (LanePath, Wide),
-    c: &LnsLanes,
-    xi: &[[i64; 3]],
-    j: &JSlices<'_>,
-    force_scale: f64,
-    fmt: FixedFormat,
-    out: &mut [Force],
-) {
-    if path == LanePath::Avx2
-        && block_lns_avx2_upto(LnsStage::Accumulate, wide, c, xi, j, force_scale, fmt, out)
-    {
-        return;
-    }
-    block_lns_portable(c, xi, j, force_scale, fmt, out)
-}
-
-/// Portable LNS lane kernel: the AVX2 kernel's integer stages one lane
-/// at a time over the same ROM images, eight j-particles per group —
-/// the non-x86 implementation and the referee of the intrinsics path.
-pub(crate) fn block_lns_portable(
-    c: &LnsLanes,
-    xi: &[[i64; 3]],
-    j: &JSlices<'_>,
-    force_scale: f64,
-    fmt: FixedFormat,
-    out: &mut [Force],
-) {
-    let sa = ScalarAcc::new(fmt, force_scale);
-    let pair = c.pair(j);
-    block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-        let lanes_end = js + (je - js) / LNS_LANES * LNS_LANES;
-        for k in (js..lanes_end).step_by(LNS_LANES) {
-            let mut w = [[0u32; 4]; LNS_LANES];
-            let decided = w.iter_mut().enumerate().all(|(l, w)| {
-                let jj = k + l;
-                let d = [j.x[jj] - x[0], j.y[jj] - x[1], j.z[jj] - x[2]];
-                c.pair_words(d, j.m_word[jj]).map(|words| *w = words).is_some()
-            });
-            if decided {
-                for w in w {
-                    sa.add(a, w.map(|w| c.roms.decode_word(w)));
-                }
-            } else {
-                span_pairs(&sa, a, x, j, (k, k + LNS_LANES), &pair);
-            }
-        }
-        span_pairs(&sa, a, x, j, (lanes_end, je), &pair);
-    });
 }
 
 /// Prefixes of the LNS lane pipeline, for per-stage timing: running the
@@ -1029,8 +814,8 @@ mod avx2 {
 
     /// [`round_away_to_i64`] short of its last step: the rounded
     /// integer still riding the shifter, i.e. the i64 plus
-    /// [`MAGIC_BITS`]. Lane for lane the scalar
-    /// [`round_half_away`](super::round_half_away) — add the signed
+    /// [`MAGIC_BITS`]. Lane for lane the scalar `round_half_away`
+    /// the referees hold it to — add the signed
     /// `pred(½)`, truncate — then the exact magic conversion; valid for
     /// `|scaled| ≤ 2⁵⁰`.
     ///
@@ -1304,10 +1089,14 @@ mod avx2 {
     /// Returns how many leading particles it wrote (a multiple of 4;
     /// the caller finishes the tail).
     ///
-    /// Per lane this is [`QuantCtx::word`] in vector form: `vsubpd`,
-    /// `vdivpd` (IEEE division, no reciprocal), clamp, then the exact
-    /// kernel's truncate-and-signed-bump [`round_away_to_i64`], valid
-    /// because the clamped value is within `±2⁵⁰`.
+    /// Per lane this is [`RangeScaler::quantize`](super::RangeScaler::quantize),
+    /// word for word and branch-free: the same IEEE `vsubpd` and `vdivpd`
+    /// (no reciprocal) give the same `scaled`; round-half-away is
+    /// monotone and both bounds are integers, so rounding the *clamped*
+    /// value equals the definition's saturate-else-round; the exact
+    /// kernel's truncate-and-signed-bump [`round_away_to_i64`] is
+    /// `f64::round` there, valid because the clamped value is within
+    /// `±2⁵⁰`; a NaN lane is masked to the definition's 0.
     ///
     /// # Safety
     /// The CPU must support AVX2 and `x`, `y`, `z` must each hold at
@@ -2151,17 +1940,14 @@ mod tests {
         (xi, jmem(&jraw, &jm))
     }
 
-    /// Every lane path this CPU runs, the x86 one on each op column.
+    /// Every x86 lane path this CPU runs, on each op column (none
+    /// without AVX2: the skeleton is then all there is).
     fn all_paths() -> Vec<Path> {
-        let mut v = vec![(LanePath::Portable, false)];
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("avx2") {
-            v.push((LanePath::Avx2, false));
-            if cpu_lanes()[1] {
-                v.push((LanePath::Avx2, true));
-            }
-        }
-        v
+        let [avx2, wide] = cpu_lanes();
+        [(avx2, false), (wide, true)]
+            .into_iter()
+            .filter_map(|(has, wide)| has.then_some((LanePath::Avx2, wide)))
+            .collect()
     }
 
     #[test]
@@ -2682,12 +2468,19 @@ mod tests {
     #[test]
     fn wide_coordinates_take_the_guard_and_agree() {
         // Raw words at ±2^60: outside the magic-conversion window, so
-        // the AVX2 entries must fall back to the portable kernels whole.
+        // the AVX2 kernels must decline the call whole and leave it to
+        // the scalar skeleton.
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let fmt = FixedFormat::new(64, 32);
         let (xi, j) = random_block(&mut rng, 4, 29, 1 << 60);
         for mode in MODES {
             assert_paths_agree(mode, 1e-19, 0.0, &xi, &j, 1.0, fmt, "wide coords");
+            let p = G5Pipeline::new(&Grape5Config { mode, ..Grape5Config::paper() }, 1e-19, 0.0);
+            let mut out = vec![Force::ZERO; xi.len()];
+            let (j, acc) = (j.j_slices(), ExactStage::Accumulate);
+            assert!(!p.interact_block_exact_upto(acc, &xi, &j, 1.0, fmt, &mut out), "{mode:?}");
+            let acc = LnsStage::Accumulate;
+            assert!(!p.interact_block_lns_upto(acc, &xi, &j, 1.0, fmt, &mut out), "{mode:?}");
         }
     }
 
@@ -2924,7 +2717,11 @@ mod tests {
                     for (&d, got) in dw.iter().zip(got) {
                         let bits = (d as f64 * quantum).to_bits();
                         let (raw, redo) = c.roms.encode_word(bits);
-                        let want = [c.canon(raw), (bits >> 63) as i32, -i32::from(redo)];
+                        // the range rules: below raw_min is zero, above
+                        // raw_max saturates
+                        let (lo, hi) = (c.roms.raw_min, c.roms.raw_max);
+                        let core = if raw < lo { ZERO_WORD } else { raw.min(hi) };
+                        let want = [core, (bits >> 63) as i32, -i32::from(redo)];
                         assert_eq!(got, want, "d = {d} q = {quantum:e}, {w} lanes");
                         flagged += usize::from(redo);
                     }
@@ -2970,9 +2767,9 @@ mod tests {
         }
     }
 
-    /// The quantizer's lane paths (`Avx2` is the portable one where the
+    /// The quantizer's lane paths (`Avx2` is the definition where the
     /// CPU lacks it).
-    const QUANT_PATHS: [LanePath; 3] = [LanePath::Avx2, LanePath::Portable, LanePath::Scalar];
+    const QUANT_PATHS: [LanePath; 2] = [LanePath::Avx2, LanePath::Scalar];
 
     /// Every lane path of the coordinate quantizer against the
     /// definition, word for word.
@@ -3114,19 +2911,20 @@ mod tests {
     fn lane_path_parse_covers_every_spelling() {
         for (has_avx2, has_avx512) in [(false, false), (true, false), (true, true)] {
             let parse = |var| parse_lane_path(var, [has_avx2, has_avx512]);
-            let native = if has_avx2 { LanePath::Avx2 } else { LanePath::Portable };
-            assert_eq!(parse(Some("portable")), (LanePath::Portable, Wide(false)));
+            // a CPU without AVX2 runs the skeleton, whatever is asked
+            let native = if has_avx2 { LanePath::Avx2 } else { LanePath::Scalar };
             assert_eq!(parse(Some("scalar")), (LanePath::Scalar, Wide(false)));
             // avx2 pins the AVX2 op column and eight lanes — in both
             // modes, it is the one boolean — and degrades without AVX2;
-            // garbage and unset mean "detect", the wide kernels included
+            // garbage (the retired "portable" among it) and unset mean
+            // "detect", the wide kernels included
             assert_eq!(parse(Some("avx2")), (native, Wide(false)));
-            assert_eq!(parse(Some("AVX-512")), (native, Wide(has_avx512)));
-            assert_eq!(parse(Some("")), (native, Wide(has_avx512)));
-            assert_eq!(parse(None), (native, Wide(has_avx512)));
+            for var in [Some("portable"), Some("AVX-512"), Some(""), None] {
+                assert_eq!(parse(var), (native, Wide(has_avx512)), "{var:?}");
+            }
         }
-        // the wide kernels need AVX2 as well: never on the portable path
-        assert_eq!(parse_lane_path(None, [false, true]), (LanePath::Portable, Wide(false)));
+        // the wide kernels need AVX2 as well: never on the skeleton
+        assert_eq!(parse_lane_path(None, [false, true]), (LanePath::Scalar, Wide(false)));
         // what this process resolved is what this CPU has, pin aside
         let pinned = matches!(std::env::var("G5_LANE_PATH").as_deref(), Ok("avx2"));
         let want = cpu_lanes()[1] && !pinned && detect_lane_path() == LanePath::Avx2;

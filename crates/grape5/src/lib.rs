@@ -27,7 +27,8 @@
 //!   [`LanePath::Avx2`] is the x86 intrinsics, the cheapest op column
 //!   and the widest LNS lanes the CPU has (the AVX-512VL accumulate and
 //!   sixteen lanes with AVX-512 and FMA, else the AVX2 one and eight),
-//!   with a portable and a scalar twin held bit-identical to it.
+//!   held bit-identical to [`LanePath::Scalar`], the per-pair skeleton
+//!   that defines it and runs every call the lanes cannot take.
 //! * **timing** — [`clock::ClockAccounting`] counts pipeline cycles and
 //!   interface words exactly as the board schedule implies, and
 //!   converts them to modeled wall-clock on the real 90 MHz / 15 MHz

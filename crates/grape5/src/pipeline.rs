@@ -228,7 +228,7 @@ impl G5Pipeline {
     }
 
     /// Override the lane implementation — used by the perf harness to
-    /// A/B the SIMD, portable and scalar paths, and by tests to referee
+    /// A/B the SIMD and scalar paths, and by tests to referee
     /// them against each other.
     pub fn set_lane_path(&mut self, path: LanePath) {
         self.lane_path = path;
@@ -309,7 +309,7 @@ impl G5Pipeline {
                 d,
                 j.m_lns,
             ),
-            (ArithMode::Lns, None) => self.pair_lns_formula(d, j.m_lns),
+            (ArithMode::Lns, None) => self.pair_lns_reference(d, j.m_lns),
         }
     }
 
@@ -354,12 +354,12 @@ impl G5Pipeline {
         Force { acc: dx * (m * rinv3 * gf), pot: m * rinv * gp }
     }
 
-    /// Table-driven LNS path: same functional units as the formula path
-    /// but every converter and adder is an integer table lookup, and the
-    /// cutoff factors come pre-encoded from the LNS-indexed table. Each
-    /// table is proven bit-identical to its formula counterpart, so this
-    /// path reproduces [`pair_lns_reference`](Self::pair_lns_reference)
-    /// exactly.
+    /// Table-driven LNS path: same functional units as the reference
+    /// path but every converter and adder is an integer table lookup,
+    /// and the cutoff factors come pre-encoded from the LNS-indexed
+    /// table. Each table is proven bit-identical to its formula
+    /// counterpart, so this path reproduces
+    /// [`pair_lns_reference`](Self::pair_lns_reference) exactly.
     #[inline(always)]
     pub(crate) fn pair_lns_tab(
         conv: &LnsConvTables,
@@ -396,43 +396,12 @@ impl G5Pipeline {
         }
     }
 
-    /// Formula LNS path for formats too wide to tabulate: one rounding
-    /// to the log grid after each functional unit, exactly like the
-    /// hardware tables.
-    fn pair_lns_formula(&self, d: [i64; 3], m: Lns) -> Force {
-        let c = self.lns;
-        let dx = c.encode(d[0] as f64 * self.quantum);
-        let dy = c.encode(d[1] as f64 * self.quantum);
-        let dz = c.encode(d[2] as f64 * self.quantum);
-        let r2 = dx.square().add(dy.square()).add(dz.square());
-        let r2e = r2.add(self.eps2_lns);
-        let rinv3 = r2e.pow_neg_3_2();
-        let rinv = r2e.powi_rational(-1, 2);
-        // hardware cutoff unit: table addressed by the LNS r^2, factors
-        // re-encoded into the log format before the multipliers
-        let (gf, gp) = match &self.cutoff {
-            None => (None, None),
-            Some(t) => {
-                let r2_val = r2.to_f64();
-                (Some(c.encode(t.force_factor(r2_val))), Some(c.encode(t.pot_factor(r2_val))))
-            }
-        };
-        let mut mf = m.mul(rinv3);
-        if let Some(g) = gf {
-            mf = mf.mul(g);
-        }
-        let mut mp = m.mul(rinv);
-        if let Some(g) = gp {
-            mp = mp.mul(g);
-        }
-        Force {
-            acc: Vec3::new(dx.mul(mf).to_f64(), dy.mul(mf).to_f64(), dz.mul(mf).to_f64()),
-            pot: mp.to_f64(),
-        }
-    }
-
-    /// The pre-batch scalar LNS path, verbatim: libm converters and the
-    /// cutoff round trip through `f64`.
+    /// The pre-batch scalar LNS path, verbatim: libm converters, one
+    /// rounding to the log grid after each functional unit, and the
+    /// cutoff round trip through `f64` (the hardware cutoff unit: a
+    /// table addressed by the LNS r², its factors re-encoded into the
+    /// log format before the multipliers). It is also the path of the
+    /// formats too wide to tabulate.
     fn pair_lns_reference(&self, d: [i64; 3], m: Lns) -> Force {
         let c = self.lns;
         let dx = c.encode_libm(d[0] as f64 * self.quantum);
@@ -493,16 +462,28 @@ impl G5Pipeline {
             !self.reads_mass_words() || (j.m_lns.len() == nj && j.m_word.len() == nj),
             "j-slices without mass log words in LNS mode"
         );
-        // The lane kernels cover the dominant no-cutoff configuration;
-        // with a cutoff the factors are per-pair table lookups and the
-        // scalar skeleton stays.
-        let lanes_on = self.cutoff.is_none() && self.lane_path != LanePath::Scalar;
+        // The x86 lane kernels take the dominant configuration — no
+        // cutoff, the `Avx2` lane path, coordinates inside their window
+        // (the kernel's own guard); every other call runs the scalar
+        // skeleton they are held to (with a cutoff the factors are
+        // per-pair table lookups).
+        let lanes_on = self.cutoff.is_none() && self.lane_path == LanePath::Avx2;
         match (self.mode, self.conv) {
             (ArithMode::Exact, _) => {
                 let (quantum, eps2, cutoff) = (self.quantum, self.eps2, self.cutoff.as_ref());
-                if lanes_on {
-                    let path = (self.lane_path, self.wide);
-                    lanes::block_exact_lanes(path, quantum, eps2, xi, j, force_scale, fmt, out);
+                if lanes_on
+                    && lanes::block_exact_avx2_upto(
+                        ExactStage::Accumulate,
+                        self.wide,
+                        quantum,
+                        eps2,
+                        xi,
+                        j,
+                        force_scale,
+                        fmt,
+                        out,
+                    )
+                {
                     return;
                 }
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
@@ -511,9 +492,18 @@ impl G5Pipeline {
             }
             (ArithMode::Lns, Some(conv)) => {
                 if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
-                    let path = (self.lane_path, self.wide);
-                    lanes::block_lns_lanes(path, c, xi, j, force_scale, fmt, out);
-                    return;
+                    if lanes::block_lns_avx2_upto(
+                        LnsStage::Accumulate,
+                        self.wide,
+                        c,
+                        xi,
+                        j,
+                        force_scale,
+                        fmt,
+                        out,
+                    ) {
+                        return;
+                    }
                 }
                 let (cutoff, eps2_lns, quantum) =
                     (self.lns_cutoff.as_deref(), self.eps2_lns, self.quantum);
@@ -523,7 +513,7 @@ impl G5Pipeline {
             }
             (ArithMode::Lns, None) => {
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
-                    self.pair_lns_formula(d, j.m_lns[jj])
+                    self.pair_lns_reference(d, j.m_lns[jj])
                 });
             }
         }

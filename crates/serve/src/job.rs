@@ -116,6 +116,18 @@ impl JobSpec {
         if b.kind == (BackendKind::Cluster { shards: 0 }) {
             return Err("zero-shard cluster".into());
         }
+        // a board or shard past the particle count holds nothing (the
+        // j-set is split evenly over boards, shards are truncated to N),
+        // and a count that large would size an allocation the process
+        // cannot survive
+        if b.devices().checked_mul(b.boards).is_none_or(|d| d > self.n) {
+            return Err(format!(
+                "{} devices x {} boards exceed the {} particles",
+                b.devices(),
+                b.boards,
+                self.n
+            ));
+        }
         for (name, v) in [("theta", b.theta), ("eps", b.eps)] {
             if !(v.is_finite() && v >= 0.0) {
                 return Err(format!("{name} is not a finite non-negative number"));

@@ -213,6 +213,11 @@ mod tests {
             ("n_crit below a leaf", with(&|b| b.n_crit = 7)),
             ("boards = 0", with(&|b| b.boards = 0)),
             ("shards = 0", with(&|b| b.kind = BackendKind::Cluster { shards: 0 })),
+            // past the 64 particles: `Grape5::open` would abort the process
+            // on a 2^40-board allocation; 2^62 shards wrap the j-memory
+            // demand to 0 and `ClusterSession::open` panics in the worker
+            ("boards = 2^40", with(&|b| b.boards = 1 << 40)),
+            ("shards = 2^62", with(&|b| b.kind = BackendKind::Cluster { shards: 1 << 62 })),
             ("theta NaN", with(&|b| b.theta = f64::NAN)),
             ("theta < 0", with(&|b| b.theta = -0.5)),
             ("theta inf", with(&|b| b.theta = f64::INFINITY)),

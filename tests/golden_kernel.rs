@@ -250,7 +250,7 @@ fn parallel_dispatch_matches_sequential_reference() {
 }
 
 // ---------------------------------------------------------------------
-// Lane-path suite: the SIMD / portable kernels of both arithmetic modes
+// Lane-path suite: the x86 lane kernels of both arithmetic modes
 // against the fixture and the scalar skeleton.
 // ---------------------------------------------------------------------
 
@@ -261,7 +261,7 @@ use grape5_nbody::util::fixed::{Fixed, FixedFormat};
 
 /// Every lane path available on this machine, plus the scalar referee.
 fn lane_paths() -> Vec<LanePath> {
-    let mut v = vec![LanePath::Scalar, LanePath::Portable];
+    let mut v = vec![LanePath::Scalar];
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         v.push(LanePath::Avx2);
@@ -397,8 +397,8 @@ fn lane_block_reproduces_golden_bits_in_lns_mode() {
 
 /// Edge cases the lane structure could plausibly break — remainder
 /// tails (j-counts ≢ 0 mod 4), zero-mass j-particles, coincident i/j
-/// pairs — are bit-identical across the scalar, portable and (where
-/// available) AVX2 paths, at unit and accumulator-stressing force
+/// pairs — are bit-identical across the scalar and (where available)
+/// AVX2 paths, at unit and accumulator-stressing force
 /// scales, for a range of accumulator formats.
 #[test]
 fn lane_edge_cases_bit_identical_across_paths() {
@@ -549,7 +549,7 @@ fn lane_edge_cases_bit_identical_across_paths_in_lns_mode() {
         words: small.clone(),
     });
 
-    // coordinates ≥ 2^50: the wide-coordinate guard (AVX2 → portable)
+    // coordinates ≥ 2^50: the wide-coordinate guard (AVX2 → the skeleton)
     let wide: Vec<JWord> = (0..21)
         .map(|k| word([coord(1 << 60), coord(1 << 60), coord(1 << 60)], 1.0 + k as f64))
         .collect();

@@ -66,7 +66,7 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
     };
 
     // board level: zero allocations on every lane path, in either mode
-    let mut paths = vec![LanePath::Scalar, LanePath::Portable];
+    let mut paths = vec![LanePath::Scalar];
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         paths.push(LanePath::Avx2);

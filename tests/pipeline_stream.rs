@@ -383,7 +383,7 @@ fn degenerate_snapshots_give_the_direct_answer_or_a_typed_error() {
     }
     println!("degenerate digest {digest:016x}");
     if std::env::var_os("G5_LANE_PATH").is_none() {
-        for path in ["avx2", "portable", "scalar"] {
+        for path in ["avx2", "scalar"] {
             let out = std::process::Command::new(std::env::current_exe().expect("the test binary"))
                 .args(["degenerate_snapshots_give", "--nocapture", "--test-threads=1"])
                 .env("G5_LANE_PATH", path)
