@@ -55,7 +55,7 @@ use grape5::fault::{BoardDropout, FaultConfig, StuckPipe};
 use grape5::{splitmix, RetryPolicy};
 use treegrape::checkpoint::{latest, scrub, Checkpointer};
 use treegrape::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
-use treegrape::Simulation;
+use treegrape::{ForceBackend, Simulation};
 
 const CHAOS_SEED: u64 = 7001;
 const EPS: f64 = 0.01;
@@ -181,9 +181,14 @@ fn endurance_cfg(k: usize, n_crit: usize, probe_interval: u64) -> ClusterTreeGra
     cfg
 }
 
-/// One full endurance pass (runs A and B). When `ckpt` is set, rolling
-/// retained checkpoints go to `ckpt.0` every `ckpt.1` steps keeping
-/// `ckpt.2`, and the mid-chaos cut checkpoint goes to `cut_dir`.
+/// One endurance pass. Runs A and B start from `snap0`; run C
+/// (`resume_from`) restores the cut checkpoint in that directory into a
+/// fresh backend — injectors re-armed from the same schedule,
+/// technician actions up to the cut replayed, fault-injector words and
+/// lifecycle payload restored — and integrates to the end. When `ckpt`
+/// is set, rolling retained checkpoints go to `ckpt.0` every `ckpt.1`
+/// steps keeping `ckpt.2`, and the mid-chaos cut checkpoint goes to
+/// `cut_dir`.
 #[allow(clippy::too_many_arguments)]
 fn run_storm(
     label: &str,
@@ -194,11 +199,23 @@ fn run_storm(
     dt: f64,
     ckpt: Option<(&std::path::Path, u64, usize)>,
     cut_dir: Option<&std::path::Path>,
+    resume_from: Option<&std::path::Path>,
 ) -> RunResult {
     let wall = std::time::Instant::now();
     let k = cfg.shards;
     let mut backend = ClusterTreeGrape::new(cfg);
     chaos.arm(&mut backend, chaos.jmem_rate, 0, true);
+    let mut sim = match resume_from {
+        Some(dir) => {
+            let ck = latest(dir).expect("read cut dir").expect("cut checkpoint present");
+            assert_eq!(ck.step, chaos.cut, "cut checkpoint at the wrong step");
+            for step in 1..=ck.step {
+                chaos.apply(&mut backend, step, k, false);
+            }
+            ck.resume(backend).expect("resume")
+        }
+        None => Simulation::try_new(snap0.clone(), backend, 0.0).expect("initial forces"),
+    };
 
     let rolling = ckpt.map(|(dir, every, keep)| {
         Checkpointer::new(dir, every).expect("create checkpoint dir").with_retention(keep)
@@ -206,26 +223,19 @@ fn run_storm(
     let cut_ck =
         cut_dir.map(|dir| Checkpointer::new(dir, chaos.cut.max(1)).expect("create cut dir"));
 
-    let mut sim = Simulation::try_new(snap0.clone(), backend, 0.0).expect("initial forces");
     let e0 = sim.total_energy();
     let mut drift_max = 0.0f64;
-    for step in 1..=steps {
+    for step in sim.steps + 1..=steps {
         chaos.apply(sim.backend_mut(), step, k, true);
         sim.try_step(dt).expect("storm step");
         drift_max = drift_max.max(((sim.total_energy() - e0) / e0).abs());
         if let Some(c) = &rolling {
-            let alive = sim.backend().alive_shards();
-            let faults = sim.backend().fault_states();
-            let lc = sim.backend().lifecycle_state();
-            c.maybe_write_cluster(&sim, alive, &faults, Some(&lc)).expect("rolling checkpoint");
+            c.maybe_write(&sim).expect("rolling checkpoint");
         }
         if step == chaos.cut {
             if let Some(c) = &cut_ck {
-                let alive = sim.backend().alive_shards();
-                let faults = sim.backend().fault_states();
-                let lc = sim.backend().lifecycle_state();
-                c.write_cluster(&sim.state, sim.time, sim.steps, alive, &faults, Some(&lc))
-                    .expect("cut checkpoint");
+                let state = sim.backend().resume_state();
+                c.write(&sim.state, sim.time, sim.steps, &state).expect("cut checkpoint");
             }
         }
     }
@@ -246,63 +256,6 @@ fn run_storm(
         r.completed,
         r.evals,
         r.ledger.len(),
-        fmt_secs(r.wall_s)
-    );
-    r
-}
-
-/// Run C: restore the cut checkpoint into a fresh backend — injectors
-/// re-armed from the same schedule, technician actions up to the cut
-/// replayed, fault-injector words and lifecycle payload restored — and
-/// integrate to the end.
-fn run_resume(
-    cut_dir: &std::path::Path,
-    cfg: ClusterTreeGrapeConfig,
-    chaos: &Chaos,
-    steps: u64,
-    dt: f64,
-) -> RunResult {
-    let wall = std::time::Instant::now();
-    let k = cfg.shards;
-    let ck = latest(cut_dir).expect("read cut dir").expect("cut checkpoint present");
-    assert_eq!(ck.step, chaos.cut, "cut checkpoint at the wrong step");
-    let lc = ck.lifecycle.clone().expect("lifecycle payload in cut checkpoint");
-    let (state, time) = ck.load_snapshot().expect("cut snapshot");
-
-    let mut backend = ClusterTreeGrape::new(cfg);
-    chaos.arm(&mut backend, chaos.jmem_rate, 0, true);
-    for step in 1..=chaos.cut {
-        chaos.apply(&mut backend, step, k, false);
-    }
-    for (slot, words) in &ck.shard_fault_states {
-        backend.restore_fault_state(*slot, words).expect("restore fault words");
-    }
-    backend.restore_lifecycle(&lc);
-
-    let mut sim = Simulation::resume(state, backend, time, ck.step).expect("resume");
-    let e0 = sim.total_energy();
-    let mut drift_max = 0.0f64;
-    for step in ck.step + 1..=steps {
-        chaos.apply(sim.backend_mut(), step, k, true);
-        sim.try_step(dt).expect("resumed step");
-        drift_max = drift_max.max(((sim.total_energy() - e0) / e0).abs());
-    }
-
-    let r = RunResult {
-        completed: sim.steps,
-        wall_s: wall.elapsed().as_secs_f64(),
-        drift_max,
-        ledger: sim.backend().ledger().events().to_vec(),
-        evals: sim.backend().evals(),
-        final_state: sim.state.clone(),
-        final_time: sim.time,
-        recovery: sim.backend().cluster_recovery_stats(),
-        shard_recovery: sim.backend().shard_recovery_stats(),
-    };
-    eprintln!(
-        "    [run C: resumed from step {}, finished {} steps in {}]",
-        ck.step,
-        r.completed,
         fmt_secs(r.wall_s)
     );
     r
@@ -408,11 +361,13 @@ fn main() {
         dt,
         Some((&rolling_dir, every, keep)),
         Some(&cut_dir),
+        None,
     );
     let scrub_report = scrub(&rolling_dir, keep).expect("scrub retained checkpoints");
 
-    let b = (!skip_rerun).then(|| run_storm("B", &snap0, cfg, &chaos, steps, dt, None, None));
-    let c = (!skip_resume).then(|| run_resume(&cut_dir, cfg, &chaos, steps, dt));
+    let b = (!skip_rerun).then(|| run_storm("B", &snap0, cfg, &chaos, steps, dt, None, None, None));
+    let c = (!skip_resume)
+        .then(|| run_storm("C", &snap0, cfg, &chaos, steps, dt, None, None, Some(&cut_dir)));
 
     // ------------------------------------------------------------------
     // report

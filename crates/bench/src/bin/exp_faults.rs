@@ -69,21 +69,11 @@ fn run_case(
 
     // resume from the newest valid checkpoint of this case, restoring
     // the fault-injector RNG so the replayed fault schedule matches
-    let mut resumed_from = None;
-    let mut sim = if resume {
-        match case_ckpt.as_ref().and_then(|c| latest(c.dir()).ok().flatten()) {
-            Some(ck) => {
-                let (state, time) = ck.load_snapshot().expect("checkpoint snapshot");
-                if let Some(words) = &ck.fault_state {
-                    backend.grape_mut().restore_fault_state(words).expect("restore fault state");
-                }
-                resumed_from = Some(ck.step);
-                Simulation::resume(state, backend, time, ck.step).expect("resume simulation")
-            }
-            None => Simulation::try_new(snap0.clone(), backend, 0.0).expect("initial forces"),
-        }
-    } else {
-        Simulation::try_new(snap0.clone(), backend, 0.0).expect("initial forces")
+    let newest = case_ckpt.as_ref().filter(|_| resume).and_then(|c| latest(c.dir()).ok()?);
+    let resumed_from = newest.as_ref().map(|ck| ck.step);
+    let mut sim = match newest {
+        Some(ck) => ck.resume(backend).expect("resume simulation"),
+        None => Simulation::try_new(snap0.clone(), backend, 0.0).expect("initial forces"),
     };
 
     // watchdog against the run's own initial energy; generous tolerance
@@ -101,15 +91,13 @@ fn run_case(
             // checkpoint-and-abort: save the last state for the
             // post-mortem rather than integrating garbage
             if let Some(c) = &case_ckpt {
-                let words = sim.backend_mut().grape_mut().fault_state_words();
-                c.write(&sim.state, sim.time, sim.steps, words.as_deref()).ok();
+                c.write(&sim.state, sim.time, sim.steps, &sim.backend().resume_state()).ok();
             }
             failure = Some(e.to_string());
             break;
         }
         if let Some(c) = &case_ckpt {
-            let words = sim.backend_mut().grape_mut().fault_state_words();
-            c.maybe_write(&sim, words.as_deref()).expect("write checkpoint");
+            c.maybe_write(&sim).expect("write checkpoint");
         }
     }
     if let Some(msg) = failure {

@@ -171,12 +171,8 @@ fn run_segment(
         agg += a;
         inter += i;
         if step == cut {
-            let alive = sim.backend().alive_shards();
-            let faults = sim.backend().fault_states();
-            let lc = sim.backend().lifecycle_state();
-            cut_ck
-                .write_cluster(&sim.state, sim.time, sim.steps, alive, &faults, Some(&lc))
-                .expect("cut checkpoint");
+            let state = sim.backend().resume_state();
+            cut_ck.write(&sim.state, sim.time, sim.steps, &state).expect("cut checkpoint");
         }
         eprintln!(
             "    [segment step {step}/{steps}: modeled crit-path {} this step]",
@@ -189,14 +185,7 @@ fn run_segment(
     // the same endpoint
     let ck = latest(ckpt_dir).expect("read checkpoint dir").expect("cut checkpoint present");
     assert_eq!(ck.step, cut, "cut checkpoint at the wrong step");
-    let lc = ck.lifecycle.clone().expect("lifecycle payload in cut checkpoint");
-    let (state, time) = ck.load_snapshot().expect("cut snapshot");
-    let mut backend = ClusterTreeGrape::new(*cfg);
-    for (slot, words) in &ck.shard_fault_states {
-        backend.restore_fault_state(*slot, words).expect("restore fault words");
-    }
-    backend.restore_lifecycle(&lc);
-    let mut resumed = Simulation::resume(state, backend, time, ck.step).expect("resume");
+    let mut resumed = ck.resume(ClusterTreeGrape::new(*cfg)).expect("resume");
     for _ in cut + 1..=steps {
         resumed.try_step(DT).expect("resumed step");
     }
@@ -234,15 +223,8 @@ fn run_full(
     let ck = Checkpointer::new(dir, 5).expect("create checkpoint dir").with_retention(3);
     let mut sim = if resume {
         let c = latest(dir).expect("read checkpoint dir").expect("no checkpoint to resume from");
-        let lc = c.lifecycle.clone().expect("lifecycle payload");
-        let (state, time) = c.load_snapshot().expect("checkpoint snapshot");
-        let mut backend = ClusterTreeGrape::new(*cfg);
-        for (slot, words) in &c.shard_fault_states {
-            backend.restore_fault_state(*slot, words).expect("restore fault words");
-        }
-        backend.restore_lifecycle(&lc);
-        println!("resuming flagship run from step {} (t = {})", c.step, time);
-        Simulation::resume(state, backend, time, c.step).expect("resume")
+        println!("resuming flagship run from step {} (t = {})", c.step, c.time);
+        c.resume(ClusterTreeGrape::new(*cfg)).expect("resume")
     } else {
         println!("starting flagship run: N = {n}, K = {k}, {steps} steps");
         Simulation::try_new(plummer(n, SEED), ClusterTreeGrape::new(*cfg), 0.0)
@@ -254,10 +236,7 @@ fn run_full(
         let t0 = Instant::now();
         sim.try_step(DT).expect("flagship step");
         let (crit, _, inter) = clocks.step(sim.backend(), cfg);
-        let alive = sim.backend().alive_shards();
-        let faults = sim.backend().fault_states();
-        let lc = sim.backend().lifecycle_state();
-        ck.maybe_write_cluster(&sim, alive, &faults, Some(&lc)).expect("rolling checkpoint");
+        ck.maybe_write(&sim).expect("rolling checkpoint");
         println!(
             "step {:>4}/{steps}  modeled {}  ({} inter, host wall {})",
             sim.steps,

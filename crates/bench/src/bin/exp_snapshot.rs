@@ -62,10 +62,8 @@ fn main() {
         .and_then(|c| latest(c.dir()).expect("scan checkpoint dir"))
     {
         Some(ck) => {
-            let (state, time) = ck.load_snapshot().expect("checkpoint snapshot");
-            println!("resuming from checkpoint at step {} (t = {:.6})", ck.step, time);
-            Simulation::resume(state, TreeGrape::new(cfg), time, ck.step)
-                .expect("resume simulation")
+            println!("resuming from checkpoint at step {} (t = {:.6})", ck.step, ck.time);
+            ck.resume(TreeGrape::new(cfg)).expect("resume simulation")
         }
         None => Simulation::new(ic.snapshot, TreeGrape::new(cfg), t_init),
     };
@@ -92,7 +90,7 @@ fn main() {
         }
         sim.step_to(t);
         if let Some(c) = &ckpt {
-            c.maybe_write(&sim, None).expect("write checkpoint");
+            c.maybe_write(&sim).expect("write checkpoint");
         }
     }
     let r = lagrangian_radii(&sim.state, &fractions);

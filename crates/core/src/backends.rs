@@ -12,6 +12,7 @@
 //! | [`TreeHost`] | tree (modified or original) | `f64` | algorithm-error reference |
 //! | [`TreeGrape`] | modified tree | GRAPE-5 | **the paper's system** |
 
+use crate::checkpoint::{invalid, ResumeState};
 use crate::engine::Engine;
 use crate::perf::PhaseTimers;
 use g5tree::eval::{self, PointForce};
@@ -25,6 +26,7 @@ use grape5::{
     RecoveryStats, RetryPolicy,
 };
 use serde::{Deserialize, Serialize};
+use std::io;
 use std::time::Instant;
 
 /// Why a force evaluation failed: the host-side plan pipeline broke, or
@@ -130,6 +132,25 @@ pub trait ForceBackend {
     /// and recovers device output.
     fn recovery_stats(&self) -> Option<RecoveryStats> {
         None
+    }
+
+    /// What a checkpoint must carry, beyond the particles, for this
+    /// backend to resume bit-identically. A host backend carries none.
+    fn resume_state(&self) -> ResumeState {
+        ResumeState::default()
+    }
+
+    /// Re-arm a freshly built backend (fault injectors armed as for the
+    /// interrupted run) from a checkpoint's resume state, so the resumed
+    /// run replays the fault schedule and supervisor decisions the
+    /// interrupted one would have seen. State this backend family does
+    /// not own is `InvalidData`; a host backend owns none.
+    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+        if *state == ResumeState::default() {
+            Ok(())
+        } else {
+            Err(invalid(format!("{} carries no resume state", self.name())))
+        }
     }
 }
 
@@ -568,6 +589,25 @@ impl ForceBackend for TreeGrape {
 
     fn recovery_stats(&self) -> Option<RecoveryStats> {
         Some(self.recovery)
+    }
+
+    /// The device's fault-injector words.
+    fn resume_state(&self) -> ResumeState {
+        ResumeState { fault_state: self.g5.fault_state_words(), ..ResumeState::default() }
+    }
+
+    /// The device's fault-injector words, and nothing of a cluster.
+    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+        let cluster = state.shards.is_some() || state.lifecycle.is_some();
+        if cluster || !state.shard_fault_states.is_empty() {
+            return Err(invalid(format!("cluster resume state for {}", self.name())));
+        }
+        if let Some(words) = &state.fault_state {
+            self.g5
+                .restore_fault_state(words)
+                .map_err(|e| invalid(format!("fault-state restore failed: {e}")))?;
+        }
+        Ok(())
     }
 }
 

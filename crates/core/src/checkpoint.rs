@@ -9,9 +9,17 @@
 //!   against truncation and bit-rot;
 //! * `step_NNNNNNNN.ckpt` — a small text manifest holding the step
 //!   index, the integrator time as an exact `f64` bit pattern, and the
-//!   serialized fault-injector RNG state (when one is armed), so a
-//!   resumed run replays the *same* fault schedule it would have seen
+//!   backend's [`ResumeState`] (fault-injector RNG words, a cluster's
+//!   shard count and lifecycle), so a resumed run replays the *same*
+//!   fault schedule and supervisor decisions it would have seen
 //!   uninterrupted.
+//!
+//! One writer ([`Checkpointer::write`]) emits every manifest, one
+//! lister finds them, and one call ([`Checkpoint::resume`]) takes a
+//! manifest and a freshly built backend back to a running
+//! [`Simulation`]. What a backend saves and restores is the backend's
+//! own business ([`ForceBackend::resume_state`] /
+//! [`ForceBackend::restore`]); no caller assembles it by hand.
 //!
 //! The snapshot is written first and the manifest second, so a kill
 //! mid-checkpoint leaves no manifest pointing at a complete pair;
@@ -24,7 +32,10 @@
 //! the uninterrupted run was carrying (see the resume proptests).
 
 use crate::integrator::Simulation;
-use crate::{backends::ForceBackend, snapshot_io};
+use crate::{
+    backends::{ForceBackend, ForceError},
+    snapshot_io,
+};
 use g5ic::Snapshot;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -39,21 +50,8 @@ pub struct Checkpoint {
     pub step: u64,
     /// Integrator time, bit-exact.
     pub time: f64,
-    /// Snapshot file the manifest points at.
+    /// Snapshot file the manifest points at (always beside it).
     pub snapshot: PathBuf,
-    /// Serialized fault-injector state ([`grape5::Grape5::fault_state_words`]),
-    /// if a fault injector was armed.
-    pub fault_state: Option<Vec<u64>>,
-    /// Alive shard count of a cluster run (`None` for single-device
-    /// manifests — the pre-cluster format, still readable).
-    pub shards: Option<usize>,
-    /// Per-shard fault-injector state of a cluster run, as
-    /// `(shard slot, state words)` for every armed alive shard.
-    pub shard_fault_states: Vec<(usize, Vec<u64>)>,
-    /// Shard lifecycle supervisor state (`None` for manifests written
-    /// before the lifecycle layer, or for single-device runs). Stored
-    /// under additive keys a pre-lifecycle reader skips as unknown.
-    pub lifecycle: Option<ClusterLifecycle>,
     /// Owning job id of a job-scoped checkpoint directory (`None` for
     /// manifests written by single-run binaries). A multi-tenant
     /// server writes its job id into every manifest and refuses to
@@ -61,7 +59,53 @@ pub struct Checkpoint {
     /// guard against two jobs ever sharing (or being pointed at) one
     /// directory.
     pub job_id: Option<String>,
+    /// The backend state the manifest carries.
+    pub state: ResumeState,
 }
+
+/// What a backend must carry across a checkpoint, beyond the particles,
+/// to resume bit-identically ([`ForceBackend::resume_state`]): nothing
+/// for a host backend; the fault-injector words of a single device;
+/// the alive-shard count, per-shard fault words and lifecycle of a
+/// cluster. [`ForceBackend::restore`] rejects any field its backend
+/// family does not own, so a manifest cannot resume silently on a
+/// backend that computes different forces.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ResumeState {
+    /// Serialized fault-injector state of a single device
+    /// ([`grape5::Grape5::fault_state_words`]), if an injector is armed.
+    pub fault_state: Option<Vec<u64>>,
+    /// Alive shard count of a cluster run.
+    pub shards: Option<usize>,
+    /// Per-shard fault-injector state of a cluster run, as
+    /// `(shard slot, state words)` for every armed alive shard.
+    pub shard_fault_states: Vec<(usize, Vec<u64>)>,
+    /// Shard lifecycle supervisor state (`None` for manifests written
+    /// before the lifecycle layer). Stored under additive keys a
+    /// pre-lifecycle reader skips as unknown.
+    pub lifecycle: Option<ClusterLifecycle>,
+}
+
+/// Why [`Checkpoint::resume`] could not produce a simulation.
+#[derive(Debug)]
+pub enum ResumeError {
+    /// The snapshot would not load, or the backend refused the
+    /// manifest's resume state: this checkpoint cannot resume here.
+    Corrupt(io::Error),
+    /// The force evaluation at the restored state failed.
+    Force(ForceError),
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::Corrupt(e) => write!(f, "{e}"),
+            ResumeError::Force(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
 
 /// The shard lifecycle supervisor's state at checkpoint time — what a
 /// resumed run needs to re-create the interrupted run's decomposition
@@ -89,12 +133,56 @@ impl Checkpoint {
     pub fn load_snapshot(&self) -> io::Result<(Snapshot, f64)> {
         let (snap, time) = snapshot_io::load(&self.snapshot)?;
         if time.to_bits() != self.time.to_bits() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "manifest/snapshot time mismatch",
-            ));
+            return Err(invalid("manifest/snapshot time mismatch".into()));
         }
         Ok((snap, time))
+    }
+
+    /// Resume the run on `backend`, built as for the interrupted run
+    /// with its fault injectors armed: load the snapshot, restore the
+    /// backend's resume state, recompute the forces.
+    pub fn resume<B: ForceBackend>(&self, mut backend: B) -> Result<Simulation<B>, ResumeError> {
+        let (snap, time) = self.load_snapshot().map_err(|e| {
+            ResumeError::Corrupt(io::Error::new(e.kind(), format!("snapshot load failed: {e}")))
+        })?;
+        backend.restore(&self.state).map_err(ResumeError::Corrupt)?;
+        Simulation::resume(snap, backend, time, self.step).map_err(ResumeError::Force)
+    }
+}
+
+/// An `InvalidData` error: a manifest or resume state that cannot be
+/// taken.
+pub(crate) fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// A `u64` word list as the manifest writes it: space-separated
+/// 16-digit hex.
+fn hex_words(words: &[u64]) -> String {
+    words.iter().map(|w| format!("{w:016x}")).collect::<Vec<_>>().join(" ")
+}
+
+/// Every manifest in `dir`, oldest step first; a missing directory
+/// holds none.
+fn manifests(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let entries = match std::fs::read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        entries => entries?,
+    };
+    let mut manifests: Vec<PathBuf> = entries
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .collect();
+    manifests.sort();
+    Ok(manifests)
+}
+
+/// Remove `path`; one already gone counts as removed.
+fn remove_if_present(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+        removed => removed,
     }
 }
 
@@ -145,91 +233,61 @@ impl Checkpointer {
     }
 
     /// Delete checkpoint pairs beyond the retention window (oldest
-    /// first). Prune errors are reported but the just-written
+    /// first), the snapshot before its manifest: a kill between the two
+    /// removes leaves a manifest that [`latest`] skips and the next
+    /// prune lists again, never an orphaned snapshot. A file already
+    /// gone counts as removed, so a pair that lost its snapshot cannot
+    /// fail the write that triggered the prune. The just-written
     /// checkpoint is never touched: retention keeps ≥ 1.
     fn prune(&self) -> io::Result<()> {
         let Some(keep) = self.keep else { return Ok(()) };
-        let mut manifests: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-            .collect();
-        manifests.sort();
+        let manifests = manifests(&self.dir)?;
         let excess = manifests.len().saturating_sub(keep);
         for path in &manifests[..excess] {
-            std::fs::remove_file(path)?;
-            std::fs::remove_file(path.with_extension("snap"))?;
+            remove_if_present(&path.with_extension("snap"))?;
+            remove_if_present(path)?;
         }
         Ok(())
     }
 
-    /// Write a checkpoint for an arbitrary state (snapshot first,
-    /// manifest second). Returns the manifest path.
+    /// Write a checkpoint (snapshot first, manifest second), then prune
+    /// to the retention window. Returns the manifest path.
+    ///
+    /// The manifest keys come in one fixed order — magic, step, time,
+    /// snapshot, job, then `state`'s: `fault_state`, `shards`,
+    /// `shard_fault_state`…, and the lifecycle block (`evals`,
+    /// `shard_health`…, `shard_rate`…, `cut_weights`, `ledger_event`…)
+    /// — so a manifest's bytes depend on the run alone.
     pub fn write(
         &self,
         snap: &Snapshot,
         time: f64,
         step: u64,
-        fault_state: Option<&[u64]>,
+        state: &ResumeState,
     ) -> io::Result<PathBuf> {
         let snap_path = self.dir.join(format!("step_{step:08}.snap"));
         snapshot_io::save(&snap_path, snap, time)?;
 
-        let manifest_path = self.dir.join(format!("step_{step:08}.ckpt"));
+        let manifest_path = snap_path.with_extension("ckpt");
         let mut f = std::fs::File::create(&manifest_path)?;
         writeln!(f, "{MANIFEST_MAGIC}")?;
         writeln!(f, "step {step}")?;
         // f64 as its exact bit pattern: a text manifest must not round
         writeln!(f, "time {:016x}", time.to_bits())?;
-        writeln!(f, "snapshot {}", snap_path.file_name().unwrap().to_string_lossy())?;
+        writeln!(f, "snapshot step_{step:08}.snap")?;
         if let Some(job) = &self.job_id {
             writeln!(f, "job {job}")?;
         }
-        if let Some(words) = fault_state {
-            let hex: Vec<String> = words.iter().map(|w| format!("{w:016x}")).collect();
-            writeln!(f, "fault_state {}", hex.join(" "))?;
+        if let Some(words) = &state.fault_state {
+            writeln!(f, "fault_state {}", hex_words(words))?;
         }
-        f.flush()?;
-        self.prune()?;
-        Ok(manifest_path)
-    }
-
-    /// Write a checkpoint of a *cluster* run: the same crash-atomic
-    /// snapshot-then-manifest pair, with the alive shard count and each
-    /// armed shard's fault-injector state added under keys a
-    /// pre-cluster reader skips as unknown. Returns the manifest path.
-    ///
-    /// `shards` must be the number of shards *alive* at the instant of
-    /// the checkpoint: a resumed run re-decomposes over that count, and
-    /// the decomposition depends only on the count, so the resumed
-    /// partition matches the one the interrupted run was using.
-    pub fn write_cluster(
-        &self,
-        snap: &Snapshot,
-        time: f64,
-        step: u64,
-        shards: usize,
-        shard_fault_states: &[(usize, Vec<u64>)],
-        lifecycle: Option<&ClusterLifecycle>,
-    ) -> io::Result<PathBuf> {
-        let snap_path = self.dir.join(format!("step_{step:08}.snap"));
-        snapshot_io::save(&snap_path, snap, time)?;
-
-        let manifest_path = self.dir.join(format!("step_{step:08}.ckpt"));
-        let mut f = std::fs::File::create(&manifest_path)?;
-        writeln!(f, "{MANIFEST_MAGIC}")?;
-        writeln!(f, "step {step}")?;
-        writeln!(f, "time {:016x}", time.to_bits())?;
-        writeln!(f, "snapshot {}", snap_path.file_name().unwrap().to_string_lossy())?;
-        if let Some(job) = &self.job_id {
-            writeln!(f, "job {job}")?;
+        if let Some(shards) = state.shards {
+            writeln!(f, "shards {shards}")?;
         }
-        writeln!(f, "shards {shards}")?;
-        for (slot, words) in shard_fault_states {
-            let hex: Vec<String> = words.iter().map(|w| format!("{w:016x}")).collect();
-            writeln!(f, "shard_fault_state {slot} {}", hex.join(" "))?;
+        for (slot, words) in &state.shard_fault_states {
+            writeln!(f, "shard_fault_state {slot} {}", hex_words(words))?;
         }
-        if let Some(lc) = lifecycle {
+        if let Some(lc) = &state.lifecycle {
             // additive keys: a pre-lifecycle reader skips all of these
             // through its unknown-key arm. `evals` doubles as the
             // presence sentinel for the whole lifecycle block.
@@ -253,43 +311,12 @@ impl Checkpointer {
         Ok(manifest_path)
     }
 
-    /// Checkpoint a cluster simulation if its step count hits the
-    /// interval — the cluster-format counterpart of
-    /// [`maybe_write`](Self::maybe_write). Pass
-    /// `backend.alive_shards()` and `backend.fault_states()`.
-    pub fn maybe_write_cluster<B: ForceBackend>(
-        &self,
-        sim: &Simulation<B>,
-        shards: usize,
-        shard_fault_states: &[(usize, Vec<u64>)],
-        lifecycle: Option<&ClusterLifecycle>,
-    ) -> io::Result<Option<PathBuf>> {
+    /// Checkpoint the simulation, with its backend's resume state, if
+    /// its step count hits the interval.
+    pub fn maybe_write<B: ForceBackend>(&self, sim: &Simulation<B>) -> io::Result<Option<PathBuf>> {
         if sim.steps > 0 && sim.steps.is_multiple_of(self.every) {
-            return self
-                .write_cluster(
-                    &sim.state,
-                    sim.time,
-                    sim.steps,
-                    shards,
-                    shard_fault_states,
-                    lifecycle,
-                )
-                .map(Some);
-        }
-        Ok(None)
-    }
-
-    /// Checkpoint the simulation if its step count hits the interval.
-    /// `fault_state` is whatever the device reports at this instant
-    /// (pass `sim.backend_mut().grape_mut().fault_state_words()` for
-    /// GRAPE backends, `None` otherwise).
-    pub fn maybe_write<B: ForceBackend>(
-        &self,
-        sim: &Simulation<B>,
-        fault_state: Option<&[u64]>,
-    ) -> io::Result<Option<PathBuf>> {
-        if sim.steps > 0 && sim.steps.is_multiple_of(self.every) {
-            return self.write(&sim.state, sim.time, sim.steps, fault_state).map(Some);
+            let state = sim.backend().resume_state();
+            return self.write(&sim.state, sim.time, sim.steps, &state).map(Some);
         }
         Ok(None)
     }
@@ -298,7 +325,7 @@ impl Checkpointer {
 /// Parse one manifest file.
 pub fn read_manifest(path: &Path) -> io::Result<Checkpoint> {
     let text = std::fs::read_to_string(path)?;
-    let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, format!("{m}: {path:?}"));
+    let bad = |m: &str| invalid(format!("{m}: {path:?}"));
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_MAGIC) {
         return Err(bad("bad manifest magic"));
@@ -306,10 +333,8 @@ pub fn read_manifest(path: &Path) -> io::Result<Checkpoint> {
     let mut step = None;
     let mut time = None;
     let mut snapshot = None;
-    let mut fault_state = None;
-    let mut shards = None;
     let mut job_id = None;
-    let mut shard_fault_states = Vec::new();
+    let mut state = ResumeState::default();
     let mut evals = None;
     let mut healths = Vec::new();
     let mut rates = Vec::new();
@@ -325,15 +350,20 @@ pub fn read_manifest(path: &Path) -> io::Result<Checkpoint> {
                 time = Some(f64::from_bits(bits));
             }
             "snapshot" => {
+                // a bare file name beside the manifest: a path could
+                // point this job at another directory's state
+                if Path::new(value).file_name().is_none_or(|name| name != value) {
+                    return Err(bad("snapshot is not a file name beside its manifest"));
+                }
                 snapshot = Some(path.parent().unwrap_or(Path::new(".")).join(value));
             }
             "fault_state" => {
                 let words: Result<Vec<u64>, _> =
                     value.split_whitespace().map(|w| u64::from_str_radix(w, 16)).collect();
-                fault_state = Some(words.map_err(|_| bad("bad fault state"))?);
+                state.fault_state = Some(words.map_err(|_| bad("bad fault state"))?);
             }
             "shards" => {
-                shards = Some(value.parse::<usize>().map_err(|_| bad("bad shard count"))?);
+                state.shards = Some(value.parse::<usize>().map_err(|_| bad("bad shard count"))?);
             }
             "job" => {
                 if value.is_empty() || value.contains(char::is_whitespace) {
@@ -348,7 +378,9 @@ pub fn read_manifest(path: &Path) -> io::Result<Checkpoint> {
                     .and_then(|s| s.parse::<usize>().ok())
                     .ok_or_else(|| bad("bad shard fault slot"))?;
                 let words: Result<Vec<u64>, _> = it.map(|w| u64::from_str_radix(w, 16)).collect();
-                shard_fault_states.push((slot, words.map_err(|_| bad("bad shard fault state"))?));
+                state
+                    .shard_fault_states
+                    .push((slot, words.map_err(|_| bad("bad shard fault state"))?));
             }
             "evals" => {
                 evals = Some(value.parse::<u64>().map_err(|_| bad("bad eval count"))?);
@@ -377,17 +409,14 @@ pub fn read_manifest(path: &Path) -> io::Result<Checkpoint> {
             _ => {} // unknown keys: forward compatibility
         }
     }
-    let lifecycle =
+    state.lifecycle =
         evals.map(|evals| ClusterLifecycle { evals, healths, rates, cut_weights, ledger });
     Ok(Checkpoint {
         step: step.ok_or_else(|| bad("missing step"))?,
         time: time.ok_or_else(|| bad("missing time"))?,
         snapshot: snapshot.ok_or_else(|| bad("missing snapshot"))?,
-        fault_state,
-        shards,
-        shard_fault_states,
-        lifecycle,
         job_id,
+        state,
     })
 }
 
@@ -412,16 +441,7 @@ fn latest_filtered(
     dir: &Path,
     accept: impl Fn(&Checkpoint) -> bool,
 ) -> io::Result<Option<Checkpoint>> {
-    if !dir.exists() {
-        return Ok(None);
-    }
-    let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    manifests.sort();
-    for path in manifests.iter().rev() {
+    for path in manifests(dir)?.iter().rev() {
         let Ok(ckpt) = read_manifest(path) else { continue };
         if accept(&ckpt) && ckpt.load_snapshot().is_ok() {
             return Ok(Some(ckpt));
@@ -448,16 +468,7 @@ pub struct ScrubReport {
 /// not at restore time when it is too late.
 pub fn scrub(dir: &Path, last: usize) -> io::Result<ScrubReport> {
     let mut report = ScrubReport::default();
-    if !dir.exists() {
-        return Ok(report);
-    }
-    let mut manifests: Vec<PathBuf> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ckpt"))
-        .collect();
-    manifests.sort();
-    for path in manifests.iter().rev().take(last) {
+    for path in manifests(dir)?.iter().rev().take(last) {
         report.checked += 1;
         let ok = read_manifest(path).and_then(|c| c.load_snapshot()).is_ok();
         if ok {
@@ -488,26 +499,43 @@ mod tests {
         }
     }
 
+    fn device(words: &[u64]) -> ResumeState {
+        ResumeState { fault_state: Some(words.to_vec()), ..ResumeState::default() }
+    }
+
+    fn cluster(
+        shards: usize,
+        states: &[(usize, Vec<u64>)],
+        lifecycle: Option<&ClusterLifecycle>,
+    ) -> ResumeState {
+        ResumeState {
+            shards: Some(shards),
+            shard_fault_states: states.to_vec(),
+            lifecycle: lifecycle.cloned(),
+            ..ResumeState::default()
+        }
+    }
+
     #[test]
     fn write_then_latest_roundtrips() {
         let dir = tmpdir("roundtrip");
         let ck = Checkpointer::new(&dir, 5).unwrap();
         // a time value with a messy bit pattern must survive exactly
         let time = 0.1 + 0.2;
-        ck.write(&sample(1.0), time, 5, Some(&[1, 0xdead_beef, 42])).unwrap();
-        ck.write(&sample(2.0), time * 2.0, 10, None).unwrap();
+        ck.write(&sample(1.0), time, 5, &device(&[1, 0xdead_beef, 42])).unwrap();
+        ck.write(&sample(2.0), time * 2.0, 10, &ResumeState::default()).unwrap();
 
         let latest = latest(&dir).unwrap().unwrap();
         assert_eq!(latest.step, 10);
         assert_eq!(latest.time.to_bits(), (time * 2.0).to_bits());
-        assert_eq!(latest.fault_state, None);
+        assert_eq!(latest.state.fault_state, None);
         let (snap, t) = latest.load_snapshot().unwrap();
         assert_eq!(snap.pos, sample(2.0).pos);
         assert_eq!(t.to_bits(), (time * 2.0).to_bits());
 
         // the older one still parses, with its fault state intact
         let older = read_manifest(&dir.join("step_00000005.ckpt")).unwrap();
-        assert_eq!(older.fault_state, Some(vec![1, 0xdead_beef, 42]));
+        assert_eq!(older.state.fault_state, Some(vec![1, 0xdead_beef, 42]));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -515,8 +543,8 @@ mod tests {
     fn corrupt_newest_falls_back_to_previous() {
         let dir = tmpdir("fallback");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write(&sample(1.0), 1.0, 1, None).unwrap();
-        ck.write(&sample(2.0), 2.0, 2, None).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &ResumeState::default()).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &ResumeState::default()).unwrap();
         // bit-rot the newest snapshot: CRC fails, latest() must fall
         // back to step 1
         let snap2 = dir.join("step_00000002.snap");
@@ -535,14 +563,14 @@ mod tests {
         let dir = tmpdir("cluster_roundtrip");
         let ck = Checkpointer::new(&dir, 1).unwrap();
         let states = vec![(0usize, vec![7u64, 8, 9]), (2usize, vec![0xfeed_f00d])];
-        ck.write_cluster(&sample(3.0), 1.5, 12, 3, &states, None).unwrap();
+        ck.write(&sample(3.0), 1.5, 12, &cluster(3, &states, None)).unwrap();
 
         let got = latest(&dir).unwrap().unwrap();
         assert_eq!(got.step, 12);
-        assert_eq!(got.shards, Some(3));
-        assert_eq!(got.shard_fault_states, states);
-        assert_eq!(got.fault_state, None);
-        assert_eq!(got.lifecycle, None);
+        assert_eq!(got.state.shards, Some(3));
+        assert_eq!(got.state.shard_fault_states, states);
+        assert_eq!(got.state.fault_state, None);
+        assert_eq!(got.state.lifecycle, None);
         let (snap, _) = got.load_snapshot().unwrap();
         assert_eq!(snap.pos, sample(3.0).pos);
         std::fs::remove_dir_all(dir).ok();
@@ -555,14 +583,14 @@ mod tests {
         // shards: None — the two formats coexist in one directory
         let dir = tmpdir("mixed_view");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write(&sample(1.0), 1.0, 1, Some(&[5])).unwrap();
-        ck.write_cluster(&sample(2.0), 2.0, 2, 4, &[], None).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &device(&[5])).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &cluster(4, &[], None)).unwrap();
 
         let old = read_manifest(&dir.join("step_00000001.ckpt")).unwrap();
-        assert_eq!(old.shards, None);
-        assert_eq!(old.fault_state, Some(vec![5]));
+        assert_eq!(old.state.shards, None);
+        assert_eq!(old.state.fault_state, Some(vec![5]));
         let new = read_manifest(&dir.join("step_00000002.ckpt")).unwrap();
-        assert_eq!(new.shards, Some(4));
+        assert_eq!(new.state.shards, Some(4));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -575,9 +603,9 @@ mod tests {
         // corrupt neighbor or stop at the oldest.
         let dir = tmpdir("mixed_fallback");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write(&sample(1.0), 1.0, 1, None).unwrap();
-        ck.write_cluster(&sample(2.0), 2.0, 2, 2, &[(0, vec![1, 2])], None).unwrap();
-        ck.write(&sample(3.0), 3.0, 3, Some(&[9])).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &ResumeState::default()).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &cluster(2, &[(0, vec![1, 2])], None)).unwrap();
+        ck.write(&sample(3.0), 3.0, 3, &device(&[9])).unwrap();
         let snap3 = dir.join("step_00000003.snap");
         let mut bytes = std::fs::read(&snap3).unwrap();
         let mid = bytes.len() / 2;
@@ -586,8 +614,8 @@ mod tests {
 
         let got = latest(&dir).unwrap().unwrap();
         assert_eq!(got.step, 2);
-        assert_eq!(got.shards, Some(2));
-        assert_eq!(got.shard_fault_states, vec![(0, vec![1, 2])]);
+        assert_eq!(got.state.shards, Some(2));
+        assert_eq!(got.state.shard_fault_states, vec![(0, vec![1, 2])]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -597,8 +625,8 @@ mod tests {
         // checkpoint, the fallback a valid single-shard one
         let dir = tmpdir("mixed_fallback_rev");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write(&sample(1.0), 1.0, 1, None).unwrap();
-        ck.write_cluster(&sample(2.0), 2.0, 2, 3, &[], None).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &ResumeState::default()).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &cluster(3, &[], None)).unwrap();
         let snap2 = dir.join("step_00000002.snap");
         let mut bytes = std::fs::read(&snap2).unwrap();
         bytes.truncate(bytes.len() / 2); // truncation, not just bit-rot
@@ -606,7 +634,7 @@ mod tests {
 
         let got = latest(&dir).unwrap().unwrap();
         assert_eq!(got.step, 1);
-        assert_eq!(got.shards, None);
+        assert_eq!(got.state.shards, None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -617,8 +645,8 @@ mod tests {
         // checkpoint instead of erroring or resuming garbage
         let dir = tmpdir("torn");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write(&sample(1.0), 1.0, 1, None).unwrap();
-        ck.write(&sample(2.0), 2.0, 2, Some(&[1, 2, 3])).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &ResumeState::default()).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &device(&[1, 2, 3])).unwrap();
         let m2 = dir.join("step_00000002.ckpt");
         let bytes = std::fs::read(&m2).unwrap();
         // tear mid-line: the magic and step lines survive ("G5CKPT1\n"
@@ -645,11 +673,11 @@ mod tests {
                 "eval 9: re-decomposed over 2 shards, weights [16, 3]".into(),
             ],
         };
-        ck.write_cluster(&sample(4.0), 2.5, 9, 2, &[(0, vec![1])], Some(&lc)).unwrap();
+        ck.write(&sample(4.0), 2.5, 9, &cluster(2, &[(0, vec![1])], Some(&lc))).unwrap();
 
         let got = latest(&dir).unwrap().unwrap();
-        assert_eq!(got.shards, Some(2));
-        assert_eq!(got.lifecycle, Some(lc), "spaces in ledger events must survive");
+        assert_eq!(got.state.shards, Some(2));
+        assert_eq!(got.state.lifecycle, Some(lc), "spaces in ledger events must survive");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -663,14 +691,14 @@ mod tests {
         // PR 6 reader survives our ledger keys).
         let dir = tmpdir("mixed_versions");
         let ck = Checkpointer::new(&dir, 1).unwrap();
-        ck.write_cluster(&sample(1.0), 1.0, 1, 3, &[], None).unwrap(); // old format
+        ck.write(&sample(1.0), 1.0, 1, &cluster(3, &[], None)).unwrap(); // old format
         let lc = ClusterLifecycle { evals: 2, ..Default::default() };
-        ck.write_cluster(&sample(2.0), 2.0, 2, 3, &[], Some(&lc)).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &cluster(3, &[], Some(&lc))).unwrap();
 
         let old = read_manifest(&dir.join("step_00000001.ckpt")).unwrap();
-        assert_eq!(old.lifecycle, None);
+        assert_eq!(old.state.lifecycle, None);
         let new = read_manifest(&dir.join("step_00000002.ckpt")).unwrap();
-        assert_eq!(new.lifecycle, Some(lc));
+        assert_eq!(new.state.lifecycle, Some(lc));
 
         // future keys are skipped, known keys around them still land
         let future = dir.join("step_00000003.ckpt");
@@ -680,7 +708,7 @@ mod tests {
         std::fs::write(&future, text).unwrap();
         let got = read_manifest(&future).unwrap();
         assert_eq!(got.step, 3);
-        let got_lc = got.lifecycle.unwrap();
+        let got_lc = got.state.lifecycle.unwrap();
         assert_eq!(got_lc.evals, 2);
         assert_eq!(got_lc.ledger, vec!["eval 5: future note".to_string()]);
         std::fs::remove_dir_all(dir).ok();
@@ -691,7 +719,7 @@ mod tests {
         let dir = tmpdir("retention");
         let ck = Checkpointer::new(&dir, 1).unwrap().with_retention(2);
         for step in 1..=5u64 {
-            ck.write(&sample(step as f64), step as f64, step, None).unwrap();
+            ck.write(&sample(step as f64), step as f64, step, &ResumeState::default()).unwrap();
         }
         let mut files: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -712,11 +740,61 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_that_lost_its_snapshot_neither_fails_the_next_write_nor_lingers() {
+        // the oldest retained pair has lost its snapshot (a kill between
+        // the two removes of an earlier prune, or an operator): the next
+        // write's own pair is on disk, so the prune it triggers must not
+        // turn into an error, and the stale manifest must go
+        let dir = tmpdir("pruned_orphan");
+        let ck = Checkpointer::new(&dir, 1).unwrap().with_retention(2);
+        let none = ResumeState::default();
+        ck.write(&sample(1.0), 1.0, 1, &none).unwrap();
+        ck.write(&sample(2.0), 2.0, 2, &none).unwrap();
+        std::fs::remove_file(dir.join("step_00000001.snap")).unwrap();
+
+        ck.write(&sample(3.0), 3.0, 3, &none)
+            .expect("a prune of a half-gone pair failed the write");
+        assert!(!dir.join("step_00000001.ckpt").exists(), "the stale manifest lingers");
+        assert_eq!(manifests(&dir).unwrap().len(), 2);
+        assert_eq!(latest(&dir).unwrap().unwrap().step, 3);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn one_writer_emits_every_key_in_the_fixed_order() {
+        // the manifest bytes every run of record has on disk: any state
+        // the writer is given comes out in this order and no other
+        let dir = tmpdir("key_order");
+        let ck = Checkpointer::new(&dir, 1).unwrap().with_job_id("job-0003");
+        let lc = ClusterLifecycle {
+            evals: 6,
+            healths: vec![(0, 0), (1, 2)],
+            rates: vec![(0, 2.0f64.to_bits())],
+            cut_weights: vec![8, 8],
+            ledger: vec!["eval 2: shard 1 killed by operator".into()],
+        };
+        let state =
+            ResumeState { fault_state: Some(vec![7]), ..cluster(1, &[(0, vec![1, 2])], Some(&lc)) };
+        let path = ck.write(&sample(1.0), 0.5, 4, &state).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "G5CKPT1\nstep 4\ntime 3fe0000000000000\nsnapshot step_00000004.snap\njob job-0003\n\
+             fault_state 0000000000000007\nshards 1\n\
+             shard_fault_state 0 0000000000000001 0000000000000002\nevals 6\nshard_health 0 0\n\
+             shard_health 1 2\nshard_rate 0 4000000000000000\ncut_weights 8 8\n\
+             ledger_event eval 2: shard 1 killed by operator\n"
+        );
+        assert_eq!(read_manifest(&path).unwrap().state, state);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn scrub_counts_valid_and_flags_corrupt() {
         let dir = tmpdir("scrub");
         let ck = Checkpointer::new(&dir, 1).unwrap();
         for step in 1..=3u64 {
-            ck.write(&sample(step as f64), step as f64, step, None).unwrap();
+            ck.write(&sample(step as f64), step as f64, step, &ResumeState::default()).unwrap();
         }
         // bit-rot the middle snapshot
         let snap2 = dir.join("step_00000002.snap");
@@ -754,18 +832,18 @@ mod tests {
     fn job_id_roundtrips_and_gates_resume() {
         let dir = tmpdir("job_scoped");
         let ck = Checkpointer::new(&dir, 1).unwrap().with_job_id("job-0007");
-        ck.write(&sample(1.0), 1.0, 1, Some(&[3])).unwrap();
+        ck.write(&sample(1.0), 1.0, 1, &device(&[3])).unwrap();
 
         let got = latest_for_job(&dir, "job-0007").unwrap().unwrap();
         assert_eq!(got.job_id.as_deref(), Some("job-0007"));
-        assert_eq!(got.fault_state, Some(vec![3]));
+        assert_eq!(got.state.fault_state, Some(vec![3]));
         // a different job must not resume from this directory, and the
         // unvalidated reader still sees the manifest (forward compat)
         assert_eq!(latest_for_job(&dir, "job-0008").unwrap(), None);
         assert_eq!(latest(&dir).unwrap().unwrap().step, 1);
         // an unstamped manifest is equally unacceptable to a job reader
         let unstamped = Checkpointer::new(&dir, 1).unwrap();
-        unstamped.write(&sample(2.0), 2.0, 2, None).unwrap();
+        unstamped.write(&sample(2.0), 2.0, 2, &ResumeState::default()).unwrap();
         assert_eq!(latest_for_job(&dir, "job-0007").unwrap().unwrap().step, 1);
         std::fs::remove_dir_all(dir).ok();
     }
@@ -774,9 +852,9 @@ mod tests {
     fn job_id_stamps_cluster_manifests_too() {
         let dir = tmpdir("job_cluster");
         let ck = Checkpointer::new(&dir, 1).unwrap().with_job_id("fleet-3");
-        ck.write_cluster(&sample(1.0), 1.0, 4, 2, &[(0, vec![9])], None).unwrap();
+        ck.write(&sample(1.0), 1.0, 4, &cluster(2, &[(0, vec![9])], None)).unwrap();
         let got = latest_for_job(&dir, "fleet-3").unwrap().unwrap();
-        assert_eq!(got.shards, Some(2));
+        assert_eq!(got.state.shards, Some(2));
         assert_eq!(got.job_id.as_deref(), Some("fleet-3"));
         std::fs::remove_dir_all(dir).ok();
     }
@@ -802,7 +880,13 @@ mod tests {
                 let id = format!("job-{j:04}");
                 let ck = Checkpointer::new(&dir, 1).unwrap().with_retention(3).with_job_id(&id);
                 for step in 1..=20u64 {
-                    ck.write(&sample(j as f64 + step as f64), step as f64, step, None).unwrap();
+                    ck.write(
+                        &sample(j as f64 + step as f64),
+                        step as f64,
+                        step,
+                        &ResumeState::default(),
+                    )
+                    .unwrap();
                 }
                 let report = scrub(&dir, 10).unwrap();
                 assert_eq!(report.checked, 3, "retention must leave exactly 3");
@@ -829,6 +913,19 @@ mod tests {
         let p = dir.join("step_00000001.ckpt");
         std::fs::write(&p, "NOTAMANIFEST\n").unwrap();
         assert!(read_manifest(&p).is_err());
+        assert_eq!(latest(&dir).unwrap(), None);
+
+        // a snapshot must be a file beside its manifest: a path into
+        // another job's directory, or anywhere, is not
+        let elsewhere = dir.join("elsewhere.snap");
+        snapshot_io::save(&elsewhere, &sample(1.0), 1.0).unwrap();
+        for snapshot in ["../job-7/step_00000010.snap", elsewhere.to_str().unwrap(), "..", ".", ""]
+        {
+            let text = format!("G5CKPT1\nstep 1\ntime 3ff0000000000000\nsnapshot {snapshot}\n");
+            std::fs::write(&p, text).unwrap();
+            let err = read_manifest(&p).expect_err(snapshot);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{snapshot:?}");
+        }
         assert_eq!(latest(&dir).unwrap(), None);
         std::fs::remove_dir_all(dir).ok();
     }

@@ -49,7 +49,7 @@
 //! shard boundaries can never survive into the new ones.
 
 use crate::backends::{ForceBackend, ForceError, ForceSet, TreeGrapeConfig};
-use crate::checkpoint::ClusterLifecycle;
+use crate::checkpoint::{invalid, ClusterLifecycle, ResumeState};
 use crate::engine::{Engine, Evaluation};
 use crate::perf::PhaseTimers;
 use g5tree::domain::Decomposition;
@@ -60,6 +60,7 @@ use grape5::{
     bounding_window, ClockAccounting, ClusterSession, DeviceError, FaultConfig, Grape5,
     ProbeOutcome, RecoveryStats, ShardHealth,
 };
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -367,18 +368,6 @@ impl ClusterTreeGrape {
         self.cluster.set_fault_injectors(base);
     }
 
-    /// Serialized fault-injector state per alive shard — the payload a
-    /// cluster checkpoint manifest records.
-    pub fn fault_states(&self) -> Vec<(usize, Vec<u64>)> {
-        self.cluster.fault_states()
-    }
-
-    /// Restore shard `k`'s fault-injector state (the injector must be
-    /// armed first).
-    pub fn restore_fault_state(&mut self, k: usize, words: &[u64]) -> Result<(), DeviceError> {
-        self.cluster.restore_fault_state(k, words)
-    }
-
     /// Clock accounting of shard `k` alone — the critical-path metric
     /// (max over shards) is derived from these.
     pub fn shard_accounting(&self, k: usize) -> ClockAccounting {
@@ -511,68 +500,6 @@ impl ClusterTreeGrape {
                 boards * quantile
             })
             .collect()
-    }
-
-    /// The supervisor's checkpointable state: shard healths, measured
-    /// rates, the weights of the decomposition in force, the eval
-    /// clock, and the recovery ledger.
-    pub fn lifecycle_state(&self) -> ClusterLifecycle {
-        ClusterLifecycle {
-            evals: self.evals,
-            // Probation is transient within a probe call; persist the
-            // three durable states (Readmitted checkpoints as Degraded:
-            // both are "serving, watched").
-            healths: self
-                .cluster
-                .healths()
-                .into_iter()
-                .enumerate()
-                .map(|(k, h)| {
-                    let durable = match h {
-                        ShardHealth::Probation | ShardHealth::Readmitted => ShardHealth::Degraded,
-                        other => other,
-                    };
-                    (k, durable.code())
-                })
-                .collect(),
-            rates: self
-                .measured_rate
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| **r > 0.0)
-                .map(|(k, r)| (k, r.to_bits()))
-                .collect(),
-            cut_weights: self.cut_weights.clone(),
-            ledger: self.ledger.events.clone(),
-        }
-    }
-
-    /// Restore the supervisor from a checkpoint and enter replay mode:
-    /// the next evaluation (the resume's force recompute) re-creates
-    /// the interrupted run's decomposition from the stored cut weights
-    /// and makes no supervisor decisions of its own, so the resumed
-    /// trajectory and ledger are bit-identical to the uninterrupted
-    /// run's.
-    pub fn restore_lifecycle(&mut self, lc: &ClusterLifecycle) {
-        for &(k, code) in &lc.healths {
-            if let Some(h) = ShardHealth::from_code(code) {
-                self.cluster.set_health(k, h);
-            }
-        }
-        for r in self.measured_rate.iter_mut() {
-            *r = 0.0;
-        }
-        for &(k, bits) in &lc.rates {
-            if k < self.measured_rate.len() {
-                self.measured_rate[k] = f64::from_bits(bits);
-            }
-        }
-        self.evals = lc.evals;
-        self.ledger = RecoveryLedger { events: lc.ledger.clone() };
-        self.replay_weights = (!lc.cut_weights.is_empty()).then(|| lc.cut_weights.clone());
-        self.replaying = true;
-        self.decomp = None;
-        self.live.clear();
     }
 }
 
@@ -920,6 +847,76 @@ impl ForceBackend for ClusterTreeGrape {
 
     fn recovery_stats(&self) -> Option<RecoveryStats> {
         Some(self.recovery)
+    }
+
+    /// The shards alive at this instant (a resumed run re-decomposes
+    /// over that count), each armed alive shard's fault words, and the
+    /// supervisor: shard healths, measured rates, the weights of the
+    /// decomposition in force, the eval clock and the recovery ledger.
+    fn resume_state(&self) -> ResumeState {
+        // Probation is transient within a probe call; persist the three
+        // durable states (Readmitted checkpoints as Degraded: both are
+        // "serving, watched").
+        let durable = |h| match h {
+            ShardHealth::Probation | ShardHealth::Readmitted => ShardHealth::Degraded,
+            other => other,
+        };
+        let healths = self.cluster.healths().into_iter().map(durable).map(ShardHealth::code);
+        let rates = self.measured_rate.iter().enumerate().filter(|(_, r)| **r > 0.0);
+        ResumeState {
+            fault_state: None,
+            shards: Some(self.alive_shards()),
+            shard_fault_states: self.cluster.fault_states(),
+            lifecycle: Some(ClusterLifecycle {
+                evals: self.evals,
+                healths: healths.enumerate().collect(),
+                rates: rates.map(|(k, r)| (k, r.to_bits())).collect(),
+                cut_weights: self.cut_weights.clone(),
+                ledger: self.ledger.events.clone(),
+            }),
+        }
+    }
+
+    /// Restore the shard fault words and the supervisor, entering replay
+    /// mode: the next evaluation (the resume's force recompute)
+    /// re-creates the interrupted run's decomposition from the stored
+    /// cut weights and makes no supervisor decisions of its own, so the
+    /// resumed trajectory and ledger are bit-identical to the
+    /// uninterrupted run's. As many shards must then serve as the
+    /// checkpoint recorded — the cuts depend on that count.
+    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+        let Some(shards) = state.shards.filter(|_| state.fault_state.is_none()) else {
+            return Err(invalid(format!("not a cluster checkpoint, for {}", self.name())));
+        };
+        for (slot, words) in &state.shard_fault_states {
+            self.cluster
+                .restore_fault_state(*slot, words)
+                .map_err(|e| invalid(format!("shard {slot} fault restore failed: {e}")))?;
+        }
+        if let Some(lc) = &state.lifecycle {
+            for &(k, code) in &lc.healths {
+                if let Some(h) = ShardHealth::from_code(code) {
+                    self.cluster.set_health(k, h);
+                }
+            }
+            self.measured_rate.fill(0.0);
+            for &(k, bits) in &lc.rates {
+                if let Some(r) = self.measured_rate.get_mut(k) {
+                    *r = f64::from_bits(bits);
+                }
+            }
+            self.evals = lc.evals;
+            self.ledger = RecoveryLedger { events: lc.ledger.clone() };
+            self.replay_weights = (!lc.cut_weights.is_empty()).then(|| lc.cut_weights.clone());
+            self.replaying = true;
+            self.decomp = None;
+            self.live.clear();
+        }
+        if self.alive_shards() != shards {
+            let alive = self.alive_shards();
+            return Err(invalid(format!("checkpoint of {shards} serving shards restored {alive}")));
+        }
+        Ok(())
     }
 }
 

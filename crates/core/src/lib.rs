@@ -40,8 +40,8 @@
 //! * [`snapshot_io`] — compact binary snapshot save/load (checksummed
 //!   `G5SNAP2` records).
 //! * [`checkpoint`] — periodic checkpoint/restart: manifests carrying
-//!   step index, bit-exact integrator time and fault-injector state,
-//!   resumable bit-identically.
+//!   step index, bit-exact integrator time and the backend's resume
+//!   state, resumable bit-identically.
 //! * [`spec`] — declarative backend construction ([`BackendSpec`] →
 //!   [`AnyBackend`]): the value-typed handle a multi-tenant job
 //!   service builds, checkpoints and restores workers from.
@@ -64,7 +64,9 @@ pub use backends::{
     DirectGrape, DirectHost, ForceBackend, ForceError, ForceSet, RefreshPolicy, TreeGrape,
     TreeGrapeConfig, TreeHost,
 };
-pub use checkpoint::{Checkpoint, Checkpointer, ClusterLifecycle, ScrubReport};
+pub use checkpoint::{
+    Checkpoint, Checkpointer, ClusterLifecycle, ResumeError, ResumeState, ScrubReport,
+};
 pub use cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig, LifecyclePolicy, RecoveryLedger};
 pub use diagnostics::{Diagnostics, EnergyWatchdog};
 pub use g5tree::plan::PlanConfig;

@@ -5,15 +5,12 @@
 //! generics in its job table; it holds a [`BackendSpec`] (a plain
 //! value describing *which* backend at *what* operating point) and
 //! builds an [`AnyBackend`] from it each time the job is scheduled
-//! onto a worker. `AnyBackend` dispatches [`ForceBackend`] to the
-//! inner backend and gives the server the two uniform operations a
-//! checkpointed fleet needs: write a crash-atomic manifest capturing
-//! whatever fault/lifecycle state the backend carries
-//! ([`AnyBackend::checkpoint`]), and re-arm a freshly built backend
-//! from a parsed manifest ([`AnyBackend::restore`]).
+//! onto a worker. `AnyBackend` dispatches [`ForceBackend`] — the
+//! resume state a checkpoint carries and its restore included — to the
+//! inner backend.
 
 use crate::backends::{ForceBackend, ForceError, ForceSet, TreeGrape, TreeGrapeConfig};
-use crate::checkpoint::{Checkpoint, Checkpointer};
+use crate::checkpoint::{Checkpointer, ResumeState};
 use crate::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
 use g5util::vec3::Vec3;
 use grape5::{ArithMode, ClockAccounting, FaultConfig, Grape5Config, RecoveryStats, RetryPolicy};
@@ -113,15 +110,9 @@ impl BackendSpec {
     }
 
     /// Build the backend this spec describes, arming the fault injector
-    /// when one is configured.
+    /// when one is configured. A resumed cluster is built the same way:
+    /// the checkpoint's lifecycle names the shards that died.
     pub fn build(&self) -> AnyBackend {
-        self.build_with_shards(None)
-    }
-
-    /// Build with an explicit shard count override — used when resuming
-    /// a cluster checkpoint whose alive-shard count differs from the
-    /// spec (a shard died and its particles were re-owned mid-run).
-    pub fn build_with_shards(&self, shards_override: Option<usize>) -> AnyBackend {
         match self.kind {
             BackendKind::Tree => {
                 let mut b = TreeGrape::new(self.tree_grape_config());
@@ -131,7 +122,6 @@ impl BackendSpec {
                 AnyBackend::Tree(Box::new(b))
             }
             BackendKind::Cluster { shards } => {
-                let shards = shards_override.unwrap_or(shards);
                 let cfg = ClusterTreeGrapeConfig {
                     base: self.tree_grape_config(),
                     ..ClusterTreeGrapeConfig::paper(self.eps, shards)
@@ -157,10 +147,8 @@ pub enum AnyBackend {
 }
 
 impl AnyBackend {
-    /// Write a crash-atomic checkpoint through `ck`, capturing the
-    /// backend family's full resumable state: fault-injector words for
-    /// a single device; alive-shard count, per-shard fault words and
-    /// lifecycle supervisor state for a cluster.
+    /// Write a crash-atomic checkpoint of `snap` through `ck`, with the
+    /// backend's [`resume_state`](ForceBackend::resume_state).
     pub fn checkpoint(
         &mut self,
         ck: &Checkpointer,
@@ -168,42 +156,7 @@ impl AnyBackend {
         time: f64,
         step: u64,
     ) -> io::Result<PathBuf> {
-        match self {
-            AnyBackend::Tree(b) => {
-                let words = b.grape_mut().fault_state_words();
-                ck.write(snap, time, step, words.as_deref())
-            }
-            AnyBackend::Cluster(b) => {
-                let lc = b.lifecycle_state();
-                ck.write_cluster(snap, time, step, b.alive_shards(), &b.fault_states(), Some(&lc))
-            }
-        }
-    }
-
-    /// Re-arm a freshly built backend from a parsed manifest so the
-    /// resumed run replays the exact fault schedule and (for clusters)
-    /// lifecycle decisions the interrupted run would have seen.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> io::Result<()> {
-        let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-        match self {
-            AnyBackend::Tree(b) => {
-                if let Some(words) = &ckpt.fault_state {
-                    b.grape_mut()
-                        .restore_fault_state(words)
-                        .map_err(|e| bad(format!("fault-state restore failed: {e}")))?;
-                }
-            }
-            AnyBackend::Cluster(b) => {
-                for (slot, words) in &ckpt.shard_fault_states {
-                    b.restore_fault_state(*slot, words)
-                        .map_err(|e| bad(format!("shard {slot} fault restore failed: {e}")))?;
-                }
-                if let Some(lc) = &ckpt.lifecycle {
-                    b.restore_lifecycle(lc);
-                }
-            }
-        }
-        Ok(())
+        ck.write(snap, time, step, &self.resume_state())
     }
 
     /// Recovery-ledger event lines recorded since this backend was
@@ -213,15 +166,6 @@ impl AnyBackend {
         match self {
             AnyBackend::Tree(_) => &[],
             AnyBackend::Cluster(b) => b.ledger().events(),
-        }
-    }
-
-    /// Recovery totals across the whole backend (merged over shards for
-    /// a cluster).
-    pub fn total_recovery(&self) -> RecoveryStats {
-        match self {
-            AnyBackend::Tree(b) => b.recovery_stats().unwrap_or_default(),
-            AnyBackend::Cluster(b) => b.cluster_recovery_stats(),
         }
     }
 }
@@ -252,6 +196,20 @@ impl ForceBackend for AnyBackend {
         match self {
             AnyBackend::Tree(b) => b.recovery_stats(),
             AnyBackend::Cluster(b) => b.recovery_stats(),
+        }
+    }
+
+    fn resume_state(&self) -> ResumeState {
+        match self {
+            AnyBackend::Tree(b) => b.resume_state(),
+            AnyBackend::Cluster(b) => b.resume_state(),
+        }
+    }
+
+    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+        match self {
+            AnyBackend::Tree(b) => b.restore(state),
+            AnyBackend::Cluster(b) => b.restore(state),
         }
     }
 }
@@ -293,27 +251,30 @@ mod tests {
         assert_eq!(BackendSpec::cluster(0.02, 4).jmem_need(n), 4 * n);
     }
 
-    fn roundtrip_spec(spec: BackendSpec, dir: &Path) {
+    /// `lost_shard`: a cluster slot killed after two steps, in both runs.
+    fn roundtrip_spec(spec: BackendSpec, dir: &Path, lost_shard: Option<usize>) {
         let snap = ic(128, 9);
         let steps_total = 8u64;
         let dt = 0.01;
 
-        let mut full = Simulation::try_new(snap.clone(), spec.build(), 0.0).unwrap();
-        full.try_run(dt, steps_total).unwrap();
-
         // run half, checkpoint through the uniform dispatch, rebuild +
         // restore, finish — must match the uninterrupted run bitwise
+        let mut full = Simulation::try_new(snap.clone(), spec.build(), 0.0).unwrap();
         let mut first = Simulation::try_new(snap, spec.build(), 0.0).unwrap();
-        first.try_run(dt, 4).unwrap();
+        for sim in [&mut full, &mut first] {
+            sim.try_run(dt, 2).unwrap();
+            if let (Some(k), AnyBackend::Cluster(b)) = (lost_shard, sim.backend_mut()) {
+                b.kill_shard(k);
+            }
+        }
+        full.try_run(dt, steps_total - 2).unwrap();
+        first.try_run(dt, 2).unwrap();
         let ck = Checkpointer::new(dir, 1).unwrap().with_job_id("spec-rt");
         let (state, time, steps) = (first.state.clone(), first.time, first.steps);
         first.backend_mut().checkpoint(&ck, &state, time, steps).unwrap();
 
         let got = crate::checkpoint::latest_for_job(dir, "spec-rt").unwrap().unwrap();
-        let (state, time) = got.load_snapshot().unwrap();
-        let mut backend = spec.build_with_shards(got.shards);
-        backend.restore(&got).unwrap();
-        let mut resumed = Simulation::resume(state, backend, time, got.step).unwrap();
+        let mut resumed = got.resume(spec.build()).unwrap();
         resumed.try_run(dt, steps_total - got.step).unwrap();
 
         assert_eq!(resumed.state.pos, full.state.pos, "{spec:?} diverged");
@@ -321,10 +282,34 @@ mod tests {
     }
 
     #[test]
+    fn a_resume_state_restores_only_into_its_own_family() {
+        let fault = FaultConfig { transient_rate: 0.05, ..FaultConfig::none(79) };
+        let tree = BackendSpec::tree(0.02).with_fault(fault);
+        let cluster = BackendSpec::cluster(0.02, 2).with_fault(fault);
+        let (tree_state, cluster_state) =
+            (tree.build().resume_state(), cluster.build().resume_state());
+        assert!(tree_state.fault_state.is_some() && cluster_state.shards == Some(2));
+
+        assert!(tree.build().restore(&tree_state).is_ok());
+        assert!(cluster.build().restore(&cluster_state).is_ok());
+        let host = crate::backends::DirectHost::new(0.02);
+        assert!(host.clone().restore(&ResumeState::default()).is_ok());
+        for refused in [
+            tree.build().restore(&cluster_state),
+            cluster.build().restore(&tree_state),
+            cluster.build().restore(&ResumeState::default()),
+            host.clone().restore(&tree_state),
+            host.clone().restore(&cluster_state),
+        ] {
+            assert_eq!(refused.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
     fn spec_checkpoint_restore_is_bit_identical_tree() {
         let dir = tmpdir("tree_faulty");
         let fault = FaultConfig { transient_rate: 0.05, ..FaultConfig::none(77) };
-        roundtrip_spec(BackendSpec::tree(0.02).with_fault(fault), &dir);
+        roundtrip_spec(BackendSpec::tree(0.02).with_fault(fault), &dir, None);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -332,7 +317,18 @@ mod tests {
     fn spec_checkpoint_restore_is_bit_identical_cluster() {
         let dir = tmpdir("cluster_faulty");
         let fault = FaultConfig { transient_rate: 0.05, ..FaultConfig::none(78) };
-        roundtrip_spec(BackendSpec::cluster(0.02, 2).with_fault(fault), &dir);
+        roundtrip_spec(BackendSpec::cluster(0.02, 2).with_fault(fault), &dir, None);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_cluster_that_lost_a_shard_resumes_on_its_surviving_slots() {
+        // built over the spec's three slots, as a server rebuilds a job:
+        // the lifecycle keeps slot 1 dead, slots 0 and 2 keep their
+        // fault words and their cuts
+        let dir = tmpdir("cluster_lost_shard");
+        let fault = FaultConfig { transient_rate: 0.05, ..FaultConfig::none(80) };
+        roundtrip_spec(BackendSpec::cluster(0.02, 3).with_fault(fault), &dir, Some(1));
         std::fs::remove_dir_all(dir).ok();
     }
 }

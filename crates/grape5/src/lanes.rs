@@ -605,7 +605,7 @@ impl LnsLanes {
     #[inline(always)]
     fn pair<'a>(&'a self, j: &'a JSlices<'_>) -> impl Fn([i64; 3], usize) -> Force + 'a {
         move |d, jj| {
-            G5Pipeline::pair_lns_tab(self.conv, None, self.eps2_lns, self.quantum, d, j.m_lns[jj])
+            G5Pipeline::pair_lns_tab(self.conv, self.eps2_lns, self.quantum, d, j.m_lns[jj])
         }
     }
 }

@@ -27,7 +27,6 @@ use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
 use g5util::vec3::Vec3;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Per-particle pipeline output: acceleration contribution and (positive)
 /// potential sum `Σ m_j / r`. The host applies the −G convention.
@@ -103,62 +102,6 @@ impl JSlices<'_> {
     }
 }
 
-/// The cutoff table re-addressed by the LNS r² word: one pre-encoded
-/// (force, potential) factor pair per representable squared distance,
-/// plus the pair for an underflowed-to-zero r². Replaces the
-/// per-interaction LNS → `f64` → re-encode round trip of the scalar
-/// path with a single indexed load; every entry is exactly
-/// `encode(factor(r2_word.to_f64()))`, so the bits cannot differ.
-pub(crate) struct LnsCutoffTable {
-    raw_min: i64,
-    force: Vec<Lns>,
-    pot: Vec<Lns>,
-    zero_force: Lns,
-    zero_pot: Lns,
-}
-
-impl std::fmt::Debug for LnsCutoffTable {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LnsCutoffTable")
-            .field("raw_min", &self.raw_min)
-            .field("entries", &self.force.len())
-            .finish()
-    }
-}
-
-impl LnsCutoffTable {
-    fn build(cfg: LnsConfig, t: &CutoffTable) -> LnsCutoffTable {
-        let q = cfg.quantum();
-        let (raw_min, raw_max) = (cfg.raw_word_min(), cfg.raw_word_max());
-        let n = (raw_max - raw_min + 1) as usize;
-        let mut force = Vec::with_capacity(n);
-        let mut pot = Vec::with_capacity(n);
-        for raw in raw_min..=raw_max {
-            let r2 = (raw as f64 * q).exp2(); // == Lns::to_f64 of the word
-            force.push(cfg.encode(t.force_factor(r2)));
-            pot.push(cfg.encode(t.pot_factor(r2)));
-        }
-        LnsCutoffTable {
-            raw_min,
-            force,
-            pot,
-            zero_force: cfg.encode(t.force_factor(0.0)),
-            zero_pot: cfg.encode(t.pot_factor(0.0)),
-        }
-    }
-
-    /// The pre-encoded (force, potential) factors for a squared-distance
-    /// word.
-    #[inline]
-    fn factors(&self, r2: Lns) -> (Lns, Lns) {
-        if r2.is_zero() {
-            return (self.zero_force, self.zero_pot);
-        }
-        let i = (r2.raw() - self.raw_min) as usize;
-        (self.force[i], self.pot[i])
-    }
-}
-
 /// The functional model of one G5 pipeline.
 ///
 /// Stateless apart from the softening, scale and cutoff registers, so a
@@ -178,10 +121,6 @@ pub struct G5Pipeline {
     /// Table-driven LNS converter set (`None` for formats too wide to
     /// tabulate, which fall back to the formula converters).
     conv: Option<&'static LnsConvTables>,
-    /// Cutoff factors re-indexed by the LNS r² word; built whenever the
-    /// pipeline runs LNS arithmetic with a cutoff loaded and the format
-    /// is tabulable.
-    lns_cutoff: Option<Arc<LnsCutoffTable>>,
     /// Which lane implementation the no-cutoff batch kernel dispatches
     /// to (see [`lanes`]).
     lane_path: LanePath,
@@ -214,7 +153,6 @@ impl G5Pipeline {
             eps2_lns,
             cutoff: None,
             conv,
-            lns_cutoff: None,
             lane_path,
             wide,
             lns_lanes,
@@ -249,12 +187,6 @@ impl G5Pipeline {
     /// Load (or clear) the cutoff table — `g5_set_cutoff_table` in the
     /// real library's P³M mode.
     pub fn with_cutoff(mut self, cutoff: Option<CutoffTable>) -> Self {
-        self.lns_cutoff = match (&cutoff, self.mode, self.conv) {
-            (Some(t), ArithMode::Lns, Some(_)) => {
-                Some(Arc::new(LnsCutoffTable::build(self.lns, t)))
-            }
-            _ => None,
-        };
         self.cutoff = cutoff;
         self
     }
@@ -301,15 +233,10 @@ impl G5Pipeline {
             (ArithMode::Exact, _) => {
                 Self::pair_exact(self.quantum, self.eps2, self.cutoff.as_ref(), d, j.m)
             }
-            (ArithMode::Lns, Some(conv)) => Self::pair_lns_tab(
-                conv,
-                self.lns_cutoff.as_deref(),
-                self.eps2_lns,
-                self.quantum,
-                d,
-                j.m_lns,
-            ),
-            (ArithMode::Lns, None) => self.pair_lns_reference(d, j.m_lns),
+            (ArithMode::Lns, Some(conv)) if self.cutoff.is_none() => {
+                Self::pair_lns_tab(conv, self.eps2_lns, self.quantum, d, j.m_lns)
+            }
+            (ArithMode::Lns, _) => self.pair_lns_reference(d, j.m_lns),
         }
     }
 
@@ -354,16 +281,14 @@ impl G5Pipeline {
         Force { acc: dx * (m * rinv3 * gf), pot: m * rinv * gp }
     }
 
-    /// Table-driven LNS path: same functional units as the reference
-    /// path but every converter and adder is an integer table lookup,
-    /// and the cutoff factors come pre-encoded from the LNS-indexed
-    /// table. Each table is proven bit-identical to its formula
+    /// Table-driven LNS path without a cutoff: same functional units as
+    /// the reference path but every converter and adder is an integer
+    /// table lookup. Each table is proven bit-identical to its formula
     /// counterpart, so this path reproduces
     /// [`pair_lns_reference`](Self::pair_lns_reference) exactly.
     #[inline(always)]
     pub(crate) fn pair_lns_tab(
         conv: &LnsConvTables,
-        cutoff: Option<&LnsCutoffTable>,
         eps2_lns: Lns,
         quantum: f64,
         d: [i64; 3],
@@ -379,13 +304,8 @@ impl G5Pipeline {
         // combined sqrt + reciprocal-cube unit (integer log scaling)
         let rinv3 = r2e.pow_neg_3_2();
         let rinv = r2e.powi_rational(-1, 2);
-        let mut mf = m.mul(rinv3);
-        let mut mp = m.mul(rinv);
-        if let Some(t) = cutoff {
-            let (gf, gp) = t.factors(r2);
-            mf = mf.mul(gf);
-            mp = mp.mul(gp);
-        }
+        let mf = m.mul(rinv3);
+        let mp = m.mul(rinv);
         Force {
             acc: Vec3::new(
                 conv.decode(dx.mul(mf)),
@@ -401,7 +321,7 @@ impl G5Pipeline {
     /// cutoff round trip through `f64` (the hardware cutoff unit: a
     /// table addressed by the LNS r², its factors re-encoded into the
     /// log format before the multipliers). It is also the path of the
-    /// formats too wide to tabulate.
+    /// formats too wide to tabulate, and of every call with a cutoff.
     fn pair_lns_reference(&self, d: [i64; 3], m: Lns) -> Force {
         let c = self.lns;
         let dx = c.encode_libm(d[0] as f64 * self.quantum);
@@ -466,7 +386,8 @@ impl G5Pipeline {
         // cutoff, the `Avx2` lane path, coordinates inside their window
         // (the kernel's own guard); every other call runs the scalar
         // skeleton they are held to (with a cutoff the factors are
-        // per-pair table lookups).
+        // per-pair table lookups; in LNS through the reference path's
+        // f64 round trip).
         let lanes_on = self.cutoff.is_none() && self.lane_path == LanePath::Avx2;
         match (self.mode, self.conv) {
             (ArithMode::Exact, _) => {
@@ -490,7 +411,7 @@ impl G5Pipeline {
                     Self::pair_exact(quantum, eps2, cutoff, d, j.m[jj])
                 });
             }
-            (ArithMode::Lns, Some(conv)) => {
+            (ArithMode::Lns, Some(conv)) if self.cutoff.is_none() => {
                 if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
                     if lanes::block_lns_avx2_upto(
                         LnsStage::Accumulate,
@@ -505,13 +426,12 @@ impl G5Pipeline {
                         return;
                     }
                 }
-                let (cutoff, eps2_lns, quantum) =
-                    (self.lns_cutoff.as_deref(), self.eps2_lns, self.quantum);
+                let (eps2_lns, quantum) = (self.eps2_lns, self.quantum);
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
-                    Self::pair_lns_tab(conv, cutoff, eps2_lns, quantum, d, j.m_lns[jj])
+                    Self::pair_lns_tab(conv, eps2_lns, quantum, d, j.m_lns[jj])
                 });
             }
-            (ArithMode::Lns, None) => {
+            (ArithMode::Lns, _) => {
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     self.pair_lns_reference(d, j.m_lns[jj])
                 });

@@ -43,8 +43,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use treegrape::backends::ForceError;
-use treegrape::checkpoint::{latest_for_job, Checkpointer};
-use treegrape::{snapshot_io, Simulation};
+use treegrape::checkpoint::{latest_for_job, Checkpointer, ResumeError};
+use treegrape::{snapshot_io, ForceBackend, Simulation};
 
 /// Server operating parameters.
 #[derive(Debug, Clone)]
@@ -583,20 +583,11 @@ fn run_slice(
     // start fresh from the seed — both replay the identical trajectory
     let mut sim = match latest_for_job(&jobdir, &name) {
         Err(e) => return (Outcome::Corrupt(format!("checkpoint dir unreadable: {e}")), None),
-        Ok(Some(ckpt)) => {
-            let (state, time) = match ckpt.load_snapshot() {
-                Ok(st) => st,
-                Err(e) => return (Outcome::Corrupt(format!("snapshot load failed: {e}")), None),
-            };
-            let mut backend = spec.backend.build_with_shards(ckpt.shards);
-            if let Err(e) = backend.restore(&ckpt) {
-                return (Outcome::Corrupt(e.to_string()), None);
-            }
-            match Simulation::resume(state, backend, time, ckpt.step) {
-                Ok(sim) => sim,
-                Err(e) => return (Outcome::Fatal(e), None),
-            }
-        }
+        Ok(Some(ckpt)) => match ckpt.resume(spec.backend.build()) {
+            Ok(sim) => sim,
+            Err(ResumeError::Corrupt(e)) => return (Outcome::Corrupt(e.to_string()), None),
+            Err(ResumeError::Force(e)) => return (Outcome::Fatal(e), None),
+        },
         Ok(None) => match Simulation::try_new(spec.make_ic(), spec.backend.build(), 0.0) {
             Ok(sim) => sim,
             Err(e) => return (Outcome::Fatal(e), None),
@@ -622,7 +613,7 @@ fn run_slice(
         steps_end: sim.steps,
         interactions: sim.tally().interactions,
         busy_s: busy,
-        recovery: sim.backend().total_recovery(),
+        recovery: sim.backend().recovery_stats().unwrap_or_default(),
         lifecycle: sim.backend().lifecycle_events().to_vec(),
         timers: Some(sim.phase_timers()),
     };
@@ -678,8 +669,8 @@ fn run_slice(
                 );
             }
         };
-        let (state, time, steps) = (sim.state.clone(), sim.time, sim.steps);
-        if let Err(e) = sim.backend_mut().checkpoint(&ck, &state, time, steps) {
+        let steps = sim.steps;
+        if let Err(e) = ck.write(&sim.state, sim.time, steps, &sim.backend().resume_state()) {
             let busy = t0.elapsed().as_secs_f64();
             return (
                 Outcome::Corrupt(format!("checkpoint write failed: {e}")),

@@ -9,7 +9,7 @@ use grape5_nbody::core::checkpoint::{latest, Checkpointer};
 use grape5_nbody::core::snapshot_io;
 use grape5_nbody::core::{
     ClusterTreeGrape, ClusterTreeGrapeConfig, DirectHost, ForceBackend, LifecyclePolicy,
-    PlanConfig, Simulation, TreeGrape, TreeGrapeConfig,
+    PlanConfig, ResumeState, Simulation, TreeGrape, TreeGrapeConfig,
 };
 use grape5_nbody::grape5::Grape5Config;
 use grape5_nbody::ic::{plummer_sphere, CosmologicalIc, Snapshot, ZeldovichConfig};
@@ -174,20 +174,18 @@ fn cluster_checkpoint_resume_is_byte_identical() {
     // Uninterrupted run, writing a cluster checkpoint at `cut`.
     let mut sim = Simulation::try_new(snap.clone(), ClusterTreeGrape::new(cfg), 0.0).unwrap();
     sim.try_run(dt, cut).unwrap();
-    let alive = sim.backend().alive_shards();
-    let fault_states = sim.backend().fault_states();
-    ck.write_cluster(&sim.state, sim.time, sim.steps, alive, &fault_states, None).unwrap();
+    // the pre-lifecycle manifest format: shard count and fault words only
+    let state = ResumeState { lifecycle: None, ..sim.backend().resume_state() };
+    ck.write(&sim.state, sim.time, sim.steps, &state).unwrap();
     sim.try_run(dt, total - cut).unwrap();
 
     // "Kill" here; restart from the newest valid checkpoint with the
     // recorded shard count.
     let restored = latest(&dir).unwrap().expect("checkpoint present");
     assert_eq!(restored.step, cut);
-    let shards = restored.shards.expect("cluster manifest records the shard count");
+    let shards = restored.state.shards.expect("cluster manifest records the shard count");
     assert_eq!(shards, 3);
-    let (state, time) = restored.load_snapshot().unwrap();
-    let backend = ClusterTreeGrape::new(cluster_cfg(shards, 64));
-    let mut resumed = Simulation::resume(state, backend, time, restored.step).unwrap();
+    let mut resumed = restored.resume(ClusterTreeGrape::new(cluster_cfg(shards, 64))).unwrap();
     resumed.try_run(dt, total - cut).unwrap();
 
     assert_eq!(resumed.steps, sim.steps);
@@ -227,21 +225,14 @@ fn lifecycle_checkpoint_resume_is_byte_identical() {
     sim.backend_mut().kill_shard(1); // healthy hardware, operator kill
     sim.try_run(dt, cut - 1).unwrap(); // probe at eval 3 re-admits it
     assert_eq!(sim.backend().alive_shards(), 3, "probe should have re-admitted shard 1");
-    let alive = sim.backend().alive_shards();
-    let fault_states = sim.backend().fault_states();
-    let lifecycle = sim.backend().lifecycle_state();
-    ck.write_cluster(&sim.state, sim.time, sim.steps, alive, &fault_states, Some(&lifecycle))
-        .unwrap();
+    ck.maybe_write(&sim).unwrap().expect("a checkpoint at every step");
     sim.try_run(dt, total - cut).unwrap();
 
     let restored = latest(&dir).unwrap().expect("checkpoint present");
     assert_eq!(restored.step, cut);
-    let lc = restored.lifecycle.clone().expect("lifecycle payload present");
+    let lc = restored.state.lifecycle.as_ref().expect("lifecycle payload present");
     assert!(lc.ledger.iter().any(|e| e.contains("shard 1 killed by operator")), "{:?}", lc.ledger);
-    let (state, time) = restored.load_snapshot().unwrap();
-    let mut backend = ClusterTreeGrape::new(cfg);
-    backend.restore_lifecycle(&lc);
-    let mut resumed = Simulation::resume(state, backend, time, restored.step).unwrap();
+    let mut resumed = restored.resume(ClusterTreeGrape::new(cfg)).unwrap();
     resumed.try_run(dt, total - cut).unwrap();
 
     assert_eq!(resumed.time.to_bits(), sim.time.to_bits());

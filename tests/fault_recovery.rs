@@ -118,22 +118,18 @@ proptest! {
         }
         let mut sim = Simulation::try_new(snap.clone(), backend, 0.0).unwrap();
         sim.try_run(dt, cut).unwrap();
-        let words = sim.backend_mut().grape_mut().fault_state_words();
-        ck.write(&sim.state, sim.time, sim.steps, words.as_deref()).unwrap();
+        ck.maybe_write(&sim).unwrap().expect("a checkpoint at every step");
         sim.try_run(dt, total - cut).unwrap();
 
         // "kill" here; restart from the newest valid checkpoint
         let restored = latest(&dir).unwrap().expect("checkpoint present");
         prop_assert_eq!(restored.step, cut);
-        let (state, time) = restored.load_snapshot().unwrap();
+        prop_assert_eq!(restored.state.fault_state.is_some(), with_faults);
         let mut backend = TreeGrape::new(cfg);
         if let Some(f) = fault {
             backend.grape_mut().set_fault_injector(f);
         }
-        if let Some(words) = &restored.fault_state {
-            backend.grape_mut().restore_fault_state(words).unwrap();
-        }
-        let mut resumed = Simulation::resume(state, backend, time, restored.step).unwrap();
+        let mut resumed = restored.resume(backend).unwrap();
         resumed.try_run(dt, total - cut).unwrap();
 
         prop_assert_eq!(resumed.steps, sim.steps);

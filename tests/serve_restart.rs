@@ -267,6 +267,67 @@ fn a_manifest_naming_a_missing_shard_fails_typed_and_spares_the_neighbours() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A cluster job whose ledger line now says `kind=tree` — its manifests
+/// carry a shard count and a lifecycle that a single-device backend does
+/// not own. The restore used to skip those keys and resume the job
+/// silently on the other family's forces; it fails typed, and its
+/// neighbours run on untouched.
+#[test]
+fn a_checkpoint_of_the_other_backend_family_fails_typed_and_spares_the_neighbours() {
+    let dir = tmpdir("other_family");
+    let one = ServerConfig { workers: 1, quantum: 8, ..ServerConfig::new(&dir) };
+    let mut clustered = JobSpec::plummer(96, 1, 4000);
+    clustered.backend = BackendSpec::cluster(clustered.backend.eps, 2);
+    let mut specs = [clustered, JobSpec::plummer(72, 2, 12), JobSpec::hernquist(64, 3, 10)];
+    specs.iter_mut().for_each(|s| s.checkpoint_every = 4);
+
+    let server = Server::open(one.clone()).unwrap();
+    let ids: Vec<_> = specs.iter().map(|s| server.submit(*s).unwrap()).collect();
+    while server.status(ids[0]).unwrap().steps_done < 8 {
+        std::thread::yield_now();
+    }
+    server.kill();
+
+    let ledger = dir.join("jobs.ledger");
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let job_line = format!("job {} ", ids[0]);
+    let damaged: Vec<String> = text
+        .lines()
+        .map(|l| {
+            if l.starts_with(&job_line) {
+                l.replace(" kind=cluster:2 ", " kind=tree ")
+            } else {
+                l.into()
+            }
+        })
+        .collect();
+    assert_ne!(damaged.join("\n"), text.trim_end(), "the job line was not found");
+    std::fs::write(&ledger, damaged.join("\n") + "\n").unwrap();
+
+    let server = Server::open(ServerConfig { workers: 2, ..one }).unwrap();
+    // polled, not `wait`ed: a job resumed on the wrong family runs 4000 steps
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while !server.status(ids[0]).unwrap().state.is_terminal() {
+        let st = server.status(ids[0]).unwrap();
+        assert!(std::time::Instant::now() < deadline, "still {st:?} after five seconds");
+        std::thread::yield_now();
+    }
+    match server.wait(ids[0]) {
+        JobState::Failed(JobError::CheckpointCorrupt(m)) => {
+            assert!(m.contains("cluster resume state"), "{m}");
+        }
+        other => panic!("expected the typed failure, got {other:?}"),
+    }
+    for (&id, spec) in ids.iter().zip(&specs).skip(1) {
+        assert_eq!(server.wait(id), JobState::Completed);
+        let served = std::fs::read(dir.join(job_dir_name(id)).join("final.g5snap")).unwrap();
+        let reference = reference_final_bytes(spec, &dir.join(format!("ref_{id}.g5snap")));
+        assert_eq!(served, reference, "neighbour {id} diverged from its uninterrupted run");
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn job_directories_are_collision_free_under_concurrency() {
     let dir = tmpdir("collision");
