@@ -2,8 +2,9 @@
 //!
 //! Eight kick–drift–kick steps of one small Plummer sphere through every
 //! GRAPE backend — direct summation, the tree at refresh interval 1 and
-//! 4, a two-shard cluster, the tree under an armed transient-fault
-//! injector — in exact and LNS arithmetic. Each run is one row of FNV-1a
+//! 4, clusters of two and four shards, the tree under an armed
+//! transient-fault injector, a supervised three-shard cluster that loses
+//! a board — in exact and LNS arithmetic. Each run is one row of FNV-1a
 //! digests: final positions, velocities, accelerations and potentials,
 //! the cumulative interaction tally, the recovery stats, and the modeled
 //! device clock (its counters and the bits of its seconds). The table
@@ -22,10 +23,10 @@
 //! change log.
 
 use grape5_nbody::core::{
-    ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend, RefreshPolicy, Simulation,
-    TreeGrape, TreeGrapeConfig,
+    ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend, LifecyclePolicy,
+    RefreshPolicy, Simulation, TreeGrape, TreeGrapeConfig,
 };
-use grape5_nbody::grape5::{FaultConfig, Grape5Config, RetryPolicy};
+use grape5_nbody::grape5::{BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::util::Vec3;
 use rand::SeedableRng;
@@ -102,6 +103,9 @@ fn row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String 
     if name.ends_with("faults") {
         assert!(r.retries > 0, "{name}: the injector never fired");
     }
+    if name.ends_with("lifecycle") {
+        assert!(r.quarantined_boards > 0, "{name}: the injector never fired");
+    }
     format!("{name:<18} {}\n", cols.join(" "))
 }
 
@@ -117,8 +121,20 @@ fn table() -> String {
     let mut faulty =
         TreeGrape::new(TreeGrapeConfig { retry: RetryPolicy::no_wait(), ..tree(exact, 1) });
     faulty.grape_mut().set_fault_injector(FaultConfig::transient(7, 0.1));
-    let cluster =
-        ClusterTreeGrapeConfig { base: tree(exact, 1), ..ClusterTreeGrapeConfig::paper(EPS, 2) };
+    let cluster = |grape, shards| ClusterTreeGrapeConfig {
+        base: tree(grape, 1),
+        ..ClusterTreeGrapeConfig::paper(EPS, shards)
+    };
+    // probes every third evaluation and a straggler deadline, with
+    // shard 1 losing one of its two boards mid-run: a quarantine, then
+    // a re-decomposition weighted by the boards each shard has left
+    let mut supervised = ClusterTreeGrape::new(ClusterTreeGrapeConfig {
+        base: TreeGrapeConfig { retry: RetryPolicy::no_wait(), ..tree(exact, 1) },
+        lifecycle: LifecyclePolicy { probe_interval: 3, straggler_factor: Some(3.0) },
+        ..cluster(exact, 3)
+    });
+    supervised
+        .set_fault_injector(1, FaultConfig::dropout(5, BoardDropout { after_call: 4, board: 0 }));
     let mut t = format!(
         "# FNV-1a 64 digests after {STEPS} KDK steps (dt = 1/128) of a Plummer sphere,\n\
          # N = {N}, seed {SEED}, eps = {EPS}; checked by tests/golden_steps.rs.\n\
@@ -133,8 +149,11 @@ fn table() -> String {
     t += &row("tree-exact-r4", TreeGrape::new(tree(exact, 4)), &exact);
     t += &row("tree-lns-r1", TreeGrape::new(tree(lns, 1)), &lns);
     t += &row("tree-lns-r4", TreeGrape::new(tree(lns, 4)), &lns);
-    t += &row("cluster2-exact", ClusterTreeGrape::new(cluster), &exact);
+    t += &row("cluster2-exact", ClusterTreeGrape::new(cluster(exact, 2)), &exact);
     t += &row("tree-exact-faults", faulty, &exact);
+    t += &row("cluster4-exact", ClusterTreeGrape::new(cluster(exact, 4)), &exact);
+    t += &row("cluster2-lns", ClusterTreeGrape::new(cluster(lns, 2)), &lns);
+    t += &row("cluster3-lifecycle", supervised, &exact);
     t
 }
 
