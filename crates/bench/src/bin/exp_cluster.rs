@@ -6,7 +6,7 @@
 //! of the particle set. This harness measures what that buys on the
 //! reproduction's [`ClusterTreeGrape`] backend: one force evaluation
 //! per K ∈ {1, 2, 4, 8}, each shard's device work priced by its own
-//! [`ClockAccounting`] on the paper's hardware clocks.
+//! [`ClockAccounting`](grape5::ClockAccounting) on the paper's hardware clocks.
 //!
 //! The headline metric is the **step speed-up**: the modeled
 //! *critical-path* device time of one force evaluation at K = 1 over
@@ -180,7 +180,7 @@ fn measure(n: usize, k: usize, steps: u64) -> ClusterCell {
         cell.traverse_cpu_s += fs.timers.traverse_s;
     }
     assert_eq!(backend.alive_shards(), k, "no shard may die in a clean benchmark");
-    cell.recovery = backend.cluster_recovery_stats();
+    cell.recovery = backend.recovery_stats().expect("a cluster validates its devices");
     cell.shard_recovery = backend.shard_recovery_stats();
     cell
 }

@@ -248,7 +248,7 @@ fn run_storm(
         evals: sim.backend().evals(),
         final_state: sim.state.clone(),
         final_time: sim.time,
-        recovery: sim.backend().cluster_recovery_stats(),
+        recovery: sim.backend().recovery_stats().expect("a cluster validates its devices"),
         shard_recovery: sim.backend().shard_recovery_stats(),
     };
     eprintln!(

@@ -78,7 +78,7 @@ pub struct ResumeState {
     /// Alive shard count of a cluster run.
     pub shards: Option<usize>,
     /// Per-shard fault-injector state of a cluster run, as
-    /// `(shard slot, state words)` for every armed alive shard.
+    /// `(shard slot, state words)` for every armed slot, dead or alive.
     pub shard_fault_states: Vec<(usize, Vec<u64>)>,
     /// Shard lifecycle supervisor state (`None` for manifests written
     /// before the lifecycle layer). Stored under additive keys a

@@ -1,5 +1,5 @@
-//! The cluster backend: K domain-decomposed trees over K pooled
-//! GRAPE-5 devices.
+//! The cluster backend: K domain-decomposed trees over K simulated
+//! GRAPE-5 devices, one per shard slot.
 //!
 //! This is the PC-GRAPE cluster configuration of the GRAPE-6A follow-up
 //! work, folded into one process: the snapshot is partitioned into K
@@ -39,14 +39,17 @@
 //!
 //! ## Shard loss
 //!
-//! Per-board faults inside a shard are absorbed by the existing
-//! [`DeviceSession`] retry/quarantine machinery. When a shard's device
-//! is exhausted entirely (all boards quarantined), the backend marks
-//! the shard dead, throws away the decomposition, and re-decomposes
-//! the snapshot over the survivors — forces still come out of the same
-//! `try_compute` call, one shard poorer. `tree_age` restarts at 1 on
-//! every re-decomposition, so a drift bound accumulated against the old
-//! shard boundaries can never survive into the new ones.
+//! Per-board faults inside a shard are absorbed by the
+//! [`DeviceSession`](grape5::DeviceSession) retry/quarantine machinery.
+//! When a shard's device is exhausted entirely (all boards quarantined)
+//! or its evaluation thread panics, the backend marks the shard dead,
+//! throws away the decomposition, and re-decomposes the snapshot over
+//! the survivors — forces still come out of the same `try_compute`
+//! call, one shard poorer. `tree_age` restarts at 1 on every
+//! re-decomposition, so a drift bound accumulated against the old shard
+//! boundaries can never survive into the new ones. The shard lifecycle
+//! — probes, straggler deadlines, re-admission — is on [`ShardHealth`]
+//! and [`LifecyclePolicy`].
 
 use crate::backends::{ForceBackend, ForceError, ForceSet, TreeGrapeConfig};
 use crate::checkpoint::{invalid, ClusterLifecycle, ResumeState};
@@ -57,29 +60,11 @@ use g5tree::tree::Tree;
 use g5util::cores;
 use g5util::vec3::Vec3;
 use grape5::{
-    bounding_window, ClockAccounting, ClusterSession, DeviceError, FaultConfig, Grape5,
-    ProbeOutcome, RecoveryStats, ShardHealth,
+    bounding_window, ClockAccounting, DeviceError, FaultConfig, Grape5, Grape5Config, RecoveryStats,
 };
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
-
-/// The shard lifecycle supervisor's knobs. The default turns both
-/// mechanisms **off**, which keeps the backend's device-call sequence
-/// bit-identical to a supervisor-less run — self-healing is opt-in.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LifecyclePolicy {
-    /// Re-probe dead shards and quarantined hardware every this many
-    /// evaluations (`0` = never probe). A passing probe re-admits the
-    /// hardware and triggers a capacity-weighted re-decomposition.
-    pub probe_interval: u64,
-    /// Straggler deadline: a shard whose *modeled* device time for one
-    /// evaluation exceeds `factor × median` is declared Degraded and
-    /// its groups re-execute on the fastest survivor within the same
-    /// `try_compute`. `None` = no deadline. Deadlines compare modeled
-    /// clock only, never host wall-clock, so firing is deterministic.
-    pub straggler_factor: Option<f64>,
-}
 
 /// Configuration of the [`ClusterTreeGrape`] backend: the single-device
 /// operating point plus the shard count.
@@ -122,31 +107,16 @@ impl ClusterTreeGrapeConfig {
     }
 }
 
-/// Ordered record of every recovery-relevant event of a cluster run —
-/// kills, quarantines, probes, re-admissions, stragglers,
-/// re-decompositions — for post-mortem and for determinism checks (two
-/// runs of the same seeded schedule must produce identical ledgers).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RecoveryLedger {
-    events: Vec<String>,
-}
-
-impl RecoveryLedger {
-    fn record(&mut self, eval: u64, msg: impl AsRef<str>) {
-        self.events.push(format!("eval {eval}: {}", msg.as_ref()));
-    }
-
-    /// The events, oldest first, as `"eval N: <what happened>"` lines.
-    pub fn events(&self) -> &[String] {
-        &self.events
-    }
-}
-
-/// Everything one shard owns between evaluations: its gathered
-/// particles, the step engine over them (local tree, group partition,
-/// streaming pool), and last-evaluation timers.
-#[derive(Default)]
-struct ShardState {
+/// Everything one shard slot owns: its device and lifecycle state, the
+/// particles gathered into its domain with the step engine over them
+/// (local tree, group partition, streaming pool), its last-evaluation
+/// timers and output buffers, and what the supervisor measured of it.
+/// Slot indices are stable for the backend's lifetime: a dead slot
+/// keeps its record, fault injector included, until a probe re-admits
+/// it.
+struct Shard {
+    g5: Grape5,
+    health: ShardHealth,
     pos: Vec<Vec3>,
     mass: Vec<f64>,
     engine: Engine,
@@ -156,13 +126,45 @@ struct ShardState {
     /// that is K shard-sized accelerations + potentials per step).
     acc: Vec<Vec3>,
     pot: Vec<f64>,
+    /// Measured throughput (interactions per modeled device second),
+    /// `0.0` until the slot has served an evaluation. Feeds the
+    /// capacity weights of the next re-decomposition.
+    rate: f64,
+    /// Modeled-clock snapshot `(interactions, total seconds)` at the end
+    /// of the previous evaluation, for per-evaluation deltas.
+    prev_clock: (u64, f64),
+    /// Recovery totals (the cluster-wide summary merges every slot's).
+    recovery: RecoveryStats,
 }
 
-/// What one shard's evaluation thread hands back to the assembler.
+impl Shard {
+    fn open(cfg: Grape5Config) -> Shard {
+        Shard {
+            g5: Grape5::open(cfg),
+            health: ShardHealth::Alive,
+            pos: Vec::new(),
+            mass: Vec::new(),
+            engine: Engine::default(),
+            timers: PhaseTimers::default(),
+            acc: Vec::new(),
+            pot: Vec::new(),
+            rate: 0.0,
+            prev_clock: (0, 0.0),
+            recovery: RecoveryStats::default(),
+        }
+    }
+
+    /// The device's cumulative `(interactions, modeled seconds)`.
+    fn clock(&self, grape: &Grape5Config) -> (u64, f64) {
+        let acct = self.g5.accounting();
+        (acct.interactions, acct.report(grape).total_s())
+    }
+}
+
+/// What one shard's evaluation thread hands back to the assembler; the
+/// forces are in the slot's own output buffers.
 struct ShardOutcome {
     slot: usize,
-    acc: Vec<Vec3>,
-    pot: Vec<f64>,
     eval: Evaluation,
 }
 
@@ -179,8 +181,6 @@ impl ShardOutcome {
             .unwrap_or_else(|| "non-string panic payload".to_string());
         ShardOutcome {
             slot,
-            acc: Vec::new(),
-            pot: Vec::new(),
             eval: Evaluation { err: Some(ForceError::ShardPanic(msg)), ..Evaluation::default() },
         }
     }
@@ -193,7 +193,9 @@ impl ShardOutcome {
 pub struct ClusterTreeGrape {
     /// Operating parameters.
     pub cfg: ClusterTreeGrapeConfig,
-    cluster: ClusterSession,
+    /// One record per shard slot, in slot order.
+    shards: Vec<Shard>,
+    /// Cluster-wide recovery summary, merged as the evaluations come.
     recovery: RecoveryStats,
     /// Current partition, or `None` when the next evaluation must
     /// re-decompose (fresh backend, snapshot size change, shard death).
@@ -201,24 +203,14 @@ pub struct ClusterTreeGrape {
     /// Shard slots the current decomposition's domains map to,
     /// ascending: domain `d` lives on slot `live[d]`.
     live: Vec<usize>,
-    shards_state: Vec<ShardState>,
     /// Evaluations served by the current decomposition's trees (1 right
     /// after a (re)build, counting up between rebuilds).
     tree_age: u32,
     /// Evaluations completed — the supervisor's probe/deadline clock.
     evals: u64,
-    /// Measured per-slot throughput (interactions per modeled device
-    /// second), `0.0` until a slot has served an evaluation. Feeds the
-    /// capacity weights of the next re-decomposition.
-    measured_rate: Vec<f64>,
-    /// Per-slot modeled-clock snapshot `(interactions, total seconds)`
-    /// at the end of the previous evaluation, for per-eval deltas.
-    prev_clock: Vec<(u64, f64)>,
     /// Cut weights of the decomposition currently in force (domain
     /// order) — checkpointed so a resume replays the same cuts.
     cut_weights: Vec<u64>,
-    /// Per-slot recovery totals (cluster-wide summary = their merge).
-    shard_recovery: Vec<RecoveryStats>,
     ledger: RecoveryLedger,
     /// Morton order of the *previous* decomposition's sort — the warm
     /// start for the next re-sort ([`g5util::morton_sort`]'s
@@ -255,21 +247,15 @@ impl ClusterTreeGrape {
             cfg.base.n_crit
         );
         assert!(cfg.base.refresh.interval >= 1, "refresh interval must be positive");
-        let cluster = ClusterSession::open(cfg.base.grape, cfg.shards);
-        let shards_state = (0..cfg.shards).map(|_| ShardState::default()).collect();
         ClusterTreeGrape {
             cfg,
-            cluster,
+            shards: (0..cfg.shards).map(|_| Shard::open(cfg.base.grape)).collect(),
             recovery: RecoveryStats::default(),
             decomp: None,
             live: Vec::new(),
-            shards_state,
             tree_age: 0,
             evals: 0,
-            measured_rate: vec![0.0; cfg.shards],
-            prev_clock: vec![(0, 0.0); cfg.shards],
             cut_weights: Vec::new(),
-            shard_recovery: vec![RecoveryStats::default(); cfg.shards],
             ledger: RecoveryLedger::default(),
             order_hint: None,
             replay_weights: None,
@@ -281,12 +267,12 @@ impl ClusterTreeGrape {
 
     /// Total shard slots (alive + dead).
     pub fn shards(&self) -> usize {
-        self.cluster.shards()
+        self.shards.len()
     }
 
-    /// Shards still alive.
+    /// Shards in service.
     pub fn alive_shards(&self) -> usize {
-        self.cluster.alive()
+        self.shards.iter().filter(|s| s.health.in_service()).count()
     }
 
     /// Evaluations served by the current decomposition (0 before the
@@ -301,96 +287,213 @@ impl ClusterTreeGrape {
         self.decomp.as_ref()
     }
 
-    /// Kill shard `k` by hand (the test/fault-drill entry point — in
-    /// anger, shard death is detected from device errors). Invalidates
-    /// the decomposition so the next evaluation re-decomposes over the
-    /// survivors.
-    pub fn kill_shard(&mut self, k: usize) {
-        let prior = self.cluster.kill(k);
-        if prior.is_some_and(|h| h.in_service()) && !self.replaying {
-            self.ledger.record(self.evals, format!("shard {k} killed by operator"));
-        }
-        self.decomp = None;
-        self.live.clear();
-    }
-
-    /// Lifecycle state of shard `k` (`None` out of range).
-    pub fn shard_health(&self, k: usize) -> Option<ShardHealth> {
-        self.cluster.health(k)
-    }
-
-    /// Lifecycle state of every slot.
-    pub fn shard_healths(&self) -> Vec<ShardHealth> {
-        self.cluster.healths()
-    }
-
-    /// The recovery ledger so far.
-    pub fn ledger(&self) -> &RecoveryLedger {
-        &self.ledger
-    }
-
-    /// Evaluations completed (the supervisor's clock).
-    pub fn evals(&self) -> u64 {
-        self.evals
-    }
-
-    /// Per-slot recovery totals, `(slot, stats)` for slots with any
-    /// recovery activity.
-    pub fn shard_recovery_stats(&self) -> Vec<(usize, RecoveryStats)> {
-        self.shard_recovery
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| **r != RecoveryStats::default())
-            .map(|(k, r)| (k, *r))
-            .collect()
-    }
-
-    /// Cluster-wide recovery summary: every slot's stats merged.
-    pub fn cluster_recovery_stats(&self) -> RecoveryStats {
-        self.recovery
-    }
-
-    /// Repair shard `k`'s persistent faults (stuck pipe, board
-    /// dropout) — the chaos harness's "technician swaps the card"
-    /// event. The hardware stays quarantined until a probe re-tests it.
-    pub fn clear_persistent_faults(&mut self, k: usize) {
-        self.cluster.device_mut(k).clear_persistent_faults();
-    }
-
-    /// Arm shard `k`'s fault injector.
-    pub fn set_fault_injector(&mut self, k: usize, fault: FaultConfig) {
-        self.cluster.set_fault_injector(k, fault);
-    }
-
-    /// Arm every shard's injector from one base configuration with
-    /// per-shard derived seeds ([`FaultConfig::for_shard`]).
-    pub fn set_fault_injectors(&mut self, base: FaultConfig) {
-        self.cluster.set_fault_injectors(base);
-    }
-
     /// Clock accounting of shard `k` alone — the critical-path metric
     /// (max over shards) is derived from these.
     pub fn shard_accounting(&self, k: usize) -> ClockAccounting {
-        self.cluster.shard_accounting(k)
-    }
-
-    /// Reset every shard's clock accounting.
-    pub fn reset_accounting(&mut self) {
-        self.cluster.reset_accounting();
+        self.shards[k].g5.accounting()
     }
 
     /// Last evaluation's per-shard timers, as `(slot, timers)` over the
     /// shards that took part.
     pub fn shard_timers(&self) -> Vec<(usize, PhaseTimers)> {
-        self.live.iter().map(|&k| (k, self.shards_state[k].timers)).collect()
+        self.live.iter().map(|&k| (k, self.shards[k].timers)).collect()
     }
 
+    /// One scoped thread per live shard; each owns its device and its
+    /// output buffers exclusively, reads the *other* shards' trees
+    /// immutably (the in-line LET exchange), and writes a shard-local
+    /// dense result, so no output cell is shared across threads. A panic
+    /// anywhere in the evaluation is caught at the thread boundary and
+    /// synthesized into a typed shard-fatal outcome — one shard's bug
+    /// costs its shard, not the whole process. Outcomes come back in
+    /// domain order.
+    fn evaluate_live(&mut self, pos: &[Vec3]) -> Vec<ShardOutcome> {
+        #[cfg(test)]
+        let panic_slots = std::mem::take(&mut self.panic_next_eval);
+        #[cfg(test)]
+        let panic_slots = &panic_slots;
+        let cfg = &self.cfg.base;
+        let (trees, jobs) = split_live(&mut self.shards, &self.live);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = jobs
+                .into_iter()
+                .map(|job| {
+                    let remote = remote_trees(&trees, job.slot);
+                    // A caller per shard (`g5util::cores`), registered
+                    // before any shard runs — so each sizes itself
+                    // beside all of its siblings from its first stream —
+                    // and released once its thread is joined, never
+                    // while it still exists.
+                    let caller = cores::enter();
+                    let handle = scope.spawn(move || {
+                        let slot = job.slot;
+                        catch_unwind(AssertUnwindSafe(|| {
+                            #[cfg(test)]
+                            if panic_slots.contains(&slot) {
+                                panic!("injected shard panic");
+                            }
+                            let Job { g5, engine, acc, pot, .. } = job;
+                            let eval = shard_eval(g5, engine, &remote, pos, cfg, acc, pot);
+                            ShardOutcome { slot, eval }
+                        }))
+                        .unwrap_or_else(|payload| ShardOutcome::panicked(slot, payload))
+                    });
+                    (caller, handle)
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|(caller, h)| {
+                    let outcome =
+                        h.join().expect("shard evaluation thread panicked outside its guard");
+                    drop(caller);
+                    outcome
+                })
+                .collect()
+        })
+    }
+}
+
+/// One live slot, split for an evaluation pass: its device and output
+/// buffers, borrowed exclusively, and its engine, shared with the
+/// siblings that import its tree.
+struct Job<'a> {
+    slot: usize,
+    g5: &'a mut Grape5,
+    engine: &'a Engine,
+    acc: &'a mut Vec<Vec3>,
+    pot: &'a mut Vec<f64>,
+}
+
+/// Split the live slots' records for an evaluation pass, in domain
+/// order: each slot's [`Job`], and every live slot's tree.
+fn split_live<'a>(
+    shards: &'a mut [Shard],
+    live: &[usize],
+) -> (Vec<(usize, &'a Tree)>, Vec<Job<'a>>) {
+    let mut trees = Vec::with_capacity(live.len());
+    let mut jobs = Vec::with_capacity(live.len());
+    for (slot, s) in shards.iter_mut().enumerate().filter(|(k, _)| live.contains(k)) {
+        let Shard { g5, engine, acc, pot, .. } = s;
+        let engine: &Engine = engine;
+        trees.push((slot, engine.tree().expect("live shard has a tree")));
+        jobs.push(Job { slot, g5, engine, acc, pot });
+    }
+    (trees, jobs)
+}
+
+/// The trees shard `slot` imports remote mass from: every other live
+/// shard's, in slot order.
+fn remote_trees<'a>(trees: &[(usize, &'a Tree)], slot: usize) -> Vec<&'a Tree> {
+    trees.iter().filter(|&&(k, _)| k != slot).map(|&(_, t)| t).collect()
+}
+
+/// One shard's force evaluation on device `g5`: the shard's step
+/// engine, with every other live shard's tree as the remote mass
+/// (`remote`) and the full snapshot as the quantization window, into
+/// the dense buffers `acc` / `pot` (any length on entry).
+fn shard_eval(
+    g5: &mut Grape5,
+    engine: &Engine,
+    remote: &[&Tree],
+    window_pos: &[Vec3],
+    cfg: &TreeGrapeConfig,
+    acc: &mut Vec<Vec3>,
+    pot: &mut Vec<f64>,
+) -> Evaluation {
+    // the tree holds exactly the shard's gathered particles
+    let n = engine.tree().expect("live shard has a tree").len();
+    acc.clear();
+    acc.resize(n, Vec3::ZERO);
+    pot.clear();
+    pot.resize(n, 0.0);
+    engine.evaluate(g5, remote, window_pos, cfg, acc, pot)
+}
+
+impl ForceBackend for ClusterTreeGrape {
+    fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
+        assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
+        if pos.is_empty() {
+            return Ok(ForceSet::zeros(0)); // no particle, nothing to decompose
+        }
+        bounding_window(pos)?; // a non-finite position: typed, before any tree meets it
+        let t_all = Instant::now();
+        // Shards that must stay watched through this evaluation's
+        // end-of-eval promotion: freshly probed-in hardware plus any
+        // shard flagged below (quarantine activity, straggler).
+        let mut flagged = self.supervise();
+        loop {
+            if self.alive_shards() == 0 {
+                return Err(DeviceError::NoBoardsLeft.into());
+            }
+            let (decompose_s, build_s, refresh_s) = self.ensure_decomposition(pos, mass);
+            let mut outcomes = self.evaluate_live(pos);
+            let secs = self.measure(&outcomes);
+            if self.triage(&outcomes, &mut flagged)? {
+                continue; // a shard died: start over on the survivors
+            }
+            if let Some(factor) = self.cfg.lifecycle.straggler_factor {
+                self.straggler_deadline(factor, &mut outcomes, &secs, pos, &mut flagged);
+            }
+
+            let decomp = self.decomp.as_ref().expect("evaluated with a decomposition");
+            let mut out = ForceSet::zeros(pos.len());
+            for (d, o) in outcomes.iter().enumerate() {
+                let s = &mut self.shards[o.slot];
+                for (j, &gi) in decomp.owned(d).iter().enumerate() {
+                    out.acc[gi as usize] = s.acc[j];
+                    out.pot[gi as usize] = s.pot[j];
+                }
+                out.tally = out.tally.merged(o.eval.tally);
+                // this evaluation's tree update is already on the clock
+                s.timers = PhaseTimers {
+                    build_s: s.timers.build_s,
+                    refresh_s: s.timers.refresh_s,
+                    ..o.eval.timers
+                };
+            }
+            // phase seconds sum over shards (CPU, not critical path)
+            out.timers = PhaseTimers { build_s, refresh_s, decompose_s, ..PhaseTimers::default() };
+            for o in &outcomes {
+                out.timers.accumulate(&o.eval.timers);
+            }
+            out.timers.force_wall_s = t_all.elapsed().as_secs_f64();
+            self.promote(&outcomes, &flagged);
+            self.replaying = false;
+            return Ok(out);
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "cluster-tree-grape"
+    }
+
+    fn grape_accounting(&self) -> Option<ClockAccounting> {
+        Some(
+            self.shards.iter().fold(ClockAccounting::default(), |a, s| a.merged(s.g5.accounting())),
+        )
+    }
+
+    fn recovery_stats(&self) -> Option<RecoveryStats> {
+        Some(self.recovery)
+    }
+
+    fn resume_state(&self) -> ResumeState {
+        self.save_state()
+    }
+
+    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+        self.load_state(state)
+    }
+}
+
+impl ClusterTreeGrape {
     /// Bring every live shard's tree up to date: refresh the frozen
     /// trees when the policy allows, (re)decompose and rebuild
     /// otherwise. Returns `(decompose_s, build_s, refresh_s)`.
     fn ensure_decomposition(&mut self, pos: &[Vec3], mass: &[f64]) -> (f64, f64, f64) {
         let mut alive: Vec<usize> =
-            (0..self.cluster.shards()).filter(|&k| self.cluster.is_alive(k)).collect();
+            (0..self.shards.len()).filter(|&k| self.shards[k].health.in_service()).collect();
         // a domain cannot be empty: with fewer particles than shards the
         // last shards own nothing and sit the evaluation out
         alive.truncate(pos.len());
@@ -403,13 +506,13 @@ impl ClusterTreeGrape {
             let limit_frac = self.cfg.base.refresh.max_drift_frac;
             let mut ok = true;
             for (d, &k) in self.live.iter().enumerate() {
-                let st = &mut self.shards_state[k];
+                let s = &mut self.shards[k];
                 let t0 = Instant::now();
-                decomp.gather(d, pos, mass, &mut st.pos, &mut st.mass);
+                decomp.gather(d, pos, mass, &mut s.pos, &mut s.mass);
                 // each shard's root half-width is its own length scale
-                ok = st.engine.refresh(&st.pos, &st.mass, limit_frac);
+                ok = s.engine.refresh(&s.pos, &s.mass, limit_frac);
                 let dt = t0.elapsed().as_secs_f64();
-                st.timers = PhaseTimers { refresh_s: dt, ..PhaseTimers::default() };
+                s.timers = PhaseTimers { refresh_s: dt, ..PhaseTimers::default() };
                 refresh_s += dt;
                 if !ok {
                     break;
@@ -450,12 +553,12 @@ impl ClusterTreeGrape {
         self.cut_weights = weights;
         let mut build_s = 0.0;
         for (d, &k) in alive.iter().enumerate() {
-            let st = &mut self.shards_state[k];
+            let s = &mut self.shards[k];
             let t1 = Instant::now();
-            decomp.gather(d, pos, mass, &mut st.pos, &mut st.mass);
-            st.engine.rebuild(&st.pos, &st.mass, &self.cfg.base);
+            decomp.gather(d, pos, mass, &mut s.pos, &mut s.mass);
+            s.engine.rebuild(&s.pos, &s.mass, &self.cfg.base);
             let dt = t1.elapsed().as_secs_f64();
-            st.timers = PhaseTimers { build_s: dt, ..PhaseTimers::default() };
+            s.timers = PhaseTimers { build_s: dt, ..PhaseTimers::default() };
             build_s += dt;
         }
         self.decomp = Some(decomp);
@@ -471,12 +574,12 @@ impl ClusterTreeGrape {
     /// cluster (full boards, no rates yet) produces *equal* weights, so
     /// its cuts are bit-identical to the unweighted decomposition.
     fn capacity_weights(&self, alive: &[usize]) -> Vec<u64> {
-        let max_rate = alive.iter().map(|&k| self.measured_rate[k]).fold(0.0_f64, f64::max);
+        let max_rate = alive.iter().map(|&k| self.shards[k].rate).fold(0.0_f64, f64::max);
         alive
             .iter()
             .map(|&k| {
-                let boards = (self.cluster.device(k).active_boards() as u64).max(1);
-                let rate = self.measured_rate[k];
+                let boards = (self.shards[k].g5.active_boards() as u64).max(1);
+                let rate = self.shards[k].rate;
                 // Wide power-of-two bands: healthy measurement spread
                 // (small shards differ by 10–30% in per-call overhead)
                 // maps into ONE bucket, so a healthy cluster keeps
@@ -503,374 +606,474 @@ impl ClusterTreeGrape {
     }
 }
 
-/// One shard's force evaluation on device `g5`: the shard's own step
-/// engine, with every other live shard's tree as the remote mass
-/// (`remote`) and the full snapshot as the quantization window.
+/// The shard lifecycle supervisor's knobs. The default turns both
+/// mechanisms **off**, which keeps the backend's device-call sequence
+/// bit-identical to a supervisor-less run — self-healing is opt-in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LifecyclePolicy {
+    /// Re-probe dead shards and quarantined hardware every this many
+    /// evaluations (`0` = never probe). A passing probe re-admits the
+    /// hardware and triggers a capacity-weighted re-decomposition.
+    pub probe_interval: u64,
+    /// Straggler deadline: a shard whose *modeled* device time for one
+    /// evaluation exceeds `factor × median` is declared Degraded and
+    /// its groups re-execute on the fastest survivor within the same
+    /// `try_compute`. `None` = no deadline. Deadlines compare modeled
+    /// clock only, never host wall-clock, so firing is deterministic.
+    pub straggler_factor: Option<f64>,
+}
+
+/// Lifecycle state of one cluster shard.
 ///
-/// `bufs` are recycled dense output buffers (any length); they come
-/// back through the outcome for reuse next evaluation.
-fn shard_eval(
-    slot: usize,
-    g5: &mut Grape5,
-    st: &ShardState,
-    remote: &[&Tree],
-    window_pos: &[Vec3],
-    cfg: &TreeGrapeConfig,
-    bufs: (Vec<Vec3>, Vec<f64>),
-) -> ShardOutcome {
-    let (mut acc, mut pot) = bufs;
-    let n = st.pos.len();
-    acc.clear();
-    acc.resize(n, Vec3::ZERO);
-    pot.clear();
-    pot.resize(n, 0.0);
-    let eval = st.engine.evaluate(g5, remote, window_pos, cfg, &mut acc, &mut pot);
-    ShardOutcome { slot, acc, pot, eval }
+/// `Alive`, `Degraded` and `Readmitted` are *in service* (the shard owns
+/// a domain and serves evaluations); `Dead` is not. Multi-day cluster
+/// campaigns lose cards *and get them back* (a reseated cable, a swapped
+/// board), so a dead slot keeps its record and can return:
+///
+/// ```text
+/// Alive ──straggler / quarantine──▶ Degraded ──clean eval──▶ Alive
+///   │                                  │
+///   └────────── shard-fatal ◀──────────┘
+///                    │
+///                    ▼
+///                  Dead ──probe, self-test clean──▶ Readmitted ──clean eval──▶ Alive
+///                    ▲                │
+///                    └─ still convicts┘
+/// ```
+///
+/// A probe ([`LifecyclePolicy::probe_interval`]) lifts the slot's
+/// quarantines, re-runs the device self-test ([`Grape5::self_test`]) and
+/// puts whatever it still convicts straight back out of service: a dead
+/// shard whose persistent fault was repaired
+/// ([`ClusterTreeGrape::clear_persistent_faults`]) is re-admitted, a
+/// serving one regains hardware, and either is handed a domain again by
+/// a capacity-weighted re-decomposition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardHealth {
+    /// In service, no supervisor concern.
+    Alive,
+    /// In service, but flagged: straggler deadline hit or hardware
+    /// quarantined. Returns to `Alive` after a clean evaluation.
+    Degraded,
+    /// Out of service (shard-fatal device error or an explicit kill).
+    Dead,
+    /// Probe passed; in service again, awaiting its first evaluation.
+    Readmitted,
 }
 
-/// The trees shard `slot` imports remote mass from: every other live
-/// shard's, in slot order.
-fn remote_trees<'a>(states: &'a [ShardState], live: &[usize], slot: usize) -> Vec<&'a Tree> {
-    live.iter()
-        .filter(|&&k| k != slot)
-        .map(|&k| states[k].engine.tree().expect("live shard has a tree"))
-        .collect()
-}
+impl ShardHealth {
+    /// Does this state serve evaluations (own a domain)?
+    pub fn in_service(self) -> bool {
+        self != ShardHealth::Dead
+    }
 
-impl ForceBackend for ClusterTreeGrape {
-    fn try_compute(&mut self, pos: &[Vec3], mass: &[f64]) -> Result<ForceSet, ForceError> {
-        assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
-        if pos.is_empty() {
-            return Ok(ForceSet::zeros(0)); // no particle, nothing to decompose
+    /// Stable numeric code for checkpoint manifests (3 is retired).
+    pub fn code(self) -> u8 {
+        match self {
+            ShardHealth::Alive => 0,
+            ShardHealth::Degraded => 1,
+            ShardHealth::Dead => 2,
+            ShardHealth::Readmitted => 4,
         }
-        bounding_window(pos)?; // a non-finite position: typed, before any tree meets it
-        let t_all = Instant::now();
-        // Supervisor tick. A replay evaluation (checkpoint resume)
-        // re-creates an evaluation the interrupted run already made
-        // its decisions for, so the supervisor stands down entirely.
-        // Shards that must stay watched through this evaluation's
-        // end-of-eval promotion: freshly probed-in hardware plus any
-        // shard flagged below (quarantine activity, straggler).
-        let mut flagged: Vec<usize> = Vec::new();
+    }
+
+    /// Inverse of [`code`](Self::code).
+    pub fn from_code(code: u8) -> Option<ShardHealth> {
+        Some(match code {
+            0 => ShardHealth::Alive,
+            1 => ShardHealth::Degraded,
+            2 => ShardHealth::Dead,
+            4 => ShardHealth::Readmitted,
+            _ => return None,
+        })
+    }
+}
+
+/// Ordered record of every recovery-relevant event of a cluster run —
+/// kills, quarantines, probes, re-admissions, stragglers,
+/// re-decompositions — for post-mortem and for determinism checks (two
+/// runs of the same seeded schedule must produce identical ledgers).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RecoveryLedger {
+    events: Vec<String>,
+}
+
+impl RecoveryLedger {
+    fn record(&mut self, eval: u64, msg: impl AsRef<str>) {
+        self.events.push(format!("eval {eval}: {}", msg.as_ref()));
+    }
+
+    /// The events, oldest first, as `"eval N: <what happened>"` lines.
+    pub fn events(&self) -> &[String] {
+        &self.events
+    }
+}
+
+/// Why an evaluation error costs its shard the whole shard, as the
+/// ledger's `killed (…)` note: the device is exhausted (every board
+/// quarantined — past what the per-board retry/quarantine machinery of
+/// [`DeviceSession`](grape5::DeviceSession) recovers from), or the
+/// evaluation thread panicked. `None` for an error the shard survives.
+fn shard_fatal(err: &ForceError) -> Option<String> {
+    match err {
+        ForceError::Device(DeviceError::NoBoardsLeft) => {
+            Some("(shard-fatal device error)".to_string())
+        }
+        // The session's retry loop stores the final failure's Display
+        // text; an exhausted retry whose last attempt found no boards is
+        // just as dead as the direct report.
+        ForceError::Device(DeviceError::RetriesExhausted { last, .. })
+            if last.contains("all boards quarantined") =>
+        {
+            Some("(shard-fatal device error)".to_string())
+        }
+        // its forces never materialized and its state is suspect
+        ForceError::ShardPanic(msg) => Some(format!("(evaluation thread panicked: {msg})")),
+        _ => None,
+    }
+}
+
+impl ClusterTreeGrape {
+    /// Kill shard `k` by hand (the test/fault-drill entry point — in
+    /// anger, shard death is detected from device errors). Invalidates
+    /// the decomposition so the next evaluation re-decomposes over the
+    /// survivors. Idempotent; an out-of-range slot is ignored.
+    pub fn kill_shard(&mut self, k: usize) {
+        self.kill(k, "by operator");
+    }
+
+    /// Lifecycle state of shard `k` (`None` out of range).
+    pub fn shard_health(&self, k: usize) -> Option<ShardHealth> {
+        self.shards.get(k).map(|s| s.health)
+    }
+
+    /// The recovery ledger so far.
+    pub fn ledger(&self) -> &RecoveryLedger {
+        &self.ledger
+    }
+
+    /// Evaluations completed (the supervisor's clock).
+    pub fn evals(&self) -> u64 {
+        self.evals
+    }
+
+    /// Per-slot recovery totals, `(slot, stats)` for slots with any
+    /// recovery activity.
+    pub fn shard_recovery_stats(&self) -> Vec<(usize, RecoveryStats)> {
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.recovery != RecoveryStats::default())
+            .map(|(k, s)| (k, s.recovery))
+            .collect()
+    }
+
+    /// Repair shard `k`'s persistent faults (stuck pipe, board
+    /// dropout) — the chaos harness's "technician swaps the card"
+    /// event. The hardware stays quarantined until a probe re-tests it.
+    pub fn clear_persistent_faults(&mut self, k: usize) {
+        self.shards[k].g5.clear_persistent_faults();
+    }
+
+    /// Arm shard `k`'s fault injector.
+    pub fn set_fault_injector(&mut self, k: usize, fault: FaultConfig) {
+        self.shards[k].g5.set_fault_injector(fault);
+    }
+
+    /// Arm *every* shard's injector from one base configuration, with
+    /// per-shard seeds derived by [`grape5::splitmix`]
+    /// ([`FaultConfig::for_shard`]) — K shards armed from one
+    /// `FaultConfig` must not replay identical fault streams.
+    pub fn set_fault_injectors(&mut self, base: FaultConfig) {
+        for (k, s) in self.shards.iter_mut().enumerate() {
+            s.g5.set_fault_injector(base.for_shard(k));
+        }
+    }
+
+    /// Take slot `k` out of service, noting `why` on the ledger if it
+    /// was serving; the next evaluation re-decomposes over the
+    /// survivors.
+    fn kill(&mut self, k: usize, why: &str) {
+        if let Some(s) = self.shards.get_mut(k) {
+            let serving = s.health.in_service();
+            s.health = ShardHealth::Dead;
+            if serving && !self.replaying {
+                self.ledger.record(self.evals, format!("shard {k} killed {why}"));
+            }
+        }
+        self.invalidate();
+    }
+
+    /// Drop the decomposition: the next evaluation re-decomposes.
+    fn invalidate(&mut self) {
+        self.decomp = None;
+        self.live.clear();
+    }
+
+    /// Give a serving shard a new health; a dead slot stays dead.
+    fn set_serving(&mut self, k: usize, health: ShardHealth) {
+        let s = &mut self.shards[k];
+        if s.health.in_service() {
+            s.health = health;
+        }
+    }
+
+    /// The supervisor's tick at the top of an evaluation: count it and,
+    /// every `probe_interval` evaluations, probe every slot in slot
+    /// order. Returns the slots a probe brought back, which stay watched
+    /// through this evaluation. A replay evaluation (checkpoint resume)
+    /// re-creates one the interrupted run already made its decisions
+    /// for, so the supervisor stands down entirely.
+    fn supervise(&mut self) -> Vec<usize> {
+        let mut flagged = Vec::new();
         if !self.replaying {
             self.evals += 1;
             let interval = self.cfg.lifecycle.probe_interval;
             if interval > 0 && self.evals.is_multiple_of(interval) {
-                for oc in self.cluster.probe_all() {
-                    match oc {
-                        ProbeOutcome::Readmitted { slot } => {
-                            self.ledger
-                                .record(self.evals, format!("shard {slot} re-admitted by probe"));
-                            flagged.push(slot);
-                            self.decomp = None;
-                            self.live.clear();
-                        }
-                        ProbeOutcome::StillDead { slot } => {
-                            self.ledger
-                                .record(self.evals, format!("shard {slot} probed, still dead"));
-                        }
-                        ProbeOutcome::HardwareRestored { slot, boards, pipes } => {
-                            self.ledger.record(
-                                self.evals,
-                                format!("shard {slot} regained {boards} board(s), {pipes} pipe(s)"),
-                            );
-                            flagged.push(slot);
-                            self.decomp = None;
-                            self.live.clear();
-                        }
-                    }
+                for k in 0..self.shards.len() {
+                    self.probe(k, &mut flagged);
                 }
             }
         }
-        loop {
-            if self.cluster.alive() == 0 {
-                return Err(DeviceError::NoBoardsLeft.into());
+        flagged
+    }
+
+    /// Probe slot `k`: lift every quarantine, re-run the device
+    /// self-test, and put whatever it still convicts straight back out
+    /// of service. A dead shard that tests clean is `Readmitted`; a
+    /// serving one regains whatever hardware passed and is `Degraded`.
+    /// Either is recorded, flagged and re-decomposed over; a dead shard
+    /// the self-test still convicts is recorded and stays dead. A
+    /// serving shard with nothing quarantined is left alone.
+    /// Re-admitted boards come back with empty j-memory; the next
+    /// device session reloads.
+    fn probe(&mut self, k: usize, flagged: &mut Vec<usize>) {
+        let s = &mut self.shards[k];
+        let dead = s.health == ShardHealth::Dead;
+        let (boards, pipes) = s.g5.quarantined();
+        if !dead && boards.is_empty() && pipes.is_empty() {
+            return;
+        }
+        s.g5.return_to_service();
+        let report = s.g5.self_test();
+        for &(b, p) in &report.stuck_pipes {
+            s.g5.quarantine_pipe(b, p);
+        }
+        for &b in &report.dead_boards {
+            s.g5.quarantine_board(b);
+        }
+        let event = if dead {
+            if !report.is_clean() || s.g5.active_boards() == 0 {
+                self.ledger.record(self.evals, format!("shard {k} probed, still dead"));
+                return;
             }
-            let (decompose_s, build_s, refresh_s) = self.ensure_decomposition(pos, mass);
+            s.health = ShardHealth::Readmitted;
+            format!("shard {k} re-admitted by probe")
+        } else {
+            let (still_boards, still_pipes) = s.g5.quarantined();
+            let boards = boards.len().saturating_sub(still_boards.len());
+            let pipes = pipes.len().saturating_sub(still_pipes.len());
+            if boards == 0 && pipes == 0 {
+                return;
+            }
+            s.health = ShardHealth::Degraded;
+            format!("shard {k} regained {boards} board(s), {pipes} pipe(s)")
+        };
+        self.ledger.record(self.evals, event);
+        flagged.push(k);
+        self.invalidate();
+    }
 
-            // One scoped thread per live shard; each owns its device
-            // exclusively, reads the *other* shards' trees immutably
-            // (the in-line LET exchange), and writes a shard-local
-            // dense result, so no output cell is shared across threads.
-            // Each thread takes its slot's recycled output buffers and
-            // hands them back through the outcome. A panic anywhere in
-            // the evaluation is caught at the thread boundary and
-            // synthesized into a typed shard-fatal outcome — one
-            // shard's bug costs its shard, not the whole process.
-            #[cfg(test)]
-            let panic_slots = std::mem::take(&mut self.panic_next_eval);
-            #[cfg(test)]
-            let panic_slots = &panic_slots;
-            let mut bufs: Vec<Option<(Vec<Vec3>, Vec<f64>)>> = self
-                .shards_state
-                .iter_mut()
-                .map(|st| Some((std::mem::take(&mut st.acc), std::mem::take(&mut st.pot))))
-                .collect();
-            let devices = self.cluster.alive_devices_mut();
-            let states = &self.shards_state;
-            let live = &self.live;
-            let cfg = &self.cfg.base;
-            let mut outcomes: Vec<ShardOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = devices
-                    .into_iter()
-                    .filter(|(slot, _)| live.contains(slot))
-                    .map(|(slot, g5)| {
-                        let st = &states[slot];
-                        let remote = remote_trees(states, live, slot);
-                        let out = bufs[slot].take().expect("each slot evaluates at most once");
-                        // A caller per shard (`g5util::cores`),
-                        // registered before any shard runs — so each
-                        // sizes itself beside all of its siblings from
-                        // its first stream — and released once its
-                        // thread is joined, never while it still exists.
-                        let caller = cores::enter();
-                        let handle = scope.spawn(move || {
-                            catch_unwind(AssertUnwindSafe(|| {
-                                #[cfg(test)]
-                                if panic_slots.contains(&slot) {
-                                    panic!("injected shard panic");
-                                }
-                                shard_eval(slot, g5, st, &remote, pos, cfg, out)
-                            }))
-                            .unwrap_or_else(|payload| ShardOutcome::panicked(slot, payload))
-                        });
-                        (caller, handle)
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|(caller, h)| {
-                        let outcome =
-                            h.join().expect("shard evaluation thread panicked outside its guard");
-                        drop(caller);
-                        outcome
-                    })
-                    .collect()
-            });
-
-            // Per-evaluation *modeled* clock deltas — taken before any
-            // straggler re-execution, so re-executed work never
-            // pollutes a shard's own throughput measurement. Modeled
-            // time, never host wall-clock: deadlines and capacity
-            // weights must be deterministic.
-            let mut step_secs: Vec<(usize, f64)> = Vec::with_capacity(outcomes.len());
-            for o in &outcomes {
-                let acct = self.cluster.shard_accounting(o.slot);
-                let secs = acct.report(&self.cfg.base.grape).total_s();
-                let inter = acct.interactions;
-                let (p_inter, p_secs) = self.prev_clock[o.slot];
-                // accounting may be reset externally between evals
-                let d_secs = if secs >= p_secs { secs - p_secs } else { secs };
-                let d_inter = if inter >= p_inter { inter - p_inter } else { inter };
-                self.prev_clock[o.slot] = (inter, secs);
-                step_secs.push((o.slot, d_secs));
+    /// Per-evaluation *modeled* clock deltas of the shards that served,
+    /// in seconds and outcome order, each shard's throughput folded into its
+    /// measured rate — taken before any straggler re-execution, so
+    /// re-executed work never pollutes a shard's own throughput
+    /// measurement. Modeled time, never host wall-clock: deadlines and
+    /// capacity weights must be deterministic.
+    fn measure(&mut self, outcomes: &[ShardOutcome]) -> Vec<f64> {
+        let grape = &self.cfg.base.grape;
+        outcomes
+            .iter()
+            .map(|o| {
+                let s = &mut self.shards[o.slot];
+                let (inter, secs) = s.clock(grape);
+                let (p_inter, p_secs) = std::mem::replace(&mut s.prev_clock, (inter, secs));
+                let (d_inter, d_secs) = (inter - p_inter, secs - p_secs);
                 if !self.replaying && d_secs > 0.0 && d_inter > 0 {
-                    self.measured_rate[o.slot] = d_inter as f64 / d_secs;
+                    s.rate = d_inter as f64 / d_secs;
                 }
-            }
+                d_secs
+            })
+            .collect()
+    }
 
-            let mut fatal: Vec<(usize, String)> = Vec::new();
-            let mut first_err: Option<ForceError> = None;
-            for o in &outcomes {
-                let recovery = o.eval.recovery;
-                self.recovery = self.recovery.merged(recovery);
-                self.shard_recovery[o.slot] = self.shard_recovery[o.slot].merged(recovery);
-                if recovery.quarantined_boards > 0 || recovery.quarantined_pipes > 0 {
-                    self.cluster.mark_degraded(o.slot);
-                    flagged.push(o.slot);
-                    if !self.replaying {
-                        self.ledger.record(
-                            self.evals,
-                            format!(
-                                "shard {} quarantined {} board(s), {} pipe(s)",
-                                o.slot, recovery.quarantined_boards, recovery.quarantined_pipes
-                            ),
-                        );
-                    }
-                }
-                match &o.eval.err {
-                    Some(ForceError::Device(de)) if ClusterSession::shard_fatal(de) => {
-                        fatal.push((o.slot, "shard-fatal device error".to_string()));
-                    }
-                    // A panicked evaluation thread is a dead shard: its
-                    // forces never materialized and its state is
-                    // suspect, so the survivors re-own its particles.
-                    Some(ForceError::ShardPanic(msg)) => {
-                        fatal.push((o.slot, format!("evaluation thread panicked: {msg}")));
-                    }
-                    Some(e) if first_err.is_none() => first_err = Some(e.clone()),
-                    Some(_) => {}
-                    None => {}
+    /// Fold each served shard's recovery into the totals, flag (and
+    /// record) the shards that quarantined hardware, and kill every
+    /// shard the evaluation cost ([`shard_fatal`]). `Ok(true)`: the
+    /// survivors re-own the dead shards' particles and the evaluation
+    /// starts over — the work the healthy shards did this round is
+    /// discarded, shard death being rare enough that simplicity wins.
+    /// Otherwise the first error of any other kind.
+    fn triage(
+        &mut self,
+        outcomes: &[ShardOutcome],
+        flagged: &mut Vec<usize>,
+    ) -> Result<bool, ForceError> {
+        let mut fatal: Vec<(usize, String)> = Vec::new();
+        let mut first_err: Option<ForceError> = None;
+        for o in outcomes {
+            let recovery = o.eval.recovery;
+            self.recovery = self.recovery.merged(recovery);
+            let s = &mut self.shards[o.slot];
+            s.recovery = s.recovery.merged(recovery);
+            if recovery.quarantined_boards > 0 || recovery.quarantined_pipes > 0 {
+                self.set_serving(o.slot, ShardHealth::Degraded);
+                flagged.push(o.slot);
+                if !self.replaying {
+                    self.ledger.record(
+                        self.evals,
+                        format!(
+                            "shard {} quarantined {} board(s), {} pipe(s)",
+                            o.slot, recovery.quarantined_boards, recovery.quarantined_pipes
+                        ),
+                    );
                 }
             }
-            if !fatal.is_empty() {
-                // Whole-shard loss: survivors re-own the dead shards'
-                // particles and this evaluation starts over. Work the
-                // healthy shards did this round is discarded — shard
-                // death is rare enough that simplicity wins.
-                for (k, why) in &fatal {
-                    self.cluster.kill(*k);
-                    if !self.replaying {
-                        self.ledger.record(self.evals, format!("shard {k} killed ({why})"));
-                    }
-                }
-                self.decomp = None;
-                self.live.clear();
-                if self.cluster.alive() == 0 {
-                    return Err(DeviceError::NoBoardsLeft.into());
-                }
-                continue;
-            }
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-
-            // Straggler deadline: a shard whose modeled time for this
-            // evaluation exceeds factor × median is Degraded and its
-            // interaction groups re-execute on the fastest survivor —
-            // same trees, same LET machinery, same position window.
-            // Entirely off when no factor is set (the default), and
-            // during replay (the interrupted run already decided).
-            if let Some(factor) = self.cfg.lifecycle.straggler_factor {
-                if !self.replaying && outcomes.len() >= 2 {
-                    let mut times: Vec<f64> = step_secs.iter().map(|&(_, t)| t).collect();
-                    times.sort_by(|a, b| a.partial_cmp(b).expect("modeled times are finite"));
-                    let mid = times.len() / 2;
-                    let median = if times.len().is_multiple_of(2) {
-                        0.5 * (times[mid - 1] + times[mid])
-                    } else {
-                        times[mid]
-                    };
-                    let lagging: Vec<usize> =
-                        (0..outcomes.len()).filter(|&i| step_secs[i].1 > factor * median).collect();
-                    if !lagging.is_empty() && lagging.len() < outcomes.len() {
-                        let survivor = (0..outcomes.len())
-                            .filter(|i| !lagging.contains(i))
-                            .min_by(|&a, &b| {
-                                step_secs[a]
-                                    .1
-                                    .partial_cmp(&step_secs[b].1)
-                                    .expect("modeled times are finite")
-                                    .then(step_secs[a].0.cmp(&step_secs[b].0))
-                            })
-                            .map(|i| step_secs[i].0)
-                            .expect("a non-straggler exists");
-                        for &i in &lagging {
-                            let (slot, t) = step_secs[i];
-                            let st = &self.shards_state[slot];
-                            let remote = remote_trees(&self.shards_state, &self.live, slot);
-                            let g5 = self.cluster.device_mut(survivor);
-                            let fresh = (Vec::new(), Vec::new());
-                            let redo =
-                                shard_eval(slot, g5, st, &remote, pos, &self.cfg.base, fresh);
-                            if redo.eval.err.is_none() {
-                                self.recovery = self.recovery.merged(redo.eval.recovery);
-                                self.shard_recovery[survivor] =
-                                    self.shard_recovery[survivor].merged(redo.eval.recovery);
-                                let o = &mut outcomes[i];
-                                o.acc = redo.acc;
-                                o.pot = redo.pot;
-                                o.eval.tally = redo.eval.tally;
-                                self.cluster.mark_degraded(slot);
-                                flagged.push(slot);
-                                self.ledger.record(
-                                    self.evals,
-                                    format!(
-                                        "shard {slot} straggled ({t:.3e} s > {factor} x median \
-                                         {median:.3e} s); groups re-executed on shard {survivor}"
-                                    ),
-                                );
-                            } else {
-                                self.ledger.record(
-                                    self.evals,
-                                    format!(
-                                        "shard {slot} straggled but re-execution on shard \
-                                         {survivor} failed; original result kept"
-                                    ),
-                                );
-                            }
-                            // the survivor's own throughput must not be
-                            // charged for the straggler's groups
-                            let acct = self.cluster.shard_accounting(survivor);
-                            self.prev_clock[survivor] =
-                                (acct.interactions, acct.report(&self.cfg.base.grape).total_s());
-                        }
+            if let Some(e) = &o.eval.err {
+                match shard_fatal(e) {
+                    Some(why) => fatal.push((o.slot, why)),
+                    None => {
+                        first_err.get_or_insert_with(|| e.clone());
                     }
                 }
             }
-
-            let decomp = self.decomp.as_ref().expect("evaluated with a decomposition");
-            let mut out = ForceSet::zeros(pos.len());
-            for (d, o) in outcomes.iter_mut().enumerate() {
-                for (j, &gi) in decomp.owned(d).iter().enumerate() {
-                    out.acc[gi as usize] = o.acc[j];
-                    out.pot[gi as usize] = o.pot[j];
-                }
-                out.tally = out.tally.merged(o.eval.tally);
-                let st = &mut self.shards_state[o.slot];
-                // this evaluation's tree update is already on the clock
-                st.timers = PhaseTimers {
-                    build_s: st.timers.build_s,
-                    refresh_s: st.timers.refresh_s,
-                    ..o.eval.timers
-                };
-                // the dense result buffers go home for next evaluation
-                st.acc = std::mem::take(&mut o.acc);
-                st.pot = std::mem::take(&mut o.pot);
-            }
-            // phase seconds sum over shards (CPU, not critical path)
-            out.timers = PhaseTimers { build_s, refresh_s, decompose_s, ..PhaseTimers::default() };
-            for o in &outcomes {
-                out.timers.accumulate(&o.eval.timers);
-            }
-            out.timers.force_wall_s = t_all.elapsed().as_secs_f64();
-            // A clean evaluation promotes watched shards: Degraded and
-            // freshly Readmitted shards that served without incident
-            // return to Alive. Flagged shards stay Degraded.
-            for o in &outcomes {
-                if !flagged.contains(&o.slot) {
-                    self.cluster.mark_alive(o.slot);
-                }
-            }
-            self.replaying = false;
-            return Ok(out);
+        }
+        for (k, why) in &fatal {
+            self.kill(*k, why);
+        }
+        match first_err {
+            Some(e) if fatal.is_empty() => Err(e),
+            _ => Ok(!fatal.is_empty()),
         }
     }
 
-    fn name(&self) -> &'static str {
-        "cluster-tree-grape"
+    /// Straggler deadline: a shard whose modeled time for this
+    /// evaluation exceeds `factor` × median is Degraded and its
+    /// interaction groups re-execute on the fastest survivor — same
+    /// trees, same LET machinery, same position window — into fresh
+    /// buffers that replace its own. Off during replay (the interrupted
+    /// run already decided).
+    fn straggler_deadline(
+        &mut self,
+        factor: f64,
+        outcomes: &mut [ShardOutcome],
+        secs: &[f64],
+        pos: &[Vec3],
+        flagged: &mut Vec<usize>,
+    ) {
+        if self.replaying || outcomes.len() < 2 {
+            return;
+        }
+        let mut times = secs.to_vec();
+        times.sort_by(|a, b| a.partial_cmp(b).expect("modeled times are finite"));
+        let mid = times.len() / 2;
+        let median = if times.len().is_multiple_of(2) {
+            0.5 * (times[mid - 1] + times[mid])
+        } else {
+            times[mid]
+        };
+        let lagging: Vec<usize> =
+            (0..outcomes.len()).filter(|&i| secs[i] > factor * median).collect();
+        if lagging.is_empty() || lagging.len() == outcomes.len() {
+            return;
+        }
+        // the fastest non-straggler; on a tie the lowest slot (outcomes
+        // are in slot order and `min_by` keeps the first minimum)
+        let best = (0..outcomes.len())
+            .filter(|i| !lagging.contains(i))
+            .min_by(|&a, &b| secs[a].partial_cmp(&secs[b]).expect("modeled times are finite"))
+            .expect("a non-straggler exists");
+        let survivor = outcomes[best].slot;
+        for &i in &lagging {
+            let (slot, t) = (outcomes[i].slot, secs[i]);
+            let (mut acc, mut pot) = (Vec::new(), Vec::new());
+            let redo = {
+                let (trees, mut jobs) = split_live(&mut self.shards, &self.live);
+                let engine = jobs[i].engine;
+                let remote = remote_trees(&trees, slot);
+                let g5 = &mut *jobs[best].g5;
+                shard_eval(g5, engine, &remote, pos, &self.cfg.base, &mut acc, &mut pot)
+            };
+            if redo.err.is_none() {
+                self.recovery = self.recovery.merged(redo.recovery);
+                let s = &mut self.shards[survivor];
+                s.recovery = s.recovery.merged(redo.recovery);
+                let s = &mut self.shards[slot];
+                (s.acc, s.pot) = (acc, pot);
+                outcomes[i].eval.tally = redo.tally;
+                self.set_serving(slot, ShardHealth::Degraded);
+                flagged.push(slot);
+                self.ledger.record(
+                    self.evals,
+                    format!(
+                        "shard {slot} straggled ({t:.3e} s > {factor} x median {median:.3e} s); \
+                         groups re-executed on shard {survivor}"
+                    ),
+                );
+            } else {
+                self.ledger.record(
+                    self.evals,
+                    format!(
+                        "shard {slot} straggled but re-execution on shard {survivor} failed; \
+                         original result kept"
+                    ),
+                );
+            }
+            // the survivor's own throughput must not be charged for the
+            // straggler's groups
+            let s = &mut self.shards[survivor];
+            s.prev_clock = s.clock(&self.cfg.base.grape);
+        }
     }
 
-    fn grape_accounting(&self) -> Option<ClockAccounting> {
-        Some(self.cluster.accounting())
+    /// A clean evaluation promotes watched shards: Degraded and freshly
+    /// Readmitted shards that served without incident return to Alive.
+    /// Flagged shards stay as they are.
+    fn promote(&mut self, outcomes: &[ShardOutcome], flagged: &[usize]) {
+        for o in outcomes {
+            if !flagged.contains(&o.slot) {
+                self.set_serving(o.slot, ShardHealth::Alive);
+            }
+        }
     }
 
-    fn recovery_stats(&self) -> Option<RecoveryStats> {
-        Some(self.recovery)
-    }
-
-    /// The shards alive at this instant (a resumed run re-decomposes
-    /// over that count), each armed alive shard's fault words, and the
-    /// supervisor: shard healths, measured rates, the weights of the
-    /// decomposition in force, the eval clock and the recovery ledger.
-    fn resume_state(&self) -> ResumeState {
-        // Probation is transient within a probe call; persist the three
-        // durable states (Readmitted checkpoints as Degraded: both are
-        // "serving, watched").
+    /// The resume state: the shards in service at this instant (a
+    /// resumed run re-decomposes over that count), the fault words of
+    /// every armed slot — a dead one's too, so a resumed probe finds the
+    /// fault the uninterrupted run's would — and the supervisor: shard
+    /// healths, measured rates, the weights of the decomposition in
+    /// force, the eval clock and the recovery ledger.
+    fn save_state(&self) -> ResumeState {
+        // Readmitted checkpoints as Degraded: both are "serving, watched"
         let durable = |h| match h {
-            ShardHealth::Probation | ShardHealth::Readmitted => ShardHealth::Degraded,
+            ShardHealth::Readmitted => ShardHealth::Degraded,
             other => other,
         };
-        let healths = self.cluster.healths().into_iter().map(durable).map(ShardHealth::code);
-        let rates = self.measured_rate.iter().enumerate().filter(|(_, r)| **r > 0.0);
+        let slots = self.shards.iter().enumerate();
         ResumeState {
             fault_state: None,
             shards: Some(self.alive_shards()),
-            shard_fault_states: self.cluster.fault_states(),
+            shard_fault_states: slots
+                .clone()
+                .filter_map(|(k, s)| s.g5.fault_state_words().map(|w| (k, w)))
+                .collect(),
             lifecycle: Some(ClusterLifecycle {
                 evals: self.evals,
-                healths: healths.enumerate().collect(),
-                rates: rates.map(|(k, r)| (k, r.to_bits())).collect(),
+                healths: slots.clone().map(|(k, s)| (k, durable(s.health).code())).collect(),
+                rates: slots
+                    .filter(|(_, s)| s.rate > 0.0)
+                    .map(|(k, s)| (k, s.rate.to_bits()))
+                    .collect(),
                 cut_weights: self.cut_weights.clone(),
                 ledger: self.ledger.events.clone(),
             }),
@@ -883,34 +1086,40 @@ impl ForceBackend for ClusterTreeGrape {
     /// cut weights and makes no supervisor decisions of its own, so the
     /// resumed trajectory and ledger are bit-identical to the
     /// uninterrupted run's. As many shards must then serve as the
-    /// checkpoint recorded — the cuts depend on that count.
-    fn restore(&mut self, state: &ResumeState) -> io::Result<()> {
+    /// checkpoint recorded — the cuts depend on that count. A slot past
+    /// the cluster or an unknown health code is `InvalidData`.
+    fn load_state(&mut self, state: &ResumeState) -> io::Result<()> {
         let Some(shards) = state.shards.filter(|_| state.fault_state.is_none()) else {
             return Err(invalid(format!("not a cluster checkpoint, for {}", self.name())));
         };
+        let k_total = self.shards.len();
+        let unplaced = |key: &str, k: usize| {
+            invalid(format!("{key} for slot {k} of a {k_total}-shard cluster"))
+        };
         for (slot, words) in &state.shard_fault_states {
-            self.cluster
-                .restore_fault_state(*slot, words)
+            self.shards
+                .get_mut(*slot)
+                .map_or(Err(DeviceError::BadFaultState), |s| s.g5.restore_fault_state(words))
                 .map_err(|e| invalid(format!("shard {slot} fault restore failed: {e}")))?;
         }
         if let Some(lc) = &state.lifecycle {
             for &(k, code) in &lc.healths {
-                if let Some(h) = ShardHealth::from_code(code) {
-                    self.cluster.set_health(k, h);
-                }
+                let health = ShardHealth::from_code(code)
+                    .ok_or_else(|| invalid(format!("shard {k}: unknown health code {code}")))?;
+                self.shards.get_mut(k).ok_or_else(|| unplaced("shard_health", k))?.health = health;
             }
-            self.measured_rate.fill(0.0);
+            for s in &mut self.shards {
+                s.rate = 0.0;
+            }
             for &(k, bits) in &lc.rates {
-                if let Some(r) = self.measured_rate.get_mut(k) {
-                    *r = f64::from_bits(bits);
-                }
+                self.shards.get_mut(k).ok_or_else(|| unplaced("shard_rate", k))?.rate =
+                    f64::from_bits(bits);
             }
             self.evals = lc.evals;
             self.ledger = RecoveryLedger { events: lc.ledger.clone() };
             self.replay_weights = (!lc.cut_weights.is_empty()).then(|| lc.cut_weights.clone());
             self.replaying = true;
-            self.decomp = None;
-            self.live.clear();
+            self.invalidate();
         }
         if self.alive_shards() != shards {
             let alive = self.alive_shards();
@@ -927,7 +1136,7 @@ mod tests {
     use g5ic::plummer_sphere;
     use g5tree::eval::rms_relative_error;
     use g5tree::plan::PlanConfig;
-    use grape5::Grape5Config;
+    use grape5::{BoardDropout, StuckPipe};
     use rand::SeedableRng;
 
     fn plummer(n: usize, seed: u64) -> (Vec<Vec3>, Vec<f64>) {
@@ -1050,7 +1259,7 @@ mod tests {
             watched.ledger().events()
         );
         assert!(watched.ledger().events()[0].contains("decomposed over 3 shards"));
-        assert!(watched.shard_healths().iter().all(|&h| h == grape5::ShardHealth::Alive));
+        assert!((0..3).all(|k| watched.shard_health(k) == Some(ShardHealth::Alive)));
     }
 
     #[test]
@@ -1067,9 +1276,9 @@ mod tests {
         cl.compute(&pos, &mass); // eval 3: probe fires, shard 1 healthy -> readmitted
         assert_eq!(cl.alive_shards(), 3, "probe must re-admit the healthy killed shard");
         assert_eq!(cl.decomposition().unwrap().shards(), 3);
-        assert_eq!(cl.shard_health(1), Some(grape5::ShardHealth::Readmitted));
+        assert_eq!(cl.shard_health(1), Some(ShardHealth::Readmitted));
         cl.compute(&pos, &mass); // eval 4: clean service promotes it
-        assert_eq!(cl.shard_health(1), Some(grape5::ShardHealth::Alive));
+        assert_eq!(cl.shard_health(1), Some(ShardHealth::Alive));
         let events = cl.ledger().events();
         assert!(events.iter().any(|e| e.contains("shard 1 killed by operator")), "{events:?}");
         assert!(events.iter().any(|e| e.contains("shard 1 re-admitted by probe")), "{events:?}");
@@ -1085,7 +1294,7 @@ mod tests {
         // service, so its modeled eval time blows the 1.1 x median
         // deadline while its arithmetic stays exact
         for p in 0..15 {
-            cl.cluster.device_mut(1).quarantine_pipe(0, p);
+            cl.shards[1].g5.quarantine_pipe(0, p);
         }
         let fs = cl.compute(pos, mass);
         (cl, fs)
@@ -1096,7 +1305,7 @@ mod tests {
         let (pos, mass) = plummer(900, 23);
         let exact = DirectHost { eps: 0.01 }.compute(&pos, &mass);
         let (cl, fs) = straggler_cl(&pos, &mass);
-        assert_eq!(cl.shard_health(1), Some(grape5::ShardHealth::Degraded));
+        assert_eq!(cl.shard_health(1), Some(ShardHealth::Degraded));
         let events = cl.ledger().events();
         assert!(
             events.iter().any(|e| e.contains("shard 1 straggled") && e.contains("re-executed")),
@@ -1123,7 +1332,7 @@ mod tests {
         let n0 = cl.decomposition().unwrap().owned(1).len();
         // shard 1 loses one of its two boards; refresh interval 1 means
         // the next eval re-decomposes with fresh capacity weights
-        cl.cluster.device_mut(1).quarantine_board(0);
+        cl.shards[1].g5.quarantine_board(0);
         cl.compute(&pos, &mass);
         let n1 = cl.decomposition().unwrap().owned(1).len();
         assert!(n1 < n0, "half the boards must shrink shard 1's domain ({n0} -> {n1})");
@@ -1209,5 +1418,181 @@ mod tests {
         let per_shard = cl.shard_timers();
         assert_eq!(per_shard.len(), 2);
         assert!(per_shard.iter().all(|(_, t)| t.device_s > 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_rejected() {
+        let _ = ClusterTreeGrape::new(small_cfg(0));
+    }
+
+    #[test]
+    fn kill_is_idempotent_and_range_checked() {
+        let mut cl = ClusterTreeGrape::new(small_cfg(4));
+        cl.kill_shard(2);
+        cl.kill_shard(2);
+        cl.kill_shard(99); // out of range: ignored, not a panic
+        assert_eq!(cl.alive_shards(), 3);
+        assert_eq!(cl.shard_health(2), Some(ShardHealth::Dead));
+        assert_eq!(cl.shard_health(99), None);
+        assert_eq!(cl.ledger().events(), ["eval 0: shard 2 killed by operator"]);
+        // a dead shard stays dead whatever the supervisor thinks of it
+        cl.set_serving(2, ShardHealth::Degraded);
+        cl.set_serving(2, ShardHealth::Alive);
+        assert_eq!(cl.shard_health(2), Some(ShardHealth::Dead));
+        let (pos, mass) = plummer(400, 16);
+        cl.compute(&pos, &mass);
+        assert_eq!(cl.shard_timers().iter().map(|&(k, _)| k).collect::<Vec<_>>(), [0, 1, 3]);
+    }
+
+    #[test]
+    fn health_codes_keep_their_values() {
+        use ShardHealth::*;
+        for (h, code) in [(Alive, 0), (Degraded, 1), (Dead, 2), (Readmitted, 4)] {
+            assert_eq!(h.code(), code);
+            assert_eq!(ShardHealth::from_code(code), Some(h));
+        }
+        assert_eq!(ShardHealth::from_code(3), None, "code 3 is retired");
+        assert_eq!(ShardHealth::from_code(99), None);
+    }
+
+    #[test]
+    fn probe_keeps_a_faulty_shard_dead_until_repaired() {
+        let mut cl = ClusterTreeGrape::new(small_cfg(2));
+        // single-board shard whose board is persistently dropped out
+        // (after_call: 0 manifests immediately); the session layer has
+        // quarantined the only board and the shard died
+        cl.set_fault_injector(1, FaultConfig::dropout(5, BoardDropout { after_call: 0, board: 0 }));
+        cl.shards[1].g5.quarantine_board(0);
+        cl.kill_shard(1);
+        let mut flagged = Vec::new();
+        cl.probe(0, &mut flagged); // a healthy shard: nothing to probe
+        cl.probe(1, &mut flagged);
+        assert_eq!(cl.shard_health(1), Some(ShardHealth::Dead));
+        assert_eq!(cl.shards[1].g5.active_boards(), 0, "convicted board re-quarantined");
+        assert!(flagged.is_empty());
+
+        // repair, re-probe: the shard comes back, watched
+        cl.clear_persistent_faults(1);
+        cl.probe(1, &mut flagged);
+        assert_eq!(cl.shard_health(1), Some(ShardHealth::Readmitted));
+        assert_eq!(cl.shards[1].g5.active_boards(), 1);
+        assert_eq!((cl.alive_shards(), flagged), (2, vec![1]));
+        assert_eq!(
+            cl.ledger().events()[1..],
+            ["eval 0: shard 1 probed, still dead", "eval 0: shard 1 re-admitted by probe"]
+        );
+    }
+
+    #[test]
+    fn probe_restores_quarantined_hardware_on_a_serving_shard() {
+        let mut cfg = small_cfg(1);
+        cfg.base.grape = Grape5Config::paper(); // 2 boards
+        let mut cl = ClusterTreeGrape::new(cfg);
+        // a stuck pipe was quarantined; the fault has since been repaired
+        cl.set_fault_injector(
+            0,
+            FaultConfig::stuck(6, StuckPipe { after_call: 0, board: 0, pipe: 2 }),
+        );
+        // stuck pipes manifest once calls > after_call: advance the call
+        // counter through the fault-state words (index 5 = calls)
+        let g5 = &mut cl.shards[0].g5;
+        let mut words = g5.fault_state_words().unwrap();
+        words[5] = 1;
+        g5.restore_fault_state(&words).unwrap();
+        g5.quarantine_pipe(0, 2);
+        let mut flagged = Vec::new();
+        cl.probe(0, &mut flagged);
+        assert!(flagged.is_empty(), "fault still manifests: nothing freed");
+        cl.clear_persistent_faults(0);
+        cl.probe(0, &mut flagged);
+        assert_eq!(flagged, [0]);
+        assert_eq!(cl.shard_health(0), Some(ShardHealth::Degraded), "restored shard is watched");
+        assert!(cl.shards[0].g5.quarantined().1.is_empty());
+        assert_eq!(cl.ledger().events(), ["eval 0: shard 0 regained 0 board(s), 1 pipe(s)"]);
+    }
+
+    #[test]
+    fn fatal_classifier() {
+        let device = |e: DeviceError| shard_fatal(&ForceError::Device(e));
+        assert!(device(DeviceError::NoBoardsLeft).is_some());
+        let last = DeviceError::NoBoardsLeft.to_string();
+        assert!(device(DeviceError::RetriesExhausted { attempts: 7, last }).is_some());
+        let last = "board 0 timed out".to_string();
+        assert!(device(DeviceError::RetriesExhausted { attempts: 7, last }).is_none());
+        assert!(device(DeviceError::BoardTimeout { board: 0 }).is_none());
+        assert!(shard_fatal(&ForceError::ShardPanic("boom".into())).is_some());
+    }
+
+    #[test]
+    fn resume_state_carries_every_armed_slot_dead_or_alive() {
+        // a dead slot's fault process must survive a resume: its next
+        // probe has to find the fault the uninterrupted run's would
+        let arm = |cl: &mut ClusterTreeGrape| {
+            cl.set_fault_injector(0, FaultConfig::transient(1, 0.0));
+            cl.set_fault_injector(2, FaultConfig::transient(2, 0.0));
+        };
+        let mut cl = ClusterTreeGrape::new(small_cfg(3));
+        arm(&mut cl);
+        cl.kill_shard(2);
+        let state = cl.resume_state();
+        let slots: Vec<usize> = state.shard_fault_states.iter().map(|(k, _)| *k).collect();
+        assert_eq!(slots, [0, 2], "every armed slot, the dead one included; unarmed 1 absent");
+
+        let mut fresh = ClusterTreeGrape::new(small_cfg(3));
+        arm(&mut fresh);
+        fresh.restore(&state).unwrap();
+        assert_eq!(fresh.shard_health(2), Some(ShardHealth::Dead));
+        assert_eq!(fresh.resume_state(), state);
+
+        // a slot past the cluster (a damaged manifest) is typed, not a panic
+        let words = state.shard_fault_states[0].1.clone();
+        let bad = ResumeState { shard_fault_states: vec![(3, words)], ..state };
+        let err = ClusterTreeGrape::new(small_cfg(3)).restore(&bad).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard 3 fault restore failed"), "{err}");
+    }
+
+    #[test]
+    fn base_seed_arms_distinct_per_shard_streams() {
+        let mut cl = ClusterTreeGrape::new(small_cfg(4));
+        cl.set_fault_injectors(FaultConfig::transient(42, 0.5));
+        let states = cl.resume_state().shard_fault_states;
+        assert_eq!(states.len(), 4, "every shard armed");
+        // derived seeds put each RNG in a distinct state
+        for i in 0..states.len() {
+            for j in (i + 1)..states.len() {
+                assert_ne!(states[i].1, states[j].1, "shards {i}/{j} share fault state");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lifecycle_payload_the_cluster_cannot_place_fails_the_resume() {
+        use crate::checkpoint::{read_manifest, Checkpointer, ResumeError};
+        use crate::integrator::Simulation;
+        let dir = std::env::temp_dir().join(format!("g5_cluster_unplaced_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let sim = Simulation::try_new(
+            plummer_sphere(300, &mut rng),
+            ClusterTreeGrape::new(small_cfg(3)),
+            0.0,
+        )
+        .unwrap();
+        let state = sim.backend().resume_state();
+        let path = Checkpointer::new(&dir, 1).unwrap().write(&sim.state, 0.0, 1, &state).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(read_manifest(&path).unwrap().resume(ClusterTreeGrape::new(small_cfg(3))).is_ok());
+        for line in ["shard_health 7 0", "shard_health 0 9", "shard_rate 5 3ff0000000000000"] {
+            std::fs::write(&path, format!("{text}{line}\n")).unwrap();
+            let resumed = read_manifest(&path).unwrap().resume(ClusterTreeGrape::new(small_cfg(3)));
+            match resumed {
+                Err(ResumeError::Corrupt(e)) => assert_eq!(e.kind(), io::ErrorKind::InvalidData),
+                Err(e) => panic!("{line}: {e}"),
+                Ok(_) => panic!("{line}: resumed"),
+            }
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -67,7 +67,9 @@ pub use backends::{
 pub use checkpoint::{
     Checkpoint, Checkpointer, ClusterLifecycle, ResumeError, ResumeState, ScrubReport,
 };
-pub use cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig, LifecyclePolicy, RecoveryLedger};
+pub use cluster::{
+    ClusterTreeGrape, ClusterTreeGrapeConfig, LifecyclePolicy, RecoveryLedger, ShardHealth,
+};
 pub use diagnostics::{Diagnostics, EnergyWatchdog};
 pub use g5tree::plan::PlanConfig;
 pub use integrator::Simulation;

@@ -4,7 +4,7 @@
 //! Unlike its predecessors, the G5 chip can multiply the pairwise force
 //! and potential by a **user-loaded cutoff function** g(r), which is
 //! what lets GRAPE-5 compute the short-range (particle–particle) part
-//! of P³M / TreePM forces in hardware (Kawai et al. 2000, the "[11]"
+//! of P³M / TreePM forces in hardware (Kawai et al. 2000, the "\[11\]"
 //! companion paper of this reproduction's target). The chip stores the
 //! shape in a ROM-like table addressed by the squared distance and
 //! multiplies the pipeline output by the looked-up factor.

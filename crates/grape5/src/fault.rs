@@ -211,7 +211,7 @@ impl FaultConfig {
 /// shards of a cluster armed from a single [`FaultConfig`] each see an
 /// independent fault stream instead of K replays of the same one
 /// ([`FaultConfig::for_shard`]). The same function also seeds
-/// [`FaultRng`]'s state words.
+/// `FaultRng`'s state words.
 pub fn splitmix(base: u64, k: u64) -> u64 {
     let mut z = base.wrapping_add(k.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -2,9 +2,9 @@
 //!
 //! The real pipeline's throughput comes from evaluating many j-particles
 //! per cycle against a held i-set; this module models that data
-//! parallelism on CPU lanes over the SoA
-//! [`JSlices`](crate::pipeline::JSlices) streams — four j-particles per
-//! iteration in `Exact` mode, eight or sixteen in `Lns` mode:
+//! parallelism on CPU lanes over the SoA [`JSlices`] streams — four
+//! j-particles per iteration in `Exact` mode, eight or sixteen in `Lns`
+//! mode:
 //!
 //! ```text
 //!   interact_block (no cutoff)
@@ -151,7 +151,7 @@ const EXACT_DEPTH: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LanePath {
     /// Explicit x86 `core::arch` intrinsics: AVX2, with the cheapest op
-    /// column and the widest LNS lanes the CPU has ([`Wide`]).
+    /// column and the widest LNS lanes the CPU has (`Wide`).
     Avx2,
     /// The pre-lane per-pair skeleton — the definition the x86 lanes are
     /// held to, the A/B reference for the perf harness, and the path of

@@ -37,11 +37,14 @@
 //!
 //! The structure mirrors Figure 1 of the paper: [`board::ProcessorBoard`]
 //! (8 chips + j-memory) → [`system::Grape5`] (2 boards + host
-//! interface) → host code in the `treegrape` crate.
+//! interface) → host code in the `treegrape` crate. A PC-GRAPE cluster
+//! is host code too: `treegrape::cluster` owns one [`Grape5`] per shard
+//! slot and supervises the shards' health; this crate supplies what one
+//! device knows of its own faults ([`Grape5::self_test`], quarantine,
+//! [`Grape5::return_to_service`]).
 
 pub mod board;
 pub mod clock;
-pub mod cluster;
 pub mod config;
 pub mod cost;
 pub mod cutoff;
@@ -53,7 +56,6 @@ pub mod session;
 pub mod system;
 
 pub use clock::{ClockAccounting, ClockReport};
-pub use cluster::{ClusterSession, ProbeOutcome, ShardHealth};
 pub use config::{ArithMode, Grape5Config};
 pub use cost::{CostModel, PricePerformance};
 pub use cutoff::CutoffTable;

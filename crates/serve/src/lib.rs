@@ -215,7 +215,7 @@ mod tests {
             ("shards = 0", with(&|b| b.kind = BackendKind::Cluster { shards: 0 })),
             // past the 64 particles: `Grape5::open` would abort the process
             // on a 2^40-board allocation; 2^62 shards wrap the j-memory
-            // demand to 0 and `ClusterSession::open` panics in the worker
+            // demand to 0 and `ClusterTreeGrape::new` panics in the worker
             ("boards = 2^40", with(&|b| b.boards = 1 << 40)),
             ("shards = 2^62", with(&|b| b.kind = BackendKind::Cluster { shards: 1 << 62 })),
             ("theta NaN", with(&|b| b.theta = f64::NAN)),

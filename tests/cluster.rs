@@ -9,9 +9,9 @@ use grape5_nbody::core::checkpoint::{latest, Checkpointer};
 use grape5_nbody::core::snapshot_io;
 use grape5_nbody::core::{
     ClusterTreeGrape, ClusterTreeGrapeConfig, DirectHost, ForceBackend, LifecyclePolicy,
-    PlanConfig, ResumeState, Simulation, TreeGrape, TreeGrapeConfig,
+    PlanConfig, ResumeState, ShardHealth, Simulation, TreeGrape, TreeGrapeConfig,
 };
-use grape5_nbody::grape5::Grape5Config;
+use grape5_nbody::grape5::{BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
 use grape5_nbody::ic::{plummer_sphere, CosmologicalIc, Snapshot, ZeldovichConfig};
 use grape5_nbody::util::Vec3;
 use proptest::prelude::*;
@@ -239,6 +239,46 @@ fn lifecycle_checkpoint_resume_is_byte_identical() {
     assert_eq!(&resumed.state.pos, &sim.state.pos);
     assert_eq!(&resumed.state.vel, &sim.state.vel);
     assert_eq!(resumed.backend().ledger(), sim.backend().ledger());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint taken while a shard is dead carries that shard's fault
+/// process: shard 1's only board drops out at eval 1, the checkpoint at
+/// step 2 finds it dead, and the probe at eval 4 must find the dropout
+/// still there in the resumed run as in the uninterrupted one — not a
+/// fault injector rewound to zero that passes the self-test and
+/// re-admits the shard.
+#[test]
+fn a_dead_shard_keeps_its_fault_process_across_resume() {
+    let snap = plummer(500, 24);
+    let mut cfg = cluster_cfg(3, 64);
+    cfg.base.retry = RetryPolicy::no_wait();
+    cfg.lifecycle.probe_interval = 4;
+    let build = || {
+        let mut cl = ClusterTreeGrape::new(cfg);
+        cl.set_fault_injector(1, FaultConfig::dropout(5, BoardDropout { after_call: 3, board: 0 }));
+        cl
+    };
+    let dt = 0.01;
+    let (total, cut) = (7u64, 2u64);
+
+    let dir = std::env::temp_dir().join(format!("g5_cluster_dead_ckpt_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ck = Checkpointer::new(&dir, cut).unwrap();
+
+    let mut sim = Simulation::try_new(snap, build(), 0.0).unwrap();
+    sim.try_run(dt, cut).unwrap();
+    assert_eq!(sim.backend().shard_health(1), Some(ShardHealth::Dead));
+    ck.maybe_write(&sim).unwrap().expect("a checkpoint at the cut");
+    sim.try_run(dt, total - cut).unwrap();
+    let events = sim.backend().ledger().events();
+    assert!(events.iter().any(|e| e == "eval 4: shard 1 probed, still dead"), "{events:?}");
+
+    let mut resumed = latest(&dir).unwrap().expect("checkpoint present").resume(build()).unwrap();
+    resumed.try_run(dt, total - cut).unwrap();
+    assert_eq!(resumed.backend().ledger(), sim.backend().ledger());
+    assert_eq!(&resumed.state.pos, &sim.state.pos);
+    assert_eq!(&resumed.state.vel, &sim.state.vel);
     std::fs::remove_dir_all(&dir).ok();
 }
 
