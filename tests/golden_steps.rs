@@ -1,10 +1,12 @@
 //! Bit-identity of whole trajectories as a committed digest.
 //!
 //! Eight kick–drift–kick steps of one small Plummer sphere through every
-//! GRAPE backend — direct summation, the tree at refresh interval 1 and
-//! 4, clusters of two and four shards, the tree under an armed
-//! transient-fault injector, a supervised three-shard cluster that loses
-//! a board — in exact and LNS arithmetic. Each run is one row of FNV-1a
+//! GRAPE backend — direct summation on two boards and on one, the tree at
+//! refresh interval 1 and 4, the `g5serve` tenant's tree (one board, one
+//! group: every device call has the i-set equal to the j-set), clusters
+//! of two and four shards, the tree under an armed transient-fault
+//! injector, a supervised three-shard cluster that loses a board — in
+//! exact and LNS arithmetic. Each run is one row of FNV-1a
 //! digests: final positions, velocities, accelerations and potentials,
 //! the cumulative interaction tally, the recovery stats, and the modeled
 //! device clock (its counters and the bits of its seconds). The table
@@ -23,8 +25,8 @@
 //! change log.
 
 use grape5_nbody::core::{
-    ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend, LifecyclePolicy,
-    RefreshPolicy, Simulation, TreeGrape, TreeGrapeConfig,
+    BackendSpec, ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend,
+    LifecyclePolicy, RefreshPolicy, Simulation, TreeGrape, TreeGrapeConfig,
 };
 use grape5_nbody::grape5::{BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
 use grape5_nbody::ic::plummer_sphere;
@@ -106,7 +108,7 @@ fn row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String 
     if name.ends_with("lifecycle") {
         assert!(r.quarantined_boards > 0, "{name}: the injector never fired");
     }
-    format!("{name:<18} {}\n", cols.join(" "))
+    format!("{name:<19} {}\n", cols.join(" "))
 }
 
 /// The whole table, header included: the text of the golden file.
@@ -140,7 +142,7 @@ fn table() -> String {
          # N = {N}, seed {SEED}, eps = {EPS}; checked by tests/golden_steps.rs.\n\
          # Platform libm: every row through the sphere (powf, sin, cos), the\n\
          # *-lns rows also through the LNS tables (exp2, log2).\n\
-         {:<18} {:<16} {:<16} {:<16} {:<16} {:<16} {:<16} modeled\n",
+         {:<19} {:<16} {:<16} {:<16} {:<16} {:<16} {:<16} modeled\n",
         "run", "pos", "vel", "acc", "pot", "tally", "recovery"
     );
     t += &row("direct-exact", DirectGrape::new(exact, EPS), &exact);
@@ -154,6 +156,11 @@ fn table() -> String {
     t += &row("cluster4-exact", ClusterTreeGrape::new(cluster(exact, 4)), &exact);
     t += &row("cluster2-lns", ClusterTreeGrape::new(cluster(lns, 2)), &lns);
     t += &row("cluster3-lifecycle", supervised, &exact);
+    // a `g5serve` tenant's backend: n_crit 2000 > N puts the whole sphere
+    // in one group on one board
+    let one_board = Grape5Config { boards: 1, ..exact };
+    t += &row("tree-exact-onegroup", BackendSpec::tree(EPS).build(), &one_board);
+    t += &row("direct-exact-1b", DirectGrape::new(one_board, EPS), &one_board);
     t
 }
 
