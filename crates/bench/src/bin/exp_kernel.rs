@@ -34,6 +34,13 @@
 //! lanes that exact mode's definition cannot shed, and the kernel's
 //! ratio to it — how far from the floor, as a number.
 //!
+//! A **self call** — one board, forces on the very set it holds, the
+//! call every `g5serve` tenant makes — runs the symmetric exact kernel
+//! (one front per unordered pair); its row times that call at
+//! N ∈ {544, 1120, 1759} against the same pairs through the plain
+//! kernel (the i-set reversed), on this process's accumulate column and,
+//! where that is AVX-512VL, on the AVX2 column in the pinned children.
+//!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
 //! table, a `PhaseTimers` phase split for the headline run, and a
@@ -392,19 +399,111 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
     Some(StageSplit { n, mode, lanes, ops, stages, prefix_ns: best, floor_ns })
 }
 
-/// `--split-only`: both stage splits as their report rows, nothing else.
+/// Set sizes of the self-call row.
+const SELF_CALL_NS: [usize; 3] = [544, 1_120, 1_759];
+
+/// One self-call cell: ns/interaction of a one-board self call (the
+/// symmetric kernel) and of the same pairs with the i-set reversed (the
+/// plain kernel), fastest of alternating rounds.
+struct SelfCall {
+    n: usize,
+    /// The accumulate op column both ran on ([`acc_ops`]).
+    ops: &'static str,
+    self_ns: f64,
+    plain_ns: f64,
+}
+
+impl SelfCall {
+    fn keep_best(&mut self, other: &SelfCall) {
+        assert_eq!((self.n, self.ops), (other.n, other.ops));
+        self.self_ns = self.self_ns.min(other.self_ns);
+        self.plain_ns = self.plain_ns.min(other.plain_ns);
+    }
+
+    fn row(&self) -> Row {
+        row! {
+            "n": self.n, "acc_ops": self.ops, "unit": "ns_per_interaction",
+            "self_ns": self.self_ns, "plain_ns": self.plain_ns,
+            "self_speedup": self.plain_ns / self.self_ns,
+        }
+    }
+}
+
+/// The self-call cells, exact mode, on one board. `None` where the x86
+/// lanes do not run (the symmetric kernel is theirs).
+fn self_calls(quick: bool) -> Option<Vec<SelfCall>> {
+    let cfg = Grape5Config { boards: 1, ..Grape5Config::paper_exact() };
+    let rounds = if quick { 3 } else { 7 };
+    let mut cells = Vec::new();
+    for n in SELF_CALL_NS {
+        let snap = plummer(n, SEED);
+        let mut g5 = Grape5::open(cfg);
+        let (lo, hi) = bounding_window(&snap.pos).expect("finite workload");
+        g5.set_range(lo, hi);
+        g5.set_eps(EPS);
+        g5.set_j_particles(&snap.pos, &snap.mass);
+        if g5.lane_path() != LanePath::Avx2 {
+            return None;
+        }
+        let reversed: Vec<_> = snap.pos.iter().rev().copied().collect();
+        let time = |g5: &mut Grape5, xi: &[g5util::vec3::Vec3]| {
+            let t = Instant::now();
+            let f = g5.force_on(xi);
+            (t.elapsed().as_secs_f64() * 1e9 / (n * n) as f64, f)
+        };
+        let (mut self_ns, mut plain_ns) = (f64::INFINITY, f64::INFINITY);
+        for round in 0..=rounds {
+            let (s, fs) = time(&mut g5, &snap.pos);
+            let (p, fp) = time(&mut g5, &reversed);
+            assert!(fs.iter().eq(fp.iter().rev()), "N = {n}: the two kernels disagree");
+            if round > 0 {
+                (self_ns, plain_ns) = (self_ns.min(s), plain_ns.min(p)); // round 0 warms
+            }
+        }
+        cells.push(SelfCall { n, ops: acc_ops(g5.lane_path()), self_ns, plain_ns });
+    }
+    Some(cells)
+}
+
+fn self_call_table(cells: &[SelfCall]) {
+    println!();
+    println!(
+        "E10 — self calls: one board, forces on its own j-set, exact mode ({} accumulate)",
+        cells[0].ops
+    );
+    rule(78);
+    println!("{:>8} {:>22} {:>22} {:>12}", "N", "symmetric ns/int", "plain ns/int", "speedup");
+    rule(78);
+    for c in cells {
+        println!(
+            "{:>8} {:>22.3} {:>22.3} {:>11.2}x",
+            c.n,
+            c.self_ns,
+            c.plain_ns,
+            c.plain_ns / c.self_ns
+        );
+    }
+    rule(78);
+    println!("(plain: the same pairs with the i-set reversed, which is not a self call)");
+}
+
+/// `--split-only`: both stage splits and the self-call cells as their
+/// report rows, nothing else.
 fn print_splits(n: usize, quick: bool) {
     for mode in [ArithMode::Exact, ArithMode::Lns] {
         if let Some(split) = stage_split(mode, n, quick) {
             println!("{}", stage_row(&split).line());
         }
     }
+    for cell in self_calls(quick).into_iter().flatten() {
+        println!("{}", cell.row().line());
+    }
 }
 
-/// The two splits of a child of this binary pinned to the AVX2 op
-/// column and eight LNS lanes (`G5_LANE_PATH=avx2 --split-only`), read
-/// back from its report lines.
-fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
+/// The two splits and the self-call cells of a child of this binary
+/// pinned to the AVX2 op column and eight LNS lanes
+/// (`G5_LANE_PATH=avx2 --split-only`), read back from its report lines.
+fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<([StageSplit; 2], Vec<SelfCall>)> {
     let mut cmd = std::process::Command::new(std::env::current_exe().ok()?);
     cmd.arg("--split-only").env("G5_LANE_PATH", "avx2");
     if quick {
@@ -426,7 +525,17 @@ fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<[StageSplit; 2]> {
         (report::num(line, "n")? as usize == n && report::text(line, "acc_ops")? == ops)
             .then_some(StageSplit { n, mode, lanes, ops, stages, prefix_ns, floor_ns })
     };
-    Some([read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?])
+    let cells = text.lines().filter(|l| report::num(l, "self_ns").is_some()).map(|l| {
+        let ops = "avx2";
+        (report::text(l, "acc_ops")? == ops).then_some(SelfCall {
+            n: report::num(l, "n")? as usize,
+            ops,
+            self_ns: report::num(l, "self_ns")?,
+            plain_ns: report::num(l, "plain_ns")?,
+        })
+    });
+    let splits = [read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?];
+    Some((splits, cells.collect::<Option<_>>()?))
 }
 
 fn stage_table(split: &StageSplit) {
@@ -645,16 +754,25 @@ fn main() {
     // and at eight lanes, from pinned children, in rounds that alternate
     // with re-measurements of this process's own (fastest per prefix on
     // either side, each side's divider floor from its own rounds)
+    let mut own_self = self_calls(quick);
     let mut pinned: Option<[StageSplit; 2]> = None;
+    let mut pinned_self: Option<Vec<SelfCall>> = None;
     if splits.iter().any(|s| s.ops == "avx512vl") {
         for _ in 0..if quick { 2 } else { 3 } {
-            let Some(child) = splits_pinned_to_avx2(sizes[0], quick) else { break };
+            let Some((child, child_self)) = splits_pinned_to_avx2(sizes[0], quick) else { break };
             match &mut pinned {
                 Some(best) => best.iter_mut().zip(&child).for_each(|(b, c)| b.keep_best(c)),
                 None => pinned = Some(child),
             }
+            match &mut pinned_self {
+                Some(best) => best.iter_mut().zip(&child_self).for_each(|(b, c)| b.keep_best(c)),
+                None => pinned_self = Some(child_self),
+            }
             for own in &mut splits {
                 own.keep_best(&stage_split(own.mode, sizes[0], quick).expect("ran before"));
+            }
+            if let (Some(own), Some(again)) = (&mut own_self, self_calls(quick)) {
+                own.iter_mut().zip(&again).for_each(|(b, c)| b.keep_best(c));
             }
         }
     }
@@ -688,6 +806,9 @@ fn main() {
             lns.stage_ns().last().unwrap(),
             lns8.stage_ns().last().unwrap()
         );
+    }
+    for cells in own_self.iter().chain(&pinned_self) {
+        self_call_table(cells);
     }
     // share of the exact kernel that is the force, not the simulated
     // accumulator (the rest: unscale, encode, round, window, adds)
@@ -732,6 +853,12 @@ fn main() {
         splits.iter().map(|s| (s, "")).chain(pinned.iter().flatten().map(|s| (s, "_pinned_avx2")));
     for (split, tag) in tagged {
         out = out.put(&format!("{}_stage_split{tag}", mode_str(split.mode)), stage_row(split));
+    }
+    for (cells, tag) in
+        own_self.iter().map(|c| (c, "")).chain(pinned_self.iter().map(|c| (c, "_pinned_avx2")))
+    {
+        out = out
+            .put(&format!("self_calls{tag}"), cells.iter().map(SelfCall::row).collect::<Vec<_>>());
     }
     out.put("results", rows).write(&out_path);
     println!();

@@ -317,18 +317,17 @@ impl ClusterTreeGrape {
         let panic_slots = &panic_slots;
         let cfg = &self.cfg.base;
         let (trees, jobs) = split_live(&mut self.shards, &self.live);
+        // A caller per shard (`g5util::cores`), all registered before the
+        // first shard is spawned — so each sizes itself beside all of its
+        // siblings from its first stream — and each released once its
+        // thread is joined, never while it still exists.
+        let callers: Vec<cores::Caller> = jobs.iter().map(|_| cores::enter()).collect();
         std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
                 .map(|job| {
                     let remote = remote_trees(&trees, job.slot);
-                    // A caller per shard (`g5util::cores`), registered
-                    // before any shard runs — so each sizes itself
-                    // beside all of its siblings from its first stream —
-                    // and released once its thread is joined, never
-                    // while it still exists.
-                    let caller = cores::enter();
-                    let handle = scope.spawn(move || {
+                    scope.spawn(move || {
                         let slot = job.slot;
                         catch_unwind(AssertUnwindSafe(|| {
                             #[cfg(test)]
@@ -340,13 +339,13 @@ impl ClusterTreeGrape {
                             ShardOutcome { slot, eval }
                         }))
                         .unwrap_or_else(|payload| ShardOutcome::panicked(slot, payload))
-                    });
-                    (caller, handle)
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|(caller, h)| {
+                .zip(callers)
+                .map(|(h, caller)| {
                     let outcome =
                         h.join().expect("shard evaluation thread panicked outside its guard");
                     drop(caller);

@@ -7,7 +7,8 @@
 //! mode:
 //!
 //! ```text
-//!   interact_block (no cutoff)
+//!   interact_self (a self call, exact) ► avx2::block_exact_self(_vl), or declines to
+//!   interact_block (no cutoff), per board
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
 //!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns; where the CPU
 //!        │                          has AVX-512 and FMA, block_exact_vl / block_lns16
@@ -65,6 +66,15 @@
 //!   `front(g + D)` before `back(g)`, through a ring, so the divider
 //!   works on one group while the vector ports round another (in one
 //!   body they took turns: DESIGN.md). Backs run in ascending j.
+//!
+//! **Self calls.** When the i-set *is* the j-set (the boards' words in
+//! board order), `(a, b)` and `(b, a)` share their front bit for bit —
+//! `−d` is exact and IEEE rounding sign-symmetric — so `block_exact_self`
+//! runs one front per pair `a < b` and two backs, `d · (m_b r⁻³)` for
+//! `i = a` and `d · (−m_a r⁻³) = (−d) · (m_a r⁻³)` for `i = b`; a board's
+//! partial is then its rounded terms summed in another order, which is
+//! the ordered chain while every term is inside the encode window and
+//! `len · 2⁵⁰` fits the format (DESIGN.md, device kernel, "self calls").
 //!
 //! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
 //! the input converter every stage is a small-integer operation on log
@@ -182,7 +192,7 @@ fn parse_lane_path(var: Option<&str>, [has_avx2, has_wide]: [bool; 2]) -> (LaneP
 
 /// What the CPU has for the x86 lane path: `[AVX2, AVX2 and the FMA and
 /// AVX-512 subsets of avx2::block_exact_vl and avx2::block_lns16]`.
-fn cpu_lanes() -> [bool; 2] {
+pub(crate) fn cpu_lanes() -> [bool; 2] {
     #[cfg(target_arch = "x86_64")]
     let has = {
         let avx2 = std::is_x86_feature_detected!("avx2");
@@ -333,10 +343,16 @@ fn block_tiled(
 /// The forces of one i-tile from its raw accumulator words.
 #[inline(always)]
 fn store_tile(oc: &mut [Force], acc: &[[i64; 4]; I_TILE], force_scale: f64, fmt: FixedFormat) {
-    for (o, a) in oc.iter_mut().zip(acc) {
-        let [ax, ay, az, pot] = a.map(|raw| Fixed { raw, fmt }.to_f64() * force_scale);
-        *o = Force { acc: Vec3::new(ax, ay, az), pot };
+    for (o, &a) in oc.iter_mut().zip(acc) {
+        *o = force_of(a, force_scale, fmt);
     }
+}
+
+/// One readback word from the raw accumulator words `[ax, ay, az, pot]`.
+#[inline(always)]
+pub(crate) fn force_of(a: [i64; 4], force_scale: f64, fmt: FixedFormat) -> Force {
+    let [ax, ay, az, pot] = a.map(|raw| Fixed { raw, fmt }.to_f64() * force_scale);
+    Force { acc: Vec3::new(ax, ay, az), pot }
 }
 
 /// The scalar skeleton: one `pair(d, jj)` evaluation per non-coincident
@@ -473,6 +489,62 @@ pub(crate) fn words_in_magic_window(words: &[i64]) -> bool {
 #[cfg(target_arch = "x86_64")]
 fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
     j.in_window && xi.iter().all(|x| words_in_magic_window(x))
+}
+
+/// A self call's working set, kept by the caller so that a warm call
+/// allocates nothing: the i-set's words as doubles, its masses, where
+/// each board's share ends, and board `k`'s partial words on `i` at
+/// `acc[k · n + i]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SelfScratch {
+    pub(crate) img: [Vec<f64>; 3],
+    pub(crate) m: Vec<f64>,
+    pub(crate) ends: Vec<usize>,
+    pub(crate) acc: Vec<[i64; 4]>,
+    /// The kernel's scattered sums, `[board][component][i]`.
+    scattered: Vec<i64>,
+}
+
+/// The self call `xi`, whose set `s` holds, in one pass over its pairs
+/// (module docs): `s.acc`, or `false` (no AVX2, a term outside the
+/// window) for the caller to run each board's kernel. The words are the
+/// definition's if `xi` is the boards' words in board order, inside the
+/// magic window, no share longer than `fmt.raw_max() >> 50`.
+pub(crate) fn block_exact_self(
+    wide: Wide,
+    (quantum, eps2): (f64, f64),
+    xi: &[[i64; 3]],
+    force_scale: f64,
+    fmt: FixedFormat,
+    s: &mut SelfScratch,
+) -> bool {
+    let n = xi.len();
+    let shares = s.ends.windows(2).all(|e| e[0] < e[1]) && s.ends.last().unwrap_or(&0) == &n;
+    assert!(shares && s.m.len() == n && s.img.iter().all(|c| c.len() == n), "ragged self call");
+    s.acc.clear();
+    s.acc.resize(s.ends.len() * n, [0; 4]);
+    s.scattered.clear();
+    s.scattered.resize(4 * s.acc.len(), 0);
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was detected, `s` was asserted and sized for `xi`,
+        // and a `Wide` is only set where FMA and AVX-512 were detected.
+        let ran = unsafe {
+            if wide.0 {
+                avx2::block_exact_self_vl(quantum, eps2, xi, force_scale, fmt, s)
+            } else {
+                avx2::block_exact_self(quantum, eps2, xi, force_scale, fmt, s)
+            }
+        };
+        for (k, w) in s.acc.iter_mut().enumerate().filter(|_| ran) {
+            for (c, w) in w.iter_mut().enumerate() {
+                *w = w.wrapping_add(s.scattered[(4 * (k / n) + c) * n + k % n]);
+            }
+        }
+        return ran;
+    }
+    let _ = (wide, quantum, eps2, force_scale, fmt);
+    false
 }
 
 // ---------------------------------------------------------------------
@@ -686,10 +758,10 @@ pub(crate) fn block_lns_avx2_upto(
 mod avx2 {
     use super::{
         block_tiled, exact_pair, scale_mode, span_pairs, store_tile, words_in_magic_window,
-        ExactStage, LnsLanes, LnsStage, QuantCtx, ScalarAcc, ScaleMode, EXACT_DEPTH, HALF_PRED,
-        I_TILE, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
+        ExactStage, LnsLanes, LnsStage, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, EXACT_DEPTH,
+        HALF_PRED, I_TILE, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
     };
-    use crate::pipeline::{Force, JSlices};
+    use crate::pipeline::{Force, G5Pipeline, JSlices};
     use core::arch::x86_64::{_mm256_castpd_si256 as to_i, *};
     use g5util::fixed::{Fixed, FixedFormat};
     use g5util::vec3::Vec3;
@@ -1045,15 +1117,21 @@ mod avx2 {
             let v = c.unscale(f);
             let s = c.encode(v);
             if self.fast && O::in_window(s) {
-                for (sum, s) in self.sum.iter_mut().zip(s) {
-                    *sum = _mm256_add_epi64(*sum, O::round_term(s));
-                }
-                self.groups += 1;
+                self.add_in_window(s);
             } else {
                 self.flush(a);
                 add_ordered(a, v, c);
                 self.fast = c.headroom(a);
             }
+        }
+
+        /// Add a group's scaled terms that passed [`AccOps::in_window`].
+        #[inline(always)]
+        unsafe fn add_in_window(&mut self, s: [__m256d; 4]) {
+            for (sum, s) in self.sum.iter_mut().zip(s) {
+                *sum = _mm256_add_epi64(*sum, O::round_term(s));
+            }
+            self.groups += 1;
         }
 
         /// Fold the columns into the running words (one horizontal sum
@@ -1153,6 +1231,63 @@ mod avx2 {
         lanes_end
     }
 
+    /// The divider's half of an exact j-group: the zero-distance lanes,
+    /// `d = (x_j − x_i) · quantum`, `r⁻¹`, `r⁻³` — the same for `(i, j)`
+    /// and `(j, i)` up to the sign of `d` (module docs, "self calls").
+    #[derive(Clone, Copy)]
+    struct Front<G> {
+        zero: G,
+        d: [__m256d; 3],
+        rinv: __m256d,
+        rinv3: __m256d,
+    }
+
+    /// The [`Front`] of the j-group at `k` of the images `img` seen from
+    /// `xv`, `[quantum, ε², 1]` splatted.
+    ///
+    /// # Safety
+    /// AVX2 and `O`'s features; `k + LANES` ≤ each column's length.
+    #[inline(always)]
+    unsafe fn front<O: AccOps>(
+        img: [&[f64]; 3],
+        k: usize,
+        xv: [__m256d; 3],
+        [qv, e2v, onev]: [__m256d; 3],
+    ) -> Front<O::Guard> {
+        debug_assert!(img.iter().all(|c| k + LANES <= c.len()));
+        // SAFETY: k + LANES is at most the length of each img column.
+        let d0 = _mm256_sub_pd(_mm256_loadu_pd(img[0].as_ptr().add(k)), xv[0]);
+        let d1 = _mm256_sub_pd(_mm256_loadu_pd(img[1].as_ptr().add(k)), xv[1]);
+        let d2 = _mm256_sub_pd(_mm256_loadu_pd(img[2].as_ptr().add(k)), xv[2]);
+        let zero = O::zero_guard([d0, d1, d2]);
+        let dx = _mm256_mul_pd(d0, qv);
+        let dy = _mm256_mul_pd(d1, qv);
+        let dz = _mm256_mul_pd(d2, qv);
+        // (dx² + dy²) + dz² — explicit mul/add, never FMA, matching
+        // pair_exact's association
+        let r2 = _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+            _mm256_mul_pd(dz, dz),
+        );
+        let r2e = _mm256_add_pd(r2, e2v);
+        let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
+        Front { zero, d: [dx, dy, dz], rinv, rinv3: _mm256_div_pd(rinv, r2e) }
+    }
+
+    /// The terms `[fx, fy, fz, pot]` of a front: `d · (mf · r⁻³)` and
+    /// `mp · r⁻¹`, guarded on the potential lane only (a guarded force
+    /// lane is `0 · s`, ±0 or NaN, a raw 0 either way).
+    ///
+    /// # Safety
+    /// AVX2 and `O`'s features.
+    #[inline(always)]
+    unsafe fn terms<O: AccOps>(f: &Front<O::Guard>, mf: __m256d, mp: __m256d) -> [__m256d; 4] {
+        let s = _mm256_mul_pd(mf, f.rinv3);
+        let [dx, dy, dz] = f.d;
+        let pot = O::guarded_pot(f.zero, mp, f.rinv);
+        [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
+    }
+
     /// The x86 exact-mode block kernel on the ops of column `O`,
     /// truncated after stage `UPTO` (an [`ExactStage`] discriminant;
     /// `Accumulate` is the whole kernel); module docs, "front and back".
@@ -1173,42 +1308,19 @@ mod avx2 {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
-        /// The terms `[fx, fy, fz, pot]` of the j-group at `k` of a block
-        /// (coordinate image, masses) seen from `xv`, `[quantum, ε², 1]`
-        /// splatted: after the divides, five multiplies and a mask.
+        /// [`terms`] of the [`front`] of the j-group at `k` of a block.
         #[inline(always)]
-        unsafe fn front<O: AccOps>(
+        unsafe fn group<O: AccOps>(
             img: &[[f64; J_BLOCK]; 3],
             bm: &[f64],
             xv: [__m256d; 3],
-            [qv, e2v, onev]: [__m256d; 3],
+            consts: [__m256d; 3],
             k: usize,
         ) -> [__m256d; 4] {
-            debug_assert!(k + LANES <= bm.len() && k + LANES <= J_BLOCK);
-            // SAFETY: k + LANES is at most the length of bm and of each
-            // img column.
-            let d0 = _mm256_sub_pd(_mm256_loadu_pd(img[0].as_ptr().add(k)), xv[0]);
-            let d1 = _mm256_sub_pd(_mm256_loadu_pd(img[1].as_ptr().add(k)), xv[1]);
-            let d2 = _mm256_sub_pd(_mm256_loadu_pd(img[2].as_ptr().add(k)), xv[2]);
+            debug_assert!(k + LANES <= bm.len());
+            // SAFETY: k + LANES is at most the length of bm.
             let m4 = _mm256_loadu_pd(bm.as_ptr().add(k));
-            let zero = O::zero_guard([d0, d1, d2]);
-            let dx = _mm256_mul_pd(d0, qv);
-            let dy = _mm256_mul_pd(d1, qv);
-            let dz = _mm256_mul_pd(d2, qv);
-            // (dx² + dy²) + dz² — explicit mul/add, never FMA,
-            // matching pair_exact's association
-            let r2 = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                _mm256_mul_pd(dz, dz),
-            );
-            let r2e = _mm256_add_pd(r2, e2v);
-            let rinv = _mm256_div_pd(onev, _mm256_sqrt_pd(r2e));
-            let rinv3 = _mm256_div_pd(rinv, r2e);
-            let s = _mm256_mul_pd(m4, rinv3);
-            // zero-distance guard, potential lane only: a guarded
-            // force lane is 0·s, ±0 or NaN, a raw 0 either way
-            let pot = O::guarded_pot(zero, m4, rinv);
-            [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
+            terms::<O>(&front::<O>([&img[0], &img[1], &img[2]], k, xv, consts), m4, m4)
         }
         const D: usize = EXACT_DEPTH;
         let ctx = AccCtx::new(fmt, force_scale);
@@ -1245,12 +1357,12 @@ mod avx2 {
                     let mut cols = Columns::<O>::open(a, &ctx);
                     let mut ring = [[_mm256_setzero_pd(); 4]; D];
                     for (g, slot) in ring.iter_mut().enumerate().take(groups) {
-                        *slot = front::<O>(&img, bm, xv, consts, g * LANES);
+                        *slot = group::<O>(&img, bm, xv, consts, g * LANES);
                     }
                     for g in 0..groups {
                         let f = ring[g % D];
                         if g + D < groups {
-                            ring[g % D] = front::<O>(&img, bm, xv, consts, (g + D) * LANES);
+                            ring[g % D] = group::<O>(&img, bm, xv, consts, (g + D) * LANES);
                         }
                         if UPTO == ExactStage::Force as u8 {
                             cols.sink(_mm256_castpd_si256(xor4(f)));
@@ -1272,13 +1384,102 @@ mod avx2 {
         }
     }
 
-    /// The `#[target_feature]` entries of [`exact_body`], one per column.
+    /// The self-call kernel on column `O` (module docs, "self calls"):
+    /// per pair `a < b` one [`front`], through [`exact_body`]'s ring, and
+    /// two backs. `false` at the first group a window test rejects.
     ///
     /// # Safety
-    /// As for [`exact_body`]: coordinates in the magic window, AVX2, and
-    /// for `block_exact_vl` FMA and AVX-512 F, DQ and VL (`cpu_lanes()[1]`).
+    /// AVX2 and `O`'s features; `s` as [`block_exact_self`] asserted and
+    /// sized it. No closure in this body may hold an intrinsic.
+    #[inline(always)]
+    unsafe fn self_body<O: AccOps>(
+        quantum: f64,
+        eps2: f64,
+        xi: &[[i64; 3]],
+        force_scale: f64,
+        fmt: FixedFormat,
+        s: &mut SelfScratch,
+    ) -> bool {
+        const D: usize = EXACT_DEPTH;
+        let (ctx, sa) = (AccCtx::new(fmt, force_scale), ScalarAcc::new(fmt, force_scale));
+        let consts = [_mm256_set1_pd(quantum), _mm256_set1_pd(eps2), _mm256_set1_pd(1.0)];
+        let SelfScratch { img, m, ends, acc, scattered } = s;
+        let (n, img) = (xi.len(), [&img[0][..], &img[1][..], &img[2][..]]);
+        debug_assert!(m.len() == n && scattered.len() == 4 * ends.len() * n);
+        let scattered = scattered.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
+        let mut ca = 0;
+        for a in 0..n {
+            while ends[ca] <= a {
+                ca += 1;
+            }
+            let (x0, x1, x2) = (img[0][a], img[1][a], img[2][a]);
+            let xv = [_mm256_set1_pd(x0), _mm256_set1_pd(x1), _mm256_set1_pd(x2)];
+            let (ma, neg_ma) = (_mm256_set1_pd(m[a]), _mm256_set1_pd(-m[a]));
+            let mut start = 0;
+            for (cb, &end) in ends.iter().enumerate() {
+                // the b ≤ a, the diagonal among them, are other a's pairs
+                let lo = std::mem::replace(&mut start, end).max(a + 1);
+                let groups = end.saturating_sub(lo) / LANES;
+                let mut cols = Columns::<O>::open(&[0; 4], &ctx); // `fast` unused
+                let z = _mm256_setzero_pd();
+                let mut ring =
+                    [Front { zero: O::zero_guard([z; 3]), d: [z; 3], rinv: z, rinv3: z }; D];
+                for (g, slot) in ring.iter_mut().enumerate().take(groups) {
+                    *slot = front::<O>(img, lo + g * LANES, xv, consts);
+                }
+                for g in 0..groups {
+                    let (k, f) = (lo + g * LANES, ring[g % D]);
+                    if g + D < groups {
+                        ring[g % D] = front::<O>(img, k + D * LANES, xv, consts);
+                    }
+                    // SAFETY: k + LANES ≤ end ≤ n = m.len()
+                    let mb = _mm256_loadu_pd(m.as_ptr().add(k));
+                    let to_a = ctx.encode(ctx.unscale(terms::<O>(&f, mb, mb)));
+                    let to_b = ctx.encode(ctx.unscale(terms::<O>(&f, neg_ma, ma)));
+                    if !(O::in_window(to_a) && O::in_window(to_b)) {
+                        return false;
+                    }
+                    cols.add_in_window(to_a);
+                    for (c, t) in to_b.into_iter().enumerate() {
+                        let t = _mm256_sub_epi64(O::round_term(t), _mm256_set1_epi64x(O::BIAS));
+                        // SAFETY: k + LANES ≤ n: inside row (ca, c)
+                        let p = scattered.add((4 * ca + c) * n + k).cast::<__m256i>();
+                        _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), t));
+                    }
+                }
+                cols.flush(&mut acc[cb * n + a]);
+                for b in lo + groups * LANES..end {
+                    let d = [xi[b][0] - xi[a][0], xi[b][1] - xi[a][1], xi[b][2] - xi[a][2]];
+                    if d == [0; 3] {
+                        continue; // the zero-distance guard
+                    }
+                    for (d, mj, w) in
+                        [(d, m[b], cb * n + a), ([-d[0], -d[1], -d[2]], m[a], ca * n + b)]
+                    {
+                        let mut t = [0; 4];
+                        sa.add_force(&mut t, G5Pipeline::pair_exact(quantum, eps2, None, d, mj));
+                        for (w, t) in acc[w].iter_mut().zip(t) {
+                            if t.unsigned_abs() > 1 << 50 {
+                                return false;
+                            }
+                            *w = w.wrapping_add(t);
+                        }
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// The `#[target_feature]` entries of [`exact_body`] and of
+    /// [`self_body`], one of each per column.
+    ///
+    /// # Safety
+    /// As for [`exact_body`] and [`self_body`]: coordinates in the magic
+    /// window, AVX2, and for the `_vl` entries FMA and AVX-512 F, DQ and
+    /// VL (`cpu_lanes()[1]`).
     macro_rules! exact_entries {
-        ($($name:ident: $ops:ty, $features:literal;)+) => {$(
+        ($($name:ident, $self_name:ident: $ops:ty, $features:literal;)+) => {$(
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $name<const UPTO: u8>(
                 quantum: f64, eps2: f64, xi: &[[i64; 3]], j: &JSlices<'_>,
@@ -1286,11 +1487,18 @@ mod avx2 {
             ) {
                 exact_body::<$ops, UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
             }
+            #[target_feature(enable = $features)]
+            pub(super) unsafe fn $self_name(
+                quantum: f64, eps2: f64, xi: &[[i64; 3]], force_scale: f64, fmt: FixedFormat,
+                s: &mut SelfScratch,
+            ) -> bool {
+                self_body::<$ops>(quantum, eps2, xi, force_scale, fmt, s)
+            }
         )+};
     }
     exact_entries! {
-        block_exact: Avx2Ops, "avx2";
-        block_exact_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
+        block_exact, block_exact_self: Avx2Ops, "avx2";
+        block_exact_vl, block_exact_self_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
     }
 
     #[target_feature(enable = "avx2")]
@@ -2292,6 +2500,51 @@ mod tests {
                 m[at] = sign * (p(63) - p(57));
                 m[400..].fill(-sign * in_window);
                 check_placed(&m, &format!("headroom lost at {at}, sign {sign}"));
+            }
+        }
+    }
+
+    /// The symmetric self-call kernel on each op column against every
+    /// board's scalar skeleton on the whole set: one to three boards of
+    /// uneven shares, set sizes through two rings of groups and a tail at
+    /// every offset, zero and negative masses, ε = 0, and a pair of
+    /// coincident words across the first and last board.
+    #[test]
+    fn self_calls_agree_with_the_skeleton_on_both_op_columns() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5e1f);
+        // a quantum that keeps every term of these sets inside the
+        // encode window, ε = 0 included: only a coincident pair may decline
+        let (fmt, q) = (FixedFormat::new(64, 32), 2e-9);
+        for n in (1..=4 * (2 * EXACT_DEPTH + 1)).chain([97, 515]) {
+            for boards in 1..=3 {
+                let (_, mut x, m) = random_particles(&mut rng, 0, n, 1 << 30);
+                let coincident = n % 3 == 1 && n > 1;
+                if coincident {
+                    x[n - 1] = x[0];
+                }
+                let per = n.div_ceil(boards);
+                let shares: Vec<ProcessorBoard> =
+                    x.chunks(per).zip(m.chunks(per)).map(|(x, m)| jmem(x, m)).collect();
+                for (eps, fs) in [(0.01, 0.25), (0.0, 1.0), (0.05, 3.0)] {
+                    let what = format!("n = {n}, {boards} boards, eps {eps}");
+                    let want: Vec<Vec<Force>> = (shares.iter())
+                        .map(|b| run_path(ArithMode::Exact, SCALAR, q, eps, &x, b, fs, fmt))
+                        .collect();
+                    for (path, wide) in all_paths() {
+                        let mut p = G5Pipeline::new(&Grape5Config::paper_exact(), q, eps);
+                        p.set_lane_path(path);
+                        set_wide(&mut p, wide);
+                        let mut s = SelfScratch::default();
+                        let boards = shares.iter().map(ProcessorBoard::j_slices);
+                        let ran = p.interact_self(&x, boards, fs, fmt, &mut s);
+                        assert!(ran || (coincident && eps == 0.0), "{what} wide {wide}: declined");
+                        for (k, want) in want.iter().enumerate().filter(|_| ran) {
+                            let got = s.acc[k * n..][..n].iter().map(|&w| force_of(w, fs, fmt));
+                            let what = format!("{what} wide {wide}, board {k}");
+                            assert_bits_equal(want, &got.collect::<Vec<_>>(), &what);
+                        }
+                    }
+                }
             }
         }
     }

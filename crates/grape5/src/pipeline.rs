@@ -439,6 +439,49 @@ impl G5Pipeline {
         }
     }
 
+    /// A self call — `xi` is the `boards`' coordinate words concatenated
+    /// in board order, all inside the magic window, no share longer than
+    /// `fmt` sums from zero (`len · 2⁵⁰ ≤ raw_max`) — in one pass over its
+    /// unordered pairs ([`lanes::block_exact_self`]), each board's partial
+    /// words left in `scratch.acc`. `false`, nothing to read, for any
+    /// other call, where this pipeline would not run the AVX2 exact
+    /// kernel, and where that kernel declines. Out of line: the O(n)
+    /// recognition stays out of every other call's code.
+    #[inline(never)]
+    pub(crate) fn interact_self<'a>(
+        &self,
+        xi: &[[i64; 3]],
+        boards: impl Iterator<Item = JSlices<'a>>,
+        force_scale: f64,
+        fmt: FixedFormat,
+        s: &mut lanes::SelfScratch,
+    ) -> bool {
+        if (self.mode, self.lane_path) != (ArithMode::Exact, LanePath::Avx2)
+            || self.cutoff.is_some()
+        {
+            return false;
+        }
+        s.img.iter_mut().for_each(Vec::clear);
+        s.m.clear();
+        s.ends.clear();
+        for j in boards {
+            let (at, end) = (s.m.len(), s.m.len() + j.len());
+            let cols = j.x.iter().zip(j.y).zip(j.z);
+            let same = (xi.get(at..end))
+                .is_some_and(|x| x.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c]));
+            if !(same && j.in_window) || j.len() as i64 > fmt.raw_max() >> 50 {
+                return false;
+            }
+            for (img, col) in s.img.iter_mut().zip([j.x, j.y, j.z]) {
+                img.extend(col.iter().map(|&w| w as f64)); // exact: |w| < 2⁵⁰
+            }
+            s.m.extend_from_slice(j.m);
+            s.ends.push(end);
+        }
+        let consts = (self.quantum, self.eps2);
+        s.m.len() == xi.len() && lanes::block_exact_self(self.wide, consts, xi, force_scale, fmt, s)
+    }
+
     /// Profiling hook: run the AVX2 exact lane kernel truncated after
     /// stage `upto`, the twin of
     /// [`interact_block_lns_upto`](Self::interact_block_lns_upto).

@@ -30,7 +30,7 @@ use crate::cutoff::CutoffTable;
 use crate::fault::{
     corrupt_mass, corrupt_readback, CallFault, DeviceError, FaultConfig, FaultState,
 };
-use crate::lanes::LanePath;
+use crate::lanes::{self, LanePath, SelfScratch};
 use crate::pipeline::{Force, G5Pipeline};
 use g5util::cores;
 use g5util::fixed::RangeScaler;
@@ -91,6 +91,12 @@ fn run_boards<F>(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Self calls the symmetric kernel evaluated on this thread.
+    static SELF_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// What the device's built-in self-test reports: persistent faults
 /// currently manifesting on hardware still in active service. The host
 /// recovery layer runs this after repeated failures to decide what to
@@ -139,6 +145,8 @@ pub struct Grape5 {
     partials: Vec<Vec<Force>>,
     /// Reusable quantized i-coordinate buffer.
     i_scratch: Vec<[i64; 3]>,
+    /// Reusable working set of the symmetric self-call kernel.
+    self_scratch: SelfScratch,
     /// Host-forced exact-mode lane path, surviving pipeline rebuilds.
     lane_override: Option<LanePath>,
 }
@@ -171,6 +179,7 @@ impl Grape5 {
             quarantined_pipes: Vec::new(),
             partials: vec![Vec::new(); nb],
             i_scratch: Vec::new(),
+            self_scratch: SelfScratch::default(),
             lane_override: None,
         }
     }
@@ -511,15 +520,47 @@ impl Grape5 {
         // into its own scratch buffer, so the later host merge runs in
         // fixed board order no matter where or when a board ran —
         // forces are deterministic under any thread schedule. Short
-        // calls stay on this thread (see SPAWN_REPAY_INTERACTIONS).
+        // calls stay on this thread (see SPAWN_REPAY_INTERACTIONS). A
+        // self call on this thread — the i-set is the resident j-set,
+        // board by board — writes every board's partial from one pass
+        // over its unordered pairs instead, unless the kernel declines.
         let interactions = xi.len() as u64 * self.nj_total as u64;
         {
             let (pipeline, raw, force_scale) =
                 (&self.pipeline, &self.i_scratch[..], self.force_scale);
-            let parallel = interactions >= SPAWN_REPAY_INTERACTIONS && cores::share() > 1;
-            run_boards(&self.boards, &self.board_ok, &mut self.partials, parallel, &|b, out| {
-                b.compute_into(pipeline, raw, force_scale, out)
-            });
+            let fmt = self.cfg.acc_format;
+            let parallel = interactions >= SPAWN_REPAY_INTERACTIONS
+                && cores::share() > 1
+                && self.boards.len() > 1;
+            let live = |(b, ok): &(&ProcessorBoard, &bool)| **ok && b.nj() > 0;
+            let boards = self.boards.iter().zip(&self.board_ok);
+            let scratch = &mut self.self_scratch;
+            if !parallel
+                && xi.len() == self.nj_total
+                && pipeline.interact_self(
+                    raw,
+                    boards.clone().filter(live).map(|(b, _)| b.j_slices()),
+                    force_scale,
+                    fmt,
+                    scratch,
+                )
+            {
+                #[cfg(test)]
+                SELF_CALLS.with(|c| c.set(c.get() + 1));
+                let outs = boards.zip(&mut self.partials).filter(|(b, _)| live(b));
+                for (words, (_, out)) in scratch.acc.chunks(xi.len().max(1)).zip(outs) {
+                    out.clear();
+                    out.extend(words.iter().map(|&w| lanes::force_of(w, force_scale, fmt)));
+                }
+            } else {
+                run_boards(
+                    &self.boards,
+                    &self.board_ok,
+                    &mut self.partials,
+                    parallel,
+                    &|b, out| b.compute_into(pipeline, raw, force_scale, out),
+                );
+            }
         }
 
         let mut total: Vec<Force> = vec![Force::ZERO; xi.len()];
@@ -1192,6 +1233,141 @@ mod tests {
         g5.set_j_particles(&far, &vec![1.0; far.len()]);
         g5.set_range(-1.0, 1.0);
         assert!(g5.boards().iter().all(|b| b.j_slices().in_window));
+    }
+
+    /// `calls` self calls of `pos` — load, then forces on the same set —
+    /// on a device on `path`: per call, the force bits, whether the
+    /// symmetric kernel ran and whether the load was corrupted.
+    fn self_calls(
+        cfg: Grape5Config,
+        path: LanePath,
+        (eps, scale): (f64, f64),
+        (pos, mass): (&[Vec3], &[f64]),
+        fault: Option<FaultConfig>,
+        calls: usize,
+    ) -> Vec<(Vec<[u64; 4]>, bool, bool)> {
+        let runs = || SELF_CALLS.with(std::cell::Cell::get);
+        let mut g5 = Grape5::open(cfg);
+        g5.set_lane_path(path);
+        g5.set_range(-1.0, 1.0);
+        g5.set_eps(eps);
+        g5.set_force_scale(scale);
+        if let Some(f) = fault {
+            g5.set_fault_injector(f);
+        }
+        (0..calls)
+            .map(|_| {
+                g5.set_j_particles(pos, mass);
+                let corrupted = g5.boards().iter().flat_map(|b| b.j_slices().m).ne(mass);
+                let before = runs();
+                let f = g5.try_force_on(pos).expect("no board can time out");
+                let bits = f.iter().map(|w| [w.acc.x, w.acc.y, w.acc.z, w.pot].map(f64::to_bits));
+                (bits.collect(), runs() > before, corrupted)
+            })
+            .collect()
+    }
+
+    /// The symmetric self-call kernel (`lanes::block_exact_self`) against
+    /// the scalar definition, bit for bit, through whole force calls: one
+    /// to three boards, n from 1 to 2,000, ε ∈ {0, 10⁻³, 0.05}, force scale
+    /// ∈ {1, ⅛, 3}, a coincident pair (across boards where there are
+    /// several), words on the edge of the magic window and past it, terms
+    /// past the encode window, and an injector arming transient faults,
+    /// j-memory corruption and a stuck pipe. The kernel must have run on
+    /// every call that can take it (`eligible`; `None`: ε = 0 with a
+    /// coincident pair, which it may decline) and on no other.
+    #[test]
+    fn self_calls_match_the_scalar_definition_bit_for_bit() {
+        use crate::fault::StuckPipe;
+        use rand::{Rng, SeedableRng};
+        // a registered caller per core: every call runs its boards on this
+        // thread however long it is, so none is kept from the kernel
+        let _one_core: Vec<cores::Caller> = (0..cores::total()).map(|_| cores::enter()).collect();
+        fn check(
+            what: &str,
+            cfg: Grape5Config,
+            params: (f64, f64),
+            set: (&[Vec3], &[f64]),
+            fault: Option<FaultConfig>,
+            calls: usize,
+            eligible: Option<bool>,
+        ) {
+            let got = self_calls(cfg, LanePath::Avx2, params, set, fault, calls);
+            let want = self_calls(cfg, LanePath::Scalar, params, set, fault, calls);
+            for (k, ((got, ran, corrupted), (want, scalar_ran, _))) in
+                got.iter().zip(&want).enumerate()
+            {
+                assert!(got == want, "{what}, call {k}: forces differ from the definition");
+                assert!(!scalar_ran, "{what}, call {k}: the scalar path ran the symmetric kernel");
+                if let Some(eligible) = eligible {
+                    let want = crate::lanes::cpu_lanes()[0] && eligible && !corrupted;
+                    assert_eq!(*ran, want, "{what}, call {k}: symmetric kernel ran");
+                }
+            }
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5e1f);
+        let mut sphere = |n: usize, half: f64| {
+            let mut c = || rng.random_range(-half..half);
+            let pos: Vec<Vec3> = (0..n).map(|_| Vec3::new(c(), c(), c())).collect();
+            let mass: Vec<f64> = (0..n).map(|_| (1.0 + c() / half) / n as f64).collect();
+            (pos, mass)
+        };
+        let exact = |boards, coord_bits| Grape5Config {
+            mode: ArithMode::Exact,
+            boards,
+            coord_bits,
+            ..Grape5Config::paper()
+        };
+        let params = [0.0, 1e-3, 0.05].map(|e| [1.0, 0.125, 3.0].map(|s| (e, s))).concat();
+        let mut turn = params.iter().copied().cycle();
+        for n in (1..=9).chain([31, 64, 65, 127, 300, 1031, 2000]) {
+            // 2,000 on one board, a `g5serve` tenant's call, only: its
+            // scalar reference takes seconds in a debug build
+            for boards in 1..=if n < 2000 { 3 } else { 1 } {
+                // every (ε, scale) on the short sets, the next in turn on the long
+                for (eps, scale) in turn.by_ref().take(if n <= 127 { params.len() } else { 1 }) {
+                    let (mut pos, mass) = sphere(n, 0.9);
+                    let coincident = n > 1 && (n + boards) % 2 == 0;
+                    if coincident {
+                        pos[n - 1] = pos[0];
+                    }
+                    let what = format!("n {n}, {boards} boards, eps {eps}, scale {scale}");
+                    let eligible = (eps > 0.0 || !coincident).then_some(true);
+                    let cfg = exact(boards, 32);
+                    check(&what, cfg, (eps, scale), (&pos, &mass), None, 1, eligible);
+                }
+            }
+        }
+        for boards in 1..=3 {
+            // 50-bit words, many clamped to the window's ends (±2⁴⁹, some
+            // coincident): inside; 51-bit ones reach −2⁵⁰: outside
+            let (pos, mass) = sphere(65, 3.0);
+            for (bits, eligible) in [(50, true), (51, false)] {
+                let what = format!("{bits}-bit words, {boards} boards");
+                let set = (&pos[..], &mass[..]);
+                check(&what, exact(boards, bits), (0.05, 1.0), set, None, 1, Some(eligible));
+            }
+            // terms past the encode window decline the call
+            let (pos, mut mass) = sphere(65, 0.9);
+            mass[17] = 1e30;
+            let set = (&pos[..], &mass[..]);
+            check("huge terms", exact(boards, 32), (0.01, 1.0), set, None, 1, Some(false));
+            // faults land on the partials and the readback after the
+            // kernel; a corrupted load declines the call
+            let stuck = StuckPipe { after_call: 4, board: boards - 1, pipe: 5 };
+            let fault = FaultConfig {
+                transient_rate: 0.3,
+                jmem_corrupt_rate: 0.3,
+                stuck_pipe: Some(stuck),
+                ..FaultConfig::none(boards as u64)
+            };
+            for n in [64, 300] {
+                let (pos, mass) = sphere(n, 0.9);
+                let (what, set) =
+                    (format!("faults, n {n}, {boards} boards"), (&pos[..], &mass[..]));
+                check(&what, exact(boards, 32), (0.01, 0.125), set, Some(fault), 12, Some(true));
+            }
+        }
     }
 
     #[test]

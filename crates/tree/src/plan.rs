@@ -174,7 +174,10 @@ pub struct PlanConfig {
     /// Producer threads. `None` chooses [`cores::share`]` − 1` when the
     /// stream starts — this caller's equal share of the machine, less
     /// the core its consumer runs on: `cores − 1` for a lone evaluator,
-    /// 0 on a single core or with a registered caller for every core.
+    /// 0 on a single core or with a registered caller for every core —
+    /// and never more than the stream's groups less one: the group the
+    /// consumer takes first has nothing to overlap with, so a stream of
+    /// one group resolves inline.
     /// `Some(w)` is taken as given whoever else is running; `Some(0)` —
     /// like a resolved 0 — is the serial in-order path with no channel
     /// at all. Lists, forces and tallies do not depend on the count.
@@ -202,8 +205,9 @@ impl PlanConfig {
         PlanConfig { workers: Some(workers.max(1)), channel_depth }
     }
 
-    fn resolved_workers(&self) -> usize {
-        self.workers.unwrap_or_else(|| workers_for(cores::share()))
+    fn resolved_workers(&self, groups: usize) -> usize {
+        let default = || workers_for(cores::share()).min(groups.saturating_sub(1));
+        self.workers.unwrap_or_else(default)
     }
 }
 
@@ -317,7 +321,7 @@ where
 {
     let mut stats = PlanStats::default();
     let minted_before = pool.minted();
-    let workers = cfg.resolved_workers();
+    let workers = cfg.resolved_workers(groups.len());
 
     if workers == 0 {
         // inline: produce and consume one group at a time, in
@@ -463,21 +467,25 @@ mod tests {
     #[test]
     fn default_workers_leave_one_core_to_the_consumer() {
         assert_eq!([1, 2, 8].map(workers_for), [0, 1, 7]);
-        // an explicit count is taken as given, and "overlapped" still
-        // means at least one producer
-        assert_eq!(PlanConfig::serial().resolved_workers(), 0);
-        assert_eq!(PlanConfig { workers: Some(5), channel_depth: 2 }.resolved_workers(), 5);
-        assert!(PlanConfig::overlapped(0, 3).resolved_workers() >= 1);
+        // an explicit count is taken as given, whatever the stream's
+        // length, and "overlapped" still means at least one producer
+        let many = 1 << 20;
+        assert_eq!(PlanConfig::serial().resolved_workers(many), 0);
+        let five = PlanConfig { workers: Some(5), channel_depth: 2 };
+        assert_eq!([1, many].map(|g| five.resolved_workers(g)), [5, 5]);
+        assert!(PlanConfig::overlapped(0, 3).resolved_workers(1) >= 1);
         // the default follows this caller's share of the machine: all
         // of it alone, an equal part beside other registered callers,
-        // and no producer at all once there is a caller per core
+        // and no producer at all once there is a caller per core — and
+        // no more producers than groups after the first
         let total = cores::total();
-        assert_eq!(PlanConfig::default().resolved_workers(), total - 1);
+        let default = |groups| PlanConfig::default().resolved_workers(groups);
+        assert_eq!([0, 1, 2, many].map(default), [0, 0, 1.min(total - 1), total - 1]);
         let others: Vec<cores::Caller> = (0..total).map(|_| cores::enter()).collect();
-        assert_eq!(PlanConfig::default().resolved_workers(), 0);
-        assert_eq!(PlanConfig { workers: Some(5), channel_depth: 2 }.resolved_workers(), 5);
+        assert_eq!(default(many), 0);
+        assert_eq!(five.resolved_workers(many), 5);
         drop(others);
-        assert_eq!(PlanConfig::default().resolved_workers(), total - 1);
+        assert_eq!(default(many), total - 1);
     }
 
     #[test]

@@ -128,6 +128,18 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         }
     }
 
+    // a self call — one board, forces on the very set it holds, the call
+    // a `g5serve` tenant makes — takes the symmetric kernel, whose working
+    // set the device keeps: warm, it too allocates its result only
+    let mut g5 = Grape5::open(Grape5Config { boards: 1, ..Grape5Config::paper_exact() });
+    let (pos, mass) = (&snap.pos[..600], &snap.mass[..600]);
+    let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
+    let warm = session.try_force_for(pos, mass, pos).unwrap();
+    let n = allocs_during(|| drop(session.try_force_for(pos, mass, pos).unwrap()));
+    assert_eq!(n, 1, "self call through try_force_for");
+    let n = allocs_during(|| assert_eq!(session.force_on(pos), warm));
+    assert_eq!(n, 1, "self call through force_on");
+
     // `LanePath::Avx2` above ran the op column and the LNS lanes this
     // CPU has, a fact of the process: one that resolved it from the CPU
     // alone counts once more in a child pinned to the AVX2 column and

@@ -5,7 +5,10 @@
 //! one-core share and must run the one-core path — inline plan, boards
 //! in turn, serial sort and window — so the process's thread count
 //! (`Threads:` in `/proc/self/status`, sampled by a watcher thread)
-//! stays where it was when the callers were in place. The three
+//! stays where it was when the callers were in place. A lone caller with
+//! the whole machine spawns nothing either when its set is one group on
+//! one board, a `g5serve` tenant's shape: the stream has nothing to
+//! overlap and the call no board to split. The four
 //! scenarios share one `#[test]`: the census counts every thread in the
 //! process, so nothing else may run beside it — which is also why this
 //! file is its own test binary. `cores::total()` is whatever the runner
@@ -13,7 +16,7 @@
 #![cfg(target_os = "linux")]
 
 use grape5_nbody::core::{
-    ClusterTreeGrape, ClusterTreeGrapeConfig, ForceBackend, TreeGrape, TreeGrapeConfig,
+    BackendSpec, ClusterTreeGrape, ClusterTreeGrapeConfig, ForceBackend, TreeGrape, TreeGrapeConfig,
 };
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::serve::{JobSpec, JobState, Server, ServerConfig};
@@ -107,6 +110,25 @@ fn callers_with_one_core_each_spawn_nothing(total: usize) {
     });
 }
 
+/// A lone `TreeGrape` on the whole machine with fewer particles than its
+/// group size (`BackendSpec::tree`: n_crit 2,000, one board): one group,
+/// so no plan producer; one board, so no board split. The evaluations
+/// are short and many, so that a producer — alive for one group's
+/// resolution — would be alive at some of the census's samples.
+fn a_lone_one_group_evaluation_spawns_nothing() {
+    let (pos, mass) = plummer(200, 3);
+    let mut backend = BackendSpec::tree(0.01).build();
+    let census = Census::begin();
+    for _ in 0..100 {
+        backend.compute(&pos, &mass);
+    }
+    let (start, peak) = census.end();
+    assert!(
+        peak <= start,
+        "a lone one-group evaluation: {start} threads at the start, {peak} at the peak"
+    );
+}
+
 /// A cluster of `total` shards on the calling thread: its shard threads
 /// and nothing else.
 fn a_cluster_adds_its_shard_threads_and_nothing_else(total: usize) {
@@ -178,4 +200,5 @@ fn callers_sharing_the_process_spawn_no_thread_for_a_core_they_do_not_have() {
     callers_with_one_core_each_spawn_nothing(total);
     a_cluster_adds_its_shard_threads_and_nothing_else(total);
     a_saturated_server_adds_no_thread_to_its_workers(total);
+    a_lone_one_group_evaluation_spawns_nothing();
 }
