@@ -16,23 +16,20 @@
 //! column; `G5_LANE_PATH` picks which lane implementation runs, and
 //! the report records which accumulate op column it ran —
 //! `"acc_ops": "avx2" | "avx512vl"` — and how wide its LNS groups
-//! were). On
-//! AVX2 each mode's kernel is also run truncated after each of its
-//! pipeline stages, and the differences of those prefixes give the
-//! per-stage ns/interaction split that names the next bottleneck — in
-//! exact mode, what the simulated fixed-point accumulator costs next to
-//! the force itself. Where the CPU has the AVX-512VL column and sixteen
-//! LNS lanes, both splits are also taken on the AVX2 column and at
-//! eight lanes, in children pinned with `G5_LANE_PATH=avx2`
-//! (`--split-only`) between re-measurements of this process's own, each
-//! side with the divider floor of its own rounds: the exact kernel's
-//! ratio to its floor at both columns, from one run. Differencing
-//! prefixes mis-prices stages that overlap (PR 16's LNS decode, the
-//! exact kernel's pipelined front and back), so the exact table also
-//! carries a same-run **divider floor**:
-//! a calibration loop of the one `vsqrtpd` and two `vdivpd` per four
-//! lanes that exact mode's definition cannot shed, and the kernel's
-//! ratio to it — how far from the floor, as a number.
+//! were). On AVX2 each mode's whole kernel is also timed on one board
+//! and one thread through `G5Pipeline::interact_block`, the exact one
+//! beside a same-round **divider floor**: a calibration loop of the one
+//! `vsqrtpd` and two `vdivpd` per four lanes that exact mode's
+//! definition cannot shed, and the kernel's ratio to it — how far from
+//! the floor, as a number. A kernel is timed whole, the way the GRAPE-5
+//! pipeline is priced (one interaction per clock, its stages
+//! overlapped): timing it cut short after each stage mis-priced the
+//! stages that overlap (DESIGN.md, device kernel). Where the CPU has the
+//! AVX-512VL column and sixteen LNS lanes, both kernels are also timed
+//! on the AVX2 column and at eight lanes, in children pinned with
+//! `G5_LANE_PATH=avx2` (`--split-only`) between re-measurements of this
+//! process's own, each side with the divider floor of its own rounds:
+//! the exact kernel's ratio to its floor at both columns, from one run.
 //!
 //! A **self call** — one board, forces on the very set it holds, the
 //! call every `g5serve` tenant makes — runs the symmetric exact kernel
@@ -65,10 +62,7 @@ use g5util::counters::{FlopConvention, InteractionRate};
 use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
 use grape5::pipeline::JWord;
-use grape5::{
-    bounding_window, ArithMode, ExactStage, Force, G5Pipeline, Grape5, Grape5Config, LanePath,
-    LnsStage,
-};
+use grape5::{bounding_window, ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath};
 use std::time::Instant;
 use treegrape::perf::PhaseTimers;
 
@@ -234,69 +228,50 @@ fn measure(n: usize, mode: ArithMode, quick: bool) -> KernelResult {
     KernelResult { n, mode, nj, load_s, batch, reference, lane, scalar }
 }
 
-/// `(json key, table label)` per truncation point of a lane kernel.
-type StageNames = &'static [(&'static str, &'static str)];
-
-const EXACT_STAGES: StageNames = &[
-    ("force", "subtract + force and potential terms"),
-    ("round", "unscale + encode + round to i64"),
-    ("accumulate", "window test + column accumulate"),
-];
-const LNS_STAGES: StageNames = &[
-    ("encode", "subtract + log converter (encode)"),
-    ("adder", "squarers + r2 adder (sb ROM)"),
-    ("scale_mul", "power units + multipliers (scale, mul)"),
-    ("decode", "antilog ROM (decode)"),
-    ("accumulate", "fixed-point accumulate"),
-];
-
-/// ns/interaction each lane stage adds: consecutive differences of the
-/// AVX2 kernel's truncated-prefix timings.
-struct StageSplit {
+/// ns/interaction of one mode's whole AVX2 lane kernel, fastest of its
+/// rounds.
+struct KernelTime {
     n: usize,
     mode: ArithMode,
     /// Lanes per j-group of the kernel measured (4 × f64, 8 or 16 × i32).
     lanes: usize,
     /// The accumulate op column it ended in ([`acc_ops`]).
     ops: &'static str,
-    stages: StageNames,
-    /// Time per interaction of the kernel truncated after each stage.
-    prefix_ns: Vec<f64>,
+    ns: f64,
     /// Exact mode: [`divider_floor_ns`], fastest of the same rounds.
     floor_ns: Option<f64>,
 }
 
-impl StageSplit {
-    fn stage_ns(&self) -> Vec<f64> {
-        let p = &self.prefix_ns;
-        (0..p.len()).map(|k| if k == 0 { p[0] } else { p[k] - p[k - 1] }).collect()
-    }
-
-    /// The whole kernel.
-    fn total(&self) -> f64 {
-        *self.prefix_ns.last().expect("at least one stage")
-    }
-
-    /// Keep the faster of two measurements of the same kernel, prefix
-    /// by prefix.
-    fn keep_best(&mut self, other: &StageSplit) {
+impl KernelTime {
+    /// Keep the faster of two measurements of the same kernel.
+    fn keep_best(&mut self, other: &KernelTime) {
         assert_eq!(
             (self.mode, self.lanes, self.ops, self.n),
             (other.mode, other.lanes, other.ops, other.n)
         );
-        for (p, o) in self.prefix_ns.iter_mut().zip(&other.prefix_ns) {
-            *p = p.min(*o);
-        }
+        self.ns = self.ns.min(other.ns);
         self.floor_ns = match (self.floor_ns, other.floor_ns) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
     }
 
-    /// Index of the costliest stage.
-    fn bottleneck(&self) -> usize {
-        let s = self.stage_ns();
-        (0..s.len()).max_by(|&a, &b| s[a].total_cmp(&s[b])).unwrap()
+    /// The kernel's ratio to its divider floor (NaN without one).
+    fn over_floor(&self) -> f64 {
+        self.ns / self.floor_ns.unwrap_or(f64::NAN)
+    }
+
+    fn row(&self) -> Row {
+        let row = row! {
+            "n": self.n, "mode": mode_str(self.mode), "lanes": self.lanes, "acc_ops": self.ops,
+            "unit": "ns_per_interaction", "kernel": self.ns,
+        };
+        match self.floor_ns {
+            Some(floor) => {
+                row.put("divider_floor", floor).put("kernel_over_floor", self.over_floor())
+            }
+            None => row,
+        }
     }
 }
 
@@ -323,23 +298,23 @@ fn divider_floor_ns() -> f64 {
     let passes = 256;
     let t = Instant::now();
     for _ in 0..passes {
-        // SAFETY: only called from `stage_split` after the AVX2 kernel
-        // itself ran, i.e. AVX2 was detected.
+        // SAFETY: only called from `kernel_time` on the AVX2 lane path,
+        // i.e. where AVX2 was detected.
         std::hint::black_box(unsafe { pass(std::hint::black_box(&r2)) });
     }
     t.elapsed().as_secs_f64() * 1e9 / (passes * r2.len()) as f64
 }
 
-/// No AVX2 kernel, no floor row (`stage_split` is `None` before this).
+/// No AVX2 kernel, no floor row (`kernel_time` is `None` before this).
 #[cfg(not(target_arch = "x86_64"))]
 fn divider_floor_ns() -> f64 {
     f64::INFINITY
 }
 
-/// Time `mode`'s AVX2 kernel truncated after every stage (alternating
-/// rounds, fastest round per prefix) on a resident Plummer j-set.
-/// `None` when that kernel is not running on the AVX2 lanes.
-fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
+/// Time `mode`'s whole AVX2 kernel (fastest round) on a resident
+/// Plummer j-set, one board, this thread. `None` when that kernel is not
+/// running on the AVX2 lanes.
+fn kernel_time(mode: ArithMode, n: usize, quick: bool) -> Option<KernelTime> {
     let snap = plummer(n, SEED);
     let cfg = Grape5Config { mode, ..Grape5Config::paper() };
     let (lo, hi) = bounding_window(&snap.pos).expect("finite workload");
@@ -353,38 +328,23 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
         .zip(&snap.mass)
         .map(|(&raw, &m)| JWord { raw, m_lns: pipe.encode_mass(m), m })
         .collect();
+    if pipe.lane_path() != LanePath::Avx2 {
+        return None;
+    }
     let mut board = ProcessorBoard::new(&cfg);
     board.load_j(&words);
     let j = board.j_slices();
     let ni = if quick { 64 } else { 256 }.min(n);
     let rounds = if quick { 3 } else { 7 };
     let mut out = vec![Force::ZERO; ni];
-    let stages = match mode {
-        ArithMode::Exact => EXACT_STAGES,
-        ArithMode::Lns => LNS_STAGES,
-    };
-    let mut best = vec![f64::INFINITY; stages.len()];
-    let mut floor_ns = f64::INFINITY;
+    let (mut ns, mut floor_ns) = (f64::INFINITY, f64::INFINITY);
     for round in 0..=rounds {
-        for (s, best) in best.iter_mut().enumerate() {
-            let xi = &raw[(round * ni) % (n - ni + 1)..][..ni];
-            let (fs, fmt) = (1.0, cfg.acc_format);
-            let t = Instant::now();
-            let ran = match mode {
-                ArithMode::Exact => {
-                    pipe.interact_block_exact_upto(ExactStage::ALL[s], xi, &j, fs, fmt, &mut out)
-                }
-                ArithMode::Lns => {
-                    pipe.interact_block_lns_upto(LnsStage::ALL[s], xi, &j, fs, fmt, &mut out)
-                }
-            };
-            if !ran {
-                return None;
-            }
-            let ns = t.elapsed().as_secs_f64() * 1e9 / (ni * n) as f64;
-            if round > 0 {
-                *best = best.min(ns); // round 0 warms caches and ROMs
-            }
+        let xi = &raw[(round * ni) % (n - ni + 1)..][..ni];
+        let t = Instant::now();
+        pipe.interact_block(xi, &j, 1.0, cfg.acc_format, &mut out);
+        if round > 0 {
+            // round 0 warms caches and ROMs
+            ns = ns.min(t.elapsed().as_secs_f64() * 1e9 / (ni * n) as f64);
         }
         if mode == ArithMode::Exact {
             floor_ns = floor_ns.min(divider_floor_ns());
@@ -396,7 +356,7 @@ fn stage_split(mode: ArithMode, n: usize, quick: bool) -> Option<StageSplit> {
         ArithMode::Lns => lns_lane_width(pipe.lane_path()),
     };
     let ops = acc_ops(pipe.lane_path());
-    Some(StageSplit { n, mode, lanes, ops, stages, prefix_ns: best, floor_ns })
+    Some(KernelTime { n, mode, lanes, ops, ns, floor_ns })
 }
 
 /// Set sizes of the self-call row.
@@ -487,12 +447,12 @@ fn self_call_table(cells: &[SelfCall]) {
     println!("(plain: the same pairs with the i-set reversed, which is not a self call)");
 }
 
-/// `--split-only`: both stage splits and the self-call cells as their
+/// `--split-only`: both kernel rows and the self-call cells as their
 /// report rows, nothing else.
-fn print_splits(n: usize, quick: bool) {
+fn print_kernels(n: usize, quick: bool) {
     for mode in [ArithMode::Exact, ArithMode::Lns] {
-        if let Some(split) = stage_split(mode, n, quick) {
-            println!("{}", stage_row(&split).line());
+        if let Some(k) = kernel_time(mode, n, quick) {
+            println!("{}", k.row().line());
         }
     }
     for cell in self_calls(quick).into_iter().flatten() {
@@ -500,10 +460,10 @@ fn print_splits(n: usize, quick: bool) {
     }
 }
 
-/// The two splits and the self-call cells of a child of this binary
+/// The two kernels and the self-call cells of a child of this binary
 /// pinned to the AVX2 op column and eight LNS lanes
 /// (`G5_LANE_PATH=avx2 --split-only`), read back from its report lines.
-fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<([StageSplit; 2], Vec<SelfCall>)> {
+fn kernels_pinned_to_avx2(n: usize, quick: bool) -> Option<([KernelTime; 2], Vec<SelfCall>)> {
     let mut cmd = std::process::Command::new(std::env::current_exe().ok()?);
     cmd.arg("--split-only").env("G5_LANE_PATH", "avx2");
     if quick {
@@ -511,22 +471,19 @@ fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<([StageSplit; 2], Vec<
     }
     let out = cmd.output().ok().filter(|o| o.status.success())?;
     let text = String::from_utf8_lossy(&out.stdout);
-    let read = |mode: ArithMode, stages: StageNames| {
-        // the row of this mode's split: the one that has its first stage
-        let line = text.lines().find(|l| report::num(l, stages[0].0).is_some())?;
-        let mut prefix_ns = Vec::new();
-        for (key, _) in stages {
-            prefix_ns.push(prefix_ns.last().copied().unwrap_or(0.0) + report::num(line, key)?);
-        }
-        let lanes = report::num(line, "lanes")? as usize;
+    // the pin held: the child says which column it ran
+    let ops = "avx2";
+    let read = |mode: ArithMode| {
+        let line = text.lines().find(|l| {
+            report::num(l, "kernel").is_some()
+                && report::text(l, "mode").as_deref() == Some(mode_str(mode))
+        })?;
+        let (lanes, ns) = (report::num(line, "lanes")? as usize, report::num(line, "kernel")?);
         let floor_ns = report::num(line, "divider_floor");
-        // the pin held: the child says which column it ran
-        let ops = "avx2";
         (report::num(line, "n")? as usize == n && report::text(line, "acc_ops")? == ops)
-            .then_some(StageSplit { n, mode, lanes, ops, stages, prefix_ns, floor_ns })
+            .then_some(KernelTime { n, mode, lanes, ops, ns, floor_ns })
     };
     let cells = text.lines().filter(|l| report::num(l, "self_ns").is_some()).map(|l| {
-        let ops = "avx2";
         (report::text(l, "acc_ops")? == ops).then_some(SelfCall {
             n: report::num(l, "n")? as usize,
             ops,
@@ -534,62 +491,47 @@ fn splits_pinned_to_avx2(n: usize, quick: bool) -> Option<([StageSplit; 2], Vec<
             plain_ns: report::num(l, "plain_ns")?,
         })
     });
-    let splits = [read(ArithMode::Exact, EXACT_STAGES)?, read(ArithMode::Lns, LNS_STAGES)?];
-    Some((splits, cells.collect::<Option<_>>()?))
+    let kernels = [read(ArithMode::Exact)?, read(ArithMode::Lns)?];
+    Some((kernels, cells.collect::<Option<_>>()?))
 }
 
-fn stage_table(split: &StageSplit) {
+/// Every kernel measured, whole, beside the exact ones' divider floor.
+fn kernel_table<'a>(kernels: impl Iterator<Item = &'a KernelTime>) {
+    let kernels: Vec<&KernelTime> = kernels.collect();
+    let Some(first) = kernels.first() else {
+        return println!("(lane kernels: need the AVX2 lane path; skipped)");
+    };
     println!();
     println!(
-        "E10 — {} lane kernel, ns/interaction per pipeline stage (N = {}, x86 lanes, {} × {}, \
-         {} accumulate)",
-        mode_str(split.mode),
-        fmt_count(split.n as u64),
-        split.lanes,
-        if split.mode == ArithMode::Exact { "f64" } else { "i32" },
-        split.ops
+        "E10 — whole lane kernels, ns/interaction (N = {}, one board, one thread)",
+        fmt_count(first.n as u64)
     );
     rule(78);
-    println!("{:<44} {:>10} {:>10} {:>10}", "stage", "ns/int", "share", "prefix");
+    println!(
+        "{:<8} {:>12} {:>10} {:>10} {:>16} {:>14}",
+        "mode", "lanes", "accumulate", "ns/int", "divider floor", "kernel/floor"
+    );
     rule(78);
-    let (total, stage_ns) = (split.total(), split.stage_ns());
-    for (k, ns) in stage_ns.iter().enumerate() {
+    for k in kernels {
+        let width = if k.mode == ArithMode::Exact { "f64" } else { "i32" };
+        let (floor, over) = match k.floor_ns {
+            Some(f) => (format!("{f:.2}"), format!("{:.2}x", k.over_floor())),
+            None => ("-".to_string(), "-".to_string()),
+        };
         println!(
-            "{:<44} {:>10.2} {:>9.0}% {:>10.2}",
-            split.stages[k].1,
-            ns,
-            100.0 * ns / total,
-            split.prefix_ns[k]
+            "{:<8} {:>12} {:>10} {:>10.2} {:>16} {:>14}",
+            mode_str(k.mode),
+            format!("{} × {width}", k.lanes),
+            k.ops,
+            k.ns,
+            floor,
+            over
         );
     }
     rule(78);
     println!(
-        "next bottleneck: {} ({:.0}% of {:.2} ns/interaction)",
-        split.stages[split.bottleneck()].1,
-        100.0 * stage_ns[split.bottleneck()] / total,
-        total
+        "(divider floor: 1 vsqrtpd + 2 vdivpd per 4 lanes, timed in the exact kernel's rounds)"
     );
-    println!("(each row: kernel truncated after that stage minus the row above; one core)");
-    if let Some(floor) = split.floor_ns {
-        println!(
-            "divider floor (1 vsqrtpd + 2 vdivpd per 4 lanes, same rounds): {floor:.2} ns/interaction \
-             — the kernel runs at {:.2}x its floor",
-            total / floor
-        );
-    }
-}
-
-/// The report row of a split.
-fn stage_row(split: &StageSplit) -> Row {
-    let head = row! {
-        "n": split.n, "lanes": split.lanes, "acc_ops": split.ops, "unit": "ns_per_interaction",
-    };
-    let stages = split.stages.iter().zip(split.stage_ns());
-    let mut row = stages.fold(head, |row, (&(key, _), ns)| row.put(key, ns));
-    if let Some(floor) = split.floor_ns {
-        row = row.put("divider_floor", floor).put("kernel_over_floor", split.total() / floor);
-    }
-    row.put("total", split.total()).put("bottleneck", split.stages[split.bottleneck()].0)
 }
 
 fn result_row(r: &KernelResult) {
@@ -675,7 +617,7 @@ fn main() {
     let base_path: String = args.get("baseline", out_path.clone());
     let sizes: &[usize] = if quick { &[4_096, 16_384] } else { &[16_384, 65_536, 262_144] };
     if args.flag("split-only") {
-        return print_splits(sizes[0], quick);
+        return print_kernels(sizes[0], quick);
     }
 
     // read the comparison report (by default the file about to be
@@ -728,7 +670,7 @@ fn main() {
         headline.speedup()
     );
 
-    // LNS lane headline — the PR 12 acceptance gate — and the stage split
+    // LNS lane headline — the PR 12 acceptance gate — and the whole kernels
     let lns_lane: Vec<&KernelResult> =
         results.iter().filter(|r| r.mode == ArithMode::Lns && r.scalar.is_some()).collect();
     if let Some(worst) = lns_lane
@@ -746,20 +688,20 @@ fn main() {
             fmt_count(worst.n as u64)
         );
     }
-    let mut splits: Vec<StageSplit> = [ArithMode::Exact, ArithMode::Lns]
+    let mut kernels: Vec<KernelTime> = [ArithMode::Exact, ArithMode::Lns]
         .into_iter()
-        .filter_map(|mode| stage_split(mode, sizes[0], quick))
+        .filter_map(|mode| kernel_time(mode, sizes[0], quick))
         .collect();
-    // on the AVX-512 kernels: the same two splits on the AVX2 op column
-    // and at eight lanes, from pinned children, in rounds that alternate
-    // with re-measurements of this process's own (fastest per prefix on
-    // either side, each side's divider floor from its own rounds)
+    // on the AVX-512 kernels: the same two on the AVX2 op column and at
+    // eight lanes, from pinned children, in rounds that alternate with
+    // re-measurements of this process's own (fastest on either side,
+    // each side's divider floor from its own rounds)
     let mut own_self = self_calls(quick);
-    let mut pinned: Option<[StageSplit; 2]> = None;
+    let mut pinned: Option<[KernelTime; 2]> = None;
     let mut pinned_self: Option<Vec<SelfCall>> = None;
-    if splits.iter().any(|s| s.ops == "avx512vl") {
+    if kernels.iter().any(|k| k.ops == "avx512vl") {
         for _ in 0..if quick { 2 } else { 3 } {
-            let Some((child, child_self)) = splits_pinned_to_avx2(sizes[0], quick) else { break };
+            let Some((child, child_self)) = kernels_pinned_to_avx2(sizes[0], quick) else { break };
             match &mut pinned {
                 Some(best) => best.iter_mut().zip(&child).for_each(|(b, c)| b.keep_best(c)),
                 None => pinned = Some(child),
@@ -768,59 +710,45 @@ fn main() {
                 Some(best) => best.iter_mut().zip(&child_self).for_each(|(b, c)| b.keep_best(c)),
                 None => pinned_self = Some(child_self),
             }
-            for own in &mut splits {
-                own.keep_best(&stage_split(own.mode, sizes[0], quick).expect("ran before"));
+            for own in &mut kernels {
+                own.keep_best(&kernel_time(own.mode, sizes[0], quick).expect("ran before"));
             }
             if let (Some(own), Some(again)) = (&mut own_self, self_calls(quick)) {
                 own.iter_mut().zip(&again).for_each(|(b, c)| b.keep_best(c));
             }
         }
     }
-    if splits.is_empty() {
-        println!("(stage splits: need the AVX2 lane path; skipped)");
-    }
-    splits.iter().for_each(stage_table);
-    if let (Some([exact2, lns8]), [exact, lns]) = (&pinned, &splits[..]) {
-        stage_table(exact2);
-        stage_table(lns8);
-        let over_floor = |s: &StageSplit| s.total() / s.floor_ns.unwrap_or(f64::NAN);
+    kernel_table(kernels.iter().chain(pinned.iter().flatten()));
+    if let (Some([exact2, lns8]), [exact, lns]) = (&pinned, &kernels[..]) {
         println!(
             "headline: the exact kernel on the {} accumulate is {:.2}x itself on {} ({:.2} vs \
              {:.2} ns/interaction; kernel / divider floor {:.2} vs {:.2})",
             exact.ops,
-            exact2.total() / exact.total(),
+            exact2.ns / exact.ns,
             exact2.ops,
-            exact.total(),
-            exact2.total(),
-            over_floor(exact),
-            over_floor(exact2)
+            exact.ns,
+            exact2.ns,
+            exact.over_floor(),
+            exact2.over_floor()
         );
         println!(
             "headline: the LNS kernel at {} lanes is {:.2}x itself at {} ({:.2} vs {:.2} \
-             ns/interaction; its accumulate row {:.2} vs {:.2})",
+             ns/interaction)",
             lns.lanes,
-            lns8.total() / lns.total(),
+            lns8.ns / lns.ns,
             lns8.lanes,
-            lns.total(),
-            lns8.total(),
-            lns.stage_ns().last().unwrap(),
-            lns8.stage_ns().last().unwrap()
+            lns.ns,
+            lns8.ns
+        );
+    } else if let Some(exact) = kernels.iter().find(|k| k.floor_ns.is_some()) {
+        println!(
+            "headline: the exact kernel on the {} accumulate runs at {:.2}x its divider floor",
+            exact.ops,
+            exact.over_floor()
         );
     }
     for cells in own_self.iter().chain(&pinned_self) {
         self_call_table(cells);
-    }
-    // share of the exact kernel that is the force, not the simulated
-    // accumulator (the rest: unscale, encode, round, window, adds)
-    let exact_force_share =
-        splits.iter().find(|s| s.mode == ArithMode::Exact).map(|s| s.prefix_ns[0] / s.total());
-    if let Some(share) = exact_force_share {
-        println!(
-            "headline: the force is {:.0}% of the exact lane kernel, the fixed-point \
-             tail {:.0}% (gate: tail <= force)",
-            100.0 * share,
-            100.0 * (1.0 - share)
-        );
     }
 
     // exact-mode lane headline — the PR 8 acceptance gate
@@ -850,9 +778,9 @@ fn main() {
         "acc_ops": acc_ops(headline.lane),
     };
     let tagged =
-        splits.iter().map(|s| (s, "")).chain(pinned.iter().flatten().map(|s| (s, "_pinned_avx2")));
-    for (split, tag) in tagged {
-        out = out.put(&format!("{}_stage_split{tag}", mode_str(split.mode)), stage_row(split));
+        kernels.iter().map(|k| (k, "")).chain(pinned.iter().flatten().map(|k| (k, "_pinned_avx2")));
+    for (k, tag) in tagged {
+        out = out.put(&format!("{}_kernel{tag}", mode_str(k.mode)), k.row());
     }
     for (cells, tag) in
         own_self.iter().map(|c| (c, "")).chain(pinned_self.iter().map(|c| (c, "_pinned_avx2")))
@@ -885,7 +813,6 @@ fn main() {
             ),
         ];
         rows.extend(exact.lane_speedup().map(|x| ("kernel_exact_lane_speedup", n, x)));
-        rows.extend(exact_force_share.map(|x| ("kernel_exact_force_share", sizes[0] as u64, x)));
         trajectory::append_from_args(&args, &rows);
     }
 }

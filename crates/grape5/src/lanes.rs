@@ -405,34 +405,18 @@ fn exact_pair<'a>(
     move |d, jj| G5Pipeline::pair_exact(quantum, eps2, None, d, j.m[jj])
 }
 
-/// Prefixes of the exact lane kernel, for per-stage timing: running the
-/// AVX2 kernel [`G5Pipeline::interact_block_exact_upto`] a stage shows
-/// what the simulated accumulator costs next to the force itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExactStage {
-    /// Load, fixed-point subtract, `i64 → f64`, the force and potential
-    /// terms, zero-distance guard.
-    Force,
-    /// … plus unscale, `× 2^frac_bits` and round-half-away to `i64`.
-    Round,
-    /// The whole kernel: window test, column adds, the per-span fold.
-    Accumulate,
+#[cfg(test)]
+thread_local! {
+    /// Calls the x86 block kernels (`block_exact_avx2`, `block_lns_avx2`)
+    /// took on this thread.
+    static LANE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl ExactStage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [ExactStage; 3] = [ExactStage::Force, ExactStage::Round, ExactStage::Accumulate];
-}
-
-/// Run the AVX2 exact kernel truncated after `upto` (earlier results
-/// are folded into the accumulators so nothing is optimized away —
-/// `out` is only meaningful for [`ExactStage::Accumulate`], the whole
-/// kernel). Returns `false` without touching `out` when the AVX2 kernel
-/// cannot take this call: no AVX2, or coordinates outside the magic
-/// window.
+/// Run the AVX2 exact kernel on `wide`'s op column. Returns `false`
+/// without touching `out` when it cannot take this call: no AVX2, or
+/// coordinates outside the magic window.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn block_exact_avx2_upto(
-    upto: ExactStage,
+pub(crate) fn block_exact_avx2(
     wide: Wide,
     quantum: f64,
     eps2: f64,
@@ -444,28 +428,20 @@ pub(crate) fn block_exact_avx2_upto(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
+        #[cfg(test)]
+        LANE_CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: AVX2 was detected and the coordinate guard passed; a
         // `Wide` is only set where the FMA and AVX-512 subsets were.
         unsafe {
-            macro_rules! upto {
-                ($s:ident) => {{
-                    const UPTO: u8 = ExactStage::$s as u8;
-                    if wide.0 {
-                        avx2::block_exact_vl::<UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
-                    } else {
-                        avx2::block_exact::<UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
-                    }
-                }};
-            }
-            match upto {
-                ExactStage::Force => upto!(Force),
-                ExactStage::Round => upto!(Round),
-                ExactStage::Accumulate => upto!(Accumulate),
+            if wide.0 {
+                avx2::block_exact_vl(quantum, eps2, xi, j, force_scale, fmt, out)
+            } else {
+                avx2::block_exact(quantum, eps2, xi, j, force_scale, fmt, out)
             }
         }
         return true;
     }
-    let _ = (upto, wide, quantum, eps2, xi, j, force_scale, fmt, out);
+    let _ = (wide, quantum, eps2, xi, j, force_scale, fmt, out);
     false
 }
 
@@ -682,42 +658,11 @@ impl LnsLanes {
     }
 }
 
-/// Prefixes of the LNS lane pipeline, for per-stage timing: running the
-/// AVX2 kernel [`G5Pipeline::interact_block_lns_upto`] a stage shows
-/// what each stage adds to the time per interaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LnsStage {
-    /// Load, fixed-point subtract, `i64 → f64`, log-converter ROM.
-    Encode,
-    /// … plus the squarers and the three `sb`-ROM adds (`r² + ε²`).
-    Adder,
-    /// … plus the power units, multipliers and sign logic.
-    Scale,
-    /// … plus the antilog ROM.
-    Decode,
-    /// The whole kernel, fixed-point accumulate included.
-    Accumulate,
-}
-
-impl LnsStage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [LnsStage; 5] = [
-        LnsStage::Encode,
-        LnsStage::Adder,
-        LnsStage::Scale,
-        LnsStage::Decode,
-        LnsStage::Accumulate,
-    ];
-}
-
-/// Run the AVX2 LNS kernel truncated after `upto` (earlier results are
-/// folded into the accumulators so nothing is optimized away — `out` is
-/// only meaningful for [`LnsStage::Accumulate`], the whole kernel).
-/// Returns `false` without touching `out` when the AVX2 kernel cannot
-/// take this call: no AVX2, or coordinates outside the magic window.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn block_lns_avx2_upto(
-    upto: LnsStage,
+/// Run the AVX2 LNS kernel, sixteen lanes on the AVX-512VL column where
+/// `wide`, eight on the AVX2 column elsewhere. Returns `false` without
+/// touching `out` when it cannot take this call: no AVX2, or
+/// coordinates outside the magic window.
+pub(crate) fn block_lns_avx2(
     wide: Wide,
     c: &LnsLanes,
     xi: &[[i64; 3]],
@@ -728,29 +673,20 @@ pub(crate) fn block_lns_avx2_upto(
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
+        #[cfg(test)]
+        LANE_CALLS.with(|c| c.set(c.get() + 1));
         // SAFETY: AVX2 was detected and the coordinate guard passed; a
         // `Wide` is only set where the FMA and AVX-512 subsets were.
         unsafe {
-            macro_rules! upto {
-                ($s:ident) => {
-                    if wide.0 {
-                        avx2::block_lns16::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
-                    } else {
-                        avx2::block_lns::<{ LnsStage::$s as u8 }>(c, xi, j, force_scale, fmt, out)
-                    }
-                };
-            }
-            match upto {
-                LnsStage::Encode => upto!(Encode),
-                LnsStage::Adder => upto!(Adder),
-                LnsStage::Scale => upto!(Scale),
-                LnsStage::Decode => upto!(Decode),
-                LnsStage::Accumulate => upto!(Accumulate),
+            if wide.0 {
+                avx2::block_lns16(c, xi, j, force_scale, fmt, out)
+            } else {
+                avx2::block_lns(c, xi, j, force_scale, fmt, out)
             }
         }
         return true;
     }
-    let _ = (upto, wide, c, xi, j, force_scale, fmt, out);
+    let _ = (wide, c, xi, j, force_scale, fmt, out);
     false
 }
 
@@ -758,8 +694,8 @@ pub(crate) fn block_lns_avx2_upto(
 mod avx2 {
     use super::{
         block_tiled, exact_pair, scale_mode, span_pairs, store_tile, words_in_magic_window,
-        ExactStage, LnsLanes, LnsStage, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, EXACT_DEPTH,
-        HALF_PRED, I_TILE, J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
+        LnsLanes, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, EXACT_DEPTH, HALF_PRED, I_TILE,
+        J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
     };
     use crate::pipeline::{Force, G5Pipeline, JSlices};
     use core::arch::x86_64::{_mm256_castpd_si256 as to_i, *};
@@ -1141,8 +1077,7 @@ mod avx2 {
         #[inline(always)]
         unsafe fn flush(&mut self, a: &mut [i64; 4]) {
             // wrapping: the true sum is in range by the struct
-            // invariant, the biased one is not (and the truncated
-            // profiling prefixes fold their sink through here)
+            // invariant, the biased one is not
             let bias = (LANES as i64 * self.groups).wrapping_mul(O::BIAS);
             for (a, sum) in a.iter_mut().zip(&mut self.sum) {
                 let mut l = [0i64; LANES];
@@ -1152,12 +1087,6 @@ mod avx2 {
                 *sum = _mm256_setzero_si256();
             }
             self.groups = 0;
-        }
-
-        /// Keep a truncated profiling prefix's result alive.
-        #[inline(always)]
-        unsafe fn sink(&mut self, v: __m256i) {
-            self.sum[0] = _mm256_xor_si256(self.sum[0], v);
         }
     }
 
@@ -1288,9 +1217,8 @@ mod avx2 {
         [_mm256_mul_pd(dx, s), _mm256_mul_pd(dy, s), _mm256_mul_pd(dz, s), pot]
     }
 
-    /// The x86 exact-mode block kernel on the ops of column `O`,
-    /// truncated after stage `UPTO` (an [`ExactStage`] discriminant;
-    /// `Accumulate` is the whole kernel); module docs, "front and back".
+    /// The x86 exact-mode block kernel on the ops of column `O`; module
+    /// docs, "front and back".
     ///
     /// # Safety
     /// The CPU must support AVX2 and `O`'s features ([`AccOps`]), and
@@ -1299,7 +1227,7 @@ mod avx2 {
     /// `#[target_feature]` entries below; no closure in it may hold an
     /// intrinsic ([`AccOps`]).
     #[inline(always)]
-    unsafe fn exact_body<O: AccOps, const UPTO: u8>(
+    unsafe fn exact_body<O: AccOps>(
         quantum: f64,
         eps2: f64,
         xi: &[[i64; 3]],
@@ -1364,17 +1292,7 @@ mod avx2 {
                         if g + D < groups {
                             ring[g % D] = group::<O>(&img, bm, xv, consts, (g + D) * LANES);
                         }
-                        if UPTO == ExactStage::Force as u8 {
-                            cols.sink(_mm256_castpd_si256(xor4(f)));
-                        } else if UPTO == ExactStage::Round as u8 {
-                            let [t0, t1, t2, t3] = ctx.encode(ctx.unscale(f));
-                            cols.sink(_mm256_xor_si256(
-                                _mm256_xor_si256(O::round_term(t0), O::round_term(t1)),
-                                _mm256_xor_si256(O::round_term(t2), O::round_term(t3)),
-                            ));
-                        } else {
-                            cols.add(a, f, &ctx);
-                        }
+                        cols.add(a, f, &ctx);
                     }
                     cols.flush(a);
                     span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
@@ -1481,11 +1399,11 @@ mod avx2 {
     macro_rules! exact_entries {
         ($($name:ident, $self_name:ident: $ops:ty, $features:literal;)+) => {$(
             #[target_feature(enable = $features)]
-            pub(super) unsafe fn $name<const UPTO: u8>(
+            pub(super) unsafe fn $name(
                 quantum: f64, eps2: f64, xi: &[[i64; 3]], j: &JSlices<'_>,
                 force_scale: f64, fmt: FixedFormat, out: &mut [Force],
             ) {
-                exact_body::<$ops, UPTO>(quantum, eps2, xi, j, force_scale, fmt, out)
+                exact_body::<$ops>(quantum, eps2, xi, j, force_scale, fmt, out)
             }
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $self_name(
@@ -1499,12 +1417,6 @@ mod avx2 {
     exact_entries! {
         block_exact, block_exact_self: Avx2Ops, "avx2";
         block_exact_vl, block_exact_self_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn xor4(v: [__m256d; 4]) -> __m256d {
-        _mm256_xor_pd(_mm256_xor_pd(v[0], v[1]), _mm256_xor_pd(v[2], v[3]))
     }
 
     /// The lanes of the LNS stages: `W` × i32 in one register, the same
@@ -1595,11 +1507,6 @@ mod avx2 {
                 _mm512_test_epi32_mask(s, s),
                 _mm512_mask_sub_epi32(self, _mm512_movepi32_mask(s), _mm512_setzero_si512(), self),
             )
-        }
-        /// Folded to 256 bits, for [`Columns::sink`].
-        fn folded(self) -> __m256i {
-            self,
-            _mm256_xor_si256(_mm512_castsi512_si256(self), _mm512_extracti64x4_epi64::<1>(self))
         }
         /// The dwords zero-extended to i64 lanes: `[low half, high half]`.
         fn widen(self) -> [Self; 2] {
@@ -1808,12 +1715,12 @@ mod avx2 {
         /// (`k + L::W·G` inside the span), carried through the stages in
         /// lock-step (each stage runs on all `G` groups before the next
         /// starts, so one group's ROM-gather latency hides behind the
-        /// other's ALU work), truncated after stage `UPTO`; the terms
-        /// reach `cols` in ascending j. `false`, with nothing accumulated,
+        /// other's ALU work); the terms reach `cols` in ascending j.
+        /// `false`, with nothing accumulated,
         /// when a lane of any group asks for the scalar converters.
         #[inline(always)]
         #[allow(clippy::needless_range_loop)]
-        unsafe fn stages<O: AccOps, const UPTO: u8, const G: usize>(
+        unsafe fn stages<O: AccOps, const G: usize>(
             &self,
             b: &LnsSpan<'_>,
             k: usize,
@@ -1823,8 +1730,6 @@ mod avx2 {
             let end = k + L::W * G;
             debug_assert!(b.x.iter().all(|x| end <= x.len()) && end <= b.w.len());
             let zero = L::splat(0);
-            // what a truncated prefix keeps alive (dead in the kernel)
-            let mut kept = zero;
             // --- subtract + log converter: core word and sign per axis ---
             let (mut r, mut s, mut near) = ([[zero; 3]; G], [[zero; 3]; G], L::splat(i32::MAX));
             for g in 0..G {
@@ -1832,12 +1737,7 @@ mod avx2 {
                     // SAFETY: `k + W·g + W ≤ end ≤` each column's length
                     let e = self.encode(b.x[c].as_ptr().add(k + L::W * g), b.xi[c]);
                     ([r[g][c], s[g][c]], near) = ([e[0], e[1]], near.min(e[2]));
-                    kept = kept.xor(e[0].xor(e[1]));
                 }
-            }
-            if UPTO == LnsStage::Encode as u8 {
-                cols.sink(kept.xor(near).folded());
-                return true;
             }
             if near.any_lt(L::splat(2)) {
                 return false;
@@ -1857,10 +1757,6 @@ mod avx2 {
             }
             let mut w = [[zero; 4]; G];
             for g in 0..G {
-                if UPTO == LnsStage::Adder as u8 {
-                    cols.sink(r2e[g].folded());
-                    continue;
-                }
                 // --- power units: round-half-away −3r/2 and −r/2 ---
                 let (ar, nr, one) = (r2e[g].abs(), zero.sub(r2e[g]), L::splat(1));
                 let rinv3 = self.canon(ar.add(ar).add(ar.add(one)).srli::<1>().neg_by_sign(nr));
@@ -1881,12 +1777,6 @@ mod avx2 {
                 let highest = r[g][0].max(r[g][1]).max(r[g][2]);
                 let wp = self.out_word(m.add(self.canon(rinv)));
                 w[g][3] = wp.if_lt(highest, self.rmin, zero).or(msign);
-                if UPTO == LnsStage::Scale as u8 {
-                    cols.sink(w[g][0].xor(w[g][1]).xor(w[g][2].xor(w[g][3])).folded());
-                }
-            }
-            if UPTO <= LnsStage::Scale as u8 {
-                return true;
             }
             // --- antilog ROM per component, then the fixed-point
             // accumulate a quarter (four j) at a time, ascending j ---
@@ -1896,11 +1786,7 @@ mod avx2 {
             }
             for g in 0..G {
                 for q in 0..L::W / LANES {
-                    if UPTO == LnsStage::Decode as u8 {
-                        cols.sink(_mm256_castpd_si256(xor4(t[g][q])));
-                    } else {
-                        cols.add(a, t[g][q], &self.acc);
-                    }
+                    cols.add(a, t[g][q], &self.acc);
                 }
             }
             true
@@ -1913,7 +1799,7 @@ mod avx2 {
         /// group that is flagged on its own — everything before it is
         /// accumulated, nothing of it is — or `end`.
         #[inline(always)]
-        unsafe fn groups<O: AccOps, const UPTO: u8>(
+        unsafe fn groups<O: AccOps>(
             &self,
             b: &LnsSpan<'_>,
             (mut k, end): (usize, usize),
@@ -1922,11 +1808,11 @@ mod avx2 {
         ) -> usize {
             while k < end {
                 let pair_end = (k + 2 * L::W).min(end);
-                if pair_end - k == 2 * L::W && self.stages::<O, UPTO, 2>(b, k, cols, a) {
+                if pair_end - k == 2 * L::W && self.stages::<O, 2>(b, k, cols, a) {
                     k = pair_end;
                 }
                 while k < pair_end {
-                    if !self.stages::<O, UPTO, 1>(b, k, cols, a) {
+                    if !self.stages::<O, 1>(b, k, cols, a) {
                         return k;
                     }
                     k += L::W;
@@ -1936,16 +1822,14 @@ mod avx2 {
         }
 
         /// Add the terms of the j-particles `js..je` on the i-particle
-        /// at `x` to its running words `a`, truncated after stage `UPTO`
-        /// (an [`LnsStage`] discriminant; `Accumulate` is the kernel).
-        /// What `L` cannot decide it hands down: a lane flagged in a
+        /// at `x` to its running words `a`. What `L` cannot decide it hands down: a lane flagged in a
         /// sixteen-lane group sends that group through the stages of
         /// `eight`, a lane flagged there sends its eight pairs through
         /// `span_pairs`, the definition; `eight` also takes the group a
         /// span has past its last sixteen. Every coordinate word of `x`
         /// and `j` must be inside `(-2⁵⁰, 2⁵⁰)`.
         #[inline(always)]
-        unsafe fn span<O: AccOps, const UPTO: u8>(
+        unsafe fn span<O: AccOps>(
             &self,
             eight: &LnsCtx<'_, __m256i>,
             a: &mut [i64; 4],
@@ -1962,14 +1846,14 @@ mod avx2 {
             let mut k = 0;
             while k < lanes_end {
                 if k < wide_end {
-                    k = self.groups::<O, UPTO>(&b, (k, wide_end), &mut cols, a);
+                    k = self.groups::<O>(&b, (k, wide_end), &mut cols, a);
                 }
                 // the group `L` could not decide, or the one past the
                 // last whole `L`: eight lanes at a time
                 let narrow_end = if k < wide_end { k + L::W } else { lanes_end };
                 while k < narrow_end {
                     if L::W != LNS_LANES {
-                        k = eight.groups::<O, UPTO>(&b, (k, narrow_end), &mut cols, a);
+                        k = eight.groups::<O>(&b, (k, narrow_end), &mut cols, a);
                     }
                     if k < narrow_end {
                         // a lane asked for the scalar converters: the
@@ -1986,14 +1870,13 @@ mod avx2 {
         }
     }
 
-    /// The LNS-mode block kernel at eight lanes, truncated after stage
-    /// `UPTO` ([`LnsCtx::span`]).
+    /// The LNS-mode block kernel at eight lanes ([`LnsCtx::span`]).
     ///
     /// # Safety
     /// The CPU must support AVX2, and every coordinate word in `xi` and
     /// `j` must be inside `(-2⁵⁰, 2⁵⁰)` (`coords_in_magic_window`).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block_lns<const UPTO: u8>(
+    pub(super) unsafe fn block_lns(
         c: &LnsLanes,
         xi: &[[i64; 3]],
         j: &JSlices<'_>,
@@ -2003,7 +1886,7 @@ mod avx2 {
     ) {
         let l = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            l.span::<Avx2Ops, UPTO>(&l, a, x, (js, je))
+            l.span::<Avx2Ops>(&l, a, x, (js, je))
         });
     }
 
@@ -2014,7 +1897,7 @@ mod avx2 {
     /// As for [`block_lns`], and the CPU must support FMA and AVX-512 F,
     /// BW, DQ and VL (`cpu_lanes()[1]`).
     #[target_feature(enable = "avx2,fma,avx512f,avx512bw,avx512dq,avx512vl")]
-    pub(super) unsafe fn block_lns16<const UPTO: u8>(
+    pub(super) unsafe fn block_lns16(
         c: &LnsLanes,
         xi: &[[i64; 3]],
         j: &JSlices<'_>,
@@ -2025,7 +1908,7 @@ mod avx2 {
         let l = LnsCtx::<__m512i>::new(c, j, force_scale, fmt);
         let eight = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
-            l.span::<VlOps, UPTO>(&eight, a, x, (js, je))
+            l.span::<VlOps>(&eight, a, x, (js, je))
         });
     }
 }
@@ -2035,6 +1918,7 @@ mod tests {
     use super::*;
     use crate::board::ProcessorBoard;
     use crate::config::{ArithMode, Grape5Config};
+    use crate::cutoff::CutoffTable;
     use crate::pipeline::JWord;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -2728,12 +2612,39 @@ mod tests {
         let (xi, j) = random_block(&mut rng, 4, 29, 1 << 60);
         for mode in MODES {
             assert_paths_agree(mode, 1e-19, 0.0, &xi, &j, 1.0, fmt, "wide coords");
-            let p = G5Pipeline::new(&Grape5Config { mode, ..Grape5Config::paper() }, 1e-19, 0.0);
-            let mut out = vec![Force::ZERO; xi.len()];
-            let (j, acc) = (j.j_slices(), ExactStage::Accumulate);
-            assert!(!p.interact_block_exact_upto(acc, &xi, &j, 1.0, fmt, &mut out), "{mode:?}");
-            let acc = LnsStage::Accumulate;
-            assert!(!p.interact_block_lns_upto(acc, &xi, &j, 1.0, fmt, &mut out), "{mode:?}");
+        }
+    }
+
+    /// `interact_block` enters the x86 block kernels where it should and
+    /// nowhere else: every referee above compares against the skeleton,
+    /// so one that never reached the lanes would pass them all.
+    #[test]
+    fn interact_block_enters_the_lane_kernels_only_where_they_apply() {
+        let calls = || LANE_CALLS.with(std::cell::Cell::get);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1a2e);
+        let fmt = FixedFormat::new(64, 32);
+        let (xi, j) = random_block(&mut rng, 5, 61, 1 << 30);
+        let (wide_xi, wide_j) = random_block(&mut rng, 5, 61, 1 << 60);
+        let cutoff = CutoffTable::treepm(0.05, 0.2, 10, 12);
+        let runs =
+            |mode, (path, wide): Path, cut: Option<&CutoffTable>, xi: &[_], j: &ProcessorBoard| {
+                let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+                let mut p = G5Pipeline::new(&cfg, 2e-10, 0.01).with_cutoff(cut.cloned());
+                p.set_lane_path(path);
+                set_wide(&mut p, wide);
+                let mut out = vec![Force::ZERO; xi.len()];
+                let before = calls();
+                p.interact_block(xi, &j.j_slices(), 0.25, fmt, &mut out);
+                calls() - before
+            };
+        for mode in MODES {
+            for path in all_paths() {
+                let what = format!("{mode:?} {path:?}");
+                assert_eq!(runs(mode, path, None, &xi, &j), 1, "{what}: in window");
+                assert_eq!(runs(mode, path, None, &wide_xi, &wide_j), 0, "{what}: ±2^60 words");
+                assert_eq!(runs(mode, path, Some(&cutoff), &xi, &j), 0, "{what}: cutoff");
+            }
+            assert_eq!(runs(mode, SCALAR, None, &xi, &j), 0, "{mode:?}: scalar path");
         }
     }
 
@@ -2863,7 +2774,7 @@ mod tests {
     /// method on each half — the whole of what the width referees above
     /// take on trust from the lane trait — on operands salted with
     /// zeros, extremes and equal pairs (a sign operand of zero, a compare
-    /// of equals); and the two reductions are the reductions of the halves.
+    /// of equals); and the reduction is the reduction of the halves.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn sixteen_lane_methods_are_the_eight_lane_methods_on_each_half() {
@@ -2907,7 +2818,6 @@ mod tests {
                 let y8 = [0, 1].map(|h| <__m256i as LnsLane>::load(y[8 * h..].as_ptr()));
                 let any = halves[0].any_lt(y8[0]) || halves[1].any_lt(y8[1]);
                 assert_eq!(x.any_lt(LnsLane::load(y.as_ptr())), any, "any_lt, {ops:?}");
-                assert_eq!(words(x.folded()), words(halves[0].xor(halves[1])), "folded, {ops:?}");
             }
         }
     }
@@ -2983,39 +2893,6 @@ mod tests {
                 // mantissas land in their redo bands
                 assert!(quantum != 1.0 || flagged >= 256, "flagged {flagged}");
                 assert!(flagged < ds.len() / 2, "flagged {flagged}");
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_kernels_at_the_last_stage_are_the_kernels() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let fmt = FixedFormat::new(64, 32);
-        let (xi, j) = random_block(&mut rng, 5, 61, 1 << 30);
-        for mode in MODES {
-            let cfg = Grape5Config { mode, ..Grape5Config::paper() };
-            let mut p = G5Pipeline::new(&cfg, 2e-10, 0.01);
-            let mut want = vec![Force::ZERO; xi.len()];
-            p.interact_block(&xi, &j.j_slices(), 0.25, fmt, &mut want);
-            let on_avx2 = p.lane_path() == LanePath::Avx2;
-            for wide in [false, true] {
-                set_wide(&mut p, wide);
-                let mut got = vec![Force::ZERO; xi.len()];
-                // the hook of the other mode declines; this mode's runs
-                // every prefix, the last one being the kernel itself
-                for stage in ExactStage::ALL {
-                    let ran =
-                        p.interact_block_exact_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
-                    assert_eq!(ran, on_avx2 && mode == ArithMode::Exact, "{stage:?}");
-                }
-                for stage in LnsStage::ALL {
-                    let ran =
-                        p.interact_block_lns_upto(stage, &xi, &j.j_slices(), 0.25, fmt, &mut got);
-                    assert_eq!(ran, on_avx2 && mode == ArithMode::Lns, "{stage:?}");
-                }
-                if on_avx2 {
-                    assert_bits_equal(&want, &got, &format!("{mode:?} upto Accumulate, {wide}"));
-                }
             }
         }
     }

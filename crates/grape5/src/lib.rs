@@ -60,7 +60,7 @@ pub use config::{ArithMode, Grape5Config};
 pub use cost::{CostModel, PricePerformance};
 pub use cutoff::CutoffTable;
 pub use fault::{splitmix, BoardDropout, DeviceError, FaultConfig, StuckPipe};
-pub use lanes::{detect_lane_path, ExactStage, LanePath, LnsStage};
+pub use lanes::{detect_lane_path, LanePath};
 pub use pipeline::{Force, G5Pipeline};
 pub use pool::{DevicePool, PoolError, PoolLease, PoolUsage};
 pub use session::{bounding_window, DeviceSession, RecoveryStats, RetryPolicy};

@@ -21,7 +21,7 @@
 
 use crate::config::{ArithMode, Grape5Config};
 use crate::cutoff::CutoffTable;
-use crate::lanes::{self, ExactStage, LanePath, LnsLanes, LnsStage, Wide};
+use crate::lanes::{self, LanePath, LnsLanes, Wide};
 use g5util::fixed::FixedFormat;
 use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
@@ -393,8 +393,7 @@ impl G5Pipeline {
             (ArithMode::Exact, _) => {
                 let (quantum, eps2, cutoff) = (self.quantum, self.eps2, self.cutoff.as_ref());
                 if lanes_on
-                    && lanes::block_exact_avx2_upto(
-                        ExactStage::Accumulate,
+                    && lanes::block_exact_avx2(
                         self.wide,
                         quantum,
                         eps2,
@@ -413,16 +412,7 @@ impl G5Pipeline {
             }
             (ArithMode::Lns, Some(conv)) if self.cutoff.is_none() => {
                 if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
-                    if lanes::block_lns_avx2_upto(
-                        LnsStage::Accumulate,
-                        self.wide,
-                        c,
-                        xi,
-                        j,
-                        force_scale,
-                        fmt,
-                        out,
-                    ) {
+                    if lanes::block_lns_avx2(self.wide, c, xi, j, force_scale, fmt, out) {
                         return;
                     }
                 }
@@ -480,63 +470,6 @@ impl G5Pipeline {
         }
         let consts = (self.quantum, self.eps2);
         s.m.len() == xi.len() && lanes::block_exact_self(self.wide, consts, xi, force_scale, fmt, s)
-    }
-
-    /// Profiling hook: run the AVX2 exact lane kernel truncated after
-    /// stage `upto`, the twin of
-    /// [`interact_block_lns_upto`](Self::interact_block_lns_upto).
-    /// `out` holds forces only for [`ExactStage::Accumulate`]. Returns
-    /// `false` (nothing run) unless this pipeline would take the AVX2
-    /// exact kernel for this call.
-    pub fn interact_block_exact_upto(
-        &self,
-        upto: ExactStage,
-        xi: &[[i64; 3]],
-        j: &JSlices<'_>,
-        force_scale: f64,
-        fmt: FixedFormat,
-        out: &mut [Force],
-    ) -> bool {
-        assert_eq!(xi.len(), out.len(), "output length mismatch");
-        assert!(j.x.len() == j.y.len() && j.x.len() == j.z.len() && j.x.len() == j.m.len());
-        match (self.mode, &self.cutoff, self.lane_path) {
-            (ArithMode::Exact, None, LanePath::Avx2) => lanes::block_exact_avx2_upto(
-                upto,
-                self.wide,
-                self.quantum,
-                self.eps2,
-                xi,
-                j,
-                force_scale,
-                fmt,
-                out,
-            ),
-            _ => false,
-        }
-    }
-
-    /// Profiling hook: run the AVX2 LNS lane kernel truncated after
-    /// stage `upto`, so a harness can difference the prefixes into a
-    /// per-stage time split. `out` holds forces only for
-    /// [`LnsStage::Accumulate`]. Returns `false` (nothing run) unless
-    /// this pipeline would take the AVX2 LNS kernel for this call.
-    pub fn interact_block_lns_upto(
-        &self,
-        upto: LnsStage,
-        xi: &[[i64; 3]],
-        j: &JSlices<'_>,
-        force_scale: f64,
-        fmt: FixedFormat,
-        out: &mut [Force],
-    ) -> bool {
-        assert_eq!(xi.len(), out.len(), "output length mismatch");
-        assert!(j.x.len() == j.y.len() && j.x.len() == j.z.len() && j.x.len() == j.m_word.len());
-        match (&self.lns_lanes, &self.cutoff, self.lane_path) {
-            (Some(c), None, LanePath::Avx2) => {
-                lanes::block_lns_avx2_upto(upto, self.wide, c, xi, j, force_scale, fmt, out)
-            }
-            _ => false,
-        }
     }
 }
 
