@@ -734,8 +734,6 @@ mod avx2 {
         encv: __m256d,
         enc: f64,
         fmt: FixedFormat,
-        rmin: __m256i,
-        rmax: __m256i,
         vs: VScale,
         /// Column fast path available: the format's range covers the
         /// encode window (so the per-term clamp cannot bind) and leaves
@@ -756,8 +754,6 @@ mod avx2 {
                 encv: _mm256_set1_pd(enc),
                 enc,
                 fmt,
-                rmin: _mm256_set1_epi64x(fmt.raw_min()),
-                rmax: _mm256_set1_epi64x(fmt.raw_max()),
                 vs: match scale_mode(force_scale) {
                     ScaleMode::One => VScale::None,
                     ScaleMode::Pow2Mul(inv) => VScale::Mul(_mm256_set1_pd(inv)),
@@ -809,13 +805,6 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn clamp_epi64(v: __m256i, lo: __m256i, hi: __m256i) -> __m256i {
-        let v = _mm256_blendv_epi8(v, hi, _mm256_cmpgt_epi64(v, hi));
-        _mm256_blendv_epi8(v, lo, _mm256_cmpgt_epi64(lo, v))
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[inline]
     unsafe fn abs_pd(v: __m256d) -> __m256d {
         _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
     }
@@ -851,72 +840,24 @@ mod avx2 {
         _mm256_sub_epi64(round_away_biased(scaled), _mm256_set1_epi64x(MAGIC_BITS))
     }
 
-    /// One vector `Fixed::accumulate_with_scale` over the 4 components
-    /// `[fx, fy, fz, pot]` of a single j-interaction (already unscaled).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn accumulate4(acc: __m256i, v: __m256d, c: &AccCtx) -> __m256i {
-        let scaled = _mm256_mul_pd(v, c.encv);
-        let ok = _mm256_cmp_pd::<_CMP_LT_OQ>(abs_pd(scaled), _mm256_set1_pd(ENC_LIM));
-        if _mm256_movemask_pd(ok) != 0b1111 {
-            // Rare: a term saturates the format or is NaN. The scalar
-            // encode is the definition of correctness — defer to it.
-            let mut a = [0i64; 4];
-            let mut t = [0f64; 4];
-            _mm256_storeu_si256(a.as_mut_ptr().cast(), acc);
-            _mm256_storeu_pd(t.as_mut_ptr(), v);
-            for k in 0..4 {
-                a[k] = Fixed { raw: a[k], fmt: c.fmt }.accumulate_with_scale(c.enc, t[k]).raw;
-            }
-            return _mm256_loadu_si256(a.as_ptr().cast());
-        }
-        // encode = round (window checked above), then its saturation;
-        // sat_add: wrapping add, overflow detected by sign algebra,
-        // clamped to the format range.
-        let term = clamp_epi64(round_away_to_i64(scaled), c.rmin, c.rmax);
-        let sum = _mm256_add_epi64(acc, term);
-        let ovf = _mm256_and_si256(_mm256_xor_si256(acc, sum), _mm256_xor_si256(term, sum));
-        let ovf = _mm256_cmpgt_epi64(_mm256_setzero_si256(), ovf);
-        let acc_neg = _mm256_cmpgt_epi64(_mm256_setzero_si256(), acc);
-        let sat =
-            _mm256_blendv_epi8(_mm256_set1_epi64x(i64::MAX), _mm256_set1_epi64x(i64::MIN), acc_neg);
-        clamp_epi64(_mm256_blendv_epi8(sum, sat, ovf), c.rmin, c.rmax)
-    }
-
-    /// The slow path of the accumulate and its definition: transpose
-    /// four consecutive j-interactions from component vectors (already
-    /// unscaled) to per-j `[fx, fy, fz, pot]` and take them through
-    /// [`accumulate4`] one j at a time. Kept out of line (and away from
-    /// [`Columns`], which must stay in registers) by [`add_ordered`].
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_ordered_avx2(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
-        let t0 = _mm256_unpacklo_pd(v[0], v[1]);
-        let t1 = _mm256_unpackhi_pd(v[0], v[1]);
-        let t2 = _mm256_unpacklo_pd(v[2], v[3]);
-        let t3 = _mm256_unpackhi_pd(v[2], v[3]);
-        let mut av = _mm256_loadu_si256(a.as_ptr().cast());
-        av = accumulate4(av, _mm256_permute2f128_pd::<0x20>(t0, t2), c);
-        av = accumulate4(av, _mm256_permute2f128_pd::<0x20>(t1, t3), c);
-        av = accumulate4(av, _mm256_permute2f128_pd::<0x31>(t0, t2), c);
-        av = accumulate4(av, _mm256_permute2f128_pd::<0x31>(t1, t3), c);
-        _mm256_storeu_si256(a.as_mut_ptr().cast(), av);
-    }
-
-    /// [`add_ordered_avx2`] as a call that stays one: rustc drops
+    /// The slow path of the accumulate and its definition: four
+    /// consecutive j-interactions, given as the component vectors
+    /// `[fx, fy, fz, pot]` (lane = j, already unscaled), through
+    /// `Fixed::accumulate_with_scale` one j at a time. A plain function
+    /// with no intrinsic in it, kept out of line (and away from
+    /// [`Columns`], which must stay in registers): rustc drops
     /// `#[inline(never)]` from a `#[target_feature]` function.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
     #[cold]
     #[inline(never)]
-    unsafe fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
-        add_ordered_avx2(a, v, c)
+    fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
+        // SAFETY: four vectors of four doubles are sixteen doubles, and
+        // every bit pattern is a double.
+        let t = unsafe { std::mem::transmute::<[__m256d; 4], [[f64; 4]; 4]>(v) };
+        for j in 0..LANES {
+            for (a, t) in a.iter_mut().zip(&t) {
+                *a = Fixed { raw: *a, fmt: c.fmt }.accumulate_with_scale(c.enc, t[j]).raw;
+            }
+        }
     }
 
     /// The ops of the fixed accumulate both kernels end in (`round_term`,
