@@ -193,6 +193,9 @@ impl ForceBackend for DirectHost {
 // Direct summation on GRAPE
 // ----------------------------------------------------------------------
 
+/// i-particles [`DirectGrape`] sends per device call.
+const I_CHUNK: usize = 2048;
+
 /// O(N²) summation through the simulated GRAPE-5 — every particle is a
 /// j-particle for every i-particle. This is how the hardware's peak
 /// throughput is demonstrated (E5) and how its ≈ 0.3 % pairwise error
@@ -200,8 +203,6 @@ impl ForceBackend for DirectHost {
 pub struct DirectGrape {
     g5: Grape5,
     eps: f64,
-    /// i-particles are sent in chunks of this size per call.
-    pub i_chunk: usize,
     /// Retry/quarantine escalation for the validated path.
     pub retry: RetryPolicy,
     recovery: RecoveryStats,
@@ -213,13 +214,7 @@ impl DirectGrape {
         assert!(eps >= 0.0, "negative softening");
         let mut g5 = Grape5::open(cfg);
         g5.set_eps(eps);
-        DirectGrape {
-            g5,
-            eps,
-            i_chunk: 2048,
-            retry: RetryPolicy::default(),
-            recovery: RecoveryStats::default(),
-        }
+        DirectGrape { g5, eps, retry: RetryPolicy::default(), recovery: RecoveryStats::default() }
     }
 
     /// Access the underlying device (e.g. for accounting resets or
@@ -245,8 +240,8 @@ impl ForceBackend for DirectGrape {
             session.load_j(pos, mass);
         }
         let mut failure = None;
-        for start in (0..n).step_by(self.i_chunk) {
-            let end = (start + self.i_chunk).min(n);
+        for start in (0..n).step_by(I_CHUNK) {
+            let end = (start + I_CHUNK).min(n);
             let forces = if resident {
                 session.try_force_on(&pos[start..end])
             } else {
