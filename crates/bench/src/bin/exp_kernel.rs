@@ -740,12 +740,6 @@ fn main() {
             lns.ns,
             lns8.ns
         );
-    } else if let Some(exact) = kernels.iter().find(|k| k.floor_ns.is_some()) {
-        println!(
-            "headline: the exact kernel on the {} accumulate runs at {:.2}x its divider floor",
-            exact.ops,
-            exact.over_floor()
-        );
     }
     for cells in own_self.iter().chain(&pinned_self) {
         self_call_table(cells);

@@ -23,7 +23,9 @@
 //! kernel spells the same loop out, for its per-block image) and end in
 //! the same saturating fixed-point accumulate. Why a CPU without AVX2
 //! gets the skeleton and not a portable lane twin: DESIGN.md, device
-//! kernel.
+//! kernel. Each x86 entry is compiled once per mode and op column and
+//! has no partial form: it is timed whole, against the divider floor in
+//! exact mode (`exp_kernel`; DESIGN.md, "how kernels are measured").
 //!
 //! **Bit-identity contract, exact mode.** Every path reproduces the
 //! scalar `pair_exact` + `Fixed::accumulate` sequence bit for bit:
