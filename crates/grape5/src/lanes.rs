@@ -845,10 +845,10 @@ mod avx2 {
     /// The slow path of the accumulate and its definition: four
     /// consecutive j-interactions, given as the component vectors
     /// `[fx, fy, fz, pot]` (lane = j, already unscaled), through
-    /// `Fixed::accumulate_with_scale` one j at a time. A plain function
-    /// with no intrinsic in it, kept out of line (and away from
-    /// [`Columns`], which must stay in registers): rustc drops
-    /// `#[inline(never)]` from a `#[target_feature]` function.
+    /// `Fixed::accumulate_with_scale` one j at a time. Kept out of line,
+    /// away from [`Columns`], which must stay in registers; a plain
+    /// function with no intrinsic in it, because rustc drops
+    /// `#[inline(never)]` from a `#[target_feature]` one.
     #[cold]
     #[inline(never)]
     fn add_ordered(a: &mut [i64; 4], v: [__m256d; 4], c: &AccCtx) {
@@ -1659,8 +1659,8 @@ mod avx2 {
         /// lock-step (each stage runs on all `G` groups before the next
         /// starts, so one group's ROM-gather latency hides behind the
         /// other's ALU work); the terms reach `cols` in ascending j.
-        /// `false`, with nothing accumulated,
-        /// when a lane of any group asks for the scalar converters.
+        /// `false`, with nothing accumulated, when a lane of any group
+        /// asks for the scalar converters.
         #[inline(always)]
         #[allow(clippy::needless_range_loop)]
         unsafe fn stages<O: AccOps, const G: usize>(
@@ -1765,8 +1765,9 @@ mod avx2 {
         }
 
         /// Add the terms of the j-particles `js..je` on the i-particle
-        /// at `x` to its running words `a`. What `L` cannot decide it hands down: a lane flagged in a
-        /// sixteen-lane group sends that group through the stages of
+        /// at `x` to its running words `a`. What `L` cannot decide it
+        /// hands down: a lane flagged in a sixteen-lane group sends that
+        /// group through the stages of
         /// `eight`, a lane flagged there sends its eight pairs through
         /// `span_pairs`, the definition; `eight` also takes the group a
         /// span has past its last sixteen. Every coordinate word of `x`
