@@ -1,10 +1,10 @@
 //! **E14 — benchmark suite driver, cross-PR trajectory ledger, and
 //! regression gate.**
 //!
-//! Runs the kernel, host, cluster, endurance, flagship, and serve
-//! harnesses (`exp_kernel`, `exp_host`, `exp_cluster`, `exp_endurance`,
-//! `exp_flagship`, `exp_serve`) as sibling binaries, aggregates the kernel/host
-//! headline numbers into the suite report, and maintains
+//! Runs the kernel, cluster, endurance, flagship, and serve harnesses
+//! (`exp_kernel`, `exp_cluster`, `exp_endurance`, `exp_flagship`,
+//! `exp_serve`: `HARNESSES`) as sibling binaries, aggregates the
+//! kernel headline numbers into the suite report, and maintains
 //! `BENCH_trajectory.json` — a cumulative, commit-keyed ledger of each
 //! PR's headline metrics, so a regression in any later PR is visible as
 //! a broken monotone series instead of requiring archaeology across
@@ -14,8 +14,8 @@
 //! cargo run --release -p g5-bench --bin exp_suite -- \
 //!     --pr pr21 [--quick] [--append] [--gate] [--gate-only] \
 //!     [--out artifacts/exp_suite.json] [--trajectory FILE] \
-//!     [--kernel-json K.json] [--host-json H.json] \
-//!     [--cluster-json C.json] [--endurance-json E.json] \
+//!     [--kernel-json K.json] [--cluster-json C.json] \
+//!     [--endurance-json E.json] \
 //!     [--flagship-json F.json] [--serve-json S.json]
 //! ```
 //!
@@ -55,6 +55,11 @@ use g5_bench::trajectory::{self, commit_for, Entry};
 use g5_bench::{row, Args};
 use std::path::PathBuf;
 use std::process::Command;
+
+/// The sibling harnesses a run spawns, `exp_<name>` each, in the order
+/// `main` destructures their reports; `--<name>-json` reuses a report
+/// instead.
+const HARNESSES: [&str; 5] = ["kernel", "cluster", "endurance", "flagship", "serve"];
 
 /// Direction of goodness for a trajectory metric: drift envelopes,
 /// modeled/wall seconds and costs per item (`…_ns_per_term`) regress
@@ -148,7 +153,8 @@ fn seed_entries() -> Vec<Entry> {
                 Err(_) => println!("note: {file} not present; skipping {pr} seed row"),
             }
         };
-    // pr19 (the exp_host report of record; pr4's table re-measured):
+    // pr19 (the report of record of the retired exp_host harness; pr4's
+    // table re-measured):
     // best host-phase speedup at the headline size
     mine("pr19", "BENCH_pr19.json", "host_phase_speedup", &|t| {
         t.lines()
@@ -216,12 +222,12 @@ fn main() {
         };
         (std::fs::read_to_string(&json).unwrap_or_else(|e| panic!("read {json}: {e}")), c)
     };
-    let (kernel_text, kernel_commit) = get("kernel");
-    let (host_text, host_commit) = get("host");
-    let (cluster_text, cluster_commit) = get("cluster");
-    let (endurance_text, endurance_commit) = get("endurance");
-    let (flagship_text, flagship_commit) = get("flagship");
-    let (serve_text, serve_commit) = get("serve");
+    let [kernel, cluster, endurance, flagship, serve] = HARNESSES.map(get);
+    let (kernel_text, kernel_commit) = kernel;
+    let (cluster_text, cluster_commit) = cluster;
+    let (endurance_text, endurance_commit) = endurance;
+    let (flagship_text, flagship_commit) = flagship;
+    let (serve_text, serve_commit) = serve;
 
     // ---- mine this run's PR 8 headline numbers ----
     let need = |text: &str, key: &str| {
@@ -244,18 +250,6 @@ fn main() {
     // headline), where the report has it (a reused aggregate has not)
     let lns_lane_speedup = report::find_row(&kernel_text, &row! { "n": kn, "mode": "lns" })
         .and_then(|l| num(l, "lane_speedup"));
-    // a raw exp_host report carries "sort_n"; a reused suite aggregate
-    // carries the same number as "n" on its "host_sort" row, the one
-    // with the "sort_speedup"
-    let sort_n = num_any(&host_text, "sort_n")
-        .or_else(|| {
-            let host_sort = host_text.lines().find(|l| num(l, "sort_speedup").is_some())?;
-            num(host_sort, "n")
-        })
-        .expect("sort_n in exp_host report") as u64;
-    let sort_speedup = need(&host_text, "sort_speedup");
-    let build_radix = need(&host_text, "build_radix_s");
-    let build_cmp = need(&host_text, "build_comparison_s");
     let head = commit_for(None);
 
     // ---- mine the cluster / endurance / flagship headline numbers ----
@@ -307,14 +301,9 @@ fn main() {
     };
     let kernel_exact: Vec<Row> =
         exact_rows.iter().map(|l| Row::parse(l).expect("a kernel row")).collect();
-    let host_sort = row! {
-        "n": sort_n, "sort_speedup": sort_speedup, "build_radix_s": build_radix,
-        "build_comparison_s": build_cmp,
-    };
     row! {
         "experiment": "exp_suite", "commit": head.as_str(), "quick": quick,
-        "kernel_exact": kernel_exact, "host_sort": host_sort,
-        "gates": gates.put("radix_build_faster", build_cmp > build_radix),
+        "kernel_exact": kernel_exact, "gates": gates,
     }
     .write(&out_path);
     println!();
@@ -323,7 +312,6 @@ fn main() {
     // ---- trajectory ledger ----
     let this_run: Vec<Entry> = [
         (&kernel_commit, "kernel_exact_lane_speedup", kn, lane_speedup),
-        (&host_commit, "morton_sort_speedup", sort_n, sort_speedup),
         (&cluster_commit, "cluster_step_speedup", cluster_n, cluster_step_speedup),
         (&endurance_commit, "endurance_max_energy_drift", endurance_n, endurance_drift),
         (&flagship_commit, "overlap_critical_path_speedup", overlap_n, overlap_speedup),
@@ -362,13 +350,7 @@ fn main() {
         appended_count
     );
     println!();
-    println!(
-        "kernel/host headline: exact lanes {lane_speedup:.2}x at N = {kn}; \
-         Morton radix sort {sort_speedup:.2}x at N = {sort_n} \
-         (build {:.2} ms radix vs {:.2} ms comparison)",
-        build_radix * 1e3,
-        build_cmp * 1e3
-    );
+    println!("kernel headline: exact lanes {lane_speedup:.2}x at N = {kn}");
     println!(
         "cluster/flagship headline: step {cluster_step_speedup:.2}x over K = 1 at N = {cluster_n}; \
          overlap {overlap_speedup:.2}x at N = {overlap_n}; \
@@ -387,10 +369,19 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{gate_failures, lower_is_better, Entry};
+    use super::{gate_failures, lower_is_better, Entry, HARNESSES};
 
     fn row(metric: &str, n: u64, value: f64) -> Entry {
         Entry::new("pr0", "abc1234", metric, n, value)
+    }
+
+    #[test]
+    fn every_spawned_harness_has_a_binary() {
+        let bin = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        for name in HARNESSES {
+            let src = bin.join(format!("exp_{name}.rs"));
+            assert!(src.is_file(), "exp_suite spawns exp_{name}, but {} is gone", src.display());
+        }
     }
 
     #[test]

@@ -22,24 +22,31 @@ pub struct Args {
 impl Args {
     /// Parse `std::env::args`, treating `--key value` pairs and bare
     /// `--flag`s (stored as `"true"`).
+    ///
+    /// # Panics
+    /// On a `--key=value` argument: only the `--key value` form is read.
     pub fn parse() -> Args {
+        Args::parse_from(std::env::args().skip(1))
+    }
+
+    /// [`parse`](Self::parse) over the arguments after the program name.
+    /// A value may start with a single `-` (`--plan-workers -1`); a
+    /// stray positional argument is reported and ignored.
+    fn parse_from(argv: impl IntoIterator<Item = String>) -> Args {
         let mut map = HashMap::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            if let Some(key) = a.strip_prefix("--") {
-                if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                    map.insert(key.to_string(), argv[i + 1].clone());
-                    i += 2;
-                } else {
-                    map.insert(key.to_string(), "true".to_string());
-                    i += 1;
-                }
-            } else {
+        let mut argv = argv.into_iter().peekable();
+        while let Some(a) = argv.next() {
+            let Some(key) = a.strip_prefix("--") else {
                 eprintln!("ignoring stray argument {a:?}");
-                i += 1;
+                continue;
+            };
+            if let Some((k, v)) = key.split_once('=') {
+                panic!(
+                    "{a:?}: write `--{k} {v}`, the `--key value` form (`--key=value` is not read)"
+                );
             }
+            let value = argv.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| "true".into());
+            map.insert(key.to_string(), value);
         }
         Args { map }
     }
@@ -262,6 +269,40 @@ mod tests {
         let text = format!("{{\n  \"entries\": [\n    {line},\n    {line}\n  ]\n}}\n");
         assert_eq!(trajectory::entries(&text), vec![e.clone(), e]);
         assert_eq!(trajectory::entries("{\"pr\": \"pr3\"}\nnot an entry\n"), vec![]);
+    }
+
+    fn parse(argv: &[&str]) -> Args {
+        Args::parse_from(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn args_read_pairs_and_bare_flags() {
+        let args = parse(&["--n", "4096", "--quick", "--out", "a.json", "--gate"]);
+        assert_eq!(args.get("n", 0usize), 4096);
+        assert_eq!(args.get("out", String::new()), "a.json");
+        assert!(args.flag("quick") && args.flag("gate") && !args.flag("append"));
+        assert_eq!(args.get("steps", 7u32), 7, "an absent key reads its default");
+    }
+
+    #[test]
+    fn args_take_a_negative_value() {
+        let args = parse(&["--plan-workers", "-1", "--channel-depth", "2"]);
+        assert_eq!(args.get("plan-workers", 0i64), -1);
+        assert_eq!(args.get("channel-depth", 0usize), 2);
+    }
+
+    #[test]
+    fn args_ignore_a_stray_positional_argument() {
+        let args = parse(&["stray", "--n", "64", "extra", "--quick"]);
+        assert_eq!(args.get("n", 0usize), 64);
+        assert!(args.flag("quick"));
+        assert_eq!(args.map.len(), 2, "{:?}", args.map);
+    }
+
+    #[test]
+    #[should_panic(expected = "write `--n 65536`")]
+    fn args_reject_key_equals_value() {
+        parse(&["--quick", "--n=65536"]);
     }
 
     #[test]

@@ -48,7 +48,8 @@ const WORDS_PER_F: u64 = 4;
 /// of a caller whose [`cores::share`] is one core — run them one after
 /// the other on the calling thread.
 ///
-/// Derivation (measured, `exp_host` short-call row, `BENCH_pr19.json`):
+/// Derivation (measured, EXPERIMENTS.md E11's short-call row, recorded
+/// in `BENCH_pr19.json`):
 /// spawning and joining one scoped thread costs 23–78 µs (47 µs in that
 /// run), and the exact-mode lane kernel runs 2.1–2.9 ns per interaction
 /// since PR 18 (2.85 in that run), so splitting `W` interactions over

@@ -159,7 +159,7 @@ impl PlanPool {
     }
 }
 
-/// How a [`stream`] call schedules its producers.
+/// How a [`stream_with`] call schedules its producers.
 ///
 /// Zero producers is a valid plan, not a degenerate one: the calling
 /// thread then resolves a group, hands it to the consumer, and resolves
@@ -217,7 +217,7 @@ fn workers_for(cores: usize) -> usize {
     cores.saturating_sub(1)
 }
 
-/// What a [`stream`] call did, beyond the consumer's own outputs.
+/// What a [`stream_with`] call did, beyond the consumer's own outputs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PlanStats {
     /// Summed tally over all streamed groups.
@@ -252,21 +252,6 @@ fn resolve_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWor
         terms: work.jpos.len() as u64,
         lists: 1,
     };
-}
-
-/// Stream every group's resolved work into `consume` through a
-/// throwaway [`PlanPool`] — buffers are still shared within the call,
-/// but capacities are not retained across calls. Long-lived drivers
-/// should own a pool and call [`stream_with`].
-pub fn stream<F: FnMut(&GroupWork)>(
-    tree: &Tree,
-    tr: &Traversal,
-    groups: &[Group],
-    cfg: &PlanConfig,
-    consume: F,
-) -> Result<PlanStats, PlanError> {
-    let pool = PlanPool::new();
-    stream_with(tree, tr, groups, cfg, &pool, consume)
 }
 
 /// Stream every group's resolved work into `consume`, overlapping
@@ -452,7 +437,7 @@ mod tests {
         let tr = Traversal::new(0.7);
         let groups = tr.find_groups(&tree, 32);
         let mut per_target = vec![0u64; n];
-        let stats = stream(&tree, &tr, &groups, cfg, |w| {
+        let stats = stream_with(&tree, &tr, &groups, cfg, &PlanPool::new(), |w| {
             assert_eq!(w.targets.len(), w.xi.len());
             assert_eq!(w.jpos.len(), w.jmass.len());
             assert_eq!(w.tally.terms, w.jpos.len() as u64);
@@ -541,7 +526,9 @@ mod tests {
         let tree = Tree::build_with(&pos, &mass, TreeConfig::default());
         let tr = Traversal::new(0.8);
         let groups = tr.find_groups(&tree, 48);
-        let stats = stream(&tree, &tr, &groups, &PlanConfig::default(), |_| {}).unwrap();
+        let stats =
+            stream_with(&tree, &tr, &groups, &PlanConfig::default(), &PlanPool::new(), |_| {})
+                .unwrap();
         assert_eq!(stats.tally, tr.modified_tally(&tree, 48));
         assert_eq!(stats.tally.lists, groups.len() as u64);
         assert!(stats.produce_s >= 0.0);
@@ -574,14 +561,15 @@ mod tests {
 
     #[test]
     fn consumer_drop_does_not_hang() {
-        // consume only the first item, then let `stream` unwind: the
+        // consume only the first item, then let `stream_with` unwind: the
         // producers must notice the closed channel and stop
         let (pos, mass) = cloud(600, 12);
         let tree = Tree::build_with(&pos, &mass, TreeConfig::default());
         let tr = Traversal::new(0.7);
         let groups = tr.find_groups(&tree, 16);
         let mut seen = 0usize;
-        stream(&tree, &tr, &groups, &PlanConfig::overlapped(2, 1), |_| seen += 1).unwrap();
+        let cfg = PlanConfig::overlapped(2, 1);
+        stream_with(&tree, &tr, &groups, &cfg, &PlanPool::new(), |_| seen += 1).unwrap();
         assert_eq!(seen, groups.len());
     }
 
@@ -675,8 +663,10 @@ mod tests {
 
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {})); // keep expected panics quiet
-        let serial = stream(&small, &tr, &groups, &PlanConfig::serial(), |_| {});
-        let overlapped = stream(&small, &tr, &groups, &PlanConfig::overlapped(2, 2), |_| {});
+        let pool = PlanPool::new();
+        let serial = stream_with(&small, &tr, &groups, &PlanConfig::serial(), &pool, |_| {});
+        let overlapped =
+            stream_with(&small, &tr, &groups, &PlanConfig::overlapped(2, 2), &pool, |_| {});
         std::panic::set_hook(prev_hook);
 
         let serial = serial.unwrap_err();

@@ -245,8 +245,9 @@ impl Traversal {
 
     /// Build the shared interaction list for one group, as tree terms:
     /// the form the tallies, the host evaluator ([`crate::eval`]) and
-    /// the referees read. Bit-identical, term for term, to
-    /// [`modified_list_reference`](Self::modified_list_reference).
+    /// the referees read. Bit-identical, term for term, to the
+    /// pre-overhaul recursive walk over the `Node` array that the
+    /// `emitter_*` tests keep as its referee.
     pub fn modified_list(&self, tree: &Tree, group: Group, out: &mut Vec<ListTerm>) {
         out.clear();
         let sphere = self.group_sphere(tree, group);
@@ -273,8 +274,10 @@ impl Traversal {
     }
 
     /// The pre-overhaul recursive walk over the `Node` array, kept as
-    /// the A/B reference for `exp_host` and the bit-identity tests.
-    pub fn modified_list_reference(&self, tree: &Tree, group: Group, out: &mut Vec<ListTerm>) {
+    /// the referee the `emitter_*` bit-identity tests hold the one walk
+    /// to.
+    #[cfg(test)]
+    fn modified_list_reference(&self, tree: &Tree, group: Group, out: &mut Vec<ListTerm>) {
         out.clear();
         let sphere = self.group_sphere(tree, group);
         let gnode = &tree.nodes()[group.node as usize];
@@ -282,6 +285,7 @@ impl Traversal {
         self.walk_group(tree, 0, group.node, gfirst, gend, &sphere, out);
     }
 
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
     fn walk_group(
         &self,
@@ -373,8 +377,8 @@ const MAX_PATH: usize = morton::BITS_PER_DIM as usize + 1;
 const MAX_STACK: usize = 7 * morton::BITS_PER_DIM as usize + 1;
 
 /// The one list walk: the terms `tree` presents to the receiver
-/// `sphere` under `mac`, emitted in the depth-first order of
-/// [`Traversal::modified_list_reference`].
+/// `sphere` under `mac`, emitted in the depth-first order of the
+/// recursive `Node`-array walk the `emitter_*` tests referee it with.
 ///
 /// With `group` the receiver is one of the tree's own groups (`sphere`
 /// from [`Traversal::group_sphere`]): its ancestors overlap the sphere

@@ -22,9 +22,10 @@
 //!   digits least-significant first, per-chunk histograms merged by a
 //!   (digit-major, chunk-minor) prefix sum into disjoint scatter
 //!   ranges, ping-pong buffers, constant digits skipped outright.
-//! * [`sort_indices_comparison`] — the comparison-sort reference the
-//!   radix path is verified against (and A/B-benched against in
-//!   `exp_host`).
+//! * `sort_indices_comparison` — the comparison-sort reference the
+//!   radix path is verified against, and the small-bucket fallback of
+//!   the MSD path (the radix-vs-comparison A/B of record is
+//!   EXPERIMENTS.md E11, `BENCH_pr19.json`).
 //!
 //! A flat comparison sort pays `O(n log n)` key loads through an
 //! unpredictable-branch partitioner. The MSD hybrid replaces the first
@@ -228,10 +229,9 @@ pub fn sort_indices(codes: &[u64]) -> Vec<u32> {
 }
 
 /// Comparison-sort reference for [`sort_indices`]: same `(code, index)`
-/// total order through `sort_unstable_by_key`. Kept callable so the
-/// radix referees and the `exp_host` A/B column can measure against it
-/// in the same build.
-pub fn sort_indices_comparison(codes: &[u64]) -> Vec<u32> {
+/// total order through `sort_unstable_by_key`: the referee of the radix
+/// tests and the MSD path's sort for inputs below `MSD_MIN_N`.
+fn sort_indices_comparison(codes: &[u64]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..codes.len() as u32).collect();
     order.sort_unstable_by_key(|&i| (codes[i as usize], i));
     order
@@ -639,9 +639,10 @@ mod tests {
         }
     }
 
-    /// Quick A/B probe at the headline size (the real gate lives in
-    /// `exp_host`): `cargo test -p g5util --release -- --ignored
-    /// radix_probe --nocapture`.
+    /// Quick A/B probe at the headline size (the A/B of record is
+    /// EXPERIMENTS.md E11, `BENCH_pr19.json`; g5spine's
+    /// `morton_sort.ns_per_key` tracks the radix path):
+    /// `cargo test -p g5util --release -- --ignored radix_probe --nocapture`.
     #[test]
     #[ignore = "perf probe, run manually in release"]
     fn radix_probe_beats_comparison_at_headline_n() {

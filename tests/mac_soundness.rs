@@ -12,13 +12,13 @@
 //! trees, fresh and refreshed — and checks that it *would* notice: the
 //! same lists built against spheres of 0.9 × the radius fail it.
 //!
-//! The lists checked are the product's: what `plan::stream` hands the
+//! The lists checked are the product's: what `plan::stream_with` hands the
 //! device (the walk's resolved emitter) and what `let_terms_into`
 //! appends are held, bit for bit and in order, to the `Node`-array walks
 //! the property is checked on.
 
 use grape5_nbody::ic::{CosmologicalIc, ZeldovichConfig};
-use grape5_nbody::tree::plan::{self, PlanConfig};
+use grape5_nbody::tree::plan::{self, PlanConfig, PlanPool};
 use grape5_nbody::tree::{
     let_terms_into, Decomposition, Group, GroupSphere, ListTerm, Mac, Traversal, Tree, TreeConfig,
     NONE,
@@ -103,8 +103,9 @@ fn shard_trees(pos: &[Vec3], k: usize, drift: Option<f64>) -> Vec<Tree> {
         .collect()
 }
 
-/// The own-tree walk of `Traversal::modified_list_reference`, against a
-/// caller-chosen sphere (so the mutation check can shrink it).
+/// The own-tree walk over the `Node` array (the recursive referee of
+/// `g5tree`'s `emitter_*` tests, as a stack), against a caller-chosen
+/// sphere (so the mutation check can shrink it).
 fn own_walk(tree: &Tree, mac: &Mac, group: Group, sphere: &GroupSphere) -> Vec<ListTerm> {
     let nodes = tree.nodes();
     let g = &nodes[group.node as usize];
@@ -161,7 +162,8 @@ fn check_lists(trees: &[Tree], n_crit: usize, shrink: f64) -> Result<u64, String
         // lists, by group node
         let mut streamed = std::collections::HashMap::new();
         if shrink == 1.0 {
-            plan::stream(tree, &tr, &groups, &PlanConfig::serial(), |w| {
+            let pool = PlanPool::new();
+            plan::stream_with(tree, &tr, &groups, &PlanConfig::serial(), &pool, |w| {
                 let terms: Vec<_> =
                     w.jpos.iter().zip(&w.jmass).map(|(&p, &m)| term_bits(p, m)).collect();
                 streamed.insert(w.group.node, terms);
