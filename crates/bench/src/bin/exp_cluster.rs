@@ -224,7 +224,7 @@ fn cell_row(c: &ClusterCell, k1: Option<&ClusterCell>) -> Row {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "out", "baseline", "n", "steps", "ks", "trajectory", "pr"]);
     let quick = args.flag("quick");
     let out_path: String = args.get("out", "artifacts/exp_cluster.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());

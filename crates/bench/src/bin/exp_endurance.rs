@@ -296,7 +296,22 @@ fn snapshot_bytes(state: &g5ic::Snapshot, time: f64, path: &std::path::Path) -> 
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "n",
+        "k",
+        "steps",
+        "dt",
+        "n-crit",
+        "probe-interval",
+        "checkpoint-every",
+        "keep",
+        "out",
+        "ledger-out",
+        "ckpt-dir",
+        "skip-rerun",
+        "skip-resume",
+    ]);
     let quick = args.flag("quick");
     let n: usize = args.get("n", if quick { 8_192 } else { 65_536 });
     let k: usize = args.get("k", if quick { 3 } else { 4 });

@@ -119,7 +119,19 @@ fn run_case(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "n",
+        "steps",
+        "dt",
+        "eps",
+        "transient",
+        "jmem",
+        "checkpoint-every",
+        "checkpoint-dir",
+        "resume",
+        "plan-workers",
+        "channel-depth",
+    ]);
     let n: usize = args.get("n", 8_000);
     let steps: u64 = args.get("steps", 40);
     let dt: f64 = args.get("dt", 0.005);

@@ -249,7 +249,18 @@ fn run_full(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "out",
+        "checkpoint-dir",
+        "n",
+        "k",
+        "steps",
+        "segment",
+        "n-gate",
+        "full",
+        "resume",
+    ]);
     let quick = args.flag("quick");
     // artifacts/ convention (PR 9): generated state stays out of the
     // repo root

@@ -611,7 +611,7 @@ fn cell_row(r: &KernelResult) -> Row {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["quick", "out", "baseline", "split-only", "trajectory", "pr"]);
     let quick = args.flag("quick");
     let out_path: String = args.get("out", "artifacts/exp_kernel.json".to_string());
     let base_path: String = args.get("baseline", out_path.clone());

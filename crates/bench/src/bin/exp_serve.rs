@@ -237,7 +237,17 @@ fn scaling_run(cfg: ServerConfig, specs: &[JobSpec]) -> ScalingRow {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "jobs",
+        "workers",
+        "quantum",
+        "out",
+        "dir",
+        "kills",
+        "trajectory",
+        "pr",
+    ]);
     let quick = args.flag("quick");
     let jobs: u64 = args.get("jobs", if quick { 24 } else { 120 });
     // workers default scales with the machine: multi-tenancy needs at

@@ -178,7 +178,20 @@ fn seed_entries() -> Vec<Entry> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&[
+        "quick",
+        "append",
+        "gate",
+        "gate-only",
+        "out",
+        "trajectory",
+        "pr",
+        "kernel-json",
+        "cluster-json",
+        "endurance-json",
+        "flagship-json",
+        "serve-json",
+    ]);
     let quick = args.flag("quick");
     let append = args.flag("append");
     let gate = args.flag("gate");

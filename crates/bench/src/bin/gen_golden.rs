@@ -24,7 +24,7 @@ const N_RANDOM: usize = 496;
 const EPS: [f64; 2] = [0.0, 0.01];
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["out"]);
     let out_path: String = args.get("out", "tests/golden/interact_v1.txt".to_string());
 
     let scaler = RangeScaler::new(-2.0, 2.0, 32);

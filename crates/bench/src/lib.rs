@@ -13,26 +13,31 @@ use std::collections::HashMap;
 
 pub mod report;
 
-/// Minimal `--key value` / `--flag` command-line parser.
+/// Minimal `--key value` / `--flag` command-line parser over the keys
+/// one harness declares.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     map: HashMap<String, String>,
+    keys: Vec<String>,
 }
 
 impl Args {
     /// Parse `std::env::args`, treating `--key value` pairs and bare
-    /// `--flag`s (stored as `"true"`).
+    /// `--flag`s (stored as `"true"`); `keys` are the keys (without
+    /// `--`) this harness reads.
     ///
     /// # Panics
-    /// On a `--key=value` argument: only the `--key value` form is read.
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1))
+    /// On a `--key=value` argument (only the `--key value` form is read)
+    /// and on a key not in `keys`: both messages name what to write.
+    pub fn parse(keys: &[&str]) -> Args {
+        Args::parse_from(std::env::args().skip(1), keys)
     }
 
     /// [`parse`](Self::parse) over the arguments after the program name.
     /// A value may start with a single `-` (`--plan-workers -1`); a
     /// stray positional argument is reported and ignored.
-    fn parse_from(argv: impl IntoIterator<Item = String>) -> Args {
+    fn parse_from(argv: impl IntoIterator<Item = String>, keys: &[&str]) -> Args {
+        let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
         let mut map = HashMap::new();
         let mut argv = argv.into_iter().peekable();
         while let Some(a) = argv.next() {
@@ -45,15 +50,32 @@ impl Args {
                     "{a:?}: write `--{k} {v}`, the `--key value` form (`--key=value` is not read)"
                 );
             }
+            if !keys.iter().any(|k| k == key) {
+                panic!("--{key} is not read by this harness; it reads {}", Args::list(&keys));
+            }
             let value = argv.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| "true".into());
             map.insert(key.to_string(), value);
         }
-        Args { map }
+        Args { map, keys }
+    }
+
+    fn list(keys: &[String]) -> String {
+        keys.iter().map(|k| format!("--{k}")).collect::<Vec<_>>().join(", ")
+    }
+
+    /// The value at `key`, which the harness must have declared.
+    fn value(&self, key: &str) -> Option<&String> {
+        assert!(
+            self.keys.iter().any(|k| k == key),
+            "the harness reads --{key} but declares only {}",
+            Args::list(&self.keys)
+        );
+        self.map.get(key)
     }
 
     /// Typed lookup with default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.map.get(key) {
+        match self.value(key) {
             None => default,
             Some(v) => v.parse().unwrap_or_else(|_| {
                 panic!("could not parse --{key} {v:?}");
@@ -63,7 +85,7 @@ impl Args {
 
     /// Flag lookup.
     pub fn flag(&self, key: &str) -> bool {
-        self.map.contains_key(key)
+        self.value(key).is_some()
     }
 }
 
@@ -271,8 +293,11 @@ mod tests {
         assert_eq!(trajectory::entries("{\"pr\": \"pr3\"}\nnot an entry\n"), vec![]);
     }
 
+    const KEYS: &[&str] =
+        &["n", "quick", "out", "gate", "append", "steps", "plan-workers", "channel-depth"];
+
     fn parse(argv: &[&str]) -> Args {
-        Args::parse_from(argv.iter().map(|a| a.to_string()))
+        Args::parse_from(argv.iter().map(|a| a.to_string()), KEYS)
     }
 
     #[test]
@@ -303,6 +328,20 @@ mod tests {
     #[should_panic(expected = "write `--n 65536`")]
     fn args_reject_key_equals_value() {
         parse(&["--quick", "--n=65536"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--n is not read by this harness; it reads --quick, --out")]
+    fn args_reject_a_key_the_harness_does_not_read() {
+        // a retired harness's `--n 4096` on a harness that reads only
+        // `--quick` and `--out` used to run its defaults silently
+        Args::parse_from(["--n", "4096"].map(String::from), &["quick", "out"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "the harness reads --steps but declares only --quick")]
+    fn args_reject_reading_an_undeclared_key() {
+        Args::parse_from(["--quick"].map(String::from), &["quick"]).get("steps", 1u64);
     }
 
     #[test]

@@ -61,7 +61,8 @@ impl HostModel {
 /// The modeled DS10 split prices host work by operation counts; these
 /// timers record what the *reproducing* machine actually spent per
 /// phase, so the model's host/pipeline proportions can be sanity-checked
-/// against reality (`exp_performance` prints both side by side).
+/// against reality (the benchmark's `g5spine --trace 1` reports them as
+/// its `phase.*` rows).
 ///
 /// `traverse_s` and `device_s` are CPU-seconds of their phase (summed
 /// over producer threads / device calls); with the streaming pipeline
