@@ -6,7 +6,9 @@
 //! group: every device call has the i-set equal to the j-set), clusters
 //! of two and four shards, the tree under an armed transient-fault
 //! injector, a supervised three-shard cluster that loses a board — in
-//! exact and LNS arithmetic. Each run is one row of FNV-1a
+//! exact and LNS arithmetic — and the first steps of a small standard-CDM
+//! sphere through the tree (several groups) and a two-shard cluster.
+//! Each run is one row of FNV-1a
 //! digests: final positions, velocities, accelerations and potentials,
 //! the cumulative interaction tally, the recovery stats, and the modeled
 //! device clock (its counters and the bits of its seconds). The table
@@ -15,8 +17,9 @@
 //! pinned to each and lets the children compare too.
 //!
 //! The digests depend on the platform libm as well as on this code:
-//! every row through the Plummer sphere (`powf`, `sin`, `cos`), the LNS
-//! rows also through the converter tables, built with `f64::exp2` /
+//! every row through the Plummer sphere (`powf`, `sin`, `cos`) or the
+//! CDM sphere's Zel'dovich realization, the LNS rows also through the
+//! converter tables, built with `f64::exp2` /
 //! `f64::log2`. Past the initial conditions the exact rows use IEEE add,
 //! multiply, divide and sqrt only.
 //!
@@ -29,7 +32,7 @@ use grape5_nbody::core::{
     LifecyclePolicy, RefreshPolicy, Simulation, TreeGrape, TreeGrapeConfig,
 };
 use grape5_nbody::grape5::{BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
-use grape5_nbody::ic::plummer_sphere;
+use grape5_nbody::ic::{plummer_sphere, CosmologicalIc, ZeldovichConfig};
 use grape5_nbody::util::Vec3;
 use rand::SeedableRng;
 
@@ -39,6 +42,10 @@ const SEED: u64 = 26;
 const EPS: f64 = 0.01;
 const DT: f64 = 1.0 / 128.0;
 const STEPS: u64 = 8;
+/// The CDM sphere: an 8³ grid (268 particles in the sphere), stepped
+/// along the first [`STEPS`] times of the paper's 999-step schedule.
+const CDM_GRID: usize = 8;
+const EPS_CDM: f64 = 0.005;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -71,12 +78,31 @@ fn digest(f: impl FnOnce(&mut Fnv) -> &mut Fnv) -> String {
     format!("{:016x}", f(&mut Fnv::new()).0)
 }
 
-/// Eight steps of `backend`, as one row of the table.
+/// Eight steps of `backend` on the Plummer sphere, as one row of the table.
 fn row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED);
     let mut sim = Simulation::try_new(plummer_sphere(N, &mut rng), backend, 0.0)
         .unwrap_or_else(|e| panic!("{name}: initial forces: {e}"));
     sim.try_run(DT, STEPS).unwrap_or_else(|e| panic!("{name}: {e}"));
+    digests(name, &sim, grape)
+}
+
+/// Eight steps of `backend` on the CDM sphere, as one row of the table.
+fn cdm_row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String {
+    let ic = CosmologicalIc::generate(&ZeldovichConfig {
+        grid_n: CDM_GRID,
+        ..ZeldovichConfig::small(SEED)
+    });
+    let mut sim = Simulation::try_new(ic.snapshot, backend, ic.units.run_span().0)
+        .unwrap_or_else(|e| panic!("{name}: initial forces: {e}"));
+    for &t in &ic.units.a_uniform_schedule(999)[..STEPS as usize] {
+        sim.try_step_to(t).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    digests(name, &sim, grape)
+}
+
+/// The digest row of a finished run.
+fn digests<B: ForceBackend>(name: &str, sim: &Simulation<B>, grape: &Grape5Config) -> String {
     let t = sim.tally();
     let r = sim.backend().recovery_stats().expect("a validating backend");
     let c = sim.backend().grape_accounting().expect("a GRAPE backend");
@@ -140,6 +166,8 @@ fn table() -> String {
     let mut t = format!(
         "# FNV-1a 64 digests after {STEPS} KDK steps (dt = 1/128) of a Plummer sphere,\n\
          # N = {N}, seed {SEED}, eps = {EPS}; checked by tests/golden_steps.rs.\n\
+         # cdm-* rows: the first {STEPS} steps of the 999-step a-uniform schedule\n\
+         # of a standard-CDM sphere (grid {CDM_GRID}^3, seed {SEED}, eps = {EPS_CDM}).\n\
          # Platform libm: every row through the sphere (powf, sin, cos), the\n\
          # *-lns rows also through the LNS tables (exp2, log2).\n\
          {:<19} {:<16} {:<16} {:<16} {:<16} {:<16} {:<16} modeled\n",
@@ -161,6 +189,12 @@ fn table() -> String {
     let one_board = Grape5Config { boards: 1, ..exact };
     t += &row("tree-exact-onegroup", BackendSpec::tree(EPS).build(), &one_board);
     t += &row("direct-exact-1b", DirectGrape::new(one_board, EPS), &one_board);
+    // n_crit 32 cuts the CDM sphere into several groups
+    let cdm_tree = TreeGrapeConfig { eps: EPS_CDM, ..tree(exact, 1) };
+    t += &cdm_row("cdm-tree-exact", TreeGrape::new(cdm_tree.clone()), &exact);
+    let cdm_cluster =
+        ClusterTreeGrapeConfig { base: cdm_tree, ..ClusterTreeGrapeConfig::paper(EPS_CDM, 2) };
+    t += &cdm_row("cdm-cluster2-exact", ClusterTreeGrape::new(cdm_cluster), &exact);
     t
 }
 
