@@ -206,7 +206,7 @@ impl<'a> DeviceSession<'a> {
     ///
     /// # Panics
     /// If the set exceeds [`jmem_capacity`](Self::jmem_capacity); use
-    /// [`force_for`](Self::force_for) for arbitrary sizes.
+    /// [`try_force_for`](Self::try_force_for) for arbitrary sizes.
     pub fn load_j(&mut self, jpos: &[Vec3], jmass: &[f64]) {
         self.g5.set_j_particles(jpos, jmass);
         let (rpos, rmass) = self.resident.get_or_insert_with(Default::default);
@@ -235,19 +235,9 @@ impl<'a> DeviceSession<'a> {
         out
     }
 
-    /// Forces on `xi` from an arbitrary j-set: loads it whole when it
-    /// fits the board memory, otherwise chunks it through in passes and
-    /// sums the partials on the host. Fast path without validation.
-    pub fn force_for(&mut self, jpos: &[Vec3], jmass: &[f64], xi: &[Vec3]) -> Vec<Force> {
-        if jpos.len() <= self.g5.jmem_capacity() {
-            self.g5.set_j_particles(jpos, jmass);
-            self.g5.force_on(xi)
-        } else {
-            self.g5.force_on_chunked(jpos, jmass, xi)
-        }
-    }
-
-    /// Validated + recovered variant of [`force_for`](Self::force_for).
+    /// Forces on `xi` from an arbitrary j-set, validated and recovered:
+    /// loaded whole when it fits the board memory, otherwise chunked
+    /// through it in passes with the partials summed on the host.
     pub fn try_force_for(
         &mut self,
         jpos: &[Vec3],
@@ -502,7 +492,7 @@ mod tests {
 
         let mut b = Grape5::open(Grape5Config::paper_exact());
         let mut s = DeviceSession::open(&mut b, &pos, 0.01);
-        let via_session = s.force_for(&pos, &mass, xi);
+        let via_session = s.try_force_for(&pos, &mass, xi).expect("a fault-free call");
 
         for (m, v) in manual.iter().zip(&via_session) {
             assert_eq!(m.acc, v.acc);
@@ -525,11 +515,11 @@ mod tests {
         let mut small = Grape5::open(cfg);
         let mut s = DeviceSession::open(&mut small, &pos, 0.02);
         assert!(pos.len() > s.jmem_capacity());
-        let chunked = s.force_for(&pos, &mass, xi);
+        let chunked = s.try_force_for(&pos, &mass, xi).expect("a fault-free call");
 
         let mut big = Grape5::open(Grape5Config::paper_exact());
         let mut s2 = DeviceSession::open(&mut big, &pos, 0.02);
-        let whole = s2.force_for(&pos, &mass, xi);
+        let whole = s2.try_force_for(&pos, &mass, xi).expect("a fault-free call");
 
         for (c, w) in chunked.iter().zip(&whole) {
             assert!((c.acc - w.acc).norm() <= 1e-12 * w.acc.norm().max(1.0));

@@ -429,7 +429,7 @@ impl Grape5 {
     ///
     /// # Panics
     /// If the set exceeds [`jmem_capacity`](Self::jmem_capacity); chunk
-    /// larger sets with [`force_on_chunked`](Self::force_on_chunked).
+    /// larger sets with [`DeviceSession::try_force_for`](crate::DeviceSession::try_force_for).
     pub fn set_j_particles(&mut self, pos: &[Vec3], mass: &[f64]) {
         assert_eq!(pos.len(), mass.len(), "position/mass length mismatch");
         assert!(
@@ -600,25 +600,6 @@ impl Grape5 {
         Ok(total)
     }
 
-    /// Convenience: compute forces on `xi` from an arbitrarily large
-    /// j-set, chunking it through j-memory in as many passes as needed
-    /// and summing partials on the host.
-    pub fn force_on_chunked(&mut self, jpos: &[Vec3], jmass: &[f64], xi: &[Vec3]) -> Vec<Force> {
-        assert_eq!(jpos.len(), jmass.len(), "position/mass length mismatch");
-        let cap = self.jmem_capacity();
-        let mut total: Vec<Force> = vec![Force::ZERO; xi.len()];
-        let mut start = 0;
-        while start < jpos.len() {
-            let end = (start + cap).min(jpos.len());
-            self.set_j_particles(&jpos[start..end], &jmass[start..end]);
-            for (t, p) in total.iter_mut().zip(self.force_on(xi)) {
-                *t = t.merged(p);
-            }
-            start = end;
-        }
-        total
-    }
-
     /// Compute forces on `xi` through the pre-batch scalar path:
     /// sequential per-board [`ProcessorBoard::compute_reference`] with
     /// formula LNS converters, merged in board order. No fault
@@ -710,31 +691,6 @@ mod tests {
         assert_eq!(a.iface_words, 4 + 6 + 8);
         g5.reset_accounting();
         assert_eq!(g5.accounting(), ClockAccounting::new());
-    }
-
-    #[test]
-    fn chunked_equals_single_pass() {
-        let cfg = Grape5Config { mode: ArithMode::Exact, ..Grape5Config::paper() };
-        let mut big = Grape5::open(cfg);
-        let cfg_small =
-            Grape5Config { mode: ArithMode::Exact, jmem_capacity: 3, ..Grape5Config::paper() };
-        let mut small = Grape5::open(cfg_small);
-        for g in [&mut big, &mut small] {
-            g.set_range(-2.0, 2.0);
-            g.set_eps(0.05);
-        }
-        let jpos: Vec<Vec3> = (0..20)
-            .map(|k| Vec3::new((k as f64 * 0.09) - 0.9, (k % 7) as f64 * 0.1, 0.3))
-            .collect();
-        let jm: Vec<f64> = (0..20).map(|k| 1.0 + (k % 3) as f64).collect();
-        let xi = vec![Vec3::new(0.11, -0.2, 0.0), Vec3::new(-0.5, 0.6, 1.0)];
-
-        let fa = big.force_on_chunked(&jpos, &jm, &xi);
-        let fb = small.force_on_chunked(&jpos, &jm, &xi);
-        for (a, b) in fa.iter().zip(&fb) {
-            assert!((a.acc - b.acc).norm() < 1e-9);
-            assert!((a.pot - b.pot).abs() < 1e-9);
-        }
     }
 
     #[test]
