@@ -37,22 +37,17 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_cluster -- \
 //!     [--quick] [--n 262144] [--ks 1,2,4,8] [--steps 1] \
-//!     [--out artifacts/exp_cluster.json] [--baseline BENCH_pr15.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr15]
+//!     [--out artifacts/exp_cluster.json]
 //! ```
 //!
 //! The report defaults to the git-ignored `artifacts/exp_cluster.json`
-//! (a committed `BENCH_pr*.json` is only ever written by naming it);
-//! `--baseline` defaults to the previous report at `--out`.
-//!
-//! `--trajectory FILE --pr LABEL` appends the largest-K step speed-up
-//! to the cross-PR ledger (`g5_bench::trajectory`) as
-//! `cluster_step_speedup`.
+//! (a committed `BENCH_pr*.json` is only ever written by naming it; the
+//! report of record is `BENCH_pr15.json`).
 //!
 //! `--quick` (CI smoke): N = 32,768, K ∈ {1, 2}.
 
 use g5_bench::report::{self, Row};
-use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, trajectory, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, Args};
 use grape5::ClockReport;
 use std::time::Instant;
 use treegrape::cluster::{ClusterTreeGrape, ClusterTreeGrapeConfig};
@@ -224,11 +219,9 @@ fn cell_row(c: &ClusterCell, k1: Option<&ClusterCell>) -> Row {
 }
 
 fn main() {
-    let args = Args::parse(&["quick", "out", "baseline", "n", "steps", "ks", "trajectory", "pr"]);
+    let args = Args::parse(&["quick", "out", "n", "steps", "ks"]);
     let quick = args.flag("quick");
     let out_path: String = args.get("out", "artifacts/exp_cluster.json".to_string());
-    let base_path: String = args.get("baseline", out_path.clone());
-    let baseline = std::fs::read_to_string(&base_path).ok();
 
     let n: usize = args.get("n", if quick { 32_768 } else { 262_144 });
     let steps: u64 = args.get("steps", 1);
@@ -337,26 +330,9 @@ fn main() {
     let rows: Vec<Row> = results.iter().map(|c| cell_row(c, k1)).collect();
     row! {
         "experiment": "exp_cluster", "quick": quick, "seed": SEED, "theta": 0.75,
-        "n_crit": 2000u64, "eps": EPS, "results": rows.clone(),
+        "n_crit": 2000u64, "eps": EPS, "results": rows,
     }
     .write(&out_path);
     println!();
     println!("wrote {out_path}");
-
-    if let Some(old) = baseline {
-        let (key, metrics) = (["n", "k", "steps"], ["critical_path_s_per_step", "interactions"]);
-        let note = "the modeled clock is deterministic; any delta is a real behavior change";
-        report::print_delta(&old, &key, &metrics, &rows, note);
-    }
-
-    // cross-PR ledger: the largest-K step speed-up — a same-run ratio
-    // on the modeled clock, keyed by this tree's commit
-    if args.flag("trajectory") {
-        let k1 = k1.expect("--trajectory needs a K = 1 cell to take the ratio against");
-        let top = results.iter().max_by_key(|c| c.k).expect("at least one K");
-        trajectory::append_from_args(
-            &args,
-            &[("cluster_step_speedup", n as u64, top.step_speedup(k1))],
-        );
-    }
 }

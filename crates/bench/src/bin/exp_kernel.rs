@@ -42,22 +42,18 @@
 //! this binary quantifies what each refactor bought. Results go to a
 //! table, a `PhaseTimers` phase split for the headline run, and a
 //! JSON report (default `artifacts/exp_kernel.json`, git-ignored — a
-//! committed `BENCH_pr*.json` is only ever written by naming it);
-//! `--baseline FILE` (default: the previous report at `--out`) is read
-//! first and a delta is printed, so CI can diff a fresh `--quick` run
-//! against the committed full run.
-//! `--trajectory FILE` appends the lane headline rows (same-run
-//! ratios) to the cross-PR ledger under `--pr LABEL`, keyed by the
-//! working tree's commit (`g5_bench::trajectory::working_commit`).
+//! committed `BENCH_pr*.json` is only ever written by naming it; the
+//! report of record is `BENCH_pr24.json`). Its rates are this machine's
+//! wall clock: compare two builds on the same machine, not against a
+//! committed report.
 //!
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_kernel -- \
-//!     [--quick] [--out artifacts/exp_kernel.json] [--baseline BENCH_pr24.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr24] [--split-only]
+//!     [--quick] [--out artifacts/exp_kernel.json] [--split-only]
 //! ```
 
 use g5_bench::report::{self, Row};
-use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, trajectory, Args};
+use g5_bench::{fmt_count, fmt_secs, plummer, row, rule, Args};
 use g5util::counters::{FlopConvention, InteractionRate};
 use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
@@ -611,18 +607,13 @@ fn cell_row(r: &KernelResult) -> Row {
 }
 
 fn main() {
-    let args = Args::parse(&["quick", "out", "baseline", "split-only", "trajectory", "pr"]);
+    let args = Args::parse(&["quick", "out", "split-only"]);
     let quick = args.flag("quick");
     let out_path: String = args.get("out", "artifacts/exp_kernel.json".to_string());
-    let base_path: String = args.get("baseline", out_path.clone());
     let sizes: &[usize] = if quick { &[4_096, 16_384] } else { &[16_384, 65_536, 262_144] };
     if args.flag("split-only") {
         return print_kernels(sizes[0], quick);
     }
-
-    // read the comparison report (by default the file about to be
-    // overwritten; CI points --baseline at a committed full run)
-    let baseline = std::fs::read_to_string(&base_path).ok();
 
     println!(
         "E10: batched SoA kernel vs pre-batch scalar reference (same run, same resident j-set{})",
@@ -761,11 +752,6 @@ fn main() {
     }
 
     let rows: Vec<Row> = results.iter().map(cell_row).collect();
-    if let Some(old) = &baseline {
-        let note = "wall-clock rates vary by machine; the delta is informational, not a gate";
-        report::print_delta(old, &["n", "mode"], &["batch_per_second"], &rows, note);
-    }
-
     let mut out = row! {
         "experiment": "exp_kernel", "quick": quick, "seed": SEED, "eps": EPS,
         "ops_per_interaction": 38u64, "lns_lanes": lns_lane_width(headline.lane),
@@ -785,28 +771,4 @@ fn main() {
     out.put("results", rows).write(&out_path);
     println!();
     println!("wrote {} results to {out_path}", results.len());
-
-    // cross-PR ledger: the LNS lane headline, keyed by this tree's commit
-    if let Some(lns_lane) = headline.lane_speedup() {
-        // ratios only: same-run A/Bs survive a change of machine
-        let exact = results
-            .iter()
-            .find(|r| r.mode == ArithMode::Exact && r.n == headline.n)
-            .expect("every N is measured in both modes");
-        let n = headline.n as u64;
-        // the cross-mode rate ratio is what the paper's arithmetic costs:
-        // it rises with an LNS gain and falls with an exact one, so a
-        // gate failure on it after an exact-kernel PR reads "the gap
-        // widened", not "something got slower"
-        let mut rows = vec![
-            ("kernel_lns_lane_speedup", n, lns_lane),
-            (
-                "kernel_lns_over_exact_rate",
-                n,
-                headline.batch.per_second() / exact.batch.per_second(),
-            ),
-        ];
-        rows.extend(exact.lane_speedup().map(|x| ("kernel_exact_lane_speedup", n, x)));
-        trajectory::append_from_args(&args, &rows);
-    }
 }

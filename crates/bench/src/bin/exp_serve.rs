@@ -43,8 +43,7 @@
 //! ```text
 //! cargo run --release -p g5-bench --bin exp_serve -- \
 //!     [--quick] [--jobs 120] [--workers 6] [--quantum 8] \
-//!     [--dir serve_state] [--out artifacts/exp_serve.json] \
-//!     [--trajectory BENCH_trajectory.json --pr pr20]
+//!     [--dir serve_state] [--out artifacts/exp_serve.json]
 //! ```
 //!
 //! The report defaults to the git-ignored `artifacts/exp_serve.json`;
@@ -54,7 +53,7 @@
 //! compressed.
 
 use g5_bench::report::{self, Row};
-use g5_bench::{fmt_count, fmt_secs, row, rule, trajectory, Args};
+use g5_bench::{fmt_count, fmt_secs, row, rule, Args};
 use g5serve::{job_dir_name, JobError, JobId, JobSpec, JobState, Server, ServerConfig};
 use g5util::cores;
 use grape5::{ArithMode, FaultConfig, RecoveryStats};
@@ -237,17 +236,7 @@ fn scaling_run(cfg: ServerConfig, specs: &[JobSpec]) -> ScalingRow {
 }
 
 fn main() {
-    let args = Args::parse(&[
-        "quick",
-        "jobs",
-        "workers",
-        "quantum",
-        "out",
-        "dir",
-        "kills",
-        "trajectory",
-        "pr",
-    ]);
+    let args = Args::parse(&["quick", "jobs", "workers", "quantum", "out", "dir", "kills"]);
     let quick = args.flag("quick");
     let jobs: u64 = args.get("jobs", if quick { 24 } else { 120 });
     // workers default scales with the machine: multi-tenancy needs at
@@ -645,14 +634,6 @@ fn main() {
     .write(&out_path);
     println!();
     println!("wrote {out_path}");
-
-    trajectory::append_from_args(
-        &args,
-        &[
-            ("serve_aggregate_interactions_per_s", jobs, aggregate_rate),
-            ("serve_worker_scaling", jobs, worker_scaling),
-        ],
-    );
 
     std::fs::remove_dir_all(&dir).ok();
     if !ok {

@@ -1,7 +1,6 @@
-//! The one report schema: every `exp_*` harness and the trajectory
-//! ledger write through [`Row`] (built with [`row!`](crate::row)), and
-//! `--baseline`, `exp_suite` and the tests read back through [`num`],
-//! [`text`], [`num_any`] and [`find_row`].
+//! The one report schema: every `exp_*` harness writes through [`Row`]
+//! (built with [`row!`](crate::row)), and `exp_kernel`, `exp_ab` and the
+//! tests read back through [`num`] and [`text`].
 //!
 //! A report is a JSON object written one field per line; an array field
 //! is written one element per line, each element a [`Row`] (one JSON
@@ -133,22 +132,6 @@ impl Row {
         out.push_str("}\n");
         write_report(path, &out);
     }
-
-    /// A flat one-line object of a report read back as a row, its values
-    /// verbatim; `None` when the line is not one.
-    pub fn parse(line: &str) -> Option<Row> {
-        let mut s = line.trim().trim_end_matches(',').strip_prefix('{')?.trim_start();
-        let mut row = Row::default();
-        while let Some(len) = string_len(s) {
-            let key = unquote(&s[..len])?;
-            s = s[len..].trim_start().strip_prefix(':')?.trim_start();
-            let len = value_len(s);
-            row.0.push((key, Value(Json::One(s[..len].trim_end().to_string()))));
-            s = s[len..].trim_start();
-            s = s.strip_prefix(',').map_or(s, str::trim_start);
-        }
-        (s == "}").then_some(row)
-    }
 }
 
 /// A `RecoveryStats` as every report writes it.
@@ -169,55 +152,6 @@ pub fn num(line: &str, key: &str) -> Option<f64> {
 /// The text at `key` on `line`, unescaped.
 pub fn text(line: &str, key: &str) -> Option<String> {
     unquote(token(line, key)?)
-}
-
-/// The number at `key` on the first line of `report` that has one.
-pub fn num_any(report: &str, key: &str) -> Option<f64> {
-    report.lines().find_map(|l| num(l, key))
-}
-
-/// The first line of `report` whose value at each of `key`'s fields
-/// equals that field's, compared parsed — a number as a number
-/// (`"k": 1` is not `"k": 16`), a text unescaped.
-pub fn find_row<'r>(report: &'r str, key: &Row) -> Option<&'r str> {
-    report
-        .lines()
-        .find(|l| key.0.iter().all(|(k, v)| token(l, k).is_some_and(|t| same(&v.inline(), t))))
-}
-
-/// `--baseline`: how each of `metrics` moved, for every fresh row,
-/// against the row of `old` (a previous report) with the same values at
-/// `key`. Informational; `note` says how far to trust it.
-pub fn print_delta(old: &str, key: &[&str], metrics: &[&str], fresh: &[Row], note: &str) {
-    println!();
-    println!("delta vs baseline ({}):", metrics.join(", "));
-    for row in fresh {
-        let id = Row(row.0.iter().filter(|(k, _)| key.contains(&k.as_str())).cloned().collect());
-        let (prior, now_line) = (find_row(old, &id), row.line());
-        let moved: Option<Vec<String>> = metrics
-            .iter()
-            .map(|m| {
-                let (was, now) = (num(prior?, m)?, num(&now_line, m)?);
-                (was > 0.0).then(|| {
-                    format!("{m} {was:.4e} -> {now:.4e} ({:+.1}%)", 100.0 * (now - was) / was)
-                })
-            })
-            .collect();
-        match moved {
-            Some(moved) => println!("  {}  {}", id.line(), moved.join("   ")),
-            None => println!("  {}  (no baseline entry)", id.line()),
-        }
-    }
-    println!("({note})");
-}
-
-/// Two JSON scalars equal as values.
-fn same(a: &str, b: &str) -> bool {
-    match (a.parse::<f64>(), b.parse::<f64>(), unquote(a), unquote(b)) {
-        (Ok(x), Ok(y), ..) => x == y,
-        (.., Some(x), Some(y)) => x == y,
-        _ => a == b,
-    }
 }
 
 /// The JSON value of `key`'s first occurrence on `line`, verbatim.
@@ -309,20 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_found_by_parsed_values() {
-        let report = [
-            row! { "n": 100u64, "k": 16u64, "mode": "exact", "x": 1.0 },
-            row! { "n": 100u64, "k": 1u64, "mode": "exact", "x": 2.0 },
-        ]
-        .map(|r| format!("    {},", r.line()))
-        .join("\n");
-        let at = |key: Row| find_row(&report, &key).and_then(|l| num(l, "x"));
-        assert_eq!(at(row! { "n": 100u64, "k": 1u64 }), Some(2.0));
-        assert_eq!(at(row! { "n": 100.0, "mode": "exact" }), Some(1.0));
-        assert_eq!(at(row! { "mode": "lns" }), None);
-    }
-
-    #[test]
     fn a_report_is_one_field_per_line_and_one_row_per_line() {
         let path = std::env::temp_dir().join(format!("g5_report_{}.json", std::process::id()));
         let path = path.to_str().expect("utf-8 temp path");
@@ -340,67 +260,25 @@ mod tests {
              \"nested\": {\"n\": 3},\n  \"results\": [\n    {\"n\": 1},\n    {\"n\": 2}\n  ],\n  \
              \"ledger\": []\n}\n"
         );
-        assert_eq!(num_any(&written, "n"), Some(3.0));
+        assert_eq!(written.lines().find_map(|l| num(l, "n")), Some(3.0));
     }
 
-    /// Every committed report and the ledger through the reader — the
-    /// keys CI's `--baseline` runs and `exp_suite`'s seed rows rely on —
-    /// and the writer → reader round trip of what used to break a report.
+    /// Every committed report through the reader, and the writer →
+    /// reader round trip of what used to break a report.
     #[test]
     fn committed_reports_stay_readable() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let read = |f: &str| {
-            std::fs::read_to_string(format!("{root}/{f}")).unwrap_or_else(|e| panic!("{f}: {e}"))
-        };
         let reports: Vec<String> = std::fs::read_dir(root)
             .expect("repository root")
             .map(|e| e.expect("directory entry").file_name().to_string_lossy().into_owned())
-            .filter(|f| f.starts_with("BENCH_pr") && f.ends_with(".json"))
+            .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
             .collect();
         assert!(reports.len() >= 5, "{reports:?}");
         for f in &reports {
-            assert!(read(f).lines().any(|l| text(l, "experiment").is_some()), "{f}");
+            let t = std::fs::read_to_string(format!("{root}/{f}"))
+                .unwrap_or_else(|e| panic!("{f}: {e}"));
+            assert!(t.lines().any(|l| text(l, "experiment").is_some()), "{f}");
         }
-        let rows_with = |f: &str, keys: &[&str]| {
-            let t = read(f);
-            assert!(t.lines().any(|l| keys.iter().all(|k| token(l, k).is_some())), "{f}: {keys:?}");
-            t
-        };
-        let pr15 = rows_with(
-            "BENCH_pr15.json",
-            &["n", "k", "steps", "critical_path_s_per_step", "interactions"],
-        );
-        assert!(find_row(&pr15, &row! { "n": 262_144u64, "k": 1u64 }).is_some());
-        rows_with("BENCH_pr19.json", &["n", "n_crit", "k", "host_new_s_per_step", "speedup"]);
-        let pr24 = rows_with("BENCH_pr24.json", &["n", "mode", "batch_per_second"]);
-        let lns = find_row(&pr24, &row! { "n": 16_384u64, "mode": "lns" });
-        assert!(lns.and_then(|l| num(l, "lane_speedup")).is_some());
-        // exp_suite copies these rows into its own report
-        let verbatim = lns.map(|l| l.trim().trim_end_matches(','));
-        assert_eq!(lns.and_then(Row::parse).map(|r| r.line()).as_deref(), verbatim);
-        for (file, keys) in [
-            ("BENCH_pr7.json", &["n", "max_energy_drift"][..]),
-            ("BENCH_pr20.json", &["jobs", "aggregate_interactions_per_s", "worker_scaling"][..]),
-        ] {
-            let t = read(file);
-            for k in keys {
-                assert!(num_any(&t, k).is_some(), "{file}: no number at {k}");
-            }
-        }
-
-        // the ledger: every entry line is a (metric, n, value), and the
-        // writer puts the whole file back byte for byte
-        let ledger = read("BENCH_trajectory.json");
-        let lines = ledger.lines().filter(|l| l.trim_start().starts_with("{\"pr\"")).count();
-        let entries = crate::trajectory::entries(&ledger);
-        assert!(lines > 10 && entries.len() == lines, "{} of {lines} entries", entries.len());
-        assert!(entries.iter().all(|e| !e.metric.is_empty() && e.value.is_finite()));
-        let path = std::env::temp_dir().join(format!("g5_ledger_{}.json", std::process::id()));
-        let path = path.to_str().expect("utf-8 temp path");
-        crate::trajectory::write(path, &entries);
-        let rewritten = std::fs::read_to_string(path).expect("ledger rewritten");
-        std::fs::remove_file(path).ok();
-        assert_eq!(rewritten, ledger);
 
         // text with a quote, a backslash and a newline (a multi-line
         // panic message inside a ledger event), and non-finite numbers
@@ -413,7 +291,6 @@ mod tests {
             (token(&line, "nan"), num(&line, "nan"), num(&line, "inf")),
             (Some("null"), None, None)
         );
-        assert_eq!(Row::parse(&line), Some(row));
         let bell = "ring\u{7}";
         assert_eq!(text(&row! { "t": bell }.line(), "t").as_deref(), Some(bell));
     }

@@ -191,7 +191,7 @@ fn table() -> String {
     t += &row("direct-exact-1b", DirectGrape::new(one_board, EPS), &one_board);
     // n_crit 32 cuts the CDM sphere into several groups
     let cdm_tree = TreeGrapeConfig { eps: EPS_CDM, ..tree(exact, 1) };
-    t += &cdm_row("cdm-tree-exact", TreeGrape::new(cdm_tree.clone()), &exact);
+    t += &cdm_row("cdm-tree-exact", TreeGrape::new(cdm_tree), &exact);
     let cdm_cluster =
         ClusterTreeGrapeConfig { base: cdm_tree, ..ClusterTreeGrapeConfig::paper(EPS_CDM, 2) };
     t += &cdm_row("cdm-cluster2-exact", ClusterTreeGrape::new(cdm_cluster), &exact);
