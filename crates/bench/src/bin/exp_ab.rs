@@ -25,11 +25,13 @@
 //! **Verdict.** A metric reads `better` (`worse`) only when the change
 //! wins (loses) at least nine pairs in ten *and* the gap between the
 //! medians is wider than the parent's interquartile range; otherwise it
-//! reads `level`. The run exits 1 on any `worse`, on a change median
-//! past the metric's bound (worse than the parent's median by more than
-//! `bound` of it), or on a higher share of failed operations; a
-//! workload's share counts a run that printed no result, or printed
-//! `"correct": false`, as at least one failed operation.
+//! reads `level`, marked `unresolved` when that range is wider than the
+//! metric's bound (a level reading then cannot show the metric held).
+//! The run exits 1 on any `worse`, on a change median past the metric's
+//! bound (worse than the parent's median by more than `bound` of it), or
+//! on a higher share of failed operations; a workload's share counts a
+//! run that printed no result, or printed `"correct": false`, as at
+//! least one failed operation.
 
 use g5_bench::report::{num, text};
 use g5_bench::{row, Args};
@@ -174,6 +176,9 @@ struct Compare {
     /// The change's median is worse than the parent's by more than the
     /// bound.
     past_bound: bool,
+    /// The parent's own spread is wider than the bound: a `level` here
+    /// cannot show that the metric held.
+    unresolved: bool,
 }
 
 /// Judge `pairs` of (parent, change) values of `m`.
@@ -196,8 +201,9 @@ fn compare(m: &Metric, pairs: &[(f64, f64)]) -> Compare {
         _ if -gap > iqr && most(losses) => Verdict::Worse,
         _ => Verdict::Level,
     };
-    let past_bound = -gain(parent[1], change[1]) > m.bound * parent[1].abs();
-    Compare { parent, change, wins, losses, pairs: pairs.len(), verdict, past_bound }
+    let (past_bound, unresolved) =
+        (-gap > m.bound * parent[1].abs(), iqr > m.bound * parent[1].abs());
+    Compare { parent, change, wins, losses, pairs: pairs.len(), verdict, past_bound, unresolved }
 }
 
 fn git(dir: &Path, args: &[&str]) -> Option<String> {
@@ -301,17 +307,17 @@ fn main() {
                 }
                 let c = compare(m, &both);
                 let q = |[a, b, c]: [f64; 3]| format!("{b:.4e} [{a:.3e}, {c:.3e}]");
-                let verdict =
-                    format!("{:?}{}", c.verdict, if c.past_bound { ", past bound" } else { "" });
+                let notes = [(c.past_bound, ", past bound"), (c.unresolved, ", unresolved")];
+                let notes = notes.iter().filter(|n| n.0).map(|n| n.1).collect::<String>();
+                let verdict = format!("{:?}{notes}", c.verdict).to_lowercase();
                 let ratio = c.change[1] / c.parent[1];
                 println!(
-                    "  {:<22} {:>30} {:>30} {ratio:>7.4} {:>4}/{:<4}  {}",
+                    "  {:<22} {:>30} {:>30} {ratio:>7.4} {:>4}/{:<4}  {verdict}",
                     m.name,
                     q(c.parent),
                     q(c.change),
                     c.wins,
                     c.losses,
-                    verdict.to_lowercase()
                 );
                 if c.verdict == Verdict::Worse || c.past_bound {
                     failing.push(format!("{w} seed {seed}: {} {verdict}", m.name));
@@ -321,7 +327,7 @@ fn main() {
                     "parent_q1": c.parent[0], "parent_median": c.parent[1], "parent_q3": c.parent[2],
                     "change_q1": c.change[0], "change_median": c.change[1], "change_q3": c.change[2],
                     "ratio": ratio, "wins": c.wins, "losses": c.losses, "pairs": c.pairs,
-                    "verdict": verdict.to_lowercase(),
+                    "verdict": verdict.as_str(),
                     "parent_failed_share": failed[0], "change_failed_share": failed[1],
                 });
             }
@@ -375,6 +381,9 @@ mod tests {
     fn nine_in_ten_reads_only_past_the_parents_spread() {
         // the parent's quartiles are 102 and 107: IQR 5
         let m = metric(true);
+        assert!(!compare(&m, &ten(|p| p)).unresolved);
+        let wide = Metric { bound: 0.04, ..metric(true) };
+        assert!(compare(&wide, &ten(|p| p)).unresolved, "IQR 5 > 4 % of 104");
         assert_eq!(compare(&m, &ten(|p| p + 5.0)).verdict, Verdict::Level, "gap == IQR");
         assert_eq!(compare(&m, &ten(|p| p + 5.5)).verdict, Verdict::Better);
         assert_eq!(compare(&m, &ten(|p| p - 5.5)).verdict, Verdict::Worse);
