@@ -259,7 +259,9 @@ fn main() {
     let ab = root.join("target/ab");
     let base_src = ab.join("base-src");
     let worktree = base_src.to_str().expect("utf-8 path");
+    // a run cut short leaves its worktree behind
     git(&root, &["worktree", "remove", "--force", worktree]);
+    std::fs::remove_dir_all(&base_src).ok();
     git(&root, &["worktree", "prune"]);
     git(&root, &["worktree", "add", "--detach", worktree, &base]).expect("git worktree add");
     let sides = [(base_src.as_path(), ab.join("base")), (root.as_path(), ab.join("change"))];
