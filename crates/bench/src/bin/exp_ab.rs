@@ -149,12 +149,18 @@ impl Run {
     }
 }
 
-/// Nearest-rank `[q1, median, q3]` of a sample set (the lower middle
-/// for an even count, as g5spine selects).
+/// `[q1, median, q3]` of a sample set, interpolated between the two
+/// nearest order statistics: a selected median of ten is the fifth or
+/// the sixth, which splits a rate and its reciprocal time (one run's
+/// `N / step` and its step) apart by a whole sample.
 fn quartiles(xs: &[f64]) -> [f64; 3] {
     let mut v = xs.to_vec();
     v.sort_by(f64::total_cmp);
-    [0.25, 0.5, 0.75].map(|q| v[((q * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1])
+    [0.25, 0.5, 0.75].map(|q| {
+        let at = q * (v.len() - 1) as f64;
+        let (lo, hi) = (v[at.floor() as usize], v[at.ceil() as usize]);
+        lo + (hi - lo) * at.fract()
+    })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -329,7 +335,8 @@ fn main() {
                     "parent_q1": c.parent[0], "parent_median": c.parent[1], "parent_q3": c.parent[2],
                     "change_q1": c.change[0], "change_median": c.change[1], "change_q3": c.change[2],
                     "ratio": ratio, "wins": c.wins, "losses": c.losses, "pairs": c.pairs,
-                    "verdict": verdict.as_str(),
+                    "verdict": verdict.as_str(), "parent": both.iter().map(|p| p.0).collect::<Vec<_>>(),
+                    "change": both.iter().map(|p| p.1).collect::<Vec<_>>(),
                     "parent_failed_share": failed[0], "change_failed_share": failed[1],
                 });
             }
@@ -381,12 +388,12 @@ mod tests {
 
     #[test]
     fn nine_in_ten_reads_only_past_the_parents_spread() {
-        // the parent's quartiles are 102 and 107: IQR 5
+        // the parent's quartiles are 102.25 and 106.75: IQR 4.5
         let m = metric(true);
         assert!(!compare(&m, &ten(|p| p)).unresolved);
         let wide = Metric { bound: 0.04, ..metric(true) };
-        assert!(compare(&wide, &ten(|p| p)).unresolved, "IQR 5 > 4 % of 104");
-        assert_eq!(compare(&m, &ten(|p| p + 5.0)).verdict, Verdict::Level, "gap == IQR");
+        assert!(compare(&wide, &ten(|p| p)).unresolved, "IQR 4.5 > 4 % of 104.5");
+        assert_eq!(compare(&m, &ten(|p| p + 4.5)).verdict, Verdict::Level, "gap == IQR");
         assert_eq!(compare(&m, &ten(|p| p + 5.5)).verdict, Verdict::Better);
         assert_eq!(compare(&m, &ten(|p| p - 5.5)).verdict, Verdict::Worse);
         let m = metric(false);
@@ -402,7 +409,7 @@ mod tests {
 
     #[test]
     fn the_bound_holds_in_both_directions() {
-        // parent median 104, bound 0.25 of it = 26
+        // parent median 104.5, bound 0.25 of it = 26.125
         let (higher, lower) = (metric(true), metric(false));
         assert!(!compare(&higher, &ten(|p| p - 25.0)).past_bound);
         assert!(compare(&higher, &ten(|p| p - 27.0)).past_bound);
@@ -413,10 +420,11 @@ mod tests {
     }
 
     #[test]
-    fn quartiles_are_selected_samples() {
+    fn quartiles_interpolate_between_order_statistics() {
         let xs: Vec<f64> = (1..=10).rev().map(f64::from).collect();
-        assert_eq!(quartiles(&xs), [3.0, 5.0, 8.0]);
-        assert_eq!(quartiles(&[2.0, 1.0, 3.0]), [1.0, 2.0, 3.0]);
+        assert_eq!(quartiles(&xs), [3.25, 5.5, 7.75]);
+        assert_eq!(quartiles(&[2.0, 1.0, 3.0]), [1.5, 2.0, 2.5]);
+        assert_eq!(quartiles(&[4.0]), [4.0; 3]);
     }
 
     #[test]
