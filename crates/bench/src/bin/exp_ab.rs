@@ -49,7 +49,7 @@ const QUICK_PAIRS: usize = 3;
 const QUICK_SECONDS: f64 = 2.0;
 
 /// An end-to-end metric of the manifest.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Metric {
     name: String,
     higher_is_better: bool,
@@ -123,7 +123,7 @@ fn array<'j>(json: &'j str, key: &str) -> Vec<&'j str> {
 }
 
 /// One benchmark run's result line.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct Run {
     values: Vec<Option<f64>>,
     attempted: f64,
@@ -171,7 +171,7 @@ enum Verdict {
 }
 
 /// One metric on one workload and seed, parent against change.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 struct Compare {
     parent: [f64; 3],
     change: [f64; 3],
