@@ -3,9 +3,11 @@
 //! report schema ([`report`]) every JSON report is written and read
 //! through.
 //!
-//! Each binary in `src/bin/` regenerates one evaluated item of the
-//! paper; see `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! Each `exp_*` binary in `src/bin/` regenerates one evaluated item of
+//! the paper, except `exp_ab`, which measures a change against its
+//! parent on the repository benchmark; see `DESIGN.md` §5 for the
+//! experiment index and `EXPERIMENTS.md` for recorded paper-vs-measured
+//! results.
 
 use g5ic::{plummer_sphere, CosmologicalIc, Snapshot, ZeldovichConfig};
 use rand::SeedableRng;
