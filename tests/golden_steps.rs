@@ -6,9 +6,12 @@
 //! group: every device call has the i-set equal to the j-set), clusters
 //! of two and four shards, the tree under an armed transient-fault
 //! injector, a supervised three-shard cluster that loses a board — in
-//! exact and LNS arithmetic — and the first steps of a small standard-CDM
-//! sphere through the tree (several groups) and a two-shard cluster.
-//! Each run is one row of FNV-1a
+//! exact and LNS arithmetic — the first steps of a small standard-CDM
+//! sphere through the tree (several groups) and a two-shard cluster, a
+//! larger sphere of two mass species through the LNS tree at the
+//! paper's n_g 2000, and the final snapshots of one exact and one LNS
+//! `g5serve` job, each preempted on the way.
+//! Each simulation run is one row of FNV-1a
 //! digests: final positions, velocities, accelerations and potentials,
 //! the cumulative interaction tally, the recovery stats, and the modeled
 //! device clock (its counters and the bits of its seconds). The table
@@ -28,11 +31,12 @@
 //! change log.
 
 use grape5_nbody::core::{
-    BackendSpec, ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend,
+    snapshot_io, BackendSpec, ClusterTreeGrape, ClusterTreeGrapeConfig, DirectGrape, ForceBackend,
     LifecyclePolicy, RefreshPolicy, Simulation, TreeGrape, TreeGrapeConfig,
 };
-use grape5_nbody::grape5::{BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
+use grape5_nbody::grape5::{ArithMode, BoardDropout, FaultConfig, Grape5Config, RetryPolicy};
 use grape5_nbody::ic::{plummer_sphere, CosmologicalIc, ZeldovichConfig};
+use grape5_nbody::serve::{job_dir_name, JobSpec, JobState, Server, ServerConfig};
 use grape5_nbody::util::Vec3;
 use rand::SeedableRng;
 
@@ -46,6 +50,11 @@ const STEPS: u64 = 8;
 /// along the first [`STEPS`] times of the paper's 999-step schedule.
 const CDM_GRID: usize = 8;
 const EPS_CDM: f64 = 0.005;
+/// The two-species sphere: more bodies than one group of n_g 2000
+/// holds, so each group's members are a run inside a longer list.
+const N_MIXED: usize = 2100;
+/// Bodies of each `g5serve` job.
+const N_SERVE: usize = 128;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -85,6 +94,58 @@ fn row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String 
         .unwrap_or_else(|e| panic!("{name}: initial forces: {e}"));
     sim.try_run(DT, STEPS).unwrap_or_else(|e| panic!("{name}: {e}"));
     digests(name, &sim, grape)
+}
+
+/// The initial force evaluation of `backend` on a Plummer sphere of
+/// [`N_MIXED`] bodies in which every 64th body is three times as heavy,
+/// as one row of the table.
+fn mixed_row<B: ForceBackend>(name: &str, backend: B, grape: &Grape5Config) -> String {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED);
+    let mut ic = plummer_sphere(N_MIXED, &mut rng);
+    ic.mass.iter_mut().step_by(64).for_each(|m| *m *= 3.0);
+    let sim = Simulation::try_new(ic, backend, 0.0)
+        .unwrap_or_else(|e| panic!("{name}: initial forces: {e}"));
+    digests(name, &sim, grape)
+}
+
+/// One exact and one LNS `g5serve` job on one worker with a quantum of
+/// four steps, so each is preempted and resumed from its checkpoint:
+/// a row per job of its final snapshot — positions, velocities, the
+/// file's bytes, the time — and its interaction, preemption and step
+/// counts.
+fn serve_rows() -> String {
+    let dir = std::env::temp_dir().join(format!("g5_golden_serve_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = ServerConfig { workers: 1, quantum: 4, ..ServerConfig::new(&dir) };
+    let server = Server::open(cfg).expect("open the server");
+    let exact = JobSpec::plummer(N_SERVE, SEED, 6);
+    let mut lns = JobSpec::hernquist(N_SERVE, SEED + 1, 6);
+    lns.backend.mode = ArithMode::Lns;
+    let ids = [("serve-exact", exact), ("serve-lns", lns)]
+        .map(|(name, spec)| (name, server.submit(spec).expect("submit")));
+    assert_eq!(server.wait_all(), 2, "a served job failed");
+    let mut rows = String::new();
+    for (name, id) in ids {
+        assert_eq!(server.wait(id), JobState::Completed);
+        let st = server.status(id).expect("a submitted job");
+        assert!(st.preemptions > 0, "{name}: never preempted");
+        let path = dir.join(job_dir_name(id)).join("final.g5snap");
+        let bytes = std::fs::read(&path).expect("the final snapshot");
+        let (snap, time) = snapshot_io::load(&path).expect("a readable final snapshot");
+        let cols = [
+            digest(|h| h.vecs(&snap.pos)),
+            digest(|h| h.vecs(&snap.vel)),
+            digest(|h| h.bytes(&bytes)),
+            digest(|h| h.words([time.to_bits()])),
+            digest(|h| h.words([st.interactions])),
+            digest(|h| h.words([st.preemptions, st.resumes])),
+            digest(|h| h.words([st.steps_done])),
+        ];
+        rows += &format!("{name:<19} {}\n", cols.join(" "));
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+    rows
 }
 
 /// Eight steps of `backend` on the CDM sphere, as one row of the table.
@@ -168,6 +229,10 @@ fn table() -> String {
          # N = {N}, seed {SEED}, eps = {EPS}; checked by tests/golden_steps.rs.\n\
          # cdm-* rows: the first {STEPS} steps of the 999-step a-uniform schedule\n\
          # of a standard-CDM sphere (grid {CDM_GRID}^3, seed {SEED}, eps = {EPS_CDM}).\n\
+         # tree-lns-ng2k-mixed: the initial forces, N = {N_MIXED}, every 64th\n\
+         # body three times as heavy. serve-*: a Plummer (exact) and a Hernquist\n\
+         # (LNS) g5serve job, N = {N_SERVE}, 6 steps, quantum 4: the final snapshot\n\
+         # (pos, vel, bytes, time), interactions, preemptions + resumes, steps.\n\
          # Platform libm: every row through the sphere (powf, sin, cos), the\n\
          # *-lns rows also through the LNS tables (exp2, log2).\n\
          {:<19} {:<16} {:<16} {:<16} {:<16} {:<16} {:<16} modeled\n",
@@ -195,6 +260,11 @@ fn table() -> String {
     let cdm_cluster =
         ClusterTreeGrapeConfig { base: cdm_tree, ..ClusterTreeGrapeConfig::paper(EPS_CDM, 2) };
     t += &cdm_row("cdm-cluster2-exact", ClusterTreeGrape::new(cdm_cluster), &exact);
+    // the paper's n_g on two boards: a few groups, several hundred
+    // members each, of two mass species
+    let ng2000 = TreeGrapeConfig { n_crit: 2000, ..tree(lns, 1) };
+    t += &mixed_row("tree-lns-ng2k-mixed", TreeGrape::new(ng2000), &lns);
+    t += &serve_rows();
     t
 }
 
