@@ -31,12 +31,19 @@
 //! process's own, each side with the divider floor of its own rounds:
 //! the exact kernel's ratio to its floor at both columns, from one run.
 //!
-//! A **self call** — one board, forces on the very set it holds, the
-//! call every `g5serve` tenant makes — runs the symmetric exact kernel
-//! (one front per unordered pair); its row times that call at
-//! N ∈ {544, 1120, 1759} against the same pairs through the plain
-//! kernel (the i-set reversed), on this process's accumulate column and,
-//! where that is AVX-512VL, on the AVX2 column in the pinned children.
+//! A **self block** — an i-set that is a run of the j-set it is forced
+//! by — runs the symmetric kernel of its mode (one front per unordered
+//! pair of the run, one back where the two masses are equal). Its rows
+//! time, in both modes, with equal masses and with a heavier body every
+//! seventh, at n ∈ {544, 1120, 1759}: a **whole** self call (one board,
+//! forces on the very set it holds, the call every `g5serve` tenant
+//! makes) against the same pairs through the plain kernel (the i-set
+//! reversed), and a members' **run** inside an n_g-2000-shaped list
+//! (2.1 n entries, the run from 0.6 n; a tree group's members are about
+//! half of such a list's interactions) with the run hint against the
+//! same call without it — on this process's accumulate column and LNS
+//! lanes and, where those are AVX-512VL and sixteen, on the AVX2 column
+//! and eight lanes in the pinned children.
 //!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
@@ -355,14 +362,20 @@ fn kernel_time(mode: ArithMode, n: usize, quick: bool) -> Option<KernelTime> {
     Some(KernelTime { n, mode, lanes, ops, ns, floor_ns })
 }
 
-/// Set sizes of the self-call row.
+/// Run lengths of the self-block rows.
 const SELF_CALL_NS: [usize; 3] = [544, 1_120, 1_759];
 
-/// One self-call cell: ns/interaction of a one-board self call (the
-/// symmetric kernel) and of the same pairs with the i-set reversed (the
-/// plain kernel), fastest of alternating rounds.
+/// One self-block cell: ns/interaction of a call through the symmetric
+/// kernel and of the same pairs through the plain one, fastest of
+/// alternating rounds.
 struct SelfCall {
     n: usize,
+    mode: ArithMode,
+    /// `"whole"` (the i-set is the j-set) or `"run"` (a run inside a
+    /// longer list).
+    shape: &'static str,
+    /// `"equal"` or `"mixed"` masses on the run.
+    masses: &'static str,
     /// The accumulate op column both ran on ([`acc_ops`]).
     ops: &'static str,
     self_ns: f64,
@@ -371,52 +384,80 @@ struct SelfCall {
 
 impl SelfCall {
     fn keep_best(&mut self, other: &SelfCall) {
-        assert_eq!((self.n, self.ops), (other.n, other.ops));
+        let key = |c: &SelfCall| (c.n, c.mode, c.shape, c.masses, c.ops);
+        assert_eq!(key(self), key(other));
         self.self_ns = self.self_ns.min(other.self_ns);
         self.plain_ns = self.plain_ns.min(other.plain_ns);
     }
 
     fn row(&self) -> Row {
         row! {
-            "n": self.n, "acc_ops": self.ops, "unit": "ns_per_interaction",
+            "n": self.n, "mode": mode_str(self.mode), "shape": self.shape,
+            "masses": self.masses, "acc_ops": self.ops, "unit": "ns_per_interaction",
             "self_ns": self.self_ns, "plain_ns": self.plain_ns,
             "self_speedup": self.plain_ns / self.self_ns,
         }
     }
 }
 
-/// The self-call cells, exact mode, on one board. `None` where the x86
-/// lanes do not run (the symmetric kernel is theirs).
+/// The self-block cells on one board. `None` where the x86 lanes do not
+/// run (the symmetric kernels are theirs).
 fn self_calls(quick: bool) -> Option<Vec<SelfCall>> {
-    let cfg = Grape5Config { boards: 1, ..Grape5Config::paper_exact() };
     let rounds = if quick { 3 } else { 7 };
     let mut cells = Vec::new();
-    for n in SELF_CALL_NS {
-        let snap = plummer(n, SEED);
-        let mut g5 = Grape5::open(cfg);
-        let (lo, hi) = bounding_window(&snap.pos).expect("finite workload");
-        g5.set_range(lo, hi);
-        g5.set_eps(EPS);
-        g5.set_j_particles(&snap.pos, &snap.mass);
-        if g5.lane_path() != LanePath::Avx2 {
-            return None;
-        }
-        let reversed: Vec<_> = snap.pos.iter().rev().copied().collect();
-        let time = |g5: &mut Grape5, xi: &[g5util::vec3::Vec3]| {
-            let t = Instant::now();
-            let f = g5.force_on(xi);
-            (t.elapsed().as_secs_f64() * 1e9 / (n * n) as f64, f)
-        };
-        let (mut self_ns, mut plain_ns) = (f64::INFINITY, f64::INFINITY);
-        for round in 0..=rounds {
-            let (s, fs) = time(&mut g5, &snap.pos);
-            let (p, fp) = time(&mut g5, &reversed);
-            assert!(fs.iter().eq(fp.iter().rev()), "N = {n}: the two kernels disagree");
-            if round > 0 {
-                (self_ns, plain_ns) = (self_ns.min(s), plain_ns.min(p)); // round 0 warms
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let cfg = Grape5Config { boards: 1, mode, ..Grape5Config::paper() };
+        for (n, shape, masses) in SELF_CALL_NS
+            .into_iter()
+            .flat_map(|n| ["whole", "run"].map(|shape| (n, shape)))
+            .flat_map(|(n, shape)| ["equal", "mixed"].map(|m| (n, shape, m)))
+        {
+            let members = plummer(n, SEED);
+            let mut m: Vec<f64> = vec![1.0 / n as f64; n];
+            if masses == "mixed" {
+                m.iter_mut().skip(3).step_by(7).for_each(|m| *m *= 3.0);
             }
+            // the run: the members from 0.6 n in a list of 2.1 n, the rest
+            // cells and bodies of a wider sphere, all of other masses
+            let (at, len) = if shape == "run" { (3 * n / 5, 21 * n / 10) } else { (0, n) };
+            let others = if len > n { plummer(len - n, SEED + 1).pos } else { Vec::new() };
+            let mut jpos: Vec<_> = others.iter().map(|&p| p * 3.0).collect();
+            let mut jmass: Vec<f64> =
+                (0..len - n).map(|k| (1.0 + (k % 9) as f64) / n as f64).collect();
+            jpos.splice(at..at, members.pos.iter().copied());
+            jmass.splice(at..at, m);
+            let mut g5 = Grape5::open(cfg);
+            let (lo, hi) = bounding_window(&jpos).expect("finite workload");
+            g5.set_range(lo, hi);
+            g5.set_eps(EPS);
+            g5.set_j_particles(&jpos, &jmass);
+            if g5.lane_path() != LanePath::Avx2 {
+                return None;
+            }
+            let xi = &members.pos;
+            let reversed: Vec<_> = xi.iter().rev().copied().collect();
+            let per = |t: Instant| t.elapsed().as_secs_f64() * 1e9 / (n * len) as f64;
+            let (mut self_ns, mut plain_ns) = (f64::INFINITY, f64::INFINITY);
+            for round in 0..=rounds {
+                let t = Instant::now();
+                let fs = g5.try_force_on_run(xi, at).expect("no fault is armed");
+                let s = per(t);
+                let t = Instant::now();
+                let (fp, same) = if shape == "run" {
+                    (g5.force_on(xi), true)
+                } else {
+                    (g5.force_on(&reversed), false)
+                };
+                let p = per(t);
+                let agree = if same { fs == fp } else { fs.iter().eq(fp.iter().rev()) };
+                assert!(agree, "{shape} n = {n}, {masses}: the two kernels disagree");
+                if round > 0 {
+                    (self_ns, plain_ns) = (self_ns.min(s), plain_ns.min(p)); // round 0 warms
+                }
+            }
+            let ops = acc_ops(g5.lane_path());
+            cells.push(SelfCall { n, mode, shape, masses, ops, self_ns, plain_ns });
         }
-        cells.push(SelfCall { n, ops: acc_ops(g5.lane_path()), self_ns, plain_ns });
     }
     Some(cells)
 }
@@ -424,23 +465,30 @@ fn self_calls(quick: bool) -> Option<Vec<SelfCall>> {
 fn self_call_table(cells: &[SelfCall]) {
     println!();
     println!(
-        "E10 — self calls: one board, forces on its own j-set, exact mode ({} accumulate)",
+        "E10 — self blocks: one board, the i-set a run of the j-set ({} accumulate)",
         cells[0].ops
     );
-    rule(78);
-    println!("{:>8} {:>22} {:>22} {:>12}", "N", "symmetric ns/int", "plain ns/int", "speedup");
-    rule(78);
+    rule(86);
+    println!(
+        "{:>6} {:>6} {:>6} {:>7} {:>18} {:>18} {:>12}",
+        "n", "mode", "shape", "masses", "symmetric ns/int", "plain ns/int", "speedup"
+    );
+    rule(86);
     for c in cells {
         println!(
-            "{:>8} {:>22.3} {:>22.3} {:>11.2}x",
+            "{:>6} {:>6} {:>6} {:>7} {:>18.3} {:>18.3} {:>11.2}x",
             c.n,
+            mode_str(c.mode),
+            c.shape,
+            c.masses,
             c.self_ns,
             c.plain_ns,
             c.plain_ns / c.self_ns
         );
     }
-    rule(78);
-    println!("(plain: the same pairs with the i-set reversed, which is not a self call)");
+    rule(86);
+    println!("(whole, plain: the same pairs with the i-set reversed, which is not a self call)");
+    println!("(run, plain: the same call without the run hint; ns per interaction of the list)");
 }
 
 /// `--split-only`: both kernel rows and the self-call cells as their
@@ -480,8 +528,16 @@ fn kernels_pinned_to_avx2(n: usize, quick: bool) -> Option<([KernelTime; 2], Vec
             .then_some(KernelTime { n, mode, lanes, ops, ns, floor_ns })
     };
     let cells = text.lines().filter(|l| report::num(l, "self_ns").is_some()).map(|l| {
+        let mode = report::text(l, "mode")?;
+        let mode = [ArithMode::Exact, ArithMode::Lns].into_iter().find(|&m| mode_str(m) == mode)?;
+        let (shape, masses) = (report::text(l, "shape")?, report::text(l, "masses")?);
+        let shape = ["whole", "run"].into_iter().find(|&s| shape == s)?;
+        let masses = ["equal", "mixed"].into_iter().find(|&m| masses == m)?;
         (report::text(l, "acc_ops")? == ops).then_some(SelfCall {
             n: report::num(l, "n")? as usize,
+            mode,
+            shape,
+            masses,
             ops,
             self_ns: report::num(l, "self_ns")?,
             plain_ns: report::num(l, "plain_ns")?,

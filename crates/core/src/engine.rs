@@ -173,7 +173,8 @@ impl Engine {
                     return;
                 }
                 let t = Instant::now();
-                match session.try_force_for(&work.jpos, &work.jmass, &work.xi) {
+                match session.try_force_for_run(&work.jpos, &work.jmass, &work.xi, work.members_at)
+                {
                     Ok(forces) => {
                         for (t_idx, f) in work.targets.iter().zip(forces) {
                             acc[*t_idx] = f.acc;

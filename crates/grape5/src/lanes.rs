@@ -314,22 +314,77 @@ impl ScalarAcc {
     }
 }
 
+/// Where a batch kernel's raw accumulator words `[ax, ay, az, pot]`,
+/// one set per i-particle, start and end up.
+pub(crate) enum Words<'a> {
+    /// From zero, read back as the forces.
+    Forces(&'a mut [Force]),
+    /// Carried in and left in place, as four component rows of `n`
+    /// words each: a self block's board words ([`SelfScratch::rows`]).
+    Rows(&'a mut [i64]),
+}
+
+impl Words<'_> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Words::Forces(f) => f.len(),
+            Words::Rows(w) => w.len() / 4,
+        }
+    }
+
+    /// The running words of the `len` i-particles from `t` on.
+    #[inline(always)]
+    fn open(&self, t: usize, len: usize) -> [[i64; 4]; I_TILE] {
+        let mut acc = [[0; 4]; I_TILE];
+        if let Words::Rows(w) = self {
+            let n = w.len() / 4;
+            for (i, a) in acc[..len].iter_mut().enumerate() {
+                *a = [w[t + i], w[n + t + i], w[2 * n + t + i], w[3 * n + t + i]];
+            }
+        }
+        acc
+    }
+
+    /// Leave the running words of the `len` i-particles from `t` on.
+    #[inline(always)]
+    fn close(
+        &mut self,
+        (t, len): (usize, usize),
+        acc: &[[i64; 4]; I_TILE],
+        fs: f64,
+        fmt: FixedFormat,
+    ) {
+        match self {
+            Words::Forces(f) => store_tile(&mut f[t..t + len], acc, fs, fmt),
+            Words::Rows(w) => {
+                let n = w.len() / 4;
+                for (i, a) in acc[..len].iter().enumerate() {
+                    for (c, &a) in a.iter().enumerate() {
+                        w[c * n + t + i] = a;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Shared tiling skeleton of every batch kernel: i-tiles the width of
 /// one chip's pipeline set, j-blocks sized to stay cache-resident, per-i
 /// raw fixed-point accumulator words `[ax, ay, az, pot]` carried across
-/// j-blocks. `span(acc, x, js, je)` adds the terms of j-particles
-/// `js..je` on the i-particle at `x`, in ascending j order.
+/// j-blocks, opened and closed on `out`. `span(acc, x, js, je)` adds the
+/// terms of j-particles `js..je` on the i-particle at `x`, in ascending
+/// j order.
 #[inline(always)]
 fn block_tiled(
     xi: &[[i64; 3]],
     nj: usize,
     force_scale: f64,
     fmt: FixedFormat,
-    out: &mut [Force],
+    out: &mut Words<'_>,
     mut span: impl FnMut(&mut [i64; 4], [i64; 3], usize, usize),
 ) {
-    for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
-        let mut acc = [[0i64; 4]; I_TILE];
+    for (t, xc) in (0..).step_by(I_TILE).zip(xi.chunks(I_TILE)) {
+        let mut acc = out.open(t, xc.len());
         let mut js = 0;
         while js < nj {
             let je = (js + J_BLOCK).min(nj);
@@ -338,7 +393,7 @@ fn block_tiled(
             }
             js = je;
         }
-        store_tile(oc, &acc, force_scale, fmt);
+        out.close((t, xc.len()), &acc, force_scale, fmt);
     }
 }
 
@@ -384,7 +439,7 @@ pub(crate) fn block_pairs(
     j: &JSlices<'_>,
     force_scale: f64,
     fmt: FixedFormat,
-    out: &mut [Force],
+    out: &mut Words<'_>,
     pair: impl Fn([i64; 3], usize) -> Force,
 ) {
     let sa = ScalarAcc::new(fmt, force_scale);
@@ -426,7 +481,7 @@ pub(crate) fn block_exact_avx2(
     j: &JSlices<'_>,
     force_scale: f64,
     fmt: FixedFormat,
-    out: &mut [Force],
+    out: &mut Words<'_>,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
@@ -469,59 +524,183 @@ fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
     j.in_window && xi.iter().all(|x| words_in_magic_window(x))
 }
 
-/// A self call's working set, kept by the caller so that a warm call
-/// allocates nothing: the i-set's words as doubles, its masses, where
-/// each board's share ends, and board `k`'s partial words on `i` at
-/// `acc[k · n + i]`.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SelfScratch {
-    pub(crate) img: [Vec<f64>; 3],
-    pub(crate) m: Vec<f64>,
-    pub(crate) ends: Vec<usize>,
-    pub(crate) acc: Vec<[i64; 4]>,
-    /// The kernel's scattered sums, `[board][component][i]`.
-    scattered: Vec<i64>,
+/// Lanes past the end of a self block's run, far and massless: the
+/// widest LNS group, so every group that starts inside the run reads
+/// inside its columns.
+const SELF_PAD: usize = 2 * LNS_LANES;
+/// The exact kernel's far coordinate: `2⁵¹` is at least `2⁵⁰` from every
+/// word inside the magic window, and the difference is exact.
+const FAR_IMG: f64 = (1u64 << 51) as f64;
+/// The LNS kernel's far coordinate word: inside the magic window, its
+/// difference with any word there inside the conversion window.
+const FAR_WORD: i64 = 3 << 48;
+/// The mass word of a zero mass ([`mass_word`]).
+const MASSLESS: i32 = ZERO_WORD << 1;
+
+#[cfg(test)]
+thread_local! {
+    /// On this thread: self blocks evaluated; their lane groups with one
+    /// back (equal masses) and with two; recognised self blocks that
+    /// declined; LNS groups of eight whose pairs went through the
+    /// definition (a lane in the converters' guard band).
+    pub(crate) static SELF_STATS: std::cell::Cell<[u64; 5]> =
+        const { std::cell::Cell::new([0; 5]) };
 }
 
-/// The self call `xi`, whose set `s` holds, in one pass over its pairs
-/// (module docs): `s.acc`, or `false` (no AVX2, a term outside the
-/// window) for the caller to run each board's kernel. The words are the
-/// definition's if `xi` is the boards' words in board order, inside the
-/// magic window, no share longer than `fmt.raw_max() >> 50`.
+/// Count on [`SELF_STATS`] (tests only).
+#[inline]
+pub(crate) fn count_self(_what: usize, _by: u64) {
+    #[cfg(test)]
+    SELF_STATS.with(|c| {
+        let mut s = c.get();
+        s[_what] += _by;
+        c.set(s);
+    });
+}
+
+/// A self block's working set (module docs, "self blocks"), kept by
+/// the caller so that a warm call allocates nothing: the run — the
+/// i-set, which is a contiguous run of the resident j-words — in the
+/// columns its mode's kernel reads, padded with [`SELF_PAD`] far,
+/// massless lanes; where each live board's part of the run ends
+/// (run-local, non-decreasing: a board without a part ends where the
+/// one before it did); board `k`'s raw word `c` on run particle `i` at
+/// `rows[(4k + c) · n + i]`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SelfScratch {
+    /// Exact mode: the run's coordinate words as doubles, its masses.
+    img: [Vec<f64>; 3],
+    m: Vec<f64>,
+    /// LNS mode: the run's coordinate words and mass words.
+    words: [Vec<i64>; 3],
+    m_word: Vec<i32>,
+    pub(crate) ends: Vec<usize>,
+    /// The boards' words, `[board][component][i]`, padded.
+    rows: Vec<i64>,
+    /// Lane groups the last kernel ran with one back, with two, and
+    /// through the definition.
+    backs: [u64; 3],
+}
+
+impl SelfScratch {
+    /// Start collecting a run.
+    pub(crate) fn clear(&mut self) {
+        self.img.iter_mut().for_each(Vec::clear);
+        self.m.clear();
+        self.words.iter_mut().for_each(Vec::clear);
+        self.m_word.clear();
+        self.ends.clear();
+    }
+
+    /// Append the words `r` of a board's j-memory `j` (empty: a board
+    /// without a part of the run), in the columns `lns` mode reads.
+    pub(crate) fn push(&mut self, j: &JSlices<'_>, r: std::ops::Range<usize>, lns: bool) {
+        let cols = [&j.x[r.clone()], &j.y[r.clone()], &j.z[r.clone()]];
+        if lns {
+            for (w, col) in self.words.iter_mut().zip(cols) {
+                w.extend_from_slice(col);
+            }
+            self.m_word.extend_from_slice(&j.m_word[r.clone()]);
+        } else {
+            for (img, col) in self.img.iter_mut().zip(cols) {
+                img.extend(col.iter().map(|&w| w as f64)); // exact: |w| < 2⁵⁰
+            }
+            self.m.extend_from_slice(&j.m[r.clone()]);
+        }
+        self.ends.push(self.ends.last().unwrap_or(&0) + r.len());
+    }
+
+    /// Pad the run's columns and zero the boards' words.
+    pub(crate) fn seal(&mut self, lns: bool) {
+        let n = *self.ends.last().unwrap_or(&0);
+        if lns {
+            assert!(self.words.iter().all(|c| c.len() == n) && self.m_word.len() == n);
+            self.words.iter_mut().for_each(|c| c.resize(n + SELF_PAD, FAR_WORD));
+            self.m_word.resize(n + SELF_PAD, MASSLESS);
+        } else {
+            assert!(self.img.iter().all(|c| c.len() == n) && self.m.len() == n);
+            self.img.iter_mut().for_each(|c| c.resize(n + SELF_PAD, FAR_IMG));
+            self.m.resize(n + SELF_PAD, 0.0);
+        }
+        self.rows.clear();
+        self.rows.resize(4 * self.ends.len() * n + SELF_PAD, 0);
+    }
+
+    /// Board `k`'s four component rows.
+    pub(crate) fn board_rows(&mut self, k: usize) -> &mut [i64] {
+        let n = *self.ends.last().unwrap_or(&0);
+        &mut self.rows[4 * k * n..][..4 * n]
+    }
+
+    /// Board `k`'s words on run particle `i`.
+    pub(crate) fn words(&self, k: usize, i: usize) -> [i64; 4] {
+        let n = *self.ends.last().unwrap_or(&0);
+        [0, 1, 2, 3].map(|c| self.rows[(4 * k + c) * n + i])
+    }
+
+    /// Count the last kernel's lane groups (tests only); `ran`.
+    fn counted(&mut self, ran: bool) -> bool {
+        for (k, n) in std::mem::take(&mut self.backs).into_iter().enumerate() {
+            count_self([1, 2, 4][k], n);
+        }
+        ran
+    }
+}
+
+/// The self block `s` holds ([`SelfScratch::push`], then
+/// [`SelfScratch::seal`]) in one pass over its unordered pairs (module
+/// docs): each board's terms over its part of the run added to its rows
+/// of `s.rows`, or `false` (no AVX2, a term outside the encode window)
+/// for the caller to run each board's kernel. Every term added is inside
+/// the window, so the sums are the definition's chain wherever the words
+/// they continue leave `len · 2⁵⁰` of headroom (the caller's check).
 pub(crate) fn block_exact_self(
     wide: Wide,
     (quantum, eps2): (f64, f64),
-    xi: &[[i64; 3]],
     force_scale: f64,
     fmt: FixedFormat,
     s: &mut SelfScratch,
 ) -> bool {
-    let n = xi.len();
-    let shares = s.ends.windows(2).all(|e| e[0] < e[1]) && s.ends.last().unwrap_or(&0) == &n;
-    assert!(shares && s.m.len() == n && s.img.iter().all(|c| c.len() == n), "ragged self call");
-    s.acc.clear();
-    s.acc.resize(s.ends.len() * n, [0; 4]);
-    s.scattered.clear();
-    s.scattered.resize(4 * s.acc.len(), 0);
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected, `s` was asserted and sized for `xi`,
+        // SAFETY: AVX2 was detected, `s` was sealed (padded and sized),
         // and a `Wide` is only set where FMA and AVX-512 were detected.
         let ran = unsafe {
             if wide.0 {
-                avx2::block_exact_self_vl(quantum, eps2, xi, force_scale, fmt, s)
+                avx2::block_exact_self_vl(quantum, eps2, force_scale, fmt, s)
             } else {
-                avx2::block_exact_self(quantum, eps2, xi, force_scale, fmt, s)
+                avx2::block_exact_self(quantum, eps2, force_scale, fmt, s)
             }
         };
-        for (k, w) in s.acc.iter_mut().enumerate().filter(|_| ran) {
-            for (c, w) in w.iter_mut().enumerate() {
-                *w = w.wrapping_add(s.scattered[(4 * (k / n) + c) * n + k % n]);
-            }
-        }
-        return ran;
+        return s.counted(ran);
     }
     let _ = (wide, quantum, eps2, force_scale, fmt);
+    false
+}
+
+/// [`block_exact_self`] in LNS mode, on the lanes and op column of
+/// [`block_lns_avx2`]; a lane in the converters' guard band sends its
+/// pairs through the definition, both ways.
+pub(crate) fn block_lns_self(
+    wide: Wide,
+    c: &LnsLanes,
+    force_scale: f64,
+    fmt: FixedFormat,
+    s: &mut SelfScratch,
+) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: as for `block_exact_self`.
+        let ran = unsafe {
+            if wide.0 {
+                avx2::block_lns16_self(c, force_scale, fmt, s)
+            } else {
+                avx2::block_lns_self(c, force_scale, fmt, s)
+            }
+        };
+        return s.counted(ran);
+    }
+    let _ = (wide, c, force_scale, fmt);
     false
 }
 
@@ -658,6 +837,17 @@ impl LnsLanes {
             G5Pipeline::pair_lns_tab(self.conv, self.eps2_lns, self.quantum, d, j.m_lns[jj])
         }
     }
+
+    /// The scalar definition on a mass word, [`mass_word`] undone.
+    #[cfg(target_arch = "x86_64")]
+    fn pair_word(&self, d: [i64; 3], w: i32) -> Force {
+        let (cfg, raw) = (self.conv.config(), w >> 1);
+        let m = match (raw, w & 1) {
+            (ZERO_WORD, _) => Lns::zero(cfg),
+            (raw, neg) => Lns::from_raw(1 - 2 * neg as i8, i64::from(raw), cfg),
+        };
+        G5Pipeline::pair_lns_tab(self.conv, self.eps2_lns, self.quantum, d, m)
+    }
 }
 
 /// Run the AVX2 LNS kernel, sixteen lanes on the AVX-512VL column where
@@ -671,7 +861,7 @@ pub(crate) fn block_lns_avx2(
     j: &JSlices<'_>,
     force_scale: f64,
     fmt: FixedFormat,
-    out: &mut [Force],
+    out: &mut Words<'_>,
 ) -> bool {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") && coords_in_magic_window(xi, j) {
@@ -695,11 +885,11 @@ pub(crate) fn block_lns_avx2(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, store_tile, words_in_magic_window,
-        LnsLanes, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, EXACT_DEPTH, HALF_PRED, I_TILE,
-        J_BLOCK, LANES, LNS_LANES, ZERO_WORD,
+        block_tiled, exact_pair, scale_mode, span_pairs, words_in_magic_window, LnsLanes, QuantCtx,
+        ScalarAcc, ScaleMode, SelfScratch, Words, EXACT_DEPTH, HALF_PRED, I_TILE, J_BLOCK, LANES,
+        LNS_LANES, MASSLESS, SELF_PAD, ZERO_WORD,
     };
-    use crate::pipeline::{Force, G5Pipeline, JSlices};
+    use crate::pipeline::JSlices;
     use core::arch::x86_64::{_mm256_castpd_si256 as to_i, *};
     use g5util::fixed::{Fixed, FixedFormat};
     use g5util::vec3::Vec3;
@@ -1013,6 +1203,15 @@ mod avx2 {
             self.groups += 1;
         }
 
+        /// Add a group's terms as [`AccOps::round_term`] left them.
+        #[inline(always)]
+        unsafe fn add_rounded(&mut self, r: [__m256i; 4]) {
+            for (sum, r) in self.sum.iter_mut().zip(r) {
+                *sum = _mm256_add_epi64(*sum, r);
+            }
+            self.groups += 1;
+        }
+
         /// Fold the columns into the running words (one horizontal sum
         /// per component) and clear them. Must precede anything else
         /// that reads or writes `a`; after scalar work on `a`, `fast`
@@ -1177,7 +1376,7 @@ mod avx2 {
         j: &JSlices<'_>,
         force_scale: f64,
         fmt: FixedFormat,
-        out: &mut [Force],
+        out: &mut Words<'_>,
     ) {
         /// [`terms`] of the [`front`] of the j-group at `k` of a block.
         #[inline(always)]
@@ -1202,8 +1401,8 @@ mod avx2 {
         // integer-valued doubles: converted once per (i-tile, j-block)
         // and shared by the tile's i-particles
         let mut img = [[0.0f64; J_BLOCK]; 3];
-        for (xc, oc) in xi.chunks(I_TILE).zip(out.chunks_mut(I_TILE)) {
-            let mut acc = [[0i64; 4]; I_TILE];
+        for (t, xc) in (0..).step_by(I_TILE).zip(xi.chunks(I_TILE)) {
+            let mut acc = out.open(t, xc.len());
             for js in (0..j.len()).step_by(J_BLOCK) {
                 let je = (js + J_BLOCK).min(j.len());
                 // slicing bounds-checks the block against the j-columns
@@ -1241,46 +1440,52 @@ mod avx2 {
                     span_pairs(&sa, a, x, j, (js + lanes_end, je), &pair);
                 }
             }
-            store_tile(oc, &acc, force_scale, fmt);
+            out.close((t, xc.len()), &acc, force_scale, fmt);
         }
     }
 
-    /// The self-call kernel on column `O` (module docs, "self calls"):
-    /// per pair `a < b` one [`front`], through [`exact_body`]'s ring, and
-    /// two backs. `false` at the first group a window test rejects.
+    /// The self-block kernel on column `O` (module docs, "self
+    /// blocks"): per pair `a < b` of the run one [`front`], through
+    /// [`exact_body`]'s ring, and one back where the group's four masses
+    /// equal `m_a` — the b-side words are then the a-side's, the force
+    /// words negated — two elsewhere. A board's last group is padded with
+    /// massless lanes on both sides. `false` at the first group a window
+    /// test rejects.
     ///
     /// # Safety
-    /// AVX2 and `O`'s features; `s` as [`block_exact_self`] asserted and
-    /// sized it. No closure in this body may hold an intrinsic.
+    /// AVX2 and `O`'s features; `s` sealed by [`block_exact_self`]. No
+    /// closure in this body may hold an intrinsic.
     #[inline(always)]
     unsafe fn self_body<O: AccOps>(
         quantum: f64,
         eps2: f64,
-        xi: &[[i64; 3]],
         force_scale: f64,
         fmt: FixedFormat,
         s: &mut SelfScratch,
     ) -> bool {
         const D: usize = EXACT_DEPTH;
-        let (ctx, sa) = (AccCtx::new(fmt, force_scale), ScalarAcc::new(fmt, force_scale));
+        let ctx = AccCtx::new(fmt, force_scale);
         let consts = [_mm256_set1_pd(quantum), _mm256_set1_pd(eps2), _mm256_set1_pd(1.0)];
-        let SelfScratch { img, m, ends, acc, scattered } = s;
-        let (n, img) = (xi.len(), [&img[0][..], &img[1][..], &img[2][..]]);
-        debug_assert!(m.len() == n && scattered.len() == 4 * ends.len() * n);
-        let scattered = scattered.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
+        let SelfScratch { img, m, ends, rows, backs, .. } = s;
+        let n = *ends.last().unwrap_or(&0);
+        let img = [&img[0][..], &img[1][..], &img[2][..]];
+        debug_assert!(m.len() == n + SELF_PAD && img.iter().all(|c| c.len() == n + SELF_PAD));
+        debug_assert!(rows.len() == 4 * ends.len() * n + SELF_PAD);
+        let rows = rows.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
+        let (iota, bias) = (_mm256_setr_epi64x(0, 1, 2, 3), _mm256_set1_epi64x(O::BIAS));
         let mut ca = 0;
         for a in 0..n {
             while ends[ca] <= a {
                 ca += 1;
             }
-            let (x0, x1, x2) = (img[0][a], img[1][a], img[2][a]);
-            let xv = [_mm256_set1_pd(x0), _mm256_set1_pd(x1), _mm256_set1_pd(x2)];
+            let xv =
+                [_mm256_set1_pd(img[0][a]), _mm256_set1_pd(img[1][a]), _mm256_set1_pd(img[2][a])];
             let (ma, neg_ma) = (_mm256_set1_pd(m[a]), _mm256_set1_pd(-m[a]));
             let mut start = 0;
             for (cb, &end) in ends.iter().enumerate() {
                 // the b ≤ a, the diagonal among them, are other a's pairs
                 let lo = std::mem::replace(&mut start, end).max(a + 1);
-                let groups = end.saturating_sub(lo) / LANES;
+                let groups = end.saturating_sub(lo).div_ceil(LANES);
                 let mut cols = Columns::<O>::open(&[0; 4], &ctx); // `fast` unused
                 let z = _mm256_setzero_pd();
                 let mut ring =
@@ -1293,43 +1498,64 @@ mod avx2 {
                     if g + D < groups {
                         ring[g % D] = front::<O>(img, k + D * LANES, xv, consts);
                     }
-                    // SAFETY: k + LANES ≤ end ≤ n = m.len()
-                    let mb = _mm256_loadu_pd(m.as_ptr().add(k));
+                    // lanes past the board's end are massless both ways
+                    let past = _mm256_set1_epi64x((end - k) as i64);
+                    let keep = _mm256_castsi256_pd(_mm256_cmpgt_epi64(past, iota));
+                    // SAFETY: k < end ≤ n, and m holds n + SELF_PAD
+                    let mb = _mm256_and_pd(_mm256_loadu_pd(m.as_ptr().add(k)), keep);
                     let to_a = ctx.encode(ctx.unscale(terms::<O>(&f, mb, mb)));
-                    let to_b = ctx.encode(ctx.unscale(terms::<O>(&f, neg_ma, ma)));
-                    if !(O::in_window(to_a) && O::in_window(to_b)) {
+                    if !O::in_window(to_a) {
                         return false;
                     }
-                    cols.add_in_window(to_a);
-                    for (c, t) in to_b.into_iter().enumerate() {
-                        let t = _mm256_sub_epi64(O::round_term(t), _mm256_set1_epi64x(O::BIAS));
-                        // SAFETY: k + LANES ≤ n: inside row (ca, c)
-                        let p = scattered.add((4 * ca + c) * n + k).cast::<__m256i>();
+                    let mut r = [_mm256_setzero_si256(); 4];
+                    for c in 0..4 {
+                        r[c] = O::round_term(to_a[c]);
+                    }
+                    cols.add_rounded(r);
+                    if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(mb, ma)) == 0b1111 {
+                        // one back: d · (−m_a r⁻³) = −(d · (m_b r⁻³)), and
+                        // unscaling and round-half-away are odd
+                        for r in &mut r[..3] {
+                            *r = _mm256_sub_epi64(bias, *r);
+                        }
+                        r[3] = _mm256_sub_epi64(r[3], bias);
+                        backs[0] += 1;
+                    } else {
+                        let (mf, mp) = (_mm256_and_pd(neg_ma, keep), _mm256_and_pd(ma, keep));
+                        let to_b = ctx.encode(ctx.unscale(terms::<O>(&f, mf, mp)));
+                        if !O::in_window(to_b) {
+                            return false;
+                        }
+                        for c in 0..4 {
+                            r[c] = _mm256_sub_epi64(O::round_term(to_b[c]), bias);
+                        }
+                        backs[1] += 1;
+                    }
+                    for (c, t) in r.into_iter().enumerate() {
+                        // SAFETY: k + LANES ≤ n + LANES: inside row (ca, c)
+                        // or, for the last row, its padding
+                        let p = rows.add((4 * ca + c) * n + k).cast::<__m256i>();
                         _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), t));
                     }
                 }
-                cols.flush(&mut acc[cb * n + a]);
-                for b in lo + groups * LANES..end {
-                    let d = [xi[b][0] - xi[a][0], xi[b][1] - xi[a][1], xi[b][2] - xi[a][2]];
-                    if d == [0; 3] {
-                        continue; // the zero-distance guard
-                    }
-                    for (d, mj, w) in
-                        [(d, m[b], cb * n + a), ([-d[0], -d[1], -d[2]], m[a], ca * n + b)]
-                    {
-                        let mut t = [0; 4];
-                        sa.add_force(&mut t, G5Pipeline::pair_exact(quantum, eps2, None, d, mj));
-                        for (w, t) in acc[w].iter_mut().zip(t) {
-                            if t.unsigned_abs() > 1 << 50 {
-                                return false;
-                            }
-                            *w = w.wrapping_add(t);
-                        }
-                    }
-                }
+                flush_to(&mut cols, rows.add(4 * cb * n + a), n);
             }
         }
         true
+    }
+
+    /// Fold a self block's a-side columns into the words at `p`, one
+    /// component every `n` words.
+    ///
+    /// # Safety
+    /// As for [`Columns`]; `p + 3n` is inside the rows.
+    #[inline(always)]
+    unsafe fn flush_to<O: AccOps>(cols: &mut Columns<O>, p: *mut i64, n: usize) {
+        let mut w = [0; 4];
+        cols.flush(&mut w);
+        for (c, w) in w.into_iter().enumerate() {
+            *p.add(c * n) = (*p.add(c * n)).wrapping_add(w);
+        }
     }
 
     /// The `#[target_feature]` entries of [`exact_body`] and of
@@ -1344,16 +1570,15 @@ mod avx2 {
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $name(
                 quantum: f64, eps2: f64, xi: &[[i64; 3]], j: &JSlices<'_>,
-                force_scale: f64, fmt: FixedFormat, out: &mut [Force],
+                force_scale: f64, fmt: FixedFormat, out: &mut Words<'_>,
             ) {
                 exact_body::<$ops>(quantum, eps2, xi, j, force_scale, fmt, out)
             }
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $self_name(
-                quantum: f64, eps2: f64, xi: &[[i64; 3]], force_scale: f64, fmt: FixedFormat,
-                s: &mut SelfScratch,
+                quantum: f64, eps2: f64, force_scale: f64, fmt: FixedFormat, s: &mut SelfScratch,
             ) -> bool {
-                self_body::<$ops>(quantum, eps2, xi, force_scale, fmt, s)
+                self_body::<$ops>(quantum, eps2, force_scale, fmt, s)
             }
         )+};
     }
@@ -1440,6 +1665,11 @@ mod avx2 {
         fn any_lt(self, b: Self) -> bool {
             _mm256_movemask_epi8(_mm256_cmpgt_epi32(b, self)) != 0,
             _mm512_cmplt_epi32_mask(self, b) != 0
+        }
+        /// Is `self == b` in every lane?
+        fn eq_all(self, b: Self) -> bool {
+            _mm256_movemask_epi8(_mm256_cmpeq_epi32(self, b)) == -1,
+            _mm512_cmpneq_epi32_mask(self, b) == 0
         }
         /// `−self`, zero or `self` as `s` is negative, zero or positive:
         /// `vpsignd`, or negate under the sign mask and keep under the
@@ -1536,10 +1766,48 @@ mod avx2 {
 
     /// One (i-particle, j-span) of the LNS kernel: the span's coordinate
     /// and mass-word columns and the i-particle's words.
+    #[derive(Clone, Copy)]
     struct LnsSpan<'a> {
         x: [&'a [i64]; 3],
         w: &'a [i32],
         xi: [i64; 3],
+    }
+
+    /// The front of one `L`-wide j-group ([`LnsCtx::fronts`]): per axis
+    /// the core word and the displacement sign (bit 31), r⁻³ and the
+    /// unclamped r⁻¹ log words.
+    #[derive(Clone, Copy)]
+    struct LnsFront<L> {
+        r: [L; 3],
+        s: [L; 3],
+        rinv3: L,
+        rinv: L,
+    }
+
+    /// Lane numbers, for a self block's massless lanes.
+    static IOTA: [i32; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+
+    /// What became of a self block's lane groups.
+    enum Pass {
+        Done,
+        /// A lane asked for the scalar converters; nothing was added.
+        Flagged,
+        /// A term left the encode window: the block declines.
+        Out,
+    }
+
+    /// The LNS self block's i = `a` against one board's part of the
+    /// run: the run's columns as a span from `a`'s words, `a`'s mass
+    /// word, and where in the rows component 0 of the words of `a` on
+    /// that board and of `b` on `a`'s board sit (`to_a`; `to_b + b`;
+    /// each further component `n` words on).
+    struct SelfPass<'a> {
+        span: LnsSpan<'a>,
+        mwa: i32,
+        rows: *mut i64,
+        n: usize,
+        to_a: usize,
+        to_b: usize,
     }
 
     /// # Safety
@@ -1653,23 +1921,23 @@ mod avx2 {
             t
         }
 
-        /// The one stage body of the LNS kernel: `G` consecutive
+        /// The front of the stage body — subtract and log converter,
+        /// squarers, adders and power units — on `G` consecutive
         /// `L::W`-lane j-groups of span `b` from its j-particle `k` on
         /// (`k + L::W·G` inside the span), carried through the stages in
         /// lock-step (each stage runs on all `G` groups before the next
         /// starts, so one group's ROM-gather latency hides behind the
-        /// other's ALU work); the terms reach `cols` in ascending j.
-        /// `false`, with nothing accumulated, when a lane of any group
-        /// asks for the scalar converters.
+        /// other's ALU work). `None` when a lane of any group asks for
+        /// the scalar converters. Up to the displacement signs, which it
+        /// keeps apart, the front of `(i, j)` is the front of `(j, i)`:
+        /// `−d · quantum` is exact and the encoder reads the magnitude.
         #[inline(always)]
         #[allow(clippy::needless_range_loop)]
-        unsafe fn stages<O: AccOps, const G: usize>(
+        unsafe fn fronts<const G: usize>(
             &self,
             b: &LnsSpan<'_>,
             k: usize,
-            cols: &mut Columns<O>,
-            a: &mut [i64; 4],
-        ) -> bool {
+        ) -> Option<[LnsFront<L>; G]> {
             let end = k + L::W * G;
             debug_assert!(b.x.iter().all(|x| end <= x.len()) && end <= b.w.len());
             let zero = L::splat(0);
@@ -1683,7 +1951,7 @@ mod avx2 {
                 }
             }
             if near.any_lt(L::splat(2)) {
-                return false;
+                return None;
             }
             // --- squarers, r² adder, + ε² ---
             let (mut sq, mut r2e) = ([[zero; 3]; G], [zero; G]);
@@ -1698,28 +1966,63 @@ mod avx2 {
                     r2e[g] = self.add(r2e[g], if c < 3 { sq[g][c] } else { self.eps2 });
                 }
             }
-            let mut w = [[zero; 4]; G];
+            let mut f = [LnsFront { r: [zero; 3], s: [zero; 3], rinv3: zero, rinv: zero }; G];
             for g in 0..G {
                 // --- power units: round-half-away −3r/2 and −r/2 ---
                 let (ar, nr, one) = (r2e[g].abs(), zero.sub(r2e[g]), L::splat(1));
                 let rinv3 = self.canon(ar.add(ar).add(ar.add(one)).srli::<1>().neg_by_sign(nr));
                 let rinv = ar.add(one).srli::<1>().neg_by_sign(nr);
-                // --- multipliers and signs ---
+                f[g] = LnsFront { r: r[g], s: s[g], rinv3, rinv };
+            }
+            Some(f)
+        }
+
+        /// The back's multipliers and signs: a front's decoder words for
+        /// the mass words `mw`, every displacement sign flipped by the
+        /// sign bit of `flip` (the reverse pairs of a self block).
+        #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn back(&self, f: &LnsFront<L>, mw: L, flip: L) -> [L; 4] {
+            let (m, msign) = (mw.srai::<1>(), mw.slli::<31>());
+            let mf = self.canon(m.add(f.rinv3));
+            let mut w = [L::splat(0); 4];
+            for c in 0..3 {
+                let sign = f.s[c].xor(msign).xor(flip).and(L::splat(i32::MIN));
+                w[c] = self.out_word(f.r[c].add(mf)).or(sign);
+            }
+            // m · rinv; `out_word` applies rinv's range rules too (a
+            // zero m keeps the sum below raw_min either way). Three
+            // zero words — the highest of the three below raw_min —
+            // are the zero-distance guard: no potential.
+            let highest = f.r[0].max(f.r[1]).max(f.r[2]);
+            let wp = self.out_word(m.add(self.canon(f.rinv)));
+            w[3] = wp.if_lt(highest, self.rmin, L::splat(0)).or(msign);
+            w
+        }
+
+        /// The one stage body of the LNS kernel: [`fronts`](Self::fronts)
+        /// of `G` groups, their backs on the span's mass words, the
+        /// antilog ROM, and the terms into `cols` in ascending j.
+        /// `false`, with nothing accumulated, when a lane of any group
+        /// asks for the scalar converters.
+        #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn stages<O: AccOps, const G: usize>(
+            &self,
+            b: &LnsSpan<'_>,
+            k: usize,
+            cols: &mut Columns<O>,
+            a: &mut [i64; 4],
+        ) -> bool {
+            let Some(f) = self.fronts::<G>(b, k) else {
+                return false;
+            };
+            let zero = L::splat(0);
+            let mut w = [[zero; 4]; G];
+            for g in 0..G {
                 // SAFETY: `k + W·g + W ≤ end ≤ b.w.len()` i32 words
                 let mw = L::load(b.w.as_ptr().add(k + L::W * g));
-                let (m, msign) = (mw.srai::<1>(), mw.slli::<31>());
-                let mf = self.canon(m.add(rinv3));
-                for c in 0..3 {
-                    let sign = s[g][c].xor(msign).and(L::splat(i32::MIN));
-                    w[g][c] = self.out_word(r[g][c].add(mf)).or(sign);
-                }
-                // m · rinv; `out_word` applies rinv's range rules too (a
-                // zero m keeps the sum below raw_min either way). Three
-                // zero words — the highest of the three below raw_min —
-                // are the zero-distance guard: no potential.
-                let highest = r[g][0].max(r[g][1]).max(r[g][2]);
-                let wp = self.out_word(m.add(self.canon(rinv)));
-                w[g][3] = wp.if_lt(highest, self.rmin, zero).or(msign);
+                w[g] = self.back(&f[g], mw, zero);
             }
             // --- antilog ROM per component, then the fixed-point
             // accumulate a quarter (four j) at a time, ascending j ---
@@ -1730,6 +2033,199 @@ mod avx2 {
             for g in 0..G {
                 for q in 0..L::W / LANES {
                     cols.add(a, t[g][q], &self.acc);
+                }
+            }
+            true
+        }
+
+        /// The self-block stage body ([`self_body`]'s LNS twin) on `G`
+        /// groups of `p`'s run from `k` on, a group past `end` massless
+        /// lane by lane: one front, the a-side back on the run's mass
+        /// words into `cols`, and the b-side — the a-side words with the
+        /// force words negated where the group's masses all equal
+        /// `m_a`, its own back on `m_a` with the signs flipped
+        /// elsewhere — added to `p`'s deposit rows.
+        #[inline(always)]
+        #[allow(clippy::needless_range_loop)]
+        unsafe fn self_stages<O: AccOps, const G: usize>(
+            &self,
+            p: &SelfPass<'_>,
+            (k, end): (usize, usize),
+            cols: &mut Columns<O>,
+            backs: &mut [u64; 3],
+        ) -> Pass {
+            let Some(f) = self.fronts::<G>(&p.span, k) else {
+                return Pass::Flagged;
+            };
+            let (zero, massless) = (L::splat(0), L::splat(MASSLESS));
+            // SAFETY: IOTA holds sixteen words, W at most sixteen
+            let iota = L::load(IOTA.as_ptr());
+            let (mut wa, mut wb, mut one) = ([[zero; 4]; G], [[zero; 4]; G], [false; G]);
+            for g in 0..G {
+                let kg = k + L::W * g;
+                let valid = L::splat((end - kg) as i32);
+                // SAFETY: `kg + W ≤ n + SELF_PAD`, the mass words' length
+                let mb = massless.if_lt(iota, valid, L::load(p.span.w.as_ptr().add(kg)));
+                let ma = massless.if_lt(iota, valid, L::splat(p.mwa));
+                wa[g] = self.back(&f[g], mb, zero);
+                one[g] = mb.eq_all(ma);
+                if !one[g] {
+                    wb[g] = self.back(&f[g], ma, L::splat(i32::MIN));
+                }
+            }
+            let (mut ta, mut tb) =
+                ([[[_mm256_setzero_pd(); 4]; 4]; G], [[[_mm256_setzero_pd(); 4]; 4]; G]);
+            for g in 0..G {
+                ta[g] = self.decode(wa[g]);
+                if !one[g] {
+                    tb[g] = self.decode(wb[g]);
+                }
+            }
+            let bias = _mm256_set1_epi64x(O::BIAS);
+            for g in 0..G {
+                backs[usize::from(!one[g])] += 1;
+                for q in 0..L::W / LANES {
+                    let sa = self.acc.encode(self.acc.unscale(ta[g][q]));
+                    if !O::in_window(sa) {
+                        return Pass::Out;
+                    }
+                    let mut r = [_mm256_setzero_si256(); 4];
+                    for c in 0..4 {
+                        r[c] = O::round_term(sa[c]);
+                    }
+                    cols.add_rounded(r);
+                    if one[g] {
+                        // the b-side words: force negated (round-half-away
+                        // is odd), potential the same
+                        for c in 0..3 {
+                            r[c] = _mm256_sub_epi64(bias, r[c]);
+                        }
+                        r[3] = _mm256_sub_epi64(r[3], bias);
+                    } else {
+                        let sb = self.acc.encode(self.acc.unscale(tb[g][q]));
+                        if !O::in_window(sb) {
+                            return Pass::Out;
+                        }
+                        for c in 0..4 {
+                            r[c] = _mm256_sub_epi64(O::round_term(sb[c]), bias);
+                        }
+                    }
+                    let b = k + L::W * g + LANES * q;
+                    for c in 0..4 {
+                        // SAFETY: b + LANES ≤ n + SELF_PAD: inside row
+                        // (ca, c) or, for the last row, its padding
+                        let d = p.rows.add(p.to_b + c * p.n + b).cast::<__m256i>();
+                        _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), r[c]));
+                    }
+                }
+            }
+            Pass::Done
+        }
+
+        /// [`self_stages`](Self::self_stages) over the groups of `p`'s run
+        /// from `k` to `end` (the last one ragged), two in flight, like
+        /// [`groups`](Self::groups): the first group flagged on its own —
+        /// everything before it is added, nothing of it — or `end`;
+        /// `None` when a term left the window.
+        #[inline(always)]
+        unsafe fn self_groups<O: AccOps>(
+            &self,
+            p: &SelfPass<'_>,
+            (mut k, end): (usize, usize),
+            cols: &mut Columns<O>,
+            backs: &mut [u64; 3],
+        ) -> Option<usize> {
+            while k < end {
+                let two = k + L::W < end;
+                if two {
+                    match self.self_stages::<O, 2>(p, (k, end), cols, backs) {
+                        Pass::Done => {
+                            k += 2 * L::W;
+                            continue;
+                        }
+                        Pass::Out => return None,
+                        Pass::Flagged => {}
+                    }
+                }
+                let stop = (k + if two { 2 * L::W } else { L::W }).min(end);
+                while k < stop {
+                    match self.self_stages::<O, 1>(p, (k, end), cols, backs) {
+                        Pass::Done => k += L::W,
+                        Pass::Out => return None,
+                        Pass::Flagged => return Some(k),
+                    }
+                }
+            }
+            Some(end)
+        }
+
+        /// The pairs of `p`'s `a` with the run's `k..end` on the board
+        /// `cols` sums, both ways: [`self_groups`](Self::self_groups)
+        /// on `L`, a flagged group of sixteen on `eight`, a flagged group
+        /// of eight through the definition ([`LnsCtx::self_pairs`]), like
+        /// [`span`](Self::span) does. `false` when a term left the
+        /// window.
+        #[inline(always)]
+        unsafe fn self_range<O: AccOps>(
+            &self,
+            eight: &LnsCtx<'_, __m256i>,
+            p: &SelfPass<'_>,
+            (mut k, end): (usize, usize),
+            cols: &mut Columns<O>,
+            backs: &mut [u64; 3],
+        ) -> bool {
+            while k < end {
+                let Some(flagged) = self.self_groups::<O>(p, (k, end), cols, backs) else {
+                    return false;
+                };
+                k = flagged;
+                let stop = (k + L::W).min(end);
+                while k < stop {
+                    if L::W != LNS_LANES {
+                        let Some(flagged) = eight.self_groups::<O>(p, (k, stop), cols, backs)
+                        else {
+                            return false;
+                        };
+                        k = flagged;
+                    }
+                    if k < stop {
+                        let e = (k + LNS_LANES).min(stop);
+                        backs[2] += 1;
+                        if !self.self_pairs(p, (k, e)) {
+                            return false;
+                        }
+                        k = e;
+                    }
+                }
+            }
+            true
+        }
+
+        /// The definition, both ways, for the pairs of `p`'s `a` with the
+        /// run's `k..end`: each term rounded alone and added to its
+        /// words. `false` when a term left the window.
+        ///
+        /// # Safety
+        /// `p`'s rows hold the words it points at.
+        #[inline(always)]
+        unsafe fn self_pairs(&self, p: &SelfPass<'_>, (k, end): (usize, usize)) -> bool {
+            let x = &p.span;
+            for b in k..end {
+                let d = [x.x[0][b] - x.xi[0], x.x[1][b] - x.xi[1], x.x[2][b] - x.xi[2]];
+                if d == [0; 3] {
+                    continue; // the zero-distance guard
+                }
+                let back = [(d, x.w[b], p.to_a), ([-d[0], -d[1], -d[2]], p.mwa, p.to_b + b)];
+                for (d, mw, at) in back {
+                    let mut t = [0; 4];
+                    self.sa.add_force(&mut t, self.lanes.pair_word(d, mw));
+                    for (c, t) in t.into_iter().enumerate() {
+                        if t.unsigned_abs() > 1 << 50 {
+                            return false;
+                        }
+                        let w = p.rows.add(at + c * p.n);
+                        *w = (*w).wrapping_add(t);
+                    }
                 }
             }
             true
@@ -1826,7 +2322,7 @@ mod avx2 {
         j: &JSlices<'_>,
         force_scale: f64,
         fmt: FixedFormat,
-        out: &mut [Force],
+        out: &mut Words<'_>,
     ) {
         let l = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
@@ -1847,13 +2343,92 @@ mod avx2 {
         j: &JSlices<'_>,
         force_scale: f64,
         fmt: FixedFormat,
-        out: &mut [Force],
+        out: &mut Words<'_>,
     ) {
         let l = LnsCtx::<__m512i>::new(c, j, force_scale, fmt);
         let eight = LnsCtx::<__m256i>::new(c, j, force_scale, fmt);
         block_tiled(xi, j.len(), force_scale, fmt, out, |a, x, js, je| {
             l.span::<VlOps>(&eight, a, x, (js, je))
         });
+    }
+
+    /// The LNS self block on lanes `L` and column `O`, `eight` for the
+    /// retries (module docs, "self blocks"): [`self_body`]'s loops, the
+    /// groups through [`LnsCtx::self_range`]. `false` at the first term
+    /// outside the encode window.
+    ///
+    /// # Safety
+    /// AVX2, `L`'s and `O`'s features; `s` sealed by [`block_lns_self`].
+    #[inline(always)]
+    unsafe fn lns_self_body<L: LnsLane, O: AccOps>(
+        c: &LnsLanes,
+        force_scale: f64,
+        fmt: FixedFormat,
+        s: &mut SelfScratch,
+    ) -> bool {
+        let SelfScratch { words, m_word, ends, rows, backs, .. } = s;
+        let n = *ends.last().unwrap_or(&0);
+        debug_assert!(
+            words.iter().all(|c| c.len() == n + SELF_PAD) && m_word.len() == n + SELF_PAD
+        );
+        debug_assert!(rows.len() == 4 * ends.len() * n + SELF_PAD);
+        let x = [&words[0][..], &words[1][..], &words[2][..]];
+        // the run as j-slices for the stage bodies (no self pass reads
+        // their masses); the caller checked the boards' windows
+        let (m, m_lns, in_window) = (&[][..], &[][..], true);
+        let j = JSlices { x: x[0], y: x[1], z: x[2], m, m_lns, m_word, in_window };
+        let l = LnsCtx::<L>::new(c, &j, force_scale, fmt);
+        let eight = LnsCtx::<__m256i>::new(c, &j, force_scale, fmt);
+        let rows = rows.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
+        let mut ca = 0;
+        for a in 0..n {
+            while ends[ca] <= a {
+                ca += 1;
+            }
+            let span = LnsSpan { x, w: m_word, xi: [x[0][a], x[1][a], x[2][a]] };
+            let mut start = 0;
+            for (cb, &end) in ends.iter().enumerate() {
+                let lo = std::mem::replace(&mut start, end).max(a + 1);
+                let (to_a, to_b) = (4 * cb * n + a, 4 * ca * n);
+                let p = SelfPass { span, mwa: m_word[a], rows, n, to_a, to_b };
+                let mut cols = Columns::<O>::open(&[0; 4], &l.acc); // `fast` unused
+                if !l.self_range::<O>(&eight, &p, (lo, end), &mut cols, backs) {
+                    return false;
+                }
+                flush_to(&mut cols, rows.add(to_a), n);
+            }
+        }
+        true
+    }
+
+    /// The `#[target_feature]` entries of [`lns_self_body`]: eight lanes
+    /// on the AVX2 column, sixteen on the AVX-512VL one.
+    ///
+    /// # Safety
+    /// As for [`lns_self_body`]; the CPU must support AVX2, and for
+    /// `block_lns16_self` FMA and AVX-512 F, BW, DQ and VL.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn block_lns_self(
+        c: &LnsLanes,
+        force_scale: f64,
+        fmt: FixedFormat,
+        s: &mut SelfScratch,
+    ) -> bool {
+        lns_self_body::<__m256i, Avx2Ops>(c, force_scale, fmt, s)
+    }
+
+    /// [`block_lns_self`] at sixteen lanes, on the AVX-512VL column.
+    ///
+    /// # Safety
+    /// As for [`block_lns_self`].
+    #[target_feature(enable = "avx2,fma,avx512f,avx512bw,avx512dq,avx512vl")]
+    pub(super) unsafe fn block_lns16_self(
+        c: &LnsLanes,
+        force_scale: f64,
+        fmt: FixedFormat,
+        s: &mut SelfScratch,
+    ) -> bool {
+        lns_self_body::<__m512i, VlOps>(c, force_scale, fmt, s)
     }
 }
 
@@ -2332,11 +2907,13 @@ mod tests {
         }
     }
 
-    /// The symmetric self-call kernel on each op column against every
-    /// board's scalar skeleton on the whole set: one to three boards of
-    /// uneven shares, set sizes through two rings of groups and a tail at
-    /// every offset, zero and negative masses, ε = 0, and a pair of
-    /// coincident words across the first and last board.
+    /// The self-block kernels of both modes on each op column (and both
+    /// LNS widths) against every board's scalar skeleton on the whole
+    /// set: one to three boards of uneven shares, set sizes through two
+    /// rings of groups and a tail at every offset, equal masses (one
+    /// back) on every other size, zero and negative ones (two) on the
+    /// rest, ε = 0, and a pair of coincident words across the first and
+    /// last board.
     #[test]
     fn self_calls_agree_with_the_skeleton_on_both_op_columns() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5e1f);
@@ -2346,6 +2923,7 @@ mod tests {
         for n in (1..=4 * (2 * EXACT_DEPTH + 1)).chain([97, 515]) {
             for boards in 1..=3 {
                 let (_, mut x, m) = random_particles(&mut rng, 0, n, 1 << 30);
+                let m = if n % 2 == 0 { vec![1.5; n] } else { m };
                 let coincident = n % 3 == 1 && n > 1;
                 if coincident {
                     x[n - 1] = x[0];
@@ -2353,21 +2931,26 @@ mod tests {
                 let per = n.div_ceil(boards);
                 let shares: Vec<ProcessorBoard> =
                     x.chunks(per).zip(m.chunks(per)).map(|(x, m)| jmem(x, m)).collect();
-                for (eps, fs) in [(0.01, 0.25), (0.0, 1.0), (0.05, 3.0)] {
-                    let what = format!("n = {n}, {boards} boards, eps {eps}");
+                for (mode, (eps, fs)) in MODES
+                    .into_iter()
+                    .flat_map(|mode| [(0.01, 0.25), (0.0, 1.0), (0.05, 3.0)].map(|p| (mode, p)))
+                {
+                    let what = format!("{mode:?} n = {n}, {boards} boards, eps {eps}");
                     let want: Vec<Vec<Force>> = (shares.iter())
-                        .map(|b| run_path(ArithMode::Exact, SCALAR, q, eps, &x, b, fs, fmt))
+                        .map(|b| run_path(mode, SCALAR, q, eps, &x, b, fs, fmt))
                         .collect();
                     for (path, wide) in all_paths() {
-                        let mut p = G5Pipeline::new(&Grape5Config::paper_exact(), q, eps);
+                        let cfg = Grape5Config { mode, ..Grape5Config::paper() };
+                        let mut p = G5Pipeline::new(&cfg, q, eps);
                         p.set_lane_path(path);
                         set_wide(&mut p, wide);
                         let mut s = SelfScratch::default();
                         let boards = shares.iter().map(ProcessorBoard::j_slices);
-                        let ran = p.interact_self(&x, boards, fs, fmt, &mut s);
-                        assert!(ran || (coincident && eps == 0.0), "{what} wide {wide}: declined");
+                        let ran = p.interact_self(&x, boards, 0, fs, fmt, &mut s);
+                        let may_decline = coincident && eps == 0.0 && mode == ArithMode::Exact;
+                        assert!(ran || may_decline, "{what} wide {wide}: declined");
                         for (k, want) in want.iter().enumerate().filter(|_| ran) {
-                            let got = s.acc[k * n..][..n].iter().map(|&w| force_of(w, fs, fmt));
+                            let got = (0..n).map(|i| force_of(s.words(k, i), fs, fmt));
                             let what = format!("{what} wide {wide}, board {k}");
                             assert_bits_equal(want, &got.collect::<Vec<_>>(), &what);
                         }
@@ -2762,6 +3345,15 @@ mod tests {
                 let y8 = [0, 1].map(|h| <__m256i as LnsLane>::load(y[8 * h..].as_ptr()));
                 let any = halves[0].any_lt(y8[0]) || halves[1].any_lt(y8[1]);
                 assert_eq!(x.any_lt(LnsLane::load(y.as_ptr())), any, "any_lt, {ops:?}");
+                // eq_all: against itself, and with each lane in turn changed
+                assert!(x.eq_all(x) && halves.iter().all(|&h| h.eq_all(h)), "eq_all, {ops:?}");
+                for lane in 0..16 {
+                    let mut z: [i32; 16] = whole[0].try_into().expect("sixteen words");
+                    z[lane] ^= 1 << (lane % 31);
+                    let z8 = [0, 1].map(|h| <__m256i as LnsLane>::load(z[8 * h..].as_ptr()));
+                    let all = halves[0].eq_all(z8[0]) && halves[1].eq_all(z8[1]);
+                    assert!(!all && !x.eq_all(LnsLane::load(z.as_ptr())), "eq_all, lane {lane}");
+                }
             }
         }
     }

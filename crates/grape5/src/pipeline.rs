@@ -21,7 +21,7 @@
 
 use crate::config::{ArithMode, Grape5Config};
 use crate::cutoff::CutoffTable;
-use crate::lanes::{self, LanePath, LnsLanes, Wide};
+use crate::lanes::{self, LanePath, LnsLanes, Wide, Words};
 use g5util::fixed::FixedFormat;
 use g5util::lns::{Lns, LnsConfig};
 use g5util::lns_table::{conv_tables, LnsConvTables};
@@ -88,7 +88,21 @@ pub struct JSlices<'a> {
     pub(crate) in_window: bool,
 }
 
-impl JSlices<'_> {
+impl<'a> JSlices<'a> {
+    /// The j-particles `r` of the slices (the mass log words too, where
+    /// the memory holds them).
+    pub(crate) fn sub(&self, r: std::ops::Range<usize>) -> JSlices<'a> {
+        JSlices {
+            x: &self.x[r.clone()],
+            y: &self.y[r.clone()],
+            z: &self.z[r.clone()],
+            m: &self.m[r.clone()],
+            m_lns: if self.m_lns.is_empty() { self.m_lns } else { &self.m_lns[r.clone()] },
+            m_word: if self.m_word.is_empty() { self.m_word } else { &self.m_word[r] },
+            in_window: self.in_window,
+        }
+    }
+
     /// Number of j-particles in the slices.
     #[inline]
     pub fn len(&self) -> usize {
@@ -374,6 +388,20 @@ impl G5Pipeline {
         fmt: FixedFormat,
         out: &mut [Force],
     ) {
+        self.interact_into(xi, j, force_scale, fmt, &mut Words::Forces(out));
+    }
+
+    /// [`interact_block`](Self::interact_block) on the raw accumulator
+    /// words `out` opens and closes: from zero to the forces, or carried
+    /// in and out as raw words (the rest of a self block's list).
+    pub(crate) fn interact_into(
+        &self,
+        xi: &[[i64; 3]],
+        j: &JSlices<'_>,
+        force_scale: f64,
+        fmt: FixedFormat,
+        out: &mut Words<'_>,
+    ) {
         assert_eq!(xi.len(), out.len(), "output length mismatch");
         assert!(force_scale > 0.0, "non-positive force scale");
         let nj = j.x.len();
@@ -429,49 +457,128 @@ impl G5Pipeline {
         }
     }
 
-    /// A self call — `xi` is the `boards`' coordinate words concatenated
-    /// in board order, all inside the magic window, no share longer than
-    /// `fmt` sums from zero (`len · 2⁵⁰ ≤ raw_max`) — in one pass over its
-    /// unordered pairs ([`lanes::block_exact_self`]), each board's partial
-    /// words left in `scratch.acc`. `false`, nothing to read, for any
-    /// other call, where this pipeline would not run the AVX2 exact
-    /// kernel, and where that kernel declines. Out of line: the O(n)
-    /// recognition stays out of every other call's code.
+    /// A self block: `xi` is the resident words `at .. at + xi.len()` of
+    /// the live `boards` (in board order; the run may straddle them),
+    /// all inside the magic window. The run's unordered pairs go through
+    /// one symmetric pass ([`lanes::block_exact_self`],
+    /// [`lanes::block_lns_self`]), the rest of each board's list through
+    /// [`interact_into`](Self::interact_into) — the words before the run
+    /// first, those after it continuing the run's — and board `k`'s
+    /// words are left at `s.acc[k · n ..]`. `false`, nothing to read, for
+    /// any other call; where this pipeline would not run the x86
+    /// kernels; for a run shorter than [`SELF_RUN_MIN`] that is not the
+    /// whole set; and where the pass declines or a board's words before
+    /// the run leave its terms too little headroom to be summed in any
+    /// order. Out of line: the O(n) recognition stays out of every other
+    /// call's code.
     #[inline(never)]
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn interact_self<'a>(
         &self,
         xi: &[[i64; 3]],
-        boards: impl Iterator<Item = JSlices<'a>>,
+        boards: impl Iterator<Item = JSlices<'a>> + Clone,
+        at: usize,
         force_scale: f64,
         fmt: FixedFormat,
         s: &mut lanes::SelfScratch,
     ) -> bool {
-        if (self.mode, self.lane_path) != (ArithMode::Exact, LanePath::Avx2)
+        let lns = match (self.mode, &self.lns_lanes) {
+            (ArithMode::Exact, _) => None,
+            (ArithMode::Lns, Some(c)) => Some(c),
+            (ArithMode::Lns, None) => return false,
+        };
+        let (n, room) = (xi.len(), fmt.raw_max() >> 50);
+        let total: usize = boards.clone().map(|j| j.len()).sum();
+        if self.lane_path != LanePath::Avx2
             || self.cutoff.is_some()
+            || n == 0
+            || at + n > total
+            || (n < SELF_RUN_MIN && n != total)
         {
             return false;
         }
-        s.img.iter_mut().for_each(Vec::clear);
-        s.m.clear();
-        s.ends.clear();
-        for j in boards {
-            let (at, end) = (s.m.len(), s.m.len() + j.len());
-            let cols = j.x.iter().zip(j.y).zip(j.z);
-            let same = (xi.get(at..end))
-                .is_some_and(|x| x.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c]));
-            if !(same && j.in_window) || j.len() as i64 > fmt.raw_max() >> 50 {
+        s.clear();
+        let mut start = 0;
+        for j in boards.clone() {
+            // the board's part of the run, board-local (empty: none)
+            let r = at.clamp(start, start + j.len()) - start
+                ..(at + n).clamp(start, start + j.len()) - start;
+            let same = r.is_empty() || {
+                let cols = j.x[r.clone()].iter().zip(&j.y[r.clone()]).zip(&j.z[r.clone()]);
+                let run = &xi[start + r.start - at..][..r.len()];
+                j.in_window && run.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c])
+            };
+            if !same || r.len() as i64 > room {
                 return false;
             }
-            for (img, col) in s.img.iter_mut().zip([j.x, j.y, j.z]) {
-                img.extend(col.iter().map(|&w| w as f64)); // exact: |w| < 2⁵⁰
-            }
-            s.m.extend_from_slice(j.m);
-            s.ends.push(end);
+            s.push(&j, r, lns.is_some());
+            start += j.len();
         }
-        let consts = (self.quantum, self.eps2);
-        s.m.len() == xi.len() && lanes::block_exact_self(self.wide, consts, xi, force_scale, fmt, s)
+        s.seal(lns.is_some());
+        let ran = self.lists_before_runs(xi, boards.clone(), at, (force_scale, fmt), s)
+            && match lns {
+                Some(c) => lanes::block_lns_self(self.wide, c, force_scale, fmt, s),
+                None => {
+                    let consts = (self.quantum, self.eps2);
+                    lanes::block_exact_self(self.wide, consts, force_scale, fmt, s)
+                }
+            };
+        if !ran {
+            lanes::count_self(3, 1);
+            return false;
+        }
+        // the rest of each board's list continues the run's words
+        let mut start = 0;
+        for (k, j) in boards.enumerate() {
+            let end = start + j.len();
+            let (b1, b2) = (at.clamp(start, end) - start, (at + n).clamp(start, end) - start);
+            start = end;
+            let rest = if b1 == b2 { 0..j.len() } else { b2..j.len() };
+            if !rest.is_empty() {
+                let words = &mut Words::Rows(s.board_rows(k));
+                self.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
+            }
+        }
+        lanes::count_self(0, 1);
+        true
+    }
+
+    /// Each board's list before the run, from zero into its rows of `s`
+    /// (see [`interact_self`](Self::interact_self)); `false` where those
+    /// words leave less than `run · 2⁵⁰` to the format's ends — the room
+    /// every order of the board's `run` terms of the run needs.
+    fn lists_before_runs<'a>(
+        &self,
+        xi: &[[i64; 3]],
+        boards: impl Iterator<Item = JSlices<'a>>,
+        at: usize,
+        (force_scale, fmt): (f64, FixedFormat),
+        s: &mut lanes::SelfScratch,
+    ) -> bool {
+        let (n, mut start) = (xi.len(), 0);
+        for (k, j) in boards.enumerate() {
+            let end = start + j.len();
+            let (b1, b2) = (at.clamp(start, end) - start, (at + n).clamp(start, end) - start);
+            start = end;
+            if b1 == 0 || b1 == b2 {
+                continue; // nothing before the run, or no part of it
+            }
+            let words = s.board_rows(k);
+            self.interact_into(xi, &j.sub(0..b1), force_scale, fmt, &mut Words::Rows(words));
+            let lim = (fmt.raw_max() - (((b2 - b1) as i64) << 50)).unsigned_abs();
+            if !words.iter().all(|w| w.unsigned_abs() <= lim) {
+                return false;
+            }
+        }
+        true
     }
 }
+
+/// Shortest run [`G5Pipeline::interact_self`] takes that is not the
+/// whole loaded set: below it the extra kernel calls and tails of the
+/// split list cost more than the pairs it saves (`n_g = 32` groups hold
+/// 9.6 members on average).
+pub(crate) const SELF_RUN_MIN: usize = 128;
 
 #[cfg(test)]
 mod tests {

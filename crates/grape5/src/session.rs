@@ -230,7 +230,7 @@ impl<'a> DeviceSession<'a> {
             .resident
             .take()
             .expect("try_force_on requires a resident j-set (call load_j first)");
-        let out = self.recovering_call(&jpos, &jmass, xi, true);
+        let out = self.recovering_call(&jpos, &jmass, xi, true, None);
         self.resident = Some((jpos, jmass));
         out
     }
@@ -244,7 +244,22 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
     ) -> Result<Vec<Force>, DeviceError> {
-        self.recovering_call(jpos, jmass, xi, false)
+        self.recovering_call(jpos, jmass, xi, false, None)
+    }
+
+    /// [`try_force_for`](Self::try_force_for) where `xi` is
+    /// `jpos[run_at..][..xi.len()]` — a tree group's members, which its
+    /// own list holds — so that a set that fits the board memory is
+    /// evaluated through [`Grape5::try_force_on_run`]. Same forces,
+    /// accounting and recovery.
+    pub fn try_force_for_run(
+        &mut self,
+        jpos: &[Vec3],
+        jmass: &[f64],
+        xi: &[Vec3],
+        run_at: usize,
+    ) -> Result<Vec<Force>, DeviceError> {
+        self.recovering_call(jpos, jmass, xi, false, Some(run_at))
     }
 
     // ------------------------------------------------------------------
@@ -288,10 +303,18 @@ impl<'a> DeviceSession<'a> {
         Ok(())
     }
 
-    /// One device call, refused when a board's accumulator clamped: the
-    /// answer is then the fixed-point range's, not the j-set's.
-    fn unclamped_force_on(&mut self, xi: &[Vec3]) -> Result<Vec<Force>, DeviceError> {
-        let forces = self.g5.try_force_on(xi)?;
+    /// One device call (on the run from `run_at`, if given), refused
+    /// when a board's accumulator clamped: the answer is then the
+    /// fixed-point range's, not the j-set's.
+    fn unclamped_force_on(
+        &mut self,
+        xi: &[Vec3],
+        run_at: Option<usize>,
+    ) -> Result<Vec<Force>, DeviceError> {
+        let forces = match run_at {
+            Some(at) => self.g5.try_force_on_run(xi, at)?,
+            None => self.g5.try_force_on(xi)?,
+        };
         match self.g5.clamped_partial() {
             Some((index, value, bound)) => Err(DeviceError::InvalidForce { index, value, bound }),
             None => Ok(forces),
@@ -300,13 +323,14 @@ impl<'a> DeviceSession<'a> {
 
     /// One attempt: (re)load the j-set if asked, run the call(s),
     /// validate the result. With `load` false the resident set must be
-    /// the one [`load_j`](Self::load_j) put there.
+    /// the one [`load_j`](Self::load_j) put there. `run_at` reaches the
+    /// device only with a set that fits its memory.
     fn attempt(
         &mut self,
         jpos: &[Vec3],
         jmass: &[f64],
         xi: &[Vec3],
-        load: bool,
+        (load, run_at): (bool, Option<usize>),
     ) -> Result<Vec<Force>, DeviceError> {
         let cap = self.g5.jmem_capacity();
         if cap == 0 {
@@ -316,7 +340,7 @@ impl<'a> DeviceSession<'a> {
             if load {
                 self.g5.set_j_particles(jpos, jmass);
             }
-            (self.unclamped_force_on(xi)?, self.g5.j_abs_mass())
+            (self.unclamped_force_on(xi, run_at)?, self.g5.j_abs_mass())
         } else {
             // chunk the j-set through memory, merging partials on the
             // host; validation sees the merged result (corruption
@@ -327,7 +351,7 @@ impl<'a> DeviceSession<'a> {
             while start < jpos.len() {
                 let end = (start + cap).min(jpos.len());
                 self.g5.set_j_particles(&jpos[start..end], &jmass[start..end]);
-                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi)?) {
+                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi, None)?) {
                     *t = t.merged(p);
                 }
                 start = end;
@@ -348,6 +372,7 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
         resident: bool,
+        run_at: Option<usize>,
     ) -> Result<Vec<Force>, DeviceError> {
         let mut attempts = 0u32;
         loop {
@@ -355,7 +380,7 @@ impl<'a> DeviceSession<'a> {
             if load && attempts > 0 {
                 self.stats.j_reloads += 1;
             }
-            let err = match self.attempt(jpos, jmass, xi, load) {
+            let err = match self.attempt(jpos, jmass, xi, (load, run_at)) {
                 Ok(f) => return Ok(f),
                 Err(e) => e,
             };

@@ -92,12 +92,6 @@ fn run_boards<F>(
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Self calls the symmetric kernel evaluated on this thread.
-    static SELF_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// What the device's built-in self-test reports: persistent faults
 /// currently manifesting on hardware still in active service. The host
 /// recovery layer runs this after repeated failures to decide what to
@@ -490,6 +484,32 @@ impl Grape5 {
     /// a panic, and injected corruption reaches the returned forces for
     /// the host validation layer to catch.
     pub fn try_force_on(&mut self, xi: &[Vec3]) -> Result<Vec<Force>, DeviceError> {
+        self.force_call(xi, None)
+    }
+
+    /// [`try_force_on`](Self::try_force_on) for an i-set that is part of
+    /// its own interaction list: `xi` are the loaded j-set's particles
+    /// from `run_at` on — a tree group's members inside the group's list,
+    /// a direct-summation chunk inside the whole set. The pipelines
+    /// cannot use Newton's third law; the host that simulates them
+    /// evaluates each pair of the run once (DESIGN.md, "self blocks").
+    /// Forces, accounting and faults are those of `try_force_on`; a hint
+    /// that does not hold costs one look at `xi` and changes nothing.
+    pub fn try_force_on_run(
+        &mut self,
+        xi: &[Vec3],
+        run_at: usize,
+    ) -> Result<Vec<Force>, DeviceError> {
+        self.force_call(xi, Some(run_at))
+    }
+
+    /// The force call, where `xi` may be the j-set's particles from
+    /// `run_at` on — always so, from 0, when it is as long as the set.
+    fn force_call(
+        &mut self,
+        xi: &[Vec3],
+        run_at: Option<usize>,
+    ) -> Result<Vec<Force>, DeviceError> {
         // the fault process decides this call's fate first; the call
         // counter advances even on a timeout (the host burned a DMA)
         let call_fault = match &mut self.fault {
@@ -522,9 +542,9 @@ impl Grape5 {
         // fixed board order no matter where or when a board ran —
         // forces are deterministic under any thread schedule. Short
         // calls stay on this thread (see SPAWN_REPAY_INTERACTIONS). A
-        // self call on this thread — the i-set is the resident j-set,
-        // board by board — writes every board's partial from one pass
-        // over its unordered pairs instead, unless the kernel declines.
+        // self block on this thread — the i-set is a run of the resident
+        // j-set — writes every board's partial with one pass over the
+        // run's unordered pairs instead, unless it declines.
         let interactions = xi.len() as u64 * self.nj_total as u64;
         {
             let (pipeline, raw, force_scale) =
@@ -536,22 +556,18 @@ impl Grape5 {
             let live = |(b, ok): &(&ProcessorBoard, &bool)| **ok && b.nj() > 0;
             let boards = self.boards.iter().zip(&self.board_ok);
             let scratch = &mut self.self_scratch;
+            let run_at = run_at.or((xi.len() == self.nj_total).then_some(0));
+            let live_j = boards.clone().filter(live).map(|(b, _)| b.j_slices());
             if !parallel
-                && xi.len() == self.nj_total
-                && pipeline.interact_self(
-                    raw,
-                    boards.clone().filter(live).map(|(b, _)| b.j_slices()),
-                    force_scale,
-                    fmt,
-                    scratch,
-                )
+                && run_at.is_some_and(|at| {
+                    pipeline.interact_self(raw, live_j, at, force_scale, fmt, scratch)
+                })
             {
-                #[cfg(test)]
-                SELF_CALLS.with(|c| c.set(c.get() + 1));
                 let outs = boards.zip(&mut self.partials).filter(|(b, _)| live(b));
-                for (words, (_, out)) in scratch.acc.chunks(xi.len().max(1)).zip(outs) {
+                for (k, (_, out)) in outs.enumerate() {
                     out.clear();
-                    out.extend(words.iter().map(|&w| lanes::force_of(w, force_scale, fmt)));
+                    let words = (0..xi.len()).map(|i| scratch.words(k, i));
+                    out.extend(words.map(|w| lanes::force_of(w, force_scale, fmt)));
                 }
             } else {
                 run_boards(
@@ -1192,18 +1208,22 @@ mod tests {
         assert!(g5.boards().iter().all(|b| b.j_slices().in_window));
     }
 
-    /// `calls` self calls of `pos` — load, then forces on the same set —
-    /// on a device on `path`: per call, the force bits, whether the
-    /// symmetric kernel ran and whether the load was corrupted.
+    /// Per self call: the force bits, what the self-block counters
+    /// (`lanes::SELF_STATS`) moved by, whether the load was corrupted.
+    type Calls = Vec<(Vec<[u64; 4]>, [u64; 5], bool)>;
+
+    /// `calls` self calls on a device on `path`: load the list `(pos,
+    /// mass)`, then forces on its particles `at .. at + n` with the run
+    /// hint `hint` (the whole list from 0: `try_force_on`, no hint).
     fn self_calls(
         cfg: Grape5Config,
         path: LanePath,
         (eps, scale): (f64, f64),
         (pos, mass): (&[Vec3], &[f64]),
-        fault: Option<FaultConfig>,
-        calls: usize,
-    ) -> Vec<(Vec<[u64; 4]>, bool, bool)> {
-        let runs = || SELF_CALLS.with(std::cell::Cell::get);
+        (at, n, hint): (usize, usize, usize),
+        (fault, calls): (Option<FaultConfig>, usize),
+    ) -> Calls {
+        let stats = || crate::lanes::SELF_STATS.with(std::cell::Cell::get);
         let mut g5 = Grape5::open(cfg);
         g5.set_lane_path(path);
         g5.set_range(-1.0, 1.0);
@@ -1212,27 +1232,68 @@ mod tests {
         if let Some(f) = fault {
             g5.set_fault_injector(f);
         }
+        let bits = |m: &f64| m.to_bits();
         (0..calls)
             .map(|_| {
                 g5.set_j_particles(pos, mass);
-                let corrupted = g5.boards().iter().flat_map(|b| b.j_slices().m).ne(mass);
-                let before = runs();
-                let f = g5.try_force_on(pos).expect("no board can time out");
-                let bits = f.iter().map(|w| [w.acc.x, w.acc.y, w.acc.z, w.pot].map(f64::to_bits));
-                (bits.collect(), runs() > before, corrupted)
+                let loaded = g5.boards().iter().flat_map(|b| b.j_slices().m);
+                let corrupted = loaded.map(bits).ne(mass.iter().map(bits));
+                let before = stats();
+                let f = if (at, n, hint) == (0, pos.len(), 0) {
+                    g5.try_force_on(pos)
+                } else {
+                    g5.try_force_on_run(&pos[at..at + n], hint)
+                };
+                let f = f.expect("no board can time out");
+                let moved = std::array::from_fn(|k| stats()[k] - before[k]);
+                let f = f.iter().map(|w| [w.acc.x, w.acc.y, w.acc.z, w.pot].map(f64::to_bits));
+                (f.collect(), moved, corrupted)
             })
             .collect()
     }
 
-    /// The symmetric self-call kernel (`lanes::block_exact_self`) against
-    /// the scalar definition, bit for bit, through whole force calls: one
-    /// to three boards, n from 1 to 2,000, ε ∈ {0, 10⁻³, 0.05}, force scale
-    /// ∈ {1, ⅛, 3}, a coincident pair (across boards where there are
-    /// several), words on the edge of the magic window and past it, terms
-    /// past the encode window, and an injector arming transient faults,
-    /// j-memory corruption and a stuck pipe. The kernel must have run on
-    /// every call that can take it (`eligible`; `None`: ε = 0 with a
-    /// coincident pair, which it may decline) and on no other.
+    /// The masses of a run of `n`: all equal; a heavier one every
+    /// seventh (mixed inside a lane group); equal with +0 every eleventh
+    /// and −0 every thirteenth; all different; equal but for one NaN.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Masses {
+        Equal,
+        Mixed,
+        SignedZeros,
+        Distinct,
+        Nan,
+    }
+
+    fn masses(kind: Masses, n: usize) -> Vec<f64> {
+        let m = 1.0 / n as f64;
+        (0..n)
+            .map(|k| match kind {
+                Masses::Mixed if k % 7 == 3 => 3.0 * m,
+                Masses::SignedZeros if k % 11 == 5 => 0.0,
+                Masses::SignedZeros if k % 13 == 6 => -0.0,
+                Masses::Distinct => m * (1.0 + (k as f64 * 0.618).fract()),
+                Masses::Nan if k == n / 2 => f64::NAN,
+                _ => m,
+            })
+            .collect()
+    }
+
+    /// The self-block kernels (`lanes::block_exact_self`,
+    /// `lanes::block_lns_self`) against the scalar definition, bit for
+    /// bit, through whole force calls in both arithmetic modes: the whole
+    /// set on one to three boards (n from 1 to 2,000 exact, to 300 LNS), a
+    /// run at the start, inside, at the end of a longer list and across a
+    /// board boundary, ε ∈ {0, 10⁻³, 0.05}, force scale ∈ {1, ⅛, 3}, masses
+    /// equal, mixed inside a lane group, ±0, all different and NaN, a
+    /// coincident pair (across boards where there are several), words on
+    /// the edge of the magic window and past it, terms past the encode
+    /// window, LNS displacements on the converters' breakpoints, words
+    /// before a run that leave it no headroom, and an injector arming
+    /// transient faults, j-memory corruption and a stuck pipe. The kernel
+    /// must have run on every call that can take it (`eligible`; `None`:
+    /// where it may decline) and on no other, and over the whole test
+    /// every path must have run in each mode: a self block, one back, two
+    /// backs, a decline (and in LNS a group through the definition).
     #[test]
     fn self_calls_match_the_scalar_definition_bit_for_bit() {
         use crate::fault::StuckPipe;
@@ -1240,90 +1301,228 @@ mod tests {
         // a registered caller per core: every call runs its boards on this
         // thread however long it is, so none is kept from the kernel
         let _one_core: Vec<cores::Caller> = (0..cores::total()).map(|_| cores::enter()).collect();
-        fn check(
-            what: &str,
+        struct Case<'a> {
+            what: String,
             cfg: Grape5Config,
             params: (f64, f64),
-            set: (&[Vec3], &[f64]),
-            fault: Option<FaultConfig>,
-            calls: usize,
+            set: (&'a [Vec3], &'a [f64]),
+            run: (usize, usize, usize),
+            fault: (Option<FaultConfig>, usize),
             eligible: Option<bool>,
-        ) {
-            let got = self_calls(cfg, LanePath::Avx2, params, set, fault, calls);
-            let want = self_calls(cfg, LanePath::Scalar, params, set, fault, calls);
-            for (k, ((got, ran, corrupted), (want, scalar_ran, _))) in
+        }
+        let mut totals = [[0u64; 5]; 2];
+        let mut check = |c: Case<'_>| {
+            let got = self_calls(c.cfg, LanePath::Avx2, c.params, c.set, c.run, c.fault);
+            let want = self_calls(c.cfg, LanePath::Scalar, c.params, c.set, c.run, c.fault);
+            let what = format!("{:?} {}", c.cfg.mode, c.what);
+            for (k, ((got, moved, corrupted), (want, scalar_moved, _))) in
                 got.iter().zip(&want).enumerate()
             {
                 assert!(got == want, "{what}, call {k}: forces differ from the definition");
-                assert!(!scalar_ran, "{what}, call {k}: the scalar path ran the symmetric kernel");
-                if let Some(eligible) = eligible {
+                assert_eq!(*scalar_moved, [0; 5], "{what}, call {k}: the scalar path ran a block");
+                assert!(moved[0] + moved[3] <= 1, "{what}, call {k}: {moved:?}");
+                if let Some(eligible) = c.eligible {
                     let want = crate::lanes::cpu_lanes()[0] && eligible && !corrupted;
-                    assert_eq!(*ran, want, "{what}, call {k}: symmetric kernel ran");
+                    assert_eq!(moved[0] == 1, want, "{what}, call {k}: self block ran");
                 }
+                let t = &mut totals[usize::from(c.cfg.mode == ArithMode::Lns)];
+                t.iter_mut().zip(moved).for_each(|(t, m)| *t += m);
             }
-        }
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5e1f);
-        let mut sphere = |n: usize, half: f64| {
-            let mut c = || rng.random_range(-half..half);
-            let pos: Vec<Vec3> = (0..n).map(|_| Vec3::new(c(), c(), c())).collect();
-            let mass: Vec<f64> = (0..n).map(|_| (1.0 + c() / half) / n as f64).collect();
-            (pos, mass)
         };
-        let exact = |boards, coord_bits| Grape5Config {
-            mode: ArithMode::Exact,
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5e1f);
+        let mut sphere = |n: usize, half: f64| -> Vec<Vec3> {
+            let mut c = || rng.random_range(-half..half);
+            (0..n).map(|_| Vec3::new(c(), c(), c())).collect()
+        };
+        let device = |mode, boards, coord_bits| Grape5Config {
+            mode,
             boards,
             coord_bits,
             ..Grape5Config::paper()
         };
+        let kinds = [Masses::Distinct, Masses::Equal, Masses::Mixed, Masses::SignedZeros];
         let params = [0.0, 1e-3, 0.05].map(|e| [1.0, 0.125, 3.0].map(|s| (e, s))).concat();
         let mut turn = params.iter().copied().cycle();
-        for n in (1..=9).chain([31, 64, 65, 127, 300, 1031, 2000]) {
-            // 2,000 on one board, a `g5serve` tenant's call, only: its
-            // scalar reference takes seconds in a debug build
-            for boards in 1..=if n < 2000 { 3 } else { 1 } {
-                // every (ε, scale) on the short sets, the next in turn on the long
-                for (eps, scale) in turn.by_ref().take(if n <= 127 { params.len() } else { 1 }) {
-                    let (mut pos, mass) = sphere(n, 0.9);
-                    let coincident = n > 1 && (n + boards) % 2 == 0;
-                    if coincident {
-                        pos[n - 1] = pos[0];
+        for mode in [ArithMode::Exact, ArithMode::Lns] {
+            let lns = mode == ArithMode::Lns;
+            // the whole set: a `DirectGrape` chunk covering N, a `g5serve`
+            // tenant's call (2,000 on one board: the scalar reference
+            // takes seconds in a debug build; LNS stops at 300)
+            let sizes = (1..=9).chain([31, 64, 65, 127, 300]).chain((!lns).then_some(2000));
+            for (t, n) in sizes.enumerate() {
+                for boards in 1..=if n < 2000 { 3 } else { 1 } {
+                    // every (ε, scale) on the short sets, the next in turn on the long
+                    for (eps, scale) in turn.by_ref().take(if n <= 127 { params.len() } else { 1 })
+                    {
+                        let (mut pos, kind) = (sphere(n, 0.9), kinds[(t + boards) % 4]);
+                        let coincident = n > 1 && (n + boards) % 2 == 0;
+                        if coincident {
+                            pos[n - 1] = pos[0];
+                        }
+                        // LNS: a zero distance is three zero words, no NaN
+                        let eligible = (lns || eps > 0.0 || !coincident).then_some(true);
+                        check(Case {
+                            what: format!(
+                                "n {n}, {boards} boards, eps {eps}, scale {scale}, {kind:?}"
+                            ),
+                            cfg: device(mode, boards, 32),
+                            params: (eps, scale),
+                            set: (&pos, &masses(kind, n)),
+                            run: (0, n, 0),
+                            fault: (None, 1),
+                            eligible,
+                        });
                     }
-                    let what = format!("n {n}, {boards} boards, eps {eps}, scale {scale}");
-                    let eligible = (eps > 0.0 || !coincident).then_some(true);
-                    let cfg = exact(boards, 32);
-                    check(&what, cfg, (eps, scale), (&pos, &mass), None, 1, eligible);
+                }
+            }
+            // a run of 150 (ragged against eight and sixteen lanes) inside
+            // a list of 455 — cells and other bodies, heavier and all
+            // different — at its start, across the first board boundary,
+            // in its middle, at its end; and the hint on a run too short
+            // to pay, and on words that are not the i-set
+            let (len, n): (usize, usize) = (455, 150);
+            let others: Vec<f64> = (0..len).map(|k| 0.01 + 1e-4 * k as f64).collect();
+            for boards in 1..=3 {
+                let per = len.div_ceil(boards);
+                let starts = [0, per.min(len - n) - n / 3, (len - n) / 2, len - n];
+                for (s, at) in starts.into_iter().enumerate() {
+                    let kind = [Masses::Equal, Masses::Mixed, Masses::SignedZeros, Masses::Nan]
+                        [(s + boards) % 4];
+                    let (pos, mut mass) = (sphere(len, 0.9), others.clone());
+                    mass[at..at + n].copy_from_slice(&masses(kind, n));
+                    let (eps, scale) = turn.next().expect("a cycle");
+                    let what =
+                        format!("run {at}..{}, {boards} boards, eps {eps}, {kind:?}", at + n);
+                    let cfg = device(mode, boards, 32);
+                    let eligible = match kind {
+                        Masses::Nan => None,
+                        _ => Some(true),
+                    };
+                    let set = (&pos[..], &mass[..]);
+                    let (params, fault) = ((eps.max(1e-3), scale), (None, 1));
+                    check(Case { what, cfg, params, set, run: (at, n, at), fault, eligible });
+                    let short = format!("run {at}..{}, {boards} boards", at + 100);
+                    let run = (at, 100, at);
+                    check(Case {
+                        what: short,
+                        cfg,
+                        params,
+                        set,
+                        run,
+                        fault,
+                        eligible: Some(false),
+                    });
+                    let hint = if at > 0 { at - 1 } else { 1 };
+                    let what = format!("run {at}..{} hinted at {hint}, {boards} boards", at + n);
+                    let (run, eligible) = ((at, n, hint), Some(false));
+                    check(Case { what, cfg, params, set, run, fault, eligible });
+                }
+                // a huge mass before the run: its words leave the run no
+                // headroom, so the block declines; after it, the rest of
+                // the list takes it through the ordered path
+                let (pos, mut mass) = (sphere(len, 0.9), others.clone());
+                mass[..n + 10].copy_from_slice(&masses(Masses::Equal, n + 10));
+                let at = 10;
+                for (huge, eligible) in [(5, false), (len - 3, true)] {
+                    mass[huge] = 1e30;
+                    let what = format!("mass 1e30 at {huge}, {boards} boards");
+                    let set = (&pos[..], &mass[..]);
+                    let cfg = device(mode, boards, 32);
+                    let fault = (None, 1);
+                    let params = (0.01, 1.0);
+                    check(Case {
+                        what,
+                        cfg,
+                        params,
+                        set,
+                        run: (at, n, at),
+                        fault,
+                        eligible: Some(eligible),
+                    });
+                    mass[huge] = others[huge];
+                }
+            }
+            for boards in 1..=3 {
+                // 50-bit words, many clamped to the window's ends (±2⁴⁹, some
+                // coincident): inside; 51-bit ones reach −2⁵⁰: outside
+                let pos = sphere(65, 3.0);
+                let mass = masses(Masses::Distinct, 65);
+                for (bits, eligible) in [(50, true), (51, false)] {
+                    check(Case {
+                        what: format!("{bits}-bit words, {boards} boards"),
+                        cfg: device(mode, boards, bits),
+                        params: (0.05, 1.0),
+                        set: (&pos, &mass),
+                        run: (0, 65, 0),
+                        fault: (None, 1),
+                        eligible: Some(eligible),
+                    });
+                }
+                // terms past the encode window decline the call
+                let (pos, mut mass) = (sphere(65, 0.9), masses(Masses::Equal, 65));
+                mass[17] = 1e30;
+                check(Case {
+                    what: format!("huge terms, {boards} boards"),
+                    cfg: device(mode, boards, 32),
+                    params: (0.01, 1.0),
+                    set: (&pos, &mass),
+                    run: (0, 65, 0),
+                    fault: (None, 1),
+                    eligible: Some(false),
+                });
+                // faults land on the partials and the readback after the
+                // kernel; a corrupted load declines the call
+                let stuck = StuckPipe { after_call: 4, board: boards - 1, pipe: 5 };
+                let fault = FaultConfig {
+                    transient_rate: 0.3,
+                    jmem_corrupt_rate: 0.3,
+                    stuck_pipe: Some(stuck),
+                    ..FaultConfig::none(boards as u64)
+                };
+                for (len, run) in [(64, (0, 64, 0)), (300, (0, 300, 0)), (300, (40, 150, 40))] {
+                    let (pos, mass) = (sphere(len, 0.9), masses(Masses::Mixed, len));
+                    check(Case {
+                        what: format!("faults, {len} bodies, run {run:?}, {boards} boards"),
+                        cfg: device(mode, boards, 32),
+                        params: (0.01, 0.125),
+                        set: (&pos, &mass),
+                        run,
+                        fault: (Some(fault), if len > 64 { 6 } else { 12 }),
+                        // a corrupted word outside a run leaves the block to run
+                        eligible: (run.1 == len).then_some(true),
+                    });
                 }
             }
         }
-        for boards in 1..=3 {
-            // 50-bit words, many clamped to the window's ends (±2⁴⁹, some
-            // coincident): inside; 51-bit ones reach −2⁵⁰: outside
-            let (pos, mass) = sphere(65, 3.0);
-            for (bits, eligible) in [(50, true), (51, false)] {
-                let what = format!("{bits}-bit words, {boards} boards");
-                let set = (&pos[..], &mass[..]);
-                check(&what, exact(boards, bits), (0.05, 1.0), set, None, 1, Some(eligible));
+        // LNS displacements on the encoder's breakpoints: with the window
+        // [−1, 1) at 32 bits the quantum is 2⁻³¹, so a word's displacement
+        // from the body at the origin carries the word's own mantissa,
+        // here within 2⁻³⁰ of the breakpoint of fraction k
+        let f = Grape5Config::paper().lns.frac_bits;
+        let pos: Vec<Vec3> = std::iter::once(Vec3::ZERO)
+            .chain((1..=1u32 << f).map(|k| {
+                let bp = ((f64::from(k) - 0.5) / f64::from(1u32 << f)).exp2();
+                let word = ((bp.to_bits() & ((1 << 52) - 1)) | 1 << 52) >> 22;
+                Vec3::new(word as f64 / f64::from(1u32 << 31), 0.0, 0.0)
+            }))
+            .collect();
+        let n = pos.len();
+        for boards in 1..=2 {
+            check(Case {
+                what: format!("breakpoint displacements, {boards} boards"),
+                cfg: device(ArithMode::Lns, boards, 32),
+                params: (0.01, 1.0),
+                set: (&pos, &masses(Masses::Equal, n)),
+                run: (0, n, 0),
+                fault: (None, 1),
+                eligible: Some(true),
+            });
+        }
+        if crate::lanes::cpu_lanes()[0] {
+            for (mode, t) in ["exact", "LNS"].iter().zip(totals) {
+                assert!(t[..4].iter().all(|&t| t > 0), "{mode}: a path never ran: {t:?}");
             }
-            // terms past the encode window decline the call
-            let (pos, mut mass) = sphere(65, 0.9);
-            mass[17] = 1e30;
-            let set = (&pos[..], &mass[..]);
-            check("huge terms", exact(boards, 32), (0.01, 1.0), set, None, 1, Some(false));
-            // faults land on the partials and the readback after the
-            // kernel; a corrupted load declines the call
-            let stuck = StuckPipe { after_call: 4, board: boards - 1, pipe: 5 };
-            let fault = FaultConfig {
-                transient_rate: 0.3,
-                jmem_corrupt_rate: 0.3,
-                stuck_pipe: Some(stuck),
-                ..FaultConfig::none(boards as u64)
-            };
-            for n in [64, 300] {
-                let (pos, mass) = sphere(n, 0.9);
-                let (what, set) =
-                    (format!("faults, n {n}, {boards} boards"), (&pos[..], &mass[..]));
-                check(&what, exact(boards, 32), (0.01, 0.125), set, Some(fault), 12, Some(true));
-            }
+            assert!(totals[1][4] > 0, "LNS: no group went through the definition");
         }
     }
 

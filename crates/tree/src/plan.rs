@@ -98,6 +98,9 @@ pub struct GroupWork {
     pub jpos: Vec<Vec3>,
     /// Resolved interaction-list masses, parallel to `jpos`.
     pub jmass: Vec<f64>,
+    /// Where the members' own run starts in `jpos`: `xi` is
+    /// `jpos[members_at..][..xi.len()]`.
+    pub members_at: usize,
     /// This group's contribution to the step tally.
     pub tally: InteractionTally,
 }
@@ -112,6 +115,7 @@ impl GroupWork {
             xi: Vec::new(),
             jpos: Vec::new(),
             jmass: Vec::new(),
+            members_at: 0,
             tally: InteractionTally::default(),
         }
     }
@@ -241,7 +245,7 @@ fn resolve_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWor
     work.group = g;
     work.jpos.clear();
     work.jmass.clear();
-    tr.resolved_list_into(tree, g, &mut work.jpos, &mut work.jmass);
+    work.members_at = tr.resolved_list_into(tree, g, &mut work.jpos, &mut work.jmass);
     let node = &tree.nodes()[g.node as usize];
     work.targets.clear();
     work.targets.extend(node.range().map(|k| tree.original_index(k)));

@@ -261,16 +261,18 @@ impl Traversal {
     /// resolved to the `(position, mass)` pairs GRAPE consumes — what
     /// [`modified_list`](Self::modified_list) followed by
     /// [`ListTerm::resolve`] per term would give, in the same order,
-    /// without the term list in between.
+    /// without the term list in between. Returns where in `jpos` the
+    /// group's own members went (in tree order, one run).
     pub(crate) fn resolved_list_into(
         &self,
         tree: &Tree,
         group: Group,
         jpos: &mut Vec<Vec3>,
         jmass: &mut Vec<f64>,
-    ) {
+    ) -> usize {
         let sphere = self.group_sphere(tree, group);
-        emit_resolved(tree, &self.mac, &sphere, Some(group), jpos, jmass);
+        emit_resolved(tree, &self.mac, &sphere, Some(group), jpos, jmass)
+            .expect("a group's list holds its members")
     }
 
     /// The pre-overhaul recursive walk over the `Node` array, kept as
@@ -412,7 +414,9 @@ pub(crate) fn emit_terms(
 /// [`emit_terms`] resolved on the spot to the `(position, mass)` pairs
 /// GRAPE consumes, appended to `jpos`/`jmass`: an accepted cell is one
 /// read of its packed `moment` entry, a run of bodies two slice copies
-/// out of the tree's sorted arrays.
+/// out of the tree's sorted arrays. Returns where in `jpos` the
+/// `group`'s own members went: the one run of bodies that starts at the
+/// group's first body (any other opened leaf is disjoint from the group).
 pub(crate) fn emit_resolved(
     tree: &Tree,
     mac: &Mac,
@@ -420,8 +424,10 @@ pub(crate) fn emit_resolved(
     group: Option<Group>,
     jpos: &mut Vec<Vec3>,
     jmass: &mut Vec<f64>,
-) {
+) -> Option<usize> {
     let moment = &tree.columns().moment;
+    let first = group.map(|g| tree.columns().span[g.node as usize][0] as usize);
+    let mut members_at = None;
     emit_terms(tree, mac, sphere, group, |span| match span {
         Span::Cell(i) => {
             let [x, y, z, m] = moment[i as usize];
@@ -429,10 +435,14 @@ pub(crate) fn emit_resolved(
             jmass.push(m);
         }
         Span::Bodies(r) => {
+            if Some(r.start) == first {
+                members_at = Some(jpos.len());
+            }
             jpos.extend_from_slice(&tree.pos()[r.clone()]);
             jmass.extend_from_slice(&tree.mass()[r]);
         }
     });
+    members_at
 }
 
 /// The explicit-stack DFS behind [`emit_terms`]. `accept` sees only the

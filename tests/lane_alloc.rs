@@ -13,7 +13,10 @@
 //!   allocates that one vector and nothing else: the j-load quantizes
 //!   into retained columns, the session's host-side copy reuses its
 //!   buffers, and a call below the spawn-repay threshold dispatches its
-//!   boards on the calling thread on any CPU count.
+//!   boards on the calling thread on any CPU count;
+//! * a warmed self block — the whole set, or a run of it through
+//!   `DeviceSession::try_force_for_run` — allocates that one vector too,
+//!   in both arithmetic modes.
 
 use grape5_nbody::grape5::board::ProcessorBoard;
 use grape5_nbody::grape5::pipeline::JWord;
@@ -128,17 +131,30 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         }
     }
 
-    // a self call — one board, forces on the very set it holds, the call
-    // a `g5serve` tenant makes — takes the symmetric kernel, whose working
-    // set the device keeps: warm, it too allocates its result only
-    let mut g5 = Grape5::open(Grape5Config { boards: 1, ..Grape5Config::paper_exact() });
-    let (pos, mass) = (&snap.pos[..600], &snap.mass[..600]);
-    let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
-    let warm = session.try_force_for(pos, mass, pos).unwrap();
-    let n = allocs_during(|| drop(session.try_force_for(pos, mass, pos).unwrap()));
-    assert_eq!(n, 1, "self call through try_force_for");
-    let n = allocs_during(|| assert_eq!(session.force_on(pos), warm));
-    assert_eq!(n, 1, "self call through force_on");
+    // self blocks take the symmetric kernels, whose working set the
+    // device keeps: warm, they too allocate their result only, in either
+    // mode — a self call (one board, forces on the very set it holds, the
+    // call a `g5serve` tenant makes) and a run of 128 inside a list of
+    // 1,000 on two boards (a tree group's members inside its list; below
+    // the spawn-repay threshold, so on this thread on any machine)
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let mut g5 = Grape5::open(Grape5Config { boards: 1, mode, ..Grape5Config::paper() });
+        let (pos, mass) = (&snap.pos[..600], &snap.mass[..600]);
+        let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
+        let warm = session.try_force_for(pos, mass, pos).unwrap();
+        let n = allocs_during(|| drop(session.try_force_for(pos, mass, pos).unwrap()));
+        assert_eq!(n, 1, "{mode:?} self call through try_force_for");
+        let n = allocs_during(|| assert_eq!(session.force_on(pos), warm));
+        assert_eq!(n, 1, "{mode:?} self call through force_on");
+        let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
+        let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
+        let (jpos, jmass, xi) = (&snap.pos[..1000], &snap.mass[..1000], &snap.pos[300..428]);
+        let warm = session.try_force_for_run(jpos, jmass, xi, 300).unwrap();
+        assert_eq!(session.try_force_for(jpos, jmass, xi).unwrap(), warm);
+        let _ = session.try_force_for_run(jpos, jmass, xi, 300).unwrap();
+        let n = allocs_during(|| drop(session.try_force_for_run(jpos, jmass, xi, 300).unwrap()));
+        assert_eq!(n, 1, "{mode:?} a run through try_force_for_run");
+    }
 
     // `LanePath::Avx2` above ran the op column and the LNS lanes this
     // CPU has, a fact of the process: one that resolved it from the CPU
