@@ -7,8 +7,12 @@
 //! mode:
 //!
 //! ```text
-//!   interact_self (a self call, exact) ► avx2::block_exact_self(_vl), or declines to
-//!   interact_block (no cutoff), per board
+//!   interact_self (a self block: the i-set a run of the j-set, either mode)
+//!        ├── the run's pairs ───────► avx2::block_exact_self(_vl) / block_lns(16)_self,
+//!        │                            one front per pair, one back where the masses match
+//!        ├── the rest of each list ─► interact_into, into the same words
+//!        └── (declines) ───────────► interact_block, per board:
+//!   interact_block / interact_into (no cutoff), per board
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
 //!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns; where the CPU
 //!        │                          has AVX-512 and FMA, block_exact_vl / block_lns16
@@ -69,14 +73,21 @@
 //!   works on one group while the vector ports round another (in one
 //!   body they took turns: DESIGN.md). Backs run in ascending j.
 //!
-//! **Self calls.** When the i-set *is* the j-set (the boards' words in
-//! board order), `(a, b)` and `(b, a)` share their front bit for bit —
-//! `−d` is exact and IEEE rounding sign-symmetric — so `block_exact_self`
-//! runs one front per pair `a < b` and two backs, `d · (m_b r⁻³)` for
-//! `i = a` and `d · (−m_a r⁻³) = (−d) · (m_a r⁻³)` for `i = b`; a board's
-//! partial is then its rounded terms summed in another order, which is
-//! the ordered chain while every term is inside the encode window and
-//! `len · 2⁵⁰` fits the format (DESIGN.md, device kernel, "self calls").
+//! **Self blocks.** When the i-set is a contiguous run of the j-set (a
+//! tree group's members inside its own list, or the whole set), `(a, b)`
+//! and `(b, a)` share their front bit for bit — `−d` is exact, IEEE
+//! rounding is sign-symmetric and the LNS encoder reads the magnitude —
+//! so `block_exact_self` and `block_lns_self` run one front per pair
+//! `a < b` of the run. The back of `i = b` is `d · (−m_a r⁻³)`, in LNS
+//! the back on `m_a` with every displacement sign flipped; where the
+//! lane group's masses all equal `m_a` it is not run at all: rounding
+//! half away from zero is odd, so its force words are the `i = a` words
+//! negated and its potential words the same. A board's partial is then
+//! its rounded terms summed in another order, which is the ordered chain
+//! while every run term is inside the encode window and the words the
+//! run continues leave `len · 2⁵⁰` to the format's ends (DESIGN.md,
+//! device kernel, "self blocks"). A board's last group is padded with
+//! massless lanes, both ways; the columns past the run with far ones.
 //!
 //! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
 //! the input converter every stage is a small-integer operation on log
@@ -2946,7 +2957,7 @@ mod tests {
                         set_wide(&mut p, wide);
                         let mut s = SelfScratch::default();
                         let boards = shares.iter().map(ProcessorBoard::j_slices);
-                        let ran = p.interact_self(&x, boards, 0, fs, fmt, &mut s);
+                        let ran = p.interact_self(&x, boards, 0, (fs, fmt), &mut s);
                         let may_decline = coincident && eps == 0.0 && mode == ArithMode::Exact;
                         assert!(ran || may_decline, "{what} wide {wide}: declined");
                         for (k, want) in want.iter().enumerate().filter(|_| ran) {

@@ -459,27 +459,25 @@ impl G5Pipeline {
 
     /// A self block: `xi` is the resident words `at .. at + xi.len()` of
     /// the live `boards` (in board order; the run may straddle them),
-    /// all inside the magic window. The run's unordered pairs go through
-    /// one symmetric pass ([`lanes::block_exact_self`],
-    /// [`lanes::block_lns_self`]), the rest of each board's list through
-    /// [`interact_into`](Self::interact_into) — the words before the run
-    /// first, those after it continuing the run's — and board `k`'s
-    /// words are left at `s.acc[k · n ..]`. `false`, nothing to read, for
-    /// any other call; where this pipeline would not run the x86
-    /// kernels; for a run shorter than [`SELF_RUN_MIN`] that is not the
-    /// whole set; and where the pass declines or a board's words before
-    /// the run leave its terms too little headroom to be summed in any
-    /// order. Out of line: the O(n) recognition stays out of every other
-    /// call's code.
+    /// all inside the magic window. Each board's list before the run
+    /// goes through [`interact_into`](Self::interact_into), the run's
+    /// unordered pairs through one symmetric pass
+    /// ([`lanes::block_exact_self`], [`lanes::block_lns_self`]), the list
+    /// after the run continues the words that leaves; board `k`'s words
+    /// are left in its rows of `s`. `false`, nothing to read, for any
+    /// other call; where this pipeline would not run the x86 kernels;
+    /// for a run shorter than [`SELF_RUN_MIN`] that is not the whole set;
+    /// and where the pass declines or a board's words before the run
+    /// leave its terms too little headroom to be summed in any order.
+    /// Out of line: the O(n) recognition stays out of every other call's
+    /// code.
     #[inline(never)]
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn interact_self<'a>(
         &self,
         xi: &[[i64; 3]],
         boards: impl Iterator<Item = JSlices<'a>> + Clone,
         at: usize,
-        force_scale: f64,
-        fmt: FixedFormat,
+        (force_scale, fmt): (f64, FixedFormat),
         s: &mut lanes::SelfScratch,
     ) -> bool {
         let lns = match (self.mode, &self.lns_lanes) {
@@ -498,42 +496,51 @@ impl G5Pipeline {
             return false;
         }
         s.clear();
-        let mut start = 0;
-        for j in boards.clone() {
-            // the board's part of the run, board-local (empty: none)
-            let r = at.clamp(start, start + j.len()) - start
-                ..(at + n).clamp(start, start + j.len()) - start;
-            let same = r.is_empty() || {
-                let cols = j.x[r.clone()].iter().zip(&j.y[r.clone()]).zip(&j.z[r.clone()]);
-                let run = &xi[start + r.start - at..][..r.len()];
-                j.in_window && run.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c])
-            };
-            if !same || r.len() as i64 > room {
+        let mut run = xi;
+        for (j, r) in run_parts(boards.clone(), (at, n)) {
+            let cols = j.x[r.clone()].iter().zip(&j.y[r.clone()]).zip(&j.z[r.clone()]);
+            let (part, rest) = run.split_at(r.len());
+            let same = part.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c]);
+            if !(same && (r.is_empty() || j.in_window)) || r.len() as i64 > room {
                 return false;
             }
             s.push(&j, r, lns.is_some());
-            start += j.len();
+            run = rest;
         }
         s.seal(lns.is_some());
-        let ran = self.lists_before_runs(xi, boards.clone(), at, (force_scale, fmt), s)
-            && match lns {
-                Some(c) => lanes::block_lns_self(self.wide, c, force_scale, fmt, s),
-                None => {
-                    let consts = (self.quantum, self.eps2);
-                    lanes::block_exact_self(self.wide, consts, force_scale, fmt, s)
+        // each board's list before the run, from zero: its words must
+        // leave the run's terms `len · 2⁵⁰` to the format's ends
+        for (k, (j, r)) in run_parts(boards.clone(), (at, n)).enumerate() {
+            if r.start > 0 && !r.is_empty() {
+                let words = s.board_rows(k);
+                self.interact_into(
+                    xi,
+                    &j.sub(0..r.start),
+                    force_scale,
+                    fmt,
+                    &mut Words::Rows(words),
+                );
+                let lim = (fmt.raw_max() - ((r.len() as i64) << 50)) as u64;
+                if !words.iter().all(|w| w.unsigned_abs() <= lim) {
+                    lanes::count_self(3, 1);
+                    return false;
                 }
-            };
+            }
+        }
+        let ran = match lns {
+            Some(c) => lanes::block_lns_self(self.wide, c, force_scale, fmt, s),
+            None => {
+                let consts = (self.quantum, self.eps2);
+                lanes::block_exact_self(self.wide, consts, force_scale, fmt, s)
+            }
+        };
         if !ran {
             lanes::count_self(3, 1);
             return false;
         }
         // the rest of each board's list continues the run's words
-        let mut start = 0;
-        for (k, j) in boards.enumerate() {
-            let end = start + j.len();
-            let (b1, b2) = (at.clamp(start, end) - start, (at + n).clamp(start, end) - start);
-            start = end;
-            let rest = if b1 == b2 { 0..j.len() } else { b2..j.len() };
+        for (k, (j, r)) in run_parts(boards, (at, n)).enumerate() {
+            let rest = if r.is_empty() { 0..j.len() } else { r.end..j.len() };
             if !rest.is_empty() {
                 let words = &mut Words::Rows(s.board_rows(k));
                 self.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
@@ -542,36 +549,19 @@ impl G5Pipeline {
         lanes::count_self(0, 1);
         true
     }
+}
 
-    /// Each board's list before the run, from zero into its rows of `s`
-    /// (see [`interact_self`](Self::interact_self)); `false` where those
-    /// words leave less than `run · 2⁵⁰` to the format's ends — the room
-    /// every order of the board's `run` terms of the run needs.
-    fn lists_before_runs<'a>(
-        &self,
-        xi: &[[i64; 3]],
-        boards: impl Iterator<Item = JSlices<'a>>,
-        at: usize,
-        (force_scale, fmt): (f64, FixedFormat),
-        s: &mut lanes::SelfScratch,
-    ) -> bool {
-        let (n, mut start) = (xi.len(), 0);
-        for (k, j) in boards.enumerate() {
-            let end = start + j.len();
-            let (b1, b2) = (at.clamp(start, end) - start, (at + n).clamp(start, end) - start);
-            start = end;
-            if b1 == 0 || b1 == b2 {
-                continue; // nothing before the run, or no part of it
-            }
-            let words = s.board_rows(k);
-            self.interact_into(xi, &j.sub(0..b1), force_scale, fmt, &mut Words::Rows(words));
-            let lim = (fmt.raw_max() - (((b2 - b1) as i64) << 50)).unsigned_abs();
-            if !words.iter().all(|w| w.unsigned_abs() <= lim) {
-                return false;
-            }
-        }
-        true
-    }
+/// Each board with its part of the run `at .. at + n` of the j-set the
+/// `boards` hold in turn, board-local (empty where it has none).
+fn run_parts<'a>(
+    boards: impl Iterator<Item = JSlices<'a>>,
+    (at, n): (usize, usize),
+) -> impl Iterator<Item = (JSlices<'a>, std::ops::Range<usize>)> {
+    boards.scan(0, move |start, j| {
+        let (s, e) = (*start, *start + j.len());
+        *start = e;
+        Some((j, at.clamp(s, e) - s..(at + n).clamp(s, e) - s))
+    })
 }
 
 /// Shortest run [`G5Pipeline::interact_self`] takes that is not the

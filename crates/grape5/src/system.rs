@@ -560,7 +560,7 @@ impl Grape5 {
             let live_j = boards.clone().filter(live).map(|(b, _)| b.j_slices());
             if !parallel
                 && run_at.is_some_and(|at| {
-                    pipeline.interact_self(raw, live_j, at, force_scale, fmt, scratch)
+                    pipeline.interact_self(raw, live_j, at, (force_scale, fmt), scratch)
                 })
             {
                 let outs = boards.zip(&mut self.partials).filter(|(b, _)| live(b));
