@@ -331,7 +331,7 @@ pub(crate) enum Words<'a> {
     /// From zero, read back as the forces.
     Forces(&'a mut [Force]),
     /// Carried in and left in place, as four component rows of `n`
-    /// words each: a self block's board words ([`SelfScratch::rows`]).
+    /// words each: a board's words in a self block's `SelfScratch`.
     Rows(&'a mut [i64]),
 }
 
@@ -346,14 +346,10 @@ impl Words<'_> {
     /// The running words of the `len` i-particles from `t` on.
     #[inline(always)]
     fn open(&self, t: usize, len: usize) -> [[i64; 4]; I_TILE] {
-        let mut acc = [[0; 4]; I_TILE];
-        if let Words::Rows(w) = self {
-            let n = w.len() / 4;
-            for (i, a) in acc[..len].iter_mut().enumerate() {
-                *a = [w[t + i], w[n + t + i], w[2 * n + t + i], w[3 * n + t + i]];
-            }
+        match self {
+            Words::Forces(_) => [[0; 4]; I_TILE],
+            Words::Rows(w) => rows_open(w, t, len),
         }
-        acc
     }
 
     /// Leave the running words of the `len` i-particles from `t` on.
@@ -367,14 +363,30 @@ impl Words<'_> {
     ) {
         match self {
             Words::Forces(f) => store_tile(&mut f[t..t + len], acc, fs, fmt),
-            Words::Rows(w) => {
-                let n = w.len() / 4;
-                for (i, a) in acc[..len].iter().enumerate() {
-                    for (c, &a) in a.iter().enumerate() {
-                        w[c * n + t + i] = a;
-                    }
-                }
-            }
+            Words::Rows(w) => rows_close(w, (t, len), acc),
+        }
+    }
+}
+
+/// [`Words::open`] on rows. Out of line, like [`rows_close`]: once per
+/// i-tile of a self block's list, and the kernels keep their size.
+#[inline(never)]
+fn rows_open(w: &[i64], t: usize, len: usize) -> [[i64; 4]; I_TILE] {
+    let n = w.len() / 4;
+    let mut acc = [[0; 4]; I_TILE];
+    for (i, a) in acc[..len].iter_mut().enumerate() {
+        *a = [w[t + i], w[n + t + i], w[2 * n + t + i], w[3 * n + t + i]];
+    }
+    acc
+}
+
+/// [`Words::close`] on rows.
+#[inline(never)]
+fn rows_close(w: &mut [i64], (t, len): (usize, usize), acc: &[[i64; 4]; I_TILE]) {
+    let n = w.len() / 4;
+    for (i, a) in acc[..len].iter().enumerate() {
+        for (c, &a) in a.iter().enumerate() {
+            w[c * n + t + i] = a;
         }
     }
 }
@@ -558,7 +570,7 @@ thread_local! {
         const { std::cell::Cell::new([0; 5]) };
 }
 
-/// Count on [`SELF_STATS`] (tests only).
+/// Count on `SELF_STATS` (tests only; a no-op elsewhere).
 #[inline]
 pub(crate) fn count_self(_what: usize, _by: u64) {
     #[cfg(test)]
@@ -637,6 +649,22 @@ impl SelfScratch {
         self.rows.resize(4 * self.ends.len() * n + SELF_PAD, 0);
     }
 
+    /// Sized as [`seal`](Self::seal) leaves it for `lns` mode: what the
+    /// kernels' unchecked reads and writes rely on.
+    fn sealed(&self, lns: bool) -> bool {
+        let n = *self.ends.last().unwrap_or(&0);
+        let cols = match lns {
+            true => {
+                self.words.iter().all(|c| c.len() == n + SELF_PAD)
+                    && self.m_word.len() == n + SELF_PAD
+            }
+            false => {
+                self.img.iter().all(|c| c.len() == n + SELF_PAD) && self.m.len() == n + SELF_PAD
+            }
+        };
+        cols && self.rows.len() == 4 * self.ends.len() * n + SELF_PAD
+    }
+
     /// Board `k`'s four component rows.
     pub(crate) fn board_rows(&mut self, k: usize) -> &mut [i64] {
         let n = *self.ends.last().unwrap_or(&0);
@@ -672,9 +700,10 @@ pub(crate) fn block_exact_self(
     fmt: FixedFormat,
     s: &mut SelfScratch,
 ) -> bool {
+    assert!(s.sealed(false), "a self block not sealed for exact mode");
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected, `s` was sealed (padded and sized),
+        // SAFETY: AVX2 was detected, `s` is sealed (padded and sized),
         // and a `Wide` is only set where FMA and AVX-512 were detected.
         let ran = unsafe {
             if wide.0 {
@@ -699,6 +728,7 @@ pub(crate) fn block_lns_self(
     fmt: FixedFormat,
     s: &mut SelfScratch,
 ) -> bool {
+    assert!(s.sealed(true), "a self block not sealed for LNS mode");
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: as for `block_exact_self`.
@@ -1483,7 +1513,7 @@ mod avx2 {
         debug_assert!(m.len() == n + SELF_PAD && img.iter().all(|c| c.len() == n + SELF_PAD));
         debug_assert!(rows.len() == 4 * ends.len() * n + SELF_PAD);
         let rows = rows.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
-        let (iota, bias) = (_mm256_setr_epi64x(0, 1, 2, 3), _mm256_set1_epi64x(O::BIAS));
+        let iota = _mm256_setr_epi64x(0, 1, 2, 3);
         let mut ca = 0;
         for a in 0..n {
             while ends[ca] <= a {
@@ -1515,42 +1545,74 @@ mod avx2 {
                     // SAFETY: k < end ≤ n, and m holds n + SELF_PAD
                     let mb = _mm256_and_pd(_mm256_loadu_pd(m.as_ptr().add(k)), keep);
                     let to_a = ctx.encode(ctx.unscale(terms::<O>(&f, mb, mb)));
-                    if !O::in_window(to_a) {
-                        return false;
-                    }
-                    let mut r = [_mm256_setzero_si256(); 4];
-                    for c in 0..4 {
-                        r[c] = O::round_term(to_a[c]);
-                    }
-                    cols.add_rounded(r);
-                    if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(mb, ma)) == 0b1111 {
-                        // one back: d · (−m_a r⁻³) = −(d · (m_b r⁻³)), and
-                        // unscaling and round-half-away are odd
-                        for r in &mut r[..3] {
-                            *r = _mm256_sub_epi64(bias, *r);
-                        }
-                        r[3] = _mm256_sub_epi64(r[3], bias);
-                        backs[0] += 1;
+                    // one back where d · (−m_a r⁻³) = −(d · (m_b r⁻³))
+                    let one = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(mb, ma)) == 0b1111;
+                    let to_b = if one {
+                        None
                     } else {
                         let (mf, mp) = (_mm256_and_pd(neg_ma, keep), _mm256_and_pd(ma, keep));
-                        let to_b = ctx.encode(ctx.unscale(terms::<O>(&f, mf, mp)));
-                        if !O::in_window(to_b) {
-                            return false;
-                        }
-                        for c in 0..4 {
-                            r[c] = _mm256_sub_epi64(O::round_term(to_b[c]), bias);
-                        }
-                        backs[1] += 1;
-                    }
-                    for (c, t) in r.into_iter().enumerate() {
-                        // SAFETY: k + LANES ≤ n + LANES: inside row (ca, c)
-                        // or, for the last row, its padding
-                        let p = rows.add((4 * ca + c) * n + k).cast::<__m256i>();
-                        _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), t));
+                        Some(ctx.encode(ctx.unscale(terms::<O>(&f, mf, mp))))
+                    };
+                    backs[usize::from(!one)] += 1;
+                    // SAFETY: k + LANES ≤ n + LANES: inside row (ca, c) or,
+                    // for the last row, its padding
+                    if !self_backs(&mut cols, (to_a, to_b), rows.add(4 * ca * n + k), n) {
+                        return false;
                     }
                 }
                 flush_to(&mut cols, rows.add(4 * cb * n + a), n);
             }
+        }
+        true
+    }
+
+    /// A self block's backs of four j-particles of the run, from their
+    /// scaled terms: the a-side's `sa` into `cols`, the b-side's added to
+    /// the words at `p` (component `c` of j-particle `l` at `p + c·n + l`)
+    /// — where `sb` is `None` (equal masses) the a-side words with the
+    /// force words negated and the potential words the same, since
+    /// round-half-away is odd, else `sb`'s own. `false` when a term left
+    /// the encode window (with the group half added).
+    ///
+    /// # Safety
+    /// As for [`Columns`]; `p + 3n + LANES` is inside the rows.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)]
+    unsafe fn self_backs<O: AccOps>(
+        cols: &mut Columns<O>,
+        (sa, sb): ([__m256d; 4], Option<[__m256d; 4]>),
+        p: *mut i64,
+        n: usize,
+    ) -> bool {
+        let window_b = match sb {
+            Some(sb) => O::in_window(sb),
+            None => true,
+        };
+        if !(O::in_window(sa) && window_b) {
+            return false;
+        }
+        let bias = _mm256_set1_epi64x(O::BIAS);
+        let mut r = [_mm256_setzero_si256(); 4];
+        for c in 0..4 {
+            r[c] = O::round_term(sa[c]);
+        }
+        cols.add_rounded(r);
+        match sb {
+            None => {
+                for c in 0..3 {
+                    r[c] = _mm256_sub_epi64(bias, r[c]);
+                }
+                r[3] = _mm256_sub_epi64(r[3], bias);
+            }
+            Some(sb) => {
+                for c in 0..4 {
+                    r[c] = _mm256_sub_epi64(O::round_term(sb[c]), bias);
+                }
+            }
+        }
+        for c in 0..4 {
+            let d = p.add(c * n).cast::<__m256i>();
+            _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), r[c]));
         }
         true
     }
@@ -2092,41 +2154,20 @@ mod avx2 {
                     tb[g] = self.decode(wb[g]);
                 }
             }
-            let bias = _mm256_set1_epi64x(O::BIAS);
             for g in 0..G {
                 backs[usize::from(!one[g])] += 1;
                 for q in 0..L::W / LANES {
                     let sa = self.acc.encode(self.acc.unscale(ta[g][q]));
-                    if !O::in_window(sa) {
-                        return Pass::Out;
-                    }
-                    let mut r = [_mm256_setzero_si256(); 4];
-                    for c in 0..4 {
-                        r[c] = O::round_term(sa[c]);
-                    }
-                    cols.add_rounded(r);
-                    if one[g] {
-                        // the b-side words: force negated (round-half-away
-                        // is odd), potential the same
-                        for c in 0..3 {
-                            r[c] = _mm256_sub_epi64(bias, r[c]);
-                        }
-                        r[3] = _mm256_sub_epi64(r[3], bias);
+                    let sb = if one[g] {
+                        None
                     } else {
-                        let sb = self.acc.encode(self.acc.unscale(tb[g][q]));
-                        if !O::in_window(sb) {
-                            return Pass::Out;
-                        }
-                        for c in 0..4 {
-                            r[c] = _mm256_sub_epi64(O::round_term(sb[c]), bias);
-                        }
-                    }
-                    let b = k + L::W * g + LANES * q;
-                    for c in 0..4 {
-                        // SAFETY: b + LANES ≤ n + SELF_PAD: inside row
-                        // (ca, c) or, for the last row, its padding
-                        let d = p.rows.add(p.to_b + c * p.n + b).cast::<__m256i>();
-                        _mm256_storeu_si256(d, _mm256_add_epi64(_mm256_loadu_si256(d), r[c]));
+                        Some(self.acc.encode(self.acc.unscale(tb[g][q])))
+                    };
+                    // SAFETY: b + LANES ≤ n + SELF_PAD: inside row (ca, c)
+                    // or, for the last row, its padding
+                    let b = p.rows.add(p.to_b + k + L::W * g + LANES * q);
+                    if !self_backs(cols, (sa, sb), b, p.n) {
+                        return Pass::Out;
                     }
                 }
             }
