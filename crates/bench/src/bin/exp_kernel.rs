@@ -35,15 +35,15 @@
 //! by — runs the symmetric kernel of its mode (one front per unordered
 //! pair of the run, one back where the two masses are equal). Its rows
 //! time, in both modes, with equal masses and with a heavier body every
-//! seventh, at n ∈ {544, 1120, 1759}: a **whole** self call (one board,
-//! forces on the very set it holds, the call every `g5serve` tenant
-//! makes) against the same pairs through the plain kernel (the i-set
-//! reversed), and a members' **run** inside an n_g-2000-shaped list
-//! (2.1 n entries, the run from 0.6 n; a tree group's members are about
-//! half of such a list's interactions) with the run hint against the
-//! same call without it — on this process's accumulate column and LNS
-//! lanes and, where those are AVX-512VL and sixteen, on the AVX2 column
-//! and eight lanes in the pinned children.
+//! seventh, at n ∈ {64, 128, 256, 544, 1120, 1759}: a **whole** self
+//! call (one board, forces on the very set it holds, the call every
+//! `g5serve` tenant makes) against the same pairs through the plain
+//! kernel (the i-set reversed), and a members' **run** inside an
+//! n_g-2000-shaped list (2.1 n entries, the run from 0.6 n; a tree
+//! group's members are about half of such a list's interactions) with
+//! the run hint against the same call without it — on this process's
+//! accumulate column and LNS lanes and, where those are AVX-512VL and
+//! sixteen, on the AVX2 column and eight lanes in the pinned children.
 //!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
@@ -362,8 +362,10 @@ fn kernel_time(mode: ArithMode, n: usize, quick: bool) -> Option<KernelTime> {
     Some(KernelTime { n, mode, lanes, ops, ns, floor_ns })
 }
 
-/// Run lengths of the self-block rows.
-const SELF_CALL_NS: [usize; 3] = [544, 1_120, 1_759];
+/// Run lengths of the self-block rows: the short ones bracket the
+/// shortest run a self block takes (`SELF_RUN_MIN` in `grape5`'s
+/// pipeline; below it a run cell reads the plain kernel twice).
+const SELF_CALL_NS: [usize; 6] = [64, 128, 256, 544, 1_120, 1_759];
 
 /// One self-block cell: ns/interaction of a call through the symmetric
 /// kernel and of the same pairs through the plain one, fastest of
@@ -436,19 +438,22 @@ fn self_calls(quick: bool) -> Option<Vec<SelfCall>> {
             }
             let xi = &members.pos;
             let reversed: Vec<_> = xi.iter().rev().copied().collect();
-            let per = |t: Instant| t.elapsed().as_secs_f64() * 1e9 / (n * len) as f64;
+            // calls per timing: at least 2²⁰ interactions each
+            let reps = (1usize << 20).div_ceil(n * len);
+            let per = |t: Instant| t.elapsed().as_secs_f64() * 1e9 / (reps * n * len) as f64;
             let (mut self_ns, mut plain_ns) = (f64::INFINITY, f64::INFINITY);
             for round in 0..=rounds {
                 let t = Instant::now();
-                let fs = g5.try_force_on_run(xi, at).expect("no fault is armed");
+                let fs = (0..reps)
+                    .map(|_| g5.try_force_on_run(xi, at).expect("no fault is armed"))
+                    .last()
+                    .expect("one call at least");
                 let s = per(t);
+                let plain = if shape == "run" { xi } else { &reversed[..] };
                 let t = Instant::now();
-                let (fp, same) = if shape == "run" {
-                    (g5.force_on(xi), true)
-                } else {
-                    (g5.force_on(&reversed), false)
-                };
+                let fp = (0..reps).map(|_| g5.force_on(plain)).last().expect("one call at least");
                 let p = per(t);
+                let same = shape == "run";
                 let agree = if same { fs == fp } else { fs.iter().eq(fp.iter().rev()) };
                 assert!(agree, "{shape} n = {n}, {masses}: the two kernels disagree");
                 if round > 0 {

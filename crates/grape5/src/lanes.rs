@@ -600,9 +600,6 @@ pub(crate) struct SelfScratch {
     pub(crate) ends: Vec<usize>,
     /// The boards' words, `[board][component][i]`, padded.
     rows: Vec<i64>,
-    /// Lane groups the last kernel ran with one back, with two, and
-    /// through the definition.
-    backs: [u64; 3],
 }
 
 impl SelfScratch {
@@ -676,14 +673,6 @@ impl SelfScratch {
         let n = *self.ends.last().unwrap_or(&0);
         [0, 1, 2, 3].map(|c| self.rows[(4 * k + c) * n + i])
     }
-
-    /// Count the last kernel's lane groups (tests only); `ran`.
-    fn counted(&mut self, ran: bool) -> bool {
-        for (k, n) in std::mem::take(&mut self.backs).into_iter().enumerate() {
-            count_self([1, 2, 4][k], n);
-        }
-        ran
-    }
 }
 
 /// The self block `s` holds ([`SelfScratch::push`], then
@@ -705,14 +694,13 @@ pub(crate) fn block_exact_self(
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 was detected, `s` is sealed (padded and sized),
         // and a `Wide` is only set where FMA and AVX-512 were detected.
-        let ran = unsafe {
+        return unsafe {
             if wide.0 {
                 avx2::block_exact_self_vl(quantum, eps2, force_scale, fmt, s)
             } else {
                 avx2::block_exact_self(quantum, eps2, force_scale, fmt, s)
             }
         };
-        return s.counted(ran);
     }
     let _ = (wide, quantum, eps2, force_scale, fmt);
     false
@@ -732,14 +720,13 @@ pub(crate) fn block_lns_self(
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: as for `block_exact_self`.
-        let ran = unsafe {
+        return unsafe {
             if wide.0 {
                 avx2::block_lns16_self(c, force_scale, fmt, s)
             } else {
                 avx2::block_lns_self(c, force_scale, fmt, s)
             }
         };
-        return s.counted(ran);
     }
     let _ = (wide, c, force_scale, fmt);
     false
@@ -926,9 +913,9 @@ pub(crate) fn block_lns_avx2(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, exact_pair, scale_mode, span_pairs, words_in_magic_window, LnsLanes, QuantCtx,
-        ScalarAcc, ScaleMode, SelfScratch, Words, EXACT_DEPTH, HALF_PRED, I_TILE, J_BLOCK, LANES,
-        LNS_LANES, MASSLESS, SELF_PAD, ZERO_WORD,
+        block_tiled, count_self, exact_pair, scale_mode, span_pairs, words_in_magic_window,
+        LnsLanes, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, Words, EXACT_DEPTH, HALF_PRED,
+        I_TILE, J_BLOCK, LANES, LNS_LANES, MASSLESS, SELF_PAD, ZERO_WORD,
     };
     use crate::pipeline::JSlices;
     use core::arch::x86_64::{_mm256_castpd_si256 as to_i, *};
@@ -1507,7 +1494,7 @@ mod avx2 {
         const D: usize = EXACT_DEPTH;
         let ctx = AccCtx::new(fmt, force_scale);
         let consts = [_mm256_set1_pd(quantum), _mm256_set1_pd(eps2), _mm256_set1_pd(1.0)];
-        let SelfScratch { img, m, ends, rows, backs, .. } = s;
+        let SelfScratch { img, m, ends, rows, .. } = s;
         let n = *ends.last().unwrap_or(&0);
         let img = [&img[0][..], &img[1][..], &img[2][..]];
         debug_assert!(m.len() == n + SELF_PAD && img.iter().all(|c| c.len() == n + SELF_PAD));
@@ -1553,7 +1540,7 @@ mod avx2 {
                         let (mf, mp) = (_mm256_and_pd(neg_ma, keep), _mm256_and_pd(ma, keep));
                         Some(ctx.encode(ctx.unscale(terms::<O>(&f, mf, mp))))
                     };
-                    backs[usize::from(!one)] += 1;
+                    count_self(1 + usize::from(!one), 1);
                     // SAFETY: k + LANES ≤ n + LANES: inside row (ca, c) or,
                     // for the last row, its padding
                     if !self_backs(&mut cols, (to_a, to_b), rows.add(4 * ca * n + k), n) {
@@ -2125,7 +2112,6 @@ mod avx2 {
             p: &SelfPass<'_>,
             (k, end): (usize, usize),
             cols: &mut Columns<O>,
-            backs: &mut [u64; 3],
         ) -> Pass {
             let Some(f) = self.fronts::<G>(&p.span, k) else {
                 return Pass::Flagged;
@@ -2155,7 +2141,7 @@ mod avx2 {
                 }
             }
             for g in 0..G {
-                backs[usize::from(!one[g])] += 1;
+                count_self(1 + usize::from(!one[g]), 1);
                 for q in 0..L::W / LANES {
                     let sa = self.acc.encode(self.acc.unscale(ta[g][q]));
                     let sb = if one[g] {
@@ -2185,12 +2171,11 @@ mod avx2 {
             p: &SelfPass<'_>,
             (mut k, end): (usize, usize),
             cols: &mut Columns<O>,
-            backs: &mut [u64; 3],
         ) -> Option<usize> {
             while k < end {
                 let two = k + L::W < end;
                 if two {
-                    match self.self_stages::<O, 2>(p, (k, end), cols, backs) {
+                    match self.self_stages::<O, 2>(p, (k, end), cols) {
                         Pass::Done => {
                             k += 2 * L::W;
                             continue;
@@ -2201,7 +2186,7 @@ mod avx2 {
                 }
                 let stop = (k + if two { 2 * L::W } else { L::W }).min(end);
                 while k < stop {
-                    match self.self_stages::<O, 1>(p, (k, end), cols, backs) {
+                    match self.self_stages::<O, 1>(p, (k, end), cols) {
                         Pass::Done => k += L::W,
                         Pass::Out => return None,
                         Pass::Flagged => return Some(k),
@@ -2224,25 +2209,23 @@ mod avx2 {
             p: &SelfPass<'_>,
             (mut k, end): (usize, usize),
             cols: &mut Columns<O>,
-            backs: &mut [u64; 3],
         ) -> bool {
             while k < end {
-                let Some(flagged) = self.self_groups::<O>(p, (k, end), cols, backs) else {
+                let Some(flagged) = self.self_groups::<O>(p, (k, end), cols) else {
                     return false;
                 };
                 k = flagged;
                 let stop = (k + L::W).min(end);
                 while k < stop {
                     if L::W != LNS_LANES {
-                        let Some(flagged) = eight.self_groups::<O>(p, (k, stop), cols, backs)
-                        else {
+                        let Some(flagged) = eight.self_groups::<O>(p, (k, stop), cols) else {
                             return false;
                         };
                         k = flagged;
                     }
                     if k < stop {
                         let e = (k + LNS_LANES).min(stop);
-                        backs[2] += 1;
+                        count_self(4, 1);
                         if !self.self_pairs(p, (k, e)) {
                             return false;
                         }
@@ -2418,7 +2401,7 @@ mod avx2 {
         fmt: FixedFormat,
         s: &mut SelfScratch,
     ) -> bool {
-        let SelfScratch { words, m_word, ends, rows, backs, .. } = s;
+        let SelfScratch { words, m_word, ends, rows, .. } = s;
         let n = *ends.last().unwrap_or(&0);
         debug_assert!(
             words.iter().all(|c| c.len() == n + SELF_PAD) && m_word.len() == n + SELF_PAD
@@ -2444,7 +2427,7 @@ mod avx2 {
                 let (to_a, to_b) = (4 * cb * n + a, 4 * ca * n);
                 let p = SelfPass { span, mwa: m_word[a], rows, n, to_a, to_b };
                 let mut cols = Columns::<O>::open(&[0; 4], &l.acc); // `fast` unused
-                if !l.self_range::<O>(&eight, &p, (lo, end), &mut cols, backs) {
+                if !l.self_range::<O>(&eight, &p, (lo, end), &mut cols) {
                     return false;
                 }
                 flush_to(&mut cols, rows.add(to_a), n);
@@ -2962,10 +2945,10 @@ mod tests {
     /// The self-block kernels of both modes on each op column (and both
     /// LNS widths) against every board's scalar skeleton on the whole
     /// set: one to three boards of uneven shares, set sizes through two
-    /// rings of groups and a tail at every offset, equal masses (one
-    /// back) on every other size, zero and negative ones (two) on the
-    /// rest, ε = 0, and a pair of coincident words across the first and
-    /// last board.
+    /// rings of groups and a tail at every offset, each size with random
+    /// masses — zero and negative ones among them (two backs) — and with
+    /// equal ones (one back), ε = 0, and a pair of coincident words
+    /// across the first and last board.
     #[test]
     fn self_calls_agree_with_the_skeleton_on_both_op_columns() {
         let mut rng = ChaCha8Rng::seed_from_u64(0x5e1f);
@@ -2974,20 +2957,22 @@ mod tests {
         let (fmt, q) = (FixedFormat::new(64, 32), 2e-9);
         for n in (1..=4 * (2 * EXACT_DEPTH + 1)).chain([97, 515]) {
             for boards in 1..=3 {
-                let (_, mut x, m) = random_particles(&mut rng, 0, n, 1 << 30);
-                let m = if n % 2 == 0 { vec![1.5; n] } else { m };
+                let (_, mut x, random) = random_particles(&mut rng, 0, n, 1 << 30);
                 let coincident = n % 3 == 1 && n > 1;
                 if coincident {
                     x[n - 1] = x[0];
                 }
                 let per = n.div_ceil(boards);
-                let shares: Vec<ProcessorBoard> =
-                    x.chunks(per).zip(m.chunks(per)).map(|(x, m)| jmem(x, m)).collect();
-                for (mode, (eps, fs)) in MODES
-                    .into_iter()
-                    .flat_map(|mode| [(0.01, 0.25), (0.0, 1.0), (0.05, 3.0)].map(|p| (mode, p)))
-                {
-                    let what = format!("{mode:?} n = {n}, {boards} boards, eps {eps}");
+                // random masses (two backs), then all equal (one back)
+                let sets = [("random", random), ("equal", vec![1.5; n])];
+                for (mode, (masses, m), (eps, fs)) in MODES.into_iter().flat_map(|mode| {
+                    let params = [(0.01, 0.25), (0.0, 1.0), (0.05, 3.0)];
+                    sets.iter().flat_map(move |m| params.map(|p| (mode, m, p)))
+                }) {
+                    let shares: Vec<ProcessorBoard> =
+                        x.chunks(per).zip(m.chunks(per)).map(|(x, m)| jmem(x, m)).collect();
+                    let what =
+                        format!("{mode:?} n = {n}, {boards} boards, eps {eps}, {masses} masses");
                     let want: Vec<Vec<Force>> = (shares.iter())
                         .map(|b| run_path(mode, SCALAR, q, eps, &x, b, fs, fmt))
                         .collect();

@@ -567,7 +567,11 @@ fn run_parts<'a>(
 /// Shortest run [`G5Pipeline::interact_self`] takes that is not the
 /// whole loaded set: below it the extra kernel calls and tails of the
 /// split list cost more than the pairs it saves (`n_g = 32` groups hold
-/// 9.6 members on average).
+/// 9.6 members on average). Sized on `exp_kernel`'s run cells with this
+/// bound at 1 (best of five runs, 2 vCPUs with AVX-512VL): the self
+/// block lost at every n ≤ 48 in both modes (0.53–0.91×) and at 64
+/// except with equal LNS masses, was even at 96 (0.95–1.09×) and won
+/// from 128 on with equal masses (1.11× exact, 1.25× LNS).
 pub(crate) const SELF_RUN_MIN: usize = 128;
 
 #[cfg(test)]

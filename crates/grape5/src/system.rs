@@ -1347,8 +1347,8 @@ mod tests {
             let lns = mode == ArithMode::Lns;
             // the whole set: a `DirectGrape` chunk covering N, a `g5serve`
             // tenant's call (2,000 on one board: the scalar reference
-            // takes seconds in a debug build; LNS stops at 300)
-            let sizes = (1..=9).chain([31, 64, 65, 127, 300]).chain((!lns).then_some(2000));
+            // takes seconds in a debug build; LNS stops at 1,031)
+            let sizes = (1..=9).chain([31, 64, 65, 127, 300, 1031]).chain((!lns).then_some(2000));
             for (t, n) in sizes.enumerate() {
                 for boards in 1..=if n < 2000 { 3 } else { 1 } {
                     // every (ε, scale) on the short sets, the next in turn on the long
@@ -1487,7 +1487,7 @@ mod tests {
                         params: (0.01, 0.125),
                         set: (&pos, &mass),
                         run,
-                        fault: (Some(fault), if len > 64 { 6 } else { 12 }),
+                        fault: (Some(fault), 12),
                         // a corrupted word outside a run leaves the block to run
                         eligible: (run.1 == len).then_some(true),
                     });
