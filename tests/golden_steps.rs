@@ -229,7 +229,7 @@ fn table() -> String {
          # N = {N}, seed {SEED}, eps = {EPS}; checked by tests/golden_steps.rs.\n\
          # cdm-* rows: the first {STEPS} steps of the 999-step a-uniform schedule\n\
          # of a standard-CDM sphere (grid {CDM_GRID}^3, seed {SEED}, eps = {EPS_CDM}).\n\
-         # tree-lns-ng2k-mixed: the initial forces, N = {N_MIXED}, every 64th\n\
+         # tree-*-ng2k-mixed: the initial forces, N = {N_MIXED}, every 64th\n\
          # body three times as heavy. serve-*: a Plummer (exact) and a Hernquist\n\
          # (LNS) g5serve job, N = {N_SERVE}, 6 steps, quantum 4: the final snapshot\n\
          # (pos, vel, bytes, time), interactions, preemptions + resumes, steps.\n\
@@ -264,6 +264,8 @@ fn table() -> String {
     // members each, of two mass species
     let ng2000 = TreeGrapeConfig { n_crit: 2000, ..tree(lns, 1) };
     t += &mixed_row("tree-lns-ng2k-mixed", TreeGrape::new(ng2000), &lns);
+    let ng2000_exact = TreeGrapeConfig { n_crit: 2000, ..tree(exact, 1) };
+    t += &mixed_row("tree-exact-ng2k-mixed", TreeGrape::new(ng2000_exact), &exact);
     t += &serve_rows();
     t
 }
