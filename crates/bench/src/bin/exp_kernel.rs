@@ -45,6 +45,16 @@
 //! accumulate column and LNS lanes and, where those are AVX-512VL and
 //! sixteen, on the AVX2 column and eight lanes in the pinned children.
 //!
+//! A **pair block** — the pairs between a run of one group's bodies in
+//! another group's list and the run of the other's in the first's — runs
+//! the same symmetric pass across the two calls of a window. Its rows
+//! time two groups of `2s` members whose lists (cells, the group's own
+//! run, the first `s` members of the other) share an `s × s` rectangle,
+//! `s` ∈ {32, 64, 128, 256, 512}, in both modes with equal and mixed
+//! masses, on this process's column: the two calls through a window
+//! against the same calls with the run hint alone (their self blocks).
+//! The cells size `PAIR_RUN_MIN`, the shortest run a window pairs.
+//!
 //! All paths are proven bit-identical by `tests/golden_kernel.rs`;
 //! this binary quantifies what each refactor bought. Results go to a
 //! table, a `PhaseTimers` phase split for the headline run, and a
@@ -65,7 +75,9 @@ use g5util::counters::{FlopConvention, InteractionRate};
 use g5util::fixed::RangeScaler;
 use grape5::board::ProcessorBoard;
 use grape5::pipeline::JWord;
-use grape5::{bounding_window, ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath};
+use grape5::{
+    bounding_window, ArithMode, Force, G5Pipeline, Grape5, Grape5Config, LanePath, WindowCall,
+};
 use std::time::Instant;
 use treegrape::perf::PhaseTimers;
 
@@ -496,6 +508,151 @@ fn self_call_table(cells: &[SelfCall]) {
     println!("(run, plain: the same call without the run hint; ns per interaction of the list)");
 }
 
+/// Rectangle sides of the pair-block rows.
+const PAIR_SIDES: [usize; 5] = [32, 64, 128, 256, 512];
+
+/// One pair-block cell: ns/interaction of two group calls through a
+/// window and through their self blocks alone, fastest of alternating
+/// rounds.
+struct PairCell {
+    side: usize,
+    mode: ArithMode,
+    masses: &'static str,
+    ops: &'static str,
+    pair_ns: f64,
+    self_ns: f64,
+}
+
+impl PairCell {
+    fn row(&self) -> Row {
+        row! {
+            "side": self.side, "mode": mode_str(self.mode), "masses": self.masses,
+            "acc_ops": self.ops, "unit": "ns_per_interaction", "pair_ns": self.pair_ns,
+            "self_ns": self.self_ns, "pair_speedup": self.self_ns / self.pair_ns,
+        }
+    }
+}
+
+/// The pair-block cells on one board. `None` where the x86 lanes do not
+/// run.
+fn pair_calls(quick: bool) -> Option<Vec<PairCell>> {
+    let rounds = if quick { 3 } else { 7 };
+    let mut cells = Vec::new();
+    for mode in [ArithMode::Exact, ArithMode::Lns] {
+        let cfg = Grape5Config { boards: 1, mode, ..Grape5Config::paper() };
+        for (side, masses) in
+            PAIR_SIDES.into_iter().flat_map(|s| ["equal", "mixed"].map(|m| (s, m)))
+        {
+            // bodies 0..2s (group 0), 2s..4s (group 1); each list: 2s
+            // cells of a wider sphere, the group's run, the other's first s
+            let n = 2 * side;
+            let bodies = plummer(2 * n, SEED);
+            let mut m = vec![1.0 / (2 * n) as f64; 2 * n];
+            if masses == "mixed" {
+                m.iter_mut().skip(3).step_by(7).for_each(|m| *m *= 3.0);
+            }
+            let cells_pos: Vec<_> = plummer(n, SEED + 1).pos.iter().map(|&p| p * 3.0).collect();
+            // per list: positions, masses, runs of bodies
+            type List = (Vec<g5util::vec3::Vec3>, Vec<f64>, [[usize; 3]; 2]);
+            let lists: Vec<List> = [(0, n), (n, 0)]
+                .into_iter()
+                .map(|(own, other)| {
+                    let mut jpos = cells_pos.clone();
+                    let mut jmass: Vec<f64> =
+                        (0..n).map(|k| (1.0 + (k % 9) as f64) / n as f64).collect();
+                    jpos.extend_from_slice(&bodies.pos[own..own + n]);
+                    jmass.extend_from_slice(&m[own..own + n]);
+                    jpos.extend_from_slice(&bodies.pos[other..other + side]);
+                    jmass.extend_from_slice(&m[other..other + side]);
+                    (jpos, jmass, [[n, own, n], [2 * n, other, side]])
+                })
+                .collect();
+            let mut g5 = Grape5::open(cfg);
+            let (lo, hi) =
+                bounding_window(&bodies.pos.iter().chain(&cells_pos).copied().collect::<Vec<_>>())
+                    .expect("finite workload");
+            g5.set_range(lo, hi);
+            g5.set_eps(EPS);
+            if g5.lane_path() != LanePath::Avx2 {
+                return None;
+            }
+            let xi = |k: usize| &bodies.pos[k * n..(k + 1) * n];
+            let interactions = (2 * n * lists[0].0.len()) as f64;
+            // calls per timing: at least 2²⁰ interactions each
+            let reps = (1usize << 20).div_ceil(interactions as usize);
+            let per = |t: Instant| t.elapsed().as_secs_f64() * 1e9 / (reps as f64 * interactions);
+            let (mut pair_ns, mut self_ns) = (f64::INFINITY, f64::INFINITY);
+            for round in 0..=rounds {
+                let t = Instant::now();
+                let mut fw = Vec::new();
+                for _ in 0..reps {
+                    let plan = lists.iter().enumerate().map(|(k, (jpos, _, b))| WindowCall {
+                        list_len: jpos.len(),
+                        first: k * n,
+                        members: n,
+                        members_at: n,
+                        bodies: b,
+                    });
+                    assert!(g5.open_window(plan), "side {side}: no window");
+                    fw = (0..2)
+                        .map(|k| {
+                            g5.set_j_particles(&lists[k].0, &lists[k].1);
+                            g5.try_force_in_window(xi(k), k).expect("no fault is armed")
+                        })
+                        .collect();
+                    g5.close_window();
+                }
+                let w = per(t);
+                let t = Instant::now();
+                let mut fs = Vec::new();
+                for _ in 0..reps {
+                    fs = (0..2)
+                        .map(|k| {
+                            g5.set_j_particles(&lists[k].0, &lists[k].1);
+                            g5.try_force_on_run(xi(k), n).expect("no fault is armed")
+                        })
+                        .collect();
+                }
+                let p = per(t);
+                assert!(fw == fs, "side {side}, {masses}: the window and the calls disagree");
+                if round > 0 {
+                    (pair_ns, self_ns) = (pair_ns.min(w), self_ns.min(p)); // round 0 warms
+                }
+            }
+            let ops = acc_ops(g5.lane_path());
+            cells.push(PairCell { side, mode, masses, ops, pair_ns, self_ns });
+        }
+    }
+    Some(cells)
+}
+
+fn pair_call_table(cells: &[PairCell]) {
+    println!();
+    println!(
+        "E10 — pair blocks: one board, two groups of 2s sharing an s x s rectangle ({} accumulate)",
+        cells[0].ops
+    );
+    rule(78);
+    println!(
+        "{:>6} {:>6} {:>7} {:>18} {:>18} {:>12}",
+        "s", "mode", "masses", "window ns/int", "self-only ns/int", "speedup"
+    );
+    rule(78);
+    for c in cells {
+        println!(
+            "{:>6} {:>6} {:>7} {:>18.3} {:>18.3} {:>11.2}x",
+            c.side,
+            mode_str(c.mode),
+            c.masses,
+            c.pair_ns,
+            c.self_ns,
+            c.self_ns / c.pair_ns
+        );
+    }
+    rule(78);
+    println!("(self-only: the same two calls with the run hint alone; ns per interaction of both)");
+}
+
 /// `--split-only`: both kernel rows and the self-call cells as their
 /// report rows, nothing else.
 fn print_kernels(n: usize, quick: bool) {
@@ -796,6 +953,10 @@ fn main() {
     for cells in own_self.iter().chain(&pinned_self) {
         self_call_table(cells);
     }
+    let pairs = pair_calls(quick);
+    if let Some(cells) = &pairs {
+        pair_call_table(cells);
+    }
 
     // exact-mode lane headline — the PR 8 acceptance gate
     if let Some(exact) = results
@@ -828,6 +989,9 @@ fn main() {
     {
         out = out
             .put(&format!("self_calls{tag}"), cells.iter().map(SelfCall::row).collect::<Vec<_>>());
+    }
+    if let Some(cells) = &pairs {
+        out = out.put("pair_calls", cells.iter().map(PairCell::row).collect::<Vec<_>>());
     }
     out.put("results", rows).write(&out_path);
     println!();

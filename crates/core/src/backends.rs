@@ -243,7 +243,9 @@ impl ForceBackend for DirectGrape {
         for start in (0..n).step_by(I_CHUNK) {
             let end = (start + I_CHUNK).min(n);
             let forces = if resident {
-                session.try_force_on(&pos[start..end])
+                // the chunk is the resident set's run from `start`: its
+                // own pairs are evaluated once (DESIGN.md, "pair blocks")
+                session.try_force_on_run(&pos[start..end], start)
             } else {
                 session.try_force_for(pos, mass, &pos[start..end])
             };

@@ -17,7 +17,7 @@ use g5tree::traverse::{Group, Traversal, TraverseScratch};
 use g5tree::tree::Tree;
 use g5util::counters::InteractionTally;
 use g5util::vec3::Vec3;
-use grape5::{DeviceError, DeviceSession, Grape5, RecoveryStats};
+use grape5::{DeviceError, DeviceSession, Grape5, RecoveryStats, WindowCall, PAIR_GROUP_MIN};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -161,28 +161,57 @@ impl Engine {
         // groups drain unevaluated) and surfaces after the stream
         // winds down.
         let mut device_err: Option<DeviceError> = None;
-        let stats = plan::stream_with_augment(
+        // Groups that may pair come in windows, whose calls evaluate the
+        // pairs two of their lists share once (DESIGN.md, "pair blocks");
+        // remote terms would move the lists' board splits the windows
+        // are planned on, so a cluster shard's groups go one at a time.
+        let pair_min = if remote.is_empty() { PAIR_GROUP_MIN } else { usize::MAX };
+        let stats = plan::stream_windows(
             tree,
             &tr,
             &self.groups,
-            &cfg.plan,
-            &self.pool,
+            (&cfg.plan, &self.pool),
             &augment,
-            |work| {
+            pair_min,
+            |window| {
                 if device_err.is_some() {
                     return;
                 }
-                let t = Instant::now();
-                match session.try_force_for_run(&work.jpos, &work.jmass, &work.xi, work.members_at)
-                {
-                    Ok(forces) => {
-                        for (t_idx, f) in work.targets.iter().zip(forces) {
-                            acc[*t_idx] = f.acc;
-                            pot[*t_idx] = f.pot;
+                // device time: the calls, not the lists a window resolves
+                // on demand (the plan's `produce_s` has those)
+                let mut t = Instant::now();
+                let plan = (0..window.len()).map(|k| {
+                    let w = window.plan(k);
+                    WindowCall {
+                        list_len: w.list_len,
+                        first: w.first,
+                        members: w.xi.len(),
+                        members_at: w.members_at,
+                        bodies: &w.bodies,
+                    }
+                });
+                if window.len() > 1 {
+                    session.open_window(plan);
+                }
+                for k in 0..window.len() {
+                    out.timers.device_s += t.elapsed().as_secs_f64();
+                    let w = window.work(k);
+                    t = Instant::now();
+                    let lists = (&w.jpos[..], &w.jmass[..]);
+                    match session.try_force_in_window(lists, &w.xi, k, w.members_at) {
+                        Ok(forces) => {
+                            for (t_idx, f) in w.targets.iter().zip(forces) {
+                                acc[*t_idx] = f.acc;
+                                pot[*t_idx] = f.pot;
+                            }
+                        }
+                        Err(e) => {
+                            device_err = Some(e);
+                            break;
                         }
                     }
-                    Err(e) => device_err = Some(e),
                 }
+                session.close_window();
                 out.timers.device_s += t.elapsed().as_secs_f64();
             },
         );

@@ -7,9 +7,16 @@
 //! mode:
 //!
 //! ```text
+//!   window::PairWindow::run_call (a call of a pair window, order-free words)
+//!        ├── each block of rows, each board ► interact_into, its columns gathered into one span
+//!        ├── the run's triangle + the ───────► avx2::block_exact_pairs(_vl) / block_lns(16)_pairs,
+//!        │   outgoing rectangles               one front per pair, one back where the masses match;
+//!        │                                     row side into the boards' words, column side into
+//!        │                                     the rows' board or a deposit
+//!        ├── the incoming rectangles ────────► their rows start from the deposits
+//!        └── (declines: the window ends) ────► interact_self, per call:
 //!   interact_self (a self block: the i-set a run of the j-set, either mode)
-//!        ├── the run's pairs ───────► avx2::block_exact_self(_vl) / block_lns(16)_self,
-//!        │                            one front per pair, one back where the masses match
+//!        ├── the run's pairs ───────► the pair pass's diagonal blocks (self_blocks)
 //!        ├── the rest of each list ─► interact_into, into the same words
 //!        └── (declines) ───────────► interact_block, per board:
 //!   interact_block / interact_into (no cutoff), per board
@@ -73,21 +80,25 @@
 //!   works on one group while the vector ports round another (in one
 //!   body they took turns: DESIGN.md). Backs run in ascending j.
 //!
-//! **Self blocks.** When the i-set is a contiguous run of the j-set (a
-//! tree group's members inside its own list, or the whole set), `(a, b)`
+//! **Pair blocks.** When the i-set is a contiguous run of the j-set (a
+//! tree group's members inside its own list, or the whole set), or a
+//! run of one group's bodies in another's list meets a run of the
+//! other's in the first's (a window of calls, `crate::window`), `(a, b)`
 //! and `(b, a)` share their front bit for bit — `−d` is exact, IEEE
 //! rounding is sign-symmetric and the LNS encoder reads the magnitude —
-//! so `block_exact_self` and `block_lns_self` run one front per pair
-//! `a < b` of the run. The back of `i = b` is `d · (−m_a r⁻³)`, in LNS
-//! the back on `m_a` with every displacement sign flipped; where the
-//! lane group's masses all equal `m_a` it is not run at all: rounding
-//! half away from zero is odd, so its force words are the `i = a` words
-//! negated and its potential words the same. A board's partial is then
-//! its rounded terms summed in another order, which is the ordered chain
-//! while every run term is inside the encode window and the words the
-//! run continues leave `len · 2⁵⁰` to the format's ends (DESIGN.md,
-//! device kernel, "self blocks"). A board's last group is padded with
-//! massless lanes, both ways; the columns past the run with far ones.
+//! so `block_exact_pairs` and `block_lns_pairs` run one front per pair
+//! of each [`Block`]: rows against columns of the scratch's points, the
+//! diagonal ones (a self block) only `a < b`. The back of the column side
+//! is `d · (−m_a r⁻³)`, in LNS the back on `m_a` with every displacement
+//! sign flipped; where the lane group's masses all equal `m_a` it is not
+//! run at all: rounding half away from zero is odd, so its force words
+//! are the row side's negated and its potential words the same. A
+//! board's partial is then its rounded terms summed in another order,
+//! which is the ordered chain while every term is inside the encode
+//! window and no prefix can clamp — a headroom check on the words before
+//! a self block's run, a bound over the whole list in a window (DESIGN.md,
+//! device kernel, "pair blocks"). A block's last group is padded with
+//! massless lanes, both ways; the points past the last with far ones.
 //!
 //! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
 //! the input converter every stage is a small-integer operation on log
@@ -330,16 +341,17 @@ impl ScalarAcc {
 pub(crate) enum Words<'a> {
     /// From zero, read back as the forces.
     Forces(&'a mut [Force]),
-    /// Carried in and left in place, as four component rows of `n`
-    /// words each: a board's words in a self block's `SelfScratch`.
-    Rows(&'a mut [i64]),
+    /// Carried in and left in place: `len` i-particles' words, component
+    /// `c` of i-particle `t` at `w[c · n + t]` — a board's words in a
+    /// pair block's [`PairScratch`], from some i-particle on.
+    Rows { w: &'a mut [i64], n: usize, len: usize },
 }
 
 impl Words<'_> {
     pub(crate) fn len(&self) -> usize {
         match self {
             Words::Forces(f) => f.len(),
-            Words::Rows(w) => w.len() / 4,
+            Words::Rows { len, .. } => *len,
         }
     }
 
@@ -348,7 +360,7 @@ impl Words<'_> {
     fn open(&self, t: usize, len: usize) -> [[i64; 4]; I_TILE] {
         match self {
             Words::Forces(_) => [[0; 4]; I_TILE],
-            Words::Rows(w) => rows_open(w, t, len),
+            Words::Rows { w, n, .. } => rows_open(w, *n, t, len),
         }
     }
 
@@ -363,16 +375,15 @@ impl Words<'_> {
     ) {
         match self {
             Words::Forces(f) => store_tile(&mut f[t..t + len], acc, fs, fmt),
-            Words::Rows(w) => rows_close(w, (t, len), acc),
+            Words::Rows { w, n, .. } => rows_close(w, *n, (t, len), acc),
         }
     }
 }
 
 /// [`Words::open`] on rows. Out of line, like [`rows_close`]: once per
-/// i-tile of a self block's list, and the kernels keep their size.
+/// i-tile of a pair block's list, and the kernels keep their size.
 #[inline(never)]
-fn rows_open(w: &[i64], t: usize, len: usize) -> [[i64; 4]; I_TILE] {
-    let n = w.len() / 4;
+fn rows_open(w: &[i64], n: usize, t: usize, len: usize) -> [[i64; 4]; I_TILE] {
     let mut acc = [[0; 4]; I_TILE];
     for (i, a) in acc[..len].iter_mut().enumerate() {
         *a = [w[t + i], w[n + t + i], w[2 * n + t + i], w[3 * n + t + i]];
@@ -382,8 +393,7 @@ fn rows_open(w: &[i64], t: usize, len: usize) -> [[i64; 4]; I_TILE] {
 
 /// [`Words::close`] on rows.
 #[inline(never)]
-fn rows_close(w: &mut [i64], (t, len): (usize, usize), acc: &[[i64; 4]; I_TILE]) {
-    let n = w.len() / 4;
+fn rows_close(w: &mut [i64], n: usize, (t, len): (usize, usize), acc: &[[i64; 4]; I_TILE]) {
     for (i, a) in acc[..len].iter().enumerate() {
         for (c, &a) in a.iter().enumerate() {
             w[c * n + t + i] = a;
@@ -547,9 +557,9 @@ fn coords_in_magic_window(xi: &[[i64; 3]], j: &JSlices<'_>) -> bool {
     j.in_window && xi.iter().all(|x| words_in_magic_window(x))
 }
 
-/// Lanes past the end of a self block's run, far and massless: the
-/// widest LNS group, so every group that starts inside the run reads
-/// inside its columns.
+/// Lanes past the end of a pair block's columns, far and massless: the
+/// widest LNS group, so every group that starts inside the columns reads
+/// inside them.
 const SELF_PAD: usize = 2 * LNS_LANES;
 /// The exact kernel's far coordinate: `2⁵¹` is at least `2⁵⁰` from every
 /// word inside the magic window, and the difference is exact.
@@ -562,59 +572,94 @@ const MASSLESS: i32 = ZERO_WORD << 1;
 
 #[cfg(test)]
 thread_local! {
-    /// On this thread: self blocks evaluated; their lane groups with one
-    /// back (equal masses) and with two; recognised self blocks that
-    /// declined; LNS groups of eight whose pairs went through the
-    /// definition (a lane in the converters' guard band).
-    pub(crate) static SELF_STATS: std::cell::Cell<[u64; 5]> =
-        const { std::cell::Cell::new([0; 5]) };
+    /// On this thread: self blocks evaluated; pair-pass lane groups with
+    /// one back (equal masses) and with two; pair blocks that declined;
+    /// LNS groups of eight whose pairs went through the definition (a lane
+    /// in the converters' guard band); window calls that ran rectangles
+    /// of pair blocks; deposits a window call started rows from; window
+    /// calls that declined.
+    pub(crate) static PAIR_STATS: std::cell::Cell<[u64; 8]> =
+        const { std::cell::Cell::new([0; 8]) };
 }
 
-/// Count on `SELF_STATS` (tests only; a no-op elsewhere).
+/// Count on `PAIR_STATS` (tests only; a no-op elsewhere).
 #[inline]
-pub(crate) fn count_self(_what: usize, _by: u64) {
+pub(crate) fn count_pairs(_what: usize, _by: u64) {
     #[cfg(test)]
-    SELF_STATS.with(|c| {
+    PAIR_STATS.with(|c| {
         let mut s = c.get();
         s[_what] += _by;
         c.set(s);
     });
 }
 
-/// A self block's working set (module docs, "self blocks"), kept by
-/// the caller so that a warm call allocates nothing: the run — the
-/// i-set, which is a contiguous run of the resident j-words — in the
-/// columns its mode's kernel reads, padded with [`SELF_PAD`] far,
-/// massless lanes; where each live board's part of the run ends
-/// (run-local, non-decreasing: a board without a part ends where the
-/// one before it did); board `k`'s raw word `c` on run particle `i` at
-/// `rows[(4k + c) · n + i]`.
+/// One rectangle of a pair pass ([`PairScratch::blocks`]): rows `rows`
+/// of the scratch's points against its columns `cols` (all pairs, or
+/// with `diag` only those with the column past the row: a self block's
+/// triangle). The row side's sums over the columns go to the words at
+/// `to_a` (component 0 of row `rows.0`; component `c` of row `a` at
+/// `to_a.0 + (a − rows.0) + c · to_a.1`), the column side's terms to the
+/// words at `to_b` (component 0 of column `cols.0`, likewise).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block {
+    pub(crate) rows: (usize, usize),
+    pub(crate) cols: (usize, usize),
+    pub(crate) diag: bool,
+    pub(crate) to_a: (usize, usize),
+    pub(crate) to_b: (usize, usize),
+}
+
+/// A pair pass's working set (module docs, "pair blocks"), kept by the
+/// caller so that a warm call allocates nothing: the points — a self
+/// block's run, which is the call's i-set, then the columns of the
+/// call's other rectangles — in the columns its mode's kernel reads,
+/// padded with [`SELF_PAD`] far, massless lanes; the raw words the pass
+/// adds into (`words`, in regions the caller lays out: each board's
+/// rows, then the deposits); the rectangles ([`Block`]); where each live
+/// board's part of the run ends (run-local, non-decreasing: a board
+/// without a part ends where the one before it did).
 #[derive(Debug, Clone, Default)]
-pub(crate) struct SelfScratch {
-    /// Exact mode: the run's coordinate words as doubles, its masses.
+pub(crate) struct PairScratch {
+    /// Exact mode: the points' coordinate words as doubles, their masses.
     img: [Vec<f64>; 3],
     m: Vec<f64>,
-    /// LNS mode: the run's coordinate words and mass words.
+    /// LNS mode: the points' coordinate words and mass words.
     words: [Vec<i64>; 3],
     m_word: Vec<i32>,
     pub(crate) ends: Vec<usize>,
-    /// The boards' words, `[board][component][i]`, padded.
-    rows: Vec<i64>,
+    w: Vec<i64>,
+    pub(crate) blocks: Vec<Block>,
 }
 
-impl SelfScratch {
-    /// Start collecting a run.
+impl PairScratch {
+    /// Start collecting points.
     pub(crate) fn clear(&mut self) {
         self.img.iter_mut().for_each(Vec::clear);
         self.m.clear();
         self.words.iter_mut().for_each(Vec::clear);
         self.m_word.clear();
         self.ends.clear();
+        self.blocks.clear();
     }
 
-    /// Append the words `r` of a board's j-memory `j` (empty: a board
-    /// without a part of the run), in the columns `lns` mode reads.
-    pub(crate) fn push(&mut self, j: &JSlices<'_>, r: std::ops::Range<usize>, lns: bool) {
+    /// Points collected so far.
+    pub(crate) fn points(&self, lns: bool) -> usize {
+        if lns {
+            self.m_word.len()
+        } else {
+            self.m.len()
+        }
+    }
+
+    /// Append the words `r` of a board's j-memory `j` as points, in the
+    /// columns `lns` mode reads; where they went.
+    pub(crate) fn push(
+        &mut self,
+        j: &JSlices<'_>,
+        r: std::ops::Range<usize>,
+        lns: bool,
+    ) -> std::ops::Range<usize> {
+        let at = self.points(lns);
         let cols = [&j.x[r.clone()], &j.y[r.clone()], &j.z[r.clone()]];
         if lns {
             for (w, col) in self.words.iter_mut().zip(cols) {
@@ -627,78 +672,142 @@ impl SelfScratch {
             }
             self.m.extend_from_slice(&j.m[r.clone()]);
         }
-        self.ends.push(self.ends.last().unwrap_or(&0) + r.len());
+        at..at + r.len()
     }
 
-    /// Pad the run's columns and zero the boards' words.
-    pub(crate) fn seal(&mut self, lns: bool) {
-        let n = *self.ends.last().unwrap_or(&0);
+    /// Point `i`'s mass as the window's checks compare it: the `f64`
+    /// bits in exact mode, the mass word in LNS.
+    pub(crate) fn mass_bits(&self, i: usize, lns: bool) -> i64 {
         if lns {
-            assert!(self.words.iter().all(|c| c.len() == n) && self.m_word.len() == n);
+            i64::from(self.m_word[i])
+        } else {
+            self.m[i].to_bits() as i64
+        }
+    }
+
+    /// Pad the points and zero `len` words.
+    pub(crate) fn seal(&mut self, lns: bool, len: usize) {
+        let n = self.points(lns);
+        if lns {
+            assert!(self.words.iter().all(|c| c.len() == n));
             self.words.iter_mut().for_each(|c| c.resize(n + SELF_PAD, FAR_WORD));
             self.m_word.resize(n + SELF_PAD, MASSLESS);
         } else {
-            assert!(self.img.iter().all(|c| c.len() == n) && self.m.len() == n);
+            assert!(self.img.iter().all(|c| c.len() == n));
             self.img.iter_mut().for_each(|c| c.resize(n + SELF_PAD, FAR_IMG));
             self.m.resize(n + SELF_PAD, 0.0);
         }
-        self.rows.clear();
-        self.rows.resize(4 * self.ends.len() * n + SELF_PAD, 0);
+        self.w.clear();
+        self.w.resize(len + SELF_PAD, 0);
     }
 
-    /// Sized as [`seal`](Self::seal) leaves it for `lns` mode: what the
-    /// kernels' unchecked reads and writes rely on.
-    fn sealed(&self, lns: bool) -> bool {
-        let n = *self.ends.last().unwrap_or(&0);
-        let cols = match lns {
-            true => {
-                self.words.iter().all(|c| c.len() == n + SELF_PAD)
-                    && self.m_word.len() == n + SELF_PAD
-            }
-            false => {
-                self.img.iter().all(|c| c.len() == n + SELF_PAD) && self.m.len() == n + SELF_PAD
-            }
+    /// Does every block read and write inside the sealed points and
+    /// words? What the kernels' unchecked reads and writes rely on: a
+    /// column group reads up to [`SELF_PAD`] points and writes up to
+    /// [`SELF_PAD`] words past its block's end.
+    fn fits(&self, lns: bool) -> bool {
+        let pts = self.points(lns);
+        let n = pts.saturating_sub(SELF_PAD);
+        let padded = match lns {
+            true => self.words.iter().all(|c| c.len() == pts),
+            false => self.img.iter().all(|c| c.len() == pts),
         };
-        cols && self.rows.len() == 4 * self.ends.len() * n + SELF_PAD
+        let w = self.w.len();
+        padded
+            && pts >= SELF_PAD
+            && self.blocks.iter().all(|b| {
+                let (rows, cols) =
+                    (b.rows.1.saturating_sub(b.rows.0), b.cols.1.saturating_sub(b.cols.0));
+                b.rows.1 <= n
+                    && b.cols.0 <= b.cols.1
+                    && b.cols.1 <= n
+                    && b.to_a.0 + rows + 3 * b.to_a.1 <= w
+                    && b.to_b.0 + cols + 3 * b.to_b.1 + SELF_PAD <= w
+            })
     }
 
-    /// Board `k`'s four component rows.
-    pub(crate) fn board_rows(&mut self, k: usize) -> &mut [i64] {
-        let n = *self.ends.last().unwrap_or(&0);
-        &mut self.rows[4 * k * n..][..4 * n]
+    /// The words from `at` on.
+    pub(crate) fn words_from(&mut self, at: usize) -> &mut [i64] {
+        &mut self.w[at..]
     }
 
-    /// Board `k`'s words on run particle `i`.
-    pub(crate) fn words(&self, k: usize, i: usize) -> [i64; 4] {
-        let n = *self.ends.last().unwrap_or(&0);
-        [0, 1, 2, 3].map(|c| self.rows[(4 * k + c) * n + i])
+    /// Word `at`.
+    pub(crate) fn word(&self, at: usize) -> i64 {
+        self.w[at]
+    }
+
+    /// Add `v` to word `at`.
+    pub(crate) fn add(&mut self, at: usize, v: i64) {
+        self.w[at] = self.w[at].wrapping_add(v);
+    }
+
+    /// The words `r`.
+    pub(crate) fn words(&self, r: std::ops::Range<usize>) -> &[i64] {
+        &self.w[r]
+    }
+
+    /// Point `p`'s coordinate words.
+    pub(crate) fn coords(&self, p: usize, lns: bool) -> [i64; 3] {
+        if lns {
+            [0, 1, 2].map(|c| self.words[c][p])
+        } else {
+            [0, 1, 2].map(|c| self.img[c][p] as i64) // exact: |w| < 2⁵⁰
+        }
+    }
+
+    /// The four words `at + c · n` of one i-particle.
+    pub(crate) fn words4(&self, at: usize, n: usize) -> [i64; 4] {
+        [0, 1, 2, 3].map(|c| self.w[at + c * n])
     }
 }
 
-/// The self block `s` holds ([`SelfScratch::push`], then
-/// [`SelfScratch::seal`]) in one pass over its unordered pairs (module
-/// docs): each board's terms over its part of the run added to its rows
-/// of `s.rows`, or `false` (no AVX2, a term outside the encode window)
-/// for the caller to run each board's kernel. Every term added is inside
-/// the window, so the sums are the definition's chain wherever the words
-/// they continue leave `len · 2⁵⁰` of headroom (the caller's check).
-pub(crate) fn block_exact_self(
+/// The self block's rectangles over its run of `n` points (`0..n`), in
+/// the board parts `ends` holds, with board `k`'s words at `4 · k · n`
+/// (stride `n`): for each board part of the rows and each part of the
+/// columns from it on, the pairs `a < b`; the row side into the columns'
+/// board, the column side into the rows' board.
+pub(crate) fn self_blocks(ends: &[usize], n: usize, blocks: &mut Vec<Block>) {
+    let starts = || std::iter::once(0).chain(ends.iter().copied());
+    for (ca, (rs, re)) in starts().zip(ends.iter().copied()).enumerate() {
+        for (cb, (cs, ce)) in starts().zip(ends.iter().copied()).enumerate().skip(ca) {
+            if rs < re && cs < ce {
+                blocks.push(Block {
+                    rows: (rs, re),
+                    cols: (cs, ce),
+                    diag: true,
+                    to_a: (4 * cb * n + rs, n),
+                    to_b: (4 * ca * n + cs, n),
+                });
+            }
+        }
+    }
+}
+
+/// The pair pass over `s`'s blocks ([`PairScratch::push`], then
+/// [`PairScratch::seal`]; module docs, "pair blocks"): one front per
+/// pair, each side's terms added to its words, or `false` (no AVX2, a
+/// term outside the encode window) for the caller to run each board's
+/// kernel. Every term added is inside the window, so the sums are the
+/// definition's chain wherever the words they continue leave
+/// `len · 2⁵⁰` of headroom (the caller's check).
+pub(crate) fn block_exact_pairs(
     wide: Wide,
     (quantum, eps2): (f64, f64),
     force_scale: f64,
     fmt: FixedFormat,
-    s: &mut SelfScratch,
+    s: &mut PairScratch,
 ) -> bool {
-    assert!(s.sealed(false), "a self block not sealed for exact mode");
+    assert!(s.fits(false), "a pair block's points or words not sealed for exact mode");
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 was detected, `s` is sealed (padded and sized),
-        // and a `Wide` is only set where FMA and AVX-512 were detected.
+        // SAFETY: AVX2 was detected, every block reads and writes inside
+        // the sealed points and words (`fits`), and a `Wide` is only set
+        // where FMA and AVX-512 were detected.
         return unsafe {
             if wide.0 {
-                avx2::block_exact_self_vl(quantum, eps2, force_scale, fmt, s)
+                avx2::block_exact_pairs_vl(quantum, eps2, force_scale, fmt, s)
             } else {
-                avx2::block_exact_self(quantum, eps2, force_scale, fmt, s)
+                avx2::block_exact_pairs(quantum, eps2, force_scale, fmt, s)
             }
         };
     }
@@ -706,25 +815,25 @@ pub(crate) fn block_exact_self(
     false
 }
 
-/// [`block_exact_self`] in LNS mode, on the lanes and op column of
+/// [`block_exact_pairs`] in LNS mode, on the lanes and op column of
 /// [`block_lns_avx2`]; a lane in the converters' guard band sends its
 /// pairs through the definition, both ways.
-pub(crate) fn block_lns_self(
+pub(crate) fn block_lns_pairs(
     wide: Wide,
     c: &LnsLanes,
     force_scale: f64,
     fmt: FixedFormat,
-    s: &mut SelfScratch,
+    s: &mut PairScratch,
 ) -> bool {
-    assert!(s.sealed(true), "a self block not sealed for LNS mode");
+    assert!(s.fits(true), "a pair block's points or words not sealed for LNS mode");
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
-        // SAFETY: as for `block_exact_self`.
+        // SAFETY: as for `block_exact_pairs`.
         return unsafe {
             if wide.0 {
-                avx2::block_lns16_self(c, force_scale, fmt, s)
+                avx2::block_lns16_pairs(c, force_scale, fmt, s)
             } else {
-                avx2::block_lns_self(c, force_scale, fmt, s)
+                avx2::block_lns_pairs(c, force_scale, fmt, s)
             }
         };
     }
@@ -913,8 +1022,8 @@ pub(crate) fn block_lns_avx2(
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        block_tiled, count_self, exact_pair, scale_mode, span_pairs, words_in_magic_window,
-        LnsLanes, QuantCtx, ScalarAcc, ScaleMode, SelfScratch, Words, EXACT_DEPTH, HALF_PRED,
+        block_tiled, count_pairs, exact_pair, scale_mode, span_pairs, words_in_magic_window,
+        LnsLanes, PairScratch, QuantCtx, ScalarAcc, ScaleMode, Words, EXACT_DEPTH, HALF_PRED,
         I_TILE, J_BLOCK, LANES, LNS_LANES, MASSLESS, SELF_PAD, ZERO_WORD,
     };
     use crate::pipeline::JSlices;
@@ -1472,47 +1581,47 @@ mod avx2 {
         }
     }
 
-    /// The self-block kernel on column `O` (module docs, "self
-    /// blocks"): per pair `a < b` of the run one [`front`], through
+    /// The pair-pass kernel on column `O` (module docs, "pair blocks"):
+    /// for each block, each row `a` against the block's columns `b` (past
+    /// `a` in a diagonal block) one [`front`] per pair, through
     /// [`exact_body`]'s ring, and one back where the group's four masses
-    /// equal `m_a` — the b-side words are then the a-side's, the force
-    /// words negated — two elsewhere. A board's last group is padded with
-    /// massless lanes on both sides. `false` at the first group a window
-    /// test rejects.
+    /// equal `m_a` — the column side's words are then the row side's, the
+    /// force words negated — two elsewhere. A block's last group is
+    /// padded with massless lanes on both sides. `false` at the first
+    /// group a window test rejects.
     ///
     /// # Safety
-    /// AVX2 and `O`'s features; `s` sealed by [`block_exact_self`]. No
-    /// closure in this body may hold an intrinsic.
+    /// AVX2 and `O`'s features; `s` sealed and its blocks inside it
+    /// ([`block_exact_pairs`]). No closure in this body may hold an
+    /// intrinsic.
     #[inline(always)]
-    unsafe fn self_body<O: AccOps>(
+    unsafe fn pair_body<O: AccOps>(
         quantum: f64,
         eps2: f64,
         force_scale: f64,
         fmt: FixedFormat,
-        s: &mut SelfScratch,
+        s: &mut PairScratch,
     ) -> bool {
         const D: usize = EXACT_DEPTH;
         let ctx = AccCtx::new(fmt, force_scale);
         let consts = [_mm256_set1_pd(quantum), _mm256_set1_pd(eps2), _mm256_set1_pd(1.0)];
-        let SelfScratch { img, m, ends, rows, .. } = s;
-        let n = *ends.last().unwrap_or(&0);
+        let PairScratch { img, m, w, blocks, .. } = s;
         let img = [&img[0][..], &img[1][..], &img[2][..]];
-        debug_assert!(m.len() == n + SELF_PAD && img.iter().all(|c| c.len() == n + SELF_PAD));
-        debug_assert!(rows.len() == 4 * ends.len() * n + SELF_PAD);
-        let rows = rows.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
+        debug_assert!(img.iter().all(|c| c.len() == m.len()) && m.len() >= SELF_PAD);
+        let w = w.as_mut_ptr();
         let iota = _mm256_setr_epi64x(0, 1, 2, 3);
-        let mut ca = 0;
-        for a in 0..n {
-            while ends[ca] <= a {
-                ca += 1;
-            }
-            let xv =
-                [_mm256_set1_pd(img[0][a]), _mm256_set1_pd(img[1][a]), _mm256_set1_pd(img[2][a])];
-            let (ma, neg_ma) = (_mm256_set1_pd(m[a]), _mm256_set1_pd(-m[a]));
-            let mut start = 0;
-            for (cb, &end) in ends.iter().enumerate() {
-                // the b ≤ a, the diagonal among them, are other a's pairs
-                let lo = std::mem::replace(&mut start, end).max(a + 1);
+        for blk in blocks.iter() {
+            let ((rs, re), (cs, end)) = (blk.rows, blk.cols);
+            for a in rs..re {
+                let xv = [
+                    _mm256_set1_pd(img[0][a]),
+                    _mm256_set1_pd(img[1][a]),
+                    _mm256_set1_pd(img[2][a]),
+                ];
+                let (ma, neg_ma) = (_mm256_set1_pd(m[a]), _mm256_set1_pd(-m[a]));
+                // in a diagonal block the b ≤ a, the diagonal among them,
+                // are other rows' pairs
+                let lo = if blk.diag { cs.max(a + 1) } else { cs };
                 let groups = end.saturating_sub(lo).div_ceil(LANES);
                 let mut cols = Columns::<O>::open(&[0; 4], &ctx); // `fast` unused
                 let z = _mm256_setzero_pd();
@@ -1526,10 +1635,10 @@ mod avx2 {
                     if g + D < groups {
                         ring[g % D] = front::<O>(img, k + D * LANES, xv, consts);
                     }
-                    // lanes past the board's end are massless both ways
+                    // lanes past the block's end are massless both ways
                     let past = _mm256_set1_epi64x((end - k) as i64);
                     let keep = _mm256_castsi256_pd(_mm256_cmpgt_epi64(past, iota));
-                    // SAFETY: k < end ≤ n, and m holds n + SELF_PAD
+                    // SAFETY: k < end ≤ the points, and m holds SELF_PAD more
                     let mb = _mm256_and_pd(_mm256_loadu_pd(m.as_ptr().add(k)), keep);
                     let to_a = ctx.encode(ctx.unscale(terms::<O>(&f, mb, mb)));
                     // one back where d · (−m_a r⁻³) = −(d · (m_b r⁻³))
@@ -1540,20 +1649,21 @@ mod avx2 {
                         let (mf, mp) = (_mm256_and_pd(neg_ma, keep), _mm256_and_pd(ma, keep));
                         Some(ctx.encode(ctx.unscale(terms::<O>(&f, mf, mp))))
                     };
-                    count_self(1 + usize::from(!one), 1);
-                    // SAFETY: k + LANES ≤ n + LANES: inside row (ca, c) or,
-                    // for the last row, its padding
-                    if !self_backs(&mut cols, (to_a, to_b), rows.add(4 * ca * n + k), n) {
+                    count_pairs(1 + usize::from(!one), 1);
+                    // SAFETY: k − cs + LANES ≤ the block's columns + SELF_PAD
+                    // past `to_b`, inside the words (`fits`)
+                    let b = w.add(blk.to_b.0 + (k - cs));
+                    if !pair_backs(&mut cols, (to_a, to_b), b, blk.to_b.1) {
                         return false;
                     }
                 }
-                flush_to(&mut cols, rows.add(4 * cb * n + a), n);
+                flush_to(&mut cols, w.add(blk.to_a.0 + (a - rs)), blk.to_a.1);
             }
         }
         true
     }
 
-    /// A self block's backs of four j-particles of the run, from their
+    /// A pair pass's backs of four columns, from their
     /// scaled terms: the a-side's `sa` into `cols`, the b-side's added to
     /// the words at `p` (component `c` of j-particle `l` at `p + c·n + l`)
     /// — where `sb` is `None` (equal masses) the a-side words with the
@@ -1565,7 +1675,7 @@ mod avx2 {
     /// As for [`Columns`]; `p + 3n + LANES` is inside the rows.
     #[inline(always)]
     #[allow(clippy::needless_range_loop)]
-    unsafe fn self_backs<O: AccOps>(
+    unsafe fn pair_backs<O: AccOps>(
         cols: &mut Columns<O>,
         (sa, sb): ([__m256d; 4], Option<[__m256d; 4]>),
         p: *mut i64,
@@ -1604,7 +1714,7 @@ mod avx2 {
         true
     }
 
-    /// Fold a self block's a-side columns into the words at `p`, one
+    /// Fold a pair pass's a-side columns into the words at `p`, one
     /// component every `n` words.
     ///
     /// # Safety
@@ -1619,10 +1729,10 @@ mod avx2 {
     }
 
     /// The `#[target_feature]` entries of [`exact_body`] and of
-    /// [`self_body`], one of each per column.
+    /// [`pair_body`], one of each per column.
     ///
     /// # Safety
-    /// As for [`exact_body`] and [`self_body`]: coordinates in the magic
+    /// As for [`exact_body`] and [`pair_body`]: coordinates in the magic
     /// window, AVX2, and for the `_vl` entries FMA and AVX-512 F, DQ and
     /// VL (`cpu_lanes()[1]`).
     macro_rules! exact_entries {
@@ -1636,15 +1746,15 @@ mod avx2 {
             }
             #[target_feature(enable = $features)]
             pub(super) unsafe fn $self_name(
-                quantum: f64, eps2: f64, force_scale: f64, fmt: FixedFormat, s: &mut SelfScratch,
+                quantum: f64, eps2: f64, force_scale: f64, fmt: FixedFormat, s: &mut PairScratch,
             ) -> bool {
-                self_body::<$ops>(quantum, eps2, force_scale, fmt, s)
+                pair_body::<$ops>(quantum, eps2, force_scale, fmt, s)
             }
         )+};
     }
     exact_entries! {
-        block_exact, block_exact_self: Avx2Ops, "avx2";
-        block_exact_vl, block_exact_self_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
+        block_exact, block_exact_pairs: Avx2Ops, "avx2";
+        block_exact_vl, block_exact_pairs_vl: VlOps, "avx2,fma,avx512f,avx512dq,avx512vl";
     }
 
     /// The lanes of the LNS stages: `W` × i32 in one register, the same
@@ -1856,18 +1966,20 @@ mod avx2 {
         Out,
     }
 
-    /// The LNS self block's i = `a` against one board's part of the
-    /// run: the run's columns as a span from `a`'s words, `a`'s mass
-    /// word, and where in the rows component 0 of the words of `a` on
-    /// that board and of `b` on `a`'s board sit (`to_a`; `to_b + b`;
-    /// each further component `n` words on).
-    struct SelfPass<'a> {
+    /// The LNS pair pass's row `a` against one block's columns: the
+    /// points as a span from `a`'s words, `a`'s mass word, and where in
+    /// the words component 0 of `a`'s row-side words sits (`to_a`, each
+    /// further component `na` on) and of column `b`'s (`to_b + b`, each
+    /// further component `nb` on; `to_b` wraps below zero, the sum does
+    /// not).
+    struct PairPass<'a> {
         span: LnsSpan<'a>,
         mwa: i32,
-        rows: *mut i64,
-        n: usize,
+        words: *mut i64,
         to_a: usize,
+        na: usize,
         to_b: usize,
+        nb: usize,
     }
 
     /// # Safety
@@ -2098,8 +2210,8 @@ mod avx2 {
             true
         }
 
-        /// The self-block stage body ([`self_body`]'s LNS twin) on `G`
-        /// groups of `p`'s run from `k` on, a group past `end` massless
+        /// The pair-pass stage body ([`pair_body`]'s LNS twin) on `G`
+        /// groups of `p`'s columns from `k` on, a group past `end` massless
         /// lane by lane: one front, the a-side back on the run's mass
         /// words into `cols`, and the b-side — the a-side words with the
         /// force words negated where the group's masses all equal
@@ -2107,9 +2219,9 @@ mod avx2 {
         /// elsewhere — added to `p`'s deposit rows.
         #[inline(always)]
         #[allow(clippy::needless_range_loop)]
-        unsafe fn self_stages<O: AccOps, const G: usize>(
+        unsafe fn pair_stages<O: AccOps, const G: usize>(
             &self,
-            p: &SelfPass<'_>,
+            p: &PairPass<'_>,
             (k, end): (usize, usize),
             cols: &mut Columns<O>,
         ) -> Pass {
@@ -2141,7 +2253,7 @@ mod avx2 {
                 }
             }
             for g in 0..G {
-                count_self(1 + usize::from(!one[g]), 1);
+                count_pairs(1 + usize::from(!one[g]), 1);
                 for q in 0..L::W / LANES {
                     let sa = self.acc.encode(self.acc.unscale(ta[g][q]));
                     let sb = if one[g] {
@@ -2149,10 +2261,10 @@ mod avx2 {
                     } else {
                         Some(self.acc.encode(self.acc.unscale(tb[g][q])))
                     };
-                    // SAFETY: b + LANES ≤ n + SELF_PAD: inside row (ca, c)
-                    // or, for the last row, its padding
-                    let b = p.rows.add(p.to_b + k + L::W * g + LANES * q);
-                    if !self_backs(cols, (sa, sb), b, p.n) {
+                    // SAFETY: at most SELF_PAD past the block's columns
+                    // from `to_b`, inside the words (`fits`)
+                    let b = p.words.add(p.to_b.wrapping_add(k + L::W * g + LANES * q));
+                    if !pair_backs(cols, (sa, sb), b, p.nb) {
                         return Pass::Out;
                     }
                 }
@@ -2160,22 +2272,22 @@ mod avx2 {
             Pass::Done
         }
 
-        /// [`self_stages`](Self::self_stages) over the groups of `p`'s run
+        /// [`pair_stages`](Self::pair_stages) over the groups of `p`'s columns
         /// from `k` to `end` (the last one ragged), two in flight, like
         /// [`groups`](Self::groups): the first group flagged on its own —
         /// everything before it is added, nothing of it — or `end`;
         /// `None` when a term left the window.
         #[inline(always)]
-        unsafe fn self_groups<O: AccOps>(
+        unsafe fn pair_groups<O: AccOps>(
             &self,
-            p: &SelfPass<'_>,
+            p: &PairPass<'_>,
             (mut k, end): (usize, usize),
             cols: &mut Columns<O>,
         ) -> Option<usize> {
             while k < end {
                 let two = k + L::W < end;
                 if two {
-                    match self.self_stages::<O, 2>(p, (k, end), cols) {
+                    match self.pair_stages::<O, 2>(p, (k, end), cols) {
                         Pass::Done => {
                             k += 2 * L::W;
                             continue;
@@ -2186,7 +2298,7 @@ mod avx2 {
                 }
                 let stop = (k + if two { 2 * L::W } else { L::W }).min(end);
                 while k < stop {
-                    match self.self_stages::<O, 1>(p, (k, end), cols) {
+                    match self.pair_stages::<O, 1>(p, (k, end), cols) {
                         Pass::Done => k += L::W,
                         Pass::Out => return None,
                         Pass::Flagged => return Some(k),
@@ -2196,37 +2308,37 @@ mod avx2 {
             Some(end)
         }
 
-        /// The pairs of `p`'s `a` with the run's `k..end` on the board
-        /// `cols` sums, both ways: [`self_groups`](Self::self_groups)
+        /// The pairs of `p`'s `a` with the columns `k..end`, both ways,
+        /// the row side into `cols`: [`pair_groups`](Self::pair_groups)
         /// on `L`, a flagged group of sixteen on `eight`, a flagged group
-        /// of eight through the definition ([`LnsCtx::self_pairs`]), like
+        /// of eight through the definition ([`LnsCtx::pair_defs`]), like
         /// [`span`](Self::span) does. `false` when a term left the
         /// window.
         #[inline(always)]
-        unsafe fn self_range<O: AccOps>(
+        unsafe fn pair_range<O: AccOps>(
             &self,
             eight: &LnsCtx<'_, __m256i>,
-            p: &SelfPass<'_>,
+            p: &PairPass<'_>,
             (mut k, end): (usize, usize),
             cols: &mut Columns<O>,
         ) -> bool {
             while k < end {
-                let Some(flagged) = self.self_groups::<O>(p, (k, end), cols) else {
+                let Some(flagged) = self.pair_groups::<O>(p, (k, end), cols) else {
                     return false;
                 };
                 k = flagged;
                 let stop = (k + L::W).min(end);
                 while k < stop {
                     if L::W != LNS_LANES {
-                        let Some(flagged) = eight.self_groups::<O>(p, (k, stop), cols) else {
+                        let Some(flagged) = eight.pair_groups::<O>(p, (k, stop), cols) else {
                             return false;
                         };
                         k = flagged;
                     }
                     if k < stop {
                         let e = (k + LNS_LANES).min(stop);
-                        count_self(4, 1);
-                        if !self.self_pairs(p, (k, e)) {
+                        count_pairs(4, 1);
+                        if !self.pair_defs(p, (k, e)) {
                             return false;
                         }
                         k = e;
@@ -2237,28 +2349,31 @@ mod avx2 {
         }
 
         /// The definition, both ways, for the pairs of `p`'s `a` with the
-        /// run's `k..end`: each term rounded alone and added to its
+        /// columns `k..end`: each term rounded alone and added to its
         /// words. `false` when a term left the window.
         ///
         /// # Safety
-        /// `p`'s rows hold the words it points at.
+        /// `p`'s words hold the words it points at.
         #[inline(always)]
-        unsafe fn self_pairs(&self, p: &SelfPass<'_>, (k, end): (usize, usize)) -> bool {
+        unsafe fn pair_defs(&self, p: &PairPass<'_>, (k, end): (usize, usize)) -> bool {
             let x = &p.span;
             for b in k..end {
                 let d = [x.x[0][b] - x.xi[0], x.x[1][b] - x.xi[1], x.x[2][b] - x.xi[2]];
                 if d == [0; 3] {
                     continue; // the zero-distance guard
                 }
-                let back = [(d, x.w[b], p.to_a), ([-d[0], -d[1], -d[2]], p.mwa, p.to_b + b)];
-                for (d, mw, at) in back {
+                let back = [
+                    (d, x.w[b], p.to_a, p.na),
+                    ([-d[0], -d[1], -d[2]], p.mwa, p.to_b.wrapping_add(b), p.nb),
+                ];
+                for (d, mw, at, stride) in back {
                     let mut t = [0; 4];
                     self.sa.add_force(&mut t, self.lanes.pair_word(d, mw));
                     for (c, t) in t.into_iter().enumerate() {
                         if t.unsigned_abs() > 1 << 50 {
                             return false;
                         }
-                        let w = p.rows.add(at + c * p.n);
+                        let w = p.words.add(at + c * stride);
                         *w = (*w).wrapping_add(t);
                     }
                 }
@@ -2387,83 +2502,77 @@ mod avx2 {
         });
     }
 
-    /// The LNS self block on lanes `L` and column `O`, `eight` for the
-    /// retries (module docs, "self blocks"): [`self_body`]'s loops, the
-    /// groups through [`LnsCtx::self_range`]. `false` at the first term
+    /// The LNS pair pass on lanes `L` and column `O`, `eight` for the
+    /// retries (module docs, "pair blocks"): [`pair_body`]'s loops, the
+    /// groups through [`LnsCtx::pair_range`]. `false` at the first term
     /// outside the encode window.
     ///
     /// # Safety
-    /// AVX2, `L`'s and `O`'s features; `s` sealed by [`block_lns_self`].
+    /// AVX2, `L`'s and `O`'s features; `s` sealed and its blocks inside
+    /// it ([`block_lns_pairs`]).
     #[inline(always)]
-    unsafe fn lns_self_body<L: LnsLane, O: AccOps>(
+    unsafe fn lns_pair_body<L: LnsLane, O: AccOps>(
         c: &LnsLanes,
         force_scale: f64,
         fmt: FixedFormat,
-        s: &mut SelfScratch,
+        s: &mut PairScratch,
     ) -> bool {
-        let SelfScratch { words, m_word, ends, rows, .. } = s;
-        let n = *ends.last().unwrap_or(&0);
-        debug_assert!(
-            words.iter().all(|c| c.len() == n + SELF_PAD) && m_word.len() == n + SELF_PAD
-        );
-        debug_assert!(rows.len() == 4 * ends.len() * n + SELF_PAD);
+        let PairScratch { words, m_word, w, blocks, .. } = s;
+        debug_assert!(words.iter().all(|c| c.len() == m_word.len()) && m_word.len() >= SELF_PAD);
         let x = [&words[0][..], &words[1][..], &words[2][..]];
-        // the run as j-slices for the stage bodies (no self pass reads
+        // the points as j-slices for the stage bodies (no pair pass reads
         // their masses); the caller checked the boards' windows
         let (m, m_lns, in_window) = (&[][..], &[][..], true);
         let j = JSlices { x: x[0], y: x[1], z: x[2], m, m_lns, m_word, in_window };
         let l = LnsCtx::<L>::new(c, &j, force_scale, fmt);
         let eight = LnsCtx::<__m256i>::new(c, &j, force_scale, fmt);
-        let rows = rows.as_mut_ptr(); // (board, c, i) at (4 · board + c) · n + i
-        let mut ca = 0;
-        for a in 0..n {
-            while ends[ca] <= a {
-                ca += 1;
-            }
-            let span = LnsSpan { x, w: m_word, xi: [x[0][a], x[1][a], x[2][a]] };
-            let mut start = 0;
-            for (cb, &end) in ends.iter().enumerate() {
-                let lo = std::mem::replace(&mut start, end).max(a + 1);
-                let (to_a, to_b) = (4 * cb * n + a, 4 * ca * n);
-                let p = SelfPass { span, mwa: m_word[a], rows, n, to_a, to_b };
+        let words = w.as_mut_ptr();
+        for blk in blocks.iter() {
+            let ((rs, re), (cs, end)) = (blk.rows, blk.cols);
+            for a in rs..re {
+                let span = LnsSpan { x, w: m_word, xi: [x[0][a], x[1][a], x[2][a]] };
+                let lo = if blk.diag { cs.max(a + 1) } else { cs };
+                let (to_a, na) = (blk.to_a.0 + (a - rs), blk.to_a.1);
+                let (to_b, nb) = (blk.to_b.0.wrapping_sub(cs), blk.to_b.1);
+                let p = PairPass { span, mwa: m_word[a], words, to_a, na, to_b, nb };
                 let mut cols = Columns::<O>::open(&[0; 4], &l.acc); // `fast` unused
-                if !l.self_range::<O>(&eight, &p, (lo, end), &mut cols) {
+                if !l.pair_range::<O>(&eight, &p, (lo, end), &mut cols) {
                     return false;
                 }
-                flush_to(&mut cols, rows.add(to_a), n);
+                flush_to(&mut cols, words.add(to_a), na);
             }
         }
         true
     }
 
-    /// The `#[target_feature]` entries of [`lns_self_body`]: eight lanes
+    /// The `#[target_feature]` entries of [`lns_pair_body`]: eight lanes
     /// on the AVX2 column, sixteen on the AVX-512VL one.
     ///
     /// # Safety
-    /// As for [`lns_self_body`]; the CPU must support AVX2, and for
-    /// `block_lns16_self` FMA and AVX-512 F, BW, DQ and VL.
+    /// As for [`lns_pair_body`]; the CPU must support AVX2, and for
+    /// `block_lns16_pairs` FMA and AVX-512 F, BW, DQ and VL.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn block_lns_self(
+    pub(super) unsafe fn block_lns_pairs(
         c: &LnsLanes,
         force_scale: f64,
         fmt: FixedFormat,
-        s: &mut SelfScratch,
+        s: &mut PairScratch,
     ) -> bool {
-        lns_self_body::<__m256i, Avx2Ops>(c, force_scale, fmt, s)
+        lns_pair_body::<__m256i, Avx2Ops>(c, force_scale, fmt, s)
     }
 
-    /// [`block_lns_self`] at sixteen lanes, on the AVX-512VL column.
+    /// [`block_lns_pairs`] at sixteen lanes, on the AVX-512VL column.
     ///
     /// # Safety
-    /// As for [`block_lns_self`].
+    /// As for [`block_lns_pairs`].
     #[target_feature(enable = "avx2,fma,avx512f,avx512bw,avx512dq,avx512vl")]
-    pub(super) unsafe fn block_lns16_self(
+    pub(super) unsafe fn block_lns16_pairs(
         c: &LnsLanes,
         force_scale: f64,
         fmt: FixedFormat,
-        s: &mut SelfScratch,
+        s: &mut PairScratch,
     ) -> bool {
-        lns_self_body::<__m512i, VlOps>(c, force_scale, fmt, s)
+        lns_pair_body::<__m512i, VlOps>(c, force_scale, fmt, s)
     }
 }
 
@@ -2981,13 +3090,13 @@ mod tests {
                         let mut p = G5Pipeline::new(&cfg, q, eps);
                         p.set_lane_path(path);
                         set_wide(&mut p, wide);
-                        let mut s = SelfScratch::default();
+                        let mut s = PairScratch::default();
                         let boards = shares.iter().map(ProcessorBoard::j_slices);
                         let ran = p.interact_self(&x, boards, 0, (fs, fmt), &mut s);
                         let may_decline = coincident && eps == 0.0 && mode == ArithMode::Exact;
                         assert!(ran || may_decline, "{what} wide {wide}: declined");
                         for (k, want) in want.iter().enumerate().filter(|_| ran) {
-                            let got = (0..n).map(|i| force_of(s.words(k, i), fs, fmt));
+                            let got = (0..n).map(|i| force_of(s.words4(4 * k * n + i, n), fs, fmt));
                             let what = format!("{what} wide {wide}, board {k}");
                             assert_bits_equal(want, &got.collect::<Vec<_>>(), &what);
                         }

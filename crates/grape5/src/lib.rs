@@ -54,6 +54,7 @@ pub mod pipeline;
 pub mod pool;
 pub mod session;
 pub mod system;
+pub mod window;
 
 pub use clock::{ClockAccounting, ClockReport};
 pub use config::{ArithMode, Grape5Config};
@@ -65,3 +66,4 @@ pub use pipeline::{Force, G5Pipeline};
 pub use pool::{DevicePool, PoolError, PoolLease, PoolUsage};
 pub use session::{bounding_window, DeviceSession, RecoveryStats, RetryPolicy};
 pub use system::{Grape5, SelfTest};
+pub use window::{WindowCall, PAIR_GROUP_MIN, PAIR_RUN_MIN};

@@ -461,16 +461,16 @@ impl G5Pipeline {
     /// the live `boards` (in board order; the run may straddle them),
     /// all inside the magic window. Each board's list before the run
     /// goes through [`interact_into`](Self::interact_into), the run's
-    /// unordered pairs through one symmetric pass
-    /// ([`lanes::block_exact_self`], [`lanes::block_lns_self`]), the list
-    /// after the run continues the words that leaves; board `k`'s words
-    /// are left in its rows of `s`. `false`, nothing to read, for any
-    /// other call; where this pipeline would not run the x86 kernels;
-    /// for a run shorter than [`SELF_RUN_MIN`] that is not the whole set;
-    /// and where the pass declines or a board's words before the run
-    /// leave its terms too little headroom to be summed in any order.
-    /// Out of line: the O(n) recognition stays out of every other call's
-    /// code.
+    /// unordered pairs through the pair pass's diagonal blocks
+    /// ([`lanes::block_exact_pairs`], [`lanes::block_lns_pairs`]), the
+    /// list after the run continues the words that leaves; board `k`'s
+    /// words are left in `s` at `4 · k · n` (stride `n`). `false`,
+    /// nothing to read, for any other call; where this pipeline would
+    /// not run the x86 kernels; for a run shorter than [`SELF_RUN_MIN`]
+    /// that is not the whole set; and where the pass declines or a
+    /// board's words before the run leave its terms too little headroom
+    /// to be summed in any order. Out of line: the O(n) recognition
+    /// stays out of every other call's code.
     #[inline(never)]
     pub(crate) fn interact_self<'a>(
         &self,
@@ -478,82 +478,127 @@ impl G5Pipeline {
         boards: impl Iterator<Item = JSlices<'a>> + Clone,
         at: usize,
         (force_scale, fmt): (f64, FixedFormat),
-        s: &mut lanes::SelfScratch,
+        s: &mut lanes::PairScratch,
     ) -> bool {
-        let lns = match (self.mode, &self.lns_lanes) {
-            (ArithMode::Exact, _) => None,
-            (ArithMode::Lns, Some(c)) => Some(c),
-            (ArithMode::Lns, None) => return false,
+        let Some(lns) = self.pairs_on() else {
+            return false;
         };
         let (n, room) = (xi.len(), fmt.raw_max() >> 50);
         let total: usize = boards.clone().map(|j| j.len()).sum();
-        if self.lane_path != LanePath::Avx2
-            || self.cutoff.is_some()
-            || n == 0
-            || at + n > total
-            || (n < SELF_RUN_MIN && n != total)
+        if n == 0 || (n < SELF_RUN_MIN && n != total) || !self.load_run(xi, boards.clone(), at, s) {
+            return false;
+        }
+        if s.ends
+            .iter()
+            .scan(0, |e, &end| Some(end - std::mem::replace(e, end)))
+            .any(|l| l as i64 > room)
         {
             return false;
         }
-        s.clear();
-        let mut run = xi;
-        for (j, r) in run_parts(boards.clone(), (at, n)) {
-            let cols = j.x[r.clone()].iter().zip(&j.y[r.clone()]).zip(&j.z[r.clone()]);
-            let (part, rest) = run.split_at(r.len());
-            let same = part.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c]);
-            if !(same && (r.is_empty() || j.in_window)) || r.len() as i64 > room {
-                return false;
-            }
-            s.push(&j, r, lns.is_some());
-            run = rest;
-        }
-        s.seal(lns.is_some());
+        s.seal(lns, 4 * s.ends.len() * n);
         // each board's list before the run, from zero: its words must
         // leave the run's terms `len · 2⁵⁰` to the format's ends
         for (k, (j, r)) in run_parts(boards.clone(), (at, n)).enumerate() {
             if r.start > 0 && !r.is_empty() {
-                let words = s.board_rows(k);
+                let w = s.words_from(4 * k * n);
                 self.interact_into(
                     xi,
                     &j.sub(0..r.start),
                     force_scale,
                     fmt,
-                    &mut Words::Rows(words),
+                    &mut Words::Rows { w, n, len: n },
                 );
                 let lim = (fmt.raw_max() - ((r.len() as i64) << 50)) as u64;
-                if !words.iter().all(|w| w.unsigned_abs() <= lim) {
-                    lanes::count_self(3, 1);
+                if !(0..4 * n).all(|i| s.word(4 * k * n + i).unsigned_abs() <= lim) {
+                    lanes::count_pairs(3, 1);
                     return false;
                 }
             }
         }
-        let ran = match lns {
-            Some(c) => lanes::block_lns_self(self.wide, c, force_scale, fmt, s),
-            None => {
-                let consts = (self.quantum, self.eps2);
-                lanes::block_exact_self(self.wide, consts, force_scale, fmt, s)
-            }
-        };
-        if !ran {
-            lanes::count_self(3, 1);
+        let mut blocks = std::mem::take(&mut s.blocks);
+        lanes::self_blocks(&s.ends, n, &mut blocks);
+        s.blocks = blocks;
+        if !self.pair_pass(lns, (force_scale, fmt), s) {
+            lanes::count_pairs(3, 1);
             return false;
         }
         // the rest of each board's list continues the run's words
         for (k, (j, r)) in run_parts(boards, (at, n)).enumerate() {
             let rest = if r.is_empty() { 0..j.len() } else { r.end..j.len() };
             if !rest.is_empty() {
-                let words = &mut Words::Rows(s.board_rows(k));
+                let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
                 self.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
             }
         }
-        lanes::count_self(0, 1);
+        lanes::count_pairs(0, 1);
         true
+    }
+
+    /// Whether this pipeline runs the pair pass at all (the x86 lane
+    /// path, no cutoff, the LNS lane ROMs in LNS mode), and then in which
+    /// mode: `Some(lns)`.
+    pub(crate) fn pairs_on(&self) -> Option<bool> {
+        let lns = match (self.mode, &self.lns_lanes) {
+            (ArithMode::Exact, _) => false,
+            (ArithMode::Lns, Some(_)) => true,
+            (ArithMode::Lns, None) => return None,
+        };
+        (self.lane_path == LanePath::Avx2 && self.cutoff.is_none()).then_some(lns)
+    }
+
+    /// Start `s` over with the run `at .. at + xi.len()` of the live
+    /// `boards` as its first points, each board's part ending at
+    /// `s.ends`: `false` when the run is not in the j-set, its words are
+    /// not the i-set's, or a board holding part of it is outside the
+    /// magic window (an O(n_i) compare, never a scan of the list).
+    pub(crate) fn load_run<'a>(
+        &self,
+        xi: &[[i64; 3]],
+        boards: impl Iterator<Item = JSlices<'a>> + Clone,
+        at: usize,
+        s: &mut lanes::PairScratch,
+    ) -> bool {
+        let lns = self.reads_mass_words();
+        let total: usize = boards.clone().map(|j| j.len()).sum();
+        if at + xi.len() > total {
+            return false;
+        }
+        s.clear();
+        let mut run = xi;
+        for (j, r) in run_parts(boards, (at, xi.len())) {
+            let cols = j.x[r.clone()].iter().zip(&j.y[r.clone()]).zip(&j.z[r.clone()]);
+            let (part, rest) = run.split_at(r.len());
+            let same = part.iter().zip(cols).all(|(x, ((&a, &b), &c))| *x == [a, b, c]);
+            if !(same && (r.is_empty() || j.in_window)) {
+                return false;
+            }
+            let pts = s.push(&j, r, lns);
+            s.ends.push(pts.end);
+            run = rest;
+        }
+        true
+    }
+
+    /// The pair pass over `s`'s blocks in this pipeline's mode.
+    pub(crate) fn pair_pass(
+        &self,
+        lns: bool,
+        (force_scale, fmt): (f64, FixedFormat),
+        s: &mut lanes::PairScratch,
+    ) -> bool {
+        match (lns, &self.lns_lanes) {
+            (true, Some(c)) => lanes::block_lns_pairs(self.wide, c, force_scale, fmt, s),
+            _ => {
+                let consts = (self.quantum, self.eps2);
+                lanes::block_exact_pairs(self.wide, consts, force_scale, fmt, s)
+            }
+        }
     }
 }
 
 /// Each board with its part of the run `at .. at + n` of the j-set the
 /// `boards` hold in turn, board-local (empty where it has none).
-fn run_parts<'a>(
+pub(crate) fn run_parts<'a>(
     boards: impl Iterator<Item = JSlices<'a>>,
     (at, n): (usize, usize),
 ) -> impl Iterator<Item = (JSlices<'a>, std::ops::Range<usize>)> {

@@ -40,6 +40,7 @@
 use crate::fault::DeviceError;
 use crate::pipeline::Force;
 use crate::system::Grape5;
+use crate::window::WindowCall;
 use g5util::vec3::Vec3;
 
 /// A padded scalar window covering every coordinate — what the host
@@ -141,6 +142,14 @@ impl RecoveryStats {
     }
 }
 
+/// What a session call tells the device of its i-set.
+#[derive(Debug, Clone, Copy)]
+enum Hint {
+    None,
+    Run(usize),
+    Window(usize),
+}
+
 /// One step's worth of device protocol: range + softening declared
 /// once, j-memory chunking, validation and recovery handled per force
 /// call.
@@ -155,6 +164,8 @@ pub struct DeviceSession<'a> {
     /// retained across loads, so re-loading allocates nothing once they
     /// have grown to the working list length.
     resident: Option<(Vec<Vec3>, Vec<f64>)>,
+    /// A pair window is open on the device.
+    window: bool,
 }
 
 impl<'a> DeviceSession<'a> {
@@ -175,6 +186,7 @@ impl<'a> DeviceSession<'a> {
             retry: RetryPolicy::default(),
             stats: RecoveryStats::default(),
             resident: None,
+            window: false,
         })
     }
 
@@ -230,7 +242,7 @@ impl<'a> DeviceSession<'a> {
             .resident
             .take()
             .expect("try_force_on requires a resident j-set (call load_j first)");
-        let out = self.recovering_call(&jpos, &jmass, xi, true, None);
+        let out = self.recovering_call(&jpos, &jmass, xi, true, Hint::None);
         self.resident = Some((jpos, jmass));
         out
     }
@@ -244,7 +256,7 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
     ) -> Result<Vec<Force>, DeviceError> {
-        self.recovering_call(jpos, jmass, xi, false, None)
+        self.recovering_call(jpos, jmass, xi, false, Hint::None)
     }
 
     /// [`try_force_for`](Self::try_force_for) where `xi` is
@@ -259,7 +271,60 @@ impl<'a> DeviceSession<'a> {
         xi: &[Vec3],
         run_at: usize,
     ) -> Result<Vec<Force>, DeviceError> {
-        self.recovering_call(jpos, jmass, xi, false, Some(run_at))
+        self.recovering_call(jpos, jmass, xi, false, Hint::Run(run_at))
+    }
+
+    /// [`try_force_on`](Self::try_force_on) where `xi` is the resident
+    /// set's particles from `run_at` on — a direct-summation chunk — so
+    /// that the chunk's own pairs are evaluated once
+    /// ([`Grape5::try_force_on_run`]). Same forces, accounting and
+    /// recovery.
+    pub fn try_force_on_run(
+        &mut self,
+        xi: &[Vec3],
+        run_at: usize,
+    ) -> Result<Vec<Force>, DeviceError> {
+        let (jpos, jmass) = self
+            .resident
+            .take()
+            .expect("try_force_on_run requires a resident j-set (call load_j first)");
+        let out = self.recovering_call(&jpos, &jmass, xi, true, Hint::Run(run_at));
+        self.resident = Some((jpos, jmass));
+        out
+    }
+
+    /// Open a pair window over `calls`, the group calls to come in this
+    /// order ([`Grape5::open_window`]; DESIGN.md, "pair blocks"), when
+    /// every list fits the board memory. `false`, and no window, where it
+    /// does not open; the calls are then
+    /// [`try_force_for_run`](Self::try_force_for_run) calls.
+    pub fn open_window<'w>(&mut self, calls: impl Iterator<Item = WindowCall<'w>> + Clone) -> bool {
+        let cap = self.g5.jmem_capacity();
+        self.window = calls.clone().all(|c| c.list_len <= cap) && self.g5.open_window(calls);
+        self.window
+    }
+
+    /// Call `call` of the open window: [`try_force_for_run`](Self::try_force_for_run)
+    /// on the run at `members_at`, each pair that this list's run of a
+    /// partner's bodies shares with the partner's list of this group's
+    /// evaluated once. Same forces, accounting and recovery; a call that
+    /// fails ends the window, and the calls after it take the per-call
+    /// path.
+    pub fn try_force_in_window(
+        &mut self,
+        (jpos, jmass): (&[Vec3], &[f64]),
+        xi: &[Vec3],
+        call: usize,
+        members_at: usize,
+    ) -> Result<Vec<Force>, DeviceError> {
+        let hint = if self.window { Hint::Window(call) } else { Hint::Run(members_at) };
+        self.recovering_call(jpos, jmass, xi, false, hint)
+    }
+
+    /// Close the window.
+    pub fn close_window(&mut self) {
+        self.window = false;
+        self.g5.close_window();
     }
 
     // ------------------------------------------------------------------
@@ -303,17 +368,14 @@ impl<'a> DeviceSession<'a> {
         Ok(())
     }
 
-    /// One device call (on the run from `run_at`, if given), refused
-    /// when a board's accumulator clamped: the answer is then the
+    /// One device call (on the run or the window call `hint` names),
+    /// refused when a board's accumulator clamped: the answer is then the
     /// fixed-point range's, not the j-set's.
-    fn unclamped_force_on(
-        &mut self,
-        xi: &[Vec3],
-        run_at: Option<usize>,
-    ) -> Result<Vec<Force>, DeviceError> {
-        let forces = match run_at {
-            Some(at) => self.g5.try_force_on_run(xi, at)?,
-            None => self.g5.try_force_on(xi)?,
+    fn unclamped_force_on(&mut self, xi: &[Vec3], hint: Hint) -> Result<Vec<Force>, DeviceError> {
+        let forces = match hint {
+            Hint::None => self.g5.try_force_on(xi)?,
+            Hint::Run(at) => self.g5.try_force_on_run(xi, at)?,
+            Hint::Window(call) => self.g5.try_force_in_window(xi, call)?,
         };
         match self.g5.clamped_partial() {
             Some((index, value, bound)) => Err(DeviceError::InvalidForce { index, value, bound }),
@@ -323,14 +385,14 @@ impl<'a> DeviceSession<'a> {
 
     /// One attempt: (re)load the j-set if asked, run the call(s),
     /// validate the result. With `load` false the resident set must be
-    /// the one [`load_j`](Self::load_j) put there. `run_at` reaches the
+    /// the one [`load_j`](Self::load_j) put there. `hint` reaches the
     /// device only with a set that fits its memory.
     fn attempt(
         &mut self,
         jpos: &[Vec3],
         jmass: &[f64],
         xi: &[Vec3],
-        (load, run_at): (bool, Option<usize>),
+        (load, hint): (bool, Hint),
     ) -> Result<Vec<Force>, DeviceError> {
         let cap = self.g5.jmem_capacity();
         if cap == 0 {
@@ -340,7 +402,7 @@ impl<'a> DeviceSession<'a> {
             if load {
                 self.g5.set_j_particles(jpos, jmass);
             }
-            (self.unclamped_force_on(xi, run_at)?, self.g5.j_abs_mass())
+            (self.unclamped_force_on(xi, hint)?, self.g5.j_abs_mass())
         } else {
             // chunk the j-set through memory, merging partials on the
             // host; validation sees the merged result (corruption
@@ -351,7 +413,7 @@ impl<'a> DeviceSession<'a> {
             while start < jpos.len() {
                 let end = (start + cap).min(jpos.len());
                 self.g5.set_j_particles(&jpos[start..end], &jmass[start..end]);
-                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi, None)?) {
+                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi, Hint::None)?) {
                     *t = t.merged(p);
                 }
                 start = end;
@@ -372,7 +434,7 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
         resident: bool,
-        run_at: Option<usize>,
+        hint: Hint,
     ) -> Result<Vec<Force>, DeviceError> {
         let mut attempts = 0u32;
         loop {
@@ -380,10 +442,14 @@ impl<'a> DeviceSession<'a> {
             if load && attempts > 0 {
                 self.stats.j_reloads += 1;
             }
-            let err = match self.attempt(jpos, jmass, xi, (load, run_at)) {
+            let err = match self.attempt(jpos, jmass, xi, (load, hint)) {
                 Ok(f) => return Ok(f),
                 Err(e) => e,
             };
+            // a failed call's deposits, or its partners', are not to be
+            // trusted: the window ends
+            self.g5.kill_window();
+            self.window = false;
             match &err {
                 DeviceError::InvalidForce { .. } => self.stats.validation_failures += 1,
                 _ => self.stats.device_errors += 1,
@@ -429,6 +495,54 @@ mod tests {
     use super::*;
     use crate::config::Grape5Config;
     use crate::fault::{BoardDropout, FaultConfig, StuckPipe};
+
+    /// `DirectGrape`'s loop over a resident set: N = 5,000 on one board,
+    /// in i-chunks of 2,048 (its `I_CHUNK`) through `try_force_on_run` —
+    /// each chunk is the resident set's run from its start, so its own
+    /// pairs are evaluated once. Forces must be the hint-free call's bit
+    /// for bit, and every chunk must have run a self block (the test-only
+    /// `lanes::PAIR_STATS`), in both arithmetic modes.
+    #[test]
+    fn resident_chunks_evaluate_their_own_pairs_once() {
+        use crate::config::ArithMode;
+        use g5util::cores;
+        use rand::{Rng, SeedableRng};
+        let _one_core: Vec<cores::Caller> = (0..cores::total()).map(|_| cores::enter()).collect();
+        let blocks = || crate::lanes::PAIR_STATS.with(std::cell::Cell::get)[0];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xd1ec);
+        let n = 5000;
+        let pos: Vec<Vec3> = (0..n)
+            .map(|_| {
+                Vec3::new(
+                    rng.random_range(-1.0..1.0),
+                    rng.random_range(-1.0..1.0),
+                    rng.random_range(-1.0..1.0),
+                )
+            })
+            .collect();
+        let mass = vec![1.0 / n as f64; n];
+        let bits = |f: &[Force]| -> Vec<[u64; 4]> {
+            f.iter().map(|w| [w.acc.x, w.acc.y, w.acc.z, w.pot].map(f64::to_bits)).collect()
+        };
+        for mode in [ArithMode::Exact, ArithMode::Lns] {
+            let mut g5 = Grape5::open(Grape5Config { mode, boards: 1, ..Grape5Config::paper() });
+            let mut s = DeviceSession::open(&mut g5, &pos, 0.01);
+            s.load_j(&pos, &mass);
+            for start in (0..n).step_by(2048) {
+                let chunk = &pos[start..(start + 2048).min(n)];
+                let plain = s.try_force_on(chunk).expect("no fault armed");
+                let before = blocks();
+                let run = s.try_force_on_run(chunk, start).expect("no fault armed");
+                let ran = blocks() - before;
+                assert_eq!(
+                    ran,
+                    u64::from(crate::lanes::cpu_lanes()[0]),
+                    "{mode:?} chunk at {start}"
+                );
+                assert!(bits(&run) == bits(&plain), "{mode:?} chunk at {start}: forces differ");
+            }
+        }
+    }
 
     #[test]
     fn window_covers_and_pads() {

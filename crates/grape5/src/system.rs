@@ -30,8 +30,9 @@ use crate::cutoff::CutoffTable;
 use crate::fault::{
     corrupt_mass, corrupt_readback, CallFault, DeviceError, FaultConfig, FaultState,
 };
-use crate::lanes::{self, LanePath, SelfScratch};
+use crate::lanes::{self, LanePath, PairScratch};
 use crate::pipeline::{Force, G5Pipeline};
+use crate::window::{PairWindow, WindowCall};
 use g5util::cores;
 use g5util::fixed::RangeScaler;
 use g5util::vec3::Vec3;
@@ -92,6 +93,16 @@ fn run_boards<F>(
     }
 }
 
+/// What a force call knows of its i-set: nothing beyond its length,
+/// that it is the j-set's particles from a run's start on, or that it is
+/// a call of the open pair window.
+#[derive(Debug, Clone, Copy)]
+enum CallHint {
+    None,
+    Run(usize),
+    Window(usize),
+}
+
 /// What the device's built-in self-test reports: persistent faults
 /// currently manifesting on hardware still in active service. The host
 /// recovery layer runs this after repeated failures to decide what to
@@ -140,8 +151,10 @@ pub struct Grape5 {
     partials: Vec<Vec<Force>>,
     /// Reusable quantized i-coordinate buffer.
     i_scratch: Vec<[i64; 3]>,
-    /// Reusable working set of the symmetric self-call kernel.
-    self_scratch: SelfScratch,
+    /// Reusable working set of the pair pass.
+    pair_scratch: PairScratch,
+    /// The open pair window, if any, with its deposits.
+    window: PairWindow,
     /// Host-forced exact-mode lane path, surviving pipeline rebuilds.
     lane_override: Option<LanePath>,
 }
@@ -174,7 +187,8 @@ impl Grape5 {
             quarantined_pipes: Vec::new(),
             partials: vec![Vec::new(); nb],
             i_scratch: Vec::new(),
-            self_scratch: SelfScratch::default(),
+            pair_scratch: PairScratch::default(),
+            window: PairWindow::default(),
             lane_override: None,
         }
     }
@@ -484,7 +498,7 @@ impl Grape5 {
     /// a panic, and injected corruption reaches the returned forces for
     /// the host validation layer to catch.
     pub fn try_force_on(&mut self, xi: &[Vec3]) -> Result<Vec<Force>, DeviceError> {
-        self.force_call(xi, None)
+        self.force_call(xi, CallHint::None)
     }
 
     /// [`try_force_on`](Self::try_force_on) for an i-set that is part of
@@ -492,7 +506,7 @@ impl Grape5 {
     /// from `run_at` on — a tree group's members inside the group's list,
     /// a direct-summation chunk inside the whole set. The pipelines
     /// cannot use Newton's third law; the host that simulates them
-    /// evaluates each pair of the run once (DESIGN.md, "self blocks").
+    /// evaluates each pair of the run once (DESIGN.md, "pair blocks").
     /// Forces, accounting and faults are those of `try_force_on`; a hint
     /// that does not hold costs one look at `xi` and changes nothing.
     pub fn try_force_on_run(
@@ -500,16 +514,71 @@ impl Grape5 {
         xi: &[Vec3],
         run_at: usize,
     ) -> Result<Vec<Force>, DeviceError> {
-        self.force_call(xi, Some(run_at))
+        self.force_call(xi, CallHint::Run(run_at))
     }
 
-    /// The force call, where `xi` may be the j-set's particles from
-    /// `run_at` on — always so, from 0, when it is as long as the set.
-    fn force_call(
+    /// Open a pair window over `calls`, the force calls to come in this
+    /// order, each on its own list (DESIGN.md, "pair blocks"): the pairs
+    /// between two of their lists' runs of each other's bodies are then
+    /// evaluated once, in the earlier call, and the later one starts from
+    /// the deposit. `false`, and no window, where nothing pairs or the
+    /// device would not run the pass: a fault injector is armed (a
+    /// per-call fault must not reach a partner's forces), the lane path is
+    /// not the x86 one, a cutoff is set. Forces, accounting and faults of
+    /// each call are those of [`try_force_on_run`](Self::try_force_on_run)
+    /// on its run.
+    pub fn open_window<'a>(&mut self, calls: impl Iterator<Item = WindowCall<'a>> + Clone) -> bool {
+        self.window.close();
+        self.fault.is_none()
+            && self.pipeline.pairs_on().is_some()
+            && self.window.open(calls, self.active_boards())
+    }
+
+    /// Call `call` of the open window on the loaded j-set (its list):
+    /// [`try_force_on_run`](Self::try_force_on_run) on the call's run,
+    /// with the window's rectangles where the window is still open. A
+    /// call that cannot take them ends the window.
+    pub fn try_force_in_window(
         &mut self,
         xi: &[Vec3],
-        run_at: Option<usize>,
+        call: usize,
     ) -> Result<Vec<Force>, DeviceError> {
+        self.force_call(xi, CallHint::Window(call))
+    }
+
+    /// End the window early: no later call of it uses a deposit.
+    pub fn kill_window(&mut self) {
+        self.window.kill();
+    }
+
+    /// Close the window and drop its deposits (buffers kept).
+    pub fn close_window(&mut self) {
+        self.window.close();
+    }
+
+    /// Can no prefix of any board's ordered accumulate chain clamp, in
+    /// any order of the terms? Each term of a loaded mass `m` is at most
+    /// `|m| / r_min²` (force) or `|m| / r_min` (potential) with `r_min =
+    /// max(ε, quantum)`, the least separation the pipeline sees (a zero
+    /// displacement is guarded); four times that bound, to cover LNS
+    /// round-off with room to spare, over the loaded set's `Σ|m|`, in
+    /// accumulator units and plus half a unit of rounding per term, must
+    /// stay inside half the format's range. Then every board's words are
+    /// its terms' integer sum whatever order they are added in (DESIGN.md,
+    /// "pair blocks"). NaN masses fail it.
+    fn order_free(&self) -> bool {
+        let fmt = self.cfg.acc_format;
+        let r_min = self.eps.max(self.scaler.quantum());
+        let per_mass = (1.0 / (r_min * r_min)).max(1.0 / r_min);
+        let bound = 4.0 * self.j_abs_mass * per_mass / self.force_scale * fmt.encode_scale()
+            + self.nj_total as f64;
+        let room = fmt.raw_max().min(fmt.raw_min().saturating_neg()) as f64;
+        self.fault.is_none() && bound <= 0.5 * room
+    }
+
+    /// The force call, where `xi` may be the j-set's particles from a
+    /// run's start on — always so, from 0, when it is as long as the set.
+    fn force_call(&mut self, xi: &[Vec3], hint: CallHint) -> Result<Vec<Force>, DeviceError> {
         // the fault process decides this call's fate first; the call
         // counter advances even on a timeout (the host burned a DMA)
         let call_fault = match &mut self.fault {
@@ -546,6 +615,7 @@ impl Grape5 {
         // j-set — writes every board's partial with one pass over the
         // run's unordered pairs instead, unless it declines.
         let interactions = xi.len() as u64 * self.nj_total as u64;
+        let order_free = matches!(hint, CallHint::Window(_)) && self.order_free();
         {
             let (pipeline, raw, force_scale) =
                 (&self.pipeline, &self.i_scratch[..], self.force_scale);
@@ -555,18 +625,44 @@ impl Grape5 {
                 && self.boards.len() > 1;
             let live = |(b, ok): &(&ProcessorBoard, &bool)| **ok && b.nj() > 0;
             let boards = self.boards.iter().zip(&self.board_ok);
-            let scratch = &mut self.self_scratch;
-            let run_at = run_at.or((xi.len() == self.nj_total).then_some(0));
+            let scratch = &mut self.pair_scratch;
             let live_j = boards.clone().filter(live).map(|(b, _)| b.j_slices());
-            if !parallel
-                && run_at.is_some_and(|at| {
-                    pipeline.interact_self(raw, live_j, at, (force_scale, fmt), scratch)
-                })
+            let window = match hint {
+                CallHint::Window(call) if self.window.live(call).is_some() => {
+                    let run = !parallel
+                        && order_free
+                        && self.window.run_call(
+                            pipeline,
+                            raw,
+                            live_j.clone(),
+                            call,
+                            (force_scale, fmt),
+                            scratch,
+                        );
+                    if !run {
+                        self.window.kill();
+                    }
+                    run
+                }
+                _ => false,
+            };
+            let run_at = match hint {
+                CallHint::None => None,
+                CallHint::Run(at) => Some(at),
+                CallHint::Window(call) => self.window.members_at(call),
+            }
+            .or((xi.len() == self.nj_total).then_some(0));
+            if window
+                || !parallel
+                    && run_at.is_some_and(|at| {
+                        pipeline.interact_self(raw, live_j, at, (force_scale, fmt), scratch)
+                    })
             {
+                let n = xi.len();
                 let outs = boards.zip(&mut self.partials).filter(|(b, _)| live(b));
                 for (k, (_, out)) in outs.enumerate() {
                     out.clear();
-                    let words = (0..xi.len()).map(|i| scratch.words(k, i));
+                    let words = (0..n).map(|i| scratch.words4(4 * k * n + i, n));
                     out.extend(words.map(|w| lanes::force_of(w, force_scale, fmt)));
                 }
             } else {
@@ -1209,8 +1305,8 @@ mod tests {
     }
 
     /// Per self call: the force bits, what the self-block counters
-    /// (`lanes::SELF_STATS`) moved by, whether the load was corrupted.
-    type Calls = Vec<(Vec<[u64; 4]>, [u64; 5], bool)>;
+    /// (`lanes::PAIR_STATS`) moved by, whether the load was corrupted.
+    type Calls = Vec<(Vec<[u64; 4]>, [u64; 8], bool)>;
 
     /// `calls` self calls on a device on `path`: load the list `(pos,
     /// mass)`, then forces on its particles `at .. at + n` with the run
@@ -1223,7 +1319,7 @@ mod tests {
         (at, n, hint): (usize, usize, usize),
         (fault, calls): (Option<FaultConfig>, usize),
     ) -> Calls {
-        let stats = || crate::lanes::SELF_STATS.with(std::cell::Cell::get);
+        let stats = || crate::lanes::PAIR_STATS.with(std::cell::Cell::get);
         let mut g5 = Grape5::open(cfg);
         g5.set_lane_path(path);
         g5.set_range(-1.0, 1.0);
@@ -1278,8 +1374,8 @@ mod tests {
             .collect()
     }
 
-    /// The self-block kernels (`lanes::block_exact_self`,
-    /// `lanes::block_lns_self`) against the scalar definition, bit for
+    /// The self blocks (the diagonal blocks of `lanes::block_exact_pairs`,
+    /// `lanes::block_lns_pairs`) against the scalar definition, bit for
     /// bit, through whole force calls in both arithmetic modes: the whole
     /// set on one to three boards (n from 1 to 2,000 exact, to 300 LNS), a
     /// run at the start, inside, at the end of a longer list and across a
@@ -1310,7 +1406,7 @@ mod tests {
             fault: (Option<FaultConfig>, usize),
             eligible: Option<bool>,
         }
-        let mut totals = [[0u64; 5]; 2];
+        let mut totals = [[0u64; 8]; 2];
         let mut check = |c: Case<'_>| {
             let got = self_calls(c.cfg, LanePath::Avx2, c.params, c.set, c.run, c.fault);
             let want = self_calls(c.cfg, LanePath::Scalar, c.params, c.set, c.run, c.fault);
@@ -1319,7 +1415,7 @@ mod tests {
                 got.iter().zip(&want).enumerate()
             {
                 assert!(got == want, "{what}, call {k}: forces differ from the definition");
-                assert_eq!(*scalar_moved, [0; 5], "{what}, call {k}: the scalar path ran a block");
+                assert_eq!(*scalar_moved, [0; 8], "{what}, call {k}: the scalar path ran a block");
                 assert!(moved[0] + moved[3] <= 1, "{what}, call {k}: {moved:?}");
                 if let Some(eligible) = c.eligible {
                     let want = crate::lanes::cpu_lanes()[0] && eligible && !corrupted;
@@ -1523,6 +1619,285 @@ mod tests {
                 assert!(t[..4].iter().all(|&t| t > 0), "{mode}: a path never ran: {t:?}");
             }
             assert!(totals[1][4] > 0, "LNS: no group went through the definition");
+        }
+    }
+
+    /// A synthetic pair window: bodies of one numbering, groups of them,
+    /// and per group a list of its own run, runs of other groups' bodies
+    /// and cells (`Cells(k)`: `k` far terms of their own).
+    #[derive(Debug, Clone)]
+    enum Piece {
+        Bodies(std::ops::Range<usize>),
+        Cells(usize),
+    }
+
+    /// What a window's calls gave: per call its force bits and what the
+    /// pair counters (`lanes::PAIR_STATS`) moved by; whether the window
+    /// opened.
+    type WindowRun = (Vec<(Vec<[u64; 4]>, [u64; 8])>, bool);
+
+    /// How a window run is driven: on the x86 lanes with the window
+    /// opened, or the definition call by call; and what it does besides.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Drive {
+        Window,
+        /// The window, ended by hand after the first call.
+        KilledAfterFirst,
+        Definition,
+    }
+
+    /// The calls of `groups` (body ranges) over `lists`, each list loaded
+    /// and its group's forces taken in turn, as `drive` says.
+    fn window_calls(
+        cfg: Grape5Config,
+        drive: Drive,
+        (eps, scale, cutoff, fault): (f64, f64, bool, Option<FaultConfig>),
+        (pos, mass): (&[Vec3], &[f64]),
+        groups: &[std::ops::Range<usize>],
+        lists: &[Vec<Piece>],
+    ) -> WindowRun {
+        let stats = || crate::lanes::PAIR_STATS.with(std::cell::Cell::get);
+        let mut g5 = Grape5::open(cfg);
+        let path = if drive == Drive::Definition { LanePath::Scalar } else { LanePath::Avx2 };
+        g5.set_lane_path(path);
+        g5.set_range(-1.0, 1.0);
+        g5.set_eps(eps);
+        g5.set_force_scale(scale);
+        if cutoff {
+            g5.set_cutoff(Some(CutoffTable::from_shapes(1.0, 4, 8, |x| 1.0 - x, |x| 1.0 - x)));
+        }
+        if let Some(f) = fault {
+            g5.set_fault_injector(f);
+        }
+        // each list resolved: positions, masses, runs of bodies, own run
+        let cell = |k: usize| {
+            let t = k as f64 * 0.618_034;
+            (Vec3::new(t.sin() * 0.9, (2.0 * t).cos() * 0.9, (3.0 * t).sin() * 0.9), 0.003)
+        };
+        let resolved: Vec<_> = groups
+            .iter()
+            .zip(lists)
+            .map(|(g, list)| {
+                let (mut jpos, mut jmass, mut bodies, mut at) = (vec![], vec![], vec![], 0);
+                for piece in list {
+                    match piece {
+                        Piece::Bodies(r) => {
+                            if r.start == g.start {
+                                at = jpos.len();
+                            }
+                            bodies.push([jpos.len(), r.start, r.len()]);
+                            jpos.extend_from_slice(&pos[r.clone()]);
+                            jmass.extend_from_slice(&mass[r.clone()]);
+                        }
+                        &Piece::Cells(k) => {
+                            for c in 0..k {
+                                let (p, m) = cell(jpos.len() * 7 + c);
+                                jpos.push(p);
+                                jmass.push(m);
+                            }
+                        }
+                    }
+                }
+                (jpos, jmass, bodies, at)
+            })
+            .collect();
+        let plan = groups.iter().zip(&resolved).map(|(g, (jpos, _, bodies, at))| WindowCall {
+            list_len: jpos.len(),
+            first: g.start,
+            members: g.len(),
+            members_at: *at,
+            bodies,
+        });
+        let opened = drive != Drive::Definition && g5.open_window(plan);
+        let calls = groups
+            .iter()
+            .zip(&resolved)
+            .enumerate()
+            .map(|(k, (g, (jpos, jmass, _, _)))| {
+                g5.set_j_particles(jpos, jmass);
+                let before = stats();
+                let f = match drive {
+                    Drive::Definition => g5.try_force_on(&pos[g.clone()]),
+                    _ => g5.try_force_in_window(&pos[g.clone()], k),
+                };
+                if drive == Drive::KilledAfterFirst {
+                    g5.kill_window();
+                }
+                let f = f.expect("no board can time out");
+                let moved = std::array::from_fn(|s| stats()[s] - before[s]);
+                let f = f.iter().map(|w| [w.acc.x, w.acc.y, w.acc.z, w.pot].map(f64::to_bits));
+                (f.collect(), moved)
+            })
+            .collect();
+        g5.close_window();
+        (calls, opened)
+    }
+
+    /// The pair windows (`window::PairWindow`, the pair pass's
+    /// rectangles) against the scalar definition, bit for bit, in both
+    /// arithmetic modes: three groups whose lists hold runs of each
+    /// other's bodies — at a list's start, in its middle, at its end,
+    /// across a board boundary (planned as two rectangles) — and cells,
+    /// on one to three boards, with masses equal, mixed inside a lane
+    /// group, ±0, all different and NaN, ε ∈ {0, 10⁻³, 0.05}; LNS
+    /// displacements on the converters' breakpoints inside a rectangle;
+    /// and every decline: an armed injector, the scalar lane path or a
+    /// cutoff (the window does not open), a NaN or huge mass (no order-
+    /// free bound: the window ends at that call), a term past the encode
+    /// window (the pass declines and the window ends), a window ended by
+    /// hand after its first call (no later call may start from a
+    /// deposit). The counters (`lanes::PAIR_STATS`) must show, in each
+    /// mode, rectangles evaluated out and deposits taken in, one and two
+    /// backs, declines and ended windows.
+    #[test]
+    fn pair_windows_match_the_scalar_definition_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let _one_core: Vec<cores::Caller> = (0..cores::total()).map(|_| cores::enter()).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x9a1d);
+        let mut sphere = |n: usize, half: f64| -> Vec<Vec3> {
+            let mut c = || rng.random_range(-half..half);
+            (0..n).map(|_| Vec3::new(c(), c(), c())).collect()
+        };
+        use Piece::{Bodies, Cells};
+        // bodies 0..70 | 70..160 | 160..210
+        let groups = [0..70, 70..160, 160..210];
+        let lists = [
+            vec![Cells(20), Bodies(0..70), Cells(5), Bodies(70..110), Cells(30), Bodies(170..210)],
+            vec![Bodies(5..60), Cells(10), Bodies(70..160), Bodies(160..180), Cells(50)],
+            vec![Cells(40), Bodies(160..210), Bodies(100..160), Cells(3), Bodies(0..35)],
+        ];
+        let mut totals = [[0u64; 8]; 2];
+        let mut check = |what: &str,
+                         cfg: Grape5Config,
+                         params: (f64, f64, bool, Option<FaultConfig>),
+                         set: (&[Vec3], &[f64]),
+                         want_open: Option<bool>| {
+            let (want, _) = window_calls(cfg, Drive::Definition, params, set, &groups, &lists);
+            let what = format!("{:?} {what}", cfg.mode);
+            for drive in [Drive::Window, Drive::KilledAfterFirst] {
+                let (got, opened) = window_calls(cfg, drive, params, set, &groups, &lists);
+                if let Some(w) = want_open {
+                    assert_eq!(opened, w && crate::lanes::cpu_lanes()[0], "{what}: window opened");
+                }
+                let mut ended = false;
+                for (k, ((got, moved), (want, _))) in got.iter().zip(&want).enumerate() {
+                    assert!(got == want, "{what}, {drive:?}, call {k}: forces differ");
+                    if ended {
+                        assert_eq!(
+                            moved[5] + moved[6],
+                            0,
+                            "{what}, {drive:?}, call {k}: {moved:?}"
+                        );
+                    }
+                    ended |= moved[7] > 0 || (drive == Drive::KilledAfterFirst && k == 0);
+                    let t = &mut totals[usize::from(cfg.mode == ArithMode::Lns)];
+                    t.iter_mut().zip(moved).for_each(|(t, m)| *t += m);
+                }
+            }
+        };
+        let device = |mode, boards| Grape5Config { mode, boards, ..Grape5Config::paper() };
+        let kinds = [Masses::Equal, Masses::Mixed, Masses::SignedZeros, Masses::Distinct];
+        for mode in [ArithMode::Exact, ArithMode::Lns] {
+            for boards in 1..=3 {
+                for (t, eps) in [0.0f64, 1e-3, 0.05].into_iter().enumerate() {
+                    let kind = kinds[(t + boards) % 4];
+                    let pos = sphere(210, 0.9);
+                    let what = format!("{boards} boards, eps {eps}, {kind:?}");
+                    let set = (&pos[..], &masses(kind, 210)[..]);
+                    // exact mode with ε = 0 has no order-free bound at
+                    // the quantum: such a window may end early
+                    let params = (eps.max(1e-3), 1.0, false, None);
+                    check(&what, device(mode, boards), params, set, Some(true));
+                    check(
+                        &format!("{what}, ε {eps}"),
+                        device(mode, boards),
+                        (eps, 0.125, false, None),
+                        set,
+                        None,
+                    );
+                    // partials past 2⁵³ units: the merge rounds, so each
+                    // board's words must be its own
+                    let fine = (0.1, 1e-6, false, None);
+                    check(
+                        &format!("{what}, scale 1e-6"),
+                        device(mode, boards),
+                        fine,
+                        set,
+                        Some(true),
+                    );
+                }
+                let pos = sphere(210, 0.9);
+                let mass = masses(Masses::Equal, 210);
+                let set = (&pos[..], &mass[..]);
+                let cfg = device(mode, boards);
+                // declines where the window never opens
+                let fault = FaultConfig::transient(3, 0.2);
+                check("injector armed", cfg, (0.01, 1.0, false, Some(fault)), set, Some(false));
+                check("cutoff", cfg, (0.01, 1.0, true, None), set, Some(false));
+                // a NaN, a huge mass: no bound, the window ends
+                for (k, m) in [(100, f64::NAN), (120, 1e30), (5, 1e30)] {
+                    let mut mass = mass.clone();
+                    mass[k] = m;
+                    check(
+                        &format!("mass {m} at {k}"),
+                        cfg,
+                        (0.01, 1.0, false, None),
+                        (&pos, &mass),
+                        Some(true),
+                    );
+                }
+                // a heavy body beside a member of its group: terms past the
+                // encode window inside the bound, the pass declines
+                let (mut pos, mut mass) = (pos.clone(), mass.clone());
+                mass[75] = 1.0;
+                pos[76] = pos[75] + Vec3::new(0.02, 0.0, 0.0);
+                check(
+                    "terms past the window",
+                    cfg,
+                    (0.01, 1e-3, false, None),
+                    (&pos, &mass),
+                    Some(true),
+                );
+            }
+        }
+        // LNS displacements on the encoder's breakpoints inside a
+        // rectangle: the body at the origin (group 0) against group 1's
+        let f = Grape5Config::paper().lns.frac_bits;
+        let bp: Vec<Vec3> = (1..=1u32 << f)
+            .map(|k| {
+                let bp = ((f64::from(k) - 0.5) / f64::from(1u32 << f)).exp2();
+                let word = ((bp.to_bits() & ((1 << 52) - 1)) | 1 << 52) >> 22;
+                Vec3::new(word as f64 / f64::from(1u32 << 31), 0.0, 0.0)
+            })
+            .collect();
+        let mut pos = sphere(210, 0.9);
+        pos[0] = Vec3::ZERO;
+        pos[70..70 + bp.len().min(90)].copy_from_slice(&bp[..bp.len().min(90)]);
+        for boards in 1..=2 {
+            let set = (&pos[..], &masses(Masses::Equal, 210)[..]);
+            check(
+                "breakpoints",
+                device(ArithMode::Lns, boards),
+                (0.01, 1.0, false, None),
+                set,
+                Some(true),
+            );
+        }
+        // the scalar lane path opens no window
+        let cfg = device(ArithMode::Exact, 2);
+        let set = (&pos[..], &masses(Masses::Equal, 210)[..]);
+        let mut g5 = Grape5::open(cfg);
+        g5.set_lane_path(LanePath::Scalar);
+        assert!(!g5.open_window(std::iter::empty()), "a window on the scalar path");
+        let _ = set;
+        if crate::lanes::cpu_lanes()[0] {
+            for (mode, t) in ["exact", "LNS"].iter().zip(totals) {
+                // out, in, one back, two backs, a decline, an ended window
+                for s in [5, 6, 1, 2, 3, 7] {
+                    assert!(t[s] > 0, "{mode}: counter {s} never moved: {t:?}");
+                }
+            }
+            assert!(totals[1][4] > 0, "LNS: no rectangle group went through the definition");
         }
     }
 

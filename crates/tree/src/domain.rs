@@ -230,7 +230,7 @@ pub fn let_terms_into(
     let mut sphere = *receiver;
     sphere.radius += source.drift_bound();
     // the force traversal's own walk, with no group of `source` to spare
-    emit_resolved(source, mac, &sphere, None, out_pos, out_mass);
+    emit_resolved(source, mac, &sphere, None, (out_pos, out_mass), None);
     out_pos.len() - before
 }
 

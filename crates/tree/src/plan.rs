@@ -101,6 +101,15 @@ pub struct GroupWork {
     /// Where the members' own run starts in `jpos`: `xi` is
     /// `jpos[members_at..][..xi.len()]`.
     pub members_at: usize,
+    /// The members' first body in the tree's order: `xi` is bodies
+    /// `first .. first + xi.len()`.
+    pub first: usize,
+    /// The list's runs of bodies as `[position in jpos, first body (tree
+    /// order), len]`, in list order — recorded only for a group that
+    /// [`stream_windows`] may pair with another; empty otherwise.
+    pub bodies: Vec<[usize; 3]>,
+    /// Terms in the list: `jpos.len()` once it is resolved.
+    pub list_len: usize,
     /// This group's contribution to the step tally.
     pub tally: InteractionTally,
 }
@@ -116,6 +125,9 @@ impl GroupWork {
             jpos: Vec::new(),
             jmass: Vec::new(),
             members_at: 0,
+            first: 0,
+            bodies: Vec::new(),
+            list_len: 0,
             tally: InteractionTally::default(),
         }
     }
@@ -130,7 +142,9 @@ impl GroupWork {
 /// group (a pop and, on the consumer side, a push), orders of magnitude
 /// less often than the work it brackets. The pool never shrinks; its
 /// footprint is bounded by `channel_depth + workers + 1` husks, each at
-/// the longest list it ever carried.
+/// the longest list it ever carried — plus, under [`stream_windows`], the
+/// window the consumer holds: at most [`WINDOW_GROUPS`] husks and
+/// [`WINDOW_TERMS`] list terms beyond its first group.
 #[derive(Debug, Default)]
 pub struct PlanPool {
     husks: Mutex<Vec<GroupWork>>,
@@ -237,25 +251,160 @@ pub struct PlanStats {
     pub husks_minted: u64,
 }
 
+/// Groups a window of [`stream_windows`] holds at most.
+pub const WINDOW_GROUPS: usize = 16;
+/// List terms a window of [`stream_windows`] adds a group to at most:
+/// on the producer path its husks stay near the consumer's working set
+/// (≈ 1 MB of positions and masses), whatever the group sizes.
+pub const WINDOW_TERMS: usize = 32_768;
+
 /// Resolve one group against the tree into a recycled husk: shared
 /// list (the walk writes it resolved, straight into the husk), member
-/// targets and positions, tally contribution. Only grows buffers past
-/// their retained capacity; steady state allocates nothing.
-fn resolve_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWork) {
-    work.group = g;
+/// targets and positions, tally contribution, and with `runs` the list's
+/// runs of bodies. Only grows buffers past their retained capacity;
+/// steady state allocates nothing.
+fn resolve_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWork, runs: bool) {
     work.jpos.clear();
     work.jmass.clear();
-    work.members_at = tr.resolved_list_into(tree, g, &mut work.jpos, &mut work.jmass);
+    work.bodies.clear();
+    let bodies = runs.then_some(&mut work.bodies);
+    work.members_at = tr.resolved_list_into(tree, g, (&mut work.jpos, &mut work.jmass), bodies);
+    work.list_len = work.jpos.len();
+    members_into(tree, g, work);
+}
+
+/// [`resolve_group_into`] short of the list itself: its length, where
+/// the members start in it, its runs of bodies — what a window is
+/// planned from. [`Window::work`] resolves the list when its call comes.
+fn plan_group_into(tree: &Tree, tr: &Traversal, g: Group, work: &mut GroupWork) {
+    work.jpos.clear();
+    work.jmass.clear();
+    (work.list_len, work.members_at) = tr.body_runs_into(tree, g, &mut work.bodies);
+    members_into(tree, g, work);
+}
+
+/// A group's members, first body and tally, its list's length known.
+fn members_into(tree: &Tree, g: Group, work: &mut GroupWork) {
+    work.group = g;
     let node = &tree.nodes()[g.node as usize];
+    work.first = node.range().start;
     work.targets.clear();
     work.targets.extend(node.range().map(|k| tree.original_index(k)));
     work.xi.clear();
     work.xi.extend_from_slice(&tree.pos()[node.range()]);
     work.tally = InteractionTally {
-        interactions: work.jpos.len() as u64 * work.targets.len() as u64,
-        terms: work.jpos.len() as u64,
+        interactions: work.list_len as u64 * work.targets.len() as u64,
+        terms: work.list_len as u64,
         lists: 1,
     };
+}
+
+/// What resolves a window's lists on the serial path, one at a time
+/// into one husk, when its call comes.
+struct Lazy<'t> {
+    tree: &'t Tree,
+    tr: &'t Traversal,
+    augment: &'t (dyn Fn(&mut GroupWork) + Sync),
+    list: &'t mut GroupWork,
+    produce_s: &'t mut f64,
+}
+
+/// The groups [`stream_windows`] hands its consumer at once, in arrival
+/// order: each one's members, tally, list length and runs of bodies
+/// ([`plan`](Self::plan)), and its resolved list on demand
+/// ([`work`](Self::work)).
+pub struct Window<'w, 't> {
+    items: &'w mut [GroupWork],
+    lazy: Option<Lazy<'t>>,
+}
+
+impl Window<'_, '_> {
+    /// Groups in the window.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// `true` for a window without groups (never handed on).
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Group `k` without its list: `jpos` and `jmass` may be empty, the
+    /// rest — `list_len`, `members_at`, `first`, `bodies`, `xi`,
+    /// `targets`, `tally` — is the group's.
+    pub fn plan(&self, k: usize) -> &GroupWork {
+        &self.items[k]
+    }
+
+    /// Group `k` with its list resolved (and augmented). On the serial
+    /// path the list is resolved here, into one husk the next call
+    /// reuses, so a window holds one list at a time.
+    pub fn work(&mut self, k: usize) -> &GroupWork {
+        let Some(l) = self.lazy.as_mut() else {
+            return &self.items[k];
+        };
+        let t = Instant::now();
+        let g = self.items[k].group;
+        resolve_group_into(l.tree, l.tr, g, l.list, false);
+        (l.augment)(l.list);
+        *l.produce_s += t.elapsed().as_secs_f64();
+        l.list
+    }
+}
+
+/// The consumer's side of a stream: each group alone, or gathered into
+/// windows of groups that may pair.
+struct Windows<'p, F: FnMut(&mut Window<'_, '_>)> {
+    pool: &'p PlanPool,
+    consume: F,
+    /// Groups with at least this many members open windows.
+    pair_min: usize,
+    window: Vec<GroupWork>,
+    terms: usize,
+}
+
+impl<F: FnMut(&mut Window<'_, '_>)> Windows<'_, F> {
+    /// Does `work` go on alone (resolved) rather than into a window?
+    /// Groups reach the consumer in arrival order: a window opens at a
+    /// group of at least `pair_min` members and takes every group after
+    /// it, a smaller one riding along (it records no runs and pairs with
+    /// nothing).
+    fn alone(&self, members: usize) -> bool {
+        self.window.is_empty() && members < self.pair_min
+    }
+
+    /// Hand `work` on, alone or into the window (which goes on when
+    /// full, through `lazy` if its lists are unresolved); its husk ends
+    /// up back in the pool.
+    fn take(&mut self, mut work: GroupWork, mut lazy: Option<Lazy<'_>>) {
+        if self.alone(work.xi.len()) {
+            (self.consume)(&mut Window { items: std::slice::from_mut(&mut work), lazy: None });
+            self.pool.put_husk(work);
+            return;
+        }
+        if !self.window.is_empty() && self.terms + work.list_len > WINDOW_TERMS {
+            self.flush(lazy.take());
+        }
+        self.terms += work.list_len;
+        self.window.push(work);
+        if self.window.len() == WINDOW_GROUPS {
+            self.flush(lazy.take());
+        }
+    }
+
+    /// Hand the window on and return its husks, last first: the pool
+    /// hands them out again first to last, so on the serial path a husk
+    /// carries the same group step after step and keeps that group's
+    /// capacities, not the largest group's.
+    fn flush(&mut self, lazy: Option<Lazy<'_>>) {
+        if !self.window.is_empty() {
+            (self.consume)(&mut Window { items: &mut self.window, lazy });
+        }
+        for h in self.window.drain(..).rev() {
+            self.pool.put_husk(h);
+        }
+        self.terms = 0;
+    }
 }
 
 /// Stream every group's resolved work into `consume`, overlapping
@@ -308,30 +457,94 @@ where
     A: Fn(&mut GroupWork) + Sync,
     F: FnMut(&GroupWork),
 {
+    stream_windows(tree, tr, groups, (cfg, pool), augment, usize::MAX, |w| consume(w.work(0)))
+}
+
+/// [`stream_with_augment`], handing the consumer *windows*: runs of up
+/// to [`WINDOW_GROUPS`] groups, together at most [`WINDOW_TERMS`] list
+/// terms past the first, opened by a group of at least `pair_min`
+/// members; each such group's list's runs of bodies are recorded
+/// ([`GroupWork::bodies`]), so that a device can evaluate the pairs two
+/// of them share once. A smaller group records nothing and goes on alone
+/// unless a window is open: a stream whose groups are all below
+/// `pair_min` is `stream_with_augment`'s. On the serial path a window is
+/// planned from each group's list walked without resolving it, and the
+/// lists are resolved one at a time as the consumer asks
+/// ([`Window::work`]): a window holds one list. The augment hook may not
+/// change a list's length there (the plan has it): give windows
+/// (`pair_min` below `usize::MAX`) only to a stream whose hook leaves the
+/// lists alone. Every group arrives once, in one window, so the
+/// determinism argument of the module docs holds as it is.
+pub fn stream_windows<A, F>(
+    tree: &Tree,
+    tr: &Traversal,
+    groups: &[Group],
+    (cfg, pool): (&PlanConfig, &PlanPool),
+    augment: &A,
+    pair_min: usize,
+    consume: F,
+) -> Result<PlanStats, PlanError>
+where
+    A: Fn(&mut GroupWork) + Sync,
+    F: FnMut(&mut Window<'_, '_>),
+{
     let mut stats = PlanStats::default();
     let minted_before = pool.minted();
     let workers = cfg.resolved_workers(groups.len());
+    // a group off the tree counts as small: its resolution panics inside
+    // the catch-unwind bracket below, and surfaces as a `PlanError`
+    let members = |g: Group| tree.nodes().get(g.node as usize).map_or(0, |n| n.count as usize);
+    let mut out = Windows { pool, consume, pair_min, window: Vec::new(), terms: 0 };
 
     if workers == 0 {
         // inline: produce and consume one group at a time, in
-        // find_groups order, through a single recycled husk
-        let mut work = pool.take_husk();
+        // find_groups order, every list resolved into one husk — a
+        // window's groups planned first, their lists resolved as they
+        // are called
+        let mut list = pool.take_husk();
         let mut failure = None;
         for &g in groups {
+            let alone = out.alone(members(g));
+            let mut work = if alone { None } else { Some(pool.take_husk()) };
             let t = Instant::now();
-            let ok = catch_unwind(AssertUnwindSafe(|| {
-                resolve_group_into(tree, tr, g, &mut work);
-                augment(&mut work);
+            let ok = catch_unwind(AssertUnwindSafe(|| match work.as_mut() {
+                None => {
+                    resolve_group_into(tree, tr, g, &mut list, false);
+                    augment(&mut list);
+                }
+                Some(work) => {
+                    plan_group_into(tree, tr, g, work);
+                    if members(g) < pair_min {
+                        work.bodies.clear(); // rides along, pairs with nothing
+                    }
+                }
             }));
             stats.produce_s += t.elapsed().as_secs_f64();
             if let Err(p) = ok {
                 failure = Some(PlanError { group: Some(g.node), message: payload_msg(&*p) });
+                work.into_iter().for_each(|w| pool.put_husk(w));
                 break;
             }
-            stats.tally = stats.tally.merged(work.tally);
-            consume(&work);
+            match work {
+                None => {
+                    stats.tally = stats.tally.merged(list.tally);
+                    (out.consume)(&mut Window {
+                        items: std::slice::from_mut(&mut list),
+                        lazy: None,
+                    });
+                }
+                Some(work) => {
+                    stats.tally = stats.tally.merged(work.tally);
+                    let (list, produce_s) = (&mut list, &mut stats.produce_s);
+                    out.take(work, Some(Lazy { tree, tr, augment, list, produce_s }));
+                }
+            }
         }
-        pool.put_husk(work);
+        if failure.is_none() {
+            let (list, produce_s) = (&mut list, &mut stats.produce_s);
+            out.flush(Some(Lazy { tree, tr, augment, list, produce_s }));
+        }
+        pool.put_husk(list);
         stats.husks_minted = pool.minted() - minted_before;
         return match failure {
             Some(e) => Err(e),
@@ -356,7 +569,8 @@ where
                     let mut work = pool.take_husk();
                     let t = Instant::now();
                     let item = catch_unwind(AssertUnwindSafe(|| {
-                        resolve_group_into(tree, tr, groups[i], &mut work);
+                        let runs = members(groups[i]) >= pair_min;
+                        resolve_group_into(tree, tr, groups[i], &mut work, runs);
                         augment(&mut work);
                         work
                     }))
@@ -383,14 +597,16 @@ where
             match item {
                 Ok(work) => {
                     stats.tally = stats.tally.merged(work.tally);
-                    consume(&work);
-                    pool.put_husk(work);
+                    out.take(work, None);
                 }
                 Err(e) => {
                     failure = Some(e);
                     break;
                 }
             }
+        }
+        if failure.is_none() {
+            out.flush(None);
         }
         // unblock any producer parked on a full channel before joining
         drop(rx);

@@ -262,17 +262,45 @@ impl Traversal {
     /// [`modified_list`](Self::modified_list) followed by
     /// [`ListTerm::resolve`] per term would give, in the same order,
     /// without the term list in between. Returns where in `jpos` the
-    /// group's own members went (in tree order, one run).
+    /// group's own members went (in tree order, one run). With `bodies`,
+    /// also records the list's runs of bodies there (appended).
     pub(crate) fn resolved_list_into(
         &self,
         tree: &Tree,
         group: Group,
-        jpos: &mut Vec<Vec3>,
-        jmass: &mut Vec<f64>,
+        (jpos, jmass): (&mut Vec<Vec3>, &mut Vec<f64>),
+        bodies: Option<&mut Vec<[usize; 3]>>,
     ) -> usize {
         let sphere = self.group_sphere(tree, group);
-        emit_resolved(tree, &self.mac, &sphere, Some(group), jpos, jmass)
+        emit_resolved(tree, &self.mac, &sphere, Some(group), (jpos, jmass), bodies)
             .expect("a group's list holds its members")
+    }
+
+    /// The shape of one group's list without resolving it: its length,
+    /// where the group's own members start in it, and its runs of bodies
+    /// written to `bodies` (cleared first) as
+    /// [`resolved_list_into`](Self::resolved_list_into) records them.
+    pub(crate) fn body_runs_into(
+        &self,
+        tree: &Tree,
+        group: Group,
+        bodies: &mut Vec<[usize; 3]>,
+    ) -> (usize, usize) {
+        bodies.clear();
+        let sphere = self.group_sphere(tree, group);
+        let first = tree.columns().span[group.node as usize][0] as usize;
+        let (mut len, mut members_at) = (0, None);
+        emit_terms(tree, &self.mac, &sphere, Some(group), |span| match span {
+            Span::Cell(_) => len += 1,
+            Span::Bodies(r) => {
+                if r.start == first {
+                    members_at = Some(len);
+                }
+                push_run(bodies, [len, r.start, r.len()]);
+                len += r.len();
+            }
+        });
+        (len, members_at.expect("a group's list holds its members"))
     }
 
     /// The pre-overhaul recursive walk over the `Node` array, kept as
@@ -417,13 +445,16 @@ pub(crate) fn emit_terms(
 /// out of the tree's sorted arrays. Returns where in `jpos` the
 /// `group`'s own members went: the one run of bodies that starts at the
 /// group's first body (any other opened leaf is disjoint from the group).
+/// With `bodies`, each run of bodies is appended there as `[position in
+/// jpos, first body (tree order), len]`, a leaf that continues the run
+/// before it in both merged into it.
 pub(crate) fn emit_resolved(
     tree: &Tree,
     mac: &Mac,
     sphere: &GroupSphere,
     group: Option<Group>,
-    jpos: &mut Vec<Vec3>,
-    jmass: &mut Vec<f64>,
+    (jpos, jmass): (&mut Vec<Vec3>, &mut Vec<f64>),
+    mut bodies: Option<&mut Vec<[usize; 3]>>,
 ) -> Option<usize> {
     let moment = &tree.columns().moment;
     let first = group.map(|g| tree.columns().span[g.node as usize][0] as usize);
@@ -438,11 +469,23 @@ pub(crate) fn emit_resolved(
             if Some(r.start) == first {
                 members_at = Some(jpos.len());
             }
+            if let Some(runs) = bodies.as_deref_mut() {
+                push_run(runs, [jpos.len(), r.start, r.len()]);
+            }
             jpos.extend_from_slice(&tree.pos()[r.clone()]);
             jmass.extend_from_slice(&tree.mass()[r]);
         }
     });
     members_at
+}
+
+/// Append the run of bodies `[position, first body, len]` to `runs`,
+/// merged into the last one where it continues it in both.
+fn push_run(runs: &mut Vec<[usize; 3]>, [at, first, n]: [usize; 3]) {
+    match runs.last_mut() {
+        Some([p, b, len]) if *p + *len == at && *b + *len == first => *len += n,
+        _ => runs.push([at, first, n]),
+    }
 }
 
 /// The explicit-stack DFS behind [`emit_terms`]. `accept` sees only the
@@ -734,7 +777,7 @@ mod tests {
             assert_eq!(terms, want, "{:?} n_crit {n_crit} group {}", tr.mac, g.node);
             jpos.truncate(1);
             jmass.truncate(1);
-            tr.resolved_list_into(tree, g, &mut jpos, &mut jmass);
+            tr.resolved_list_into(tree, g, (&mut jpos, &mut jmass), None);
             assert_eq!((jpos.len(), jmass.len()), (want.len() + 1, want.len() + 1));
             assert_eq!(bits(jpos[0], jmass[0]), bits(Vec3::splat(7.0), 7.0));
             for (k, t) in want.iter().enumerate() {
@@ -787,7 +830,7 @@ mod tests {
         let groups = tr.find_groups(&tree, pos.len());
         assert_eq!(groups, [Group { node: 0 }]);
         let (mut jpos, mut jmass) = (Vec::new(), Vec::new());
-        tr.resolved_list_into(&tree, groups[0], &mut jpos, &mut jmass);
+        tr.resolved_list_into(&tree, groups[0], (&mut jpos, &mut jmass), None);
         assert_eq!((&jpos[..], &jmass[..]), (tree.pos(), tree.mass()));
     }
 
