@@ -16,7 +16,7 @@
 //!        ├── the incoming rectangles ────────► their rows start from the deposits
 //!        └── (declines: the window ends) ────► interact_self, per call:
 //!   interact_self (a self block: the i-set a run of the j-set, either mode)
-//!        ├── the run's pairs ───────► the pair pass's diagonal blocks (self_blocks)
+//!        ├── the run's pairs ───────► the pair pass's diagonal blocks (push_self_blocks)
 //!        ├── the rest of each list ─► interact_into, into the same words
 //!        └── (declines) ───────────► interact_block, per board:
 //!   interact_block / interact_into (no cutoff), per board
@@ -761,23 +761,26 @@ impl PairScratch {
     }
 }
 
-/// The self block's rectangles over its run of `n` points (`0..n`), in
-/// the board parts `ends` holds, with board `k`'s words at `4 · k · n`
-/// (stride `n`): for each board part of the rows and each part of the
-/// columns from it on, the pairs `a < b`; the row side into the columns'
-/// board, the column side into the rows' board.
-pub(crate) fn self_blocks(ends: &[usize], n: usize, blocks: &mut Vec<Block>) {
-    let starts = || std::iter::once(0).chain(ends.iter().copied());
-    for (ca, (rs, re)) in starts().zip(ends.iter().copied()).enumerate() {
-        for (cb, (cs, ce)) in starts().zip(ends.iter().copied()).enumerate().skip(ca) {
-            if rs < re && cs < ce {
-                blocks.push(Block {
-                    rows: (rs, re),
-                    cols: (cs, ce),
-                    diag: true,
-                    to_a: (4 * cb * n + rs, n),
-                    to_b: (4 * ca * n + cs, n),
-                });
+impl PairScratch {
+    /// Add the self block's rectangles over its run of `n` points
+    /// (`0..n`), in the board parts `ends` holds, with board `k`'s words
+    /// at `4 · k · n` (stride `n`): for each board part of the rows and
+    /// each part of the columns from it on, the pairs `a < b`; the row
+    /// side into the columns' board, the column side into the rows'.
+    pub(crate) fn push_self_blocks(&mut self, n: usize) {
+        let ends = &self.ends;
+        let starts = || std::iter::once(0).chain(ends.iter().copied());
+        for (ca, (rs, re)) in starts().zip(ends.iter().copied()).enumerate() {
+            for (cb, (cs, ce)) in starts().zip(ends.iter().copied()).enumerate().skip(ca) {
+                if rs < re && cs < ce {
+                    self.blocks.push(Block {
+                        rows: (rs, re),
+                        cols: (cs, ce),
+                        diag: true,
+                        to_a: (4 * cb * n + rs, n),
+                        to_b: (4 * ca * n + cs, n),
+                    });
+                }
             }
         }
     }

@@ -515,9 +515,7 @@ impl G5Pipeline {
                 }
             }
         }
-        let mut blocks = std::mem::take(&mut s.blocks);
-        lanes::self_blocks(&s.ends, n, &mut blocks);
-        s.blocks = blocks;
+        s.push_self_blocks(n);
         if !self.pair_pass(lns, (force_scale, fmt), s) {
             lanes::count_pairs(3, 1);
             return false;

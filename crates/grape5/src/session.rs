@@ -534,11 +534,9 @@ mod tests {
                 let before = blocks();
                 let run = s.try_force_on_run(chunk, start).expect("no fault armed");
                 let ran = blocks() - before;
-                assert_eq!(
-                    ran,
-                    u64::from(crate::lanes::cpu_lanes()[0]),
-                    "{mode:?} chunk at {start}"
-                );
+                // the x86 lane path runs a self block; the skeleton does not
+                let lanes = crate::lanes::detect_lane_path() == crate::lanes::LanePath::Avx2;
+                assert_eq!(ran, u64::from(lanes), "{mode:?} chunk at {start}");
                 assert!(bits(&run) == bits(&plain), "{mode:?} chunk at {start}: forces differ");
             }
         }

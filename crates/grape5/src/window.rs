@@ -70,10 +70,9 @@ struct Seg {
     rects: Range<usize>,
     /// The run's check record in `PairWindow::runs`.
     run: usize,
-    /// Placed by the call: its board and board-local columns, and for an
-    /// outgoing segment its points in the scratch.
+    /// Placed by the call: its board, and for an outgoing segment its
+    /// points in the scratch.
     board: usize,
-    local: Range<usize>,
     pts: Range<usize>,
 }
 
@@ -111,8 +110,9 @@ struct Slot {
     /// The rows' run.
     brun: usize,
     valid: bool,
-    /// Set by a call: where its words sit in the scratch (outgoing), or
-    /// whether they hold and were added (incoming).
+    /// Set by a call: where its words sit in the scratch (outgoing) or
+    /// the board its columns are on (incoming); whether they hold and
+    /// were added.
     tmp: usize,
     ok: bool,
     added: bool,
@@ -474,10 +474,13 @@ impl PairWindow {
                     let Rect { rows, slot, .. } = self.rects[r].clone();
                     let brun = self.slots[slot].brun;
                     let rows_hold = rows.end <= n && self.holds(brun, xi[rows].iter().copied());
-                    self.slots[slot].ok &= cols_hold && rows_hold;
+                    // all of a deposit's columns on the one board it is added to
+                    let first = std::mem::replace(&mut self.slots[slot].tmp, k);
+                    let one_board = first == usize::MAX || first == k;
+                    self.slots[slot].ok &= cols_hold && rows_hold && one_board;
                 }
             }
-            (self.segs[si].board, self.segs[si].local) = (k, local);
+            self.segs[si].board = k;
         }
         for si in segs.clone() {
             for r in self.segs[si].rects.clone() {
@@ -538,12 +541,11 @@ impl PairWindow {
                 }
             }
         }
-        let mut blocks = std::mem::take(&mut s.blocks);
-        lanes::self_blocks(&s.ends, n, &mut blocks);
+        s.push_self_blocks(n);
         for seg in self.segs[segs.clone()].iter().filter(|s| s.out) {
             for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
                 let slot = &self.slots[r.slot];
-                blocks.push(Block {
+                s.blocks.push(Block {
                     rows: (r.rows.start, r.rows.end),
                     cols: (seg.pts.start, seg.pts.end),
                     diag: false,
@@ -552,7 +554,6 @@ impl PairWindow {
                 });
             }
         }
-        s.blocks = blocks;
         if !pipe.pair_pass(lns, (force_scale, fmt), s) {
             lanes::count_pairs(3, 1);
             return false;
