@@ -190,15 +190,13 @@ impl Engine {
                         bodies: &w.bodies,
                     }
                 });
-                if window.len() > 1 {
-                    session.open_window(plan);
-                }
+                session.open_window(plan);
                 for k in 0..window.len() {
                     out.timers.device_s += t.elapsed().as_secs_f64();
                     let w = window.work(k);
                     t = Instant::now();
                     let lists = (&w.jpos[..], &w.jmass[..]);
-                    match session.try_force_in_window(lists, &w.xi, k, w.members_at) {
+                    match session.try_force_in_window(lists, &w.xi, k) {
                         Ok(forces) => {
                             for (t_idx, f) in w.targets.iter().zip(forces) {
                                 acc[*t_idx] = f.acc;

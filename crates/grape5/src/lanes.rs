@@ -7,18 +7,16 @@
 //! mode:
 //!
 //! ```text
-//!   window::PairWindow::run_call (a call of a pair window, order-free words)
-//!        ├── each block of rows, each board ► interact_into, its columns gathered into one span
+//!   window::PairWindow::run_call (the i-set a run of the j-set: a window call, a run, the whole set)
+//!        ├── the rest of each list ──────────► interact_into: a live window's order-free call gathers
+//!        │                                     each block of rows' columns into one span; else the list
+//!        │                                     before the run (words checked for headroom), after the pass
 //!        ├── the run's triangle + the ───────► avx2::block_exact_pairs(_vl) / block_lns(16)_pairs,
-//!        │   outgoing rectangles               one front per pair, one back where the masses match;
+//!        │   outgoing rectangles (order-free)  one front per pair, one back where the masses match;
 //!        │                                     row side into the boards' words, column side into
 //!        │                                     the rows' board or a deposit
 //!        ├── the incoming rectangles ────────► their rows start from the deposits
-//!        └── (declines: the window ends) ────► interact_self, per call:
-//!   interact_self (a self block: the i-set a run of the j-set, either mode)
-//!        ├── the run's pairs ───────► the pair pass's diagonal blocks (push_self_blocks)
-//!        ├── the rest of each list ─► interact_into, into the same words
-//!        └── (declines) ───────────► interact_block, per board:
+//!        └── (declines) ─────────────────────► interact_block, per board:
 //!   interact_block / interact_into (no cutoff), per board
 //!        │ detect_lane_path()          G5_LANE_PATH, is_x86_feature_detected!
 //!        ├── LanePath::Avx2 ──────► avx2::block_exact / avx2::block_lns; where the CPU
@@ -87,7 +85,7 @@
 //! and `(b, a)` share their front bit for bit — `−d` is exact, IEEE
 //! rounding is sign-symmetric and the LNS encoder reads the magnitude —
 //! so `block_exact_pairs` and `block_lns_pairs` run one front per pair
-//! of each [`Block`]: rows against columns of the scratch's points, the
+//! of each `Block`: rows against columns of the scratch's points, the
 //! diagonal ones (a self block) only `a < b`. The back of the column side
 //! is `d · (−m_a r⁻³)`, in LNS the back on `m_a` with every displacement
 //! sign flipped; where the lane group's masses all equal `m_a` it is not
@@ -95,9 +93,9 @@
 //! are the row side's negated and its potential words the same. A
 //! board's partial is then its rounded terms summed in another order,
 //! which is the ordered chain while every term is inside the encode
-//! window and no prefix can clamp — a headroom check on the words before
-//! a self block's run, a bound over the whole list in a window (DESIGN.md,
-//! device kernel, "pair blocks"). A block's last group is padded with
+//! window and no prefix can clamp — a bound over the whole list, or else
+//! a headroom check on the words before the run (DESIGN.md, device kernel,
+//! "pair blocks"). A block's last group is padded with
 //! massless lanes, both ways; the points past the last with far ones.
 //!
 //! **LNS mode** mirrors the GRAPE-5 pipeline's own stage order — after
@@ -759,9 +757,7 @@ impl PairScratch {
     pub(crate) fn words4(&self, at: usize, n: usize) -> [i64; 4] {
         [0, 1, 2, 3].map(|c| self.w[at + c * n])
     }
-}
 
-impl PairScratch {
     /// Add the self block's rectangles over its run of `n` points
     /// (`0..n`), in the board parts `ends` holds, with board `k`'s words
     /// at `4 · k · n` (stride `n`): for each board part of the rows and
@@ -3095,7 +3091,8 @@ mod tests {
                         set_wide(&mut p, wide);
                         let mut s = PairScratch::default();
                         let boards = shares.iter().map(ProcessorBoard::j_slices);
-                        let ran = p.interact_self(&x, boards, 0, (fs, fmt), &mut s);
+                        let mut w = crate::window::PairWindow::default();
+                        let ran = w.run_call(&p, &x, boards, (0, None, false), (fs, fmt), &mut s);
                         let may_decline = coincident && eps == 0.0 && mode == ArithMode::Exact;
                         assert!(ran || may_decline, "{what} wide {wide}: declined");
                         for (k, want) in want.iter().enumerate().filter(|_| ran) {

@@ -66,4 +66,4 @@ pub use pipeline::{Force, G5Pipeline};
 pub use pool::{DevicePool, PoolError, PoolLease, PoolUsage};
 pub use session::{bounding_window, DeviceSession, RecoveryStats, RetryPolicy};
 pub use system::{Grape5, SelfTest};
-pub use window::{WindowCall, PAIR_GROUP_MIN, PAIR_RUN_MIN};
+pub use window::{WindowCall, PAIR_GROUP_MIN};

@@ -457,81 +457,6 @@ impl G5Pipeline {
         }
     }
 
-    /// A self block: `xi` is the resident words `at .. at + xi.len()` of
-    /// the live `boards` (in board order; the run may straddle them),
-    /// all inside the magic window. Each board's list before the run
-    /// goes through [`interact_into`](Self::interact_into), the run's
-    /// unordered pairs through the pair pass's diagonal blocks
-    /// ([`lanes::block_exact_pairs`], [`lanes::block_lns_pairs`]), the
-    /// list after the run continues the words that leaves; board `k`'s
-    /// words are left in `s` at `4 · k · n` (stride `n`). `false`,
-    /// nothing to read, for any other call; where this pipeline would
-    /// not run the x86 kernels; for a run shorter than [`SELF_RUN_MIN`]
-    /// that is not the whole set; and where the pass declines or a
-    /// board's words before the run leave its terms too little headroom
-    /// to be summed in any order. Out of line: the O(n) recognition
-    /// stays out of every other call's code.
-    #[inline(never)]
-    pub(crate) fn interact_self<'a>(
-        &self,
-        xi: &[[i64; 3]],
-        boards: impl Iterator<Item = JSlices<'a>> + Clone,
-        at: usize,
-        (force_scale, fmt): (f64, FixedFormat),
-        s: &mut lanes::PairScratch,
-    ) -> bool {
-        let Some(lns) = self.pairs_on() else {
-            return false;
-        };
-        let (n, room) = (xi.len(), fmt.raw_max() >> 50);
-        let total: usize = boards.clone().map(|j| j.len()).sum();
-        if n == 0 || (n < SELF_RUN_MIN && n != total) || !self.load_run(xi, boards.clone(), at, s) {
-            return false;
-        }
-        if s.ends
-            .iter()
-            .scan(0, |e, &end| Some(end - std::mem::replace(e, end)))
-            .any(|l| l as i64 > room)
-        {
-            return false;
-        }
-        s.seal(lns, 4 * s.ends.len() * n);
-        // each board's list before the run, from zero: its words must
-        // leave the run's terms `len · 2⁵⁰` to the format's ends
-        for (k, (j, r)) in run_parts(boards.clone(), (at, n)).enumerate() {
-            if r.start > 0 && !r.is_empty() {
-                let w = s.words_from(4 * k * n);
-                self.interact_into(
-                    xi,
-                    &j.sub(0..r.start),
-                    force_scale,
-                    fmt,
-                    &mut Words::Rows { w, n, len: n },
-                );
-                let lim = (fmt.raw_max() - ((r.len() as i64) << 50)) as u64;
-                if !(0..4 * n).all(|i| s.word(4 * k * n + i).unsigned_abs() <= lim) {
-                    lanes::count_pairs(3, 1);
-                    return false;
-                }
-            }
-        }
-        s.push_self_blocks(n);
-        if !self.pair_pass(lns, (force_scale, fmt), s) {
-            lanes::count_pairs(3, 1);
-            return false;
-        }
-        // the rest of each board's list continues the run's words
-        for (k, (j, r)) in run_parts(boards, (at, n)).enumerate() {
-            let rest = if r.is_empty() { 0..j.len() } else { r.end..j.len() };
-            if !rest.is_empty() {
-                let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
-                self.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
-            }
-        }
-        lanes::count_pairs(0, 1);
-        true
-    }
-
     /// Whether this pipeline runs the pair pass at all (the x86 lane
     /// path, no cutoff, the LNS lane ROMs in LNS mode), and then in which
     /// mode: `Some(lns)`.
@@ -606,16 +531,6 @@ pub(crate) fn run_parts<'a>(
         Some((j, at.clamp(s, e) - s..(at + n).clamp(s, e) - s))
     })
 }
-
-/// Shortest run [`G5Pipeline::interact_self`] takes that is not the
-/// whole loaded set: below it the extra kernel calls and tails of the
-/// split list cost more than the pairs it saves (`n_g = 32` groups hold
-/// 9.6 members on average). Sized on `exp_kernel`'s run cells with this
-/// bound at 1 (best of five runs, 2 vCPUs with AVX-512VL): the self
-/// block lost at every n ≤ 48 in both modes (0.53–0.91×) and at 64
-/// except with equal LNS masses, was even at 96 (0.95–1.09×) and won
-/// from 128 on with equal masses (1.11× exact, 1.25× LNS).
-pub(crate) const SELF_RUN_MIN: usize = 128;
 
 #[cfg(test)]
 mod tests {

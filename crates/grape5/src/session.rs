@@ -39,7 +39,7 @@
 
 use crate::fault::DeviceError;
 use crate::pipeline::Force;
-use crate::system::Grape5;
+use crate::system::{CallHint, Grape5};
 use crate::window::WindowCall;
 use g5util::vec3::Vec3;
 
@@ -142,14 +142,6 @@ impl RecoveryStats {
     }
 }
 
-/// What a session call tells the device of its i-set.
-#[derive(Debug, Clone, Copy)]
-enum Hint {
-    None,
-    Run(usize),
-    Window(usize),
-}
-
 /// One step's worth of device protocol: range + softening declared
 /// once, j-memory chunking, validation and recovery handled per force
 /// call.
@@ -164,8 +156,6 @@ pub struct DeviceSession<'a> {
     /// retained across loads, so re-loading allocates nothing once they
     /// have grown to the working list length.
     resident: Option<(Vec<Vec3>, Vec<f64>)>,
-    /// A pair window is open on the device.
-    window: bool,
 }
 
 impl<'a> DeviceSession<'a> {
@@ -186,7 +176,6 @@ impl<'a> DeviceSession<'a> {
             retry: RetryPolicy::default(),
             stats: RecoveryStats::default(),
             resident: None,
-            window: false,
         })
     }
 
@@ -238,13 +227,7 @@ impl<'a> DeviceSession<'a> {
     /// a bad result is retried (re-loading the j-memory from the
     /// host-side copy), persistent faults are quarantined.
     pub fn try_force_on(&mut self, xi: &[Vec3]) -> Result<Vec<Force>, DeviceError> {
-        let (jpos, jmass) = self
-            .resident
-            .take()
-            .expect("try_force_on requires a resident j-set (call load_j first)");
-        let out = self.recovering_call(&jpos, &jmass, xi, true, Hint::None);
-        self.resident = Some((jpos, jmass));
-        out
+        self.resident_call(xi, CallHint::None)
     }
 
     /// Forces on `xi` from an arbitrary j-set, validated and recovered:
@@ -256,22 +239,7 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
     ) -> Result<Vec<Force>, DeviceError> {
-        self.recovering_call(jpos, jmass, xi, false, Hint::None)
-    }
-
-    /// [`try_force_for`](Self::try_force_for) where `xi` is
-    /// `jpos[run_at..][..xi.len()]` — a tree group's members, which its
-    /// own list holds — so that a set that fits the board memory is
-    /// evaluated through [`Grape5::try_force_on_run`]. Same forces,
-    /// accounting and recovery.
-    pub fn try_force_for_run(
-        &mut self,
-        jpos: &[Vec3],
-        jmass: &[f64],
-        xi: &[Vec3],
-        run_at: usize,
-    ) -> Result<Vec<Force>, DeviceError> {
-        self.recovering_call(jpos, jmass, xi, false, Hint::Run(run_at))
+        self.recovering_call(jpos, jmass, xi, false, CallHint::None)
     }
 
     /// [`try_force_on`](Self::try_force_on) where `xi` is the resident
@@ -284,46 +252,42 @@ impl<'a> DeviceSession<'a> {
         xi: &[Vec3],
         run_at: usize,
     ) -> Result<Vec<Force>, DeviceError> {
-        let (jpos, jmass) = self
-            .resident
-            .take()
-            .expect("try_force_on_run requires a resident j-set (call load_j first)");
-        let out = self.recovering_call(&jpos, &jmass, xi, true, Hint::Run(run_at));
+        self.resident_call(xi, CallHint::Run(run_at))
+    }
+
+    /// A recovered call on the resident j-set.
+    fn resident_call(&mut self, xi: &[Vec3], hint: CallHint) -> Result<Vec<Force>, DeviceError> {
+        let (jpos, jmass) =
+            self.resident.take().expect("a call on the resident j-set follows load_j");
+        let out = self.recovering_call(&jpos, &jmass, xi, true, hint);
         self.resident = Some((jpos, jmass));
         out
     }
 
-    /// Open a pair window over `calls`, the group calls to come in this
-    /// order ([`Grape5::open_window`]; DESIGN.md, "pair blocks"), when
-    /// every list fits the board memory. `false`, and no window, where it
-    /// does not open; the calls are then
-    /// [`try_force_for_run`](Self::try_force_for_run) calls.
+    /// Open a window over `calls`, the group calls to come in this order
+    /// ([`Grape5::open_window`]; DESIGN.md, "pair blocks"): each is then
+    /// a [`try_force_in_window`](Self::try_force_in_window) call.
     pub fn open_window<'w>(&mut self, calls: impl Iterator<Item = WindowCall<'w>> + Clone) -> bool {
-        let cap = self.g5.jmem_capacity();
-        self.window = calls.clone().all(|c| c.list_len <= cap) && self.g5.open_window(calls);
-        self.window
+        self.g5.open_window(calls)
     }
 
-    /// Call `call` of the open window: [`try_force_for_run`](Self::try_force_for_run)
-    /// on the run at `members_at`, each pair that this list's run of a
-    /// partner's bodies shares with the partner's list of this group's
-    /// evaluated once. Same forces, accounting and recovery; a call that
-    /// fails ends the window, and the calls after it take the per-call
-    /// path.
+    /// Call `call` of the open window: [`try_force_for`](Self::try_force_for)
+    /// of a group's members on its list, the pairs the list's run of the
+    /// members holds — and while the window is live, those its runs of a
+    /// partner's bodies share with the partner's list — evaluated once
+    /// ([`Grape5::try_force_in_window`]). Same forces, accounting and
+    /// recovery; a call that fails ends the window.
     pub fn try_force_in_window(
         &mut self,
         (jpos, jmass): (&[Vec3], &[f64]),
         xi: &[Vec3],
         call: usize,
-        members_at: usize,
     ) -> Result<Vec<Force>, DeviceError> {
-        let hint = if self.window { Hint::Window(call) } else { Hint::Run(members_at) };
-        self.recovering_call(jpos, jmass, xi, false, hint)
+        self.recovering_call(jpos, jmass, xi, false, CallHint::Window(call))
     }
 
     /// Close the window.
     pub fn close_window(&mut self) {
-        self.window = false;
         self.g5.close_window();
     }
 
@@ -371,12 +335,12 @@ impl<'a> DeviceSession<'a> {
     /// One device call (on the run or the window call `hint` names),
     /// refused when a board's accumulator clamped: the answer is then the
     /// fixed-point range's, not the j-set's.
-    fn unclamped_force_on(&mut self, xi: &[Vec3], hint: Hint) -> Result<Vec<Force>, DeviceError> {
-        let forces = match hint {
-            Hint::None => self.g5.try_force_on(xi)?,
-            Hint::Run(at) => self.g5.try_force_on_run(xi, at)?,
-            Hint::Window(call) => self.g5.try_force_in_window(xi, call)?,
-        };
+    fn unclamped_force_on(
+        &mut self,
+        xi: &[Vec3],
+        hint: CallHint,
+    ) -> Result<Vec<Force>, DeviceError> {
+        let forces = self.g5.force_call(xi, hint)?;
         match self.g5.clamped_partial() {
             Some((index, value, bound)) => Err(DeviceError::InvalidForce { index, value, bound }),
             None => Ok(forces),
@@ -392,7 +356,7 @@ impl<'a> DeviceSession<'a> {
         jpos: &[Vec3],
         jmass: &[f64],
         xi: &[Vec3],
-        (load, hint): (bool, Hint),
+        (load, hint): (bool, CallHint),
     ) -> Result<Vec<Force>, DeviceError> {
         let cap = self.g5.jmem_capacity();
         if cap == 0 {
@@ -413,7 +377,7 @@ impl<'a> DeviceSession<'a> {
             while start < jpos.len() {
                 let end = (start + cap).min(jpos.len());
                 self.g5.set_j_particles(&jpos[start..end], &jmass[start..end]);
-                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi, Hint::None)?) {
+                for (t, p) in total.iter_mut().zip(self.unclamped_force_on(xi, CallHint::None)?) {
                     *t = t.merged(p);
                 }
                 start = end;
@@ -434,7 +398,7 @@ impl<'a> DeviceSession<'a> {
         jmass: &[f64],
         xi: &[Vec3],
         resident: bool,
-        hint: Hint,
+        hint: CallHint,
     ) -> Result<Vec<Force>, DeviceError> {
         let mut attempts = 0u32;
         loop {
@@ -449,7 +413,6 @@ impl<'a> DeviceSession<'a> {
             // a failed call's deposits, or its partners', are not to be
             // trusted: the window ends
             self.g5.kill_window();
-            self.window = false;
             match &err {
                 DeviceError::InvalidForce { .. } => self.stats.validation_failures += 1,
                 _ => self.stats.device_errors += 1,

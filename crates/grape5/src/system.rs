@@ -95,9 +95,9 @@ fn run_boards<F>(
 
 /// What a force call knows of its i-set: nothing beyond its length,
 /// that it is the j-set's particles from a run's start on, or that it is
-/// a call of the open pair window.
+/// a call of the open window (whose plan knows where its run starts).
 #[derive(Debug, Clone, Copy)]
-enum CallHint {
+pub(crate) enum CallHint {
     None,
     Run(usize),
     Window(usize),
@@ -188,7 +188,7 @@ impl Grape5 {
             partials: vec![Vec::new(); nb],
             i_scratch: Vec::new(),
             pair_scratch: PairScratch::default(),
-            window: PairWindow::default(),
+            window: PairWindow::new(),
             lane_override: None,
         }
     }
@@ -517,27 +517,25 @@ impl Grape5 {
         self.force_call(xi, CallHint::Run(run_at))
     }
 
-    /// Open a pair window over `calls`, the force calls to come in this
-    /// order, each on its own list (DESIGN.md, "pair blocks"): the pairs
-    /// between two of their lists' runs of each other's bodies are then
-    /// evaluated once, in the earlier call, and the later one starts from
-    /// the deposit. `false`, and no window, where nothing pairs or the
-    /// device would not run the pass: a fault injector is armed (a
-    /// per-call fault must not reach a partner's forces), the lane path is
-    /// not the x86 one, a cutoff is set. Forces, accounting and faults of
-    /// each call are those of [`try_force_on_run`](Self::try_force_on_run)
-    /// on its run.
+    /// Open a window over `calls`, the force calls to come in this order,
+    /// each on its own list (DESIGN.md, "pair blocks"): each call's run is
+    /// recorded and, where the device runs the pass (no fault injector
+    /// armed: a per-call fault must not reach a partner's forces; the x86
+    /// lane path; no cutoff) and every list fits the j-memory, the pairs
+    /// two lists' runs of each other's bodies share are planned to be
+    /// evaluated once; `false` where none is. Forces, accounting and
+    /// faults of each call are those of [`try_force_on_run`](Self::try_force_on_run).
     pub fn open_window<'a>(&mut self, calls: impl Iterator<Item = WindowCall<'a>> + Clone) -> bool {
-        self.window.close();
-        self.fault.is_none()
+        let cap = self.jmem_capacity();
+        let pairs = self.fault.is_none()
             && self.pipeline.pairs_on().is_some()
-            && self.window.open(calls, self.active_boards())
+            && calls.clone().all(|c| c.list_len <= cap);
+        self.window.open(calls, self.active_boards(), pairs)
     }
 
     /// Call `call` of the open window on the loaded j-set (its list):
     /// [`try_force_on_run`](Self::try_force_on_run) on the call's run,
-    /// with the window's rectangles where the window is still open. A
-    /// call that cannot take them ends the window.
+    /// with the window's rectangles while the window is live.
     pub fn try_force_in_window(
         &mut self,
         xi: &[Vec3],
@@ -551,7 +549,7 @@ impl Grape5 {
         self.window.kill();
     }
 
-    /// Close the window and drop its deposits (buffers kept).
+    /// Close the window and drop its calls and deposits (buffers kept).
     pub fn close_window(&mut self) {
         self.window.close();
     }
@@ -578,7 +576,11 @@ impl Grape5 {
 
     /// The force call, where `xi` may be the j-set's particles from a
     /// run's start on — always so, from 0, when it is as long as the set.
-    fn force_call(&mut self, xi: &[Vec3], hint: CallHint) -> Result<Vec<Force>, DeviceError> {
+    pub(crate) fn force_call(
+        &mut self,
+        xi: &[Vec3],
+        hint: CallHint,
+    ) -> Result<Vec<Force>, DeviceError> {
         // the fault process decides this call's fate first; the call
         // counter advances even on a timeout (the host burned a DMA)
         let call_fault = match &mut self.fault {
@@ -611,53 +613,27 @@ impl Grape5 {
         // fixed board order no matter where or when a board ran —
         // forces are deterministic under any thread schedule. Short
         // calls stay on this thread (see SPAWN_REPAY_INTERACTIONS). A
-        // self block on this thread — the i-set is a run of the resident
-        // j-set — writes every board's partial with one pass over the
-        // run's unordered pairs instead, unless it declines.
+        // call on this thread whose i-set is a run of the j-set may write
+        // every board's partial through the pair pass instead
+        // (`PairWindow::run_call`), unless it declines.
         let interactions = xi.len() as u64 * self.nj_total as u64;
-        let order_free = matches!(hint, CallHint::Window(_)) && self.order_free();
+        let parallel =
+            interactions >= SPAWN_REPAY_INTERACTIONS && cores::share() > 1 && self.boards.len() > 1;
+        let run = (!parallel)
+            .then(|| self.window.run_of(hint, xi.len(), self.nj_total))
+            .flatten()
+            .map(|(at, call)| (at, call, self.order_free()));
         {
             let (pipeline, raw, force_scale) =
                 (&self.pipeline, &self.i_scratch[..], self.force_scale);
             let fmt = self.cfg.acc_format;
-            let parallel = interactions >= SPAWN_REPAY_INTERACTIONS
-                && cores::share() > 1
-                && self.boards.len() > 1;
             let live = |(b, ok): &(&ProcessorBoard, &bool)| **ok && b.nj() > 0;
             let boards = self.boards.iter().zip(&self.board_ok);
             let scratch = &mut self.pair_scratch;
             let live_j = boards.clone().filter(live).map(|(b, _)| b.j_slices());
-            let window = match hint {
-                CallHint::Window(call) if self.window.live(call).is_some() => {
-                    let run = !parallel
-                        && order_free
-                        && self.window.run_call(
-                            pipeline,
-                            raw,
-                            live_j.clone(),
-                            call,
-                            (force_scale, fmt),
-                            scratch,
-                        );
-                    if !run {
-                        self.window.kill();
-                    }
-                    run
-                }
-                _ => false,
-            };
-            let run_at = match hint {
-                CallHint::None => None,
-                CallHint::Run(at) => Some(at),
-                CallHint::Window(call) => self.window.members_at(call),
-            }
-            .or((xi.len() == self.nj_total).then_some(0));
-            if window
-                || !parallel
-                    && run_at.is_some_and(|at| {
-                        pipeline.interact_self(raw, live_j, at, (force_scale, fmt), scratch)
-                    })
-            {
+            if run.is_some_and(|run| {
+                self.window.run_call(pipeline, raw, live_j, run, (force_scale, fmt), scratch)
+            }) {
                 let n = xi.len();
                 let outs = boards.zip(&mut self.partials).filter(|(b, _)| live(b));
                 for (k, (_, out)) in outs.enumerate() {
@@ -1624,11 +1600,13 @@ mod tests {
 
     /// A synthetic pair window: bodies of one numbering, groups of them,
     /// and per group a list of its own run, runs of other groups' bodies
-    /// and cells (`Cells(k)`: `k` far terms of their own).
+    /// and cells (`Cells(k)`: `k` far terms of their own; `Mass(m)`: one
+    /// of mass `m`).
     #[derive(Debug, Clone)]
     enum Piece {
         Bodies(std::ops::Range<usize>),
         Cells(usize),
+        Mass(f64),
     }
 
     /// What a window's calls gave: per call its force bits and what the
@@ -1696,6 +1674,10 @@ mod tests {
                                 jmass.push(m);
                             }
                         }
+                        &Piece::Mass(m) => {
+                            jpos.push(cell(jpos.len() * 7).0);
+                            jmass.push(m);
+                        }
                     }
                 }
                 (jpos, jmass, bodies, at)
@@ -1743,12 +1725,15 @@ mod tests {
     /// displacements on the converters' breakpoints inside a rectangle;
     /// and every decline: an armed injector, the scalar lane path or a
     /// cutoff (the window does not open), a NaN or huge mass (no order-
-    /// free bound: the window ends at that call), a term past the encode
-    /// window (the pass declines and the window ends), a window ended by
-    /// hand after its first call (no later call may start from a
-    /// deposit). The counters (`lanes::PAIR_STATS`) must show, in each
-    /// mode, rectangles evaluated out and deposits taken in, one and two
-    /// backs, declines and ended windows.
+    /// free bound: the calls that hold it run no rectangle), a term past
+    /// the encode window (the pass declines), a window ended by hand after
+    /// its first call (no later call may start from a deposit). With no
+    /// order-free bound in any call but headroom before every run, each
+    /// call runs its diagonal and no rectangle, and a call whose words
+    /// before its run leave no headroom declines. The counters
+    /// (`lanes::PAIR_STATS`) must show, in each mode, rectangles evaluated
+    /// out and deposits taken in, one and two backs, declines and ended
+    /// windows.
     #[test]
     fn pair_windows_match_the_scalar_definition_bit_for_bit() {
         use rand::{Rng, SeedableRng};
@@ -1834,7 +1819,7 @@ mod tests {
                 let fault = FaultConfig::transient(3, 0.2);
                 check("injector armed", cfg, (0.01, 1.0, false, Some(fault)), set, Some(false));
                 check("cutoff", cfg, (0.01, 1.0, true, None), set, Some(false));
-                // a NaN, a huge mass: no bound, the window ends
+                // a NaN, a huge mass: no bound in the calls that hold it
                 for (k, m) in [(100, f64::NAN), (120, 1e30), (5, 1e30)] {
                     let mut mass = mass.clone();
                     mass[k] = m;
@@ -1882,6 +1867,42 @@ mod tests {
                 set,
                 Some(true),
             );
+        }
+        // a heavy cell at the end of every list: no call has an
+        // order-free bound, every run its headroom — each call runs its
+        // diagonal in the definition's order around the run, and no
+        // rectangle; a heavy cell before group 1's run too: that call
+        // declines
+        let lanes = crate::lanes::cpu_lanes()[0];
+        for mode in [ArithMode::Exact, ArithMode::Lns] {
+            for boards in 1..=3 {
+                for (kind, before) in
+                    [Masses::Equal, Masses::Mixed].into_iter().flat_map(|k| [(k, false), (k, true)])
+                {
+                    let mut lists = lists.clone();
+                    lists.iter_mut().for_each(|l| l.push(Piece::Mass(1e30)));
+                    if before {
+                        lists[1].insert(0, Piece::Mass(1e30));
+                    }
+                    let (pos, mass) = (sphere(210, 0.9), masses(kind, 210));
+                    let (cfg, set) = (device(mode, boards), (&pos[..], &mass[..]));
+                    let params = (0.01, 1.0, false, None);
+                    let what =
+                        format!("{mode:?} {boards} boards, {kind:?}, heavy before: {before}");
+                    let (want, _) =
+                        window_calls(cfg, Drive::Definition, params, set, &groups, &lists);
+                    let (got, opened) =
+                        window_calls(cfg, Drive::Window, params, set, &groups, &lists);
+                    assert_eq!(opened, lanes, "{what}: window opened");
+                    for (k, ((got, moved), (want, _))) in got.iter().zip(&want).enumerate() {
+                        assert!(got == want, "{what}, call {k}: forces differ");
+                        let diag = u64::from(lanes && !(before && k == 1));
+                        let declined = u64::from(lanes) - diag;
+                        let (pairs, rects) = ((moved[0], moved[3]), moved[5] + moved[6]);
+                        assert_eq!((pairs, rects), ((diag, declined), 0), "{what}, call {k}");
+                    }
+                }
+            }
         }
         // the scalar lane path opens no window
         let cfg = device(ArithMode::Exact, 2);

@@ -1,30 +1,33 @@
-//! Pair blocks across the calls of a window (DESIGN.md, "pair blocks").
+//! The pair pass's one entry point (DESIGN.md, "pair blocks").
 //!
 //! GRAPE-5's pipelines evaluate every ordered pair, and the modified
-//! tree algorithm puts a neighbouring group's bodies into each group's
-//! list: where group `g`'s list holds bodies `B` of group `h` and `h`'s
-//! list holds bodies `A` of `g`, the pairs `A × B` are evaluated in both
-//! calls, for the same numbers. A window is a run of consecutive calls
-//! whose lists are all known before the first runs ([`WindowCall`]).
-//! For `g < h` in it, each run of `B` in `g`'s list against each run of
-//! `A` in `h`'s list is a rectangle evaluated once, during `g`'s call:
-//! one front per pair, the row side (`a ∈ A`, in `g`'s i-set) into `g`'s
-//! words on the board holding the run of `B`, the column side into a
-//! *deposit* for the board of `h`'s list that holds the run of `A`.
-//! `h`'s call skips those columns for those rows and starts them from
-//! the deposit. The self block is the diagonal case, `g = h`.
+//! tree algorithm puts a group's own members, and a neighbouring group's
+//! bodies, into the group's list. Every call whose i-set is a run of its
+//! j-set — a window's, a run-hinted one, the whole set — goes through
+//! `PairWindow::run_call`, which evaluates the run's pairs once (the
+//! *diagonal*, a self block) and, in a live window, the *rectangles* it
+//! shares with the window's other calls, whose lists are all known
+//! before the first runs ([`WindowCall`]). Where group `g`'s list holds
+//! bodies `B` of group `h > g` and `h`'s list holds bodies `A` of `g`,
+//! each run of `B` in `g`'s list against each run of `A` in `h`'s list is
+//! a rectangle evaluated once, during `g`'s call: one front per pair, the
+//! row side (`a ∈ A`, in `g`'s i-set) into `g`'s words on the board
+//! holding the run of `B`, the column side into a *deposit* for the board
+//! of `h`'s list that holds the run of `A`. `h`'s call skips those
+//! columns for those rows and starts them from the deposit.
 //!
 //! Runs are split at each list's board boundaries when the window is
 //! planned (the split of a list is known from its length), and a run
-//! shorter than [`PAIR_RUN_MIN`] stays in the plain kernel. A deposit is
+//! shorter than `PAIR_RUN_MIN` stays in the plain kernel. A deposit is
 //! used only if the words it was computed from are the words `h`'s call
 //! holds (an O(|A| + |B|) compare, both ways: `h`'s i-words over `B`,
-//! its j-words and masses over `A`); a window call that declines, or a
-//! call that fails, ends the window, and every later call takes the
-//! per-call path.
+//! its j-words and masses over `A`). A call that runs no rectangles —
+//! its bound fails, its pass declines — commits no deposit, and the
+//! calls that would take one run those columns instead.
 
 use crate::lanes::{self, Block, PairScratch, Words};
-use crate::pipeline::{G5Pipeline, JSlices};
+use crate::pipeline::{run_parts, G5Pipeline, JSlices};
+use crate::system::CallHint;
 use g5util::fixed::FixedFormat;
 use g5util::lns::Lns;
 use std::ops::Range;
@@ -33,13 +36,20 @@ use std::ops::Range;
 /// window pairs: each run is a rectangle of its own, with its own
 /// deposit, checks and ragged ends, which a short run does not repay.
 /// Sized on `exp_kernel`'s pair rows (EXPERIMENTS.md E10).
-pub const PAIR_RUN_MIN: usize = 32;
+pub(crate) const PAIR_RUN_MIN: usize = 32;
 
 /// Fewest members a group needs to take part in a window: below it a
-/// stream is not gathered into windows at all, and its calls take the
-/// per-call path. Above `n_g = 32`'s largest group (32), so the short
-/// calls of that end of the curve pay nothing.
+/// stream is not gathered into windows at all, and its calls go alone.
+/// Above `n_g = 32`'s largest group (32), so the short calls of that end
+/// of the curve pay nothing.
 pub const PAIR_GROUP_MIN: usize = 40;
+
+/// Shortest run whose diagonal a call outside a live window takes, unless
+/// it is the whole set: below it the split list's extra kernel calls and
+/// tails cost more than the pairs saved (`exp_kernel`'s run cells with
+/// this bound at 1, EXPERIMENTS.md E10: a loss at n ≤ 48 in both modes,
+/// even at 96, a gain from 128 with equal masses).
+pub(crate) const SELF_RUN_MIN: usize = 128;
 
 /// One call of a window as the planner sees it: the bodies of a common
 /// numbering, each list a run of them here and there between cells.
@@ -135,8 +145,9 @@ struct Side {
 /// warm window reuses its buffers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PairWindow {
+    /// Rectangles are planned and the window has not been ended.
     alive: bool,
-    /// Per call: its segments, where its run starts.
+    /// Per call, live or not: its segments, where its run starts.
     calls: Vec<(Range<usize>, usize)>,
     segs: Vec<Seg>,
     rects: Vec<Rect>,
@@ -246,21 +257,31 @@ fn mass_bits(j: &JSlices<'_>, p: usize, lns: bool) -> i64 {
 }
 
 impl PairWindow {
-    /// Plan a window over `calls` on `boards` live boards: `false`, and
-    /// no window, where no two calls share a rectangle.
+    /// An empty store whose call records are allocated with the device
+    /// (a window holds at most 16 calls): a first allocation made
+    /// between a step's buffers pins the heap's top and keeps what they
+    /// free resident (`cluster4_overlap` read +1.5 MB of peak RSS).
+    pub(crate) fn new() -> Self {
+        PairWindow { calls: Vec::with_capacity(16), ..Self::default() }
+    }
+
+    /// Record `calls`, where each one's run starts, and with `pairs`
+    /// plan their rectangles on `boards` live boards: `false`, and no
+    /// live window, where no two calls share one.
     pub(crate) fn open<'a>(
         &mut self,
         calls: impl Iterator<Item = WindowCall<'a>> + Clone,
         boards: usize,
+        pairs: bool,
     ) -> bool {
         self.close();
+        self.calls.extend(calls.clone().map(|c| (0..0, c.members_at)));
         let eligible = |c: &WindowCall<'_>| {
-            c.members >= PAIR_GROUP_MIN && c.members_at + c.members <= c.list_len
+            pairs && c.members >= PAIR_GROUP_MIN && c.members_at + c.members <= c.list_len
         };
         let per = |c: &WindowCall<'_>| c.list_len.div_ceil(boards.max(1)).max(1);
         let (mut dep, mut check) = (0, 0);
         for (g, cg) in calls.clone().enumerate() {
-            self.calls.push((0..0, cg.members_at));
             if !eligible(&cg) {
                 continue;
             }
@@ -321,7 +342,6 @@ impl PairWindow {
             }
         }
         if self.plan.is_empty() {
-            self.close();
             return false;
         }
         self.dep.resize(dep, 0);
@@ -346,8 +366,7 @@ impl PairWindow {
         true
     }
 
-    /// Drop the window: every call takes the per-call path until the
-    /// next [`open`](Self::open).
+    /// Drop the window and its calls (buffers kept).
     pub(crate) fn close(&mut self) {
         self.alive = false;
         self.calls.clear();
@@ -360,8 +379,8 @@ impl PairWindow {
         self.plan.clear();
     }
 
-    /// End the window early (a call declined or failed): its deposits
-    /// are not used, and every later call takes the per-call path.
+    /// End the window early: no later call of it runs a rectangle or
+    /// uses a deposit.
     pub(crate) fn kill(&mut self) {
         if self.alive {
             lanes::count_pairs(7, 1);
@@ -369,15 +388,28 @@ impl PairWindow {
         self.alive = false;
     }
 
-    /// Is the window open, and where does `call`'s run start?
-    pub(crate) fn live(&self, call: usize) -> Option<usize> {
-        let (_, at) = self.calls.get(call)?;
-        self.alive.then_some(*at)
-    }
-
-    /// Where `call`'s run starts, open or not.
-    pub(crate) fn members_at(&self, call: usize) -> Option<usize> {
-        self.calls.get(call).map(|c| c.1)
+    /// Where the run of a call `hint` names starts in its j-set of `nj`,
+    /// and the call's index where it is a call of the live window — if
+    /// the call may run the diagonal at all: a call of the live window,
+    /// a run of at least [`SELF_RUN_MIN`] members, or the whole set (from
+    /// 0 when no run is named).
+    #[inline]
+    pub(crate) fn run_of(
+        &self,
+        hint: CallHint,
+        n: usize,
+        nj: usize,
+    ) -> Option<(usize, Option<usize>)> {
+        let (at, live) = match hint {
+            CallHint::None => (None, None),
+            CallHint::Run(at) => (Some(at), None),
+            CallHint::Window(call) => self
+                .calls
+                .get(call)
+                .map_or((None, None), |&(_, at)| (Some(at), self.alive.then_some(call))),
+        };
+        let at = at.or((n == nj).then_some(0))?;
+        (live.is_some() || n >= SELF_RUN_MIN || n == nj).then_some((at, live))
     }
 
     /// Check record `run` holds `words`, each a chunk of its words.
@@ -391,46 +423,53 @@ impl PairWindow {
         }) && n == r.len
     }
 
-    /// Evaluate `call` of the window on `pipe` (module docs): board
-    /// `k`'s words are left in `s` at `4 · k · n` (stride `n`), the
-    /// outgoing deposits committed. The caller has shown that no prefix
-    /// of any board's ordered chain can clamp (`Grape5`'s bound), so each
-    /// board's words are its terms' integer sum in any order: every block
-    /// of rows runs its columns of each board's list through
+    /// The one entry point: evaluate on `pipe` a call whose i-set `xi` is the
+    /// live `boards`' words `at .. at + n` (module docs); board `k`'s
+    /// words are left in `s` at `4 · k · n` (stride `n`). For `call` of
+    /// the live window where `order_free` (`Grape5`'s bound: no prefix of
+    /// any board's ordered chain can clamp, in any order), every block of
+    /// rows runs its columns of each board's list through
     /// [`G5Pipeline::interact_into`] — the list less the run, less the
     /// rectangles the block takes part in, gathered into one span — then
     /// the pair pass adds the run's pairs and the outgoing rectangles,
-    /// and the incoming deposits are added to their rows. `false`,
-    /// nothing committed, where the window is closed, the pipeline would
-    /// not run the pass, the run is not the i-set, or the pass declines.
+    /// and the incoming deposits are added to their rows. Otherwise there
+    /// are no rectangles and the order is the definition's but inside the
+    /// run: each board's list before the run, whose words must leave the
+    /// run's terms `len · 2⁵⁰` to the format's ends (DESIGN.md, (iv)), the
+    /// pass, the list after the run. `false`, nothing committed, where the
+    /// pipeline would not run the pass, the run is not the i-set, the
+    /// words leave no headroom or the pass declines.
     #[inline(never)]
     pub(crate) fn run_call<'a>(
         &mut self,
         pipe: &G5Pipeline,
         xi: &[[i64; 3]],
         boards: impl Iterator<Item = JSlices<'a>> + Clone,
-        call: usize,
+        (at, call, order_free): (usize, Option<usize>, bool),
         (force_scale, fmt): (f64, FixedFormat),
         s: &mut PairScratch,
     ) -> bool {
-        let (Some(lns), Some(at)) = (pipe.pairs_on(), self.live(call)) else {
+        let Some(lns) = pipe.pairs_on() else {
             return false;
         };
         let n = xi.len();
         if n == 0 || !pipe.load_run(xi, boards.clone(), at, s) {
             return false;
         }
-        let segs = self.calls[call].0.clone();
+        // a call of the live window whose words are order-free gathers
+        // its columns and runs its rectangles
+        let (gather, segs) = match call {
+            Some(call) if order_free => (true, self.calls[call].0.clone()),
+            _ => (false, 0..0),
+        };
         let mut len = 4 * s.ends.len() * n;
         // an outgoing deposit runs whole or not at all; an incoming one
         // is taken only if it was computed, from this call's words
         for si in segs.clone() {
             let out = self.segs[si].out;
             for r in self.segs[si].rects.clone() {
-                let rows = self.rects[r].rows.end <= n;
                 let slot = &mut self.slots[self.rects[r].slot];
-                (slot.tmp, slot.added) = (usize::MAX, false);
-                slot.ok = (out || slot.valid) && rows;
+                (slot.tmp, slot.added, slot.ok) = (usize::MAX, false, out || slot.valid);
             }
         }
         for si in segs.clone() {
@@ -488,6 +527,119 @@ impl PairWindow {
             }
         }
         s.seal(lns, len);
+        if gather {
+            self.gathered(pipe, xi, boards.clone(), (at, segs.clone()), (force_scale, fmt), s);
+        } else if !run_parts(boards.clone(), (at, n)).enumerate().all(|(k, (j, r))| {
+            // each board's list before the run, from zero: its part of the
+            // run and its words must leave the run's terms `len · 2⁵⁰` to
+            // the format's ends
+            let room = r.len() as i64 <= fmt.raw_max() >> 50;
+            if !room || r.start == 0 || r.is_empty() {
+                return room;
+            }
+            let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
+            pipe.interact_into(xi, &j.sub(0..r.start), force_scale, fmt, words);
+            let lim = (fmt.raw_max() - ((r.len() as i64) << 50)) as u64;
+            (0..4 * n).all(|i| s.word(4 * k * n + i).unsigned_abs() <= lim)
+        }) {
+            lanes::count_pairs(3, 1);
+            return false;
+        }
+        s.push_self_blocks(n);
+        for seg in self.segs[segs.clone()].iter().filter(|s| s.out) {
+            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+                let slot = &self.slots[r.slot];
+                s.blocks.push(Block {
+                    rows: (r.rows.start, r.rows.end),
+                    cols: (seg.pts.start, seg.pts.end),
+                    diag: false,
+                    to_a: (4 * seg.board * n + r.rows.start, n),
+                    to_b: (slot.tmp, slot.rows),
+                });
+            }
+        }
+        if !pipe.pair_pass(lns, (force_scale, fmt), s) {
+            lanes::count_pairs(3, 1);
+            return false;
+        }
+        if !gather {
+            // the rest of each board's list continues the run's words
+            for (k, (j, r)) in run_parts(boards, (at, n)).enumerate() {
+                let rest = if r.is_empty() { 0..j.len() } else { r.end..j.len() };
+                if !rest.is_empty() {
+                    let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
+                    pipe.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
+                }
+            }
+        }
+        // the incoming rows start from their deposits (order-free), once
+        // per deposit; the outgoing deposits and their runs' words kept
+        let (mut outs, mut ins) = (0, 0);
+        for si in segs {
+            let (seg, mut done) = (&self.segs[si], 0);
+            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+                let slot = &mut self.slots[r.slot];
+                if slot.added {
+                    continue;
+                }
+                slot.added = true;
+                done += 1;
+                let w = 4 * slot.rows;
+                if seg.out {
+                    self.dep[slot.dep..slot.dep + w]
+                        .copy_from_slice(s.words(slot.tmp..slot.tmp + w));
+                    slot.valid = true;
+                } else {
+                    for c in 0..4 {
+                        for (t, i) in r.rows.clone().enumerate() {
+                            let d = self.dep[slot.dep + c * slot.rows + t];
+                            s.add(4 * seg.board * n + c * n + i, d);
+                        }
+                    }
+                }
+            }
+            if seg.out {
+                outs += done;
+                // the words this call paired: the later call's bodies here
+                // (its rows), this call's members (its columns)
+                let run = &self.runs[seg.run];
+                let rec = &mut self.check[run.at..run.at + 3 * run.len];
+                for (c, p) in rec.chunks_exact_mut(3).zip(seg.pts.clone()) {
+                    c.copy_from_slice(&s.coords(p, lns));
+                }
+                for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+                    let run = &self.runs[r.run];
+                    let rec = &mut self.check[run.at..run.at + 4 * run.len];
+                    for (c, a) in rec.chunks_exact_mut(4).zip(r.rows.clone()) {
+                        c[..3].copy_from_slice(&xi[a]);
+                        c[3] = s.mass_bits(a, lns);
+                    }
+                }
+            } else {
+                ins += done;
+            }
+        }
+        lanes::count_pairs(0, 1);
+        lanes::count_pairs(5, u64::from(outs > 0));
+        lanes::count_pairs(6, ins);
+        true
+    }
+
+    /// Where the call's words are order-free: each block of its rows
+    /// (`segs`, its segments, cut by the rectangles that run) runs each
+    /// board's list less the run `at .. at + xi.len()`, less the columns
+    /// of the block's rectangles, gathered into one span, into `s`'s
+    /// words.
+    fn gathered<'a>(
+        &mut self,
+        pipe: &G5Pipeline,
+        xi: &[[i64; 3]],
+        boards: impl Iterator<Item = JSlices<'a>> + Clone,
+        (at, segs): (usize, Range<usize>),
+        (force_scale, fmt): (f64, FixedFormat),
+        s: &mut PairScratch,
+    ) {
+        let n = xi.len();
         // the blocks of rows that take part in the same rectangles
         self.cuts.clear();
         self.cuts.extend([0, n]);
@@ -541,72 +693,5 @@ impl PairWindow {
                 }
             }
         }
-        s.push_self_blocks(n);
-        for seg in self.segs[segs.clone()].iter().filter(|s| s.out) {
-            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
-                let slot = &self.slots[r.slot];
-                s.blocks.push(Block {
-                    rows: (r.rows.start, r.rows.end),
-                    cols: (seg.pts.start, seg.pts.end),
-                    diag: false,
-                    to_a: (4 * seg.board * n + r.rows.start, n),
-                    to_b: (slot.tmp, slot.rows),
-                });
-            }
-        }
-        if !pipe.pair_pass(lns, (force_scale, fmt), s) {
-            lanes::count_pairs(3, 1);
-            return false;
-        }
-        // the incoming rows start from their deposits (order-free), once
-        // per deposit; the outgoing deposits and their runs' words kept
-        let (mut outs, mut ins) = (0, 0);
-        for si in segs {
-            let (seg, mut done) = (&self.segs[si], 0);
-            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
-                let slot = &mut self.slots[r.slot];
-                if slot.added {
-                    continue;
-                }
-                slot.added = true;
-                done += 1;
-                let w = 4 * slot.rows;
-                if seg.out {
-                    self.dep[slot.dep..slot.dep + w]
-                        .copy_from_slice(s.words(slot.tmp..slot.tmp + w));
-                    slot.valid = true;
-                } else {
-                    for c in 0..4 {
-                        for (t, i) in r.rows.clone().enumerate() {
-                            let d = self.dep[slot.dep + c * slot.rows + t];
-                            s.add(4 * seg.board * n + c * n + i, d);
-                        }
-                    }
-                }
-            }
-            if seg.out {
-                outs += done;
-                // the words this call paired: the later call's bodies here
-                // (its rows), this call's members (its columns)
-                let run = &self.runs[seg.run];
-                let rec = &mut self.check[run.at..run.at + 3 * run.len];
-                for (c, p) in rec.chunks_exact_mut(3).zip(seg.pts.clone()) {
-                    c.copy_from_slice(&s.coords(p, lns));
-                }
-                for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
-                    let run = &self.runs[r.run];
-                    let rec = &mut self.check[run.at..run.at + 4 * run.len];
-                    for (c, a) in rec.chunks_exact_mut(4).zip(r.rows.clone()) {
-                        c[..3].copy_from_slice(&xi[a]);
-                        c[3] = s.mass_bits(a, lns);
-                    }
-                }
-            } else {
-                ins += done;
-            }
-        }
-        lanes::count_pairs(5, u64::from(outs > 0));
-        lanes::count_pairs(6, ins);
-        true
     }
 }

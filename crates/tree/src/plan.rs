@@ -425,51 +425,35 @@ pub fn stream_with<F: FnMut(&GroupWork)>(
     groups: &[Group],
     cfg: &PlanConfig,
     pool: &PlanPool,
-    consume: F,
-) -> Result<PlanStats, PlanError> {
-    stream_with_augment(tree, tr, groups, cfg, pool, &|_| {}, consume)
-}
-
-/// [`stream_with`], with a producer-side *augment hook*: after a group
-/// is resolved against the local tree, `augment` runs on the producer
-/// thread (or inline on the serial path) and may extend the husk's
-/// `jpos`/`jmass` with additional interaction terms before the item is
-/// sent. This is how the cluster backend folds local-essential-tree
-/// resolution into the stream — remote terms are appended while the
-/// consumer is already driving the device for earlier groups, instead
-/// of behind a pre-evaluation barrier.
-///
-/// The hook runs inside the same catch-unwind bracket as the
-/// traversal, so a panic while augmenting surfaces as a [`PlanError`]
-/// exactly like a resolution panic. `work.tally` is computed *before*
-/// the hook and deliberately left alone: tallies keep counting the
-/// local treecode terms, bit-identical to the unaugmented path.
-pub fn stream_with_augment<A, F>(
-    tree: &Tree,
-    tr: &Traversal,
-    groups: &[Group],
-    cfg: &PlanConfig,
-    pool: &PlanPool,
-    augment: &A,
     mut consume: F,
-) -> Result<PlanStats, PlanError>
-where
-    A: Fn(&mut GroupWork) + Sync,
-    F: FnMut(&GroupWork),
-{
-    stream_windows(tree, tr, groups, (cfg, pool), augment, usize::MAX, |w| consume(w.work(0)))
+) -> Result<PlanStats, PlanError> {
+    stream_windows(tree, tr, groups, (cfg, pool), &|_| {}, usize::MAX, |w| consume(w.work(0)))
 }
 
-/// [`stream_with_augment`], handing the consumer *windows*: runs of up
-/// to [`WINDOW_GROUPS`] groups, together at most [`WINDOW_TERMS`] list
-/// terms past the first, opened by a group of at least `pair_min`
-/// members; each such group's list's runs of bodies are recorded
-/// ([`GroupWork::bodies`]), so that a device can evaluate the pairs two
-/// of them share once. A smaller group records nothing and goes on alone
-/// unless a window is open: a stream whose groups are all below
-/// `pair_min` is `stream_with_augment`'s. On the serial path a window is
-/// planned from each group's list walked without resolving it, and the
-/// lists are resolved one at a time as the consumer asks
+/// [`stream_with`], with a producer-side *augment hook*, handing the
+/// consumer *windows*.
+///
+/// After a group is resolved against the local tree, `augment` runs on
+/// the producer thread (or inline on the serial path) and may extend the
+/// husk's `jpos`/`jmass` with additional interaction terms before the
+/// item is sent. This is how the cluster backend folds local-essential-
+/// tree resolution into the stream — remote terms are appended while the
+/// consumer is already driving the device for earlier groups, instead of
+/// behind a pre-evaluation barrier. The hook runs inside the same
+/// catch-unwind bracket as the traversal, so a panic while augmenting
+/// surfaces as a [`PlanError`] exactly like a resolution panic.
+/// `work.tally` is computed *before* the hook and deliberately left
+/// alone: tallies keep counting the local treecode terms.
+///
+/// A window is a run of up to [`WINDOW_GROUPS`] groups, together at most
+/// [`WINDOW_TERMS`] list terms past the first, opened by a group of at
+/// least `pair_min` members; each such group's list's runs of bodies are
+/// recorded ([`GroupWork::bodies`]), so that a device can evaluate the
+/// pairs two of them share once. A smaller group records nothing and
+/// goes on alone, in a window of its own, unless a window is open: with
+/// `pair_min` at `usize::MAX` every group goes alone. On the serial path
+/// a window is planned from each group's list walked without resolving
+/// it, and the lists are resolved one at a time as the consumer asks
 /// ([`Window::work`]): a window holds one list. The augment hook may not
 /// change a list's length there (the plan has it): give windows
 /// (`pair_min` below `usize::MAX`) only to a stream whose hook leaves the
@@ -707,14 +691,14 @@ mod tests {
         for channel_depth in [1, 4] {
             let cfg = PlanConfig { workers: Some(0), channel_depth };
             let mut order = Vec::new();
-            let stats = stream_with_augment(
+            let stats = stream_windows(
                 &tree,
                 &tr,
                 &groups,
-                &cfg,
-                &pool,
+                (&cfg, &pool),
                 &|_| assert_eq!(std::thread::current().id(), me, "augment hook left the caller"),
-                |w| order.push(w.group),
+                usize::MAX,
+                |w| order.push(w.work(0).group),
             )
             .unwrap();
             assert_eq!(order, groups, "inline streaming is in find_groups order");
@@ -809,15 +793,17 @@ mod tests {
         // (group node → appended list length and last term)
         let collect = |cfg: &PlanConfig| {
             let mut seen: Vec<(u32, usize, Vec3, f64)> = Vec::new();
-            let stats = stream_with_augment(&tree, &tr, &groups, cfg, &pool, &augment, |w| {
-                seen.push((
-                    w.group.node,
-                    w.jpos.len(),
-                    *w.jpos.last().unwrap(),
-                    w.tally.terms as f64,
-                ));
-            })
-            .unwrap();
+            let stats =
+                stream_windows(&tree, &tr, &groups, (cfg, &pool), &augment, usize::MAX, |w| {
+                    let w = w.work(0);
+                    seen.push((
+                        w.group.node,
+                        w.jpos.len(),
+                        *w.jpos.last().unwrap(),
+                        w.tally.terms as f64,
+                    ));
+                })
+                .unwrap();
             seen.sort_by_key(|&(node, ..)| node);
             (seen, stats.tally)
         };
@@ -844,22 +830,22 @@ mod tests {
         let augment = |_: &mut GroupWork| panic!("LET resolution failed");
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let serial = stream_with_augment(
+        let serial = stream_windows(
             &tree,
             &tr,
             &groups,
-            &PlanConfig::serial(),
-            &pool,
+            (&PlanConfig::serial(), &pool),
             &augment,
+            usize::MAX,
             |_| {},
         );
-        let overlapped = stream_with_augment(
+        let overlapped = stream_windows(
             &tree,
             &tr,
             &groups,
-            &PlanConfig::overlapped(2, 2),
-            &pool,
+            (&PlanConfig::overlapped(2, 2), &pool),
             &augment,
+            usize::MAX,
             |_| {},
         );
         std::panic::set_hook(prev_hook);

@@ -4,8 +4,12 @@
 //! `examples/` or `crates/*/examples/`, a bench in `benches/` or
 //! `crates/*/benches/`. Every report (`BENCH_*.json`) and script
 //! (`scripts/*`) the docs name exists too, unless its line marks it
-//! "retired in PR n".
+//! "retired in PR n". Every backticked `Type::item` in README, DESIGN
+//! and SKILL.md names an item declared in `crates/` or `benchmark/src/`
+//! (a few `std` names aside), unless its line marks it "deleted in PR n"
+//! or "retired in PR n".
 
+use std::collections::HashSet;
 use std::path::Path;
 
 /// The documents whose commands a reader copies.
@@ -73,16 +77,19 @@ fn exists(root: &Path, flag: &str, name: &str) -> bool {
         .any(|c| c.join(dir).join(format!("{name}.rs")).is_file())
 }
 
+/// Does `line` mark what it names `marker` in a numbered PR?
+fn marks(line: &str, marker: &str) -> bool {
+    line.match_indices(marker)
+        .any(|(at, m)| line[at + m.len()..].starts_with(|c: char| c.is_ascii_digit()))
+}
+
 /// `(line, path)` for each `BENCH_*.json` and `scripts/*` path in
 /// `text`, skipping every line that marks what it names "retired in PR
 /// n". A `*` in a path is a glob.
 fn file_refs(text: &str) -> Vec<(usize, String)> {
     let mut found = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let retired = line
-            .match_indices("retired in PR ")
-            .any(|(at, m)| line[at + m.len()..].starts_with(|c: char| c.is_ascii_digit()));
-        if retired {
+        if marks(line, "retired in PR ") {
             continue;
         }
         for start in ["BENCH_", "scripts/"] {
@@ -203,4 +210,157 @@ fn the_scanner_reads_every_form_a_doc_writes() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     assert!(exists(root, "--bin", "exp_paper") && exists(root, "--example", "quickstart"));
     assert!(!exists(root, "--bench", "step_pipeline") && !exists(root, "--bin", "exp_host"));
+}
+
+/// The documents whose `Type::item` names must exist.
+const ITEM_DOCS: &[&str] = &["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
+/// Names from outside the workspace the docs may write as `Type::item`.
+const STD_ITEMS: &[&str] = &[
+    "Box::leak",
+    "array::map",
+    "f64::round",
+    "i64::from",
+    "mem::transmute",
+    "rayon::join",
+    "std::thread",
+    "thread::available_parallelism",
+    "thread::scope",
+];
+
+/// `(line, "Type::item")` for each backticked path of two or more
+/// segments in `text` (its last two), skipping every line that marks what
+/// it names "deleted in PR n" or "retired in PR n", and a path a `*`
+/// continues (a glob over names).
+fn item_refs(text: &str) -> Vec<(usize, String)> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == ':';
+    let name = |s: &&str| s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+    let mut found = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if marks(line, "deleted in PR ") || marks(line, "retired in PR ") {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            let mut rest = span;
+            while let Some(at) = rest.find(word) {
+                let end = rest[at..].find(|c| !word(c)).map_or(rest.len(), |e| at + e);
+                let segs: Vec<&str> = rest[at..end].trim_end_matches(':').split("::").collect();
+                rest = &rest[end..];
+                if segs.len() > 1 && segs.iter().all(name) && !rest.starts_with('*') {
+                    found.push((i + 1, segs[segs.len() - 2..].join("::")));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// What may stand before a declaration's keyword.
+const QUALIFIERS: &[&str] = &["pub(crate) ", "pub(super) ", "pub ", "unsafe ", "async "];
+/// The keywords that declare a name.
+const KEYWORDS: &[&str] =
+    &["fn ", "struct ", "enum ", "trait ", "type ", "const fn ", "const ", "static ", "mod "];
+
+/// The name `s` starts with.
+fn ident(s: &str) -> &str {
+    s.split(|c: char| !(c.is_alphanumeric() || c == '_')).next().unwrap_or("")
+}
+
+/// Every name the `.rs` files under `dir` declare: an item, a field
+/// (`name: T`) or a variant (`Name,`, `Name(…)`, `Name { … }`, `Name =`)
+/// at a line's start, or the names a row of a macro's entry table
+/// declares (`name, name: Ops, "features";`).
+fn declared_in(dir: &Path, names: &mut HashSet<String>) {
+    for e in std::fs::read_dir(dir).expect("a source directory") {
+        let path = e.expect("directory entry").path();
+        if path.is_dir() {
+            declared_in(&path, names);
+            continue;
+        }
+        if path.extension().is_none_or(|x| x != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("a source file");
+        for line in text.lines() {
+            let mut line = line.trim_start();
+            while let Some(rest) = QUALIFIERS.iter().find_map(|q| line.strip_prefix(q)) {
+                line = rest;
+            }
+            if let (Some((row, _)), true) = (line.split_once(": "), line.ends_with("\";")) {
+                names.extend(row.split(", ").map(String::from));
+                continue;
+            }
+            let n = match KEYWORDS.iter().find_map(|k| line.strip_prefix(k)) {
+                Some(rest) => ident(rest.trim_start_matches("mut ")),
+                None => {
+                    let n = ident(line);
+                    let after = &line[n.len()..];
+                    let variant = n.starts_with(|c: char| c.is_ascii_uppercase())
+                        && [",", "(", " {", " ="].iter().any(|p| after.starts_with(p));
+                    if !(after.starts_with(": ") || variant) {
+                        continue;
+                    }
+                    n
+                }
+            };
+            if !n.is_empty() {
+                names.insert(n.to_string());
+            }
+        }
+    }
+}
+
+#[test]
+fn every_documented_item_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names = HashSet::new();
+    declared_in(&root.join("crates"), &mut names);
+    declared_in(&root.join("benchmark/src"), &mut names);
+    assert!(names.contains("run_call") && names.contains("members_at") && names.contains("Avx2"));
+    let mut missing = Vec::new();
+    let mut seen = 0;
+    for doc in ITEM_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (line, path) in item_refs(&text) {
+            seen += 1;
+            let item = path.rsplit("::").next().expect("a segment");
+            if !STD_ITEMS.contains(&path.as_str()) && !names.contains(item) {
+                missing.push(format!("{doc}:{line}: {path}"));
+            }
+        }
+    }
+    assert!(seen >= 100, "only {seen} documented items found: the scanner is broken");
+    assert!(
+        missing.is_empty(),
+        "documented items that do not exist (mark a line that names a deleted one \
+         \"deleted in PR n\"):\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn a_stale_item_reference_is_caught() {
+    let text = "`G5Pipeline::interact_self` runs a self block; `window::PairWindow::run_call`.\n\
+                `DeviceSession::try_force_for_run` (deleted in PR 9), `Box::leak`\n\
+                the `interact_block_*_upto` hooks, `G5Pipeline::interact_block_*_upto`, `a::{b, c}`\n\
+                `cargo test -p grape5 lanes::tests::x` and `Grape5::try_force_on_run(xi, at)`";
+    let found = item_refs(text);
+    let found: Vec<(usize, &str)> = found.iter().map(|(l, p)| (*l, p.as_str())).collect();
+    assert_eq!(
+        found,
+        [
+            (1, "G5Pipeline::interact_self"),
+            (1, "PairWindow::run_call"),
+            (4, "tests::x"),
+            (4, "Grape5::try_force_on_run"),
+        ]
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names = HashSet::new();
+    declared_in(&root.join("crates"), &mut names);
+    let live: Vec<bool> = ["interact_self", "run_call", "try_force_for_run", "try_force_on_run"]
+        .iter()
+        .map(|n| names.contains(*n))
+        .collect();
+    assert_eq!(live, [false, true, false, true]);
 }

@@ -14,14 +14,15 @@
 //!   into retained columns, the session's host-side copy reuses its
 //!   buffers, and a call below the spawn-repay threshold dispatches its
 //!   boards on the calling thread on any CPU count;
-//! * a warmed self block — the whole set, or a run of it through
-//!   `DeviceSession::try_force_for_run` — allocates that one vector too,
-//!   in both arithmetic modes.
+//! * a warmed self block — the whole set, or a run of it as the one
+//!   call of a window (`DeviceSession::open_window` +
+//!   `try_force_in_window`) — allocates that one vector too, in both
+//!   arithmetic modes.
 
 use grape5_nbody::grape5::board::ProcessorBoard;
 use grape5_nbody::grape5::pipeline::JWord;
 use grape5_nbody::grape5::{
-    ArithMode, DeviceSession, Force, G5Pipeline, Grape5, Grape5Config, LanePath,
+    ArithMode, DeviceSession, Force, G5Pipeline, Grape5, Grape5Config, LanePath, WindowCall,
 };
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::util::fixed::RangeScaler;
@@ -149,11 +150,19 @@ fn steady_state_lns_force_calls_allocate_nothing_per_interaction() {
         let mut g5 = Grape5::open(Grape5Config { mode, ..Grape5Config::paper() });
         let mut session = DeviceSession::open(&mut g5, &snap.pos, 0.01);
         let (jpos, jmass, xi) = (&snap.pos[..1000], &snap.mass[..1000], &snap.pos[300..428]);
-        let warm = session.try_force_for_run(jpos, jmass, xi, 300).unwrap();
+        let call =
+            WindowCall { list_len: 1000, first: 300, members: 128, members_at: 300, bodies: &[] };
+        let mut run = || {
+            session.open_window(std::iter::once(call));
+            let f = session.try_force_in_window((jpos, jmass), xi, 0).unwrap();
+            session.close_window();
+            f
+        };
+        let warm = run();
+        let _ = run();
+        let n = allocs_during(|| drop(run()));
+        assert_eq!(n, 1, "{mode:?} a run as the one call of a window");
         assert_eq!(session.try_force_for(jpos, jmass, xi).unwrap(), warm);
-        let _ = session.try_force_for_run(jpos, jmass, xi, 300).unwrap();
-        let n = allocs_during(|| drop(session.try_force_for_run(jpos, jmass, xi, 300).unwrap()));
-        assert_eq!(n, 1, "{mode:?} a run through try_force_for_run");
     }
 
     // `LanePath::Avx2` above ran the op column and the LNS lanes this

@@ -10,7 +10,7 @@
 
 use grape5_nbody::ic::plummer_sphere;
 use grape5_nbody::tree::domain::let_terms_into;
-use grape5_nbody::tree::plan::{stream_with_augment, GroupWork, PlanConfig, PlanPool};
+use grape5_nbody::tree::plan::{stream_windows, GroupWork, PlanConfig, PlanPool};
 use grape5_nbody::tree::traverse::Traversal;
 use grape5_nbody::tree::tree::Tree;
 use rand::SeedableRng;
@@ -61,7 +61,8 @@ fn steady_state_streaming_allocates_nothing() {
         let pool = PlanPool::new();
         let pass = || {
             let mut terms = 0u64;
-            stream_with_augment(&tree, &tr, &groups, &cfg, &pool, &augment, |w| {
+            stream_windows(&tree, &tr, &groups, (&cfg, &pool), &augment, usize::MAX, |w| {
+                let w = w.work(0);
                 terms += w.jpos.len() as u64 * w.targets.len() as u64
             })
             .expect(name);
