@@ -417,33 +417,20 @@ impl G5Pipeline {
         // per-pair table lookups; in LNS through the reference path's
         // f64 round trip).
         let lanes_on = self.cutoff.is_none() && self.lane_path == LanePath::Avx2;
+        if let (true, Some(lns)) = (lanes_on, self.lane_kernel()) {
+            let consts = (lns, self.quantum, self.eps2);
+            if lanes::avx2::block(self.wide, consts, xi, j, force_scale, fmt, out) {
+                return;
+            }
+        }
         match (self.mode, self.conv) {
             (ArithMode::Exact, _) => {
                 let (quantum, eps2, cutoff) = (self.quantum, self.eps2, self.cutoff.as_ref());
-                if lanes_on
-                    && lanes::block_exact_avx2(
-                        self.wide,
-                        quantum,
-                        eps2,
-                        xi,
-                        j,
-                        force_scale,
-                        fmt,
-                        out,
-                    )
-                {
-                    return;
-                }
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     Self::pair_exact(quantum, eps2, cutoff, d, j.m[jj])
                 });
             }
             (ArithMode::Lns, Some(conv)) if self.cutoff.is_none() => {
-                if let (true, Some(c)) = (lanes_on, &self.lns_lanes) {
-                    if lanes::block_lns_avx2(self.wide, c, xi, j, force_scale, fmt, out) {
-                        return;
-                    }
-                }
                 let (eps2_lns, quantum) = (self.eps2_lns, self.quantum);
                 lanes::block_pairs(xi, j, force_scale, fmt, out, |d, jj| {
                     Self::pair_lns_tab(conv, eps2_lns, quantum, d, j.m_lns[jj])
@@ -461,12 +448,17 @@ impl G5Pipeline {
     /// path, no cutoff, the LNS lane ROMs in LNS mode), and then in which
     /// mode: `Some(lns)`.
     pub(crate) fn pairs_on(&self) -> Option<bool> {
-        let lns = match (self.mode, &self.lns_lanes) {
-            (ArithMode::Exact, _) => false,
-            (ArithMode::Lns, Some(_)) => true,
-            (ArithMode::Lns, None) => return None,
-        };
+        let lns = self.lane_kernel()?.is_some();
         (self.lane_path == LanePath::Avx2 && self.cutoff.is_none()).then_some(lns)
+    }
+
+    /// The x86 lane kernel this pipeline's mode has: `Some(None)` in
+    /// exact mode, `Some(Some(lanes))` in LNS mode with lane ROMs.
+    fn lane_kernel(&self) -> Option<Option<&LnsLanes>> {
+        match self.mode {
+            ArithMode::Exact => Some(None),
+            ArithMode::Lns => self.lns_lanes.as_ref().map(Some),
+        }
     }
 
     /// Start `s` over with the run `at .. at + xi.len()` of the live
@@ -509,13 +501,8 @@ impl G5Pipeline {
         (force_scale, fmt): (f64, FixedFormat),
         s: &mut lanes::PairScratch,
     ) -> bool {
-        match (lns, &self.lns_lanes) {
-            (true, Some(c)) => lanes::block_lns_pairs(self.wide, c, force_scale, fmt, s),
-            _ => {
-                let consts = (self.quantum, self.eps2);
-                lanes::block_exact_pairs(self.wide, consts, force_scale, fmt, s)
-            }
-        }
+        let consts = (self.lns_lanes.as_ref().filter(|_| lns), self.quantum, self.eps2);
+        lanes::avx2::pair_pass(self.wide, consts, force_scale, fmt, s)
     }
 }
 

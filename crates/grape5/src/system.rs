@@ -1601,12 +1601,14 @@ mod tests {
     /// A synthetic pair window: bodies of one numbering, groups of them,
     /// and per group a list of its own run, runs of other groups' bodies
     /// and cells (`Cells(k)`: `k` far terms of their own; `Mass(m)`: one
-    /// of mass `m`).
+    /// of mass `m`; `Altered(r, b, d, f)`: the bodies `r` with body `b`
+    /// moved by `d` and its mass times `f`).
     #[derive(Debug, Clone)]
     enum Piece {
         Bodies(std::ops::Range<usize>),
         Cells(usize),
         Mass(f64),
+        Altered(std::ops::Range<usize>, usize, Vec3, f64),
     }
 
     /// What a window's calls gave: per call its force bits and what the
@@ -1659,13 +1661,18 @@ mod tests {
                 let (mut jpos, mut jmass, mut bodies, mut at) = (vec![], vec![], vec![], 0);
                 for piece in list {
                     match piece {
-                        Piece::Bodies(r) => {
+                        Piece::Bodies(r) | Piece::Altered(r, ..) => {
                             if r.start == g.start {
                                 at = jpos.len();
                             }
                             bodies.push([jpos.len(), r.start, r.len()]);
                             jpos.extend_from_slice(&pos[r.clone()]);
                             jmass.extend_from_slice(&mass[r.clone()]);
+                            if let &Piece::Altered(ref r, b, d, f) = piece {
+                                let k = jpos.len() - r.len() + (b - r.start);
+                                jpos[k] += d;
+                                jmass[k] *= f;
+                            }
                         }
                         &Piece::Cells(k) => {
                             for c in 0..k {
@@ -1904,13 +1911,29 @@ mod tests {
                 }
             }
         }
+        // a later call's list holds an altered copy of an earlier call's
+        // body — one coordinate word, or the mass: the call that took a
+        // deposit from the earlier one without it refuses it
+        for (mode, boards) in [ArithMode::Exact, ArithMode::Lns].map(|m| [(m, 1), (m, 2)]).concat()
+        {
+            let (pos, mass) = (sphere(210, 0.9), masses(Masses::Mixed, 210));
+            let (cfg, set, params) =
+                (device(mode, boards), (&pos[..], &mass[..]), (0.01, 1.0, false, None));
+            let plain = window_calls(cfg, Drive::Window, params, set, &groups, &lists).0;
+            for (d, f) in [(Vec3::new(1e-6, 0.0, 0.0), 1.0), (Vec3::ZERO, 1.5)] {
+                let mut lists = lists.clone();
+                lists[2][4] = Piece::Altered(0..35, 10, d, f);
+                let what = format!("{mode:?} {boards} boards, body 10 moved {d:?}, mass × {f}");
+                let want = window_calls(cfg, Drive::Definition, params, set, &groups, &lists).0;
+                let got = window_calls(cfg, Drive::Window, params, set, &groups, &lists).0;
+                assert!(got.iter().zip(&want).all(|(g, w)| g.0 == w.0), "{what}: forces differ");
+                assert!(!lanes || got[2].1[6] < plain[2].1[6], "{what}: the deposit was taken");
+            }
+        }
         // the scalar lane path opens no window
-        let cfg = device(ArithMode::Exact, 2);
-        let set = (&pos[..], &masses(Masses::Equal, 210)[..]);
-        let mut g5 = Grape5::open(cfg);
+        let mut g5 = Grape5::open(device(ArithMode::Exact, 2));
         g5.set_lane_path(LanePath::Scalar);
         assert!(!g5.open_window(std::iter::empty()), "a window on the scalar path");
-        let _ = set;
         if crate::lanes::cpu_lanes()[0] {
             for (mode, t) in ["exact", "LNS"].iter().zip(totals) {
                 // out, in, one back, two backs, a decline, an ended window

@@ -18,12 +18,16 @@
 //!
 //! Runs are split at each list's board boundaries when the window is
 //! planned (the split of a list is known from its length), and a run
-//! shorter than `PAIR_RUN_MIN` stays in the plain kernel. A deposit is
-//! used only if the words it was computed from are the words `h`'s call
-//! holds (an O(|A| + |B|) compare, both ways: `h`'s i-words over `B`,
-//! its j-words and masses over `A`). A call that runs no rectangles —
-//! its bound fails, its pass declines — commits no deposit, and the
-//! calls that would take one run those columns instead.
+//! shorter than `PAIR_RUN_MIN` stays in the plain kernel. Each member of a
+//! live window's calls has one exact record — its coordinate words and
+//! mass — set by the first call that uses it, as a row or a column, and
+//! compared by every later use. A deposit is used only where the call
+//! that computed it and the call that takes it both matched every record
+//! it reads: their words are then the records', so equal to each other
+//! (DESIGN.md, "pair blocks"). A call that runs no rectangles — its
+//! bound fails, its pass declines — commits no deposit, and the calls
+//! that would take one run those columns instead; the records it set
+//! stay as they are.
 
 use crate::lanes::{self, Block, PairScratch, Words};
 use crate::pipeline::{run_parts, G5Pipeline, JSlices};
@@ -78,8 +82,9 @@ struct Seg {
     out: bool,
     /// This segment's rectangles in `PairWindow::rects`.
     rects: Range<usize>,
-    /// The run's check record in `PairWindow::runs`.
-    run: usize,
+    /// The record of the body in its first column (the next columns' are
+    /// the next ones).
+    rec: usize,
     /// Placed by the call: its board, and for an outgoing segment its
     /// points in the scratch.
     board: usize,
@@ -87,25 +92,11 @@ struct Seg {
 }
 
 /// The rows of one rectangle (i-set indices of its call) and its
-/// deposit.
+/// deposit; it runs where the deposit is `ok`.
 #[derive(Debug, Clone, Default)]
 struct Rect {
     rows: Range<usize>,
     slot: usize,
-    /// An outgoing rectangle's rows: the check record of their run.
-    run: usize,
-    /// Set by the call: whether it runs.
-    on: bool,
-}
-
-/// A run's words as the deposits that pair it were computed from, at
-/// `at` in `PairWindow::check`: a run of the later call's bodies (the
-/// deposit's rows) three coordinate words each, a run of the earlier
-/// call's (its columns) three and its mass.
-#[derive(Debug, Clone, Default)]
-struct Run {
-    at: usize,
-    len: usize,
 }
 
 /// A deposit: the column side of every rectangle between one run `B` of
@@ -117,8 +108,6 @@ struct Run {
 struct Slot {
     rows: usize,
     dep: usize,
-    /// The rows' run.
-    brun: usize,
     valid: bool,
     /// Set by a call: where its words sit in the scratch (outgoing) or
     /// the board its columns are on (incoming); whether they hold and
@@ -129,14 +118,14 @@ struct Slot {
 }
 
 /// One side of a rectangle while a window is planned: its call, the
-/// columns there, outgoing or not, the check records of the columns' run
-/// and of the rows' run, the rows, the deposit.
+/// columns there, outgoing or not, the record of the body in the first
+/// column, the rows, the deposit.
 #[derive(Debug, Clone)]
 struct Side {
     call: usize,
     cols: Range<usize>,
     out: bool,
-    runs: [usize; 2],
+    rec: usize,
     rows: Range<usize>,
     slot: usize,
 }
@@ -147,14 +136,18 @@ struct Side {
 pub(crate) struct PairWindow {
     /// Rectangles are planned and the window has not been ended.
     alive: bool,
-    /// Per call, live or not: its segments, where its run starts.
-    calls: Vec<(Range<usize>, usize)>,
+    /// Per call, live or not: its segments, where its run starts, where
+    /// its members' records start.
+    calls: Vec<(Range<usize>, usize, usize)>,
     segs: Vec<Seg>,
     rects: Vec<Rect>,
     slots: Vec<Slot>,
-    runs: Vec<Run>,
     dep: Vec<i64>,
-    check: Vec<i64>,
+    /// One record per member of each call of a live window: its
+    /// coordinate words and mass bits as the first call that used it held
+    /// them, and whether a call has.
+    recs: Vec<[i64; 4]>,
+    set: Vec<bool>,
     /// Planning: each rectangle's two sides, and the two lists' runs of
     /// one pair.
     plan: Vec<Side>,
@@ -247,13 +240,11 @@ fn board_starts<'a>(
     })
 }
 
-/// Mass `p` of a board as a deposit's check holds it.
-fn mass_bits(j: &JSlices<'_>, p: usize, lns: bool) -> i64 {
-    if lns {
-        i64::from(j.m_word[p])
-    } else {
-        j.m[p].to_bits() as i64
-    }
+/// Body `p` of a board as its record holds it: the coordinate words and
+/// the mass, as `f64` bits in exact mode and as the mass word in LNS.
+fn record(j: &JSlices<'_>, p: usize, lns: bool) -> [i64; 4] {
+    let m = if lns { i64::from(j.m_word[p]) } else { j.m[p].to_bits() as i64 };
+    [j.x[p], j.y[p], j.z[p], m]
 }
 
 impl PairWindow {
@@ -275,12 +266,15 @@ impl PairWindow {
         pairs: bool,
     ) -> bool {
         self.close();
-        self.calls.extend(calls.clone().map(|c| (0..0, c.members_at)));
+        self.calls.extend(calls.clone().scan(0, |recs, c| {
+            *recs += c.members;
+            Some((0..0, c.members_at, *recs - c.members))
+        }));
         let eligible = |c: &WindowCall<'_>| {
             pairs && c.members >= PAIR_GROUP_MIN && c.members_at + c.members <= c.list_len
         };
         let per = |c: &WindowCall<'_>| c.list_len.div_ceil(boards.max(1)).max(1);
-        let (mut dep, mut check) = (0, 0);
+        let mut dep = 0;
         for (g, cg) in calls.clone().enumerate() {
             if !eligible(&cg) {
                 continue;
@@ -295,43 +289,32 @@ impl PairWindow {
                     continue;
                 }
                 runs_of(&ch, cg.first..cg.first + cg.members, boards, a_runs);
-                // the check records of the pair's runs
-                let b0 = self.runs.len();
-                for &[_, _, len] in b_runs.iter() {
-                    self.runs.push(Run { at: check, len });
-                    check += 3 * len;
-                }
-                let a0 = self.runs.len();
-                for &[_, _, len] in a_runs.iter() {
-                    self.runs.push(Run { at: check, len });
-                    check += 4 * len;
-                }
                 // a deposit per run of `B` and board of `h`'s list
                 let mut a = 0;
                 while a < a_runs.len() {
                     let board = a_runs[a][0] / per(&ch);
                     let end =
                         a + a_runs[a..].iter().take_while(|r| r[0] / per(&ch) == board).count();
-                    for (bi, &[bp, bid, blen]) in b_runs.iter().enumerate() {
+                    for &[bp, bid, blen] in b_runs.iter() {
                         let slot = self.slots.len();
-                        self.slots.push(Slot { rows: blen, dep, brun: b0 + bi, ..Slot::default() });
+                        self.slots.push(Slot { rows: blen, dep, ..Slot::default() });
                         dep += 4 * blen;
                         let b_rows = bid - ch.first..bid - ch.first + blen;
-                        for (ai, &[ap, aid, alen]) in a_runs[a..end].iter().enumerate() {
-                            let (brun, arun) = (b0 + bi, a0 + a + ai);
+                        for &[ap, aid, alen] in &a_runs[a..end] {
+                            let a_rows = aid - cg.first..aid - cg.first + alen;
                             self.plan.push(Side {
                                 call: g,
                                 cols: bp..bp + blen,
                                 out: true,
-                                runs: [brun, arun],
-                                rows: aid - cg.first..aid - cg.first + alen,
+                                rec: self.calls[h].2 + b_rows.start,
+                                rows: a_rows.clone(),
                                 slot,
                             });
                             self.plan.push(Side {
                                 call: h,
                                 cols: ap..ap + alen,
                                 out: false,
-                                runs: [arun, brun],
+                                rec: self.calls[g].2 + a_rows.start,
                                 rows: b_rows.clone(),
                                 slot,
                             });
@@ -345,21 +328,23 @@ impl PairWindow {
             return false;
         }
         self.dep.resize(dep, 0);
-        self.check.resize(check, 0);
+        let recs = calls.map(|c| c.members).sum();
+        self.recs.resize(recs, [0; 4]);
+        self.set.resize(recs, false);
         self.plan.sort_unstable_by_key(|p| (p.call, p.cols.start, p.out));
-        for Side { call, cols, out, runs: [run, rows_run], rows, slot } in self.plan.drain(..) {
+        for Side { call, cols, out, rec, rows, slot } in self.plan.drain(..) {
             let same = self.segs.last().is_some_and(|s| s.cols == cols && s.out == out)
                 && self.calls[call].0.end == self.segs.len();
             if !same {
                 let rects = self.rects.len()..self.rects.len();
-                self.segs.push(Seg { cols, out, rects, run, ..Seg::default() });
+                self.segs.push(Seg { cols, out, rects, rec, ..Seg::default() });
                 let c = &mut self.calls[call].0;
                 if c.start == c.end {
                     c.start = self.segs.len() - 1;
                 }
                 c.end = self.segs.len();
             }
-            self.rects.push(Rect { rows, slot, run: rows_run, on: false });
+            self.rects.push(Rect { rows, slot });
             self.segs.last_mut().expect("pushed above").rects.end = self.rects.len();
         }
         self.alive = true;
@@ -373,9 +358,9 @@ impl PairWindow {
         self.segs.clear();
         self.rects.clear();
         self.slots.clear();
-        self.runs.clear();
         self.dep.clear();
-        self.check.clear();
+        self.recs.clear();
+        self.set.clear();
         self.plan.clear();
     }
 
@@ -406,21 +391,19 @@ impl PairWindow {
             CallHint::Window(call) => self
                 .calls
                 .get(call)
-                .map_or((None, None), |&(_, at)| (Some(at), self.alive.then_some(call))),
+                .map_or((None, None), |&(_, at, _)| (Some(at), self.alive.then_some(call))),
         };
         let at = at.or((n == nj).then_some(0))?;
         (live.is_some() || n >= SELF_RUN_MIN || n == nj).then_some((at, live))
     }
 
-    /// Check record `run` holds `words`, each a chunk of its words.
-    fn holds<const W: usize>(&self, run: usize, words: impl Iterator<Item = [i64; W]>) -> bool {
-        let r = &self.runs[run];
-        let rec = &self.check[r.at..r.at + W * r.len];
-        let mut n = 0;
-        words.zip(rec.chunks_exact(W)).all(|(w, c)| {
-            n += 1;
-            w[..] == *c
-        }) && n == r.len
+    /// Does record `at` hold `w`? The first use of a body sets its record,
+    /// and a set record never changes.
+    fn holds(&mut self, at: usize, w: [i64; 4]) -> bool {
+        if !std::mem::replace(&mut self.set[at], true) {
+            self.recs[at] = w;
+        }
+        self.recs[at] == w
     }
 
     /// The one entry point: evaluate on `pipe` a call whose i-set `xi` is the
@@ -458,13 +441,13 @@ impl PairWindow {
         }
         // a call of the live window whose words are order-free gathers
         // its columns and runs its rectangles
-        let (gather, segs) = match call {
-            Some(call) if order_free => (true, self.calls[call].0.clone()),
-            _ => (false, 0..0),
+        let (gather, segs, base) = match call {
+            Some(call) if order_free => (true, self.calls[call].0.clone(), self.calls[call].2),
+            _ => (false, 0..0, 0),
         };
         let mut len = 4 * s.ends.len() * n;
         // an outgoing deposit runs whole or not at all; an incoming one
-        // is taken only if it was computed, from this call's words
+        // is taken only if it was computed
         for si in segs.clone() {
             let out = self.segs[si].out;
             for r in self.segs[si].rects.clone() {
@@ -472,17 +455,12 @@ impl PairWindow {
                 (slot.tmp, slot.added, slot.ok) = (usize::MAX, false, out || slot.valid);
             }
         }
-        for si in segs.clone() {
-            for r in self.segs[si].rects.clone() {
-                let slot = self.rects[r].slot;
-                self.slots[slot].ok &= self.rects[r].rows.end <= n;
-            }
-        }
         // place each segment: outgoing columns become points with a
-        // deposit in the scratch; incoming ones and their rows are checked
+        // deposit in the scratch; every column and row is checked against
+        // its body's record
         for si in segs.clone() {
-            let (cols, out, run) =
-                (self.segs[si].cols.clone(), self.segs[si].out, self.segs[si].run);
+            let (cols, out, rec) =
+                (self.segs[si].cols.clone(), self.segs[si].out, self.segs[si].rec);
             let placed = board_starts(boards.clone())
                 .enumerate()
                 .find(|(_, (bs, j))| *bs <= cols.start && cols.end <= bs + j.len())
@@ -495,36 +473,34 @@ impl PairWindow {
                 continue;
             };
             let local = cols.start - bs..cols.end - bs;
+            let cols_hold =
+                local.clone().zip(rec..).all(|(p, r)| self.holds(r, record(&j, p, lns)));
             if out {
-                self.segs[si].pts = s.push(&j, local.clone(), lns);
-                for r in rects {
-                    let slot = &mut self.slots[self.rects[r].slot];
+                self.segs[si].pts = s.push(&j, local, lns);
+            }
+            for r in rects {
+                let Rect { rows, slot, .. } = self.rects[r].clone();
+                let rows_hold = rows.end <= n
+                    && rows.clone().all(|a| {
+                        let [x, y, z] = xi[a];
+                        self.holds(base + a, [x, y, z, s.mass_bits(a, lns)])
+                    });
+                let slot = &mut self.slots[slot];
+                // an outgoing deposit's words in the scratch; all of an
+                // incoming one's columns on the one board it is added to
+                let one_board = if out {
                     if slot.tmp == usize::MAX {
                         slot.tmp = len;
                         len += 4 * slot.rows;
                     }
-                }
-            } else {
-                let cols_hold = self.holds(
-                    run,
-                    local.clone().map(|p| [j.x[p], j.y[p], j.z[p], mass_bits(&j, p, lns)]),
-                );
-                for r in rects {
-                    let Rect { rows, slot, .. } = self.rects[r].clone();
-                    let brun = self.slots[slot].brun;
-                    let rows_hold = rows.end <= n && self.holds(brun, xi[rows].iter().copied());
-                    // all of a deposit's columns on the one board it is added to
-                    let first = std::mem::replace(&mut self.slots[slot].tmp, k);
-                    let one_board = first == usize::MAX || first == k;
-                    self.slots[slot].ok &= cols_hold && rows_hold && one_board;
-                }
+                    true
+                } else {
+                    let first = std::mem::replace(&mut slot.tmp, k);
+                    first == usize::MAX || first == k
+                };
+                slot.ok &= cols_hold && rows_hold && one_board;
             }
             self.segs[si].board = k;
-        }
-        for si in segs.clone() {
-            for r in self.segs[si].rects.clone() {
-                self.rects[r].on = self.slots[self.rects[r].slot].ok;
-            }
         }
         s.seal(lns, len);
         if gather {
@@ -537,17 +513,17 @@ impl PairWindow {
             if !room || r.start == 0 || r.is_empty() {
                 return room;
             }
-            let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
+            let words = &mut Words::Rows { w: &mut s.words()[4 * k * n..], n, len: n };
             pipe.interact_into(xi, &j.sub(0..r.start), force_scale, fmt, words);
             let lim = (fmt.raw_max() - ((r.len() as i64) << 50)) as u64;
-            (0..4 * n).all(|i| s.word(4 * k * n + i).unsigned_abs() <= lim)
+            s.words()[4 * k * n..4 * (k + 1) * n].iter().all(|w| w.unsigned_abs() <= lim)
         }) {
             lanes::count_pairs(3, 1);
             return false;
         }
         s.push_self_blocks(n);
         for seg in self.segs[segs.clone()].iter().filter(|s| s.out) {
-            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+            for r in self.rects[seg.rects.clone()].iter().filter(|r| self.slots[r.slot].ok) {
                 let slot = &self.slots[r.slot];
                 s.blocks.push(Block {
                     rows: (r.rows.start, r.rows.end),
@@ -567,56 +543,36 @@ impl PairWindow {
             for (k, (j, r)) in run_parts(boards, (at, n)).enumerate() {
                 let rest = if r.is_empty() { 0..j.len() } else { r.end..j.len() };
                 if !rest.is_empty() {
-                    let words = &mut Words::Rows { w: s.words_from(4 * k * n), n, len: n };
+                    let words = &mut Words::Rows { w: &mut s.words()[4 * k * n..], n, len: n };
                     pipe.interact_into(xi, &j.sub(rest), force_scale, fmt, words);
                 }
             }
         }
         // the incoming rows start from their deposits (order-free), once
-        // per deposit; the outgoing deposits and their runs' words kept
+        // per deposit; the outgoing deposits kept
         let (mut outs, mut ins) = (0, 0);
         for si in segs {
-            let (seg, mut done) = (&self.segs[si], 0);
-            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+            let seg = &self.segs[si];
+            for r in &self.rects[seg.rects.clone()] {
                 let slot = &mut self.slots[r.slot];
-                if slot.added {
+                if !slot.ok || std::mem::replace(&mut slot.added, true) {
                     continue;
                 }
-                slot.added = true;
-                done += 1;
+                *if seg.out { &mut outs } else { &mut ins } += 1;
                 let w = 4 * slot.rows;
                 if seg.out {
                     self.dep[slot.dep..slot.dep + w]
-                        .copy_from_slice(s.words(slot.tmp..slot.tmp + w));
+                        .copy_from_slice(&s.words()[slot.tmp..slot.tmp + w]);
                     slot.valid = true;
                 } else {
                     for c in 0..4 {
                         for (t, i) in r.rows.clone().enumerate() {
                             let d = self.dep[slot.dep + c * slot.rows + t];
-                            s.add(4 * seg.board * n + c * n + i, d);
+                            let w = &mut s.words()[4 * seg.board * n + c * n + i];
+                            *w = w.wrapping_add(d);
                         }
                     }
                 }
-            }
-            if seg.out {
-                outs += done;
-                // the words this call paired: the later call's bodies here
-                // (its rows), this call's members (its columns)
-                let run = &self.runs[seg.run];
-                let rec = &mut self.check[run.at..run.at + 3 * run.len];
-                for (c, p) in rec.chunks_exact_mut(3).zip(seg.pts.clone()) {
-                    c.copy_from_slice(&s.coords(p, lns));
-                }
-                for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
-                    let run = &self.runs[r.run];
-                    let rec = &mut self.check[run.at..run.at + 4 * run.len];
-                    for (c, a) in rec.chunks_exact_mut(4).zip(r.rows.clone()) {
-                        c[..3].copy_from_slice(&xi[a]);
-                        c[3] = s.mass_bits(a, lns);
-                    }
-                }
-            } else {
-                ins += done;
             }
         }
         lanes::count_pairs(0, 1);
@@ -644,7 +600,7 @@ impl PairWindow {
         self.cuts.clear();
         self.cuts.extend([0, n]);
         for seg in &self.segs[segs.clone()] {
-            for r in self.rects[seg.rects.clone()].iter().filter(|r| r.on) {
+            for r in self.rects[seg.rects.clone()].iter().filter(|r| self.slots[r.slot].ok) {
                 self.cuts.extend([r.rows.start, r.rows.end]);
             }
         }
@@ -656,7 +612,8 @@ impl PairWindow {
             self.skip.push(at..at + n);
             for seg in &self.segs[segs.clone()] {
                 let rects = &self.rects[seg.rects.clone()];
-                if rects.iter().any(|r| r.on && r.rows.start <= c0 && c1 <= r.rows.end) {
+                let on = |r: &&Rect| self.slots[r.slot].ok;
+                if rects.iter().filter(on).any(|r| r.rows.start <= c0 && c1 <= r.rows.end) {
                     self.skip.push(seg.cols.clone());
                 }
             }
@@ -683,7 +640,7 @@ impl PairWindow {
                     lo = lo.max(r.end.clamp(bs, be));
                 }
                 if pieces > 0 {
-                    let w = s.words_from(4 * k * n + c0);
+                    let w = &mut s.words()[4 * k * n + c0..];
                     let words = &mut Words::Rows { w, n, len: c1 - c0 };
                     let cols = match pieces {
                         1 => j.sub(first),

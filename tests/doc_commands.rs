@@ -7,7 +7,10 @@
 //! "retired in PR n". Every backticked `Type::item` in README, DESIGN
 //! and SKILL.md names an item declared in `crates/` or `benchmark/src/`
 //! (a few `std` names aside), unless its line marks it "deleted in PR n"
-//! or "retired in PR n".
+//! or "retired in PR n". Every backticked repo path (`crates/…`,
+//! `tests/…`, `src/…`, `examples/…`) in the same three documents names a
+//! file or directory that exists, unless its line marks it "deleted in PR
+//! n" or "retired in PR n".
 
 use std::collections::HashSet;
 use std::path::Path;
@@ -255,11 +258,16 @@ fn item_refs(text: &str) -> Vec<(usize, String)> {
     found
 }
 
-/// What may stand before a declaration's keyword.
+/// What may stand before a declaration's keyword (and `pub(in path) `).
 const QUALIFIERS: &[&str] = &["pub(crate) ", "pub(super) ", "pub ", "unsafe ", "async "];
 /// The keywords that declare a name.
 const KEYWORDS: &[&str] =
     &["fn ", "struct ", "enum ", "trait ", "type ", "const fn ", "const ", "static ", "mod "];
+
+/// `line` past its leading `pub(in path) `, if it has one.
+fn restricted(line: &str) -> Option<&str> {
+    line.strip_prefix("pub(in ")?.split_once(") ").map(|(_, rest)| rest)
+}
 
 /// The name `s` starts with.
 fn ident(s: &str) -> &str {
@@ -283,7 +291,9 @@ fn declared_in(dir: &Path, names: &mut HashSet<String>) {
         let text = std::fs::read_to_string(&path).expect("a source file");
         for line in text.lines() {
             let mut line = line.trim_start();
-            while let Some(rest) = QUALIFIERS.iter().find_map(|q| line.strip_prefix(q)) {
+            while let Some(rest) =
+                QUALIFIERS.iter().find_map(|q| line.strip_prefix(q)).or_else(|| restricted(line))
+            {
                 line = rest;
             }
             if let (Some((row, _)), true) = (line.split_once(": "), line.ends_with("\";")) {
@@ -363,4 +373,96 @@ fn a_stale_item_reference_is_caught() {
         .map(|n| names.contains(*n))
         .collect();
     assert_eq!(live, [false, true, false, true]);
+}
+
+/// The roots of the repo paths [`path_refs`] reads.
+const PATH_ROOTS: &[&str] = &["crates/", "tests/", "src/", "examples/"];
+
+/// `(line, path)` for each repo path in a backticked span of `text` that
+/// starts at one of [`PATH_ROOTS`] (not inside a longer path), skipping
+/// every line that marks what it names "deleted in PR n" or "retired in
+/// PR n". A `*` in a path is a glob.
+fn path_refs(text: &str) -> Vec<(usize, String)> {
+    let mut found = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if marks(line, "deleted in PR ") || marks(line, "retired in PR ") {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            let mut starts: Vec<usize> = PATH_ROOTS
+                .iter()
+                .flat_map(|root| span.match_indices(root).map(|(at, _)| at))
+                .filter(|&at| {
+                    !span[..at].ends_with(|c: char| c.is_alphanumeric() || "_-./".contains(c))
+                })
+                .collect();
+            starts.sort_unstable();
+            for at in starts {
+                let path: String = span[at..]
+                    .chars()
+                    .take_while(|&c| c.is_alphanumeric() || "_-./*".contains(c))
+                    .collect();
+                found.push((i + 1, path.trim_end_matches('.').to_string()));
+            }
+        }
+    }
+    found
+}
+
+/// Whether `path` (relative to `root`) names a file or a directory; a `*`
+/// globs within one file name.
+fn path_exists(root: &Path, path: &str) -> bool {
+    if path.contains('*') {
+        file_exists(root, path)
+    } else {
+        root.join(path).exists()
+    }
+}
+
+#[test]
+fn every_documented_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    let mut seen = 0;
+    for doc in ITEM_DOCS {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (line, path) in path_refs(&text) {
+            seen += 1;
+            if !path_exists(root, &path) {
+                missing.push(format!("{doc}:{line}: {path}"));
+            }
+        }
+    }
+    assert!(seen >= 30, "only {seen} documented paths found: the scanner is broken");
+    assert!(
+        missing.is_empty(),
+        "documented paths that do not exist (mark a line that names a deleted one \
+         \"deleted in PR n\"):\n{}",
+        missing.join("\n")
+    );
+}
+
+#[test]
+fn a_stale_path_reference_is_caught() {
+    let text = "the kernels in `crates/grape5/src/lanes.rs` and `tests/golden_steps.rs`\n\
+                `crates/grape5/src/lanes.rs` (deleted in PR 3), `benchmark/src/staged.rs`\n\
+                `cargo test --test x` over `tests/`, `crates/core/src/cluster/`, `tests/golden/*.txt`\n\
+                `crates/grape5/src/lanes/avx2/`; not backticked: crates/grape5/src/lanes.rs";
+    let found = path_refs(text);
+    let found: Vec<(usize, &str)> = found.iter().map(|(l, p)| (*l, p.as_str())).collect();
+    assert_eq!(
+        found,
+        [
+            (1, "crates/grape5/src/lanes.rs"),
+            (1, "tests/golden_steps.rs"),
+            (3, "tests/"),
+            (3, "crates/core/src/cluster/"),
+            (3, "tests/golden/*.txt"),
+            (4, "crates/grape5/src/lanes/avx2/"),
+        ]
+    );
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let live: Vec<bool> = found.iter().map(|(_, p)| path_exists(root, p)).collect();
+    assert_eq!(live, [false, true, true, true, true, true]);
+    assert!(!path_exists(root, "tests/golden/*.json"));
 }

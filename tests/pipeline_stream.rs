@@ -108,6 +108,49 @@ fn forces_do_not_depend_on_workers_or_channel_depth() {
     }
 }
 
+/// Bodies of the two-species sphere the pair-window tests below run:
+/// ≈ 5 k where the tests are optimized (CI runs them `--release`), and
+/// the golden two-species sphere's 2,100 in an unoptimized build, where
+/// 5 k costs ≈ 100 s of one core. Either way each evaluation opens
+/// windows of seven or eight calls with 70 or more rectangles.
+const N_WINDOWS: usize = if cfg!(debug_assertions) { 2_100 } else { 5_000 };
+
+/// Pair windows on the producer plan path: at the paper's n_g = 2000 the
+/// groups of a two-species sphere (every 64th body three times as heavy)
+/// are hundreds of bodies each, their lists hold runs of each other's
+/// members, and the engine opens windows whose calls evaluate those pairs
+/// once. Overlapped producers resolve a window's lists out of tree order,
+/// so a window's checks must key on its calls, not on when a body was
+/// last seen. Forces, potentials and tallies with one or three producers
+/// and a channel one or four deep are the serial plan's, bit for bit.
+/// Every call runs on the calling thread (the whole machine is taken),
+/// so none skips the pair pass for the boards' threads.
+fn pair_windows_match_the_serial_plan(grape: grape5_nbody::grape5::Grape5Config) {
+    let _one_core: Vec<cores::Caller> = (0..cores::total()).map(|_| cores::enter()).collect();
+    let (pos, mut mass) = plummer(N_WINDOWS, 17);
+    mass.iter_mut().step_by(64).for_each(|m| *m *= 3.0);
+    let base = TreeGrapeConfig { n_crit: 2000, grape, ..TreeGrapeConfig::paper(0.01) };
+    let run = |plan| TreeGrape::new(TreeGrapeConfig { plan, ..base }).compute(&pos, &mass);
+    let want = run(PlanConfig::serial());
+    for (workers, depth) in [(1, 1), (1, 4), (3, 1), (3, 4)] {
+        let got = run(PlanConfig::overlapped(workers, depth));
+        let what = format!("{:?}, {workers} producers, depth {depth}", grape.mode);
+        assert_eq!(got.acc, want.acc, "{what}");
+        assert_eq!(got.pot, want.pot, "{what}");
+        assert_eq!(got.tally, want.tally, "{what}");
+    }
+}
+
+#[test]
+fn exact_pair_windows_do_not_depend_on_workers_or_channel_depth() {
+    pair_windows_match_the_serial_plan(TreeGrapeConfig::paper(0.01).grape);
+}
+
+#[test]
+fn lns_pair_windows_do_not_depend_on_workers_or_channel_depth() {
+    pair_windows_match_the_serial_plan(grape5_nbody::grape5::Grape5Config::paper());
+}
+
 /// The share of the machine a caller sizes itself for (`cores::share`)
 /// decides how many producers a default plan takes and whether a long
 /// force call runs its boards on their own threads — never a result.
